@@ -1,5 +1,5 @@
-//! The `throughput` criterion group: single-click predict latency (hashed
-//! fast path vs the retained reference scan), batched `predict_many`
+//! The `throughput` criterion group: single-click predict latency (each
+//! model's serving path vs the `pbppm_core::reference` oracle), batched `predict_many`
 //! throughput, and end-to-end eval-pass throughput, for all three paper
 //! models. The `throughput` *binary* measures the same quantities at the
 //! full day-7 NASA scale and feeds `scripts/perf-gate.sh`; this group is
@@ -7,8 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pbppm_core::{
-    LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction, Predictor, PruneConfig,
-    StandardPpm, UrlId,
+    reference, LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction, Predictor,
+    PruneConfig, StandardPpm, UrlId,
 };
 use pbppm_sim::{run_experiment, ExperimentConfig, ModelSpec};
 use pbppm_trace::{
@@ -99,20 +99,23 @@ fn bench_single_click(c: &mut Criterion) {
         standard.predict_ro(ctx, out, &mut usage);
     });
     run("ppm-scan", &mut |ctx, out| {
-        standard.predict_reference(ctx, out)
+        reference::predict_standard(&standard, ctx, out);
     });
     let mut usage = PredictUsage::default();
     run("lrs-fast", &mut |ctx, out| {
         usage.clear();
         lrs.predict_ro(ctx, out, &mut usage);
     });
-    run("lrs-scan", &mut |ctx, out| lrs.predict_reference(ctx, out));
+    run("lrs-scan", &mut |ctx, out| {
+        reference::predict_lrs(&lrs, ctx, out)
+    });
     let mut usage = PredictUsage::default();
     run("pb-fast", &mut |ctx, out| {
         usage.clear();
         pb.predict_ro(ctx, out, &mut usage);
     });
-    run("pb-scan", &mut |ctx, out| pb.predict_reference(ctx, out));
+    let scan = reference::PbScan::new(&pb);
+    run("pb-scan", &mut |ctx, out| scan.predict(ctx, out));
     group.finish();
 }
 

@@ -3,11 +3,10 @@
 //! Three measurements per paper model (PPM, LRS, PB-PPM) at day-7 NASA
 //! tree sizes:
 //!
-//! 1. **single-click predict latency** — the frozen-arena serving path
-//!    ([`Predictor::predict_ro`]) against both the retained pointer-tree
-//!    fast path (`predict_pointer`) and the reference scan
-//!    (`predict_reference`), nanoseconds per context, plus heap bytes per
-//!    node for the pointer arena and the frozen SoA/CSR arena;
+//! 1. **single-click predict latency** — each model's one serving path
+//!    ([`Predictor::predict_ro`] on the frozen arena) against the
+//!    [`pbppm_core::reference`] oracle scan, nanoseconds per context, plus
+//!    heap bytes per node of the frozen SoA/CSR arena;
 //! 2. **batched predict throughput** — [`Predictor::predict_many`] over the
 //!    whole context set, clicks per second;
 //! 3. **end-to-end experiment throughput** — [`pbppm_sim::run_experiment`]
@@ -27,8 +26,8 @@
 
 use crate::{nasa_trace, write_json, Table};
 use pbppm_core::{
-    LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction, Predictor, PruneConfig,
-    StandardPpm, UrlId,
+    reference, LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction, Predictor,
+    PruneConfig, StandardPpm, UrlId,
 };
 use pbppm_serve::{ServeOptions, ServeSession};
 use pbppm_sim::{resolve_threads, run_experiment, ExperimentConfig, ModelSpec};
@@ -58,20 +57,12 @@ pub struct ModelThroughput {
     /// Serving fast path ([`Predictor::predict_ro`]), which answers from
     /// the frozen SoA/CSR arena — nanoseconds per single-click predict.
     pub frozen_ns_per_click: f64,
-    /// The pre-arena fast path (`predict_pointer`): the same match
-    /// strategy served from the pointer tree, nanoseconds per click.
-    pub pointer_ns_per_click: f64,
     /// Retained reference scan, nanoseconds per single-click predict.
     pub reference_ns_per_click: f64,
     /// `reference / frozen` — the serving path's speedup over the scan.
     /// Hard-gated `>= 1.0` for every model: the fast path must never lose
     /// to the reference it replaces.
     pub fast_path_speedup: f64,
-    /// `pointer / frozen` — what the frozen arena buys over the pointer
-    /// tree at identical match strategy.
-    pub frozen_vs_pointer_speedup: f64,
-    /// Pointer-tree arena heap, bytes per alive node.
-    pub heap_bytes_per_node_pointer: f64,
     /// Frozen SoA/CSR arena heap, bytes per node.
     pub heap_bytes_per_node_frozen: f64,
     /// `predict_many` batched throughput, clicks per second.
@@ -196,29 +187,22 @@ fn time_batched(
 
 /// Raw per-model timings and sizes, before normalization.
 struct RowInputs {
-    /// Seconds per pass: frozen serving path, pointer path, reference scan,
-    /// batched pass.
+    /// Seconds per pass: frozen serving path, reference scan, batched pass.
     frozen: f64,
-    pointer: f64,
     slow: f64,
     batch: f64,
-    /// Heap bytes: pointer-tree arena, frozen arena.
-    tree_bytes: usize,
+    /// Heap bytes of the frozen arena.
     frozen_bytes: usize,
 }
 
 fn model_row(label: &str, nodes: usize, n: usize, raw: &RowInputs) -> ModelThroughput {
-    let per_node = |bytes: usize| bytes as f64 / nodes.max(1) as f64;
     ModelThroughput {
         model: label.to_string(),
         nodes,
         frozen_ns_per_click: raw.frozen * 1e9 / n as f64,
-        pointer_ns_per_click: raw.pointer * 1e9 / n as f64,
         reference_ns_per_click: raw.slow * 1e9 / n as f64,
         fast_path_speedup: raw.slow / raw.frozen.max(1e-12),
-        frozen_vs_pointer_speedup: raw.pointer / raw.frozen.max(1e-12),
-        heap_bytes_per_node_pointer: per_node(raw.tree_bytes),
-        heap_bytes_per_node_frozen: per_node(raw.frozen_bytes),
+        heap_bytes_per_node_frozen: raw.frozen_bytes as f64 / nodes.max(1) as f64,
         batched_clicks_per_sec: n as f64 / raw.batch.max(1e-12),
     }
 }
@@ -588,13 +572,10 @@ pub fn run() {
                     usage.clear();
                     standard.predict_ro(c, out, &mut usage);
                 }),
-                pointer: time_clicks(&contexts, |c, out| {
-                    usage.clear();
-                    standard.predict_pointer(c, out, &mut usage);
+                slow: time_clicks(&contexts, |c, out| {
+                    reference::predict_standard(&standard, c, out);
                 }),
-                slow: time_clicks(&contexts, |c, out| standard.predict_reference(c, out)),
                 batch: time_batched(&contexts, |cs, outs| standard.predict_many(cs, outs)),
-                tree_bytes: standard.stats().memory_bytes,
                 frozen_bytes: frozen_bytes(standard.frozen()),
             };
             model_row("PPM", standard.node_count(), contexts.len(), &raw)
@@ -605,30 +586,21 @@ pub fn run() {
                     usage.clear();
                     lrs.predict_ro(c, out, &mut usage);
                 }),
-                pointer: time_clicks(&contexts, |c, out| {
-                    usage.clear();
-                    lrs.predict_pointer(c, out, &mut usage);
-                }),
-                slow: time_clicks(&contexts, |c, out| lrs.predict_reference(c, out)),
+                slow: time_clicks(&contexts, |c, out| reference::predict_lrs(&lrs, c, out)),
                 batch: time_batched(&contexts, |cs, outs| lrs.predict_many(cs, outs)),
-                tree_bytes: lrs.stats().memory_bytes,
                 frozen_bytes: frozen_bytes(lrs.frozen()),
             };
             model_row("LRS", lrs.node_count(), contexts.len(), &raw)
         },
         {
+            let scan = reference::PbScan::new(&pb);
             let raw = RowInputs {
                 frozen: time_clicks(&contexts, |c, out| {
                     usage.clear();
                     pb.predict_ro(c, out, &mut usage);
                 }),
-                pointer: time_clicks(&contexts, |c, out| {
-                    usage.clear();
-                    pb.predict_pointer(c, out, &mut usage);
-                }),
-                slow: time_clicks(&contexts, |c, out| pb.predict_reference(c, out)),
+                slow: time_clicks(&contexts, |c, out| scan.predict(c, out)),
                 batch: time_batched(&contexts, |cs, outs| pb.predict_many(cs, outs)),
-                tree_bytes: pb.stats().memory_bytes,
                 frozen_bytes: frozen_bytes(pb.frozen()),
             };
             model_row("PB-PPM", pb.node_count(), contexts.len(), &raw)
@@ -661,12 +633,9 @@ pub fn run() {
             "model",
             "nodes",
             "frozen ns/click",
-            "pointer ns/click",
             "scan ns/click",
             "vs scan",
-            "vs pointer",
             "B/node frozen",
-            "B/node pointer",
             "batched clicks/s",
         ],
     );
@@ -675,12 +644,9 @@ pub fn run() {
             m.model.clone(),
             m.nodes.to_string(),
             format!("{:.0}", m.frozen_ns_per_click),
-            format!("{:.0}", m.pointer_ns_per_click),
             format!("{:.0}", m.reference_ns_per_click),
             format!("{:.1}x", m.fast_path_speedup),
-            format!("{:.1}x", m.frozen_vs_pointer_speedup),
             format!("{:.0}", m.heap_bytes_per_node_frozen),
-            format!("{:.0}", m.heap_bytes_per_node_pointer),
             format!("{:.2e}", m.batched_clicks_per_sec),
         ]);
     }

@@ -1,38 +1,34 @@
-//! Hashed context matching — the fingerprint fast path shared by all trees.
+//! Hashed context matching — PB-PPM's fingerprint fast path.
 //!
-//! The PPM models answer one question on every click: *which stored branch
-//! nodes spell the last `ℓ` URLs of the live context?* The baseline answers
-//! it by walking candidate nodes upward one URL at a time ([`Tree::descend`]
-//! for the suffix-rooted models, an occurrence scan for PB-PPM). This module
-//! replaces that scan with a rolling-hash fingerprint index:
+//! PB-PPM answers one question on every click: *which stored branch nodes
+//! spell the last `ℓ` URLs of the live context?* Rule 4 saves the suffix
+//! duplication of standard PPM, so the longest match must be sought at
+//! interior nodes, and answering it by walking every occurrence of the
+//! current URL upward is a linear occurrence scan (the reference oracle in
+//! [`crate::reference`]). This module replaces that scan with a
+//! rolling-hash fingerprint index:
 //!
-//! * every node carries a polynomial **path hash** of its root-to-node URL
-//!   sequence, `P(node) = P(parent)·B + h(url)` (wrapping arithmetic,
-//!   see [`Tree::rebuild_path_hashes`]);
+//! * every node has a polynomial **path hash** of its root-to-node URL
+//!   sequence, `P(node) = P(parent)·B + h(url)` (wrapping arithmetic),
+//!   computed once per build and then dropped;
 //! * the hash of any *window* of `ℓ` URLs ending at a node is recovered in
 //!   O(1) from two path hashes: `W = P(node) − P(ancestor_ℓ)·B^ℓ`;
 //! * the live context's suffix hashes obey the same recurrence
 //!   ([`ContextHashes`]), so "which nodes match the last `ℓ` clicks?"
 //!   becomes one bucket lookup keyed by `(ℓ, W)`.
 //!
-//! Hash-bucket collisions are possible (64-bit fingerprints, no chaining of
-//! URL ids), so every candidate is **verified** with the original upward
-//! walk before it is used ([`match_top`]). The fast path is therefore
-//! bit-identical to the scan it replaces — the property tests in
-//! `tests/model_properties.rs` pin exactly that.
-//!
-//! For the windows mode the index goes one step further: a popular URL's
-//! length-1 bucket holds *every* occurrence of that URL, so answering a
-//! one-click context by iterating the bucket would be the very occurrence
-//! scan the index exists to replace. [`ContextIndex::windows`] therefore
-//! precomputes a [`WindowGroup`] per bucket — the summed parent count and
-//! per-successor vote totals of all members, sub-totalled by the URL each
-//! member's stored path *extends* with above the window. A clean bucket is
-//! verified against the query with a single representative walk, and
-//! PB-PPM's maximality exclusion becomes one subtraction instead of a
-//! per-member filter. Buckets whose members genuinely disagree about the
-//! window's content (a real 64-bit collision, detected at build time) are
-//! flagged dirty and answered member by member as before.
+//! A popular URL's length-1 bucket holds *every* occurrence of that URL, so
+//! answering a one-click context by iterating the bucket would be the very
+//! occurrence scan the index exists to replace. Each bucket therefore
+//! stores a [`WindowGroup`]: its members plus their summed parent count and
+//! per-successor vote totals, sub-totalled by the URL each member's stored
+//! path *extends* with above the window. A clean bucket is verified against
+//! the query with a single representative walk, and PB-PPM's maximality
+//! exclusion becomes one subtraction instead of a per-member filter.
+//! Buckets whose members genuinely disagree about the window's content (a
+//! real 64-bit collision, detected at build time) are flagged dirty and
+//! answered member by member. Buckets without a single voting member are
+//! not stored at all: no query could get a prediction out of them.
 
 use crate::fxhash::FxHashMap;
 use crate::interner::UrlId;
@@ -99,85 +95,129 @@ impl ContextHashes {
     }
 }
 
-/// Verifies that the upward path ending at `node` spells `suffix` (oldest
-/// URL topmost), returning the topmost matched node on success.
+/// The rolling hash of every node's root-to-node path, indexed by arena
+/// slot: `P(root) = h(url)`, `P(child) = P(parent)·B + h(url)`.
 ///
-/// This is the collision check that keeps the hashed fast path bit-identical
-/// to the original walk: a bucket hit is only a *candidate* until this
-/// passes.
-pub fn match_top(tree: &Tree, node: NodeId, suffix: &[UrlId]) -> Option<NodeId> {
-    let mut cur = node;
-    let mut iter = suffix.iter().rev();
-    let &last = iter.next()?;
-    if tree.node(cur).url != last {
-        return None;
-    }
-    for &url in iter {
-        let parent = tree.node(cur).parent;
-        if parent.is_none() {
-            return None; // stored path is shorter than the suffix
+/// Usually a single forward sweep (the arena allocates parents before
+/// children); a chain walk handles out-of-order parents, possible only in
+/// hand-crafted snapshots, so the result never depends on arena order.
+fn path_hash_table(tree: &Tree) -> Vec<u64> {
+    let n = tree.nodes.len();
+    let mut hashes = vec![0u64; n];
+    let mut done = vec![false; n];
+    let mut chain: Vec<usize> = Vec::new();
+    for start in 0..n {
+        // Ascend to the nearest already-hashed ancestor (or a root)...
+        let mut cur = start;
+        while !done[cur] {
+            chain.push(cur);
+            let parent = tree.nodes[cur].parent;
+            if parent.is_none() {
+                break;
+            }
+            cur = parent.index();
         }
-        cur = parent;
-        if tree.node(cur).url != url {
-            return None;
+        // ...then fill hashes back down the collected chain.
+        while let Some(i) = chain.pop() {
+            let h = hash_url(tree.nodes[i].url);
+            let parent = tree.nodes[i].parent;
+            hashes[i] = if parent.is_none() {
+                h
+            } else {
+                hashes[parent.index()]
+                    .wrapping_mul(HASH_BASE)
+                    .wrapping_add(h)
+            };
+            done[i] = true;
         }
     }
-    Some(cur)
+    hashes
 }
 
-/// Precomputed vote aggregates for one windows-mode bucket.
+/// A run `start..end` of one of a [`ContextIndex`]'s flat lists.
+///
+/// `u32` bounds keep a group small; a model with 2^32 index entries would
+/// need 16 GiB for its member list alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// The run from `start` to the current end of `list`.
+    fn since<T>(list: &[T], start: usize) -> Self {
+        let at = |n: usize| match u32::try_from(n) {
+            Ok(at) => at,
+            Err(_) => panic!("context index outgrew its u32 list offsets"),
+        };
+        Span {
+            start: at(start),
+            end: at(list.len()),
+        }
+    }
+
+    #[inline]
+    fn of<T>(self, list: &[T]) -> &[T] {
+        &list[self.start as usize..self.end as usize]
+    }
+}
+
+/// One fingerprint bucket: the nodes filed under it and their precomputed
+/// vote aggregates, as runs of the index's flat lists.
 ///
 /// All members of a clean bucket spell the same window of URLs, so the
 /// answer to "the context's longest match is this window — what do its
 /// occurrences predict?" is the same for every query and can be summed
-/// once at build time. Members are sub-grouped by their **extension** —
-/// the URL their stored path continues with *above* the window (`None`
-/// when the window already starts at a branch root) — because PB-PPM's
-/// grouping excludes members whose match would extend to a longer context
-/// suffix: at query time that exclusion is a subtraction of one sub-group.
+/// once at build time. Voters are sub-grouped by their **extension** — the
+/// URL their stored path continues with *above* the window (`None` when
+/// the window already starts at a branch root) — because PB-PPM's grouping
+/// excludes members whose match would extend to a longer context suffix:
+/// at query time that exclusion is a subtraction of one sub-group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowGroup {
-    /// Representative member: one upward walk against it verifies the
-    /// whole bucket's content against the query suffix.
-    pub(crate) rep: NodeId,
-    /// Build-time hash collision: members disagree about the window's
-    /// content, so queries must verify and aggregate member by member.
-    pub(crate) dirty: bool,
+    /// Every node filed under the bucket, in arena order. The first is
+    /// the representative: one upward walk against it verifies a clean
+    /// bucket's content against the query suffix.
+    pub(crate) members: Span,
+    /// Per-successor vote totals over all voting members, sorted by URL.
+    pub(crate) votes: Span,
+    /// Sub-aggregates per extension URL, sorted by extension.
+    pub(crate) subs: Span,
     /// Summed count of all members that have alive children (the group's
     /// vote denominator when nothing is excluded).
     pub(crate) total: u64,
-    /// Per-successor vote totals over all voting members, sorted by URL.
-    pub(crate) votes: Vec<(UrlId, u64)>,
-    /// Sub-aggregates per extension URL, sorted by extension.
-    pub(crate) subs: Vec<SubGroup>,
+    /// The window length the bucket was filed under.
+    pub(crate) len: u8,
+    /// Build-time hash collision: members disagree about the window's
+    /// content, so queries must verify and aggregate member by member and
+    /// the aggregates stay empty.
+    pub(crate) dirty: bool,
 }
 
-/// The slice of a [`WindowGroup`] contributed by members sharing one
+/// The slice of a [`WindowGroup`] contributed by the voters sharing one
 /// extension URL.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SubGroup {
-    /// URL the members' stored paths continue with above the window;
+    /// URL the voters' stored paths continue with above the window;
     /// `None` when the window starts at a branch root (never excluded).
     pub(crate) ext: Option<UrlId>,
-    /// Summed count of this sub-group's voting members.
+    /// Summed count of this sub-group's voters.
     pub(crate) total: u64,
     /// Per-successor vote totals, sorted by URL (a subset of the group's).
-    pub(crate) votes: Vec<(UrlId, u64)>,
-    /// The voting members themselves (for deferred used-path marking).
-    pub(crate) voters: Vec<NodeId>,
-    /// Their alive children (for deferred used-node marking).
-    pub(crate) children: Vec<NodeId>,
+    pub(crate) votes: Span,
 }
 
-impl WindowGroup {
-    /// The sub-group whose members extend the window with `ext`, if any.
-    #[inline]
-    pub(crate) fn sub_for(&self, ext: UrlId) -> Option<&SubGroup> {
-        self.subs
-            .binary_search_by_key(&Some(ext), |s| s.ext)
-            .ok()
-            .map(|i| &self.subs[i])
+/// The URL a stored path continues with above the length-`len` window
+/// ending at `node` (`None` when the window starts at a branch root). This
+/// is the key a voter's [`SubGroup`] is filed under.
+pub(crate) fn extension(tree: &Tree, node: NodeId, len: usize) -> Option<UrlId> {
+    let mut top = node;
+    for _ in 1..len {
+        top = tree.node(top).parent;
     }
+    let above = tree.node(top).parent;
+    (!above.is_none()).then(|| tree.node(above).url)
 }
 
 /// True when the length-`len` windows ending at `a` and `b` spell the same
@@ -197,24 +237,6 @@ fn same_window(tree: &Tree, a: NodeId, b: NodeId, len: usize) -> bool {
     true
 }
 
-/// Fingerprint → node-bucket index over a [`Tree`], keyed by
-/// `(window length, rolling window hash)`.
-///
-/// Two build modes cover the two matching disciplines the models use:
-///
-/// * [`ContextIndex::full_paths`] — one entry per node, keyed by its full
-///   root-to-node path. Standard and LRS PPM store every suffix as its own
-///   branch, so a context can only ever match a *complete* root path; this
-///   mode makes [`ContextIndex::longest_predictive`] a drop-in replacement
-///   for [`Tree::longest_predictive_match`].
-/// * [`ContextIndex::windows`] — one entry per node per window length up to
-///   `max_order`. PB-PPM saves the suffix duplication (rule 4), so its
-///   longest context match must be sought at interior nodes; this mode
-///   replaces its linear occurrence scan.
-///
-/// Both builders rebuild the tree's path hashes first, so they want `&mut
-/// Tree`; afterwards the index is immutable and lookups take `&self`, which
-/// is what lets the evaluation engine share one model across worker threads.
 /// Bucket-occupancy summary of a [`ContextIndex`]
 /// (see [`ContextIndex::occupancy`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -223,46 +245,51 @@ pub struct IndexOccupancy {
     pub buckets: usize,
     /// Entries in the fullest bucket.
     pub max_bucket: usize,
-    /// Windows-mode groups whose members collided (queried member by
-    /// member instead of via the precomputed aggregate).
+    /// Groups whose members collided (queried member by member instead of
+    /// via the precomputed aggregate).
     pub dirty_groups: usize,
 }
 
-/// A windows-mode bucket under construction: the window length plus every
-/// member node with its extension URL (`None` for window-terminal nodes).
+/// A bucket under construction: the window length plus every member node
+/// with its extension URL.
 type RawBucket = (usize, Vec<(NodeId, Option<UrlId>)>);
 
+/// Sorts `(url, count)` votes by URL and sums the counts of equal URLs.
+fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
+    votes.sort_unstable_by_key(|v| v.0);
+    votes.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+}
+
+/// Fingerprint → [`WindowGroup`] index over a [`Tree`], keyed by
+/// `(window length, rolling window hash)`.
+///
+/// Built once per finalize from the tree; afterwards it is immutable and
+/// lookups take `&self`, which is what lets the evaluation engine share
+/// one model across worker threads. The groups' members, votes and
+/// sub-aggregates live in three flat boxed slices, so the whole index is
+/// a handful of exact-size allocations: a finalized model, its publish
+/// clone and its snapshot restore hold the same bytes.
 #[derive(Debug, Clone, Default)]
 pub struct ContextIndex {
-    pub(crate) buckets: FxHashMap<u64, Vec<NodeId>>,
-    /// Windows mode only: precomputed aggregates per bucket, same keys as
-    /// `buckets`. Empty in full-paths mode.
     pub(crate) groups: FxHashMap<u64, WindowGroup>,
-    pub(crate) entries: usize,
+    members: Box<[NodeId]>,
+    votes: Box<[(UrlId, u64)]>,
+    subs: Box<[SubGroup]>,
 }
 
 impl ContextIndex {
-    /// Builds the full-root-path index (standard/LRS matching discipline).
-    pub fn full_paths(tree: &mut Tree) -> Self {
-        tree.rebuild_path_hashes();
-        let mut index = ContextIndex::default();
-        for id in tree.iter_alive() {
-            let node = tree.node(id);
-            if node.link_dup {
-                continue; // never reachable by descending from a root
-            }
-            index.insert(usize::from(node.depth), tree.path_hash(id), id);
-        }
-        index
-    }
-
-    /// Builds the all-windows index (PB-PPM matching discipline): every
-    /// alive branch node is filed under each suffix window of its upward
-    /// path, up to `max_order` URLs, and every bucket gets its
-    /// [`WindowGroup`] vote aggregates precomputed.
-    pub fn windows(tree: &mut Tree, max_order: usize) -> Self {
-        tree.rebuild_path_hashes();
-        let mut index = ContextIndex::default();
+    /// Builds the all-windows index: every alive branch node is filed under
+    /// each suffix window of its upward path, up to `max_order` URLs, and
+    /// every bucket with at least one voting member gets its aggregates
+    /// precomputed.
+    pub fn windows(tree: &Tree, max_order: usize) -> Self {
+        let hashes = path_hash_table(tree);
         // Phase 1: file every (node, window) entry, remembering the window
         // length and the member's extension URL per bucket.
         let mut raw: FxHashMap<u64, RawBucket> = FxHashMap::default();
@@ -271,121 +298,110 @@ impl ContextIndex {
             if node.link_dup {
                 continue;
             }
-            let p_node = tree.path_hash(id);
+            let p_node = hashes[id.index()];
             let max_len = usize::from(node.depth).min(max_order);
             let mut anc = id;
             let mut pow = 1u64;
             for len in 1..=max_len {
                 pow = pow.wrapping_mul(HASH_BASE);
                 let parent = tree.node(anc).parent;
-                let above = if parent.is_none() {
-                    0
+                let (above, ext) = if parent.is_none() {
+                    (0, None)
                 } else {
-                    tree.path_hash(parent)
+                    (hashes[parent.index()], Some(tree.node(parent).url))
                 };
                 let hash = p_node.wrapping_sub(above.wrapping_mul(pow));
-                let ext = if parent.is_none() {
-                    None
-                } else {
-                    Some(tree.node(parent).url)
-                };
-                let entry = raw
-                    .entry(bucket_key(len, hash))
-                    .or_insert_with(|| (len, Vec::new()));
-                entry.1.push((id, ext));
+                raw.entry(bucket_key(len, hash))
+                    .or_insert_with(|| (len, Vec::new()))
+                    .1
+                    .push((id, ext));
                 if parent.is_none() {
                     break;
                 }
                 anc = parent;
             }
         }
-        // Phase 2: aggregate each bucket into its WindowGroup.
-        for (key, (len, members)) in raw {
-            index.entries += members.len();
-            let rep = members[0].0;
-            let dirty = members
+        // Phase 2: aggregate each bucket that has a voter into its group.
+        let mut built: Vec<(u64, WindowGroup)> = Vec::new();
+        let (mut members, mut votes, mut subs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut voters: Vec<(Option<UrlId>, NodeId)> = Vec::new();
+        let mut tally: Vec<(UrlId, u64)> = Vec::new();
+        for (key, (len, bucket)) in raw {
+            voters.clear();
+            voters.extend(
+                bucket
+                    .iter()
+                    .filter(|&&(m, _)| tree.children_of(m).next().is_some())
+                    .map(|&(m, ext)| (ext, m)),
+            );
+            if voters.is_empty() {
+                continue; // no query could get a prediction out of it
+            }
+            let rep = bucket[0].0;
+            let dirty = bucket
                 .iter()
                 .skip(1)
                 .any(|&(m, _)| !same_window(tree, rep, m, len));
-            let mut group = WindowGroup {
-                rep,
-                dirty,
-                total: 0,
-                votes: Vec::new(),
-                subs: Vec::new(),
-            };
+            let member_start = members.len();
+            members.extend(bucket.iter().map(|&(m, _)| m));
+            let (sub_start, vote_start) = (subs.len(), votes.len());
+            let mut total = 0;
             if !dirty {
-                for &(m, ext) in &members {
-                    let mut kids = tree.children_of(m).peekable();
-                    if kids.peek().is_none() {
-                        continue; // leaves never vote
+                voters.sort_by_key(|v| v.0);
+                let mut run = 0;
+                while run < voters.len() {
+                    let ext = voters[run].0;
+                    let (mut sub_total, start) = (0, votes.len());
+                    tally.clear();
+                    while run < voters.len() && voters[run].0 == ext {
+                        let m = voters[run].1;
+                        sub_total += tree.node(m).count;
+                        tally.extend(tree.children_of(m).map(|(url, _, count)| (url, count)));
+                        run += 1;
                     }
-                    let count = tree.node(m).count;
-                    group.total += count;
-                    let pos = match group.subs.iter().position(|s| s.ext == ext) {
-                        Some(p) => p,
-                        None => {
-                            group.subs.push(SubGroup {
-                                ext,
-                                total: 0,
-                                votes: Vec::new(),
-                                voters: Vec::new(),
-                                children: Vec::new(),
-                            });
-                            group.subs.len() - 1
-                        }
-                    };
-                    let sub = &mut group.subs[pos];
-                    sub.total += count;
-                    sub.voters.push(m);
-                    for (url, child, ccount) in kids {
-                        sub.children.push(child);
-                        match sub.votes.iter().position(|v| v.0 == url) {
-                            Some(i) => sub.votes[i].1 += ccount,
-                            None => sub.votes.push((url, ccount)),
-                        }
-                    }
+                    sum_votes(&mut tally);
+                    votes.extend_from_slice(&tally);
+                    subs.push(SubGroup {
+                        ext,
+                        total: sub_total,
+                        votes: Span::since(&votes, start),
+                    });
+                    total += sub_total;
                 }
-                group.subs.sort_by_key(|s| s.ext);
-                let mut votes: Vec<(UrlId, u64)> = Vec::new();
-                for sub in &mut group.subs {
-                    sub.votes.sort_unstable_by_key(|v| v.0);
-                    for &(url, count) in &sub.votes {
-                        match votes.iter().position(|v| v.0 == url) {
-                            Some(i) => votes[i].1 += count,
-                            None => votes.push((url, count)),
-                        }
-                    }
-                }
-                votes.sort_unstable_by_key(|v| v.0);
-                group.votes = votes;
+                tally.clear();
+                tally.extend_from_slice(&votes[vote_start..]);
+                sum_votes(&mut tally);
             }
-            index
-                .buckets
-                .insert(key, members.into_iter().map(|(m, _)| m).collect());
-            index.groups.insert(key, group);
+            let group_votes = votes.len();
+            votes.extend_from_slice(&tally);
+            tally.clear();
+            built.push((
+                key,
+                WindowGroup {
+                    members: Span::since(&members, member_start),
+                    votes: Span::since(&votes, group_votes),
+                    subs: Span::since(&subs, sub_start),
+                    total,
+                    // Windows are at most a node depth long; depths are u8.
+                    len: u8::try_from(len).unwrap_or(u8::MAX),
+                    dirty,
+                },
+            ));
         }
-        index
+        // Sized once, so a rebuild, a clone and a snapshot restore of the
+        // same tree all hold the same table.
+        let mut groups = FxHashMap::with_capacity_and_hasher(built.len(), Default::default());
+        groups.extend(built);
+        ContextIndex {
+            groups,
+            members: members.into_boxed_slice(),
+            votes: votes.into_boxed_slice(),
+            subs: subs.into_boxed_slice(),
+        }
     }
 
-    fn insert(&mut self, len: usize, hash: u64, id: NodeId) {
-        self.buckets
-            .entry(bucket_key(len, hash))
-            .or_default()
-            .push(id);
-        self.entries += 1;
-    }
-
-    /// Unverified candidates whose window of length `len` hashes to `hash`.
-    #[inline]
-    pub fn candidates(&self, len: usize, hash: u64) -> &[NodeId] {
-        self.buckets
-            .get(&bucket_key(len, hash))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// The precomputed aggregate for the `(len, hash)` bucket, with the
-    /// bucket key it is filed under (windows mode only).
+    /// The group for the `(len, hash)` bucket, with the bucket key it is
+    /// filed under.
     #[inline]
     pub(crate) fn group(&self, len: usize, hash: u64) -> Option<(u64, &WindowGroup)> {
         let key = bucket_key(len, hash);
@@ -393,14 +409,42 @@ impl ContextIndex {
     }
 
     /// Resolves a bucket key recorded in a
-    /// [`crate::predictor::PredictUsage`] back to its aggregate.
+    /// [`crate::predictor::PredictUsage`] back to its group.
     #[inline]
     pub(crate) fn group_by_key(&self, key: u64) -> Option<&WindowGroup> {
         self.groups.get(&key)
     }
 
-    /// Test hook: flags every windows-mode group dirty, forcing queries
-    /// down the per-member fallback path.
+    /// Every node filed under `g`, in arena order; the first is the
+    /// representative.
+    #[inline]
+    pub(crate) fn members(&self, g: &WindowGroup) -> &[NodeId] {
+        g.members.of(&self.members)
+    }
+
+    /// The `(url, count)` votes of a group or sub-group.
+    #[inline]
+    pub(crate) fn votes(&self, span: Span) -> &[(UrlId, u64)] {
+        span.of(&self.votes)
+    }
+
+    /// The per-extension sub-aggregates of `g`, sorted by extension.
+    #[inline]
+    pub(crate) fn subs(&self, g: &WindowGroup) -> &[SubGroup] {
+        g.subs.of(&self.subs)
+    }
+
+    /// The sub-group of `g` whose voters extend the window with `ext`.
+    #[inline]
+    pub(crate) fn sub_for(&self, g: &WindowGroup, ext: UrlId) -> Option<&SubGroup> {
+        let subs = self.subs(g);
+        subs.binary_search_by_key(&Some(ext), |s| s.ext)
+            .ok()
+            .map(|i| &subs[i])
+    }
+
+    /// Test hook: flags every group dirty, forcing queries down the
+    /// per-member fallback path.
     #[cfg(test)]
     pub(crate) fn force_dirty(&mut self) {
         for g in self.groups.values_mut() {
@@ -408,88 +452,40 @@ impl ContextIndex {
         }
     }
 
-    /// Total (node, window) entries filed.
+    /// Total (node, window) entries stored.
     pub fn len(&self) -> usize {
-        self.entries
+        self.members.len()
     }
 
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0
+        self.members.is_empty()
     }
 
-    /// Approximate resident bytes (for storage reporting alongside
-    /// [`Tree::memory_bytes`]).
+    /// Resident heap bytes (for storage reporting alongside
+    /// [`Tree::memory_bytes`]): the table at capacity plus the flat lists.
     pub fn memory_bytes(&self) -> usize {
-        self.buckets.capacity() * std::mem::size_of::<(u64, Vec<NodeId>)>()
-            + self
-                .buckets
-                .values()
-                .map(|v| v.capacity() * std::mem::size_of::<NodeId>())
-                .sum::<usize>()
-            + self.groups.capacity() * std::mem::size_of::<(u64, WindowGroup)>()
-            + self
-                .groups
-                .values()
-                .map(|g| {
-                    g.votes.capacity() * std::mem::size_of::<(UrlId, u64)>()
-                        + g.subs.capacity() * std::mem::size_of::<SubGroup>()
-                        + g.subs
-                            .iter()
-                            .map(|s| {
-                                s.votes.capacity() * std::mem::size_of::<(UrlId, u64)>()
-                                    + (s.voters.capacity() + s.children.capacity())
-                                        * std::mem::size_of::<NodeId>()
-                            })
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
+        use std::mem::size_of;
+        self.groups.capacity() * size_of::<(u64, WindowGroup)>()
+            + self.members.len() * size_of::<NodeId>()
+            + self.votes.len() * size_of::<(UrlId, u64)>()
+            + self.subs.len() * size_of::<SubGroup>()
     }
 
-    /// Bucket occupancy for storage/telemetry gauges: `(buckets,
-    /// largest bucket, dirty windows-mode groups)`. A dirty group fell back
-    /// to per-member verification at query time, so the dirty count is the
-    /// structural ceiling on slow-bucket lookups.
+    /// Bucket occupancy for storage/telemetry gauges. A dirty group falls
+    /// back to per-member verification at query time, so the dirty count is
+    /// the structural ceiling on slow-bucket lookups.
     pub fn occupancy(&self) -> IndexOccupancy {
         IndexOccupancy {
-            buckets: self.buckets.len(),
-            max_bucket: self.buckets.values().map(Vec::len).max().unwrap_or(0),
+            buckets: self.groups.len(),
+            max_bucket: self
+                .groups
+                .values()
+                .map(|g| self.members(g).len())
+                .max()
+                .unwrap_or(0),
             dirty_groups: self.groups.values().filter(|g| g.dirty).count(),
         }
-    }
-
-    /// Hashed drop-in for [`Tree::longest_predictive_match`]: the deepest
-    /// full-root-path suffix match of `context` that has at least one alive
-    /// child. Only meaningful over a [`ContextIndex::full_paths`] index.
-    pub fn longest_predictive(
-        &self,
-        tree: &Tree,
-        context: &[UrlId],
-        max_order: usize,
-        hashes: &mut ContextHashes,
-    ) -> Option<NodeId> {
-        let len = context.len();
-        let longest = len.min(max_order).min(usize::from(u8::MAX));
-        hashes.compute(context, longest);
-        for k in (1..=longest).rev() {
-            let suffix = &context[len - k..];
-            for &id in self.candidates(k, hashes.suffix_hash(k)) {
-                let node = tree.node(id);
-                if !node.alive || usize::from(node.depth) != k {
-                    continue;
-                }
-                if match_top(tree, id, suffix).is_none() {
-                    continue; // bucket collision
-                }
-                if tree.children_of(id).next().is_some() {
-                    return Some(id);
-                }
-                // The verified node is unique for a full path (the tree is a
-                // trie); a leaf match falls back to a shorter suffix.
-                break;
-            }
-        }
-        None
     }
 }
 
@@ -514,25 +510,30 @@ mod tests {
     fn suffix_hash_matches_path_hash_of_equal_branch() {
         // A branch spelling [7, 3, 9] must carry the same hash as the
         // length-3 suffix of any context ending in ... 7 3 9.
-        let mut t = chain_tree(&[&[7, 3, 9]]);
-        t.rebuild_path_hashes();
+        let t = chain_tree(&[&[7, 3, 9]]);
         let node = t.descend(&[u(7), u(3), u(9)]).unwrap();
         let mut h = ContextHashes::new();
         h.compute(&[u(1), u(7), u(3), u(9)], 3);
-        assert_eq!(h.suffix_hash(3), t.path_hash(node));
+        assert_eq!(h.suffix_hash(3), path_hash_table(&t)[node.index()]);
     }
 
     #[test]
     fn window_entries_cover_interior_suffixes() {
-        let mut t = chain_tree(&[&[1, 2, 3]]);
-        let idx = ContextIndex::windows(&mut t, 8);
-        // Node "3" is indexed under windows [3], [2,3], [1,2,3].
+        let t = chain_tree(&[&[1, 2, 3, 4]]);
+        let idx = ContextIndex::windows(&t, 8);
+        // Node "3" is filed under windows [3], [2,3], [1,2,3].
+        let node3 = t.descend(&[u(1), u(2), u(3)]).unwrap();
         let mut h = ContextHashes::new();
         h.compute(&[u(2), u(3)], 2);
-        let node3 = t.descend(&[u(1), u(2), u(3)]).unwrap();
-        assert!(idx.candidates(2, h.suffix_hash(2)).contains(&node3));
+        let (_, g) = idx.group(2, h.suffix_hash(2)).unwrap();
+        assert_eq!(idx.members(g), &[node3]);
+        assert_eq!(usize::from(g.len), 2);
         h.compute(&[u(3)], 1);
-        assert!(idx.candidates(1, h.suffix_hash(1)).contains(&node3));
+        assert!(idx.group(1, h.suffix_hash(1)).is_some());
+        // The leaf "4" votes for nothing, so its four windows are not
+        // stored: 1 + 2 + 3 entries for the voting nodes 1, 2 and 3.
+        h.compute(&[u(3), u(4)], 2);
+        assert!(idx.group(2, h.suffix_hash(2)).is_none());
         assert_eq!(idx.len(), 1 + 2 + 3);
     }
 
@@ -540,70 +541,41 @@ mod tests {
     fn window_groups_aggregate_votes_by_extension() {
         // Two branches share the interior window [2, 3]; its group sums
         // both "3" nodes and keeps one sub-aggregate per extension URL.
-        let mut t = chain_tree(&[&[1, 2, 3, 4], &[5, 2, 3, 6]]);
-        let idx = ContextIndex::windows(&mut t, 8);
+        let t = chain_tree(&[&[1, 2, 3, 4], &[5, 2, 3, 6]]);
+        let idx = ContextIndex::windows(&t, 8);
         let mut h = ContextHashes::new();
         h.compute(&[u(2), u(3)], 2);
         let (_, g) = idx.group(2, h.suffix_hash(2)).unwrap();
         assert!(!g.dirty);
+        assert_eq!(idx.members(g).len(), 2);
         assert_eq!(g.total, 2);
-        assert_eq!(g.votes, vec![(u(4), 1), (u(6), 1)]);
-        assert_eq!(g.subs.len(), 2);
-        let s1 = g.sub_for(u(1)).unwrap();
-        assert_eq!((s1.total, s1.votes.clone()), (1, vec![(u(4), 1)]));
-        assert_eq!(s1.voters.len(), 1);
-        assert_eq!(s1.children.len(), 1);
-        assert!(g.sub_for(u(9)).is_none());
+        assert_eq!(idx.votes(g.votes), &[(u(4), 1), (u(6), 1)]);
+        assert_eq!(idx.subs(g).len(), 2);
+        let s1 = idx.sub_for(g, u(1)).unwrap();
+        assert_eq!((s1.total, idx.votes(s1.votes)), (1, &[(u(4), 1)][..]));
+        assert!(idx.sub_for(g, u(9)).is_none());
+        for &m in idx.members(g) {
+            assert!(idx.sub_for(g, extension(&t, m, 2).unwrap()).is_some());
+        }
         // A window starting at a branch root has no extension.
         h.compute(&[u(1), u(2)], 2);
         let (_, g) = idx.group(2, h.suffix_hash(2)).unwrap();
-        assert_eq!(g.subs.len(), 1);
-        assert_eq!(g.subs[0].ext, None);
-        // Leaves are members but never voters: the length-1 bucket of "4".
+        assert_eq!(idx.subs(g).len(), 1);
+        assert_eq!(idx.subs(g)[0].ext, None);
+        assert_eq!(extension(&t, idx.members(g)[0], 2), None);
+        // Leaves are never voters, and a leaf-only bucket is not stored.
         h.compute(&[u(4)], 1);
-        let (_, g) = idx.group(1, h.suffix_hash(1)).unwrap();
-        assert_eq!(g.total, 0);
-        assert!(g.votes.is_empty());
-        assert_eq!(idx.candidates(1, h.suffix_hash(1)).len(), 1);
+        assert!(idx.group(1, h.suffix_hash(1)).is_none());
     }
 
     #[test]
-    fn match_top_rejects_wrong_paths() {
-        let t = {
-            let mut t = chain_tree(&[&[1, 2, 3]]);
-            t.rebuild_path_hashes();
-            t
-        };
-        let node = t.descend(&[u(1), u(2), u(3)]).unwrap();
-        assert!(match_top(&t, node, &[u(2), u(3)]).is_some());
-        assert!(match_top(&t, node, &[u(9), u(3)]).is_none());
-        assert!(match_top(&t, node, &[u(3)]).is_some());
-        // Suffix longer than the stored path: no match.
-        assert!(match_top(&t, node, &[u(0), u(1), u(2), u(3)]).is_none());
-        assert!(match_top(&t, node, &[]).is_none());
-    }
-
-    #[test]
-    fn longest_predictive_agrees_with_tree_walk() {
-        let mut t = chain_tree(&[&[1, 2, 3], &[2, 3, 4], &[3, 4], &[5]]);
-        let idx = ContextIndex::full_paths(&mut t);
-        let mut h = ContextHashes::new();
-        for ctx in [
-            vec![u(1), u(2)],
-            vec![u(2), u(3)],
-            vec![u(9), u(2), u(3)],
-            vec![u(3)],
-            vec![u(5)], // leaf-only root: must fall through to None
-            vec![u(99)],
-            vec![],
-        ] {
-            for order in [1usize, 2, 8] {
-                assert_eq!(
-                    idx.longest_predictive(&t, &ctx, order, &mut h),
-                    t.longest_predictive_match(&ctx, order),
-                    "ctx {ctx:?} order {order}"
-                );
-            }
-        }
+    fn clone_holds_the_same_bytes() {
+        let t = chain_tree(&[&[1, 2, 3, 4], &[5, 2, 3, 6], &[2, 3, 4]]);
+        let idx = ContextIndex::windows(&t, 8);
+        assert_eq!(idx.clone().memory_bytes(), idx.memory_bytes());
+        assert_eq!(
+            ContextIndex::windows(&t, 8).memory_bytes(),
+            idx.memory_bytes()
+        );
     }
 }

@@ -22,21 +22,21 @@
 //!   read path takes `&self`.
 //!
 //! Freezing happens after compaction, so frozen index `i` **is**
-//! [`NodeId`]`(i)`: usage bookkeeping, the occurrence index, and the
-//! fingerprint index all keep working against frozen indices unchanged.
+//! [`NodeId`]`(i)`: usage bookkeeping and PB-PPM's fingerprint index keep
+//! working against frozen indices unchanged.
 //!
-//! [`MatchStrategy`] + [`choose_strategy`] implement the adaptive selector:
-//! a model picks the fingerprint index only when the measured bucket
-//! occupancy predicts the precomputed aggregates actually pay for the
-//! hashing, and serves straight frozen descents otherwise.
+//! Every model family serves from here on exactly one path: standard and
+//! LRS PPM by direct suffix descent ([`FrozenTree::longest_predictive`]),
+//! PB-PPM through its fingerprint index with verification walks on these
+//! arrays ([`FrozenTree::match_top`]).
 //!
 //! [`Tree`]: crate::tree::Tree
 //! [`Tree::freeze`]: crate::tree::Tree::freeze
 //! [`NodeId`]: crate::tree::NodeId
 
-use crate::context_index::IndexOccupancy;
 use crate::interner::UrlId;
 use crate::popularity::PopularityTable;
+use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
 use crate::tree::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
 
@@ -52,51 +52,6 @@ const LINEAR_SCAN_MAX: usize = 16;
 #[inline]
 fn ix(i: u32) -> usize {
     i as usize
-}
-
-/// How a finalized model matches a context against its frozen arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchStrategy {
-    /// Direct suffix descent / occurrence scan over the frozen arrays. No
-    /// hashing, no per-call allocation.
-    FrozenScan,
-    /// The hashed [`crate::context_index::ContextIndex`] fast path, with
-    /// frozen-array verification walks.
-    FingerprintIndex,
-}
-
-impl MatchStrategy {
-    /// Stable lower-case label for telemetry (flight-recorder lines,
-    /// metric label values).
-    pub fn label(self) -> &'static str {
-        match self {
-            MatchStrategy::FrozenScan => "frozen-scan",
-            MatchStrategy::FingerprintIndex => "fingerprint-index",
-        }
-    }
-}
-
-/// Picks the serving strategy from measured fingerprint-index occupancy.
-///
-/// The index only wins when its buckets aggregate *several* stored nodes
-/// per distinct context — then one probe replaces a whole occurrence scan
-/// (PB-PPM's windows mode: 5.4× measured). When occupancy is ~one entry
-/// per bucket (standard/LRS full-path mode: trie paths are unique), the
-/// probe answers nothing a direct descent would not, and the per-query
-/// hashing plus hash-map cache misses made the "fast" path *slower* than
-/// the reference scan (0.92× for standard PPM in the committed baseline).
-/// This selector is what removes that regression honestly.
-pub fn choose_strategy(entries: usize, occ: IndexOccupancy) -> MatchStrategy {
-    if occ.buckets == 0 {
-        return MatchStrategy::FrozenScan;
-    }
-    // Aggregation wins when buckets hold ≥1.5 entries on average (integer
-    // form: 2·entries ≥ 3·buckets) or any single bucket folds 4+ nodes.
-    if entries.saturating_mul(2) >= occ.buckets.saturating_mul(3) || occ.max_bucket >= 4 {
-        MatchStrategy::FingerprintIndex
-    } else {
-        MatchStrategy::FrozenScan
-    }
 }
 
 /// The frozen struct-of-arrays / CSR image of a compacted [`Tree`].
@@ -484,8 +439,8 @@ impl FrozenTree {
 
     /// Frozen mirror of [`Tree::longest_predictive_match`]: the deepest
     /// suffix match (longest first, at most `max_order` URLs) that has at
-    /// least one child. No hashing and no allocation — this *is* the
-    /// frozen-scan strategy for the suffix-forest models.
+    /// least one child. No hashing and no allocation — this is how the
+    /// suffix-forest models match a context.
     ///
     /// [`Tree::longest_predictive_match`]: crate::tree::Tree::longest_predictive_match
     #[must_use]
@@ -502,9 +457,46 @@ impl FrozenTree {
         None
     }
 
-    /// Frozen mirror of [`crate::context_index::match_top`]: verifies the
-    /// upward path ending at `node` spells `suffix`, returning the topmost
-    /// matched node.
+    /// The standard/LRS serving path: the longest predictive suffix
+    /// descent, then one vote per child of the matched node's CSR row,
+    /// appended to `out` and ranked. The children are adjacent and all
+    /// alive, so the vote is one linear pass; the whole row votes, so usage
+    /// records the row once (`used_child_rows`) instead of every child, and
+    /// the row's URL keys are distinct, so ranking skips the dedup set.
+    pub(crate) fn predict_descent(
+        &self,
+        context: &[UrlId],
+        max_order: usize,
+        out: &mut Vec<Prediction>,
+        usage: &mut PredictUsage,
+    ) {
+        if context.is_empty() {
+            return;
+        }
+        usage.index_fast += 1;
+        let Some(node) = self.longest_predictive(context, max_order) else {
+            return;
+        };
+        let parent_count = self.count(node);
+        if parent_count == 0 {
+            return;
+        }
+        usage.used_paths.push(NodeId(node));
+        usage.used_child_rows.push(NodeId(node));
+        for &(url, child) in self.children(node) {
+            out.push(Prediction::new(
+                url,
+                self.count(child) as f64 / parent_count as f64,
+            ));
+        }
+        rank_distinct_predictions(out);
+    }
+
+    /// Verifies that the upward path ending at `node` spells `suffix`
+    /// (oldest URL topmost), returning the topmost matched node. This is
+    /// the collision check that keeps PB-PPM's hashed lookups bit-identical
+    /// to the occurrence scan: a bucket hit is only a *candidate* until this
+    /// passes.
     #[must_use]
     pub fn match_top(&self, node: u32, suffix: &[UrlId]) -> Option<u32> {
         let mut cur = node;
@@ -524,27 +516,6 @@ impl FrozenTree {
             }
         }
         Some(cur)
-    }
-
-    /// Frozen mirror of PB-PPM's `match_len`: length of the longest context
-    /// suffix matching the upward path ending at `node`, capped at
-    /// `max_order`.
-    #[must_use]
-    pub fn match_len(&self, node: u32, context: &[UrlId], max_order: usize) -> usize {
-        let mut len = 0;
-        let mut cur = node;
-        for &url in context.iter().rev().take(max_order) {
-            if self.url(cur) != url {
-                break;
-            }
-            len += 1;
-            let parent = self.parent(cur);
-            if parent == NO_NODE {
-                break;
-            }
-            cur = parent;
-        }
-        len
     }
 
     /// Resident heap bytes of the frozen arena (all backing arrays at
@@ -707,8 +678,25 @@ mod tests {
         }
     }
 
+    /// The pointer-tree walk `match_top` replaces: climb one parent per
+    /// suffix URL, oldest topmost.
+    fn tree_match_top(tree: &Tree, node: NodeId, suffix: &[UrlId]) -> Option<NodeId> {
+        let (&last, older) = suffix.split_last()?;
+        if tree.node(node).url != last {
+            return None;
+        }
+        let mut cur = node;
+        for &url in older.iter().rev() {
+            cur = tree.node(cur).parent;
+            if cur.is_none() || tree.node(cur).url != url {
+                return None;
+            }
+        }
+        Some(cur)
+    }
+
     #[test]
-    fn match_len_and_match_top_mirror_pointer_walks() {
+    fn match_top_mirrors_pointer_walks() {
         let m = trained_pb();
         let frozen = m.frozen().expect("finalize froze");
         let tree = m.tree();
@@ -723,7 +711,7 @@ mod tests {
             for ctx in &contexts {
                 assert_eq!(
                     frozen.match_top(id.0, ctx),
-                    crate::context_index::match_top(tree, id, ctx).map(|t| t.0),
+                    tree_match_top(tree, id, ctx).map(|t| t.0),
                     "match_top node {} ctx {ctx:?}",
                     id.0
                 );
@@ -817,40 +805,6 @@ mod tests {
             p.link_entries.push(0);
         }))
         .is_err());
-    }
-
-    #[test]
-    fn strategy_selector_prefers_scan_for_sparse_buckets() {
-        let sparse = IndexOccupancy {
-            buckets: 1000,
-            max_bucket: 1,
-            dirty_groups: 0,
-        };
-        assert_eq!(choose_strategy(1000, sparse), MatchStrategy::FrozenScan);
-        let dense = IndexOccupancy {
-            buckets: 1000,
-            max_bucket: 2,
-            dirty_groups: 0,
-        };
-        assert_eq!(
-            choose_strategy(2500, dense),
-            MatchStrategy::FingerprintIndex
-        );
-        let skewed = IndexOccupancy {
-            buckets: 1000,
-            max_bucket: 64,
-            dirty_groups: 0,
-        };
-        assert_eq!(
-            choose_strategy(1100, skewed),
-            MatchStrategy::FingerprintIndex
-        );
-        let empty = IndexOccupancy {
-            buckets: 0,
-            max_bucket: 0,
-            dirty_groups: 0,
-        };
-        assert_eq!(choose_strategy(0, empty), MatchStrategy::FrozenScan);
     }
 
     #[test]

@@ -66,6 +66,8 @@ pub mod popularity;
 pub mod predictor;
 pub mod prune;
 pub mod publish;
+#[doc(hidden)]
+pub mod reference;
 pub mod render;
 pub mod snapshot;
 pub mod standard;
@@ -76,7 +78,7 @@ pub mod verify;
 
 pub use context_index::{ContextHashes, ContextIndex, IndexOccupancy};
 pub use eval::{evaluate, EvalConfig, PredictionQuality};
-pub use frozen::{choose_strategy, FrozenTree, MatchStrategy};
+pub use frozen::FrozenTree;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use interner::{Interner, UrlId};
 pub use live::{traffic_increment, GradeAccuracy, LiveEval, LiveEvalConfig};

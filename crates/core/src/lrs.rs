@@ -14,12 +14,11 @@
 //! Training therefore proceeds exactly like standard PPM; the LRS extraction
 //! happens in [`LrsPpm::finalize`], which must be called before predicting.
 
-use crate::context_index::{ContextHashes, ContextIndex};
-use crate::frozen::{choose_strategy, FrozenTree, MatchStrategy};
+use crate::frozen::FrozenTree;
 use crate::interner::UrlId;
-use crate::predictor::{rank_predictions, ModelKind, PredictUsage, Prediction, Predictor};
+use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 use crate::stats::ModelStats;
-use crate::tree::{NodeId, Tree};
+use crate::tree::Tree;
 
 /// Default occurrence threshold: "if an URL sequence is accessed twice or
 /// more, the sequence is considered as a frequently repeating one" (§4.1).
@@ -32,15 +31,8 @@ pub struct LrsPpm {
     pub(crate) min_support: u64,
     pub(crate) max_height: usize,
     pub(crate) finalized: bool,
-    /// Full-root-path fingerprint index, built by `finalize` over the
-    /// extracted repeating forest. `None` before finalization, when
-    /// prediction falls back to the descend walk.
-    pub(crate) index: Option<ContextIndex>,
     /// Frozen SoA/CSR arena, compiled by `finalize`; the serving read path.
     pub(crate) frozen: Option<FrozenTree>,
-    /// Adaptive choice between the frozen descent and the fingerprint
-    /// index, made at finalize from measured bucket occupancy.
-    pub(crate) strategy: MatchStrategy,
 }
 
 impl Default for LrsPpm {
@@ -62,9 +54,7 @@ impl LrsPpm {
             min_support: min_support.max(1),
             max_height: usize::from(u8::MAX),
             finalized: false,
-            index: None,
             frozen: None,
-            strategy: MatchStrategy::FrozenScan,
         }
     }
 
@@ -132,122 +122,19 @@ impl LrsPpm {
     /// predictions.
     pub fn from_snapshot(snap: &LrsSnapshot) -> Result<Self, crate::tree::SnapshotError> {
         let mut tree = Tree::from_snapshot(&snap.tree)?;
-        let index = snap.finalized.then(|| ContextIndex::full_paths(&mut tree));
-        let strategy = index.as_ref().map_or(MatchStrategy::FrozenScan, |ix| {
-            choose_strategy(ix.len(), ix.occupancy())
-        });
         let frozen = snap.finalized.then(|| tree.freeze(None));
         Ok(Self {
             tree,
             min_support: snap.min_support,
             max_height: snap.max_height,
             finalized: snap.finalized,
-            index,
             frozen,
-            strategy,
         })
     }
 
     /// The frozen serving arena, if finalized.
     pub fn frozen(&self) -> Option<&FrozenTree> {
         self.frozen.as_ref()
-    }
-
-    /// Test/bench hook: overrides the adaptive strategy choice. Not part of
-    /// the public API.
-    #[doc(hidden)]
-    pub fn force_strategy(&mut self, strategy: MatchStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The longest predictive context match, served from the frozen arena
-    /// when one exists. Tallies which matching mechanism answered into
-    /// `usage`.
-    fn matched_node(&self, context: &[UrlId], usage: &mut PredictUsage) -> Option<NodeId> {
-        if let Some(frozen) = &self.frozen {
-            usage.index_fast += 1;
-            if self.strategy == MatchStrategy::FingerprintIndex {
-                if let Some(index) = &self.index {
-                    let mut hashes = ContextHashes::new();
-                    return index.longest_predictive(
-                        &self.tree,
-                        context,
-                        self.max_height,
-                        &mut hashes,
-                    );
-                }
-            }
-            return frozen
-                .longest_predictive(context, self.max_height)
-                .map(NodeId);
-        }
-        match &self.index {
-            Some(index) => {
-                usage.index_fast += 1;
-                let mut hashes = ContextHashes::new();
-                index.longest_predictive(&self.tree, context, self.max_height, &mut hashes)
-            }
-            None => {
-                usage.index_fallback += 1;
-                self.tree.longest_predictive_match(context, self.max_height)
-            }
-        }
-    }
-
-    /// Pointer-arena prediction path: the fingerprint/descend walk over the
-    /// heap tree, bypassing the frozen arrays. Kept as the bench comparator
-    /// for `frozen_ns_per_click` vs `pointer_ns_per_click`. Not part of the
-    /// public API.
-    #[doc(hidden)]
-    pub fn predict_pointer(
-        &self,
-        context: &[UrlId],
-        out: &mut Vec<Prediction>,
-        usage: &mut PredictUsage,
-    ) {
-        out.clear();
-        if context.is_empty() {
-            return;
-        }
-        let node = match &self.index {
-            Some(index) => {
-                let mut hashes = ContextHashes::new();
-                index.longest_predictive(&self.tree, context, self.max_height, &mut hashes)
-            }
-            None => self.tree.longest_predictive_match(context, self.max_height),
-        };
-        let Some(node) = node else { return };
-        let parent_count = self.tree.node(node).count;
-        if parent_count == 0 {
-            return;
-        }
-        usage.used_paths.push(node);
-        for (url, child, count) in self.tree.children_of(node) {
-            out.push(Prediction::new(url, count as f64 / parent_count as f64));
-            usage.used_nodes.push(child);
-        }
-        rank_predictions(out, usize::MAX);
-    }
-
-    /// Reference prediction path: the original descend-per-suffix walk,
-    /// kept as the ground truth the hashed fast path is property-tested
-    /// against.
-    pub fn predict_reference(&self, context: &[UrlId], out: &mut Vec<Prediction>) {
-        out.clear();
-        if context.is_empty() {
-            return;
-        }
-        let Some(node) = self.tree.longest_predictive_match(context, self.max_height) else {
-            return;
-        };
-        let parent_count = self.tree.node(node).count;
-        if parent_count == 0 {
-            return;
-        }
-        for (url, _, count) in self.tree.children_of(node) {
-            out.push(Prediction::new(url, count as f64 / parent_count as f64));
-        }
-        rank_predictions(out, usize::MAX);
     }
 }
 
@@ -292,10 +179,7 @@ impl Predictor for LrsPpm {
         for id in victims {
             self.tree.kill_subtree(id);
         }
-        self.tree.compact();
-        let index = ContextIndex::full_paths(&mut self.tree);
-        self.strategy = choose_strategy(index.len(), index.occupancy());
-        self.index = Some(index);
+        // Freezing compacts the arena, reclaiming the killed slots.
         self.frozen = Some(self.tree.freeze(None));
         self.finalized = true;
         crate::verify::runtime_audit(&crate::verify::ModelRef::Lrs(self), "LrsPpm::finalize");
@@ -304,63 +188,17 @@ impl Predictor for LrsPpm {
     fn predict_ro(&self, context: &[UrlId], out: &mut Vec<Prediction>, usage: &mut PredictUsage) {
         debug_assert!(self.finalized, "predict before finalize");
         out.clear();
-        if context.is_empty() {
-            return;
-        }
-        let Some(node) = self.matched_node(context, usage) else {
-            return;
-        };
         if let Some(frozen) = &self.frozen {
-            // Serve the vote loop from the frozen CSR row: the children are
-            // adjacent and all alive, so this is one linear pass. The whole
-            // row votes, so usage records the row once (`used_child_rows`)
-            // instead of pushing every child, and the row's URL keys are
-            // distinct by construction, so ranking can skip the dedup set.
-            let parent_count = frozen.count(node.0);
-            if parent_count == 0 {
-                return;
-            }
-            usage.used_paths.push(node);
-            usage.used_child_rows.push(node);
-            for &(url, child) in frozen.children(node.0) {
-                out.push(Prediction::new(
-                    url,
-                    frozen.count(child) as f64 / parent_count as f64,
-                ));
-            }
-            crate::predictor::rank_distinct_predictions(out);
-            return;
+            frozen.predict_descent(context, self.max_height, out, usage);
         }
-        let parent_count = self.tree.node(node).count;
-        if parent_count == 0 {
-            return;
-        }
-        usage.used_paths.push(node);
-        for (url, child, count) in self.tree.children_of(node) {
-            out.push(Prediction::new(url, count as f64 / parent_count as f64));
-            usage.used_nodes.push(child);
-        }
-        rank_predictions(out, usize::MAX);
     }
 
     fn apply_usage(&mut self, usage: &PredictUsage) {
-        for &id in &usage.used_paths {
-            self.tree.mark_path_used(id);
-        }
-        for &id in &usage.used_nodes {
-            self.tree.mark_used(id);
-        }
-        for &id in &usage.used_child_rows {
-            self.tree.mark_children_used(id);
-        }
+        self.tree.mark_descent_usage(usage);
     }
 
     fn frozen(&self) -> Option<&crate::frozen::FrozenTree> {
         self.frozen.as_ref()
-    }
-
-    fn match_strategy(&self) -> Option<MatchStrategy> {
-        self.frozen.as_ref().map(|_| self.strategy)
     }
 
     fn node_count(&self) -> usize {
@@ -368,11 +206,7 @@ impl Predictor for LrsPpm {
     }
 
     fn stats(&self) -> ModelStats {
-        let stats = ModelStats::of_tree(&self.tree);
-        match &self.index {
-            Some(index) => stats.with_index(index),
-            None => stats,
-        }
+        ModelStats::of_tree(&self.tree)
     }
 }
 
@@ -382,33 +216,6 @@ mod tests {
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
-    }
-
-    #[test]
-    fn frozen_predict_matches_pointer_predict_under_both_strategies() {
-        let mut m = LrsPpm::new();
-        for _ in 0..2 {
-            m.train_session(&[u(0), u(1), u(3)]);
-            m.train_session(&[u(9), u(1), u(4)]);
-        }
-        m.train_session(&[u(0), u(1), u(5)]);
-        m.finalize();
-        let contexts = [
-            vec![u(0)],
-            vec![u(0), u(1)],
-            vec![u(9), u(1)],
-            vec![u(1)],
-            vec![u(7)],
-        ];
-        for strategy in [MatchStrategy::FrozenScan, MatchStrategy::FingerprintIndex] {
-            m.force_strategy(strategy);
-            for ctx in &contexts {
-                let (mut frozen_out, mut pointer_out) = (Vec::new(), Vec::new());
-                m.predict_ro(ctx, &mut frozen_out, &mut PredictUsage::default());
-                m.predict_pointer(ctx, &mut pointer_out, &mut PredictUsage::default());
-                assert_eq!(frozen_out, pointer_out, "{strategy:?} ctx {ctx:?}");
-            }
-        }
     }
 
     /// The paper's Figure 1 (right-of-left pair): the LRS tree for

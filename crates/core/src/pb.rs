@@ -24,8 +24,8 @@
 //! After construction, [`PbPpm::finalize`] applies the two space
 //! optimizations of [`crate::prune`].
 
-use crate::context_index::{match_top, ContextHashes, ContextIndex};
-use crate::frozen::{choose_strategy, FrozenTree, MatchStrategy};
+use crate::context_index::{extension, ContextHashes, ContextIndex};
+use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
 use crate::popularity::{Grade, PopularityTable};
 use crate::predictor::{rank_predictions, ModelKind, PredictUsage, Prediction, Predictor};
@@ -164,28 +164,21 @@ pub struct PbPpm {
     pub emitted_link_preds: u64,
     /// See [`PbPpm::emitted_link_preds`].
     pub emitted_branch_preds: u64,
-    /// Occurrence index: URL → every alive branch node for that URL.
-    ///
-    /// Standard and LRS trees store every *suffix* of a sequence as its own
-    /// branch, so matching a context against branch roots is enough. PB-PPM
-    /// saves exactly that duplication (rule 4), which means the longest
-    /// context match must be sought at **interior** nodes. This index backs
-    /// the retained linear-scan reference path
-    /// ([`PbPpm::predict_reference`]); live prediction goes through the
-    /// hashed `index` below, which the property tests hold bit-identical
-    /// to the scan.
-    pub(crate) by_url: crate::fxhash::FxHashMap<UrlId, Vec<NodeId>>,
-    /// Fingerprint fast path: `(window length, rolling hash)` → candidate
-    /// nodes plus precomputed per-bucket vote aggregates
+    /// Fingerprint index: `(window length, rolling hash)` → the nodes
+    /// spelling that window plus their precomputed vote aggregates
     /// ([`crate::context_index::WindowGroup`]), built once in
     /// [`PbPpm::finalize`] over the pruned arena.
+    ///
+    /// Standard and LRS trees store every *suffix* of a sequence as its own
+    /// branch, so a root descent finds the longest match. PB-PPM saves
+    /// exactly that duplication (rule 4), which means the longest context
+    /// match must be sought at **interior** nodes; this index finds them
+    /// without scanning every occurrence of the current URL. The property
+    /// tests hold it bit-identical to that scan ([`crate::reference`]).
     pub(crate) index: ContextIndex,
-    /// Frozen SoA/CSR arena, compiled by `finalize`; verification walks and
-    /// the link channel read it instead of chasing pointer-tree nodes.
+    /// Frozen SoA/CSR arena, compiled by `finalize`; verification walks,
+    /// votes and the link channel read it instead of pointer-tree nodes.
     pub(crate) frozen: Option<FrozenTree>,
-    /// Adaptive choice between the frozen occurrence scan and the
-    /// fingerprint index, made at finalize from measured bucket occupancy.
-    pub(crate) strategy: MatchStrategy,
 }
 
 impl PbPpm {
@@ -200,10 +193,8 @@ impl PbPpm {
             prune_report: None,
             emitted_link_preds: 0,
             emitted_branch_preds: 0,
-            by_url: crate::fxhash::FxHashMap::default(),
             index: ContextIndex::default(),
             frozen: None,
-            strategy: MatchStrategy::FingerprintIndex,
         }
     }
 
@@ -239,144 +230,48 @@ impl PbPpm {
         }
     }
 
-    /// Length of the longest context suffix that matches the upward path
-    /// ending at `node` (at least 1 when `node.url == *context.last()`),
-    /// capped at `max_order` URLs.
-    ///
-    /// Audited against the grouping in [`PbPpm::predict_reference`]: the
-    /// walk stops *after* counting a node whose `parent.is_none()` — at a
-    /// branch root the stored path is exhausted, so a longer context suffix
-    /// cannot match and the root's length is final. Breaking *before*
-    /// counting (or following the `NONE` parent) would under-count root
-    /// matches by one or index outside the arena. The unit tests pin the
-    /// root, interior and leaf cases, including a context that outruns the
-    /// stored branch.
-    fn match_len(&self, node: NodeId, context: &[UrlId]) -> usize {
-        let mut len = 0;
-        let mut cur = node;
-        for &url in context.iter().rev().take(self.cfg.max_order) {
-            if self.tree.node(cur).url != url {
-                break;
-            }
-            len += 1;
-            let parent = self.tree.node(cur).parent;
-            if parent.is_none() {
-                break;
-            }
-            cur = parent;
-        }
-        len
-    }
-
-    /// Reference prediction path: the original linear occurrence scan over
-    /// `by_url`, kept verbatim (minus usage bookkeeping) as the ground
-    /// truth the hashed fast path is property-tested against.
-    pub fn predict_reference(&self, context: &[UrlId], out: &mut Vec<Prediction>) {
-        out.clear();
-        let Some(&current) = context.last() else {
-            return;
-        };
-        if let Some(nodes) = self.by_url.get(&current) {
-            // Group candidate nodes by match length, longest first.
-            let mut scored: Vec<(usize, NodeId)> = nodes
-                .iter()
-                .filter(|&&id| self.tree.node(id).alive)
-                .map(|&id| (self.match_len(id, context), id))
-                .collect();
-            scored.sort_by_key(|&(len, _)| std::cmp::Reverse(len));
-            let mut i = 0;
-            while i < scored.len() {
-                let len = scored[i].0;
-                let mut j = i;
-                let mut parent_total = 0u64;
-                let mut votes: Vec<(UrlId, u64)> = Vec::new();
-                while j < scored.len() && scored[j].0 == len {
-                    let node = scored[j].1;
-                    if self.tree.children_of(node).next().is_some() {
-                        parent_total += self.tree.node(node).count;
-                        for (url, _, count) in self.tree.children_of(node) {
-                            votes.push((url, count));
-                        }
-                    }
-                    j += 1;
-                }
-                if parent_total > 0 {
-                    let mut agg: crate::fxhash::FxHashMap<UrlId, u64> =
-                        crate::fxhash::FxHashMap::default();
-                    for &(url, count) in &votes {
-                        *agg.entry(url).or_default() += count;
-                    }
-                    for (url, count) in agg {
-                        out.push(Prediction::new(url, count as f64 / parent_total as f64));
-                    }
-                    break;
-                }
-                i = j;
-            }
-        }
-        if let Some(root) = self.tree.root(current) {
-            let root_count = self.tree.node(root).count;
-            if root_count > 0 {
-                for id in self.tree.links_of(root) {
-                    let n = self.tree.node(id);
-                    out.push(Prediction::new(n.url, n.count as f64 / root_count as f64));
-                }
-            }
-        }
-        rank_predictions(out, usize::MAX);
-    }
-
     /// Per-member fallback for a fingerprint bucket flagged dirty at build
     /// time (members with genuinely different window contents hashed
-    /// alike): verifies and filters each candidate individually, exactly
-    /// like the reference scan's match-length grouping, recording usage
-    /// per node. `older` is the context URL just before the suffix, if the
-    /// suffix is not the whole (order-capped) context — a candidate whose
+    /// alike): verifies and filters each member individually, exactly like
+    /// the reference scan's match-length grouping, recording usage per
+    /// node. `older` is the context URL just before the suffix, if the
+    /// suffix is not the whole (order-capped) context — a member whose
     /// stored path extends with it belongs to a longer match group.
     /// Returns true when the group voted, ending the length descent.
-    fn vote_candidates(
-        &self,
+    fn vote_members(
+        frozen: &FrozenTree,
         suffix: &[UrlId],
         older: Option<UrlId>,
-        candidates: &[NodeId],
+        members: &[NodeId],
         out: &mut Vec<Prediction>,
         usage: &mut PredictUsage,
     ) -> bool {
-        let mut group: Vec<NodeId> = Vec::new();
-        for &id in candidates {
-            if !self.tree.node(id).alive {
-                continue;
-            }
-            let Some(top) = match_top(&self.tree, id, suffix) else {
+        let mut voters: Vec<u32> = Vec::new();
+        for &id in members {
+            let Some(top) = frozen.match_top(id.0, suffix) else {
                 continue; // bucket collision
             };
             if let Some(older) = older {
-                let above = self.tree.node(top).parent;
-                if !above.is_none() && self.tree.node(above).url == older {
+                let above = frozen.parent(top);
+                if above != NO_NODE && frozen.url(above) == older {
                     continue; // match extends: counted at a longer length
                 }
             }
-            group.push(id);
-        }
-        let mut parent_total = 0u64;
-        for &id in &group {
-            if self.tree.children_of(id).next().is_some() {
-                parent_total += self.tree.node(id).count;
+            if frozen.has_children(id.0) {
+                voters.push(id.0);
             }
         }
+        let parent_total: u64 = voters.iter().map(|&id| frozen.count(id)).sum();
         if parent_total == 0 {
             return false;
         }
         // Aggregate votes per URL across same-length matches.
         let mut agg: crate::fxhash::FxHashMap<UrlId, u64> = crate::fxhash::FxHashMap::default();
-        for &id in &group {
-            if self.tree.children_of(id).next().is_none() {
-                continue;
-            }
-            usage.used_paths.push(id);
-            for (url, child, count) in self.tree.children_of(id) {
-                *agg.entry(url).or_default() += count;
-                usage.used_nodes.push(child);
+        for &id in &voters {
+            usage.used_paths.push(NodeId(id));
+            for &(url, child) in frozen.children(id) {
+                *agg.entry(url).or_default() += frozen.count(child);
+                usage.used_nodes.push(NodeId(child));
             }
         }
         for (url, count) in agg {
@@ -438,112 +333,8 @@ impl PbPpm {
         self.frozen.as_ref()
     }
 
-    /// Pins the match strategy regardless of what the adaptive selector
-    /// chose, so tests can exercise a specific path. Not public API.
-    #[doc(hidden)]
-    pub fn force_strategy(&mut self, strategy: MatchStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// Pointer-arena prediction path (fingerprint index + pointer-tree
-    /// walks), retained verbatim so the throughput bench can time the
-    /// frozen arena against it. Not public API.
-    #[doc(hidden)]
-    pub fn predict_pointer(
-        &self,
-        context: &[UrlId],
-        out: &mut Vec<Prediction>,
-        usage: &mut PredictUsage,
-    ) {
-        out.clear();
-        let Some(&current) = context.last() else {
-            return;
-        };
-        self.predict_via_index(None, context, current, out, usage);
-    }
-
-    /// The reference occurrence scan served from the frozen SoA/CSR arrays
-    /// instead of pointer-tree nodes, chosen by the adaptive selector when
-    /// the fingerprint index's measured occupancy predicts no win over a
-    /// linear grouped scan. Emits exactly the reference algorithm's
-    /// predictions ([`rank_predictions`] makes the ordering deterministic)
-    /// with `vote_candidates`-style per-node usage records.
-    fn predict_frozen_scan(
-        &self,
-        frozen: &FrozenTree,
-        context: &[UrlId],
-        current: UrlId,
-        out: &mut Vec<Prediction>,
-        usage: &mut PredictUsage,
-    ) {
-        if let Some(nodes) = self.by_url.get(&current) {
-            // Group candidate occurrences by match length, longest first —
-            // `by_url` is rebuilt over the compacted arena at finalize, so
-            // every id is alive and maps 1:1 onto a frozen row.
-            let mut scored: Vec<(usize, u32)> = nodes
-                .iter()
-                .map(|&id| (frozen.match_len(id.0, context, self.cfg.max_order), id.0))
-                .collect();
-            scored.sort_by_key(|&(len, _)| std::cmp::Reverse(len));
-            let mut i = 0;
-            while i < scored.len() {
-                let len = scored[i].0;
-                let mut j = i;
-                let mut parent_total = 0u64;
-                while j < scored.len() && scored[j].0 == len {
-                    if frozen.has_children(scored[j].1) {
-                        parent_total += frozen.count(scored[j].1);
-                    }
-                    j += 1;
-                }
-                if parent_total > 0 {
-                    let mut agg: crate::fxhash::FxHashMap<UrlId, u64> =
-                        crate::fxhash::FxHashMap::default();
-                    for &(_, node) in &scored[i..j] {
-                        if !frozen.has_children(node) {
-                            continue;
-                        }
-                        usage.used_paths.push(NodeId(node));
-                        for &(url, child) in frozen.children(node) {
-                            *agg.entry(url).or_default() += frozen.count(child);
-                            usage.used_nodes.push(NodeId(child));
-                        }
-                    }
-                    for (url, count) in agg {
-                        out.push(Prediction::new(url, count as f64 / parent_total as f64));
-                        usage.branch_preds += 1;
-                    }
-                    usage.index_fast += 1;
-                    break;
-                }
-                i = j;
-            }
-        }
-        // Link channel from the frozen link CSR (same stored order as the
-        // pointer tree's alive-filtered link lists).
-        if let Some(root) = frozen.root(current) {
-            let root_count = frozen.count(root);
-            if root_count > 0 {
-                let mut any = false;
-                for &id in frozen.links_of(current) {
-                    out.push(Prediction::new(
-                        frozen.url(id),
-                        frozen.count(id) as f64 / root_count as f64,
-                    ));
-                    usage.used_nodes.push(NodeId(id));
-                    usage.link_preds += 1;
-                    any = true;
-                }
-                if any {
-                    usage.used_nodes.push(NodeId(root));
-                }
-            }
-        }
-        rank_predictions(out, usize::MAX);
-    }
-
     /// Branch predictions via the longest matching context, sought at
-    /// interior nodes (see the `by_url` field docs). The fingerprint
+    /// interior nodes (see the `index` field docs). The fingerprint
     /// index hands us, per window length, the *precomputed aggregate*
     /// of all nodes whose window spells that content: one representative
     /// upward walk verifies the whole bucket against the suffix
@@ -554,57 +345,51 @@ impl PbPpm {
     /// context URL. The longest length whose remaining total is positive
     /// votes with its aggregated children, weighted by count. Buckets
     /// flagged dirty at build time (a genuine fingerprint collision)
-    /// fall back to the per-member scan in `vote_candidates`.
-    ///
-    /// When `frozen` is given, the representative verification walk and
-    /// the link channel read the SoA/CSR arrays (node ids map 1:1); with
-    /// `None` everything runs against the pointer tree, which is the
-    /// bench's pointer comparator.
+    /// fall back to the per-member scan in `vote_members`. Every walk and
+    /// the link channel read the frozen arena (node ids map 1:1).
     fn predict_via_index(
         &self,
-        frozen: Option<&FrozenTree>,
+        frozen: &FrozenTree,
         context: &[UrlId],
         current: UrlId,
         out: &mut Vec<Prediction>,
         usage: &mut PredictUsage,
     ) {
+        let index = &self.index;
         let len = context.len();
         let longest = len.min(self.cfg.max_order).min(usize::from(u8::MAX));
         let mut hashes = ContextHashes::new();
         hashes.compute(context, longest);
         for l in (1..=longest).rev() {
             let suffix = &context[len - l..];
-            let Some((key, g)) = self.index.group(l, hashes.suffix_hash(l)) else {
+            let Some((key, g)) = index.group(l, hashes.suffix_hash(l)) else {
                 continue;
             };
+            let members = index.members(g);
             if g.dirty {
                 let older = (l < longest).then(|| context[len - 1 - l]);
-                let candidates = self.index.candidates(l, hashes.suffix_hash(l));
-                if self.vote_candidates(suffix, older, candidates, out, usage) {
+                if Self::vote_members(frozen, suffix, older, members, out, usage) {
                     usage.index_fallback += 1;
                     break;
                 }
                 continue;
             }
-            let spelled = match frozen {
-                Some(f) => f.match_top(g.rep.0, suffix).is_some(),
-                None => match_top(&self.tree, g.rep, suffix).is_some(),
-            };
-            if !spelled {
+            if frozen.match_top(members[0].0, suffix).is_none() {
                 continue; // clean bucket, so no node spells this suffix
             }
             let excluded = if l < longest {
                 let ext = context[len - 1 - l];
-                g.sub_for(ext).map(|s| (ext, s))
+                index.sub_for(g, ext).map(|s| (ext, s))
             } else {
                 None
             };
+            let votes = index.votes(g.votes);
             match excluded {
                 None => {
                     if g.total == 0 {
                         continue;
                     }
-                    for &(url, count) in &g.votes {
+                    for &(url, count) in votes {
                         out.push(Prediction::new(url, count as f64 / g.total as f64));
                         usage.branch_preds += 1;
                     }
@@ -615,13 +400,15 @@ impl PbPpm {
                     if total == 0 {
                         continue;
                     }
-                    // `sub.votes` is a sorted subset of `g.votes`: one
-                    // forward merge subtracts the excluded members' votes.
+                    // The sub-group's votes are a sorted subset of the
+                    // group's: one forward merge subtracts the excluded
+                    // members' votes.
+                    let excluded_votes = index.votes(sub.votes);
                     let mut j = 0;
-                    for &(url, count) in &g.votes {
+                    for &(url, count) in votes {
                         let mut c = count;
-                        if j < sub.votes.len() && sub.votes[j].0 == url {
-                            c -= sub.votes[j].1;
+                        if j < excluded_votes.len() && excluded_votes[j].0 == url {
+                            c -= excluded_votes[j].1;
                             j += 1;
                         }
                         if c > 0 {
@@ -643,43 +430,21 @@ impl PbPpm {
         // pays off before the session ends. On a home-oriented site the top
         // entry pages clear the 0.25 policy threshold this way; on a site
         // without a popular anchor they do not, and the channel stays quiet.
-        match frozen {
-            Some(f) => {
-                if let Some(root) = f.root(current) {
-                    let root_count = f.count(root);
-                    if root_count > 0 {
-                        let mut any = false;
-                        for &id in f.links_of(current) {
-                            out.push(Prediction::new(
-                                f.url(id),
-                                f.count(id) as f64 / root_count as f64,
-                            ));
-                            usage.used_nodes.push(NodeId(id));
-                            usage.link_preds += 1;
-                            any = true;
-                        }
-                        if any {
-                            usage.used_nodes.push(NodeId(root));
-                        }
-                    }
+        if let Some(root) = frozen.root(current) {
+            let root_count = frozen.count(root);
+            if root_count > 0 {
+                let mut any = false;
+                for &id in frozen.links_of(current) {
+                    out.push(Prediction::new(
+                        frozen.url(id),
+                        frozen.count(id) as f64 / root_count as f64,
+                    ));
+                    usage.used_nodes.push(NodeId(id));
+                    usage.link_preds += 1;
+                    any = true;
                 }
-            }
-            None => {
-                if let Some(root) = self.tree.root(current) {
-                    let root_count = self.tree.node(root).count;
-                    if root_count > 0 {
-                        let mut any = false;
-                        for id in self.tree.links_of(root) {
-                            let n = self.tree.node(id);
-                            out.push(Prediction::new(n.url, n.count as f64 / root_count as f64));
-                            usage.used_nodes.push(id);
-                            usage.link_preds += 1;
-                            any = true;
-                        }
-                        if any {
-                            usage.used_nodes.push(root);
-                        }
-                    }
+                if any {
+                    usage.used_nodes.push(NodeId(root));
                 }
             }
         }
@@ -700,24 +465,14 @@ impl PbPpm {
         }
     }
 
-    /// Restores a model from a snapshot, rebuilding the occurrence and
-    /// fingerprint indexes.
+    /// Restores a model from a snapshot, rebuilding the fingerprint index.
     pub fn from_snapshot(snap: &PbSnapshot) -> Result<Self, crate::tree::SnapshotError> {
         let mut tree = Tree::from_snapshot(&snap.tree)?;
-        let mut by_url: crate::fxhash::FxHashMap<UrlId, Vec<NodeId>> =
-            crate::fxhash::FxHashMap::default();
-        for id in tree.iter_alive() {
-            let node = tree.node(id);
-            if !node.link_dup {
-                by_url.entry(node.url).or_default().push(id);
-            }
-        }
-        let index = ContextIndex::windows(&mut tree, snap.cfg.max_order);
-        let strategy = choose_strategy(index.len(), index.occupancy());
         // The frozen arena is always recompiled from the decoded tree —
         // a persisted copy is never trusted for serving (the audit layer
         // compares it against this rebuild instead).
         let frozen = snap.finalized.then(|| tree.freeze(Some(&snap.pop)));
+        let index = ContextIndex::windows(&tree, snap.cfg.max_order);
         Ok(Self {
             tree,
             pop: snap.pop.clone(),
@@ -726,10 +481,8 @@ impl PbPpm {
             prune_report: None,
             emitted_link_preds: 0,
             emitted_branch_preds: 0,
-            by_url,
             index,
             frozen,
-            strategy,
         })
     }
 
@@ -790,21 +543,10 @@ impl Predictor for PbPpm {
     fn finalize(&mut self) {
         debug_assert!(!self.finalized, "finalize called twice");
         self.prune_report = Some(prune(&mut self.tree, &self.cfg.prune));
-        // Build the occurrence index over the pruned, compacted arena.
-        self.by_url.clear();
-        for id in self.tree.iter_alive().collect::<Vec<_>>() {
-            let node = self.tree.node(id);
-            if !node.link_dup {
-                self.by_url.entry(node.url).or_default().push(id);
-            }
-        }
-        self.index = ContextIndex::windows(&mut self.tree, self.cfg.max_order);
-        // Choose between the frozen occurrence scan and the fingerprint
-        // index from the index's measured shape, then compile the SoA/CSR
-        // arena (a no-op compact: prune already ran, so node ids are
-        // stable and `by_url`/index references stay valid).
-        self.strategy = choose_strategy(self.index.len(), self.index.occupancy());
+        // Compile the SoA/CSR arena first (freezing compacts), then index
+        // the final node ids.
         self.frozen = Some(self.tree.freeze(Some(&self.pop)));
+        self.index = ContextIndex::windows(&self.tree, self.cfg.max_order);
         self.finalized = true;
         if pbppm_obs::ENABLED {
             self.publish_storage_gauges();
@@ -818,13 +560,8 @@ impl Predictor for PbPpm {
             return;
         };
         debug_assert!(self.finalized, "predict before finalize");
-        match (&self.frozen, self.strategy) {
-            (Some(frozen), MatchStrategy::FrozenScan) => {
-                self.predict_frozen_scan(frozen, context, current, out, usage);
-            }
-            (frozen, _) => {
-                self.predict_via_index(frozen.as_ref(), context, current, out, usage);
-            }
+        if let Some(frozen) = &self.frozen {
+            self.predict_via_index(frozen, context, current, out, usage);
         }
     }
 
@@ -843,28 +580,28 @@ impl Predictor for PbPpm {
             let mut groups = usage.used_groups.clone();
             groups.sort_unstable();
             groups.dedup();
-            let index = std::mem::take(&mut self.index);
+            let tree = &mut self.tree;
             for &(key, ext_code) in &groups {
-                let Some(g) = index.group_by_key(key) else {
+                let Some(g) = self.index.group_by_key(key) else {
                     continue;
                 };
                 // `ext_code` is a widened `UrlId` (or the `u64::MAX` "none"
                 // sentinel), so narrowing back is lossless.
                 #[allow(clippy::cast_possible_truncation)]
                 let excluded = (ext_code != u64::MAX).then_some(UrlId(ext_code as u32));
-                for sub in &g.subs {
-                    if excluded.is_some() && sub.ext == excluded {
+                // The voters are the members with children, less the
+                // excluded extension's sub-group.
+                for &id in self.index.members(g) {
+                    if tree.children_of(id).next().is_none()
+                        || (excluded.is_some()
+                            && extension(tree, id, usize::from(g.len)) == excluded)
+                    {
                         continue;
                     }
-                    for &id in &sub.voters {
-                        self.tree.mark_path_used(id);
-                    }
-                    for &id in &sub.children {
-                        self.tree.mark_used(id);
-                    }
+                    tree.mark_path_used(id);
+                    tree.mark_children_used(id);
                 }
             }
-            self.index = index;
         }
         self.emitted_branch_preds += usage.branch_preds;
         self.emitted_link_preds += usage.link_preds;
@@ -872,10 +609,6 @@ impl Predictor for PbPpm {
 
     fn frozen(&self) -> Option<&crate::frozen::FrozenTree> {
         self.frozen.as_ref()
-    }
-
-    fn match_strategy(&self) -> Option<MatchStrategy> {
-        self.finalized.then_some(self.strategy)
     }
 
     fn node_count(&self) -> usize {
@@ -1154,49 +887,6 @@ mod tests {
         assert_eq!(before, after, "branch and link predictions must survive");
     }
 
-    /// Satellite audit of `match_len`: pins the match length at a root, an
-    /// interior node and a leaf, including the root-stop case where the
-    /// context is longer than the stored branch.
-    #[test]
-    fn match_len_pins_root_interior_and_leaf() {
-        let pop = pop_with_grades(&[3, 0, 0, 0]);
-        let mut m = PbPpm::new(pop, no_prune());
-        // One branch 0 -> 1 -> 2 -> 3 (head grade 3, height 7).
-        m.train_session(&[u(0), u(1), u(2), u(3)]);
-        m.finalize();
-        let t = m.tree();
-        let root = t.root(u(0)).unwrap();
-        let interior = t.descend(&[u(0), u(1), u(2)]).unwrap();
-        let leaf = t.descend(&[u(0), u(1), u(2), u(3)]).unwrap();
-
-        // Root: exactly 1 when the current click is the root URL...
-        assert_eq!(m.match_len(root, &[u(0)]), 1);
-        // ...and still 1 when the context extends past the stored path —
-        // the walk must stop after counting the root, not keep consuming
-        // context URLs that have no stored nodes above the root.
-        assert_eq!(m.match_len(root, &[u(9), u(8), u(0)]), 1);
-
-        // Interior node: full upward match, partial match, mismatch.
-        assert_eq!(m.match_len(interior, &[u(0), u(1), u(2)]), 3);
-        assert_eq!(m.match_len(interior, &[u(1), u(2)]), 2);
-        assert_eq!(m.match_len(interior, &[u(9), u(1), u(2)]), 2);
-        assert_eq!(m.match_len(interior, &[u(9)]), 0);
-
-        // Leaf: matches its whole branch, capped by max_order.
-        assert_eq!(m.match_len(leaf, &[u(0), u(1), u(2), u(3)]), 4);
-        assert_eq!(m.match_len(leaf, &[u(2), u(3)]), 2);
-        let short = PbConfig {
-            max_order: 2,
-            ..no_prune()
-        };
-        let pop = pop_with_grades(&[3, 0, 0, 0]);
-        let mut capped = PbPpm::new(pop, short);
-        capped.train_session(&[u(0), u(1), u(2), u(3)]);
-        capped.finalize();
-        let leaf = capped.tree().descend(&[u(0), u(1), u(2), u(3)]).unwrap();
-        assert_eq!(capped.match_len(leaf, &[u(0), u(1), u(2), u(3)]), 2);
-    }
-
     /// The hashed fast path must agree with the retained linear scan —
     /// here on a hand-built shape with interior matches, special links and
     /// multiple same-URL occurrence nodes (the property tests cover random
@@ -1210,26 +900,24 @@ mod tests {
         }
         m.train_session(&[u(3), u(1), u(2), u(0)]);
         m.finalize();
+        let scan = crate::reference::PbScan::new(&m);
         let mut fast = Vec::new();
         let mut slow = Vec::new();
-        for strategy in [MatchStrategy::FingerprintIndex, MatchStrategy::FrozenScan] {
-            m.force_strategy(strategy);
-            for ctx in [
-                vec![u(0)],
-                vec![u(1)],
-                vec![u(0), u(1)],
-                vec![u(3), u(1)],
-                vec![u(9), u(1)],
-                vec![u(0), u(1), u(2)],
-                vec![u(3), u(4), u(5)],
-                vec![u(99)],
-                vec![],
-            ] {
-                let mut usage = crate::predictor::PredictUsage::default();
-                m.predict_ro(&ctx, &mut fast, &mut usage);
-                m.predict_reference(&ctx, &mut slow);
-                assert_eq!(fast, slow, "context {ctx:?} under {strategy:?}");
-            }
+        for ctx in [
+            vec![u(0)],
+            vec![u(1)],
+            vec![u(0), u(1)],
+            vec![u(3), u(1)],
+            vec![u(9), u(1)],
+            vec![u(0), u(1), u(2)],
+            vec![u(3), u(4), u(5)],
+            vec![u(99)],
+            vec![],
+        ] {
+            let mut usage = crate::predictor::PredictUsage::default();
+            m.predict_ro(&ctx, &mut fast, &mut usage);
+            scan.predict(&ctx, &mut slow);
+            assert_eq!(fast, slow, "context {ctx:?}");
         }
     }
 
@@ -1245,10 +933,8 @@ mod tests {
         }
         m.train_session(&[u(3), u(1), u(2), u(0)]);
         m.finalize();
-        // Dirty-bucket handling lives on the index path; pin it so the
-        // adaptive selector cannot route this fixture to the frozen scan.
-        m.force_strategy(MatchStrategy::FingerprintIndex);
         m.index.force_dirty();
+        let scan = crate::reference::PbScan::new(&m);
         let mut fast = Vec::new();
         let mut slow = Vec::new();
         for ctx in [
@@ -1263,7 +949,7 @@ mod tests {
         ] {
             let mut usage = crate::predictor::PredictUsage::default();
             m.predict_ro(&ctx, &mut fast, &mut usage);
-            m.predict_reference(&ctx, &mut slow);
+            scan.predict(&ctx, &mut slow);
             assert_eq!(fast, slow, "context {ctx:?}");
             assert!(usage.used_groups.is_empty(), "dirty path records nodes");
         }
@@ -1284,8 +970,6 @@ mod tests {
             }
             m.train_session(&[u(3), u(1), u(2), u(0)]);
             m.finalize();
-            // Group marking is index-path machinery; pin the strategy.
-            m.force_strategy(MatchStrategy::FingerprintIndex);
             m
         };
         let contexts = [
@@ -1308,6 +992,25 @@ mod tests {
             fallback.apply_usage(&usage);
         }
         assert_eq!(grouped.stats(), fallback.stats());
+    }
+
+    /// A finalized model, its publish clone and its snapshot restore hold
+    /// the same index bytes: every list is built once at its exact size.
+    #[test]
+    fn clone_and_restore_hold_the_same_index_bytes() {
+        let pop = pop_with_grades(&[3, 2, 1, 3, 2, 1]);
+        let mut m = PbPpm::new(pop, no_prune());
+        for _ in 0..3 {
+            m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5)]);
+        }
+        m.train_session(&[u(3), u(1), u(2), u(0)]);
+        m.train_session(&[u(0), u(2), u(4), u(1), u(3)]);
+        m.finalize();
+        let bytes = m.stats().index_bytes;
+        assert!(bytes > 0);
+        assert_eq!(m.clone().stats().index_bytes, bytes);
+        let restored = PbPpm::from_snapshot(&m.to_snapshot()).unwrap();
+        assert_eq!(restored.stats().index_bytes, bytes);
     }
 
     #[test]

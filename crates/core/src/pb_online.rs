@@ -224,10 +224,6 @@ impl Predictor for OnlinePbPpm {
         self.model.as_ref().and_then(PbPpm::frozen)
     }
 
-    fn match_strategy(&self) -> Option<crate::frozen::MatchStrategy> {
-        self.model.as_ref().and_then(Predictor::match_strategy)
-    }
-
     fn node_count(&self) -> usize {
         self.model.as_ref().map_or(0, |m| m.node_count())
     }

@@ -101,12 +101,13 @@ pub struct PredictUsage {
     /// per-child marks, keeping the hot predict loop free of per-child
     /// pushes.
     pub used_child_rows: Vec<NodeId>,
-    /// Context matches answered through the hashed `ContextIndex` fast
-    /// path. Plain counters so the predict path stays free of atomics; the
-    /// engine folds them into the telemetry registry after the merge.
+    /// Context matches answered by the model's serving path (a frozen
+    /// descent, or a clean PB-PPM fingerprint bucket). Plain counters so the
+    /// predict path stays free of atomics; the engine folds them into the
+    /// telemetry registry after the merge.
     pub index_fast: u64,
-    /// Context matches answered by the retained reference scan (no index
-    /// built, or a dirty bucket forced per-member verification).
+    /// PB-PPM context matches a dirty fingerprint bucket forced through
+    /// per-member verification.
     pub index_fallback: u64,
 }
 
@@ -220,13 +221,6 @@ pub trait Predictor: Send + Sync {
         None
     }
 
-    /// The context-match strategy the adaptive selector picked at
-    /// finalization, for telemetry. `None` before finalization and for
-    /// models without a frozen serving path.
-    fn match_strategy(&self) -> Option<crate::frozen::MatchStrategy> {
-        None
-    }
-
     /// The paper's space metric: number of URL nodes the model stores.
     fn node_count(&self) -> usize;
 
@@ -302,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_breaks_probability_ties_by_url() {
+    fn rank_breaks_probability_ties_on_url_id() {
         let mut v = vec![Prediction::new(u(9), 0.5), Prediction::new(u(1), 0.5)];
         rank_predictions(&mut v, 10);
         assert_eq!(v[0].url, u(1));

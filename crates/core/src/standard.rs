@@ -11,12 +11,11 @@
 //! storage grows with every distinct subsequence ever observed, and most
 //! stored paths are never used for a prediction.
 
-use crate::context_index::{ContextHashes, ContextIndex};
-use crate::frozen::{choose_strategy, FrozenTree, MatchStrategy};
+use crate::frozen::FrozenTree;
 use crate::interner::UrlId;
-use crate::predictor::{rank_predictions, ModelKind, PredictUsage, Prediction, Predictor};
+use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 use crate::stats::ModelStats;
-use crate::tree::{NodeId, Tree};
+use crate::tree::Tree;
 
 /// Standard PPM prediction model.
 #[derive(Debug, Clone)]
@@ -26,14 +25,8 @@ pub struct StandardPpm {
     /// Longest context (in URLs) considered when matching.
     pub(crate) max_order: usize,
     pub(crate) finalized: bool,
-    /// Full-root-path fingerprint index, built by `finalize`. `None` before
-    /// finalization, when prediction falls back to the descend walk.
-    pub(crate) index: Option<ContextIndex>,
     /// Frozen SoA/CSR arena, compiled by `finalize`; the serving read path.
     pub(crate) frozen: Option<FrozenTree>,
-    /// Adaptive choice between the frozen descent and the fingerprint
-    /// index, made at finalize from measured bucket occupancy.
-    pub(crate) strategy: MatchStrategy,
 }
 
 impl StandardPpm {
@@ -46,9 +39,7 @@ impl StandardPpm {
             max_height,
             max_order,
             finalized: false,
-            index: None,
             frozen: None,
-            strategy: MatchStrategy::FrozenScan,
         }
     }
 
@@ -119,10 +110,6 @@ impl StandardPpm {
     /// predictions.
     pub fn from_snapshot(snap: &StandardSnapshot) -> Result<Self, crate::tree::SnapshotError> {
         let mut tree = Tree::from_snapshot(&snap.tree)?;
-        let index = snap.finalized.then(|| ContextIndex::full_paths(&mut tree));
-        let strategy = index.as_ref().map_or(MatchStrategy::FrozenScan, |ix| {
-            choose_strategy(ix.len(), ix.occupancy())
-        });
         let frozen = snap.finalized.then(|| tree.freeze(None));
         Ok(Self {
             tree,
@@ -131,113 +118,13 @@ impl StandardPpm {
                 .max_height
                 .map_or(usize::from(u8::MAX), |h| usize::from(h).max(1)),
             finalized: snap.finalized,
-            index,
             frozen,
-            strategy,
         })
     }
 
     /// The frozen serving arena, if finalized.
     pub fn frozen(&self) -> Option<&FrozenTree> {
         self.frozen.as_ref()
-    }
-
-    /// Test/bench hook: overrides the adaptive strategy choice. Not part of
-    /// the public API.
-    #[doc(hidden)]
-    pub fn force_strategy(&mut self, strategy: MatchStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The longest predictive context match, served from the frozen arena
-    /// when one exists (frozen indices equal [`NodeId`]s — freezing
-    /// compacts first). Tallies which matching mechanism answered into
-    /// `usage`.
-    fn matched_node(&self, context: &[UrlId], usage: &mut PredictUsage) -> Option<NodeId> {
-        if let Some(frozen) = &self.frozen {
-            usage.index_fast += 1;
-            if self.strategy == MatchStrategy::FingerprintIndex {
-                if let Some(index) = &self.index {
-                    let mut hashes = ContextHashes::new();
-                    return index.longest_predictive(
-                        &self.tree,
-                        context,
-                        self.max_order,
-                        &mut hashes,
-                    );
-                }
-            }
-            return frozen
-                .longest_predictive(context, self.max_order)
-                .map(NodeId);
-        }
-        match &self.index {
-            Some(index) => {
-                usage.index_fast += 1;
-                let mut hashes = ContextHashes::new();
-                index.longest_predictive(&self.tree, context, self.max_order, &mut hashes)
-            }
-            None => {
-                usage.index_fallback += 1;
-                self.tree.longest_predictive_match(context, self.max_order)
-            }
-        }
-    }
-
-    /// Pointer-arena prediction path: the fingerprint/descend walk over the
-    /// heap tree, bypassing the frozen arrays. Kept as the bench comparator
-    /// for `frozen_ns_per_click` vs `pointer_ns_per_click`. Not part of the
-    /// public API.
-    #[doc(hidden)]
-    pub fn predict_pointer(
-        &self,
-        context: &[UrlId],
-        out: &mut Vec<Prediction>,
-        usage: &mut PredictUsage,
-    ) {
-        out.clear();
-        if context.is_empty() {
-            return;
-        }
-        let node = match &self.index {
-            Some(index) => {
-                let mut hashes = ContextHashes::new();
-                index.longest_predictive(&self.tree, context, self.max_order, &mut hashes)
-            }
-            None => self.tree.longest_predictive_match(context, self.max_order),
-        };
-        let Some(node) = node else { return };
-        let parent_count = self.tree.node(node).count;
-        if parent_count == 0 {
-            return;
-        }
-        usage.used_paths.push(node);
-        for (url, child, count) in self.tree.children_of(node) {
-            out.push(Prediction::new(url, count as f64 / parent_count as f64));
-            usage.used_nodes.push(child);
-        }
-        rank_predictions(out, usize::MAX);
-    }
-
-    /// Reference prediction path: the original descend-per-suffix walk,
-    /// kept as the ground truth the hashed fast path is property-tested
-    /// against.
-    pub fn predict_reference(&self, context: &[UrlId], out: &mut Vec<Prediction>) {
-        out.clear();
-        if context.is_empty() {
-            return;
-        }
-        let Some(node) = self.tree.longest_predictive_match(context, self.max_order) else {
-            return;
-        };
-        let parent_count = self.tree.node(node).count;
-        if parent_count == 0 {
-            return;
-        }
-        for (url, _, count) in self.tree.children_of(node) {
-            out.push(Prediction::new(url, count as f64 / parent_count as f64));
-        }
-        rank_predictions(out, usize::MAX);
     }
 }
 
@@ -275,9 +162,6 @@ impl Predictor for StandardPpm {
     }
 
     fn finalize(&mut self) {
-        let index = ContextIndex::full_paths(&mut self.tree);
-        self.strategy = choose_strategy(index.len(), index.occupancy());
-        self.index = Some(index);
         self.frozen = Some(self.tree.freeze(None));
         self.finalized = true;
         crate::verify::runtime_audit(
@@ -287,64 +171,19 @@ impl Predictor for StandardPpm {
     }
 
     fn predict_ro(&self, context: &[UrlId], out: &mut Vec<Prediction>, usage: &mut PredictUsage) {
+        debug_assert!(self.finalized, "predict before finalize");
         out.clear();
-        if context.is_empty() {
-            return;
-        }
-        let Some(node) = self.matched_node(context, usage) else {
-            return;
-        };
         if let Some(frozen) = &self.frozen {
-            // Serve the vote loop from the frozen CSR row: the children are
-            // adjacent and all alive, so this is one linear pass. The whole
-            // row votes, so usage records the row once (`used_child_rows`)
-            // instead of pushing every child, and the row's URL keys are
-            // distinct by construction, so ranking can skip the dedup set.
-            let parent_count = frozen.count(node.0);
-            if parent_count == 0 {
-                return;
-            }
-            usage.used_paths.push(node);
-            usage.used_child_rows.push(node);
-            for &(url, child) in frozen.children(node.0) {
-                out.push(Prediction::new(
-                    url,
-                    frozen.count(child) as f64 / parent_count as f64,
-                ));
-            }
-            crate::predictor::rank_distinct_predictions(out);
-            return;
+            frozen.predict_descent(context, self.max_order, out, usage);
         }
-        let parent_count = self.tree.node(node).count;
-        if parent_count == 0 {
-            return;
-        }
-        usage.used_paths.push(node);
-        for (url, child, count) in self.tree.children_of(node) {
-            out.push(Prediction::new(url, count as f64 / parent_count as f64));
-            usage.used_nodes.push(child);
-        }
-        rank_predictions(out, usize::MAX);
     }
 
     fn apply_usage(&mut self, usage: &PredictUsage) {
-        for &id in &usage.used_paths {
-            self.tree.mark_path_used(id);
-        }
-        for &id in &usage.used_nodes {
-            self.tree.mark_used(id);
-        }
-        for &id in &usage.used_child_rows {
-            self.tree.mark_children_used(id);
-        }
+        self.tree.mark_descent_usage(usage);
     }
 
     fn frozen(&self) -> Option<&crate::frozen::FrozenTree> {
         self.frozen.as_ref()
-    }
-
-    fn match_strategy(&self) -> Option<MatchStrategy> {
-        self.frozen.as_ref().map(|_| self.strategy)
     }
 
     fn node_count(&self) -> usize {
@@ -352,11 +191,7 @@ impl Predictor for StandardPpm {
     }
 
     fn stats(&self) -> ModelStats {
-        let stats = ModelStats::of_tree(&self.tree);
-        match &self.index {
-            Some(index) => stats.with_index(index),
-            None => stats,
-        }
+        ModelStats::of_tree(&self.tree)
     }
 }
 
@@ -366,45 +201,6 @@ mod tests {
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
-    }
-
-    #[test]
-    fn frozen_predict_matches_pointer_predict_under_both_strategies() {
-        let mut m = StandardPpm::unbounded();
-        m.train_session(&[u(0), u(1), u(2), u(3)]);
-        m.train_session(&[u(0), u(1), u(4)]);
-        m.train_session(&[u(2), u(3), u(1)]);
-        m.finalize();
-        let contexts = [
-            vec![u(0)],
-            vec![u(0), u(1)],
-            vec![u(9), u(0), u(1)],
-            vec![u(2), u(3)],
-            vec![u(7)],
-        ];
-        for strategy in [MatchStrategy::FrozenScan, MatchStrategy::FingerprintIndex] {
-            m.force_strategy(strategy);
-            for ctx in &contexts {
-                let (mut frozen_out, mut pointer_out) = (Vec::new(), Vec::new());
-                let mut usage = PredictUsage::default();
-                m.predict_ro(ctx, &mut frozen_out, &mut usage);
-                m.predict_pointer(ctx, &mut pointer_out, &mut PredictUsage::default());
-                assert_eq!(frozen_out, pointer_out, "{strategy:?} ctx {ctx:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_full_paths_index_selects_frozen_scan() {
-        // Every full root path is unique in a trie, so the full-paths index
-        // averages one entry per bucket: the adaptive selector must keep
-        // standard PPM off the hashing path.
-        let mut m = StandardPpm::unbounded();
-        for s in 0..20u32 {
-            m.train_session(&[u(s), u(s + 100), u(s + 200)]);
-        }
-        m.finalize();
-        assert_eq!(m.strategy, MatchStrategy::FrozenScan);
     }
 
     /// The paper's Figure 1 (left): standard PPM for the access sequence

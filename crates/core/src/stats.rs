@@ -23,16 +23,16 @@ pub struct ModelStats {
     pub used_paths: usize,
     /// Approximate resident memory of the tree arena, in bytes.
     pub memory_bytes: usize,
-    /// `(node, window)` entries in the model's `ContextIndex` (0 before
-    /// finalization).
+    /// `(node, window)` entries in PB-PPM's `ContextIndex` (0 before
+    /// finalization, and for the models without one).
     pub index_entries: usize,
     /// Approximate resident memory of the `ContextIndex`, in bytes.
     pub index_bytes: usize,
 }
 
 impl ModelStats {
-    /// Collects statistics from a tree. Index fields stay 0; models that
-    /// carry a `ContextIndex` fill them via [`ModelStats::with_index`].
+    /// Collects statistics from a tree. Index fields stay 0; PB-PPM, which
+    /// carries a `ContextIndex`, fills them via [`ModelStats::with_index`].
     pub fn of_tree(tree: &Tree) -> Self {
         let (total_paths, used_paths) = tree.path_usage();
         Self {
@@ -126,9 +126,11 @@ mod tests {
     fn with_index_adds_the_index_footprint() {
         let mut t = Tree::new();
         t.insert_path(&[u(1), u(2)], usize::MAX);
-        let index = crate::context_index::ContextIndex::full_paths(&mut t);
+        // Only the voting root is filed: window [1]. The leaf's windows
+        // [2] and [1, 2] predict nothing and are not stored.
+        let index = crate::context_index::ContextIndex::windows(&t, 8);
         let s = ModelStats::of_tree(&t).with_index(&index);
-        assert_eq!(s.index_entries, 2);
+        assert_eq!(s.index_entries, 1);
         assert!(s.index_bytes > 0);
         assert_eq!(s.total_bytes(), s.memory_bytes + s.index_bytes);
     }

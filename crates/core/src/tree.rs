@@ -77,13 +77,6 @@ pub struct Tree {
     /// Special links: branch root → duplicated popular nodes (PB-PPM rule 3).
     pub(crate) links: FxHashMap<NodeId, Vec<NodeId>>,
     dead: usize,
-    /// Rolling hash of each node's root-to-node path, parallel to `nodes`.
-    ///
-    /// Empty (or shorter than `nodes`) until [`Tree::rebuild_path_hashes`]
-    /// runs; any structural change after that leaves it stale, which
-    /// [`Tree::has_path_hashes`] detects by the length mismatch. The hash
-    /// chains back the `ContextIndex` fingerprint fast path.
-    path_hashes: Vec<u64>,
 }
 
 impl Tree {
@@ -247,6 +240,18 @@ impl Tree {
             if self.nodes[child.index()].alive {
                 self.nodes[child.index()].used = true;
             }
+        }
+    }
+
+    /// Plays back the usage of a descent predict
+    /// ([`crate::frozen::FrozenTree`]'s standard/LRS serving path): each
+    /// matched path and each voting child row is flagged used.
+    pub(crate) fn mark_descent_usage(&mut self, usage: &crate::predictor::PredictUsage) {
+        for &id in &usage.used_paths {
+            self.mark_path_used(id);
+        }
+        for &id in &usage.used_child_rows {
+            self.mark_children_used(id);
         }
     }
 
@@ -414,8 +419,6 @@ impl Tree {
         self.roots = new_roots;
         self.links = new_links;
         self.dead = 0;
-        // Ids were remapped: drop the hash chain rather than leave it lying.
-        self.path_hashes.clear();
         // A heavy prune can shrink the forest by orders of magnitude; do
         // not keep the arena or the freshly rebuilt maps at the training
         // high-water capacity.
@@ -428,7 +431,6 @@ impl Tree {
         for targets in self.links.values_mut() {
             targets.shrink_to_fit();
         }
-        self.path_hashes.shrink_to_fit();
     }
 
     /// Compiles the forest into its read-only [`FrozenTree`] form.
@@ -524,8 +526,8 @@ impl Tree {
         }
         // Reject parent cycles before anything walks parent chains: a
         // malformed (but checksum-valid) snapshot with `a.parent == b` and
-        // `b.parent == a` would otherwise send `rebuild_path_hashes` and
-        // every ancestor walk into an infinite loop. Each node is visited
+        // `b.parent == a` would otherwise send the index build's path hashing
+        // and every ancestor walk into an infinite loop. Each node is visited
         // once across all chain walks, so this is O(n).
         {
             // 0 = unvisited, 1 = on the current chain, 2 = known acyclic.
@@ -576,7 +578,6 @@ impl Tree {
             roots,
             links,
             dead: 0,
-            path_hashes: Vec::new(),
         })
     }
 
@@ -600,84 +601,12 @@ impl Tree {
                 .sum::<usize>()
     }
 
-    /// Recomputes the per-node rolling path-hash chain.
-    ///
-    /// `P(root) = h(url)`, `P(child) = P(parent)·B + h(url)` with wrapping
-    /// arithmetic ([`crate::context_index::HASH_BASE`]), covering dead slots
-    /// too so ids index directly. The pass is a single forward sweep in the
-    /// common case (the arena allocates parents before children); a chain
-    /// walk handles out-of-order parents (possible only for hand-crafted
-    /// snapshots), so the result never depends on arena order.
-    pub fn rebuild_path_hashes(&mut self) {
-        use crate::context_index::{hash_url, HASH_BASE};
-        let n = self.nodes.len();
-        let mut hashes = vec![0u64; n];
-        let mut done = vec![false; n];
-        let mut chain: Vec<usize> = Vec::new();
-        for start in 0..n {
-            // Ascend to the nearest already-hashed ancestor (or a root)...
-            let mut cur = start;
-            while !done[cur] {
-                chain.push(cur);
-                let parent = self.nodes[cur].parent;
-                if parent.is_none() {
-                    break;
-                }
-                cur = parent.index();
-            }
-            // ...then fill hashes back down the collected chain.
-            while let Some(i) = chain.pop() {
-                let h = hash_url(self.nodes[i].url);
-                let parent = self.nodes[i].parent;
-                hashes[i] = if parent.is_none() {
-                    h
-                } else {
-                    hashes[parent.index()]
-                        .wrapping_mul(HASH_BASE)
-                        .wrapping_add(h)
-                };
-                done[i] = true;
-            }
-        }
-        self.path_hashes = hashes;
-    }
-
-    /// True when the path-hash chain is in sync with the arena.
-    #[inline]
-    pub fn has_path_hashes(&self) -> bool {
-        self.path_hashes.len() == self.nodes.len()
-    }
-
-    /// The rolling hash of `id`'s root-to-node path.
-    ///
-    /// Only valid after [`Tree::rebuild_path_hashes`] with no structural
-    /// change since (see [`Tree::has_path_hashes`]).
-    #[inline]
-    pub fn path_hash(&self, id: NodeId) -> u64 {
-        debug_assert!(self.has_path_hashes(), "path hashes are stale");
-        self.path_hashes[id.index()]
-    }
-
-    /// Longest-suffix context match (the paper's "longest matching method").
-    ///
-    /// Tries suffixes of `context` from the longest (at most `max_order`
-    /// URLs) down to the single current URL, returning the deepest node of
-    /// the first suffix that matches a stored branch in full.
-    pub fn longest_match(&self, context: &[UrlId], max_order: usize) -> Option<NodeId> {
-        let len = context.len();
-        let longest = len.min(max_order).min(usize::from(u8::MAX));
-        for k in (1..=longest).rev() {
-            if let Some(node) = self.descend(&context[len - k..]) {
-                return Some(node);
-            }
-        }
-        None
-    }
-
-    /// Like [`Tree::longest_match`], but skips matches that cannot produce a
-    /// prediction: the returned node is the deepest suffix match that has at
-    /// least one alive child. This implements the models' fallback from a
-    /// matched *leaf* (nothing below it to predict) to a shorter context.
+    /// Longest-suffix context match (the paper's "longest matching method")
+    /// that can produce a prediction: tries suffixes of `context` from the
+    /// longest (at most `max_order` URLs) down to the single current URL and
+    /// returns the deepest node of the first one that matches a stored
+    /// branch in full *and* has at least one alive child. A matched leaf
+    /// (nothing below it to predict) falls back to a shorter context.
     pub fn longest_predictive_match(&self, context: &[UrlId], max_order: usize) -> Option<NodeId> {
         let len = context.len();
         let longest = len.min(max_order).min(usize::from(u8::MAX));
@@ -1097,7 +1026,7 @@ mod tests {
     #[test]
     fn snapshot_rejects_parent_cycles() {
         // Two nodes each claiming the other as parent: must error, not hang
-        // (rebuild_path_hashes would otherwise loop forever).
+        // (path hashing would otherwise loop forever).
         let cyclic = |url: u32, parent: u32| NodeSnapshot {
             url,
             count: 1,

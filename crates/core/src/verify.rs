@@ -24,7 +24,7 @@
 //! finished tree cannot falsify it. The checker instead verifies the root
 //! *registry* is structurally sound in both directions.
 
-use crate::context_index::ContextIndex;
+use crate::context_index::{ContextIndex, SubGroup};
 use crate::interner::UrlId;
 use crate::lrs::LrsPpm;
 use crate::order1::Order1Markov;
@@ -250,11 +250,6 @@ pub enum Violation {
         /// Human-readable description of the stale aggregate.
         detail: String,
     },
-    /// PB-PPM's URL→occurrences index diverges from a fresh scan.
-    OccurrenceIndexDiverges {
-        /// The URL whose occurrence list is wrong.
-        url: u32,
-    },
     /// The online wrapper's rebuild schedule counters are impossible.
     ScheduleInconsistent {
         /// Human-readable description.
@@ -321,7 +316,6 @@ impl Violation {
             Violation::Order1RowTotalMismatch { .. } => "order1-row-total-mismatch",
             Violation::IndexShapeDiverges { .. } => "index-shape-diverges",
             Violation::IndexAggregateStale { .. } => "index-aggregate-stale",
-            Violation::OccurrenceIndexDiverges { .. } => "occurrence-index-diverges",
             Violation::ScheduleInconsistent { .. } => "schedule-inconsistent",
             Violation::WindowOverflow { .. } => "window-overflow",
             Violation::SnapshotRejected { .. } => "snapshot-rejected",
@@ -503,10 +497,6 @@ impl fmt::Display for Violation {
             Violation::IndexAggregateStale { detail } => {
                 write!(f, "fingerprint index aggregate is stale: {detail}")
             }
-            Violation::OccurrenceIndexDiverges { url } => write!(
-                f,
-                "occurrence index for url {url} diverges from a fresh scan"
-            ),
             Violation::ScheduleInconsistent { detail } => {
                 write!(f, "online rebuild schedule inconsistent: {detail}")
             }
@@ -933,37 +923,20 @@ fn verify_no_links(tree: &Tree, report: &mut AuditReport) {
     }
 }
 
-/// Compares a stored fingerprint index against a fresh rebuild field by
-/// field. Both builders file members in arena order, so a faithful stored
-/// index is bit-identical to the rebuild.
+/// Compares a stored fingerprint index against a fresh rebuild group by
+/// group, on the contents each group's runs resolve to: the builder files
+/// members in arena order, so a faithful stored index resolves to exactly
+/// the rebuild's members, votes and sub-aggregates.
 fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditReport) {
     report.tick();
-    if stored.entries != fresh.entries {
+    if stored.len() != fresh.len() {
         report.violations.push(Violation::IndexShapeDiverges {
             detail: format!(
                 "{} entries stored, rebuild files {}",
-                stored.entries, fresh.entries
+                stored.len(),
+                fresh.len()
             ),
         });
-    }
-    for (key, members) in &fresh.buckets {
-        report.tick();
-        match stored.buckets.get(key) {
-            None => report.violations.push(Violation::IndexShapeDiverges {
-                detail: format!("bucket {key:#x} missing"),
-            }),
-            Some(m) if m != members => report.violations.push(Violation::IndexShapeDiverges {
-                detail: format!("bucket {key:#x} member list differs"),
-            }),
-            Some(_) => {}
-        }
-    }
-    for key in stored.buckets.keys() {
-        if !fresh.buckets.contains_key(key) {
-            report.violations.push(Violation::IndexShapeDiverges {
-                detail: format!("bucket {key:#x} has no counterpart in a rebuild"),
-            });
-        }
     }
     for (key, fg) in &fresh.groups {
         report.tick();
@@ -973,25 +946,35 @@ fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditR
             });
             continue;
         };
-        if sg.rep != fg.rep || sg.dirty != fg.dirty {
+        if stored.members(sg) != fresh.members(fg) || sg.len != fg.len || sg.dirty != fg.dirty {
             report.violations.push(Violation::IndexShapeDiverges {
-                detail: format!("group {key:#x} representative/dirty flag differs"),
+                detail: format!("group {key:#x} members, window length or dirty flag differ"),
             });
             continue;
         }
-        if sg.total != fg.total || sg.votes != fg.votes {
+        let (stored_votes, fresh_votes) = (stored.votes(sg.votes), fresh.votes(fg.votes));
+        if sg.total != fg.total || stored_votes != fresh_votes {
             report.violations.push(Violation::IndexAggregateStale {
                 detail: format!(
                     "group {key:#x}: stored total {} / {} vote urls, recomputed total {} / {}",
                     sg.total,
-                    sg.votes.len(),
+                    stored_votes.len(),
                     fg.total,
-                    fg.votes.len()
+                    fresh_votes.len()
                 ),
             });
             continue;
         }
-        if sg.subs != fg.subs {
+        let same_sub = |s: &SubGroup, f: &SubGroup| {
+            s.ext == f.ext && s.total == f.total && stored.votes(s.votes) == fresh.votes(f.votes)
+        };
+        let (stored_subs, fresh_subs) = (stored.subs(sg), fresh.subs(fg));
+        if stored_subs.len() != fresh_subs.len()
+            || !stored_subs
+                .iter()
+                .zip(fresh_subs)
+                .all(|(s, f)| same_sub(s, f))
+        {
             report.violations.push(Violation::IndexAggregateStale {
                 detail: format!("group {key:#x}: extension sub-aggregates differ"),
             });
@@ -1194,36 +1177,12 @@ fn verify_pb(m: &PbPpm, url_count: Option<u64>, report: &mut AuditReport) {
         }
     }
 
-    // The occurrence and fingerprint indexes are built at finalize; before
-    // that they are legitimately empty/stale.
+    // The fingerprint index is built at finalize; before that it is
+    // legitimately empty.
     if !m.finalized {
         return;
     }
-    let mut fresh_by_url: crate::fxhash::FxHashMap<UrlId, Vec<NodeId>> =
-        crate::fxhash::FxHashMap::default();
-    for id in m.tree.iter_alive() {
-        let node = m.tree.node(id);
-        if !node.link_dup {
-            fresh_by_url.entry(node.url).or_default().push(id);
-        }
-    }
-    report.tick();
-    for (url, ids) in &fresh_by_url {
-        if m.by_url.get(url) != Some(ids) {
-            report
-                .violations
-                .push(Violation::OccurrenceIndexDiverges { url: url.0 });
-        }
-    }
-    for url in m.by_url.keys() {
-        if !fresh_by_url.contains_key(url) {
-            report
-                .violations
-                .push(Violation::OccurrenceIndexDiverges { url: url.0 });
-        }
-    }
-    let mut clone = m.tree.clone();
-    let fresh = ContextIndex::windows(&mut clone, m.cfg.max_order);
+    let fresh = ContextIndex::windows(&m.tree, m.cfg.max_order);
     verify_index(&m.index, &fresh, report);
     if let Some(frozen) = &m.frozen {
         verify_frozen(&m.tree, frozen, Some(&m.pop), report);
@@ -1237,11 +1196,6 @@ fn verify_standard(m: &StandardPpm, url_count: Option<u64>, report: &mut AuditRe
         verify_heights(&m.tree, |_| (None, cap.max(1)), report);
     }
     if m.finalized {
-        if let Some(index) = &m.index {
-            let mut clone = m.tree.clone();
-            let fresh = ContextIndex::full_paths(&mut clone);
-            verify_index(index, &fresh, report);
-        }
         if let Some(frozen) = &m.frozen {
             verify_frozen(&m.tree, frozen, None, report);
         }
@@ -1266,11 +1220,6 @@ fn verify_lrs(m: &LrsPpm, url_count: Option<u64>, report: &mut AuditReport) {
                     min_support: m.min_support,
                 });
             }
-        }
-        if let Some(index) = &m.index {
-            let mut clone = m.tree.clone();
-            let fresh = ContextIndex::full_paths(&mut clone);
-            verify_index(index, &fresh, report);
         }
         if let Some(frozen) = &m.frozen {
             verify_frozen(&m.tree, frozen, None, report);

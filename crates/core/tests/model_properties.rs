@@ -2,8 +2,8 @@
 //! implementations.
 
 use pbppm_core::{
-    Grade, LrsPpm, PbConfig, PbPpm, PopularityTable, Prediction, Predictor, PruneConfig,
-    StandardPpm, UrlId,
+    reference, Grade, LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction,
+    Predictor, PruneConfig, StandardPpm, UrlId,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -239,11 +239,12 @@ proptest! {
         }
     }
 
-    /// The hashed fast path gives exactly the predictions of the retained
-    /// occurrence-scan / tree-walk reference implementations — same URLs,
-    /// same ranks, same (bit-identical) probabilities — for all three tree
-    /// models, across random traces and every prefix context of every
-    /// training session plus unseen contexts.
+    /// Every model's one serving path (`predict_ro` on the frozen arena,
+    /// through PB-PPM's fingerprint index) gives exactly the predictions of
+    /// the `pbppm_core::reference` occurrence-scan / tree-walk oracles —
+    /// same URLs, same ranks, same (bit-identical) probabilities — for all
+    /// three tree models, across random traces and every prefix context of
+    /// every training session plus unseen contexts.
     #[test]
     fn fast_path_is_bit_identical_to_reference(
         sessions in sessions_strategy(9, 8, 18),
@@ -273,89 +274,26 @@ proptest! {
         contexts.push(vec![UrlId(100), sessions[0][0]]);
         contexts.push(sessions[0].iter().rev().copied().collect());
 
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        for context in &contexts {
-            pb.predict(context, &mut fast);
-            pb.predict_reference(context, &mut slow);
-            prop_assert_eq!(&fast, &slow, "PB-PPM diverged on {:?}", context);
-
-            standard.predict(context, &mut fast);
-            standard.predict_reference(context, &mut slow);
-            prop_assert_eq!(&fast, &slow, "standard PPM diverged on {:?}", context);
-
-            lrs.predict(context, &mut fast);
-            lrs.predict_reference(context, &mut slow);
-            prop_assert_eq!(&fast, &slow, "LRS diverged on {:?}", context);
-        }
-    }
-
-    /// The frozen SoA/CSR serving path emits bit-identical predictions to
-    /// the retained pointer-tree fast path, for all three tree models and
-    /// under both forced match strategies — so the adaptive selector can
-    /// never change *what* is predicted, only how fast.
-    #[test]
-    fn frozen_predict_is_bit_identical_to_pointer_predict(
-        sessions in sessions_strategy(9, 8, 18),
-        counts in prop::collection::vec(0u64..2000, 9),
-    ) {
-        use pbppm_core::{MatchStrategy, PredictUsage};
-        let pop = PopularityTable::from_counts(counts);
-        let mut pb = PbPpm::new(pop, PbConfig::default());
-        let mut standard = StandardPpm::unbounded();
-        let mut lrs = LrsPpm::new();
-        for s in &sessions {
-            pb.train_session(s);
-            standard.train_session(s);
-            lrs.train_session(s);
-        }
-        pb.finalize();
-        standard.finalize();
-        lrs.finalize();
         prop_assert!(pb.frozen().is_some(), "finalize must compile a PB arena");
         prop_assert!(standard.frozen().is_some(), "finalize must compile a PPM arena");
         prop_assert!(lrs.frozen().is_some(), "finalize must compile an LRS arena");
 
-        let mut contexts: Vec<Vec<UrlId>> = Vec::new();
-        for s in &sessions {
-            for i in 0..s.len() {
-                contexts.push(s[..=i].to_vec());
-            }
-        }
-        // Contexts the models never saw, including unknown URLs.
-        contexts.push(vec![UrlId(100)]);
-        contexts.push(vec![UrlId(100), sessions[0][0]]);
-        contexts.push(sessions[0].iter().rev().copied().collect());
-
+        let pb_scan = reference::PbScan::new(&pb);
         let mut usage = PredictUsage::default();
-        let mut frozen_out = Vec::new();
-        let mut pointer_out = Vec::new();
-        for strategy in [MatchStrategy::FingerprintIndex, MatchStrategy::FrozenScan] {
-            pb.force_strategy(strategy);
-            standard.force_strategy(strategy);
-            lrs.force_strategy(strategy);
-            for context in &contexts {
-                usage.clear();
-                pb.predict_ro(context, &mut frozen_out, &mut usage);
-                usage.clear();
-                pb.predict_pointer(context, &mut pointer_out, &mut usage);
-                prop_assert_eq!(&frozen_out, &pointer_out,
-                    "PB-PPM diverged on {:?} under {:?}", context, strategy);
+        let mut fast = Vec::new();
+        let mut slow = Vec::new();
+        for context in &contexts {
+            pb.predict_ro(context, &mut fast, &mut usage);
+            pb_scan.predict(context, &mut slow);
+            prop_assert_eq!(&fast, &slow, "PB-PPM diverged on {:?}", context);
 
-                usage.clear();
-                standard.predict_ro(context, &mut frozen_out, &mut usage);
-                usage.clear();
-                standard.predict_pointer(context, &mut pointer_out, &mut usage);
-                prop_assert_eq!(&frozen_out, &pointer_out,
-                    "standard PPM diverged on {:?} under {:?}", context, strategy);
+            standard.predict_ro(context, &mut fast, &mut usage);
+            reference::predict_standard(&standard, context, &mut slow);
+            prop_assert_eq!(&fast, &slow, "standard PPM diverged on {:?}", context);
 
-                usage.clear();
-                lrs.predict_ro(context, &mut frozen_out, &mut usage);
-                usage.clear();
-                lrs.predict_pointer(context, &mut pointer_out, &mut usage);
-                prop_assert_eq!(&frozen_out, &pointer_out,
-                    "LRS diverged on {:?} under {:?}", context, strategy);
-            }
+            lrs.predict_ro(context, &mut fast, &mut usage);
+            reference::predict_lrs(&lrs, context, &mut slow);
+            prop_assert_eq!(&fast, &slow, "LRS diverged on {:?}", context);
         }
     }
 
@@ -368,7 +306,7 @@ proptest! {
         sessions in sessions_strategy(8, 7, 14),
         counts in prop::collection::vec(0u64..2000, 8),
     ) {
-        use pbppm_core::{ModelImage, PredictUsage, SnapshotFile};
+        use pbppm_core::{ModelImage, SnapshotFile};
         let pop = PopularityTable::from_counts(counts);
         let mut pb = PbPpm::new(pop, PbConfig::default());
         let mut standard = StandardPpm::unbounded();
@@ -387,6 +325,11 @@ proptest! {
             StandardPpm::from_snapshot(&standard.to_snapshot()).expect("PPM snapshot loads");
         let lrs2 = LrsPpm::from_snapshot(&lrs.to_snapshot()).expect("LRS snapshot loads");
         prop_assert_eq!(pb.frozen(), pb2.frozen());
+        // The index is built once into exact-size lists, so the restored
+        // model and a publish clone hold the same bytes as the original.
+        let index_bytes = pb.stats().index_bytes;
+        prop_assert_eq!(pb2.stats().index_bytes, index_bytes);
+        prop_assert_eq!(pb.clone().stats().index_bytes, index_bytes);
         prop_assert_eq!(standard.frozen(), standard2.frozen());
         prop_assert_eq!(lrs.frozen(), lrs2.frozen());
 

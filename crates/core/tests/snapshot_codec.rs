@@ -41,9 +41,12 @@ fn probe_contexts(sessions: &[Vec<UrlId>]) -> Vec<Vec<UrlId>> {
 }
 
 /// Round-trips `image` through bytes and checks the restored predictor
-/// against the original on every probe context: identical prediction lists
-/// (bit-identical probabilities) and identical stats apart from
-/// `memory_bytes`, which shrinks because `to_snapshot` compacts the arena.
+/// against the original: the decoded file re-encodes to the same bytes,
+/// a finalized model gives identical prediction lists (bit-identical
+/// probabilities) on every probe context — the [`Predictor`] protocol has
+/// no predictions before `finalize` — and the stats are identical apart
+/// from `memory_bytes`, which shrinks because `to_snapshot` compacts the
+/// arena.
 fn assert_roundtrip_identical(
     original: &dyn Predictor,
     image: ModelImage,
@@ -54,15 +57,18 @@ fn assert_roundtrip_identical(
     let bytes = file.encode();
     let back = SnapshotFile::decode(&bytes).expect("decode of fresh encode");
     prop_assert_eq!(&back.urls, &file.urls);
+    prop_assert_eq!(back.encode(), bytes);
     let restored = back.instantiate().expect("instantiate decoded image");
 
     let mut want: Vec<Prediction> = Vec::new();
     let mut got: Vec<Prediction> = Vec::new();
     let mut usage = PredictUsage::default();
-    for context in contexts {
-        original.predict_ro(context, &mut want, &mut usage);
-        restored.predict_ro(context, &mut got, &mut usage);
-        prop_assert_eq!(&got, &want, "restored model diverged on {:?}", context);
+    if original.frozen().is_some() {
+        for context in contexts {
+            original.predict_ro(context, &mut want, &mut usage);
+            restored.predict_ro(context, &mut got, &mut usage);
+            prop_assert_eq!(&got, &want, "restored model diverged on {:?}", context);
+        }
     }
 
     let (mut sa, mut sb) = (original.stats(), restored.stats());

@@ -19,8 +19,7 @@
 //! reallocates its ring and never holds more than the per-record caps.
 //!
 //! This crate cannot see `pbppm-core`'s types (core depends on obs), so
-//! records carry resolved URL strings and a pre-rendered match-strategy
-//! label rather than `UrlId`s / `MatchStrategy` values.
+//! records carry resolved URL strings rather than `UrlId`s.
 
 use crate::metrics::LocalHist;
 use std::collections::VecDeque;
@@ -125,9 +124,6 @@ pub struct FlightRecord {
     pub latency_ns: u64,
     /// Whether the response line started with `ok`.
     pub ok: bool,
-    /// Match-strategy label the model answered with (predict requests on a
-    /// built model; `None` otherwise).
-    pub strategy: Option<&'static str>,
     /// Head of the ranked predictions (predict requests), capped at
     /// [`TOP_PREDICTIONS_CAP`] entries of [`URL_BYTES_CAP`]-truncated URLs.
     pub top: Vec<(String, f64)>,
@@ -135,7 +131,7 @@ pub struct FlightRecord {
 
 impl FlightRecord {
     /// One-line rendering for the `trace` command:
-    /// `#42 predict ok 12544ns strategy=fingerprint-index top=[0.62 /a.html, …]`.
+    /// `#42 predict ok 12544ns top=[0.62 /a.html, …]`.
     pub fn render(&self) -> String {
         let mut line = format!(
             "#{} {} {} {}ns",
@@ -144,9 +140,6 @@ impl FlightRecord {
             if self.ok { "ok" } else { "err" },
             self.latency_ns
         );
-        if let Some(strategy) = self.strategy {
-            let _ = write!(line, " strategy={strategy}");
-        }
         if !self.top.is_empty() {
             line.push_str(" top=[");
             for (i, (url, prob)) in self.top.iter().enumerate() {
@@ -226,14 +219,7 @@ impl FlightRecorder {
     /// and folding its latency into the per-kind histogram. `top` is
     /// truncated to [`TOP_PREDICTIONS_CAP`] entries and each URL to
     /// [`URL_BYTES_CAP`] bytes; a full ring evicts its oldest record.
-    pub fn push(
-        &mut self,
-        kind: CommandKind,
-        latency_ns: u64,
-        ok: bool,
-        strategy: Option<&'static str>,
-        top: &[(&str, f64)],
-    ) {
+    pub fn push(&mut self, kind: CommandKind, latency_ns: u64, ok: bool, top: &[(&str, f64)]) {
         self.next_seq += 1;
         self.hists[kind.index()].observe(latency_ns);
         if self.records.len() == self.capacity {
@@ -244,7 +230,6 @@ impl FlightRecorder {
             kind,
             latency_ns,
             ok,
-            strategy,
             top: top
                 .iter()
                 .take(TOP_PREDICTIONS_CAP)
@@ -280,7 +265,7 @@ mod tests {
     fn ring_evicts_oldest_and_keeps_sequence() {
         let mut r = FlightRecorder::new(3);
         for i in 0..5u64 {
-            r.push(CommandKind::Predict, i * 100, true, None, &[]);
+            r.push(CommandKind::Predict, i * 100, true, &[]);
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.total(), 5);
@@ -293,9 +278,9 @@ mod tests {
     #[test]
     fn histograms_split_by_kind() {
         let mut r = FlightRecorder::new(4);
-        r.push(CommandKind::Train, 100, true, None, &[]);
-        r.push(CommandKind::Train, 200, true, None, &[]);
-        r.push(CommandKind::Predict, 50, true, None, &[]);
+        r.push(CommandKind::Train, 100, true, &[]);
+        r.push(CommandKind::Train, 200, true, &[]);
+        r.push(CommandKind::Predict, 50, true, &[]);
         r.observe(CommandKind::Rebuild, 1_000_000);
         assert_eq!(r.hist(CommandKind::Train).count(), 2);
         assert_eq!(r.hist(CommandKind::Predict).count(), 1);
@@ -309,7 +294,7 @@ mod tests {
         let mut r = FlightRecorder::new(2);
         let long_url = "/".repeat(3 * URL_BYTES_CAP);
         let many: Vec<(&str, f64)> = (0..50).map(|_| (long_url.as_str(), 0.5)).collect();
-        r.push(CommandKind::Predict, 1, true, Some("frozen-scan"), &many);
+        r.push(CommandKind::Predict, 1, true, &many);
         let rec = r.last(1).next().unwrap();
         assert_eq!(rec.top.len(), TOP_PREDICTIONS_CAP);
         assert!(rec.top.iter().all(|(u, _)| u.len() <= URL_BYTES_CAP));
@@ -330,14 +315,14 @@ mod tests {
             CommandKind::Predict,
             12_544,
             true,
-            Some("fingerprint-index"),
             &[("/a.html", 0.625), ("/b.html", 0.25)],
         );
         let line = r.last(1).next().unwrap().render();
         assert!(!line.contains('\n'));
-        assert!(line.starts_with("#1 predict ok 12544ns"), "{line}");
-        assert!(line.contains("strategy=fingerprint-index"), "{line}");
-        assert!(line.contains("0.625 /a.html"), "{line}");
+        assert_eq!(
+            line,
+            "#1 predict ok 12544ns top=[0.625 /a.html, 0.250 /b.html]"
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ proptest! {
         for (i, (kind, latency, ok, top)) in requests.iter().enumerate() {
             let borrowed: Vec<(&str, f64)> =
                 top.iter().map(|(u, p)| (u.as_str(), *p)).collect();
-            rec.push(*kind, *latency, *ok, None, &borrowed);
+            rec.push(*kind, *latency, *ok, &borrowed);
 
             // The ring never holds more than `capacity` records and its
             // backing allocation never grows past construction time.
@@ -95,7 +95,7 @@ proptest! {
     ) {
         let mut rec = FlightRecorder::new(4);
         for (kind, latency) in &requests {
-            rec.push(*kind, *latency, true, None, &[]);
+            rec.push(*kind, *latency, true, &[]);
         }
         let hist_total: u64 = pbppm_obs::flight::COMMAND_KINDS
             .iter()

@@ -382,11 +382,7 @@ impl ServeSession {
         let write_result = out.write_all(&buf);
         let latency_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let ok = buf.starts_with(b"ok") && write_result.is_ok();
-        let strategy = match kind {
-            CommandKind::Predict => self.online.match_strategy().map(|s| s.label()),
-            _ => None,
-        };
-        self.finish_request(kind, latency_ns, ok, strategy, &top);
+        self.finish_request(kind, latency_ns, ok, &top);
         self.resp_buf = buf;
         self.top_buf = top;
         write_result?;
@@ -401,15 +397,13 @@ impl ServeSession {
         kind: CommandKind,
         latency_ns: u64,
         ok: bool,
-        strategy: Option<&'static str>,
         top: &[(String, f64)],
     ) {
         if !ok {
             self.errors += 1;
         }
         let top_refs: Vec<(&str, f64)> = top.iter().map(|(u, p)| (u.as_str(), *p)).collect();
-        self.recorder
-            .push(kind, latency_ns, ok, strategy, &top_refs);
+        self.recorder.push(kind, latency_ns, ok, &top_refs);
         self.requests += 1;
         if self.flush_every > 0
             && self.requests.is_multiple_of(self.flush_every)
@@ -859,7 +853,6 @@ mod tests {
         assert!(second_to_last.contains("train ok"), "{second_to_last}");
         let last = lines.next().unwrap();
         assert!(last.contains("predict ok"), "{last}");
-        assert!(last.contains("strategy="), "{last}");
         assert!(last.contains("/b"), "predict payload recorded: {last}");
         assert!(line(&mut s, "trace x").starts_with("err trace expects"));
         // The malformed trace request itself lands in the ring.

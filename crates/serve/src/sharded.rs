@@ -380,7 +380,7 @@ impl ShardedServer {
         let ok = resp.starts_with("ok");
         self.shards[0]
             .session
-            .finish_request(kind, latency_ns, ok, None, &[]);
+            .finish_request(kind, latency_ns, ok, &[]);
         Ok((resp, flow))
     }
 
@@ -599,14 +599,9 @@ fn handle_shard_request(shard: &mut Shard, req: PendingReq) -> std::io::Result<(
             }
             let latency_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let ok = buf.starts_with(b"ok");
-            let strategy = published
-                .model
-                .as_ref()
-                .and_then(Predictor::match_strategy)
-                .map(|s| s.label());
             shard
                 .session
-                .finish_request(CommandKind::Predict, latency_ns, ok, strategy, &top);
+                .finish_request(CommandKind::Predict, latency_ns, ok, &top);
             shard.scratch_top = top;
             String::from_utf8_lossy(&buf).into_owned()
         }

@@ -8,8 +8,10 @@
 #                              concurrency policy; see DESIGN.md §15)
 #   2. cargo fmt --check     — no unformatted code
 #   3. cargo clippy          — workspace + all targets, warnings are errors
-#   4. cargo test -q         — the tier-1 suite
-#   5. cargo test -p pbppm-audit — the structural-audit adversarial suite
+#   4. cargo test --workspace — every member's suite: the root package's
+#                              tier-1 tests plus the model property tests,
+#                              the structural-audit adversarial suite, shard
+#                              determinism, epoch concurrency and ingest
 #
 # The perf-regression gate is separate (scripts/perf-gate.sh) because it
 # needs a quiet machine and a release build.
@@ -26,10 +28,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings)" >&2
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test" >&2
-cargo test -q
-
-echo "== cargo test -p pbppm-audit" >&2
-cargo test -q -p pbppm-audit
+echo "== cargo test --workspace" >&2
+cargo test -q --workspace
 
 echo "check.sh: all green" >&2

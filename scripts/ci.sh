@@ -5,10 +5,14 @@
 #                              (every planted corpus violation must trip),
 #                              then the tree itself, timed: the full pass
 #                              must finish in under two seconds
-#   2. scripts/check.sh      — pbppm lint, fmt --check, clippy -D
-#                              warnings, tests
-#   3. scripts/perf-gate.sh  — throughput must stay within 15% of baseline
-#   4. snapshot smoke        — generate a tiny trace, then for each tree
+#   2. telemetry switch      — no build prints a `default-features`
+#                              warning, and `--no-default-features` leaves
+#                              pbppm-obs's `enabled` feature off for the
+#                              whole CLI dependency graph
+#   3. scripts/check.sh      — pbppm lint, fmt --check, clippy -D
+#                              warnings, the workspace test suite
+#   4. scripts/perf-gate.sh  — throughput must stay within 15% of baseline
+#   5. snapshot smoke        — generate a tiny trace, then for each tree
 #                              model (pb, standard, lrs): `pbppm save`
 #                              (finalize freezes the SoA/CSR arena and the
 #                              v2 codec persists it), `pbppm audit` (cross-
@@ -17,23 +21,23 @@
 #                              a query from the recompiled arena) — the
 #                              full freeze → save → audit → load-predict
 #                              cycle through the real binary
-#   5. audit smoke           — `pbppm audit` rejects (nonzero exit) a
+#   6. audit smoke           — `pbppm audit` rejects (nonzero exit) a
 #                              snapshot copy with a flipped payload byte
-#   6. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
+#   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
 #                              health/quit through `pbppm serve`, assert
 #                              the one-`ok`/`err`-line-per-command
 #                              discipline, then restart against the same
 #                              dir and assert the greeting reports a
 #                              recovered generation (warm start)
-#   7. sharded serve smoke   — the same protocol through `pbppm serve
+#   8. sharded serve smoke   — the same protocol through `pbppm serve
 #                              --shards 4` with `@client` routing tokens,
 #                              asserting the sharded greeting and the
 #                              aggregated stats line
-#   8. loadgen smoke         — a short fixed-seed open-loop run of the
+#   9. loadgen smoke         — a short fixed-seed open-loop run of the
 #                              `loadgen` bench (4 shards, low rate) must
 #                              complete with zero errors and zero
 #                              rejected publishes
-#   9. parallel ingest smoke — `pbppm train` on the same log at
+#  10. parallel ingest smoke — `pbppm train` on the same log at
 #                              --threads 1 and --threads 4 must produce
 #                              byte-identical bundles (the deterministic
 #                              parallel-training contract through the
@@ -57,6 +61,23 @@ lint_start="$(date +%s%N)"
 lint_ns=$(( $(date +%s%N) - lint_start ))
 if (( lint_ns > 2000000000 )); then
     echo "ci: pbppm-lint took $((lint_ns / 1000000)) ms (budget: 2000 ms)" >&2
+    exit 1
+fi
+
+echo "== ci: telemetry off switch" >&2
+# Cargo ignores a member's `default-features = false` unless the workspace
+# table says the same, and only warns about it; either slip turns
+# `--no-default-features` into a silent no-op.
+# Outputs are captured first: with pipefail, `grep -q` closing the pipe
+# early could turn a match into a SIGPIPE failure of the left side.
+build_log="$(cargo build --workspace --all-targets 2>&1)"
+if grep -q 'default-features' <<<"$build_log"; then
+    echo "ci: cargo warns about ignored default-features" >&2
+    exit 1
+fi
+obs_features="$(cargo tree -p pbppm-cli --no-default-features -e features -i pbppm-obs)"
+if grep -q '"enabled"' <<<"$obs_features"; then
+    echo "ci: --no-default-features still enables pbppm-obs telemetry" >&2
     exit 1
 fi
 

@@ -9,9 +9,10 @@
 #   * parallel_requests_per_sec  — end-to-end eval throughput, same 15%
 #   * heap_bytes_per_node_frozen — frozen arena density; growing >15%
 #                                  past baseline fails even if speed holds
-#   * fast_path_speedup          — hard floor, baseline-independent: the
-#                                  serving path must stay >= 1.0x the
-#                                  reference scan on every model
+#   * fast_path_speedup          — hard floor, baseline-independent: each
+#                                  model's one serving path must stay
+#                                  >= 1.0x the `pbppm_core::reference`
+#                                  oracle scan
 #   * serve predict_p99_ns       — p99 per-request latency through the
 #                                  `pbppm serve` line protocol, same 15%
 #                                  (skipped against baselines predating
