@@ -29,12 +29,12 @@
 #![forbid(unsafe_code)]
 
 pub use pbppm_core::verify::{
-    runtime_audit, runtime_audit_enabled, verify_frozen_matches, verify_model,
-    verify_model_with_urls, AuditReport, ModelRef, Violation,
+    runtime_audit, runtime_audit_enabled, verify_model, verify_model_with_urls, AuditReport,
+    ModelRef, Violation,
 };
 pub use pbppm_core::{CodecError, ModelImage, SnapshotFile};
 
-use pbppm_core::{LrsPpm, Order1Markov, PbPpm, Predictor, StandardPpm};
+use pbppm_core::{LrsPpm, Order1Markov, PbPpm, StandardPpm};
 
 /// Audits a decoded snapshot: instantiates the stored model image and runs
 /// the full structural verification against it, including URL-symbol
@@ -48,36 +48,15 @@ pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
     let urls = Some(file.urls.len());
     match &file.model {
         ModelImage::Pb(s) => match PbPpm::from_snapshot(s) {
-            Ok(m) => {
-                let mut report = verify_model_with_urls(&ModelRef::Pb(&m), urls);
-                // The loader recompiles the frozen arena from the tree and
-                // serves from the rebuild; a persisted arena is audited
-                // against it so a stale or forged copy is still a finding.
-                if let Some(persisted) = &s.frozen {
-                    verify_frozen_matches(m.frozen(), persisted, &mut report);
-                }
-                report
-            }
+            Ok(m) => verify_model_with_urls(&ModelRef::Pb(&m), urls),
             Err(e) => AuditReport::rejected("pb", e.to_string()),
         },
         ModelImage::Standard(s) => match StandardPpm::from_snapshot(s) {
-            Ok(m) => {
-                let mut report = verify_model_with_urls(&ModelRef::Standard(&m), urls);
-                if let Some(persisted) = &s.frozen {
-                    verify_frozen_matches(m.frozen(), persisted, &mut report);
-                }
-                report
-            }
+            Ok(m) => verify_model_with_urls(&ModelRef::Standard(&m), urls),
             Err(e) => AuditReport::rejected("standard", e.to_string()),
         },
         ModelImage::Lrs(s) => match LrsPpm::from_snapshot(s) {
-            Ok(m) => {
-                let mut report = verify_model_with_urls(&ModelRef::Lrs(&m), urls);
-                if let Some(persisted) = &s.frozen {
-                    verify_frozen_matches(m.frozen(), persisted, &mut report);
-                }
-                report
-            }
+            Ok(m) => verify_model_with_urls(&ModelRef::Lrs(&m), urls),
             Err(e) => AuditReport::rejected("lrs", e.to_string()),
         },
         ModelImage::Order1(s) => {
@@ -85,13 +64,7 @@ pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
             verify_model_with_urls(&ModelRef::Order1(&m), urls)
         }
         ModelImage::OnlinePb(s) => match pbppm_core::OnlinePbPpm::from_snapshot(s) {
-            Ok(m) => {
-                let mut report = verify_model_with_urls(&ModelRef::OnlinePb(&m), urls);
-                if let Some(persisted) = s.model.as_ref().and_then(|inner| inner.frozen.as_ref()) {
-                    verify_frozen_matches(m.frozen(), persisted, &mut report);
-                }
-                report
-            }
+            Ok(m) => verify_model_with_urls(&ModelRef::OnlinePb(&m), urls),
             Err(e) => AuditReport::rejected("online-pb", e.to_string()),
         },
     }

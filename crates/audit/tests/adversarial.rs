@@ -241,27 +241,6 @@ fn stale_index_aggregate_is_caught() {
 }
 
 #[test]
-fn forged_persisted_frozen_arena_is_caught() {
-    let m = pb_with_link();
-    let mut snap = m.to_snapshot();
-    assert!(
-        snap.frozen
-            .as_mut()
-            .expect("finalized PB persists its frozen arena")
-            .skew_count_for_audit(),
-        "arena must be non-empty to skew"
-    );
-    let file = SnapshotFile {
-        urls: urls(6),
-        model: ModelImage::Pb(snap),
-    };
-    // The loader serves from a recompiled arena, so the model itself is
-    // sound — only the persisted-copy cross-check can flag the forgery.
-    let report = verify_bytes(&file.encode()).expect("envelope stays valid");
-    assert!(report.has("frozen-mismatch"), "{report}");
-}
-
-#[test]
 fn order1_row_total_skew_is_caught() {
     let mut m = Order1Markov::new();
     m.train_session(&[u(0), u(1), u(0), u(2)]);

@@ -1,8 +1,7 @@
-//! The CLI commands: generate, analyze, train, predict, save,
-//! load-predict, simulate.
+//! The CLI commands: generate, analyze, train, predict, simulate, audit,
+//! lint, stats.
 
 use crate::args::Args;
-use crate::bundle::{interner_urls, ModelSnapshot, TrainedBundle};
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
 use pbppm_core::{
     Interner, LrsPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig,
@@ -22,11 +21,9 @@ use std::io::{BufRead, Write};
 use std::path::Path;
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
-/// What `train_model` hands back: the label, the serializable snapshot,
-/// and the live model for immediate reporting.
-type TrainedModel = (String, ModelSnapshot, Box<dyn Predictor>);
-/// Same, for `train_image`: the binary-codec image instead of the JSON one.
-type TrainedImage = (String, ModelImage, Box<dyn Predictor>);
+/// What [`train_model`] hands back: the label, the snapshot image, and the
+/// live model for immediate reporting.
+type TrainedModel = (String, ModelImage, Box<dyn Predictor>);
 
 /// Seconds of 1995-07-01 04:00 UTC — the epoch generated logs start at,
 /// matching the real NASA-KSC file.
@@ -260,7 +257,8 @@ fn session_urls(sessions: &[Session]) -> Vec<Vec<pbppm_core::UrlId>> {
         .collect()
 }
 
-fn train_model(
+/// Trains one model kind (`pb`, `standard`, `lrs` or `o1`) on `sessions`.
+pub fn train_model(
     kind: &str,
     sessions: &[Session],
     aggressive: bool,
@@ -283,71 +281,47 @@ fn train_model(
             let mut m = PbPpm::new(counts.build(), cfg);
             m.train_sessions(&urls, threads);
             m.finalize();
-            let snap = ModelSnapshot::Pb(m.to_snapshot());
-            Ok(("PB-PPM".into(), snap, Box::new(m)))
+            let image = ModelImage::Pb(m.to_snapshot());
+            Ok(("PB-PPM".into(), image, Box::new(m)))
         }
         "standard" => {
             let mut m = StandardPpm::unbounded();
             m.train_sessions(&urls, threads);
             m.finalize();
-            let snap = ModelSnapshot::Standard(m.to_snapshot());
-            Ok(("PPM".into(), snap, Box::new(m)))
+            let image = ModelImage::Standard(m.to_snapshot());
+            Ok(("PPM".into(), image, Box::new(m)))
         }
         "lrs" => {
             let mut m = LrsPpm::new();
             m.train_sessions(&urls, threads);
             m.finalize();
-            let snap = ModelSnapshot::Lrs(m.to_snapshot());
-            Ok(("LRS".into(), snap, Box::new(m)))
+            let image = ModelImage::Lrs(m.to_snapshot());
+            Ok(("LRS".into(), image, Box::new(m)))
         }
-        other => Err(format!("unknown model {other:?} (expected pb, standard, or lrs)").into()),
-    }
-}
-
-/// Trains a model and hands back a binary-codec [`ModelImage`] instead of
-/// the JSON bundle snapshot. Adds the order-1 baseline, which the JSON
-/// bundle format never learned to carry.
-pub fn train_image(
-    kind: &str,
-    sessions: &[Session],
-    aggressive: bool,
-    no_links: bool,
-    threads: usize,
-) -> Result<TrainedImage, Box<dyn std::error::Error>> {
-    match kind {
         "o1" => {
-            let mut urls = Vec::new();
             let mut m = Order1Markov::new();
-            for s in sessions {
-                urls.clear();
-                urls.extend(s.views.iter().map(|v| v.url));
-                m.train_session(&urls);
+            for s in &urls {
+                m.train_session(s);
             }
             m.finalize();
             let image = ModelImage::Order1(m.to_snapshot());
             Ok(("O1".into(), image, Box::new(m)))
         }
-        "pb" | "standard" | "lrs" => {
-            let (label, snap, model) = train_model(kind, sessions, aggressive, no_links, threads)?;
-            let image = match snap {
-                ModelSnapshot::Pb(s) => ModelImage::Pb(s),
-                ModelSnapshot::Standard(s) => ModelImage::Standard(s),
-                ModelSnapshot::Lrs(s) => ModelImage::Lrs(s),
-            };
-            Ok((label, image, model))
-        }
         other => Err(format!("unknown model {other:?} (expected pb, standard, lrs, or o1)").into()),
     }
 }
 
-/// `pbppm train access.log --out model.json [--model pb|standard|lrs]
+/// `pbppm train access.log --out model.pbss [--model pb|standard|lrs|o1]
 /// [--days N] [--threads N] [--aggressive-prune] [--no-links]`
+///
+/// Writes the trained model with the versioned, checksummed snapshot codec
+/// that `predict`, `audit` and `serve` read.
 pub fn train(args: &Args) -> CmdResult {
     args.reject_unknown(&["out", "model", "days", "threads"])?;
     let path = args
         .positional
         .first()
-        .ok_or("usage: pbppm train <access.log> --out model.json")?;
+        .ok_or("usage: pbppm train <access.log> --out model.pbss")?;
     let out = args.require("out")?;
     let threads = args.get_parsed("threads", 0usize)?;
     let trace = load_trace(path, threads)?;
@@ -358,59 +332,33 @@ pub fn train(args: &Args) -> CmdResult {
         trace.first_days(days)
     };
     let sessions = sessionize(requests, &SessionizerConfig::default());
-    let (label, snapshot, model) = train_model(
+    let (label, image, model) = train_model(
         args.get("model").unwrap_or("pb"),
         &sessions,
         args.switch("aggressive-prune"),
         args.switch("no-links"),
         threads,
     )?;
-    let bundle = TrainedBundle {
-        version: TrainedBundle::VERSION,
-        label: label.clone(),
-        urls: interner_urls(&trace.urls),
-        train_sessions: sessions.len(),
-        model: snapshot,
-    };
-    bundle.save(Path::new(out))?;
+    let bytes = SnapshotFile::new(&trace.urls, image).write_atomic(Path::new(out))?;
     println!(
-        "trained {label} on {} sessions: {} nodes -> {out}",
+        "trained {label} on {} sessions: {} nodes, {bytes} bytes -> {out}",
         sessions.len(),
         model.node_count()
     );
     Ok(())
 }
 
-/// `pbppm predict model.json --context "/a.html,/b.html" [--top N] [--json]`
+/// `pbppm predict model.pbss --context "/a.html,/b.html" [--top N] [--json]`
 ///
 /// Several contexts can be separated by `;` — they are answered in one
-/// batched [`Predictor::predict_many`] call.
+/// batched [`Predictor::predict_many`] call. The model file comes from
+/// `train` or a `serve` checkpoint.
 pub fn predict(args: &Args) -> CmdResult {
     args.reject_unknown(&["context", "top"])?;
     let path = args
         .positional
         .first()
-        .ok_or("usage: pbppm predict <model.json> --context \"/a,/b\"")?;
-    let bundle = TrainedBundle::load(Path::new(path))?;
-    let interner = bundle.interner();
-    let mut model = bundle.instantiate()?;
-    let mut stdout = std::io::stdout().lock();
-    run_predict(&interner, model.as_mut(), args, &mut stdout)
-}
-
-/// `pbppm load-predict model.pbss --context "/a.html,/b.html" [--top N]
-/// [--json]`
-///
-/// Same query interface as `predict`, but over a binary snapshot written
-/// by `save` (or a `serve` checkpoint). The rendered output is
-/// byte-identical to what the in-process model would produce — the
-/// integration tests pin that.
-pub fn load_predict(args: &Args) -> CmdResult {
-    args.reject_unknown(&["context", "top"])?;
-    let path = args
-        .positional
-        .first()
-        .ok_or("usage: pbppm load-predict <model.pbss> --context \"/a,/b\"")?;
+        .ok_or("usage: pbppm predict <model.pbss> --context \"/a,/b\"")?;
     let file = SnapshotFile::read(Path::new(path))?;
     let interner = file.interner();
     let mut model = file.instantiate()?;
@@ -418,8 +366,8 @@ pub fn load_predict(args: &Args) -> CmdResult {
     run_predict(&interner, model.as_mut(), args, &mut stdout)
 }
 
-/// The shared prediction-query driver behind `predict` and `load-predict`:
-/// parses `--context`, batches the query, renders to `out`.
+/// The prediction-query driver behind `predict`: parses `--context`,
+/// batches the query, renders to `out`.
 pub fn run_predict(
     interner: &Interner,
     model: &mut dyn Predictor,
@@ -505,48 +453,6 @@ pub fn run_predict(
             }
         }
     }
-    Ok(())
-}
-
-/// `pbppm save access.log --out model.pbss [--model pb|standard|lrs|o1]
-/// [--days N] [--threads N] [--aggressive-prune] [--no-links]`
-///
-/// `train`'s sibling for the binary snapshot format: same training
-/// pipeline, but the result is written with the versioned, checksummed
-/// codec that `load-predict` and `serve` read.
-pub fn save(args: &Args) -> CmdResult {
-    args.reject_unknown(&["out", "model", "days", "threads"])?;
-    let path = args
-        .positional
-        .first()
-        .ok_or("usage: pbppm save <access.log> --out model.pbss")?;
-    let out = args.require("out")?;
-    let threads = args.get_parsed("threads", 0usize)?;
-    let trace = load_trace(path, threads)?;
-    let days = args.get_parsed("days", usize::MAX)?;
-    let requests = if days == usize::MAX {
-        &trace.requests[..]
-    } else {
-        trace.first_days(days)
-    };
-    let sessions = sessionize(requests, &SessionizerConfig::default());
-    let (label, image, model) = train_image(
-        args.get("model").unwrap_or("pb"),
-        &sessions,
-        args.switch("aggressive-prune"),
-        args.switch("no-links"),
-        threads,
-    )?;
-    let file = SnapshotFile {
-        urls: interner_urls(&trace.urls),
-        model: image,
-    };
-    let bytes = file.write_atomic(Path::new(out))?;
-    println!(
-        "saved {label}: {} sessions, {} nodes, {bytes} bytes -> {out}",
-        sessions.len(),
-        model.node_count()
-    );
     Ok(())
 }
 

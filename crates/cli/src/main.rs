@@ -4,8 +4,8 @@
 //! ```text
 //! pbppm generate --preset nasa --out access.log    synthesize a CLF log
 //! pbppm analyze  access.log                        sessions, popularity, clients
-//! pbppm train    access.log --out model.json       train a prediction model
-//! pbppm predict  model.json --context "/a,/b"      what to prefetch next
+//! pbppm train    access.log --out model.pbss       train a prediction model
+//! pbppm predict  model.pbss --context "/a,/b"      what to prefetch next
 //! pbppm simulate access.log --model pb             full prefetching experiment
 //! pbppm stats    run_metrics.json                  render an exported report
 //! ```
@@ -32,19 +32,15 @@ COMMANDS:
                --preset nasa|ucb|tiny  --out FILE  [--seed N] [--days D] [--sessions S]
     analyze    Parse a CLF log and report sessions, popularity and clients
                <access.log>  [--json]
-    train      Train a prediction model from a CLF log (parallel chunked
-               ingestion and deterministic parallel training; results are
-               bit-identical at every thread count)
-               <access.log>  --out model.json  [--model pb|standard|lrs]
-               [--days N] [--threads N] [--aggressive-prune] [--no-links]
-    predict    Query a trained model for prefetch candidates; separate
-               multiple contexts with ';' for one batched query
-               <model.json>  --context \"/a.html,/b.html\"  [--top N] [--json]
-    save       Train a model and write it as a binary snapshot (.pbss)
+    train      Train a prediction model from a CLF log and write it as a
+               binary snapshot (.pbss); parallel chunked ingestion and
+               deterministic parallel training make the file byte-identical
+               at every thread count
                <access.log>  --out model.pbss  [--model pb|standard|lrs|o1]
                [--days N] [--threads N] [--aggressive-prune] [--no-links]
-    load-predict
-               Query a binary snapshot; same interface and output as predict
+    predict    Query a trained model (.pbss from train, or a serve
+               checkpoint) for prefetch candidates; separate multiple
+               contexts with ';' for one batched query
                <model.pbss>  --context \"/a.html,/b.html\"  [--top N] [--json]
     serve      Long-running online prediction server: client-sharded
                writers with epoch-published read snapshots, crash-safe
@@ -133,8 +129,6 @@ fn main() {
         "analyze" => commands::analyze(&args),
         "train" => commands::train(&args),
         "predict" => commands::predict(&args),
-        "save" => commands::save(&args),
-        "load-predict" => commands::load_predict(&args),
         "audit" => commands::audit(&args),
         "serve" => pbppm_cli::serve::serve(&args),
         "simulate" => commands::simulate(&args),

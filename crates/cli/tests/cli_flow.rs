@@ -2,8 +2,8 @@
 //! driving the command functions directly with temp files.
 
 use pbppm_cli::args::Args;
-use pbppm_cli::bundle::TrainedBundle;
 use pbppm_cli::commands;
+use pbppm_core::SnapshotFile;
 use std::path::PathBuf;
 
 fn args(tokens: &[&str]) -> Args {
@@ -19,7 +19,7 @@ fn temp(name: &str) -> PathBuf {
 #[test]
 fn generate_analyze_train_predict_simulate() {
     let log = temp("flow.log");
-    let model = temp("flow-model.json");
+    let model = temp("flow-model.pbss");
     let log_s = log.to_str().unwrap();
     let model_s = model.to_str().unwrap();
 
@@ -34,8 +34,13 @@ fn generate_analyze_train_predict_simulate() {
     commands::analyze(&args(&[log_s])).expect("analyze");
     commands::analyze(&args(&[log_s, "--json"])).expect("analyze --json");
 
-    // train each model kind
-    for kind in ["pb", "standard", "lrs"] {
+    // train and query each model kind
+    for (kind, label) in [
+        ("pb", "PB-PPM"),
+        ("standard", "PPM"),
+        ("lrs", "LRS-PPM"),
+        ("o1", "O1"),
+    ] {
         commands::train(&args(&[
             log_s,
             "--out",
@@ -45,11 +50,14 @@ fn generate_analyze_train_predict_simulate() {
             "--aggressive-prune",
         ]))
         .unwrap_or_else(|e| panic!("train {kind}: {e}"));
-        let bundle = TrainedBundle::load(&model).expect("load bundle");
-        assert!(!bundle.urls.is_empty());
-        let m = bundle.instantiate().expect("instantiate");
-        assert!(m.node_count() > 0);
+        let file = SnapshotFile::read(&model).expect("read snapshot");
+        assert!(!file.urls.is_empty());
+        assert_eq!(file.model.kind_label(), label);
+        let m = file.instantiate().expect("instantiate");
+        assert!(m.node_count() > 0, "{kind} snapshot holds a model");
         let _ = m.stats();
+        commands::predict(&args(&[model_s, "--context", "/l0/p0.html", "--top", "3"]))
+            .unwrap_or_else(|e| panic!("predict {kind}: {e}"));
     }
 
     // train PB again for predict
@@ -129,7 +137,7 @@ fn helpful_errors() {
     assert!(commands::train(&args(&[
         log.to_str().unwrap(),
         "--out",
-        temp("err-model.json").to_str().unwrap(),
+        temp("err-model.pbss").to_str().unwrap(),
         "--model",
         "bogus"
     ]))
@@ -137,7 +145,7 @@ fn helpful_errors() {
     // unknown option
     assert!(commands::analyze(&args(&[log.to_str().unwrap(), "--bogus", "1"])).is_err());
     // predict with a context never seen
-    let model = temp("err2-model.json");
+    let model = temp("err2-model.pbss");
     commands::train(&args(&[
         log.to_str().unwrap(),
         "--out",

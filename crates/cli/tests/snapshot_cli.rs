@@ -1,10 +1,11 @@
-//! Binary snapshot CLI flow: save → load-predict must serve the same
-//! bytes as the in-process model, and corrupt snapshots must fail cleanly.
+//! Model file CLI flow: `train` → `predict` must serve the same bytes as
+//! the in-process model, and corrupt model files must fail cleanly.
 
 use pbppm_cli::args::Args;
-use pbppm_cli::bundle::TrainedBundle;
 use pbppm_cli::commands;
-use pbppm_core::snapshot::{ModelImage, SnapshotFile};
+use pbppm_core::SnapshotFile;
+use pbppm_trace::ingest::{trace_from_clf_path, IngestConfig};
+use pbppm_trace::{sessionize, SessionizerConfig};
 use std::path::PathBuf;
 
 fn args(tokens: &[&str]) -> Args {
@@ -18,35 +19,36 @@ fn temp(name: &str) -> PathBuf {
 }
 
 fn render(
-    file_model: &mut dyn pbppm_core::Predictor,
+    model: &mut dyn pbppm_core::Predictor,
     interner: &pbppm_core::Interner,
     query: &Args,
 ) -> Vec<u8> {
     let mut buf = Vec::new();
-    commands::run_predict(interner, file_model, query, &mut buf).expect("run_predict");
+    commands::run_predict(interner, model, query, &mut buf).expect("run_predict");
     buf
 }
 
 #[test]
-fn save_then_load_predict_is_byte_identical_to_in_process_model() {
+fn train_then_predict_is_byte_identical_to_in_process_model() {
     let log = temp("identity.log");
     let log_s = log.to_str().unwrap();
     commands::generate(&args(&["--preset", "tiny", "--out", log_s, "--seed", "5"]))
         .expect("generate");
 
-    // Same training pipeline twice: once into the JSON bundle (the
-    // in-process reference), once through the binary codec.
-    let bundle_path = temp("identity-model.json");
+    // The same pipeline twice: once through `train` and the model file,
+    // once in process as the reference.
     let snap_path = temp("identity-model.pbss");
-    commands::train(&args(&[log_s, "--out", bundle_path.to_str().unwrap()])).expect("train");
-    commands::save(&args(&[log_s, "--out", snap_path.to_str().unwrap()])).expect("save");
-
-    let bundle = TrainedBundle::load(&bundle_path).expect("load bundle");
+    commands::train(&args(&[log_s, "--out", snap_path.to_str().unwrap()])).expect("train");
     let snapshot = SnapshotFile::read(&snap_path).expect("read snapshot");
-    assert_eq!(bundle.urls, snapshot.urls, "identical interner contents");
-
-    let mut reference = bundle.instantiate().expect("bundle model");
     let mut restored = snapshot.instantiate().expect("snapshot model");
+
+    let (trace, _) =
+        trace_from_clf_path(log_s, &log, &IngestConfig::default()).expect("ingest log");
+    let sessions = sessionize(&trace.requests, &SessionizerConfig::default());
+    let (_, _, mut reference) =
+        commands::train_model("pb", &sessions, false, false, 0).expect("in-process model");
+    let urls: Vec<&str> = trace.urls.iter().map(|(_, u)| u).collect();
+    assert_eq!(urls, snapshot.urls, "identical interner contents");
 
     // Single context, batched contexts, text and JSON renderings: every
     // output byte must match the in-process model's. Contexts come from
@@ -58,42 +60,23 @@ fn save_then_load_predict_is_byte_identical_to_in_process_model() {
         args(&["--context", &batch, "--top", "3"]),
         args(&["--context", u0, "--json"]),
     ] {
-        let a = render(reference.as_mut(), &bundle.interner(), &query);
+        let a = render(reference.as_mut(), &trace.urls, &query);
         let b = render(restored.as_mut(), &snapshot.interner(), &query);
         assert!(!a.is_empty());
-        assert_eq!(a, b, "load-predict output diverged for {query:?}");
+        assert_eq!(a, b, "predict output diverged for {query:?}");
     }
 }
 
 #[test]
-fn save_supports_every_model_kind() {
-    let log = temp("kinds.log");
-    let log_s = log.to_str().unwrap();
-    commands::generate(&args(&["--preset", "tiny", "--out", log_s, "--seed", "6"]))
-        .expect("generate");
-    for kind in ["pb", "standard", "lrs", "o1"] {
-        let path = temp(&format!("kind-{kind}.pbss"));
-        let path_s = path.to_str().unwrap();
-        commands::save(&args(&[log_s, "--out", path_s, "--model", kind]))
-            .unwrap_or_else(|e| panic!("save {kind}: {e}"));
-        let file = SnapshotFile::read(&path).expect("read back");
-        let model = file.instantiate().expect("instantiate");
-        assert!(model.node_count() > 0, "{kind} snapshot holds a model");
-        commands::load_predict(&args(&[path_s, "--context", "/l0/p0.html", "--top", "3"]))
-            .unwrap_or_else(|e| panic!("load-predict {kind}: {e}"));
-    }
-    assert!(commands::save(&args(&[log_s, "--out", "/tmp/x.pbss", "--model", "bogus"])).is_err());
-}
-
-#[test]
-fn load_predict_rejects_corruption_cleanly() {
+fn predict_rejects_corruption_cleanly() {
     let log = temp("corrupt.log");
     let log_s = log.to_str().unwrap();
     commands::generate(&args(&["--preset", "tiny", "--out", log_s, "--seed", "7"]))
         .expect("generate");
     let path = temp("corrupt.pbss");
     let path_s = path.to_str().unwrap();
-    commands::save(&args(&[log_s, "--out", path_s])).expect("save");
+    commands::train(&args(&[log_s, "--out", path_s])).expect("train");
+    commands::predict(&args(&[path_s, "--context", "/l0/p0.html"])).expect("clean file");
 
     let good = std::fs::read(&path).unwrap();
     // A flipped payload byte and a truncation both yield clean errors.
@@ -101,29 +84,9 @@ fn load_predict_rejects_corruption_cleanly() {
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x20;
     std::fs::write(&path, &flipped).unwrap();
-    assert!(commands::load_predict(&args(&[path_s, "--context", "/l0/p0.html"])).is_err());
-    std::fs::write(&path, &good[..good.len() - 9]).unwrap();
-    assert!(commands::load_predict(&args(&[path_s, "--context", "/l0/p0.html"])).is_err());
-    // And the JSON bundle loader rejects the binary format outright.
     assert!(commands::predict(&args(&[path_s, "--context", "/l0/p0.html"])).is_err());
-}
-
-#[test]
-fn snapshot_carries_train_image_labels() {
-    let log = temp("labels.log");
-    let log_s = log.to_str().unwrap();
-    commands::generate(&args(&["--preset", "tiny", "--out", log_s, "--seed", "8"]))
-        .expect("generate");
-    let path = temp("labels.pbss");
-    commands::save(&args(&[
-        log_s,
-        "--out",
-        path.to_str().unwrap(),
-        "--model",
-        "o1",
-    ]))
-    .expect("save o1");
-    let file = SnapshotFile::read(&path).expect("read");
-    assert!(matches!(file.model, ModelImage::Order1(_)));
-    assert_eq!(file.model.kind_label(), "O1");
+    std::fs::write(&path, &good[..good.len() - 9]).unwrap();
+    assert!(commands::predict(&args(&[path_s, "--context", "/l0/p0.html"])).is_err());
+    // A log is not a model file.
+    assert!(commands::predict(&args(&[log_s, "--context", "/l0/p0.html"])).is_err());
 }

@@ -38,7 +38,6 @@ use crate::interner::UrlId;
 use crate::popularity::PopularityTable;
 use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
 use crate::tree::{NodeId, Tree};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel for "no node" in the `u32` index space (mirrors
 /// [`NodeId::NONE`]).
@@ -62,7 +61,7 @@ fn ix(i: u32) -> usize {
 ///
 /// [`Tree`]: crate::tree::Tree
 /// [`NodeId`]: crate::tree::NodeId
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrozenTree {
     /// `urls[i]`: URL of node `i`.
     pub(crate) urls: Vec<UrlId>,
@@ -91,22 +90,6 @@ pub struct FrozenTree {
     pub(crate) link_offsets: Vec<u32>,
     /// Special-link targets (duplicated nodes), flattened.
     pub(crate) link_entries: Vec<u32>,
-}
-
-/// Raw decoded pieces of a [`FrozenTree`], as read by the snapshot codec.
-/// [`FrozenTree::from_parts`] validates them into an arena.
-pub(crate) struct FrozenParts {
-    pub urls: Vec<UrlId>,
-    pub counts: Vec<u64>,
-    pub depths: Vec<u8>,
-    pub parents: Vec<u32>,
-    pub grades: Vec<u8>,
-    pub dup_bits: Vec<u64>,
-    pub child_offsets: Vec<u32>,
-    pub child_entries: Vec<(UrlId, u32)>,
-    pub roots: Vec<(UrlId, u32)>,
-    pub link_offsets: Vec<u32>,
-    pub link_entries: Vec<u32>,
 }
 
 fn build_root_lookup(roots: &[(UrlId, u32)]) -> Vec<u32> {
@@ -205,45 +188,35 @@ impl FrozenTree {
         self.link_entries.shrink_to_fit();
     }
 
-    /// Validates raw decoded parts into a frozen arena: array-length
-    /// parity, CSR well-formedness (monotone in-bounds offsets, per-node
-    /// URL-sorted children), in-bounds parent and link references, and a
-    /// sorted root table. The codec maps the error text into
-    /// [`crate::snapshot::CodecError::Invalid`].
-    pub(crate) fn from_parts(parts: FrozenParts) -> Result<Self, &'static str> {
-        let FrozenParts {
-            urls,
-            counts,
-            depths,
-            parents,
-            grades,
-            dup_bits,
-            child_offsets,
-            child_entries,
-            roots,
-            link_offsets,
-            link_entries,
-        } = parts;
-        let n = urls.len();
-        if counts.len() != n || depths.len() != n || parents.len() != n || grades.len() != n {
+    /// Checks the arena's structure: array-length parity, CSR
+    /// well-formedness (monotone in-bounds offsets, per-node URL-sorted
+    /// children), in-bounds parent and link references, a sorted root
+    /// table. The audit maps the error text into a `frozen-csr-malformed`
+    /// violation.
+    pub(crate) fn check_csr(&self) -> Result<(), &'static str> {
+        let n = self.urls.len();
+        if self.counts.len() != n
+            || self.depths.len() != n
+            || self.parents.len() != n
+            || self.grades.len() != n
+        {
             return Err("frozen arrays disagree on length");
         }
-        if dup_bits.len() != n.div_ceil(64) {
+        if self.dup_bits.len() != n.div_ceil(64) {
             return Err("frozen dup bitset has the wrong width");
         }
-        if child_offsets.len() != n + 1 || child_offsets.first() != Some(&0) {
+        let offsets = &self.child_offsets;
+        if offsets.len() != n + 1 || offsets.first() != Some(&0) {
             return Err("frozen child offsets malformed");
         }
-        for w in child_offsets.windows(2) {
-            if w[0] > w[1] {
-                return Err("frozen child offsets not monotone");
-            }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("frozen child offsets not monotone");
         }
-        if ix(*child_offsets.last().unwrap_or(&0)) != child_entries.len() {
+        if ix(*offsets.last().unwrap_or(&0)) != self.child_entries.len() {
             return Err("frozen child offsets disagree with entry count");
         }
-        for (i, w) in child_offsets.windows(2).enumerate() {
-            let row = &child_entries[ix(w[0])..ix(w[1])];
+        for (i, w) in self.child_offsets.windows(2).enumerate() {
+            let row = &self.child_entries[ix(w[0])..ix(w[1])];
             for pair in row.windows(2) {
                 if pair[0].0 >= pair[1].0 {
                     return Err("frozen child entries not sorted by url");
@@ -258,52 +231,31 @@ impl FrozenTree {
                 }
             }
         }
-        for &p in &parents {
-            if p != NO_NODE && ix(p) >= n {
-                return Err("frozen parent out of bounds");
-            }
+        if self.parents.iter().any(|&p| p != NO_NODE && ix(p) >= n) {
+            return Err("frozen parent out of bounds");
         }
-        for pair in roots.windows(2) {
+        for pair in self.roots.windows(2) {
             if pair[0].0 >= pair[1].0 {
                 return Err("frozen root table not sorted by url");
             }
         }
-        for &(_, id) in &roots {
-            if ix(id) >= n {
-                return Err("frozen root out of bounds");
-            }
+        if self.roots.iter().any(|&(_, id)| ix(id) >= n) {
+            return Err("frozen root out of bounds");
         }
-        if link_offsets.len() != roots.len() + 1 || link_offsets.first() != Some(&0) {
+        let offsets = &self.link_offsets;
+        if offsets.len() != self.roots.len() + 1 || offsets.first() != Some(&0) {
             return Err("frozen link offsets malformed");
         }
-        for w in link_offsets.windows(2) {
-            if w[0] > w[1] {
-                return Err("frozen link offsets not monotone");
-            }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("frozen link offsets not monotone");
         }
-        if ix(*link_offsets.last().unwrap_or(&0)) != link_entries.len() {
+        if ix(*offsets.last().unwrap_or(&0)) != self.link_entries.len() {
             return Err("frozen link offsets disagree with entry count");
         }
-        for &t in &link_entries {
-            if ix(t) >= n {
-                return Err("frozen link entry out of bounds");
-            }
+        if self.link_entries.iter().any(|&t| ix(t) >= n) {
+            return Err("frozen link entry out of bounds");
         }
-        let root_lookup = build_root_lookup(&roots);
-        Ok(Self {
-            urls,
-            counts,
-            depths,
-            parents,
-            grades,
-            dup_bits,
-            child_offsets,
-            child_entries,
-            roots,
-            root_lookup,
-            link_offsets,
-            link_entries,
-        })
+        Ok(())
     }
 
     /// Number of nodes in the arena.
@@ -539,20 +491,6 @@ impl FrozenTree {
             + self.link_offsets.capacity() * size_of::<u32>()
             + self.link_entries.capacity() * size_of::<u32>()
     }
-
-    /// Corruption hook for the audit adversarial harness: bumps one node's
-    /// frozen count so it diverges from the pointer arena. Returns false on
-    /// an empty arena. Not part of the public API.
-    #[doc(hidden)]
-    pub fn skew_count_for_audit(&mut self) -> bool {
-        match self.counts.first_mut() {
-            Some(c) => {
-                *c += 1;
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -732,78 +670,51 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_accepts_a_faithful_roundtrip() {
+    fn check_csr_accepts_a_compiled_arena() {
         let m = trained_pb();
-        let f = m.frozen().expect("finalize froze").clone();
-        let parts = FrozenParts {
-            urls: f.urls.clone(),
-            counts: f.counts.clone(),
-            depths: f.depths.clone(),
-            parents: f.parents.clone(),
-            grades: f.grades.clone(),
-            dup_bits: f.dup_bits.clone(),
-            child_offsets: f.child_offsets.clone(),
-            child_entries: f.child_entries.clone(),
-            roots: f.roots.clone(),
-            link_offsets: f.link_offsets.clone(),
-            link_entries: f.link_entries.clone(),
-        };
-        let back = FrozenTree::from_parts(parts).expect("faithful parts validate");
-        assert_eq!(back, f);
+        assert_eq!(m.frozen().expect("finalize froze").check_csr(), Ok(()));
     }
 
     #[test]
-    fn from_parts_rejects_malformed_structure() {
+    fn check_csr_rejects_malformed_structure() {
         let m = trained_pb();
         let f = m.frozen().expect("finalize froze");
-        let parts = |mutate: &dyn Fn(&mut FrozenParts)| {
-            let mut p = FrozenParts {
-                urls: f.urls.clone(),
-                counts: f.counts.clone(),
-                depths: f.depths.clone(),
-                parents: f.parents.clone(),
-                grades: f.grades.clone(),
-                dup_bits: f.dup_bits.clone(),
-                child_offsets: f.child_offsets.clone(),
-                child_entries: f.child_entries.clone(),
-                roots: f.roots.clone(),
-                link_offsets: f.link_offsets.clone(),
-                link_entries: f.link_entries.clone(),
-            };
-            mutate(&mut p);
-            p
+        let check = |mutate: &dyn Fn(&mut FrozenTree)| {
+            let mut bad = f.clone();
+            mutate(&mut bad);
+            bad.check_csr()
         };
         // Length disagreement.
-        assert!(FrozenTree::from_parts(parts(&|p| {
-            p.counts.pop();
-        }))
+        assert!(check(&|t| {
+            t.counts.pop();
+        })
         .is_err());
         // Non-monotone child offsets.
-        assert!(FrozenTree::from_parts(parts(&|p| {
-            if p.child_offsets.len() > 2 {
-                p.child_offsets[1] = u32::MAX - 1;
+        assert!(check(&|t| {
+            if t.child_offsets.len() > 2 {
+                t.child_offsets[1] = u32::MAX - 1;
             }
-        }))
+        })
         .is_err());
         // Out-of-bounds child entry.
-        assert!(FrozenTree::from_parts(parts(&|p| {
-            if let Some(e) = p.child_entries.first_mut() {
+        assert!(check(&|t| {
+            if let Some(e) = t.child_entries.first_mut() {
                 e.1 = u32::MAX - 1;
             }
-        }))
+        })
         .is_err());
         // Unsorted root table.
         assert!(
-            FrozenTree::from_parts(parts(&|p| {
-                p.roots.reverse();
-            }))
+            check(&|t| {
+                t.roots.reverse();
+            })
             .is_err()
                 || f.roots.len() < 2
         );
         // Link offsets disagreeing with entries.
-        assert!(FrozenTree::from_parts(parts(&|p| {
-            p.link_entries.push(0);
-        }))
+        assert!(check(&|t| {
+            t.link_entries.push(0);
+        })
         .is_err());
     }
 

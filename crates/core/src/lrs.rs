@@ -110,16 +110,11 @@ impl LrsPpm {
             min_support: self.min_support,
             max_height: self.max_height,
             finalized: self.finalized,
-            frozen: self.frozen.clone(),
         }
     }
 
-    /// Restores a model from a snapshot.
-    ///
-    /// The frozen arena is always **rebuilt** from the decoded tree —
-    /// never adopted from the snapshot — so a tampered frozen section can
-    /// at worst fail the audit's persisted-vs-rebuilt comparison, not skew
-    /// predictions.
+    /// Restores a model from a snapshot, recompiling the frozen arena
+    /// from the decoded tree.
     pub fn from_snapshot(snap: &LrsSnapshot) -> Result<Self, crate::tree::SnapshotError> {
         let mut tree = Tree::from_snapshot(&snap.tree)?;
         let frozen = snap.finalized.then(|| tree.freeze(None));
@@ -139,7 +134,7 @@ impl LrsPpm {
 }
 
 /// A serializable image of a trained [`LrsPpm`] model.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LrsSnapshot {
     /// The extracted repeating forest.
     pub tree: crate::tree::TreeSnapshot,
@@ -149,10 +144,6 @@ pub struct LrsSnapshot {
     pub max_height: usize,
     /// Whether [`Predictor::finalize`] had run.
     pub finalized: bool,
-    /// The frozen arena as it was when saved (format v2+). Loading rebuilds
-    /// the serving arena from `tree`; this copy exists so `pbppm audit` can
-    /// cross-check what was persisted against the rebuild.
-    pub frozen: Option<crate::frozen::FrozenTree>,
 }
 
 impl Predictor for LrsPpm {

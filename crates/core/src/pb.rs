@@ -461,16 +461,13 @@ impl PbPpm {
             pop: self.pop.clone(),
             cfg: self.cfg,
             finalized: self.finalized,
-            frozen: self.frozen.clone(),
         }
     }
 
     /// Restores a model from a snapshot, rebuilding the fingerprint index.
     pub fn from_snapshot(snap: &PbSnapshot) -> Result<Self, crate::tree::SnapshotError> {
         let mut tree = Tree::from_snapshot(&snap.tree)?;
-        // The frozen arena is always recompiled from the decoded tree —
-        // a persisted copy is never trusted for serving (the audit layer
-        // compares it against this rebuild instead).
+        // Snapshots carry no arena: it is recompiled from the decoded tree.
         let frozen = snap.finalized.then(|| tree.freeze(Some(&snap.pop)));
         let index = ContextIndex::windows(&tree, snap.cfg.max_order);
         Ok(Self {
@@ -511,7 +508,7 @@ impl PbPpm {
 }
 
 /// A serializable image of a trained [`PbPpm`] model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PbSnapshot {
     /// The pruned, compacted prediction forest.
     pub tree: crate::tree::TreeSnapshot,
@@ -521,11 +518,6 @@ pub struct PbSnapshot {
     pub cfg: PbConfig,
     /// Whether [`Predictor::finalize`] had run.
     pub finalized: bool,
-    /// The frozen SoA/CSR arena compiled at finalize (`None` for
-    /// unfinalized models or snapshots written before the frozen format).
-    /// Restoring always recompiles from `tree`; this copy exists so the
-    /// audit layer can cross-check what was persisted.
-    pub frozen: Option<FrozenTree>,
 }
 
 impl Predictor for PbPpm {

@@ -164,7 +164,7 @@ impl PopularityBuilder {
 /// URLs never seen during training get [`Grade::G0`] and zero relative
 /// popularity — the paper's trees give unknown documents the least
 /// consideration, which this default preserves.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PopularityTable {
     counts: Vec<u64>,
     grades: Vec<Grade>,

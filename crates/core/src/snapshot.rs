@@ -26,15 +26,14 @@
 //!
 //! ## Versioning policy
 //!
-//! The format version is bumped on any layout change; readers accept every
-//! version in `[MIN_FORMAT_VERSION, FORMAT_VERSION]` and reject anything
-//! newer or older outright ([`CodecError::UnsupportedVersion`]) rather
-//! than guessing. Version 2 appends an optional frozen SoA/CSR arena
-//! section to the PB, standard and LRS model bodies; version-1 files keep
-//! decoding (the arena is simply absent and gets recompiled from the tree
-//! at instantiation). The checksum covers header and payload, so
-//! truncation and bit corruption both surface as clean errors instead of
-//! garbage models.
+//! The format version is bumped on any layout change; readers accept only
+//! [`FORMAT_VERSION`] and reject anything else outright
+//! ([`CodecError::UnsupportedVersion`]) rather than guessing. A file
+//! stores what cannot be rederived: the tree, the popularity counts and
+//! the configuration. The frozen serving arena is compiled from the tree
+//! at instantiation, so it is never written. The checksum covers header
+//! and payload, so truncation and bit corruption both surface as clean
+//! errors instead of garbage models.
 //!
 //! ## Crash-safe generations
 //!
@@ -61,12 +60,10 @@ use std::path::{Path, PathBuf};
 /// The 8-byte magic at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PBPPMSNP";
 
-/// Current format version, written by [`SnapshotFile::encode`]. Version 2
-/// added the optional frozen-arena section to tree-model bodies.
-pub const FORMAT_VERSION: u16 = 2;
-
-/// Oldest format version readers still accept.
-pub const MIN_FORMAT_VERSION: u16 = 1;
+/// The format version [`SnapshotFile::encode`] writes and the only one
+/// [`SnapshotFile::decode`] accepts. Versions 1 and 2 are refused: version
+/// 2 stored a copy of the frozen arena that no loader used.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// magic + version + payload length + checksum.
 const ENVELOPE_BYTES: usize = 8 + 2 + 8 + 8;
@@ -83,7 +80,7 @@ pub enum CodecError {
     Truncated,
     /// The first 8 bytes are not [`MAGIC`].
     BadMagic,
-    /// The format version is outside `[MIN_FORMAT_VERSION, FORMAT_VERSION]`.
+    /// The format version is not [`FORMAT_VERSION`].
     UnsupportedVersion(u16),
     /// The trailing checksum does not match the stream contents.
     ChecksumMismatch,
@@ -105,8 +102,8 @@ impl std::fmt::Display for CodecError {
             CodecError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} \
-                     (supported: {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
+                    "unsupported snapshot version {v} (supported: {FORMAT_VERSION}; \
+                     retrain older models)"
                 )
             }
             CodecError::ChecksumMismatch => write!(f, "snapshot checksum mismatch (corrupt file)"),
@@ -226,10 +223,6 @@ impl Writer {
     fn str(&mut self, s: &str) {
         self.usizev(s.len());
         self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
     }
 }
 
@@ -453,148 +446,19 @@ fn read_pb_config(r: &mut Reader) -> Result<PbConfig, CodecError> {
     })
 }
 
-/// Writes the optional frozen-arena section (format version ≥ 2): a
-/// presence flag, then the SoA/CSR arrays. `root_lookup` is derived data
-/// and is rebuilt on read rather than stored.
-fn write_frozen(w: &mut Writer, frozen: Option<&crate::frozen::FrozenTree>) {
-    let Some(f) = frozen else {
-        w.bool(false);
-        return;
-    };
-    w.bool(true);
-    w.usizev(f.urls.len());
-    for &u in &f.urls {
-        w.u32v(u.0);
-    }
-    for &c in &f.counts {
-        w.varint(c);
-    }
-    w.bytes(&f.depths);
-    for &p in &f.parents {
-        w.u32v(p);
-    }
-    w.bytes(&f.grades);
-    w.usizev(f.dup_bits.len());
-    for &word in &f.dup_bits {
-        w.varint(word);
-    }
-    w.usizev(f.child_offsets.len());
-    for &o in &f.child_offsets {
-        w.u32v(o);
-    }
-    w.usizev(f.child_entries.len());
-    for &(u, c) in &f.child_entries {
-        w.u32v(u.0);
-        w.u32v(c);
-    }
-    w.usizev(f.roots.len());
-    for &(u, id) in &f.roots {
-        w.u32v(u.0);
-        w.u32v(id);
-    }
-    w.usizev(f.link_offsets.len());
-    for &o in &f.link_offsets {
-        w.u32v(o);
-    }
-    w.usizev(f.link_entries.len());
-    for &t in &f.link_entries {
-        w.u32v(t);
-    }
-}
-
-/// Reads what [`write_frozen`] wrote, revalidating the structure through
-/// [`crate::frozen::FrozenTree`]'s parts constructor — a corrupt or forged
-/// CSR surfaces as [`CodecError::Invalid`], never as a panicking arena.
-fn read_frozen(r: &mut Reader) -> Result<Option<crate::frozen::FrozenTree>, CodecError> {
-    use crate::interner::UrlId;
-    if !r.bool()? {
-        return Ok(None);
-    }
-    let n = r.count()?;
-    let mut urls = Vec::with_capacity(n);
-    for _ in 0..n {
-        urls.push(UrlId(r.u32v()?));
-    }
-    let mut counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        counts.push(r.varint()?);
-    }
-    let depths = r.take(n)?.to_vec();
-    let mut parents = Vec::with_capacity(n);
-    for _ in 0..n {
-        parents.push(r.u32v()?);
-    }
-    let grades = r.take(n)?.to_vec();
-    let word_count = r.count()?;
-    let mut dup_bits = Vec::with_capacity(word_count);
-    for _ in 0..word_count {
-        dup_bits.push(r.varint()?);
-    }
-    let offset_count = r.count()?;
-    let mut child_offsets = Vec::with_capacity(offset_count);
-    for _ in 0..offset_count {
-        child_offsets.push(r.u32v()?);
-    }
-    let entry_count = r.count()?;
-    let mut child_entries = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        child_entries.push((UrlId(r.u32v()?), r.u32v()?));
-    }
-    let root_count = r.count()?;
-    let mut roots = Vec::with_capacity(root_count);
-    for _ in 0..root_count {
-        roots.push((UrlId(r.u32v()?), r.u32v()?));
-    }
-    let link_offset_count = r.count()?;
-    let mut link_offsets = Vec::with_capacity(link_offset_count);
-    for _ in 0..link_offset_count {
-        link_offsets.push(r.u32v()?);
-    }
-    let link_entry_count = r.count()?;
-    let mut link_entries = Vec::with_capacity(link_entry_count);
-    for _ in 0..link_entry_count {
-        link_entries.push(r.u32v()?);
-    }
-    let parts = crate::frozen::FrozenParts {
-        urls,
-        counts,
-        depths,
-        parents,
-        grades,
-        dup_bits,
-        child_offsets,
-        child_entries,
-        roots,
-        link_offsets,
-        link_entries,
-    };
-    crate::frozen::FrozenTree::from_parts(parts)
-        .map(Some)
-        .map_err(CodecError::Invalid)
-}
-
-fn write_pb(w: &mut Writer, s: &PbSnapshot, version: u16) {
+fn write_pb(w: &mut Writer, s: &PbSnapshot) {
     write_tree(w, &s.tree);
     write_pop(w, &s.pop);
     write_pb_config(w, &s.cfg);
     w.bool(s.finalized);
-    if version >= 2 {
-        write_frozen(w, s.frozen.as_ref());
-    }
 }
 
-fn read_pb(r: &mut Reader, version: u16) -> Result<PbSnapshot, CodecError> {
-    let tree = read_tree(r)?;
-    let pop = read_pop(r)?;
-    let cfg = read_pb_config(r)?;
-    let finalized = r.bool()?;
-    let frozen = if version >= 2 { read_frozen(r)? } else { None };
+fn read_pb(r: &mut Reader) -> Result<PbSnapshot, CodecError> {
     Ok(PbSnapshot {
-        tree,
-        pop,
-        cfg,
-        finalized,
-        frozen,
+        tree: read_tree(r)?,
+        pop: read_pop(r)?,
+        cfg: read_pb_config(r)?,
+        finalized: r.bool()?,
     })
 }
 
@@ -684,21 +548,18 @@ pub struct SnapshotFile {
 }
 
 impl SnapshotFile {
-    /// Encodes the snapshot into the framed binary format at the current
-    /// [`FORMAT_VERSION`].
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_at_version(FORMAT_VERSION)
+    /// Pairs a model image with the interner its URL ids refer to (the
+    /// inverse of [`SnapshotFile::interner`]).
+    pub fn new(interner: &Interner, model: ModelImage) -> Self {
+        Self {
+            urls: interner.iter().map(|(_, url)| url.to_owned()).collect(),
+            model,
+        }
     }
 
-    /// Encodes at a specific supported format version. Version 1 omits the
-    /// frozen-arena sections. Exposed for compatibility tests; production
-    /// writers always use [`SnapshotFile::encode`].
-    #[doc(hidden)]
-    pub fn encode_at_version(&self, version: u16) -> Vec<u8> {
-        debug_assert!(
-            (MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version),
-            "encode_at_version({version}) outside the supported range"
-        );
+    /// Encodes the snapshot into the framed binary format at
+    /// [`FORMAT_VERSION`].
+    pub fn encode(&self) -> Vec<u8> {
         let mut payload = Writer::new();
         payload.u8(self.model.tag());
         payload.usizev(self.urls.len());
@@ -706,7 +567,7 @@ impl SnapshotFile {
             payload.str(url);
         }
         match &self.model {
-            ModelImage::Pb(s) => write_pb(&mut payload, s, version),
+            ModelImage::Pb(s) => write_pb(&mut payload, s),
             ModelImage::Standard(s) => {
                 write_tree(&mut payload, &s.tree);
                 match s.max_height {
@@ -717,18 +578,12 @@ impl SnapshotFile {
                     None => payload.bool(false),
                 }
                 payload.bool(s.finalized);
-                if version >= 2 {
-                    write_frozen(&mut payload, s.frozen.as_ref());
-                }
             }
             ModelImage::Lrs(s) => {
                 write_tree(&mut payload, &s.tree);
                 payload.varint(s.min_support);
                 payload.usizev(s.max_height);
                 payload.bool(s.finalized);
-                if version >= 2 {
-                    write_frozen(&mut payload, s.frozen.as_ref());
-                }
             }
             ModelImage::Order1(s) => {
                 payload.usizev(s.rows.len());
@@ -753,7 +608,7 @@ impl SnapshotFile {
                 match &s.model {
                     Some(m) => {
                         payload.bool(true);
-                        write_pb(&mut payload, m, version);
+                        write_pb(&mut payload, m);
                     }
                     None => payload.bool(false),
                 }
@@ -763,7 +618,7 @@ impl SnapshotFile {
 
         let mut out = Vec::with_capacity(ENVELOPE_BYTES + payload.len());
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&len_u64(payload.len()).to_le_bytes());
         out.extend_from_slice(&payload);
         let checksum = fnv1a(&out);
@@ -781,7 +636,7 @@ impl SnapshotFile {
             return Err(CodecError::Truncated);
         }
         let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(CodecError::UnsupportedVersion(version));
         }
         let mut len8 = [0u8; 8];
@@ -808,41 +663,18 @@ impl SnapshotFile {
             urls.push(r.str()?.to_owned());
         }
         let model = match tag {
-            KIND_PB => ModelImage::Pb(read_pb(&mut r, version)?),
-            KIND_STANDARD => {
-                let tree = read_tree(&mut r)?;
-                let max_height = if r.bool()? { Some(r.u8()?) } else { None };
-                let finalized = r.bool()?;
-                let frozen = if version >= 2 {
-                    read_frozen(&mut r)?
-                } else {
-                    None
-                };
-                ModelImage::Standard(StandardSnapshot {
-                    tree,
-                    max_height,
-                    finalized,
-                    frozen,
-                })
-            }
-            KIND_LRS => {
-                let tree = read_tree(&mut r)?;
-                let min_support = r.varint()?;
-                let max_height = r.usizev()?;
-                let finalized = r.bool()?;
-                let frozen = if version >= 2 {
-                    read_frozen(&mut r)?
-                } else {
-                    None
-                };
-                ModelImage::Lrs(LrsSnapshot {
-                    tree,
-                    min_support,
-                    max_height,
-                    finalized,
-                    frozen,
-                })
-            }
+            KIND_PB => ModelImage::Pb(read_pb(&mut r)?),
+            KIND_STANDARD => ModelImage::Standard(StandardSnapshot {
+                tree: read_tree(&mut r)?,
+                max_height: if r.bool()? { Some(r.u8()?) } else { None },
+                finalized: r.bool()?,
+            }),
+            KIND_LRS => ModelImage::Lrs(LrsSnapshot {
+                tree: read_tree(&mut r)?,
+                min_support: r.varint()?,
+                max_height: r.usizev()?,
+                finalized: r.bool()?,
+            }),
             KIND_ORDER1 => {
                 let row_count = r.count()?;
                 let mut rows = Vec::with_capacity(row_count);
@@ -867,7 +699,7 @@ impl SnapshotFile {
                 let rebuilds = r.varint()?;
                 let window = read_sessions(&mut r)?;
                 let model = if r.bool()? {
-                    Some(read_pb(&mut r, version)?)
+                    Some(read_pb(&mut r)?)
                 } else {
                     None
                 };
@@ -1146,67 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_preserves_frozen_arena() {
-        let (urls, m) = trained_pb();
-        let snap = m.to_snapshot();
-        assert!(snap.frozen.is_some(), "finalized PB must carry an arena");
-        let file = SnapshotFile {
-            urls,
-            model: ModelImage::Pb(snap.clone()),
-        };
-        let back = SnapshotFile::decode(&file.encode()).unwrap();
-        let ModelImage::Pb(decoded) = &back.model else {
-            panic!("kind changed in roundtrip");
-        };
-        assert_eq!(decoded.frozen, snap.frozen);
-    }
-
-    #[test]
-    fn v1_legacy_encoding_still_decodes_and_recompiles_frozen() {
-        let (urls, m) = trained_pb();
-        let file = SnapshotFile {
-            urls: urls.clone(),
-            model: ModelImage::Pb(m.to_snapshot()),
-        };
-        let legacy = file.encode_at_version(1);
-        assert_eq!(u16::from_le_bytes([legacy[8], legacy[9]]), 1);
-        let back = SnapshotFile::decode(&legacy).unwrap();
-        let ModelImage::Pb(decoded) = &back.model else {
-            panic!("kind changed in roundtrip");
-        };
-        assert!(decoded.frozen.is_none(), "v1 carries no frozen section");
-        // Instantiation recompiles the arena from the tree, so a legacy
-        // file still serves from the frozen read path.
-        let restored = back.instantiate().unwrap();
-        assert!(restored.frozen().is_some());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut ua = crate::predictor::PredictUsage::default();
-        let mut ub = crate::predictor::PredictUsage::default();
-        m.predict_ro(&[UrlId(0)], &mut a, &mut ua);
-        restored.predict_ro(&[UrlId(0)], &mut b, &mut ub);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn malformed_frozen_section_is_rejected_cleanly() {
-        let (urls, m) = trained_pb();
-        let mut snap = m.to_snapshot();
-        // Forge a structurally broken CSR: an offsets table whose length
-        // disagrees with the node count. `from_parts` must refuse it.
-        if let Some(f) = snap.frozen.as_mut() {
-            f.child_offsets.pop();
-        }
-        let file = SnapshotFile {
-            urls,
-            model: ModelImage::Pb(snap),
-        };
-        match SnapshotFile::decode(&file.encode()) {
-            Err(CodecError::Invalid(_)) => {}
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn decode_rejects_bad_magic() {
         let (urls, m) = trained_pb();
         let mut bytes = SnapshotFile {
@@ -1226,18 +997,22 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_future_version() {
+    fn decode_rejects_every_other_version() {
         let (urls, m) = trained_pb();
         let mut bytes = SnapshotFile {
             urls,
             model: ModelImage::Pb(m.to_snapshot()),
         }
         .encode();
-        bytes[8] = 0x63; // version 99
-        assert_eq!(
-            SnapshotFile::decode(&bytes).unwrap_err(),
-            CodecError::UnsupportedVersion(99)
-        );
+        // Older layouts are refused as firmly as newer ones: version 2
+        // carried a frozen-arena section this reader no longer parses.
+        for version in [1u16, 2, 99] {
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                SnapshotFile::decode(&bytes).unwrap_err(),
+                CodecError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]

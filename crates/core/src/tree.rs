@@ -26,7 +26,6 @@
 
 use crate::fxhash::FxHashMap;
 use crate::interner::UrlId;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node in a [`Tree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -704,7 +703,7 @@ impl Tree {
 /// Produced by [`Tree::to_snapshot`]; consumed by [`Tree::from_snapshot`].
 /// The `used` flags are deliberately not persisted — path-utilization
 /// bookkeeping belongs to one evaluation run, not to the model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeSnapshot {
     /// All nodes of the (compacted) arena.
     pub nodes: Vec<NodeSnapshot>,
@@ -727,7 +726,7 @@ impl TreeSnapshot {
 }
 
 /// One node of a [`TreeSnapshot`], with raw `u32` references.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSnapshot {
     /// Interned URL id.
     pub url: u32,

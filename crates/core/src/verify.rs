@@ -25,6 +25,7 @@
 //! *registry* is structurally sound in both directions.
 
 use crate::context_index::{ContextIndex, SubGroup};
+use crate::frozen::FrozenTree;
 use crate::interner::UrlId;
 use crate::lrs::LrsPpm;
 use crate::order1::Order1Markov;
@@ -273,8 +274,7 @@ pub enum Violation {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// A frozen-arena field disagrees with the pointer tree it freezes
-    /// (or with the rebuilt arena, for persisted copies).
+    /// A frozen-arena field disagrees with the pointer tree it freezes.
     FrozenMismatch {
         /// Human-readable description of the disagreement.
         detail: String,
@@ -990,35 +990,20 @@ fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditR
 }
 
 /// Audits a frozen SoA/CSR arena against the pointer tree it claims to
-/// freeze: structural CSR validation first (through the same gate the
-/// snapshot codec uses), then per-node field parity under the identity
-/// mapping, root/link table equality, grade rederivation against `pop`,
-/// and a total-mass aggregate cross-check.
+/// freeze: structural CSR validation first ([`FrozenTree::check_csr`]),
+/// then per-node field parity under the identity mapping, root/link table
+/// equality, grade rederivation against `pop`, and a total-mass aggregate
+/// cross-check.
 fn verify_frozen(
     tree: &Tree,
-    frozen: &crate::frozen::FrozenTree,
+    frozen: &FrozenTree,
     pop: Option<&PopularityTable>,
     report: &mut AuditReport,
 ) {
-    use crate::frozen::{FrozenParts, FrozenTree};
-
     // CSR well-formedness. A malformed arena makes every index unreliable,
     // so field checks stop here when this fails.
     report.tick();
-    let parts = FrozenParts {
-        urls: frozen.urls.clone(),
-        counts: frozen.counts.clone(),
-        depths: frozen.depths.clone(),
-        parents: frozen.parents.clone(),
-        grades: frozen.grades.clone(),
-        dup_bits: frozen.dup_bits.clone(),
-        child_offsets: frozen.child_offsets.clone(),
-        child_entries: frozen.child_entries.clone(),
-        roots: frozen.roots.clone(),
-        link_offsets: frozen.link_offsets.clone(),
-        link_entries: frozen.link_entries.clone(),
-    };
-    if let Err(detail) = FrozenTree::from_parts(parts) {
+    if let Err(detail) = frozen.check_csr() {
         report.violations.push(Violation::FrozenCsrMalformed {
             detail: detail.to_owned(),
         });
@@ -1109,32 +1094,6 @@ fn verify_frozen(
         report.violations.push(Violation::FrozenAggregateMismatch {
             detail: format!("total count mass: frozen {frozen_mass}, tree {tree_mass}"),
         });
-    }
-}
-
-/// Compares a frozen arena persisted in a snapshot against the arena
-/// recompiled from the decoded tree. Serving always uses the rebuild;
-/// this check exists so the audit tool surfaces a forged or stale
-/// persisted copy instead of silently ignoring it.
-pub fn verify_frozen_matches(
-    rebuilt: Option<&crate::frozen::FrozenTree>,
-    persisted: &crate::frozen::FrozenTree,
-    report: &mut AuditReport,
-) {
-    report.tick();
-    match rebuilt {
-        None => report.violations.push(Violation::FrozenMismatch {
-            detail: "snapshot persists a frozen arena but the decoded model compiles none"
-                .to_owned(),
-        }),
-        Some(rebuilt) if rebuilt != persisted => {
-            report.violations.push(Violation::FrozenMismatch {
-                detail: "persisted frozen arena differs from the arena recompiled from the \
-                         decoded tree"
-                    .to_owned(),
-            });
-        }
-        Some(_) => {}
     }
 }
 
@@ -1424,12 +1383,10 @@ mod tests {
     #[test]
     fn skewed_frozen_count_is_caught() {
         let mut pb = trained_pb();
-        assert!(
-            pb.frozen
-                .as_mut()
-                .is_some_and(crate::frozen::FrozenTree::skew_count_for_audit),
-            "fixture must carry a non-empty frozen arena"
-        );
+        pb.frozen
+            .as_mut()
+            .expect("finalized PB carries an arena")
+            .counts[0] += 1;
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("frozen-mismatch"), "{report}");
         assert!(report.has("frozen-aggregate-mismatch"), "{report}");
@@ -1445,23 +1402,6 @@ mod tests {
             .pop();
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("frozen-csr-malformed"), "{report}");
-    }
-
-    #[test]
-    fn persisted_frozen_divergence_is_caught() {
-        let pb = trained_pb();
-        let rebuilt = pb.frozen.clone();
-        let mut persisted = rebuilt.clone().expect("finalized PB carries an arena");
-        assert!(persisted.skew_count_for_audit());
-        let mut report = AuditReport::new("pb");
-        verify_frozen_matches(rebuilt.as_ref(), &persisted, &mut report);
-        assert!(report.has("frozen-mismatch"), "{report}");
-        let mut clean = AuditReport::new("pb");
-        verify_frozen_matches(rebuilt.as_ref(), rebuilt.as_ref().unwrap(), &mut clean);
-        assert!(clean.is_clean(), "{clean}");
-        let mut missing = AuditReport::new("pb");
-        verify_frozen_matches(None, &persisted, &mut missing);
-        assert!(missing.has("frozen-mismatch"), "{missing}");
     }
 
     #[test]

@@ -310,10 +310,7 @@ impl ServeSession {
     /// Writes a checkpoint of the full serving state (and refreshes the
     /// metrics flush alongside it). Returns its size.
     pub fn checkpoint(&mut self) -> Result<u64, Box<dyn std::error::Error>> {
-        let file = SnapshotFile {
-            urls: interner_urls(&self.urls),
-            model: ModelImage::OnlinePb(self.online.to_snapshot()),
-        };
+        let file = SnapshotFile::new(&self.urls, ModelImage::OnlinePb(self.online.to_snapshot()));
         let bytes = self.store.checkpoint(&file)?;
         self.last_checkpoint_rebuilds = self.online.rebuild_count();
         self.checkpoints_written += 1;
@@ -665,12 +662,6 @@ pub(crate) fn write_predictions(
         top.push((url.to_owned(), p.prob));
     }
     Ok(Ok(()))
-}
-
-/// Snapshot payload helper: every interned URL, in id order (mirrors the
-/// bundle writer in `pbppm-cli`).
-fn interner_urls(urls: &Interner) -> Vec<String> {
-    urls.iter().map(|(_, name)| name.to_owned()).collect()
 }
 
 /// Publishes one [`PredictionQuality`]'s raw counters under `prefix.*`.

@@ -1,13 +1,14 @@
-//! Persist a trained model across server restarts: train PB-PPM, snapshot
-//! it to JSON, reload it, and verify the reloaded model predicts
-//! identically. (Snapshots are plain `serde` types — any format works;
-//! JSON keeps the example dependency-free.)
+//! Persist a trained model across server restarts: train PB-PPM, write it
+//! as a `.pbss` snapshot file, reload it, and verify the reloaded model
+//! predicts identically.
 //!
 //! ```sh
 //! cargo run --release --example persist_model
 //! ```
 
-use pbppm::core::{PbConfig, PbPpm, PopularityTable, Prediction, Predictor, PruneConfig};
+use pbppm::core::{
+    ModelImage, PbConfig, PbPpm, PopularityTable, Prediction, Predictor, PruneConfig, SnapshotFile,
+};
 use pbppm::trace::{sessionize_trace, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,18 +38,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sessions.len()
     );
 
-    // Snapshot to disk.
-    let path = std::env::temp_dir().join("pbppm-model.json");
-    let json = serde_json::to_string(&model.to_snapshot())?;
-    std::fs::write(&path, &json)?;
-    println!("saved {} ({} KB)", path.display(), json.len() / 1024);
+    // Snapshot to disk, together with the URL table the ids refer to.
+    let path = std::env::temp_dir().join("pbppm-model.pbss");
+    let bytes =
+        SnapshotFile::new(&trace.urls, ModelImage::Pb(model.to_snapshot())).write_atomic(&path)?;
+    println!("saved {} ({} KB)", path.display(), bytes / 1024);
 
     // ... server restarts ...
 
     // Reload and verify.
-    let loaded: pbppm::core::pb::PbSnapshot =
-        serde_json::from_str(&std::fs::read_to_string(&path)?)?;
-    let mut restored = PbPpm::from_snapshot(&loaded)?;
+    let loaded = SnapshotFile::read(&path)?;
+    let mut restored = loaded.instantiate()?;
     assert_eq!(restored.node_count(), model.node_count());
 
     let mut fresh: Vec<Prediction> = Vec::new();

@@ -12,15 +12,14 @@
 #   3. scripts/check.sh      — pbppm lint, fmt --check, clippy -D
 #                              warnings, the workspace test suite
 #   4. scripts/perf-gate.sh  — throughput must stay within 15% of baseline
-#   5. snapshot smoke        — generate a tiny trace, then for each tree
-#                              model (pb, standard, lrs): `pbppm save`
-#                              (finalize freezes the SoA/CSR arena and the
-#                              v2 codec persists it), `pbppm audit` (cross-
-#                              checks the persisted arena against a fresh
-#                              recompile), and `pbppm load-predict` (serves
-#                              a query from the recompiled arena) — the
-#                              full freeze → save → audit → load-predict
-#                              cycle through the real binary
+#   5. snapshot smoke        — generate a tiny trace, then for each model
+#                              (pb, standard, lrs, o1): `pbppm train`
+#                              (writes the .pbss model file), `pbppm audit`
+#                              (loads it, recompiling the SoA/CSR arena
+#                              from the tree, and checks every invariant),
+#                              and `pbppm predict` (serves a query from
+#                              the loaded model) — the full train → audit
+#                              → predict cycle through the real binary
 #   6. audit smoke           — `pbppm audit` rejects (nonzero exit) a
 #                              snapshot copy with a flipped payload byte
 #   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
@@ -39,7 +38,7 @@
 #                              rejected publishes
 #  10. parallel ingest smoke — `pbppm train` on the same log at
 #                              --threads 1 and --threads 4 must produce
-#                              byte-identical bundles (the deterministic
+#                              byte-identical .pbss files (the deterministic
 #                              parallel-training contract through the
 #                              real binary), then a short `ingest` bench
 #                              run must report nonzero throughput in all
@@ -87,7 +86,7 @@ scripts/check.sh
 echo "== ci: perf-gate.sh" >&2
 scripts/perf-gate.sh
 
-echo "== ci: snapshot save/load-predict smoke" >&2
+echo "== ci: snapshot train/audit/predict smoke" >&2
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -102,17 +101,16 @@ pbppm="$repo/target/release/pbppm"
 }
 
 "$pbppm" generate --preset tiny --out "$tmp/access.log" >/dev/null
-for model in pb standard lrs; do
-    # `save` finalizes (which freezes the SoA/CSR arena) and persists it in
-    # the v2 snapshot; `audit` recompiles the arena from the decoded tree
-    # and cross-checks the persisted copy; `load-predict` answers from the
-    # recompiled arena. Any prediction output (or a clean empty "no
-    # prediction" answer) proves the cycle worked.
-    "$pbppm" save "$tmp/access.log" --out "$tmp/model-$model.pbss" --model "$model" >/dev/null
+for model in pb standard lrs o1; do
+    # `train` writes the model file; `audit` and `predict` each load it,
+    # recompiling the frozen arena from the decoded tree. Any prediction
+    # output (or a clean empty "no prediction" answer) proves the cycle
+    # worked.
+    "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model.pbss" --model "$model" >/dev/null
     "$pbppm" audit "$tmp/model-$model.pbss" >/dev/null
-    "$pbppm" load-predict "$tmp/model-$model.pbss" --context "/l0/p0.html" >"$tmp/preds-$model.txt"
+    "$pbppm" predict "$tmp/model-$model.pbss" --context "/l0/p0.html" >"$tmp/preds-$model.txt"
     if [[ ! -s "$tmp/preds-$model.txt" ]]; then
-        echo "ci: load-predict ($model) produced no output" >&2
+        echo "ci: predict ($model) produced no output" >&2
         exit 1
     fi
 done
@@ -226,10 +224,10 @@ EOF
 
 echo "== ci: parallel ingest smoke" >&2
 # Parallel training is bit-identical to sequential at any worker count;
-# prove it through the real binary by diffing whole trained bundles.
-"$pbppm" train "$tmp/access.log" --out "$tmp/model-t1.json" --threads 1 >/dev/null
-"$pbppm" train "$tmp/access.log" --out "$tmp/model-t4.json" --threads 4 >/dev/null
-cmp -s "$tmp/model-t1.json" "$tmp/model-t4.json" || {
+# prove it through the real binary by diffing whole model files.
+"$pbppm" train "$tmp/access.log" --out "$tmp/model-t1.pbss" --threads 1 >/dev/null
+"$pbppm" train "$tmp/access.log" --out "$tmp/model-t4.pbss" --threads 4 >/dev/null
+cmp -s "$tmp/model-t1.pbss" "$tmp/model-t4.pbss" || {
     echo "ci: parallel training (--threads 4) diverged from --threads 1" >&2
     exit 1
 }
