@@ -5,7 +5,8 @@
 //! The other perf legs measure *serving*; this one measures the build
 //! pipeline: raw CLF log → parsed [`Trace`] → sessions → frozen PB-PPM
 //! model. Each phase runs twice per round — the sequential reference
-//! (`trace_from_clf` + `train_session` loops) and the parallel path
+//! (`pbppm_trace::reference::trace_from_lines` + `train_session` loops)
+//! and the parallel path
 //! (`trace_from_clf_reader` chunked ingestion + `train_sessions`
 //! partition-and-merge) — which is meaningful *because* the parallel path
 //! is property-tested bit-identical to the sequential one: the comparison
@@ -37,8 +38,9 @@
 
 use crate::{nasa_trace, write_json, Table};
 use pbppm_core::{PbConfig, PbPpm, PopularityBuilder, PopularityTable, Predictor, UrlId};
-use pbppm_trace::clf::{format_clf_line, trace_from_clf, ClfRecord};
+use pbppm_trace::clf::{format_clf_line, ClfRecord};
 use pbppm_trace::ingest::{trace_from_clf_path, IngestConfig};
+use pbppm_trace::reference::trace_from_lines;
 use pbppm_trace::{sessionize, SessionizerConfig, Trace};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
@@ -175,16 +177,14 @@ fn secs(t: Instant) -> f64 {
 
 fn parse_sequential(path: &std::path::Path) -> Trace {
     let file = std::fs::File::open(path).expect("open log");
-    let lines = std::io::BufReader::new(file).lines().map_while(Result::ok);
-    trace_from_clf("bench", lines).0
+    let lines = std::io::BufReader::new(file)
+        .lines()
+        .map(|l| l.expect("read bench log"));
+    trace_from_lines("bench", lines).0
 }
 
 fn parse_parallel(path: &std::path::Path, threads: usize) -> Trace {
-    let cfg = IngestConfig {
-        threads,
-        ..IngestConfig::default()
-    };
-    trace_from_clf_path("bench", path, &cfg)
+    trace_from_clf_path("bench", path, &IngestConfig { threads })
         .expect("ingest log")
         .0
 }

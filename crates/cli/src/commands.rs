@@ -9,15 +9,13 @@ use pbppm_core::{
 };
 use pbppm_sim::{run_experiment, ExperimentConfig, ModelSpec};
 use pbppm_trace::clf::{format_clf_line, ClfRecord};
-use pbppm_trace::combined::{
-    detect_format, format_combined_line, trace_from_log, CombinedRecord, LogFormat, LogIngest,
-};
+use pbppm_trace::combined::{format_combined_line, CombinedRecord, LogFormat};
 use pbppm_trace::ingest::{trace_from_clf_path, IngestConfig};
 use pbppm_trace::{
-    classify_clients, sessionize, ClassifyConfig, ClientClass, Session, SessionStats,
+    classify_clients, sessionize, ClassifyConfig, ClfStats, ClientClass, Session, SessionStats,
     SessionizerConfig, Trace, WorkloadConfig,
 };
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::Path;
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
@@ -104,72 +102,31 @@ pub fn generate(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Reads just enough of `path` to detect the log dialect: the first line
-/// that parses in either format decides (mirroring [`trace_from_log`]'s
-/// first-parsable-line rule).
-fn sniff_format(path: &str) -> Result<Option<LogFormat>, std::io::Error> {
-    let file = std::fs::File::open(path)?;
-    for line in std::io::BufReader::new(file).lines().map_while(Result::ok) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some(f) = detect_format(&line) {
-            return Ok(Some(f));
-        }
-    }
-    Ok(None)
-}
-
+/// Ingests a Common or Combined log (the dialect is detected) through
+/// the chunked parallel ingester.
 fn load_trace_full(
     path: &str,
     threads: usize,
-) -> Result<(Trace, LogIngest), Box<dyn std::error::Error>> {
-    // Common-format logs go through the chunked parallel ingester — same
-    // Trace bit-for-bit (see `pbppm_trace::ingest`), bounded memory, and
-    // parse parallelism. Combined logs (or undetectable ones) stay on the
-    // sequential whole-file path, which alone understands user agents.
-    let (trace, ingest) = if sniff_format(path)? == Some(LogFormat::Common) {
-        let cfg = IngestConfig {
-            threads,
-            ..IngestConfig::default()
-        };
-        let (trace, stats) = trace_from_clf_path(path, Path::new(path), &cfg)?;
-        let robot_clients = if stats.accepted > 0 {
-            // Plain CLF has no user-agent field: nobody is UA-identifiable
-            // as a robot, matching `trace_from_log`'s CLF behaviour.
-            vec![false; trace.clients.len()]
-        } else {
-            Vec::new()
-        };
-        let ingest = LogIngest {
-            stats,
-            format: Some(LogFormat::Common),
-            robot_clients,
-        };
-        (trace, ingest)
-    } else {
-        let file = std::fs::File::open(path)?;
-        let lines = std::io::BufReader::new(file).lines().map_while(Result::ok);
-        trace_from_log(path, lines)
-    };
+) -> Result<(Trace, ClfStats), Box<dyn std::error::Error>> {
+    let (trace, stats) = trace_from_clf_path(path, Path::new(path), &IngestConfig { threads })?;
     pbppm_obs::obs_info!(
         "parsed {path} ({:?}): {} accepted, {} filtered, {} malformed",
-        ingest.format,
-        ingest.stats.accepted,
-        ingest.stats.filtered,
-        ingest.stats.malformed
+        stats.format,
+        stats.accepted,
+        stats.filtered,
+        stats.malformed
     );
-    if ingest.stats.malformed > ingest.stats.accepted {
+    if stats.malformed > stats.accepted {
         pbppm_obs::obs_warn!(
             "{path}: more malformed than accepted lines ({} vs {}) — wrong format?",
-            ingest.stats.malformed,
-            ingest.stats.accepted
+            stats.malformed,
+            stats.accepted
         );
     }
     if trace.requests.is_empty() {
         return Err("no usable requests in the log".into());
     }
-    Ok((trace, ingest))
+    Ok((trace, stats))
 }
 
 fn load_trace(path: &str, threads: usize) -> Result<Trace, Box<dyn std::error::Error>> {
@@ -183,8 +140,12 @@ pub fn analyze(args: &Args) -> CmdResult {
         .positional
         .first()
         .ok_or("usage: pbppm analyze <access.log>")?;
-    let (trace, ingest) = load_trace_full(path, 0)?;
-    let ua_robots = ingest.robot_clients.iter().filter(|&&b| b).count();
+    let (trace, parsed) = load_trace_full(path, 0)?;
+    let ua_robots = parsed.robot_clients.iter().filter(|&&b| b).count();
+    let format = match parsed.format {
+        Some(LogFormat::Combined) => "combined",
+        _ => "clf",
+    };
     let sessions = sessionize(&trace.requests, &SessionizerConfig::default());
     let stats = SessionStats::of(&sessions);
     let mut counts = PopularityTable::builder();
@@ -204,6 +165,10 @@ pub fn analyze(args: &Args) -> CmdResult {
 
     if args.switch("json") {
         let summary = serde_json::json!({
+            "format": format,
+            "accepted": parsed.accepted,
+            "filtered": parsed.filtered,
+            "malformed": parsed.malformed,
             "requests": trace.requests.len(),
             "distinct_urls": trace.distinct_urls(),
             "clients": trace.clients.len(),
@@ -221,6 +186,10 @@ pub fn analyze(args: &Args) -> CmdResult {
         println!("{}", serde_json::to_string_pretty(&summary)?);
         return Ok(());
     }
+    println!(
+        "{format} log: {} lines accepted, {} filtered, {} malformed",
+        parsed.accepted, parsed.filtered, parsed.malformed
+    );
     println!(
         "{} requests, {} URLs, {} clients ({} proxies, {} UA-identified robots), {} day(s), {} MB",
         trace.requests.len(),

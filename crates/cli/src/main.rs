@@ -28,11 +28,13 @@ USAGE:
     pbppm <command> [arguments]
 
 COMMANDS:
-    generate   Synthesize a multi-day Common Log Format server log
+    generate   Synthesize a multi-day server log (Common or Combined format)
                --preset nasa|ucb|tiny  --out FILE  [--seed N] [--days D] [--sessions S]
-    analyze    Parse a CLF log and report sessions, popularity and clients
+               [--format clf|combined]
+    analyze    Parse a log (Common or Combined, detected) and report line
+               counts, sessions, popularity and clients
                <access.log>  [--json]
-    train      Train a prediction model from a CLF log and write it as a
+    train      Train a prediction model from a log and write it as a
                binary snapshot (.pbss); parallel chunked ingestion and
                deterministic parallel training make the file byte-identical
                at every thread count

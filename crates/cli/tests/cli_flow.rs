@@ -159,3 +159,95 @@ fn helpful_errors() {
     ]))
     .is_err());
 }
+
+/// `pbppm analyze <log> --json` through the real binary: its raw output
+/// and its top-level fields.
+fn analyze_json(log: &std::path::Path) -> (String, Vec<(String, serde_json::Value)>) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pbppm"))
+        .args(["analyze", log.to_str().unwrap(), "--json"])
+        .output()
+        .expect("run pbppm analyze");
+    assert!(out.status.success(), "analyze failed: {out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let value: serde_json::Value = serde_json::from_str(&text).expect("analyze --json output");
+    let fields = value.as_object().expect("a JSON object").to_vec();
+    (text, fields)
+}
+
+fn field<'a>(fields: &'a [(String, serde_json::Value)], key: &str) -> &'a serde_json::Value {
+    &fields.iter().find(|(k, _)| k == key).expect(key).1
+}
+
+fn count(fields: &[(String, serde_json::Value)], key: &str) -> u64 {
+    match field(fields, key) {
+        serde_json::Value::UInt(n) => *n,
+        other => panic!("{key} is not a count: {other:?}"),
+    }
+}
+
+#[test]
+fn combined_and_clf_logs_of_one_seed_train_identical_models() {
+    let mut models = Vec::new();
+    for format in ["clf", "combined"] {
+        let log = temp(&format!("dialect-{format}.log"));
+        let model = temp(&format!("dialect-{format}.pbss"));
+        let (log_s, model_s) = (log.to_str().unwrap(), model.to_str().unwrap());
+        commands::generate(&args(&[
+            "--preset", "tiny", "--seed", "3", "--out", log_s, "--format", format,
+        ]))
+        .expect("generate");
+        commands::train(&args(&[log_s, "--out", model_s, "--model", "pb"])).expect("train");
+        models.push(std::fs::read(&model).unwrap());
+
+        let (summary, fields) = analyze_json(&log);
+        assert_eq!(
+            field(&fields, "format"),
+            &serde_json::Value::Str(format.to_owned())
+        );
+        if format == "combined" {
+            assert!(
+                count(&fields, "ua_robots") >= 1,
+                "the generated robot's user agent identifies it: {summary}"
+            );
+        }
+    }
+    assert!(
+        models[0] == models[1],
+        "the same requests in either dialect give the same model file"
+    );
+}
+
+#[test]
+fn an_invalid_utf8_byte_drops_no_following_line() {
+    for format in ["clf", "combined"] {
+        let log = temp(&format!("bad-byte-{format}.log"));
+        let log_s = log.to_str().unwrap();
+        commands::generate(&args(&[
+            "--preset", "tiny", "--seed", "3", "--out", log_s, "--format", format,
+        ]))
+        .expect("generate");
+        // Replace the first path character of line 2 with a byte that is
+        // never valid UTF-8.
+        let mut bytes = std::fs::read(&log).unwrap();
+        let line2 = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let path = line2
+            + bytes[line2..]
+                .windows(5)
+                .position(|w| w == b"GET /")
+                .unwrap()
+            + 5;
+        bytes[path] = 0xFF;
+        std::fs::write(&log, &bytes).unwrap();
+        let lines = bytes.iter().filter(|&&b| b == b'\n').count() as u64;
+
+        let (summary, fields) = analyze_json(&log);
+        let count = |k: &str| count(&fields, k);
+        assert_eq!(
+            count("accepted") + count("filtered") + count("malformed"),
+            lines,
+            "{format}: every line is counted, none dropped: {summary}"
+        );
+        assert_eq!(count("requests"), count("accepted"));
+        assert!(count("accepted") >= lines - 1, "{format}: {summary}");
+    }
+}

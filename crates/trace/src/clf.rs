@@ -12,7 +12,7 @@
 //! and can format records back, which the tests use for round-tripping and
 //! the examples use to materialize synthetic traces as real log files.
 
-use crate::event::{ClientId, DocKind, Request, Trace};
+use crate::combined::LogFormat;
 use std::fmt;
 
 /// One parsed CLF line, before interning.
@@ -263,8 +263,8 @@ pub fn format_clf_line(r: &ClfRecord) -> String {
     )
 }
 
-/// Outcome of building a [`Trace`] from CLF lines.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// Outcome of turning a log into a [`crate::event::Trace`].
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ClfStats {
     /// Lines successfully turned into requests.
     pub accepted: usize,
@@ -272,63 +272,18 @@ pub struct ClfStats {
     pub malformed: usize,
     /// Lines dropped by the method/status filter.
     pub filtered: usize,
+    /// The detected dialect (`None` when no line parsed in either).
+    pub format: Option<LogFormat>,
+    /// `robot_clients[client.index()]` — true when any of the client's
+    /// accepted requests carried a robot user agent. One entry per
+    /// client; all false for plain CLF, which logs no user agent.
+    pub robot_clients: Vec<bool>,
 }
 
-/// Builds a [`Trace`] from an iterator of CLF lines.
-///
-/// Mirrors the paper's preprocessing: only successful (`2xx`/`304`) `GET`
-/// requests are kept; everything else — errors, POSTs, malformed lines — is
-/// dropped and tallied. Times are shifted so the first accepted request is
-/// at second 0.
-pub fn trace_from_clf<I, S>(name: &str, lines: I) -> (Trace, ClfStats)
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut trace = Trace::new(name);
-    let mut stats = ClfStats::default();
-    // (original line index, record): the index is the sort tie-break, which
-    // pins the ordering contract the parallel merge in [`crate::ingest`]
-    // must reproduce — equal timestamps stay in input order.
-    let mut records: Vec<(usize, ClfRecord)> = Vec::new();
-    for (line_idx, line) in lines.into_iter().enumerate() {
-        let line = line.as_ref();
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_clf_line(line) {
-            Err(_) => stats.malformed += 1,
-            Ok(r) => {
-                let ok_status = (200..300).contains(&r.status) || r.status == 304;
-                if r.method != "GET" || !ok_status {
-                    stats.filtered += 1;
-                } else {
-                    records.push((line_idx, r));
-                }
-            }
-        }
-    }
-    records.sort_by_key(|&(idx, ref r)| (r.time, idx));
-    let epoch = records.first().map_or(0, |(_, r)| r.time);
-    // Pre-size from the accepted-record count: requests exactly, the
-    // interners by an upper bound (every path/host distinct).
-    trace.requests.reserve_exact(records.len());
-    trace.urls = pbppm_core::Interner::with_capacity(records.len());
-    trace.clients = pbppm_core::Interner::with_capacity(records.len());
-    for (_, r) in &records {
-        let url = trace.urls.intern(&r.path);
-        let client = ClientId(trace.clients.intern(&r.host).0);
-        trace.requests.push(Request {
-            time: u64::try_from((r.time - epoch).max(0)).unwrap_or(0),
-            client,
-            url,
-            size: r.size,
-            status: r.status,
-            kind: DocKind::from_url(&r.path),
-        });
-        stats.accepted += 1;
-    }
-    (trace, stats)
+/// The paper's preprocessing filter: only successful (`2xx`/`304`) `GET`
+/// requests become trace records.
+pub(crate) fn is_accepted(method: &str, status: u16) -> bool {
+    method == "GET" && ((200..300).contains(&status) || status == 304)
 }
 
 #[cfg(test)]
@@ -435,38 +390,5 @@ mod tests {
         let line = format_clf_line(&r);
         let r2 = parse_clf_line(&line).unwrap();
         assert_eq!(r, r2);
-    }
-
-    #[test]
-    fn trace_from_clf_filters_and_rebases_time() {
-        let lines = [
-            NASA_LINE.to_owned(),
-            r#"h2 - - [01/Jul/1995:00:00:11 -0400] "GET /img/x.gif HTTP/1.0" 200 500"#.to_owned(),
-            r#"h2 - - [01/Jul/1995:00:00:12 -0400] "POST /cgi HTTP/1.0" 200 1"#.to_owned(),
-            r#"h2 - - [01/Jul/1995:00:00:13 -0400] "GET /missing.html HTTP/1.0" 404 0"#.to_owned(),
-            "garbage line".to_owned(),
-        ];
-        let (t, stats) = trace_from_clf("test", &lines);
-        assert_eq!(stats.accepted, 2);
-        assert_eq!(stats.filtered, 2);
-        assert_eq!(stats.malformed, 1);
-        assert_eq!(t.requests.len(), 2);
-        assert_eq!(t.requests[0].time, 0);
-        assert_eq!(t.requests[1].time, 10);
-        assert_eq!(t.requests[1].kind, DocKind::Image);
-        assert_eq!(t.urls.len(), 2);
-        assert_eq!(t.clients.len(), 2);
-    }
-
-    #[test]
-    fn trace_from_clf_sorts_out_of_order_lines() {
-        let lines = [
-            r#"h - - [01/Jan/1970:00:00:30 +0000] "GET /b.html HTTP/1.0" 200 1"#,
-            r#"h - - [01/Jan/1970:00:00:10 +0000] "GET /a.html HTTP/1.0" 200 1"#,
-        ];
-        let (t, _) = trace_from_clf("test", lines);
-        assert_eq!(t.requests[0].time, 0);
-        assert_eq!(t.urls.resolve(t.requests[0].url), Some("/a.html"));
-        assert_eq!(t.requests[1].time, 20);
     }
 }

@@ -7,11 +7,12 @@
 //!
 //! The user-agent field is what makes principled **robot detection**
 //! possible (the §2.2 request-rate heuristic is the fallback for plain CLF
-//! logs, where nothing better exists). [`trace_from_log`] auto-detects the
-//! format, so every CLI command works on either.
+//! logs, where nothing better exists). This module holds the dialect's
+//! grammar; turning a log into a trace is [`crate::ingest`]'s job, which
+//! detects the dialect with [`detect_format`] and splits each Combined
+//! line with the same zero-copy rule [`parse_combined_line`] uses.
 
-use crate::clf::{parse_clf_line, ClfParseError, ClfRecord, ClfStats};
-use crate::event::{ClientId, DocKind, Request, Trace};
+use crate::clf::{parse_clf_line, parse_clf_line_ref, ClfParseError, ClfRecord};
 
 /// One parsed Combined Log Format line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,20 +25,42 @@ pub struct CombinedRecord {
     pub user_agent: Option<String>,
 }
 
-/// Byte ranges of the `"…"` fields in a line.
-fn quoted_spans(line: &str) -> Vec<(usize, usize)> {
+/// A Combined line cut into its CLF core and its last two quoted fields,
+/// all borrowed from the line.
+pub(crate) struct CombinedParts<'a> {
+    /// Everything before the referrer's opening quote.
+    pub core: &'a str,
+    /// The referrer field's contents, untrimmed.
+    pub referer: &'a str,
+    /// The user-agent field's contents, untrimmed.
+    pub user_agent: &'a str,
+}
+
+/// Splits a Combined line without allocating. Quotes pair up left to
+/// right (an odd trailing quote closes nothing); the line needs at least
+/// three pairs, and the last two are the referrer and the user agent.
+pub(crate) fn split_combined(line: &str) -> Result<CombinedParts<'_>, ClfParseError> {
+    const TOO_FEW: ClfParseError =
+        ClfParseError::Malformed("combined format needs 3 quoted fields");
     let bytes = line.as_bytes();
-    let mut spans = Vec::new();
-    let mut start = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'"' {
-            match start.take() {
-                None => start = Some(i + 1),
-                Some(s) => spans.push((s, i)),
-            }
-        }
+    let quotes = bytes.iter().filter(|&&b| b == b'"').count();
+    if quotes / 2 < 3 {
+        return Err(TOO_FEW);
     }
-    spans
+    let mut closing_first = bytes
+        .iter()
+        .enumerate()
+        .rev()
+        .filter(|&(_, &b)| b == b'"')
+        .map(|(i, _)| i)
+        .skip(quotes % 2);
+    let mut next = || closing_first.next().ok_or(TOO_FEW);
+    let (agent_end, agent_start, referer_end, referer_start) = (next()?, next()?, next()?, next()?);
+    Ok(CombinedParts {
+        core: &line[..referer_start],
+        referer: &line[referer_start + 1..referer_end],
+        user_agent: &line[agent_start + 1..agent_end],
+    })
 }
 
 fn dash_to_none(s: &str) -> Option<String> {
@@ -51,22 +74,11 @@ fn dash_to_none(s: &str) -> Option<String> {
 
 /// Parses one Combined Log Format line.
 pub fn parse_combined_line(line: &str) -> Result<CombinedRecord, ClfParseError> {
-    let spans = quoted_spans(line);
-    if spans.len() < 3 {
-        return Err(ClfParseError::Malformed(
-            "combined format needs 3 quoted fields",
-        ));
-    }
-    // The CLF core is everything up to (and including) the first quoted
-    // field plus the status/size tokens that follow it.
-    let referer_span = spans[spans.len() - 2];
-    let agent_span = spans[spans.len() - 1];
-    let core_end = referer_span.0 - 1; // position of the referer's opening quote
-    let clf = parse_clf_line(&line[..core_end])?;
+    let parts = split_combined(line)?;
     Ok(CombinedRecord {
-        clf,
-        referer: dash_to_none(&line[referer_span.0..referer_span.1]),
-        user_agent: dash_to_none(&line[agent_span.0..agent_span.1]),
+        clf: parse_clf_line(parts.core)?,
+        referer: dash_to_none(parts.referer),
+        user_agent: dash_to_none(parts.user_agent),
     })
 }
 
@@ -101,8 +113,11 @@ const ROBOT_MARKERS: &[&str] = &[
 
 /// True when a user-agent string identifies an automated client.
 pub fn is_robot_agent(user_agent: &str) -> bool {
-    let ua = user_agent.to_ascii_lowercase();
-    ROBOT_MARKERS.iter().any(|m| ua.contains(m))
+    let ua = user_agent.as_bytes();
+    ROBOT_MARKERS.iter().any(|m| {
+        ua.windows(m.len())
+            .any(|w| w.eq_ignore_ascii_case(m.as_bytes()))
+    })
 }
 
 /// A web log's on-disk dialect.
@@ -114,106 +129,15 @@ pub enum LogFormat {
     Combined,
 }
 
-/// Sniffs the dialect from one (parsable) line.
+/// Sniffs the dialect from one line: `None` unless it parses in either.
 pub fn detect_format(line: &str) -> Option<LogFormat> {
-    if parse_combined_line(line).is_ok() {
+    if split_combined(line).is_ok_and(|p| parse_clf_line_ref(p.core).is_ok()) {
         Some(LogFormat::Combined)
-    } else if parse_clf_line(line).is_ok() {
+    } else if parse_clf_line_ref(line).is_ok() {
         Some(LogFormat::Common)
     } else {
         None
     }
-}
-
-/// Parse statistics plus per-client robot classification.
-#[derive(Debug, Default, Clone)]
-pub struct LogIngest {
-    /// Accept/filter/malformed counts.
-    pub stats: ClfStats,
-    /// The detected dialect (`None` when no line ever parsed).
-    pub format: Option<LogFormat>,
-    /// `robot_clients[client.index()]` — true when any of the client's
-    /// requests carried a robot user agent. Empty for plain CLF logs.
-    pub robot_clients: Vec<bool>,
-}
-
-/// Builds a [`Trace`] from an iterator of log lines in either dialect.
-///
-/// The dialect is detected from the first parsable line; subsequent lines
-/// are parsed in that dialect (mixed-dialect files count the minority as
-/// malformed). Filtering matches [`crate::clf::trace_from_clf`]: successful
-/// `GET`s only, times rebased to the first accepted request.
-pub fn trace_from_log<I, S>(name: &str, lines: I) -> (Trace, LogIngest)
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let _span = pbppm_obs::span!("trace.parse", name = name);
-    let mut ingest = LogIngest::default();
-    let mut records: Vec<(ClfRecord, Option<String>)> = Vec::new();
-    for line in lines {
-        let line = line.as_ref();
-        if line.trim().is_empty() {
-            continue;
-        }
-        if ingest.format.is_none() {
-            ingest.format = detect_format(line);
-        }
-        let parsed: Result<(ClfRecord, Option<String>), ClfParseError> = match ingest.format {
-            Some(LogFormat::Combined) => parse_combined_line(line).map(|r| (r.clf, r.user_agent)),
-            _ => parse_clf_line(line).map(|r| (r, None)),
-        };
-        match parsed {
-            Err(_) => ingest.stats.malformed += 1,
-            Ok((r, ua)) => {
-                let ok_status = (200..300).contains(&r.status) || r.status == 304;
-                if r.method != "GET" || !ok_status {
-                    ingest.stats.filtered += 1;
-                } else {
-                    records.push((r, ua));
-                }
-            }
-        }
-    }
-    records.sort_by_key(|(r, _)| r.time);
-    let epoch = records.first().map_or(0, |(r, _)| r.time);
-    let mut trace = Trace::new(name);
-    for (r, ua) in &records {
-        let url = trace.urls.intern(&r.path);
-        let client = ClientId(trace.clients.intern(&r.host).0);
-        let idx = client.index();
-        if idx >= ingest.robot_clients.len() {
-            ingest.robot_clients.resize(idx + 1, false);
-        }
-        if ua.as_deref().is_some_and(is_robot_agent) {
-            ingest.robot_clients[idx] = true;
-        }
-        trace.requests.push(Request {
-            time: u64::try_from((r.time - epoch).max(0)).unwrap_or(0),
-            client,
-            url,
-            size: r.size,
-            status: r.status,
-            kind: DocKind::from_url(&r.path),
-        });
-        ingest.stats.accepted += 1;
-    }
-    if pbppm_obs::ENABLED {
-        let reg = pbppm_obs::global();
-        reg.counter("trace.parse.accepted", "")
-            .add(ingest.stats.accepted as u64);
-        reg.counter("trace.parse.filtered", "")
-            .add(ingest.stats.filtered as u64);
-        reg.counter("trace.parse.malformed", "")
-            .add(ingest.stats.malformed as u64);
-    }
-    pbppm_obs::obs_debug!(
-        "parsed log {name:?}: {} accepted, {} filtered, {} malformed",
-        ingest.stats.accepted,
-        ingest.stats.filtered,
-        ingest.stats.malformed
-    );
-    (trace, ingest)
 }
 
 #[cfg(test)]
@@ -304,46 +228,19 @@ mod tests {
     }
 
     #[test]
-    fn trace_from_log_detects_combined_and_flags_robots() {
-        let lines = [
-            COMBINED.to_owned(),
-            concat!(
-                r#"10.0.0.9 - - [01/Jul/2000:10:00:05 -0700] "GET /b.html HTTP/1.0" 200 99 "#,
-                r#""-" "Mozilla/4.08 [en]""#
-            )
-            .to_owned(),
-        ];
-        let (trace, ingest) = trace_from_log("t", &lines);
-        assert_eq!(ingest.format, Some(LogFormat::Combined));
-        assert_eq!(ingest.stats.accepted, 2);
-        assert_eq!(trace.requests.len(), 2);
-        let bot = trace.clients.get("66.249.66.1").unwrap();
-        let human = trace.clients.get("10.0.0.9").unwrap();
-        assert!(ingest.robot_clients[bot.0 as usize]);
-        assert!(!ingest.robot_clients[human.0 as usize]);
-    }
-
-    #[test]
-    fn trace_from_log_falls_back_to_plain_clf() {
-        let lines = [
-            r#"h1 - - [01/Jul/1995:00:00:01 -0400] "GET /a.html HTTP/1.0" 200 100"#,
-            r#"h1 - - [01/Jul/1995:00:00:02 -0400] "GET /b.html HTTP/1.0" 200 100"#,
-        ];
-        let (trace, ingest) = trace_from_log("t", lines);
-        assert_eq!(ingest.format, Some(LogFormat::Common));
-        assert_eq!(trace.requests.len(), 2);
-        assert!(ingest.robot_clients.iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn extra_quotes_inside_agent_do_not_break_parsing() {
-        // Some agents contain parens/semicolons; quotes inside fields are
-        // not legal in the format, but the parser anchors on the LAST two
-        // quoted fields, so a path with spaces... must still fail cleanly.
+    fn quotes_pair_left_to_right_and_the_last_two_pairs_win() {
+        // Quotes inside fields are not legal in the format; the split still
+        // takes the last two complete pairs, here `"A "` and `" agent"`,
+        // and the leftover core fails as CLF.
         let weird = r#"h - - [01/Jan/1970:00:00:00 +0000] "GET /x HTTP/1.0" 200 5 "ref" "A "quoted" agent""#;
-        // 5 quote spans: parser takes the last two as referer/agent.
-        let r = parse_combined_line(weird);
-        // Either parses with a truncated agent or errors; must not panic.
-        let _ = r;
+        let parts = split_combined(weird).unwrap();
+        assert_eq!((parts.referer, parts.user_agent), ("A ", " agent"));
+        assert!(parse_combined_line(weird).is_err());
+        // An unpaired trailing quote closes nothing.
+        let odd = format!("{COMBINED} \"");
+        assert_eq!(
+            parse_combined_line(&odd).unwrap(),
+            parse_combined_line(COMBINED).unwrap()
+        );
     }
 }

@@ -1,38 +1,34 @@
-//! Parallel, bounded-memory CLF ingestion.
+//! Parallel, bounded-memory log ingestion: the one production path from
+//! log bytes to a [`Trace`], for Common and Combined logs alike.
 //!
-//! [`crate::clf::trace_from_clf`] buffers every record of the log as owned
-//! `String`s before sorting — fine for test fixtures, hopeless for the
-//! multi-GB NASA/UCB-scale logs the paper's workloads come from. This
-//! module is the streaming replacement:
-//!
-//! 1. **Chunked read** — the log is read in newline-aligned chunks of
-//!    [`IngestConfig::chunk_bytes`]; a partial tail line is carried into
-//!    the next chunk, so no line is ever split.
-//! 2. **Zero-copy parallel parse** — each chunk goes to a worker that
-//!    parses lines with [`crate::clf::parse_clf_line_ref`] (string fields
-//!    borrow the chunk buffer; no per-line allocation) and interns the
-//!    surviving host/path strings into chunk-local tables, leaving a
-//!    compact fixed-size record per accepted line.
+//! 1. **Chunked read** — the reader cuts the log into newline-aligned
+//!    chunks of [`CHUNK_BYTES`], carrying a partial tail line into the next
+//!    chunk. It also decides the dialect: the first line [`detect_format`]
+//!    accepts decides, and each chunk is checked before dispatch until one
+//!    does. Chunks dispatched before that hold only lines that fail both
+//!    dialects, so they count as malformed whichever dialect parses them.
+//! 2. **Zero-copy parallel parse** — workers parse each chunk in its
+//!    dialect with [`crate::clf::parse_clf_line_ref`], a Combined line's
+//!    core first cut out by [`crate::combined::split_combined`] (no
+//!    per-line allocation), and intern surviving hosts and paths into
+//!    chunk-local tables, leaving a compact record per accepted line.
 //! 3. **Deterministic merge** — per-chunk records are stable-sorted by
-//!    timestamp; a k-way heap merge keyed `(time, chunk index)` then
-//!    replays them in exactly the order the sequential path's
-//!    `(time, original line index)` sort produces (chunk index + in-chunk
-//!    position *is* the original line order), interning each chunk-local
-//!    id into the global tables on first appearance in merge order.
+//!    time; a k-way heap merge keyed `(time, chunk index)` replays them in
+//!    the reference builder's `(time, line index)` order, interning each
+//!    chunk-local id globally on first appearance in merge order.
 //!
-//! The result is **byte-identical** to `trace_from_clf` — same `Trace`
-//! contents, same interner orders, same [`ClfStats`] — at every chunk size
-//! and thread count (property-tested in this module's test suite). Peak
-//! raw-text memory is bounded by `chunks_in_flight × chunk_bytes` plus one
-//! chunk being read; only the compact parsed records and the surviving
-//! strings (which the sequential path must also keep) accumulate.
+//! The result is **byte-identical** to [`crate::reference::trace_from_lines`]
+//! — same requests, interner orders and [`ClfStats`] — at every chunk size
+//! and thread count (property-tested below). Peak raw-text memory is
+//! `2 × threads` chunks in flight plus the one being read.
 //!
-//! One caveat: chunks are decoded with `String::from_utf8_lossy`. Chunk
-//! boundaries sit on `\n` bytes, which are never part of a multi-byte
-//! UTF-8 sequence, so for well-formed UTF-8 input (every real CLF log) the
-//! decoding — and therefore the equivalence guarantee — is exact.
+//! Chunks are decoded with `String::from_utf8_lossy`, so a byte that is
+//! not UTF-8 costs at most its own line. Chunks end at `\n`, which is
+//! never part of a multi-byte sequence, so decoding per chunk equals
+//! decoding the whole log.
 
-use crate::clf::{parse_clf_line_ref, ClfStats};
+use crate::clf::{is_accepted, parse_clf_line_ref, ClfStats};
+use crate::combined::{detect_format, is_robot_agent, split_combined, LogFormat};
 use crate::event::{ClientId, DocKind, Request, Trace};
 use pbppm_core::{Interner, UrlId};
 use std::cmp::Reverse;
@@ -41,33 +37,18 @@ use std::io::{self, Read};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
-/// Tuning knobs for the chunked parallel ingestion pipeline.
-///
-/// The defaults are deliberately safe for any input; none of them can
-/// change the produced [`Trace`] — only wall time and peak memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IngestConfig {
-    /// Target raw-text chunk size in bytes (minimum 4 KiB enforced; a
-    /// single line longer than this grows its chunk as needed).
-    pub chunk_bytes: usize,
-    /// Parse worker count; `0` = auto (`PBPPM_THREADS` or the machine's
-    /// available parallelism).
-    pub threads: usize,
-    /// How many raw chunks may sit parsed-pending at once (the bounded
-    /// channel depth between the reader and the workers); `0` = twice the
-    /// worker count. Together with `chunk_bytes` this caps peak raw-text
-    /// memory at roughly `(chunks_in_flight + 1) × chunk_bytes`.
-    pub chunks_in_flight: usize,
-}
+/// Target raw-text chunk size in bytes; a single line longer than this
+/// grows its chunk as needed.
+const CHUNK_BYTES: usize = 4 << 20;
 
-impl Default for IngestConfig {
-    fn default() -> Self {
-        Self {
-            chunk_bytes: 4 << 20,
-            threads: 0,
-            chunks_in_flight: 0,
-        }
-    }
+/// Tuning for the chunked parallel ingestion pipeline. No setting can
+/// change the produced [`Trace`] — only wall time and peak memory.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct IngestConfig {
+    /// Parse worker count; `0` = auto (`PBPPM_THREADS` or the machine's
+    /// available parallelism). Up to twice this many raw chunks wait
+    /// between the reader and the workers.
+    pub threads: usize,
 }
 
 /// One accepted record after chunk-local parsing: fixed-size, no strings —
@@ -80,6 +61,16 @@ struct CompactRecord {
     status: u16,
     size: u32,
     kind: DocKind,
+    /// The line carried a robot user agent (always false for plain CLF).
+    robot: bool,
+}
+
+/// A newline-aligned slice of the log, tagged with its position and the
+/// dialect its lines are parsed in.
+struct RawChunk {
+    idx: usize,
+    format: LogFormat,
+    bytes: Vec<u8>,
 }
 
 /// A fully parsed chunk: compact records (stable-sorted by time) plus the
@@ -93,12 +84,12 @@ struct ParsedChunk {
     filtered: usize,
 }
 
-/// Parses one raw chunk. Pure function of the chunk bytes, so it can run
-/// on any worker in any order.
-fn parse_chunk(idx: usize, bytes: &[u8]) -> ParsedChunk {
-    let text = String::from_utf8_lossy(bytes);
+/// Parses one raw chunk. Pure function of the chunk, so it can run on any
+/// worker in any order.
+fn parse_chunk(raw: &RawChunk) -> ParsedChunk {
+    let text = String::from_utf8_lossy(&raw.bytes);
     let mut chunk = ParsedChunk {
-        idx,
+        idx: raw.idx,
         records: Vec::new(),
         paths: Interner::new(),
         hosts: Interner::new(),
@@ -109,127 +100,151 @@ fn parse_chunk(idx: usize, bytes: &[u8]) -> ParsedChunk {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_clf_line_ref(line) {
+        let parsed = match raw.format {
+            LogFormat::Common => parse_clf_line_ref(line).map(|r| (r, "")),
+            LogFormat::Combined => split_combined(line)
+                .and_then(|p| parse_clf_line_ref(p.core).map(|r| (r, p.user_agent))),
+        };
+        match parsed {
             Err(_) => chunk.malformed += 1,
-            Ok(r) => {
-                let ok_status = (200..300).contains(&r.status) || r.status == 304;
-                if r.method != "GET" || !ok_status {
-                    chunk.filtered += 1;
-                } else {
-                    chunk.records.push(CompactRecord {
-                        time: r.time,
-                        host: chunk.hosts.intern(r.host).0,
-                        path: chunk.paths.intern(r.path).0,
-                        status: r.status,
-                        size: r.size,
-                        kind: DocKind::from_url(r.path),
-                    });
-                }
-            }
+            Ok((r, _)) if !is_accepted(r.method, r.status) => chunk.filtered += 1,
+            Ok((r, user_agent)) => chunk.records.push(CompactRecord {
+                time: r.time,
+                host: chunk.hosts.intern(r.host).0,
+                path: chunk.paths.intern(r.path).0,
+                status: r.status,
+                size: r.size,
+                kind: DocKind::from_url(r.path),
+                robot: is_robot_agent(user_agent),
+            }),
         }
     }
     // Stable sort: records with equal timestamps keep their in-chunk input
     // order, which the merge's `(time, chunk idx)` key extends to the
-    // global input order — the sequential path's exact tie-break.
+    // global input order — the reference builder's exact tie-break.
     chunk.records.sort_by_key(|r| r.time);
     chunk
 }
 
 /// Reads newline-aligned chunks of roughly `chunk_bytes` from a reader,
-/// carrying the partial tail line into the next chunk.
+/// carrying the partial tail line into the next chunk, and detects the
+/// log's dialect on the way.
 struct ChunkReader<R: Read> {
     inner: R,
     chunk_bytes: usize,
+    buf: Vec<u8>,
     carry: Vec<u8>,
     done: bool,
+    /// The dialect, once a line has decided it.
+    format: Option<LogFormat>,
+    /// Chunks handed out so far.
+    chunks: usize,
+    /// Raw bytes handed out so far.
+    bytes: u64,
 }
 
 impl<R: Read> ChunkReader<R> {
     fn new(inner: R, chunk_bytes: usize) -> Self {
+        let chunk_bytes = chunk_bytes.max(1);
         Self {
             inner,
-            chunk_bytes: chunk_bytes.max(4096),
+            chunk_bytes,
+            buf: vec![0u8; chunk_bytes.min(64 * 1024)],
             carry: Vec::new(),
             done: false,
+            format: None,
+            chunks: 0,
+            bytes: 0,
         }
     }
 
-    /// The next newline-aligned chunk, or `None` at end of input. Every
-    /// returned chunk either ends with `\n` or is the final bytes of the
-    /// stream; a single line longer than `chunk_bytes` simply grows its
-    /// chunk until its newline arrives.
-    fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.done {
-            if self.carry.is_empty() {
-                return Ok(None);
-            }
-            return Ok(Some(std::mem::take(&mut self.carry)));
+    /// The next chunk, or `None` at end of input, tagged with the dialect
+    /// decided so far (`Common` while undecided: its lines all fail).
+    fn next_chunk(&mut self) -> io::Result<Option<RawChunk>> {
+        let Some(bytes) = self.next_bytes()? else {
+            return Ok(None);
+        };
+        if self.format.is_none() {
+            self.format = String::from_utf8_lossy(&bytes)
+                .split('\n')
+                .find_map(detect_format);
         }
+        let raw = RawChunk {
+            idx: self.chunks,
+            format: self.format.unwrap_or(LogFormat::Common),
+            bytes,
+        };
+        self.chunks += 1;
+        self.bytes += raw.bytes.len() as u64;
+        Ok(Some(raw))
+    }
+
+    /// Every returned slice either ends with `\n` or is the final bytes of
+    /// the stream; a single line longer than `chunk_bytes` simply grows
+    /// its chunk until its newline arrives.
+    fn next_bytes(&mut self) -> io::Result<Option<Vec<u8>>> {
         let mut chunk = std::mem::take(&mut self.carry);
-        let mut buf = vec![0u8; 64 * 1024];
+        let mut target = self.chunk_bytes;
         loop {
-            while !self.done && chunk.len() < self.chunk_bytes {
-                let n = self.inner.read(&mut buf)?;
+            while !self.done && chunk.len() < target {
+                let n = self.inner.read(&mut self.buf)?;
                 if n == 0 {
                     self.done = true;
                 } else {
-                    chunk.extend_from_slice(&buf[..n]);
+                    chunk.extend_from_slice(&self.buf[..n]);
                 }
             }
             if self.done {
-                return Ok(if chunk.is_empty() { None } else { Some(chunk) });
+                return Ok((!chunk.is_empty()).then_some(chunk));
             }
             if let Some(p) = chunk.iter().rposition(|&b| b == b'\n') {
                 self.carry = chunk.split_off(p + 1);
                 return Ok(Some(chunk));
             }
             // No newline yet: an over-long line. Keep growing this chunk.
-            let grow_to = chunk.len() + self.chunk_bytes;
-            while !self.done && chunk.len() < grow_to {
-                let n = self.inner.read(&mut buf)?;
-                if n == 0 {
-                    self.done = true;
-                } else {
-                    chunk.extend_from_slice(&buf[..n]);
-                }
-            }
+            target = chunk.len() + self.chunk_bytes;
         }
     }
 }
 
-/// Streams CLF lines from `reader` into a [`Trace`], byte-identical to
-/// [`crate::clf::trace_from_clf`] over the same lines (same requests, same
-/// interner orders, same stats) at every chunk size and thread count.
+/// Streams a Common or Combined log from `reader` into a [`Trace`],
+/// byte-identical to [`crate::reference::trace_from_lines`] over the same
+/// lines (same requests, same interner orders, same stats) at every thread
+/// count.
 ///
-/// Filtering matches the sequential path: successful (`2xx`/`304`) `GET`s
-/// only, times rebased so the first accepted request is at second 0.
+/// Filtering is the paper's: successful (`2xx`/`304`) `GET`s only, times
+/// rebased so the first accepted request is at second 0. Lines that are
+/// not valid UTF-8 are decoded lossily, never dropped.
 pub fn trace_from_clf_reader<R: Read>(
     name: &str,
     reader: R,
     cfg: &IngestConfig,
 ) -> io::Result<(Trace, ClfStats)> {
+    ingest_chunked(name, reader, cfg.threads, CHUNK_BYTES)
+}
+
+/// [`trace_from_clf_reader`] with the chunk size exposed, so tests can
+/// split small logs into many chunks.
+pub(crate) fn ingest_chunked<R: Read>(
+    name: &str,
+    reader: R,
+    threads: usize,
+    chunk_bytes: usize,
+) -> io::Result<(Trace, ClfStats)> {
     let _span = pbppm_obs::span!("trace.ingest", name = name);
-    let threads = pbppm_core::resolve_threads(cfg.threads);
-    let in_flight = if cfg.chunks_in_flight == 0 {
-        threads.saturating_mul(2).max(2)
-    } else {
-        cfg.chunks_in_flight
-    };
-    let mut reader = ChunkReader::new(reader, cfg.chunk_bytes);
-    let mut raw_bytes: u64 = 0;
+    let threads = pbppm_core::resolve_threads(threads);
+    let mut reader = ChunkReader::new(reader, chunk_bytes);
 
     let mut chunks: Vec<ParsedChunk> = Vec::new();
     if threads <= 1 {
         // Same chunked code path, run inline: the equivalence tests cover
         // single- and multi-threaded ingestion through identical logic.
-        let mut idx = 0;
-        while let Some(chunk) = reader.next_chunk()? {
-            raw_bytes += chunk.len() as u64;
-            chunks.push(parse_chunk(idx, &chunk));
-            idx += 1;
+        while let Some(raw) = reader.next_chunk()? {
+            chunks.push(parse_chunk(&raw));
         }
     } else {
-        let (chunk_tx, chunk_rx) = mpsc::sync_channel::<(usize, Vec<u8>)>(in_flight);
+        let in_flight = threads.saturating_mul(2);
+        let (chunk_tx, chunk_rx) = mpsc::sync_channel::<RawChunk>(in_flight);
         let chunk_rx = Arc::new(Mutex::new(chunk_rx));
         let (parsed_tx, parsed_rx) = mpsc::channel::<ParsedChunk>();
         let mut io_err: Option<io::Error> = None;
@@ -245,8 +260,8 @@ pub fn trace_from_clf_reader<R: Read>(
                         Err(_) => break, // a sibling worker panicked
                     };
                     match msg {
-                        Ok((idx, bytes)) => {
-                            if parsed_tx.send(parse_chunk(idx, &bytes)).is_err() {
+                        Ok(raw) => {
+                            if parsed_tx.send(parse_chunk(&raw)).is_err() {
                                 break;
                             }
                         }
@@ -258,15 +273,12 @@ pub fn trace_from_clf_reader<R: Read>(
             // The scope's own thread is the reader: the bounded channel
             // blocks it whenever `in_flight` chunks are already pending,
             // which is what caps peak raw-text memory.
-            let mut idx = 0;
             loop {
                 match reader.next_chunk() {
-                    Ok(Some(chunk)) => {
-                        raw_bytes += chunk.len() as u64;
-                        if chunk_tx.send((idx, chunk)).is_err() {
+                    Ok(Some(raw)) => {
+                        if chunk_tx.send(raw).is_err() {
                             break; // all workers died; scope will propagate
                         }
-                        idx += 1;
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -284,7 +296,10 @@ pub fn trace_from_clf_reader<R: Read>(
         chunks.sort_by_key(|c| c.idx);
     }
 
-    let mut stats = ClfStats::default();
+    let mut stats = ClfStats {
+        format: reader.format,
+        ..ClfStats::default()
+    };
     let mut total_accepted = 0usize;
     for c in &chunks {
         stats.malformed += c.malformed;
@@ -295,9 +310,9 @@ pub fn trace_from_clf_reader<R: Read>(
     // Deterministic k-way merge. Each chunk's records are sorted by time
     // with in-chunk input order on ties; the heap key `(time, chunk idx)`
     // therefore yields the global `(time, original line index)` order the
-    // sequential sort pins. Chunk-local interner ids are remapped into the
+    // reference sort pins. Chunk-local interner ids are remapped into the
     // global tables on first appearance *in merge order*, which reproduces
-    // the sequential path's interning order exactly.
+    // the reference interning order exactly.
     let mut trace = Trace::new(name);
     trace.requests.reserve_exact(total_accepted);
     trace.urls = Interner::with_capacity(total_accepted);
@@ -337,9 +352,11 @@ pub fn trace_from_clf_reader<R: Read>(
                 let s = chunks[ci].hosts.resolve(UrlId(r.host)).unwrap_or("");
                 let c = ClientId(trace.clients.intern(s).0);
                 client_remap[ci][r.host as usize] = Some(c);
+                stats.robot_clients.resize(trace.clients.len(), false);
                 c
             }
         };
+        stats.robot_clients[client.index()] |= r.robot;
         trace.requests.push(Request {
             time: u64::try_from((r.time - epoch).max(0)).unwrap_or(0),
             client,
@@ -359,17 +376,19 @@ pub fn trace_from_clf_reader<R: Read>(
             .add(stats.filtered as u64);
         reg.counter("trace.parse.malformed", "")
             .add(stats.malformed as u64);
-        reg.counter("ingest.chunks", "").add(chunks.len() as u64);
-        reg.counter("ingest.bytes", "").add(raw_bytes);
+        reg.counter("ingest.chunks", "").add(reader.chunks as u64);
+        reg.counter("ingest.bytes", "").add(reader.bytes);
         reg.gauge("ingest.threads", "").set(threads as u64);
     }
     pbppm_obs::obs_debug!(
-        "ingested log {name:?}: {} accepted, {} filtered, {} malformed \
-         ({} chunks, {raw_bytes} bytes, {threads} threads)",
+        "ingested log {name:?} ({:?}): {} accepted, {} filtered, {} malformed \
+         ({} chunks, {} bytes, {threads} threads)",
+        stats.format,
         stats.accepted,
         stats.filtered,
         stats.malformed,
-        chunks.len(),
+        reader.chunks,
+        reader.bytes,
     );
     Ok((trace, stats))
 }
@@ -387,53 +406,27 @@ pub fn trace_from_clf_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clf::trace_from_clf;
+    use crate::reference::trace_from_lines;
     use proptest::prelude::*;
 
-    fn cfg(chunk_bytes: usize, threads: usize) -> IngestConfig {
-        IngestConfig {
-            chunk_bytes,
-            threads,
-            chunks_in_flight: 2,
-        }
-    }
-
-    /// Both paths over the same text; panics on any divergence.
-    fn assert_equivalent(text: &str, chunk_bytes: usize, threads: usize) {
-        let (seq_trace, seq_stats) = trace_from_clf("t", text.lines());
-        let (par_trace, par_stats) =
-            trace_from_clf_reader("t", text.as_bytes(), &cfg(chunk_bytes, threads)).unwrap();
-        assert_eq!(
-            seq_stats, par_stats,
-            "chunk={chunk_bytes} threads={threads}"
-        );
-        assert_eq!(
-            seq_trace.requests, par_trace.requests,
-            "chunk={chunk_bytes} threads={threads}"
-        );
+    /// The chunked ingester and the reference builder over the same bytes
+    /// (the reference sees them lossily decoded, as one string); panics on
+    /// any divergence in stats, requests or interner order. Returns the
+    /// stats for further checks.
+    fn assert_equivalent(bytes: &[u8], chunk_bytes: usize, threads: usize) -> ClfStats {
+        let text = String::from_utf8_lossy(bytes);
+        let (ref_trace, ref_stats) = trace_from_lines("t", text.lines());
+        let (trace, stats) = ingest_chunked("t", bytes, threads, chunk_bytes).unwrap();
+        let at = format!("chunk={chunk_bytes} threads={threads}");
+        assert_eq!(ref_stats, stats, "{at}");
+        assert_eq!(ref_trace.requests, trace.requests, "{at}");
+        assert_eq!(stats.robot_clients.len(), trace.clients.len(), "{at}");
         // Interner *order* must match, not just content.
-        let urls = |t: &Trace| -> Vec<String> {
-            (0..t.urls.len())
-                .map(|i| {
-                    t.urls
-                        .resolve(UrlId(u32::try_from(i).unwrap()))
-                        .unwrap()
-                        .to_owned()
-                })
-                .collect()
-        };
-        let clients = |t: &Trace| -> Vec<String> {
-            (0..t.clients.len())
-                .map(|i| {
-                    t.clients
-                        .resolve(UrlId(u32::try_from(i).unwrap()))
-                        .unwrap()
-                        .to_owned()
-                })
-                .collect()
-        };
-        assert_eq!(urls(&seq_trace), urls(&par_trace));
-        assert_eq!(clients(&seq_trace), clients(&par_trace));
+        let strings =
+            |i: &Interner| -> Vec<String> { i.iter().map(|(_, s)| s.to_owned()).collect() };
+        assert_eq!(strings(&ref_trace.urls), strings(&trace.urls), "{at}");
+        assert_eq!(strings(&ref_trace.clients), strings(&trace.clients), "{at}");
+        stats
     }
 
     fn clf_line(host: u32, t: i64, method: &str, path: u32, status: u16, size: &str) -> String {
@@ -450,8 +443,13 @@ mod tests {
         format!("{} {size}", base.rsplit_once(' ').unwrap().0)
     }
 
+    /// `line` with a referrer and `agent` appended: a Combined line.
+    fn combined(line: &str, agent: &str) -> String {
+        format!("{line} \"-\" \"{agent}\"")
+    }
+
     #[test]
-    fn matches_sequential_on_a_small_log() {
+    fn matches_reference_on_a_small_log() {
         let mut text = String::new();
         for i in 0..50i64 {
             text.push_str(&clf_line(
@@ -467,24 +465,23 @@ mod tests {
         text.push_str("garbage line\n\n");
         for chunk in [64, 4096, 1 << 20] {
             for threads in [1, 2, 8] {
-                assert_equivalent(&text, chunk, threads);
+                assert_equivalent(text.as_bytes(), chunk, threads);
             }
         }
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        assert_equivalent("", 4096, 4);
-        assert_equivalent("\n\n\n", 4096, 4);
-        assert_equivalent("not a log line", 4096, 4);
+        assert_eq!(assert_equivalent(b"", 4096, 4).format, None);
+        assert_equivalent(b"\n\n\n", 4096, 4);
+        assert_equivalent(b"not a log line", 4096, 4);
         let one = clf_line(1, 804_571_201, "GET", 1, 200, "5");
-        assert_equivalent(&one, 4096, 4); // no trailing newline
-        assert_equivalent(&format!("{one}\n"), 4096, 4);
+        assert_equivalent(one.as_bytes(), 4096, 4); // no trailing newline
+        assert_equivalent(format!("{one}\n").as_bytes(), 4096, 4);
     }
 
     #[test]
     fn lines_longer_than_a_chunk_survive() {
-        // chunk_bytes floors at 4096; build lines longer than that.
         let long_path = "x".repeat(9000);
         let mut text = String::new();
         for i in 0..5 {
@@ -493,18 +490,88 @@ mod tests {
             ));
         }
         for threads in [1, 3] {
-            assert_equivalent(&text, 4096, threads);
+            assert_equivalent(text.as_bytes(), 4096, threads);
         }
     }
 
     #[test]
-    fn crlf_line_endings_match_sequential() {
+    fn combined_log_flags_robot_clients() {
+        let text = [
+            combined(
+                &clf_line(1, 804_571_200, "GET", 1, 200, "5"),
+                "Googlebot/2.1 (+http://www.google.com/bot.html)",
+            ),
+            combined(
+                &clf_line(2, 804_571_205, "GET", 2, 200, "5"),
+                "Mozilla/4.08 [en]",
+            ),
+            // A robot request the filter drops must not flag its client.
+            combined(&clf_line(2, 804_571_206, "GET", 3, 404, "5"), "Wget/1.12"),
+        ]
+        .join("\n");
+        for threads in [1, 2] {
+            let stats = assert_equivalent(text.as_bytes(), 64, threads);
+            assert_eq!(stats.format, Some(LogFormat::Combined));
+            assert_eq!((stats.accepted, stats.filtered), (2, 1));
+            assert_eq!(stats.robot_clients, vec![true, false]);
+        }
+    }
+
+    #[test]
+    fn plain_clf_has_a_robot_entry_per_client_all_false() {
         let text = format!(
-            "{}\r\n{}\r\n",
-            clf_line(1, 804_571_210, "GET", 1, 200, "5"),
-            clf_line(2, 804_571_205, "GET", 2, 200, "7"),
+            "{}\n{}\n",
+            clf_line(1, 804_571_201, "GET", 1, 200, "5"),
+            clf_line(2, 804_571_202, "GET", 2, 200, "9"),
         );
-        assert_equivalent(&text, 4096, 2);
+        let stats = assert_equivalent(text.as_bytes(), 4096, 2);
+        assert_eq!(stats.format, Some(LogFormat::Common));
+        assert_eq!(stats.robot_clients, vec![false, false]);
+    }
+
+    #[test]
+    fn dialect_is_decided_past_leading_garbage_chunks() {
+        // Many small chunks of garbage before the first parsable line: the
+        // chunks that leave the reader undecided count as malformed, and
+        // the later Combined lines all parse as Combined.
+        let mut text = "garbage line without fields\n".repeat(40);
+        for i in 0..10 {
+            text.push_str(&combined(
+                &clf_line(i, 804_571_200 + i64::from(i), "GET", i, 200, "5"),
+                "curl/7.1",
+            ));
+            text.push('\n');
+        }
+        for threads in [1, 2, 8] {
+            let stats = assert_equivalent(text.as_bytes(), 32, threads);
+            assert_eq!(stats.format, Some(LogFormat::Combined));
+            assert_eq!((stats.accepted, stats.malformed), (10, 40));
+            assert!(stats.robot_clients.iter().all(|&b| b));
+        }
+    }
+
+    #[test]
+    fn an_invalid_utf8_byte_costs_no_other_line() {
+        let lines: Vec<String> = (0..20)
+            .map(|i| {
+                combined(
+                    &clf_line(i, 804_571_200 + i64::from(i), "GET", i, 200, "5"),
+                    "Mozilla/4.08 [en]",
+                )
+            })
+            .collect();
+        let mut bytes = lines.join("\n").into_bytes();
+        // Corrupt the user agent of line 2 and a path byte of line 5.
+        let at = |line: usize| lines[..line].iter().map(|l| l.len() + 1).sum::<usize>();
+        let agent = at(2) + lines[2].len() - 3;
+        bytes[agent] = 0xFF;
+        let path = at(5) + lines[5].find("/p").unwrap() + 1;
+        bytes[path] = 0xFE;
+        for threads in [1, 2] {
+            let stats = assert_equivalent(&bytes, 64, threads);
+            assert_eq!(stats.accepted + stats.malformed, 20);
+            assert_eq!(stats.accepted, 20, "a lossy line still parses");
+        }
     }
 
     #[test]
@@ -525,8 +592,18 @@ mod tests {
         assert_eq!(trace.requests[1].time, 1);
     }
 
-    /// One arbitrary log line: valid, malformed, filtered, or blank.
-    fn arb_line() -> impl Strategy<Value = String> {
+    const AGENTS: [&str; 3] = ["Mozilla/4.08 [en] (WinNT; U)", "msnbot/1.0", "-"];
+
+    /// A line as it appears in a Common log and in a Combined one.
+    fn both(line: String, agent: usize) -> (String, String) {
+        let with_agent = combined(&line, AGENTS[agent]);
+        (line, with_agent)
+    }
+
+    /// One arbitrary log line, in its Common and its Combined form: valid,
+    /// filtered, malformed (including a line of the other dialect), or
+    /// blank.
+    fn arb_line() -> impl Strategy<Value = (String, String)> {
         prop_oneof![
             // Valid GET lines with clustered timestamps (ties exercise the
             // input-order tie-break) and a small URL/host universe
@@ -535,71 +612,68 @@ mod tests {
                 0u32..6,
                 0i64..20,
                 0u32..8,
-                prop_oneof![Just(200u16), Just(304u16)]
+                prop_oneof![Just(200u16), Just(304u16)],
+                0usize..3,
             )
-                .prop_map(|(h, t, p, s)| clf_line(
-                    h,
-                    804_571_200 + t,
-                    "GET",
-                    p,
-                    s,
-                    "10"
+                .prop_map(|(h, t, p, s, a)| both(
+                    clf_line(h, 804_571_200 + t, "GET", p, s, "10"),
+                    a
                 )),
             // Filtered: wrong method or error status.
-            (0u32..4, 0i64..20, 0u32..4).prop_map(|(h, t, p)| clf_line(
-                h,
-                804_571_200 + t,
-                "POST",
-                p,
-                200,
-                "10"
+            (0u32..4, 0i64..20, 0u32..4, 0usize..3).prop_map(|(h, t, p, a)| both(
+                clf_line(h, 804_571_200 + t, "POST", p, 200, "10"),
+                a
             )),
-            (0u32..4, 0i64..20, 0u32..4).prop_map(|(h, t, p)| clf_line(
-                h,
-                804_571_200 + t,
-                "GET",
-                p,
-                500,
-                "10"
+            (0u32..4, 0i64..20, 0u32..4, 0usize..3).prop_map(|(h, t, p, a)| both(
+                clf_line(h, 804_571_200 + t, "GET", p, 500, "10"),
+                a
             )),
-            // Malformed: garbage, bad size, bad timestamp.
-            Just("complete garbage".to_owned()),
-            (0u32..4, 0i64..20, 0u32..4).prop_map(|(h, t, p)| clf_line(
-                h,
-                804_571_200 + t,
-                "GET",
-                p,
-                200,
-                "12a4"
+            // Malformed: bad size, the other dialect, garbage, bad timestamp.
+            (0u32..4, 0i64..20, 0u32..4, 0usize..3).prop_map(|(h, t, p, a)| both(
+                clf_line(h, 804_571_200 + t, "GET", p, 200, "12a4"),
+                a
             )),
-            Just(r#"h - - [99/Foo/1995:00:00:01 -0400] "GET /x HTTP/1.0" 200 1"#.to_owned()),
+            (0u32..4, 0i64..20, 0usize..3).prop_map(|(h, t, a)| {
+                let (common, with_agent) =
+                    both(clf_line(h, 804_571_200 + t, "GET", 1, 200, "10"), a);
+                (with_agent, common)
+            }),
+            Just("complete garbage".to_owned()).prop_map(|g| (g.clone(), g)),
+            Just(r#"h - - [99/Foo/1995:00:00:01 -0400] "GET /x HTTP/1.0" 200 1"#.to_owned())
+                .prop_map(|g| (g.clone(), g)),
             // Blank-ish lines.
-            Just(String::new()),
-            Just("   ".to_owned()),
+            Just((String::new(), String::new())),
+            Just(("   ".to_owned(), "   ".to_owned())),
         ]
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The ISSUE's pinned equivalence grid: arbitrary (valid ∪ malformed
-        /// ∪ filtered) lines through both paths at chunk sizes {1, 7, 4096}
-        /// (the floor clamps 1 and 7 to 4 KiB — still multiple chunks once
-        /// the log outgrows it, and the clamp itself is part of the
-        /// contract) × threads {1, 2, 8}: identical Trace, interner order,
-        /// and stats.
+        /// The pinned equivalence grid: arbitrary Common or Combined logs
+        /// (valid ∪ malformed ∪ filtered lines, CRLF or LF) through the
+        /// chunked ingester and the reference builder at chunk sizes
+        /// {7, 256, 4096} bytes — many chunks per log at the small sizes —
+        /// × threads {1, 2, 8}: identical Trace, interner order and stats,
+        /// dialect and robot flags included.
         #[test]
         fn chunked_ingest_is_bit_identical_to_sequential(
             lines in proptest::collection::vec(arb_line(), 0..120),
-            trailing_newline in (0u8..2).prop_map(|b| b == 1),
+            combined_log in 0u8..2,
+            crlf in 0u8..2,
+            trailing_newline in 0u8..2,
         ) {
-            let mut text = lines.join("\n");
-            if trailing_newline {
-                text.push('\n');
+            let eol = if crlf == 1 { "\r\n" } else { "\n" };
+            let pick = |(common, with_agent): &(String, String)| {
+                if combined_log == 1 { with_agent.clone() } else { common.clone() }
+            };
+            let mut text = lines.iter().map(pick).collect::<Vec<_>>().join(eol);
+            if trailing_newline == 1 {
+                text.push_str(eol);
             }
-            for chunk_bytes in [1usize, 7, 4096] {
+            for chunk_bytes in [7usize, 256, 4096] {
                 for threads in [1usize, 2, 8] {
-                    assert_equivalent(&text, chunk_bytes, threads);
+                    assert_equivalent(text.as_bytes(), chunk_bytes, threads);
                 }
             }
         }

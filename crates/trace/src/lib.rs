@@ -5,8 +5,10 @@
 //! * [`event`] — the request record and trace container types;
 //! * [`clf`] — a Common Log Format parser (and writer), so the genuine
 //!   NASA-KSC / UCB-CS logs the paper used can be fed in unchanged;
+//! * [`combined`] — the Combined Log Format dialect and user-agent robot
+//!   detection;
 //! * [`ingest`] — chunked, parallel, bounded-memory streaming ingestion of
-//!   CLF logs, byte-identical to the sequential [`clf`] path;
+//!   Common and Combined logs: the one path from log bytes to a trace;
 //! * [`session`] — the paper's §2.2 preprocessing: 30-minute idle
 //!   sessionization and 10-second embedded-image folding;
 //! * [`classify`] — the proxy-vs-browser client classification;
@@ -30,6 +32,8 @@ pub mod clf;
 pub mod combined;
 pub mod event;
 pub mod ingest;
+#[doc(hidden)]
+pub mod reference;
 pub mod session;
 pub mod site;
 pub mod synth;
@@ -39,12 +43,12 @@ pub mod zipf;
 pub use catalog::DocCatalog;
 pub use classify::{classify_clients, ClassifyConfig, ClientClass};
 pub use clf::{
-    format_clf_line, parse_clf_line, parse_clf_line_ref, trace_from_clf, ClfParseError, ClfRecord,
-    ClfRecordRef, ClfStats,
+    format_clf_line, parse_clf_line, parse_clf_line_ref, ClfParseError, ClfRecord, ClfRecordRef,
+    ClfStats,
 };
 pub use combined::{
-    detect_format, format_combined_line, is_robot_agent, parse_combined_line, trace_from_log,
-    CombinedRecord, LogFormat, LogIngest,
+    detect_format, format_combined_line, is_robot_agent, parse_combined_line, CombinedRecord,
+    LogFormat,
 };
 pub use event::{ClientId, DocKind, Request, Trace, DAY_SECS};
 pub use ingest::{trace_from_clf_path, trace_from_clf_reader, IngestConfig};

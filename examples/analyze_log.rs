@@ -1,6 +1,8 @@
-//! Analyze a web-server log in Common Log Format: parse it, sessionize it,
-//! classify clients, and report the popularity regularities the paper's
-//! model is built on.
+//! Analyze a web-server log in Common or Combined Log Format: parse it,
+//! sessionize it, classify clients, and report the popularity regularities
+//! the paper's model is built on. Both dialects go through the same
+//! bounded-memory parallel ingester the CLI uses; the dialect is detected
+//! from the log itself.
 //!
 //! With no argument the example first *materializes* a synthetic NASA-like
 //! trace as a real CLF log file (so the whole path — format, parse,
@@ -14,11 +16,11 @@
 
 use pbppm::core::PopularityTable;
 use pbppm::trace::clf::{format_clf_line, ClfRecord};
-use pbppm::trace::combined::trace_from_log;
+use pbppm::trace::ingest::{trace_from_clf_path, IngestConfig};
 use pbppm::trace::{
     classify_clients, sessionize_trace, ClassifyConfig, ClientClass, SessionStats, WorkloadConfig,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 
 fn main() -> std::io::Result<()> {
     let path = match std::env::args().nth(1) {
@@ -48,12 +50,11 @@ fn main() -> std::io::Result<()> {
         }
     };
 
-    let file = std::fs::File::open(&path)?;
-    let lines = BufReader::new(file).lines().map_while(Result::ok);
-    let (trace, ingest) = trace_from_log(&path, lines);
+    let (trace, stats) =
+        trace_from_clf_path(&path, std::path::Path::new(&path), &IngestConfig::default())?;
     println!(
         "parsed {} ({:?}): {} requests accepted, {} filtered, {} malformed",
-        path, ingest.format, ingest.stats.accepted, ingest.stats.filtered, ingest.stats.malformed
+        path, stats.format, stats.accepted, stats.filtered, stats.malformed
     );
     println!(
         "{} distinct URLs, {} clients, {} day(s), {} MB transferred",

@@ -43,6 +43,9 @@
 #                              real binary), then a short `ingest` bench
 #                              run must report nonzero throughput in all
 #                              three phases
+#  11. combined log smoke    — the same seed generated as a Combined log
+#                              must train a .pbss byte-identical to the
+#                              CLF log's, and `predict` must serve from it
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -246,5 +249,20 @@ assert len(r["phases"]) == 3, f"expected 3 phases, got {len(r['phases'])}"
 assert all(p["parallel_secs"] > 0 for p in r["phases"]), "empty phase timings"
 assert r["parse_lines_per_sec"] > 0, "zero parse throughput"
 EOF
+
+echo "== ci: combined log smoke" >&2
+# Both dialects take the one chunked ingester; the user-agent field must
+# change nothing about the trained model.
+"$pbppm" generate --preset tiny --format combined --out "$tmp/access-combined.log" >/dev/null
+"$pbppm" train "$tmp/access-combined.log" --out "$tmp/model-combined.pbss" --model pb >/dev/null
+cmp -s "$tmp/model-pb.pbss" "$tmp/model-combined.pbss" || {
+    echo "ci: the Combined log trained a different model than the CLF log" >&2
+    exit 1
+}
+"$pbppm" predict "$tmp/model-combined.pbss" --context "/l0/p0.html" >"$tmp/preds-combined.txt"
+if [[ ! -s "$tmp/preds-combined.txt" ]]; then
+    echo "ci: predict from the Combined-log model produced no output" >&2
+    exit 1
+fi
 
 echo "ci: all green" >&2

@@ -1,8 +1,17 @@
-//! Round-trip a synthetic trace through the Common Log Format: the parsed
-//! stream must reproduce the original requests exactly.
+//! Round-trip a synthetic trace through the Common Log Format and the
+//! production ingester: the parsed stream must reproduce the original
+//! requests exactly.
 
-use pbppm::trace::clf::{format_clf_line, trace_from_clf, ClfRecord};
+use pbppm::trace::clf::{format_clf_line, ClfRecord, ClfStats};
+use pbppm::trace::event::Trace;
+use pbppm::trace::ingest::{trace_from_clf_reader, IngestConfig};
 use pbppm::trace::WorkloadConfig;
+
+/// Ingests in-memory log lines through the chunked parallel ingester.
+fn ingest(name: &str, lines: &[String]) -> (Trace, ClfStats) {
+    let text = lines.join("\n");
+    trace_from_clf_reader(name, text.as_bytes(), &IngestConfig { threads: 2 }).expect("ingest")
+}
 
 #[test]
 fn clf_roundtrip_preserves_the_request_stream() {
@@ -24,13 +33,13 @@ fn clf_roundtrip_preserves_the_request_stream() {
         })
         .collect();
 
-    let (parsed, stats) = trace_from_clf("roundtrip", &lines);
+    let (parsed, stats) = ingest("roundtrip", &lines);
     assert_eq!(stats.accepted, trace.requests.len());
     assert_eq!(stats.malformed, 0);
     assert_eq!(stats.filtered, 0);
     assert_eq!(parsed.requests.len(), trace.requests.len());
 
-    // `trace_from_clf` rebases times so the first accepted request is at 0.
+    // The ingester rebases times so the first accepted request is at 0.
     let base = trace.requests.first().map_or(0, |r| r.time);
     for (orig, back) in trace.requests.iter().zip(&parsed.requests) {
         assert_eq!(orig.time - base, back.time, "times must rebase identically");
@@ -62,7 +71,7 @@ fn malformed_and_non_get_lines_are_dropped_not_fatal() {
         r#"h1 - - [01/Jul/1995:00:00:03 -0400] "GET /missing.html HTTP/1.0" 404 0"#.to_owned(),
         String::new(),
     ];
-    let (trace, stats) = trace_from_clf("messy", &lines);
+    let (trace, stats) = ingest("messy", &lines);
     assert_eq!(trace.requests.len(), 1);
     assert_eq!(stats.accepted, 1);
     assert_eq!(stats.malformed, 1);
