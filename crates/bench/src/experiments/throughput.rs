@@ -13,9 +13,10 @@
 //!    serial (`threads = 1`) versus parallel (`threads = 0`, auto),
 //!    evaluated requests per second;
 //! 4. **serve-loop predict latency** — the real `pbppm serve` line
-//!    protocol driven in-process ([`ServeSession::handle_line`]): parse,
-//!    predict, format, flight-record per request, reported as p50/p99
-//!    nanoseconds and gated on the p99 tail.
+//!    protocol driven in-process ([`ShardedServer::handle_batch`] at one
+//!    shard, one line per batch): route, parse, predict against the
+//!    published epoch, format, flight-record per request, reported as
+//!    p50/p99 nanoseconds and gated on the p99 tail.
 //!
 //! Results are printed as tables and written both to
 //! `results/throughput.json` and to `BENCH_throughput.json` at the
@@ -29,7 +30,7 @@ use pbppm_core::{
     reference, LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction, Predictor,
     PruneConfig, StandardPpm, UrlId,
 };
-use pbppm_serve::{ServeOptions, ServeSession};
+use pbppm_serve::{ServeOptions, ShardedOptions, ShardedServer};
 use pbppm_sim::{resolve_threads, run_experiment, ExperimentConfig, ModelSpec};
 use pbppm_trace::{sessionize, Session, SessionizerConfig, Trace};
 use serde::{Deserialize, Serialize};
@@ -280,8 +281,8 @@ fn percentile_ns(sorted: &[u64], q: f64) -> f64 {
 /// from the same frozen arena, the steady state between rebuilds of a
 /// real deployment. Checkpointing and metrics flushing are disabled so no
 /// disk traffic lands inside the timed region. Each request is timed
-/// individually (`handle_line` end to end, into a reused buffer); p50 and
-/// p99 take the minimum across rounds.
+/// individually (`handle_batch` on a one-line batch, end to end, into a
+/// reused response list); p50 and p99 take the minimum across rounds.
 fn serve_latency(
     trace: &Trace,
     sessions: &[Session],
@@ -290,43 +291,44 @@ fn serve_latency(
     let dir = std::env::temp_dir().join(format!("pbppm-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let n = sessions.len().clamp(1, SERVE_TRAIN_SESSIONS);
-    let opts = ServeOptions {
-        window: n,
-        rebuild_every: n,           // exactly one rebuild, after training
-        checkpoint_every: u64::MAX, // no disk traffic while timing
-        flush_every: 0,
-        ..ServeOptions::default()
+    let opts = ShardedOptions {
+        shards: 1,
+        threads: 1,
+        serve: ServeOptions {
+            window: n,
+            rebuild_every: n,           // exactly one rebuild, after training
+            checkpoint_every: u64::MAX, // no disk traffic while timing
+            flush_every: 0,
+            ..ServeOptions::default()
+        },
     };
     let resolve = |id: UrlId| trace.urls.resolve(id).unwrap_or("?");
+    // One-line batches, the shape `pbppm serve` dispatches when requests
+    // arrive one at a time.
+    let line = |verb: &str, ids: &[UrlId]| {
+        let urls: Vec<&str> = ids.iter().map(|&u| resolve(u)).collect();
+        vec![format!("{verb} {}", urls.join(","))]
+    };
     let measured = (|| -> Result<ServeLatency, String> {
-        let (mut serve, _) =
-            ServeSession::open(&dir.display().to_string(), PbConfig::default(), opts)
-                .map_err(|e| e.to_string())?;
-        let mut out: Vec<u8> = Vec::new();
+        let mut serve = ShardedServer::open(&dir.display().to_string(), PbConfig::default(), opts)
+            .map_err(|e| e.to_string())?;
+        let mut out: Vec<String> = Vec::new();
         for s in &sessions[..n] {
-            let urls: Vec<&str> = s.views.iter().map(|v| resolve(v.url)).collect();
-            out.clear();
+            let train = line("train", &s.urls());
             serve
-                .handle_line(&format!("train {}", urls.join(",")), &mut out)
+                .handle_batch(&train, &mut out)
                 .map_err(|e| e.to_string())?;
         }
-        let commands: Vec<String> = contexts
-            .iter()
-            .map(|c| {
-                let urls: Vec<&str> = c.iter().map(|&u| resolve(u)).collect();
-                format!("predict {}", urls.join(","))
-            })
-            .collect();
+        let commands: Vec<Vec<String>> = contexts.iter().map(|c| line("predict", c)).collect();
         let mut p50 = f64::INFINITY;
         let mut p99 = f64::INFINITY;
         let mut lat: Vec<u64> = Vec::with_capacity(commands.len());
         for _ in 0..SERVE_ROUNDS {
             lat.clear();
             for cmd in &commands {
-                out.clear();
                 let t = Instant::now();
                 serve
-                    .handle_line(cmd, &mut out)
+                    .handle_batch(cmd, &mut out)
                     .map_err(|e| e.to_string())?;
                 lat.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
             }

@@ -48,8 +48,9 @@ COMMANDS:
                writers with epoch-published read snapshots, crash-safe
                checkpoints and live self-observation (line protocol on
                stdin: train/predict/checkpoint/stats/metrics [--prom]/
-               trace N/health/quit; with --shards > 1, train/predict
-               accept an optional @client routing token)
+               trace N/health/quit; train/predict accept an optional
+               @client routing token; each shard checkpoints under
+               DIR/shard-NNN)
                --dir DIR  [--shards N] [--threads N] [--window N]
                [--rebuild-every N] [--checkpoint-every N] [--top N]
                [--eval-window N] [--drift-fraction F]

@@ -9,21 +9,14 @@
 //! batch (drain-then-dispatch per shard) instead of one syscall-paced
 //! round-trip each.
 //!
-//! With `--shards 1` (the default) the protocol, directory layout, and
-//! responses are exactly the historical single-threaded server's. With
-//! `--shards N`, `train`/`predict` accept an optional `@client` routing
-//! token (`train @c7 /a,/b`) and every shard checkpoints under
-//! `DIR/shard-NNN`; `stats`/`health`/`metrics`/`trace` aggregate across
-//! shards.
+//! The protocol is the same at every shard count (`--shards`, default
+//! 1): `train`/`predict` accept an optional `@client` routing token
+//! (`train @c7 /a,/b`), every shard checkpoints under `DIR/shard-NNN`,
+//! and `stats`/`health`/`metrics`/`trace` cover all shards.
 
 use crate::args::Args;
+use pbppm_serve::{Flow, ServeOptions, ShardedOptions, ShardedServer};
 use std::io::Write;
-
-// Everything the old in-crate serve module exported is re-exported so
-// `pbppm_cli::serve::{ServeOptions, ServeSession, ...}` keeps working.
-pub use pbppm_serve::{
-    Flow, PublishedModel, Recovery, ServeOptions, ServeSession, ShardedOptions, ShardedServer,
-};
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -76,25 +69,7 @@ pub fn serve(args: &Args) -> CmdResult {
     };
     let mut server = ShardedServer::open(dir, cfg, opts)?;
     let mut stdout = std::io::stdout().lock();
-    if server.shard_count() == 1 {
-        // Byte-compatible with the historical single-threaded greeting.
-        writeln!(
-            stdout,
-            "ready recovered={} window={} rebuilds={}",
-            server.recovery_label(),
-            server.total_window(),
-            server.total_rebuilds()
-        )?;
-    } else {
-        writeln!(
-            stdout,
-            "ready recovered={} shards={} window={} rebuilds={}",
-            server.recovery_label(),
-            server.shard_count(),
-            server.total_window(),
-            server.total_rebuilds()
-        )?;
-    }
+    stdout.write_all(server.greeting().as_bytes())?;
     stdout.flush()?;
 
     // Reader thread: stdin drains into the channel while the core is

@@ -251,3 +251,41 @@ fn an_invalid_utf8_byte_drops_no_following_line() {
         assert!(count("accepted") >= lines - 1, "{format}: {summary}");
     }
 }
+
+#[test]
+fn serve_answers_an_invalid_utf8_line_and_keeps_serving() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let dir = temp("serve-bad-byte");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pbppm"))
+        .args([
+            "serve",
+            "--dir",
+            dir.to_str().unwrap(),
+            "--rebuild-every",
+            "1",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn pbppm serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"train /a,/b\n\xff\xfe\npredict /a\nquit\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let status: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("ok") || l.starts_with("err"))
+        .collect();
+    assert_eq!(status.len(), 4, "one answer per line: {stdout}");
+    assert!(status[1].starts_with("err unknown command"), "{stdout}");
+    assert!(status[2].starts_with("ok 1"), "still serving: {stdout}");
+    assert!(status[3].starts_with("ok bye"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -57,6 +57,17 @@ pub struct PredictionQuality {
 }
 
 impl PredictionQuality {
+    /// Adds `other`'s counters into `self` (pooling disjoint samples).
+    pub fn merge(&mut self, other: &PredictionQuality) {
+        self.contexts += other.contexts;
+        self.covered += other.covered;
+        self.hits_at_1 += other.hits_at_1;
+        self.hits_at_k += other.hits_at_k;
+        self.useful_at_k += other.useful_at_k;
+        self.reciprocal_rank_sum += other.reciprocal_rank_sum;
+        self.emitted += other.emitted;
+    }
+
     /// Fraction of contexts with any prediction.
     pub fn coverage(&self) -> f64 {
         ratio(self.covered, self.contexts)

@@ -1,27 +1,43 @@
-//! The sharded serving core: N single-writer shards, epoch-published
-//! read snapshots, batched drain-then-dispatch request handling.
+//! The serving protocol over N single-writer shards: epoch-published read
+//! snapshots, batched drain-then-dispatch request handling.
+//!
+//! ## Protocol
+//!
+//! One command per line; every non-blank line is answered with one `ok …`
+//! or `err …` line (plus extra rows after `ok N`):
+//!
+//! ```text
+//! train [@client] /a.html,/b.html    feed one session (scored, then trained)
+//! predict [@client] /a.html,/b.html  -> "ok N" then N lines "prob url"
+//! checkpoint                         checkpoint every shard now
+//! stats                              one-line model + serving summary
+//! metrics [--prom]                   -> "ok N" then N report lines
+//! trace N                            -> "ok M" then M rows "sK <record>"
+//! health                             one line: healthy/degraded + counters
+//! quit                               checkpoint every shard and exit
+//! ```
+//!
+//! The protocol is the same at every shard count: this module is the only
+//! place a line is parsed and answered, and each response text comes from
+//! exactly one function.
 //!
 //! ## Shape
 //!
 //! Clients are assigned to shards by [`shard_of`] (Fx hash of the client
-//! name — deterministic across runs and thread counts). Each shard owns:
+//! name — deterministic across runs and thread counts). Each shard is one
+//! [`ServeSession`]: the single writer that trains, rebuilds, checkpoints
+//! (into `DIR/shard-NNN`) and flight-records, plus an
+//! [`EpochPublisher`](pbppm_core::EpochPublisher) holding the shard's immutable [`PublishedModel`] — a clone of the last
+//! rebuilt model plus the interner as of that rebuild. After every
+//! rebuild the writer runs the structural audit and publishes only a
+//! clean model; a dirty rebuild keeps the previous epoch serving and
+//! bumps `publish_rejected`.
 //!
-//! * one **writer** — a [`ServeSession`] that trains, rebuilds,
-//!   checkpoints and flight-records exactly as the single-threaded server
-//!   did (its snapshot dir is `DIR/shard-NNN`, or `DIR` itself when the
-//!   server runs with one shard, keeping single-shard layouts
-//!   byte-compatible with the old server);
-//! * one [`EpochPublisher`] holding the shard's immutable
-//!   [`PublishedModel`] — a clone of the last rebuilt model plus the
-//!   interner as of that rebuild. After every rebuild the writer runs the
-//!   structural audit and publishes only a clean model; a dirty rebuild
-//!   keeps the previous epoch serving and bumps `publish_rejected`.
-//!
-//! `predict` is answered by a **reader** against the published snapshot —
-//! never against the writer's live state — so any number of reader
-//! threads can serve while a rebuild is in flight. The epoch semantics
-//! are deliberate: predictions reflect the model *as of the last clean
-//! publish*; URLs trained since then become visible at the next rebuild.
+//! `predict` is answered against the published snapshot — never against
+//! the writer's live state — so any number of reader threads can serve
+//! while a rebuild is in flight. The epoch semantics are deliberate:
+//! predictions reflect the model *as of the last clean publish*; URLs
+//! trained since then become visible at the next rebuild.
 //!
 //! ## Batching and determinism
 //!
@@ -32,19 +48,29 @@
 //! worker threads (each busy shard is handled by exactly one worker, in
 //! order). Any other command is a **barrier**: pending routed traffic is
 //! flushed first, then the control command runs against the consistent
-//! whole. Responses are re-assembled in arrival order, so for a fixed
-//! client-to-shard assignment the output is byte-identical regardless of
-//! worker-thread count — and an N-shard server answers exactly like N
-//! independent single-shard servers, each fed its shard's clients.
+//! whole and is flight-recorded on shard 0. Responses are re-assembled in
+//! arrival order, so for a fixed client-to-shard assignment the output is
+//! byte-identical regardless of worker-thread count — and an N-shard
+//! server answers exactly like N independent single-shard servers, each
+//! fed its shard's clients.
 
-use crate::session::{write_predictions, Flow, ServeOptions, ServeSession};
+use crate::session::{run_report, ServeOptions, ServeSession, Totals};
+use pbppm_core::snapshot::SnapshotStore;
 use pbppm_core::{
-    shard_of, EpochPublisher, EpochReader, Interner, ModelRef, PbConfig, PbPpm, PredictUsage,
-    PredictionQuality, Predictor, UrlId,
+    shard_of, EpochReader, Interner, PbConfig, PbPpm, PredictUsage, Predictor, UrlId,
 };
 use pbppm_obs::{CommandKind, Registry, RunReport};
 use std::io::Write;
 use std::time::Instant;
+
+/// What a handled batch means for the read loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Keep reading.
+    Continue,
+    /// The client said `quit`; stop cleanly.
+    Quit,
+}
 
 /// One epoch's immutable read snapshot: the model and the interner as of
 /// the publishing rebuild, shared by every reader via `Arc`.
@@ -61,7 +87,7 @@ pub struct PublishedModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardedOptions {
     /// Model shards (clients are hash-partitioned across them). `0` is
-    /// clamped to 1; 1 keeps the single-shard directory layout.
+    /// clamped to 1.
     pub shards: usize,
     /// Dispatch worker threads (0 = available parallelism, capped at the
     /// number of busy shards). Thread count never changes responses.
@@ -80,78 +106,45 @@ impl Default for ShardedOptions {
     }
 }
 
-/// One shard: the writer session plus the publication pair.
-struct Shard {
-    session: ServeSession,
-    publisher: EpochPublisher<PublishedModel>,
-    /// The dispatch path's own reader handle.
-    reader: EpochReader<PublishedModel>,
-    /// Rebuild count at the last (attempted or successful) publish.
-    published_rebuilds: u64,
-    /// Rebuilds whose audit failed; the previous epoch kept serving.
-    publish_rejected: u64,
-    /// Reused reader-path staging buffers (one pair per shard).
-    scratch_buf: Vec<u8>,
-    scratch_top: Vec<(String, f64)>,
-}
-
 /// A routed request waiting for dispatch.
-struct PendingReq {
+struct PendingReq<'a> {
     idx: usize,
     shard: usize,
     kind: CommandKind,
-    /// The protocol line with the `@client` routing token stripped.
-    line: String,
+    /// The payload after the command word and the `@client` token.
+    payload: &'a str,
 }
 
 /// The sharded server: see the module docs for the architecture.
 pub struct ShardedServer {
-    shards: Vec<Shard>,
+    shards: Vec<ServeSession>,
     threads: usize,
 }
 
 impl ShardedServer {
-    /// Opens (or warm-recovers) every shard under `dir`. With one shard
-    /// the snapshot dir is `dir` itself — the exact layout the
-    /// single-threaded server used — so existing serving dirs keep
-    /// working; with N > 1 each shard checkpoints into `dir/shard-NNN`.
+    /// Opens (or warm-recovers) every shard, each under `dir/shard-NNN`.
     /// Changing the shard count re-partitions clients, so it only
-    /// warm-recovers state checkpointed under the same count.
+    /// warm-recovers state checkpointed under the same count. A checkpoint
+    /// directly in `dir` is refused rather than silently ignored.
     pub fn open(
         dir: &str,
         cfg: PbConfig,
         opts: ShardedOptions,
     ) -> Result<Self, Box<dyn std::error::Error>> {
-        let shard_count = opts.shards.max(1);
-        let mut shards = Vec::with_capacity(shard_count);
-        for k in 0..shard_count {
-            let shard_dir = if shard_count == 1 {
-                dir.to_owned()
-            } else {
-                format!("{dir}/shard-{k:03}")
-            };
-            let (session, _) = ServeSession::open(&shard_dir, cfg, opts.serve)?;
-            // Publish the recovered state immediately (it already passed
-            // the recovery audit in `ServeSession::open`), so readers can
-            // answer from the first request on.
-            let initial = PublishedModel {
-                rebuilds: session.online().rebuild_count(),
-                urls: session.urls().clone(),
-                model: session.online().current().cloned(),
-            };
-            let published_rebuilds = initial.rebuilds;
-            let publisher = EpochPublisher::new(initial);
-            let reader = publisher.reader();
-            shards.push(Shard {
-                session,
-                publisher,
-                reader,
-                published_rebuilds,
-                publish_rejected: 0,
-                scratch_buf: Vec::new(),
-                scratch_top: Vec::new(),
-            });
+        let root = SnapshotStore::open(dir)?;
+        if root.current_path().exists() || root.previous_path().exists() {
+            return Err(format!(
+                "{dir} holds a checkpoint in the flat layout ({}); every shard now \
+                 checkpoints under {dir}/shard-NNN: move the files into {dir}/{}/ \
+                 to serve them",
+                root.current_path().display(),
+                shard_name(0)
+            )
+            .into());
         }
+        let shards = (0..opts.shards.max(1))
+            .map(|k| ServeSession::open(&format!("{dir}/{}", shard_name(k)), cfg, opts.serve))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             shards,
             threads: opts.threads,
@@ -168,70 +161,64 @@ impl ShardedServer {
         shard_of(client, self.shards.len())
     }
 
-    /// One shard's writer session (tests, stats aggregation, greeting).
+    /// One shard's writer (tests, benches).
     pub fn shard_session(&self, k: usize) -> &ServeSession {
-        &self.shards[k].session
+        &self.shards[k]
     }
 
     /// A fresh reader handle onto shard `k`'s published snapshot, safe to
     /// move to any thread (concurrency tests, side-car readers).
     pub fn shard_reader(&self, k: usize) -> EpochReader<PublishedModel> {
-        self.shards[k].publisher.reader()
+        self.shards[k].reader()
     }
 
     /// Shard `k`'s publication epoch.
     pub fn shard_epoch(&self, k: usize) -> u64 {
-        self.shards[k].publisher.epoch()
+        self.shards[k].epoch()
     }
 
     /// Rebuilds rejected by the publish audit, across shards.
     pub fn publish_rejected(&self) -> u64 {
-        self.shards.iter().map(|s| s.publish_rejected).sum()
+        self.shards.iter().map(ServeSession::publish_rejected).sum()
     }
 
-    /// Recovery summary for the greeting: the shared label when every
-    /// shard recovered the same way, `"mixed"` otherwise.
+    /// How the shards recovered: the shared label when every shard
+    /// recovered the same way, `"mixed"` otherwise.
     pub fn recovery_label(&self) -> &'static str {
-        let first = self.shards[0].session.recovery().label();
-        if self
-            .shards
-            .iter()
-            .all(|s| s.session.recovery().label() == first)
-        {
+        let first = self.shards[0].recovery().label();
+        if self.shards.iter().all(|s| s.recovery().label() == first) {
             first
         } else {
             "mixed"
         }
     }
 
-    /// Total sliding-window sessions across shards.
-    pub fn total_window(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.session.online().window_len())
-            .sum()
-    }
-
-    /// Total rebuilds across shards.
-    pub fn total_rebuilds(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.session.online().rebuild_count())
-            .sum()
+    /// The line the front-end prints before serving.
+    pub fn greeting(&self) -> String {
+        let t = self.totals();
+        format!(
+            "ready recovered={} shards={} window={} rebuilds={}\n",
+            self.recovery_label(),
+            self.shards.len(),
+            t.window_sessions,
+            t.rebuilds
+        )
     }
 
     /// Handles one drained batch of protocol lines. `responses` is
-    /// cleared and refilled with exactly one response string per handled
-    /// line, in arrival order. On `quit` the batch is truncated: lines
-    /// after the `quit` get no response and [`Flow::Quit`] is returned.
+    /// cleared and refilled with exactly one response string per line
+    /// (empty for a blank line), in arrival order. On `quit` the batch is
+    /// truncated: lines after the `quit` get no response and
+    /// [`Flow::Quit`] is returned.
     pub fn handle_batch(
         &mut self,
         lines: &[String],
         responses: &mut Vec<String>,
     ) -> std::io::Result<Flow> {
         responses.clear();
-        let mut pending: Vec<PendingReq> = Vec::new();
+        let mut pending: Vec<PendingReq<'_>> = Vec::new();
         let mut results: Vec<(usize, String)> = Vec::with_capacity(lines.len());
+        let mut flow = Flow::Continue;
         for (idx, raw) in lines.iter().enumerate() {
             let line = raw.trim();
             if line.is_empty() {
@@ -240,47 +227,47 @@ impl ShardedServer {
             }
             let (cmd, rest) = line.split_once(' ').unwrap_or((line, ""));
             let kind = CommandKind::parse(cmd);
-            match kind {
-                CommandKind::Train | CommandKind::Predict => {
-                    let (client, payload) = split_client(rest);
-                    pending.push(PendingReq {
-                        idx,
-                        shard: shard_of(client, self.shards.len()),
-                        kind,
-                        line: format!("{cmd} {payload}"),
-                    });
-                }
-                _ => {
-                    // Control barrier: flush routed traffic first so the
-                    // command observes a consistent, fully-applied state.
-                    self.run_pending(&mut pending, &mut results)?;
-                    let (resp, flow) = self.control(kind, line)?;
-                    results.push((idx, resp));
-                    if flow == Flow::Quit {
-                        results.sort_unstable_by_key(|(i, _)| *i);
-                        responses.extend(results.into_iter().map(|(_, r)| r));
-                        return Ok(Flow::Quit);
-                    }
-                }
+            if matches!(kind, CommandKind::Train | CommandKind::Predict) {
+                let (client, payload) = split_client(rest);
+                pending.push(PendingReq {
+                    idx,
+                    shard: shard_of(client, self.shards.len()),
+                    kind,
+                    payload,
+                });
+                continue;
+            }
+            // Control barrier: flush routed traffic first so the command
+            // observes a consistent, fully-applied state.
+            self.run_pending(&mut pending, &mut results)?;
+            let started = Instant::now();
+            let response;
+            (response, flow) = self.control(kind, cmd, rest);
+            let latency_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.shards[0].finish_request(kind, latency_ns, response.starts_with("ok"), &[]);
+            results.push((idx, response));
+            if flow == Flow::Quit {
+                break;
             }
         }
         self.run_pending(&mut pending, &mut results)?;
         results.sort_unstable_by_key(|(i, _)| *i);
         responses.extend(results.into_iter().map(|(_, r)| r));
-        Ok(Flow::Continue)
+        Ok(flow)
     }
 
     /// Dispatches the accumulated routed requests: grouped per shard in
     /// arrival order, each busy shard handled by exactly one worker.
     fn run_pending(
         &mut self,
-        pending: &mut Vec<PendingReq>,
+        pending: &mut Vec<PendingReq<'_>>,
         results: &mut Vec<(usize, String)>,
     ) -> std::io::Result<()> {
         if pending.is_empty() {
             return Ok(());
         }
-        let mut groups: Vec<Vec<PendingReq>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut groups: Vec<Vec<PendingReq<'_>>> =
+            (0..self.shards.len()).map(|_| Vec::new()).collect();
         for req in pending.drain(..) {
             groups[req.shard].push(req);
         }
@@ -289,7 +276,7 @@ impl ShardedServer {
         if threads <= 1 {
             for (shard, group) in self.shards.iter_mut().zip(groups) {
                 for req in group {
-                    results.push(handle_shard_request(shard, req)?);
+                    results.push((req.idx, shard.handle(req.kind, req.payload)?));
                 }
             }
             return Ok(());
@@ -297,7 +284,7 @@ impl ShardedServer {
         // Round-robin busy shards over the workers; a shard never splits
         // across workers, so per-shard order (and thus every response) is
         // independent of the thread count.
-        let mut per_worker: Vec<Vec<(&mut Shard, Vec<PendingReq>)>> =
+        let mut per_worker: Vec<Vec<(&mut ServeSession, Vec<PendingReq<'_>>)>> =
             (0..threads).map(|_| Vec::new()).collect();
         for (k, (shard, group)) in self.shards.iter_mut().zip(groups).enumerate() {
             if group.is_empty() {
@@ -314,7 +301,7 @@ impl ShardedServer {
                             let mut out = Vec::new();
                             for (shard, group) in work {
                                 for req in group {
-                                    out.push(handle_shard_request(shard, req)?);
+                                    out.push((req.idx, shard.handle(req.kind, req.payload)?));
                                 }
                             }
                             Ok(out)
@@ -348,146 +335,127 @@ impl ShardedServer {
     }
 
     /// Runs a control (barrier) command against the whole server.
-    fn control(&mut self, kind: CommandKind, line: &str) -> std::io::Result<(String, Flow)> {
-        if self.shards.len() == 1 {
-            // Single shard: delegate for exact protocol compatibility with
-            // the historical single-threaded server (same responses, same
-            // flight records).
-            let mut buf = Vec::new();
-            let flow = self.shards[0].session.handle_line(line, &mut buf)?;
-            return Ok((String::from_utf8_lossy(&buf).into_owned(), flow));
+    fn control(&mut self, kind: CommandKind, cmd: &str, rest: &str) -> (String, Flow) {
+        match kind {
+            CommandKind::Stats => (self.stats(), Flow::Continue),
+            CommandKind::Health => (self.health(), Flow::Continue),
+            CommandKind::Checkpoint => (
+                self.checkpoint_all("ok checkpointed", "checkpoint"),
+                Flow::Continue,
+            ),
+            CommandKind::Quit => (
+                self.checkpoint_all("ok bye; checkpointed", "final checkpoint"),
+                Flow::Quit,
+            ),
+            CommandKind::Metrics => (self.metrics(rest), Flow::Continue),
+            CommandKind::Trace => (self.trace(rest), Flow::Continue),
+            _ => (
+                format!(
+                    "err unknown command {cmd:?} \
+                     (train/predict/checkpoint/stats/metrics/trace/health/quit)\n"
+                ),
+                Flow::Continue,
+            ),
         }
-        let started = Instant::now();
-        let rest = line.split_once(' ').map_or("", |(_, r)| r);
-        let (resp, flow) = match kind {
-            CommandKind::Stats => (self.aggregate_stats(), Flow::Continue),
-            CommandKind::Health => (self.aggregate_health(), Flow::Continue),
-            CommandKind::Checkpoint => (self.checkpoint_all("ok checkpointed"), Flow::Continue),
-            CommandKind::Quit => (self.checkpoint_all("ok bye; checkpointed"), Flow::Quit),
-            CommandKind::Metrics => (self.aggregate_metrics(rest), Flow::Continue),
-            CommandKind::Trace => (self.aggregate_trace(rest), Flow::Continue),
-            _ => {
-                // Unknown commands: let shard 0's writer answer (and
-                // flight-record) them exactly like the legacy server.
-                let mut buf = Vec::new();
-                let flow = self.shards[0].session.handle_line(line, &mut buf)?;
-                return Ok((String::from_utf8_lossy(&buf).into_owned(), flow));
-            }
-        };
-        // Aggregate commands are accounted on shard 0 — one flight record
-        // per request, deterministic home.
-        let latency_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let ok = resp.starts_with("ok");
-        self.shards[0]
-            .session
-            .finish_request(kind, latency_ns, ok, &[]);
-        Ok((resp, flow))
     }
 
-    fn aggregate_stats(&self) -> String {
-        let mut urls = 0usize;
-        let mut window = 0usize;
-        let mut rebuilds = 0u64;
-        let mut nodes = 0usize;
-        let mut bytes = 0usize;
-        let mut checkpoints = 0u64;
-        let mut flush_failures = 0u64;
+    /// Every shard's figures pooled.
+    fn totals(&self) -> Totals {
+        let mut t = Totals::default();
         for shard in &self.shards {
-            let s = shard.session.online().stats();
-            urls += shard.session.urls().len();
-            window += shard.session.online().window_len();
-            rebuilds += shard.session.online().rebuild_count();
-            nodes += s.nodes;
-            bytes += s.total_bytes();
-            checkpoints += shard.session.checkpoints_written();
-            flush_failures += shard.session.flush_failures();
+            t.merge(&shard.totals());
         }
+        t
+    }
+
+    fn stats(&self) -> String {
+        let t = self.totals();
         format!(
             "ok shards {}, urls {}, window {}, rebuilds {}, nodes {}, bytes {}, \
-             recovered {}, checkpoints {}, flush_failures {}, publish_rejected {}\n",
+             recovered {}, rebuilds_since_start {}, checkpoints {}, flush_failures {}, \
+             publish_rejected {}\n",
             self.shards.len(),
-            urls,
-            window,
-            rebuilds,
-            nodes,
-            bytes,
+            t.urls,
+            t.window_sessions,
+            t.rebuilds,
+            t.nodes,
+            t.bytes,
             self.recovery_label(),
-            checkpoints,
-            flush_failures,
-            self.publish_rejected(),
+            t.rebuilds_since_start,
+            t.checkpoints,
+            t.flush_failures,
+            t.publish_rejected,
         )
     }
 
-    fn aggregate_health(&self) -> String {
-        let drifted = self
-            .shards
-            .iter()
-            .filter(|s| s.session.live().drifted())
-            .count();
-        let checkpoints: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.session.checkpoints_written())
-            .sum();
-        let flush_failures: u64 = self.shards.iter().map(|s| s.session.flush_failures()).sum();
-        let epochs: u64 = self.shards.iter().map(|s| s.publisher.epoch()).sum();
+    fn health(&self) -> String {
+        let t = self.totals();
         format!(
-            "ok {} shards={} drifted={} rebuilds={} checkpoints={} \
-             published_epochs={} publish_rejected={} flush_failures={}\n",
-            if drifted == 0 { "healthy" } else { "degraded" },
+            "ok {} shards={} drifted={} recovered={} rebuilds={} checkpoints={} audits={} \
+             published_epochs={} publish_rejected={} window_precision_at_k={:.3} \
+             lifetime_precision_at_k={:.3} flush_failures={}\n",
+            if t.drifted == 0 {
+                "healthy"
+            } else {
+                "degraded"
+            },
             self.shards.len(),
-            drifted,
-            self.total_rebuilds(),
-            checkpoints,
-            epochs,
-            self.publish_rejected(),
-            flush_failures,
+            t.drifted,
+            self.recovery_label(),
+            t.rebuilds,
+            t.checkpoints,
+            t.audits,
+            t.published_epochs,
+            t.publish_rejected,
+            t.live_window.precision_at_k(),
+            t.live_lifetime.precision_at_k(),
+            t.flush_failures,
         )
     }
 
-    fn checkpoint_all(&mut self, prefix: &str) -> String {
+    /// Checkpoints every shard, even past a failing one, and answers one
+    /// line: the total bytes, or the failed shards and their errors.
+    fn checkpoint_all(&mut self, done: &str, what: &str) -> String {
         let mut total = 0u64;
-        for shard in &mut self.shards {
-            match shard.session.checkpoint() {
+        let mut failed = Vec::new();
+        for (k, shard) in self.shards.iter_mut().enumerate() {
+            match shard.checkpoint() {
                 Ok(bytes) => total += bytes,
-                Err(e) => return format!("err checkpoint failed: {e}\n"),
+                Err(e) => failed.push(format!("{}: {e}", shard_name(k)).replace('\n', " ")),
             }
         }
-        format!("{prefix} {total} bytes ({} shards)\n", self.shards.len())
+        if failed.is_empty() {
+            format!("{done} {total} bytes ({} shards)\n", self.shards.len())
+        } else {
+            format!("err {what} failed on {}\n", failed.join("; "))
+        }
     }
 
-    fn aggregate_trace(&self, rest: &str) -> String {
-        let n = if rest.trim().is_empty() {
-            10
-        } else {
-            match rest.trim().parse::<usize>() {
+    fn trace(&self, rest: &str) -> String {
+        let n = match rest.trim() {
+            "" => 10,
+            arg => match arg.parse::<usize>() {
                 Ok(n) => n,
-                Err(_) => return format!("err trace expects a count, got {:?}\n", rest.trim()),
-            }
+                Err(_) => return format!("err trace expects a count, got {arg:?}\n"),
+            },
         };
         let mut rows = Vec::new();
         for (k, shard) in self.shards.iter().enumerate() {
-            for r in shard.session.recorder().last(n) {
-                rows.push(format!("s{k} {}", r.render()));
+            for r in shard.recorder().last(n) {
+                rows.push(format!("s{k} {}\n", r.render()));
             }
         }
-        let mut out = format!("ok {}\n", rows.len());
-        for row in rows {
-            out.push_str(&row);
-            out.push('\n');
-        }
-        out
+        format!("ok {}\n{}", rows.len(), rows.concat())
     }
 
-    fn aggregate_metrics(&self, rest: &str) -> String {
+    fn metrics(&self, rest: &str) -> String {
         let rendered = match rest.trim() {
             "--prom" => self.build_report().render_prometheus(),
             "" => self.build_report().render_text(),
             _ => return "err metrics takes no argument except --prom\n".to_owned(),
         };
-        let lines: Vec<&str> = rendered.lines().collect();
-        let mut out = format!("ok {}\n", lines.len());
-        for l in lines {
+        let mut out = format!("ok {}\n", rendered.lines().count());
+        for l in rendered.lines() {
             out.push_str(l);
             out.push('\n');
         }
@@ -495,69 +463,22 @@ impl ShardedServer {
     }
 
     /// The merged serving report: counters and histograms are absorbed
-    /// additively shard by shard (in shard order — deterministic);
-    /// capacity gauges are re-set to cross-shard sums afterwards, and the
-    /// live window gauges are recomputed from the summed window counters.
+    /// additively shard by shard (in shard order — deterministic); gauges
+    /// are set once from the pooled figures.
     pub fn build_report(&self) -> RunReport {
         let reg = Registry::new();
         for shard in &self.shards {
-            shard.session.fill_report(&reg);
-            reg.counter("serve.publish_rejected", "")
-                .add(shard.publish_rejected);
-            reg.counter("serve.published_epochs", "")
-                .add(shard.publisher.epoch());
+            shard.fill_report(&reg);
         }
-        // `fill_report` sets gauges per shard (last writer wins); replace
-        // them with whole-server values.
+        self.totals().set_gauges(&reg);
         reg.gauge("serve.shards", "").set(self.shards.len() as u64);
-        reg.gauge("serve.window_sessions", "")
-            .set(self.total_window() as u64);
-        reg.gauge("serve.recovered_generation", "").set(
-            self.shards
-                .iter()
-                .map(|s| s.session.recovery().gauge())
-                .max()
-                .unwrap_or(0),
-        );
-        let mut nodes = 0usize;
-        let mut bytes = 0usize;
-        let mut window = PredictionQuality::default();
-        let mut drifted = false;
-        for shard in &self.shards {
-            let s = shard.session.online().stats();
-            nodes += s.nodes;
-            bytes += s.total_bytes();
-            let w = shard.session.live().window_quality();
-            window.contexts += w.contexts;
-            window.covered += w.covered;
-            window.hits_at_1 += w.hits_at_1;
-            window.hits_at_k += w.hits_at_k;
-            window.useful_at_k += w.useful_at_k;
-            window.emitted += w.emitted;
-            drifted |= shard.session.live().drifted();
-        }
-        reg.gauge("model.nodes", "").set(nodes as u64);
-        reg.gauge("model.bytes", "").set(bytes as u64);
-        reg.gauge("live.window.contexts", "").set(window.contexts);
-        reg.gauge("live.window.precision_at_1_ppm", "")
-            .set(crate::session::ppm(window.precision_at_1()));
-        reg.gauge("live.window.precision_at_k_ppm", "")
-            .set(crate::session::ppm(window.precision_at_k()));
-        reg.gauge("live.window.coverage_ppm", "")
-            .set(crate::session::ppm(window.coverage()));
-        reg.gauge("live.window.traffic_increment_milli", "")
-            .set(crate::session::milli(pbppm_core::traffic_increment(
-                &window,
-            )));
-        reg.gauge("live.drift", "").set(u64::from(drifted));
-        RunReport {
-            schema_version: pbppm_obs::report::SCHEMA_VERSION,
-            command: "serve".to_owned(),
-            telemetry_enabled: pbppm_obs::ENABLED,
-            spans: Vec::new(),
-            metrics: reg.snapshot(),
-        }
+        run_report(&reg)
     }
+}
+
+/// Shard `k`'s directory name under the serving dir.
+fn shard_name(k: usize) -> String {
+    format!("shard-{k:03}")
 }
 
 /// Splits the optional `@client` routing token off a train/predict
@@ -572,83 +493,22 @@ fn split_client(rest: &str) -> (&str, &str) {
     }
 }
 
-/// Handles one routed request on its shard: `train` goes to the writer
-/// session (then attempts publication), `predict` to a reader against the
-/// published epoch.
-fn handle_shard_request(shard: &mut Shard, req: PendingReq) -> std::io::Result<(usize, String)> {
-    let mut buf = std::mem::take(&mut shard.scratch_buf);
-    buf.clear();
-    let resp = match req.kind {
-        CommandKind::Predict => {
-            let started = Instant::now();
-            let mut top = std::mem::take(&mut shard.scratch_top);
-            top.clear();
-            let rest = req.line.split_once(' ').map_or("", |(_, r)| r);
-            // Clone the Arc out of the reader so the borrow on the shard
-            // ends before the session records the request.
-            let published = std::sync::Arc::clone(shard.reader.current());
-            let outcome =
-                predict_published(&published, shard.session.top(), rest, &mut buf, &mut top)?;
-            if let Err(id) = outcome {
-                let total = shard.session.note_interner_desync();
-                writeln!(
-                    buf,
-                    "err predict: model emitted unresolvable url id {id} \
-                     (interner/model desync; {total} total)"
-                )?;
-            }
-            let latency_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let ok = buf.starts_with(b"ok");
-            shard
-                .session
-                .finish_request(CommandKind::Predict, latency_ns, ok, &top);
-            shard.scratch_top = top;
-            String::from_utf8_lossy(&buf).into_owned()
-        }
-        _ => {
-            // `train` (and anything else routed here): the writer handles
-            // and records it; a completed rebuild then tries to publish.
-            shard.session.handle_line(&req.line, &mut buf)?;
-            if req.kind == CommandKind::Train {
-                try_publish(shard);
-            }
-            String::from_utf8_lossy(&buf).into_owned()
-        }
-    };
-    shard.scratch_buf = buf;
-    Ok((req.idx, resp))
+/// The URLs of a `train`/`predict` payload: comma-separated, trimmed,
+/// empty entries skipped.
+pub(crate) fn payload_urls(payload: &str) -> impl Iterator<Item = &str> {
+    payload.split(',').map(str::trim).filter(|s| !s.is_empty())
 }
 
-/// Publishes the writer's freshly rebuilt model — if, and only if, it
-/// passes the structural audit. A failing rebuild keeps the previous
-/// epoch serving (readers never see it) and is counted.
-fn try_publish(shard: &mut Shard) {
-    let rebuilds = shard.session.online().rebuild_count();
-    if rebuilds == shard.published_rebuilds {
-        return;
-    }
-    // Either way, the rebuild is consumed: a rejected one is not retried
-    // until the next rebuild produces a different model.
-    shard.published_rebuilds = rebuilds;
-    let report = pbppm_core::verify_model_with_urls(
-        &ModelRef::OnlinePb(shard.session.online()),
-        Some(shard.session.urls().len()),
-    );
-    if !report.is_clean() {
-        shard.publish_rejected += 1;
-        return;
-    }
-    shard.publisher.publish(PublishedModel {
-        rebuilds,
-        urls: shard.session.urls().clone(),
-        model: shard.session.online().current().cloned(),
-    });
-}
-
-/// The reader-path predict: parses the context against the *published*
-/// interner, ranks against the *published* model (read-only — the usage
-/// diagnostics are writer-side state and are not collected here), and
-/// renders byte-identically to the writer path via [`write_predictions`].
+/// Predicts against a published snapshot: parses the context against the
+/// *published* interner (URLs it has never seen cannot match and are
+/// skipped), ranks read-only against the *published* model, and renders
+/// `ok N` plus one `prob url` row per prediction into `buf`, filling `top`
+/// for the flight record.
+///
+/// If some prediction's interned URL cannot be resolved, *nothing* is
+/// written and the offending id is returned: an unresolvable id means the
+/// model and the interner have desynced, and serving a placeholder URL
+/// would silently mask it.
 pub fn predict_published(
     published: &PublishedModel,
     top_n: usize,
@@ -656,10 +516,7 @@ pub fn predict_published(
     buf: &mut Vec<u8>,
     top: &mut Vec<(String, f64)>,
 ) -> std::io::Result<Result<(), UrlId>> {
-    let context: Vec<UrlId> = rest
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
+    let context: Vec<UrlId> = payload_urls(rest)
         .filter_map(|s| published.urls.get(s))
         .collect();
     let mut preds = Vec::new();
@@ -668,12 +525,26 @@ pub fn predict_published(
         model.predict_ro(&context, &mut preds, &mut usage);
     }
     preds.truncate(top_n);
-    write_predictions(&published.urls, &preds, buf, top)
+    if let Some(p) = preds
+        .iter()
+        .find(|p| published.urls.resolve(p.url).is_none())
+    {
+        return Ok(Err(p.url));
+    }
+    writeln!(buf, "ok {}", preds.len())?;
+    for p in &preds {
+        let url = published.urls.resolve(p.url).unwrap_or("");
+        writeln!(buf, "{:.3} {}", p.prob, url)?;
+        top.push((url.to_owned(), p.prob));
+    }
+    Ok(Ok(()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recovery;
+    use pbppm_core::snapshot::Generation;
 
     fn temp_dir(tag: &str) -> String {
         let dir =
@@ -683,6 +554,8 @@ mod tests {
     }
 
     fn opts(shards: usize, threads: usize) -> ShardedOptions {
+        // rebuild_every=1 + checkpoint_every=1: every session rebuilds,
+        // publishes and checkpoints, so generations accumulate quickly.
         ShardedOptions {
             shards,
             threads,
@@ -696,11 +569,19 @@ mod tests {
         }
     }
 
+    fn open(dir: &str) -> ShardedServer {
+        ShardedServer::open(dir, PbConfig::default(), opts(1, 1)).unwrap()
+    }
+
     fn batch(server: &mut ShardedServer, lines: &[&str]) -> Vec<String> {
         let lines: Vec<String> = lines.iter().map(|s| (*s).to_owned()).collect();
         let mut responses = Vec::new();
         server.handle_batch(&lines, &mut responses).unwrap();
         responses
+    }
+
+    fn line(server: &mut ShardedServer, cmd: &str) -> String {
+        batch(server, &[cmd]).remove(0)
     }
 
     #[test]
@@ -712,21 +593,311 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_delegates_the_legacy_protocol() {
-        let dir = temp_dir("legacy");
-        let mut server = ShardedServer::open(&dir, PbConfig::default(), opts(1, 1)).unwrap();
+    fn protocol_basics() {
+        let dir = temp_dir("protocol");
+        let mut s = open(&dir);
+        assert_eq!(s.recovery_label(), "fresh");
         let rs = batch(
-            &mut server,
-            &["train /a,/b,/a,/b", "predict /a", "stats", "bogus", "quit"],
+            &mut s,
+            &[
+                "train /a,/b,/a,/b",
+                "predict /a",
+                "predict /never-seen",
+                "stats",
+                "bogus",
+                "train ",
+                "",
+                "quit",
+            ],
         );
         assert!(rs[0].starts_with("ok trained 4"), "{}", rs[0]);
-        assert!(rs[1].starts_with("ok 1"), "{}", rs[1]);
+        assert!(rs[1].starts_with("ok 1\n"), "{}", rs[1]);
         assert!(rs[1].contains("/b"), "{}", rs[1]);
-        assert!(rs[2].starts_with("ok urls 2"), "{}", rs[2]);
-        assert!(rs[3].starts_with("err unknown command"), "{}", rs[3]);
-        assert!(rs[4].starts_with("ok bye"), "{}", rs[4]);
-        // Single shard keeps the flat directory layout.
-        assert!(std::path::Path::new(&dir).join("current.pbss").exists());
+        assert!(rs[2].starts_with("ok 0"), "{}", rs[2]);
+        assert!(rs[3].starts_with("ok shards 1, urls 2"), "{}", rs[3]);
+        assert!(rs[4].starts_with("err unknown command"), "{}", rs[4]);
+        assert!(rs[5].starts_with("err train expects"), "{}", rs[5]);
+        assert_eq!(rs[6], "", "a blank line gets an empty response");
+        assert!(rs[7].starts_with("ok bye; checkpointed"), "{}", rs[7]);
+        assert!(rs[7].contains("(1 shards)"), "{}", rs[7]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_shard_count_uses_the_shard_directory_layout() {
+        let dir = temp_dir("layout");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b");
+        let root = std::path::Path::new(&dir);
+        assert!(root.join("shard-000").join("current.pbss").exists());
+        assert!(!root.join("current.pbss").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flat_layout_checkpoint_is_refused_with_a_hint() {
+        let dir = temp_dir("flat");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b");
+        drop(s);
+        // What a single-shard server of the old layout left behind.
+        let root = std::path::Path::new(&dir);
+        std::fs::rename(
+            root.join("shard-000").join("current.pbss"),
+            root.join("current.pbss"),
+        )
+        .unwrap();
+        let err = ShardedServer::open(&dir, PbConfig::default(), opts(1, 1))
+            .err()
+            .expect("a flat checkpoint must not be ignored");
+        let msg = err.to_string();
+        assert!(msg.contains("shard-000"), "{msg}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_start_restores_predictions() {
+        let dir = temp_dir("warm");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b,/c");
+        line(&mut s, "train /a,/b,/c");
+        let before = line(&mut s, "predict /a,/b");
+        drop(s);
+
+        let mut s2 = open(&dir);
+        assert_eq!(
+            s2.shard_session(0).recovery(),
+            Recovery::Warm(Generation::Current)
+        );
+        assert_eq!(line(&mut s2, "predict /a,/b"), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovers_from_truncated_current_snapshot() {
+        let dir = temp_dir("truncated");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b");
+        let after_first = line(&mut s, "predict /a");
+        line(&mut s, "train /x,/y");
+        drop(s);
+
+        // Simulate a crash mid-write: the newest generation is cut short.
+        let current = SnapshotStore::open(format!("{dir}/shard-000"))
+            .unwrap()
+            .current_path();
+        let bytes = std::fs::read(&current).unwrap();
+        std::fs::write(&current, &bytes[..bytes.len() / 2]).unwrap();
+
+        let mut s2 = open(&dir);
+        assert_eq!(s2.recovery_label(), "previous");
+        // The previous generation predates the second train line.
+        assert_eq!(line(&mut s2, "predict /a"), after_first);
+        assert!(line(&mut s2, "predict /x").starts_with("ok 0"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn training_continues_after_recovery() {
+        let dir = temp_dir("resume");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b");
+        drop(s);
+        let mut s2 = open(&dir);
+        assert!(line(&mut s2, "train /a,/c").starts_with("ok trained 2"));
+        let reply = line(&mut s2, "predict /a");
+        assert!(reply.starts_with("ok 2"), "both sessions count: {reply}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stats_reports_serving_session_state() {
+        let dir = temp_dir("stats-session");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b");
+        line(&mut s, "checkpoint");
+        let reply = line(&mut s, "stats");
+        assert!(reply.contains("recovered fresh"), "{reply}");
+        assert!(reply.contains("rebuilds_since_start 1"), "{reply}");
+        // rebuild-triggered checkpoint + the explicit one
+        assert!(reply.contains("checkpoints 2"), "{reply}");
+        assert!(reply.contains("flush_failures 0"), "{reply}");
+        assert!(reply.contains("publish_rejected 0"), "{reply}");
+        drop(s);
+        let mut s2 = open(&dir);
+        let reply = line(&mut s2, "stats");
+        assert!(reply.contains("recovered current"), "{reply}");
+        assert!(reply.contains("rebuilds_since_start 0"), "{reply}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_command_renders_both_formats() {
+        let dir = temp_dir("metrics");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b");
+        line(&mut s, "predict /a");
+        let human = line(&mut s, "metrics");
+        let (head, body) = human.split_once('\n').unwrap();
+        let n: usize = head.strip_prefix("ok ").unwrap().parse().unwrap();
+        assert_eq!(body.lines().count(), n, "line count must match header");
+        assert!(body.contains("serve.requests"), "{body}");
+        let prom = line(&mut s, "metrics --prom");
+        assert!(prom.starts_with("ok "), "{prom}");
+        assert!(
+            prom.contains("pbppm_serve_requests{cmd=\"train\"} 1"),
+            "{prom}"
+        );
+        assert!(prom.contains("pbppm_serve_latency_ns_bucket"), "{prom}");
+        assert!(prom.contains("pbppm_live_contexts 1"), "{prom}");
+        assert!(line(&mut s, "metrics bogus").starts_with("err metrics"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trace_dumps_recent_requests() {
+        let dir = temp_dir("trace");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b");
+        line(&mut s, "train /a,/b");
+        line(&mut s, "predict /a");
+        let reply = line(&mut s, "trace 2");
+        let mut lines = reply.lines();
+        assert_eq!(lines.next(), Some("ok 2"));
+        let second_to_last = lines.next().unwrap();
+        assert!(second_to_last.starts_with("s0 #"), "{second_to_last}");
+        assert!(second_to_last.contains("train ok"), "{second_to_last}");
+        let last = lines.next().unwrap();
+        assert!(last.contains("predict ok"), "{last}");
+        assert!(last.contains("/b"), "predict payload recorded: {last}");
+        assert!(line(&mut s, "trace x").starts_with("err trace expects"));
+        // The malformed trace request itself lands in the ring.
+        let after = line(&mut s, "trace 10");
+        assert!(after.contains("trace err"), "{after}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn health_degrades_on_drift_and_reports_recovery() {
+        let dir = temp_dir("health");
+        let mut o = opts(1, 1);
+        o.serve.checkpoint_every = 1_000_000; // keep checkpoints out of the way
+        o.serve.eval_window = 8;
+        o.serve.drift_fraction = 0.5;
+        let mut s = ShardedServer::open(&dir, PbConfig::default(), o).unwrap();
+        assert!(line(&mut s, "health").starts_with("ok healthy"), "fresh");
+        // Long accurate phase: the model keeps predicting /a -> /b right.
+        for _ in 0..64 {
+            line(&mut s, "train /a,/b");
+        }
+        assert!(line(&mut s, "health").starts_with("ok healthy"));
+        // Popularity shifts: /a now leads somewhere never seen before
+        // (a fresh URL each time, so no rebuild can catch up within the
+        // window) and the windowed precision collapses to zero.
+        for i in 0..8 {
+            line(&mut s, &format!("train /a,/shift{i}"));
+        }
+        let reply = line(&mut s, "health");
+        assert!(
+            reply.starts_with("ok degraded shards=1 drifted=1"),
+            "{reply}"
+        );
+        assert!(reply.contains("recovered=fresh"), "{reply}");
+        assert!(reply.contains("checkpoints=0"), "{reply}");
+        assert!(reply.contains("audits=0"), "{reply}");
+        assert!(reply.contains("window_precision_at_k=0.000"), "{reply}");
+        assert!(reply.contains("flush_failures=0"), "{reply}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_flush_lands_in_the_snapshot_dir() {
+        let dir = temp_dir("flush");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b"); // rebuild + checkpoint -> flush
+        let path = std::path::Path::new(&dir)
+            .join("shard-000")
+            .join("serve_metrics.json");
+        let json = std::fs::read_to_string(&path).unwrap();
+        let report = RunReport::from_json(&json).unwrap();
+        assert_eq!(report.command, "serve");
+        assert!(report
+            .metrics
+            .counters
+            .iter()
+            .any(|c| c.name == "serve.requests"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A prediction whose interned URL cannot be resolved is an
+    /// interner/model desync — it must answer `err` and bump an
+    /// audit-worthy counter, not render a placeholder URL that is
+    /// indistinguishable from a real one.
+    #[test]
+    fn unresolvable_prediction_is_an_error_not_a_question_mark() {
+        let dir = temp_dir("desync");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b,/a,/b");
+        // Fabricate the desync: publish the model with an interner that
+        // still knows the context URL (same id 0) but has lost its target.
+        let shard = &mut s.shards[0];
+        let mut urls = Interner::new();
+        urls.intern("/a");
+        shard.publisher.publish(PublishedModel {
+            rebuilds: 1,
+            urls,
+            model: shard.online().current().cloned(),
+        });
+        let reply = line(&mut s, "predict /a");
+        assert!(reply.starts_with("err predict"), "{reply}");
+        assert!(reply.contains("desync"), "{reply}");
+        assert!(!reply.contains('?'), "no placeholder URL: {reply}");
+        let prom = line(&mut s, "metrics --prom");
+        assert!(prom.contains("pbppm_serve_interner_desync 1\n"), "{prom}");
+        assert!(prom.contains("pbppm_serve_errors 1\n"), "{prom}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The response staging buffer is a shard field reused across
+    /// requests — after any request its capacity must be retained (a
+    /// fresh `Vec::new()` per request would show capacity 0 here).
+    #[test]
+    fn response_buffer_is_reused_across_requests() {
+        let dir = temp_dir("buf-reuse");
+        let mut s = open(&dir);
+        line(&mut s, "train /a,/b");
+        let cap = s.shards[0].buf.capacity();
+        assert!(cap > 0, "staging buffer retained after the request");
+        line(&mut s, "predict /a");
+        assert!(
+            s.shards[0].buf.capacity() >= cap,
+            "capacity only grows across requests"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Flush failures are operator-visible in stats, health, and the
+    /// metrics report — not just a private counter.
+    #[test]
+    fn flush_failures_are_surfaced_everywhere() {
+        let dir = temp_dir("flush-failures");
+        let mut o = opts(1, 1);
+        o.serve.flush_every = 1;
+        o.serve.checkpoint_every = 1_000_000;
+        let mut s = ShardedServer::open(&dir, PbConfig::default(), o).unwrap();
+        // The shard dir turns into a regular file: every flush now fails.
+        let shard_dir = std::path::Path::new(&dir).join("shard-000");
+        std::fs::remove_dir_all(&shard_dir).unwrap();
+        std::fs::write(&shard_dir, b"not a directory").unwrap();
+        line(&mut s, "train /a,/b");
+        line(&mut s, "train /a,/b");
+        assert!(line(&mut s, "stats").contains("flush_failures 2"));
+        assert!(line(&mut s, "health").contains("flush_failures=3"));
+        let prom = line(&mut s, "metrics --prom");
+        assert!(
+            prom.contains("pbppm_serve_metrics_flush_failures 4"),
+            "{prom}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -735,40 +906,15 @@ mod tests {
         let dir = temp_dir("epoch");
         // rebuild_every=2: the first train does NOT rebuild, so nothing
         // beyond the (empty) initial epoch is published.
-        let mut server = ShardedServer::open(
-            &dir,
-            PbConfig::default(),
-            ShardedOptions {
-                shards: 2,
-                threads: 1,
-                serve: ServeOptions {
-                    window: 100,
-                    rebuild_every: 2,
-                    checkpoint_every: 1_000_000,
-                    top: 10,
-                    ..ServeOptions::default()
-                },
-            },
-        )
-        .unwrap();
-        let client = "@c0";
-        let rs = batch(
-            &mut server,
-            &[
-                &format!("train {client} /a,/b"),
-                &format!("predict {client} /a"),
-            ],
-        );
+        let mut o = opts(2, 1);
+        o.serve.rebuild_every = 2;
+        o.serve.checkpoint_every = 1_000_000;
+        let mut server = ShardedServer::open(&dir, PbConfig::default(), o).unwrap();
+        let rs = batch(&mut server, &["train @c0 /a,/b", "predict @c0 /a"]);
         assert!(rs[0].starts_with("ok trained"), "{}", rs[0]);
         // No rebuild yet -> initial (empty) epoch still serving.
         assert!(rs[1].starts_with("ok 0"), "pre-publish: {}", rs[1]);
-        let rs = batch(
-            &mut server,
-            &[
-                &format!("train {client} /a,/b"),
-                &format!("predict {client} /a"),
-            ],
-        );
+        let rs = batch(&mut server, &["train @c0 /a,/b", "predict @c0 /a"]);
         // Second train rebuilt and published; the reader now sees it.
         assert!(rs[1].starts_with("ok 1"), "post-publish: {}", rs[1]);
         assert!(rs[1].contains("/b"), "{}", rs[1]);
@@ -796,7 +942,9 @@ mod tests {
         assert!(stats.starts_with("ok shards 4"), "{stats}");
         assert!(stats.contains("window 16"), "all trains landed: {stats}");
         assert!(stats.contains("publish_rejected 0"), "{stats}");
-        assert!(rs[17].starts_with("ok healthy shards=4"), "{}", rs[17]);
+        let health = &rs[17];
+        assert!(health.starts_with("ok healthy shards=4"), "{health}");
+        assert!(health.contains("published_epochs=16"), "{health}");
         assert!(rs[18].starts_with("ok "), "{}", rs[18]);
         assert!(rs[18].contains("s0 #"), "per-shard trace rows: {}", rs[18]);
         let prom = &rs[19];
@@ -805,9 +953,11 @@ mod tests {
             "merged train counter: {prom}"
         );
         assert!(prom.contains("pbppm_serve_shards 4"), "{prom}");
-        // Sharded layout on disk.
-        assert!(std::path::Path::new(&dir).join("shard-000").exists());
-        assert!(std::path::Path::new(&dir).join("shard-003").exists());
+        assert!(prom.contains("pbppm_serve_window_sessions 16"), "{prom}");
+        for k in 0..4 {
+            let shard = std::path::Path::new(&dir).join(shard_name(k));
+            assert!(shard.join("current.pbss").exists(), "{}", shard.display());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

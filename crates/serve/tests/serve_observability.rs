@@ -19,11 +19,34 @@
 
 use pbppm_core::eval::{evaluate, EvalConfig};
 use pbppm_core::{Interner, OnlinePbPpm, PbConfig, Predictor, UrlId};
-use pbppm_serve::{ServeOptions, ServeSession};
+use pbppm_serve::{ServeOptions, ShardedOptions, ShardedServer};
 
 const WARMUP_SESSIONS: usize = 30;
 const EVAL_SESSIONS: usize = 20;
 const TOP: usize = 5;
+
+fn open(dir: &str, opts: ServeOptions) -> ShardedServer {
+    let opts = ShardedOptions {
+        shards: 1,
+        threads: 1,
+        serve: opts,
+    };
+    ShardedServer::open(dir, PbConfig::default(), opts).unwrap()
+}
+
+/// Feeds one `train` line per session through the line protocol.
+fn train_all(server: &mut ShardedServer, sessions: impl Iterator<Item = Vec<String>>) {
+    let mut responses = Vec::new();
+    for s in sessions {
+        server
+            .handle_batch(&[format!("train {}", s.join(","))], &mut responses)
+            .unwrap();
+        assert!(
+            responses[0].starts_with("ok"),
+            "train failed: {responses:?}"
+        );
+    }
+}
 
 fn temp_dir(tag: &str) -> String {
     let dir =
@@ -57,7 +80,7 @@ fn eval_session(i: usize) -> Vec<String> {
 fn live_window_precision_agrees_with_offline_eval() {
     let eval_contexts = EVAL_SESSIONS * (eval_session(0).len() - 1);
 
-    // --- The serve loop, driven through the real line protocol. ---
+    // --- The server, driven through the real line protocol. ---
     let dir = temp_dir("agreement");
     let opts = ServeOptions {
         window: 10_000,
@@ -67,27 +90,15 @@ fn live_window_precision_agrees_with_offline_eval() {
         eval_window: eval_contexts,
         ..ServeOptions::default()
     };
-    let (mut serve, _) = ServeSession::open(&dir, PbConfig::default(), opts).unwrap();
-    let mut buf = Vec::new();
-    for i in 0..WARMUP_SESSIONS {
-        buf.clear();
-        serve
-            .handle_line(&format!("train {}", warmup_session(i).join(",")), &mut buf)
-            .unwrap();
-        assert!(buf.starts_with(b"ok"), "warm-up train failed");
-    }
+    let mut server = open(&dir, opts);
+    train_all(&mut server, (0..WARMUP_SESSIONS).map(warmup_session));
     assert_eq!(
-        serve.online().rebuild_count(),
+        server.shard_session(0).online().rebuild_count(),
         1,
         "the model must rebuild exactly once, at the end of warm-up"
     );
-    for i in 0..EVAL_SESSIONS {
-        buf.clear();
-        serve
-            .handle_line(&format!("train {}", eval_session(i).join(",")), &mut buf)
-            .unwrap();
-        assert!(buf.starts_with(b"ok"), "eval train failed");
-    }
+    train_all(&mut server, (0..EVAL_SESSIONS).map(eval_session));
+    let serve = server.shard_session(0);
     assert_eq!(
         serve.online().rebuild_count(),
         1,
@@ -144,16 +155,10 @@ fn metrics_exposition_carries_live_counters() {
         top: TOP,
         ..ServeOptions::default()
     };
-    let (mut serve, _) = ServeSession::open(&dir, PbConfig::default(), opts).unwrap();
-    let mut buf = Vec::new();
-    for i in 0..10 {
-        buf.clear();
-        serve
-            .handle_line(&format!("train {}", warmup_session(i).join(",")), &mut buf)
-            .unwrap();
-    }
-    let lifetime = *serve.live().lifetime();
-    let report = serve.build_report();
+    let mut server = open(&dir, opts);
+    train_all(&mut server, (0..10).map(warmup_session));
+    let lifetime = *server.shard_session(0).live().lifetime();
+    let report = server.build_report();
     let prom = report.render_prometheus();
     assert!(
         prom.contains(&format!("pbppm_live_contexts {}", lifetime.contexts)),

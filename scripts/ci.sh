@@ -30,8 +30,8 @@
 #                              recovered generation (warm start)
 #   8. sharded serve smoke   — the same protocol through `pbppm serve
 #                              --shards 4` with `@client` routing tokens,
-#                              asserting the sharded greeting and the
-#                              aggregated stats line
+#                              asserting the greeting's shard count and
+#                              the stats line over all shards
 #   9. loadgen smoke         — a short fixed-seed open-loop run of the
 #                              `loadgen` bench (4 shards, low rate) must
 #                              complete with zero errors and zero
@@ -151,8 +151,8 @@ printf '%s\n' \
     | "$pbppm" serve --dir "$servedir" --rebuild-every 1 >"$serveout"
 # Greeting first, then exactly one ok/err status line per command (the
 # metrics/trace/predict payload lines that follow an "ok N" header never
-# start with ok/err — metric names are pbppm_*, trace records are #N …).
-if ! head -n1 "$serveout" | grep -q '^ready recovered=fresh '; then
+# start with ok/err — metric names are pbppm_*, trace rows are sK #N …).
+if ! head -n1 "$serveout" | grep -q '^ready recovered=fresh shards=1 '; then
     echo "ci: serve did not greet with a fresh session" >&2
     exit 1
 fi
@@ -173,11 +173,11 @@ grep -q 'trained 3 url(s)' "$serveout" || {
 # Warm restart against the same dir: the quit checkpoint must be
 # recovered, and the greeting must say so.
 printf '%s\n' "stats" "quit" | "$pbppm" serve --dir "$servedir" >"$serveout"
-if ! head -n1 "$serveout" | grep -Eq '^ready recovered=(current|previous) '; then
+if ! head -n1 "$serveout" | grep -Eq '^ready recovered=(current|previous) shards=1 '; then
     echo "ci: serve warm restart did not report a recovered generation" >&2
     exit 1
 fi
-grep -Eq '^ok urls .* recovered (current|previous),' "$serveout" || {
+grep -Eq '^ok shards 1, urls .* recovered (current|previous),' "$serveout" || {
     echo "ci: serve stats did not report the recovered generation" >&2
     exit 1
 }
