@@ -241,6 +241,22 @@ fn stale_index_aggregate_is_caught() {
 }
 
 #[test]
+fn stale_index_sub_aggregate_is_caught() {
+    // A group with a single sub-group shares its vote run with it, so a
+    // stale sub-group (here its total) can leave every group-level
+    // aggregate intact: only the per-extension comparison sees it.
+    let m = pb_with_link();
+    let mut reloaded = PbPpm::from_snapshot(&m.to_snapshot()).expect("clean snapshot loads");
+    assert!(
+        reloaded.skew_index_sub_aggregate_for_audit(),
+        "model must have an index sub-group to skew"
+    );
+    let report = verify_model(&ModelRef::Pb(&reloaded));
+    assert!(report.has("index-aggregate-stale"), "{report}");
+    assert!(!report.has("index-shape-diverges"), "{report}");
+}
+
+#[test]
 fn order1_row_total_skew_is_caught() {
     let mut m = Order1Markov::new();
     m.train_session(&[u(0), u(1), u(0), u(2)]);

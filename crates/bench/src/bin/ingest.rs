@@ -9,5 +9,6 @@
 static ALLOC: pbppm_obs::alloc::CountingAllocator = pbppm_obs::alloc::CountingAllocator;
 
 fn main() {
-    pbppm_bench::experiments::ingest::run();
+    let report = pbppm_bench::experiments::ingest::run();
+    pbppm_bench::write_baseline("ingest", &report);
 }

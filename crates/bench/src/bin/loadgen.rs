@@ -4,5 +4,6 @@
 #![forbid(unsafe_code)]
 
 fn main() {
-    pbppm_bench::experiments::loadgen::run();
+    let report = pbppm_bench::experiments::loadgen::run();
+    pbppm_bench::write_baseline("loadgen", &report);
 }

@@ -5,5 +5,6 @@
 #![forbid(unsafe_code)]
 
 fn main() {
-    pbppm_bench::experiments::throughput::run();
+    let report = pbppm_bench::experiments::throughput::run();
+    pbppm_bench::write_baseline("throughput", &report);
 }

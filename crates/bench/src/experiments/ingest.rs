@@ -23,8 +23,8 @@
 //!   bounded-memory claim: the chunked path must not out-allocate the
 //!   buffer-everything path it replaces.
 //!
-//! Results go to `results/ingest.json` and the committed
-//! `BENCH_ingest.json` at the workspace root. When
+//! Results go to `results/ingest.json`; the `ingest` binary also records
+//! them as the committed `BENCH_ingest.json` at the workspace root. When
 //! `PBPPM_PERF_BASELINE_INGEST` names a baseline, the run gates against
 //! it (exit 1 on regression, exit 2 on an unreadable/shape-mismatched
 //! baseline). Two gates are baseline-independent: on hosts with at least
@@ -32,7 +32,9 @@
 //! [`SPEEDUP_FLOOR`], and the parallel parse peak must stay within
 //! [`PEAK_SLACK`] of sequential everywhere. (On narrower hosts the
 //! speedup gate is vacuous — there is no parallelism to win — so only
-//! the no-regression and peak gates bite.)
+//! the no-regression and peak gates bite.) A peak measured as 0 fails
+//! the peak gate: it means no counting allocator was installed, and a
+//! skipped check would pass silently.
 //!
 //! Flags: `--days D --threads T` (defaults 7 / 0 = auto).
 
@@ -297,7 +299,13 @@ fn gate(report: &IngestReport) {
             report.cores
         );
     }
-    if report.sequential_peak_bytes > 0 && report.peak_ratio > PEAK_SLACK {
+    if report.sequential_peak_bytes == 0 || report.parallel_peak_bytes == 0 {
+        failures.push(format!(
+            "parse peak heap measured as 0 (sequential {} / parallel {} bytes): \
+             the bounded-memory check needs the counting allocator",
+            report.sequential_peak_bytes, report.parallel_peak_bytes
+        ));
+    } else if report.peak_ratio > PEAK_SLACK {
         failures.push(format!(
             "parallel parse peak heap {:.2}x the sequential peak (cap {PEAK_SLACK}x): \
              {} vs {} bytes",
@@ -317,25 +325,9 @@ fn gate(report: &IngestReport) {
     }
 }
 
-/// Writes the committed ingest baseline at the workspace root.
-fn write_root_json(report: &IngestReport) {
-    let mut path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop();
-    path.pop();
-    path.push("BENCH_ingest.json");
-    match serde_json::to_string_pretty(report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize ingest report: {e}"),
-    }
-}
-
-pub fn run() {
+/// Runs the bench, writes `results/ingest.json` and gates; returns the
+/// report for the `ingest` binary to record as the baseline.
+pub fn run() -> IngestReport {
     let cfg = match parse_args() {
         Ok(c) => c,
         Err(e) => {
@@ -469,8 +461,8 @@ pub fn run() {
     );
 
     write_json("ingest", &report);
-    write_root_json(&report);
     gate(&report);
+    report
 }
 
 #[cfg(test)]

@@ -23,8 +23,9 @@
 //! The workload replays NASA-like sessions as `train`/`predict` traffic
 //! tagged with `@client` routing tokens spread over [`CLIENTS`] clients,
 //! so every shard sees traffic. Results are printed as a table and
-//! written to `results/loadgen.json` and `BENCH_loadgen.json` at the
-//! workspace root (the committed baseline). When
+//! written to `results/loadgen.json`; the `loadgen` binary also records
+//! them as `BENCH_loadgen.json` at the workspace root (the committed
+//! baseline). When
 //! `PBPPM_PERF_BASELINE_LOADGEN` names a baseline JSON, the run gates its
 //! per-command p99 against it and exits non-zero on regression.
 //!
@@ -350,25 +351,9 @@ fn gate(report: &LoadgenReport) {
     }
 }
 
-/// Writes the committed loadgen baseline at the workspace root.
-fn write_root_json(report: &LoadgenReport) {
-    let mut path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop();
-    path.pop();
-    path.push("BENCH_loadgen.json");
-    match serde_json::to_string_pretty(report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize loadgen report: {e}"),
-    }
-}
-
-pub fn run() {
+/// Runs the bench, writes `results/loadgen.json` and gates; returns the
+/// report for the `loadgen` binary to record as the baseline.
+pub fn run() -> LoadgenReport {
     let cfg = match parse_args() {
         Ok(c) => c,
         Err(e) => {
@@ -482,8 +467,8 @@ pub fn run() {
     );
 
     write_json("loadgen", &report);
-    write_root_json(&report);
     gate(&report);
+    report
 }
 
 #[cfg(test)]

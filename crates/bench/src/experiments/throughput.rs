@@ -18,9 +18,10 @@
 //!    published epoch, format, flight-record per request, reported as
 //!    p50/p99 nanoseconds and gated on the p99 tail.
 //!
-//! Results are printed as tables and written both to
-//! `results/throughput.json` and to `BENCH_throughput.json` at the
-//! workspace root (the committed perf baseline). When
+//! Results are printed as tables and written to
+//! `results/throughput.json`; the `throughput` binary also records them
+//! as `BENCH_throughput.json` at the workspace root (the committed perf
+//! baseline). When
 //! `PBPPM_PERF_BASELINE` names a baseline JSON, the run compares itself
 //! against it and **exits non-zero** if any gated metric regressed by more
 //! than 15% — see `scripts/perf-gate.sh`.
@@ -513,25 +514,9 @@ fn gate(report: &ThroughputReport) {
     }
 }
 
-/// Writes the committed perf baseline at the workspace root.
-fn write_root_json(report: &ThroughputReport) {
-    let mut path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop();
-    path.pop();
-    path.push("BENCH_throughput.json");
-    match serde_json::to_string_pretty(report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize throughput report: {e}"),
-    }
-}
-
-pub fn run() {
+/// Runs the bench, writes `results/throughput.json` and gates; returns the
+/// report for the `throughput` binary to record as the baseline.
+pub fn run() -> ThroughputReport {
     let trace = nasa_trace();
     let train_sessions = sessionize(trace.first_days(TRAIN_DAYS), &SessionizerConfig::default());
     let contexts = working_set(&train_sessions);
@@ -692,7 +677,6 @@ pub fn run() {
     }
 
     write_json("throughput", &report);
-    write_root_json(&report);
 
     // Full telemetry report (spans + metrics registry) for this run,
     // written before the gate so it survives a gating failure —
@@ -705,4 +689,5 @@ pub fn run() {
     }
 
     gate(&report);
+    report
 }

@@ -179,16 +179,32 @@ pub fn results_dir() -> PathBuf {
 
 /// Writes a serializable value as pretty JSON under `results/<name>.json`.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
+    write_pretty(&results_dir().join(format!("{name}.json")), value, "");
+}
+
+/// Writes a committed perf-gate baseline, `BENCH_<name>.json` at the
+/// workspace root. Only the dedicated bench binaries record baselines:
+/// `all` regenerates `results/` and leaves the baselines alone, so a run
+/// without the counting allocator cannot commit zeroed peak-heap figures.
+pub fn write_baseline<T: Serialize>(name: &str, value: &T) {
+    // crates/bench -> workspace root
+    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    path.pop();
+    path.pop();
+    path.push(format!("BENCH_{name}.json"));
+    write_pretty(&path, value, "\n");
+}
+
+fn write_pretty<T: Serialize>(path: &std::path::Path, value: &T, trailer: &str) {
     match serde_json::to_string_pretty(value) {
         Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
+            if let Err(e) = std::fs::write(path, json + trailer) {
                 eprintln!("warning: could not write {}: {e}", path.display());
             } else {
                 eprintln!("wrote {}", path.display());
             }
         }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
+        Err(e) => eprintln!("warning: could not serialize {}: {e}", path.display()),
     }
 }
 

@@ -29,8 +29,10 @@
 //! real 64-bit collision, detected at build time) are flagged dirty and
 //! answered member by member. Buckets without a single voting member are
 //! not stored at all: no query could get a prediction out of them.
+//!
+//! The groups live in flat, sorted, exact-size lists (see
+//! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
 
-use crate::fxhash::FxHashMap;
 use crate::interner::UrlId;
 use crate::tree::{NodeId, Tree};
 
@@ -134,37 +136,48 @@ fn path_hash_table(tree: &Tree) -> Vec<u64> {
     hashes
 }
 
-/// A run `start..end` of one of a [`ContextIndex`]'s flat lists.
-///
-/// `u32` bounds keep a group small; a model with 2^32 index entries would
-/// need 16 GiB for its member list alone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Span {
-    start: u32,
-    end: u32,
+/// Narrows a list offset or a summed count to the index's 4-byte fields.
+/// A model that outgrew them would need 16 GiB for its member list alone,
+/// or more than 2^32 sessions through one node.
+fn narrow<N: TryInto<u32>>(n: N) -> u32 {
+    match n.try_into() {
+        Ok(v) => v,
+        Err(_) => panic!("context index outgrew its u32 offsets and counts"),
+    }
 }
 
-impl Span {
-    /// The run from `start` to the current end of `list`.
-    fn since<T>(list: &[T], start: usize) -> Self {
-        let at = |n: usize| match u32::try_from(n) {
-            Ok(at) => at,
-            Err(_) => panic!("context index outgrew its u32 list offsets"),
-        };
-        Span {
-            start: at(start),
-            end: at(list.len()),
-        }
-    }
+/// The stored extension of a sub-group whose window starts at a branch
+/// root. Interner ids are dense from 0, so no URL reaches it.
+const NO_EXT: u32 = u32::MAX;
 
-    #[inline]
-    fn of<T>(self, list: &[T]) -> &[T] {
-        &list[self.start as usize..self.end as usize]
-    }
+/// One group's fixed fields. `heads` holds one more entry than there are
+/// groups, whose offsets close the last group's runs: group `g`'s members
+/// are `heads[g].members..heads[g + 1].members`, and so are its subs and
+/// its vote region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Head {
+    members: u32,
+    subs: u32,
+    votes: u32,
+    /// Summed count of all members that have alive children.
+    total: u32,
+    /// The window length the bucket was filed under.
+    len: u8,
+    /// Build-time hash collision (see [`WindowGroup::is_dirty`]).
+    dirty: bool,
+}
+
+/// One stored sub-group: its extension ([`NO_EXT`] for none), its summed
+/// count and the start of its vote run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sub {
+    ext: u32,
+    total: u32,
+    votes: u32,
 }
 
 /// One fingerprint bucket: the nodes filed under it and their precomputed
-/// vote aggregates, as runs of the index's flat lists.
+/// vote aggregates, resolved from the index's flat lists.
 ///
 /// All members of a clean bucket spell the same window of URLs, so the
 /// answer to "the context's longest match is this window — what do its
@@ -174,38 +187,105 @@ impl Span {
 /// the window already starts at a branch root) — because PB-PPM's grouping
 /// excludes members whose match would extend to a longer context suffix:
 /// at query time that exclusion is a subtraction of one sub-group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowGroup {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowGroup<'a> {
+    index: &'a ContextIndex,
+    key: u64,
+    head: &'a Head,
+    /// The next group's head, whose run starts end this group's runs.
+    next: &'a Head,
+}
+
+impl<'a> WindowGroup<'a> {
+    /// The bucket key the group is filed under.
+    #[inline]
+    pub(crate) fn key(&self) -> u64 {
+        self.key
+    }
+
     /// Every node filed under the bucket, in arena order. The first is
     /// the representative: one upward walk against it verifies a clean
     /// bucket's content against the query suffix.
-    pub(crate) members: Span,
-    /// Per-successor vote totals over all voting members, sorted by URL.
-    pub(crate) votes: Span,
-    /// Sub-aggregates per extension URL, sorted by extension.
-    pub(crate) subs: Span,
+    #[inline]
+    pub(crate) fn members(&self) -> &'a [NodeId] {
+        &self.index.members[self.head.members as usize..self.next.members as usize]
+    }
+
     /// Summed count of all members that have alive children (the group's
     /// vote denominator when nothing is excluded).
-    pub(crate) total: u64,
+    #[inline]
+    pub(crate) fn total(&self) -> u32 {
+        self.head.total
+    }
+
     /// The window length the bucket was filed under.
-    pub(crate) len: u8,
+    #[inline]
+    pub(crate) fn window_len(&self) -> usize {
+        usize::from(self.head.len)
+    }
+
     /// Build-time hash collision: members disagree about the window's
     /// content, so queries must verify and aggregate member by member and
     /// the aggregates stay empty.
-    pub(crate) dirty: bool,
+    #[inline]
+    pub(crate) fn is_dirty(&self) -> bool {
+        self.head.dirty
+    }
+
+    /// Per-successor vote totals over all voting members, sorted by URL.
+    /// A group with one sub-group shares that sub-group's run.
+    #[inline]
+    pub(crate) fn votes(&self) -> &'a [(UrlId, u32)] {
+        let end = if self.next.subs - self.head.subs > 1 {
+            self.index.subs[self.head.subs as usize].votes
+        } else {
+            self.next.votes
+        };
+        &self.index.votes[self.head.votes as usize..end as usize]
+    }
+
+    /// The sub-group stored at `s`, one of this group's.
+    fn sub_at(&self, s: usize) -> SubGroup<'a> {
+        let sub = &self.index.subs[s];
+        let end = if s + 1 < self.next.subs as usize {
+            self.index.subs[s + 1].votes
+        } else {
+            self.next.votes
+        };
+        SubGroup {
+            ext: (sub.ext != NO_EXT).then_some(UrlId(sub.ext)),
+            total: sub.total,
+            votes: &self.index.votes[sub.votes as usize..end as usize],
+        }
+    }
+
+    /// The per-extension sub-aggregates, sorted by stored extension.
+    pub(crate) fn subs(self) -> impl Iterator<Item = SubGroup<'a>> {
+        (self.head.subs as usize..self.next.subs as usize).map(move |s| self.sub_at(s))
+    }
+
+    /// The sub-group whose voters extend the window with `ext`.
+    #[inline]
+    pub(crate) fn sub_for(&self, ext: UrlId) -> Option<SubGroup<'a>> {
+        let (lo, hi) = (self.head.subs as usize, self.next.subs as usize);
+        self.index.subs[lo..hi]
+            .binary_search_by_key(&ext.0, |s| s.ext)
+            .ok()
+            .map(|i| self.sub_at(lo + i))
+    }
 }
 
 /// The slice of a [`WindowGroup`] contributed by the voters sharing one
 /// extension URL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SubGroup {
+pub(crate) struct SubGroup<'a> {
     /// URL the voters' stored paths continue with above the window;
     /// `None` when the window starts at a branch root (never excluded).
     pub(crate) ext: Option<UrlId>,
     /// Summed count of this sub-group's voters.
-    pub(crate) total: u64,
+    pub(crate) total: u32,
     /// Per-successor vote totals, sorted by URL (a subset of the group's).
-    pub(crate) votes: Span,
+    pub(crate) votes: &'a [(UrlId, u32)],
 }
 
 /// The URL a stored path continues with above the length-`len` window
@@ -250,9 +330,16 @@ pub struct IndexOccupancy {
     pub dirty_groups: usize,
 }
 
-/// A bucket under construction: the window length plus every member node
-/// with its extension URL.
-type RawBucket = (usize, Vec<(NodeId, Option<UrlId>)>);
+/// One `(node, window)` filing during a build: the bucket key, the member
+/// node, the window length and the member's extension ([`NO_EXT`] at a
+/// branch root).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: u64,
+    node: u32,
+    len: u8,
+    ext: u32,
+}
 
 /// Sorts `(url, count)` votes by URL and sums the counts of equal URLs.
 fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
@@ -271,16 +358,33 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
 ///
 /// Built once per finalize from the tree; afterwards it is immutable and
 /// lookups take `&self`, which is what lets the evaluation engine share
-/// one model across worker threads. The groups' members, votes and
-/// sub-aggregates live in three flat boxed slices, so the whole index is
-/// a handful of exact-size allocations: a finalized model, its publish
-/// clone and its snapshot restore hold the same bytes.
-#[derive(Debug, Clone, Default)]
+/// one model across worker threads. The layout is flat and canonical:
+///
+/// * `keys` holds the group keys sorted; a radix directory on their top
+///   bits narrows a lookup to a few neighbouring keys (the keys are mixed
+///   64-bit hashes, so the slots fill evenly);
+/// * `heads[g]` holds group `g`'s fixed fields and where its runs start in
+///   `members`, `subs` and `votes`; each run ends where the next group's
+///   starts;
+/// * a group's vote region is its own summed run (only when it has more
+///   than one sub-group) followed by one run per sub-group, so a
+///   single-sub group stores its votes once;
+/// * a vote is a `u32` URL id and a `u32` count.
+///
+/// Every list is one exact-size allocation, and the same tree always
+/// builds the same bytes: a finalized model, its publish clone, its
+/// snapshot restore and the audit's rebuild are equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContextIndex {
-    pub(crate) groups: FxHashMap<u64, WindowGroup>,
+    keys: Box<[u64]>,
+    /// Keys whose top bits read `p` are `keys[dir[p]..dir[p + 1]]`.
+    dir: Box<[u32]>,
+    /// `64 − directory bits`.
+    shift: u32,
+    heads: Box<[Head]>,
     members: Box<[NodeId]>,
-    votes: Box<[(UrlId, u64)]>,
-    subs: Box<[SubGroup]>,
+    subs: Box<[Sub]>,
+    votes: Box<[(UrlId, u32)]>,
 }
 
 impl ContextIndex {
@@ -290,9 +394,9 @@ impl ContextIndex {
     /// precomputed.
     pub fn windows(tree: &Tree, max_order: usize) -> Self {
         let hashes = path_hash_table(tree);
-        // Phase 1: file every (node, window) entry, remembering the window
-        // length and the member's extension URL per bucket.
-        let mut raw: FxHashMap<u64, RawBucket> = FxHashMap::default();
+        // Phase 1: one flat entry per (node, window), sorted so that each
+        // bucket is a run in arena order.
+        let mut entries: Vec<Entry> = Vec::new();
         for id in tree.iter_alive() {
             let node = tree.node(id);
             if node.link_dup {
@@ -306,52 +410,73 @@ impl ContextIndex {
                 pow = pow.wrapping_mul(HASH_BASE);
                 let parent = tree.node(anc).parent;
                 let (above, ext) = if parent.is_none() {
-                    (0, None)
+                    (0, NO_EXT)
                 } else {
-                    (hashes[parent.index()], Some(tree.node(parent).url))
+                    (hashes[parent.index()], tree.node(parent).url.0)
                 };
                 let hash = p_node.wrapping_sub(above.wrapping_mul(pow));
-                raw.entry(bucket_key(len, hash))
-                    .or_insert_with(|| (len, Vec::new()))
-                    .1
-                    .push((id, ext));
+                entries.push(Entry {
+                    key: bucket_key(len, hash),
+                    node: id.0,
+                    // Windows are at most a node depth long; depths are u8.
+                    len: u8::try_from(len).unwrap_or(u8::MAX),
+                    ext,
+                });
                 if parent.is_none() {
                     break;
                 }
                 anc = parent;
             }
         }
+        drop(hashes);
+        entries.sort_unstable_by_key(|e| (e.key, e.node, e.len));
+
         // Phase 2: aggregate each bucket that has a voter into its group.
-        let mut built: Vec<(u64, WindowGroup)> = Vec::new();
-        let (mut members, mut votes, mut subs) = (Vec::new(), Vec::new(), Vec::new());
-        let mut voters: Vec<(Option<UrlId>, NodeId)> = Vec::new();
+        let (mut keys, mut heads, mut members) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut subs, mut votes) = (Vec::new(), Vec::new());
+        let mut voters: Vec<(u32, NodeId)> = Vec::new();
         let mut tally: Vec<(UrlId, u64)> = Vec::new();
-        for (key, (len, bucket)) in raw {
+        // A clean group's sub-group vote runs back to back, and per
+        // sub-group its (ext, total, start in `pending`).
+        let mut pending: Vec<(UrlId, u64)> = Vec::new();
+        let mut runs: Vec<(u32, u64, usize)> = Vec::new();
+        let mut rest = entries.as_slice();
+        while let Some(first) = rest.first() {
+            let end = rest.iter().position(|e| e.key != first.key);
+            let (bucket, tail) = rest.split_at(end.unwrap_or(rest.len()));
+            rest = tail;
             voters.clear();
             voters.extend(
                 bucket
                     .iter()
-                    .filter(|&&(m, _)| tree.children_of(m).next().is_some())
-                    .map(|&(m, ext)| (ext, m)),
+                    .filter(|e| tree.children_of(NodeId(e.node)).next().is_some())
+                    .map(|e| (e.ext, NodeId(e.node))),
             );
             if voters.is_empty() {
                 continue; // no query could get a prediction out of it
             }
-            let rep = bucket[0].0;
-            let dirty = bucket
+            let (rep, len) = (NodeId(first.node), usize::from(first.len));
+            let dirty = bucket[1..]
                 .iter()
-                .skip(1)
-                .any(|&(m, _)| !same_window(tree, rep, m, len));
-            let member_start = members.len();
-            members.extend(bucket.iter().map(|&(m, _)| m));
-            let (sub_start, vote_start) = (subs.len(), votes.len());
-            let mut total = 0;
+                .any(|e| !same_window(tree, rep, NodeId(e.node), len));
+            let mut head = Head {
+                members: narrow(members.len()),
+                subs: narrow(subs.len()),
+                votes: narrow(votes.len()),
+                total: 0,
+                len: first.len,
+                dirty,
+            };
+            members.extend(bucket.iter().map(|e| NodeId(e.node)));
             if !dirty {
                 voters.sort_by_key(|v| v.0);
+                pending.clear();
+                runs.clear();
+                let mut total = 0;
                 let mut run = 0;
                 while run < voters.len() {
                     let ext = voters[run].0;
-                    let (mut sub_total, start) = (0, votes.len());
+                    let (mut sub_total, start) = (0, pending.len());
                     tally.clear();
                     while run < voters.len() && voters[run].0 == ext {
                         let m = voters[run].1;
@@ -360,96 +485,128 @@ impl ContextIndex {
                         run += 1;
                     }
                     sum_votes(&mut tally);
-                    votes.extend_from_slice(&tally);
-                    subs.push(SubGroup {
-                        ext,
-                        total: sub_total,
-                        votes: Span::since(&votes, start),
-                    });
+                    pending.extend_from_slice(&tally);
+                    runs.push((ext, sub_total, start));
                     total += sub_total;
                 }
-                tally.clear();
-                tally.extend_from_slice(&votes[vote_start..]);
-                sum_votes(&mut tally);
+                head.total = narrow(total);
+                let narrowed = |&(url, count): &(UrlId, u64)| (url, narrow(count));
+                if runs.len() > 1 {
+                    tally.clear();
+                    tally.extend_from_slice(&pending);
+                    sum_votes(&mut tally);
+                    votes.extend(tally.iter().map(narrowed));
+                }
+                for (k, &(ext, sub_total, start)) in runs.iter().enumerate() {
+                    let end = runs.get(k + 1).map_or(pending.len(), |r| r.2);
+                    subs.push(Sub {
+                        ext,
+                        total: narrow(sub_total),
+                        votes: narrow(votes.len()),
+                    });
+                    votes.extend(pending[start..end].iter().map(narrowed));
+                }
             }
-            let group_votes = votes.len();
-            votes.extend_from_slice(&tally);
-            tally.clear();
-            built.push((
-                key,
-                WindowGroup {
-                    members: Span::since(&members, member_start),
-                    votes: Span::since(&votes, group_votes),
-                    subs: Span::since(&subs, sub_start),
-                    total,
-                    // Windows are at most a node depth long; depths are u8.
-                    len: u8::try_from(len).unwrap_or(u8::MAX),
-                    dirty,
-                },
-            ));
+            keys.push(first.key);
+            heads.push(head);
         }
-        // Sized once, so a rebuild, a clone and a snapshot restore of the
-        // same tree all hold the same table.
-        let mut groups = FxHashMap::with_capacity_and_hasher(built.len(), Default::default());
-        groups.extend(built);
+        drop(entries);
+        heads.push(Head {
+            members: narrow(members.len()),
+            subs: narrow(subs.len()),
+            votes: narrow(votes.len()),
+            total: 0,
+            len: 0,
+            dirty: false,
+        });
+
+        // About two to four keys per directory slot.
+        let bits = (keys.len() / 2).max(2).ilog2();
+        let shift = 64 - bits;
+        let mut dir = Vec::with_capacity((1 << bits) + 1);
+        let mut at = 0;
+        for slot in 0..=(1u64 << bits) {
+            while at < keys.len() && keys[at] >> shift < slot {
+                at += 1;
+            }
+            dir.push(narrow(at));
+        }
         ContextIndex {
-            groups,
+            keys: keys.into_boxed_slice(),
+            dir: dir.into_boxed_slice(),
+            shift,
+            heads: heads.into_boxed_slice(),
             members: members.into_boxed_slice(),
-            votes: votes.into_boxed_slice(),
             subs: subs.into_boxed_slice(),
+            votes: votes.into_boxed_slice(),
         }
     }
 
-    /// The group for the `(len, hash)` bucket, with the bucket key it is
-    /// filed under.
+    /// The group filed under bucket key `key`.
     #[inline]
-    pub(crate) fn group(&self, len: usize, hash: u64) -> Option<(u64, &WindowGroup)> {
-        let key = bucket_key(len, hash);
-        self.groups.get(&key).map(|g| (key, g))
+    pub(crate) fn group_by_key(&self, key: u64) -> Option<WindowGroup<'_>> {
+        let slot = usize::try_from(key >> self.shift).ok()?;
+        let (&lo, &hi) = (self.dir.get(slot)?, self.dir.get(slot + 1)?);
+        let (lo, hi) = (lo as usize, hi as usize);
+        let at = lo + self.keys[lo..hi].iter().position(|&k| k == key)?;
+        Some(self.group_at(at))
     }
 
-    /// Resolves a bucket key recorded in a
-    /// [`crate::predictor::PredictUsage`] back to its group.
+    /// The group stored at position `at` of `keys`.
     #[inline]
-    pub(crate) fn group_by_key(&self, key: u64) -> Option<&WindowGroup> {
-        self.groups.get(&key)
+    fn group_at(&self, at: usize) -> WindowGroup<'_> {
+        let pair = &self.heads[at..at + 2];
+        WindowGroup {
+            index: self,
+            key: self.keys[at],
+            head: &pair[0],
+            next: &pair[1],
+        }
     }
 
-    /// Every node filed under `g`, in arena order; the first is the
-    /// representative.
+    /// The group for the `(len, hash)` bucket.
     #[inline]
-    pub(crate) fn members(&self, g: &WindowGroup) -> &[NodeId] {
-        g.members.of(&self.members)
+    pub(crate) fn group(&self, len: usize, hash: u64) -> Option<WindowGroup<'_>> {
+        self.group_by_key(bucket_key(len, hash))
     }
 
-    /// The `(url, count)` votes of a group or sub-group.
-    #[inline]
-    pub(crate) fn votes(&self, span: Span) -> &[(UrlId, u64)] {
-        span.of(&self.votes)
-    }
-
-    /// The per-extension sub-aggregates of `g`, sorted by extension.
-    #[inline]
-    pub(crate) fn subs(&self, g: &WindowGroup) -> &[SubGroup] {
-        g.subs.of(&self.subs)
-    }
-
-    /// The sub-group of `g` whose voters extend the window with `ext`.
-    #[inline]
-    pub(crate) fn sub_for(&self, g: &WindowGroup, ext: UrlId) -> Option<&SubGroup> {
-        let subs = self.subs(g);
-        subs.binary_search_by_key(&Some(ext), |s| s.ext)
-            .ok()
-            .map(|i| &subs[i])
+    /// Every group, in key order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = WindowGroup<'_>> {
+        (0..self.keys.len()).map(move |at| self.group_at(at))
     }
 
     /// Test hook: flags every group dirty, forcing queries down the
     /// per-member fallback path.
     #[cfg(test)]
     pub(crate) fn force_dirty(&mut self) {
-        for g in self.groups.values_mut() {
-            g.dirty = true;
+        for h in self.heads.iter_mut() {
+            h.dirty = true;
         }
+    }
+
+    /// Corruption hook: adds one to the total of the first clean group
+    /// that has one. False when there is none.
+    pub(crate) fn skew_group_total(&mut self) -> bool {
+        let groups = self.keys.len();
+        let Some(h) = self.heads[..groups]
+            .iter_mut()
+            .find(|h| !h.dirty && h.total > 0)
+        else {
+            return false;
+        };
+        h.total += 1;
+        true
+    }
+
+    /// Corruption hook: adds one to the total of the first sub-group,
+    /// leaving every group-level aggregate intact. False when there is no
+    /// sub-group.
+    pub(crate) fn skew_sub_total(&mut self) -> bool {
+        let Some(s) = self.subs.first_mut() else {
+            return false;
+        };
+        s.total = s.total.wrapping_add(1);
+        true
     }
 
     /// Total (node, window) entries stored.
@@ -463,13 +620,15 @@ impl ContextIndex {
     }
 
     /// Resident heap bytes (for storage reporting alongside
-    /// [`Tree::memory_bytes`]): the table at capacity plus the flat lists.
+    /// [`Tree::memory_bytes`]): exactly what the index's lists allocate.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.groups.capacity() * size_of::<(u64, WindowGroup)>()
-            + self.members.len() * size_of::<NodeId>()
-            + self.votes.len() * size_of::<(UrlId, u64)>()
-            + self.subs.len() * size_of::<SubGroup>()
+        use std::mem::size_of_val;
+        size_of_val(&*self.keys)
+            + size_of_val(&*self.dir)
+            + size_of_val(&*self.heads)
+            + size_of_val(&*self.members)
+            + size_of_val(&*self.subs)
+            + size_of_val(&*self.votes)
     }
 
     /// Bucket occupancy for storage/telemetry gauges. A dirty group falls
@@ -477,14 +636,9 @@ impl ContextIndex {
     /// the structural ceiling on slow-bucket lookups.
     pub fn occupancy(&self) -> IndexOccupancy {
         IndexOccupancy {
-            buckets: self.groups.len(),
-            max_bucket: self
-                .groups
-                .values()
-                .map(|g| self.members(g).len())
-                .max()
-                .unwrap_or(0),
-            dirty_groups: self.groups.values().filter(|g| g.dirty).count(),
+            buckets: self.keys.len(),
+            max_bucket: self.groups().map(|g| g.members().len()).max().unwrap_or(0),
+            dirty_groups: self.groups().filter(WindowGroup::is_dirty).count(),
         }
     }
 }
@@ -525,9 +679,9 @@ mod tests {
         let node3 = t.descend(&[u(1), u(2), u(3)]).unwrap();
         let mut h = ContextHashes::new();
         h.compute(&[u(2), u(3)], 2);
-        let (_, g) = idx.group(2, h.suffix_hash(2)).unwrap();
-        assert_eq!(idx.members(g), &[node3]);
-        assert_eq!(usize::from(g.len), 2);
+        let g = idx.group(2, h.suffix_hash(2)).unwrap();
+        assert_eq!(g.members(), &[node3]);
+        assert_eq!(g.window_len(), 2);
         h.compute(&[u(3)], 1);
         assert!(idx.group(1, h.suffix_hash(1)).is_some());
         // The leaf "4" votes for nothing, so its four windows are not
@@ -545,27 +699,50 @@ mod tests {
         let idx = ContextIndex::windows(&t, 8);
         let mut h = ContextHashes::new();
         h.compute(&[u(2), u(3)], 2);
-        let (_, g) = idx.group(2, h.suffix_hash(2)).unwrap();
-        assert!(!g.dirty);
-        assert_eq!(idx.members(g).len(), 2);
-        assert_eq!(g.total, 2);
-        assert_eq!(idx.votes(g.votes), &[(u(4), 1), (u(6), 1)]);
-        assert_eq!(idx.subs(g).len(), 2);
-        let s1 = idx.sub_for(g, u(1)).unwrap();
-        assert_eq!((s1.total, idx.votes(s1.votes)), (1, &[(u(4), 1)][..]));
-        assert!(idx.sub_for(g, u(9)).is_none());
-        for &m in idx.members(g) {
-            assert!(idx.sub_for(g, extension(&t, m, 2).unwrap()).is_some());
+        let g = idx.group(2, h.suffix_hash(2)).unwrap();
+        assert!(!g.is_dirty());
+        assert_eq!(g.members().len(), 2);
+        assert_eq!(g.total(), 2);
+        assert_eq!(g.votes(), &[(u(4), 1), (u(6), 1)]);
+        assert_eq!(g.subs().count(), 2);
+        let s1 = g.sub_for(u(1)).unwrap();
+        assert_eq!((s1.total, s1.votes), (1, &[(u(4), 1)][..]));
+        assert!(g.sub_for(u(9)).is_none());
+        for &m in g.members() {
+            assert!(g.sub_for(extension(&t, m, 2).unwrap()).is_some());
         }
-        // A window starting at a branch root has no extension.
+        // A window starting at a branch root has no extension, and a group
+        // with one sub-group shares its votes with it.
         h.compute(&[u(1), u(2)], 2);
-        let (_, g) = idx.group(2, h.suffix_hash(2)).unwrap();
-        assert_eq!(idx.subs(g).len(), 1);
-        assert_eq!(idx.subs(g)[0].ext, None);
-        assert_eq!(extension(&t, idx.members(g)[0], 2), None);
+        let g = idx.group(2, h.suffix_hash(2)).unwrap();
+        let subs: Vec<SubGroup<'_>> = g.subs().collect();
+        assert_eq!(subs.len(), 1);
+        assert_eq!(subs[0].ext, None);
+        assert_eq!((subs[0].total, subs[0].votes), (g.total(), g.votes()));
+        assert_eq!(extension(&t, g.members()[0], 2), None);
         // Leaves are never voters, and a leaf-only bucket is not stored.
         h.compute(&[u(4)], 1);
         assert!(idx.group(1, h.suffix_hash(1)).is_none());
+    }
+
+    #[test]
+    fn every_key_resolves_through_the_directory() {
+        // Enough windows for a directory of many slots: every stored key
+        // finds its own group, and a key never filed finds nothing.
+        let paths: Vec<Vec<u32>> = (0..300u32)
+            .map(|i| vec![i % 17, i % 29 + 100, i % 7 + 200, i])
+            .collect();
+        let refs: Vec<&[u32]> = paths.iter().map(Vec::as_slice).collect();
+        let idx = ContextIndex::windows(&chain_tree(&refs), 8);
+        assert!(idx.occupancy().buckets > 500);
+        for g in idx.groups() {
+            let found = idx.group_by_key(g.key()).expect("stored key resolves");
+            assert_eq!((found.key(), found.members()), (g.key(), g.members()));
+        }
+        let mut h = ContextHashes::new();
+        h.compute(&[u(9_999)], 1);
+        assert!(idx.group(1, h.suffix_hash(1)).is_none());
+        assert!(ContextIndex::default().group_by_key(0).is_none());
     }
 
     #[test]

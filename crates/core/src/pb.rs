@@ -167,7 +167,7 @@ pub struct PbPpm {
     /// Fingerprint index: `(window length, rolling hash)` → the nodes
     /// spelling that window plus their precomputed vote aggregates
     /// ([`crate::context_index::WindowGroup`]), built once in
-    /// [`PbPpm::finalize`] over the pruned arena.
+    /// [`PbPpm::finalize`] over the pruned arena, in flat sorted lists.
     ///
     /// Standard and LRS trees store every *suffix* of a sequence as its own
     /// branch, so a root descent finds the longest match. PB-PPM saves
@@ -362,11 +362,11 @@ impl PbPpm {
         hashes.compute(context, longest);
         for l in (1..=longest).rev() {
             let suffix = &context[len - l..];
-            let Some((key, g)) = index.group(l, hashes.suffix_hash(l)) else {
+            let Some(g) = index.group(l, hashes.suffix_hash(l)) else {
                 continue;
             };
-            let members = index.members(g);
-            if g.dirty {
+            let members = g.members();
+            if g.is_dirty() {
                 let older = (l < longest).then(|| context[len - 1 - l]);
                 if Self::vote_members(frozen, suffix, older, members, out, usage) {
                     usage.index_fallback += 1;
@@ -379,31 +379,32 @@ impl PbPpm {
             }
             let excluded = if l < longest {
                 let ext = context[len - 1 - l];
-                index.sub_for(g, ext).map(|s| (ext, s))
+                g.sub_for(ext).map(|s| (ext, s))
             } else {
                 None
             };
-            let votes = index.votes(g.votes);
+            let votes = g.votes();
             match excluded {
                 None => {
-                    if g.total == 0 {
+                    let total = g.total();
+                    if total == 0 {
                         continue;
                     }
                     for &(url, count) in votes {
-                        out.push(Prediction::new(url, count as f64 / g.total as f64));
+                        out.push(Prediction::new(url, f64::from(count) / f64::from(total)));
                         usage.branch_preds += 1;
                     }
-                    usage.used_groups.push((key, u64::MAX));
+                    usage.used_groups.push((g.key(), u64::MAX));
                 }
                 Some((ext, sub)) => {
-                    let total = g.total - sub.total;
+                    let total = g.total() - sub.total;
                     if total == 0 {
                         continue;
                     }
                     // The sub-group's votes are a sorted subset of the
                     // group's: one forward merge subtracts the excluded
                     // members' votes.
-                    let excluded_votes = index.votes(sub.votes);
+                    let excluded_votes = sub.votes;
                     let mut j = 0;
                     for &(url, count) in votes {
                         let mut c = count;
@@ -412,11 +413,11 @@ impl PbPpm {
                             j += 1;
                         }
                         if c > 0 {
-                            out.push(Prediction::new(url, c as f64 / total as f64));
+                            out.push(Prediction::new(url, f64::from(c) / f64::from(total)));
                             usage.branch_preds += 1;
                         }
                     }
-                    usage.used_groups.push((key, u64::from(ext.0)));
+                    usage.used_groups.push((g.key(), u64::from(ext.0)));
                 }
             }
             usage.index_fast += 1;
@@ -497,13 +498,16 @@ impl PbPpm {
     /// Not part of the public API.
     #[doc(hidden)]
     pub fn skew_index_aggregate_for_audit(&mut self) -> bool {
-        for g in self.index.groups.values_mut() {
-            if !g.dirty && g.total > 0 {
-                g.total += 1;
-                return true;
-            }
-        }
-        false
+        self.index.skew_group_total()
+    }
+
+    /// Corruption hook for the audit adversarial harness: skews one
+    /// extension sub-aggregate's total in place and leaves every group
+    /// aggregate intact, simulating a stale sub-group. Returns false when
+    /// the index has no sub-group. Not part of the public API.
+    #[doc(hidden)]
+    pub fn skew_index_sub_aggregate_for_audit(&mut self) -> bool {
+        self.index.skew_sub_total()
     }
 }
 
@@ -583,10 +587,9 @@ impl Predictor for PbPpm {
                 let excluded = (ext_code != u64::MAX).then_some(UrlId(ext_code as u32));
                 // The voters are the members with children, less the
                 // excluded extension's sub-group.
-                for &id in self.index.members(g) {
+                for &id in g.members() {
                     if tree.children_of(id).next().is_none()
-                        || (excluded.is_some()
-                            && extension(tree, id, usize::from(g.len)) == excluded)
+                        || (excluded.is_some() && extension(tree, id, g.window_len()) == excluded)
                     {
                         continue;
                     }

@@ -580,23 +580,25 @@ impl Tree {
         })
     }
 
-    /// Approximate resident bytes of the arena (for storage reporting):
-    /// the node vector, every child vector, and the root/link maps — all
-    /// at *capacity*, so memory parked by a prune shows up until
-    /// [`Tree::compact`] releases it.
+    /// Bytes of the arena's contents (for storage reporting): the node
+    /// vector, every child vector, and the root/link maps, each counted by
+    /// length. Capacity depends on how the tree grew (thread count, merge
+    /// order, the allocator's rounding), so counting it would make the
+    /// reported size vary between hosts for the same model.
     pub fn memory_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>()
+        use std::mem::size_of;
+        self.nodes.len() * size_of::<Node>()
             + self
                 .nodes
                 .iter()
-                .map(|n| n.children.capacity() * std::mem::size_of::<(UrlId, NodeId)>())
+                .map(|n| n.children.len() * size_of::<(UrlId, NodeId)>())
                 .sum::<usize>()
-            + self.roots.capacity() * std::mem::size_of::<(UrlId, NodeId)>()
-            + self.links.capacity() * std::mem::size_of::<(NodeId, Vec<NodeId>)>()
+            + self.roots.len() * size_of::<(UrlId, NodeId)>()
+            + self.links.len() * size_of::<(NodeId, Vec<NodeId>)>()
             + self
                 .links
                 .values()
-                .map(|t| t.capacity() * std::mem::size_of::<NodeId>())
+                .map(|t| t.len() * size_of::<NodeId>())
                 .sum::<usize>()
     }
 
@@ -1069,8 +1071,8 @@ mod tests {
     fn compact_releases_high_water_capacity() {
         // Grow a wide forest (many roots → large hash maps and arena), then
         // prune almost everything: the reported storage bytes must drop once
-        // compact has run, i.e. compaction shrinks capacities instead of
-        // keeping the maps and vectors at their training high-water mark.
+        // compact has run, i.e. compaction drops the dead slots instead of
+        // keeping the arena and maps at their training high-water mark.
         let mut t = Tree::new();
         for r in 0..2000u32 {
             t.insert_path(&[u(r), u(r + 10_000), u(r + 20_000)], usize::MAX);

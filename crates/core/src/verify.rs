@@ -24,7 +24,7 @@
 //! finished tree cannot falsify it. The checker instead verifies the root
 //! *registry* is structurally sound in both directions.
 
-use crate::context_index::{ContextIndex, SubGroup};
+use crate::context_index::ContextIndex;
 use crate::frozen::FrozenTree;
 use crate::interner::UrlId;
 use crate::lrs::LrsPpm;
@@ -923,12 +923,15 @@ fn verify_no_links(tree: &Tree, report: &mut AuditReport) {
     }
 }
 
-/// Compares a stored fingerprint index against a fresh rebuild group by
-/// group, on the contents each group's runs resolve to: the builder files
-/// members in arena order, so a faithful stored index resolves to exactly
-/// the rebuild's members, votes and sub-aggregates.
+/// Compares a stored fingerprint index against a fresh rebuild. Both are
+/// canonical layouts (keys sorted, runs in key order, members in arena
+/// order), so a faithful stored index equals the rebuild exactly. The walk
+/// resolves each group through both lookups to name what diverged; a
+/// difference it cannot name (a directory or run offset) is still a shape
+/// divergence.
 fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditReport) {
     report.tick();
+    let found = report.violations.len();
     if stored.len() != fresh.len() {
         report.violations.push(Violation::IndexShapeDiverges {
             detail: format!(
@@ -938,54 +941,55 @@ fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditR
             ),
         });
     }
-    for (key, fg) in &fresh.groups {
+    for fg in fresh.groups() {
         report.tick();
-        let Some(sg) = stored.groups.get(key) else {
+        let key = fg.key();
+        let Some(sg) = stored.group_by_key(key) else {
             report.violations.push(Violation::IndexShapeDiverges {
                 detail: format!("group {key:#x} missing"),
             });
             continue;
         };
-        if stored.members(sg) != fresh.members(fg) || sg.len != fg.len || sg.dirty != fg.dirty {
+        if sg.members() != fg.members()
+            || sg.window_len() != fg.window_len()
+            || sg.is_dirty() != fg.is_dirty()
+        {
             report.violations.push(Violation::IndexShapeDiverges {
                 detail: format!("group {key:#x} members, window length or dirty flag differ"),
             });
             continue;
         }
-        let (stored_votes, fresh_votes) = (stored.votes(sg.votes), fresh.votes(fg.votes));
-        if sg.total != fg.total || stored_votes != fresh_votes {
+        let (stored_votes, fresh_votes) = (sg.votes(), fg.votes());
+        if sg.total() != fg.total() || stored_votes != fresh_votes {
             report.violations.push(Violation::IndexAggregateStale {
                 detail: format!(
                     "group {key:#x}: stored total {} / {} vote urls, recomputed total {} / {}",
-                    sg.total,
+                    sg.total(),
                     stored_votes.len(),
-                    fg.total,
+                    fg.total(),
                     fresh_votes.len()
                 ),
             });
             continue;
         }
-        let same_sub = |s: &SubGroup, f: &SubGroup| {
-            s.ext == f.ext && s.total == f.total && stored.votes(s.votes) == fresh.votes(f.votes)
-        };
-        let (stored_subs, fresh_subs) = (stored.subs(sg), fresh.subs(fg));
-        if stored_subs.len() != fresh_subs.len()
-            || !stored_subs
-                .iter()
-                .zip(fresh_subs)
-                .all(|(s, f)| same_sub(s, f))
-        {
+        if !sg.subs().eq(fg.subs()) {
             report.violations.push(Violation::IndexAggregateStale {
                 detail: format!("group {key:#x}: extension sub-aggregates differ"),
             });
         }
     }
-    for key in stored.groups.keys() {
-        if !fresh.groups.contains_key(key) {
+    for sg in stored.groups() {
+        let key = sg.key();
+        if fresh.group_by_key(key).is_none() {
             report.violations.push(Violation::IndexShapeDiverges {
                 detail: format!("group {key:#x} has no counterpart in a rebuild"),
             });
         }
+    }
+    if report.violations.len() == found && stored != fresh {
+        report.violations.push(Violation::IndexShapeDiverges {
+            detail: "lookup directory or run offsets differ from a rebuild".to_owned(),
+        });
     }
 }
 
