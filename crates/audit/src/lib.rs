@@ -40,12 +40,16 @@ use pbppm_core::{LrsPpm, Order1Markov, PbPpm, StandardPpm};
 /// the full structural verification against it, including URL-symbol
 /// resolution against the snapshot's own URL table.
 ///
-/// A model image that fails to instantiate (dangling node reference,
-/// parent cycle, bad root registration) yields a report with a single
-/// [`Violation::SnapshotRejected`] rather than an error: from the
-/// auditor's point of view a payload the loader refuses *is* the finding.
+/// A model image that fails to instantiate (a URL id outside the URL
+/// table, dangling node reference, parent cycle, bad root registration)
+/// yields a report with a single [`Violation::SnapshotRejected`] rather
+/// than an error: from the auditor's point of view a payload the loader
+/// refuses *is* the finding.
 pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
     let urls = Some(file.urls.len());
+    if let Err(e) = file.check_urls() {
+        return AuditReport::rejected("snapshot", e.to_string());
+    }
     match &file.model {
         ModelImage::Pb(s) => match PbPpm::from_snapshot(s) {
             Ok(m) => verify_model_with_urls(&ModelRef::Pb(&m), urls),

@@ -9,8 +9,9 @@
 //! produced something sane.
 
 use pbppm_audit::{
-    verify_bytes, verify_model, verify_snapshot, ModelImage, ModelRef, SnapshotFile,
+    verify_bytes, verify_model, verify_snapshot, CodecError, ModelImage, ModelRef, SnapshotFile,
 };
+use pbppm_core::pb_online::OnlinePbSnapshot;
 use pbppm_core::tree::{NodeSnapshot, TreeSnapshot};
 use pbppm_core::{
     Grade, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, UrlId,
@@ -191,17 +192,92 @@ fn retargeted_special_link_is_caught() {
 }
 
 #[test]
-fn truncated_url_table_is_caught() {
+fn truncated_url_table_is_rejected() {
     let (_, snap) = encode_pb(&pb_with_link(), 6);
     // Keep the model, drop most of the URL table: node symbols no longer
-    // resolve against the snapshot's own interner image.
-    let bytes = SnapshotFile {
+    // resolve against the snapshot's own interner image, so the file is
+    // refused before any model is built from it.
+    let file = SnapshotFile {
         urls: urls(2),
         model: ModelImage::Pb(snap),
+    };
+    assert!(matches!(
+        SnapshotFile::decode(&file.encode()),
+        Err(CodecError::UrlOutOfRange(_))
+    ));
+    let report = verify_snapshot(&file);
+    assert!(report.has("snapshot-rejected"), "{report}");
+}
+
+/// A two-URL PB model: `0 -> 1`, rooted at the grade-3 URL 0.
+fn pb_two_urls() -> PbPpm {
+    let mut pop = PopularityTable::builder();
+    pop.record_n(u(0), 1000);
+    pop.record_n(u(1), 10);
+    let mut m = PbPpm::new(pop.build(), PbConfig::default());
+    for _ in 0..3 {
+        m.train_session(&[u(0), u(1)]);
     }
-    .encode();
-    let report = verify_bytes(&bytes).expect("valid envelope");
-    assert!(report.has("symbol-unresolved"), "{report}");
+    m.finalize();
+    m
+}
+
+#[test]
+fn forged_url_ids_are_rejected_before_anything_is_sized_by_them() {
+    // The branch root and its registration claim URL id 400,000,000 in a
+    // two-URL file: loading it would size the root lookup table by that
+    // id (1.6 GB; an id near u32::MAX asks for about 17 GB).
+    for forged in [400_000_000, u32::MAX - 1] {
+        let mut snap = pb_two_urls().to_snapshot();
+        let root = snap.tree.roots[0].1;
+        snap.tree.nodes[usize::try_from(root).expect("small arena")].url = forged;
+        snap.tree.roots[0].0 = forged;
+        let file = SnapshotFile {
+            urls: urls(2),
+            model: ModelImage::Pb(snap),
+        };
+        assert_eq!(
+            SnapshotFile::decode(&file.encode()).unwrap_err(),
+            CodecError::UrlOutOfRange(forged)
+        );
+        assert!(file.instantiate().is_err(), "instantiate must refuse");
+        let report = verify_snapshot(&file);
+        assert!(report.has("snapshot-rejected"), "{report}");
+    }
+
+    // The same holds for a child entry's key and an online window session.
+    let mut snap = pb_two_urls().to_snapshot();
+    let parent = snap
+        .tree
+        .nodes
+        .iter()
+        .position(|n| !n.children.is_empty())
+        .expect("the root has a child");
+    snap.tree.nodes[parent].children[0].0 = 7;
+    let file = SnapshotFile {
+        urls: urls(2),
+        model: ModelImage::Pb(snap),
+    };
+    assert!(SnapshotFile::decode(&file.encode()).is_err());
+    assert!(file.instantiate().is_err());
+
+    let online = SnapshotFile {
+        urls: urls(2),
+        model: ModelImage::OnlinePb(OnlinePbSnapshot {
+            cfg: PbConfig::default(),
+            window: vec![vec![u(0), u(9)]],
+            max_window: 4,
+            rebuild_every: 2,
+            since_rebuild: 1,
+            rebuilds: 1,
+            model: Some(pb_two_urls().to_snapshot()),
+        }),
+    };
+    assert_eq!(
+        SnapshotFile::decode(&online.encode()).unwrap_err(),
+        CodecError::UrlOutOfRange(9)
+    );
+    assert!(online.instantiate().is_err());
 }
 
 #[test]

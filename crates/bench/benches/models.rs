@@ -117,7 +117,7 @@ fn bench_prune(c: &mut Criterion) {
                     model
                 },
                 |model| {
-                    let mut tree = model.tree().clone();
+                    let mut tree = model.reference_tree().expect("still training");
                     pbppm_core::prune::prune(&mut tree, &cfg);
                     tree.node_count()
                 },

@@ -64,18 +64,28 @@ fn contexts(sessions: &[Session]) -> Vec<Vec<UrlId>> {
 
 fn bench_single_click(c: &mut Criterion) {
     let (sessions, pop) = day7_sessions();
-    let standard = train(StandardPpm::unbounded(), &sessions);
-    let lrs = train(LrsPpm::new(), &sessions);
-    let pb = train(
-        PbPpm::new(
-            pop,
-            PbConfig {
-                prune: PruneConfig::aggressive(),
-                ..PbConfig::default()
-            },
-        ),
-        &sessions,
+    let mut standard = StandardPpm::unbounded();
+    let mut lrs = LrsPpm::new();
+    let mut pb = PbPpm::new(
+        pop,
+        PbConfig {
+            prune: PruneConfig::aggressive(),
+            ..PbConfig::default()
+        },
     );
+    for s in &sessions {
+        let urls = s.urls();
+        standard.train_session(&urls);
+        lrs.train_session(&urls);
+        pb.train_session(&urls);
+    }
+    // The oracles walk each model's tree as finalize would freeze it.
+    let standard_tree = standard.reference_tree().expect("still training");
+    let lrs_tree = lrs.reference_tree().expect("still training");
+    let pb_tree = pb.reference_tree().expect("still training");
+    standard.finalize();
+    lrs.finalize();
+    pb.finalize();
     let ctxs = contexts(&sessions);
 
     let mut group = c.benchmark_group("throughput/single-click");
@@ -99,7 +109,7 @@ fn bench_single_click(c: &mut Criterion) {
         standard.predict_ro(ctx, out, &mut usage);
     });
     run("ppm-scan", &mut |ctx, out| {
-        reference::predict_standard(&standard, ctx, out);
+        reference::predict_standard(&standard_tree, &standard, ctx, out);
     });
     let mut usage = PredictUsage::default();
     run("lrs-fast", &mut |ctx, out| {
@@ -107,14 +117,14 @@ fn bench_single_click(c: &mut Criterion) {
         lrs.predict_ro(ctx, out, &mut usage);
     });
     run("lrs-scan", &mut |ctx, out| {
-        reference::predict_lrs(&lrs, ctx, out)
+        reference::predict_lrs(&lrs_tree, &lrs, ctx, out)
     });
     let mut usage = PredictUsage::default();
     run("pb-fast", &mut |ctx, out| {
         usage.clear();
         pb.predict_ro(ctx, out, &mut usage);
     });
-    let scan = reference::PbScan::new(&pb);
+    let scan = reference::PbScan::new(&pb_tree, &pb);
     run("pb-scan", &mut |ctx, out| scan.predict(ctx, out));
     group.finish();
 }

@@ -46,12 +46,16 @@ pub fn run() {
 
     println!("Figure 1 — access sequence A B C A' B' C' (grades 3/2/1, max height 4)\n");
     println!("Standard PPM ({} nodes):", standard.node_count());
-    println!("{}", render_tree(standard.tree(), Some(&names)));
+    if let Some(arena) = standard.frozen() {
+        println!("{}", render_tree(arena, Some(&names)));
+    }
     println!(
         "Popularity-based PPM ({} nodes, `~>` marks a special link):",
         pb.node_count()
     );
-    println!("{}", render_tree(pb.tree(), Some(&names)));
+    if let Some(arena) = pb.frozen() {
+        println!("{}", render_tree(arena, Some(&names)));
+    }
     println!(
         "space: standard {} nodes vs PB-PPM {} nodes ({}x reduction on this example)",
         standard.node_count(),

@@ -131,9 +131,8 @@ impl Default for Config {
     }
 }
 
-fn parse_args() -> Result<Config, String> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Config, String> {
     let mut cfg = Config::default();
-    let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut val = || argv.next().ok_or_else(|| format!("{flag}: missing value"));
         match flag.as_str() {
@@ -328,7 +327,12 @@ fn gate(report: &IngestReport) {
 /// Runs the bench, writes `results/ingest.json` and gates; returns the
 /// report for the `ingest` binary to record as the baseline.
 pub fn run() -> IngestReport {
-    let cfg = match parse_args() {
+    run_with_args(std::env::args().skip(1))
+}
+
+/// [`run`] with the flags given in `args` instead of the process's.
+pub fn run_with_args(args: impl Iterator<Item = String>) -> IngestReport {
+    let cfg = match parse_args(args) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}\nusage: ingest [--days D] [--threads T]");
@@ -492,6 +496,6 @@ mod tests {
             .collect();
         let seq = train_sequential(&urls);
         let par = train_parallel(&urls, 4);
-        assert_eq!(seq.tree().to_snapshot(), par.tree().to_snapshot());
+        assert_eq!(seq.frozen(), par.frozen());
     }
 }

@@ -143,9 +143,8 @@ impl Default for Config {
     }
 }
 
-fn parse_args() -> Result<Config, String> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Config, String> {
     let mut cfg = Config::default();
-    let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut val = || argv.next().ok_or_else(|| format!("{flag}: missing value"));
         match flag.as_str() {
@@ -354,7 +353,12 @@ fn gate(report: &LoadgenReport) {
 /// Runs the bench, writes `results/loadgen.json` and gates; returns the
 /// report for the `loadgen` binary to record as the baseline.
 pub fn run() -> LoadgenReport {
-    let cfg = match parse_args() {
+    run_with_args(std::env::args().skip(1))
+}
+
+/// [`run`] with the flags given in `args` instead of the process's.
+pub fn run_with_args(args: impl Iterator<Item = String>) -> LoadgenReport {
+    let cfg = match parse_args(args) {
         Ok(c) => c,
         Err(e) => {
             eprintln!(

@@ -545,6 +545,10 @@ pub fn run() -> ThroughputReport {
         lrs.train_session(&urls);
         pb.train_session(&urls);
     }
+    // The oracles walk each model's tree as finalize would freeze it.
+    let standard_tree = standard.reference_tree().expect("still training");
+    let lrs_tree = lrs.reference_tree().expect("still training");
+    let pb_tree = pb.reference_tree().expect("still training");
     standard.finalize();
     lrs.finalize();
     pb.finalize();
@@ -560,7 +564,7 @@ pub fn run() -> ThroughputReport {
                     standard.predict_ro(c, out, &mut usage);
                 }),
                 slow: time_clicks(&contexts, |c, out| {
-                    reference::predict_standard(&standard, c, out);
+                    reference::predict_standard(&standard_tree, &standard, c, out);
                 }),
                 batch: time_batched(&contexts, |cs, outs| standard.predict_many(cs, outs)),
                 frozen_bytes: frozen_bytes(standard.frozen()),
@@ -573,14 +577,16 @@ pub fn run() -> ThroughputReport {
                     usage.clear();
                     lrs.predict_ro(c, out, &mut usage);
                 }),
-                slow: time_clicks(&contexts, |c, out| reference::predict_lrs(&lrs, c, out)),
+                slow: time_clicks(&contexts, |c, out| {
+                    reference::predict_lrs(&lrs_tree, &lrs, c, out);
+                }),
                 batch: time_batched(&contexts, |cs, outs| lrs.predict_many(cs, outs)),
                 frozen_bytes: frozen_bytes(lrs.frozen()),
             };
             model_row("LRS", lrs.node_count(), contexts.len(), &raw)
         },
         {
-            let scan = reference::PbScan::new(&pb);
+            let scan = reference::PbScan::new(&pb_tree, &pb);
             let raw = RowInputs {
                 frozen: time_clicks(&contexts, |c, out| {
                     usage.clear();

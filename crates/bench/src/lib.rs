@@ -19,7 +19,7 @@
 //! | `throughput` | predict/simulate throughput + the perf-regression gate |
 //! | `loadgen` | open-loop latency of the sharded serve core + its gate |
 //! | `ingest` | parallel log→model build-pipeline throughput + its gate |
-//! | `all`    | everything above, in sequence |
+//! | `all`    | everything above, in sequence; `--check` compares against `results/` |
 //!
 //! Every binary prints an aligned text table *and* writes machine-readable
 //! JSON under `results/`. All runs are deterministic: the workload seed
@@ -257,4 +257,5 @@ mod tests {
         assert!(cells.iter().all(|c| c.result.eval_requests > 0));
     }
 }
+pub mod check;
 pub mod experiments;

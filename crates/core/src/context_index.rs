@@ -33,8 +33,9 @@
 //! The groups live in flat, sorted, exact-size lists (see
 //! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
 
+use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
-use crate::tree::{NodeId, Tree};
+use crate::tree::NodeId;
 
 /// Base of the rolling polynomial hash. Odd, so multiplication by it is a
 /// bijection modulo 2^64 and windows of different content rarely collide.
@@ -60,7 +61,7 @@ pub(crate) fn bucket_key(len: usize, hash: u64) -> u64 {
 /// Rolling hashes of the suffixes of a live context, reusable across calls.
 ///
 /// After [`ContextHashes::compute`], `suffix_hash(ℓ)` equals the path hash
-/// a tree branch spelling the last `ℓ` context URLs would carry.
+/// a stored branch spelling the last `ℓ` context URLs would carry.
 #[derive(Debug, Clone, Default)]
 pub struct ContextHashes {
     suffix: Vec<u64>,
@@ -97,41 +98,21 @@ impl ContextHashes {
     }
 }
 
-/// The rolling hash of every node's root-to-node path, indexed by arena
-/// slot: `P(root) = h(url)`, `P(child) = P(parent)·B + h(url)`.
-///
-/// Usually a single forward sweep (the arena allocates parents before
-/// children); a chain walk handles out-of-order parents, possible only in
-/// hand-crafted snapshots, so the result never depends on arena order.
-fn path_hash_table(tree: &Tree) -> Vec<u64> {
-    let n = tree.nodes.len();
-    let mut hashes = vec![0u64; n];
-    let mut done = vec![false; n];
-    let mut chain: Vec<usize> = Vec::new();
-    for start in 0..n {
-        // Ascend to the nearest already-hashed ancestor (or a root)...
-        let mut cur = start;
-        while !done[cur] {
-            chain.push(cur);
-            let parent = tree.nodes[cur].parent;
-            if parent.is_none() {
-                break;
-            }
-            cur = parent.index();
-        }
-        // ...then fill hashes back down the collected chain.
-        while let Some(i) = chain.pop() {
-            let h = hash_url(tree.nodes[i].url);
-            let parent = tree.nodes[i].parent;
-            hashes[i] = if parent.is_none() {
-                h
-            } else {
-                hashes[parent.index()]
-                    .wrapping_mul(HASH_BASE)
-                    .wrapping_add(h)
-            };
-            done[i] = true;
-        }
+/// The rolling hash of every row's root-to-node path:
+/// `P(root) = h(url)`, `P(child) = P(parent)·B + h(url)`. One forward
+/// sweep: a parent's row precedes its children's.
+fn path_hash_table(arena: &FrozenTree) -> Vec<u64> {
+    let mut hashes: Vec<u64> = Vec::with_capacity(arena.len());
+    for i in 0..arena.rows() {
+        let h = hash_url(arena.url(i));
+        let parent = arena.parent(i);
+        hashes.push(if parent == NO_NODE {
+            h
+        } else {
+            hashes[parent as usize]
+                .wrapping_mul(HASH_BASE)
+                .wrapping_add(h)
+        });
     }
     hashes
 }
@@ -291,27 +272,27 @@ pub(crate) struct SubGroup<'a> {
 /// The URL a stored path continues with above the length-`len` window
 /// ending at `node` (`None` when the window starts at a branch root). This
 /// is the key a voter's [`SubGroup`] is filed under.
-pub(crate) fn extension(tree: &Tree, node: NodeId, len: usize) -> Option<UrlId> {
-    let mut top = node;
+pub(crate) fn extension(arena: &FrozenTree, node: NodeId, len: usize) -> Option<UrlId> {
+    let mut top = node.0;
     for _ in 1..len {
-        top = tree.node(top).parent;
+        top = arena.parent(top);
     }
-    let above = tree.node(top).parent;
-    (!above.is_none()).then(|| tree.node(above).url)
+    let above = arena.parent(top);
+    (above != NO_NODE).then(|| arena.url(above))
 }
 
 /// True when the length-`len` windows ending at `a` and `b` spell the same
 /// URLs. Both nodes must be at depth ≥ `len` (guaranteed for filed window
 /// entries).
-fn same_window(tree: &Tree, a: NodeId, b: NodeId, len: usize) -> bool {
+fn same_window(arena: &FrozenTree, a: u32, b: u32, len: usize) -> bool {
     let (mut x, mut y) = (a, b);
     for step in 0..len {
-        if tree.node(x).url != tree.node(y).url {
+        if arena.url(x) != arena.url(y) {
             return false;
         }
         if step + 1 < len {
-            x = tree.node(x).parent;
-            y = tree.node(y).parent;
+            x = arena.parent(x);
+            y = arena.parent(y);
         }
     }
     true
@@ -353,10 +334,10 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
     });
 }
 
-/// Fingerprint → [`WindowGroup`] index over a [`Tree`], keyed by
+/// Fingerprint → [`WindowGroup`] index over a [`FrozenTree`], keyed by
 /// `(window length, rolling window hash)`.
 ///
-/// Built once per finalize from the tree; afterwards it is immutable and
+/// Built once per finalize or load from the arena; afterwards it is immutable and
 /// lookups take `&self`, which is what lets the evaluation engine share
 /// one model across worker threads. The layout is flat and canonical:
 ///
@@ -371,7 +352,7 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
 ///   single-sub group stores its votes once;
 /// * a vote is a `u32` URL id and a `u32` count.
 ///
-/// Every list is one exact-size allocation, and the same tree always
+/// Every list is one exact-size allocation, and the same arena always
 /// builds the same bytes: a finalized model, its publish clone, its
 /// snapshot restore and the audit's rebuild are equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -388,41 +369,40 @@ pub struct ContextIndex {
 }
 
 impl ContextIndex {
-    /// Builds the all-windows index: every alive branch node is filed under
-    /// each suffix window of its upward path, up to `max_order` URLs, and
-    /// every bucket with at least one voting member gets its aggregates
+    /// Builds the all-windows index: every branch row is filed under each
+    /// suffix window of its upward path, up to `max_order` URLs, and every
+    /// bucket with at least one voting member gets its aggregates
     /// precomputed.
-    pub fn windows(tree: &Tree, max_order: usize) -> Self {
-        let hashes = path_hash_table(tree);
+    pub fn windows(arena: &FrozenTree, max_order: usize) -> Self {
+        let hashes = path_hash_table(arena);
         // Phase 1: one flat entry per (node, window), sorted so that each
-        // bucket is a run in arena order.
+        // bucket is a run in row order.
         let mut entries: Vec<Entry> = Vec::new();
-        for id in tree.iter_alive() {
-            let node = tree.node(id);
-            if node.link_dup {
+        for id in 0..arena.rows() {
+            if arena.is_link_dup(id) {
                 continue;
             }
-            let p_node = hashes[id.index()];
-            let max_len = usize::from(node.depth).min(max_order);
+            let p_node = hashes[id as usize];
+            let max_len = usize::from(arena.depth(id)).min(max_order);
             let mut anc = id;
             let mut pow = 1u64;
             for len in 1..=max_len {
                 pow = pow.wrapping_mul(HASH_BASE);
-                let parent = tree.node(anc).parent;
-                let (above, ext) = if parent.is_none() {
+                let parent = arena.parent(anc);
+                let (above, ext) = if parent == NO_NODE {
                     (0, NO_EXT)
                 } else {
-                    (hashes[parent.index()], tree.node(parent).url.0)
+                    (hashes[parent as usize], arena.url(parent).0)
                 };
                 let hash = p_node.wrapping_sub(above.wrapping_mul(pow));
                 entries.push(Entry {
                     key: bucket_key(len, hash),
-                    node: id.0,
+                    node: id,
                     // Windows are at most a node depth long; depths are u8.
                     len: u8::try_from(len).unwrap_or(u8::MAX),
                     ext,
                 });
-                if parent.is_none() {
+                if parent == NO_NODE {
                     break;
                 }
                 anc = parent;
@@ -449,16 +429,16 @@ impl ContextIndex {
             voters.extend(
                 bucket
                     .iter()
-                    .filter(|e| tree.children_of(NodeId(e.node)).next().is_some())
+                    .filter(|e| arena.has_children(e.node))
                     .map(|e| (e.ext, NodeId(e.node))),
             );
             if voters.is_empty() {
                 continue; // no query could get a prediction out of it
             }
-            let (rep, len) = (NodeId(first.node), usize::from(first.len));
+            let len = usize::from(first.len);
             let dirty = bucket[1..]
                 .iter()
-                .any(|e| !same_window(tree, rep, NodeId(e.node), len));
+                .any(|e| !same_window(arena, first.node, e.node, len));
             let mut head = Head {
                 members: narrow(members.len()),
                 subs: narrow(subs.len()),
@@ -479,9 +459,14 @@ impl ContextIndex {
                     let (mut sub_total, start) = (0, pending.len());
                     tally.clear();
                     while run < voters.len() && voters[run].0 == ext {
-                        let m = voters[run].1;
-                        sub_total += tree.node(m).count;
-                        tally.extend(tree.children_of(m).map(|(url, _, count)| (url, count)));
+                        let m = voters[run].1 .0;
+                        sub_total += arena.count(m);
+                        tally.extend(
+                            arena
+                                .children(m)
+                                .iter()
+                                .map(|&(url, child)| (url, arena.count(child))),
+                        );
                         run += 1;
                     }
                     sum_votes(&mut tally);
@@ -620,7 +605,7 @@ impl ContextIndex {
     }
 
     /// Resident heap bytes (for storage reporting alongside
-    /// [`Tree::memory_bytes`]): exactly what the index's lists allocate.
+    /// [`FrozenTree::heap_bytes`]): exactly what the index's lists allocate.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of_val;
         size_of_val(&*self.keys)
@@ -651,13 +636,13 @@ mod tests {
         UrlId(n)
     }
 
-    fn chain_tree(paths: &[&[u32]]) -> Tree {
-        let mut t = Tree::new();
+    fn chain_tree(paths: &[&[u32]]) -> FrozenTree {
+        let mut t = crate::tree::Tree::new();
         for p in paths {
             let path: Vec<UrlId> = p.iter().map(|&n| u(n)).collect();
             t.insert_path(&path, usize::MAX);
         }
-        t
+        t.freeze(None)
     }
 
     #[test]
@@ -668,7 +653,7 @@ mod tests {
         let node = t.descend(&[u(7), u(3), u(9)]).unwrap();
         let mut h = ContextHashes::new();
         h.compute(&[u(1), u(7), u(3), u(9)], 3);
-        assert_eq!(h.suffix_hash(3), path_hash_table(&t)[node.index()]);
+        assert_eq!(h.suffix_hash(3), path_hash_table(&t)[node as usize]);
     }
 
     #[test]
@@ -680,7 +665,7 @@ mod tests {
         let mut h = ContextHashes::new();
         h.compute(&[u(2), u(3)], 2);
         let g = idx.group(2, h.suffix_hash(2)).unwrap();
-        assert_eq!(g.members(), &[node3]);
+        assert_eq!(g.members(), &[NodeId(node3)]);
         assert_eq!(g.window_len(), 2);
         h.compute(&[u(3)], 1);
         assert!(idx.group(1, h.suffix_hash(1)).is_some());

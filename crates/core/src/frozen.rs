@@ -1,12 +1,11 @@
-//! Frozen struct-of-arrays / CSR arena: the cache-conscious read-only form
-//! a finalized model serves from.
+//! Frozen struct-of-arrays / CSR arena: the finalized model itself.
 //!
 //! The pointer arena ([`crate::tree::Tree`]) is built for *growth*: each
 //! node owns a heap-allocated child vector, roots and special links live in
 //! hash maps, and every predict-time hop chases a pointer into cold memory.
 //! Once a model is finalized its shape never changes again, so
 //! [`Tree::freeze`] compiles the forest into this contiguous
-//! struct-of-arrays layout:
+//! struct-of-arrays layout and the tree is dropped ([`NodeStore`]):
 //!
 //! * parallel `u32`-indexed arrays for `url`, `count`, `depth`, `parent`
 //!   and popularity `grade` (one cache line covers eight nodes' counts);
@@ -17,13 +16,16 @@
 //!   root table, plus a direct-indexed `root_lookup` table (URL ids are
 //!   dense interner ids) that answers "is the current click a root?" in
 //!   one array load;
-//! * the mutable `used` tracking stays behind on the pointer tree (the
-//!   [`crate::predictor::PredictUsage`] side channel), so every frozen
-//!   read path takes `&self`.
+//! * Fig. 2's path-usage flags are a bitset over rows kept beside the
+//!   arena, filled from the [`crate::predictor::PredictUsage`] side
+//!   channel, so every frozen read path takes `&self`.
 //!
-//! Freezing happens after compaction, so frozen index `i` **is**
-//! [`NodeId`]`(i)`: usage bookkeeping and PB-PPM's fingerprint index keep
-//! working against frozen indices unchanged.
+//! Rows are indexed by [`NodeId`], in the compacted tree's order, which is
+//! also the order the snapshot codec writes ([`FrozenTree::to_snapshot`])
+//! and rebuilds the arena in ([`FrozenTree::from_snapshot`]). Training
+//! allocates every node after its parent, so a parent's row always
+//! precedes its children's: every upward walk ends, and a single forward
+//! sweep sees each parent before its children.
 //!
 //! Every model family serves from here on exactly one path: standard and
 //! LRS PPM by direct suffix descent ([`FrozenTree::longest_predictive`]),
@@ -37,7 +39,8 @@
 use crate::interner::UrlId;
 use crate::popularity::PopularityTable;
 use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
-use crate::tree::{NodeId, Tree};
+use crate::stats::ModelStats;
+use crate::tree::{NodeId, NodeSnapshot, SnapshotError, Tree, TreeSnapshot};
 
 /// Sentinel for "no node" in the `u32` index space (mirrors
 /// [`NodeId::NONE`]).
@@ -55,9 +58,8 @@ fn ix(i: u32) -> usize {
 
 /// The frozen struct-of-arrays / CSR image of a compacted [`Tree`].
 ///
-/// All arrays are indexed by the node's arena position (identical to its
-/// [`NodeId`] — freezing compacts first). Immutable by construction: every
-/// accessor takes `&self`.
+/// All arrays are indexed by the node's row, its [`NodeId`]. Immutable by
+/// construction: every accessor takes `&self`.
 ///
 /// [`Tree`]: crate::tree::Tree
 /// [`NodeId`]: crate::tree::NodeId
@@ -92,100 +94,221 @@ pub struct FrozenTree {
     pub(crate) link_entries: Vec<u32>,
 }
 
-fn build_root_lookup(roots: &[(UrlId, u32)]) -> Vec<u32> {
-    let width = roots.iter().map(|&(u, _)| ix(u.0) + 1).max().unwrap_or(0);
-    let mut lookup = vec![NO_NODE; width];
-    for (slot, &(url, _)) in roots.iter().enumerate() {
-        // Slots are root-table positions; the table is bounded by the node
-        // count, which the arena caps below u32::MAX.
-        lookup[ix(url.0)] = u32::try_from(slot).unwrap_or(NO_NODE);
-    }
-    lookup
-}
-
 impl FrozenTree {
-    /// Compiles a compacted tree (`node_count == arena_len`) into the
-    /// frozen form. `pop` supplies the per-URL popularity grades for
-    /// PB-PPM; baselines pass `None` and get zero grades.
+    /// Empty arrays sized exactly for `rows` rows, `entries` child
+    /// entries, `roots` roots and `links` link targets: the builders below
+    /// fill them without growing, so the arena holds no spare capacity.
+    fn with_capacity(rows: usize, entries: usize, roots: usize, links: usize) -> Self {
+        let mut child_offsets = Vec::with_capacity(rows + 1);
+        child_offsets.push(0);
+        let mut link_offsets = Vec::with_capacity(roots + 1);
+        link_offsets.push(0);
+        Self {
+            urls: Vec::with_capacity(rows),
+            counts: Vec::with_capacity(rows),
+            depths: Vec::with_capacity(rows),
+            parents: Vec::with_capacity(rows),
+            grades: Vec::with_capacity(rows),
+            dup_bits: vec![0; rows.div_ceil(64)],
+            child_offsets,
+            child_entries: Vec::with_capacity(entries),
+            roots: Vec::with_capacity(roots),
+            root_lookup: Vec::new(),
+            link_offsets,
+            link_entries: Vec::with_capacity(links),
+        }
+    }
+
+    /// Appends the next row. `pop` supplies PB-PPM's popularity grade;
+    /// baselines pass `None` and get grade 0.
+    #[allow(clippy::too_many_arguments)]
+    fn push_row(
+        &mut self,
+        url: UrlId,
+        count: u64,
+        parent: u32,
+        depth: u8,
+        link_dup: bool,
+        children: impl Iterator<Item = (UrlId, u32)>,
+        pop: Option<&PopularityTable>,
+    ) {
+        let i = self.urls.len();
+        if link_dup {
+            self.dup_bits[i / 64] |= 1u64 << (i % 64);
+        }
+        self.urls.push(url);
+        self.counts.push(count);
+        self.depths.push(depth);
+        self.parents.push(parent);
+        self.grades.push(pop.map_or(0, |p| p.grade(url).level()));
+        self.child_entries.extend(children);
+        // Every entry names a distinct node, so the total fits u32 like
+        // the row ids themselves do.
+        self.child_offsets
+            .push(u32::try_from(self.child_entries.len()).unwrap_or(NO_NODE));
+    }
+
+    /// Appends the next root (in URL order) with its special-link targets.
+    fn push_root(&mut self, url: UrlId, row: u32, links: impl Iterator<Item = u32>) {
+        self.roots.push((url, row));
+        self.link_entries.extend(links);
+        self.link_offsets
+            .push(u32::try_from(self.link_entries.len()).unwrap_or(NO_NODE));
+    }
+
+    /// Finishes the root table with its direct-index `root_lookup`
+    /// (`root_lookup[url.0]` is the URL's slot). URL ids are dense, so
+    /// the table stays small.
+    fn index_roots(mut self) -> Self {
+        let width = self.roots.iter().map(|&(u, _)| ix(u.0) + 1).max();
+        let mut lookup = vec![NO_NODE; width.unwrap_or(0)];
+        for (slot, &(url, _)) in self.roots.iter().enumerate() {
+            // Slots are root-table positions, bounded by the row count.
+            lookup[ix(url.0)] = u32::try_from(slot).unwrap_or(NO_NODE);
+        }
+        self.root_lookup = lookup;
+        self
+    }
+
+    /// Compiles a compacted tree (no dead slots) into the frozen form.
+    /// `pop` supplies the per-URL popularity grades for PB-PPM; baselines
+    /// pass `None` and get zero grades.
     pub(crate) fn from_tree(tree: &Tree, pop: Option<&PopularityTable>) -> Self {
         debug_assert_eq!(
             tree.node_count(),
             tree.arena_len(),
             "freeze requires a compacted arena"
         );
-        let n = tree.nodes.len();
-        let mut urls = Vec::with_capacity(n);
-        let mut counts = Vec::with_capacity(n);
-        let mut depths = Vec::with_capacity(n);
-        let mut parents = Vec::with_capacity(n);
-        let mut grades = Vec::with_capacity(n);
-        let mut dup_bits = vec![0u64; n.div_ceil(64)];
-        let mut child_offsets = Vec::with_capacity(n + 1);
-        let mut child_entries = Vec::new();
-        child_offsets.push(0u32);
-        for (i, node) in tree.nodes.iter().enumerate() {
-            urls.push(node.url);
-            counts.push(node.count);
-            depths.push(node.depth);
-            parents.push(node.parent.0);
-            grades.push(pop.map_or(0, |p| p.grade(node.url).level()));
-            if node.link_dup {
-                dup_bits[i / 64] |= 1u64 << (i % 64);
-            }
-            for &(url, child) in &node.children {
-                child_entries.push((url, child.0));
-            }
-            // Every entry names a distinct node, so the total fits u32 like
-            // the arena ids themselves do.
-            child_offsets.push(u32::try_from(child_entries.len()).unwrap_or(NO_NODE));
-        }
-        let mut roots: Vec<(UrlId, u32)> = tree.roots.iter().map(|(&u, &id)| (u, id.0)).collect();
+        let mut roots: Vec<(UrlId, NodeId)> = tree.roots.iter().map(|(&u, &id)| (u, id)).collect();
         roots.sort_unstable_by_key(|&(u, _)| u);
-        let root_lookup = build_root_lookup(&roots);
-        let mut link_offsets = Vec::with_capacity(roots.len() + 1);
-        let mut link_entries = Vec::new();
-        link_offsets.push(0u32);
-        for &(_, root) in &roots {
-            if let Some(targets) = tree.links.get(&NodeId(root)) {
-                for &t in targets {
-                    if tree.nodes[t.index()].alive {
-                        link_entries.push(t.0);
-                    }
-                }
-            }
-            link_offsets.push(u32::try_from(link_entries.len()).unwrap_or(NO_NODE));
+        let entries = tree.nodes.iter().map(|n| n.children.len()).sum();
+        let links = tree.links.values().map(Vec::len).sum();
+        let mut arena = Self::with_capacity(tree.nodes.len(), entries, roots.len(), links);
+        for n in &tree.nodes {
+            let children = n.children.iter().map(|&(url, child)| (url, child.0));
+            arena.push_row(
+                n.url, n.count, n.parent.0, n.depth, n.link_dup, children, pop,
+            );
         }
-        let mut frozen = Self {
-            urls,
-            counts,
-            depths,
-            parents,
-            grades,
-            dup_bits,
-            child_offsets,
-            child_entries,
-            roots,
-            root_lookup,
-            link_offsets,
-            link_entries,
-        };
-        frozen.shrink();
-        frozen
+        for (url, root) in roots {
+            let links = tree.links.get(&root).into_iter().flatten();
+            arena.push_root(url, root.0, links.map(|t| t.0));
+        }
+        arena.index_roots()
     }
 
-    fn shrink(&mut self) {
-        self.urls.shrink_to_fit();
-        self.counts.shrink_to_fit();
-        self.depths.shrink_to_fit();
-        self.parents.shrink_to_fit();
-        self.grades.shrink_to_fit();
-        self.dup_bits.shrink_to_fit();
-        self.child_offsets.shrink_to_fit();
-        self.child_entries.shrink_to_fit();
-        self.roots.shrink_to_fit();
-        self.root_lookup.shrink_to_fit();
-        self.link_offsets.shrink_to_fit();
-        self.link_entries.shrink_to_fit();
+    /// Rebuilds an arena from its wire image with no intermediate tree.
+    /// Every reference is checked first: node ids in bounds, child rows
+    /// sorted by URL, each parent preceding its row (so no parent chain
+    /// can cycle), root entries naming a parentless node of their URL,
+    /// link lists hanging off registered roots in ascending root order.
+    /// The finished arena must then pass [`FrozenTree::check_csr`]. `pop`
+    /// supplies grades as in `from_tree`.
+    pub fn from_snapshot(
+        snap: &TreeSnapshot,
+        pop: Option<&PopularityTable>,
+    ) -> Result<Self, SnapshotError> {
+        let n = snap.nodes.len();
+        let check = |id: u32| {
+            if ix(id) < n {
+                Ok(id)
+            } else {
+                Err(SnapshotError::BadNodeId(id))
+            }
+        };
+        let entries = snap.nodes.iter().map(|s| s.children.len()).sum();
+        let links = snap.links.iter().map(|l| l.1.len()).sum();
+        let mut arena = Self::with_capacity(n, entries, snap.roots.len(), links);
+        for (row, s) in (0..).zip(&snap.nodes) {
+            if !s.children.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(SnapshotError::UnsortedChildren);
+            }
+            for &(_, child) in &s.children {
+                check(child)?;
+            }
+            let parent = if s.parent == NO_NODE {
+                NO_NODE
+            } else if check(s.parent)? >= row {
+                // A parent at or after its row is where a cycle would start.
+                return Err(SnapshotError::ParentCycle(row));
+            } else {
+                s.parent
+            };
+            let children = s.children.iter().map(|&(url, child)| (UrlId(url), child));
+            arena.push_row(
+                UrlId(s.url),
+                s.count,
+                parent,
+                s.depth,
+                s.link_dup,
+                children,
+                pop,
+            );
+        }
+        // Link lists arrive by ascending root id; the CSR runs by root slot.
+        let mut by_slot: Vec<&[u32]> = vec![&[]; snap.roots.len()];
+        let mut previous = None;
+        for (root, targets) in &snap.links {
+            let root = check(*root)?;
+            let slot = snap
+                .roots
+                .binary_search_by_key(&arena.urls[ix(root)].0, |r| r.0)
+                .ok()
+                .filter(|&slot| snap.roots[slot].1 == root && previous < Some(root));
+            let Some(slot) = slot else {
+                return Err(SnapshotError::BadLink(root));
+            };
+            for &t in targets {
+                check(t)?;
+            }
+            by_slot[slot] = targets;
+            previous = Some(root);
+        }
+        for (&(url, id), targets) in snap.roots.iter().zip(by_slot) {
+            let id = check(id)?;
+            if arena.urls[ix(id)] != UrlId(url) || arena.parents[ix(id)] != NO_NODE {
+                return Err(SnapshotError::BadRoot(url));
+            }
+            arena.push_root(UrlId(url), id, targets.iter().copied());
+        }
+        let arena = arena.index_roots();
+        arena.check_csr().map_err(SnapshotError::Malformed)?;
+        Ok(arena)
+    }
+
+    /// The arena's wire image: nodes in row order, roots sorted by URL,
+    /// link lists sorted by root id — the order the codec has always
+    /// written, so model files stay byte-identical.
+    pub fn to_snapshot(&self) -> TreeSnapshot {
+        let nodes = self
+            .child_offsets
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| NodeSnapshot {
+                url: self.urls[i].0,
+                count: self.counts[i],
+                parent: self.parents[i],
+                depth: self.depths[i],
+                children: self.child_entries[ix(w[0])..ix(w[1])]
+                    .iter()
+                    .map(|&(url, child)| (url.0, child))
+                    .collect(),
+                link_dup: (self.dup_bits[i / 64] >> (i % 64)) & 1 == 1,
+            })
+            .collect();
+        let mut links: Vec<(u32, Vec<u32>)> = self
+            .roots
+            .iter()
+            .zip(self.link_offsets.windows(2))
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(&(_, root), w)| (root, self.link_entries[ix(w[0])..ix(w[1])].to_vec()))
+            .collect();
+        links.sort_unstable_by_key(|l| l.0);
+        TreeSnapshot {
+            nodes,
+            roots: self.roots.iter().map(|&(url, id)| (url.0, id)).collect(),
+            links,
+        }
     }
 
     /// Checks the arena's structure: array-length parity, CSR
@@ -231,8 +354,11 @@ impl FrozenTree {
                 }
             }
         }
-        if self.parents.iter().any(|&p| p != NO_NODE && ix(p) >= n) {
-            return Err("frozen parent out of bounds");
+        if (0..)
+            .zip(&self.parents)
+            .any(|(i, &p)| p != NO_NODE && p >= i)
+        {
+            return Err("frozen parent does not precede its row");
         }
         for pair in self.roots.windows(2) {
             if pair[0].0 >= pair[1].0 {
@@ -268,6 +394,17 @@ impl FrozenTree {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.urls.is_empty()
+    }
+
+    /// The root table: `(url, row)` entries sorted by URL.
+    #[must_use]
+    pub fn roots(&self) -> &[(UrlId, u32)] {
+        &self.roots
+    }
+
+    /// The row count as the bound of the `u32` row ids.
+    pub(crate) fn rows(&self) -> u32 {
+        u32::try_from(self.urls.len()).unwrap_or(NO_NODE)
     }
 
     /// URL of node `i`.
@@ -470,26 +607,188 @@ impl FrozenTree {
         Some(cur)
     }
 
-    /// Resident heap bytes of the frozen arena (all backing arrays at
-    /// capacity). The bench reports this against the pointer arena's
-    /// [`Tree::memory_bytes`].
-    ///
-    /// [`Tree::memory_bytes`]: crate::tree::Tree::memory_bytes
+    /// Exact heap bytes of the arena: every backing array counted by
+    /// length. The arena is built at exact size, so this is the live heap
+    /// it holds — a finalized model's `ModelStats::memory_bytes`.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.urls.capacity() * size_of::<UrlId>()
-            + self.counts.capacity() * size_of::<u64>()
-            + self.depths.capacity()
-            + self.parents.capacity() * size_of::<u32>()
-            + self.grades.capacity()
-            + self.dup_bits.capacity() * size_of::<u64>()
-            + self.child_offsets.capacity() * size_of::<u32>()
-            + self.child_entries.capacity() * size_of::<(UrlId, u32)>()
-            + self.roots.capacity() * size_of::<(UrlId, u32)>()
-            + self.root_lookup.capacity() * size_of::<u32>()
-            + self.link_offsets.capacity() * size_of::<u32>()
-            + self.link_entries.capacity() * size_of::<u32>()
+        use std::mem::size_of_val;
+        size_of_val(self.urls.as_slice())
+            + size_of_val(self.counts.as_slice())
+            + size_of_val(self.depths.as_slice())
+            + size_of_val(self.parents.as_slice())
+            + size_of_val(self.grades.as_slice())
+            + size_of_val(self.dup_bits.as_slice())
+            + size_of_val(self.child_offsets.as_slice())
+            + size_of_val(self.child_entries.as_slice())
+            + size_of_val(self.roots.as_slice())
+            + size_of_val(self.root_lookup.as_slice())
+            + size_of_val(self.link_offsets.as_slice())
+            + size_of_val(self.link_entries.as_slice())
+    }
+
+    /// Flags row `i` and all its ancestors in a path-usage bitset.
+    pub(crate) fn mark_path(&self, used: &mut [u64], i: u32) {
+        let mut cur = i;
+        loop {
+            mark_row(used, cur);
+            cur = self.parent(cur);
+            if cur == NO_NODE {
+                break;
+            }
+        }
+    }
+
+    /// Flags every child of row `i` in a path-usage bitset.
+    pub(crate) fn mark_children(&self, used: &mut [u64], i: u32) {
+        for &(_, child) in self.children(i) {
+            mark_row(used, child);
+        }
+    }
+
+    /// Counts `(total_paths, used_paths)`: a *path* ends at a branch row
+    /// without children (link duplicates are not surfing paths), and is
+    /// *used* when its leaf's bit is set (Fig. 2, right).
+    pub(crate) fn path_usage(&self, used: &[u64]) -> (usize, usize) {
+        let (mut total, mut hit) = (0, 0);
+        for (i, w) in self.child_offsets.windows(2).enumerate() {
+            if w[0] == w[1] && (self.dup_bits[i / 64] >> (i % 64)) & 1 == 0 {
+                total += 1;
+                hit += usize::from(used.get(i / 64).is_some_and(|b| (b >> (i % 64)) & 1 == 1));
+            }
+        }
+        (total, hit)
+    }
+}
+
+/// Sets row `i`'s bit in a path-usage bitset.
+pub(crate) fn mark_row(used: &mut [u64], i: u32) {
+    if let Some(word) = used.get_mut(ix(i) / 64) {
+        *word |= 1u64 << (ix(i) % 64);
+    }
+}
+
+/// A tree model's nodes: the growable [`Tree`] while training, then only
+/// the frozen arena — from `finalize`, or from a snapshot load, on.
+// One store per model, so the inline arena's size costs nothing; boxing it
+// would add a pointer hop to every predict.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub(crate) enum NodeStore {
+    /// Sessions grow, merge into and prune the pointer tree.
+    Training(Tree),
+    /// The arena serves. `used` holds Fig. 2's path-usage flags, one bit
+    /// per row, allocated by the first `apply_usage`: serving never
+    /// applies usage, so serving models never carry it.
+    Frozen { arena: FrozenTree, used: Vec<u64> },
+}
+
+impl Default for NodeStore {
+    fn default() -> Self {
+        NodeStore::Training(Tree::new())
+    }
+}
+
+impl NodeStore {
+    /// A finalized store around a loaded arena.
+    pub(crate) fn loaded(arena: FrozenTree) -> Self {
+        NodeStore::Frozen {
+            arena,
+            used: Vec::new(),
+        }
+    }
+
+    /// The training tree; `None` once frozen.
+    pub(crate) fn tree(&self) -> Option<&Tree> {
+        match self {
+            NodeStore::Training(tree) => Some(tree),
+            NodeStore::Frozen { .. } => None,
+        }
+    }
+
+    /// The training tree to grow. Training a finalized model is a caller
+    /// bug: debug builds panic, release builds ignore the session.
+    pub(crate) fn tree_mut(&mut self) -> Option<&mut Tree> {
+        debug_assert!(self.tree().is_some(), "training after finalize");
+        match self {
+            NodeStore::Training(tree) => Some(tree),
+            NodeStore::Frozen { .. } => None,
+        }
+    }
+
+    /// The serving arena; `None` while training.
+    pub(crate) fn arena(&self) -> Option<&FrozenTree> {
+        match self {
+            NodeStore::Training(_) => None,
+            NodeStore::Frozen { arena, .. } => Some(arena),
+        }
+    }
+
+    /// The arena's wire image. A store still training has no arena and
+    /// yields an empty image: only finalized models are written.
+    pub(crate) fn image(&self) -> TreeSnapshot {
+        debug_assert!(self.arena().is_some(), "snapshot before finalize");
+        self.arena()
+            .map(FrozenTree::to_snapshot)
+            .unwrap_or_default()
+    }
+
+    /// Alive nodes: the paper's storage measure.
+    pub(crate) fn node_count(&self) -> usize {
+        match self {
+            NodeStore::Training(tree) => tree.node_count(),
+            NodeStore::Frozen { arena, .. } => arena.len(),
+        }
+    }
+
+    /// Replaces the training tree by its arena. `None` when already
+    /// frozen (a second `finalize` changes nothing).
+    pub(crate) fn freeze(&mut self, pop: Option<&PopularityTable>) -> Option<&FrozenTree> {
+        let NodeStore::Training(tree) = self else {
+            return None;
+        };
+        *self = NodeStore::loaded(std::mem::take(tree).freeze(pop));
+        self.arena()
+    }
+
+    /// The arena and its path-usage bitset, allocating the bitset on
+    /// first use; `None` while training.
+    pub(crate) fn usage_marks(&mut self) -> Option<(&FrozenTree, &mut [u64])> {
+        match self {
+            NodeStore::Training(_) => None,
+            NodeStore::Frozen { arena, used } => {
+                if used.is_empty() {
+                    *used = vec![0; arena.len().div_ceil(64)];
+                }
+                Some((arena, used))
+            }
+        }
+    }
+
+    /// Plays back the usage of a descent predict (the standard/LRS serving
+    /// path): each matched path and each voting child row.
+    pub(crate) fn apply_descent_usage(&mut self, usage: &PredictUsage) {
+        let Some((arena, used)) = self.usage_marks() else {
+            return;
+        };
+        for &id in &usage.used_paths {
+            arena.mark_path(used, id.0);
+        }
+        for &id in &usage.used_child_rows {
+            arena.mark_children(used, id.0);
+        }
+    }
+
+    /// Structural statistics of the finalized arena. While training only
+    /// `nodes` is known.
+    pub(crate) fn stats(&self) -> ModelStats {
+        match self {
+            NodeStore::Training(tree) => ModelStats {
+                nodes: tree.node_count(),
+                ..ModelStats::default()
+            },
+            NodeStore::Frozen { arena, used } => ModelStats::of_arena(arena, used),
+        }
     }
 }
 
@@ -507,16 +806,19 @@ mod tests {
         UrlId(n)
     }
 
-    fn trained_standard() -> StandardPpm {
+    /// A finalized standard model and the reference tree it froze.
+    fn trained_standard() -> (StandardPpm, Tree) {
         let mut m = StandardPpm::unbounded();
         m.train_session(&[u(0), u(1), u(2), u(3)]);
         m.train_session(&[u(0), u(1), u(4)]);
         m.train_session(&[u(2), u(3), u(1)]);
+        let tree = m.reference_tree().unwrap();
         m.finalize();
-        m
+        (m, tree)
     }
 
-    fn trained_pb() -> PbPpm {
+    /// A finalized PB model and the reference tree it froze.
+    fn trained_pb() -> (PbPpm, Tree) {
         let mut b = PopularityBuilder::new();
         b.record_n(u(0), 1000);
         b.record_n(u(1), 50);
@@ -531,15 +833,15 @@ mod tests {
             m.train_session(&[u(0), u(1), u(2), u(3), u(1), u(2)]);
         }
         m.train_session(&[u(3), u(1), u(2), u(0)]);
+        let tree = m.reference_tree().unwrap();
         m.finalize();
-        m
+        (m, tree)
     }
 
     #[test]
     fn freeze_is_identity_mapped_and_field_faithful() {
-        let m = trained_standard();
+        let (m, tree) = trained_standard();
         let frozen = m.frozen().expect("finalize froze");
-        let tree = m.tree();
         assert_eq!(frozen.len(), tree.arena_len());
         for id in tree.iter_alive() {
             let node = &tree.nodes[id.index()];
@@ -556,9 +858,8 @@ mod tests {
 
     #[test]
     fn frozen_lookups_mirror_pointer_lookups() {
-        let m = trained_standard();
+        let (m, tree) = trained_standard();
         let frozen = m.frozen().expect("finalize froze");
-        let tree = m.tree();
         for url in 0..6 {
             assert_eq!(
                 frozen.root(u(url)),
@@ -592,9 +893,8 @@ mod tests {
 
     #[test]
     fn frozen_links_and_grades_mirror_pb() {
-        let m = trained_pb();
+        let (m, tree) = trained_pb();
         let frozen = m.frozen().expect("finalize froze");
-        let tree = m.tree();
         for url in 0..5 {
             let mut want: Vec<u32> = tree
                 .root(u(url))
@@ -635,9 +935,8 @@ mod tests {
 
     #[test]
     fn match_top_mirrors_pointer_walks() {
-        let m = trained_pb();
+        let (m, tree) = trained_pb();
         let frozen = m.frozen().expect("finalize froze");
-        let tree = m.tree();
         let contexts = [
             vec![u(0)],
             vec![u(0), u(1)],
@@ -649,7 +948,7 @@ mod tests {
             for ctx in &contexts {
                 assert_eq!(
                     frozen.match_top(id.0, ctx),
-                    tree_match_top(tree, id, ctx).map(|t| t.0),
+                    tree_match_top(&tree, id, ctx).map(|t| t.0),
                     "match_top node {} ctx {ctx:?}",
                     id.0
                 );
@@ -658,26 +957,109 @@ mod tests {
     }
 
     #[test]
-    fn frozen_arena_is_smaller_than_pointer_arena() {
-        let m = trained_standard();
-        let frozen = m.frozen().expect("finalize froze");
-        assert!(
-            frozen.heap_bytes() < m.tree().memory_bytes(),
-            "frozen {} bytes vs pointer {} bytes",
-            frozen.heap_bytes(),
-            m.tree().memory_bytes()
+    fn snapshot_roundtrip_rebuilds_the_same_arena() {
+        let mut t = Tree::new();
+        t.insert_path(&[u(1), u(2), u(3)], usize::MAX);
+        t.insert_path(&[u(1), u(4)], usize::MAX);
+        t.insert_path(&[u(6), u(7)], usize::MAX);
+        let r = t.root(u(1)).unwrap();
+        let l = t.link_or_insert(r, u(9));
+        t.bump(l);
+        // Kill something so freezing must compact.
+        t.kill_subtree(t.descend(&[u(6), u(7)]).unwrap());
+        let alive = t.node_count();
+        let frozen = t.freeze(None);
+
+        let snap = frozen.to_snapshot();
+        assert_eq!(snap.nodes.len(), alive);
+        assert_eq!(snap.links.len(), 1, "one root links");
+        assert_eq!(snap.links[0].0, r.0);
+        let back = FrozenTree::from_snapshot(&snap, None).unwrap();
+        assert_eq!(back, frozen);
+        let root = back.root(u(1)).unwrap();
+        assert_eq!(back.count(back.descend(&[u(1), u(2), u(3)]).unwrap()), 1);
+        assert!(back.descend(&[u(6), u(7)]).is_none());
+        assert_eq!(back.links_of(u(1)).len(), 1);
+        assert_eq!(back.url(back.links_of(u(1))[0]), u(9));
+        assert_eq!(back.parent(back.links_of(u(1))[0]), root);
+        // The image of the rebuilt arena is identical (canonical form).
+        assert_eq!(back.to_snapshot(), snap);
+    }
+
+    fn chain() -> TreeSnapshot {
+        let mut t = Tree::new();
+        t.insert_path(&[u(1), u(2)], usize::MAX);
+        let r = t.root(u(1)).unwrap();
+        t.link_or_insert(r, u(9));
+        t.freeze(None).to_snapshot()
+    }
+
+    #[test]
+    fn snapshot_rejects_corrupt_references() {
+        let load = |snap: &TreeSnapshot| FrozenTree::from_snapshot(snap, None).unwrap_err();
+        let mut snap = chain();
+        snap.roots.push((7, 99)); // node 99 does not exist
+        assert_eq!(load(&snap), SnapshotError::BadNodeId(99));
+        let mut snap = chain();
+        snap.roots.push((7, 1)); // node 1 exists but is not a root for url 7
+        assert_eq!(load(&snap), SnapshotError::BadRoot(7));
+        let mut snap = chain();
+        snap.nodes[0].children.push((0, 0)); // unsorted
+        assert_eq!(load(&snap), SnapshotError::UnsortedChildren);
+        let mut snap = chain();
+        snap.links[0].0 = 1; // links hang off the root, not its child
+        assert_eq!(load(&snap), SnapshotError::BadLink(1));
+        let mut snap = chain();
+        let repeat = snap.links[0].clone();
+        snap.links.push(repeat); // one root's links listed twice
+        assert_eq!(load(&snap), SnapshotError::BadLink(0));
+        let mut snap = chain();
+        snap.nodes[0].children = vec![(1, 0)]; // a node listing itself
+        assert!(matches!(load(&snap), SnapshotError::Malformed(_)));
+    }
+
+    #[test]
+    fn snapshot_rejects_parent_cycles() {
+        // Two nodes each claiming the other as parent: must error, not hang
+        // (path hashing would otherwise loop forever).
+        let cyclic = |url: u32, parent: u32| NodeSnapshot {
+            url,
+            count: 1,
+            parent,
+            depth: 2,
+            children: Vec::new(),
+            link_dup: false,
+        };
+        let snap = TreeSnapshot {
+            nodes: vec![cyclic(0, 1), cyclic(1, 0)],
+            roots: Vec::new(),
+            links: Vec::new(),
+        };
+        assert!(matches!(
+            FrozenTree::from_snapshot(&snap, None).unwrap_err(),
+            SnapshotError::ParentCycle(_)
+        ));
+        // A self-loop is the degenerate case.
+        let snap = TreeSnapshot {
+            nodes: vec![cyclic(0, 0)],
+            roots: Vec::new(),
+            links: Vec::new(),
+        };
+        assert_eq!(
+            FrozenTree::from_snapshot(&snap, None).unwrap_err(),
+            SnapshotError::ParentCycle(0)
         );
     }
 
     #[test]
     fn check_csr_accepts_a_compiled_arena() {
-        let m = trained_pb();
+        let (m, _) = trained_pb();
         assert_eq!(m.frozen().expect("finalize froze").check_csr(), Ok(()));
     }
 
     #[test]
     fn check_csr_rejects_malformed_structure() {
-        let m = trained_pb();
+        let (m, _) = trained_pb();
         let f = m.frozen().expect("finalize froze");
         let check = |mutate: &dyn Fn(&mut FrozenTree)| {
             let mut bad = f.clone();
@@ -725,10 +1107,21 @@ mod tests {
             m.train_session(&[u(0), u(1), u(2)]);
         }
         m.train_session(&[u(3), u(4)]); // below min_support: pruned away
+        let tree = m.reference_tree().unwrap();
         m.finalize();
         let frozen = m.frozen().expect("finalize froze");
-        assert_eq!(frozen.len(), m.tree().node_count());
+        assert_eq!(frozen.len(), tree.node_count());
         assert!(frozen.root(u(3)).is_none(), "pruned root must not survive");
         assert!(frozen.descend(&[u(0), u(1), u(2)]).is_some());
+    }
+
+    #[test]
+    fn finalized_models_hold_no_tree() {
+        let (m, _) = trained_pb();
+        assert!(m.store.tree().is_none() && m.reference_tree().is_none());
+        let (m, _) = trained_standard();
+        assert!(m.store.tree().is_none() && m.reference_tree().is_none());
+        let loaded = PbPpm::from_snapshot(&trained_pb().0.to_snapshot()).unwrap();
+        assert!(loaded.store.tree().is_none());
     }
 }

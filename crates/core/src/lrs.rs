@@ -14,7 +14,7 @@
 //! Training therefore proceeds exactly like standard PPM; the LRS extraction
 //! happens in [`LrsPpm::finalize`], which must be called before predicting.
 
-use crate::frozen::FrozenTree;
+use crate::frozen::{FrozenTree, NodeStore};
 use crate::interner::UrlId;
 use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 use crate::stats::ModelStats;
@@ -27,12 +27,11 @@ pub const DEFAULT_MIN_SUPPORT: u64 = 2;
 /// LRS-PPM prediction model.
 #[derive(Debug, Clone)]
 pub struct LrsPpm {
-    pub(crate) tree: Tree,
+    /// The training tree, replaced by the frozen arena (the serving read
+    /// path) at finalize.
+    pub(crate) store: NodeStore,
     pub(crate) min_support: u64,
     pub(crate) max_height: usize,
-    pub(crate) finalized: bool,
-    /// Frozen SoA/CSR arena, compiled by `finalize`; the serving read path.
-    pub(crate) frozen: Option<FrozenTree>,
 }
 
 impl Default for LrsPpm {
@@ -50,11 +49,9 @@ impl LrsPpm {
     /// Creates an LRS model with a custom support threshold (≥ 1).
     pub fn with_support(min_support: u64) -> Self {
         Self {
-            tree: Tree::new(),
+            store: NodeStore::default(),
             min_support: min_support.max(1),
             max_height: usize::from(u8::MAX),
-            finalized: false,
-            frozen: None,
         }
     }
 
@@ -65,9 +62,14 @@ impl LrsPpm {
         self
     }
 
-    /// Read-only access to the underlying tree (tests, rendering).
-    pub fn tree(&self) -> &Tree {
-        &self.tree
+    /// The pointer tree `finalize` would freeze: the training tree after
+    /// the same support cut and compaction, never frozen. The reference
+    /// oracle walks it ([`crate::reference`]); `None` once finalized.
+    #[doc(hidden)]
+    pub fn reference_tree(&self) -> Option<Tree> {
+        let mut tree = self.store.tree()?.clone();
+        support_cut(&mut tree, self.min_support);
+        Some(tree)
     }
 
     /// Trains on every session, deterministically parallel: contiguous
@@ -78,7 +80,6 @@ impl LrsPpm {
     /// support cut happens wholly in [`Predictor::finalize`], after the
     /// merge, so it sees the same counts either way.
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
-        debug_assert!(!self.finalized, "train_sessions after finalize");
         let threads = crate::parallel::resolve_threads(threads).min(sessions.len().max(1));
         if threads <= 1 {
             for s in sessions {
@@ -98,52 +99,54 @@ impl LrsPpm {
             }
             tree
         });
-        for donor in &donors {
-            self.tree.merge_from(donor);
+        if let Some(tree) = self.store.tree_mut() {
+            for donor in &donors {
+                tree.merge_from(donor);
+            }
         }
     }
 
-    /// Serializes the trained model for persistence.
+    /// Serializes the finalized model for persistence.
     pub fn to_snapshot(&self) -> LrsSnapshot {
         LrsSnapshot {
-            tree: self.tree.to_snapshot(),
+            tree: self.store.image(),
             min_support: self.min_support,
             max_height: self.max_height,
-            finalized: self.finalized,
         }
     }
 
-    /// Restores a model from a snapshot, recompiling the frozen arena
-    /// from the decoded tree.
+    /// Restores a finalized model, rebuilding its arena from the image.
     pub fn from_snapshot(snap: &LrsSnapshot) -> Result<Self, crate::tree::SnapshotError> {
-        let mut tree = Tree::from_snapshot(&snap.tree)?;
-        let frozen = snap.finalized.then(|| tree.freeze(None));
         Ok(Self {
-            tree,
+            store: NodeStore::loaded(FrozenTree::from_snapshot(&snap.tree, None)?),
             min_support: snap.min_support,
             max_height: snap.max_height,
-            finalized: snap.finalized,
-            frozen,
         })
-    }
-
-    /// The frozen serving arena, if finalized.
-    pub fn frozen(&self) -> Option<&FrozenTree> {
-        self.frozen.as_ref()
     }
 }
 
-/// A serializable image of a trained [`LrsPpm`] model.
+/// Finalize's LRS extraction: kills every node with fewer than
+/// `min_support` traversals, then compacts.
+fn support_cut(tree: &mut Tree, min_support: u64) {
+    let victims: Vec<_> = tree
+        .iter_alive()
+        .filter(|&id| tree.node(id).count < min_support)
+        .collect();
+    for id in victims {
+        tree.kill_subtree(id);
+    }
+    tree.compact();
+}
+
+/// A serializable image of a finalized [`LrsPpm`] model.
 #[derive(Debug, Clone)]
 pub struct LrsSnapshot {
-    /// The extracted repeating forest.
+    /// The frozen arena's rows: the extracted repeating forest.
     pub tree: crate::tree::TreeSnapshot,
     /// Occurrence threshold nodes had to clear at finalize.
     pub min_support: u64,
     /// Branch height cap used during training.
     pub max_height: usize,
-    /// Whether [`Predictor::finalize`] had run.
-    pub finalized: bool,
 }
 
 impl Predictor for LrsPpm {
@@ -152,52 +155,45 @@ impl Predictor for LrsPpm {
     }
 
     fn train_session(&mut self, session: &[UrlId]) {
-        debug_assert!(!self.finalized, "train_session after finalize");
-        for start in 0..session.len() {
-            self.tree.insert_path(&session[start..], self.max_height);
+        if let Some(tree) = self.store.tree_mut() {
+            for start in 0..session.len() {
+                tree.insert_path(&session[start..], self.max_height);
+            }
         }
     }
 
-    /// Extracts the repeating subsequences: kills every node with fewer than
-    /// `min_support` traversals and compacts the arena.
+    /// Extracts the repeating subsequences ([`support_cut`]) and freezes
+    /// what survives into the arena that replaces the tree.
     fn finalize(&mut self) {
-        debug_assert!(!self.finalized, "finalize called twice");
-        let victims: Vec<_> = self
-            .tree
-            .iter_alive()
-            .filter(|&id| self.tree.node(id).count < self.min_support)
-            .collect();
-        for id in victims {
-            self.tree.kill_subtree(id);
-        }
-        // Freezing compacts the arena, reclaiming the killed slots.
-        self.frozen = Some(self.tree.freeze(None));
-        self.finalized = true;
+        let Some(tree) = self.store.tree_mut() else {
+            return;
+        };
+        support_cut(tree, self.min_support);
+        self.store.freeze(None);
         crate::verify::runtime_audit(&crate::verify::ModelRef::Lrs(self), "LrsPpm::finalize");
     }
 
     fn predict_ro(&self, context: &[UrlId], out: &mut Vec<Prediction>, usage: &mut PredictUsage) {
-        debug_assert!(self.finalized, "predict before finalize");
         out.clear();
-        if let Some(frozen) = &self.frozen {
+        if let Some(frozen) = self.frozen() {
             frozen.predict_descent(context, self.max_height, out, usage);
         }
     }
 
     fn apply_usage(&mut self, usage: &PredictUsage) {
-        self.tree.mark_descent_usage(usage);
+        self.store.apply_descent_usage(usage);
     }
 
-    fn frozen(&self) -> Option<&crate::frozen::FrozenTree> {
-        self.frozen.as_ref()
+    fn frozen(&self) -> Option<&FrozenTree> {
+        self.store.arena()
     }
 
     fn node_count(&self) -> usize {
-        self.tree.node_count()
+        self.store.node_count()
     }
 
     fn stats(&self) -> ModelStats {
-        ModelStats::of_tree(&self.tree)
+        self.store.stats()
     }
 }
 
@@ -226,10 +222,11 @@ mod tests {
         m.train_session(&[u(0), u(1), u(3)]);
         m.finalize();
         // 0->1 repeats (twice); 1 as a suffix root repeats; 2 and 3 do not.
-        assert!(m.tree().descend(&[u(0), u(1)]).is_some());
-        assert!(m.tree().descend(&[u(0), u(1), u(2)]).is_none());
-        assert!(m.tree().descend(&[u(1)]).is_some());
-        assert!(m.tree().descend(&[u(2)]).is_none());
+        let t = m.frozen().unwrap();
+        assert!(t.descend(&[u(0), u(1)]).is_some());
+        assert!(t.descend(&[u(0), u(1), u(2)]).is_none());
+        assert!(t.descend(&[u(1)]).is_some());
+        assert!(t.descend(&[u(2)]).is_none());
         // Surviving nodes: 0, 0->1, 1 root.
         assert_eq!(m.node_count(), 3);
     }
@@ -242,9 +239,10 @@ mod tests {
         m.train_session(&[u(0), u(1), u(2)]);
         m.train_session(&[u(0), u(1), u(2)]);
         m.finalize();
-        assert!(m.tree().descend(&[u(0), u(1), u(2)]).is_some());
-        assert!(m.tree().descend(&[u(1), u(2)]).is_some());
-        assert!(m.tree().descend(&[u(2)]).is_some());
+        let t = m.frozen().unwrap();
+        assert!(t.descend(&[u(0), u(1), u(2)]).is_some());
+        assert!(t.descend(&[u(1), u(2)]).is_some());
+        assert!(t.descend(&[u(2)]).is_some());
         assert_eq!(m.node_count(), 6);
     }
 
@@ -291,7 +289,7 @@ mod tests {
         // Before finalize the LRS training forest is a full standard forest.
         let mut m = LrsPpm::new();
         m.train_session(&[u(0), u(1), u(2), u(3)]);
-        assert_eq!(m.tree().arena_len(), 4 + 3 + 2 + 1);
+        assert_eq!(m.node_count(), 4 + 3 + 2 + 1);
         m.finalize();
         assert_eq!(m.node_count(), 0);
     }

@@ -25,7 +25,7 @@
 //! optimizations of [`crate::prune`].
 
 use crate::context_index::{extension, ContextHashes, ContextIndex};
-use crate::frozen::{FrozenTree, NO_NODE};
+use crate::frozen::{mark_row, FrozenTree, NodeStore, NO_NODE};
 use crate::interner::UrlId;
 use crate::popularity::{Grade, PopularityTable};
 use crate::predictor::{rank_predictions, ModelKind, PredictUsage, Prediction, Predictor};
@@ -154,10 +154,12 @@ fn train_session_into(tree: &mut Tree, pop: &PopularityTable, cfg: &PbConfig, se
 /// readers share via `Arc` — see [`crate::publish`].
 #[derive(Clone)]
 pub struct PbPpm {
-    pub(crate) tree: Tree,
+    /// The training tree, replaced by the frozen arena at finalize: the
+    /// arena's SoA/CSR rows are what verification walks, votes and the
+    /// link channel read.
+    pub(crate) store: NodeStore,
     pub(crate) pop: PopularityTable,
     pub(crate) cfg: PbConfig,
-    pub(crate) finalized: bool,
     prune_report: Option<PruneReport>,
     /// Diagnostics: cumulative number of predictions emitted via special
     /// links vs via branch matching (since construction).
@@ -176,9 +178,6 @@ pub struct PbPpm {
     /// without scanning every occurrence of the current URL. The property
     /// tests hold it bit-identical to that scan ([`crate::reference`]).
     pub(crate) index: ContextIndex,
-    /// Frozen SoA/CSR arena, compiled by `finalize`; verification walks,
-    /// votes and the link channel read it instead of pointer-tree nodes.
-    pub(crate) frozen: Option<FrozenTree>,
 }
 
 impl PbPpm {
@@ -186,15 +185,13 @@ impl PbPpm {
     /// the first training pass — see [`PopularityTable::builder`]).
     pub fn new(pop: PopularityTable, cfg: PbConfig) -> Self {
         Self {
-            tree: Tree::new(),
+            store: NodeStore::default(),
             pop,
             cfg,
-            finalized: false,
             prune_report: None,
             emitted_link_preds: 0,
             emitted_branch_preds: 0,
             index: ContextIndex::default(),
-            frozen: None,
         }
     }
 
@@ -207,11 +204,13 @@ impl PbPpm {
     /// [`Predictor::train_session`] loop at every thread count (`0` = auto
     /// via `PBPPM_THREADS`/available parallelism).
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
-        debug_assert!(!self.finalized, "train_sessions after finalize");
+        let Some(tree) = self.store.tree_mut() else {
+            return;
+        };
         let threads = crate::parallel::resolve_threads(threads).min(sessions.len().max(1));
         if threads <= 1 {
             for s in sessions {
-                train_session_into(&mut self.tree, &self.pop, &self.cfg, s.as_ref());
+                train_session_into(tree, &self.pop, &self.cfg, s.as_ref());
             }
             return;
         }
@@ -226,7 +225,7 @@ impl PbPpm {
             tree
         });
         for donor in &donors {
-            self.tree.merge_from(donor);
+            tree.merge_from(donor);
         }
     }
 
@@ -308,9 +307,14 @@ impl PbPpm {
             .set(occ.dirty_groups as u64);
     }
 
-    /// Read-only access to the underlying tree (tests, rendering).
-    pub fn tree(&self) -> &Tree {
-        &self.tree
+    /// The pointer tree `finalize` would freeze: the training tree after
+    /// the same pruning and compaction, but never frozen. The reference
+    /// oracle walks it ([`crate::reference`]); `None` once finalized.
+    #[doc(hidden)]
+    pub fn reference_tree(&self) -> Option<Tree> {
+        let mut tree = self.store.tree()?.clone();
+        prune(&mut tree, &self.cfg.prune);
+        Some(tree)
     }
 
     /// The popularity table the model was built with.
@@ -326,11 +330,6 @@ impl PbPpm {
     /// The configuration in use.
     pub fn config(&self) -> &PbConfig {
         &self.cfg
-    }
-
-    /// The frozen SoA/CSR arena compiled at finalize, if any.
-    pub fn frozen(&self) -> Option<&FrozenTree> {
-        self.frozen.as_ref()
     }
 
     /// Branch predictions via the longest matching context, sought at
@@ -453,34 +452,29 @@ impl PbPpm {
         rank_predictions(out, usize::MAX);
     }
 
-    /// Serializes the trained model (tree, popularity table, config) so a
-    /// server can persist it across restarts. Only meaningful after
-    /// [`Predictor::finalize`].
+    /// Serializes the finalized model (arena, popularity table, config)
+    /// so a server can persist it across restarts.
     pub fn to_snapshot(&self) -> PbSnapshot {
         PbSnapshot {
-            tree: self.tree.to_snapshot(),
+            tree: self.store.image(),
             pop: self.pop.clone(),
             cfg: self.cfg,
-            finalized: self.finalized,
         }
     }
 
-    /// Restores a model from a snapshot, rebuilding the fingerprint index.
+    /// Restores a finalized model from a snapshot: the arena is rebuilt
+    /// directly from the image, then indexed.
     pub fn from_snapshot(snap: &PbSnapshot) -> Result<Self, crate::tree::SnapshotError> {
-        let mut tree = Tree::from_snapshot(&snap.tree)?;
-        // Snapshots carry no arena: it is recompiled from the decoded tree.
-        let frozen = snap.finalized.then(|| tree.freeze(Some(&snap.pop)));
-        let index = ContextIndex::windows(&tree, snap.cfg.max_order);
+        let arena = FrozenTree::from_snapshot(&snap.tree, Some(&snap.pop))?;
+        let index = ContextIndex::windows(&arena, snap.cfg.max_order);
         Ok(Self {
-            tree,
+            store: NodeStore::loaded(arena),
             pop: snap.pop.clone(),
             cfg: snap.cfg,
-            finalized: snap.finalized,
             prune_report: None,
             emitted_link_preds: 0,
             emitted_branch_preds: 0,
             index,
-            frozen,
         })
     }
 
@@ -511,17 +505,15 @@ impl PbPpm {
     }
 }
 
-/// A serializable image of a trained [`PbPpm`] model.
+/// A serializable image of a finalized [`PbPpm`] model.
 #[derive(Debug, Clone)]
 pub struct PbSnapshot {
-    /// The pruned, compacted prediction forest.
+    /// The frozen arena's rows.
     pub tree: crate::tree::TreeSnapshot,
     /// The frozen popularity table the model was built with.
     pub pop: PopularityTable,
     /// Construction parameters.
     pub cfg: PbConfig,
-    /// Whether [`Predictor::finalize`] had run.
-    pub finalized: bool,
 }
 
 impl Predictor for PbPpm {
@@ -530,20 +522,23 @@ impl Predictor for PbPpm {
     }
 
     fn train_session(&mut self, session: &[UrlId]) {
-        debug_assert!(!self.finalized, "train_session after finalize");
-        train_session_into(&mut self.tree, &self.pop, &self.cfg, session);
+        if let Some(tree) = self.store.tree_mut() {
+            train_session_into(tree, &self.pop, &self.cfg, session);
+        }
     }
 
     /// Applies the paper's post-build space optimizations (relative access
-    /// probability cut and absolute count cut) and compacts the arena.
+    /// probability cut and absolute count cut), freezes the compacted tree
+    /// into the arena that replaces it, and indexes the arena.
     fn finalize(&mut self) {
-        debug_assert!(!self.finalized, "finalize called twice");
-        self.prune_report = Some(prune(&mut self.tree, &self.cfg.prune));
-        // Compile the SoA/CSR arena first (freezing compacts), then index
-        // the final node ids.
-        self.frozen = Some(self.tree.freeze(Some(&self.pop)));
-        self.index = ContextIndex::windows(&self.tree, self.cfg.max_order);
-        self.finalized = true;
+        let Some(tree) = self.store.tree_mut() else {
+            return;
+        };
+        self.prune_report = Some(prune(tree, &self.cfg.prune));
+        let Some(arena) = self.store.freeze(Some(&self.pop)) else {
+            return;
+        };
+        self.index = ContextIndex::windows(arena, self.cfg.max_order);
         if pbppm_obs::ENABLED {
             self.publish_storage_gauges();
         }
@@ -555,18 +550,22 @@ impl Predictor for PbPpm {
         let Some(&current) = context.last() else {
             return;
         };
-        debug_assert!(self.finalized, "predict before finalize");
-        if let Some(frozen) = &self.frozen {
+        if let Some(frozen) = self.frozen() {
             self.predict_via_index(frozen, context, current, out, usage);
         }
     }
 
     fn apply_usage(&mut self, usage: &PredictUsage) {
+        self.emitted_branch_preds += usage.branch_preds;
+        self.emitted_link_preds += usage.link_preds;
+        let Some((arena, used)) = self.store.usage_marks() else {
+            return;
+        };
         for &id in &usage.used_paths {
-            self.tree.mark_path_used(id);
+            arena.mark_path(used, id.0);
         }
         for &id in &usage.used_nodes {
-            self.tree.mark_used(id);
+            mark_row(used, id.0);
         }
         if !usage.used_groups.is_empty() {
             // Resolve deferred group references back to node flags. Marking
@@ -576,7 +575,6 @@ impl Predictor for PbPpm {
             let mut groups = usage.used_groups.clone();
             groups.sort_unstable();
             groups.dedup();
-            let tree = &mut self.tree;
             for &(key, ext_code) in &groups {
                 let Some(g) = self.index.group_by_key(key) else {
                     continue;
@@ -588,30 +586,28 @@ impl Predictor for PbPpm {
                 // The voters are the members with children, less the
                 // excluded extension's sub-group.
                 for &id in g.members() {
-                    if tree.children_of(id).next().is_none()
-                        || (excluded.is_some() && extension(tree, id, g.window_len()) == excluded)
+                    if !arena.has_children(id.0)
+                        || (excluded.is_some() && extension(arena, id, g.window_len()) == excluded)
                     {
                         continue;
                     }
-                    tree.mark_path_used(id);
-                    tree.mark_children_used(id);
+                    arena.mark_path(used, id.0);
+                    arena.mark_children(used, id.0);
                 }
             }
         }
-        self.emitted_branch_preds += usage.branch_preds;
-        self.emitted_link_preds += usage.link_preds;
     }
 
-    fn frozen(&self) -> Option<&crate::frozen::FrozenTree> {
-        self.frozen.as_ref()
+    fn frozen(&self) -> Option<&FrozenTree> {
+        self.store.arena()
     }
 
     fn node_count(&self) -> usize {
-        self.tree.node_count()
+        self.store.node_count()
     }
 
     fn stats(&self) -> ModelStats {
-        ModelStats::of_tree(&self.tree).with_index(&self.index)
+        self.store.stats().with_index(&self.index)
     }
 }
 
@@ -668,9 +664,9 @@ mod tests {
         let mut m = PbPpm::new(pop, cfg);
         m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5)]);
         m.finalize();
-        let t = m.tree();
+        let t = m.frozen().unwrap();
         // Roots: A (session head) and A' (grade ascent over C).
-        assert_eq!(t.root_count(), 2);
+        assert_eq!(m.stats().roots, 2);
         assert!(t.root(u(0)).is_some());
         assert!(t.root(u(3)).is_some());
         assert!(t.root(u(1)).is_none(), "B must not become a root");
@@ -680,8 +676,7 @@ mod tests {
         // A''s branch: A' -> B' -> C'.
         assert!(t.descend(&[u(3), u(4), u(5)]).is_some());
         // Special link: A ~> duplicated A' (grade 3, depth 4 in A's branch).
-        let root_a = t.root(u(0)).unwrap();
-        let links: Vec<UrlId> = t.links_of(root_a).map(|id| t.node(id).url).collect();
+        let links: Vec<UrlId> = t.links_of(u(0)).iter().map(|&id| t.url(id)).collect();
         assert_eq!(links, vec![u(3)]);
         // 7 branch nodes + 1 duplicated link node.
         assert_eq!(m.node_count(), 8);
@@ -694,14 +689,14 @@ mod tests {
         // Session of 9 URLs headed by a grade-3 URL: branch capped at 7.
         m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5), u(6), u(7), u(8)]);
         m.finalize();
-        assert_eq!(m.tree().max_depth(), 7);
+        assert_eq!(m.stats().max_depth, 7);
 
         // Headed by a grade-0 URL: height 1 (the head only).
         let pop = pop_with_grades(&[0, 0, 0]);
         let mut m = PbPpm::new(pop, no_prune());
         m.train_session(&[u(0), u(1), u(2)]);
         m.finalize();
-        assert_eq!(m.tree().max_depth(), 1);
+        assert_eq!(m.stats().max_depth, 1);
     }
 
     #[test]
@@ -711,14 +706,14 @@ mod tests {
         let mut m = PbPpm::new(pop, no_prune());
         m.train_session(&[u(0), u(1), u(2), u(3), u(4)]);
         m.finalize();
-        let t = m.tree();
+        let t = m.frozen().unwrap();
         // Roots: 0 (head), 3 (2 > 1), 4 (3 > 2). Not 1, 2.
         assert!(t.root(u(0)).is_some());
         assert!(t.root(u(3)).is_some());
         assert!(t.root(u(4)).is_some());
         assert!(t.root(u(1)).is_none());
         assert!(t.root(u(2)).is_none());
-        assert_eq!(t.root_count(), 3);
+        assert_eq!(m.stats().roots, 3);
     }
 
     #[test]
@@ -736,9 +731,8 @@ mod tests {
         // does become a root itself (grade ascent).
         m.train_session(&[u(0), u(1), u(2), u(3)]);
         m.finalize();
-        let t = m.tree();
-        let root0 = t.root(u(0)).unwrap();
-        let links: Vec<UrlId> = t.links_of(root0).map(|id| t.node(id).url).collect();
+        let t = m.frozen().unwrap();
+        let links: Vec<UrlId> = t.links_of(u(0)).iter().map(|&id| t.url(id)).collect();
         // Only u(2): grade 3 at depth 3 of branch 0. u(3) is grade 1: no.
         assert_eq!(links, vec![u(2)]);
     }
@@ -754,9 +748,7 @@ mod tests {
         let mut m = PbPpm::new(pop, cfg);
         m.train_session(&[u(0), u(1), u(2), u(3)]);
         m.finalize();
-        let t = m.tree();
-        let root0 = t.root(u(0)).unwrap();
-        assert_eq!(t.links_of(root0).count(), 0);
+        assert!(m.frozen().unwrap().links_of(u(0)).is_empty());
     }
 
     #[test]
@@ -828,9 +820,9 @@ mod tests {
             m.train_session(&[u(0), u(1), u(2)]);
         }
         assert_eq!(m.node_count(), n);
-        let t = m.tree();
-        let root = t.root(u(0)).unwrap();
-        assert_eq!(t.node(root).count, 11);
+        m.finalize();
+        let t = m.frozen().unwrap();
+        assert_eq!(t.count(t.root(u(0)).unwrap()), 11);
     }
 
     #[test]
@@ -841,8 +833,8 @@ mod tests {
         // unless preceded by something of even lower grade.
         m.train_session(&[u(0), u(77)]);
         m.finalize();
-        assert!(m.tree().root(u(77)).is_none());
-        assert!(m.tree().descend(&[u(0), u(77)]).is_some());
+        assert!(m.frozen().unwrap().root(u(77)).is_none());
+        assert!(m.frozen().unwrap().descend(&[u(0), u(77)]).is_some());
     }
 
     #[test]
@@ -852,16 +844,15 @@ mod tests {
         // A x A x: A roots twice within one session.
         m.train_session(&[u(0), u(1), u(0), u(1)]);
         m.finalize();
-        let t = m.tree();
-        let root = t.root(u(0)).unwrap();
-        assert_eq!(t.node(root).count, 2);
+        let t = m.frozen().unwrap();
+        assert_eq!(t.count(t.root(u(0)).unwrap()), 2);
         // Child u(1) under A was visited twice but inserted once.
         let child = t.descend(&[u(0), u(1)]).unwrap();
-        assert_eq!(t.node(child).count, 2);
+        assert_eq!(t.count(child), 2);
         // Nodes: root A, child x, and the deep copy of A recorded before the
         // branch restarted (A x A). No self-link is created.
         assert_eq!(m.node_count(), 3);
-        assert_eq!(t.links_of(root).count(), 0);
+        assert!(t.links_of(u(0)).is_empty());
     }
 
     #[test]
@@ -894,8 +885,9 @@ mod tests {
             m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5)]);
         }
         m.train_session(&[u(3), u(1), u(2), u(0)]);
+        let tree = m.reference_tree().unwrap();
         m.finalize();
-        let scan = crate::reference::PbScan::new(&m);
+        let scan = crate::reference::PbScan::new(&tree, &m);
         let mut fast = Vec::new();
         let mut slow = Vec::new();
         for ctx in [
@@ -927,9 +919,10 @@ mod tests {
             m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5)]);
         }
         m.train_session(&[u(3), u(1), u(2), u(0)]);
+        let tree = m.reference_tree().unwrap();
         m.finalize();
         m.index.force_dirty();
-        let scan = crate::reference::PbScan::new(&m);
+        let scan = crate::reference::PbScan::new(&tree, &m);
         let mut fast = Vec::new();
         let mut slow = Vec::new();
         for ctx in [

@@ -396,13 +396,9 @@ mod tests {
         m.predict_ro(&[u(0)], &mut a, &mut ua);
         back.predict_ro(&[u(0)], &mut b, &mut ub);
         assert_eq!(a, b, "restored model serves identical predictions");
-        // Snapshots compact the tree arena, so byte sizes may shrink;
-        // every structural stat must survive the round-trip.
-        let (mut sa, mut sb) = (m.stats(), back.stats());
-        assert!(sb.memory_bytes <= sa.memory_bytes);
-        sa.memory_bytes = 0;
-        sb.memory_bytes = 0;
-        assert_eq!(sa, sb);
+        // The restored arena holds exactly the original's rows: every stat
+        // survives the round-trip, arena bytes included.
+        assert_eq!(m.stats(), back.stats());
 
         // Training resumes seamlessly: two more sessions complete the
         // rebuild schedule on both instances alike.

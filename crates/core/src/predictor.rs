@@ -74,10 +74,9 @@ impl ModelKind {
 /// a merged batch once is equivalent to applying each record as it happened.
 #[derive(Debug, Clone, Default)]
 pub struct PredictUsage {
-    /// Tree nodes to flag used ([`crate::tree::Tree::mark_used`]).
+    /// Arena rows to flag used in the model's path-usage bitset.
     pub used_nodes: Vec<NodeId>,
-    /// Tree nodes whose whole ancestor path is flagged used
-    /// ([`crate::tree::Tree::mark_path_used`]).
+    /// Arena rows whose whole ancestor path is flagged used.
     pub used_paths: Vec<NodeId>,
     /// Source URLs whose transition row was consulted (first-order Markov).
     pub used_urls: Vec<UrlId>,

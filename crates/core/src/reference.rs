@@ -2,8 +2,11 @@
 //! model's serving path is property-tested bit-identical against, and the
 //! throughput bench's `reference_ns_per_click` baseline.
 //!
-//! Nothing here serves traffic. Each oracle reads only the model's pointer
-//! tree, so it shares no code with the frozen-arena paths it checks:
+//! Nothing here serves traffic. Each oracle walks the pointer tree the
+//! model's `reference_tree` hook returns — the training tree after
+//! finalize's own pruning and compaction, never frozen — and reads only
+//! configuration from the model, so it shares no code with the
+//! frozen-arena paths it checks and catches a freeze or codec bug:
 //!
 //! * standard and LRS PPM: descend every context suffix from its root,
 //!   longest first ([`Tree::longest_predictive_match`]);
@@ -19,14 +22,19 @@ use crate::predictor::{rank_predictions, Prediction};
 use crate::standard::StandardPpm;
 use crate::tree::{NodeId, Tree};
 
-/// Standard PPM by root descent.
-pub fn predict_standard(m: &StandardPpm, context: &[UrlId], out: &mut Vec<Prediction>) {
-    predict_suffix_forest(&m.tree, m.max_order, context, out);
+/// Standard PPM by root descent over `m`'s reference tree.
+pub fn predict_standard(
+    tree: &Tree,
+    m: &StandardPpm,
+    context: &[UrlId],
+    out: &mut Vec<Prediction>,
+) {
+    predict_suffix_forest(tree, m.max_order, context, out);
 }
 
-/// LRS-PPM by root descent.
-pub fn predict_lrs(m: &LrsPpm, context: &[UrlId], out: &mut Vec<Prediction>) {
-    predict_suffix_forest(&m.tree, m.max_height, context, out);
+/// LRS-PPM by root descent over `m`'s reference tree.
+pub fn predict_lrs(tree: &Tree, m: &LrsPpm, context: &[UrlId], out: &mut Vec<Prediction>) {
+    predict_suffix_forest(tree, m.max_height, context, out);
 }
 
 /// Standard and LRS trees store every suffix of a sequence as its own
@@ -52,16 +60,17 @@ fn predict_suffix_forest(
 }
 
 /// PB-PPM's linear occurrence scan, over an occurrence table (URL → every
-/// alive branch node for that URL) built once from the model's tree.
+/// alive branch node for that URL) built once from the model's reference
+/// tree.
 pub struct PbScan<'a> {
-    model: &'a PbPpm,
+    tree: &'a Tree,
+    max_order: usize,
     by_url: FxHashMap<UrlId, Vec<NodeId>>,
 }
 
 impl<'a> PbScan<'a> {
-    /// Builds the occurrence table for `model`.
-    pub fn new(model: &'a PbPpm) -> Self {
-        let tree = &model.tree;
+    /// Builds the occurrence table over `model`'s reference `tree`.
+    pub fn new(tree: &'a Tree, model: &PbPpm) -> Self {
         let mut by_url: FxHashMap<UrlId, Vec<NodeId>> = FxHashMap::default();
         for id in tree.iter_alive() {
             let node = tree.node(id);
@@ -69,7 +78,11 @@ impl<'a> PbScan<'a> {
                 by_url.entry(node.url).or_default().push(id);
             }
         }
-        Self { model, by_url }
+        Self {
+            tree,
+            max_order: model.cfg.max_order,
+            by_url,
+        }
     }
 
     /// The reference prediction for `context`: the longest match group's
@@ -79,8 +92,7 @@ impl<'a> PbScan<'a> {
         let Some(&current) = context.last() else {
             return;
         };
-        let tree = &self.model.tree;
-        let max_order = self.model.cfg.max_order;
+        let (tree, max_order) = (self.tree, self.max_order);
         if let Some(nodes) = self.by_url.get(&current) {
             // Group candidate nodes by match length, longest first.
             let mut scored: Vec<(usize, NodeId)> = nodes
@@ -164,6 +176,7 @@ mod tests {
         UrlId(n)
     }
 
+    /// Still training: callers take its reference tree, then finalize.
     fn chain(max_order: usize) -> PbPpm {
         let mut b = PopularityBuilder::new();
         b.record_n(u(0), 1000);
@@ -176,7 +189,6 @@ mod tests {
         let mut m = PbPpm::new(b.build(), cfg);
         // One branch 0 -> 1 -> 2 -> 3 (head grade 3, height 7).
         m.train_session(&[u(0), u(1), u(2), u(3)]);
-        m.finalize();
         m
     }
 
@@ -185,8 +197,8 @@ mod tests {
     /// stored branch.
     #[test]
     fn match_len_pins_root_interior_and_leaf() {
-        let m = chain(8);
-        let t = m.tree();
+        let tree = chain(8).reference_tree().unwrap();
+        let t = &tree;
         let root = t.root(u(0)).unwrap();
         let interior = t.descend(&[u(0), u(1), u(2)]).unwrap();
         let leaf = t.descend(&[u(0), u(1), u(2), u(3)]).unwrap();
@@ -213,8 +225,10 @@ mod tests {
 
     #[test]
     fn scan_predicts_interior_matches_and_links() {
-        let m = chain(8);
-        let scan = PbScan::new(&m);
+        let mut m = chain(8);
+        let tree = m.reference_tree().unwrap();
+        m.finalize();
+        let scan = PbScan::new(&tree, &m);
         let mut out = Vec::new();
         scan.predict(&[u(7), u(1), u(2)], &mut out);
         assert_eq!(out, vec![Prediction::new(u(3), 1.0)]);

@@ -13,26 +13,23 @@
 //! paper's Figure 1. Output is deterministic: roots and children are ordered
 //! by URL id.
 
+use crate::frozen::FrozenTree;
 use crate::interner::{Interner, UrlId};
-use crate::tree::{NodeId, Tree};
 use std::fmt::Write as _;
 
-/// Renders the whole forest. When `names` is given, URLs print as their
-/// interned strings; otherwise as `u<id>`.
-pub fn render_tree(tree: &Tree, names: Option<&Interner>) -> String {
+/// Renders a finalized model's whole forest. When `names` is given, URLs
+/// print as their interned strings; otherwise as `u<id>`.
+pub fn render_tree(arena: &FrozenTree, names: Option<&Interner>) -> String {
     let mut out = String::new();
-    let mut roots: Vec<NodeId> = tree.iter_roots().collect();
-    roots.sort_by_key(|&id| tree.node(id).url);
-    for root in roots {
-        render_node(tree, root, names, "", "", &mut out);
+    for &(_, root) in &arena.roots {
+        render_node(arena, root, names, "", "", &mut out);
     }
     out
 }
 
-fn label(tree: &Tree, id: NodeId, names: Option<&Interner>) -> String {
-    let node = tree.node(id);
-    let name = url_label(node.url, names);
-    format!("{name}/{}", node.count)
+fn label(arena: &FrozenTree, id: u32, names: Option<&Interner>) -> String {
+    let name = url_label(arena.url(id), names);
+    format!("{name}/{}", arena.count(id))
 }
 
 fn url_label(url: UrlId, names: Option<&Interner>) -> String {
@@ -43,24 +40,25 @@ fn url_label(url: UrlId, names: Option<&Interner>) -> String {
 }
 
 fn render_node(
-    tree: &Tree,
-    id: NodeId,
+    arena: &FrozenTree,
+    id: u32,
     names: Option<&Interner>,
     prefix: &str,
     child_prefix: &str,
     out: &mut String,
 ) {
-    let _ = writeln!(out, "{prefix}{}", label(tree, id, names));
-    let mut kids: Vec<NodeId> = tree.children_of(id).map(|(_, c, _)| c).collect();
-    kids.sort_by_key(|&c| tree.node(c).url);
-    let links: Vec<NodeId> = {
-        let mut l: Vec<NodeId> = tree.links_of(id).collect();
-        l.sort_by_key(|&c| tree.node(c).url);
-        l
+    let _ = writeln!(out, "{prefix}{}", label(arena, id, names));
+    // Child rows are sorted by URL already; only a root has links.
+    let kids = arena.children(id);
+    let mut links: Vec<u32> = if arena.parent(id) == crate::frozen::NO_NODE {
+        arena.links_of(arena.url(id)).to_vec()
+    } else {
+        Vec::new()
     };
+    links.sort_by_key(|&c| arena.url(c));
     let last_index = kids.len() + links.len();
     let mut i = 0;
-    for &kid in &kids {
+    for &(_, kid) in kids {
         i += 1;
         let (branch, cont) = if i == last_index {
             ("└── ", "    ")
@@ -68,7 +66,7 @@ fn render_node(
             ("├── ", "│   ")
         };
         render_node(
-            tree,
+            arena,
             kid,
             names,
             &format!("{child_prefix}{branch}"),
@@ -83,28 +81,37 @@ fn render_node(
         } else {
             "├── "
         };
-        let _ = writeln!(out, "{child_prefix}{branch}~> {}", label(tree, link, names));
+        let _ = writeln!(
+            out,
+            "{child_prefix}{branch}~> {}",
+            label(arena, link, names)
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::Tree;
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
     }
 
+    fn render(t: Tree, names: Option<&Interner>) -> String {
+        render_tree(&t.freeze(None), names)
+    }
+
     #[test]
     fn renders_empty_tree_as_empty_string() {
-        assert_eq!(render_tree(&Tree::new(), None), "");
+        assert_eq!(render(Tree::new(), None), "");
     }
 
     #[test]
     fn renders_simple_chain() {
         let mut t = Tree::new();
         t.insert_path(&[u(0), u(1), u(2)], usize::MAX);
-        let s = render_tree(&t, None);
+        let s = render(t, None);
         assert_eq!(s, "u0/1\n└── u1/1\n    └── u2/1\n");
     }
 
@@ -113,7 +120,7 @@ mod tests {
         let mut t = Tree::new();
         t.insert_path(&[u(0), u(1)], usize::MAX);
         t.insert_path(&[u(0), u(2)], usize::MAX);
-        let s = render_tree(&t, None);
+        let s = render(t, None);
         assert_eq!(s, "u0/2\n├── u1/1\n└── u2/1\n");
     }
 
@@ -124,7 +131,7 @@ mod tests {
         t.bump(r);
         let l = t.link_or_insert(r, u(9));
         t.bump(l);
-        let s = render_tree(&t, None);
+        let s = render(t, None);
         assert!(s.contains("~> u9/1"), "got: {s}");
     }
 
@@ -135,7 +142,7 @@ mod tests {
         let mut t = Tree::new();
         let r = t.root_or_insert(a);
         t.bump(r);
-        let s = render_tree(&t, Some(&names));
+        let s = render(t, Some(&names));
         assert_eq!(s, "/index.html/1\n");
     }
 
@@ -144,7 +151,7 @@ mod tests {
         let mut t = Tree::new();
         t.insert_path(&[u(5)], usize::MAX);
         t.insert_path(&[u(1)], usize::MAX);
-        let s = render_tree(&t, None);
+        let s = render(t, None);
         let first = s.lines().next().unwrap();
         assert_eq!(first, "u1/1");
     }

@@ -29,11 +29,14 @@
 //! The format version is bumped on any layout change; readers accept only
 //! [`FORMAT_VERSION`] and reject anything else outright
 //! ([`CodecError::UnsupportedVersion`]) rather than guessing. A file
-//! stores what cannot be rederived: the tree, the popularity counts and
-//! the configuration. The frozen serving arena is compiled from the tree
-//! at instantiation, so it is never written. The checksum covers header
-//! and payload, so truncation and bit corruption both surface as clean
-//! errors instead of garbage models.
+//! stores what cannot be rederived: a finalized model's arena rows (nodes,
+//! roots, special links), the popularity counts and the configuration.
+//! Grades and the fingerprint index are rebuilt at instantiation. Only
+//! finalized models are written; a model image whose `finalized` byte is
+//! 0 is refused ([`CodecError::Unfinalized`]), as is any URL id outside
+//! the file's URL table ([`CodecError::UrlOutOfRange`]). The checksum
+//! covers header and payload, so truncation and bit corruption both
+//! surface as clean errors instead of garbage models.
 //!
 //! ## Crash-safe generations
 //!
@@ -55,6 +58,7 @@ use crate::prune::PruneConfig;
 use crate::standard::{StandardPpm, StandardSnapshot};
 use crate::tree::{NodeSnapshot, SnapshotError, TreeSnapshot};
 use std::io::Write as _;
+use std::iter::once;
 use std::path::{Path, PathBuf};
 
 /// The 8-byte magic at offset 0 of every snapshot file.
@@ -90,6 +94,11 @@ pub enum CodecError {
     TrailingBytes,
     /// A structurally invalid value (context in the message).
     Invalid(&'static str),
+    /// The model image is not of a finalized model (its `finalized` byte
+    /// is 0); nothing writes such files.
+    Unfinalized,
+    /// A stored URL id has no entry in the file's URL table.
+    UrlOutOfRange(u32),
     /// The embedded tree image failed structural validation.
     Tree(SnapshotError),
 }
@@ -110,6 +119,10 @@ impl std::fmt::Display for CodecError {
             CodecError::BadKind(k) => write!(f, "unknown model kind tag {k}"),
             CodecError::TrailingBytes => write!(f, "trailing bytes after snapshot payload"),
             CodecError::Invalid(what) => write!(f, "invalid snapshot field: {what}"),
+            CodecError::Unfinalized => write!(f, "snapshot holds a model that was never finalized"),
+            CodecError::UrlOutOfRange(url) => {
+                write!(f, "url id {url} is outside the snapshot's url table")
+            }
             CodecError::Tree(e) => write!(f, "invalid tree image: {e}"),
         }
     }
@@ -446,20 +459,45 @@ fn read_pb_config(r: &mut Reader) -> Result<PbConfig, CodecError> {
     })
 }
 
+/// The `finalized` byte after a model image: always 1 on write, and
+/// required on read.
+fn read_finalized(r: &mut Reader) -> Result<(), CodecError> {
+    if r.bool()? {
+        Ok(())
+    } else {
+        Err(CodecError::Unfinalized)
+    }
+}
+
 fn write_pb(w: &mut Writer, s: &PbSnapshot) {
     write_tree(w, &s.tree);
     write_pop(w, &s.pop);
     write_pb_config(w, &s.cfg);
-    w.bool(s.finalized);
+    w.bool(true);
 }
 
 fn read_pb(r: &mut Reader) -> Result<PbSnapshot, CodecError> {
-    Ok(PbSnapshot {
+    let snap = PbSnapshot {
         tree: read_tree(r)?,
         pop: read_pop(r)?,
         cfg: read_pb_config(r)?,
-        finalized: r.bool()?,
-    })
+    };
+    read_finalized(r)?;
+    Ok(snap)
+}
+
+/// The first URL id in a tree image at or past `bound`: a node URL, a
+/// child-entry key or a root key (link targets are node ids).
+fn tree_url_outside(t: &TreeSnapshot, bound: u32) -> Option<u32> {
+    for n in &t.nodes {
+        if n.url >= bound {
+            return Some(n.url);
+        }
+        if let Some(&(url, _)) = n.children.iter().find(|c| c.0 >= bound) {
+            return Some(url);
+        }
+    }
+    t.roots.iter().map(|r| r.0).find(|&url| url >= bound)
 }
 
 fn write_sessions(w: &mut Writer, sessions: &[Vec<crate::interner::UrlId>]) {
@@ -577,13 +615,13 @@ impl SnapshotFile {
                     }
                     None => payload.bool(false),
                 }
-                payload.bool(s.finalized);
+                payload.bool(true);
             }
             ModelImage::Lrs(s) => {
                 write_tree(&mut payload, &s.tree);
                 payload.varint(s.min_support);
                 payload.usizev(s.max_height);
-                payload.bool(s.finalized);
+                payload.bool(true);
             }
             ModelImage::Order1(s) => {
                 payload.usizev(s.rows.len());
@@ -664,17 +702,23 @@ impl SnapshotFile {
         }
         let model = match tag {
             KIND_PB => ModelImage::Pb(read_pb(&mut r)?),
-            KIND_STANDARD => ModelImage::Standard(StandardSnapshot {
-                tree: read_tree(&mut r)?,
-                max_height: if r.bool()? { Some(r.u8()?) } else { None },
-                finalized: r.bool()?,
-            }),
-            KIND_LRS => ModelImage::Lrs(LrsSnapshot {
-                tree: read_tree(&mut r)?,
-                min_support: r.varint()?,
-                max_height: r.usizev()?,
-                finalized: r.bool()?,
-            }),
+            KIND_STANDARD => {
+                let snap = StandardSnapshot {
+                    tree: read_tree(&mut r)?,
+                    max_height: if r.bool()? { Some(r.u8()?) } else { None },
+                };
+                read_finalized(&mut r)?;
+                ModelImage::Standard(snap)
+            }
+            KIND_LRS => {
+                let snap = LrsSnapshot {
+                    tree: read_tree(&mut r)?,
+                    min_support: r.varint()?,
+                    max_height: r.usizev()?,
+                };
+                read_finalized(&mut r)?;
+                ModelImage::Lrs(snap)
+            }
             KIND_ORDER1 => {
                 let row_count = r.count()?;
                 let mut rows = Vec::with_capacity(row_count);
@@ -718,7 +762,40 @@ impl SnapshotFile {
         if r.remaining() != 0 {
             return Err(CodecError::TrailingBytes);
         }
-        Ok(SnapshotFile { urls, model })
+        let file = SnapshotFile { urls, model };
+        file.check_urls()?;
+        Ok(file)
+    }
+
+    /// Checks that every URL id the model stores — node, child-entry, root,
+    /// order-1 row and online-window ids — names an entry of `urls`. Model
+    /// structures are sized by their largest URL id, so an unchecked id is
+    /// an allocation of the forger's choosing.
+    pub fn check_urls(&self) -> Result<(), CodecError> {
+        // Interner ids are u32, so a table this long admits every id.
+        let bound = u32::try_from(self.urls.len()).unwrap_or(u32::MAX);
+        let found = match &self.model {
+            ModelImage::Pb(s) => tree_url_outside(&s.tree, bound),
+            ModelImage::Standard(s) => tree_url_outside(&s.tree, bound),
+            ModelImage::Lrs(s) => tree_url_outside(&s.tree, bound),
+            ModelImage::Order1(s) => s
+                .rows
+                .iter()
+                .flat_map(|row| once(row.url).chain(row.next.iter().map(|n| n.0)))
+                .find(|&url| url >= bound),
+            ModelImage::OnlinePb(s) => s
+                .window
+                .iter()
+                .flatten()
+                .map(|u| u.0)
+                .find(|&url| url >= bound)
+                .or_else(|| {
+                    s.model
+                        .as_ref()
+                        .and_then(|m| tree_url_outside(&m.tree, bound))
+                }),
+        };
+        found.map_or(Ok(()), |url| Err(CodecError::UrlOutOfRange(url)))
     }
 
     /// Rebuilds the interner from the stored URL list.
@@ -731,8 +808,10 @@ impl SnapshotFile {
     }
 
     /// Instantiates the stored model behind the common [`Predictor`]
-    /// interface, revalidating the tree image.
-    pub fn instantiate(&self) -> Result<Box<dyn Predictor>, SnapshotError> {
+    /// interface, revalidating the URL ids ([`SnapshotFile::check_urls`])
+    /// and the tree image.
+    pub fn instantiate(&self) -> Result<Box<dyn Predictor>, CodecError> {
+        self.check_urls()?;
         Ok(match &self.model {
             ModelImage::Pb(s) => Box::new(PbPpm::from_snapshot(s)?),
             ModelImage::Standard(s) => Box::new(StandardPpm::from_snapshot(s)?),
@@ -968,13 +1047,34 @@ mod tests {
         m.predict_ro(&[UrlId(0)], &mut a, &mut ua);
         restored.predict_ro(&[UrlId(0)], &mut b, &mut ub);
         assert_eq!(a, b);
-        // Snapshots compact the arena (pruned slots disappear), so byte
-        // sizes may shrink; every structural stat must survive.
-        let (mut sa, mut sb) = (m.stats(), restored.stats());
-        assert!(sb.memory_bytes <= sa.memory_bytes);
-        sa.memory_bytes = 0;
-        sb.memory_bytes = 0;
-        assert_eq!(sa, sb);
+        // The restored arena holds exactly the original's rows, so every
+        // stat survives, arena bytes included.
+        assert_eq!(m.stats(), restored.stats());
+    }
+
+    /// Rewrites the PB `finalized` byte (the payload's last) and reseals
+    /// the checksum.
+    fn with_finalized_byte(mut bytes: Vec<u8>, value: u8) -> Vec<u8> {
+        let body_end = bytes.len() - 8;
+        bytes[body_end - 1] = value;
+        let checksum = fnv1a(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn decode_refuses_models_that_were_never_finalized() {
+        let (urls, m) = trained_pb();
+        let bytes = SnapshotFile {
+            urls,
+            model: ModelImage::Pb(m.to_snapshot()),
+        }
+        .encode();
+        assert!(SnapshotFile::decode(&with_finalized_byte(bytes.clone(), 1)).is_ok());
+        assert_eq!(
+            SnapshotFile::decode(&with_finalized_byte(bytes, 0)).unwrap_err(),
+            CodecError::Unfinalized
+        );
     }
 
     #[test]

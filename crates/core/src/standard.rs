@@ -11,7 +11,7 @@
 //! storage grows with every distinct subsequence ever observed, and most
 //! stored paths are never used for a prediction.
 
-use crate::frozen::FrozenTree;
+use crate::frozen::{FrozenTree, NodeStore};
 use crate::interner::UrlId;
 use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 use crate::stats::ModelStats;
@@ -20,13 +20,12 @@ use crate::tree::Tree;
 /// Standard PPM prediction model.
 #[derive(Debug, Clone)]
 pub struct StandardPpm {
-    pub(crate) tree: Tree,
+    /// The training tree, replaced by the frozen arena (the serving read
+    /// path) at finalize.
+    pub(crate) store: NodeStore,
     pub(crate) max_height: Option<u8>,
     /// Longest context (in URLs) considered when matching.
     pub(crate) max_order: usize,
-    pub(crate) finalized: bool,
-    /// Frozen SoA/CSR arena, compiled by `finalize`; the serving read path.
-    pub(crate) frozen: Option<FrozenTree>,
 }
 
 impl StandardPpm {
@@ -35,11 +34,9 @@ impl StandardPpm {
     pub fn new(max_height: Option<u8>) -> Self {
         let max_order = max_height.map_or(usize::from(u8::MAX), |h| usize::from(h).max(1));
         Self {
-            tree: Tree::new(),
+            store: NodeStore::default(),
             max_height,
             max_order,
-            finalized: false,
-            frozen: None,
         }
     }
 
@@ -53,9 +50,14 @@ impl StandardPpm {
         Self::new(None)
     }
 
-    /// Read-only access to the underlying tree (tests, rendering).
-    pub fn tree(&self) -> &Tree {
-        &self.tree
+    /// The pointer tree `finalize` would freeze (compacted, never frozen),
+    /// for the reference oracle ([`crate::reference`]); `None` once
+    /// finalized.
+    #[doc(hidden)]
+    pub fn reference_tree(&self) -> Option<Tree> {
+        let mut tree = self.store.tree()?.clone();
+        tree.compact();
+        Some(tree)
     }
 
     /// Trains on every session, deterministically parallel: contiguous
@@ -64,7 +66,6 @@ impl StandardPpm {
     /// sequential [`Predictor::train_session`] loop at every thread count
     /// (`0` = auto via `PBPPM_THREADS`/available parallelism).
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
-        debug_assert!(!self.finalized, "train_sessions after finalize");
         let threads = crate::parallel::resolve_threads(threads).min(sessions.len().max(1));
         if threads <= 1 {
             for s in sessions {
@@ -87,51 +88,36 @@ impl StandardPpm {
             }
             tree
         });
-        for donor in &donors {
-            self.tree.merge_from(donor);
+        if let Some(tree) = self.store.tree_mut() {
+            for donor in &donors {
+                tree.merge_from(donor);
+            }
         }
     }
 
-    /// Serializes the trained model for persistence.
+    /// Serializes the finalized model for persistence.
     pub fn to_snapshot(&self) -> StandardSnapshot {
         StandardSnapshot {
-            tree: self.tree.to_snapshot(),
+            tree: self.store.image(),
             max_height: self.max_height,
-            finalized: self.finalized,
         }
     }
 
-    /// Restores a model from a snapshot, recompiling the frozen arena
-    /// from the decoded tree.
+    /// Restores a finalized model, rebuilding its arena from the image.
     pub fn from_snapshot(snap: &StandardSnapshot) -> Result<Self, crate::tree::SnapshotError> {
-        let mut tree = Tree::from_snapshot(&snap.tree)?;
-        let frozen = snap.finalized.then(|| tree.freeze(None));
-        Ok(Self {
-            tree,
-            max_height: snap.max_height,
-            max_order: snap
-                .max_height
-                .map_or(usize::from(u8::MAX), |h| usize::from(h).max(1)),
-            finalized: snap.finalized,
-            frozen,
-        })
-    }
-
-    /// The frozen serving arena, if finalized.
-    pub fn frozen(&self) -> Option<&FrozenTree> {
-        self.frozen.as_ref()
+        let mut m = Self::new(snap.max_height);
+        m.store = NodeStore::loaded(FrozenTree::from_snapshot(&snap.tree, None)?);
+        Ok(m)
     }
 }
 
-/// A serializable image of a trained [`StandardPpm`] model.
+/// A serializable image of a finalized [`StandardPpm`] model.
 #[derive(Debug, Clone)]
 pub struct StandardSnapshot {
-    /// The trained prediction forest.
+    /// The frozen arena's rows.
     pub tree: crate::tree::TreeSnapshot,
     /// Branch height cap (`None` = unbounded).
     pub max_height: Option<u8>,
-    /// Whether [`Predictor::finalize`] had run.
-    pub finalized: bool,
 }
 
 impl Predictor for StandardPpm {
@@ -142,19 +128,21 @@ impl Predictor for StandardPpm {
     }
 
     fn train_session(&mut self, session: &[UrlId]) {
-        debug_assert!(!self.finalized, "train_session after finalize");
         let h = self
             .max_height
             .map_or(usize::from(u8::MAX), usize::from)
             .max(1);
-        for start in 0..session.len() {
-            self.tree.insert_path(&session[start..], h);
+        if let Some(tree) = self.store.tree_mut() {
+            for start in 0..session.len() {
+                tree.insert_path(&session[start..], h);
+            }
         }
     }
 
     fn finalize(&mut self) {
-        self.frozen = Some(self.tree.freeze(None));
-        self.finalized = true;
+        if self.store.freeze(None).is_none() {
+            return;
+        }
         crate::verify::runtime_audit(
             &crate::verify::ModelRef::Standard(self),
             "StandardPpm::finalize",
@@ -162,27 +150,26 @@ impl Predictor for StandardPpm {
     }
 
     fn predict_ro(&self, context: &[UrlId], out: &mut Vec<Prediction>, usage: &mut PredictUsage) {
-        debug_assert!(self.finalized, "predict before finalize");
         out.clear();
-        if let Some(frozen) = &self.frozen {
+        if let Some(frozen) = self.frozen() {
             frozen.predict_descent(context, self.max_order, out, usage);
         }
     }
 
     fn apply_usage(&mut self, usage: &PredictUsage) {
-        self.tree.mark_descent_usage(usage);
+        self.store.apply_descent_usage(usage);
     }
 
-    fn frozen(&self) -> Option<&crate::frozen::FrozenTree> {
-        self.frozen.as_ref()
+    fn frozen(&self) -> Option<&FrozenTree> {
+        self.store.arena()
     }
 
     fn node_count(&self) -> usize {
-        self.tree.node_count()
+        self.store.node_count()
     }
 
     fn stats(&self) -> ModelStats {
-        ModelStats::of_tree(&self.tree)
+        self.store.stats()
     }
 }
 
@@ -203,10 +190,11 @@ mod tests {
         m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5)]);
         m.finalize();
         // Six roots, one per position.
-        assert_eq!(m.tree().root_count(), 6);
+        assert_eq!(m.stats().roots, 6);
         // Branch from A holds A B C A' (height 4).
-        assert!(m.tree().descend(&[u(0), u(1), u(2), u(3)]).is_some());
-        assert!(m.tree().descend(&[u(0), u(1), u(2), u(3), u(4)]).is_none());
+        let t = m.frozen().unwrap();
+        assert!(t.descend(&[u(0), u(1), u(2), u(3)]).is_some());
+        assert!(t.descend(&[u(0), u(1), u(2), u(3), u(4)]).is_none());
         // Total nodes: 4 + 4 + 4 + 3 + 2 + 1 = 18.
         assert_eq!(m.node_count(), 18);
     }

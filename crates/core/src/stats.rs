@@ -1,10 +1,10 @@
 //! Structural model statistics backing the paper's space and utilization
 //! metrics (Tables 1–2, Figure 2 right, Figure 4).
 
-use crate::tree::Tree;
+use crate::frozen::{FrozenTree, NO_NODE};
 use serde::{Deserialize, Serialize};
 
-/// A snapshot of a model's tree structure.
+/// A snapshot of a finalized model's structure, read from its arena.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ModelStats {
     /// Alive URL nodes — the paper's "space size in number of nodes".
@@ -21,7 +21,7 @@ pub struct ModelStats {
     pub total_paths: usize,
     /// Paths whose leaf participated in at least one prediction.
     pub used_paths: usize,
-    /// Approximate resident memory of the tree arena, in bytes.
+    /// Exact heap bytes of the frozen arena.
     pub memory_bytes: usize,
     /// `(node, window)` entries in PB-PPM's `ContextIndex` (0 before
     /// finalization, and for the models without one).
@@ -31,19 +31,21 @@ pub struct ModelStats {
 }
 
 impl ModelStats {
-    /// Collects statistics from a tree. Index fields stay 0; PB-PPM, which
-    /// carries a `ContextIndex`, fills them via [`ModelStats::with_index`].
-    pub fn of_tree(tree: &Tree) -> Self {
-        let (total_paths, used_paths) = tree.path_usage();
+    /// Collects statistics from an arena and its path-usage bitset (one
+    /// bit per row; empty when nothing was used). Index fields stay 0;
+    /// PB-PPM, which carries a `ContextIndex`, fills them via
+    /// [`ModelStats::with_index`].
+    pub fn of_arena(arena: &FrozenTree, used: &[u64]) -> Self {
+        let (total_paths, used_paths) = arena.path_usage(used);
         Self {
-            nodes: tree.node_count(),
-            roots: tree.root_count(),
-            edges: tree.edge_count(),
-            special_links: tree.link_count(),
-            max_depth: tree.max_depth(),
+            nodes: arena.len(),
+            roots: arena.roots.len(),
+            edges: arena.parents.iter().filter(|&&p| p != NO_NODE).count(),
+            special_links: arena.dup_bits.iter().map(|w| w.count_ones() as usize).sum(),
+            max_depth: arena.depths.iter().copied().max().unwrap_or(0),
             total_paths,
             used_paths,
-            memory_bytes: tree.memory_bytes(),
+            memory_bytes: arena.heap_bytes(),
             index_entries: 0,
             index_bytes: 0,
         }
@@ -56,7 +58,7 @@ impl ModelStats {
         self
     }
 
-    /// Approximate total resident bytes: tree arena plus fingerprint index
+    /// Total resident bytes: frozen arena plus fingerprint index
     /// — the quantity behind the paper's Table-1 storage comparison once
     /// the matching acceleration structures are included.
     pub fn total_bytes(&self) -> usize {
@@ -81,30 +83,38 @@ impl ModelStats {
 mod tests {
     use super::*;
     use crate::interner::UrlId;
+    use crate::tree::Tree;
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
     }
 
+    fn arena(paths: &[&[u32]]) -> FrozenTree {
+        let mut t = Tree::new();
+        for p in paths {
+            let path: Vec<UrlId> = p.iter().map(|&n| u(n)).collect();
+            t.insert_path(&path, usize::MAX);
+        }
+        t.freeze(None)
+    }
+
     #[test]
-    fn stats_of_empty_tree() {
-        let s = ModelStats::of_tree(&Tree::new());
+    fn stats_of_empty_arena() {
+        let s = ModelStats::of_arena(&Tree::new().freeze(None), &[]);
         assert_eq!(s.nodes, 0);
         assert_eq!(s.path_utilization(), 1.0);
     }
 
     #[test]
-    fn stats_reflect_tree_shape() {
-        let mut t = Tree::new();
-        t.insert_path(&[u(1), u(2), u(3)], usize::MAX);
-        t.insert_path(&[u(4)], usize::MAX);
-        let s = ModelStats::of_tree(&t);
+    fn stats_reflect_arena_shape() {
+        let a = arena(&[&[1, 2, 3], &[4]]);
+        let s = ModelStats::of_arena(&a, &[]);
         assert_eq!(s.nodes, 4);
         assert_eq!(s.roots, 2);
         assert_eq!(s.max_depth, 3);
         assert_eq!(s.total_paths, 2);
         assert_eq!(s.used_paths, 0);
-        assert!(s.memory_bytes > 0);
+        assert_eq!(s.memory_bytes, a.heap_bytes());
     }
 
     #[test]
@@ -113,23 +123,24 @@ mod tests {
         t.insert_path(&[u(1), u(2), u(3)], usize::MAX);
         let root = t.descend(&[u(1)]).unwrap();
         t.link_or_insert(root, u(9));
-        let s = ModelStats::of_tree(&t);
+        let s = ModelStats::of_arena(&t.freeze(None), &[]);
         assert_eq!(s.nodes, 4);
         // Two branch edges (1→2, 2→3) plus the special link under the root.
         assert_eq!(s.edges, 3);
         assert_eq!(s.special_links, 1);
+        // The duplicated node is storage, not a surfing path.
+        assert_eq!(s.total_paths, 1);
         assert_eq!(s.index_entries, 0, "no index attached yet");
         assert_eq!(s.total_bytes(), s.memory_bytes);
     }
 
     #[test]
     fn with_index_adds_the_index_footprint() {
-        let mut t = Tree::new();
-        t.insert_path(&[u(1), u(2)], usize::MAX);
+        let a = arena(&[&[1, 2]]);
         // Only the voting root is filed: window [1]. The leaf's windows
         // [2] and [1, 2] predict nothing and are not stored.
-        let index = crate::context_index::ContextIndex::windows(&t, 8);
-        let s = ModelStats::of_tree(&t).with_index(&index);
+        let index = crate::context_index::ContextIndex::windows(&a, 8);
+        let s = ModelStats::of_arena(&a, &[]).with_index(&index);
         assert_eq!(s.index_entries, 1);
         assert!(s.index_bytes > 0);
         assert_eq!(s.total_bytes(), s.memory_bytes + s.index_bytes);
@@ -137,14 +148,17 @@ mod tests {
 
     #[test]
     fn utilization_counts_used_leaves() {
-        let mut t = Tree::new();
-        t.insert_path(&[u(1), u(2)], usize::MAX);
-        t.insert_path(&[u(3), u(4)], usize::MAX);
-        let leaf = t.descend(&[u(1), u(2)]).unwrap();
-        t.mark_used(leaf);
-        let s = ModelStats::of_tree(&t);
+        let a = arena(&[&[1, 2], &[3, 4]]);
+        let mut used = vec![0u64; 1];
+        let leaf = a.descend(&[u(1), u(2)]).unwrap();
+        a.mark_path(&mut used, leaf);
+        let s = ModelStats::of_arena(&a, &used);
         assert_eq!(s.total_paths, 2);
         assert_eq!(s.used_paths, 1);
         assert!((s.path_utilization() - 0.5).abs() < 1e-12);
+        // Marking an interior row alone uses no path.
+        let mut used = vec![0u64; 1];
+        crate::frozen::mark_row(&mut used, a.root(u(3)).unwrap());
+        assert_eq!(ModelStats::of_arena(&a, &used).used_paths, 0);
     }
 }

@@ -18,6 +18,11 @@
 //! * The `pbppm-audit` crate re-exports this API and adds snapshot-level
 //!   entry points plus the adversarial corruption harness.
 //!
+//! Every structural check reads the finalized model's frozen arena — the
+//! only node store a finalized or loaded model keeps — so there are no
+//! tombstones to skip and no second copy to cross-check. A model still
+//! training has no arena yet and only its popularity table is checked.
+//!
 //! One paper rule is deliberately *not* re-checked post hoc: rule 4 (root
 //! admission) is a statement about the training stream — any URL may
 //! legally head a branch because every session head roots one — so a
@@ -25,7 +30,7 @@
 //! *registry* is structurally sound in both directions.
 
 use crate::context_index::ContextIndex;
-use crate::frozen::FrozenTree;
+use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
 use crate::lrs::LrsPpm;
 use crate::order1::Order1Markov;
@@ -33,7 +38,6 @@ use crate::pb::PbPpm;
 use crate::pb_online::OnlinePbPpm;
 use crate::popularity::{Grade, PopularityTable};
 use crate::standard::StandardPpm;
-use crate::tree::{NodeId, Tree};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -103,11 +107,6 @@ pub enum Violation {
         /// Root-to-node URL path.
         path: Vec<u32>,
     },
-    /// An alive node hangs off a dead parent.
-    OrphanNode {
-        /// Root-to-node URL path.
-        path: Vec<u32>,
-    },
     /// The summed counts of a node's alive children exceed its own count
     /// (training bumps every ancestor at least as often as any child, and
     /// pruning only removes counts — the sum can never exceed the parent).
@@ -142,11 +141,6 @@ pub enum Violation {
         cap: u8,
         /// Actual walk depth of the offending node.
         depth: u8,
-    },
-    /// A special-link list hangs off a node that is not a branch root.
-    LinkFromNonRoot {
-        /// URL of the non-root link head.
-        url: u32,
     },
     /// A special link points at a node not marked as a duplicated popular
     /// node.
@@ -205,8 +199,9 @@ pub enum Violation {
         /// Number of interned symbols.
         url_count: u64,
     },
-    /// A stored popularity grade differs from the grade rederived from the
-    /// count vector (§3.1's log₁₀ bucketing).
+    /// A stored popularity grade — in the popularity table or the arena's
+    /// grade column — differs from the grade rederived from the count
+    /// vector (§3.1's log₁₀ bucketing).
     GradeMismatch {
         /// The URL id with the forged grade.
         url: u32,
@@ -221,7 +216,7 @@ pub enum Violation {
         /// Which scalar disagrees.
         what: &'static str,
     },
-    /// A finalized LRS tree keeps a node below the support threshold.
+    /// A finalized LRS arena keeps a node below the support threshold.
     SupportBelowThreshold {
         /// Root-to-node URL path.
         path: Vec<u32>,
@@ -240,7 +235,7 @@ pub enum Violation {
         sum: u64,
     },
     /// The fingerprint index's bucket structure diverges from a fresh
-    /// rebuild over the same tree.
+    /// rebuild over the same arena.
     IndexShapeDiverges {
         /// Human-readable description of the divergence.
         detail: String,
@@ -274,17 +269,6 @@ pub enum Violation {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// A frozen-arena field disagrees with the pointer tree it freezes.
-    FrozenMismatch {
-        /// Human-readable description of the disagreement.
-        detail: String,
-    },
-    /// A frozen-arena aggregate (total mass, root table, link table)
-    /// disagrees with the pointer tree's.
-    FrozenAggregateMismatch {
-        /// Human-readable description of the disagreement.
-        detail: String,
-    },
 }
 
 impl Violation {
@@ -296,12 +280,10 @@ impl Violation {
             Violation::ChildParentMismatch { .. } => "child-parent-mismatch",
             Violation::ChildDepthMismatch { .. } => "child-depth-mismatch",
             Violation::ChildNotLinked { .. } => "child-not-linked",
-            Violation::OrphanNode { .. } => "orphan-node",
             Violation::ChildCountExceedsParent { .. } => "child-count-exceeds-parent",
             Violation::RootNotRegistered { .. } => "root-not-registered",
             Violation::RootRegistrationInvalid { .. } => "root-registration-invalid",
             Violation::HeightExceedsCap { .. } => "height-exceeds-cap",
-            Violation::LinkFromNonRoot { .. } => "link-from-non-root",
             Violation::LinkTargetNotDup { .. } => "link-target-not-dup",
             Violation::LinkTargetDetached { .. } => "link-target-detached",
             Violation::LinkSelf { .. } => "link-self",
@@ -320,8 +302,6 @@ impl Violation {
             Violation::WindowOverflow { .. } => "window-overflow",
             Violation::SnapshotRejected { .. } => "snapshot-rejected",
             Violation::FrozenCsrMalformed { .. } => "frozen-csr-malformed",
-            Violation::FrozenMismatch { .. } => "frozen-mismatch",
-            Violation::FrozenAggregateMismatch { .. } => "frozen-aggregate-mismatch",
         }
     }
 
@@ -334,7 +314,6 @@ impl Violation {
             | Violation::ChildParentMismatch { path, .. }
             | Violation::ChildDepthMismatch { path, .. }
             | Violation::ChildNotLinked { path }
-            | Violation::OrphanNode { path }
             | Violation::ChildCountExceedsParent { path, .. }
             | Violation::HeightExceedsCap { path, .. }
             | Violation::LinkDupMisplaced { path }
@@ -386,9 +365,6 @@ impl fmt::Display for Violation {
                 "alive node [{}] is missing from its parent's child list",
                 fmt_path(path)
             ),
-            Violation::OrphanNode { path } => {
-                write!(f, "alive node [{}] hangs off a dead parent", fmt_path(path))
-            }
             Violation::ChildCountExceedsParent {
                 path,
                 parent_count,
@@ -421,9 +397,6 @@ impl fmt::Display for Violation {
                     fmt_path(path)
                 ),
             },
-            Violation::LinkFromNonRoot { url } => {
-                write!(f, "special links hang off non-root node for url {url}")
-            }
             Violation::LinkTargetNotDup {
                 head_url,
                 target_url,
@@ -508,12 +481,6 @@ impl fmt::Display for Violation {
             }
             Violation::FrozenCsrMalformed { detail } => {
                 write!(f, "frozen arena CSR is malformed: {detail}")
-            }
-            Violation::FrozenMismatch { detail } => {
-                write!(f, "frozen arena diverges from the pointer tree: {detail}")
-            }
-            Violation::FrozenAggregateMismatch { detail } => {
-                write!(f, "frozen arena aggregate diverges: {detail}")
             }
         }
     }
@@ -642,231 +609,201 @@ fn json_escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// The root-to-node URL-id path of `id`, cycle-guarded.
-fn node_path(tree: &Tree, id: NodeId) -> Vec<u32> {
+/// The root-to-node URL-id path of row `id`. Only called once
+/// `check_csr` has passed, so every parent precedes its row and the walk
+/// ends.
+fn node_path(arena: &FrozenTree, id: u32) -> Vec<u32> {
     let mut rev = Vec::new();
     let mut cur = id;
-    let mut steps = 0usize;
-    loop {
-        rev.push(tree.nodes[cur.index()].url.0);
-        steps += 1;
-        let parent = tree.nodes[cur.index()].parent;
-        if parent.is_none() || steps > tree.nodes.len() {
-            break;
-        }
-        cur = parent;
+    while cur != NO_NODE {
+        rev.push(arena.url(cur).0);
+        cur = arena.parent(cur);
     }
     rev.reverse();
     rev
 }
 
-/// Verifies the shared tree-shape invariants every model family obeys.
-fn verify_tree(tree: &Tree, url_count: Option<u64>, report: &mut AuditReport) {
-    for (i, node) in tree.nodes.iter().enumerate() {
-        if !node.alive {
-            continue;
-        }
-        let id = NodeId(u32::try_from(i).unwrap_or(u32::MAX));
+/// Verifies the shape invariants every tree model's arena obeys: CSR
+/// well-formedness first ([`FrozenTree::check_csr`] — a malformed arena
+/// makes every index unreliable, so nothing else runs and `false` is
+/// returned), then child entries, back-pointers, depths, count
+/// monotonicity, the root registry both ways, the special links, and the
+/// grade column rederived from `pop` (zero for the baselines).
+fn verify_arena(
+    arena: &FrozenTree,
+    url_count: Option<u64>,
+    pop: Option<&PopularityTable>,
+    report: &mut AuditReport,
+) -> bool {
+    report.tick();
+    if let Err(detail) = arena.check_csr() {
+        report.violations.push(Violation::FrozenCsrMalformed {
+            detail: detail.to_owned(),
+        });
+        return false;
+    }
+    for id in 0..arena.rows() {
+        let url = arena.url(id);
         if let Some(count) = url_count {
             report.tick();
-            if u64::from(node.url.0) >= count {
+            if u64::from(url.0) >= count {
                 report.violations.push(Violation::SymbolUnresolved {
-                    url: node.url.0,
+                    url: url.0,
                     url_count: count,
                 });
             }
+        }
+        report.tick();
+        let derived = pop.map_or(0, |p| p.grade(url).level());
+        if arena.grade(id) != derived {
+            report.violations.push(Violation::GradeMismatch {
+                url: url.0,
+                stored: arena.grade(id),
+                derived,
+            });
         }
 
         // Child entries: url key, back-pointer, depth chaining, and no
         // duplicated link nodes hiding in a child list.
         let mut children_sum = 0u64;
-        for &(entry_url, cid) in &node.children {
-            let child = &tree.nodes[cid.index()];
-            if !child.alive {
-                continue;
-            }
+        for &(entry_url, child) in arena.children(id) {
             report.tick();
-            children_sum += child.count;
-            if child.url != entry_url {
+            children_sum += arena.count(child);
+            if arena.url(child) != entry_url {
                 report.violations.push(Violation::ChildUrlMismatch {
-                    path: node_path(tree, id),
+                    path: node_path(arena, id),
                     entry_url: entry_url.0,
-                    child_url: child.url.0,
+                    child_url: arena.url(child).0,
                 });
             }
-            if child.link_dup {
+            if arena.is_link_dup(child) {
                 report.violations.push(Violation::LinkDupMisplaced {
-                    path: node_path(tree, id),
+                    path: node_path(arena, id),
                 });
                 continue;
             }
-            if child.parent != id {
+            if arena.parent(child) != id {
                 report.violations.push(Violation::ChildParentMismatch {
-                    path: node_path(tree, id),
-                    child_url: child.url.0,
+                    path: node_path(arena, id),
+                    child_url: arena.url(child).0,
                 });
                 continue;
             }
-            let expected = node.depth.saturating_add(1);
-            if child.depth != expected {
+            let expected = arena.depth(id).saturating_add(1);
+            if arena.depth(child) != expected {
                 report.violations.push(Violation::ChildDepthMismatch {
-                    path: node_path(tree, cid),
+                    path: node_path(arena, child),
                     expected,
-                    found: child.depth,
+                    found: arena.depth(child),
                 });
             }
         }
         report.tick();
-        if children_sum > node.count {
+        if children_sum > arena.count(id) {
             report.violations.push(Violation::ChildCountExceedsParent {
-                path: node_path(tree, id),
-                parent_count: node.count,
+                path: node_path(arena, id),
+                parent_count: arena.count(id),
                 children_sum,
             });
         }
 
-        if node.parent.is_none() {
-            // Forward registry check: every alive parentless branch node
-            // must be its URL's registered root.
-            if !node.link_dup {
-                report.tick();
-                if tree.roots.get(&node.url) != Some(&id) {
-                    report
-                        .violations
-                        .push(Violation::RootNotRegistered { url: node.url.0 });
-                }
-            } else {
+        let parent = arena.parent(id);
+        report.tick();
+        if parent == NO_NODE {
+            // Forward registry check: every parentless branch node must be
+            // its URL's registered root; a parentless duplicate dangles.
+            if arena.is_link_dup(id) {
                 report
                     .violations
-                    .push(Violation::LinkDupOrphaned { url: node.url.0 });
+                    .push(Violation::LinkDupOrphaned { url: url.0 });
+            } else if arena.root(url) != Some(id) {
+                report
+                    .violations
+                    .push(Violation::RootNotRegistered { url: url.0 });
             }
-        } else {
-            let parent = &tree.nodes[node.parent.index()];
-            report.tick();
-            if !parent.alive {
-                if node.link_dup {
-                    report
-                        .violations
-                        .push(Violation::LinkDupOrphaned { url: node.url.0 });
-                } else {
-                    report.violations.push(Violation::OrphanNode {
-                        path: node_path(tree, id),
-                    });
-                }
-            } else if node.link_dup {
-                // An alive duplicate must be reachable via its root's
-                // link list.
-                report.tick();
-                let linked = tree
-                    .links
-                    .get(&node.parent)
-                    .is_some_and(|ts| ts.contains(&id));
-                if !linked {
-                    report
-                        .violations
-                        .push(Violation::LinkDupOrphaned { url: node.url.0 });
-                }
-            } else {
-                // Reverse edge: the parent's child list must hold it.
-                report.tick();
-                let listed = parent
-                    .children
-                    .binary_search_by_key(&node.url, |&(u, _)| u)
-                    .ok()
-                    .map(|pos| parent.children[pos].1)
-                    == Some(id);
-                if !listed {
-                    report.violations.push(Violation::ChildNotLinked {
-                        path: node_path(tree, id),
-                    });
-                }
+        } else if arena.is_link_dup(id) {
+            // A duplicate must be reachable via its root's link list.
+            let head = arena.url(parent);
+            if arena.root(head) != Some(parent) || !arena.links_of(head).contains(&id) {
+                report
+                    .violations
+                    .push(Violation::LinkDupOrphaned { url: url.0 });
             }
+        } else if arena.child(parent, url) != Some(id) {
+            // Reverse edge: the parent's child row must hold it.
+            report.violations.push(Violation::ChildNotLinked {
+                path: node_path(arena, id),
+            });
         }
     }
 
-    // Backward registry check: every registry entry must describe a valid
-    // (possibly tombstoned — resurrectable) root node.
-    for (&url, &id) in &tree.roots {
+    // Backward registry check, then the link lists hanging off each root:
+    // every target a well-formed duplicate directly under its head.
+    for &(url, root) in &arena.roots {
         report.tick();
-        let node = &tree.nodes[id.index()];
-        if node.url != url || !node.parent.is_none() || node.link_dup || node.depth != 1 {
+        if arena.url(root) != url
+            || arena.parent(root) != NO_NODE
+            || arena.is_link_dup(root)
+            || arena.depth(root) != 1
+        {
             report
                 .violations
                 .push(Violation::RootRegistrationInvalid { url: url.0 });
         }
-    }
-
-    // Link lists: heads must be roots; alive targets must be well-formed
-    // duplicates directly under their head. Dead targets are legal
-    // tombstones until the next compaction.
-    for (&root, targets) in &tree.links {
-        let head = &tree.nodes[root.index()];
-        if !head.alive {
-            continue;
-        }
-        report.tick();
-        if !head.parent.is_none() {
-            report
-                .violations
-                .push(Violation::LinkFromNonRoot { url: head.url.0 });
-            continue;
-        }
-        for &t in targets {
-            let target = &tree.nodes[t.index()];
-            if !target.alive {
-                continue;
-            }
+        for &target in arena.links_of(url) {
             report.tick();
-            if !target.link_dup {
+            let target_url = arena.url(target).0;
+            if !arena.is_link_dup(target) {
                 report.violations.push(Violation::LinkTargetNotDup {
-                    head_url: head.url.0,
-                    target_url: target.url.0,
+                    head_url: url.0,
+                    target_url,
                 });
                 continue;
             }
-            if target.parent != root || target.depth != 2 {
+            if arena.parent(target) != root || arena.depth(target) != 2 {
                 report.violations.push(Violation::LinkTargetDetached {
-                    head_url: head.url.0,
-                    target_url: target.url.0,
+                    head_url: url.0,
+                    target_url,
                 });
             }
-            if target.url == head.url {
-                report.violations.push(Violation::LinkSelf {
-                    head_url: head.url.0,
-                });
+            if target_url == url.0 {
+                report
+                    .violations
+                    .push(Violation::LinkSelf { head_url: url.0 });
             }
         }
     }
+    true
 }
 
 /// Walks each registered branch downward and reports nodes beyond `cap_of`'s
 /// height cap for that branch. Walk depth is counted independently of the
-/// stored `depth` fields, so a forged depth cannot hide a breach.
+/// stored `depth` fields, so a forged depth cannot hide a breach. Only
+/// child entries whose back-pointer agrees are followed (a disagreeing one
+/// is reported by [`verify_arena`]), so the walk follows the acyclic
+/// parent structure and always ends.
 fn verify_heights(
-    tree: &Tree,
+    arena: &FrozenTree,
     cap_of: impl Fn(UrlId) -> (Option<u8>, u8),
     report: &mut AuditReport,
 ) {
-    for (&url, &root) in &tree.roots {
-        if !tree.nodes[root.index()].alive {
-            continue;
-        }
+    for &(url, root) in &arena.roots {
         let (grade, cap) = cap_of(url);
         report.tick();
-        let mut stack: Vec<(NodeId, u8)> = vec![(root, 1)];
+        let mut stack: Vec<(u32, u8)> = vec![(root, 1)];
         while let Some((id, depth)) = stack.pop() {
             if depth > cap {
                 report.violations.push(Violation::HeightExceedsCap {
-                    path: node_path(tree, id),
+                    path: node_path(arena, id),
                     grade,
                     cap,
                     depth,
                 });
                 continue; // deeper nodes are implied; avoid a flood
             }
-            for &(_, cid) in &tree.nodes[id.index()].children {
-                if tree.nodes[cid.index()].alive && !tree.nodes[cid.index()].link_dup {
-                    stack.push((cid, depth.saturating_add(1)));
+            for &(_, child) in arena.children(id) {
+                if arena.parent(child) == id && !arena.is_link_dup(child) {
+                    stack.push((child, depth.saturating_add(1)));
                 }
             }
         }
@@ -904,22 +841,14 @@ fn verify_popularity(pop: &PopularityTable, report: &mut AuditReport) {
     }
 }
 
-/// Reports no-special-links for the model families that never create them.
-fn verify_no_links(tree: &Tree, report: &mut AuditReport) {
+/// Reports no-special-links for the model families that never create them:
+/// no duplicated nodes (a link to anything else is a `link-target-not-dup`).
+fn verify_no_links(arena: &FrozenTree, report: &mut AuditReport) {
     report.tick();
-    for (&root, targets) in &tree.links {
-        if tree.nodes[root.index()].alive && targets.iter().any(|&t| tree.nodes[t.index()].alive) {
-            report.violations.push(Violation::UnexpectedSpecialLink {
-                url: tree.nodes[root.index()].url.0,
-            });
-        }
-    }
-    for node in &tree.nodes {
-        if node.alive && node.link_dup {
-            report
-                .violations
-                .push(Violation::UnexpectedSpecialLink { url: node.url.0 });
-        }
+    for id in (0..arena.rows()).filter(|&id| arena.is_link_dup(id)) {
+        report.violations.push(Violation::UnexpectedSpecialLink {
+            url: arena.url(id).0,
+        });
     }
 }
 
@@ -993,199 +922,79 @@ fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditR
     }
 }
 
-/// Audits a frozen SoA/CSR arena against the pointer tree it claims to
-/// freeze: structural CSR validation first ([`FrozenTree::check_csr`]),
-/// then per-node field parity under the identity mapping, root/link table
-/// equality, grade rederivation against `pop`, and a total-mass aggregate
-/// cross-check.
-fn verify_frozen(
-    tree: &Tree,
-    frozen: &FrozenTree,
-    pop: Option<&PopularityTable>,
-    report: &mut AuditReport,
-) {
-    // CSR well-formedness. A malformed arena makes every index unreliable,
-    // so field checks stop here when this fails.
-    report.tick();
-    if let Err(detail) = frozen.check_csr() {
-        report.violations.push(Violation::FrozenCsrMalformed {
-            detail: detail.to_owned(),
-        });
-        return;
-    }
-
-    // Identity mapping: freezing compacts, so frozen row i must be arena
-    // slot i and every slot must be alive.
-    report.tick();
-    if frozen.len() != tree.node_count() || tree.node_count() != tree.arena_len() {
-        report.violations.push(Violation::FrozenMismatch {
-            detail: format!(
-                "arena shape: frozen {} rows, tree {} alive of {} slots",
-                frozen.len(),
-                tree.node_count(),
-                tree.arena_len()
-            ),
-        });
-        return;
-    }
-
-    let mut frozen_mass = 0u64;
-    let mut tree_mass = 0u64;
-    for (i, node) in tree.nodes.iter().enumerate() {
-        let Ok(fi) = u32::try_from(i) else { break };
-        report.tick();
-        let derived_grade = pop.map_or(0, |p| p.grade(node.url).level());
-        if frozen.url(fi) != node.url
-            || frozen.count(fi) != node.count
-            || frozen.depth(fi) != node.depth
-            || frozen.parent(fi) != node.parent.0
-            || frozen.is_link_dup(fi) != node.link_dup
-            || frozen.grade(fi) != derived_grade
-        {
-            report.violations.push(Violation::FrozenMismatch {
-                detail: format!(
-                    "node {i} ({}): frozen row fields diverge from the arena node",
-                    node.url.0
-                ),
-            });
-        }
-        let tree_children: Vec<(UrlId, u32)> = tree
-            .children_of(NodeId(fi))
-            .map(|(u, c, _)| (u, c.0))
-            .collect();
-        if frozen.children(fi) != tree_children.as_slice() {
-            report.violations.push(Violation::FrozenMismatch {
-                detail: format!("node {i} ({}): frozen CSR row diverges", node.url.0),
-            });
-        }
-        frozen_mass = frozen_mass.wrapping_add(frozen.count(fi));
-        tree_mass = tree_mass.wrapping_add(node.count);
-    }
-
-    // Root and link tables, both directions.
-    report.tick();
-    if frozen.roots.len() != tree.roots.len() {
-        report.violations.push(Violation::FrozenAggregateMismatch {
-            detail: format!(
-                "root table size: frozen {}, tree {}",
-                frozen.roots.len(),
-                tree.roots.len()
-            ),
-        });
-    }
-    for (&url, &id) in &tree.roots {
-        report.tick();
-        if frozen.root(url) != Some(id.0) {
-            report.violations.push(Violation::FrozenMismatch {
-                detail: format!("root {} missing or remapped in the frozen arena", url.0),
-            });
-            continue;
-        }
-        let tree_links: Vec<u32> = tree.links_of(id).map(|n| n.0).collect();
-        if frozen.links_of(url) != tree_links.as_slice() {
-            report.violations.push(Violation::FrozenMismatch {
-                detail: format!(
-                    "special links of root {} diverge in the frozen arena",
-                    url.0
-                ),
-            });
-        }
-    }
-
-    // Aggregate cross-check: same total transition mass on both sides.
-    report.tick();
-    if frozen_mass != tree_mass {
-        report.violations.push(Violation::FrozenAggregateMismatch {
-            detail: format!("total count mass: frozen {frozen_mass}, tree {tree_mass}"),
-        });
-    }
-}
-
 fn verify_pb(m: &PbPpm, url_count: Option<u64>, report: &mut AuditReport) {
-    verify_tree(&m.tree, url_count, report);
-    let cfg = m.cfg;
     let pop = &m.pop;
+    verify_popularity(pop, report);
+    let Some(arena) = m.store.arena() else {
+        return;
+    };
+    if !verify_arena(arena, url_count, Some(pop), report) {
+        return;
+    }
+    let cfg = m.cfg;
     verify_heights(
-        &m.tree,
+        arena,
         |url| {
             let g = pop.grade(url);
             (Some(g.level()), cfg.height_for(g))
         },
         report,
     );
-    verify_popularity(pop, report);
 
-    // Rule 3's grade condition for every alive special link.
-    for (&root, targets) in &m.tree.links {
-        let head = &m.tree.nodes[root.index()];
-        if !head.alive {
-            continue;
-        }
-        let head_grade = pop.grade(head.url);
-        for &t in targets {
-            let target = &m.tree.nodes[t.index()];
-            if !target.alive {
-                continue;
-            }
+    // Rule 3's grade condition for every special link.
+    for &(url, _) in &arena.roots {
+        let head_grade = pop.grade(url);
+        for &target in arena.links_of(url) {
             report.tick();
-            let target_grade = pop.grade(target.url);
+            let target_grade = pop.grade(arena.url(target));
             if !(target_grade > head_grade || target_grade == Grade::MAX) {
                 report.violations.push(Violation::LinkGradeRule {
-                    head_url: head.url.0,
+                    head_url: url.0,
                     head_grade: head_grade.level(),
-                    target_url: target.url.0,
+                    target_url: arena.url(target).0,
                     target_grade: target_grade.level(),
                 });
             }
         }
     }
 
-    // The fingerprint index is built at finalize; before that it is
-    // legitimately empty.
-    if !m.finalized {
-        return;
-    }
-    let fresh = ContextIndex::windows(&m.tree, m.cfg.max_order);
+    let fresh = ContextIndex::windows(arena, m.cfg.max_order);
     verify_index(&m.index, &fresh, report);
-    if let Some(frozen) = &m.frozen {
-        verify_frozen(&m.tree, frozen, Some(&m.pop), report);
-    }
 }
 
 fn verify_standard(m: &StandardPpm, url_count: Option<u64>, report: &mut AuditReport) {
-    verify_tree(&m.tree, url_count, report);
-    verify_no_links(&m.tree, report);
-    if let Some(cap) = m.max_height {
-        verify_heights(&m.tree, |_| (None, cap.max(1)), report);
+    let Some(arena) = m.store.arena() else {
+        return;
+    };
+    if !verify_arena(arena, url_count, None, report) {
+        return;
     }
-    if m.finalized {
-        if let Some(frozen) = &m.frozen {
-            verify_frozen(&m.tree, frozen, None, report);
-        }
+    verify_no_links(arena, report);
+    if let Some(cap) = m.max_height {
+        verify_heights(arena, |_| (None, cap.max(1)), report);
     }
 }
 
 fn verify_lrs(m: &LrsPpm, url_count: Option<u64>, report: &mut AuditReport) {
-    verify_tree(&m.tree, url_count, report);
-    verify_no_links(&m.tree, report);
+    let Some(arena) = m.store.arena() else {
+        return;
+    };
+    if !verify_arena(arena, url_count, None, report) {
+        return;
+    }
+    verify_no_links(arena, report);
     let cap = u8::try_from(m.max_height.max(1)).unwrap_or(u8::MAX);
-    verify_heights(&m.tree, |_| (None, cap), report);
-    if m.finalized {
-        // Finalize killed everything below the support threshold; any
-        // survivor under it was smuggled in afterwards.
-        for id in m.tree.iter_alive() {
-            report.tick();
-            let node = m.tree.node(id);
-            if node.count < m.min_support {
-                report.violations.push(Violation::SupportBelowThreshold {
-                    path: node_path(&m.tree, id),
-                    count: node.count,
-                    min_support: m.min_support,
-                });
-            }
-        }
-        if let Some(frozen) = &m.frozen {
-            verify_frozen(&m.tree, frozen, None, report);
+    verify_heights(arena, |_| (None, cap), report);
+    // Finalize killed everything below the support threshold; any survivor
+    // under it was smuggled in afterwards.
+    for id in 0..arena.rows() {
+        report.tick();
+        if arena.count(id) < m.min_support {
+            report.violations.push(Violation::SupportBelowThreshold {
+                path: node_path(arena, id),
+                count: arena.count(id),
+                min_support: m.min_support,
+            });
         }
     }
 }
@@ -1356,6 +1165,13 @@ mod tests {
         m
     }
 
+    fn arena_mut(m: &mut PbPpm) -> &mut FrozenTree {
+        match &mut m.store {
+            crate::frozen::NodeStore::Frozen { arena, .. } => arena,
+            crate::frozen::NodeStore::Training(_) => panic!("model is finalized"),
+        }
+    }
+
     #[test]
     fn clean_models_verify_clean() {
         let pb = trained_pb();
@@ -1385,25 +1201,26 @@ mod tests {
     }
 
     #[test]
-    fn skewed_frozen_count_is_caught() {
+    fn skewed_arena_count_is_caught() {
+        // A count the index did not see: the rebuilt aggregate differs.
         let mut pb = trained_pb();
-        pb.frozen
-            .as_mut()
-            .expect("finalized PB carries an arena")
-            .counts[0] += 1;
+        arena_mut(&mut pb).counts[0] += 1;
         let report = verify_model(&ModelRef::Pb(&pb));
-        assert!(report.has("frozen-mismatch"), "{report}");
-        assert!(report.has("frozen-aggregate-mismatch"), "{report}");
+        assert!(report.has("index-aggregate-stale"), "{report}");
+    }
+
+    #[test]
+    fn forged_grade_column_is_caught() {
+        let mut pb = trained_pb();
+        arena_mut(&mut pb).grades[0] ^= 1;
+        let report = verify_model(&ModelRef::Pb(&pb));
+        assert!(report.has("grade-mismatch"), "{report}");
     }
 
     #[test]
     fn malformed_frozen_csr_is_caught() {
         let mut pb = trained_pb();
-        pb.frozen
-            .as_mut()
-            .expect("finalized PB carries an arena")
-            .child_offsets
-            .pop();
+        arena_mut(&mut pb).child_offsets.pop();
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("frozen-csr-malformed"), "{report}");
     }
@@ -1411,8 +1228,9 @@ mod tests {
     #[test]
     fn inflated_child_count_is_caught() {
         let mut pb = trained_pb();
-        let child = pb.tree.descend(&[u(0), u(1)]).expect("branch exists");
-        pb.tree.node_mut(child).count += 1_000;
+        let arena = arena_mut(&mut pb);
+        let child = arena.descend(&[u(0), u(1)]).expect("branch exists");
+        arena.counts[child as usize] += 1_000;
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("child-count-exceeds-parent"), "{report}");
     }
@@ -1448,8 +1266,9 @@ mod tests {
     #[test]
     fn json_report_is_well_formed() {
         let mut pb = trained_pb();
-        let child = pb.tree.descend(&[u(0), u(1)]).expect("branch exists");
-        pb.tree.node_mut(child).count += 1_000;
+        let arena = arena_mut(&mut pb);
+        let child = arena.descend(&[u(0), u(1)]).expect("branch exists");
+        arena.counts[child as usize] += 1_000;
         let report = verify_model(&ModelRef::Pb(&pb));
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -135,25 +135,25 @@ proptest! {
         }
         model.finalize();
         let repeating = reference_repeating_subsequences(&sessions, 2);
+        let arena = model.frozen().expect("finalize froze the arena");
 
         // Every repeating subsequence must be a walkable path.
         for seq in &repeating {
             prop_assert!(
-                model.tree().descend(seq).is_some(),
-                "repeating {:?} missing from the LRS tree", seq
+                arena.descend(seq).is_some(),
+                "repeating {:?} missing from the LRS arena", seq
             );
         }
         // Every walkable root-to-node path must repeat. Enumerate paths by
-        // DFS over the (small) tree.
-        let tree = model.tree();
-        for root in tree.iter_roots() {
-            let mut stack = vec![(root, vec![tree.node(root).url])];
+        // DFS over the (small) arena.
+        for &(url, root) in arena.roots() {
+            let mut stack = vec![(root, vec![url])];
             while let Some((node, path)) = stack.pop() {
                 prop_assert!(
                     repeating.contains(&path),
                     "stored path {:?} does not repeat in training", path
                 );
-                for (url, child, _) in tree.children_of(node) {
+                for &(url, child) in arena.children(node) {
                     let mut next = path.clone();
                     next.push(url);
                     stack.push((child, next));
@@ -189,16 +189,16 @@ proptest! {
         model.finalize();
         prop_assert_eq!(model.node_count(), unpruned_nodes, "disabled prune must not shrink");
 
-        let tree = model.tree();
+        let arena = model.frozen().expect("finalize froze the arena");
         // Height caps: walk each root, depth bounded by its head's grade.
-        for root in tree.iter_roots() {
-            let head_grade = pop.grade(tree.node(root).url);
+        for &(url, root) in arena.roots() {
+            let head_grade = pop.grade(url);
             let cap = cfg.height_for(head_grade);
             let mut stack = vec![(root, 1u8)];
             while let Some((node, depth)) = stack.pop() {
                 prop_assert!(depth <= cap,
                     "depth {} exceeds cap {} for grade {:?}", depth, cap, head_grade);
-                for (_, child, _) in tree.children_of(node) {
+                for &(_, child) in arena.children(node) {
                     stack.push((child, depth + 1));
                 }
             }
@@ -214,8 +214,8 @@ proptest! {
                 }
             }
         }
-        for root in tree.iter_roots() {
-            prop_assert!(legal_roots.contains(&tree.node(root).url));
+        for &(url, _) in arena.roots() {
+            prop_assert!(legal_roots.contains(&url));
         }
 
         // Pruning monotonicity, and grade-3 links only.
@@ -230,10 +230,10 @@ proptest! {
         prop_assert!(pruned.node_count() <= unpruned_nodes);
 
         // Link targets are either above their head's grade or grade 3.
-        for root in tree.iter_roots() {
-            let head_grade = pop.grade(tree.node(root).url);
-            for link in tree.links_of(root) {
-                let g = pop.grade(tree.node(link).url);
+        for &(url, _) in arena.roots() {
+            let head_grade = pop.grade(url);
+            for &link in arena.links_of(url) {
+                let g = pop.grade(arena.url(link));
                 prop_assert!(g > head_grade || g == Grade::MAX);
             }
         }
@@ -241,7 +241,8 @@ proptest! {
 
     /// Every model's one serving path (`predict_ro` on the frozen arena,
     /// through PB-PPM's fingerprint index) gives exactly the predictions of
-    /// the `pbppm_core::reference` occurrence-scan / tree-walk oracles —
+    /// the `pbppm_core::reference` occurrence-scan / tree-walk oracles,
+    /// which walk each model's never-frozen reference tree —
     /// same URLs, same ranks, same (bit-identical) probabilities — for all
     /// three tree models, across random traces and every prefix context of
     /// every training session plus unseen contexts.
@@ -259,6 +260,9 @@ proptest! {
             standard.train_session(s);
             lrs.train_session(s);
         }
+        let pb_tree = pb.reference_tree().expect("PB is still training");
+        let standard_tree = standard.reference_tree().expect("PPM is still training");
+        let lrs_tree = lrs.reference_tree().expect("LRS is still training");
         pb.finalize();
         standard.finalize();
         lrs.finalize();
@@ -278,7 +282,7 @@ proptest! {
         prop_assert!(standard.frozen().is_some(), "finalize must compile a PPM arena");
         prop_assert!(lrs.frozen().is_some(), "finalize must compile an LRS arena");
 
-        let pb_scan = reference::PbScan::new(&pb);
+        let pb_scan = reference::PbScan::new(&pb_tree, &pb);
         let mut usage = PredictUsage::default();
         let mut fast = Vec::new();
         let mut slow = Vec::new();
@@ -288,18 +292,18 @@ proptest! {
             prop_assert_eq!(&fast, &slow, "PB-PPM diverged on {:?}", context);
 
             standard.predict_ro(context, &mut fast, &mut usage);
-            reference::predict_standard(&standard, context, &mut slow);
+            reference::predict_standard(&standard_tree, &standard, context, &mut slow);
             prop_assert_eq!(&fast, &slow, "standard PPM diverged on {:?}", context);
 
             lrs.predict_ro(context, &mut fast, &mut usage);
-            reference::predict_lrs(&lrs, context, &mut slow);
+            reference::predict_lrs(&lrs_tree, &lrs, context, &mut slow);
             prop_assert_eq!(&fast, &slow, "LRS diverged on {:?}", context);
         }
     }
 
     /// Snapshot roundtrips preserve the frozen arena: the restored model
-    /// recompiles an arena equal to the original's, and its predictions
-    /// are bit-identical — including through the full byte codec.
+    /// rebuilds an arena equal to the original's, and its predictions are
+    /// bit-identical — including through the full byte codec.
     #[test]
     fn snapshot_roundtrip_preserves_frozen_arena_and_predictions(
         sessions in sessions_strategy(8, 7, 14),
@@ -332,8 +336,8 @@ proptest! {
         prop_assert_eq!(standard.frozen(), standard2.frozen());
         prop_assert_eq!(lrs.frozen(), lrs2.frozen());
 
-        // Full byte codec for the PB image: the file carries no arena, and
-        // the decoded model recompiles an identical one.
+        // Full byte codec for the PB image: the file carries the arena's
+        // rows, and the decoded model rebuilds an identical arena.
         let file = SnapshotFile {
             urls: (0..8).map(|i| format!("/p{i}")).collect(),
             model: ModelImage::Pb(pb.to_snapshot()),

@@ -74,13 +74,12 @@ proptest! {
             seq.train_session(s);
         }
         seq.finalize();
-        let seq_tree = seq.tree().to_snapshot();
         let seq_bytes = bytes(ModelImage::Standard(seq.to_snapshot()));
         for threads in THREAD_GRID {
             let mut par = StandardPpm::new(max_height);
             par.train_sessions(&sessions, threads);
             par.finalize();
-            prop_assert_eq!(&seq_tree, &par.tree().to_snapshot(), "threads={}", threads);
+            prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
             prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Standard(par.to_snapshot())), "threads={}", threads);
         }
     }
@@ -97,13 +96,12 @@ proptest! {
             seq.train_session(s);
         }
         seq.finalize();
-        let seq_tree = seq.tree().to_snapshot();
         let seq_bytes = bytes(ModelImage::Lrs(seq.to_snapshot()));
         for threads in THREAD_GRID {
             let mut par = LrsPpm::with_support(support);
             par.train_sessions(&sessions, threads);
             par.finalize();
-            prop_assert_eq!(&seq_tree, &par.tree().to_snapshot(), "threads={}", threads);
+            prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
             prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Lrs(par.to_snapshot())), "threads={}", threads);
         }
     }
@@ -126,13 +124,12 @@ proptest! {
             seq.train_session(s);
         }
         seq.finalize();
-        let seq_tree = seq.tree().to_snapshot();
         let seq_bytes = bytes(ModelImage::Pb(seq.to_snapshot()));
         for threads in THREAD_GRID {
             let mut par = PbPpm::new(pop.clone(), cfg);
             par.train_sessions(&sessions, threads);
             par.finalize();
-            prop_assert_eq!(&seq_tree, &par.tree().to_snapshot(), "threads={}", threads);
+            prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
             prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Pb(par.to_snapshot())), "threads={}", threads);
         }
     }
@@ -151,7 +148,7 @@ fn more_threads_than_sessions() {
     let mut par = StandardPpm::unbounded();
     par.train_sessions(&sessions, 16);
     par.finalize();
-    assert_eq!(seq.tree().to_snapshot(), par.tree().to_snapshot());
+    assert_eq!(seq.frozen(), par.frozen());
 }
 
 #[test]
@@ -168,5 +165,5 @@ fn empty_session_list_is_a_no_op() {
         PbConfig::default(),
     );
     seq.finalize();
-    assert_eq!(seq.tree().to_snapshot(), par.tree().to_snapshot());
+    assert_eq!(seq.frozen(), par.frozen());
 }

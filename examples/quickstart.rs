@@ -58,7 +58,9 @@ fn main() {
         "\nprediction tree ({} nodes, `~>` marks special links):",
         model.node_count()
     );
-    println!("{}", render_tree(model.tree(), Some(&urls)));
+    if let Some(arena) = model.frozen() {
+        println!("{}", render_tree(arena, Some(&urls)));
+    }
 
     // 4. A user just clicked /index.html then /news.html: what should the
     //    server push alongside the response?

@@ -15,11 +15,12 @@
 #   5. snapshot smoke        — generate a tiny trace, then for each model
 #                              (pb, standard, lrs, o1): `pbppm train`
 #                              (writes the .pbss model file), `pbppm audit`
-#                              (loads it, recompiling the SoA/CSR arena
-#                              from the tree, and checks every invariant),
-#                              and `pbppm predict` (serves a query from
-#                              the loaded model) — the full train → audit
-#                              → predict cycle through the real binary
+#                              (loads it, rebuilding the SoA/CSR arena
+#                              directly from the file's rows, and checks
+#                              every invariant on that arena), and
+#                              `pbppm predict` (serves a query from the
+#                              loaded model) — the full train → audit →
+#                              predict cycle through the real binary
 #   6. audit smoke           — `pbppm audit` rejects (nonzero exit) a
 #                              snapshot copy with a flipped payload byte
 #   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
@@ -46,6 +47,10 @@
 #  11. combined log smoke    — the same seed generated as a Combined log
 #                              must train a .pbss byte-identical to the
 #                              CLF log's, and `predict` must serve from it
+#  12. reproduction check    — `all --check` regenerates every paper
+#                              table and figure into a temp dir and
+#                              requires the committed `results/` field for
+#                              field, except the named timing fields
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -106,7 +111,7 @@ pbppm="$repo/target/release/pbppm"
 "$pbppm" generate --preset tiny --out "$tmp/access.log" >/dev/null
 for model in pb standard lrs o1; do
     # `train` writes the model file; `audit` and `predict` each load it,
-    # recompiling the frozen arena from the decoded tree. Any prediction
+    # rebuilding the frozen arena from the file's rows. Any prediction
     # output (or a clean empty "no prediction" answer) proves the cycle
     # worked.
     "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model.pbss" --model "$model" >/dev/null
@@ -264,5 +269,11 @@ if [[ ! -s "$tmp/preds-combined.txt" ]]; then
     echo "ci: predict from the Combined-log model produced no output" >&2
     exit 1
 fi
+
+echo "== ci: reproduction check" >&2
+# Every reproduced number (node counts, hit ratios, latency reductions,
+# traffic, byte sizes) must regenerate exactly; a mismatch prints its
+# JSON path and both values.
+cargo run --release -q -p pbppm-bench --bin all -- --check >"$tmp/all-check.txt"
 
 echo "ci: all green" >&2
