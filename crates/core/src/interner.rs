@@ -5,9 +5,11 @@
 //! instruction, which is what makes the arena trie in [`crate::tree`] compact
 //! (see the Rust Performance Book, "Smaller Integers").
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHasher;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// Dense identifier for an interned string (a URL in most of this crate).
 ///
@@ -33,12 +35,91 @@ impl fmt::Display for UrlId {
 
 /// Two-way map between strings and dense [`UrlId`]s.
 ///
+/// Each string is stored once. The strings sit back to back in one byte
+/// arena in id order, a table of end offsets turns an id into its string,
+/// and an open-addressing table of ids turns a string into its id. Every
+/// slot of that table carries a hash tag next to its id, so a probe
+/// compares strings only when the tag matches.
+///
 /// Interning is append-only: ids are never recycled, and
 /// [`Interner::resolve`] of any previously returned id always succeeds.
-#[derive(Debug, Default, Clone)]
+/// Ids and arena offsets are `u32`; interning past either limit panics.
+#[derive(Default, Clone)]
 pub struct Interner {
-    by_name: FxHashMap<Box<str>, UrlId>,
-    by_id: Vec<Box<str>>,
+    /// Every interned string, back to back in id order.
+    bytes: String,
+    /// `ends[id]` is where string `id` ends in `bytes`; it starts where
+    /// string `id - 1` ends, or at 0.
+    ends: Vec<u32>,
+    /// Linear-probing table, empty or a power of two long and at most
+    /// half full. A slot is `id << 32 | tag` (see [`tag_of`]), and a zero
+    /// slot is empty: tags are odd, so no occupied slot is zero.
+    slots: Box<[u64]>,
+}
+
+/// The smallest table [`Interner::intern`] allocates.
+const MIN_SLOTS: usize = 8;
+
+/// How many strings a table of `slots` slots holds before it grows: half
+/// its length, which keeps probe runs short on hits and misses alike.
+fn room(slots: usize) -> usize {
+    slots / 2
+}
+
+/// The table length that holds `n` strings without growing.
+fn slots_for(n: usize) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    let mut slots = MIN_SLOTS;
+    while room(slots) < n {
+        slots *= 2;
+    }
+    slots
+}
+
+#[inline]
+fn hash_of(name: &str) -> u64 {
+    let mut h = FxHasher::default();
+    name.hash(&mut h);
+    h.finish()
+}
+
+/// The hash folded to 32 bits, made odd so an occupied slot is never
+/// zero. The fold lets the well-mixed high bits tell apart strings whose
+/// Fx hashes share their low bits.
+#[allow(clippy::cast_possible_truncation)] // folds the halves on purpose
+#[inline]
+fn tag_of(hash: u64) -> u32 {
+    (hash ^ hash >> 32) as u32 | 1
+}
+
+/// A string's first probe position in a table of `slots` slots (a power
+/// of two, at least [`MIN_SLOTS`]): the hash's top bits, which the Fx
+/// multiply mixes best.
+#[allow(clippy::cast_possible_truncation)] // the shift leaves fewer bits than usize holds
+#[inline]
+fn home(hash: u64, slots: usize) -> usize {
+    (hash >> (64 - slots.trailing_zeros())) as usize
+}
+
+/// The first empty slot on `hash`'s probe run in a table with room.
+fn vacant_slot(slots: &[u64], hash: u64) -> usize {
+    let mut i = home(hash, slots.len());
+    while slots[i] != 0 {
+        i = (i + 1) & (slots.len() - 1);
+    }
+    i
+}
+
+fn pack(id: UrlId, tag: u32) -> u64 {
+    u64::from(id.0) << 32 | u64::from(tag)
+}
+
+#[allow(clippy::cast_possible_truncation)] // unpacks the halves `pack` joined
+#[inline]
+fn unpack(slot: u64) -> (UrlId, u32) {
+    (UrlId((slot >> 32) as u32), slot as u32)
 }
 
 impl Interner {
@@ -47,54 +128,134 @@ impl Interner {
         Self::default()
     }
 
-    /// Creates an empty interner with capacity for `n` strings.
+    /// Creates an empty interner with room for `n` strings.
     pub fn with_capacity(n: usize) -> Self {
+        Self::with_capacity_and_bytes(n, 0)
+    }
+
+    /// Creates an empty interner with room for `n` strings of `bytes`
+    /// bytes in all: interning exactly that much allocates nothing more.
+    pub(crate) fn with_capacity_and_bytes(n: usize, bytes: usize) -> Self {
         Self {
-            by_name: FxHashMap::with_capacity_and_hasher(n, Default::default()),
-            by_id: Vec::with_capacity(n),
+            bytes: String::with_capacity(bytes),
+            ends: Vec::with_capacity(n),
+            slots: vec![0; slots_for(n)].into_boxed_slice(),
         }
     }
 
     /// Returns the id for `name`, interning it if it has not been seen.
     pub fn intern(&mut self, name: &str) -> UrlId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
-        }
+        let hash = hash_of(name);
+        let mut vacant = match self.probe(name, hash) {
+            Ok(id) => return id,
+            Err(vacant) => vacant,
+        };
         let id =
-            UrlId(u32::try_from(self.by_id.len()).expect("more than u32::MAX interned strings"));
-        let boxed: Box<str> = name.into();
-        self.by_id.push(boxed.clone());
-        self.by_name.insert(boxed, id);
+            UrlId(u32::try_from(self.ends.len()).expect("more than u32::MAX interned strings"));
+        let end = u32::try_from(self.bytes.len() + name.len())
+            .expect("interned strings exceed u32::MAX bytes");
+        if self.ends.len() >= room(self.slots.len()) {
+            self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
+            vacant = vacant_slot(&self.slots, hash);
+        }
+        self.bytes.push_str(name);
+        self.ends.push(end);
+        self.slots[vacant] = pack(id, tag_of(hash));
         id
     }
 
     /// Returns the id for `name` if it has already been interned.
+    #[inline]
     pub fn get(&self, name: &str) -> Option<UrlId> {
-        self.by_name.get(name).copied()
+        self.probe(name, hash_of(name)).ok()
+    }
+
+    /// Finds `name`'s id, or the empty slot where it would go (0 when the
+    /// table is empty, which `intern` grows before it writes).
+    #[inline]
+    fn probe(&self, name: &str, hash: u64) -> Result<UrlId, usize> {
+        let Some(mask) = self.slots.len().checked_sub(1) else {
+            return Err(0);
+        };
+        let tag = tag_of(hash);
+        let mut i = home(hash, self.slots.len());
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return Err(i);
+            }
+            let (id, slot_tag) = unpack(slot);
+            if slot_tag == tag
+                && self
+                    .span(id)
+                    .is_some_and(|span| &self.bytes.as_bytes()[span] == name.as_bytes())
+            {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Rebuilds the table at `len` slots from the arena.
+    fn rehash(&mut self, len: usize) {
+        let mut slots = vec![0; len].into_boxed_slice();
+        for (id, name) in self.iter() {
+            let hash = hash_of(name);
+            slots[vacant_slot(&slots, hash)] = pack(id, tag_of(hash));
+        }
+        self.slots = slots;
     }
 
     /// Returns the string for `id`, or `None` if the id was never issued.
+    #[inline]
     pub fn resolve(&self, id: UrlId) -> Option<&str> {
-        self.by_id.get(id.index()).map(|s| &**s)
+        self.span(id).map(|span| &self.bytes[span])
+    }
+
+    /// Where string `id` lies in the arena.
+    #[inline]
+    fn span(&self, id: UrlId) -> Option<Range<usize>> {
+        let i = id.index();
+        let end = *self.ends.get(i)? as usize;
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        Some(start..end)
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.ends.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(id, name)` pairs in id order.
     #[allow(clippy::cast_possible_truncation)] // ids were handed out as u32, so indices fit
     pub fn iter(&self) -> impl Iterator<Item = (UrlId, &str)> {
-        self.by_id
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (UrlId(i as u32), &**s))
+        let mut start = 0;
+        self.ends.iter().enumerate().map(move |(i, &end)| {
+            let name = &self.bytes[start..end as usize];
+            start = end as usize;
+            (UrlId(i as u32), name)
+        })
+    }
+
+    /// Resident heap bytes: exactly what the arena, the offsets and the
+    /// table allocate.
+    pub fn memory_bytes(&self) -> usize {
+        self.bytes.capacity()
+            + self.ends.capacity() * size_of::<u32>()
+            + self.slots.len() * size_of::<u64>()
+    }
+}
+
+impl fmt::Debug for Interner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.iter().map(|(_, name)| name))
+            .finish()
     }
 }
 

@@ -34,7 +34,8 @@
 //! Grades and the fingerprint index are rebuilt at instantiation. Only
 //! finalized models are written; a model image whose `finalized` byte is
 //! 0 is refused ([`CodecError::Unfinalized`]), as is any URL id outside
-//! the file's URL table ([`CodecError::UrlOutOfRange`]). The checksum
+//! the file's URL table ([`CodecError::UrlOutOfRange`]) and a URL table
+//! that repeats a string ([`CodecError::DuplicateUrl`]). The checksum
 //! covers header and payload, so truncation and bit corruption both
 //! surface as clean errors instead of garbage models.
 //!
@@ -47,6 +48,7 @@
 //! generation, falling back to `previous` when `current` is truncated or
 //! corrupt — the serving loop in the CLI builds directly on this.
 
+use crate::fxhash::FxHashSet;
 use crate::interner::Interner;
 use crate::lrs::{LrsPpm, LrsSnapshot};
 use crate::order1::{Order1Markov, Order1RowSnapshot, Order1Snapshot};
@@ -99,6 +101,9 @@ pub enum CodecError {
     Unfinalized,
     /// A stored URL id has no entry in the file's URL table.
     UrlOutOfRange(u32),
+    /// URL table entry `id` repeats an earlier entry, so the interner
+    /// rebuilt from the table would renumber every later URL.
+    DuplicateUrl(u32),
     /// The embedded tree image failed structural validation.
     Tree(SnapshotError),
 }
@@ -122,6 +127,9 @@ impl std::fmt::Display for CodecError {
             CodecError::Unfinalized => write!(f, "snapshot holds a model that was never finalized"),
             CodecError::UrlOutOfRange(url) => {
                 write!(f, "url id {url} is outside the snapshot's url table")
+            }
+            CodecError::DuplicateUrl(id) => {
+                write!(f, "url table entry {id} repeats an earlier entry")
             }
             CodecError::Tree(e) => write!(f, "invalid tree image: {e}"),
         }
@@ -697,8 +705,16 @@ impl SnapshotFile {
         let tag = r.u8()?;
         let url_count = r.count()?;
         let mut urls = Vec::with_capacity(url_count);
-        for _ in 0..url_count {
-            urls.push(r.str()?.to_owned());
+        let mut seen = FxHashSet::default();
+        seen.reserve(url_count);
+        for id in 0..url_count {
+            let url = r.str()?;
+            if !seen.insert(url) {
+                return Err(CodecError::DuplicateUrl(
+                    u32::try_from(id).unwrap_or(u32::MAX),
+                ));
+            }
+            urls.push(url.to_owned());
         }
         let model = match tag {
             KIND_PB => ModelImage::Pb(read_pb(&mut r)?),
@@ -798,9 +814,13 @@ impl SnapshotFile {
         found.map_or(Ok(()), |url| Err(CodecError::UrlOutOfRange(url)))
     }
 
-    /// Rebuilds the interner from the stored URL list.
+    /// Rebuilds the interner from the stored URL list, sized exactly: a
+    /// loaded model carries no growth slack. URL `i` gets id `i`, because
+    /// the list holds no string twice ([`SnapshotFile::decode`] refuses
+    /// one that does).
     pub fn interner(&self) -> Interner {
-        let mut interner = Interner::with_capacity(self.urls.len());
+        let bytes = self.urls.iter().map(String::len).sum();
+        let mut interner = Interner::with_capacity_and_bytes(self.urls.len(), bytes);
         for url in &self.urls {
             interner.intern(url);
         }
@@ -1194,6 +1214,25 @@ mod tests {
         assert_eq!(
             SnapshotFile::decode(&bytes).unwrap_err(),
             CodecError::TrailingBytes
+        );
+    }
+
+    #[test]
+    fn decode_refuses_a_url_table_that_repeats_a_string() {
+        // Loading this table would renumber every URL after the repeat:
+        // id 4 would resolve to "/page5.html" and id 5 to nothing.
+        let (mut urls, m) = trained_pb();
+        urls[3] = urls[1].clone();
+        let bytes = SnapshotFile {
+            urls,
+            model: ModelImage::Pb(m.to_snapshot()),
+        }
+        .encode();
+        let err = SnapshotFile::decode(&bytes).unwrap_err();
+        assert_eq!(err, CodecError::DuplicateUrl(3));
+        assert_eq!(
+            err.to_string(),
+            "url table entry 3 repeats an earlier entry"
         );
     }
 

@@ -478,6 +478,7 @@ impl ServeSession {
             rebuilds_since_start: self.online.rebuild_count() - self.start_rebuilds,
             nodes: s.nodes as u64,
             bytes: s.total_bytes() as u64,
+            interner_bytes: self.urls.memory_bytes() as u64,
             checkpoints: self.checkpoints_written,
             audits: self.recovery_audits,
             flush_failures: self.flush_failures,
@@ -501,6 +502,7 @@ pub(crate) struct Totals {
     pub(crate) rebuilds_since_start: u64,
     pub(crate) nodes: u64,
     pub(crate) bytes: u64,
+    pub(crate) interner_bytes: u64,
     pub(crate) checkpoints: u64,
     pub(crate) audits: u64,
     pub(crate) flush_failures: u64,
@@ -521,6 +523,7 @@ impl Totals {
         self.rebuilds_since_start += other.rebuilds_since_start;
         self.nodes += other.nodes;
         self.bytes += other.bytes;
+        self.interner_bytes += other.interner_bytes;
         self.checkpoints += other.checkpoints;
         self.audits += other.audits;
         self.flush_failures += other.flush_failures;

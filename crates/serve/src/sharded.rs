@@ -11,6 +11,7 @@
 //! predict [@client] /a.html,/b.html  -> "ok N" then N lines "prob url"
 //! checkpoint                         checkpoint every shard now
 //! stats                              one-line model + serving summary
+//!                                    (model `bytes`, `interner_bytes`, …)
 //! metrics [--prom]                   -> "ok N" then N report lines
 //! trace N                            -> "ok M" then M rows "sK <record>"
 //! health                             one line: healthy/degraded + counters
@@ -372,14 +373,15 @@ impl ShardedServer {
         let t = self.totals();
         format!(
             "ok shards {}, urls {}, window {}, rebuilds {}, nodes {}, bytes {}, \
-             recovered {}, rebuilds_since_start {}, checkpoints {}, flush_failures {}, \
-             publish_rejected {}\n",
+             interner_bytes {}, recovered {}, rebuilds_since_start {}, checkpoints {}, \
+             flush_failures {}, publish_rejected {}\n",
             self.shards.len(),
             t.urls,
             t.window_sessions,
             t.rebuilds,
             t.nodes,
             t.bytes,
+            t.interner_bytes,
             self.recovery_label(),
             t.rebuilds_since_start,
             t.checkpoints,

@@ -11,6 +11,9 @@
 //! 3. **Publish counters everywhere** — `metrics` and every shard's
 //!    flushed `serve_metrics.json` carry `serve.published_epochs` and
 //!    `serve.publish_rejected` at every shard count.
+//! 4. **Interner bytes on `stats`** — the line's `interner_bytes` is every
+//!    shard's `Interner::memory_bytes` pooled, right after the model's
+//!    `bytes`.
 
 use pbppm_core::PbConfig;
 use pbppm_obs::RunReport;
@@ -271,6 +274,44 @@ fn publish_counters_reach_metrics_and_every_flushed_report() {
                 path.display()
             );
         }
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The value after `field ` in a `stats` line.
+fn stats_field(stats: &str, field: &str) -> u64 {
+    stats
+        .split(", ")
+        .find_map(|part| part.trim().strip_prefix(field)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {field} in {stats}"))
+}
+
+#[test]
+fn stats_pools_interner_bytes_over_shards() {
+    for shards in [1, 4] {
+        let dir = temp_dir(&format!("interner-bytes-{shards}"));
+        let mut server = open(&dir, shards, 1, 1_000_000);
+        let mut lines: Vec<String> = (0..24)
+            .map(|c| format!("train @c{c} /a{c},/b,/c/{}", "é".repeat(c)))
+            .collect();
+        lines.push("stats".to_owned());
+        let (responses, _) = run(&mut server, &lines);
+        let stats = &responses[24];
+        assert!(
+            stats.contains(", interner_bytes ") && stats.find(", bytes ") < stats.find("interner"),
+            "{stats}"
+        );
+        let pooled: usize = (0..shards)
+            .map(|k| server.shard_session(k).urls().memory_bytes())
+            .sum();
+        assert!(pooled > 0, "{shards} shards hold urls");
+        assert_eq!(
+            stats_field(stats, "interner_bytes"),
+            pooled as u64,
+            "{shards} shards: {stats}"
+        );
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -300,11 +300,13 @@ pub(crate) fn ingest_chunked<R: Read>(
         format: reader.format,
         ..ClfStats::default()
     };
-    let mut total_accepted = 0usize;
+    let (mut total_accepted, mut total_paths, mut total_hosts) = (0usize, 0usize, 0usize);
     for c in &chunks {
         stats.malformed += c.malformed;
         stats.filtered += c.filtered;
         total_accepted += c.records.len();
+        total_paths += c.paths.len();
+        total_hosts += c.hosts.len();
     }
 
     // Deterministic k-way merge. Each chunk's records are sorted by time
@@ -315,8 +317,10 @@ pub(crate) fn ingest_chunked<R: Read>(
     // the reference interning order exactly.
     let mut trace = Trace::new(name);
     trace.requests.reserve_exact(total_accepted);
-    trace.urls = Interner::with_capacity(total_accepted);
-    trace.clients = Interner::with_capacity(total_accepted);
+    // A string seen in several chunks is counted once per chunk, so the
+    // chunk-local table sizes bound the distinct strings from above.
+    trace.urls = Interner::with_capacity(total_paths);
+    trace.clients = Interner::with_capacity(total_hosts);
     let mut url_remap: Vec<Vec<Option<UrlId>>> =
         chunks.iter().map(|c| vec![None; c.paths.len()]).collect();
     let mut client_remap: Vec<Vec<Option<ClientId>>> =

@@ -11,8 +11,10 @@
 #                              whole CLI dependency graph
 #   3. scripts/check.sh      — pbppm lint, fmt --check, clippy -D
 #                              warnings, the workspace test suite
-#   4. scripts/perf-gate.sh  — throughput must stay within 15% of baseline
-#   5. snapshot smoke        — generate a tiny trace, then for each model
+#   4. perfbench tests       — perfbench's own unit and smoke tests (its
+#                              own workspace, outside check.sh's reach)
+#   5. scripts/perf-gate.sh  — throughput must stay within 15% of baseline
+#   6. snapshot smoke        — generate a tiny trace, then for each model
 #                              (pb, standard, lrs, o1): `pbppm train`
 #                              (writes the .pbss model file), `pbppm audit`
 #                              (loads it, rebuilding the SoA/CSR arena
@@ -21,33 +23,33 @@
 #                              `pbppm predict` (serves a query from the
 #                              loaded model) — the full train → audit →
 #                              predict cycle through the real binary
-#   6. audit smoke           — `pbppm audit` rejects (nonzero exit) a
+#   7. audit smoke           — `pbppm audit` rejects (nonzero exit) a
 #                              snapshot copy with a flipped payload byte
-#   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
+#   8. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
 #                              health/quit through `pbppm serve`, assert
 #                              the one-`ok`/`err`-line-per-command
 #                              discipline, then restart against the same
 #                              dir and assert the greeting reports a
 #                              recovered generation (warm start)
-#   8. sharded serve smoke   — the same protocol through `pbppm serve
+#   9. sharded serve smoke   — the same protocol through `pbppm serve
 #                              --shards 4` with `@client` routing tokens,
 #                              asserting the greeting's shard count and
 #                              the stats line over all shards
-#   9. loadgen smoke         — a short fixed-seed open-loop run of the
+#  10. loadgen smoke         — a short fixed-seed open-loop run of the
 #                              `loadgen` bench (4 shards, low rate) must
 #                              complete with zero errors and zero
 #                              rejected publishes
-#  10. parallel ingest smoke — `pbppm train` on the same log at
+#  11. parallel ingest smoke — `pbppm train` on the same log at
 #                              --threads 1 and --threads 4 must produce
 #                              byte-identical .pbss files (the deterministic
 #                              parallel-training contract through the
 #                              real binary), then a short `ingest` bench
 #                              run must report nonzero throughput in all
 #                              three phases
-#  11. combined log smoke    — the same seed generated as a Combined log
+#  12. combined log smoke    — the same seed generated as a Combined log
 #                              must train a .pbss byte-identical to the
 #                              CLF log's, and `predict` must serve from it
-#  12. reproduction check    — `all --check` regenerates every paper
+#  13. reproduction check    — `all --check` regenerates every paper
 #                              table and figure into a temp dir and
 #                              requires the committed `results/` field for
 #                              field, except the named timing fields
@@ -90,6 +92,11 @@ fi
 
 echo "== ci: check.sh" >&2
 scripts/check.sh
+
+echo "== ci: perfbench tests" >&2
+# perfbench is its own workspace, so `cargo test --workspace` never
+# reaches its unit and smoke tests.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 echo "== ci: perf-gate.sh" >&2
 scripts/perf-gate.sh
@@ -175,6 +182,10 @@ grep -q 'trained 3 url(s)' "$serveout" || {
     echo "ci: serve train did not acknowledge the session" >&2
     exit 1
 }
+grep -Eq '^ok shards 1, .*, bytes [0-9]+, interner_bytes [1-9][0-9]*, ' "$serveout" || {
+    echo "ci: serve stats did not report the interner's bytes after the model's" >&2
+    exit 1
+}
 # Warm restart against the same dir: the quit checkpoint must be
 # recovered, and the greeting must say so.
 printf '%s\n' "stats" "quit" | "$pbppm" serve --dir "$servedir" >"$serveout"
@@ -202,7 +213,7 @@ if ! head -n1 "$shardout" | grep -q '^ready recovered=fresh shards=4 '; then
     echo "ci: sharded serve did not greet with its shard count" >&2
     exit 1
 fi
-grep -q '^ok shards 4, ' "$shardout" || {
+grep -Eq '^ok shards 4, .*, interner_bytes [1-9][0-9]*, ' "$shardout" || {
     echo "ci: sharded stats did not aggregate across shards" >&2
     exit 1
 }
