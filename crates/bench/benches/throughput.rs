@@ -2,7 +2,7 @@
 //! model's serving path vs the `pbppm_core::reference` oracle), batched `predict_many`
 //! throughput, and end-to-end eval-pass throughput, for all three paper
 //! models. The `throughput` *binary* measures the same quantities at the
-//! full day-7 NASA scale and feeds `scripts/perf-gate.sh`; this group is
+//! full day-7 NASA scale and enforces the fast-path floor; this group is
 //! the statistically-sampled criterion view of the same surfaces.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -23,7 +23,7 @@ fn trace_and_sessions() -> (Trace, Vec<Session>, PopularityTable) {
 }
 
 /// The day-7 NASA-like training set — the same tree sizes the `throughput`
-/// binary records in `BENCH_throughput.json`.
+/// binary records in `results/throughput.json`.
 fn day7_sessions() -> (Vec<Session>, PopularityTable) {
     let trace = WorkloadConfig::nasa_like(1).generate();
     let sessions = sessionize(trace.first_days(7), &SessionizerConfig::default());

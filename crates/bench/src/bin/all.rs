@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper in sequence (the same
 //! code paths as the individual binaries; results land under `results/`).
-//! The committed perf baselines (`BENCH_*.json`) are recorded only by the
-//! dedicated `throughput`, `loadgen` and `ingest` binaries.
+//! The `throughput` and `ingest` steps enforce their host-independent
+//! floors here too, so a broken floor stops the run with a nonzero exit.
 //!
 //! `all --check` regenerates into a temporary results directory instead
 //! and compares it with the committed one (see `pbppm_bench::check`): any
@@ -9,6 +9,11 @@
 //! its JSON path and both values, and the run exits nonzero.
 
 #![forbid(unsafe_code)]
+
+// The ingest step's peak-heap floor reads the counting allocator; without
+// it the peaks measure 0 and the step fails.
+#[global_allocator]
+static ALLOC: pbppm_obs::alloc::CountingAllocator = pbppm_obs::alloc::CountingAllocator;
 
 fn main() {
     use pbppm_bench::experiments as e;
@@ -18,7 +23,7 @@ fn main() {
     if check {
         std::env::set_var("PBPPM_RESULTS", &scratch);
     }
-    let steps: [(&str, fn()); 15] = [
+    let steps: [(&str, fn()); 14] = [
         ("fig1", e::fig1::run),
         ("table1", e::table1::run),
         ("table2", e::table2::run),
@@ -31,18 +36,8 @@ fn main() {
         ("related", e::related::run),
         ("quality", e::quality::run),
         ("network", e::network::run),
-        ("throughput", || {
-            e::throughput::run();
-        }),
-        ("loadgen", || {
-            e::loadgen::run_with_args(std::iter::empty());
-        }),
-        // Run from here the peak-heap columns read 0 (no counting
-        // allocator in this binary); the dedicated `ingest` bin measures
-        // them for the perf gate.
-        ("ingest", || {
-            e::ingest::run_with_args(std::iter::empty());
-        }),
+        ("throughput", e::throughput::run),
+        ("ingest", e::ingest::run),
     ];
     for (name, run) in steps {
         println!("\n################ {name} ################");

@@ -9,6 +9,5 @@
 static ALLOC: pbppm_obs::alloc::CountingAllocator = pbppm_obs::alloc::CountingAllocator;
 
 fn main() {
-    let report = pbppm_bench::experiments::ingest::run();
-    pbppm_bench::write_baseline("ingest", &report);
+    pbppm_bench::experiments::ingest::run();
 }

@@ -5,9 +5,12 @@
 //! are exempt, and each is named in [`TIMING_FIELDS`]. Everything else —
 //! node counts, hit ratios, latency reductions, traffic, byte sizes — must
 //! compare equal, so a change that moves a reproduced number fails the
-//! check with the JSON path and both values.
+//! check with the JSON path and both values. A result file on one side
+//! only is a mismatch too: a new experiment output must be committed, and
+//! a retired one deleted.
 
 use serde_json::Value;
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Fields exempt from the comparison, as `(file, path)` with array indices
@@ -25,14 +28,7 @@ pub const TIMING_FIELDS: &[(&str, &str)] = &[
     ("throughput.json", ".eval[].serial_requests_per_sec"),
     ("throughput.json", ".eval[].parallel_requests_per_sec"),
     ("throughput.json", ".eval[].phases[].secs"),
-    ("throughput.json", ".serve.predict_p50_ns"),
-    ("throughput.json", ".serve.predict_p99_ns"),
-    ("loadgen.json", ".achieved_per_sec"),
-    ("loadgen.json", ".batches"),
-    ("loadgen.json", ".commands[].p50_ns"),
-    ("loadgen.json", ".commands[].p99_ns"),
-    ("loadgen.json", ".commands[].p999_ns"),
-    ("loadgen.json", ".commands[].max_ns"),
+    ("throughput.json", ".cores"),
     ("ingest.json", ".cores"),
     ("ingest.json", ".effective_threads"),
     ("ingest.json", ".parse_lines_per_sec"),
@@ -103,19 +99,35 @@ fn read(path: &Path) -> Result<Value, String> {
     serde_json::from_str(&s).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Compares every committed result file against its regenerated twin,
-/// returning one line per field that differs.
-pub fn compare_dirs(committed: &Path, regenerated: &Path) -> Result<Vec<String>, String> {
-    let mut names: Vec<String> = std::fs::read_dir(committed)
-        .map_err(|e| format!("{}: {e}", committed.display()))?
+/// The compared result files in `dir`: every `.json` not in
+/// [`SKIPPED_FILES`].
+fn result_names(dir: &Path) -> Result<BTreeSet<String>, String> {
+    Ok(std::fs::read_dir(dir)
+        .map_err(|e| format!("{}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
         .filter(|name| name.ends_with(".json") && !SKIPPED_FILES.contains(&name.as_str()))
-        .collect();
-    names.sort();
+        .collect())
+}
+
+/// Compares the result files of both directories, by the union of their
+/// names, returning one line per field that differs and one per file
+/// present on one side only.
+pub fn compare_dirs(committed: &Path, regenerated: &Path) -> Result<Vec<String>, String> {
+    let (a_names, b_names) = (result_names(committed)?, result_names(regenerated)?);
     let mut out = Vec::new();
-    for name in &names {
-        let (a, b) = (read(&committed.join(name))?, read(&regenerated.join(name))?);
-        compare(name, ("", ""), Some(&a), Some(&b), &mut out);
+    for name in a_names.union(&b_names) {
+        let (in_a, in_b) = (a_names.contains(name), b_names.contains(name));
+        if in_a && in_b {
+            let (a, b) = (read(&committed.join(name))?, read(&regenerated.join(name))?);
+            compare(name, ("", ""), Some(&a), Some(&b), &mut out);
+        } else {
+            let side = |present: bool| if present { "present" } else { "(absent)" };
+            out.push(format!(
+                "{name}: committed {}, regenerated {}",
+                side(in_a),
+                side(in_b)
+            ));
+        }
     }
     Ok(out)
 }
@@ -165,6 +177,80 @@ mod tests {
             out,
             vec!["a.json: .xs: committed [1,2], regenerated [1]".to_owned()]
         );
+    }
+
+    /// A scratch directory holding `files` as `(name, contents)`.
+    fn dir_with(tag: &str, files: &[(&str, &str)]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pbppm-check-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, body) in files {
+            std::fs::write(dir.join(name), body).unwrap();
+        }
+        dir
+    }
+
+    #[test]
+    fn a_file_on_one_side_only_is_a_mismatch() {
+        let committed = dir_with(
+            "committed",
+            &[
+                ("kept.json", r#"{"x": 1}"#),
+                ("retired.json", r#"{"x": 1}"#),
+                ("run_metrics_throughput.json", "{}"),
+            ],
+        );
+        let regenerated = dir_with(
+            "regenerated",
+            &[("kept.json", r#"{"x": 2}"#), ("added.json", r#"{"x": 1}"#)],
+        );
+        let out = compare_dirs(&committed, &regenerated);
+        let _ = std::fs::remove_dir_all(&committed);
+        let _ = std::fs::remove_dir_all(&regenerated);
+        assert_eq!(
+            out.unwrap(),
+            vec![
+                "added.json: committed (absent), regenerated present".to_owned(),
+                "kept.json: .x: committed 1, regenerated 2".to_owned(),
+                "retired.json: committed present, regenerated (absent)".to_owned(),
+            ]
+        );
+    }
+
+    /// Collects the path of every field in `v`, indices written `[]` as
+    /// [`compare`] spells them for [`TIMING_FIELDS`] lookups.
+    fn patterns(pattern: &str, v: &Value, out: &mut BTreeSet<String>) {
+        out.insert(pattern.to_owned());
+        match v {
+            Value::Object(entries) => {
+                for (key, v) in entries {
+                    patterns(&format!("{pattern}.{key}"), v, out);
+                }
+            }
+            Value::Array(items) => {
+                for v in items {
+                    patterns(&format!("{pattern}[]"), v, out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn every_exemption_names_a_committed_file_and_field() {
+        let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for file in SKIPPED_FILES {
+            assert!(
+                results.join(file).is_file(),
+                "skipped {file} is not in results/"
+            );
+        }
+        for (file, path) in TIMING_FIELDS {
+            let doc = read(&results.join(file)).unwrap();
+            let mut fields = BTreeSet::new();
+            patterns("", &doc, &mut fields);
+            assert!(fields.contains(*path), "{file}: no field matches {path}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod ingest;
-pub mod loadgen;
 pub mod network;
 pub mod quality;
 pub mod related;

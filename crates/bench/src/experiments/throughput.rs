@@ -1,4 +1,4 @@
-//! `throughput` — the performance experiment behind `scripts/perf-gate.sh`.
+//! `throughput` — prediction and simulation speed of the paper models.
 //!
 //! Three measurements per paper model (PPM, LRS, PB-PPM) at day-7 NASA
 //! tree sizes:
@@ -11,46 +11,33 @@
 //!    whole context set, clicks per second;
 //! 3. **end-to-end experiment throughput** — [`pbppm_sim::run_experiment`]
 //!    serial (`threads = 1`) versus parallel (`threads = 0`, auto),
-//!    evaluated requests per second;
-//! 4. **serve-loop predict latency** — the real `pbppm serve` line
-//!    protocol driven in-process ([`ShardedServer::handle_batch`] at one
-//!    shard, one line per batch): route, parse, predict against the
-//!    published epoch, format, flight-record per request, reported as
-//!    p50/p99 nanoseconds and gated on the p99 tail.
+//!    evaluated requests per second.
 //!
 //! Results are printed as tables and written to
-//! `results/throughput.json`; the `throughput` binary also records them
-//! as `BENCH_throughput.json` at the workspace root (the committed perf
-//! baseline). When
-//! `PBPPM_PERF_BASELINE` names a baseline JSON, the run compares itself
-//! against it and **exits non-zero** if any gated metric regressed by more
-//! than 15% — see `scripts/perf-gate.sh`.
+//! `results/throughput.json`, with the host's core count. Every run
+//! enforces one host-independent floor and **exits non-zero** when it is
+//! broken: each model's `fast_path_speedup` (reference scan time over
+//! serving-path time, both measured in this process) must be at least
+//! 1.0. The absolute timings are reported, never gated: they drift with
+//! the host, so a speed claim is judged by a paired parent-vs-change
+//! perfbench run instead (`scripts/perf-compare.sh`). Serving latency
+//! under load is perfbench's `read-steady`, `read-saturate` and `churn`.
 
 use crate::{nasa_trace, write_json, Table};
 use pbppm_core::{
     reference, LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction, Predictor,
     PruneConfig, StandardPpm, UrlId,
 };
-use pbppm_serve::{ServeOptions, ShardedOptions, ShardedServer};
 use pbppm_sim::{resolve_threads, run_experiment, ExperimentConfig, ModelSpec};
 use pbppm_trace::{sessionize, Session, SessionizerConfig, Trace};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// Training window: the deepest trees of the Table-1 sweep.
 const TRAIN_DAYS: usize = 7;
-/// Allowed slowdown before the gate fails (15%).
-const GATE_TOLERANCE: f64 = 0.15;
-/// Timing rounds for the serve-loop latency percentiles (min across
-/// rounds, the same noise-robust statistic as `secs_per_pass`).
-const SERVE_ROUNDS: usize = 5;
-/// Sessions replayed into the serve loop before timing — enough to cover
-/// the prediction working set (drawn from the first 400 sessions) while
-/// keeping the one-time setup cheap.
-const SERVE_TRAIN_SESSIONS: usize = 1500;
 
 /// One model's prediction-throughput measurements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ModelThroughput {
     /// Model label ("PPM", "LRS", "PB-PPM").
     pub model: String,
@@ -72,7 +59,7 @@ pub struct ModelThroughput {
 }
 
 /// Best observed wall time of one experiment phase (a telemetry span).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PhaseSecs {
     /// Span name ("sessionize", "baseline", "train", "eval", …).
     pub phase: String,
@@ -81,7 +68,7 @@ pub struct PhaseSecs {
 }
 
 /// One model's end-to-end experiment timings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EvalThroughput {
     /// Model label.
     pub model: String,
@@ -95,28 +82,13 @@ pub struct EvalThroughput {
     pub serial_requests_per_sec: f64,
     /// Evaluated requests per second, parallel.
     pub parallel_requests_per_sec: f64,
-    /// Per-phase breakdown from the experiment's telemetry spans; lets a
-    /// gate failure name the phase that regressed, not just the model.
+    /// Per-phase breakdown from the experiment's telemetry spans, so the
+    /// end-to-end time splits by phase.
     pub phases: Vec<PhaseSecs>,
 }
 
-/// Serve-loop predict latency through the real `pbppm serve` line
-/// protocol: context parsing, interner lookup, prediction, response
-/// formatting and flight-recording — everything a client waits on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeLatency {
-    /// Predict requests timed per round (= the working-set size).
-    pub requests: usize,
-    /// Median per-request latency of the best round, nanoseconds.
-    pub predict_p50_ns: f64,
-    /// 99th-percentile per-request latency of the best round,
-    /// nanoseconds. This is the gated tail: single slow requests are what
-    /// a prefetching client actually notices.
-    pub predict_p99_ns: f64,
-}
-
 /// Everything one `throughput` run measured.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ThroughputReport {
     /// Trace the measurements ran on.
     pub trace: String,
@@ -124,21 +96,19 @@ pub struct ThroughputReport {
     pub train_days: usize,
     /// Contexts in the prediction working set.
     pub contexts: usize,
+    /// Available parallelism of the measuring host.
+    pub cores: usize,
     /// Per-model prediction throughput.
     pub models: Vec<ModelThroughput>,
     /// Per-model end-to-end experiment throughput.
     pub eval: Vec<EvalThroughput>,
-    /// Serve-loop predict latency; `None` when the measurement could not
-    /// run (unwritable scratch dir). Baselines written before this
-    /// section existed read back as `None` — see [`gate`].
-    pub serve: Option<ServeLatency>,
 }
 
 /// Times one pass, then enough repetitions for ~0.5 s of samples split
 /// into chunks, and returns the fastest chunk's mean seconds per pass.
 /// The minimum is robust to transient scheduler/frequency noise, which a
-/// single grand mean is not — the gate's 15% threshold needs run-to-run
-/// jitter well below that. The checksum keeps the work alive.
+/// single grand mean is not, so the two sides of `fast_path_speedup` are
+/// each timed at their best. The checksum keeps the work alive.
 fn secs_per_pass(mut pass: impl FnMut() -> u64) -> f64 {
     let t0 = Instant::now();
     let mut checksum = pass();
@@ -225,8 +195,7 @@ fn working_set(sessions: &[Session]) -> Vec<Vec<UrlId>> {
 }
 
 /// Best-of-N wall clock of `run`, with N sized for ~0.5 s of samples —
-/// the same noise-robustness reason as `secs_per_pass`: the gate compares
-/// these timings across processes.
+/// the same noise-robustness reason as `secs_per_pass`.
 fn best_secs<T>(mut run: impl FnMut() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let mut out = run();
@@ -265,94 +234,6 @@ fn min_phase_secs(roots: &[pbppm_obs::SpanRecord], span_label: &str) -> Vec<Phas
     phases
 }
 
-/// Nearest-rank percentile of an ascending-sorted latency list.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // in-range by construction
-fn percentile_ns(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)] as f64
-}
-
-/// Measures per-request predict latency through the real serve loop.
-///
-/// The session trains with `rebuild_every` sized so the model rebuilds
-/// exactly once, after all training — every timed request then answers
-/// from the same frozen arena, the steady state between rebuilds of a
-/// real deployment. Checkpointing and metrics flushing are disabled so no
-/// disk traffic lands inside the timed region. Each request is timed
-/// individually (`handle_batch` on a one-line batch, end to end, into a
-/// reused response list); p50 and p99 take the minimum across rounds.
-fn serve_latency(
-    trace: &Trace,
-    sessions: &[Session],
-    contexts: &[Vec<UrlId>],
-) -> Option<ServeLatency> {
-    let dir = std::env::temp_dir().join(format!("pbppm-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let n = sessions.len().clamp(1, SERVE_TRAIN_SESSIONS);
-    let opts = ShardedOptions {
-        shards: 1,
-        threads: 1,
-        serve: ServeOptions {
-            window: n,
-            rebuild_every: n,           // exactly one rebuild, after training
-            checkpoint_every: u64::MAX, // no disk traffic while timing
-            flush_every: 0,
-            ..ServeOptions::default()
-        },
-    };
-    let resolve = |id: UrlId| trace.urls.resolve(id).unwrap_or("?");
-    // One-line batches, the shape `pbppm serve` dispatches when requests
-    // arrive one at a time.
-    let line = |verb: &str, ids: &[UrlId]| {
-        let urls: Vec<&str> = ids.iter().map(|&u| resolve(u)).collect();
-        vec![format!("{verb} {}", urls.join(","))]
-    };
-    let measured = (|| -> Result<ServeLatency, String> {
-        let mut serve = ShardedServer::open(&dir.display().to_string(), PbConfig::default(), opts)
-            .map_err(|e| e.to_string())?;
-        let mut out: Vec<String> = Vec::new();
-        for s in &sessions[..n] {
-            let train = line("train", &s.urls());
-            serve
-                .handle_batch(&train, &mut out)
-                .map_err(|e| e.to_string())?;
-        }
-        let commands: Vec<Vec<String>> = contexts.iter().map(|c| line("predict", c)).collect();
-        let mut p50 = f64::INFINITY;
-        let mut p99 = f64::INFINITY;
-        let mut lat: Vec<u64> = Vec::with_capacity(commands.len());
-        for _ in 0..SERVE_ROUNDS {
-            lat.clear();
-            for cmd in &commands {
-                let t = Instant::now();
-                serve
-                    .handle_batch(cmd, &mut out)
-                    .map_err(|e| e.to_string())?;
-                lat.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
-            lat.sort_unstable();
-            p50 = p50.min(percentile_ns(&lat, 0.50));
-            p99 = p99.min(percentile_ns(&lat, 0.99));
-        }
-        Ok(ServeLatency {
-            requests: commands.len(),
-            predict_p50_ns: p50,
-            predict_p99_ns: p99,
-        })
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    match measured {
-        Ok(r) => Some(r),
-        Err(e) => {
-            eprintln!("warning: serve-loop latency measurement skipped: {e}");
-            None
-        }
-    }
-}
-
 fn eval_row(trace: &Trace, label: &str, spec: ModelSpec) -> EvalThroughput {
     let mut cfg = ExperimentConfig::paper_default(spec, TRAIN_DAYS);
     let span_label = cfg.model.label();
@@ -376,147 +257,28 @@ fn eval_row(trace: &Trace, label: &str, spec: ModelSpec) -> EvalThroughput {
     }
 }
 
-/// The phase with the largest `new/old` duration ratio, if both sides
-/// carry phase timings for it.
-fn worst_phase(new: &[PhaseSecs], old: &[PhaseSecs]) -> Option<(String, f64)> {
-    let mut worst: Option<(String, f64)> = None;
-    for n in new {
-        let Some(o) = old.iter().find(|p| p.phase == n.phase) else {
-            continue;
-        };
-        if o.secs <= 0.0 {
-            continue;
-        }
-        let ratio = n.secs / o.secs;
-        if worst.as_ref().is_none_or(|(_, r)| ratio > *r) {
-            worst = Some((n.phase.clone(), ratio));
-        }
-    }
-    worst
-}
-
-/// Compares `report` against the `PBPPM_PERF_BASELINE` file, if set, and
-/// exits non-zero on any >15% regression.
-fn gate(report: &ThroughputReport) {
-    let Ok(path) = std::env::var("PBPPM_PERF_BASELINE") else {
-        return;
-    };
-    let baseline: ThroughputReport = match std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).map_err(|e| e.to_string()))
-        .and_then(|mut v| {
-            // Baselines written before the serve section carry no "serve"
-            // key; the vendored serde has no `#[serde(default)]`, so an
-            // explicit null (which reads back as `None`) is spliced in.
-            if let serde_json::Value::Object(entries) = &mut v {
-                if !entries.iter().any(|(k, _)| k == "serve") {
-                    entries.push(("serve".to_owned(), serde_json::Value::Null));
-                }
-            }
-            <ThroughputReport as serde::Deserialize>::from_value(&v).map_err(|e| e.to_string())
-        }) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("perf-gate: cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let slack = 1.0 + GATE_TOLERANCE;
-    let mut failures: Vec<String> = Vec::new();
-    let slower = |what: String, new_secs: f64, old_secs: f64| -> Option<String> {
-        (new_secs > old_secs * slack).then(|| {
+/// The host-independent floor, checked on every run: each model's serving
+/// path must beat the reference scan it replaced. Both sides are timed in
+/// this process on the same contexts, so the ratio does not depend on the
+/// host's speed. Before the frozen arena, PPM and LRS sat at 0.92x/0.99x;
+/// the floor keeps that from coming back.
+fn floor_failures(report: &ThroughputReport) -> Vec<String> {
+    report
+        .models
+        .iter()
+        .filter(|m| m.fast_path_speedup < 1.0)
+        .map(|m| {
             format!(
-                "{what}: {:.0}% slower than baseline ({new_secs:.3e} vs {old_secs:.3e})",
-                100.0 * (new_secs / old_secs - 1.0)
+                "{} fast path loses to the reference scan ({:.2}x, floor 1.0x)",
+                m.model, m.fast_path_speedup
             )
         })
-    };
-    for new in &report.models {
-        // Baseline-independent floor: the serving fast path must beat the
-        // reference scan it replaced, on every model. Before the frozen
-        // arena, PPM and LRS sat at 0.92x/0.99x — that is the regression
-        // this PR exists to close, so the gate pins it permanently.
-        if new.fast_path_speedup < 1.0 {
-            failures.push(format!(
-                "{} fast path loses to the reference scan ({:.2}x, floor 1.0x)",
-                new.model, new.fast_path_speedup
-            ));
-        }
-        let Some(old) = baseline.models.iter().find(|m| m.model == new.model) else {
-            continue;
-        };
-        failures.extend(slower(
-            format!("{} single-click predict (frozen arena)", new.model),
-            new.frozen_ns_per_click,
-            old.frozen_ns_per_click,
-        ));
-        // Throughputs gate on their reciprocal: lower is slower.
-        failures.extend(slower(
-            format!("{} batched predict", new.model),
-            1.0 / new.batched_clicks_per_sec.max(1e-12),
-            1.0 / old.batched_clicks_per_sec.max(1e-12),
-        ));
-        // The arena's whole point is a smaller, denser layout: per-node
-        // bytes growing past tolerance is a regression even if speed holds.
-        if old.heap_bytes_per_node_frozen > 0.0
-            && new.heap_bytes_per_node_frozen > old.heap_bytes_per_node_frozen * slack
-        {
-            failures.push(format!(
-                "{} frozen arena grew: {:.1} bytes/node vs baseline {:.1}",
-                new.model, new.heap_bytes_per_node_frozen, old.heap_bytes_per_node_frozen
-            ));
-        }
-    }
-    for new in &report.eval {
-        let Some(old) = baseline.eval.iter().find(|m| m.model == new.model) else {
-            continue;
-        };
-        let new_secs = 1.0 / new.parallel_requests_per_sec.max(1e-12);
-        let old_secs = 1.0 / old.parallel_requests_per_sec.max(1e-12);
-        if new_secs > old_secs * slack {
-            let mut msg = format!(
-                "{} end-to-end eval: {:.0}% slower than baseline ({new_secs:.3e} vs {old_secs:.3e})",
-                new.model,
-                100.0 * (new_secs / old_secs - 1.0)
-            );
-            // Name the phase that moved the most — that is where to look.
-            if let Some((phase, ratio)) = worst_phase(&new.phases, &old.phases) {
-                use std::fmt::Write as _;
-                let _ = write!(
-                    msg,
-                    "; worst phase: {phase} ({:+.0}%)",
-                    100.0 * (ratio - 1.0)
-                );
-            }
-            failures.push(msg);
-        }
-    }
-    // Serve-loop latency gates on the p99 tail — the latency a prefetching
-    // client actually experiences. Skipped when either side lacks the
-    // section (old baseline, or the measurement could not run).
-    if let (Some(new), Some(old)) = (&report.serve, &baseline.serve) {
-        failures.extend(slower(
-            "serve-loop predict p99".to_owned(),
-            new.predict_p99_ns,
-            old.predict_p99_ns,
-        ));
-    }
-    if failures.is_empty() {
-        eprintln!(
-            "perf-gate: all gated metrics within {:.0}% of {path}",
-            100.0 * GATE_TOLERANCE
-        );
-    } else {
-        for f in &failures {
-            eprintln!("perf-gate: REGRESSION — {f}");
-        }
-        std::process::exit(1);
-    }
+        .collect()
 }
 
-/// Runs the bench, writes `results/throughput.json` and gates; returns the
-/// report for the `throughput` binary to record as the baseline.
-pub fn run() -> ThroughputReport {
+/// Runs the bench, writes `results/throughput.json`, and exits non-zero
+/// when a model breaks the fast-path floor.
+pub fn run() {
     let trace = nasa_trace();
     let train_sessions = sessionize(trace.first_days(TRAIN_DAYS), &SessionizerConfig::default());
     let contexts = working_set(&train_sessions);
@@ -606,15 +368,13 @@ pub fn run() -> ThroughputReport {
         eval_row(&trace, "PB-PPM", ModelSpec::pb_paper(true)),
     ];
 
-    let serve = serve_latency(&trace, &train_sessions, &contexts);
-
     let report = ThroughputReport {
         trace: trace.name.clone(),
         train_days: TRAIN_DAYS,
         contexts: contexts.len(),
+        cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         models,
         eval,
-        serve,
     };
 
     let mut predict_table = Table::new(
@@ -669,24 +429,11 @@ pub fn run() -> ThroughputReport {
     }
     eval_table.print();
 
-    if let Some(s) = &report.serve {
-        let mut serve_table = Table::new(
-            "Throughput — serve loop, line-protocol predict".to_owned(),
-            &["requests/round", "p50 ns", "p99 ns"],
-        );
-        serve_table.row(vec![
-            s.requests.to_string(),
-            format!("{:.0}", s.predict_p50_ns),
-            format!("{:.0}", s.predict_p99_ns),
-        ]);
-        serve_table.print();
-    }
-
     write_json("throughput", &report);
 
     // Full telemetry report (spans + metrics registry) for this run,
-    // written before the gate so it survives a gating failure —
-    // `scripts/perf-gate.sh` renders it via `pbppm stats` on failure.
+    // written before the floor check so it survives a failure; render it
+    // with `pbppm stats`.
     let metrics_path = crate::results_dir().join("run_metrics_throughput.json");
     let metrics = pbppm_obs::RunReport::collect("bench throughput").to_json();
     match std::fs::write(&metrics_path, metrics + "\n") {
@@ -694,6 +441,41 @@ pub fn run() -> ThroughputReport {
         Err(e) => eprintln!("warning: could not write {}: {e}", metrics_path.display()),
     }
 
-    gate(&report);
-    report
+    crate::enforce_floors("throughput", &floor_failures(&report));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_floor_names_each_model_slower_than_its_scan() {
+        let row = |label, frozen, slow| {
+            let raw = RowInputs {
+                frozen,
+                slow,
+                batch: 1.0,
+                frozen_bytes: 0,
+            };
+            model_row(label, 10, 100, &raw)
+        };
+        let report = ThroughputReport {
+            trace: "t".to_owned(),
+            train_days: TRAIN_DAYS,
+            contexts: 100,
+            cores: 1,
+            models: vec![
+                row("PPM", 1.0, 2.0),
+                row("LRS", 1.0, 1.0),
+                row("PB-PPM", 2.0, 1.0),
+            ],
+            eval: Vec::new(),
+        };
+        let failures = floor_failures(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with("PB-PPM fast path loses"),
+            "{failures:?}"
+        );
+    }
 }

@@ -16,15 +16,20 @@
 //! | `related` | order-1 Markov, Top-N, and online PB-PPM comparisons |
 //! | `quality` | offline prediction accuracy (coverage, precision@k, MRR) |
 //! | `network` | Crovella–Barford network effects under offered load |
-//! | `throughput` | predict/simulate throughput + the perf-regression gate |
-//! | `loadgen` | open-loop latency of the sharded serve core + its gate |
-//! | `ingest` | parallel log→model build-pipeline throughput + its gate |
+//! | `throughput` | predict/simulate throughput + the fast-path floor |
+//! | `ingest` | parallel log→model build-pipeline throughput + its floors |
 //! | `all`    | everything above, in sequence; `--check` compares against `results/` |
 //!
 //! Every binary prints an aligned text table *and* writes machine-readable
 //! JSON under `results/`. All runs are deterministic: the workload seed
 //! defaults to 1 (override with `PBPPM_SEED`), and experiment cells are
 //! executed in parallel over the machine's cores.
+//!
+//! `throughput` and `ingest` enforce only host-independent floors (a
+//! ratio of two timings taken in the same run, or a heap ratio) and exit
+//! nonzero when one is broken; their absolute timings are reported, never
+//! compared with another run. A speed claim is judged by a paired
+//! parent-vs-change perfbench run on one host (`scripts/perf-compare.sh`).
 
 #![forbid(unsafe_code)]
 
@@ -179,32 +184,27 @@ pub fn results_dir() -> PathBuf {
 
 /// Writes a serializable value as pretty JSON under `results/<name>.json`.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    write_pretty(&results_dir().join(format!("{name}.json")), value, "");
-}
-
-/// Writes a committed perf-gate baseline, `BENCH_<name>.json` at the
-/// workspace root. Only the dedicated bench binaries record baselines:
-/// `all` regenerates `results/` and leaves the baselines alone, so a run
-/// without the counting allocator cannot commit zeroed peak-heap figures.
-pub fn write_baseline<T: Serialize>(name: &str, value: &T) {
-    // crates/bench -> workspace root
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop();
-    path.pop();
-    path.push(format!("BENCH_{name}.json"));
-    write_pretty(&path, value, "\n");
-}
-
-fn write_pretty<T: Serialize>(path: &std::path::Path, value: &T, trailer: &str) {
+    let path = results_dir().join(format!("{name}.json"));
     match serde_json::to_string_pretty(value) {
         Ok(json) => {
-            if let Err(e) = std::fs::write(path, json + trailer) {
+            if let Err(e) = std::fs::write(&path, json) {
                 eprintln!("warning: could not write {}: {e}", path.display());
             } else {
                 eprintln!("wrote {}", path.display());
             }
         }
         Err(e) => eprintln!("warning: could not serialize {}: {e}", path.display()),
+    }
+}
+
+/// Prints each broken host-independent floor of `bench` and exits 1 if
+/// there is any.
+pub fn enforce_floors(bench: &str, failures: &[String]) {
+    for f in failures {
+        eprintln!("{bench}: FLOOR BROKEN — {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }
 

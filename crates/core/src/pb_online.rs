@@ -120,7 +120,7 @@ impl OnlinePbPpm {
     /// Popularity counting and tree training both run on
     /// [`OnlinePbPpm::set_threads`] workers (deterministic: the rebuilt
     /// model is bit-identical at every thread count). Wall time lands in
-    /// the `serve.rebuild_ms` histogram so a loadgen p999 spike can be
+    /// the `serve.rebuild_ms` histogram so a serving-tail spike can be
     /// attributed to a rebuild stall.
     pub fn rebuild(&mut self) {
         let started = std::time::Instant::now();

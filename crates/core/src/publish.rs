@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn shard_of_spreads_clients() {
         // Not a statistical guarantee, just a sanity check that the hash
-        // reduction is not degenerate for the ids loadgen generates.
+        // reduction is not degenerate for sequential client ids.
         let shards = 8;
         let mut seen = vec![0usize; shards];
         for i in 0..256 {

@@ -1,11 +1,9 @@
 //! The frozen arena reports the heap it holds: freezing a tree, rebuilding
 //! an arena from its snapshot image, and cloning one each grow the live
 //! heap by exactly `FrozenTree::heap_bytes`, so a finalized model's
-//! `memory_bytes` is allocator truth, not an estimate. One test per
-//! binary: the counter is process-wide, and a second test thread would
-//! allocate into the window.
-
-#![cfg(feature = "telemetry")]
+//! `memory_bytes` is allocator truth, not an estimate. The counter is
+//! process-wide, so this binary runs without the libtest harness, whose
+//! main thread would allocate into the window (see `interner_bytes.rs`).
 
 use pbppm_core::{FrozenTree, PbConfig, PbPpm, PopularityTable, Predictor, UrlId};
 
@@ -42,7 +40,10 @@ fn grown<T>(build: impl FnOnce() -> T) -> (u64, T) {
     (pbppm_obs::alloc::live_bytes() - before, value)
 }
 
-#[test]
+fn main() {
+    an_arena_grows_the_live_heap_by_its_heap_bytes();
+}
+
 fn an_arena_grows_the_live_heap_by_its_heap_bytes() {
     let sessions = sessions(3_000, 400);
     let mut b = PopularityTable::builder();

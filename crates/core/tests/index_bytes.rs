@@ -1,10 +1,9 @@
 //! The fingerprint index reports the heap it holds: building one grows the
 //! live heap by exactly `ContextIndex::memory_bytes`, so the
 //! `core.index.bytes` gauge and the results' `index_bytes` are allocator
-//! truth, not an estimate. One test per binary: the counter is
-//! process-wide, and a second test thread would allocate into the window.
-
-#![cfg(feature = "telemetry")]
+//! truth, not an estimate. The counter is process-wide, so this binary
+//! runs without the libtest harness, whose main thread would allocate
+//! into the window (see `interner_bytes.rs`).
 
 use pbppm_core::{ContextIndex, PbConfig, PbPpm, PopularityTable, Predictor, UrlId};
 
@@ -35,7 +34,10 @@ fn sessions(count: usize, urls: u64) -> Vec<Vec<UrlId>> {
         .collect()
 }
 
-#[test]
+fn main() {
+    building_an_index_grows_the_live_heap_by_its_memory_bytes();
+}
+
 fn building_an_index_grows_the_live_heap_by_its_memory_bytes() {
     let sessions = sessions(3_000, 400);
     let mut b = PopularityTable::builder();

@@ -551,7 +551,7 @@ fn g() -> &'static str { \"len as u64\" }
         // Bench binaries may spawn, but as crate roots they still owe the
         // unsafe attribute — so give them one.
         let rooted = format!("#![forbid(unsafe_code)]\n{src}");
-        assert!(lint("crates/bench/src/bin/loadgen.rs", &rooted).is_empty());
+        assert!(lint("crates/bench/src/bin/ingest.rs", &rooted).is_empty());
     }
 
     #[test]
@@ -632,7 +632,7 @@ fn g() -> &'static str { \"len as u64\" }
         assert!(lint("crates/core/src/tree.rs", "pub struct Tree;\n").is_empty());
         // Bench binaries are roots.
         assert_eq!(
-            rules_of(&lint("crates/bench/src/bin/loadgen.rs", "fn main() {}\n")),
+            rules_of(&lint("crates/bench/src/bin/ingest.rs", "fn main() {}\n")),
             vec![RuleId::UnsafeAttr]
         );
     }

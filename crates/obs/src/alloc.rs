@@ -11,7 +11,7 @@
 //! The counter is a single process-wide relaxed atomic of *allocated* bytes
 //! (frees are not subtracted): span deltas then measure allocation churn,
 //! which is the quantity that correlates with allocator time. Binaries that
-//! do not install it — the perf-gate `throughput` binary, deliberately —
+//! do not install it — the `throughput` binary, deliberately —
 //! simply report 0. With the `enabled` feature off the allocator forwards
 //! straight to [`System`] with no counting at all.
 

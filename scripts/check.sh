@@ -13,8 +13,9 @@
 #                              the structural-audit adversarial suite, shard
 #                              determinism, epoch concurrency and ingest
 #
-# The perf-regression gate is separate (scripts/perf-gate.sh) because it
-# needs a quiet machine and a release build.
+# Timing is judged separately, by a paired parent-vs-change perfbench run
+# on one host (scripts/perf-compare.sh), because it needs release builds of
+# both revisions and a quiet machine.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -12,9 +12,11 @@
 #   3. scripts/check.sh      — pbppm lint, fmt --check, clippy -D
 #                              warnings, the workspace test suite
 #   4. perfbench tests       — perfbench's own unit and smoke tests (its
-#                              own workspace, outside check.sh's reach)
-#   5. scripts/perf-gate.sh  — throughput must stay within 15% of baseline
-#   6. snapshot smoke        — generate a tiny trace, then for each model
+#                              own workspace, outside check.sh's reach),
+#                              among them every workload at tiny scale
+#                              (churn at 4 shards: every response ok, no
+#                              failed request, no rejected publish)
+#   5. snapshot smoke        — generate a tiny trace, then for each model
 #                              (pb, standard, lrs, o1): `pbppm train`
 #                              (writes the .pbss model file), `pbppm audit`
 #                              (loads it, rebuilding the SoA/CSR arena
@@ -23,36 +25,42 @@
 #                              `pbppm predict` (serves a query from the
 #                              loaded model) — the full train → audit →
 #                              predict cycle through the real binary
-#   7. audit smoke           — `pbppm audit` rejects (nonzero exit) a
+#   6. audit smoke           — `pbppm audit` rejects (nonzero exit) a
 #                              snapshot copy with a flipped payload byte
-#   8. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
+#   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
 #                              health/quit through `pbppm serve`, assert
 #                              the one-`ok`/`err`-line-per-command
 #                              discipline, then restart against the same
 #                              dir and assert the greeting reports a
 #                              recovered generation (warm start)
-#   9. sharded serve smoke   — the same protocol through `pbppm serve
+#   8. sharded serve smoke   — the same protocol through `pbppm serve
 #                              --shards 4` with `@client` routing tokens,
 #                              asserting the greeting's shard count and
 #                              the stats line over all shards
-#  10. loadgen smoke         — a short fixed-seed open-loop run of the
-#                              `loadgen` bench (4 shards, low rate) must
-#                              complete with zero errors and zero
-#                              rejected publishes
-#  11. parallel ingest smoke — `pbppm train` on the same log at
+#   9. parallel ingest smoke — `pbppm train` on the same log at
 #                              --threads 1 and --threads 4 must produce
 #                              byte-identical .pbss files (the deterministic
 #                              parallel-training contract through the
-#                              real binary), then a short `ingest` bench
-#                              run must report nonzero throughput in all
-#                              three phases
-#  12. combined log smoke    — the same seed generated as a Combined log
+#                              real binary)
+#  10. combined log smoke    — the same seed generated as a Combined log
 #                              must train a .pbss byte-identical to the
 #                              CLF log's, and `predict` must serve from it
-#  13. reproduction check    — `all --check` regenerates every paper
+#  11. reproduction check    — `all --check` regenerates every paper
 #                              table and figure into a temp dir and
 #                              requires the committed `results/` field for
-#                              field, except the named timing fields
+#                              field, except the named timing fields; on
+#                              the way its `throughput` and `ingest` steps
+#                              enforce their host-independent floors (each
+#                              model's fast path beats the reference scan;
+#                              the chunked parse peaks at most 1.25x the
+#                              sequential one; 2x end-to-end ingest speedup
+#                              on hosts with 4+ cores)
+#
+# No leg compares a timing with a committed number from another run: such
+# numbers drift with the host. A speed claim, or a suspected slowdown, is
+# judged by a paired parent-vs-change perfbench run on one host:
+#
+#   scripts/perf-compare.sh <parent-rev> [perfbench args...]
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -97,9 +105,6 @@ echo "== ci: perfbench tests" >&2
 # perfbench is its own workspace, so `cargo test --workspace` never
 # reaches its unit and smoke tests.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
-
-echo "== ci: perf-gate.sh" >&2
-scripts/perf-gate.sh
 
 echo "== ci: snapshot train/audit/predict smoke" >&2
 tmp="$(mktemp -d)"
@@ -222,25 +227,6 @@ if grep -q '^err' "$shardout"; then
     exit 1
 fi
 
-echo "== ci: loadgen open-loop smoke" >&2
-# The loadgen binary always rewrites the committed BENCH_loadgen.json
-# baseline at the repo root; the smoke runs a non-baseline shape, so the
-# committed file is saved and restored around it.
-cp "$repo/BENCH_loadgen.json" "$tmp/BENCH_loadgen.committed"
-PBPPM_RESULTS="$tmp/results" \
-    cargo run --release -q -p pbppm-bench --bin loadgen -- \
-    --rate 300 --seconds 1 --shards 4 --seed 7 >"$tmp/loadgen-out.txt"
-mv "$tmp/BENCH_loadgen.committed" "$repo/BENCH_loadgen.json"
-python3 - "$tmp/results/loadgen.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["shards"] == 4, f"expected 4 shards, got {r['shards']}"
-assert r["requests"] > 0, "loadgen completed no requests"
-assert r["errors"] == 0, f"{r['errors']} err responses under load"
-assert r["publish_rejected"] == 0, f"{r['publish_rejected']} rejected publishes"
-assert all(c["p99_ns"] > 0 for c in r["commands"]), "empty latency percentiles"
-EOF
-
 echo "== ci: parallel ingest smoke" >&2
 # Parallel training is bit-identical to sequential at any worker count;
 # prove it through the real binary by diffing whole model files.
@@ -250,21 +236,6 @@ cmp -s "$tmp/model-t1.pbss" "$tmp/model-t4.pbss" || {
     echo "ci: parallel training (--threads 4) diverged from --threads 1" >&2
     exit 1
 }
-# Short ingest bench run: like loadgen, the binary rewrites the committed
-# BENCH_ingest.json at the repo root, so save and restore it.
-cp "$repo/BENCH_ingest.json" "$tmp/BENCH_ingest.committed"
-PBPPM_RESULTS="$tmp/results" \
-    cargo run --release -q -p pbppm-bench --bin ingest -- --days 1 >"$tmp/ingest-out.txt"
-mv "$tmp/BENCH_ingest.committed" "$repo/BENCH_ingest.json"
-python3 - "$tmp/results/ingest.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["lines"] > 0, "ingest bench parsed no lines"
-assert r["sessions"] > 0, "ingest bench trained no sessions"
-assert len(r["phases"]) == 3, f"expected 3 phases, got {len(r['phases'])}"
-assert all(p["parallel_secs"] > 0 for p in r["phases"]), "empty phase timings"
-assert r["parse_lines_per_sec"] > 0, "zero parse throughput"
-EOF
 
 echo "== ci: combined log smoke" >&2
 # Both dialects take the one chunked ingester; the user-agent field must
@@ -284,7 +255,8 @@ fi
 echo "== ci: reproduction check" >&2
 # Every reproduced number (node counts, hit ratios, latency reductions,
 # traffic, byte sizes) must regenerate exactly; a mismatch prints its
-# JSON path and both values.
+# JSON path and both values. A broken throughput or ingest floor exits
+# nonzero before the comparison.
 cargo run --release -q -p pbppm-bench --bin all -- --check >"$tmp/all-check.txt"
 
 echo "ci: all green" >&2
