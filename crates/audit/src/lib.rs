@@ -34,7 +34,7 @@ pub use pbppm_core::verify::{
 };
 pub use pbppm_core::{CodecError, ModelImage, SnapshotFile};
 
-use pbppm_core::{LrsPpm, Order1Markov, PbPpm, StandardPpm};
+use pbppm_core::{Order1Markov, PbPpm, StandardPpm};
 
 /// Audits a decoded snapshot: instantiates the stored model image and runs
 /// the full structural verification against it, including URL-symbol
@@ -57,11 +57,14 @@ pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
         },
         ModelImage::Standard(s) => match StandardPpm::from_snapshot(s) {
             Ok(m) => verify_model_with_urls(&ModelRef::Standard(&m), urls),
-            Err(e) => AuditReport::rejected("standard", e.to_string()),
-        },
-        ModelImage::Lrs(s) => match LrsPpm::from_snapshot(s) {
-            Ok(m) => verify_model_with_urls(&ModelRef::Lrs(&m), urls),
-            Err(e) => AuditReport::rejected("lrs", e.to_string()),
+            Err(e) => {
+                let label = if s.min_support.is_some() {
+                    "lrs"
+                } else {
+                    "standard"
+                };
+                AuditReport::rejected(label, e.to_string())
+            }
         },
         ModelImage::Order1(s) => {
             let m = Order1Markov::from_snapshot(s);

@@ -9,7 +9,7 @@
 
 use pbppm_audit::{runtime_audit_enabled, verify_model_with_urls, ModelRef};
 use pbppm_core::{
-    LrsPpm, OnlinePbPpm, Order1Markov, PbConfig, PbPpm, Predictor, PruneConfig, StandardPpm, UrlId,
+    OnlinePbPpm, Order1Markov, PbConfig, PbPpm, Predictor, PruneConfig, StandardPpm, UrlId,
 };
 
 fn force_audit_on() {
@@ -69,7 +69,7 @@ fn week_long_training_passes_every_runtime_audit() {
 
     // The comparators under the same hooks.
     let mut std_m = StandardPpm::new(Some(6));
-    let mut lrs = LrsPpm::new();
+    let mut lrs = StandardPpm::lrs();
     let mut o1 = Order1Markov::new();
     for s in &sessions {
         std_m.train_session(s);
@@ -86,7 +86,7 @@ fn week_long_training_passes_every_runtime_audit() {
         ),
         (
             "lrs",
-            verify_model_with_urls(&ModelRef::Lrs(&lrs), Some(url_count)),
+            verify_model_with_urls(&ModelRef::Standard(&lrs), Some(url_count)),
         ),
         (
             "order1",

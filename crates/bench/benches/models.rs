@@ -8,8 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use pbppm_core::{
-    LrsPpm, PbConfig, PbPpm, PopularityTable, Prediction, Predictor, PruneConfig, StandardPpm,
-    UrlId,
+    PbConfig, PbPpm, PopularityTable, Prediction, Predictor, PruneConfig, StandardPpm, UrlId,
 };
 use pbppm_trace::{sessionize_trace, Session, WorkloadConfig};
 
@@ -43,7 +42,7 @@ fn bench_build(c: &mut Criterion) {
         b.iter(|| train(StandardPpm::unbounded(), &sessions).node_count())
     });
     group.bench_function("lrs-ppm", |b| {
-        b.iter(|| train(LrsPpm::new(), &sessions).node_count())
+        b.iter(|| train(StandardPpm::lrs(), &sessions).node_count())
     });
     group.bench_function("pb-ppm", |b| {
         b.iter(|| train(PbPpm::new(pop.clone(), PbConfig::default()), &sessions).node_count())
@@ -54,7 +53,7 @@ fn bench_build(c: &mut Criterion) {
 fn bench_predict(c: &mut Criterion) {
     let (sessions, pop) = training_data();
     let standard = train(StandardPpm::unbounded(), &sessions);
-    let lrs = train(LrsPpm::new(), &sessions);
+    let lrs = train(StandardPpm::lrs(), &sessions);
     let pb = train(PbPpm::new(pop, PbConfig::default()), &sessions);
 
     // Realistic contexts: the prefixes of the first 200 sessions.

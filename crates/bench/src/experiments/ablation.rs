@@ -13,8 +13,8 @@
 //! * `PB short`      — heights `[1,2,3,4]`.
 
 use crate::{nasa_trace, pct, write_json, Table};
-use pbppm_core::{PbConfig, PruneConfig};
-use pbppm_sim::{parallel_map, run_experiment, ExperimentConfig, ModelSpec};
+use pbppm_core::{parallel_map, PbConfig, PruneConfig};
+use pbppm_sim::{run_experiment, ExperimentConfig, ModelSpec};
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]

@@ -12,9 +12,9 @@
 //! are added.
 
 use crate::{pct, seed, write_json, Table};
+use pbppm_core::parallel_map;
 use pbppm_sim::{
-    parallel_map, run_proxy_experiment, ExperimentConfig, ModelSpec, ProxyExperimentConfig,
-    ProxyRunResult,
+    run_proxy_experiment, ExperimentConfig, ModelSpec, ProxyExperimentConfig, ProxyRunResult,
 };
 use serde::Serialize;
 

@@ -9,9 +9,8 @@
 //! do. PB-PPM's accuracy buys it a gentler collapse per byte pushed.
 
 use crate::{nasa_trace, pct, write_json, Table};
-use pbppm_sim::{
-    parallel_map, run_network_experiment, ExperimentConfig, ModelSpec, NetworkRunResult,
-};
+use pbppm_core::parallel_map;
+use pbppm_sim::{run_network_experiment, ExperimentConfig, ModelSpec, NetworkRunResult};
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]

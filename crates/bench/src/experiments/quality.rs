@@ -8,8 +8,8 @@
 //! day after 5 training days, with the deployment probability threshold.
 
 use crate::{nasa_trace, pct, ucb_trace, write_json, Table};
-use pbppm_core::{evaluate, EvalConfig, PopularityTable, PredictionQuality, UrlId};
-use pbppm_sim::{parallel_map, ExperimentConfig, ModelSpec};
+use pbppm_core::{evaluate, parallel_map, EvalConfig, PopularityTable, PredictionQuality, UrlId};
+use pbppm_sim::{ExperimentConfig, ModelSpec};
 use pbppm_trace::{sessionize, Trace};
 use serde::Serialize;
 

@@ -8,8 +8,8 @@
 //! Markov, PPM, LRS) and popularity-only push (Top-N).
 
 use crate::{nasa_trace, pct, ucb_trace, write_json, Table};
-use pbppm_core::PbConfig;
-use pbppm_sim::{parallel_map, run_experiment, ExperimentConfig, ModelSpec};
+use pbppm_core::{parallel_map, PbConfig};
+use pbppm_sim::{run_experiment, ExperimentConfig, ModelSpec};
 use pbppm_trace::Trace;
 use serde::Serialize;
 

@@ -25,10 +25,10 @@
 
 use crate::{nasa_trace, write_json, Table};
 use pbppm_core::{
-    reference, LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction, Predictor,
-    PruneConfig, StandardPpm, UrlId,
+    reference, resolve_threads, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction,
+    Predictor, PruneConfig, StandardPpm, UrlId,
 };
-use pbppm_sim::{resolve_threads, run_experiment, ExperimentConfig, ModelSpec};
+use pbppm_sim::{run_experiment, ExperimentConfig, ModelSpec};
 use pbppm_trace::{sessionize, Session, SessionizerConfig, Trace};
 use serde::Serialize;
 use std::time::Instant;
@@ -291,7 +291,7 @@ pub fn run() {
     let pop = counts.build();
 
     let mut standard = StandardPpm::unbounded();
-    let mut lrs = LrsPpm::new();
+    let mut lrs = StandardPpm::lrs();
     let mut pb = PbPpm::new(
         pop,
         PbConfig {
@@ -340,7 +340,7 @@ pub fn run() {
                     lrs.predict_ro(c, out, &mut usage);
                 }),
                 slow: time_clicks(&contexts, |c, out| {
-                    reference::predict_lrs(&lrs_tree, &lrs, c, out);
+                    reference::predict_standard(&lrs_tree, &lrs, c, out);
                 }),
                 batch: time_batched(&contexts, |cs, outs| lrs.predict_many(cs, outs)),
                 frozen_bytes: frozen_bytes(lrs.frozen()),

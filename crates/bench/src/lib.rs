@@ -33,7 +33,8 @@
 
 #![forbid(unsafe_code)]
 
-use pbppm_sim::{parallel_map, ExperimentConfig, ModelSpec, RunResult};
+use pbppm_core::parallel_map;
+use pbppm_sim::{ExperimentConfig, ModelSpec, RunResult};
 use pbppm_trace::{Trace, WorkloadConfig};
 use serde::Serialize;
 use std::fmt::Write as _;

@@ -4,8 +4,7 @@
 use crate::args::Args;
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
 use pbppm_core::{
-    Interner, LrsPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig,
-    StandardPpm,
+    Interner, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, StandardPpm,
 };
 use pbppm_sim::{run_experiment, ExperimentConfig, ModelSpec};
 use pbppm_trace::clf::{format_clf_line, ClfRecord};
@@ -261,10 +260,10 @@ pub fn train_model(
             Ok(("PPM".into(), image, Box::new(m)))
         }
         "lrs" => {
-            let mut m = LrsPpm::new();
+            let mut m = StandardPpm::lrs();
             m.train_sessions(&urls, threads);
             m.finalize();
-            let image = ModelImage::Lrs(m.to_snapshot());
+            let image = ModelImage::Standard(m.to_snapshot());
             Ok(("LRS".into(), image, Box::new(m)))
         }
         "o1" => {

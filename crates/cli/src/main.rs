@@ -92,7 +92,7 @@ fn init_observability(args: &Args) -> Result<(), String> {
         let level = pbppm_obs::log::Level::Debug.max(pbppm_obs::log::max_level());
         pbppm_obs::log::set_level(level);
     }
-    pbppm_sim::threads_from_env()?;
+    pbppm_core::threads_from_env()?;
     if !pbppm_obs::ENABLED && args.get("metrics-out").is_some() {
         pbppm_obs::obs_warn!("--metrics-out: telemetry is compiled out; the report will be empty");
     }

@@ -56,7 +56,80 @@ pub struct PredictionQuality {
     pub emitted: u64,
 }
 
+/// One scored context, compact enough to keep thousands around: the
+/// counters are folded from these ([`PredictionQuality::record`]), so a
+/// window of them recomputes its quality exactly, with no accumulated
+/// float error from evicted entries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ContextRecord {
+    /// Predictions emitted above the threshold (after the k cutoff).
+    pub emitted: u32,
+    /// Rank (0-based) of the actual next URL among the emitted
+    /// predictions, if present — carries hits@1, hits@k and the
+    /// reciprocal rank.
+    pub rank: Option<u32>,
+    /// Any emitted prediction was used within the horizon.
+    pub useful: bool,
+    /// Popularity grade level (0–3) of the actual next URL, when a
+    /// popularity table was available at scoring time.
+    pub grade: Option<u8>,
+}
+
+impl ContextRecord {
+    /// Scores the predictions `out` made for the context ending at
+    /// `urls[i]` ([`context_at`]) against the session's continuation:
+    /// first cuts `out` to what `cfg` scores (the threshold, then the k
+    /// cutoff). `grade` is left `None`.
+    pub(crate) fn score(
+        out: &mut Vec<Prediction>,
+        urls: &[UrlId],
+        i: usize,
+        cfg: &EvalConfig,
+    ) -> Self {
+        out.retain(|p| p.prob >= cfg.prob_threshold);
+        out.truncate(cfg.k.max(1));
+        let next = urls[i + 1];
+        let horizon_end = i
+            .saturating_add(1)
+            .saturating_add(cfg.horizon)
+            .min(urls.len());
+        let upcoming = &urls[i + 1..horizon_end];
+        let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        Self {
+            emitted: clamp(out.len()),
+            rank: out.iter().position(|p| p.url == next).map(clamp),
+            useful: out.iter().any(|p| upcoming.contains(&p.url)),
+            grade: None,
+        }
+    }
+}
+
+/// The context a model is asked to predict from at view `i`: the session
+/// prefix ending at `urls[i]`, capped at `context_cap` (≥ 1) URLs.
+pub(crate) fn context_at(urls: &[UrlId], i: usize, context_cap: usize) -> &[UrlId] {
+    &urls[(i + 1).saturating_sub(context_cap.max(1))..=i]
+}
+
 impl PredictionQuality {
+    /// Folds one scored context into the counters.
+    pub fn record(&mut self, r: &ContextRecord) {
+        self.contexts += 1;
+        self.emitted += u64::from(r.emitted);
+        if r.emitted > 0 {
+            self.covered += 1;
+        }
+        if let Some(rank) = r.rank {
+            self.hits_at_k += 1;
+            if rank == 0 {
+                self.hits_at_1 += 1;
+            }
+            self.reciprocal_rank_sum += 1.0 / (f64::from(rank) + 1.0);
+        }
+        if r.useful {
+            self.useful_at_k += 1;
+        }
+    }
+
     /// Adds `other`'s counters into `self` (pooling disjoint samples).
     pub fn merge(&mut self, other: &PredictionQuality) {
         self.contexts += other.contexts;
@@ -132,32 +205,8 @@ pub fn evaluate<S: AsRef<[UrlId]>>(
     for s in sessions {
         let urls = s.as_ref();
         for i in 0..urls.len().saturating_sub(1) {
-            q.contexts += 1;
-            let lo = (i + 1).saturating_sub(context_cap.max(1));
-            model.predict(&urls[lo..=i], &mut out);
-            out.retain(|p| p.prob >= cfg.prob_threshold);
-            out.truncate(cfg.k.max(1));
-            q.emitted += out.len() as u64;
-            if out.is_empty() {
-                continue;
-            }
-            q.covered += 1;
-            let next = urls[i + 1];
-            if out[0].url == next {
-                q.hits_at_1 += 1;
-            }
-            if let Some(rank) = out.iter().position(|p| p.url == next) {
-                q.hits_at_k += 1;
-                q.reciprocal_rank_sum += 1.0 / (rank + 1) as f64;
-            }
-            let horizon_end = i
-                .saturating_add(1)
-                .saturating_add(cfg.horizon)
-                .min(urls.len());
-            let upcoming = &urls[i + 1..horizon_end];
-            if out.iter().any(|p| upcoming.contains(&p.url)) {
-                q.useful_at_k += 1;
-            }
+            model.predict(context_at(urls, i, context_cap), &mut out);
+            q.record(&ContextRecord::score(&mut out, urls, i, cfg));
         }
     }
     q

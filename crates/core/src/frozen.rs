@@ -716,6 +716,41 @@ impl NodeStore {
         }
     }
 
+    /// Trains on every session with `insert`, deterministically parallel:
+    /// contiguous session partitions ([`crate::parallel::partition_ranges`])
+    /// grow private trees, which merge back in partition order
+    /// ([`Tree::merge_from`]). That is bit-identical to calling `insert`
+    /// on each session in turn, at every thread count (`0` = auto via
+    /// `PBPPM_THREADS`/available parallelism), as long as `insert` reads
+    /// only the session and what it itself inserted.
+    pub(crate) fn train_sessions<S, F>(&mut self, sessions: &[S], threads: usize, insert: F)
+    where
+        S: AsRef<[UrlId]> + Sync,
+        F: Fn(&mut Tree, &[UrlId]) + Sync,
+    {
+        let Some(tree) = self.tree_mut() else {
+            return;
+        };
+        let threads = crate::parallel::resolve_threads(threads).min(sessions.len().max(1));
+        if threads <= 1 {
+            for s in sessions {
+                insert(tree, s.as_ref());
+            }
+            return;
+        }
+        let ranges = crate::parallel::partition_ranges(sessions.len(), threads);
+        let donors = crate::parallel::parallel_map_with(&ranges, threads, |r| {
+            let mut donor = Tree::new();
+            for s in &sessions[r.clone()] {
+                insert(&mut donor, s.as_ref());
+            }
+            donor
+        });
+        for donor in &donors {
+            tree.merge_from(donor);
+        }
+    }
+
     /// The serving arena; `None` while training.
     pub(crate) fn arena(&self) -> Option<&FrozenTree> {
         match self {
@@ -795,7 +830,6 @@ impl NodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lrs::LrsPpm;
     use crate::pb::{PbConfig, PbPpm};
     use crate::popularity::PopularityBuilder;
     use crate::predictor::Predictor;
@@ -1102,7 +1136,7 @@ mod tests {
 
     #[test]
     fn lrs_freeze_survives_prune_and_compact() {
-        let mut m = LrsPpm::new();
+        let mut m = StandardPpm::lrs();
         for _ in 0..3 {
             m.train_session(&[u(0), u(1), u(2)]);
         }

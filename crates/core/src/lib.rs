@@ -11,9 +11,10 @@
 //! * [`StandardPpm`] — the classic PPM forest: a branch is rooted at **every**
 //!   URL position of every access session, bounded (or unbounded) height.
 //!   Simple, accurate, and enormous.
-//! * [`LrsPpm`] — the Longest-Repeating-Subsequence model of Pitkow & Pirolli
-//!   (USENIX '99): only paths that occur at least twice survive finalization.
-//!   Small, but blind to anything that has not yet repeated.
+//! * [`StandardPpm::lrs`] — the Longest-Repeating-Subsequence model of
+//!   Pitkow & Pirolli (USENIX '99): the same forest, of which only paths that
+//!   occur at least twice survive finalization. Small, but blind to anything
+//!   that has not yet repeated.
 //! * [`PbPpm`] — the paper's contribution. Branch heights are proportional to
 //!   the *popularity grade* of the branch's heading URL, new roots are only
 //!   created on popularity ascents, special links duplicate popular nodes
@@ -57,7 +58,6 @@ pub mod frozen;
 pub mod fxhash;
 pub mod interner;
 pub mod live;
-pub mod lrs;
 pub mod order1;
 pub mod parallel;
 pub mod pb;
@@ -82,7 +82,6 @@ pub use frozen::FrozenTree;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use interner::{Interner, UrlId};
 pub use live::{traffic_increment, GradeAccuracy, LiveEval, LiveEvalConfig};
-pub use lrs::LrsPpm;
 pub use order1::Order1Markov;
 pub use parallel::{
     parallel_map, parallel_map_progress, parallel_map_with, parse_threads, partition_ranges,

@@ -18,6 +18,9 @@
 //!   — the last `window` contexts, recomputed exactly from compact
 //!   [`ContextRecord`]s (no incremental float drift).
 //!
+//! Both fold the same per-context score the offline engine folds
+//! ([`ContextRecord::score`], [`PredictionQuality::record`]).
+//!
 //! Their divergence is the drift signal: when the windowed precision@k
 //! falls below `drift_fraction` of the lifetime mean (with minimum-sample
 //! guards on both sides), [`LiveEval::drifted`] reports `true` and the
@@ -26,7 +29,7 @@
 //! band is drifting — the paper's grades G0–G3 are exactly the strata a
 //! popularity shift moves.
 
-use crate::eval::{EvalConfig, PredictionQuality};
+use crate::eval::{context_at, ContextRecord, EvalConfig, PredictionQuality};
 use crate::interner::UrlId;
 use crate::popularity::PopularityTable;
 use crate::predictor::{PredictUsage, Prediction, Predictor};
@@ -62,24 +65,6 @@ impl Default for LiveEvalConfig {
             min_contexts: 64,
         }
     }
-}
-
-/// One evaluated context, compact enough to keep thousands around: the
-/// window quality is recomputed exactly from these (u64 counter folds, no
-/// accumulated float error from evicted entries).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContextRecord {
-    /// Predictions emitted above the threshold (after the k cutoff).
-    pub emitted: u16,
-    /// Rank (0-based) of the actual next URL among the emitted
-    /// predictions, if present — carries hits@1, hits@k and the
-    /// reciprocal rank.
-    pub rank: Option<u16>,
-    /// Any emitted prediction was used within the horizon.
-    pub useful: bool,
-    /// Popularity grade level (0–3) of the actual next URL, when a
-    /// popularity table was available at scoring time.
-    pub grade: Option<u8>,
 }
 
 /// Per-grade lifetime accuracy: contexts whose true next URL had this
@@ -167,21 +152,7 @@ impl LiveEval {
     pub fn window_quality(&self) -> PredictionQuality {
         let mut q = PredictionQuality::default();
         for r in &self.records {
-            q.contexts += 1;
-            q.emitted += u64::from(r.emitted);
-            if r.emitted > 0 {
-                q.covered += 1;
-            }
-            if let Some(rank) = r.rank {
-                q.hits_at_k += 1;
-                if rank == 0 {
-                    q.hits_at_1 += 1;
-                }
-                q.reciprocal_rank_sum += 1.0 / f64::from(rank + 1);
-            }
-            if r.useful {
-                q.useful_at_k += 1;
-            }
+            q.record(r);
         }
         q
     }
@@ -207,11 +178,11 @@ impl LiveEval {
     /// the read-only vote path and discards the usage bookkeeping:
     /// self-evaluation must not count as real path utilization.
     ///
-    /// The scoring loop mirrors [`crate::eval::evaluate`] exactly (same
-    /// context cap, threshold, k cutoff, horizon window), so the window
-    /// numbers are directly comparable to an offline run on the same
-    /// clicks. `grades`, when given, buckets each context by the grade of
-    /// its true next URL. Returns how many contexts the session produced.
+    /// Each context is scored like [`crate::eval::evaluate`] scores it
+    /// (the same [`ContextRecord::score`]), so the window numbers are
+    /// directly comparable to an offline run on the same clicks.
+    /// `grades`, when given, buckets each context by the grade of its
+    /// true next URL. Returns how many contexts the session produced.
     pub fn observe_session(
         &mut self,
         model: &dyn Predictor,
@@ -226,58 +197,27 @@ impl LiveEval {
         }
         self.sessions += 1;
         let cfg = self.cfg.eval;
-        let mut produced = 0usize;
         for i in 0..urls.len() - 1 {
-            let lo = (i + 1).saturating_sub(self.cfg.context_cap.max(1));
             self.scratch.clear();
             self.usage.clear();
-            model.predict_ro(&urls[lo..=i], &mut self.scratch, &mut self.usage);
-            self.scratch.retain(|p| p.prob >= cfg.prob_threshold);
-            self.scratch.truncate(cfg.k.max(1));
-
-            let next = urls[i + 1];
-            #[allow(clippy::cast_possible_truncation)] // clamped to u16::MAX first
-            let rank = self
-                .scratch
-                .iter()
-                .position(|p| p.url == next)
-                .map(|r| r.min(usize::from(u16::MAX)) as u16);
-            let horizon_end = i
-                .saturating_add(1)
-                .saturating_add(cfg.horizon)
-                .min(urls.len());
-            let upcoming = &urls[i + 1..horizon_end];
-            #[allow(clippy::cast_possible_truncation)] // clamped to u16::MAX first
+            model.predict_ro(
+                context_at(urls, i, self.cfg.context_cap),
+                &mut self.scratch,
+                &mut self.usage,
+            );
             let record = ContextRecord {
-                emitted: self.scratch.len().min(usize::from(u16::MAX)) as u16,
-                rank,
-                useful: self.scratch.iter().any(|p| upcoming.contains(&p.url)),
-                grade: grades.map(|g| g.grade(next).level()),
+                grade: grades.map(|g| g.grade(urls[i + 1]).level()),
+                ..ContextRecord::score(&mut self.scratch, urls, i, &cfg)
             };
             self.push(record);
-            produced += 1;
         }
-        produced
+        urls.len() - 1
     }
 
     /// Appends one context record to both aggregates, evicting the oldest
     /// window entry at capacity.
     fn push(&mut self, r: ContextRecord) {
-        self.lifetime.contexts += 1;
-        self.lifetime.emitted += u64::from(r.emitted);
-        if r.emitted > 0 {
-            self.lifetime.covered += 1;
-        }
-        if let Some(rank) = r.rank {
-            self.lifetime.hits_at_k += 1;
-            if rank == 0 {
-                self.lifetime.hits_at_1 += 1;
-            }
-            self.lifetime.reciprocal_rank_sum += 1.0 / f64::from(rank + 1);
-        }
-        if r.useful {
-            self.lifetime.useful_at_k += 1;
-        }
+        self.lifetime.record(&r);
         if let Some(level) = r.grade {
             let slot = &mut self.by_grade[usize::from(level.min(3))];
             slot.contexts += 1;

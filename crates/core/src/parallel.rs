@@ -9,11 +9,11 @@
 //! (`--threads` flags, [`THREADS_ENV`]) therefore only change wall time,
 //! never results.
 //!
-//! These helpers lived in `pbppm-sim::sweep` while only the figure sweeps
-//! and the eval engine were parallel; the parallel training path in
-//! [`crate::pb`]/[`crate::standard`]/[`crate::lrs`] and the chunked
-//! ingestion in `pbppm-trace` pulled them down into the core crate
-//! (`pbppm-sim` re-exports them unchanged).
+//! The users are the tree models' parallel training
+//! ([`crate::frozen::NodeStore`]'s `train_sessions`), popularity counting,
+//! the chunked ingestion in `pbppm-trace`, and the simulator's figure
+//! sweeps, whose cells (model × training window × threshold × client
+//! count) differ wildly in cost and so are pulled dynamically.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -207,6 +207,20 @@ mod tests {
         });
         assert_eq!(out.len(), 57);
         assert_eq!(calls.load(Ordering::Relaxed), 57);
+    }
+
+    #[test]
+    fn uneven_work_is_balanced() {
+        // Items with wildly different costs still all complete.
+        let items: Vec<u64> = (0..30).collect();
+        let out = parallel_map_with(&items, 4, |&x| {
+            let mut acc = 0u64;
+            for i in 0..(x * 10_000) {
+                acc = acc.wrapping_add(i);
+            }
+            (x, acc).0
+        });
+        assert_eq!(out, items);
     }
 
     #[test]

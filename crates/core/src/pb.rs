@@ -195,38 +195,17 @@ impl PbPpm {
         }
     }
 
-    /// Trains on every session, deterministically parallel.
-    ///
-    /// Sessions are split into contiguous partitions, each worker grows a
-    /// private partial tree via [`train_session_into`] against the shared
-    /// frozen popularity table, and the partials are merged **in partition
-    /// order** by [`Tree::merge_from`] — bit-identical to a sequential
-    /// [`Predictor::train_session`] loop at every thread count (`0` = auto
-    /// via `PBPPM_THREADS`/available parallelism).
+    /// Trains on every session, deterministically parallel
+    /// ([`NodeStore::train_sessions`]): each worker grows a private partial
+    /// tree via [`train_session_into`] against the shared frozen popularity
+    /// table — bit-identical to a sequential [`Predictor::train_session`]
+    /// loop at every thread count (`0` = auto via `PBPPM_THREADS`/available
+    /// parallelism).
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
-        let Some(tree) = self.store.tree_mut() else {
-            return;
-        };
-        let threads = crate::parallel::resolve_threads(threads).min(sessions.len().max(1));
-        if threads <= 1 {
-            for s in sessions {
-                train_session_into(tree, &self.pop, &self.cfg, s.as_ref());
-            }
-            return;
-        }
-        let ranges = crate::parallel::partition_ranges(sessions.len(), threads);
-        let pop = &self.pop;
-        let cfg = &self.cfg;
-        let donors = crate::parallel::parallel_map_with(&ranges, threads, |r| {
-            let mut tree = Tree::new();
-            for s in &sessions[r.clone()] {
-                train_session_into(&mut tree, pop, cfg, s.as_ref());
-            }
-            tree
+        let (pop, cfg) = (&self.pop, &self.cfg);
+        self.store.train_sessions(sessions, threads, |tree, s| {
+            train_session_into(tree, pop, cfg, s);
         });
-        for donor in &donors {
-            tree.merge_from(donor);
-        }
     }
 
     /// Per-member fallback for a fingerprint bucket flagged dirty at build

@@ -16,37 +16,22 @@
 
 use crate::fxhash::FxHashMap;
 use crate::interner::UrlId;
-use crate::lrs::LrsPpm;
 use crate::pb::PbPpm;
 use crate::predictor::{rank_predictions, Prediction};
 use crate::standard::StandardPpm;
 use crate::tree::{NodeId, Tree};
 
-/// Standard PPM by root descent over `m`'s reference tree.
+/// Standard and LRS PPM by root descent over `m`'s reference tree. Their
+/// trees store every suffix of a sequence as its own branch, so the
+/// longest predictive root descent is the longest match.
 pub fn predict_standard(
     tree: &Tree,
     m: &StandardPpm,
     context: &[UrlId],
     out: &mut Vec<Prediction>,
 ) {
-    predict_suffix_forest(tree, m.max_order, context, out);
-}
-
-/// LRS-PPM by root descent over `m`'s reference tree.
-pub fn predict_lrs(tree: &Tree, m: &LrsPpm, context: &[UrlId], out: &mut Vec<Prediction>) {
-    predict_suffix_forest(tree, m.max_height, context, out);
-}
-
-/// Standard and LRS trees store every suffix of a sequence as its own
-/// branch, so the longest predictive root descent is the longest match.
-fn predict_suffix_forest(
-    tree: &Tree,
-    max_order: usize,
-    context: &[UrlId],
-    out: &mut Vec<Prediction>,
-) {
     out.clear();
-    let Some(node) = tree.longest_predictive_match(context, max_order) else {
+    let Some(node) = tree.longest_predictive_match(context, m.height()) else {
         return;
     };
     let parent_count = tree.node(node).count;

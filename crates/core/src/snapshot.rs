@@ -50,7 +50,6 @@
 
 use crate::fxhash::FxHashSet;
 use crate::interner::Interner;
-use crate::lrs::{LrsPpm, LrsSnapshot};
 use crate::order1::{Order1Markov, Order1RowSnapshot, Order1Snapshot};
 use crate::pb::{PbConfig, PbPpm, PbSnapshot};
 use crate::pb_online::{OnlinePbPpm, OnlinePbSnapshot};
@@ -477,6 +476,17 @@ fn read_finalized(r: &mut Reader) -> Result<(), CodecError> {
     }
 }
 
+/// An LRS image's height cap: 255 is unbounded, 1..=254 a cap. Nothing
+/// writes 0 or more than 255, and a cap of 0 would load a model that
+/// never predicts, so both are refused.
+fn read_lrs_height(r: &mut Reader) -> Result<Option<u8>, CodecError> {
+    match u8::try_from(r.usizev()?) {
+        Ok(u8::MAX) => Ok(None),
+        Ok(h) if h > 0 => Ok(Some(h)),
+        _ => Err(CodecError::Invalid("lrs max_height")),
+    }
+}
+
 fn write_pb(w: &mut Writer, s: &PbSnapshot) {
     write_tree(w, &s.tree);
     write_pop(w, &s.pop);
@@ -546,10 +556,8 @@ const KIND_ONLINE_PB: u8 = 5;
 pub enum ModelImage {
     /// Popularity-based PPM (special links included).
     Pb(PbSnapshot),
-    /// Standard PPM.
+    /// Standard PPM, or LRS-PPM when it has a support threshold.
     Standard(StandardSnapshot),
-    /// LRS-PPM.
-    Lrs(LrsSnapshot),
     /// First-order Markov baseline.
     Order1(Order1Snapshot),
     /// Sliding-window online PB-PPM (window + inner model + schedule).
@@ -560,8 +568,8 @@ impl ModelImage {
     fn tag(&self) -> u8 {
         match self {
             ModelImage::Pb(_) => KIND_PB,
+            ModelImage::Standard(s) if s.min_support.is_some() => KIND_LRS,
             ModelImage::Standard(_) => KIND_STANDARD,
-            ModelImage::Lrs(_) => KIND_LRS,
             ModelImage::Order1(_) => KIND_ORDER1,
             ModelImage::OnlinePb(_) => KIND_ONLINE_PB,
         }
@@ -571,8 +579,8 @@ impl ModelImage {
     pub fn kind_label(&self) -> &'static str {
         match self {
             ModelImage::Pb(_) => "PB-PPM",
+            ModelImage::Standard(s) if s.min_support.is_some() => "LRS-PPM",
             ModelImage::Standard(_) => "PPM",
-            ModelImage::Lrs(_) => "LRS-PPM",
             ModelImage::Order1(_) => "O1",
             ModelImage::OnlinePb(_) => "online-PB-PPM",
         }
@@ -616,19 +624,19 @@ impl SnapshotFile {
             ModelImage::Pb(s) => write_pb(&mut payload, s),
             ModelImage::Standard(s) => {
                 write_tree(&mut payload, &s.tree);
-                match s.max_height {
-                    Some(h) => {
+                match (s.min_support, s.max_height) {
+                    // LRS stores its cap as a varint, unbounded as 255
+                    // (`read_lrs_height` inverts this).
+                    (Some(min_support), h) => {
+                        payload.varint(min_support);
+                        payload.usizev(usize::from(h.map_or(u8::MAX, |h| h.max(1))));
+                    }
+                    (None, Some(h)) => {
                         payload.bool(true);
                         payload.u8(h);
                     }
-                    None => payload.bool(false),
+                    (None, None) => payload.bool(false),
                 }
-                payload.bool(true);
-            }
-            ModelImage::Lrs(s) => {
-                write_tree(&mut payload, &s.tree);
-                payload.varint(s.min_support);
-                payload.usizev(s.max_height);
                 payload.bool(true);
             }
             ModelImage::Order1(s) => {
@@ -722,18 +730,21 @@ impl SnapshotFile {
                 let snap = StandardSnapshot {
                     tree: read_tree(&mut r)?,
                     max_height: if r.bool()? { Some(r.u8()?) } else { None },
+                    min_support: None,
                 };
                 read_finalized(&mut r)?;
                 ModelImage::Standard(snap)
             }
             KIND_LRS => {
-                let snap = LrsSnapshot {
-                    tree: read_tree(&mut r)?,
-                    min_support: r.varint()?,
-                    max_height: r.usizev()?,
+                let tree = read_tree(&mut r)?;
+                let min_support = Some(r.varint()?);
+                let snap = StandardSnapshot {
+                    tree,
+                    max_height: read_lrs_height(&mut r)?,
+                    min_support,
                 };
                 read_finalized(&mut r)?;
-                ModelImage::Lrs(snap)
+                ModelImage::Standard(snap)
             }
             KIND_ORDER1 => {
                 let row_count = r.count()?;
@@ -793,7 +804,6 @@ impl SnapshotFile {
         let found = match &self.model {
             ModelImage::Pb(s) => tree_url_outside(&s.tree, bound),
             ModelImage::Standard(s) => tree_url_outside(&s.tree, bound),
-            ModelImage::Lrs(s) => tree_url_outside(&s.tree, bound),
             ModelImage::Order1(s) => s
                 .rows
                 .iter()
@@ -835,7 +845,6 @@ impl SnapshotFile {
         Ok(match &self.model {
             ModelImage::Pb(s) => Box::new(PbPpm::from_snapshot(s)?),
             ModelImage::Standard(s) => Box::new(StandardPpm::from_snapshot(s)?),
-            ModelImage::Lrs(s) => Box::new(LrsPpm::from_snapshot(s)?),
             ModelImage::Order1(s) => Box::new(Order1Markov::from_snapshot(s)),
             ModelImage::OnlinePb(s) => Box::new(OnlinePbPpm::from_snapshot(s)?),
         })
@@ -1072,14 +1081,61 @@ mod tests {
         assert_eq!(m.stats(), restored.stats());
     }
 
-    /// Rewrites the PB `finalized` byte (the payload's last) and reseals
-    /// the checksum.
-    fn with_finalized_byte(mut bytes: Vec<u8>, value: u8) -> Vec<u8> {
+    /// Overwrites the payload's last bytes with `tail` and reseals the
+    /// checksum.
+    fn with_payload_tail(mut bytes: Vec<u8>, tail: &[u8]) -> Vec<u8> {
         let body_end = bytes.len() - 8;
-        bytes[body_end - 1] = value;
+        bytes[body_end - tail.len()..body_end].copy_from_slice(tail);
         let checksum = fnv1a(&bytes[..body_end]);
         bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
         bytes
+    }
+
+    /// Rewrites the `finalized` byte (the payload's last) and reseals the
+    /// checksum.
+    fn with_finalized_byte(bytes: Vec<u8>, value: u8) -> Vec<u8> {
+        with_payload_tail(bytes, &[value])
+    }
+
+    /// An LRS payload ends with its varint height cap and the `finalized`
+    /// byte. 255 loads as unbounded and 1..=254 as a cap; 0 (a model that
+    /// never predicts) and anything above 255 are refused, though the
+    /// checksum is valid.
+    #[test]
+    fn decode_maps_and_bounds_the_lrs_height_cap() {
+        let mut m = StandardPpm::lrs();
+        for _ in 0..2 {
+            m.train_session(&[UrlId(0), UrlId(1)]);
+        }
+        m.finalize();
+        let encode = |max_height| {
+            SnapshotFile {
+                urls: vec!["/a".to_owned(), "/b".to_owned()],
+                model: ModelImage::Standard(StandardSnapshot {
+                    max_height,
+                    ..m.to_snapshot()
+                }),
+            }
+            .encode()
+        };
+        let height = |bytes: &[u8]| match SnapshotFile::decode(bytes).map(|f| f.model) {
+            Ok(ModelImage::Standard(s)) => Ok((s.max_height, s.min_support)),
+            Ok(_) => panic!("an LRS payload decodes to a standard image"),
+            Err(e) => Err(e),
+        };
+        let invalid = Err(CodecError::Invalid("lrs max_height"));
+
+        // One-byte varints: a cap of 1, forged to 0.
+        let capped = encode(Some(1));
+        assert_eq!(capped[18], KIND_LRS);
+        assert_eq!(height(&capped), Ok((Some(1), Some(2))));
+        assert_eq!(height(&with_payload_tail(capped, &[0, 1])), invalid);
+        // Two-byte varints: unbounded (255), then 254 and 256.
+        let unbounded = encode(None);
+        assert_eq!(height(&unbounded), Ok((None, Some(2))));
+        let forged = |tail: &[u8]| height(&with_payload_tail(unbounded.clone(), tail));
+        assert_eq!(forged(&[0xfe, 0x01, 1]), Ok((Some(254), Some(2))));
+        assert_eq!(forged(&[0x80, 0x02, 1]), invalid);
     }
 
     #[test]
@@ -1280,6 +1336,127 @@ mod tests {
         assert_eq!(generation, Generation::Previous);
         assert_eq!(recovered.urls, urls);
         assert!(recovered.instantiate().is_ok());
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Checkpoint generation `n`: a small model whose URL table names it.
+    fn generation(n: usize) -> SnapshotFile {
+        let mut m = StandardPpm::unbounded();
+        m.train_session(&[UrlId(0), UrlId(1)]);
+        m.finalize();
+        SnapshotFile {
+            urls: vec![format!("/gen{n}/a"), format!("/gen{n}/b")],
+            model: ModelImage::Standard(m.to_snapshot()),
+        }
+    }
+
+    fn generation_of(file: &SnapshotFile) -> &str {
+        file.urls[0]
+            .strip_prefix("/gen")
+            .and_then(|rest| rest.strip_suffix("/a"))
+            .expect("a generation() file")
+    }
+
+    /// What `recover` returns from `store`: the generation's number and
+    /// which file it came from.
+    fn recovered(store: &SnapshotStore) -> Option<(String, Generation)> {
+        let (file, from) = store.recover().unwrap()?;
+        Some((generation_of(&file).to_owned(), from))
+    }
+
+    /// One more checkpoint from a crash state: it must leave `current`
+    /// holding the new generation, `previous` holding `previous` (or
+    /// nothing when no generation had reached `current`), and no
+    /// leftover `incoming` file.
+    fn assert_checkpoint_recovers(store: &SnapshotStore, previous: Option<&str>) {
+        store.checkpoint(&generation(9)).unwrap();
+        let current = SnapshotFile::read(&store.current_path()).unwrap();
+        assert_eq!(generation_of(&current), "9");
+        assert!(current.instantiate().is_ok());
+        match previous {
+            Some(n) => {
+                let prev = SnapshotFile::read(&store.previous_path()).unwrap();
+                assert_eq!(generation_of(&prev), n);
+                assert!(prev.instantiate().is_ok());
+            }
+            None => assert!(!store.previous_path().exists()),
+        }
+        for leftover in ["incoming.tmp", "incoming.pbss"] {
+            assert!(
+                !store.dir().join(leftover).exists(),
+                "{leftover} left behind"
+            );
+        }
+    }
+
+    /// A store after two completed checkpoints: generation 1 in
+    /// `previous`, generation 2 in `current`.
+    fn store_with_two_generations(tag: &str) -> SnapshotStore {
+        let store = temp_store(tag);
+        store.checkpoint(&generation(1)).unwrap();
+        store.checkpoint(&generation(2)).unwrap();
+        store
+    }
+
+    /// Crash while writing the temp file: a partial `incoming.tmp`.
+    #[test]
+    fn crash_during_the_temp_write_recovers_current() {
+        let store = store_with_two_generations("crash-tmp");
+        let bytes = generation(3).encode();
+        std::fs::write(store.dir().join("incoming.tmp"), &bytes[..bytes.len() / 2]).unwrap();
+        assert_eq!(
+            recovered(&store),
+            Some(("2".to_owned(), Generation::Current))
+        );
+        assert_checkpoint_recovers(&store, Some("2"));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Crash after the temp file became `incoming.pbss`, before the old
+    /// current was demoted.
+    #[test]
+    fn crash_before_the_demote_recovers_current() {
+        let store = store_with_two_generations("crash-incoming");
+        std::fs::write(store.dir().join("incoming.pbss"), generation(3).encode()).unwrap();
+        assert_eq!(
+            recovered(&store),
+            Some(("2".to_owned(), Generation::Current))
+        );
+        assert_checkpoint_recovers(&store, Some("2"));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Crash between the demote and the final rename: `previous` and
+    /// `incoming`, no `current`.
+    #[test]
+    fn crash_between_the_renames_recovers_previous() {
+        let store = store_with_two_generations("crash-demoted");
+        std::fs::write(store.dir().join("incoming.pbss"), generation(3).encode()).unwrap();
+        std::fs::rename(store.current_path(), store.previous_path()).unwrap();
+        assert_eq!(
+            recovered(&store),
+            Some(("2".to_owned(), Generation::Previous))
+        );
+        assert_checkpoint_recovers(&store, Some("2"));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// The first checkpoint ever crashed before its final rename: only
+    /// `incoming.pbss`. No generation reached `current`, so the store is
+    /// fresh, and the next checkpoint leaves one generation.
+    #[test]
+    fn crash_in_the_first_checkpoint_recovers_fresh() {
+        let store = temp_store("crash-first");
+        std::fs::write(store.dir().join("incoming.pbss"), generation(1).encode()).unwrap();
+        assert_eq!(recovered(&store), None);
+        assert_checkpoint_recovers(&store, None);
+        store.checkpoint(&generation(10)).unwrap();
+        assert_eq!(
+            recovered(&store),
+            Some(("10".to_owned(), Generation::Current))
+        );
+        let prev = SnapshotFile::read(&store.previous_path()).unwrap();
+        assert_eq!(generation_of(&prev), "9");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -1,4 +1,5 @@
-//! The **standard PPM** model (§3.2, first approach).
+//! The **standard PPM** model (§3.2, first approach), and LRS-PPM, which is
+//! standard PPM with a support cut.
 //!
 //! For every access session `s₀ s₁ … sₙ₋₁` a branch is created from *every*
 //! position: the suffix starting at `sᵢ` is inserted under a root for `sᵢ`,
@@ -10,6 +11,18 @@
 //! Its two weaknesses — motivating PB-PPM — are reproduced faithfully here:
 //! storage grows with every distinct subsequence ever observed, and most
 //! stored paths are never used for a prediction.
+//!
+//! **LRS-PPM** (§3.2, second approach) is Longest Repeating Subsequences,
+//! after Pitkow & Pirolli, *"Mining longest repeating subsequences to
+//! predict World Wide Web surfing"* (USENIX '99). A *repeating subsequence*
+//! is a contiguous URL sequence observed more than once across all
+//! sessions; the model keeps only repeating paths, which is the full
+//! suffix forest with every node traversed fewer than `min_support` (= 2)
+//! times cut away at finalize ([`StandardPpm::lrs`]). Keeping each maximal
+//! repeating sequence *and* all of its suffix-rooted copies is what the
+//! paper describes as branches being "cut and paste into multiple
+//! sub-branches starting from different URLs" — the source of that model's
+//! node duplication and of its fast growth in Table 1/Figure 4.
 
 use crate::frozen::{FrozenTree, NodeStore};
 use crate::interner::UrlId;
@@ -17,32 +30,31 @@ use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 use crate::stats::ModelStats;
 use crate::tree::Tree;
 
-/// Standard PPM prediction model.
+/// LRS-PPM's occurrence threshold: "if an URL sequence is accessed twice or
+/// more, the sequence is considered as a frequently repeating one" (§4.1).
+const LRS_MIN_SUPPORT: u64 = 2;
+
+/// Standard PPM prediction model; with a support threshold, LRS-PPM.
 #[derive(Debug, Clone)]
 pub struct StandardPpm {
     /// The training tree, replaced by the frozen arena (the serving read
     /// path) at finalize.
     pub(crate) store: NodeStore,
     pub(crate) max_height: Option<u8>,
-    /// Longest context (in URLs) considered when matching.
-    pub(crate) max_order: usize,
+    /// `Some(n)`: LRS-PPM — finalize cuts every node traversed fewer than
+    /// `n` times. `None`: standard PPM keeps the whole forest.
+    pub(crate) min_support: Option<u64>,
 }
 
 impl StandardPpm {
     /// Creates a standard PPM model with branches capped at `max_height`
     /// nodes (`None` = unbounded, bounded in practice by session length).
     pub fn new(max_height: Option<u8>) -> Self {
-        let max_order = max_height.map_or(usize::from(u8::MAX), |h| usize::from(h).max(1));
         Self {
             store: NodeStore::default(),
             max_height,
-            max_order,
+            min_support: None,
         }
-    }
-
-    /// The conventional "3-PPM" used throughout the paper's §3 figures.
-    pub fn order3() -> Self {
-        Self::new(Some(3))
     }
 
     /// The unbounded-height configuration of §4 ("upper bound").
@@ -50,49 +62,49 @@ impl StandardPpm {
         Self::new(None)
     }
 
-    /// The pointer tree `finalize` would freeze (compacted, never frozen),
-    /// for the reference oracle ([`crate::reference`]); `None` once
-    /// finalized.
+    /// LRS-PPM: the unbounded forest, keeping only paths seen at least
+    /// twice.
+    pub fn lrs() -> Self {
+        Self::lrs_with_support(LRS_MIN_SUPPORT)
+    }
+
+    /// LRS-PPM with a custom support threshold (≥ 1); the paper uses 2,
+    /// and the parallel-training property test varies it.
+    pub fn lrs_with_support(min_support: u64) -> Self {
+        Self {
+            min_support: Some(min_support.max(1)),
+            ..Self::unbounded()
+        }
+    }
+
+    /// Branch height cap for training, and the longest context (in URLs)
+    /// considered when matching.
+    pub(crate) fn height(&self) -> usize {
+        self.max_height
+            .map_or(usize::from(u8::MAX), usize::from)
+            .max(1)
+    }
+
+    /// The pointer tree `finalize` would freeze: the training tree after
+    /// the same cut and compaction, never frozen. The reference oracle
+    /// walks it ([`crate::reference`]); `None` once finalized.
     #[doc(hidden)]
     pub fn reference_tree(&self) -> Option<Tree> {
         let mut tree = self.store.tree()?.clone();
-        tree.compact();
+        cut(&mut tree, self.min_support);
         Some(tree)
     }
 
-    /// Trains on every session, deterministically parallel: contiguous
-    /// session partitions grow private partial forests which merge back in
-    /// partition order ([`Tree::merge_from`]) — bit-identical to a
-    /// sequential [`Predictor::train_session`] loop at every thread count
-    /// (`0` = auto via `PBPPM_THREADS`/available parallelism).
+    /// Trains on every session, deterministically parallel
+    /// ([`NodeStore::train_sessions`]): bit-identical to a sequential
+    /// [`Predictor::train_session`] loop at every thread count (`0` = auto
+    /// via `PBPPM_THREADS`/available parallelism). The LRS support cut
+    /// happens wholly in [`Predictor::finalize`], after the merge, so it
+    /// sees the same counts either way.
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
-        let threads = crate::parallel::resolve_threads(threads).min(sessions.len().max(1));
-        if threads <= 1 {
-            for s in sessions {
-                self.train_session(s.as_ref());
-            }
-            return;
-        }
-        let h = self
-            .max_height
-            .map_or(usize::from(u8::MAX), usize::from)
-            .max(1);
-        let ranges = crate::parallel::partition_ranges(sessions.len(), threads);
-        let donors = crate::parallel::parallel_map_with(&ranges, threads, |r| {
-            let mut tree = Tree::new();
-            for s in &sessions[r.clone()] {
-                let s = s.as_ref();
-                for start in 0..s.len() {
-                    tree.insert_path(&s[start..], h);
-                }
-            }
-            tree
-        });
-        if let Some(tree) = self.store.tree_mut() {
-            for donor in &donors {
-                tree.merge_from(donor);
-            }
-        }
+        let h = self.height();
+        self.store
+            .train_sessions(sessions, threads, |tree, s| insert_suffixes(tree, s, h));
     }
 
     /// Serializes the finalized model for persistence.
@@ -100,14 +112,40 @@ impl StandardPpm {
         StandardSnapshot {
             tree: self.store.image(),
             max_height: self.max_height,
+            min_support: self.min_support,
         }
     }
 
     /// Restores a finalized model, rebuilding its arena from the image.
     pub fn from_snapshot(snap: &StandardSnapshot) -> Result<Self, crate::tree::SnapshotError> {
-        let mut m = Self::new(snap.max_height);
-        m.store = NodeStore::loaded(FrozenTree::from_snapshot(&snap.tree, None)?);
-        Ok(m)
+        Ok(Self {
+            store: NodeStore::loaded(FrozenTree::from_snapshot(&snap.tree, None)?),
+            max_height: snap.max_height,
+            min_support: snap.min_support,
+        })
+    }
+}
+
+/// Finalize's pruning: the LRS support cut (every node traversed fewer
+/// than `min_support` times dies), then compaction.
+fn cut(tree: &mut Tree, min_support: Option<u64>) {
+    if let Some(min_support) = min_support {
+        let victims: Vec<_> = tree
+            .iter_alive()
+            .filter(|&id| tree.node(id).count < min_support)
+            .collect();
+        for id in victims {
+            tree.kill_subtree(id);
+        }
+    }
+    tree.compact();
+}
+
+/// Inserts a branch from every position of `session`, each capped at `h`
+/// nodes.
+fn insert_suffixes(tree: &mut Tree, session: &[UrlId], h: usize) {
+    for start in 0..session.len() {
+        tree.insert_path(&session[start..], h);
     }
 }
 
@@ -118,28 +156,34 @@ pub struct StandardSnapshot {
     pub tree: crate::tree::TreeSnapshot,
     /// Branch height cap (`None` = unbounded).
     pub max_height: Option<u8>,
+    /// LRS support threshold (`None` = standard PPM).
+    pub min_support: Option<u64>,
 }
 
 impl Predictor for StandardPpm {
     fn kind(&self) -> ModelKind {
-        ModelKind::Standard {
-            max_height: self.max_height,
-        }
-    }
-
-    fn train_session(&mut self, session: &[UrlId]) {
-        let h = self
-            .max_height
-            .map_or(usize::from(u8::MAX), usize::from)
-            .max(1);
-        if let Some(tree) = self.store.tree_mut() {
-            for start in 0..session.len() {
-                tree.insert_path(&session[start..], h);
+        if self.min_support.is_some() {
+            ModelKind::Lrs
+        } else {
+            ModelKind::Standard {
+                max_height: self.max_height,
             }
         }
     }
 
+    fn train_session(&mut self, session: &[UrlId]) {
+        let h = self.height();
+        if let Some(tree) = self.store.tree_mut() {
+            insert_suffixes(tree, session, h);
+        }
+    }
+
+    /// Cuts (LRS) and freezes the training tree into the arena that
+    /// replaces it.
     fn finalize(&mut self) {
+        if let NodeStore::Training(tree) = &mut self.store {
+            cut(tree, self.min_support);
+        }
         if self.store.freeze(None).is_none() {
             return;
         }
@@ -152,7 +196,7 @@ impl Predictor for StandardPpm {
     fn predict_ro(&self, context: &[UrlId], out: &mut Vec<Prediction>, usage: &mut PredictUsage) {
         out.clear();
         if let Some(frozen) = self.frozen() {
-            frozen.predict_descent(context, self.max_order, out, usage);
+            frozen.predict_descent(context, self.height(), out, usage);
         }
     }
 
@@ -312,5 +356,124 @@ mod tests {
         let s = m.stats();
         assert!(s.used_paths >= 1);
         assert!(s.used_paths < s.total_paths);
+    }
+
+    /// The paper's Figure 1 (right-of-left pair): the LRS tree for
+    /// `A B C A' B' C'` seen once keeps nothing — nothing repeats.
+    #[test]
+    fn single_occurrence_keeps_nothing() {
+        let mut m = StandardPpm::lrs();
+        m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5)]);
+        m.finalize();
+        assert_eq!(m.node_count(), 0);
+    }
+
+    #[test]
+    fn repeated_sequences_survive() {
+        let mut m = StandardPpm::lrs();
+        m.train_session(&[u(0), u(1), u(2)]);
+        m.train_session(&[u(0), u(1), u(3)]);
+        m.finalize();
+        // 0->1 repeats (twice); 1 as a suffix root repeats; 2 and 3 do not.
+        let t = m.frozen().unwrap();
+        assert!(t.descend(&[u(0), u(1)]).is_some());
+        assert!(t.descend(&[u(0), u(1), u(2)]).is_none());
+        assert!(t.descend(&[u(1)]).is_some());
+        assert!(t.descend(&[u(2)]).is_none());
+        // Surviving nodes: 0, 0->1, 1 root.
+        assert_eq!(m.node_count(), 3);
+    }
+
+    #[test]
+    fn suffix_copies_are_kept_separately() {
+        // The "cut and paste" duplication: the repeating sequence A B C is
+        // stored under A, under B, and under C.
+        let mut m = StandardPpm::lrs();
+        m.train_session(&[u(0), u(1), u(2)]);
+        m.train_session(&[u(0), u(1), u(2)]);
+        m.finalize();
+        let t = m.frozen().unwrap();
+        assert!(t.descend(&[u(0), u(1), u(2)]).is_some());
+        assert!(t.descend(&[u(1), u(2)]).is_some());
+        assert!(t.descend(&[u(2)]).is_some());
+        assert_eq!(m.node_count(), 6);
+    }
+
+    #[test]
+    fn predicts_only_from_repeating_paths() {
+        let mut m = StandardPpm::lrs();
+        m.train_session(&[u(0), u(1)]);
+        m.train_session(&[u(0), u(1)]);
+        m.train_session(&[u(0), u(2)]); // seen once: pruned
+        m.finalize();
+        let mut out = Vec::new();
+        m.predict(&[u(0)], &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].url, u(1));
+        // Probability uses the *original* counts: 2 of 3 accesses to 0 led
+        // to 1.
+        assert!((out[0].prob - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unseen_or_unrepeated_context_predicts_nothing() {
+        let mut m = StandardPpm::lrs();
+        m.train_session(&[u(0), u(1)]);
+        m.finalize();
+        let mut out = Vec::new();
+        m.predict(&[u(0)], &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn lrs_custom_support_threshold() {
+        let mut m = StandardPpm::lrs_with_support(3);
+        for _ in 0..2 {
+            m.train_session(&[u(0), u(1)]);
+        }
+        m.train_session(&[u(0), u(2)]);
+        m.finalize();
+        // Root 0 has count 3 and survives; both children have < 3.
+        assert_eq!(m.node_count(), 1);
+    }
+
+    #[test]
+    fn lrs_grows_faster_than_its_pruned_size_suggests() {
+        // Before finalize the LRS training forest is a full standard forest.
+        let mut m = StandardPpm::lrs();
+        m.train_session(&[u(0), u(1), u(2), u(3)]);
+        assert_eq!(m.node_count(), 4 + 3 + 2 + 1);
+        m.finalize();
+        assert_eq!(m.node_count(), 0);
+    }
+
+    #[test]
+    fn lrs_snapshot_roundtrip_preserves_predictions() {
+        let mut m = StandardPpm::lrs();
+        for _ in 0..3 {
+            m.train_session(&[u(0), u(1), u(2)]);
+        }
+        m.finalize();
+        let mut before = Vec::new();
+        m.predict(&[u(0)], &mut before);
+        let mut back = StandardPpm::from_snapshot(&m.to_snapshot()).unwrap();
+        assert_eq!(back.node_count(), m.node_count());
+        let mut after = Vec::new();
+        back.predict(&[u(0)], &mut after);
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn lrs_longest_match_is_used() {
+        let mut m = StandardPpm::lrs();
+        for _ in 0..2 {
+            m.train_session(&[u(0), u(1), u(3)]);
+            m.train_session(&[u(9), u(1), u(4)]);
+        }
+        m.finalize();
+        let mut out = Vec::new();
+        m.predict(&[u(0), u(1)], &mut out);
+        assert_eq!(out[0].url, u(3), "order-2 match must win over root 1");
+        assert!((out[0].prob - 1.0).abs() < 1e-12);
     }
 }

@@ -32,7 +32,6 @@
 use crate::context_index::ContextIndex;
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
-use crate::lrs::LrsPpm;
 use crate::order1::Order1Markov;
 use crate::pb::PbPpm;
 use crate::pb_online::OnlinePbPpm;
@@ -48,10 +47,8 @@ use std::sync::OnceLock;
 pub enum ModelRef<'a> {
     /// The paper's popularity-based model.
     Pb(&'a PbPpm),
-    /// Classic suffix-forest PPM.
+    /// Classic suffix-forest PPM, or LRS-PPM when it has a support cut.
     Standard(&'a StandardPpm),
-    /// Longest-repeating-subsequence PPM.
-    Lrs(&'a LrsPpm),
     /// Sliding-window online PB-PPM.
     OnlinePb(&'a OnlinePbPpm),
     /// First-order Markov baseline.
@@ -63,8 +60,8 @@ impl ModelRef<'_> {
     pub fn label(&self) -> &'static str {
         match self {
             ModelRef::Pb(_) => "pb",
+            ModelRef::Standard(m) if m.min_support.is_some() => "lrs",
             ModelRef::Standard(_) => "standard",
-            ModelRef::Lrs(_) => "lrs",
             ModelRef::OnlinePb(_) => "online-pb",
             ModelRef::Order1(_) => "order1",
         }
@@ -973,27 +970,18 @@ fn verify_standard(m: &StandardPpm, url_count: Option<u64>, report: &mut AuditRe
     if let Some(cap) = m.max_height {
         verify_heights(arena, |_| (None, cap.max(1)), report);
     }
-}
-
-fn verify_lrs(m: &LrsPpm, url_count: Option<u64>, report: &mut AuditReport) {
-    let Some(arena) = m.store.arena() else {
+    // LRS finalize killed everything below the support threshold; any
+    // survivor under it was smuggled in afterwards.
+    let Some(min_support) = m.min_support else {
         return;
     };
-    if !verify_arena(arena, url_count, None, report) {
-        return;
-    }
-    verify_no_links(arena, report);
-    let cap = u8::try_from(m.max_height.max(1)).unwrap_or(u8::MAX);
-    verify_heights(arena, |_| (None, cap), report);
-    // Finalize killed everything below the support threshold; any survivor
-    // under it was smuggled in afterwards.
     for id in 0..arena.rows() {
         report.tick();
-        if arena.count(id) < m.min_support {
+        if arena.count(id) < min_support {
             report.violations.push(Violation::SupportBelowThreshold {
                 path: node_path(arena, id),
                 count: arena.count(id),
-                min_support: m.min_support,
+                min_support,
             });
         }
     }
@@ -1080,7 +1068,6 @@ pub fn verify_model_with_urls(model: &ModelRef<'_>, url_count: Option<usize>) ->
     match model {
         ModelRef::Pb(m) => verify_pb(m, count, &mut report),
         ModelRef::Standard(m) => verify_standard(m, count, &mut report),
-        ModelRef::Lrs(m) => verify_lrs(m, count, &mut report),
         ModelRef::OnlinePb(m) => verify_online(m, count, &mut report),
         ModelRef::Order1(m) => verify_order1(m, count, &mut report),
     }
@@ -1185,13 +1172,14 @@ mod tests {
         let report = verify_model(&ModelRef::Standard(&std_m));
         assert!(report.is_clean(), "{report}");
 
-        let mut lrs = crate::lrs::LrsPpm::new();
+        let mut lrs = crate::standard::StandardPpm::lrs();
         for _ in 0..2 {
             lrs.train_session(&[u(0), u(1), u(2)]);
         }
         lrs.finalize();
-        let report = verify_model(&ModelRef::Lrs(&lrs));
+        let report = verify_model(&ModelRef::Standard(&lrs));
         assert!(report.is_clean(), "{report}");
+        assert_eq!(report.model, "lrs");
 
         let mut o1 = Order1Markov::new();
         o1.train_session(&[u(0), u(1), u(2)]);

@@ -6,7 +6,7 @@
 
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
 use pbppm_core::{
-    LrsPpm, OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig,
+    OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig,
     StandardPpm, UrlId,
 };
 use std::path::PathBuf;
@@ -71,7 +71,7 @@ fn files() -> Vec<(&'static str, ModelImage)> {
         ),
         (
             "lrs.pbss",
-            ModelImage::Lrs(trained(LrsPpm::new()).to_snapshot()),
+            ModelImage::Standard(trained(StandardPpm::lrs()).to_snapshot()),
         ),
         (
             "order1.pbss",
@@ -93,10 +93,11 @@ fn encode(model: ModelImage) -> Vec<u8> {
 fn reload(model: &ModelImage) -> ModelImage {
     match model {
         ModelImage::Pb(s) => ModelImage::Pb(PbPpm::from_snapshot(s).expect("pb").to_snapshot()),
-        ModelImage::Standard(s) => {
-            ModelImage::Standard(StandardPpm::from_snapshot(s).expect("ppm").to_snapshot())
-        }
-        ModelImage::Lrs(s) => ModelImage::Lrs(LrsPpm::from_snapshot(s).expect("lrs").to_snapshot()),
+        ModelImage::Standard(s) => ModelImage::Standard(
+            StandardPpm::from_snapshot(s)
+                .expect("ppm or lrs")
+                .to_snapshot(),
+        ),
         ModelImage::Order1(s) => ModelImage::Order1(Order1Markov::from_snapshot(s).to_snapshot()),
         ModelImage::OnlinePb(s) => {
             ModelImage::OnlinePb(OnlinePbPpm::from_snapshot(s).expect("online").to_snapshot())

@@ -2,8 +2,8 @@
 //! implementations.
 
 use pbppm_core::{
-    reference, Grade, LrsPpm, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction,
-    Predictor, PruneConfig, StandardPpm, UrlId,
+    reference, Grade, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction, Predictor,
+    PruneConfig, StandardPpm, UrlId,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -129,7 +129,7 @@ proptest! {
     fn lrs_retains_exactly_the_repeating_subsequences(
         sessions in sessions_strategy(5, 6, 12),
     ) {
-        let mut model = LrsPpm::new();
+        let mut model = StandardPpm::lrs();
         for s in &sessions {
             model.train_session(s);
         }
@@ -254,7 +254,7 @@ proptest! {
         let pop = PopularityTable::from_counts(counts);
         let mut pb = PbPpm::new(pop, PbConfig::default());
         let mut standard = StandardPpm::unbounded();
-        let mut lrs = LrsPpm::new();
+        let mut lrs = StandardPpm::lrs();
         for s in &sessions {
             pb.train_session(s);
             standard.train_session(s);
@@ -296,7 +296,7 @@ proptest! {
             prop_assert_eq!(&fast, &slow, "standard PPM diverged on {:?}", context);
 
             lrs.predict_ro(context, &mut fast, &mut usage);
-            reference::predict_lrs(&lrs_tree, &lrs, context, &mut slow);
+            reference::predict_standard(&lrs_tree, &lrs, context, &mut slow);
             prop_assert_eq!(&fast, &slow, "LRS diverged on {:?}", context);
         }
     }
@@ -313,7 +313,7 @@ proptest! {
         let pop = PopularityTable::from_counts(counts);
         let mut pb = PbPpm::new(pop, PbConfig::default());
         let mut standard = StandardPpm::unbounded();
-        let mut lrs = LrsPpm::new();
+        let mut lrs = StandardPpm::lrs();
         for s in &sessions {
             pb.train_session(s);
             standard.train_session(s);
@@ -326,7 +326,7 @@ proptest! {
         let pb2 = PbPpm::from_snapshot(&pb.to_snapshot()).expect("PB snapshot loads");
         let standard2 =
             StandardPpm::from_snapshot(&standard.to_snapshot()).expect("PPM snapshot loads");
-        let lrs2 = LrsPpm::from_snapshot(&lrs.to_snapshot()).expect("LRS snapshot loads");
+        let lrs2 = StandardPpm::from_snapshot(&lrs.to_snapshot()).expect("LRS snapshot loads");
         prop_assert_eq!(pb.frozen(), pb2.frozen());
         // The index is built once into exact-size lists, so the restored
         // model and a publish clone hold the same bytes as the original.

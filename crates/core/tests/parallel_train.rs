@@ -5,8 +5,8 @@
 //! `--threads` default on without ever changing a result.
 
 use pbppm_core::{
-    LrsPpm, ModelImage, PbConfig, PbPpm, PopularityBuilder, PopularityTable, Predictor,
-    SnapshotFile, StandardPpm, UrlId,
+    ModelImage, PbConfig, PbPpm, PopularityBuilder, PopularityTable, Predictor, SnapshotFile,
+    StandardPpm, UrlId,
 };
 use proptest::prelude::*;
 
@@ -91,18 +91,18 @@ proptest! {
         sessions in sessions_strategy(8, 8, 24),
         support in 1u64..4,
     ) {
-        let mut seq = LrsPpm::with_support(support);
+        let mut seq = StandardPpm::lrs_with_support(support);
         for s in &sessions {
             seq.train_session(s);
         }
         seq.finalize();
-        let seq_bytes = bytes(ModelImage::Lrs(seq.to_snapshot()));
+        let seq_bytes = bytes(ModelImage::Standard(seq.to_snapshot()));
         for threads in THREAD_GRID {
-            let mut par = LrsPpm::with_support(support);
+            let mut par = StandardPpm::lrs_with_support(support);
             par.train_sessions(&sessions, threads);
             par.finalize();
             prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
-            prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Lrs(par.to_snapshot())), "threads={}", threads);
+            prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Standard(par.to_snapshot())), "threads={}", threads);
         }
     }
 

@@ -4,7 +4,7 @@
 
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
 use pbppm_core::{
-    LrsPpm, OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction,
+    OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction,
     Predictor, StandardPpm, UrlId,
 };
 use proptest::prelude::*;
@@ -112,13 +112,13 @@ proptest! {
     /// snapshot must preserve exactly the pruned tree).
     #[test]
     fn lrs_ppm_roundtrips(sessions in sessions_strategy(6, 7, 14)) {
-        let mut m = LrsPpm::new();
+        let mut m = StandardPpm::lrs();
         for s in &sessions {
             m.train_session(s);
         }
         m.finalize();
         let contexts = probe_contexts(&sessions);
-        assert_roundtrip_identical(&m, ModelImage::Lrs(m.to_snapshot()), url_names(6), &contexts)?;
+        assert_roundtrip_identical(&m, ModelImage::Standard(m.to_snapshot()), url_names(6), &contexts)?;
     }
 
     /// First-order Markov round trip.

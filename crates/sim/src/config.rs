@@ -1,7 +1,7 @@
 //! Experiment configuration: model choice, prefetch policy, environment.
 
 use crate::latency::LatencyModel;
-use pbppm_core::{LrsPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, StandardPpm};
+use pbppm_core::{Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, StandardPpm};
 use pbppm_trace::{ClassifyConfig, Session, SessionizerConfig};
 use serde::{Deserialize, Serialize};
 
@@ -108,7 +108,7 @@ impl ModelSpec {
                 Box::new(m)
             }
             ModelSpec::Lrs => {
-                let mut m = LrsPpm::new();
+                let mut m = StandardPpm::lrs();
                 m.train_sessions(&urls, threads);
                 Box::new(m)
             }

@@ -19,8 +19,9 @@ use crate::cache::{Lookup, LruCache};
 use crate::config::{ExperimentConfig, ModelSpec};
 use crate::metrics::{latency_reduction, Counters};
 use crate::server::PrefetchServer;
-use crate::sweep::parallel_map_progress;
-use pbppm_core::{FxHashMap, ModelStats, PopularityTable, PredictUsage, Prediction, UrlId};
+use pbppm_core::{
+    parallel_map_progress, FxHashMap, ModelStats, PopularityTable, PredictUsage, Prediction, UrlId,
+};
 use pbppm_obs::{obs_debug, span, LocalHist};
 use pbppm_trace::{
     classify_clients, sessionize, ClientClass, ClientId, DocCatalog, Session, Trace,
@@ -351,7 +352,7 @@ fn eval_client_shard(
 
 /// One evaluation pass over the eval sessions, sharded by client over
 /// `cfg.threads` scoped workers (`0` = auto; see
-/// [`crate::sweep::resolve_threads`]).
+/// [`pbppm_core::resolve_threads`]).
 ///
 /// Results are independent of the thread count: shards share nothing,
 /// workers only read the server, and both counters and model usage are
@@ -563,8 +564,8 @@ pub fn run_experiment_full(trace: &Trace, cfg: &ExperimentConfig) -> ExperimentO
 }
 
 /// Runs [`run_experiment`] for every model in `models`, sharing nothing but
-/// the trace (each cell is independent; see [`crate::sweep`] for the
-/// parallel version).
+/// the trace (each cell is independent; [`pbppm_core::parallel_map`] runs
+/// cells in parallel).
 pub fn run_models(trace: &Trace, models: &[ModelSpec], train_days: usize) -> Vec<RunResult> {
     models
         .iter()

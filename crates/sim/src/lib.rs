@@ -13,7 +13,6 @@
 //!   against a caching-only baseline;
 //! * [`proxy`] — the §5 driver: 1–32 clients behind one shared proxy;
 //! * [`metrics`] — hit ratio, latency reduction, traffic increment;
-//! * [`sweep`] — parallel execution of independent experiment cells;
 //! * [`config`] — serializable experiment configuration.
 
 #![forbid(unsafe_code)]
@@ -26,7 +25,6 @@ pub mod metrics;
 pub mod network;
 pub mod proxy;
 pub mod server;
-pub mod sweep;
 
 pub use cache::{Lookup, LruCache};
 pub use config::{ExperimentConfig, ModelSpec, PrefetchPolicy};
@@ -39,7 +37,3 @@ pub use metrics::{latency_reduction, Counters};
 pub use network::{run_network_experiment, NetworkCounters, NetworkRunResult, SharedLink};
 pub use proxy::{run_proxy_experiment, ProxyExperimentConfig, ProxyRunResult};
 pub use server::PrefetchServer;
-pub use sweep::{
-    parallel_map, parallel_map_progress, parallel_map_with, parse_threads, resolve_threads,
-    threads_from_env, THREADS_ENV,
-};

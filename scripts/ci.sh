@@ -39,9 +39,10 @@
 #                              the stats line over all shards
 #   9. parallel ingest smoke — `pbppm train` on the same log at
 #                              --threads 1 and --threads 4 must produce
-#                              byte-identical .pbss files (the deterministic
+#                              byte-identical .pbss files for each tree
+#                              model (pb, standard, lrs): the deterministic
 #                              parallel-training contract through the
-#                              real binary)
+#                              real binary
 #  10. combined log smoke    — the same seed generated as a Combined log
 #                              must train a .pbss byte-identical to the
 #                              CLF log's, and `predict` must serve from it
@@ -229,13 +230,16 @@ fi
 
 echo "== ci: parallel ingest smoke" >&2
 # Parallel training is bit-identical to sequential at any worker count;
-# prove it through the real binary by diffing whole model files.
-"$pbppm" train "$tmp/access.log" --out "$tmp/model-t1.pbss" --threads 1 >/dev/null
-"$pbppm" train "$tmp/access.log" --out "$tmp/model-t4.pbss" --threads 4 >/dev/null
-cmp -s "$tmp/model-t1.pbss" "$tmp/model-t4.pbss" || {
-    echo "ci: parallel training (--threads 4) diverged from --threads 1" >&2
-    exit 1
-}
+# prove it through the real binary by diffing whole model files, for each
+# tree model (they share one training loop).
+for model in pb standard lrs; do
+    "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model-t1.pbss" --model "$model" --threads 1 >/dev/null
+    "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model-t4.pbss" --model "$model" --threads 4 >/dev/null
+    cmp -s "$tmp/model-$model-t1.pbss" "$tmp/model-$model-t4.pbss" || {
+        echo "ci: parallel training of $model (--threads 4) diverged from --threads 1" >&2
+        exit 1
+    }
+done
 
 echo "== ci: combined log smoke" >&2
 # Both dialects take the one chunked ingester; the user-agent field must

@@ -2,9 +2,7 @@
 
 #![allow(clippy::cast_possible_truncation)] // tiny generated indices fit u32
 
-use pbppm::core::{
-    LrsPpm, PbConfig, PbPpm, PopularityTable, Prediction, Predictor, StandardPpm, UrlId,
-};
+use pbppm::core::{PbConfig, PbPpm, PopularityTable, Prediction, Predictor, StandardPpm, UrlId};
 use pbppm::sim::{Lookup, LruCache};
 use pbppm::trace::{sessionize, ClientId, DocKind, Request, SessionizerConfig};
 use proptest::prelude::*;
@@ -192,7 +190,7 @@ proptest! {
         let pop = counts.build();
 
         let mut standard = StandardPpm::unbounded();
-        let mut lrs = LrsPpm::new();
+        let mut lrs = StandardPpm::lrs();
         let mut pb = PbPpm::new(pop, PbConfig::default());
         for s in &sessions {
             standard.train_session(s);
@@ -222,7 +220,7 @@ proptest! {
     #[test]
     fn lrs_is_a_subtree_of_standard(sessions in training_sessions()) {
         let mut standard = StandardPpm::unbounded();
-        let mut lrs = LrsPpm::new();
+        let mut lrs = StandardPpm::lrs();
         for s in &sessions {
             standard.train_session(s);
             lrs.train_session(s);
