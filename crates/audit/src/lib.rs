@@ -66,10 +66,10 @@ pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
                 AuditReport::rejected(label, e.to_string())
             }
         },
-        ModelImage::Order1(s) => {
-            let m = Order1Markov::from_snapshot(s);
-            verify_model_with_urls(&ModelRef::Order1(&m), urls)
-        }
+        ModelImage::Order1(s) => match Order1Markov::from_snapshot(s) {
+            Ok(m) => verify_model_with_urls(&ModelRef::Order1(&m), urls),
+            Err(e) => AuditReport::rejected("order1", e.to_string()),
+        },
         ModelImage::OnlinePb(s) => match pbppm_core::OnlinePbPpm::from_snapshot(s) {
             Ok(m) => verify_model_with_urls(&ModelRef::OnlinePb(&m), urls),
             Err(e) => AuditReport::rejected("online-pb", e.to_string()),

@@ -11,6 +11,7 @@
 use pbppm_audit::{
     verify_bytes, verify_model, verify_snapshot, CodecError, ModelImage, ModelRef, SnapshotFile,
 };
+use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::pb_online::OnlinePbSnapshot;
 use pbppm_core::tree::{NodeSnapshot, TreeSnapshot};
 use pbppm_core::{
@@ -347,6 +348,49 @@ fn order1_row_total_skew_is_caught() {
     let report = verify_bytes(&bytes).expect("valid envelope");
     assert_eq!(report.model, "order1");
     assert!(report.has("order1-row-total-mismatch"), "{report}");
+}
+
+#[test]
+fn forged_order1_rows_are_refused_or_predict_nothing() {
+    let row = |url, total, next: &[(u32, u64)]| Order1RowSnapshot {
+        url,
+        total,
+        next: next.to_vec(),
+    };
+    let file = |rows| SnapshotFile {
+        urls: urls(3),
+        model: ModelImage::Order1(Order1Snapshot { rows }),
+    };
+    // A repeated or out-of-order row or successor would otherwise load as
+    // whichever copy came last: the loader refuses each one.
+    for rows in [
+        vec![row(0, 1, &[(1, 1)]), row(0, 1, &[(2, 1)])],
+        vec![row(1, 1, &[(2, 1)]), row(0, 1, &[(1, 1)])],
+        vec![row(0, 2, &[(1, 1), (1, 1)])],
+        vec![row(0, 2, &[(2, 1), (1, 1)])],
+    ] {
+        let forged = file(rows.clone());
+        let bytes = forged.encode();
+        let decoded = SnapshotFile::decode(&bytes).expect("checksum-valid payload decodes");
+        assert!(
+            matches!(decoded.instantiate(), Err(CodecError::Tree(_))),
+            "{rows:?} loaded"
+        );
+        let report = verify_bytes(&bytes).expect("valid envelope");
+        assert!(report.has("snapshot-rejected"), "{rows:?}: {report}");
+    }
+
+    // A row that counts no transitions passes the audit (its total is the
+    // sum of its successors) and predicts nothing rather than 0/0.
+    let bytes = file(vec![row(0, 0, &[(1, 0), (2, 0)])]).encode();
+    assert!(verify_bytes(&bytes).expect("valid envelope").is_clean());
+    let model = SnapshotFile::decode(&bytes)
+        .and_then(|f| f.instantiate())
+        .expect("a zero row loads");
+    let mut out = Vec::new();
+    let mut usage = pbppm_core::PredictUsage::default();
+    model.predict_ro(&[u(0)], &mut out, &mut usage);
+    assert!(out.is_empty(), "{out:?}");
 }
 
 #[test]

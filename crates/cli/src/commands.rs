@@ -268,9 +268,7 @@ pub fn train_model(
         }
         "o1" => {
             let mut m = Order1Markov::new();
-            for s in &urls {
-                m.train_session(s);
-            }
+            m.train_sessions(&urls, threads);
             m.finalize();
             let image = ModelImage::Order1(m.to_snapshot());
             Ok(("O1".into(), image, Box::new(m)))

@@ -27,10 +27,11 @@
 //! precedes its children's: every upward walk ends, and a single forward
 //! sweep sees each parent before its children.
 //!
-//! Every model family serves from here on exactly one path: standard and
-//! LRS PPM by direct suffix descent ([`FrozenTree::longest_predictive`]),
-//! PB-PPM through its fingerprint index with verification walks on these
-//! arrays ([`FrozenTree::match_top`]).
+//! Every model family serves from here on exactly one path: standard PPM,
+//! LRS PPM and the order-1 baseline by direct suffix descent
+//! ([`FrozenTree::longest_predictive`]), PB-PPM through its fingerprint
+//! index with verification walks on these arrays
+//! ([`FrozenTree::match_top`]).
 //!
 //! [`Tree`]: crate::tree::Tree
 //! [`Tree::freeze`]: crate::tree::Tree::freeze
@@ -546,7 +547,7 @@ impl FrozenTree {
         None
     }
 
-    /// The standard/LRS serving path: the longest predictive suffix
+    /// The standard/LRS/order-1 serving path: the longest predictive suffix
     /// descent, then one vote per child of the matched node's CSR row,
     /// appended to `out` and ranked. The children are adjacent and all
     /// alive, so the vote is one linear pass; the whole row votes, so usage
@@ -800,8 +801,8 @@ impl NodeStore {
         }
     }
 
-    /// Plays back the usage of a descent predict (the standard/LRS serving
-    /// path): each matched path and each voting child row.
+    /// Plays back the usage of a descent predict (the standard/LRS/order-1
+    /// serving path): each matched path and each voting child row.
     pub(crate) fn apply_descent_usage(&mut self, usage: &PredictUsage) {
         let Some((arena, used)) = self.usage_marks() else {
             return;

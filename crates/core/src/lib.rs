@@ -22,6 +22,8 @@
 //!   tree. High accuracy at a fraction of the storage.
 //! * [`Order1Markov`] — a first-order Markov baseline used by several of the
 //!   related-work systems the paper cites; included as an extra comparator.
+//!   It is the degenerate 2-PPM, stored as a height-2 forest of click pairs
+//!   in the same arena as the others.
 //!
 //! All models implement the [`Predictor`] trait and can be driven by the
 //! trace-driven simulator in `pbppm-sim`.

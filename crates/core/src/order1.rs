@@ -3,28 +3,24 @@
 //! Several of the systems the paper cites in related work (Bestavros'
 //! speculation service, Padmanabhan & Mogul, Sarukkai's link prediction)
 //! predict from the current URL alone — a first-order Markov chain. It is
-//! included as an extra comparator: it is the degenerate `2-PPM` with a
-//! dedicated, even cheaper representation (a pair-count table instead of a
-//! trie).
+//! included as an extra comparator. It is the degenerate `2-PPM`, and it is
+//! stored as one: a height-2 *pair forest* in the shared node store. Every
+//! adjacent click pair of a session is inserted as a two-node path, so a
+//! root counts the transitions out of its URL and each child counts one
+//! transition. Training, matching, usage, statistics and the audit are the
+//! suffix-forest models' own; only the persisted row layout is O1's.
 
-use crate::fxhash::FxHashMap;
+use crate::frozen::{FrozenTree, NodeStore, NO_NODE};
 use crate::interner::UrlId;
-use crate::predictor::{rank_predictions, ModelKind, PredictUsage, Prediction, Predictor};
+use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 use crate::stats::ModelStats;
-
-/// Transition counts out of one URL.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Row {
-    pub(crate) total: u64,
-    pub(crate) next: FxHashMap<UrlId, u64>,
-    pub(crate) used: bool,
-}
+use crate::tree::{NodeSnapshot, SnapshotError, Tree, TreeSnapshot};
 
 /// First-order Markov prediction model.
 #[derive(Debug, Clone, Default)]
 pub struct Order1Markov {
-    pub(crate) rows: FxHashMap<UrlId, Row>,
-    pub(crate) finalized: bool,
+    /// The pair forest while training, the frozen arena from finalize on.
+    pub(crate) store: NodeStore,
 }
 
 impl Order1Markov {
@@ -33,60 +29,85 @@ impl Order1Markov {
         Self::default()
     }
 
-    /// Serializes the model into a canonical (id-sorted) image. As with the
-    /// tree models, per-evaluation `used` bookkeeping is not persisted.
-    pub fn to_snapshot(&self) -> Order1Snapshot {
-        let mut rows: Vec<Order1RowSnapshot> = self
-            .rows
-            .iter()
-            .map(|(&url, row)| {
-                let mut next: Vec<(u32, u64)> = row.next.iter().map(|(&u, &c)| (u.0, c)).collect();
-                next.sort_unstable();
-                Order1RowSnapshot {
-                    url: url.0,
-                    total: row.total,
-                    next,
-                }
-            })
-            .collect();
-        rows.sort_unstable_by_key(|r| r.url);
-        Order1Snapshot {
-            rows,
-            finalized: self.finalized,
-        }
+    /// Trains on every session, deterministically parallel
+    /// ([`NodeStore::train_sessions`]): bit-identical to a sequential
+    /// [`Predictor::train_session`] loop at every thread count (`0` = auto
+    /// via `PBPPM_THREADS`/available parallelism).
+    pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
+        self.store.train_sessions(sessions, threads, insert_pairs);
     }
 
-    /// Restores a model from a snapshot.
-    pub fn from_snapshot(snap: &Order1Snapshot) -> Self {
-        let mut rows = FxHashMap::default();
-        for r in &snap.rows {
-            let mut next = FxHashMap::default();
-            for &(u, c) in &r.next {
-                next.insert(UrlId(u), c);
-            }
-            rows.insert(
-                UrlId(r.url),
-                Row {
-                    total: r.total,
-                    next,
-                    used: false,
-                },
-            );
+    /// Serializes the finalized model as transition rows, read off the
+    /// arena's roots (sorted by URL) and their child rows (sorted by URL).
+    /// A model still training has no arena and yields no rows: only
+    /// finalized models are written.
+    pub fn to_snapshot(&self) -> Order1Snapshot {
+        let rows = self.store.arena().map_or_else(Vec::new, |arena| {
+            arena
+                .roots()
+                .iter()
+                .map(|&(url, root)| Order1RowSnapshot {
+                    url: url.0,
+                    total: arena.count(root),
+                    next: arena
+                        .children(root)
+                        .iter()
+                        .map(|&(next, child)| (next.0, arena.count(child)))
+                        .collect(),
+                })
+                .collect()
+        });
+        Order1Snapshot { rows }
+    }
+
+    /// Restores a finalized model, building its arena from the rows through
+    /// [`FrozenTree::from_snapshot`]: each row becomes a root followed by
+    /// its successors. Rows or successors that repeat a URL or break URL
+    /// order fail that loader's structural checks.
+    pub fn from_snapshot(snap: &Order1Snapshot) -> Result<Self, SnapshotError> {
+        // Ids past u32 become NO_NODE, which the loader refuses.
+        let id = |i: usize| u32::try_from(i).unwrap_or(NO_NODE);
+        let node = |url, count, parent, depth, children| NodeSnapshot {
+            url,
+            count,
+            parent,
+            depth,
+            children,
+            link_dup: false,
+        };
+        let mut tree = TreeSnapshot::default();
+        for row in &snap.rows {
+            let root = tree.nodes.len();
+            let children = (root + 1..)
+                .zip(&row.next)
+                .map(|(c, &(next, _))| (next, id(c)));
+            let root_node = node(row.url, row.total, NO_NODE, 1, children.collect());
+            tree.nodes.push(root_node);
+            let successors = row
+                .next
+                .iter()
+                .map(|&(next, count)| node(next, count, id(root), 2, Vec::new()));
+            tree.nodes.extend(successors);
+            tree.roots.push((row.url, id(root)));
         }
-        Self {
-            rows,
-            finalized: snap.finalized,
-        }
+        Ok(Self {
+            store: NodeStore::loaded(FrozenTree::from_snapshot(&tree, None)?),
+        })
     }
 }
 
-/// A serializable image of an [`Order1Markov`] model.
+/// Inserts every adjacent click pair of `session` as a two-node path.
+fn insert_pairs(tree: &mut Tree, session: &[UrlId]) {
+    for pair in session.windows(2) {
+        tree.insert_path(pair, 2);
+    }
+}
+
+/// A serializable image of a finalized [`Order1Markov`] model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Order1Snapshot {
     /// Per-source-URL rows, sorted by URL id.
     pub rows: Vec<Order1RowSnapshot>,
-    /// Whether [`Predictor::finalize`] had run.
-    pub finalized: bool,
 }
 
 /// One source URL's transition counts, successors sorted by URL id.
@@ -106,73 +127,46 @@ impl Predictor for Order1Markov {
     }
 
     fn train_session(&mut self, session: &[UrlId]) {
-        debug_assert!(!self.finalized, "train_session after finalize");
-        for pair in session.windows(2) {
-            let row = self.rows.entry(pair[0]).or_default();
-            row.total += 1;
-            *row.next.entry(pair[1]).or_default() += 1;
+        if let Some(tree) = self.store.tree_mut() {
+            insert_pairs(tree, session);
         }
     }
 
+    /// Freezes the pair forest into the arena that replaces it.
     fn finalize(&mut self) {
-        self.finalized = true;
+        if self.store.freeze(None).is_none() {
+            return;
+        }
+        crate::verify::runtime_audit(
+            &crate::verify::ModelRef::Order1(self),
+            "Order1Markov::finalize",
+        );
     }
 
+    /// Only the current click is matched: a descent of order 1.
     fn predict_ro(&self, context: &[UrlId], out: &mut Vec<Prediction>, usage: &mut PredictUsage) {
         out.clear();
-        let Some(current) = context.last() else {
-            return;
-        };
-        let Some(row) = self.rows.get(current) else {
-            return;
-        };
-        usage.used_urls.push(*current);
-        let total = row.total as f64;
-        for (&url, &count) in &row.next {
-            out.push(Prediction::new(url, count as f64 / total));
+        if let Some(frozen) = self.frozen() {
+            frozen.predict_descent(context, 1, out, usage);
         }
-        rank_predictions(out, usize::MAX);
     }
 
     fn apply_usage(&mut self, usage: &PredictUsage) {
-        for url in &usage.used_urls {
-            if let Some(row) = self.rows.get_mut(url) {
-                row.used = true;
-            }
-        }
+        self.store.apply_descent_usage(usage);
     }
 
-    /// Storage in "URL nodes": one per source URL plus one per stored
-    /// transition (mirrors how a height-2 trie would count).
+    fn frozen(&self) -> Option<&FrozenTree> {
+        self.store.arena()
+    }
+
+    /// Storage in "URL nodes": one root per source URL plus one child per
+    /// stored transition.
     fn node_count(&self) -> usize {
-        self.rows.len() + self.rows.values().map(|r| r.next.len()).sum::<usize>()
+        self.store.node_count()
     }
 
     fn stats(&self) -> ModelStats {
-        let total_paths: usize = self.rows.values().map(|r| r.next.len()).sum();
-        let used_paths: usize = self
-            .rows
-            .values()
-            .filter(|r| r.used)
-            .map(|r| r.next.len())
-            .sum();
-        ModelStats {
-            nodes: self.node_count(),
-            roots: self.rows.len(),
-            // One edge per stored transition (row → successor).
-            edges: total_paths,
-            max_depth: if total_paths > 0 {
-                2
-            } else {
-                u8::from(!self.rows.is_empty())
-            },
-            total_paths,
-            used_paths,
-            memory_bytes: self.rows.len()
-                * (std::mem::size_of::<UrlId>() + std::mem::size_of::<Row>())
-                + total_paths * std::mem::size_of::<(UrlId, u64)>(),
-            ..ModelStats::default()
-        }
+        self.store.stats()
     }
 }
 
@@ -237,7 +231,7 @@ mod tests {
         m.train_session(&[u(0), u(1), u(0), u(2), u(0), u(1)]);
         m.train_session(&[u(3), u(0), u(1)]);
         m.finalize();
-        let back = Order1Markov::from_snapshot(&m.to_snapshot());
+        let back = Order1Markov::from_snapshot(&m.to_snapshot()).unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for ctx in [&[u(0)][..], &[u(3)], &[u(9)]] {
             let mut ua = crate::predictor::PredictUsage::default();

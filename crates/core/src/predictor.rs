@@ -78,8 +78,6 @@ pub struct PredictUsage {
     pub used_nodes: Vec<NodeId>,
     /// Arena rows whose whole ancestor path is flagged used.
     pub used_paths: Vec<NodeId>,
-    /// Source URLs whose transition row was consulted (first-order Markov).
-    pub used_urls: Vec<UrlId>,
     /// The model as a whole produced output (Top-N's single flag).
     pub touched: bool,
     /// Predictions emitted through PB-PPM special links.
@@ -95,7 +93,7 @@ pub struct PredictUsage {
     /// since marking is idempotent the records deduplicate freely.
     pub used_groups: Vec<(u64, u64)>,
     /// Nodes whose *entire* child row voted (the frozen CSR vote of the
-    /// standard/LRS serving path). Like [`Self::used_groups`], one record
+    /// descent serving path). Like [`Self::used_groups`], one record
     /// stands in for every member: `apply_usage` expands it back to
     /// per-child marks, keeping the hot predict loop free of per-child
     /// pushes.
@@ -115,7 +113,6 @@ impl PredictUsage {
     pub fn clear(&mut self) {
         self.used_nodes.clear();
         self.used_paths.clear();
-        self.used_urls.clear();
         self.touched = false;
         self.link_preds = 0;
         self.branch_preds = 0;
@@ -129,7 +126,6 @@ impl PredictUsage {
     pub fn merge(&mut self, other: &PredictUsage) {
         self.used_nodes.extend_from_slice(&other.used_nodes);
         self.used_paths.extend_from_slice(&other.used_paths);
-        self.used_urls.extend_from_slice(&other.used_urls);
         self.touched |= other.touched;
         self.link_preds += other.link_preds;
         self.branch_preds += other.branch_preds;
@@ -144,7 +140,6 @@ impl PredictUsage {
     pub fn is_empty(&self) -> bool {
         self.used_nodes.is_empty()
             && self.used_paths.is_empty()
-            && self.used_urls.is_empty()
             && !self.touched
             && self.link_preds == 0
             && self.branch_preds == 0

@@ -31,13 +31,17 @@
 //! ([`CodecError::UnsupportedVersion`]) rather than guessing. A file
 //! stores what cannot be rederived: a finalized model's arena rows (nodes,
 //! roots, special links), the popularity counts and the configuration.
+//! The order-1 model's height-2 forest is written more compactly, as
+//! transition rows sorted by URL with their successors sorted by URL; it
+//! loads through the same arena checks as every tree image, so a repeated
+//! or unsorted row or successor is refused ([`CodecError::Tree`]).
 //! Grades and the fingerprint index are rebuilt at instantiation. Only
-//! finalized models are written; a model image whose `finalized` byte is
-//! 0 is refused ([`CodecError::Unfinalized`]), as is any URL id outside
-//! the file's URL table ([`CodecError::UrlOutOfRange`]) and a URL table
-//! that repeats a string ([`CodecError::DuplicateUrl`]). The checksum
-//! covers header and payload, so truncation and bit corruption both
-//! surface as clean errors instead of garbage models.
+//! finalized models are written; a model image of any kind whose
+//! `finalized` byte is 0 is refused ([`CodecError::Unfinalized`]), as is
+//! any URL id outside the file's URL table ([`CodecError::UrlOutOfRange`])
+//! and a URL table that repeats a string ([`CodecError::DuplicateUrl`]).
+//! The checksum covers header and payload, so truncation and bit
+//! corruption both surface as clean errors instead of garbage models.
 //!
 //! ## Crash-safe generations
 //!
@@ -46,7 +50,9 @@
 //! file, fsynced, and renamed into place, demoting the old current to
 //! `previous`. [`SnapshotStore::recover`] loads the newest valid
 //! generation, falling back to `previous` when `current` is truncated or
-//! corrupt — the serving loop in the CLI builds directly on this.
+//! corrupt — the serving loop in the CLI builds directly on this. A
+//! checkpoint step that fails (the temp write, the demote rename) returns
+//! the error and leaves the newest complete generation recoverable.
 
 use crate::fxhash::FxHashSet;
 use crate::interner::Interner;
@@ -650,7 +656,7 @@ impl SnapshotFile {
                         payload.varint(c);
                     }
                 }
-                payload.bool(s.finalized);
+                payload.bool(true);
             }
             ModelImage::OnlinePb(s) => {
                 write_pb_config(&mut payload, &s.cfg);
@@ -759,8 +765,8 @@ impl SnapshotFile {
                     }
                     rows.push(Order1RowSnapshot { url, total, next });
                 }
-                let finalized = r.bool()?;
-                ModelImage::Order1(Order1Snapshot { rows, finalized })
+                read_finalized(&mut r)?;
+                ModelImage::Order1(Order1Snapshot { rows })
             }
             KIND_ONLINE_PB => {
                 let cfg = read_pb_config(&mut r)?;
@@ -845,7 +851,7 @@ impl SnapshotFile {
         Ok(match &self.model {
             ModelImage::Pb(s) => Box::new(PbPpm::from_snapshot(s)?),
             ModelImage::Standard(s) => Box::new(StandardPpm::from_snapshot(s)?),
-            ModelImage::Order1(s) => Box::new(Order1Markov::from_snapshot(s)),
+            ModelImage::Order1(s) => Box::new(Order1Markov::from_snapshot(s)?),
             ModelImage::OnlinePb(s) => Box::new(OnlinePbPpm::from_snapshot(s)?),
         })
     }
@@ -1141,16 +1147,24 @@ mod tests {
     #[test]
     fn decode_refuses_models_that_were_never_finalized() {
         let (urls, m) = trained_pb();
-        let bytes = SnapshotFile {
-            urls,
-            model: ModelImage::Pb(m.to_snapshot()),
+        let mut o1 = Order1Markov::new();
+        o1.train_session(&[UrlId(0), UrlId(1), UrlId(0)]);
+        o1.finalize();
+        for model in [
+            ModelImage::Pb(m.to_snapshot()),
+            ModelImage::Order1(o1.to_snapshot()),
+        ] {
+            let bytes = SnapshotFile {
+                urls: urls.clone(),
+                model,
+            }
+            .encode();
+            assert!(SnapshotFile::decode(&with_finalized_byte(bytes.clone(), 1)).is_ok());
+            assert_eq!(
+                SnapshotFile::decode(&with_finalized_byte(bytes, 0)).unwrap_err(),
+                CodecError::Unfinalized
+            );
         }
-        .encode();
-        assert!(SnapshotFile::decode(&with_finalized_byte(bytes.clone(), 1)).is_ok());
-        assert_eq!(
-            SnapshotFile::decode(&with_finalized_byte(bytes, 0)).unwrap_err(),
-            CodecError::Unfinalized
-        );
     }
 
     #[test]
@@ -1457,6 +1471,46 @@ mod tests {
         );
         let prev = SnapshotFile::read(&store.previous_path()).unwrap();
         assert_eq!(generation_of(&prev), "9");
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// The temp write fails for real: the store's directory has been moved
+    /// aside and a regular file stands in its place. Once the directory is
+    /// back, its generations are untouched.
+    #[test]
+    fn failing_temp_write_leaves_the_generations_intact() {
+        let store = store_with_two_generations("fail-tmp");
+        let aside = store.dir().with_extension("aside");
+        let _ = std::fs::remove_dir_all(&aside);
+        std::fs::rename(store.dir(), &aside).unwrap();
+        std::fs::write(store.dir(), b"not a directory").unwrap();
+        assert!(store.checkpoint(&generation(3)).is_err());
+        std::fs::remove_file(store.dir()).unwrap();
+        std::fs::rename(&aside, store.dir()).unwrap();
+        assert_eq!(
+            recovered(&store),
+            Some(("2".to_owned(), Generation::Current))
+        );
+        assert_checkpoint_recovers(&store, Some("2"));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// The demote rename fails for real: a non-empty directory stands at
+    /// `previous.pbss`, which no file can be renamed over.
+    #[test]
+    fn failing_demote_rename_keeps_current() {
+        let store = store_with_two_generations("fail-demote");
+        let blocker = store.previous_path();
+        std::fs::remove_file(&blocker).unwrap();
+        std::fs::create_dir(&blocker).unwrap();
+        std::fs::write(blocker.join("keep"), b"x").unwrap();
+        assert!(store.checkpoint(&generation(3)).is_err());
+        assert_eq!(
+            recovered(&store),
+            Some(("2".to_owned(), Generation::Current))
+        );
+        std::fs::remove_dir_all(&blocker).unwrap();
+        assert_checkpoint_recovers(&store, Some("2"));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -987,34 +987,31 @@ fn verify_standard(m: &StandardPpm, url_count: Option<u64>, report: &mut AuditRe
     }
 }
 
+/// The pair forest: height at most 2, and each root's count (the
+/// transitions out of its URL) equal to the sum of its children's.
 fn verify_order1(m: &Order1Markov, url_count: Option<u64>, report: &mut AuditReport) {
-    for (&url, row) in &m.rows {
+    let Some(arena) = m.store.arena() else {
+        return;
+    };
+    if !verify_arena(arena, url_count, None, report) {
+        return;
+    }
+    verify_no_links(arena, report);
+    verify_heights(arena, |_| (None, 2), report);
+    for &(url, root) in arena.roots() {
         report.tick();
-        let sum: u64 = row.next.values().sum();
-        if row.total != sum {
+        let total = arena.count(root);
+        let sum = arena
+            .children(root)
+            .iter()
+            .map(|&(_, c)| arena.count(c))
+            .sum();
+        if total != sum {
             report.violations.push(Violation::Order1RowTotalMismatch {
                 url: url.0,
-                total: row.total,
+                total,
                 sum,
             });
-        }
-        if let Some(count) = url_count {
-            for &next in row.next.keys() {
-                report.tick();
-                if u64::from(next.0) >= count {
-                    report.violations.push(Violation::SymbolUnresolved {
-                        url: next.0,
-                        url_count: count,
-                    });
-                }
-            }
-            report.tick();
-            if u64::from(url.0) >= count {
-                report.violations.push(Violation::SymbolUnresolved {
-                    url: url.0,
-                    url_count: count,
-                });
-            }
         }
     }
 }

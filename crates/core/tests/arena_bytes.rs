@@ -1,11 +1,12 @@
 //! The frozen arena reports the heap it holds: freezing a tree, rebuilding
 //! an arena from its snapshot image, and cloning one each grow the live
 //! heap by exactly `FrozenTree::heap_bytes`, so a finalized model's
-//! `memory_bytes` is allocator truth, not an estimate. The counter is
+//! `memory_bytes` is allocator truth, not an estimate — the first-order
+//! Markov model's pair forest included. The counter is
 //! process-wide, so this binary runs without the libtest harness, whose
 //! main thread would allocate into the window (see `interner_bytes.rs`).
 
-use pbppm_core::{FrozenTree, PbConfig, PbPpm, PopularityTable, Predictor, UrlId};
+use pbppm_core::{FrozenTree, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, UrlId};
 
 #[global_allocator]
 static ALLOC: pbppm_obs::alloc::CountingAllocator = pbppm_obs::alloc::CountingAllocator;
@@ -42,6 +43,7 @@ fn grown<T>(build: impl FnOnce() -> T) -> (u64, T) {
 
 fn main() {
     an_arena_grows_the_live_heap_by_its_heap_bytes();
+    order1_memory_bytes_is_the_live_heap_of_its_arena();
 }
 
 fn an_arena_grows_the_live_heap_by_its_heap_bytes() {
@@ -77,4 +79,22 @@ fn an_arena_grows_the_live_heap_by_its_heap_bytes() {
     let (bytes, copy) = grown(|| model.clone());
     assert_eq!(bytes, copy.heap_bytes() as u64, "clone");
     assert_eq!(m.stats().memory_bytes, model.heap_bytes());
+}
+
+/// O1's `memory_bytes` is the live heap the trained model holds: the pair
+/// forest is dropped at finalize, and the arena is all that stays.
+fn order1_memory_bytes_is_the_live_heap_of_its_arena() {
+    let sessions = sessions(3_000, 400);
+    let (bytes, m) = grown(|| {
+        let mut m = Order1Markov::new();
+        m.train_sessions(&sessions, 1);
+        m.finalize();
+        m
+    });
+    assert!(m.node_count() > 1_000, "{} nodes", m.node_count());
+    assert_eq!(
+        bytes,
+        m.stats().memory_bytes as u64,
+        "trained and finalized"
+    );
 }

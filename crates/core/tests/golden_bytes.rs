@@ -98,7 +98,9 @@ fn reload(model: &ModelImage) -> ModelImage {
                 .expect("ppm or lrs")
                 .to_snapshot(),
         ),
-        ModelImage::Order1(s) => ModelImage::Order1(Order1Markov::from_snapshot(s).to_snapshot()),
+        ModelImage::Order1(s) => {
+            ModelImage::Order1(Order1Markov::from_snapshot(s).expect("o1").to_snapshot())
+        }
         ModelImage::OnlinePb(s) => {
             ModelImage::OnlinePb(OnlinePbPpm::from_snapshot(s).expect("online").to_snapshot())
         }

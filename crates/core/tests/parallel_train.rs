@@ -5,8 +5,8 @@
 //! `--threads` default on without ever changing a result.
 
 use pbppm_core::{
-    ModelImage, PbConfig, PbPpm, PopularityBuilder, PopularityTable, Predictor, SnapshotFile,
-    StandardPpm, UrlId,
+    ModelImage, Order1Markov, PbConfig, PbPpm, PopularityBuilder, PopularityTable, Predictor,
+    SnapshotFile, StandardPpm, UrlId,
 };
 use proptest::prelude::*;
 
@@ -103,6 +103,27 @@ proptest! {
             par.finalize();
             prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
             prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Standard(par.to_snapshot())), "threads={}", threads);
+        }
+    }
+
+    /// First-order Markov: the pair forest trains through the same loop,
+    /// so partition + merge writes the sequential loop's file.
+    #[test]
+    fn parallel_order1_training_is_bit_identical(
+        sessions in sessions_strategy(10, 8, 24),
+    ) {
+        let mut seq = Order1Markov::new();
+        for s in &sessions {
+            seq.train_session(s);
+        }
+        seq.finalize();
+        let seq_bytes = bytes(ModelImage::Order1(seq.to_snapshot()));
+        for threads in THREAD_GRID {
+            let mut par = Order1Markov::new();
+            par.train_sessions(&sessions, threads);
+            par.finalize();
+            prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
+            prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Order1(par.to_snapshot())), "threads={}", threads);
         }
     }
 

@@ -84,12 +84,12 @@ impl ModelSpec {
 
     /// [`build`](Self::build) with `threads` training workers (`0` = auto).
     ///
-    /// The tree models train via their deterministic partition-and-merge
-    /// `train_sessions`, so the result is **bit-identical** to sequential
-    /// training at every thread count (property-tested in pbppm-core's
-    /// `parallel_train` suite). Models with inherently sequential training
-    /// (order-1, top-N, the online window) ignore `threads` — except the
-    /// online model, whose periodic rebuilds train with them.
+    /// The tree models (order-1 included) train via their deterministic
+    /// partition-and-merge `train_sessions`, so the result is
+    /// **bit-identical** to sequential training at every thread count
+    /// (property-tested in pbppm-core's `parallel_train` suite). Top-N
+    /// ignores `threads`; the online window trains session by session, but
+    /// its periodic rebuilds train with them.
     pub fn build_with(
         &self,
         sessions: &[Session],
@@ -119,9 +119,7 @@ impl ModelSpec {
             }
             ModelSpec::Order1 => {
                 let mut m = Order1Markov::new();
-                for s in &urls {
-                    m.train_session(s);
-                }
+                m.train_sessions(&urls, threads);
                 Box::new(m)
             }
             ModelSpec::TopN { n } => {

@@ -40,9 +40,9 @@
 #   9. parallel ingest smoke — `pbppm train` on the same log at
 #                              --threads 1 and --threads 4 must produce
 #                              byte-identical .pbss files for each tree
-#                              model (pb, standard, lrs): the deterministic
-#                              parallel-training contract through the
-#                              real binary
+#                              model (pb, standard, lrs, o1): the
+#                              deterministic parallel-training contract
+#                              through the real binary
 #  10. combined log smoke    — the same seed generated as a Combined log
 #                              must train a .pbss byte-identical to the
 #                              CLF log's, and `predict` must serve from it
@@ -232,7 +232,7 @@ echo "== ci: parallel ingest smoke" >&2
 # Parallel training is bit-identical to sequential at any worker count;
 # prove it through the real binary by diffing whole model files, for each
 # tree model (they share one training loop).
-for model in pb standard lrs; do
+for model in pb standard lrs o1; do
     "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model-t1.pbss" --model "$model" --threads 1 >/dev/null
     "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model-t4.pbss" --model "$model" --threads 4 >/dev/null
     cmp -s "$tmp/model-$model-t1.pbss" "$tmp/model-$model-t4.pbss" || {
