@@ -13,7 +13,7 @@ use pbppm_audit::{
 };
 use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::pb_online::OnlinePbSnapshot;
-use pbppm_core::tree::{NodeSnapshot, TreeSnapshot};
+use pbppm_core::tree::{NodeSnapshot, SnapshotError, TreeSnapshot};
 use pbppm_core::{
     Grade, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, UrlId,
 };
@@ -318,19 +318,52 @@ fn stale_index_aggregate_is_caught() {
 }
 
 #[test]
-fn stale_index_sub_aggregate_is_caught() {
-    // A group with a single sub-group shares its vote run with it, so a
-    // stale sub-group (here its total) can leave every group-level
-    // aggregate intact: only the per-extension comparison sees it.
-    let m = pb_with_link();
-    let mut reloaded = PbPpm::from_snapshot(&m.to_snapshot()).expect("clean snapshot loads");
-    assert!(
-        reloaded.skew_index_sub_aggregate_for_audit(),
-        "model must have an index sub-group to skew"
-    );
-    let report = verify_model(&ModelRef::Pb(&reloaded));
-    assert!(report.has("index-aggregate-stale"), "{report}");
-    assert!(!report.has("index-shape-diverges"), "{report}");
+fn forged_counts_past_the_index_fields_are_refused() {
+    // The fingerprint index keeps totals and votes in 32 bits. One count
+    // past that, or two voters of one group whose counts fit alone but
+    // not summed, must fail the load instead of panicking it.
+    let (urls, snap) = encode_pb(&pb_with_link(), 6);
+    let voters_of = |url: u32| -> Vec<usize> {
+        let nodes = &snap.tree.nodes;
+        (0..nodes.len())
+            .filter(|&i| nodes[i].url == url && !nodes[i].link_dup && !nodes[i].children.is_empty())
+            .collect()
+    };
+    let oversized = {
+        let mut forged = snap.clone();
+        let [root] = voters_of(0)[..] else {
+            panic!("url 0 heads one branch");
+        };
+        forged.tree.nodes[root].count = (1 << 32) + 7;
+        forged
+    };
+    let summed = {
+        // Url 4 ends the window [4] twice: under root 0 and under root 3.
+        let mut forged = snap.clone();
+        let voters = voters_of(4);
+        assert_eq!(voters.len(), 2, "url 4 votes in two branches");
+        for v in voters {
+            forged.tree.nodes[v].count = 3_000_000_000;
+        }
+        forged
+    };
+    for (label, forged) in [("oversized", oversized), ("summed", summed)] {
+        let bytes = SnapshotFile {
+            urls: urls.clone(),
+            model: ModelImage::Pb(forged),
+        }
+        .encode();
+        let decoded = SnapshotFile::decode(&bytes).expect("checksum-valid payload decodes");
+        assert!(
+            matches!(
+                decoded.instantiate(),
+                Err(CodecError::Tree(SnapshotError::IndexOverflow))
+            ),
+            "{label} count loaded"
+        );
+        let report = verify_bytes(&bytes).expect("valid envelope");
+        assert!(report.has("snapshot-rejected"), "{label}: {report}");
+    }
 }
 
 #[test]

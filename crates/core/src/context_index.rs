@@ -21,21 +21,19 @@
 //! answering a one-click context by iterating the bucket would be the very
 //! occurrence scan the index exists to replace. Each bucket therefore
 //! stores a [`WindowGroup`]: its members plus their summed parent count and
-//! per-successor vote totals, sub-totalled by the URL each member's stored
-//! path *extends* with above the window. A clean bucket is verified against
-//! the query with a single representative walk, and PB-PPM's maximality
-//! exclusion becomes one subtraction instead of a per-member filter.
-//! Buckets whose members genuinely disagree about the window's content (a
-//! real 64-bit collision, detected at build time) are flagged dirty and
-//! answered member by member. Buckets without a single voting member are
-//! not stored at all: no query could get a prediction out of them.
+//! per-successor vote totals. A clean bucket is verified against the query
+//! with a single representative walk. Buckets whose members genuinely
+//! disagree about the window's content (a real 64-bit collision, detected
+//! at build time) are flagged dirty and answered member by member. Buckets
+//! without a single voting member are not stored at all: no query could
+//! get a prediction out of them.
 //!
 //! The groups live in flat, sorted, exact-size lists (see
 //! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
 
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
-use crate::tree::NodeId;
+use crate::tree::{NodeId, SnapshotError};
 
 /// Base of the rolling polynomial hash. Odd, so multiplication by it is a
 /// bijection modulo 2^64 and windows of different content rarely collide.
@@ -118,27 +116,20 @@ fn path_hash_table(arena: &FrozenTree) -> Vec<u64> {
 }
 
 /// Narrows a list offset or a summed count to the index's 4-byte fields.
-/// A model that outgrew them would need 16 GiB for its member list alone,
-/// or more than 2^32 sessions through one node.
-fn narrow<N: TryInto<u32>>(n: N) -> u32 {
-    match n.try_into() {
-        Ok(v) => v,
-        Err(_) => panic!("context index outgrew its u32 offsets and counts"),
-    }
+/// A trained model would need 16 GiB for its member list, or more than
+/// 2^32 sessions through one window, to outgrow them; a forged snapshot's
+/// counts can.
+fn narrow<N: TryInto<u32>>(n: N) -> Result<u32, SnapshotError> {
+    n.try_into().map_err(|_| SnapshotError::IndexOverflow)
 }
-
-/// The stored extension of a sub-group whose window starts at a branch
-/// root. Interner ids are dense from 0, so no URL reaches it.
-const NO_EXT: u32 = u32::MAX;
 
 /// One group's fixed fields. `heads` holds one more entry than there are
 /// groups, whose offsets close the last group's runs: group `g`'s members
-/// are `heads[g].members..heads[g + 1].members`, and so are its subs and
-/// its vote region.
+/// are `heads[g].members..heads[g + 1].members`, and its votes are
+/// `heads[g].votes..heads[g + 1].votes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Head {
     members: u32,
-    subs: u32,
     votes: u32,
     /// Summed count of all members that have alive children.
     total: u32,
@@ -148,26 +139,13 @@ struct Head {
     dirty: bool,
 }
 
-/// One stored sub-group: its extension ([`NO_EXT`] for none), its summed
-/// count and the start of its vote run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Sub {
-    ext: u32,
-    total: u32,
-    votes: u32,
-}
-
 /// One fingerprint bucket: the nodes filed under it and their precomputed
 /// vote aggregates, resolved from the index's flat lists.
 ///
 /// All members of a clean bucket spell the same window of URLs, so the
 /// answer to "the context's longest match is this window — what do its
 /// occurrences predict?" is the same for every query and can be summed
-/// once at build time. Voters are sub-grouped by their **extension** — the
-/// URL their stored path continues with *above* the window (`None` when
-/// the window already starts at a branch root) — because PB-PPM's grouping
-/// excludes members whose match would extend to a longer context suffix:
-/// at query time that exclusion is a subtraction of one sub-group.
+/// once at build time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WindowGroup<'a> {
     index: &'a ContextIndex,
@@ -193,7 +171,7 @@ impl<'a> WindowGroup<'a> {
     }
 
     /// Summed count of all members that have alive children (the group's
-    /// vote denominator when nothing is excluded).
+    /// vote denominator).
     #[inline]
     pub(crate) fn total(&self) -> u32 {
         self.head.total
@@ -214,71 +192,10 @@ impl<'a> WindowGroup<'a> {
     }
 
     /// Per-successor vote totals over all voting members, sorted by URL.
-    /// A group with one sub-group shares that sub-group's run.
     #[inline]
     pub(crate) fn votes(&self) -> &'a [(UrlId, u32)] {
-        let end = if self.next.subs - self.head.subs > 1 {
-            self.index.subs[self.head.subs as usize].votes
-        } else {
-            self.next.votes
-        };
-        &self.index.votes[self.head.votes as usize..end as usize]
+        &self.index.votes[self.head.votes as usize..self.next.votes as usize]
     }
-
-    /// The sub-group stored at `s`, one of this group's.
-    fn sub_at(&self, s: usize) -> SubGroup<'a> {
-        let sub = &self.index.subs[s];
-        let end = if s + 1 < self.next.subs as usize {
-            self.index.subs[s + 1].votes
-        } else {
-            self.next.votes
-        };
-        SubGroup {
-            ext: (sub.ext != NO_EXT).then_some(UrlId(sub.ext)),
-            total: sub.total,
-            votes: &self.index.votes[sub.votes as usize..end as usize],
-        }
-    }
-
-    /// The per-extension sub-aggregates, sorted by stored extension.
-    pub(crate) fn subs(self) -> impl Iterator<Item = SubGroup<'a>> {
-        (self.head.subs as usize..self.next.subs as usize).map(move |s| self.sub_at(s))
-    }
-
-    /// The sub-group whose voters extend the window with `ext`.
-    #[inline]
-    pub(crate) fn sub_for(&self, ext: UrlId) -> Option<SubGroup<'a>> {
-        let (lo, hi) = (self.head.subs as usize, self.next.subs as usize);
-        self.index.subs[lo..hi]
-            .binary_search_by_key(&ext.0, |s| s.ext)
-            .ok()
-            .map(|i| self.sub_at(lo + i))
-    }
-}
-
-/// The slice of a [`WindowGroup`] contributed by the voters sharing one
-/// extension URL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SubGroup<'a> {
-    /// URL the voters' stored paths continue with above the window;
-    /// `None` when the window starts at a branch root (never excluded).
-    pub(crate) ext: Option<UrlId>,
-    /// Summed count of this sub-group's voters.
-    pub(crate) total: u32,
-    /// Per-successor vote totals, sorted by URL (a subset of the group's).
-    pub(crate) votes: &'a [(UrlId, u32)],
-}
-
-/// The URL a stored path continues with above the length-`len` window
-/// ending at `node` (`None` when the window starts at a branch root). This
-/// is the key a voter's [`SubGroup`] is filed under.
-pub(crate) fn extension(arena: &FrozenTree, node: NodeId, len: usize) -> Option<UrlId> {
-    let mut top = node.0;
-    for _ in 1..len {
-        top = arena.parent(top);
-    }
-    let above = arena.parent(top);
-    (above != NO_NODE).then(|| arena.url(above))
 }
 
 /// True when the length-`len` windows ending at `a` and `b` spell the same
@@ -312,14 +229,12 @@ pub struct IndexOccupancy {
 }
 
 /// One `(node, window)` filing during a build: the bucket key, the member
-/// node, the window length and the member's extension ([`NO_EXT`] at a
-/// branch root).
+/// node and the window length.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     key: u64,
     node: u32,
     len: u8,
-    ext: u32,
 }
 
 /// Sorts `(url, count)` votes by URL and sums the counts of equal URLs.
@@ -328,7 +243,7 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
     votes.dedup_by(|next, kept| {
         let same = next.0 == kept.0;
         if same {
-            kept.1 += next.1;
+            kept.1 = kept.1.saturating_add(next.1);
         }
         same
     });
@@ -345,11 +260,9 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
 ///   bits narrows a lookup to a few neighbouring keys (the keys are mixed
 ///   64-bit hashes, so the slots fill evenly);
 /// * `heads[g]` holds group `g`'s fixed fields and where its runs start in
-///   `members`, `subs` and `votes`; each run ends where the next group's
-///   starts;
-/// * a group's vote region is its own summed run (only when it has more
-///   than one sub-group) followed by one run per sub-group, so a
-///   single-sub group stores its votes once;
+///   `members` and `votes`; each run ends where the next group's starts;
+/// * a clean group's vote run is its voters' children, summed per URL; a
+///   dirty group's is empty;
 /// * a vote is a `u32` URL id and a `u32` count.
 ///
 /// Every list is one exact-size allocation, and the same arena always
@@ -364,7 +277,6 @@ pub struct ContextIndex {
     shift: u32,
     heads: Box<[Head]>,
     members: Box<[NodeId]>,
-    subs: Box<[Sub]>,
     votes: Box<[(UrlId, u32)]>,
 }
 
@@ -372,8 +284,9 @@ impl ContextIndex {
     /// Builds the all-windows index: every branch row is filed under each
     /// suffix window of its upward path, up to `max_order` URLs, and every
     /// bucket with at least one voting member gets its aggregates
-    /// precomputed.
-    pub fn windows(arena: &FrozenTree, max_order: usize) -> Self {
+    /// precomputed. Fails when a summed count or a list offset outgrows
+    /// the index's 4-byte fields.
+    pub fn windows(arena: &FrozenTree, max_order: usize) -> Result<Self, SnapshotError> {
         let hashes = path_hash_table(arena);
         // Phase 1: one flat entry per (node, window), sorted so that each
         // bucket is a run in row order.
@@ -389,10 +302,10 @@ impl ContextIndex {
             for len in 1..=max_len {
                 pow = pow.wrapping_mul(HASH_BASE);
                 let parent = arena.parent(anc);
-                let (above, ext) = if parent == NO_NODE {
-                    (0, NO_EXT)
+                let above = if parent == NO_NODE {
+                    0
                 } else {
-                    (hashes[parent as usize], arena.url(parent).0)
+                    hashes[parent as usize]
                 };
                 let hash = p_node.wrapping_sub(above.wrapping_mul(pow));
                 entries.push(Entry {
@@ -400,7 +313,6 @@ impl ContextIndex {
                     node: id,
                     // Windows are at most a node depth long; depths are u8.
                     len: u8::try_from(len).unwrap_or(u8::MAX),
-                    ext,
                 });
                 if parent == NO_NODE {
                     break;
@@ -412,94 +324,53 @@ impl ContextIndex {
         entries.sort_unstable_by_key(|e| (e.key, e.node, e.len));
 
         // Phase 2: aggregate each bucket that has a voter into its group.
-        let (mut keys, mut heads, mut members) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut subs, mut votes) = (Vec::new(), Vec::new());
-        let mut voters: Vec<(u32, NodeId)> = Vec::new();
+        let (mut keys, mut heads, mut members, mut votes) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut tally: Vec<(UrlId, u64)> = Vec::new();
-        // A clean group's sub-group vote runs back to back, and per
-        // sub-group its (ext, total, start in `pending`).
-        let mut pending: Vec<(UrlId, u64)> = Vec::new();
-        let mut runs: Vec<(u32, u64, usize)> = Vec::new();
         let mut rest = entries.as_slice();
         while let Some(first) = rest.first() {
             let end = rest.iter().position(|e| e.key != first.key);
             let (bucket, tail) = rest.split_at(end.unwrap_or(rest.len()));
             rest = tail;
-            voters.clear();
-            voters.extend(
-                bucket
-                    .iter()
-                    .filter(|e| arena.has_children(e.node))
-                    .map(|e| (e.ext, NodeId(e.node))),
-            );
-            if voters.is_empty() {
+            if !bucket.iter().any(|e| arena.has_children(e.node)) {
                 continue; // no query could get a prediction out of it
             }
             let len = usize::from(first.len);
             let dirty = bucket[1..]
                 .iter()
                 .any(|e| !same_window(arena, first.node, e.node, len));
-            let mut head = Head {
-                members: narrow(members.len()),
-                subs: narrow(subs.len()),
-                votes: narrow(votes.len()),
-                total: 0,
-                len: first.len,
-                dirty,
-            };
-            members.extend(bucket.iter().map(|e| NodeId(e.node)));
+            let mut total = 0u64;
+            let start = votes.len();
             if !dirty {
-                voters.sort_by_key(|v| v.0);
-                pending.clear();
-                runs.clear();
-                let mut total = 0;
-                let mut run = 0;
-                while run < voters.len() {
-                    let ext = voters[run].0;
-                    let (mut sub_total, start) = (0, pending.len());
-                    tally.clear();
-                    while run < voters.len() && voters[run].0 == ext {
-                        let m = voters[run].1 .0;
-                        sub_total += arena.count(m);
-                        tally.extend(
-                            arena
-                                .children(m)
-                                .iter()
-                                .map(|&(url, child)| (url, arena.count(child))),
-                        );
-                        run += 1;
-                    }
-                    sum_votes(&mut tally);
-                    pending.extend_from_slice(&tally);
-                    runs.push((ext, sub_total, start));
-                    total += sub_total;
+                tally.clear();
+                for e in bucket.iter().filter(|e| arena.has_children(e.node)) {
+                    total = total.saturating_add(arena.count(e.node));
+                    tally.extend(
+                        arena
+                            .children(e.node)
+                            .iter()
+                            .map(|&(url, child)| (url, arena.count(child))),
+                    );
                 }
-                head.total = narrow(total);
-                let narrowed = |&(url, count): &(UrlId, u64)| (url, narrow(count));
-                if runs.len() > 1 {
-                    tally.clear();
-                    tally.extend_from_slice(&pending);
-                    sum_votes(&mut tally);
-                    votes.extend(tally.iter().map(narrowed));
-                }
-                for (k, &(ext, sub_total, start)) in runs.iter().enumerate() {
-                    let end = runs.get(k + 1).map_or(pending.len(), |r| r.2);
-                    subs.push(Sub {
-                        ext,
-                        total: narrow(sub_total),
-                        votes: narrow(votes.len()),
-                    });
-                    votes.extend(pending[start..end].iter().map(narrowed));
+                sum_votes(&mut tally);
+                for &(url, count) in &tally {
+                    votes.push((url, narrow(count)?));
                 }
             }
+            heads.push(Head {
+                members: narrow(members.len())?,
+                votes: narrow(start)?,
+                total: narrow(total)?,
+                len: first.len,
+                dirty,
+            });
+            members.extend(bucket.iter().map(|e| NodeId(e.node)));
             keys.push(first.key);
-            heads.push(head);
         }
         drop(entries);
         heads.push(Head {
-            members: narrow(members.len()),
-            subs: narrow(subs.len()),
-            votes: narrow(votes.len()),
+            members: narrow(members.len())?,
+            votes: narrow(votes.len())?,
             total: 0,
             len: 0,
             dirty: false,
@@ -514,17 +385,16 @@ impl ContextIndex {
             while at < keys.len() && keys[at] >> shift < slot {
                 at += 1;
             }
-            dir.push(narrow(at));
+            dir.push(narrow(at)?);
         }
-        ContextIndex {
+        Ok(ContextIndex {
             keys: keys.into_boxed_slice(),
             dir: dir.into_boxed_slice(),
             shift,
             heads: heads.into_boxed_slice(),
             members: members.into_boxed_slice(),
-            subs: subs.into_boxed_slice(),
             votes: votes.into_boxed_slice(),
-        }
+        })
     }
 
     /// The group filed under bucket key `key`.
@@ -583,17 +453,6 @@ impl ContextIndex {
         true
     }
 
-    /// Corruption hook: adds one to the total of the first sub-group,
-    /// leaving every group-level aggregate intact. False when there is no
-    /// sub-group.
-    pub(crate) fn skew_sub_total(&mut self) -> bool {
-        let Some(s) = self.subs.first_mut() else {
-            return false;
-        };
-        s.total = s.total.wrapping_add(1);
-        true
-    }
-
     /// Total (node, window) entries stored.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -612,7 +471,6 @@ impl ContextIndex {
             + size_of_val(&*self.dir)
             + size_of_val(&*self.heads)
             + size_of_val(&*self.members)
-            + size_of_val(&*self.subs)
             + size_of_val(&*self.votes)
     }
 
@@ -659,7 +517,7 @@ mod tests {
     #[test]
     fn window_entries_cover_interior_suffixes() {
         let t = chain_tree(&[&[1, 2, 3, 4]]);
-        let idx = ContextIndex::windows(&t, 8);
+        let idx = ContextIndex::windows(&t, 8).unwrap();
         // Node "3" is filed under windows [3], [2,3], [1,2,3].
         let node3 = t.descend(&[u(1), u(2), u(3)]).unwrap();
         let mut h = ContextHashes::new();
@@ -677,37 +535,36 @@ mod tests {
     }
 
     #[test]
-    fn window_groups_aggregate_votes_by_extension() {
-        // Two branches share the interior window [2, 3]; its group sums
-        // both "3" nodes and keeps one sub-aggregate per extension URL.
-        let t = chain_tree(&[&[1, 2, 3, 4], &[5, 2, 3, 6]]);
-        let idx = ContextIndex::windows(&t, 8);
+    fn window_groups_aggregate_member_votes() {
+        // Three branches share the interior window [2, 3]: its group's
+        // total sums the voters' counts and its votes merge their children.
+        let t = chain_tree(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[5, 2, 3, 6], &[7, 2, 3, 4]]);
+        let idx = ContextIndex::windows(&t, 8).unwrap();
         let mut h = ContextHashes::new();
         h.compute(&[u(2), u(3)], 2);
         let g = idx.group(2, h.suffix_hash(2)).unwrap();
         assert!(!g.is_dirty());
-        assert_eq!(g.members().len(), 2);
-        assert_eq!(g.total(), 2);
-        assert_eq!(g.votes(), &[(u(4), 1), (u(6), 1)]);
-        assert_eq!(g.subs().count(), 2);
-        let s1 = g.sub_for(u(1)).unwrap();
-        assert_eq!((s1.total, s1.votes), (1, &[(u(4), 1)][..]));
-        assert!(g.sub_for(u(9)).is_none());
-        for &m in g.members() {
-            assert!(g.sub_for(extension(&t, m, 2).unwrap()).is_some());
+        assert_eq!(g.members().len(), 3);
+        let total: u64 = g.members().iter().map(|&m| t.count(m.0)).sum();
+        assert_eq!((u64::from(g.total()), total), (4, 4));
+        assert_eq!(g.votes(), &[(u(4), 3), (u(6), 1)]);
+        // A group with one voter holds exactly that node's children.
+        h.compute(&[u(5), u(2), u(3)], 3);
+        let g = idx.group(3, h.suffix_hash(3)).unwrap();
+        assert_eq!((g.total(), g.votes()), (1, &[(u(6), 1)][..]));
+        // Leaves are never voters, and a bucket without a voter is absent.
+        for g in idx.groups() {
+            assert!(g.members().iter().any(|&m| t.has_children(m.0)));
         }
-        // A window starting at a branch root has no extension, and a group
-        // with one sub-group shares its votes with it.
-        h.compute(&[u(1), u(2)], 2);
-        let g = idx.group(2, h.suffix_hash(2)).unwrap();
-        let subs: Vec<SubGroup<'_>> = g.subs().collect();
-        assert_eq!(subs.len(), 1);
-        assert_eq!(subs[0].ext, None);
-        assert_eq!((subs[0].total, subs[0].votes), (g.total(), g.votes()));
-        assert_eq!(extension(&t, g.members()[0], 2), None);
-        // Leaves are never voters, and a leaf-only bucket is not stored.
         h.compute(&[u(4)], 1);
         assert!(idx.group(1, h.suffix_hash(1)).is_none());
+        h.compute(&[u(3), u(6)], 2);
+        assert!(idx.group(2, h.suffix_hash(2)).is_none());
+    }
+
+    #[test]
+    fn a_head_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Head>(), 16);
     }
 
     #[test]
@@ -718,7 +575,7 @@ mod tests {
             .map(|i| vec![i % 17, i % 29 + 100, i % 7 + 200, i])
             .collect();
         let refs: Vec<&[u32]> = paths.iter().map(Vec::as_slice).collect();
-        let idx = ContextIndex::windows(&chain_tree(&refs), 8);
+        let idx = ContextIndex::windows(&chain_tree(&refs), 8).unwrap();
         assert!(idx.occupancy().buckets > 500);
         for g in idx.groups() {
             let found = idx.group_by_key(g.key()).expect("stored key resolves");
@@ -733,10 +590,10 @@ mod tests {
     #[test]
     fn clone_holds_the_same_bytes() {
         let t = chain_tree(&[&[1, 2, 3, 4], &[5, 2, 3, 6], &[2, 3, 4]]);
-        let idx = ContextIndex::windows(&t, 8);
+        let idx = ContextIndex::windows(&t, 8).unwrap();
         assert_eq!(idx.clone().memory_bytes(), idx.memory_bytes());
         assert_eq!(
-            ContextIndex::windows(&t, 8).memory_bytes(),
+            ContextIndex::windows(&t, 8).unwrap().memory_bytes(),
             idx.memory_bytes()
         );
     }

@@ -23,9 +23,21 @@
 //!
 //! After construction, [`PbPpm::finalize`] applies the two space
 //! optimizations of [`crate::prune`].
+//!
+//! **Matching.** A prediction votes with the nodes that spell the longest
+//! context suffix, up to `max_order` URLs, found through the fingerprint
+//! index ([`crate::context_index`]) by trying lengths longest-first. The
+//! reference scan ([`crate::reference`]) groups every node by its own
+//! longest match, so a node whose stored path also agrees with the
+//! context URL just above a length-`ℓ` window belongs to a longer group.
+//! That node never needs excluding from the length-`ℓ` group, though: it
+//! is filed in the length-`ℓ + 1` bucket of the same context, which the
+//! descent visits first, and as a voter it ends the descent there or at
+//! an even longer length. So the group at the length that votes is
+//! exactly the reference's group, and it votes whole.
 
-use crate::context_index::{extension, ContextHashes, ContextIndex};
-use crate::frozen::{mark_row, FrozenTree, NodeStore, NO_NODE};
+use crate::context_index::{ContextHashes, ContextIndex};
+use crate::frozen::{mark_row, FrozenTree, NodeStore};
 use crate::interner::UrlId;
 use crate::popularity::{Grade, PopularityTable};
 use crate::predictor::{rank_predictions, ModelKind, PredictUsage, Prediction, Predictor};
@@ -210,35 +222,20 @@ impl PbPpm {
 
     /// Per-member fallback for a fingerprint bucket flagged dirty at build
     /// time (members with genuinely different window contents hashed
-    /// alike): verifies and filters each member individually, exactly like
-    /// the reference scan's match-length grouping, recording usage per
-    /// node. `older` is the context URL just before the suffix, if the
-    /// suffix is not the whole (order-capped) context — a member whose
-    /// stored path extends with it belongs to a longer match group.
-    /// Returns true when the group voted, ending the length descent.
+    /// alike): verifies each member individually and records usage per
+    /// node. Returns true when the group voted, ending the length descent.
     fn vote_members(
         frozen: &FrozenTree,
         suffix: &[UrlId],
-        older: Option<UrlId>,
         members: &[NodeId],
         out: &mut Vec<Prediction>,
         usage: &mut PredictUsage,
     ) -> bool {
-        let mut voters: Vec<u32> = Vec::new();
-        for &id in members {
-            let Some(top) = frozen.match_top(id.0, suffix) else {
-                continue; // bucket collision
-            };
-            if let Some(older) = older {
-                let above = frozen.parent(top);
-                if above != NO_NODE && frozen.url(above) == older {
-                    continue; // match extends: counted at a longer length
-                }
-            }
-            if frozen.has_children(id.0) {
-                voters.push(id.0);
-            }
-        }
+        let voters: Vec<u32> = members
+            .iter()
+            .map(|id| id.0)
+            .filter(|&id| frozen.has_children(id) && frozen.match_top(id, suffix).is_some())
+            .collect();
         let parent_total: u64 = voters.iter().map(|&id| frozen.count(id)).sum();
         if parent_total == 0 {
             return false;
@@ -316,15 +313,13 @@ impl PbPpm {
     /// index hands us, per window length, the *precomputed aggregate*
     /// of all nodes whose window spells that content: one representative
     /// upward walk verifies the whole bucket against the suffix
-    /// (hash-bucket collisions), and the reference scan's maximality
-    /// rule — a node whose stored path keeps agreeing with an even older
-    /// context URL belongs to a longer match group — becomes a
-    /// subtraction of the per-extension sub-aggregate for the next-older
-    /// context URL. The longest length whose remaining total is positive
+    /// (hash-bucket collisions), and the longest length with a voter
     /// votes with its aggregated children, weighted by count. Buckets
     /// flagged dirty at build time (a genuine fingerprint collision)
     /// fall back to the per-member scan in `vote_members`. Every walk and
-    /// the link channel read the frozen arena (node ids map 1:1).
+    /// the link channel read the frozen arena (node ids map 1:1). The
+    /// voting group votes whole: see the module docs for why no member
+    /// ever needs excluding.
     fn predict_via_index(
         &self,
         frozen: &FrozenTree,
@@ -345,8 +340,7 @@ impl PbPpm {
             };
             let members = g.members();
             if g.is_dirty() {
-                let older = (l < longest).then(|| context[len - 1 - l]);
-                if Self::vote_members(frozen, suffix, older, members, out, usage) {
+                if Self::vote_members(frozen, suffix, members, out, usage) {
                     usage.index_fallback += 1;
                     break;
                 }
@@ -355,49 +349,15 @@ impl PbPpm {
             if frozen.match_top(members[0].0, suffix).is_none() {
                 continue; // clean bucket, so no node spells this suffix
             }
-            let excluded = if l < longest {
-                let ext = context[len - 1 - l];
-                g.sub_for(ext).map(|s| (ext, s))
-            } else {
-                None
-            };
-            let votes = g.votes();
-            match excluded {
-                None => {
-                    let total = g.total();
-                    if total == 0 {
-                        continue;
-                    }
-                    for &(url, count) in votes {
-                        out.push(Prediction::new(url, f64::from(count) / f64::from(total)));
-                        usage.branch_preds += 1;
-                    }
-                    usage.used_groups.push((g.key(), u64::MAX));
-                }
-                Some((ext, sub)) => {
-                    let total = g.total() - sub.total;
-                    if total == 0 {
-                        continue;
-                    }
-                    // The sub-group's votes are a sorted subset of the
-                    // group's: one forward merge subtracts the excluded
-                    // members' votes.
-                    let excluded_votes = sub.votes;
-                    let mut j = 0;
-                    for &(url, count) in votes {
-                        let mut c = count;
-                        if j < excluded_votes.len() && excluded_votes[j].0 == url {
-                            c -= excluded_votes[j].1;
-                            j += 1;
-                        }
-                        if c > 0 {
-                            out.push(Prediction::new(url, f64::from(c) / f64::from(total)));
-                            usage.branch_preds += 1;
-                        }
-                    }
-                    usage.used_groups.push((g.key(), u64::from(ext.0)));
-                }
+            let total = g.total();
+            if total == 0 {
+                continue;
             }
+            for &(url, count) in g.votes() {
+                out.push(Prediction::new(url, f64::from(count) / f64::from(total)));
+                usage.branch_preds += 1;
+            }
+            usage.used_groups.push(g.key());
             usage.index_fast += 1;
             break;
         }
@@ -445,7 +405,7 @@ impl PbPpm {
     /// directly from the image, then indexed.
     pub fn from_snapshot(snap: &PbSnapshot) -> Result<Self, crate::tree::SnapshotError> {
         let arena = FrozenTree::from_snapshot(&snap.tree, Some(&snap.pop))?;
-        let index = ContextIndex::windows(&arena, snap.cfg.max_order);
+        let index = ContextIndex::windows(&arena, snap.cfg.max_order)?;
         Ok(Self {
             store: NodeStore::loaded(arena),
             pop: snap.pop.clone(),
@@ -472,15 +432,6 @@ impl PbPpm {
     #[doc(hidden)]
     pub fn skew_index_aggregate_for_audit(&mut self) -> bool {
         self.index.skew_group_total()
-    }
-
-    /// Corruption hook for the audit adversarial harness: skews one
-    /// extension sub-aggregate's total in place and leaves every group
-    /// aggregate intact, simulating a stale sub-group. Returns false when
-    /// the index has no sub-group. Not part of the public API.
-    #[doc(hidden)]
-    pub fn skew_index_sub_aggregate_for_audit(&mut self) -> bool {
-        self.index.skew_sub_total()
     }
 }
 
@@ -517,7 +468,12 @@ impl Predictor for PbPpm {
         let Some(arena) = self.store.freeze(Some(&self.pop)) else {
             return;
         };
-        self.index = ContextIndex::windows(arena, self.cfg.max_order);
+        self.index = match ContextIndex::windows(arena, self.cfg.max_order) {
+            Ok(index) => index,
+            // Trained counts cannot overflow it: that takes 2^32
+            // sessions through one window.
+            Err(e) => panic!("{e}"),
+        };
         if pbppm_obs::ENABLED {
             self.publish_storage_gauges();
         }
@@ -548,30 +504,21 @@ impl Predictor for PbPpm {
         }
         if !usage.used_groups.is_empty() {
             // Resolve deferred group references back to node flags. Marking
-            // is idempotent, so each distinct (bucket, exclusion) pair needs
-            // resolving only once — an eval pass hits the same popular
-            // buckets thousands of times.
+            // is idempotent, so each distinct bucket needs resolving only
+            // once — an eval pass hits the same popular buckets thousands
+            // of times.
             let mut groups = usage.used_groups.clone();
             groups.sort_unstable();
             groups.dedup();
-            for &(key, ext_code) in &groups {
+            for &key in &groups {
                 let Some(g) = self.index.group_by_key(key) else {
                     continue;
                 };
-                // `ext_code` is a widened `UrlId` (or the `u64::MAX` "none"
-                // sentinel), so narrowing back is lossless.
-                #[allow(clippy::cast_possible_truncation)]
-                let excluded = (ext_code != u64::MAX).then_some(UrlId(ext_code as u32));
-                // The voters are the members with children, less the
-                // excluded extension's sub-group.
                 for &id in g.members() {
-                    if !arena.has_children(id.0)
-                        || (excluded.is_some() && extension(arena, id, g.window_len()) == excluded)
-                    {
-                        continue;
+                    if arena.has_children(id.0) {
+                        arena.mark_path(used, id.0);
+                        arena.mark_children(used, id.0);
                     }
-                    arena.mark_path(used, id.0);
-                    arena.mark_children(used, id.0);
                 }
             }
         }

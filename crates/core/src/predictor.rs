@@ -84,14 +84,13 @@ pub struct PredictUsage {
     pub link_preds: u64,
     /// Predictions emitted through PB-PPM branch matching.
     pub branch_preds: u64,
-    /// PB-PPM fingerprint groups that voted: `(bucket key, excluded
-    /// extension)`, the extension being the raw [`UrlId`] widened to `u64`,
-    /// or `u64::MAX` when nothing was excluded. The group's voters and
-    /// their children are resolved back to node flags by
-    /// [`crate::PbPpm`]'s `apply_usage` — recording a key here instead of
-    /// the member nodes keeps the fast path free of per-member work, and
-    /// since marking is idempotent the records deduplicate freely.
-    pub used_groups: Vec<(u64, u64)>,
+    /// Bucket keys of the PB-PPM fingerprint groups that voted. A group
+    /// votes whole (the longest-first argument in [`crate::pb`]'s module
+    /// docs), so `apply_usage` resolves a key back to every voter's path
+    /// and children — recording a key here instead of the member nodes
+    /// keeps the fast path free of per-member work, and since marking is
+    /// idempotent the records deduplicate freely.
+    pub used_groups: Vec<u64>,
     /// Nodes whose *entire* child row voted (the frozen CSR vote of the
     /// descent serving path). Like [`Self::used_groups`], one record
     /// stands in for every member: `apply_usage` expands it back to

@@ -139,7 +139,7 @@ mod tests {
         let a = arena(&[&[1, 2]]);
         // Only the voting root is filed: window [1]. The leaf's windows
         // [2] and [1, 2] predict nothing and are not stored.
-        let index = crate::context_index::ContextIndex::windows(&a, 8);
+        let index = crate::context_index::ContextIndex::windows(&a, 8).unwrap();
         let s = ModelStats::of_arena(&a, &[]).with_index(&index);
         assert_eq!(s.index_entries, 1);
         assert!(s.index_bytes > 0);

@@ -470,6 +470,9 @@ pub enum SnapshotError {
     BadLink(u32),
     /// The rebuilt arena fails its structural check.
     Malformed(&'static str),
+    /// A count, or a sum of counts, outgrows the fingerprint index's
+    /// 32-bit fields.
+    IndexOverflow,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -488,6 +491,9 @@ impl std::fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::Malformed(what) => write!(f, "malformed arena: {what}"),
+            SnapshotError::IndexOverflow => {
+                write!(f, "counts outgrow the fingerprint index's 32-bit fields")
+            }
         }
     }
 }

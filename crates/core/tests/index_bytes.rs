@@ -51,7 +51,8 @@ fn building_an_index_grows_the_live_heap_by_its_memory_bytes() {
     m.finalize();
     for max_order in [1, 3, 8] {
         let before = pbppm_obs::alloc::live_bytes();
-        let index = ContextIndex::windows(m.frozen().expect("finalized"), max_order);
+        let index = ContextIndex::windows(m.frozen().expect("finalized"), max_order)
+            .expect("trained counts fit");
         let grown = pbppm_obs::alloc::live_bytes() - before;
         assert!(
             index.len() > 100,

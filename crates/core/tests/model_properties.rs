@@ -245,14 +245,16 @@ proptest! {
     /// which walk each model's never-frozen reference tree —
     /// same URLs, same ranks, same (bit-identical) probabilities — for all
     /// three tree models, across random traces and every prefix context of
-    /// every training session plus unseen contexts.
+    /// every training session plus unseen contexts. PB-PPM's `max_order`
+    /// is drawn too, and one context runs past it, so the order cap bites.
     #[test]
     fn fast_path_is_bit_identical_to_reference(
         sessions in sessions_strategy(9, 8, 18),
         counts in prop::collection::vec(0u64..2000, 9),
+        max_order in 1usize..=9,
     ) {
         let pop = PopularityTable::from_counts(counts);
-        let mut pb = PbPpm::new(pop, PbConfig::default());
+        let mut pb = PbPpm::new(pop, PbConfig { max_order, ..PbConfig::default() });
         let mut standard = StandardPpm::unbounded();
         let mut lrs = StandardPpm::lrs();
         for s in &sessions {
@@ -277,6 +279,8 @@ proptest! {
         contexts.push(vec![UrlId(100)]);
         contexts.push(vec![UrlId(100), sessions[0][0]]);
         contexts.push(sessions[0].iter().rev().copied().collect());
+        // Every session back to back, cycled past the order cap.
+        contexts.push(sessions.iter().flatten().copied().cycle().take(max_order + 3).collect());
 
         prop_assert!(pb.frozen().is_some(), "finalize must compile a PB arena");
         prop_assert!(standard.frozen().is_some(), "finalize must compile a PPM arena");

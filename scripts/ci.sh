@@ -11,11 +11,13 @@
 #                              whole CLI dependency graph
 #   3. scripts/check.sh      — pbppm lint, fmt --check, clippy -D
 #                              warnings, the workspace test suite
-#   4. perfbench tests       — perfbench's own unit and smoke tests (its
-#                              own workspace, outside check.sh's reach),
-#                              among them every workload at tiny scale
-#                              (churn at 4 shards: every response ok, no
-#                              failed request, no rejected publish)
+#   4. perfbench             — fmt --check and clippy -D warnings over
+#                              perfbench, then its own unit and smoke
+#                              tests (its own workspace, outside
+#                              check.sh's reach), among them every
+#                              workload at tiny scale (churn at 4 shards:
+#                              every response ok, no failed request, no
+#                              rejected publish)
 #   5. snapshot smoke        — generate a tiny trace, then for each model
 #                              (pb, standard, lrs, o1): `pbppm train`
 #                              (writes the .pbss model file), `pbppm audit`
@@ -102,9 +104,11 @@ fi
 echo "== ci: check.sh" >&2
 scripts/check.sh
 
-echo "== ci: perfbench tests" >&2
-# perfbench is its own workspace, so `cargo test --workspace` never
-# reaches its unit and smoke tests.
+echo "== ci: perfbench lint and tests" >&2
+# perfbench is its own workspace, so check.sh's fmt and clippy and
+# `cargo test --workspace` never reach it.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy -q --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 echo "== ci: snapshot train/audit/predict smoke" >&2
