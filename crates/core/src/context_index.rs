@@ -20,13 +20,16 @@
 //! A popular URL's length-1 bucket holds *every* occurrence of that URL, so
 //! answering a one-click context by iterating the bucket would be the very
 //! occurrence scan the index exists to replace. Each bucket therefore
-//! stores a [`WindowGroup`]: its members plus their summed parent count and
-//! per-successor vote totals. A clean bucket is verified against the query
-//! with a single representative walk. Buckets whose members genuinely
-//! disagree about the window's content (a real 64-bit collision, detected
-//! at build time) are flagged dirty and answered member by member. Buckets
-//! without a single voting member are not stored at all: no query could
-//! get a prediction out of them.
+//! names a [`WindowGroup`]. A bucket with several members stores them
+//! plus their summed parent count and per-successor vote totals; a clean
+//! one is verified against the query with a single representative walk.
+//! Buckets whose members genuinely disagree about the window's content (a
+//! real 64-bit collision, detected at build time) are flagged dirty and
+//! answered member by member. A bucket with exactly one member stores
+//! nothing but that member's arena row: its votes are the row's children
+//! weighted by their counts and its total is the row's count, which the
+//! arena already holds. Buckets without a single voting member are not
+//! stored at all: no query could get a prediction out of them.
 //!
 //! The groups live in flat, sorted, exact-size lists (see
 //! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
@@ -115,86 +118,82 @@ fn path_hash_table(arena: &FrozenTree) -> Vec<u64> {
     hashes
 }
 
-/// Narrows a list offset or a summed count to the index's 4-byte fields.
-/// A trained model would need 16 GiB for its member list, or more than
-/// 2^32 sessions through one window, to outgrow them; a forged snapshot's
+/// Narrows a list offset or a count to the index's 4-byte fields. A
+/// trained model would need 16 GiB for its member list, or more than 2^32
+/// sessions through one window, to outgrow them; a forged snapshot's
 /// counts can.
 fn narrow<N: TryInto<u32>>(n: N) -> Result<u32, SnapshotError> {
     n.try_into().map_err(|_| SnapshotError::IndexOverflow)
 }
 
-/// One group's fixed fields. `heads` holds one more entry than there are
-/// groups, whose offsets close the last group's runs: group `g`'s members
-/// are `heads[g].members..heads[g + 1].members`, and its votes are
-/// `heads[g].votes..heads[g + 1].votes`.
+/// Slot tag of a stored group: the slot's low bits index `heads`. A slot
+/// without it holds the arena row of a one-member group.
+const STORED: u32 = 1 << 31;
+/// Slot tag, beside [`STORED`], of a group whose members collided.
+const DIRTY: u32 = 1 << 30;
+
+/// Narrows `n` to a slot payload, which must stay below `tag`.
+fn slot_payload<N: TryInto<u32>>(n: N, tag: u32) -> Result<u32, SnapshotError> {
+    let n = narrow(n)?;
+    if n < tag {
+        Ok(n)
+    } else {
+        Err(SnapshotError::IndexOverflow)
+    }
+}
+
+/// A stored group's fixed fields. `heads` holds one more entry than there
+/// are stored groups, whose offsets close the last group's runs: group
+/// `g`'s members are `heads[g].members..heads[g + 1].members`, and its
+/// votes are `heads[g].votes..heads[g + 1].votes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Head {
     members: u32,
     votes: u32,
     /// Summed count of all members that have alive children.
     total: u32,
-    /// The window length the bucket was filed under.
-    len: u8,
-    /// Build-time hash collision (see [`WindowGroup::is_dirty`]).
-    dirty: bool,
 }
 
-/// One fingerprint bucket: the nodes filed under it and their precomputed
-/// vote aggregates, resolved from the index's flat lists.
+/// One fingerprint bucket, resolved from the index's flat lists.
 ///
 /// All members of a clean bucket spell the same window of URLs, so the
 /// answer to "the context's longest match is this window — what do its
 /// occurrences predict?" is the same for every query and can be summed
-/// once at build time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WindowGroup<'a> {
-    index: &'a ContextIndex,
-    key: u64,
-    head: &'a Head,
-    /// The next group's head, whose run starts end this group's runs.
-    next: &'a Head,
+/// once at build time, or read straight from the arena when the bucket
+/// has one member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WindowGroup<'a> {
+    /// The bucket's one member. Its votes are the row's children weighted
+    /// by their counts, and its total is the row's count.
+    Derived(NodeId),
+    /// Several members that spell the same window, with their aggregates.
+    Clean {
+        /// Every member, in arena order; the first is the representative
+        /// one upward walk verifies the bucket's content against.
+        members: &'a [NodeId],
+        /// Summed count of all members that have alive children (the
+        /// group's vote denominator).
+        total: u32,
+        /// Per-successor vote totals over all voting members, by URL.
+        votes: &'a [(UrlId, u32)],
+    },
+    /// Several members that disagree about the window's content (a
+    /// build-time hash collision): queries verify and vote member by
+    /// member, and no aggregates are kept.
+    Dirty {
+        /// Every member, in arena order.
+        members: &'a [NodeId],
+    },
 }
 
-impl<'a> WindowGroup<'a> {
-    /// The bucket key the group is filed under.
+impl WindowGroup<'_> {
+    /// Every node filed under the bucket, in arena order.
     #[inline]
-    pub(crate) fn key(&self) -> u64 {
-        self.key
-    }
-
-    /// Every node filed under the bucket, in arena order. The first is
-    /// the representative: one upward walk against it verifies a clean
-    /// bucket's content against the query suffix.
-    #[inline]
-    pub(crate) fn members(&self) -> &'a [NodeId] {
-        &self.index.members[self.head.members as usize..self.next.members as usize]
-    }
-
-    /// Summed count of all members that have alive children (the group's
-    /// vote denominator).
-    #[inline]
-    pub(crate) fn total(&self) -> u32 {
-        self.head.total
-    }
-
-    /// The window length the bucket was filed under.
-    #[inline]
-    pub(crate) fn window_len(&self) -> usize {
-        usize::from(self.head.len)
-    }
-
-    /// Build-time hash collision: members disagree about the window's
-    /// content, so queries must verify and aggregate member by member and
-    /// the aggregates stay empty.
-    #[inline]
-    pub(crate) fn is_dirty(&self) -> bool {
-        self.head.dirty
-    }
-
-    /// Per-successor vote totals over all voting members, sorted by URL.
-    #[inline]
-    pub(crate) fn votes(&self) -> &'a [(UrlId, u32)] {
-        &self.index.votes[self.head.votes as usize..self.next.votes as usize]
+    pub(crate) fn members(&self) -> &[NodeId] {
+        match self {
+            WindowGroup::Derived(row) => std::slice::from_ref(row),
+            WindowGroup::Clean { members, .. } | WindowGroup::Dirty { members } => members,
+        }
     }
 }
 
@@ -226,6 +225,8 @@ pub struct IndexOccupancy {
     /// Groups whose members collided (queried member by member instead of
     /// via the precomputed aggregate).
     pub dirty_groups: usize,
+    /// One-member groups, answered from their row in the arena.
+    pub derived_groups: usize,
 }
 
 /// One `(node, window)` filing during a build: the bucket key, the member
@@ -259,7 +260,10 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
 /// * `keys` holds the group keys sorted; a radix directory on their top
 ///   bits narrows a lookup to a few neighbouring keys (the keys are mixed
 ///   64-bit hashes, so the slots fill evenly);
-/// * `heads[g]` holds group `g`'s fixed fields and where its runs start in
+/// * `slots[i]` says where key `i`'s group lives: a one-member group's
+///   arena row, or (tagged [`STORED`], and [`DIRTY`] after a collision)
+///   the index of a stored group's head;
+/// * `heads[g]` holds stored group `g`'s total and where its runs start in
 ///   `members` and `votes`; each run ends where the next group's starts;
 /// * a clean group's vote run is its voters' children, summed per URL; a
 ///   dirty group's is empty;
@@ -275,6 +279,7 @@ pub struct ContextIndex {
     dir: Box<[u32]>,
     /// `64 − directory bits`.
     shift: u32,
+    slots: Box<[u32]>,
     heads: Box<[Head]>,
     members: Box<[NodeId]>,
     votes: Box<[(UrlId, u32)]>,
@@ -283,9 +288,10 @@ pub struct ContextIndex {
 impl ContextIndex {
     /// Builds the all-windows index: every branch row is filed under each
     /// suffix window of its upward path, up to `max_order` URLs, and every
-    /// bucket with at least one voting member gets its aggregates
-    /// precomputed. Fails when a summed count or a list offset outgrows
-    /// the index's 4-byte fields.
+    /// bucket with at least one voting member is kept: a one-member bucket
+    /// as its row, a larger one with its aggregates precomputed. Fails
+    /// when a count, a summed count or a list offset outgrows the index's
+    /// 4-byte fields.
     pub fn windows(arena: &FrozenTree, max_order: usize) -> Result<Self, SnapshotError> {
         let hashes = path_hash_table(arena);
         // Phase 1: one flat entry per (node, window), sorted so that each
@@ -323,9 +329,10 @@ impl ContextIndex {
         drop(hashes);
         entries.sort_unstable_by_key(|e| (e.key, e.node, e.len));
 
-        // Phase 2: aggregate each bucket that has a voter into its group.
-        let (mut keys, mut heads, mut members, mut votes) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        // Phase 2: file each bucket that has a voter as its row, or as a
+        // group with its aggregates.
+        let (mut keys, mut slots, mut heads, mut members, mut votes) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut tally: Vec<(UrlId, u64)> = Vec::new();
         let mut rest = entries.as_slice();
         while let Some(first) = rest.first() {
@@ -334,6 +341,18 @@ impl ContextIndex {
             rest = tail;
             if !bucket.iter().any(|e| arena.has_children(e.node)) {
                 continue; // no query could get a prediction out of it
+            }
+            keys.push(first.key);
+            if let [only] = bucket {
+                // The arena answers for it, but its counts must fit the
+                // fields a stored group would hold them in: a file the
+                // index could not aggregate is refused either way.
+                narrow(arena.count(only.node))?;
+                for &(_, child) in arena.children(only.node) {
+                    narrow(arena.count(child))?;
+                }
+                slots.push(slot_payload(only.node, STORED)?);
+                continue;
             }
             let len = usize::from(first.len);
             let dirty = bucket[1..]
@@ -357,23 +376,20 @@ impl ContextIndex {
                     votes.push((url, narrow(count)?));
                 }
             }
+            let tag = if dirty { STORED | DIRTY } else { STORED };
+            slots.push(tag | slot_payload(heads.len(), DIRTY)?);
             heads.push(Head {
                 members: narrow(members.len())?,
                 votes: narrow(start)?,
                 total: narrow(total)?,
-                len: first.len,
-                dirty,
             });
             members.extend(bucket.iter().map(|e| NodeId(e.node)));
-            keys.push(first.key);
         }
         drop(entries);
         heads.push(Head {
             members: narrow(members.len())?,
             votes: narrow(votes.len())?,
             total: 0,
-            len: 0,
-            dirty: false,
         });
 
         // About two to four keys per directory slot.
@@ -391,6 +407,7 @@ impl ContextIndex {
             keys: keys.into_boxed_slice(),
             dir: dir.into_boxed_slice(),
             shift,
+            slots: slots.into_boxed_slice(),
             heads: heads.into_boxed_slice(),
             members: members.into_boxed_slice(),
             votes: votes.into_boxed_slice(),
@@ -407,60 +424,95 @@ impl ContextIndex {
         Some(self.group_at(at))
     }
 
-    /// The group stored at position `at` of `keys`.
+    /// The group whose key sits at position `at` of `keys`.
     #[inline]
     fn group_at(&self, at: usize) -> WindowGroup<'_> {
-        let pair = &self.heads[at..at + 2];
-        WindowGroup {
-            index: self,
-            key: self.keys[at],
-            head: &pair[0],
-            next: &pair[1],
+        let slot = self.slots[at];
+        if slot & STORED == 0 {
+            return WindowGroup::Derived(NodeId(slot));
+        }
+        let g = (slot & !(STORED | DIRTY)) as usize;
+        let (head, next) = (&self.heads[g], &self.heads[g + 1]);
+        let members = &self.members[head.members as usize..next.members as usize];
+        if slot & DIRTY != 0 {
+            return WindowGroup::Dirty { members };
+        }
+        WindowGroup::Clean {
+            members,
+            total: head.total,
+            votes: &self.votes[head.votes as usize..next.votes as usize],
         }
     }
 
-    /// The group for the `(len, hash)` bucket.
-    #[inline]
-    pub(crate) fn group(&self, len: usize, hash: u64) -> Option<WindowGroup<'_>> {
-        self.group_by_key(bucket_key(len, hash))
+    /// Every group with its key, in key order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = (u64, WindowGroup<'_>)> {
+        (0..self.keys.len()).map(move |at| (self.keys[at], self.group_at(at)))
     }
 
-    /// Every group, in key order.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = WindowGroup<'_>> {
-        (0..self.keys.len()).map(move |at| self.group_at(at))
-    }
-
-    /// Test hook: flags every group dirty, forcing queries down the
-    /// per-member fallback path.
+    /// Test hook: stores every group, one-member groups included, and
+    /// flags it dirty, forcing queries down the per-member fallback path.
     #[cfg(test)]
     pub(crate) fn force_dirty(&mut self) {
-        for h in self.heads.iter_mut() {
-            h.dirty = true;
+        let runs: Vec<Vec<NodeId>> = self.groups().map(|(_, g)| g.members().to_vec()).collect();
+        let (mut heads, mut members) = (Vec::new(), Vec::new());
+        for (g, run) in runs.iter().enumerate() {
+            self.slots[g] = STORED | DIRTY | slot_payload(g, DIRTY).expect("test-sized index");
+            heads.push(Head {
+                members: narrow(members.len()).expect("test-sized index"),
+                votes: 0,
+                total: 0,
+            });
+            members.extend_from_slice(run);
         }
+        heads.push(Head {
+            members: narrow(members.len()).expect("test-sized index"),
+            votes: 0,
+            total: 0,
+        });
+        self.heads = heads.into_boxed_slice();
+        self.members = members.into_boxed_slice();
+        self.votes = Box::default();
     }
 
-    /// Corruption hook: adds one to the total of the first clean group
-    /// that has one. False when there is none.
+    /// Corruption hook: adds one to the total of the first clean stored
+    /// group that has one. False when there is none.
     pub(crate) fn skew_group_total(&mut self) -> bool {
-        let groups = self.keys.len();
-        let Some(h) = self.heads[..groups]
-            .iter_mut()
-            .find(|h| !h.dirty && h.total > 0)
+        let Some(g) = self
+            .slots
+            .iter()
+            .filter(|&&s| s & (STORED | DIRTY) == STORED)
+            .map(|&s| (s & !STORED) as usize)
+            .find(|&g| self.heads[g].total > 0)
         else {
             return false;
         };
-        h.total += 1;
+        self.heads[g].total += 1;
         true
     }
 
-    /// Total (node, window) entries stored.
+    /// Corruption hook: points the first one-member group at the next row
+    /// of an arena of `rows` rows. False when there is no such group.
+    pub(crate) fn repoint_derived_group(&mut self, rows: u32) -> bool {
+        let Some(slot) = self.slots.iter_mut().find(|s| **s & STORED == 0) else {
+            return false;
+        };
+        if rows < 2 {
+            return false;
+        }
+        *slot = (*slot + 1) % rows;
+        true
+    }
+
+    /// Total (node, window) entries filed: every stored member plus one
+    /// per one-member group.
     pub fn len(&self) -> usize {
-        self.members.len()
+        let stored = self.heads.len().saturating_sub(1);
+        self.members.len() + self.keys.len() - stored
     }
 
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.keys.is_empty()
     }
 
     /// Resident heap bytes (for storage reporting alongside
@@ -469,6 +521,7 @@ impl ContextIndex {
         use std::mem::size_of_val;
         size_of_val(&*self.keys)
             + size_of_val(&*self.dir)
+            + size_of_val(&*self.slots)
             + size_of_val(&*self.heads)
             + size_of_val(&*self.members)
             + size_of_val(&*self.votes)
@@ -478,11 +531,19 @@ impl ContextIndex {
     /// back to per-member verification at query time, so the dirty count is
     /// the structural ceiling on slow-bucket lookups.
     pub fn occupancy(&self) -> IndexOccupancy {
-        IndexOccupancy {
+        let mut occ = IndexOccupancy {
             buckets: self.keys.len(),
-            max_bucket: self.groups().map(|g| g.members().len()).max().unwrap_or(0),
-            dirty_groups: self.groups().filter(WindowGroup::is_dirty).count(),
+            ..IndexOccupancy::default()
+        };
+        for (_, g) in self.groups() {
+            occ.max_bucket = occ.max_bucket.max(g.members().len());
+            match g {
+                WindowGroup::Derived(_) => occ.derived_groups += 1,
+                WindowGroup::Dirty { .. } => occ.dirty_groups += 1,
+                WindowGroup::Clean { .. } => {}
+            }
         }
+        occ
     }
 }
 
@@ -492,6 +553,14 @@ mod tests {
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
+    }
+
+    /// The group a context ending in `window` would look up.
+    fn group<'a>(idx: &'a ContextIndex, window: &[u32]) -> Option<WindowGroup<'a>> {
+        let context: Vec<UrlId> = window.iter().map(|&n| u(n)).collect();
+        let mut h = ContextHashes::new();
+        h.compute(&context, context.len());
+        idx.group_by_key(bucket_key(context.len(), h.suffix_hash(context.len())))
     }
 
     fn chain_tree(paths: &[&[u32]]) -> FrozenTree {
@@ -520,17 +589,12 @@ mod tests {
         let idx = ContextIndex::windows(&t, 8).unwrap();
         // Node "3" is filed under windows [3], [2,3], [1,2,3].
         let node3 = t.descend(&[u(1), u(2), u(3)]).unwrap();
-        let mut h = ContextHashes::new();
-        h.compute(&[u(2), u(3)], 2);
-        let g = idx.group(2, h.suffix_hash(2)).unwrap();
+        let g = group(&idx, &[2, 3]).unwrap();
         assert_eq!(g.members(), &[NodeId(node3)]);
-        assert_eq!(g.window_len(), 2);
-        h.compute(&[u(3)], 1);
-        assert!(idx.group(1, h.suffix_hash(1)).is_some());
+        assert!(group(&idx, &[3]).is_some());
         // The leaf "4" votes for nothing, so its four windows are not
         // stored: 1 + 2 + 3 entries for the voting nodes 1, 2 and 3.
-        h.compute(&[u(3), u(4)], 2);
-        assert!(idx.group(2, h.suffix_hash(2)).is_none());
+        assert!(group(&idx, &[3, 4]).is_none());
         assert_eq!(idx.len(), 1 + 2 + 3);
     }
 
@@ -540,31 +604,61 @@ mod tests {
         // total sums the voters' counts and its votes merge their children.
         let t = chain_tree(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[5, 2, 3, 6], &[7, 2, 3, 4]]);
         let idx = ContextIndex::windows(&t, 8).unwrap();
-        let mut h = ContextHashes::new();
-        h.compute(&[u(2), u(3)], 2);
-        let g = idx.group(2, h.suffix_hash(2)).unwrap();
-        assert!(!g.is_dirty());
-        assert_eq!(g.members().len(), 3);
-        let total: u64 = g.members().iter().map(|&m| t.count(m.0)).sum();
-        assert_eq!((u64::from(g.total()), total), (4, 4));
-        assert_eq!(g.votes(), &[(u(4), 3), (u(6), 1)]);
-        // A group with one voter holds exactly that node's children.
-        h.compute(&[u(5), u(2), u(3)], 3);
-        let g = idx.group(3, h.suffix_hash(3)).unwrap();
-        assert_eq!((g.total(), g.votes()), (1, &[(u(6), 1)][..]));
+        let Some(WindowGroup::Clean {
+            members,
+            total,
+            votes,
+        }) = group(&idx, &[2, 3])
+        else {
+            panic!("[2, 3] is a clean stored group");
+        };
+        assert_eq!(members.len(), 3);
+        let summed: u64 = members.iter().map(|&m| t.count(m.0)).sum();
+        assert_eq!((u64::from(total), summed), (4, 4));
+        assert_eq!(votes, &[(u(4), 3), (u(6), 1)]);
         // Leaves are never voters, and a bucket without a voter is absent.
-        for g in idx.groups() {
+        for (_, g) in idx.groups() {
             assert!(g.members().iter().any(|&m| t.has_children(m.0)));
         }
-        h.compute(&[u(4)], 1);
-        assert!(idx.group(1, h.suffix_hash(1)).is_none());
-        h.compute(&[u(3), u(6)], 2);
-        assert!(idx.group(2, h.suffix_hash(2)).is_none());
+        assert!(group(&idx, &[4]).is_none());
+        assert!(group(&idx, &[3, 6]).is_none());
     }
 
     #[test]
-    fn a_head_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Head>(), 16);
+    fn a_one_member_group_resolves_to_its_row() {
+        // [5, 2, 3] ends at one node: the index keeps only its row, whose
+        // children and count are the votes and total a stored group of
+        // that one voter would hold.
+        let t = chain_tree(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[5, 2, 3, 6], &[7, 2, 3, 4]]);
+        let idx = ContextIndex::windows(&t, 8).unwrap();
+        let row = t.descend(&[u(5), u(2), u(3)]).unwrap();
+        assert_eq!(
+            group(&idx, &[5, 2, 3]),
+            Some(WindowGroup::Derived(NodeId(row)))
+        );
+        let votes: Vec<(UrlId, u64)> = t
+            .children(row)
+            .iter()
+            .map(|&(url, child)| (url, t.count(child)))
+            .collect();
+        assert_eq!((t.count(row), votes), (1, vec![(u(6), 1)]));
+        // Every one-member group is derived, and every entry still counts.
+        let occ = idx.occupancy();
+        let stored: usize = idx
+            .groups()
+            .filter(|(_, g)| !matches!(g, WindowGroup::Derived(_)))
+            .map(|(_, g)| g.members().len())
+            .sum();
+        assert!(occ.derived_groups > 0 && occ.derived_groups < occ.buckets);
+        assert_eq!(idx.len(), stored + occ.derived_groups);
+        for (_, g) in idx.groups() {
+            assert_eq!(g.members().len() == 1, matches!(g, WindowGroup::Derived(_)));
+        }
+    }
+
+    #[test]
+    fn a_head_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Head>(), 12);
     }
 
     #[test]
@@ -577,13 +671,10 @@ mod tests {
         let refs: Vec<&[u32]> = paths.iter().map(Vec::as_slice).collect();
         let idx = ContextIndex::windows(&chain_tree(&refs), 8).unwrap();
         assert!(idx.occupancy().buckets > 500);
-        for g in idx.groups() {
-            let found = idx.group_by_key(g.key()).expect("stored key resolves");
-            assert_eq!((found.key(), found.members()), (g.key(), g.members()));
+        for (key, g) in idx.groups() {
+            assert_eq!(idx.group_by_key(key), Some(g), "stored key resolves");
         }
-        let mut h = ContextHashes::new();
-        h.compute(&[u(9_999)], 1);
-        assert!(idx.group(1, h.suffix_hash(1)).is_none());
+        assert!(group(&idx, &[9_999]).is_none());
         assert!(ContextIndex::default().group_by_key(0).is_none());
     }
 

@@ -36,7 +36,7 @@
 //! an even longer length. So the group at the length that votes is
 //! exactly the reference's group, and it votes whole.
 
-use crate::context_index::{ContextHashes, ContextIndex};
+use crate::context_index::{bucket_key, ContextHashes, ContextIndex, WindowGroup};
 use crate::frozen::{mark_row, FrozenTree, NodeStore};
 use crate::interner::UrlId;
 use crate::popularity::{Grade, PopularityTable};
@@ -179,8 +179,8 @@ pub struct PbPpm {
     /// See [`PbPpm::emitted_link_preds`].
     pub emitted_branch_preds: u64,
     /// Fingerprint index: `(window length, rolling hash)` → the nodes
-    /// spelling that window plus their precomputed vote aggregates
-    /// ([`crate::context_index::WindowGroup`]), built once in
+    /// spelling that window plus their precomputed vote aggregates, or the
+    /// one node's arena row ([`crate::context_index::WindowGroup`]), built once in
     /// [`PbPpm::finalize`] over the pruned arena, in flat sorted lists.
     ///
     /// Standard and LRS trees store every *suffix* of a sequence as its own
@@ -281,6 +281,8 @@ impl PbPpm {
             .set(occ.max_bucket as u64);
         reg.gauge("core.index.dirty_groups", &label)
             .set(occ.dirty_groups as u64);
+        reg.gauge("core.index.derived_groups", &label)
+            .set(occ.derived_groups as u64);
     }
 
     /// The pointer tree `finalize` would freeze: the training tree after
@@ -311,10 +313,11 @@ impl PbPpm {
     /// Branch predictions via the longest matching context, sought at
     /// interior nodes (see the `index` field docs). The fingerprint
     /// index hands us, per window length, the *precomputed aggregate*
-    /// of all nodes whose window spells that content: one representative
-    /// upward walk verifies the whole bucket against the suffix
-    /// (hash-bucket collisions), and the longest length with a voter
-    /// votes with its aggregated children, weighted by count. Buckets
+    /// of all nodes whose window spells that content, or the arena row of
+    /// the one node that does: one representative upward walk verifies
+    /// the whole bucket against the suffix (hash-bucket collisions), and
+    /// the longest length with a voter votes with its aggregated (or the
+    /// row's own) children, weighted by count. Buckets
     /// flagged dirty at build time (a genuine fingerprint collision)
     /// fall back to the per-member scan in `vote_members`. Every walk and
     /// the link channel read the frozen arena (node ids map 1:1). The
@@ -335,29 +338,54 @@ impl PbPpm {
         hashes.compute(context, longest);
         for l in (1..=longest).rev() {
             let suffix = &context[len - l..];
-            let Some(g) = index.group(l, hashes.suffix_hash(l)) else {
+            let key = bucket_key(l, hashes.suffix_hash(l));
+            let Some(g) = index.group_by_key(key) else {
                 continue;
             };
-            let members = g.members();
-            if g.is_dirty() {
-                if Self::vote_members(frozen, suffix, members, out, usage) {
-                    usage.index_fallback += 1;
-                    break;
+            match g {
+                WindowGroup::Derived(row) => {
+                    let row = row.0;
+                    if frozen.match_top(row, suffix).is_none() {
+                        continue; // a hash collision: the row spells another window
+                    }
+                    // The build fitted the row's counts in 32 bits, as a
+                    // stored group's, so these quotients are its quotients.
+                    let total = frozen.count(row);
+                    if total == 0 {
+                        continue;
+                    }
+                    let total = total as f64;
+                    let children = frozen.children(row);
+                    for &(url, child) in children {
+                        out.push(Prediction::new(url, frozen.count(child) as f64 / total));
+                    }
+                    usage.branch_preds += children.len() as u64;
                 }
-                continue;
+                WindowGroup::Clean {
+                    members,
+                    total,
+                    votes,
+                } => {
+                    if frozen.match_top(members[0].0, suffix).is_none() {
+                        continue; // clean bucket, so no node spells this suffix
+                    }
+                    if total == 0 {
+                        continue;
+                    }
+                    for &(url, count) in votes {
+                        out.push(Prediction::new(url, f64::from(count) / f64::from(total)));
+                    }
+                    usage.branch_preds += votes.len() as u64;
+                }
+                WindowGroup::Dirty { members } => {
+                    if Self::vote_members(frozen, suffix, members, out, usage) {
+                        usage.index_fallback += 1;
+                        break;
+                    }
+                    continue;
+                }
             }
-            if frozen.match_top(members[0].0, suffix).is_none() {
-                continue; // clean bucket, so no node spells this suffix
-            }
-            let total = g.total();
-            if total == 0 {
-                continue;
-            }
-            for &(url, count) in g.votes() {
-                out.push(Prediction::new(url, f64::from(count) / f64::from(total)));
-                usage.branch_preds += 1;
-            }
-            usage.used_groups.push(g.key());
+            usage.used_groups.push(key);
             usage.index_fast += 1;
             break;
         }
@@ -432,6 +460,16 @@ impl PbPpm {
     #[doc(hidden)]
     pub fn skew_index_aggregate_for_audit(&mut self) -> bool {
         self.index.skew_group_total()
+    }
+
+    /// Corruption hook for the audit adversarial harness: points one
+    /// one-member fingerprint group at a different arena row, simulating
+    /// an index whose derived groups drifted from the arena. Returns false
+    /// when the index has no one-member group. Not part of the public API.
+    #[doc(hidden)]
+    pub fn repoint_derived_index_group_for_audit(&mut self) -> bool {
+        let rows = self.frozen().map_or(0, FrozenTree::rows);
+        self.index.repoint_derived_group(rows)
     }
 }
 
@@ -905,7 +943,16 @@ mod tests {
             fallback.predict_ro(ctx, &mut out, &mut usage);
             fallback.apply_usage(&usage);
         }
-        assert_eq!(grouped.stats(), fallback.stats());
+        let marks = |m: &mut PbPpm| m.store.usage_marks().map(|(_, used)| used.to_vec());
+        let marked = marks(&mut grouped);
+        assert!(marked.iter().flatten().any(|&w| w != 0), "contexts vote");
+        assert_eq!(marked, marks(&mut fallback));
+        // `force_dirty` stores every group, so only the index bytes differ.
+        let stats = |m: &PbPpm| ModelStats {
+            index_bytes: 0,
+            ..m.stats()
+        };
+        assert_eq!(stats(&grouped), stats(&fallback));
     }
 
     /// A finalized model, its publish clone and its snapshot restore hold

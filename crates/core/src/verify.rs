@@ -29,7 +29,7 @@
 //! finished tree cannot falsify it. The checker instead verifies the root
 //! *registry* is structurally sound in both directions.
 
-use crate::context_index::ContextIndex;
+use crate::context_index::{ContextIndex, WindowGroup};
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
 use crate::order1::Order1Markov;
@@ -852,9 +852,11 @@ fn verify_no_links(arena: &FrozenTree, report: &mut AuditReport) {
 /// Compares a stored fingerprint index against a fresh rebuild. Both are
 /// canonical layouts (keys sorted, runs in key order, members in arena
 /// order), so a faithful stored index equals the rebuild exactly. The walk
-/// resolves each group through both lookups to name what diverged; a
-/// difference it cannot name (a directory or run offset) is still a shape
-/// divergence.
+/// resolves each group through both lookups to name what diverged: a
+/// group whose slot tag, arena row or members differ is a shape
+/// divergence, and a stored group whose members agree but whose total or
+/// votes do not is a stale aggregate. A difference it cannot name (a
+/// directory, slot or run offset) is still a shape divergence.
 fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditReport) {
     report.tick();
     let found = report.violations.len();
@@ -867,39 +869,43 @@ fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditR
             ),
         });
     }
-    for fg in fresh.groups() {
+    for (key, fg) in fresh.groups() {
         report.tick();
-        let key = fg.key();
         let Some(sg) = stored.group_by_key(key) else {
             report.violations.push(Violation::IndexShapeDiverges {
                 detail: format!("group {key:#x} missing"),
             });
             continue;
         };
-        if sg.members() != fg.members()
-            || sg.window_len() != fg.window_len()
-            || sg.is_dirty() != fg.is_dirty()
-        {
-            report.violations.push(Violation::IndexShapeDiverges {
-                detail: format!("group {key:#x} members, window length or dirty flag differ"),
-            });
+        if sg == fg {
             continue;
         }
-        let (stored_votes, fresh_votes) = (sg.votes(), fg.votes());
-        if sg.total() != fg.total() || stored_votes != fresh_votes {
-            report.violations.push(Violation::IndexAggregateStale {
+        report.violations.push(match (sg, fg) {
+            (
+                WindowGroup::Clean {
+                    members,
+                    total,
+                    votes,
+                },
+                WindowGroup::Clean {
+                    members: fresh_members,
+                    total: fresh_total,
+                    votes: fresh_votes,
+                },
+            ) if members == fresh_members => Violation::IndexAggregateStale {
                 detail: format!(
-                    "group {key:#x}: stored total {} / {} vote urls, recomputed total {} / {}",
-                    sg.total(),
-                    stored_votes.len(),
-                    fg.total(),
+                    "group {key:#x}: stored total {total} / {} vote urls, \
+                     recomputed total {fresh_total} / {}",
+                    votes.len(),
                     fresh_votes.len()
                 ),
-            });
-        }
+            },
+            _ => Violation::IndexShapeDiverges {
+                detail: format!("group {key:#x} slot tag, arena row or members differ"),
+            },
+        });
     }
-    for sg in stored.groups() {
-        let key = sg.key();
+    for (key, _) in stored.groups() {
         if fresh.group_by_key(key).is_none() {
             report.violations.push(Violation::IndexShapeDiverges {
                 detail: format!("group {key:#x} has no counterpart in a rebuild"),
@@ -908,7 +914,7 @@ fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditR
     }
     if report.violations.len() == found && stored != fresh {
         report.violations.push(Violation::IndexShapeDiverges {
-            detail: "lookup directory or run offsets differ from a rebuild".to_owned(),
+            detail: "lookup directory, slots or run offsets differ from a rebuild".to_owned(),
         });
     }
 }

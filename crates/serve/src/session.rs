@@ -479,6 +479,7 @@ impl ServeSession {
             nodes: s.nodes as u64,
             bytes: s.total_bytes() as u64,
             interner_bytes: self.urls.memory_bytes() as u64,
+            index_bytes: s.index_bytes as u64,
             checkpoints: self.checkpoints_written,
             audits: self.recovery_audits,
             flush_failures: self.flush_failures,
@@ -503,6 +504,7 @@ pub(crate) struct Totals {
     pub(crate) nodes: u64,
     pub(crate) bytes: u64,
     pub(crate) interner_bytes: u64,
+    pub(crate) index_bytes: u64,
     pub(crate) checkpoints: u64,
     pub(crate) audits: u64,
     pub(crate) flush_failures: u64,
@@ -524,6 +526,7 @@ impl Totals {
         self.nodes += other.nodes;
         self.bytes += other.bytes;
         self.interner_bytes += other.interner_bytes;
+        self.index_bytes += other.index_bytes;
         self.checkpoints += other.checkpoints;
         self.audits += other.audits;
         self.flush_failures += other.flush_failures;

@@ -11,7 +11,8 @@
 //! predict [@client] /a.html,/b.html  -> "ok N" then N lines "prob url"
 //! checkpoint                         checkpoint every shard now
 //! stats                              one-line model + serving summary
-//!                                    (model `bytes`, `interner_bytes`, …)
+//!                                    (model `bytes`, `interner_bytes`,
+//!                                    `index_bytes`, …)
 //! metrics [--prom]                   -> "ok N" then N report lines
 //! trace N                            -> "ok M" then M rows "sK <record>"
 //! health                             one line: healthy/degraded + counters
@@ -373,8 +374,8 @@ impl ShardedServer {
         let t = self.totals();
         format!(
             "ok shards {}, urls {}, window {}, rebuilds {}, nodes {}, bytes {}, \
-             interner_bytes {}, recovered {}, rebuilds_since_start {}, checkpoints {}, \
-             flush_failures {}, publish_rejected {}\n",
+             interner_bytes {}, index_bytes {}, recovered {}, rebuilds_since_start {}, \
+             checkpoints {}, flush_failures {}, publish_rejected {}\n",
             self.shards.len(),
             t.urls,
             t.window_sessions,
@@ -382,6 +383,7 @@ impl ShardedServer {
             t.nodes,
             t.bytes,
             t.interner_bytes,
+            t.index_bytes,
             self.recovery_label(),
             t.rebuilds_since_start,
             t.checkpoints,

@@ -14,8 +14,11 @@
 //! 4. **Interner bytes on `stats`** — the line's `interner_bytes` is every
 //!    shard's `Interner::memory_bytes` pooled, right after the model's
 //!    `bytes`.
+//! 5. **Index bytes on `stats`** — the line's `index_bytes` is every
+//!    shard's fingerprint-index bytes pooled, right after
+//!    `interner_bytes`.
 
-use pbppm_core::PbConfig;
+use pbppm_core::{PbConfig, Predictor};
 use pbppm_obs::RunReport;
 use pbppm_serve::{Flow, ServeOptions, ShardedOptions, ShardedServer};
 use proptest::prelude::*;
@@ -309,6 +312,38 @@ fn stats_pools_interner_bytes_over_shards() {
         assert!(pooled > 0, "{shards} shards hold urls");
         assert_eq!(
             stats_field(stats, "interner_bytes"),
+            pooled as u64,
+            "{shards} shards: {stats}"
+        );
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn stats_pools_index_bytes_over_shards() {
+    for shards in [1, 4] {
+        let dir = temp_dir(&format!("index-bytes-{shards}"));
+        let mut server = open(&dir, shards, 1, 1_000_000);
+        let mut lines: Vec<String> = (0..24)
+            .map(|c| format!("train @c{c} /a{c},/b,/c{}", c % 3))
+            .collect();
+        lines.push("stats".to_owned());
+        let (responses, _) = run(&mut server, &lines);
+        let stats = &responses[24];
+        let next_field = stats
+            .split_once(", interner_bytes ")
+            .and_then(|(_, rest)| rest.split(", ").nth(1));
+        assert!(
+            next_field.is_some_and(|f| f.starts_with("index_bytes ")),
+            "{stats}"
+        );
+        let pooled: usize = (0..shards)
+            .map(|k| server.shard_session(k).online().stats().index_bytes)
+            .sum();
+        assert!(pooled > 0, "{shards} shards hold an index");
+        assert_eq!(
+            stats_field(stats, "index_bytes"),
             pooled as u64,
             "{shards} shards: {stats}"
         );

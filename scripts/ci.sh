@@ -223,7 +223,7 @@ if ! head -n1 "$shardout" | grep -q '^ready recovered=fresh shards=4 '; then
     echo "ci: sharded serve did not greet with its shard count" >&2
     exit 1
 fi
-grep -Eq '^ok shards 4, .*, interner_bytes [1-9][0-9]*, ' "$shardout" || {
+grep -Eq '^ok shards 4, .*, interner_bytes [1-9][0-9]*, index_bytes [1-9][0-9]*, ' "$shardout" || {
     echo "ci: sharded stats did not aggregate across shards" >&2
     exit 1
 }
