@@ -41,7 +41,8 @@ use pbppm_core::{Order1Markov, PbPpm, StandardPpm};
 /// resolution against the snapshot's own URL table.
 ///
 /// A model image that fails to instantiate (a URL id outside the URL
-/// table, dangling node reference, parent cycle, bad root registration)
+/// table, a parent that is not an earlier node, a misplaced special link,
+/// two roots or siblings on one URL)
 /// yields a report with a single [`Violation::SnapshotRejected`] rather
 /// than an error: from the auditor's point of view a payload the loader
 /// refuses *is* the finding.
@@ -82,10 +83,14 @@ pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
 /// `Err` means the envelope itself is unreadable (magic, version, length,
 /// checksum, or payload framing); `Ok` carries the structural audit of
 /// whatever the payload described — including the case where the checksum
-/// passes but the decoded model is invalid.
+/// passes but the decoded model is invalid — and the file's byte split
+/// ([`AuditReport::bytes`]).
 pub fn verify_bytes(bytes: &[u8]) -> Result<AuditReport, CodecError> {
-    let file = SnapshotFile::decode(bytes)?;
-    Ok(verify_snapshot(&file))
+    let (file, split) = SnapshotFile::decode_with_split(bytes)?;
+    Ok(AuditReport {
+        bytes: Some(split),
+        ..verify_snapshot(&file)
+    })
 }
 
 #[cfg(test)]

@@ -5,21 +5,38 @@
 //! Every snapshot-level corruption here goes through `encode()`, which
 //! recomputes the checksum — so each corrupt payload arrives with a *valid*
 //! envelope. That is the point: the checksum proves the bytes are what the
-//! writer produced, and only the structural audit can prove the writer
-//! produced something sane.
+//! writer produced, and only the load checks and the structural audit can
+//! prove the writer produced something sane.
+//!
+//! A model file writes each node once (URL, count, parent, link-dup flag),
+//! so a child entry, a depth or a root or link table that disagrees with
+//! the rows cannot be written at all. Those corruptions are made on a
+//! loaded model's arena in memory instead, where the audit must still
+//! catch them.
 
 use pbppm_audit::{
-    verify_bytes, verify_model, verify_snapshot, CodecError, ModelImage, ModelRef, SnapshotFile,
+    verify_bytes, verify_model, verify_model_with_urls, verify_snapshot, CodecError, ModelImage,
+    ModelRef, SnapshotFile,
 };
 use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::pb_online::OnlinePbSnapshot;
-use pbppm_core::tree::{NodeSnapshot, SnapshotError, TreeSnapshot};
+use pbppm_core::tree::{NodeSnapshot, SnapshotError};
 use pbppm_core::{
     Grade, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, UrlId,
 };
 
 fn u(n: u32) -> UrlId {
     UrlId(n)
+}
+
+/// A row index as a `u32` row id.
+fn row_id(i: usize) -> u32 {
+    u32::try_from(i).expect("small arena")
+}
+
+/// A `u32` row id as an index.
+fn row(id: u32) -> usize {
+    usize::try_from(id).expect("small arena")
 }
 
 fn urls(n: usize) -> Vec<String> {
@@ -116,41 +133,33 @@ fn inflated_child_count_is_caught() {
 
 #[test]
 fn dropped_child_entry_is_caught() {
-    let (urls, mut snap) = encode_pb(&pb_with_link(), 6);
+    let mut m = pb_with_link();
+    let arena = m.arena_for_audit().expect("finalized");
     // Remove a child *entry* while the child node itself stays in the
-    // arena pointing at its parent: a desync the loader cannot see.
-    let parent = snap
-        .tree
-        .nodes
-        .iter()
-        .position(|n| !n.children.is_empty() && n.parent != u32::MAX)
+    // arena pointing at its parent.
+    let parent = (0..row_id(arena.len()))
+        .find(|&i| arena.parent(i) != u32::MAX && arena.has_children(i))
         .expect("a non-root node with children exists");
-    snap.tree.nodes[parent].children.remove(0);
-    let bytes = SnapshotFile {
-        urls,
-        model: ModelImage::Pb(snap),
+    let cols = arena.columns_for_audit();
+    let at = usize::try_from(cols.child_offsets[row(parent)]).expect("small arena");
+    cols.child_entries.remove(at);
+    for offset in &mut cols.child_offsets[row(parent) + 1..] {
+        *offset -= 1;
     }
-    .encode();
-    let report = verify_bytes(&bytes).expect("valid envelope");
+    let report = verify_model(&ModelRef::Pb(&m));
     assert!(report.has("child-not-linked"), "{report}");
 }
 
 #[test]
 fn forged_depth_is_caught() {
-    let (urls, mut snap) = encode_pb(&pb_with_link(), 6);
-    let victim = snap
-        .tree
-        .nodes
-        .iter()
-        .position(|n| n.parent != u32::MAX && !n.link_dup)
+    let mut m = pb_with_link();
+    let arena = m.arena_for_audit().expect("finalized");
+    let victim = (0..row_id(arena.len()))
+        .find(|&i| arena.parent(i) != u32::MAX && !arena.is_link_dup(i))
         .expect("model has non-root nodes");
-    snap.tree.nodes[victim].depth = snap.tree.nodes[victim].depth.saturating_add(3);
-    let bytes = SnapshotFile {
-        urls,
-        model: ModelImage::Pb(snap),
-    }
-    .encode();
-    let report = verify_bytes(&bytes).expect("valid envelope");
+    let depth = &mut arena.columns_for_audit().depths[row(victim)];
+    *depth = depth.saturating_add(3);
+    let report = verify_model(&ModelRef::Pb(&m));
     assert!(report.has("child-depth-mismatch"), "{report}");
 }
 
@@ -172,23 +181,17 @@ fn height_cap_breach_is_caught() {
 
 #[test]
 fn retargeted_special_link_is_caught() {
-    let (urls, mut snap) = encode_pb(&pb_with_link(), 6);
-    assert!(!snap.tree.links.is_empty(), "setup must produce a link");
+    let mut m = pb_with_link();
+    let arena = m.arena_for_audit().expect("finalized");
     // Point the special link at an ordinary branch node instead of the
-    // duplicated popular node. The id is in range, so the loader accepts.
-    let branch_node = snap
-        .tree
-        .nodes
-        .iter()
-        .position(|n| n.parent != u32::MAX && !n.link_dup)
+    // duplicated popular node.
+    let branch_node = (0..row_id(arena.len()))
+        .find(|&i| arena.parent(i) != u32::MAX && !arena.is_link_dup(i))
         .expect("branch node exists");
-    snap.tree.links[0].1[0] = u32::try_from(branch_node).expect("small arena");
-    let bytes = SnapshotFile {
-        urls,
-        model: ModelImage::Pb(snap),
-    }
-    .encode();
-    let report = verify_bytes(&bytes).expect("valid envelope");
+    let cols = arena.columns_for_audit();
+    assert!(!cols.link_entries.is_empty(), "setup must produce a link");
+    cols.link_entries[0] = branch_node;
+    let report = verify_model(&ModelRef::Pb(&m));
     assert!(report.has("link-target-not-dup"), "{report}");
 }
 
@@ -225,43 +228,34 @@ fn pb_two_urls() -> PbPpm {
 
 #[test]
 fn forged_url_ids_are_rejected_before_anything_is_sized_by_them() {
-    // The branch root and its registration claim URL id 400,000,000 in a
+    // The branch root, then its child, claims URL id 400,000,000 in a
     // two-URL file: loading it would size the root lookup table by that
     // id (1.6 GB; an id near u32::MAX asks for about 17 GB).
     for forged in [400_000_000, u32::MAX - 1] {
-        let mut snap = pb_two_urls().to_snapshot();
-        let root = snap.tree.roots[0].1;
-        snap.tree.nodes[usize::try_from(root).expect("small arena")].url = forged;
-        snap.tree.roots[0].0 = forged;
-        let file = SnapshotFile {
-            urls: urls(2),
-            model: ModelImage::Pb(snap),
-        };
-        assert_eq!(
-            SnapshotFile::decode(&file.encode()).unwrap_err(),
-            CodecError::UrlOutOfRange(forged)
-        );
-        assert!(file.instantiate().is_err(), "instantiate must refuse");
-        let report = verify_snapshot(&file);
-        assert!(report.has("snapshot-rejected"), "{report}");
+        for parentless in [true, false] {
+            let mut snap = pb_two_urls().to_snapshot();
+            let node = snap
+                .tree
+                .nodes
+                .iter_mut()
+                .find(|n| (n.parent == u32::MAX) == parentless)
+                .expect("a root and its child");
+            node.url = forged;
+            let file = SnapshotFile {
+                urls: urls(2),
+                model: ModelImage::Pb(snap),
+            };
+            assert_eq!(
+                SnapshotFile::decode(&file.encode()).unwrap_err(),
+                CodecError::UrlOutOfRange(forged)
+            );
+            assert!(file.instantiate().is_err(), "instantiate must refuse");
+            let report = verify_snapshot(&file);
+            assert!(report.has("snapshot-rejected"), "{report}");
+        }
     }
 
-    // The same holds for a child entry's key and an online window session.
-    let mut snap = pb_two_urls().to_snapshot();
-    let parent = snap
-        .tree
-        .nodes
-        .iter()
-        .position(|n| !n.children.is_empty())
-        .expect("the root has a child");
-    snap.tree.nodes[parent].children[0].0 = 7;
-    let file = SnapshotFile {
-        urls: urls(2),
-        model: ModelImage::Pb(snap),
-    };
-    assert!(SnapshotFile::decode(&file.encode()).is_err());
-    assert!(file.instantiate().is_err());
-
+    // The same holds for an online window session.
     let online = SnapshotFile {
         urls: urls(2),
         model: ModelImage::OnlinePb(OnlinePbSnapshot {
@@ -279,6 +273,17 @@ fn forged_url_ids_are_rejected_before_anything_is_sized_by_them() {
         CodecError::UrlOutOfRange(9)
     );
     assert!(online.instantiate().is_err());
+}
+
+#[test]
+fn forged_child_entry_key_is_caught() {
+    // A child entry keyed by a URL its child row does not carry (here one
+    // outside the two-URL table): lookups would follow the wrong edge.
+    let mut m = pb_two_urls();
+    let cols = m.arena_for_audit().expect("finalized").columns_for_audit();
+    cols.child_entries[0].0 = u(7);
+    let report = verify_model_with_urls(&ModelRef::Pb(&m), Some(2));
+    assert!(report.has("child-url-mismatch"), "{report}");
 }
 
 #[test]
@@ -340,8 +345,9 @@ fn forged_counts_past_the_index_fields_are_refused() {
     let (urls, snap) = encode_pb(&pb_with_link(), 6);
     let voters_of = |url: u32| -> Vec<usize> {
         let nodes = &snap.tree.nodes;
+        let has_children = |i: usize| nodes.iter().any(|n| n.parent == row_id(i) && !n.link_dup);
         (0..nodes.len())
-            .filter(|&i| nodes[i].url == url && !nodes[i].link_dup && !nodes[i].children.is_empty())
+            .filter(|&i| nodes[i].url == url && !nodes[i].link_dup && has_children(i))
             .collect()
     };
     let oversized = {
@@ -443,29 +449,91 @@ fn forged_order1_rows_are_refused_or_predict_nothing() {
 
 #[test]
 fn cyclic_parent_chain_is_rejected_not_hung() {
-    // Two nodes claiming each other as parent: the loader must refuse (the
-    // audit reports the refusal), and decoding must terminate.
-    let cyclic = |url: u32, parent: u32| NodeSnapshot {
-        url,
-        count: 1,
-        parent,
-        depth: 2,
-        children: Vec::new(),
-        link_dup: false,
-    };
-    let mut snap = pb_deep().to_snapshot();
-    snap.tree = TreeSnapshot {
-        nodes: vec![cyclic(0, 1), cyclic(1, 0)],
-        roots: Vec::new(),
-        links: Vec::new(),
-    };
-    let bytes = SnapshotFile {
-        urls: urls(2),
+    // Two nodes claiming each other as parent: the audit must report it,
+    // and must terminate.
+    let mut m = pb_deep();
+    let cols = m.arena_for_audit().expect("finalized").columns_for_audit();
+    assert_eq!(cols.parents[1], 0, "row 1 hangs off row 0");
+    cols.parents[0] = 1;
+    let report = verify_model(&ModelRef::Pb(&m));
+    assert!(report.has("frozen-csr-malformed"), "{report}");
+}
+
+/// Encodes `pb_with_link` after `edit` reshapes its rows.
+fn forged_rows(edit: impl FnOnce(&mut Vec<NodeSnapshot>)) -> Vec<u8> {
+    let (urls, mut snap) = encode_pb(&pb_with_link(), 6);
+    edit(&mut snap.tree.nodes);
+    SnapshotFile {
+        urls,
         model: ModelImage::Pb(snap),
     }
-    .encode();
-    let report = verify_bytes(&bytes).expect("the envelope itself is valid");
-    assert!(report.has("snapshot-rejected"), "{report}");
+    .encode()
+}
+
+#[test]
+fn a_parent_delta_past_row_zero_is_refused() {
+    // A node whose parent is itself or a later node has no delta back to
+    // it; the writer emits one reaching past row 0, decode reads it as the
+    // row itself, and the load refuses it like every other v4 load rule.
+    for parent in [5, 9] {
+        let bytes = forged_rows(|nodes| nodes[5].parent = parent);
+        assert_load_refuses(&bytes, SnapshotError::BadParent(5));
+    }
+}
+
+/// Requires the load to refuse `bytes` with `want`, and the audit of the
+/// bytes to report the refusal.
+fn assert_load_refuses(bytes: &[u8], want: SnapshotError) {
+    let decoded = SnapshotFile::decode(bytes).expect("checksum-valid payload decodes");
+    assert_eq!(
+        decoded.instantiate().err(),
+        Some(CodecError::Tree(want.clone())),
+        "{want:?}"
+    );
+    let report = verify_bytes(bytes).expect("valid envelope");
+    assert!(report.has("snapshot-rejected"), "{want:?}: {report}");
+}
+
+#[test]
+fn special_link_shapes_training_never_builds_are_refused() {
+    let snap = pb_with_link().to_snapshot();
+    let nodes = &snap.tree.nodes;
+    let dup = nodes.iter().position(|n| n.link_dup).expect("a link");
+    let branch = (0..dup)
+        .find(|&i| nodes[i].parent != u32::MAX)
+        .expect("a branch node before the link");
+    // A duplicate below a branch node instead of a root.
+    let bytes = forged_rows(|nodes| nodes[dup].parent = row_id(branch));
+    assert_load_refuses(&bytes, SnapshotError::BadLink(row_id(dup)));
+    // A root flagged as a duplicate.
+    let bytes = forged_rows(|nodes| nodes[0].link_dup = true);
+    assert_load_refuses(&bytes, SnapshotError::BadLink(0));
+}
+
+#[test]
+fn repeated_urls_among_roots_siblings_or_links_are_refused() {
+    let snap = pb_with_link().to_snapshot();
+    let nodes = &snap.tree.nodes;
+    let last = row_id(nodes.len());
+    let dup = nodes.iter().find(|n| n.link_dup).expect("a link").clone();
+    let branch = nodes
+        .iter()
+        .find(|n| n.parent != u32::MAX && !n.link_dup)
+        .expect("a branch node")
+        .clone();
+    // A second root for URL 0, a second sibling of `branch` on its URL,
+    // and a second link of `dup`'s root to its URL.
+    for repeat in [
+        NodeSnapshot {
+            parent: u32::MAX,
+            ..nodes[0].clone()
+        },
+        branch,
+        dup,
+    ] {
+        let bytes = forged_rows(|nodes| nodes.push(repeat.clone()));
+        assert_load_refuses(&bytes, SnapshotError::RepeatedUrl(last));
+    }
 }
 
 #[test]

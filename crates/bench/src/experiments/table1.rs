@@ -12,6 +12,10 @@
 //! The shape to reproduce: the standard model dwarfs both compact models
 //! and grows fastest; LRS grows steadily; PB-PPM stays smallest and grows
 //! slowest.
+//!
+//! Each cell also reports its model's size on disk: the `.pbss` file
+//! `pbppm train` would write, URL table included (`snapshot_bytes`), next
+//! to the in-memory `model_stats.memory_bytes`.
 
 use crate::{nasa_trace, paper_models, sweep, write_json, Table};
 
@@ -67,7 +71,14 @@ pub fn run() {
             "Table 1b — storage detail, day {last}, {} trace",
             trace.name
         ),
-        &["model", "nodes", "edges", "special links", "approx bytes"],
+        &[
+            "model",
+            "nodes",
+            "edges",
+            "special links",
+            "approx bytes",
+            "file bytes",
+        ],
     );
     for (label, _) in &models {
         let cell = cells
@@ -81,6 +92,8 @@ pub fn run() {
             stats.edges.to_string(),
             stats.special_links.to_string(),
             stats.total_bytes().to_string(),
+            cell.snapshot_bytes
+                .map_or_else(|| "-".to_owned(), |b| b.to_string()),
         ]);
     }
     detail.print();

@@ -79,6 +79,8 @@ pub struct Cell {
     pub model: String,
     /// Training-window length in days.
     pub days: usize,
+    /// The trained model's `.pbss` file size, URL table included.
+    pub snapshot_bytes: Option<u64>,
     /// The full run result.
     pub result: RunResult,
 }
@@ -95,10 +97,12 @@ pub fn sweep(trace: &Trace, models: &[(&str, ModelSpec)], days: &[usize]) -> Vec
         .collect();
     parallel_map(&jobs, |(label, spec, d)| {
         let cfg = ExperimentConfig::paper_default(spec.clone(), *d);
+        let outcome = pbppm_sim::run_experiment_full(trace, &cfg);
         Cell {
             model: label.clone(),
             days: *d,
-            result: pbppm_sim::run_experiment(trace, &cfg),
+            snapshot_bytes: outcome.snapshot_bytes,
+            result: outcome.result,
         }
     })
 }

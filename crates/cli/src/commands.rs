@@ -2,7 +2,7 @@
 //! lint, stats.
 
 use crate::args::Args;
-use pbppm_core::snapshot::{ModelImage, SnapshotFile};
+use pbppm_core::snapshot::SnapshotFile;
 use pbppm_core::{
     Interner, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, StandardPpm,
 };
@@ -18,9 +18,8 @@ use std::io::Write;
 use std::path::Path;
 
 type CmdResult = Result<(), Box<dyn std::error::Error>>;
-/// What [`train_model`] hands back: the label, the snapshot image, and the
-/// live model for immediate reporting.
-type TrainedModel = (String, ModelImage, Box<dyn Predictor>);
+/// What [`train_model`] hands back: the label and the finalized model.
+type TrainedModel = (String, Box<dyn Predictor>);
 
 /// Seconds of 1995-07-01 04:00 UTC — the epoch generated logs start at,
 /// matching the real NASA-KSC file.
@@ -249,29 +248,25 @@ pub fn train_model(
             let mut m = PbPpm::new(counts.build(), cfg);
             m.train_sessions(&urls, threads);
             m.finalize();
-            let image = ModelImage::Pb(m.to_snapshot());
-            Ok(("PB-PPM".into(), image, Box::new(m)))
+            Ok(("PB-PPM".into(), Box::new(m)))
         }
         "standard" => {
             let mut m = StandardPpm::unbounded();
             m.train_sessions(&urls, threads);
             m.finalize();
-            let image = ModelImage::Standard(m.to_snapshot());
-            Ok(("PPM".into(), image, Box::new(m)))
+            Ok(("PPM".into(), Box::new(m)))
         }
         "lrs" => {
             let mut m = StandardPpm::lrs();
             m.train_sessions(&urls, threads);
             m.finalize();
-            let image = ModelImage::Standard(m.to_snapshot());
-            Ok(("LRS".into(), image, Box::new(m)))
+            Ok(("LRS".into(), Box::new(m)))
         }
         "o1" => {
             let mut m = Order1Markov::new();
             m.train_sessions(&urls, threads);
             m.finalize();
-            let image = ModelImage::Order1(m.to_snapshot());
-            Ok(("O1".into(), image, Box::new(m)))
+            Ok(("O1".into(), Box::new(m)))
         }
         other => Err(format!("unknown model {other:?} (expected pb, standard, lrs, or o1)").into()),
     }
@@ -298,13 +293,14 @@ pub fn train(args: &Args) -> CmdResult {
         trace.first_days(days)
     };
     let sessions = sessionize(requests, &SessionizerConfig::default());
-    let (label, image, model) = train_model(
+    let (label, model) = train_model(
         args.get("model").unwrap_or("pb"),
         &sessions,
         args.switch("aggressive-prune"),
         args.switch("no-links"),
         threads,
     )?;
+    let image = model.image().ok_or("the model has no file image")?;
     let bytes = SnapshotFile::new(&trace.urls, image).write_atomic(Path::new(out))?;
     println!(
         "trained {label} on {} sessions: {} nodes, {bytes} bytes -> {out}",
@@ -481,7 +477,9 @@ pub fn simulate(args: &Args) -> CmdResult {
 /// Structurally verifies a binary snapshot: decodes the envelope, loads
 /// the model image, and runs every invariant check in `pbppm-audit`
 /// (tree shape, height caps, special links, popularity grades, index
-/// aggregates, symbol resolution). Exits nonzero when any violation is
+/// aggregates, symbol resolution), and reports where the file's bytes go
+/// (envelope, URL table, popularity, nodes, online window, settings).
+/// Exits nonzero when any violation is
 /// found — including payloads whose checksum passes but whose contents
 /// are structurally invalid. `serve` runs the same audit on recovery.
 pub fn audit(args: &Args) -> CmdResult {

@@ -186,6 +186,54 @@ fn count(fields: &[(String, serde_json::Value)], key: &str) -> u64 {
 }
 
 #[test]
+fn audit_splits_each_model_file_into_sections_that_sum_to_its_size() {
+    let log = temp("split.log");
+    let log_s = log.to_str().unwrap();
+    commands::generate(&args(&["--preset", "tiny", "--out", log_s, "--seed", "5"]))
+        .expect("generate");
+    for kind in ["pb", "standard", "lrs", "o1"] {
+        let model = temp(&format!("split-{kind}.pbss"));
+        let model_s = model.to_str().unwrap();
+        commands::train(&args(&[log_s, "--out", model_s, "--model", kind]))
+            .unwrap_or_else(|e| panic!("train {kind}: {e}"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pbppm"))
+            .args(["audit", model_s, "--json"])
+            .output()
+            .expect("run pbppm audit");
+        assert!(out.status.success(), "audit {kind} failed: {out:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let value: serde_json::Value = serde_json::from_str(&text).expect("audit --json output");
+        let report = value.as_object().expect("a JSON object").to_vec();
+        let split = field(&report, "bytes")
+            .as_object()
+            .expect("a bytes object")
+            .to_vec();
+        let size = std::fs::metadata(&model).unwrap().len();
+        let sections = [
+            "envelope",
+            "urls",
+            "popularity",
+            "nodes",
+            "window",
+            "settings",
+        ];
+        let sum: u64 = sections.iter().map(|name| count(&split, name)).sum();
+        assert_eq!(sum, size, "{kind}: {text}");
+        assert_eq!(count(&split, "total"), size, "{kind}: {text}");
+        assert!(
+            count(&split, "urls") > 0 && count(&split, "nodes") > 0,
+            "{kind}: {text}"
+        );
+        assert_eq!(
+            count(&split, "popularity") > 0,
+            kind == "pb",
+            "{kind}: {text}"
+        );
+        assert_eq!(count(&split, "window"), 0, "{kind}: {text}");
+    }
+}
+
+#[test]
 fn combined_and_clf_logs_of_one_seed_train_identical_models() {
     let mut models = Vec::new();
     for format in ["clf", "combined"] {

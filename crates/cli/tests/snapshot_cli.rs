@@ -45,7 +45,7 @@ fn train_then_predict_is_byte_identical_to_in_process_model() {
     let (trace, _) =
         trace_from_clf_path(log_s, &log, &IngestConfig::default()).expect("ingest log");
     let sessions = sessionize(&trace.requests, &SessionizerConfig::default());
-    let (_, _, mut reference) =
+    let (_, mut reference) =
         commands::train_model("pb", &sessions, false, false, 0).expect("in-process model");
     let urls: Vec<&str> = trace.urls.iter().map(|(_, u)| u).collect();
     assert_eq!(urls, snapshot.urls, "identical interner contents");

@@ -96,67 +96,6 @@ pub struct FrozenTree {
 }
 
 impl FrozenTree {
-    /// Empty arrays sized exactly for `rows` rows, `entries` child
-    /// entries, `roots` roots and `links` link targets: the builders below
-    /// fill them without growing, so the arena holds no spare capacity.
-    fn with_capacity(rows: usize, entries: usize, roots: usize, links: usize) -> Self {
-        let mut child_offsets = Vec::with_capacity(rows + 1);
-        child_offsets.push(0);
-        let mut link_offsets = Vec::with_capacity(roots + 1);
-        link_offsets.push(0);
-        Self {
-            urls: Vec::with_capacity(rows),
-            counts: Vec::with_capacity(rows),
-            depths: Vec::with_capacity(rows),
-            parents: Vec::with_capacity(rows),
-            grades: Vec::with_capacity(rows),
-            dup_bits: vec![0; rows.div_ceil(64)],
-            child_offsets,
-            child_entries: Vec::with_capacity(entries),
-            roots: Vec::with_capacity(roots),
-            root_lookup: Vec::new(),
-            link_offsets,
-            link_entries: Vec::with_capacity(links),
-        }
-    }
-
-    /// Appends the next row. `pop` supplies PB-PPM's popularity grade;
-    /// baselines pass `None` and get grade 0.
-    #[allow(clippy::too_many_arguments)]
-    fn push_row(
-        &mut self,
-        url: UrlId,
-        count: u64,
-        parent: u32,
-        depth: u8,
-        link_dup: bool,
-        children: impl Iterator<Item = (UrlId, u32)>,
-        pop: Option<&PopularityTable>,
-    ) {
-        let i = self.urls.len();
-        if link_dup {
-            self.dup_bits[i / 64] |= 1u64 << (i % 64);
-        }
-        self.urls.push(url);
-        self.counts.push(count);
-        self.depths.push(depth);
-        self.parents.push(parent);
-        self.grades.push(pop.map_or(0, |p| p.grade(url).level()));
-        self.child_entries.extend(children);
-        // Every entry names a distinct node, so the total fits u32 like
-        // the row ids themselves do.
-        self.child_offsets
-            .push(u32::try_from(self.child_entries.len()).unwrap_or(NO_NODE));
-    }
-
-    /// Appends the next root (in URL order) with its special-link targets.
-    fn push_root(&mut self, url: UrlId, row: u32, links: impl Iterator<Item = u32>) {
-        self.roots.push((url, row));
-        self.link_entries.extend(links);
-        self.link_offsets
-            .push(u32::try_from(self.link_entries.len()).unwrap_or(NO_NODE));
-    }
-
     /// Finishes the root table with its direct-index `root_lookup`
     /// (`root_lookup[url.0]` is the URL's slot). URL ids are dense, so
     /// the table stays small.
@@ -171,145 +110,160 @@ impl FrozenTree {
         self
     }
 
-    /// Compiles a compacted tree (no dead slots) into the frozen form.
-    /// `pop` supplies the per-URL popularity grades for PB-PPM; baselines
-    /// pass `None` and get zero grades.
+    /// Compiles a compacted tree (no dead slots) into the frozen form,
+    /// one column at a time, each at its exact size. `pop` supplies the
+    /// per-URL popularity grades for PB-PPM; baselines pass `None` and
+    /// get zero grades.
     pub(crate) fn from_tree(tree: &Tree, pop: Option<&PopularityTable>) -> Self {
         debug_assert_eq!(
             tree.node_count(),
             tree.arena_len(),
             "freeze requires a compacted arena"
         );
-        let mut roots: Vec<(UrlId, NodeId)> = tree.roots.iter().map(|(&u, &id)| (u, id)).collect();
+        let nodes = &tree.nodes;
+        let mut roots: Vec<(UrlId, u32)> = tree.roots.iter().map(|(&u, &id)| (u, id.0)).collect();
         roots.sort_unstable_by_key(|&(u, _)| u);
-        let entries = tree.nodes.iter().map(|n| n.children.len()).sum();
-        let links = tree.links.values().map(Vec::len).sum();
-        let mut arena = Self::with_capacity(tree.nodes.len(), entries, roots.len(), links);
-        for n in &tree.nodes {
-            let children = n.children.iter().map(|&(url, child)| (url, child.0));
-            arena.push_row(
-                n.url, n.count, n.parent.0, n.depth, n.link_dup, children, pop,
-            );
+        let children = (0..).zip(nodes).flat_map(|(i, n)| {
+            n.children
+                .iter()
+                .map(move |&(url, child)| (i, (url, child.0)))
+        });
+        let (child_offsets, child_entries) = group_runs(nodes.len(), (UrlId(0), 0), children);
+        let links = (0..).zip(&roots).flat_map(|(slot, &(_, root))| {
+            let targets = tree.links.get(&NodeId(root)).into_iter().flatten();
+            targets.map(move |t| (slot, t.0))
+        });
+        let (link_offsets, link_entries) = group_runs(roots.len(), 0, links);
+        let mut dup_bits = vec![0; nodes.len().div_ceil(64)];
+        for (i, _) in (0..).zip(nodes).filter(|(_, n)| n.link_dup) {
+            mark_row(&mut dup_bits, i);
         }
-        for (url, root) in roots {
-            let links = tree.links.get(&root).into_iter().flatten();
-            arena.push_root(url, root.0, links.map(|t| t.0));
+        Self {
+            urls: nodes.iter().map(|n| n.url).collect(),
+            counts: nodes.iter().map(|n| n.count).collect(),
+            depths: nodes.iter().map(|n| n.depth).collect(),
+            parents: nodes.iter().map(|n| n.parent.0).collect(),
+            grades: nodes.iter().map(|n| grade(pop, n.url)).collect(),
+            dup_bits,
+            child_offsets,
+            child_entries,
+            roots,
+            root_lookup: Vec::new(),
+            link_offsets,
+            link_entries,
         }
-        arena.index_roots()
+        .index_roots()
     }
 
     /// Rebuilds an arena from its wire image with no intermediate tree.
-    /// Every reference is checked first: node ids in bounds, child rows
-    /// sorted by URL, each parent preceding its row (so no parent chain
-    /// can cycle), root entries naming a parentless node of their URL,
-    /// link lists hanging off registered roots in ascending root order.
-    /// The finished arena must then pass [`FrozenTree::check_csr`]. `pop`
-    /// supplies grades as in `from_tree`.
+    ///
+    /// The rows carry URL, count, parent and link-dup flag; the rest is
+    /// derived. One forward sweep checks each parent (an earlier row; a
+    /// duplicate's parent a root, and nothing below a duplicate) and takes
+    /// the depth as the parent's plus one, saturating like
+    /// [`Tree::child_or_insert`]. Then the non-duplicate rows are grouped
+    /// by parent into URL-sorted child runs, the parentless rows sorted by
+    /// URL into the root table, and the duplicates grouped under their
+    /// root in row order. Two roots, siblings or links of one root sharing
+    /// a URL are refused. That is the arena training built, row for row.
+    /// `pop` supplies grades as in `from_tree`.
     pub fn from_snapshot(
         snap: &TreeSnapshot,
         pop: Option<&PopularityTable>,
     ) -> Result<Self, SnapshotError> {
-        let n = snap.nodes.len();
-        let check = |id: u32| {
-            if ix(id) < n {
-                Ok(id)
+        let nodes = &snap.nodes;
+        let n = nodes.len();
+        let mut depths: Vec<u8> = Vec::with_capacity(n);
+        let mut dup_bits = vec![0; n.div_ceil(64)];
+        let mut roots = 0;
+        for (row, s) in (0..).zip(nodes) {
+            let depth = if s.parent == NO_NODE {
+                if s.link_dup {
+                    return Err(SnapshotError::BadLink(row));
+                }
+                roots += 1;
+                1
+            } else if s.parent >= row {
+                return Err(SnapshotError::BadParent(row));
             } else {
-                Err(SnapshotError::BadNodeId(id))
-            }
-        };
-        let entries = snap.nodes.iter().map(|s| s.children.len()).sum();
-        let links = snap.links.iter().map(|l| l.1.len()).sum();
-        let mut arena = Self::with_capacity(n, entries, snap.roots.len(), links);
-        for (row, s) in (0..).zip(&snap.nodes) {
-            if !s.children.windows(2).all(|w| w[0].0 < w[1].0) {
-                return Err(SnapshotError::UnsortedChildren);
-            }
-            for &(_, child) in &s.children {
-                check(child)?;
-            }
-            let parent = if s.parent == NO_NODE {
-                NO_NODE
-            } else if check(s.parent)? >= row {
-                // A parent at or after its row is where a cycle would start.
-                return Err(SnapshotError::ParentCycle(row));
-            } else {
-                s.parent
+                let parent = &nodes[ix(s.parent)];
+                if parent.link_dup || (s.link_dup && parent.parent != NO_NODE) {
+                    return Err(SnapshotError::BadLink(row));
+                }
+                depths[ix(s.parent)].saturating_add(1)
             };
-            let children = s.children.iter().map(|&(url, child)| (UrlId(url), child));
-            arena.push_row(
-                UrlId(s.url),
-                s.count,
-                parent,
-                s.depth,
-                s.link_dup,
-                children,
-                pop,
-            );
-        }
-        // Link lists arrive by ascending root id; the CSR runs by root slot.
-        let mut by_slot: Vec<&[u32]> = vec![&[]; snap.roots.len()];
-        let mut previous = None;
-        for (root, targets) in &snap.links {
-            let root = check(*root)?;
-            let slot = snap
-                .roots
-                .binary_search_by_key(&arena.urls[ix(root)].0, |r| r.0)
-                .ok()
-                .filter(|&slot| snap.roots[slot].1 == root && previous < Some(root));
-            let Some(slot) = slot else {
-                return Err(SnapshotError::BadLink(root));
-            };
-            for &t in targets {
-                check(t)?;
+            depths.push(depth);
+            if s.link_dup {
+                mark_row(&mut dup_bits, row);
             }
-            by_slot[slot] = targets;
-            previous = Some(root);
         }
-        for (&(url, id), targets) in snap.roots.iter().zip(by_slot) {
-            let id = check(id)?;
-            if arena.urls[ix(id)] != UrlId(url) || arena.parents[ix(id)] != NO_NODE {
-                return Err(SnapshotError::BadRoot(url));
-            }
-            arena.push_root(UrlId(url), id, targets.iter().copied());
+        let rows = (0u32..).zip(nodes);
+
+        let children = rows
+            .clone()
+            .filter(|(_, s)| s.parent != NO_NODE && !s.link_dup)
+            .map(|(i, s)| (s.parent, (UrlId(s.url), i)));
+        let (child_offsets, mut child_entries) = group_runs(n, (UrlId(0), 0), children);
+        for w in child_offsets.windows(2) {
+            let run = &mut child_entries[ix(w[0])..ix(w[1])];
+            run.sort_unstable_by_key(|&(url, _)| url);
+            distinct_urls(run)?;
         }
-        let arena = arena.index_roots();
-        arena.check_csr().map_err(SnapshotError::Malformed)?;
+
+        let mut root_table = Vec::with_capacity(roots);
+        root_table.extend(
+            rows.clone()
+                .filter(|(_, s)| s.parent == NO_NODE)
+                .map(|(i, s)| (UrlId(s.url), i)),
+        );
+        root_table.sort_unstable_by_key(|&(url, _)| url);
+        distinct_urls(&root_table)?;
+
+        let mut arena = Self {
+            urls: nodes.iter().map(|s| UrlId(s.url)).collect(),
+            counts: nodes.iter().map(|s| s.count).collect(),
+            depths,
+            parents: nodes.iter().map(|s| s.parent).collect(),
+            grades: nodes.iter().map(|s| grade(pop, UrlId(s.url))).collect(),
+            dup_bits,
+            child_offsets,
+            child_entries,
+            roots: root_table,
+            root_lookup: Vec::new(),
+            link_offsets: Vec::new(),
+            link_entries: Vec::new(),
+        }
+        .index_roots();
+
+        // A duplicate's parent is a root, so its URL has a root slot.
+        let slot = |s: &NodeSnapshot| arena.root_lookup[ix(nodes[ix(s.parent)].url)];
+        let dups = rows.filter(|(_, s)| s.link_dup).map(|(i, s)| (slot(s), i));
+        let (link_offsets, link_entries) = group_runs(arena.roots.len(), 0, dups);
+        let mut urls = Vec::new();
+        for w in link_offsets.windows(2) {
+            let run = &link_entries[ix(w[0])..ix(w[1])];
+            urls.clear();
+            urls.extend(run.iter().map(|&i| (arena.urls[ix(i)], i)));
+            urls.sort_unstable_by_key(|&(url, _)| url);
+            distinct_urls(&urls)?;
+        }
+        arena.link_offsets = link_offsets;
+        arena.link_entries = link_entries;
         Ok(arena)
     }
 
-    /// The arena's wire image: nodes in row order, roots sorted by URL,
-    /// link lists sorted by root id — the order the codec has always
-    /// written, so model files stay byte-identical.
+    /// The arena's wire image: each row's URL, count, parent and link-dup
+    /// flag, in row order.
     pub fn to_snapshot(&self) -> TreeSnapshot {
-        let nodes = self
-            .child_offsets
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| NodeSnapshot {
-                url: self.urls[i].0,
-                count: self.counts[i],
-                parent: self.parents[i],
-                depth: self.depths[i],
-                children: self.child_entries[ix(w[0])..ix(w[1])]
-                    .iter()
-                    .map(|&(url, child)| (url.0, child))
-                    .collect(),
-                link_dup: (self.dup_bits[i / 64] >> (i % 64)) & 1 == 1,
+        let nodes = (0..self.rows())
+            .map(|i| NodeSnapshot {
+                url: self.url(i).0,
+                count: self.count(i),
+                parent: self.parent(i),
+                link_dup: self.is_link_dup(i),
             })
             .collect();
-        let mut links: Vec<(u32, Vec<u32>)> = self
-            .roots
-            .iter()
-            .zip(self.link_offsets.windows(2))
-            .filter(|(_, w)| w[0] < w[1])
-            .map(|(&(_, root), w)| (root, self.link_entries[ix(w[0])..ix(w[1])].to_vec()))
-            .collect();
-        links.sort_unstable_by_key(|l| l.0);
-        TreeSnapshot {
-            nodes,
-            roots: self.roots.iter().map(|&(url, id)| (url.0, id)).collect(),
-            links,
-        }
+        TreeSnapshot { nodes }
     }
 
     /// Checks the arena's structure: array-length parity, CSR
@@ -662,10 +616,82 @@ impl FrozenTree {
     }
 }
 
+/// Mutable views of an arena's columns. Only the audit's adversarial
+/// harness uses them, to corrupt a live model in ways no model file can
+/// express. Not part of the public API.
+#[doc(hidden)]
+pub struct ArenaColumnsMut<'a> {
+    /// `parents[i]`: parent row of row `i`.
+    pub parents: &'a mut [u32],
+    /// `depths[i]`: branch depth of row `i`.
+    pub depths: &'a mut [u8],
+    /// CSR row offsets into `child_entries`.
+    pub child_offsets: &'a mut [u32],
+    /// CSR child entries `(url, child row)`.
+    pub child_entries: &'a mut Vec<(UrlId, u32)>,
+    /// Special-link targets, flattened.
+    pub link_entries: &'a mut [u32],
+}
+
+impl FrozenTree {
+    /// The arena's columns, writable (see [`ArenaColumnsMut`]).
+    #[doc(hidden)]
+    pub fn columns_for_audit(&mut self) -> ArenaColumnsMut<'_> {
+        ArenaColumnsMut {
+            parents: &mut self.parents,
+            depths: &mut self.depths,
+            child_offsets: &mut self.child_offsets,
+            child_entries: &mut self.child_entries,
+            link_entries: &mut self.link_entries,
+        }
+    }
+}
+
 /// Sets row `i`'s bit in a path-usage bitset.
 pub(crate) fn mark_row(used: &mut [u64], i: u32) {
     if let Some(word) = used.get_mut(ix(i) / 64) {
         *word |= 1u64 << (ix(i) % 64);
+    }
+}
+
+/// PB-PPM's popularity grade of `url`; 0 for models without a table.
+fn grade(pop: Option<&PopularityTable>, url: UrlId) -> u8 {
+    pop.map_or(0, |p| p.grade(url).level())
+}
+
+/// Groups `(key, value)` pairs into CSR runs: values of key `k` land in
+/// `entries[offsets[k]..offsets[k + 1]]`, in input order. A counting pass
+/// and a placing pass; both arrays are allocated at their exact size.
+fn group_runs<T: Copy>(
+    keys: usize,
+    fill: T,
+    items: impl Iterator<Item = (u32, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut offsets = vec![0u32; keys + 1];
+    for (k, _) in items.clone() {
+        offsets[ix(k) + 1] += 1;
+    }
+    for k in 1..=keys {
+        offsets[k] += offsets[k - 1];
+    }
+    let mut entries = vec![fill; ix(offsets[keys])];
+    // Each key's offset walks to its run's end, which is the next key's
+    // start; one shift afterwards restores the starts.
+    for (k, value) in items {
+        entries[ix(offsets[ix(k)])] = value;
+        offsets[ix(k)] += 1;
+    }
+    offsets.copy_within(0..keys, 1);
+    offsets[0] = 0;
+    (offsets, entries)
+}
+
+/// Refuses a URL-sorted run of `(url, row)` entries that repeats a URL,
+/// naming the later row of the first repeat.
+fn distinct_urls(run: &[(UrlId, u32)]) -> Result<(), SnapshotError> {
+    match run.windows(2).find(|w| w[0].0 == w[1].0) {
+        Some(w) => Err(SnapshotError::RepeatedUrl(w[0].1.max(w[1].1))),
+        None => Ok(()),
     }
 }
 
@@ -875,19 +901,24 @@ mod tests {
 
     #[test]
     fn freeze_is_identity_mapped_and_field_faithful() {
-        let (m, tree) = trained_standard();
-        let frozen = m.frozen().expect("finalize froze");
-        assert_eq!(frozen.len(), tree.arena_len());
-        for id in tree.iter_alive() {
-            let node = &tree.nodes[id.index()];
-            let i = id.0;
-            assert_eq!(frozen.url(i), node.url);
-            assert_eq!(frozen.count(i), node.count);
-            assert_eq!(frozen.depth(i), node.depth);
-            assert_eq!(frozen.parent(i), node.parent.0);
-            assert_eq!(frozen.is_link_dup(i), node.link_dup);
-            let kids: Vec<(UrlId, u32)> = node.children.iter().map(|&(u, c)| (u, c.0)).collect();
-            assert_eq!(frozen.children(i), kids.as_slice());
+        let (standard, standard_tree) = trained_standard();
+        let (pb, pb_tree) = trained_pb();
+        let frozen = [standard.frozen(), pb.frozen()];
+        for (frozen, tree) in frozen.into_iter().zip([standard_tree, pb_tree]) {
+            let frozen = frozen.expect("finalize froze");
+            assert_eq!(frozen.len(), tree.arena_len());
+            for id in tree.iter_alive() {
+                let node = &tree.nodes[id.index()];
+                let i = id.0;
+                assert_eq!(frozen.url(i), node.url);
+                assert_eq!(frozen.count(i), node.count);
+                assert_eq!(frozen.depth(i), node.depth);
+                assert_eq!(frozen.parent(i), node.parent.0);
+                assert_eq!(frozen.is_link_dup(i), node.link_dup);
+                let kids: Vec<(UrlId, u32)> =
+                    node.children.iter().map(|&(u, c)| (u, c.0)).collect();
+                assert_eq!(frozen.children(i), kids.as_slice());
+            }
         }
     }
 
@@ -1007,8 +1038,9 @@ mod tests {
 
         let snap = frozen.to_snapshot();
         assert_eq!(snap.nodes.len(), alive);
-        assert_eq!(snap.links.len(), 1, "one root links");
-        assert_eq!(snap.links[0].0, r.0);
+        let dups: Vec<&NodeSnapshot> = snap.nodes.iter().filter(|n| n.link_dup).collect();
+        assert_eq!(dups.len(), 1, "one link");
+        assert_eq!(dups[0].parent, r.0);
         let back = FrozenTree::from_snapshot(&snap, None).unwrap();
         assert_eq!(back, frozen);
         let root = back.root(u(1)).unwrap();
@@ -1021,6 +1053,7 @@ mod tests {
         assert_eq!(back.to_snapshot(), snap);
     }
 
+    /// Rows 0..3: root 1, its child 2, and its special link to 9.
     fn chain() -> TreeSnapshot {
         let mut t = Tree::new();
         t.insert_path(&[u(1), u(2)], usize::MAX);
@@ -1029,60 +1062,67 @@ mod tests {
         t.freeze(None).to_snapshot()
     }
 
+    fn row(url: u32, parent: u32, link_dup: bool) -> NodeSnapshot {
+        NodeSnapshot {
+            url,
+            count: 1,
+            parent,
+            link_dup,
+        }
+    }
+
     #[test]
-    fn snapshot_rejects_corrupt_references() {
-        let load = |snap: &TreeSnapshot| FrozenTree::from_snapshot(snap, None).unwrap_err();
-        let mut snap = chain();
-        snap.roots.push((7, 99)); // node 99 does not exist
-        assert_eq!(load(&snap), SnapshotError::BadNodeId(99));
-        let mut snap = chain();
-        snap.roots.push((7, 1)); // node 1 exists but is not a root for url 7
-        assert_eq!(load(&snap), SnapshotError::BadRoot(7));
-        let mut snap = chain();
-        snap.nodes[0].children.push((0, 0)); // unsorted
-        assert_eq!(load(&snap), SnapshotError::UnsortedChildren);
-        let mut snap = chain();
-        snap.links[0].0 = 1; // links hang off the root, not its child
-        assert_eq!(load(&snap), SnapshotError::BadLink(1));
-        let mut snap = chain();
-        let repeat = snap.links[0].clone();
-        snap.links.push(repeat); // one root's links listed twice
-        assert_eq!(load(&snap), SnapshotError::BadLink(0));
-        let mut snap = chain();
-        snap.nodes[0].children = vec![(1, 0)]; // a node listing itself
-        assert!(matches!(load(&snap), SnapshotError::Malformed(_)));
+    fn snapshot_refuses_states_training_never_builds() {
+        let load = |edit: &dyn Fn(&mut Vec<NodeSnapshot>)| {
+            let mut snap = chain();
+            edit(&mut snap.nodes);
+            FrozenTree::from_snapshot(&snap, None)
+        };
+        assert!(load(&|_| ()).is_ok());
+        // A parent at or past its own row.
+        assert_eq!(load(&|n| n[1].parent = 1), Err(SnapshotError::BadParent(1)));
+        assert_eq!(load(&|n| n[1].parent = 7), Err(SnapshotError::BadParent(1)));
+        // A duplicate below a non-root, a root flagged as a duplicate, and
+        // a node below a duplicate.
+        assert_eq!(load(&|n| n[2].parent = 1), Err(SnapshotError::BadLink(2)));
+        assert_eq!(
+            load(&|n| n[0].link_dup = true),
+            Err(SnapshotError::BadLink(0))
+        );
+        assert_eq!(
+            load(&|n| n.push(row(3, 2, false))),
+            Err(SnapshotError::BadLink(3))
+        );
+        // Two roots, two siblings, two links of one root on one URL.
+        for repeat in [row(1, NO_NODE, false), row(2, 0, false), row(9, 0, true)] {
+            let repeat = &repeat;
+            assert_eq!(
+                load(&|n| n.push(repeat.clone())),
+                Err(SnapshotError::RepeatedUrl(3))
+            );
+        }
+        // A child and a link of one root may share a URL.
+        assert!(load(&|n| n.push(row(9, 0, false))).is_ok());
     }
 
     #[test]
     fn snapshot_rejects_parent_cycles() {
         // Two nodes each claiming the other as parent: must error, not hang
         // (path hashing would otherwise loop forever).
-        let cyclic = |url: u32, parent: u32| NodeSnapshot {
-            url,
-            count: 1,
-            parent,
-            depth: 2,
-            children: Vec::new(),
-            link_dup: false,
-        };
         let snap = TreeSnapshot {
-            nodes: vec![cyclic(0, 1), cyclic(1, 0)],
-            roots: Vec::new(),
-            links: Vec::new(),
-        };
-        assert!(matches!(
-            FrozenTree::from_snapshot(&snap, None).unwrap_err(),
-            SnapshotError::ParentCycle(_)
-        ));
-        // A self-loop is the degenerate case.
-        let snap = TreeSnapshot {
-            nodes: vec![cyclic(0, 0)],
-            roots: Vec::new(),
-            links: Vec::new(),
+            nodes: vec![row(0, 1, false), row(1, 0, false)],
         };
         assert_eq!(
             FrozenTree::from_snapshot(&snap, None).unwrap_err(),
-            SnapshotError::ParentCycle(0)
+            SnapshotError::BadParent(0)
+        );
+        // A self-loop is the degenerate case.
+        let snap = TreeSnapshot {
+            nodes: vec![row(0, 0, false)],
+        };
+        assert_eq!(
+            FrozenTree::from_snapshot(&snap, None).unwrap_err(),
+            SnapshotError::BadParent(0)
         );
     }
 

@@ -96,7 +96,7 @@ pub use predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 pub use prune::PruneConfig;
 pub use publish::{shard_of, EpochPublisher, EpochReader};
 pub use snapshot::{
-    CodecError, Generation, ModelImage, SnapshotFile, SnapshotIoError, SnapshotStore,
+    ByteSplit, CodecError, Generation, ModelImage, SnapshotFile, SnapshotIoError, SnapshotStore,
 };
 pub use standard::StandardPpm;
 pub use stats::ModelStats;

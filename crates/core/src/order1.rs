@@ -62,33 +62,36 @@ impl Order1Markov {
 
     /// Restores a finalized model, building its arena from the rows through
     /// [`FrozenTree::from_snapshot`]: each row becomes a root followed by
-    /// its successors. Rows or successors that repeat a URL or break URL
-    /// order fail that loader's structural checks.
+    /// its successors. Rows and each row's successors must be strictly
+    /// sorted by URL, the order [`Order1Markov::to_snapshot`] writes, so a
+    /// repeated or out-of-order one is refused.
     pub fn from_snapshot(snap: &Order1Snapshot) -> Result<Self, SnapshotError> {
-        // Ids past u32 become NO_NODE, which the loader refuses.
-        let id = |i: usize| u32::try_from(i).unwrap_or(NO_NODE);
-        let node = |url, count, parent, depth, children| NodeSnapshot {
-            url,
-            count,
-            parent,
-            depth,
-            children,
-            link_dup: false,
-        };
+        let sorted = snap.rows.windows(2).all(|w| w[0].url < w[1].url)
+            && snap
+                .rows
+                .iter()
+                .all(|row| row.next.windows(2).all(|w| w[0].0 < w[1].0));
+        if !sorted {
+            return Err(SnapshotError::Malformed(
+                "order-1 rows not strictly sorted by url",
+            ));
+        }
         let mut tree = TreeSnapshot::default();
         for row in &snap.rows {
-            let root = tree.nodes.len();
-            let children = (root + 1..)
-                .zip(&row.next)
-                .map(|(c, &(next, _))| (next, id(c)));
-            let root_node = node(row.url, row.total, NO_NODE, 1, children.collect());
-            tree.nodes.push(root_node);
-            let successors = row
-                .next
-                .iter()
-                .map(|&(next, count)| node(next, count, id(root), 2, Vec::new()));
-            tree.nodes.extend(successors);
-            tree.roots.push((row.url, id(root)));
+            let root = u32::try_from(tree.nodes.len())
+                .map_err(|_| SnapshotError::Malformed("order-1 rows past u32 ids"))?;
+            let node = |url, count, parent| NodeSnapshot {
+                url,
+                count,
+                parent,
+                link_dup: false,
+            };
+            tree.nodes.push(node(row.url, row.total, NO_NODE));
+            tree.nodes.extend(
+                row.next
+                    .iter()
+                    .map(|&(next, count)| node(next, count, root)),
+            );
         }
         Ok(Self {
             store: NodeStore::loaded(FrozenTree::from_snapshot(&tree, None)?),
@@ -163,6 +166,10 @@ impl Predictor for Order1Markov {
     /// stored transition.
     fn node_count(&self) -> usize {
         self.store.node_count()
+    }
+
+    fn image(&self) -> Option<crate::snapshot::ModelImage> {
+        Some(crate::snapshot::ModelImage::Order1(self.to_snapshot()))
     }
 
     fn stats(&self) -> ModelStats {

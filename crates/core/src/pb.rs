@@ -462,6 +462,17 @@ impl PbPpm {
         self.index.skew_group_total()
     }
 
+    /// Corruption hook for the audit adversarial harness: the finalized
+    /// arena itself, to corrupt in place. `None` while training. Not part
+    /// of the public API.
+    #[doc(hidden)]
+    pub fn arena_for_audit(&mut self) -> Option<&mut FrozenTree> {
+        match &mut self.store {
+            NodeStore::Frozen { arena, .. } => Some(arena),
+            NodeStore::Training(_) => None,
+        }
+    }
+
     /// Corruption hook for the audit adversarial harness: points one
     /// one-member fingerprint group at a different arena row, simulating
     /// an index whose derived groups drifted from the arena. Returns false
@@ -568,6 +579,10 @@ impl Predictor for PbPpm {
 
     fn node_count(&self) -> usize {
         self.store.node_count()
+    }
+
+    fn image(&self) -> Option<crate::snapshot::ModelImage> {
+        Some(crate::snapshot::ModelImage::Pb(self.to_snapshot()))
     }
 
     fn stats(&self) -> ModelStats {

@@ -228,6 +228,10 @@ impl Predictor for OnlinePbPpm {
         self.model.as_ref().map_or(0, |m| m.node_count())
     }
 
+    fn image(&self) -> Option<crate::snapshot::ModelImage> {
+        Some(crate::snapshot::ModelImage::OnlinePb(self.to_snapshot()))
+    }
+
     fn stats(&self) -> ModelStats {
         self.model
             .as_ref()

@@ -214,6 +214,12 @@ pub trait Predictor: Send + Sync {
         None
     }
 
+    /// The image a `.pbss` model file stores for this model; `None` for
+    /// models that are never written to one.
+    fn image(&self) -> Option<crate::snapshot::ModelImage> {
+        None
+    }
+
     /// The paper's space metric: number of URL nodes the model stores.
     fn node_count(&self) -> usize;
 

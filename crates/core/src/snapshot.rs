@@ -29,13 +29,16 @@
 //! The format version is bumped on any layout change; readers accept only
 //! [`FORMAT_VERSION`] and reject anything else outright
 //! ([`CodecError::UnsupportedVersion`]) rather than guessing. A file
-//! stores what cannot be rederived: a finalized model's arena rows (nodes,
-//! roots, special links), the popularity counts and the configuration.
-//! The order-1 model's height-2 forest is written more compactly, as
-//! transition rows sorted by URL with their successors sorted by URL; it
-//! loads through the same arena checks as every tree image, so a repeated
-//! or unsorted row or successor is refused ([`CodecError::Tree`]).
-//! Grades and the fingerprint index are rebuilt at instantiation. Only
+//! stores what cannot be rederived: each arena row once (URL, count, the
+//! distance back to its parent and the link-dup flag), the popularity
+//! counts and the configuration. Children, depths, the root table and the
+//! special-link lists follow from the rows and are derived at load
+//! ([`crate::frozen::FrozenTree::from_snapshot`]), which refuses rows
+//! training never builds ([`CodecError::Tree`]). The order-1 model's
+//! height-2 forest is written more compactly, as transition rows sorted by
+//! URL with their successors sorted by URL; a repeated or unsorted row or
+//! successor is refused the same way. Grades and the fingerprint index are
+//! rebuilt at instantiation. Only
 //! finalized models are written; a model image of any kind whose
 //! `finalized` byte is 0 is refused ([`CodecError::Unfinalized`]), as is
 //! any URL id outside the file's URL table ([`CodecError::UrlOutOfRange`])
@@ -54,6 +57,7 @@
 //! checkpoint step that fails (the temp write, the demote rename) returns
 //! the error and leaves the newest complete generation recoverable.
 
+use crate::frozen::NO_NODE;
 use crate::fxhash::FxHashSet;
 use crate::interner::Interner;
 use crate::order1::{Order1Markov, Order1RowSnapshot, Order1Snapshot};
@@ -72,9 +76,11 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"PBPPMSNP";
 
 /// The format version [`SnapshotFile::encode`] writes and the only one
-/// [`SnapshotFile::decode`] accepts. Versions 1 and 2 are refused: version
-/// 2 stored a copy of the frozen arena that no loader used.
-pub const FORMAT_VERSION: u16 = 3;
+/// [`SnapshotFile::decode`] accepts. Older versions are refused: version 2
+/// stored a copy of the frozen arena that no loader used, and version 3
+/// wrote every tree edge twice (a parent per node and a child list per
+/// parent) beside depths, a root table and link lists the rows imply.
+pub const FORMAT_VERSION: u16 = 4;
 
 /// magic + version + payload length + checksum.
 const ENVELOPE_BYTES: usize = 8 + 2 + 8 + 8;
@@ -146,6 +152,45 @@ impl std::error::Error for CodecError {}
 impl From<SnapshotError> for CodecError {
     fn from(e: SnapshotError) -> Self {
         CodecError::Tree(e)
+    }
+}
+
+/// Where a snapshot file's bytes go, section by section
+/// ([`SnapshotFile::decode_with_split`]). The fields sum to the file size.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ByteSplit {
+    /// Magic, version, payload length and checksum.
+    pub envelope: u64,
+    /// The URL table.
+    pub urls: u64,
+    /// PB-PPM's popularity counts.
+    pub popularity: u64,
+    /// The node records (order-1: its transition rows).
+    pub nodes: u64,
+    /// The online model's session window.
+    pub window: u64,
+    /// The kind tag, configuration, schedule counters and flags.
+    pub settings: u64,
+}
+
+impl ByteSplit {
+    /// The file size: every section summed.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.envelope + self.urls + self.popularity + self.nodes + self.window + self.settings
+    }
+
+    /// The sections as `(name, bytes)` pairs.
+    #[must_use]
+    pub fn sections(&self) -> [(&'static str, u64); 6] {
+        [
+            ("envelope", self.envelope),
+            ("urls", self.urls),
+            ("popularity", self.popularity),
+            ("nodes", self.nodes),
+            ("window", self.window),
+            ("settings", self.settings),
+        ]
     }
 }
 
@@ -252,15 +297,33 @@ impl Writer {
     }
 }
 
-/// Bounds-checked byte source matching [`Writer`].
+/// Bounds-checked byte source matching [`Writer`]; it charges the bytes
+/// of each measured section to its [`ByteSplit`].
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    split: ByteSplit,
 }
 
 impl<'a> Reader<'a> {
     fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+        Self {
+            bytes,
+            pos: 0,
+            split: ByteSplit::default(),
+        }
+    }
+
+    /// Runs `read`, charging the bytes it consumes to `section`.
+    fn measured<T>(
+        &mut self,
+        section: fn(&mut ByteSplit) -> &mut u64,
+        read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<T, CodecError> {
+        let start = self.pos;
+        let value = read(self)?;
+        *section(&mut self.split) += len_u64(self.pos - start);
+        Ok(value)
     }
 
     fn remaining(&self) -> usize {
@@ -338,79 +401,48 @@ impl<'a> Reader<'a> {
 
 // -------------------------------------------------------- component codecs
 
+/// Writes each node once: `u32v(url)`, `varint(count)` and
+/// `varint(delta << 1 | link_dup)`, where `delta` is the number of rows back
+/// to the parent and 0 marks a root. A parent at or past its own row has
+/// no delta; it is written as one reaching past row 0, which the reader
+/// decodes as the row itself for the loader to refuse.
 fn write_tree(w: &mut Writer, t: &TreeSnapshot) {
     w.usizev(t.nodes.len());
-    for n in &t.nodes {
+    for (row, n) in (0u32..).zip(&t.nodes) {
+        let delta = match n.parent {
+            NO_NODE => 0,
+            parent if parent < row => u64::from(row - parent),
+            _ => u64::from(row) + 1,
+        };
         w.u32v(n.url);
         w.varint(n.count);
-        w.u32v(n.parent);
-        w.u8(n.depth);
-        w.usizev(n.children.len());
-        for &(u, c) in &n.children {
-            w.u32v(u);
-            w.u32v(c);
-        }
-        w.bool(n.link_dup);
-    }
-    w.usizev(t.roots.len());
-    for &(u, id) in &t.roots {
-        w.u32v(u);
-        w.u32v(id);
-    }
-    w.usizev(t.links.len());
-    for (root, targets) in &t.links {
-        w.u32v(*root);
-        w.usizev(targets.len());
-        for &t in targets {
-            w.u32v(t);
-        }
+        w.varint(delta << 1 | u64::from(n.link_dup));
     }
 }
 
 fn read_tree(r: &mut Reader) -> Result<TreeSnapshot, CodecError> {
     let node_count = r.count()?;
+    let rows = u32::try_from(node_count).map_err(|_| CodecError::Invalid("node count"))?;
     let mut nodes = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
+    for row in 0..rows {
         let url = r.u32v()?;
         let count = r.varint()?;
-        let parent = r.u32v()?;
-        let depth = r.u8()?;
-        let child_count = r.count()?;
-        let mut children = Vec::with_capacity(child_count);
-        for _ in 0..child_count {
-            children.push((r.u32v()?, r.u32v()?));
-        }
-        let link_dup = r.bool()?;
+        let link = r.varint()?;
+        let parent = match link >> 1 {
+            0 => NO_NODE,
+            delta => u32::try_from(delta)
+                .ok()
+                .and_then(|delta| row.checked_sub(delta))
+                .unwrap_or(row),
+        };
         nodes.push(NodeSnapshot {
             url,
             count,
             parent,
-            depth,
-            children,
-            link_dup,
+            link_dup: link & 1 == 1,
         });
     }
-    let root_count = r.count()?;
-    let mut roots = Vec::with_capacity(root_count);
-    for _ in 0..root_count {
-        roots.push((r.u32v()?, r.u32v()?));
-    }
-    let link_count = r.count()?;
-    let mut links = Vec::with_capacity(link_count);
-    for _ in 0..link_count {
-        let root = r.u32v()?;
-        let target_count = r.count()?;
-        let mut targets = Vec::with_capacity(target_count);
-        for _ in 0..target_count {
-            targets.push(r.u32v()?);
-        }
-        links.push((root, targets));
-    }
-    Ok(TreeSnapshot {
-        nodes,
-        roots,
-        links,
-    })
+    Ok(TreeSnapshot { nodes })
 }
 
 fn write_pop(w: &mut Writer, pop: &PopularityTable) {
@@ -502,26 +534,17 @@ fn write_pb(w: &mut Writer, s: &PbSnapshot) {
 
 fn read_pb(r: &mut Reader) -> Result<PbSnapshot, CodecError> {
     let snap = PbSnapshot {
-        tree: read_tree(r)?,
-        pop: read_pop(r)?,
+        tree: r.measured(|s| &mut s.nodes, read_tree)?,
+        pop: r.measured(|s| &mut s.popularity, read_pop)?,
         cfg: read_pb_config(r)?,
     };
     read_finalized(r)?;
     Ok(snap)
 }
 
-/// The first URL id in a tree image at or past `bound`: a node URL, a
-/// child-entry key or a root key (link targets are node ids).
+/// The first node URL id in a tree image at or past `bound`.
 fn tree_url_outside(t: &TreeSnapshot, bound: u32) -> Option<u32> {
-    for n in &t.nodes {
-        if n.url >= bound {
-            return Some(n.url);
-        }
-        if let Some(&(url, _)) = n.children.iter().find(|c| c.0 >= bound) {
-            return Some(url);
-        }
-    }
-    t.roots.iter().map(|r| r.0).find(|&url| url >= bound)
+    t.nodes.iter().map(|n| n.url).find(|&url| url >= bound)
 }
 
 fn write_sessions(w: &mut Writer, sessions: &[Vec<crate::interner::UrlId>]) {
@@ -546,6 +569,42 @@ fn read_sessions(r: &mut Reader) -> Result<Vec<Vec<crate::interner::UrlId>>, Cod
         sessions.push(s);
     }
     Ok(sessions)
+}
+
+/// The URL table: a count, then each string. A repeated string is
+/// refused, since the interner rebuilt from the table would renumber every
+/// later URL.
+fn read_urls(r: &mut Reader) -> Result<Vec<String>, CodecError> {
+    let url_count = r.count()?;
+    let mut urls = Vec::with_capacity(url_count);
+    let mut seen = FxHashSet::default();
+    seen.reserve(url_count);
+    for id in 0..url_count {
+        let url = r.str()?;
+        if !seen.insert(url) {
+            return Err(CodecError::DuplicateUrl(
+                u32::try_from(id).unwrap_or(u32::MAX),
+            ));
+        }
+        urls.push(url.to_owned());
+    }
+    Ok(urls)
+}
+
+fn read_order1_rows(r: &mut Reader) -> Result<Vec<Order1RowSnapshot>, CodecError> {
+    let row_count = r.count()?;
+    let mut rows = Vec::with_capacity(row_count);
+    for _ in 0..row_count {
+        let url = r.u32v()?;
+        let total = r.varint()?;
+        let next_count = r.count()?;
+        let mut next = Vec::with_capacity(next_count);
+        for _ in 0..next_count {
+            next.push((r.u32v()?, r.varint()?));
+        }
+        rows.push(Order1RowSnapshot { url, total, next });
+    }
+    Ok(rows)
 }
 
 // ------------------------------------------------------------- model image
@@ -689,6 +748,11 @@ impl SnapshotFile {
     /// Decodes a framed snapshot, validating magic, version, length, and
     /// checksum before touching the payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        Self::decode_with_split(bytes).map(|(file, _)| file)
+    }
+
+    /// [`SnapshotFile::decode`], also reporting where the file's bytes go.
+    pub fn decode_with_split(bytes: &[u8]) -> Result<(Self, ByteSplit), CodecError> {
         if bytes.len() >= 8 && bytes[..8] != MAGIC {
             return Err(CodecError::BadMagic);
         }
@@ -717,24 +781,12 @@ impl SnapshotFile {
 
         let mut r = Reader::new(&bytes[18..body_end]);
         let tag = r.u8()?;
-        let url_count = r.count()?;
-        let mut urls = Vec::with_capacity(url_count);
-        let mut seen = FxHashSet::default();
-        seen.reserve(url_count);
-        for id in 0..url_count {
-            let url = r.str()?;
-            if !seen.insert(url) {
-                return Err(CodecError::DuplicateUrl(
-                    u32::try_from(id).unwrap_or(u32::MAX),
-                ));
-            }
-            urls.push(url.to_owned());
-        }
+        let urls = r.measured(|s| &mut s.urls, read_urls)?;
         let model = match tag {
             KIND_PB => ModelImage::Pb(read_pb(&mut r)?),
             KIND_STANDARD => {
                 let snap = StandardSnapshot {
-                    tree: read_tree(&mut r)?,
+                    tree: r.measured(|s| &mut s.nodes, read_tree)?,
                     max_height: if r.bool()? { Some(r.u8()?) } else { None },
                     min_support: None,
                 };
@@ -742,7 +794,7 @@ impl SnapshotFile {
                 ModelImage::Standard(snap)
             }
             KIND_LRS => {
-                let tree = read_tree(&mut r)?;
+                let tree = r.measured(|s| &mut s.nodes, read_tree)?;
                 let min_support = Some(r.varint()?);
                 let snap = StandardSnapshot {
                     tree,
@@ -753,18 +805,7 @@ impl SnapshotFile {
                 ModelImage::Standard(snap)
             }
             KIND_ORDER1 => {
-                let row_count = r.count()?;
-                let mut rows = Vec::with_capacity(row_count);
-                for _ in 0..row_count {
-                    let url = r.u32v()?;
-                    let total = r.varint()?;
-                    let next_count = r.count()?;
-                    let mut next = Vec::with_capacity(next_count);
-                    for _ in 0..next_count {
-                        next.push((r.u32v()?, r.varint()?));
-                    }
-                    rows.push(Order1RowSnapshot { url, total, next });
-                }
+                let rows = r.measured(|s| &mut s.nodes, read_order1_rows)?;
                 read_finalized(&mut r)?;
                 ModelImage::Order1(Order1Snapshot { rows })
             }
@@ -774,7 +815,7 @@ impl SnapshotFile {
                 let rebuild_every = r.usizev()?;
                 let since_rebuild = r.usizev()?;
                 let rebuilds = r.varint()?;
-                let window = read_sessions(&mut r)?;
+                let window = r.measured(|s| &mut s.window, read_sessions)?;
                 let model = if r.bool()? {
                     Some(read_pb(&mut r)?)
                 } else {
@@ -797,11 +838,14 @@ impl SnapshotFile {
         }
         let file = SnapshotFile { urls, model };
         file.check_urls()?;
-        Ok(file)
+        let mut split = r.split;
+        split.envelope = len_u64(ENVELOPE_BYTES);
+        split.settings = payload_len - split.urls - split.popularity - split.nodes - split.window;
+        Ok((file, split))
     }
 
-    /// Checks that every URL id the model stores — node, child-entry, root,
-    /// order-1 row and online-window ids — names an entry of `urls`. Model
+    /// Checks that every URL id the model stores — node, order-1 row and
+    /// online-window ids — names an entry of `urls`. Model
     /// structures are sized by their largest URL id, so an unchecked id is
     /// an allocation of the forger's choosing.
     pub fn check_urls(&self) -> Result<(), CodecError> {
@@ -1195,8 +1239,9 @@ mod tests {
         }
         .encode();
         // Older layouts are refused as firmly as newer ones: version 2
-        // carried a frozen-arena section this reader no longer parses.
-        for version in [1u16, 2, 99] {
+        // carried a frozen-arena section this reader no longer parses, and
+        // version 3 child lists, depths, a root table and link lists.
+        for version in [1u16, 2, 3, 99] {
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 SnapshotFile::decode(&bytes).unwrap_err(),

@@ -212,6 +212,10 @@ impl Predictor for StandardPpm {
         self.store.node_count()
     }
 
+    fn image(&self) -> Option<crate::snapshot::ModelImage> {
+        Some(crate::snapshot::ModelImage::Standard(self.to_snapshot()))
+    }
+
     fn stats(&self) -> ModelStats {
         self.store.stats()
     }

@@ -418,7 +418,12 @@ impl Tree {
 }
 
 /// The typed wire image of a finalized model's nodes: the rows of its
-/// frozen arena, in the compacted forest's terms.
+/// frozen arena, each written once.
+///
+/// A row keeps only what training decided: its URL, count, parent and
+/// link-dup flag. Everything else in the arena follows from those
+/// ([`FrozenTree::from_snapshot`] derives it): child rows, depths, the
+/// root table and each root's special links.
 ///
 /// Produced by [`FrozenTree::to_snapshot`]; consumed by
 /// [`FrozenTree::from_snapshot`], which rebuilds the arena directly.
@@ -427,12 +432,8 @@ impl Tree {
 /// [`FrozenTree::from_snapshot`]: crate::frozen::FrozenTree::from_snapshot
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreeSnapshot {
-    /// All nodes, in arena order.
+    /// All nodes, in arena order: each parent precedes its children.
     pub nodes: Vec<NodeSnapshot>,
-    /// `(url, node id)` root registrations, sorted by URL id.
-    pub roots: Vec<(u32, u32)>,
-    /// `(root id, target ids)` special-link lists, sorted by root id.
-    pub links: Vec<(u32, Vec<u32>)>,
 }
 
 /// One node of a [`TreeSnapshot`], with raw `u32` references.
@@ -442,33 +443,27 @@ pub struct NodeSnapshot {
     pub url: u32,
     /// Training traversal count.
     pub count: u64,
-    /// Parent node id, or `u32::MAX` for roots.
+    /// Parent row (an earlier one), or `u32::MAX` for roots.
     pub parent: u32,
-    /// Depth within the branch (roots are 1).
-    pub depth: u8,
-    /// `(url, child id)` entries sorted by URL id.
-    pub children: Vec<(u32, u32)>,
-    /// True for PB-PPM duplicated popular nodes.
+    /// True for PB-PPM duplicated popular nodes, which hang off a root.
     pub link_dup: bool,
 }
 
-/// Why a [`TreeSnapshot`] failed to load.
+/// Why a [`TreeSnapshot`] failed to load: a state the format can express
+/// but training never produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// A node reference points outside the snapshot's arena.
-    BadNodeId(u32),
-    /// A root entry does not point at a parentless node with that URL.
-    BadRoot(u32),
-    /// A node's child list is not strictly sorted by URL id.
-    UnsortedChildren,
-    /// A node's parent does not precede it, so its parent chain could loop
-    /// back on itself instead of reaching a root and hang every ancestor
-    /// walk.
-    ParentCycle(u32),
-    /// A special-link list hangs off a node that is not a registered root,
-    /// or repeats one: links are stored per root.
+    /// The parent of row `row` is not an earlier row, so the parent chain
+    /// could run off the arena or loop back on itself.
+    BadParent(u32),
+    /// Row `row` breaks the special-link shape: a duplicate whose parent
+    /// is not a root, a root flagged as a duplicate, or a node below a
+    /// duplicate.
     BadLink(u32),
-    /// The rebuilt arena fails its structural check.
+    /// Row `row` repeats the URL of another root, of a sibling, or of
+    /// another special link of its root.
+    RepeatedUrl(u32),
+    /// A model-specific layout rule is broken (context in the message).
     Malformed(&'static str),
     /// A count, or a sum of counts, outgrows the fingerprint index's
     /// 32-bit fields.
@@ -478,17 +473,14 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::BadNodeId(id) => write!(f, "snapshot references unknown node {id}"),
-            SnapshotError::BadRoot(url) => write!(f, "invalid root entry for url {url}"),
-            SnapshotError::UnsortedChildren => write!(f, "child list not sorted"),
-            SnapshotError::ParentCycle(id) => {
-                write!(f, "parent of node {id} does not precede it (a cycle)")
+            SnapshotError::BadParent(row) => {
+                write!(f, "parent of node {row} is not an earlier node")
             }
-            SnapshotError::BadLink(id) => {
-                write!(
-                    f,
-                    "special links of node {id} do not hang off one registered root"
-                )
+            SnapshotError::BadLink(row) => {
+                write!(f, "node {row} breaks the special-link shape")
+            }
+            SnapshotError::RepeatedUrl(row) => {
+                write!(f, "node {row} repeats the url of a root, sibling or link")
             }
             SnapshotError::Malformed(what) => write!(f, "malformed arena: {what}"),
             SnapshotError::IndexOverflow => {

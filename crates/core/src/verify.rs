@@ -36,6 +36,7 @@ use crate::order1::Order1Markov;
 use crate::pb::PbPpm;
 use crate::pb_online::OnlinePbPpm;
 use crate::popularity::{Grade, PopularityTable};
+use crate::snapshot::ByteSplit;
 use crate::standard::StandardPpm;
 use std::fmt;
 use std::sync::OnceLock;
@@ -493,6 +494,8 @@ pub struct AuditReport {
     pub checks: u64,
     /// Every violation found, in discovery order.
     pub violations: Vec<Violation>,
+    /// Where the audited file's bytes go, when a file was audited.
+    pub bytes: Option<ByteSplit>,
 }
 
 impl AuditReport {
@@ -502,6 +505,7 @@ impl AuditReport {
             model,
             checks: 0,
             violations: Vec::new(),
+            bytes: None,
         }
     }
 
@@ -511,6 +515,7 @@ impl AuditReport {
             model,
             checks: 1,
             violations: vec![Violation::SnapshotRejected { detail }],
+            bytes: None,
         }
     }
 
@@ -565,7 +570,19 @@ impl AuditReport {
             }
             s.push('}');
         }
-        s.push_str("]}");
+        s.push(']');
+        if let Some(split) = self.bytes {
+            s.push_str(",\"bytes\":{\"total\":");
+            s.push_str(&split.total().to_string());
+            for (name, bytes) in split.sections() {
+                s.push_str(",\"");
+                s.push_str(name);
+                s.push_str("\":");
+                s.push_str(&bytes.to_string());
+            }
+            s.push('}');
+        }
+        s.push('}');
         s
     }
 }
@@ -579,6 +596,13 @@ impl fmt::Display for AuditReport {
             self.checks,
             self.violations.len()
         )?;
+        if let Some(split) = self.bytes {
+            write!(f, "  file bytes {}:", split.total())?;
+            for (name, bytes) in split.sections() {
+                write!(f, " {name} {bytes}")?;
+            }
+            writeln!(f)?;
+        }
         for v in &self.violations {
             writeln!(f, "  [{}] {v}", v.kind())?;
         }

@@ -20,7 +20,8 @@ use crate::config::{ExperimentConfig, ModelSpec};
 use crate::metrics::{latency_reduction, Counters};
 use crate::server::PrefetchServer;
 use pbppm_core::{
-    parallel_map_progress, FxHashMap, ModelStats, PopularityTable, PredictUsage, Prediction, UrlId,
+    parallel_map_progress, FxHashMap, ModelStats, PopularityTable, PredictUsage, Prediction,
+    SnapshotFile, UrlId,
 };
 use pbppm_obs::{obs_debug, span, LocalHist};
 use pbppm_trace::{
@@ -165,8 +166,9 @@ impl RunTelemetry {
     }
 }
 
-/// [`RunResult`] plus the telemetry of both evaluation passes. Produced by
-/// [`run_experiment_full`]; [`run_experiment`] discards the telemetry.
+/// [`RunResult`] plus the telemetry of both evaluation passes and the
+/// model's file size. Produced by [`run_experiment_full`];
+/// [`run_experiment`] keeps only the result.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
     /// The paper metrics, unchanged from [`run_experiment`].
@@ -176,6 +178,9 @@ pub struct ExperimentOutcome {
     pub telemetry: RunTelemetry,
     /// Telemetry of the caching-only baseline run.
     pub baseline_telemetry: RunTelemetry,
+    /// Size of the trained model as a `.pbss` file, the trace's URL table
+    /// included; `None` for runs without a model file (no prefetching).
+    pub snapshot_bytes: Option<u64>,
 }
 
 /// Effective size of a view's document per the shared catalog.
@@ -442,12 +447,20 @@ fn publish_telemetry(
 /// Runs one complete experiment cell on `trace` (see module docs),
 /// discarding telemetry. Identical results to [`run_experiment_full`].
 pub fn run_experiment(trace: &Trace, cfg: &ExperimentConfig) -> RunResult {
-    run_experiment_full(trace, cfg).result
+    run_cell(trace, cfg, false).result
 }
 
 /// Runs one complete experiment cell on `trace` and returns the paper
-/// metrics together with both passes' telemetry.
+/// metrics together with both passes' telemetry and the trained model's
+/// `.pbss` file size.
 pub fn run_experiment_full(trace: &Trace, cfg: &ExperimentConfig) -> ExperimentOutcome {
+    run_cell(trace, cfg, true)
+}
+
+/// One experiment cell. `measure_file` encodes the trained model to size
+/// its file; [`run_experiment`] skips that, because the encode is not part
+/// of the protocol and costs about a tenth of a 7-day standard-PPM run.
+fn run_cell(trace: &Trace, cfg: &ExperimentConfig, measure_file: bool) -> ExperimentOutcome {
     let label = cfg.model.label();
     let _span = span!(
         "experiment",
@@ -517,6 +530,11 @@ pub fn run_experiment_full(trace: &Trace, cfg: &ExperimentConfig) -> ExperimentO
         cfg.model
             .build_with(&train_sessions, &popularity, cfg.threads)
     };
+    let snapshot_bytes = model
+        .as_ref()
+        .filter(|_| measure_file)
+        .and_then(|m| m.image())
+        .map(|image| SnapshotFile::new(&trace.urls, image).encode().len() as u64);
     let (counters, model_stats, node_count, telemetry) = match model {
         None => (baseline, None, 0, baseline_telemetry.clone()),
         Some(model) => {
@@ -560,6 +578,7 @@ pub fn run_experiment_full(trace: &Trace, cfg: &ExperimentConfig) -> ExperimentO
         result,
         telemetry,
         baseline_telemetry,
+        snapshot_bytes,
     }
 }
 

@@ -20,7 +20,8 @@
 #                              rejected publish)
 #   5. snapshot smoke        — generate a tiny trace, then for each model
 #                              (pb, standard, lrs, o1): `pbppm train`
-#                              (writes the .pbss model file), `pbppm audit`
+#                              (writes the .pbss model file, whose bytes
+#                              8-9 must read format version 4), `pbppm audit`
 #                              (loads it, rebuilding the SoA/CSR arena
 #                              directly from the file's rows, and checks
 #                              every invariant on that arena), and
@@ -28,7 +29,9 @@
 #                              loaded model) — the full train → audit →
 #                              predict cycle through the real binary
 #   6. audit smoke           — `pbppm audit` rejects (nonzero exit) a
-#                              snapshot copy with a flipped payload byte
+#                              snapshot copy with a flipped payload byte,
+#                              and a copy stamped version 3 with
+#                              "unsupported snapshot version 3"
 #   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
 #                              health/quit through `pbppm serve`, assert
 #                              the one-`ok`/`err`-line-per-command
@@ -132,6 +135,11 @@ for model in pb standard lrs o1; do
     # output (or a clean empty "no prediction" answer) proves the cycle
     # worked.
     "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model.pbss" --model "$model" >/dev/null
+    version="$(python3 -c 'import sys; print(int.from_bytes(open(sys.argv[1], "rb").read()[8:10], "little"))' "$tmp/model-$model.pbss")"
+    if [[ "$version" != 4 ]]; then
+        echo "ci: train ($model) wrote format version $version, not 4" >&2
+        exit 1
+    fi
     "$pbppm" audit "$tmp/model-$model.pbss" >/dev/null
     "$pbppm" predict "$tmp/model-$model.pbss" --context "/l0/p0.html" >"$tmp/preds-$model.txt"
     if [[ ! -s "$tmp/preds-$model.txt" ]]; then
@@ -156,6 +164,23 @@ if "$pbppm" audit "$tmp/corrupt.pbss" >/dev/null 2>&1; then
     echo "ci: audit accepted a corrupted snapshot" >&2
     exit 1
 fi
+# Stamped version 3 (the layout before each node was written once), the
+# file must be refused by its version. Decode reads the version before the
+# checksum, so the copy needs no new checksum.
+python3 - "$tmp/model.pbss" "$tmp/v3.pbss" <<'EOF'
+import sys
+data = bytearray(open(sys.argv[1], "rb").read())
+data[8:10] = (3).to_bytes(2, "little")
+open(sys.argv[2], "wb").write(bytes(data))
+EOF
+if "$pbppm" audit "$tmp/v3.pbss" >"$tmp/v3-audit.txt" 2>&1; then
+    echo "ci: audit accepted a version 3 snapshot" >&2
+    exit 1
+fi
+grep -q 'unsupported snapshot version 3' "$tmp/v3-audit.txt" || {
+    echo "ci: audit did not name version 3 when refusing it" >&2
+    exit 1
+}
 
 echo "== ci: serve protocol smoke" >&2
 servedir="$tmp/serve"
