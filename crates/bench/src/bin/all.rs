@@ -23,13 +23,9 @@ fn main() {
     if check {
         std::env::set_var("PBPPM_RESULTS", &scratch);
     }
-    let steps: [(&str, fn()); 14] = [
+    let steps: [(&str, fn()); 10] = [
         ("fig1", e::fig1::run),
-        ("table1", e::table1::run),
-        ("table2", e::table2::run),
-        ("fig2", e::fig2::run),
-        ("fig3", e::fig3::run),
-        ("fig4", e::fig4::run),
+        ("sweep", e::sweep::run),
         ("fig5", e::fig5::run),
         ("ablation", e::ablation::run),
         ("threshold", e::threshold::run),

@@ -7,7 +7,8 @@
 //! compare equal, so a change that moves a reproduced number fails the
 //! check with the JSON path and both values. A result file on one side
 //! only is a mismatch too: a new experiment output must be committed, and
-//! a retired one deleted.
+//! a retired one deleted. So is a regenerated file whose JSON equals
+//! another's: one experiment's cells are pinned in one file.
 
 use serde_json::Value;
 use std::collections::BTreeSet;
@@ -110,24 +111,30 @@ fn result_names(dir: &Path) -> Result<BTreeSet<String>, String> {
 }
 
 /// Compares the result files of both directories, by the union of their
-/// names, returning one line per field that differs and one per file
-/// present on one side only.
+/// names, returning one line per field that differs, one per file
+/// present on one side only, and one per regenerated file whose JSON
+/// equals an earlier one's: a copied result is pinned twice.
 pub fn compare_dirs(committed: &Path, regenerated: &Path) -> Result<Vec<String>, String> {
     let (a_names, b_names) = (result_names(committed)?, result_names(regenerated)?);
     let mut out = Vec::new();
+    let mut seen: Vec<(&String, Value)> = Vec::new();
     for name in a_names.union(&b_names) {
         let (in_a, in_b) = (a_names.contains(name), b_names.contains(name));
-        if in_a && in_b {
-            let (a, b) = (read(&committed.join(name))?, read(&regenerated.join(name))?);
+        if !in_b {
+            out.push(format!("{name}: committed present, regenerated (absent)"));
+            continue;
+        }
+        let b = read(&regenerated.join(name))?;
+        if in_a {
+            let a = read(&committed.join(name))?;
             compare(name, ("", ""), Some(&a), Some(&b), &mut out);
         } else {
-            let side = |present: bool| if present { "present" } else { "(absent)" };
-            out.push(format!(
-                "{name}: committed {}, regenerated {}",
-                side(in_a),
-                side(in_b)
-            ));
+            out.push(format!("{name}: committed (absent), regenerated present"));
         }
+        if let Some((first, _)) = seen.iter().find(|(_, doc)| *doc == b) {
+            out.push(format!("{name} repeats {first}"));
+        }
+        seen.push((name, b));
     }
     Ok(out)
 }
@@ -215,6 +222,22 @@ mod tests {
                 "retired.json: committed present, regenerated (absent)".to_owned(),
             ]
         );
+    }
+
+    #[test]
+    fn a_regenerated_file_that_repeats_another_is_a_mismatch() {
+        let files = [
+            ("a.json", r#"{"x": [1, 2]}"#),
+            ("b.json", r#"{"x": [2, 1]}"#),
+            ("c.json", r#"{"x": [1, 2]}"#),
+            ("run_metrics_throughput.json", r#"{"x": [1, 2]}"#),
+        ];
+        let committed = dir_with("repeat-committed", &files);
+        let regenerated = dir_with("repeat-regenerated", &files);
+        let out = compare_dirs(&committed, &regenerated);
+        let _ = std::fs::remove_dir_all(&committed);
+        let _ = std::fs::remove_dir_all(&regenerated);
+        assert_eq!(out.unwrap(), vec!["c.json repeats a.json".to_owned()]);
     }
 
     /// Collects the path of every field in `v`, indices written `[]` as

@@ -1,16 +1,12 @@
 //! # pbppm-bench — the table/figure regeneration harness
 //!
-//! One binary per table and figure of the paper's evaluation:
+//! One binary per experiment of the paper's evaluation:
 //!
 //! | binary   | regenerates |
 //! |----------|-------------|
 //! | `fig1`   | Figure 1 — the didactic standard-vs-PB tree shapes |
-//! | `fig2`   | Figure 2 — popular fraction of prefetch hits, path utilization |
-//! | `fig3`   | Figure 3 — hit ratios and latency reductions, both traces |
-//! | `fig4`   | Figure 4 — node growth and traffic increments, both traces |
+//! | `sweep`  | Tables 1–2 and Figures 2–4 — one model × training-days grid per trace |
 //! | `fig5`   | Figure 5 — server↔proxy hit ratios and traffic, 1–32 clients |
-//! | `table1` | Table 1 — space in nodes per model, NASA-like, days 1–7 |
-//! | `table2` | Table 2 — space in nodes per model, UCB-like, days 1–5 |
 //! | `ablation` | PB-PPM design-choice ablations (links, pruning, heights) |
 //! | `threshold` | every model at matched prefetch size caps |
 //! | `related` | order-1 Markov, Top-N, and online PB-PPM comparisons |

@@ -21,11 +21,12 @@
 //!   channel, so every frozen read path takes `&self`.
 //!
 //! Rows are indexed by [`NodeId`], in the compacted tree's order, which is
-//! also the order the snapshot codec writes ([`FrozenTree::to_snapshot`])
-//! and rebuilds the arena in ([`FrozenTree::from_snapshot`]). Training
-//! allocates every node after its parent, so a parent's row always
-//! precedes its children's: every upward walk ends, and a single forward
-//! sweep sees each parent before its children.
+//! also the order the snapshot codec writes ([`FrozenTree::to_snapshot`]).
+//! One builder, [`FrozenTree::from_snapshot`], turns those rows into the
+//! arena for a freeze and for a load alike, so the two cannot disagree.
+//! Training allocates every node after its parent, so a parent's row
+//! always precedes its children's: every upward walk ends, and a single
+//! forward sweep sees each parent before its children.
 //!
 //! Every model family serves from here on exactly one path: standard PPM,
 //! LRS PPM and the order-1 baseline by direct suffix descent
@@ -110,52 +111,8 @@ impl FrozenTree {
         self
     }
 
-    /// Compiles a compacted tree (no dead slots) into the frozen form,
-    /// one column at a time, each at its exact size. `pop` supplies the
-    /// per-URL popularity grades for PB-PPM; baselines pass `None` and
-    /// get zero grades.
-    pub(crate) fn from_tree(tree: &Tree, pop: Option<&PopularityTable>) -> Self {
-        debug_assert_eq!(
-            tree.node_count(),
-            tree.arena_len(),
-            "freeze requires a compacted arena"
-        );
-        let nodes = &tree.nodes;
-        let mut roots: Vec<(UrlId, u32)> = tree.roots.iter().map(|(&u, &id)| (u, id.0)).collect();
-        roots.sort_unstable_by_key(|&(u, _)| u);
-        let children = (0..).zip(nodes).flat_map(|(i, n)| {
-            n.children
-                .iter()
-                .map(move |&(url, child)| (i, (url, child.0)))
-        });
-        let (child_offsets, child_entries) = group_runs(nodes.len(), (UrlId(0), 0), children);
-        let links = (0..).zip(&roots).flat_map(|(slot, &(_, root))| {
-            let targets = tree.links.get(&NodeId(root)).into_iter().flatten();
-            targets.map(move |t| (slot, t.0))
-        });
-        let (link_offsets, link_entries) = group_runs(roots.len(), 0, links);
-        let mut dup_bits = vec![0; nodes.len().div_ceil(64)];
-        for (i, _) in (0..).zip(nodes).filter(|(_, n)| n.link_dup) {
-            mark_row(&mut dup_bits, i);
-        }
-        Self {
-            urls: nodes.iter().map(|n| n.url).collect(),
-            counts: nodes.iter().map(|n| n.count).collect(),
-            depths: nodes.iter().map(|n| n.depth).collect(),
-            parents: nodes.iter().map(|n| n.parent.0).collect(),
-            grades: nodes.iter().map(|n| grade(pop, n.url)).collect(),
-            dup_bits,
-            child_offsets,
-            child_entries,
-            roots,
-            root_lookup: Vec::new(),
-            link_offsets,
-            link_entries,
-        }
-        .index_roots()
-    }
-
-    /// Rebuilds an arena from its wire image with no intermediate tree.
+    /// Builds an arena from its wire image with no intermediate tree: the
+    /// one builder behind both a snapshot load and [`Tree::freeze`].
     ///
     /// The rows carry URL, count, parent and link-dup flag; the rest is
     /// derived. One forward sweep checks each parent (an earlier row; a
@@ -166,7 +123,8 @@ impl FrozenTree {
     /// URL into the root table, and the duplicates grouped under their
     /// root in row order. Two roots, siblings or links of one root sharing
     /// a URL are refused. That is the arena training built, row for row.
-    /// `pop` supplies grades as in `from_tree`.
+    /// `pop` supplies the per-URL popularity grades for PB-PPM; baselines
+    /// pass `None` and get zero grades.
     pub fn from_snapshot(
         snap: &TreeSnapshot,
         pop: Option<&PopularityTable>,

@@ -91,7 +91,7 @@ pub use parallel::{
 };
 pub use pb::{PbConfig, PbPpm};
 pub use pb_online::OnlinePbPpm;
-pub use popularity::{Grade, PopularityBuilder, PopularityTable, PopularityTracker};
+pub use popularity::{Grade, PopularityBuilder, PopularityTable};
 pub use predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 pub use prune::PruneConfig;
 pub use publish::{shard_of, EpochPublisher, EpochReader};

@@ -1,4 +1,4 @@
-//! URL popularity: relative popularity, log₁₀ grades, and trackers.
+//! URL popularity: relative popularity and log₁₀ grades.
 //!
 //! §3.1 of the paper defines the **relative popularity** of a URL as the
 //! number of accesses to it divided by the number of accesses to the most
@@ -288,56 +288,6 @@ impl PopularityTable {
     }
 }
 
-/// An *online* popularity tracker: re-grades URLs periodically.
-///
-/// The paper notes that "the popularities of different URLs can be ranked by
-/// a server dynamically from time to time" (§3.1). `PopularityTracker` is that
-/// dynamic variant: it accumulates counts continuously and refreshes its
-/// frozen [`PopularityTable`] snapshot every `refresh_every` recorded
-/// accesses. The PB-PPM ablation benches compare it against the two-pass
-/// offline table.
-#[derive(Debug, Clone)]
-pub struct PopularityTracker {
-    builder: PopularityBuilder,
-    snapshot: PopularityTable,
-    since_refresh: u64,
-    refresh_every: u64,
-}
-
-impl PopularityTracker {
-    /// Creates a tracker that refreshes its grade snapshot every
-    /// `refresh_every` recorded accesses (minimum 1).
-    pub fn new(refresh_every: u64) -> Self {
-        Self {
-            builder: PopularityBuilder::new(),
-            snapshot: PopularityTable::default(),
-            since_refresh: 0,
-            refresh_every: refresh_every.max(1),
-        }
-    }
-
-    /// Records an access and refreshes the snapshot when due.
-    pub fn record(&mut self, url: UrlId) {
-        self.builder.record(url);
-        self.since_refresh += 1;
-        if self.since_refresh >= self.refresh_every {
-            self.refresh();
-        }
-    }
-
-    /// Forces a snapshot refresh now.
-    pub fn refresh(&mut self) {
-        self.snapshot = self.builder.clone().build();
-        self.since_refresh = 0;
-    }
-
-    /// The current frozen snapshot (possibly stale by up to
-    /// `refresh_every - 1` accesses).
-    pub fn snapshot(&self) -> &PopularityTable {
-        &self.snapshot
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,26 +389,5 @@ mod tests {
         assert!(t.is_popular(UrlId(1))); // rp 0.02 -> G2
         assert!(!t.is_popular(UrlId(2))); // rp 0.002 -> G1
         assert!(!t.is_popular(UrlId(3)));
-    }
-
-    #[test]
-    fn tracker_refreshes_on_schedule() {
-        let mut tr = PopularityTracker::new(3);
-        tr.record(UrlId(0));
-        tr.record(UrlId(0));
-        // Not refreshed yet: snapshot still empty.
-        assert_eq!(tr.snapshot().grade(UrlId(0)), Grade::G0);
-        tr.record(UrlId(0));
-        // Third access triggered a refresh.
-        assert_eq!(tr.snapshot().grade(UrlId(0)), Grade::G3);
-    }
-
-    #[test]
-    fn tracker_manual_refresh() {
-        let mut tr = PopularityTracker::new(1_000_000);
-        tr.record(UrlId(1));
-        assert_eq!(tr.snapshot().grade(UrlId(1)), Grade::G0);
-        tr.refresh();
-        assert_eq!(tr.snapshot().grade(UrlId(1)), Grade::G3);
     }
 }

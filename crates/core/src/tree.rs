@@ -321,16 +321,37 @@ impl Tree {
     /// Compiles the forest into its read-only [`FrozenTree`] form, which
     /// replaces it: the tree is consumed.
     ///
-    /// Compacts first, so frozen row `i` is compacted arena slot `i`.
-    /// `pop` supplies PB-PPM's popularity grades; baselines pass `None`.
+    /// Compacts first, so frozen row `i` is compacted arena slot `i`, then
+    /// hands those rows to [`FrozenTree::from_snapshot`]: training and
+    /// loading build the arena with one function. `pop` supplies PB-PPM's
+    /// popularity grades; baselines pass `None`.
+    ///
+    /// # Panics
+    ///
+    /// If the loader refuses the rows. Training builds only shapes the
+    /// loader accepts, so a refusal is a training bug.
     ///
     /// [`FrozenTree`]: crate::frozen::FrozenTree
+    /// [`FrozenTree::from_snapshot`]: crate::frozen::FrozenTree::from_snapshot
     pub fn freeze(
         mut self,
         pop: Option<&crate::popularity::PopularityTable>,
     ) -> crate::frozen::FrozenTree {
         self.compact();
-        crate::frozen::FrozenTree::from_tree(&self, pop)
+        let nodes = self
+            .nodes
+            .into_iter()
+            .map(|n| NodeSnapshot {
+                url: n.url.0,
+                count: n.count,
+                parent: n.parent.0,
+                link_dup: n.link_dup,
+            })
+            .collect();
+        match crate::frozen::FrozenTree::from_snapshot(&TreeSnapshot { nodes }, pop) {
+            Ok(arena) => arena,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Longest-suffix context match (the paper's "longest matching method")

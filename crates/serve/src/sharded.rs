@@ -91,8 +91,9 @@ pub struct ShardedOptions {
     /// Model shards (clients are hash-partitioned across them). `0` is
     /// clamped to 1.
     pub shards: usize,
-    /// Dispatch worker threads (0 = available parallelism, capped at the
-    /// number of busy shards). Thread count never changes responses.
+    /// Dispatch worker threads (0 = `PBPPM_THREADS`, else available
+    /// parallelism; capped at the number of busy shards). Thread count
+    /// never changes responses.
     pub threads: usize,
     /// Per-shard writer options.
     pub serve: ServeOptions,
@@ -326,14 +327,9 @@ impl ShardedServer {
     }
 
     fn resolve_threads(&self, busy_shards: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        configured.min(busy_shards).max(1)
+        pbppm_core::resolve_threads(self.threads)
+            .min(busy_shards)
+            .max(1)
     }
 
     /// Runs a control (barrier) command against the whole server.
