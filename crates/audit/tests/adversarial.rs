@@ -18,9 +18,9 @@ use pbppm_audit::{
     verify_bytes, verify_model, verify_model_with_urls, verify_snapshot, CodecError, ModelImage,
     ModelRef, SnapshotFile,
 };
+use pbppm_core::frozen::{NodeSnapshot, SnapshotError};
 use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::pb_online::OnlinePbSnapshot;
-use pbppm_core::tree::{NodeSnapshot, SnapshotError};
 use pbppm_core::{
     Grade, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, UrlId,
 };
@@ -378,7 +378,7 @@ fn forged_counts_past_the_index_fields_are_refused() {
         assert!(
             matches!(
                 decoded.instantiate(),
-                Err(CodecError::Tree(SnapshotError::IndexOverflow))
+                Err(CodecError::Arena(SnapshotError::IndexOverflow))
             ),
             "{label} count loaded"
         );
@@ -427,7 +427,7 @@ fn forged_order1_rows_are_refused_or_predict_nothing() {
         let bytes = forged.encode();
         let decoded = SnapshotFile::decode(&bytes).expect("checksum-valid payload decodes");
         assert!(
-            matches!(decoded.instantiate(), Err(CodecError::Tree(_))),
+            matches!(decoded.instantiate(), Err(CodecError::Arena(_))),
             "{rows:?} loaded"
         );
         let report = verify_bytes(&bytes).expect("valid envelope");
@@ -487,7 +487,7 @@ fn assert_load_refuses(bytes: &[u8], want: SnapshotError) {
     let decoded = SnapshotFile::decode(bytes).expect("checksum-valid payload decodes");
     assert_eq!(
         decoded.instantiate().err(),
-        Some(CodecError::Tree(want.clone())),
+        Some(CodecError::Arena(want.clone())),
         "{want:?}"
     );
     let report = verify_bytes(bytes).expect("valid envelope");
@@ -498,13 +498,19 @@ fn assert_load_refuses(bytes: &[u8], want: SnapshotError) {
 fn special_link_shapes_training_never_builds_are_refused() {
     let snap = pb_with_link().to_snapshot();
     let nodes = &snap.tree.nodes;
-    let dup = nodes.iter().position(|n| n.link_dup).expect("a link");
-    let branch = (0..dup)
-        .find(|&i| nodes[i].parent != u32::MAX)
-        .expect("a branch node before the link");
-    // A duplicate below a branch node instead of a root.
-    let bytes = forged_rows(|nodes| nodes[dup].parent = row_id(branch));
-    assert_load_refuses(&bytes, SnapshotError::BadLink(row_id(dup)));
+    let dup = nodes.iter().find(|n| n.link_dup).expect("a link").clone();
+    let branch = nodes
+        .iter()
+        .position(|n| n.parent != u32::MAX && !n.link_dup)
+        .expect("a branch node");
+    // A duplicate below a branch node instead of a root. Training places
+    // each link right after its root, so the forged one is appended.
+    let forged = NodeSnapshot {
+        parent: row_id(branch),
+        ..dup
+    };
+    let bytes = forged_rows(|nodes| nodes.push(forged));
+    assert_load_refuses(&bytes, SnapshotError::BadLink(row_id(nodes.len())));
     // A root flagged as a duplicate.
     let bytes = forged_rows(|nodes| nodes[0].link_dup = true);
     assert_load_refuses(&bytes, SnapshotError::BadLink(0));

@@ -96,17 +96,19 @@ fn bench_prune(c: &mut Criterion) {
     let (sessions, pop) = training_data();
     let mut group = c.benchmark_group("space-optimization");
     for (name, cfg) in [
+        ("unpruned", PruneConfig::disabled()),
         ("relative-1pct", PruneConfig::default()),
         ("both-cuts", PruneConfig::aggressive()),
     ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, &cfg| {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, &prune| {
             b.iter_batched(
                 || {
-                    // An unpruned PB tree, rebuilt per iteration.
+                    // A PB model with its paths counted, rebuilt per
+                    // iteration: finalize folds, cuts and freezes them.
                     let mut model = PbPpm::new(
                         pop.clone(),
                         PbConfig {
-                            prune: PruneConfig::disabled(),
+                            prune,
                             ..PbConfig::default()
                         },
                     );
@@ -115,10 +117,9 @@ fn bench_prune(c: &mut Criterion) {
                     }
                     model
                 },
-                |model| {
-                    let mut tree = model.reference_tree().expect("still training");
-                    pbppm_core::prune::prune(&mut tree, &cfg);
-                    tree.node_count()
+                |mut model| {
+                    model.finalize();
+                    model.node_count()
                 },
                 BatchSize::SmallInput,
             )

@@ -41,7 +41,7 @@ const TRAIN_DAYS: usize = 7;
 pub struct ModelThroughput {
     /// Model label ("PPM", "LRS", "PB-PPM").
     pub model: String,
-    /// Tree size the model answered from.
+    /// Nodes in the tree the model answered from.
     pub nodes: usize,
     /// Serving fast path ([`Predictor::predict_ro`]), which answers from
     /// the frozen SoA/CSR arena — nanoseconds per single-click predict.
@@ -299,18 +299,19 @@ pub fn run() {
             ..PbConfig::default()
         },
     );
-    let mut urls = Vec::new();
-    for s in &train_sessions {
-        urls.clear();
-        urls.extend(s.views.iter().map(|v| v.url));
-        standard.train_session(&urls);
-        lrs.train_session(&urls);
-        pb.train_session(&urls);
+    let urls: Vec<Vec<UrlId>> = train_sessions
+        .iter()
+        .map(|s| s.views.iter().map(|v| v.url).collect())
+        .collect();
+    for s in &urls {
+        standard.train_session(s);
+        lrs.train_session(s);
+        pb.train_session(s);
     }
-    // The oracles walk each model's tree as finalize would freeze it.
-    let standard_tree = standard.reference_tree().expect("still training");
-    let lrs_tree = lrs.reference_tree().expect("still training");
-    let pb_tree = pb.reference_tree().expect("still training");
+    // The oracles count their own forests from the same sessions.
+    let standard_counts = reference::PathCounts::standard(&standard, &urls);
+    let lrs_counts = reference::PathCounts::standard(&lrs, &urls);
+    let pb_counts = reference::PathCounts::pb(&pb, &urls);
     standard.finalize();
     lrs.finalize();
     pb.finalize();
@@ -326,7 +327,7 @@ pub fn run() {
                     standard.predict_ro(c, out, &mut usage);
                 }),
                 slow: time_clicks(&contexts, |c, out| {
-                    reference::predict_standard(&standard_tree, &standard, c, out);
+                    reference::predict_standard(&standard_counts, &standard, c, out);
                 }),
                 batch: time_batched(&contexts, |cs, outs| standard.predict_many(cs, outs)),
                 frozen_bytes: frozen_bytes(standard.frozen()),
@@ -340,7 +341,7 @@ pub fn run() {
                     lrs.predict_ro(c, out, &mut usage);
                 }),
                 slow: time_clicks(&contexts, |c, out| {
-                    reference::predict_standard(&lrs_tree, &lrs, c, out);
+                    reference::predict_standard(&lrs_counts, &lrs, c, out);
                 }),
                 batch: time_batched(&contexts, |cs, outs| lrs.predict_many(cs, outs)),
                 frozen_bytes: frozen_bytes(lrs.frozen()),
@@ -348,7 +349,7 @@ pub fn run() {
             model_row("LRS", lrs.node_count(), contexts.len(), &raw)
         },
         {
-            let scan = reference::PbScan::new(&pb_tree, &pb);
+            let scan = reference::PbScan::new(&pb_counts, &pb);
             let raw = RowInputs {
                 frozen: time_clicks(&contexts, |c, out| {
                     usage.clear();

@@ -35,8 +35,8 @@
 //! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
 
 use crate::frozen::{FrozenTree, NO_NODE};
+use crate::frozen::{NodeId, SnapshotError};
 use crate::interner::UrlId;
-use crate::tree::{NodeId, SnapshotError};
 
 /// Base of the rolling polynomial hash. Odd, so multiplication by it is a
 /// bijection modulo 2^64 and windows of different content rarely collide.
@@ -564,12 +564,7 @@ mod tests {
     }
 
     fn chain_tree(paths: &[&[u32]]) -> FrozenTree {
-        let mut t = crate::tree::Tree::new();
-        for p in paths {
-            let path: Vec<UrlId> = p.iter().map(|&n| u(n)).collect();
-            t.insert_path(&path, usize::MAX);
-        }
-        t.freeze(None)
+        crate::frozen::arena_of(paths, &[])
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Frozen struct-of-arrays / CSR arena: the finalized model itself.
+//! Frozen struct-of-arrays / CSR arena: the finalized model itself, and
+//! the path counting that trains it.
 //!
-//! The pointer arena ([`crate::tree::Tree`]) is built for *growth*: each
-//! node owns a heap-allocated child vector, roots and special links live in
-//! hash maps, and every predict-time hop chases a pointer into cold memory.
-//! Once a model is finalized its shape never changes again, so
-//! [`Tree::freeze`] compiles the forest into this contiguous
-//! struct-of-arrays layout and the tree is dropped ([`NodeStore`]):
+//! Every count in a prediction tree is a prefix count: a node's count is
+//! the number of training paths its own path begins. So training keeps no
+//! tree. Each model emits its sessions' paths (and PB-PPM its special
+//! links), `NodeStore` counts them as sorted runs, and `finalize` folds
+//! the merged runs into preorder rows, cuts them and hands them to the one
+//! arena builder, [`FrozenTree::from_snapshot`]. The arena is laid out for
+//! reads:
 //!
 //! * parallel `u32`-indexed arrays for `url`, `count`, `depth`, `parent`
 //!   and popularity `grade` (one cache line covers eight nodes' counts);
@@ -20,32 +22,105 @@
 //!   arena, filled from the [`crate::predictor::PredictUsage`] side
 //!   channel, so every frozen read path takes `&self`.
 //!
-//! Rows are indexed by [`NodeId`], in the compacted tree's order, which is
-//! also the order the snapshot codec writes ([`FrozenTree::to_snapshot`]).
-//! One builder, [`FrozenTree::from_snapshot`], turns those rows into the
-//! arena for a freeze and for a load alike, so the two cannot disagree.
-//! Training allocates every node after its parent, so a parent's row
-//! always precedes its children's: every upward walk ends, and a single
-//! forward sweep sees each parent before its children.
+//! Rows are indexed by [`NodeId`], in the order the snapshot codec writes
+//! ([`FrozenTree::to_snapshot`]). Training writes them in one canonical
+//! order: roots by URL, each root followed by its special links sorted by
+//! URL and then its subtree in preorder, siblings by URL. That order does
+//! not depend on how sessions were ordered or partitioned over threads.
+//! The loader accepts any order in which a parent's row precedes its
+//! children's: every upward walk ends, and a single forward sweep sees
+//! each parent before its children.
 //!
 //! Every model family serves from here on exactly one path: standard PPM,
 //! LRS PPM and the order-1 baseline by direct suffix descent
 //! ([`FrozenTree::longest_predictive`]), PB-PPM through its fingerprint
 //! index with verification walks on these arrays
 //! ([`FrozenTree::match_top`]).
-//!
-//! [`Tree`]: crate::tree::Tree
-//! [`Tree::freeze`]: crate::tree::Tree::freeze
-//! [`NodeId`]: crate::tree::NodeId
 
 use crate::interner::UrlId;
 use crate::popularity::PopularityTable;
 use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
+use crate::prune::{PruneConfig, PruneReport};
 use crate::stats::ModelStats;
-use crate::tree::{NodeId, NodeSnapshot, SnapshotError, Tree, TreeSnapshot};
+use std::ops::Range;
 
-/// Sentinel for "no node" in the `u32` index space (mirrors
-/// [`NodeId::NONE`]).
+/// A node's row in a [`FrozenTree`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(pub(crate) u32);
+
+/// The typed wire image of a finalized model's nodes: the rows of its
+/// frozen arena, each written once.
+///
+/// A row keeps only what training decided: its URL, count, parent and
+/// link-dup flag. Everything else in the arena follows from those
+/// ([`FrozenTree::from_snapshot`] derives it): child rows, depths, the
+/// root table and each root's special links.
+///
+/// Produced by [`FrozenTree::to_snapshot`]; consumed by
+/// [`FrozenTree::from_snapshot`], which rebuilds the arena directly.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TreeSnapshot {
+    /// All nodes, in arena order: each parent precedes its children.
+    pub nodes: Vec<NodeSnapshot>,
+}
+
+/// One node of a [`TreeSnapshot`], with raw `u32` references.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeSnapshot {
+    /// Interned URL id.
+    pub url: u32,
+    /// Training traversal count.
+    pub count: u64,
+    /// Parent row (an earlier one), or `u32::MAX` for roots.
+    pub parent: u32,
+    /// True for PB-PPM duplicated popular nodes, which hang off a root.
+    pub link_dup: bool,
+}
+
+/// Why a [`TreeSnapshot`] failed to load: a state the format can express
+/// but training never produces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The parent of row `row` is not an earlier row, so the parent chain
+    /// could run off the arena or loop back on itself.
+    BadParent(u32),
+    /// Row `row` breaks the special-link shape: a duplicate whose parent
+    /// is not a root, a root flagged as a duplicate, or a node below a
+    /// duplicate.
+    BadLink(u32),
+    /// Row `row` repeats the URL of another root, of a sibling, or of
+    /// another special link of its root.
+    RepeatedUrl(u32),
+    /// A model-specific layout rule is broken (context in the message).
+    Malformed(&'static str),
+    /// A count, or a sum of counts, outgrows the fingerprint index's
+    /// 32-bit fields.
+    IndexOverflow,
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::BadParent(row) => {
+                write!(f, "parent of node {row} is not an earlier node")
+            }
+            SnapshotError::BadLink(row) => {
+                write!(f, "node {row} breaks the special-link shape")
+            }
+            SnapshotError::RepeatedUrl(row) => {
+                write!(f, "node {row} repeats the url of a root, sibling or link")
+            }
+            SnapshotError::Malformed(what) => write!(f, "malformed arena: {what}"),
+            SnapshotError::IndexOverflow => {
+                write!(f, "counts outgrow the fingerprint index's 32-bit fields")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
+
+/// Sentinel for "no node" in the `u32` index space: the parent of a root.
 pub const NO_NODE: u32 = u32::MAX;
 
 /// Child lists at most this long are scanned linearly; longer ones are
@@ -58,13 +133,10 @@ fn ix(i: u32) -> usize {
     i as usize
 }
 
-/// The frozen struct-of-arrays / CSR image of a compacted [`Tree`].
+/// The frozen struct-of-arrays / CSR arena of a finalized tree model.
 ///
 /// All arrays are indexed by the node's row, its [`NodeId`]. Immutable by
 /// construction: every accessor takes `&self`.
-///
-/// [`Tree`]: crate::tree::Tree
-/// [`NodeId`]: crate::tree::NodeId
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenTree {
     /// `urls[i]`: URL of node `i`.
@@ -111,18 +183,18 @@ impl FrozenTree {
         self
     }
 
-    /// Builds an arena from its wire image with no intermediate tree: the
-    /// one builder behind both a snapshot load and [`Tree::freeze`].
+    /// Builds an arena from its rows: the one builder behind both a
+    /// snapshot load and `finalize`.
     ///
     /// The rows carry URL, count, parent and link-dup flag; the rest is
     /// derived. One forward sweep checks each parent (an earlier row; a
     /// duplicate's parent a root, and nothing below a duplicate) and takes
-    /// the depth as the parent's plus one, saturating like
-    /// [`Tree::child_or_insert`]. Then the non-duplicate rows are grouped
-    /// by parent into URL-sorted child runs, the parentless rows sorted by
-    /// URL into the root table, and the duplicates grouped under their
-    /// root in row order. Two roots, siblings or links of one root sharing
-    /// a URL are refused. That is the arena training built, row for row.
+    /// the depth as the parent's plus one, saturating at `u8::MAX`. Then
+    /// the non-duplicate rows are grouped by parent into URL-sorted child
+    /// runs, the parentless rows sorted by URL into the root table, and
+    /// the duplicates grouped under their root in row order. Two roots,
+    /// siblings or links of one root sharing a URL are refused. Any
+    /// parent-first row order loads; the rows keep their order.
     /// `pop` supplies the per-URL popularity grades for PB-PPM; baselines
     /// pass `None` and get zero grades.
     pub fn from_snapshot(
@@ -439,12 +511,11 @@ impl FrozenTree {
         Some(cur)
     }
 
-    /// Frozen mirror of [`Tree::longest_predictive_match`]: the deepest
-    /// suffix match (longest first, at most `max_order` URLs) that has at
-    /// least one child. No hashing and no allocation — this is how the
-    /// suffix-forest models match a context.
-    ///
-    /// [`Tree::longest_predictive_match`]: crate::tree::Tree::longest_predictive_match
+    /// The paper's "longest matching method": the deepest suffix match
+    /// (longest first, at most `max_order` URLs) that has at least one
+    /// child; a matched leaf falls back to a shorter context. No hashing
+    /// and no allocation — this is how the suffix-forest models match a
+    /// context.
     #[must_use]
     pub fn longest_predictive(&self, context: &[UrlId], max_order: usize) -> Option<u32> {
         let len = context.len();
@@ -653,15 +724,186 @@ fn distinct_urls(run: &[(UrlId, u32)]) -> Result<(), SnapshotError> {
     }
 }
 
-/// A tree model's nodes: the growable [`Tree`] while training, then only
-/// the frozen arena — from `finalize`, or from a snapshot load, on.
+/// A length or position as a `u32` id. Rows and path offsets are `u32`
+/// by design; outgrowing them is a programming error worth dying for.
+fn id(n: usize) -> u32 {
+    u32::try_from(n).expect("path counts outgrow u32 ids")
+}
+
+/// Where a model's path emitter writes one session's training: its paths,
+/// each a range of the session, and PB-PPM's special links.
+pub(crate) struct Emit<'a> {
+    /// Offset of the session in its run's `urls`.
+    base: usize,
+    paths: &'a mut Vec<(u32, u32)>,
+    links: &'a mut Vec<(UrlId, UrlId)>,
+}
+
+impl Emit<'_> {
+    /// One training path: the session's URLs in `range`, read from the
+    /// root down. Every node on it counts the path once.
+    pub(crate) fn path(&mut self, range: Range<usize>) {
+        self.paths
+            .push((id(self.base + range.start), id(range.len())));
+    }
+
+    /// One special link from the root for `root` to a duplicate of `url`.
+    pub(crate) fn link(&mut self, root: UrlId, url: UrlId) {
+        self.links.push((root, url));
+    }
+}
+
+/// One contiguous partition of sessions, counted: its distinct paths and
+/// links, sorted, with multiplicities.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PathRun {
+    /// The partition's sessions back to back; every path is a range of one.
+    urls: Vec<UrlId>,
+    /// `((offset, len), count)` into `urls`, sorted by the URLs spelled.
+    paths: Vec<((u32, u32), u64)>,
+    /// `((root, url), count)`, sorted.
+    links: Vec<((UrlId, UrlId), u64)>,
+}
+
+impl PathRun {
+    /// Counts what `emit` writes for each of `sessions`.
+    fn count<S, F>(sessions: &[S], emit: &F) -> Self
+    where
+        S: AsRef<[UrlId]>,
+        F: Fn(&[UrlId], &mut Emit<'_>),
+    {
+        let mut urls = Vec::with_capacity(sessions.iter().map(|s| s.as_ref().len()).sum());
+        let (mut paths, mut links) = (Vec::new(), Vec::new());
+        for s in sessions {
+            let s = s.as_ref();
+            let base = urls.len();
+            urls.extend_from_slice(s);
+            let mut out = Emit {
+                base,
+                paths: &mut paths,
+                links: &mut links,
+            };
+            emit(s, &mut out);
+        }
+        let spell = |&(start, len): &(u32, u32)| &urls[ix(start)..ix(start) + ix(len)];
+        paths.sort_unstable_by(|a, b| spell(a).cmp(spell(b)));
+        let paths = sum_runs(paths.into_iter().map(|p| (p, 1)), |a, b| {
+            spell(a) == spell(b)
+        });
+        links.sort_unstable();
+        let links = sum_runs(links.into_iter().map(|l| (l, 1)), |a, b| a == b);
+        Self { urls, paths, links }
+    }
+}
+
+/// Merges adjacent entries of sorted input whose keys are `same` into one
+/// entry carrying their summed count.
+fn sum_runs<K>(
+    sorted: impl IntoIterator<Item = (K, u64)>,
+    same: impl Fn(&K, &K) -> bool,
+) -> Vec<(K, u64)> {
+    let mut out: Vec<(K, u64)> = Vec::new();
+    for (key, n) in sorted {
+        match out.last_mut() {
+            Some((last, total)) if same(last, &key) => *total += n,
+            _ => out.push((key, n)),
+        }
+    }
+    out
+}
+
+/// Folds counted runs into the canonical rows: roots by URL, each followed
+/// by its special links by URL and then its subtree in preorder, siblings
+/// by URL. A row's count is the number of paths it begins.
+fn fold(runs: &[PathRun]) -> Vec<NodeSnapshot> {
+    // Each run is sorted, so a stable sort of their concatenation merges
+    // them.
+    let mut paths: Vec<(&[UrlId], u64)> = runs
+        .iter()
+        .flat_map(|r| {
+            r.paths
+                .iter()
+                .map(|&((start, len), n)| (&r.urls[ix(start)..ix(start) + ix(len)], n))
+        })
+        .collect();
+    paths.sort_by(|a, b| a.0.cmp(b.0));
+    let mut links: Vec<_> = runs.iter().flat_map(|r| r.links.iter().copied()).collect();
+    links.sort_by_key(|&(link, _)| link);
+    let mut links = sum_runs(links, |a, b| a == b).into_iter().peekable();
+
+    let mut rows: Vec<NodeSnapshot> = Vec::new();
+    // The rows spelling the previous path, by depth.
+    let mut open: Vec<u32> = Vec::new();
+    let mut prev: &[UrlId] = &[];
+    for (path, n) in paths {
+        let shared = prev.iter().zip(path).take_while(|(a, b)| a == b).count();
+        open.truncate(shared);
+        for &row in &open {
+            rows[ix(row)].count += n;
+        }
+        for &url in &path[shared..] {
+            let parent = open.last().copied().unwrap_or(NO_NODE);
+            let row = id(rows.len());
+            open.push(row);
+            rows.push(NodeSnapshot {
+                url: url.0,
+                count: n,
+                parent,
+                link_dup: false,
+            });
+            if parent == NO_NODE {
+                while let Some(((_, target), count)) = links.next_if(|&((r, _), _)| r == url) {
+                    rows.push(NodeSnapshot {
+                        url: target.0,
+                        count,
+                        parent: row,
+                        link_dup: true,
+                    });
+                }
+            }
+        }
+        prev = path;
+    }
+    debug_assert!(links.next().is_none(), "every link hangs off a root");
+    rows
+}
+
+/// Keeps each row whose parent is kept and whose own cut passes
+/// ([`PruneConfig::keeps`]), renumbering parents. A parent precedes its
+/// children, so one forward pass decides every row.
+fn cut(rows: &[NodeSnapshot], cfg: &PruneConfig) -> Vec<NodeSnapshot> {
+    let mut renumbered = vec![NO_NODE; rows.len()];
+    let mut kept = Vec::with_capacity(rows.len());
+    for (row, node) in rows.iter().enumerate() {
+        let (keep, parent) = if node.parent == NO_NODE {
+            (cfg.keeps(node.count, None), NO_NODE)
+        } else {
+            let parent = ix(node.parent);
+            let keep =
+                renumbered[parent] != NO_NODE && cfg.keeps(node.count, Some(rows[parent].count));
+            (keep, renumbered[parent])
+        };
+        if keep {
+            renumbered[row] = id(kept.len());
+            kept.push(NodeSnapshot {
+                parent,
+                ..node.clone()
+            });
+        }
+    }
+    kept
+}
+
+/// A tree model's nodes: counted path runs while training, then only the
+/// frozen arena — from `finalize`, or from a snapshot load, on.
 // One store per model, so the inline arena's size costs nothing; boxing it
 // would add a pointer hop to every predict.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub(crate) enum NodeStore {
-    /// Sessions grow, merge into and prune the pointer tree.
-    Training(Tree),
+    /// One counted run per `train_session` call and per `train_sessions`
+    /// partition.
+    Training(Vec<PathRun>),
     /// The arena serves. `used` holds Fig. 2's path-usage flags, one bit
     /// per row, allocated by the first `apply_usage`: serving never
     /// applies usage, so serving models never carry it.
@@ -670,7 +912,7 @@ pub(crate) enum NodeStore {
 
 impl Default for NodeStore {
     fn default() -> Self {
-        NodeStore::Training(Tree::new())
+        NodeStore::Training(Vec::new())
     }
 }
 
@@ -683,57 +925,75 @@ impl NodeStore {
         }
     }
 
-    /// The training tree; `None` once frozen.
-    pub(crate) fn tree(&self) -> Option<&Tree> {
-        match self {
-            NodeStore::Training(tree) => Some(tree),
+    /// The runs to add to. Training a finalized model is a caller bug:
+    /// debug builds panic, release builds ignore the session.
+    fn runs_mut(&mut self) -> Option<&mut Vec<PathRun>> {
+        let runs = match self {
+            NodeStore::Training(runs) => Some(runs),
             NodeStore::Frozen { .. } => None,
-        }
+        };
+        debug_assert!(runs.is_some(), "training after finalize");
+        runs
     }
 
-    /// The training tree to grow. Training a finalized model is a caller
-    /// bug: debug builds panic, release builds ignore the session.
-    pub(crate) fn tree_mut(&mut self) -> Option<&mut Tree> {
-        debug_assert!(self.tree().is_some(), "training after finalize");
-        match self {
-            NodeStore::Training(tree) => Some(tree),
-            NodeStore::Frozen { .. } => None,
-        }
+    /// Counts what `emit` writes for `session` as a run of its own.
+    pub(crate) fn train_session<F>(&mut self, session: &[UrlId], emit: F)
+    where
+        F: Fn(&[UrlId], &mut Emit<'_>) + Sync,
+    {
+        self.train_sessions(&[session], 1, emit);
     }
 
-    /// Trains on every session with `insert`, deterministically parallel:
+    /// Counts what `emit` writes for every session, in parallel:
     /// contiguous session partitions ([`crate::parallel::partition_ranges`])
-    /// grow private trees, which merge back in partition order
-    /// ([`Tree::merge_from`]). That is bit-identical to calling `insert`
-    /// on each session in turn, at every thread count (`0` = auto via
-    /// `PBPPM_THREADS`/available parallelism), as long as `insert` reads
-    /// only the session and what it itself inserted.
-    pub(crate) fn train_sessions<S, F>(&mut self, sessions: &[S], threads: usize, insert: F)
+    /// each become one run (`0` threads = auto via
+    /// `PBPPM_THREADS`/available parallelism). [`NodeStore::finalize`]
+    /// lays the merged runs out in one canonical order, so the arena is
+    /// the same at every thread count and in every session order.
+    pub(crate) fn train_sessions<S, F>(&mut self, sessions: &[S], threads: usize, emit: F)
     where
         S: AsRef<[UrlId]> + Sync,
-        F: Fn(&mut Tree, &[UrlId]) + Sync,
+        F: Fn(&[UrlId], &mut Emit<'_>) + Sync,
     {
-        let Some(tree) = self.tree_mut() else {
+        let Some(runs) = self.runs_mut() else {
             return;
         };
         let threads = crate::parallel::resolve_threads(threads).min(sessions.len().max(1));
-        if threads <= 1 {
-            for s in sessions {
-                insert(tree, s.as_ref());
-            }
-            return;
-        }
         let ranges = crate::parallel::partition_ranges(sessions.len(), threads);
-        let donors = crate::parallel::parallel_map_with(&ranges, threads, |r| {
-            let mut donor = Tree::new();
-            for s in &sessions[r.clone()] {
-                insert(&mut donor, s.as_ref());
-            }
-            donor
-        });
-        for donor in &donors {
-            tree.merge_from(donor);
+        runs.extend(crate::parallel::parallel_map_with(&ranges, threads, |r| {
+            PathRun::count(&sessions[r.clone()], &emit)
+        }));
+    }
+
+    /// Replaces the runs by their arena: merged, folded into the canonical
+    /// rows, cut by `cfg` and built by [`FrozenTree::from_snapshot`]. `pop`
+    /// supplies PB-PPM's popularity grades; baselines pass `None`. `None`
+    /// when already frozen (a second `finalize` changes nothing).
+    ///
+    /// # Panics
+    ///
+    /// If the loader refuses the rows. Counting builds only shapes the
+    /// loader accepts, so a refusal is a training bug.
+    pub(crate) fn finalize(
+        &mut self,
+        cfg: &PruneConfig,
+        pop: Option<&PopularityTable>,
+    ) -> Option<(&FrozenTree, PruneReport)> {
+        let NodeStore::Training(runs) = self else {
+            return None;
+        };
+        let rows = fold(runs);
+        let nodes = cut(&rows, cfg);
+        let report = PruneReport {
+            nodes_before: rows.len(),
+            nodes_after: nodes.len(),
+        };
+        drop(rows);
+        match FrozenTree::from_snapshot(&TreeSnapshot { nodes }, pop) {
+            Ok(arena) => *self = NodeStore::loaded(arena),
+            Err(e) => panic!("{e}"),
         }
+        self.arena().map(|arena| (arena, report))
     }
 
     /// The serving arena; `None` while training.
@@ -753,22 +1013,10 @@ impl NodeStore {
             .unwrap_or_default()
     }
 
-    /// Alive nodes: the paper's storage measure.
+    /// Rows in the arena: the paper's storage measure. A store still
+    /// training has no arena, so 0.
     pub(crate) fn node_count(&self) -> usize {
-        match self {
-            NodeStore::Training(tree) => tree.node_count(),
-            NodeStore::Frozen { arena, .. } => arena.len(),
-        }
-    }
-
-    /// Replaces the training tree by its arena. `None` when already
-    /// frozen (a second `finalize` changes nothing).
-    pub(crate) fn freeze(&mut self, pop: Option<&PopularityTable>) -> Option<&FrozenTree> {
-        let NodeStore::Training(tree) = self else {
-            return None;
-        };
-        *self = NodeStore::loaded(std::mem::take(tree).freeze(pop));
-        self.arena()
+        self.arena().map_or(0, FrozenTree::len)
     }
 
     /// The arena and its path-usage bitset, allocating the bitset on
@@ -799,16 +1047,33 @@ impl NodeStore {
         }
     }
 
-    /// Structural statistics of the finalized arena. While training only
-    /// `nodes` is known.
+    /// Structural statistics of the finalized arena; the default while
+    /// training, which has no arena.
     pub(crate) fn stats(&self) -> ModelStats {
         match self {
-            NodeStore::Training(tree) => ModelStats {
-                nodes: tree.node_count(),
-                ..ModelStats::default()
-            },
+            NodeStore::Training(_) => ModelStats::default(),
             NodeStore::Frozen { arena, used } => ModelStats::of_arena(arena, used),
         }
+    }
+}
+
+/// An arena counted from `paths`, each emitted once, and special `links`,
+/// with no cut: a fixture for tests of what reads arenas.
+#[cfg(test)]
+pub(crate) fn arena_of(paths: &[&[u32]], links: &[(u32, u32)]) -> FrozenTree {
+    let paths: Vec<Vec<UrlId>> = paths
+        .iter()
+        .map(|p| p.iter().map(|&n| UrlId(n)).collect())
+        .collect();
+    let mut store = NodeStore::default();
+    store.train_sessions(&paths, 1, |s, out| out.path(0..s.len()));
+    for &(root, url) in links {
+        store.train_session(&[], |_, out| out.link(UrlId(root), UrlId(url)));
+    }
+    let _ = store.finalize(&PruneConfig::disabled(), None);
+    match store {
+        NodeStore::Frozen { arena, .. } => arena,
+        NodeStore::Training(_) => unreachable!("finalize froze"),
     }
 }
 
@@ -818,26 +1083,26 @@ mod tests {
     use crate::pb::{PbConfig, PbPpm};
     use crate::popularity::PopularityBuilder;
     use crate::predictor::Predictor;
-    use crate::prune::PruneConfig;
     use crate::standard::StandardPpm;
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
     }
 
-    /// A finalized standard model and the reference tree it froze.
-    fn trained_standard() -> (StandardPpm, Tree) {
+    const STANDARD_SESSIONS: [&[u32]; 3] = [&[0, 1, 2, 3], &[0, 1, 4], &[2, 3, 1]];
+
+    /// A finalized unbounded standard model over `STANDARD_SESSIONS`.
+    fn trained_standard() -> StandardPpm {
         let mut m = StandardPpm::unbounded();
-        m.train_session(&[u(0), u(1), u(2), u(3)]);
-        m.train_session(&[u(0), u(1), u(4)]);
-        m.train_session(&[u(2), u(3), u(1)]);
-        let tree = m.reference_tree().unwrap();
+        for s in STANDARD_SESSIONS {
+            m.train_session(&s.iter().map(|&n| u(n)).collect::<Vec<_>>());
+        }
         m.finalize();
-        (m, tree)
+        m
     }
 
-    /// A finalized PB model and the reference tree it froze.
-    fn trained_pb() -> (PbPpm, Tree) {
+    /// A finalized PB model: grades 3/2/1/3 for URLs 0–3, no cuts.
+    fn trained_pb() -> PbPpm {
         let mut b = PopularityBuilder::new();
         b.record_n(u(0), 1000);
         b.record_n(u(1), 50);
@@ -852,114 +1117,112 @@ mod tests {
             m.train_session(&[u(0), u(1), u(2), u(3), u(1), u(2)]);
         }
         m.train_session(&[u(3), u(1), u(2), u(0)]);
-        let tree = m.reference_tree().unwrap();
         m.finalize();
-        (m, tree)
+        m
+    }
+
+    /// Row `i`'s path, root first, by its parent chain.
+    fn path_of(arena: &FrozenTree, i: u32) -> Vec<UrlId> {
+        let mut path = vec![arena.url(i)];
+        let mut cur = arena.parent(i);
+        while cur != NO_NODE {
+            path.push(arena.url(cur));
+            cur = arena.parent(cur);
+        }
+        path.reverse();
+        path
     }
 
     #[test]
-    fn freeze_is_identity_mapped_and_field_faithful() {
-        let (standard, standard_tree) = trained_standard();
-        let (pb, pb_tree) = trained_pb();
-        let frozen = [standard.frozen(), pb.frozen()];
-        for (frozen, tree) in frozen.into_iter().zip([standard_tree, pb_tree]) {
-            let frozen = frozen.expect("finalize froze");
-            assert_eq!(frozen.len(), tree.arena_len());
-            for id in tree.iter_alive() {
-                let node = &tree.nodes[id.index()];
-                let i = id.0;
-                assert_eq!(frozen.url(i), node.url);
-                assert_eq!(frozen.count(i), node.count);
-                assert_eq!(frozen.depth(i), node.depth);
-                assert_eq!(frozen.parent(i), node.parent.0);
-                assert_eq!(frozen.is_link_dup(i), node.link_dup);
-                let kids: Vec<(UrlId, u32)> =
-                    node.children.iter().map(|&(u, c)| (u, c.0)).collect();
-                assert_eq!(frozen.children(i), kids.as_slice());
+    fn trained_rows_count_the_paths_they_begin() {
+        let m = trained_standard();
+        let arena = m.frozen().expect("finalize froze");
+        let sessions: Vec<Vec<UrlId>> = STANDARD_SESSIONS
+            .iter()
+            .map(|s| s.iter().map(|&n| u(n)).collect())
+            .collect();
+        // Every suffix of every session is a path; each of its prefixes
+        // is a row counting the suffixes it begins.
+        let mut prefixes = std::collections::BTreeSet::new();
+        for s in &sessions {
+            for start in 0..s.len() {
+                for end in start + 1..=s.len() {
+                    prefixes.insert(s[start..end].to_vec());
+                }
             }
         }
+        assert_eq!(arena.len(), prefixes.len());
+        for i in 0..arena.rows() {
+            let path = path_of(arena, i);
+            let begun = sessions
+                .iter()
+                .flat_map(|s| (0..s.len()).map(move |start| &s[start..]))
+                .filter(|suffix| suffix.starts_with(&path))
+                .count();
+            assert_eq!(arena.count(i), begun as u64, "row {i} {path:?}");
+            assert_eq!(usize::from(arena.depth(i)), path.len());
+            assert_eq!(arena.descend(&path), Some(i));
+            assert!(!arena.is_link_dup(i));
+        }
     }
 
     #[test]
-    fn frozen_lookups_mirror_pointer_lookups() {
-        let (m, tree) = trained_standard();
+    fn trained_rows_are_in_canonical_order() {
+        // Roots by URL, each followed by its links by URL and then its
+        // subtree in preorder, siblings by URL.
+        let arena = arena_of(&[&[5, 2], &[1, 7], &[1, 3, 4], &[5]], &[(1, 9), (1, 8)]);
+        let rows: Vec<(u32, u32, bool)> = arena
+            .to_snapshot()
+            .nodes
+            .iter()
+            .map(|n| (n.url, n.parent, n.link_dup))
+            .collect();
+        let root = NO_NODE;
+        assert_eq!(
+            rows,
+            vec![
+                (1, root, false),
+                (8, 0, true),
+                (9, 0, true),
+                (3, 0, false),
+                (4, 3, false),
+                (7, 0, false),
+                (5, root, false),
+                (2, 6, false),
+            ]
+        );
+        assert_eq!(arena.count(0), 2);
+        assert_eq!(arena.count(6), 2);
+    }
+
+    #[test]
+    fn frozen_links_and_grades_follow_pb_training() {
+        let m = trained_pb();
         let frozen = m.frozen().expect("finalize froze");
-        for url in 0..6 {
+        // Three sessions link root 0 to the grade-3 URL 3 at depth 4, one
+        // links root 3 to URL 0.
+        let links = |url| -> Vec<(UrlId, u64)> {
+            frozen
+                .links_of(u(url))
+                .iter()
+                .map(|&id| (frozen.url(id), frozen.count(id)))
+                .collect()
+        };
+        assert_eq!(links(0), vec![(u(3), 3)]);
+        assert_eq!(links(3), vec![(u(0), 1)]);
+        assert!(links(1).is_empty());
+        for i in 0..frozen.rows() {
             assert_eq!(
-                frozen.root(u(url)),
-                tree.root(u(url)).map(|id| id.0),
-                "root({url})"
-            );
-        }
-        let probes: Vec<Vec<UrlId>> = vec![
-            vec![u(0)],
-            vec![u(0), u(1)],
-            vec![u(0), u(1), u(2)],
-            vec![u(0), u(1), u(2), u(3)],
-            vec![u(9), u(0), u(1)],
-            vec![u(2), u(3)],
-            vec![u(5)],
-            vec![],
-        ];
-        for ctx in &probes {
-            assert_eq!(
-                frozen.longest_predictive(ctx, 255),
-                tree.longest_predictive_match(ctx, 255).map(|id| id.0),
-                "context {ctx:?}"
-            );
-            assert_eq!(
-                frozen.descend(ctx),
-                tree.descend(ctx).map(|id| id.0),
-                "descend {ctx:?}"
+                frozen.grade(i),
+                m.popularity().grade(frozen.url(i)).level(),
+                "grade of node {i}"
             );
         }
     }
 
     #[test]
-    fn frozen_links_and_grades_mirror_pb() {
-        let (m, tree) = trained_pb();
-        let frozen = m.frozen().expect("finalize froze");
-        for url in 0..5 {
-            let mut want: Vec<u32> = tree
-                .root(u(url))
-                .map(|root| tree.links_of(root).map(|id| id.0).collect())
-                .unwrap_or_default();
-            let mut got = frozen.links_of(u(url)).to_vec();
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(got, want, "links_of({url})");
-        }
-        for id in tree.iter_alive() {
-            let node = tree.node(id);
-            assert_eq!(
-                frozen.grade(id.0),
-                m.popularity().grade(node.url).level(),
-                "grade of node {}",
-                id.0
-            );
-        }
-    }
-
-    /// The pointer-tree walk `match_top` replaces: climb one parent per
-    /// suffix URL, oldest topmost.
-    fn tree_match_top(tree: &Tree, node: NodeId, suffix: &[UrlId]) -> Option<NodeId> {
-        let (&last, older) = suffix.split_last()?;
-        if tree.node(node).url != last {
-            return None;
-        }
-        let mut cur = node;
-        for &url in older.iter().rev() {
-            cur = tree.node(cur).parent;
-            if cur.is_none() || tree.node(cur).url != url {
-                return None;
-            }
-        }
-        Some(cur)
-    }
-
-    #[test]
-    fn match_top_mirrors_pointer_walks() {
-        let (m, tree) = trained_pb();
+    fn match_top_finds_the_top_of_each_matching_suffix() {
+        let m = trained_pb();
         let frozen = m.frozen().expect("finalize froze");
         let contexts = [
             vec![u(0)],
@@ -968,42 +1231,31 @@ mod tests {
             vec![u(9), u(1), u(2)],
             vec![u(0), u(1), u(2), u(3)],
         ];
-        for id in tree.iter_alive() {
+        for i in (0..frozen.rows()).filter(|&i| !frozen.is_link_dup(i)) {
+            let path = path_of(frozen, i);
             for ctx in &contexts {
-                assert_eq!(
-                    frozen.match_top(id.0, ctx),
-                    tree_match_top(&tree, id, ctx).map(|t| t.0),
-                    "match_top node {} ctx {ctx:?}",
-                    id.0
-                );
+                let want = path
+                    .ends_with(ctx)
+                    .then(|| frozen.descend(&path[..=path.len() - ctx.len()]))
+                    .flatten();
+                assert_eq!(frozen.match_top(i, ctx), want, "row {i} ctx {ctx:?}");
             }
         }
     }
 
     #[test]
     fn snapshot_roundtrip_rebuilds_the_same_arena() {
-        let mut t = Tree::new();
-        t.insert_path(&[u(1), u(2), u(3)], usize::MAX);
-        t.insert_path(&[u(1), u(4)], usize::MAX);
-        t.insert_path(&[u(6), u(7)], usize::MAX);
-        let r = t.root(u(1)).unwrap();
-        let l = t.link_or_insert(r, u(9));
-        t.bump(l);
-        // Kill something so freezing must compact.
-        t.kill_subtree(t.descend(&[u(6), u(7)]).unwrap());
-        let alive = t.node_count();
-        let frozen = t.freeze(None);
-
+        let frozen = arena_of(&[&[1, 2, 3], &[1, 4], &[6, 7]], &[(1, 9)]);
         let snap = frozen.to_snapshot();
-        assert_eq!(snap.nodes.len(), alive);
+        assert_eq!(snap.nodes.len(), 7);
         let dups: Vec<&NodeSnapshot> = snap.nodes.iter().filter(|n| n.link_dup).collect();
         assert_eq!(dups.len(), 1, "one link");
-        assert_eq!(dups[0].parent, r.0);
         let back = FrozenTree::from_snapshot(&snap, None).unwrap();
         assert_eq!(back, frozen);
         let root = back.root(u(1)).unwrap();
+        assert_eq!(dups[0].parent, root);
         assert_eq!(back.count(back.descend(&[u(1), u(2), u(3)]).unwrap()), 1);
-        assert!(back.descend(&[u(6), u(7)]).is_none());
+        assert_eq!(back.count(root), 2);
         assert_eq!(back.links_of(u(1)).len(), 1);
         assert_eq!(back.url(back.links_of(u(1))[0]), u(9));
         assert_eq!(back.parent(back.links_of(u(1))[0]), root);
@@ -1011,13 +1263,63 @@ mod tests {
         assert_eq!(back.to_snapshot(), snap);
     }
 
-    /// Rows 0..3: root 1, its child 2, and its special link to 9.
-    fn chain() -> TreeSnapshot {
-        let mut t = Tree::new();
-        t.insert_path(&[u(1), u(2)], usize::MAX);
-        let r = t.root(u(1)).unwrap();
-        t.link_or_insert(r, u(9));
-        t.freeze(None).to_snapshot()
+    /// `image` with its rows in another parent-first order: roots by
+    /// descending URL, each root's children (subtrees first, siblings
+    /// reversed) before its links.
+    fn reversed_rows(arena: &FrozenTree) -> TreeSnapshot {
+        fn visit(arena: &FrozenTree, row: u32, order: &mut Vec<u32>) {
+            order.push(row);
+            for &(_, child) in arena.children(row).iter().rev() {
+                visit(arena, child, order);
+            }
+        }
+        let mut order = Vec::new();
+        for &(url, root) in arena.roots().iter().rev() {
+            visit(arena, root, &mut order);
+            order.extend(arena.links_of(url).iter().rev());
+        }
+        assert_eq!(order.len(), arena.len());
+        let mut renumbered = vec![NO_NODE; order.len()];
+        for (new, &old) in (0..).zip(&order) {
+            renumbered[ix(old)] = new;
+        }
+        let image = arena.to_snapshot();
+        let nodes = order
+            .iter()
+            .map(|&old| {
+                let node = &image.nodes[ix(old)];
+                NodeSnapshot {
+                    parent: renumbered.get(ix(node.parent)).copied().unwrap_or(NO_NODE),
+                    ..node.clone()
+                }
+            })
+            .collect();
+        TreeSnapshot { nodes }
+    }
+
+    #[test]
+    fn any_parent_first_row_order_loads_and_predicts_alike() {
+        let m = trained_pb();
+        let mut snap = m.to_snapshot();
+        snap.tree = reversed_rows(m.frozen().expect("finalize froze"));
+        assert_ne!(snap.tree, m.to_snapshot().tree, "rows really moved");
+        let back = PbPpm::from_snapshot(&snap).expect("a parent-first image loads");
+        assert_eq!(back.to_snapshot().tree, snap.tree, "rows keep their order");
+        assert_eq!(back.stats(), m.stats());
+        let mut contexts: Vec<Vec<UrlId>> = (0..5).map(|a| vec![u(a)]).collect();
+        for a in 0..5 {
+            for b in 0..5 {
+                contexts.push(vec![u(a), u(b)]);
+                contexts.push(vec![u(9), u(a), u(b)]);
+            }
+        }
+        contexts.push(vec![u(0), u(1), u(2), u(3), u(1), u(2)]);
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for ctx in &contexts {
+            m.predict_ro(ctx, &mut want, &mut PredictUsage::default());
+            back.predict_ro(ctx, &mut got, &mut PredictUsage::default());
+            assert_eq!(got, want, "context {ctx:?}");
+        }
     }
 
     fn row(url: u32, parent: u32, link_dup: bool) -> NodeSnapshot {
@@ -1026,6 +1328,13 @@ mod tests {
             count: 1,
             parent,
             link_dup,
+        }
+    }
+
+    /// Rows 0..3: root 1, its child 2, and its special link to 9.
+    fn chain() -> TreeSnapshot {
+        TreeSnapshot {
+            nodes: vec![row(1, NO_NODE, false), row(2, 0, false), row(9, 0, true)],
         }
     }
 
@@ -1085,14 +1394,88 @@ mod tests {
     }
 
     #[test]
+    fn depth_saturates_instead_of_overflowing() {
+        let nodes = (0..300u32)
+            .map(|i| row(i, i.checked_sub(1).unwrap_or(NO_NODE), false))
+            .collect();
+        let arena = FrozenTree::from_snapshot(&TreeSnapshot { nodes }, None).unwrap();
+        assert_eq!(arena.depth(254), u8::MAX);
+        assert_eq!(arena.depth(299), u8::MAX);
+    }
+
+    /// Root 0 (count 100) with link 9 (1), child 1 (50) with child 2 (1),
+    /// and child 3 (2); then root 4 (1) with child 5 (1).
+    fn counted_rows() -> Vec<NodeSnapshot> {
+        let node = |url, count, parent, link_dup| NodeSnapshot {
+            url,
+            count,
+            parent,
+            link_dup,
+        };
+        vec![
+            node(0, 100, NO_NODE, false),
+            node(9, 1, 0, true),
+            node(1, 50, 0, false),
+            node(2, 1, 2, false),
+            node(3, 2, 0, false),
+            node(4, 1, NO_NODE, false),
+            node(5, 1, 5, false),
+        ]
+    }
+
+    /// The `(url, parent)` of each row `cut` keeps.
+    fn kept(cfg: PruneConfig) -> Vec<(u32, u32)> {
+        cut(&counted_rows(), &cfg)
+            .iter()
+            .map(|n| (n.url, n.parent))
+            .collect()
+    }
+
+    #[test]
+    fn cuts_drop_subtrees_and_links_with_their_root() {
+        assert_eq!(kept(PruneConfig::disabled()).len(), 7);
+        // 1% keeps every 2% child and the 1% link; 5% drops them, and
+        // renumbers what follows.
+        assert_eq!(
+            kept(PruneConfig {
+                relative_threshold: Some(0.05),
+                min_abs_count: None,
+            }),
+            vec![(0, NO_NODE), (1, 0), (4, NO_NODE), (5, 2)]
+        );
+        assert_eq!(
+            kept(PruneConfig {
+                relative_threshold: Some(0.01),
+                min_abs_count: None,
+            })
+            .len(),
+            7
+        );
+        // The absolute cut drops singletons anywhere, roots included, and
+        // a root's subtree goes with it.
+        assert_eq!(
+            kept(PruneConfig {
+                relative_threshold: None,
+                min_abs_count: Some(1),
+            }),
+            vec![(0, NO_NODE), (1, 0), (3, 0)]
+        );
+        assert!(kept(PruneConfig {
+            relative_threshold: None,
+            min_abs_count: Some(u64::MAX),
+        })
+        .is_empty());
+    }
+
+    #[test]
     fn check_csr_accepts_a_compiled_arena() {
-        let (m, _) = trained_pb();
+        let m = trained_pb();
         assert_eq!(m.frozen().expect("finalize froze").check_csr(), Ok(()));
     }
 
     #[test]
     fn check_csr_rejects_malformed_structure() {
-        let (m, _) = trained_pb();
+        let m = trained_pb();
         let f = m.frozen().expect("finalize froze");
         let check = |mutate: &dyn Fn(&mut FrozenTree)| {
             let mut bad = f.clone();
@@ -1134,27 +1517,26 @@ mod tests {
     }
 
     #[test]
-    fn lrs_freeze_survives_prune_and_compact() {
+    fn lrs_cut_drops_unrepeated_branches() {
         let mut m = StandardPpm::lrs();
         for _ in 0..3 {
             m.train_session(&[u(0), u(1), u(2)]);
         }
-        m.train_session(&[u(3), u(4)]); // below min_support: pruned away
-        let tree = m.reference_tree().unwrap();
+        m.train_session(&[u(3), u(4)]); // below min_support: cut away
         m.finalize();
         let frozen = m.frozen().expect("finalize froze");
-        assert_eq!(frozen.len(), tree.node_count());
+        // 0, 0 1, 0 1 2, 1, 1 2, 2.
+        assert_eq!(frozen.len(), 6);
         assert!(frozen.root(u(3)).is_none(), "pruned root must not survive");
         assert!(frozen.descend(&[u(0), u(1), u(2)]).is_some());
     }
 
     #[test]
-    fn finalized_models_hold_no_tree() {
-        let (m, _) = trained_pb();
-        assert!(m.store.tree().is_none() && m.reference_tree().is_none());
-        let (m, _) = trained_standard();
-        assert!(m.store.tree().is_none() && m.reference_tree().is_none());
-        let loaded = PbPpm::from_snapshot(&trained_pb().0.to_snapshot()).unwrap();
-        assert!(loaded.store.tree().is_none());
+    fn finalized_models_hold_only_the_arena() {
+        let training = |store: &NodeStore| matches!(store, NodeStore::Training(_));
+        assert!(!training(&trained_pb().store));
+        assert!(!training(&trained_standard().store));
+        let loaded = PbPpm::from_snapshot(&trained_pb().to_snapshot()).unwrap();
+        assert!(!training(&loaded.store));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every hot data structure in the models stores [`UrlId`]s rather than
 //! strings: ids are 4 bytes, hash in one multiply, and compare in one
-//! instruction, which is what makes the arena trie in [`crate::tree`] compact
+//! instruction, which is what makes the arena trie in [`crate::frozen`] compact
 //! (see the Rust Performance Book, "Smaller Integers").
 
 use crate::fxhash::FxHasher;

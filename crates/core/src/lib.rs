@@ -75,12 +75,11 @@ pub mod snapshot;
 pub mod standard;
 pub mod stats;
 pub mod topn;
-pub mod tree;
 pub mod verify;
 
 pub use context_index::{ContextHashes, ContextIndex, IndexOccupancy};
 pub use eval::{evaluate, EvalConfig, PredictionQuality};
-pub use frozen::FrozenTree;
+pub use frozen::{FrozenTree, NodeId};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use interner::{Interner, UrlId};
 pub use live::{traffic_increment, GradeAccuracy, LiveEval, LiveEvalConfig};
@@ -101,7 +100,6 @@ pub use snapshot::{
 pub use standard::StandardPpm;
 pub use stats::ModelStats;
 pub use topn::TopN;
-pub use tree::{NodeId, Tree};
 pub use verify::{
     runtime_audit, runtime_audit_enabled, verify_model, verify_model_with_urls, AuditReport,
     ModelRef, Violation,

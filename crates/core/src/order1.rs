@@ -10,16 +10,18 @@
 //! transition. Training, matching, usage, statistics and the audit are the
 //! suffix-forest models' own; only the persisted row layout is O1's.
 
-use crate::frozen::{FrozenTree, NodeStore, NO_NODE};
+use crate::frozen::{
+    Emit, FrozenTree, NodeSnapshot, NodeStore, SnapshotError, TreeSnapshot, NO_NODE,
+};
 use crate::interner::UrlId;
 use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
+use crate::prune::PruneConfig;
 use crate::stats::ModelStats;
-use crate::tree::{NodeSnapshot, SnapshotError, Tree, TreeSnapshot};
 
 /// First-order Markov prediction model.
 #[derive(Debug, Clone, Default)]
 pub struct Order1Markov {
-    /// The pair forest while training, the frozen arena from finalize on.
+    /// The counted pairs while training, the frozen arena from finalize on.
     pub(crate) store: NodeStore,
 }
 
@@ -34,7 +36,7 @@ impl Order1Markov {
     /// [`Predictor::train_session`] loop at every thread count (`0` = auto
     /// via `PBPPM_THREADS`/available parallelism).
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
-        self.store.train_sessions(sessions, threads, insert_pairs);
+        self.store.train_sessions(sessions, threads, emit_pairs);
     }
 
     /// Serializes the finalized model as transition rows, read off the
@@ -99,10 +101,10 @@ impl Order1Markov {
     }
 }
 
-/// Inserts every adjacent click pair of `session` as a two-node path.
-fn insert_pairs(tree: &mut Tree, session: &[UrlId]) {
-    for pair in session.windows(2) {
-        tree.insert_path(pair, 2);
+/// Emits every adjacent click pair of `session` as a two-node path.
+fn emit_pairs(session: &[UrlId], out: &mut Emit<'_>) {
+    for start in 1..session.len() {
+        out.path(start - 1..start + 1);
     }
 }
 
@@ -130,14 +132,16 @@ impl Predictor for Order1Markov {
     }
 
     fn train_session(&mut self, session: &[UrlId]) {
-        if let Some(tree) = self.store.tree_mut() {
-            insert_pairs(tree, session);
-        }
+        self.store.train_session(session, emit_pairs);
     }
 
-    /// Freezes the pair forest into the arena that replaces it.
+    /// Counts the pairs into the arena that replaces them.
     fn finalize(&mut self) {
-        if self.store.freeze(None).is_none() {
+        if self
+            .store
+            .finalize(&PruneConfig::disabled(), None)
+            .is_none()
+        {
             return;
         }
         crate::verify::runtime_audit(

@@ -37,13 +37,12 @@
 //! exactly the reference's group, and it votes whole.
 
 use crate::context_index::{bucket_key, ContextHashes, ContextIndex, WindowGroup};
-use crate::frozen::{mark_row, FrozenTree, NodeStore};
+use crate::frozen::{mark_row, Emit, FrozenTree, NodeId, NodeStore, SnapshotError, TreeSnapshot};
 use crate::interner::UrlId;
 use crate::popularity::{Grade, PopularityTable};
 use crate::predictor::{rank_predictions, ModelKind, PredictUsage, Prediction, Predictor};
-use crate::prune::{prune, PruneConfig, PruneReport};
+use crate::prune::{PruneConfig, PruneReport};
 use crate::stats::ModelStats;
-use crate::tree::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
 
 /// Construction parameters for [`PbPpm`].
@@ -83,79 +82,78 @@ impl PbConfig {
 
 /// One growing branch during session insertion.
 struct Cursor {
-    /// Deepest node inserted so far on this branch.
-    at: NodeId,
-    /// The branch's root (link target anchor).
-    root: NodeId,
+    /// Session position of the branch's heading URL, its root.
+    start: usize,
     /// Grade of the branch's heading URL.
     head_grade: Grade,
-    /// How many more nodes this branch may accept.
-    remaining: u8,
-    /// Depth of `at` within the branch (head = 1).
-    depth: u8,
+    /// How many nodes the branch may hold.
+    height: usize,
 }
 
-/// Inserts one session into `tree` under the paper's four construction
-/// rules, against a frozen popularity table and config.
+/// Emits one session's training under the paper's four construction
+/// rules, against a frozen popularity table and config: one path per
+/// branch grown (cursor), from its root to where it stopped or was
+/// restarted, and one link per `(root, url)` pair rule 3 duplicates.
 ///
-/// This is [`Predictor::train_session`] for [`PbPpm`] with the tree made
-/// explicit, so parallel training workers can grow private partial trees
-/// against the **shared** popularity table and config. Every decision here
-/// reads only `session`, `pop`, `cfg`, and the URL of the branch root the
-/// session itself created — never pre-existing tree contents — which is the
-/// property [`Tree::merge_from`]'s determinism contract rests on.
-fn train_session_into(tree: &mut Tree, pop: &PopularityTable, cfg: &PbConfig, session: &[UrlId]) {
+/// Every decision reads only `session`, `pop` and `cfg`, so partitions
+/// count independently against the **shared** popularity table.
+fn emit_session(pop: &PopularityTable, cfg: &PbConfig, session: &[UrlId], out: &mut Emit<'_>) {
     let mut cursors: Vec<Cursor> = Vec::with_capacity(4);
     let mut prev_grade = Grade::G0;
     // A link's count answers "in how many of the branch's sessions was
     // the popular URL revisited later?", so each (root, url) link is
-    // bumped at most once per session no matter how often the URL
+    // emitted at most once per session no matter how often the URL
     // recurs.
-    let mut linked_this_session: Vec<(NodeId, UrlId)> = Vec::new();
+    let mut linked_this_session: Vec<(UrlId, UrlId)> = Vec::new();
     for (i, &url) in session.iter().enumerate() {
         let g = pop.grade(url);
 
-        // Rule 1/2: extend every branch that still has headroom.
-        cursors.retain_mut(|c| {
-            if c.remaining == 0 {
+        // Rule 1/2: extend every branch that still has headroom; a full
+        // one ends before this click.
+        cursors.retain(|c| {
+            if i - c.start == c.height {
+                out.path(c.start..i);
                 return false;
             }
-            c.at = tree.child_or_insert(c.at, url);
-            tree.bump(c.at);
-            c.remaining -= 1;
-            c.depth += 1;
             // Rule 3: duplicate-and-link popular URLs that are not the
-            // head's immediate successor. A link back to the head itself
-            // would predict the page currently being served, so skip it.
+            // head's immediate successor (depth 3 and deeper). A link back
+            // to the head itself would predict the page currently being
+            // served, so skip it.
+            let root = session[c.start];
             if cfg.special_links
-                && c.depth >= 3
+                && i - c.start >= 2
                 && (g > c.head_grade || g == Grade::MAX)
-                && url != tree.node(c.root).url
-                && !linked_this_session.contains(&(c.root, url))
+                && url != root
+                && !linked_this_session.contains(&(root, url))
             {
-                let dup = tree.link_or_insert(c.root, url);
-                tree.bump(dup);
-                linked_this_session.push((c.root, url));
+                out.link(root, url);
+                linked_this_session.push((root, url));
             }
             true
         });
 
         // Rule 4: a new root at the session head or on a grade ascent.
         if i == 0 || g > prev_grade {
-            let root = tree.root_or_insert(url);
-            tree.bump(root);
             // If this root's branch is already being grown in this
-            // session, restart it rather than double-extend it.
-            cursors.retain(|c| c.root != root);
+            // session, it ends here (this click included) and restarts
+            // rather than double-extend.
+            cursors.retain(|c| {
+                let restarted = session[c.start] == url;
+                if restarted {
+                    out.path(c.start..i + 1);
+                }
+                !restarted
+            });
             cursors.push(Cursor {
-                at: root,
-                root,
+                start: i,
                 head_grade: g,
-                remaining: cfg.height_for(g) - 1,
-                depth: 1,
+                height: usize::from(cfg.height_for(g)),
             });
         }
         prev_grade = g;
+    }
+    for c in cursors {
+        out.path(c.start..session.len());
     }
 }
 
@@ -166,9 +164,9 @@ fn train_session_into(tree: &mut Tree, pop: &PopularityTable, cfg: &PbConfig, se
 /// readers share via `Arc` — see [`crate::publish`].
 #[derive(Clone)]
 pub struct PbPpm {
-    /// The training tree, replaced by the frozen arena at finalize: the
-    /// arena's SoA/CSR rows are what verification walks, votes and the
-    /// link channel read.
+    /// The counted training paths, replaced by the frozen arena at
+    /// finalize: the arena's SoA/CSR rows are what verification walks,
+    /// votes and the link channel read.
     pub(crate) store: NodeStore,
     pub(crate) pop: PopularityTable,
     pub(crate) cfg: PbConfig,
@@ -208,15 +206,15 @@ impl PbPpm {
     }
 
     /// Trains on every session, deterministically parallel
-    /// ([`NodeStore::train_sessions`]): each worker grows a private partial
-    /// tree via [`train_session_into`] against the shared frozen popularity
+    /// ([`NodeStore::train_sessions`]): each worker counts its partition's
+    /// paths via `emit_session` against the shared frozen popularity
     /// table — bit-identical to a sequential [`Predictor::train_session`]
     /// loop at every thread count (`0` = auto via `PBPPM_THREADS`/available
     /// parallelism).
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
         let (pop, cfg) = (&self.pop, &self.cfg);
-        self.store.train_sessions(sessions, threads, |tree, s| {
-            train_session_into(tree, pop, cfg, s);
+        self.store.train_sessions(sessions, threads, |s, out| {
+            emit_session(pop, cfg, s, out);
         });
     }
 
@@ -283,16 +281,6 @@ impl PbPpm {
             .set(occ.dirty_groups as u64);
         reg.gauge("core.index.derived_groups", &label)
             .set(occ.derived_groups as u64);
-    }
-
-    /// The pointer tree `finalize` would freeze: the training tree after
-    /// the same pruning and compaction, but never frozen. The reference
-    /// oracle walks it ([`crate::reference`]); `None` once finalized.
-    #[doc(hidden)]
-    pub fn reference_tree(&self) -> Option<Tree> {
-        let mut tree = self.store.tree()?.clone();
-        prune(&mut tree, &self.cfg.prune);
-        Some(tree)
     }
 
     /// The popularity table the model was built with.
@@ -431,7 +419,7 @@ impl PbPpm {
 
     /// Restores a finalized model from a snapshot: the arena is rebuilt
     /// directly from the image, then indexed.
-    pub fn from_snapshot(snap: &PbSnapshot) -> Result<Self, crate::tree::SnapshotError> {
+    pub fn from_snapshot(snap: &PbSnapshot) -> Result<Self, SnapshotError> {
         let arena = FrozenTree::from_snapshot(&snap.tree, Some(&snap.pop))?;
         let index = ContextIndex::windows(&arena, snap.cfg.max_order)?;
         Ok(Self {
@@ -488,7 +476,7 @@ impl PbPpm {
 #[derive(Debug, Clone)]
 pub struct PbSnapshot {
     /// The frozen arena's rows.
-    pub tree: crate::tree::TreeSnapshot,
+    pub tree: TreeSnapshot,
     /// The frozen popularity table the model was built with.
     pub pop: PopularityTable,
     /// Construction parameters.
@@ -501,22 +489,19 @@ impl Predictor for PbPpm {
     }
 
     fn train_session(&mut self, session: &[UrlId]) {
-        if let Some(tree) = self.store.tree_mut() {
-            train_session_into(tree, &self.pop, &self.cfg, session);
-        }
+        let (pop, cfg) = (&self.pop, &self.cfg);
+        self.store
+            .train_session(session, |s, out| emit_session(pop, cfg, s, out));
     }
 
-    /// Applies the paper's post-build space optimizations (relative access
-    /// probability cut and absolute count cut), freezes the compacted tree
-    /// into the arena that replaces it, and indexes the arena.
+    /// Counts the paths into the arena that replaces them, applying the
+    /// paper's post-build space optimizations (relative access probability
+    /// cut and absolute count cut) on the way, and indexes the arena.
     fn finalize(&mut self) {
-        let Some(tree) = self.store.tree_mut() else {
+        let Some((arena, report)) = self.store.finalize(&self.cfg.prune, Some(&self.pop)) else {
             return;
         };
-        self.prune_report = Some(prune(tree, &self.cfg.prune));
-        let Some(arena) = self.store.freeze(Some(&self.pop)) else {
-            return;
-        };
+        self.prune_report = Some(report);
         self.index = match ContextIndex::windows(arena, self.cfg.max_order) {
             Ok(index) => index,
             // Trained counts cannot overflow it: that takes 2^32
@@ -766,40 +751,48 @@ mod tests {
 
     #[test]
     fn finalize_prunes_rare_branches() {
-        let pop = pop_with_grades(&[3, 2, 2]);
-        let cfg = PbConfig {
-            prune: PruneConfig {
-                relative_threshold: Some(0.10),
-                min_abs_count: None,
-            },
-            ..PbConfig::default()
+        let trained = |prune| {
+            let pop = pop_with_grades(&[3, 2, 2]);
+            let mut m = PbPpm::new(
+                pop,
+                PbConfig {
+                    prune,
+                    ..PbConfig::default()
+                },
+            );
+            for _ in 0..99 {
+                m.train_session(&[u(0), u(1)]);
+            }
+            m.train_session(&[u(0), u(2)]); // 1% of root's traffic
+            m.finalize();
+            m
         };
-        let mut m = PbPpm::new(pop, cfg);
-        for _ in 0..99 {
-            m.train_session(&[u(0), u(1)]);
-        }
-        m.train_session(&[u(0), u(2)]); // 1% of root's traffic
-        let before = m.node_count();
-        m.finalize();
+        let before = trained(PruneConfig::disabled()).node_count();
+        let m = trained(PruneConfig {
+            relative_threshold: Some(0.10),
+            min_abs_count: None,
+        });
         let report = m.prune_report().unwrap();
         assert_eq!(report.nodes_before, before);
         assert!(m.node_count() < before);
+        assert_eq!(report.nodes_after, m.node_count());
         let mut out = Vec::new();
-        m.predict(&[u(0)], &mut out);
+        m.predict_ro(&[u(0)], &mut out, &mut PredictUsage::default());
         assert!(out.iter().all(|p| p.url != u(2)), "pruned child gone");
     }
 
     #[test]
     fn repeated_training_accumulates_counts_not_nodes() {
-        let pop = pop_with_grades(&[3, 2, 1]);
-        let mut m = PbPpm::new(pop, no_prune());
-        m.train_session(&[u(0), u(1), u(2)]);
-        let n = m.node_count();
-        for _ in 0..10 {
-            m.train_session(&[u(0), u(1), u(2)]);
-        }
-        assert_eq!(m.node_count(), n);
-        m.finalize();
+        let trained = |times| {
+            let mut m = PbPpm::new(pop_with_grades(&[3, 2, 1]), no_prune());
+            for _ in 0..times {
+                m.train_session(&[u(0), u(1), u(2)]);
+            }
+            m.finalize();
+            m
+        };
+        let (once, m) = (trained(1), trained(11));
+        assert_eq!(m.node_count(), once.node_count());
         let t = m.frozen().unwrap();
         assert_eq!(t.count(t.root(u(0)).unwrap()), 11);
     }
@@ -835,6 +828,27 @@ mod tests {
     }
 
     #[test]
+    fn a_link_counts_once_per_session() {
+        // Grades 2, 1, 3: the grade-3 URL 2 is linked under root 0 at
+        // depth 3 and again at depth 5 of one session, and roots a branch
+        // of its own, which never links back to its own head.
+        let pop = pop_with_grades(&[2, 1, 3]);
+        let mut m = PbPpm::new(pop, no_prune());
+        for _ in 0..2 {
+            m.train_session(&[u(0), u(1), u(2), u(1), u(2)]);
+        }
+        m.finalize();
+        let t = m.frozen().unwrap();
+        let links: Vec<(UrlId, u64)> = t
+            .links_of(u(0))
+            .iter()
+            .map(|&id| (t.url(id), t.count(id)))
+            .collect();
+        assert_eq!(links, vec![(u(2), 2)], "one bump per session");
+        assert!(t.links_of(u(2)).is_empty());
+    }
+
+    #[test]
     fn snapshot_roundtrip_preserves_predictions_and_links() {
         let pop = pop_with_grades(&[3, 2, 1, 3, 2, 1]);
         let mut m = PbPpm::new(pop, no_prune());
@@ -852,6 +866,14 @@ mod tests {
         assert_eq!(before, after, "branch and link predictions must survive");
     }
 
+    /// Repeats, interior matches, special links and several same-URL
+    /// occurrence nodes.
+    fn scan_sessions() -> Vec<Vec<UrlId>> {
+        let mut sessions = vec![vec![u(0), u(1), u(2), u(3), u(4), u(5)]; 3];
+        sessions.push(vec![u(3), u(1), u(2), u(0)]);
+        sessions
+    }
+
     /// The hashed fast path must agree with the retained linear scan —
     /// here on a hand-built shape with interior matches, special links and
     /// multiple same-URL occurrence nodes (the property tests cover random
@@ -860,13 +882,11 @@ mod tests {
     fn fast_path_matches_reference_scan() {
         let pop = pop_with_grades(&[3, 2, 1, 3, 2, 1]);
         let mut m = PbPpm::new(pop, no_prune());
-        for _ in 0..3 {
-            m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5)]);
-        }
-        m.train_session(&[u(3), u(1), u(2), u(0)]);
-        let tree = m.reference_tree().unwrap();
+        let sessions = scan_sessions();
+        let counts = crate::reference::PathCounts::pb(&m, &sessions);
+        m.train_sessions(&sessions, 1);
         m.finalize();
-        let scan = crate::reference::PbScan::new(&tree, &m);
+        let scan = crate::reference::PbScan::new(&counts, &m);
         let mut fast = Vec::new();
         let mut slow = Vec::new();
         for ctx in [
@@ -894,14 +914,12 @@ mod tests {
     fn dirty_bucket_fallback_matches_reference() {
         let pop = pop_with_grades(&[3, 2, 1, 3, 2, 1]);
         let mut m = PbPpm::new(pop, no_prune());
-        for _ in 0..3 {
-            m.train_session(&[u(0), u(1), u(2), u(3), u(4), u(5)]);
-        }
-        m.train_session(&[u(3), u(1), u(2), u(0)]);
-        let tree = m.reference_tree().unwrap();
+        let sessions = scan_sessions();
+        let counts = crate::reference::PathCounts::pb(&m, &sessions);
+        m.train_sessions(&sessions, 1);
         m.finalize();
         m.index.force_dirty();
-        let scan = crate::reference::PbScan::new(&tree, &m);
+        let scan = crate::reference::PbScan::new(&counts, &m);
         let mut fast = Vec::new();
         let mut slow = Vec::new();
         for ctx in [

@@ -98,7 +98,7 @@ impl OnlinePbPpm {
     }
 
     /// Restores an online model from a snapshot.
-    pub fn from_snapshot(snap: &OnlinePbSnapshot) -> Result<Self, crate::tree::SnapshotError> {
+    pub fn from_snapshot(snap: &OnlinePbSnapshot) -> Result<Self, crate::frozen::SnapshotError> {
         let model = match &snap.model {
             Some(m) => Some(PbPpm::from_snapshot(m)?),
             None => None,

@@ -1,8 +1,8 @@
 //! The common interface all prediction models implement.
 
+use crate::frozen::NodeId;
 use crate::interner::UrlId;
 use crate::stats::ModelStats;
-use crate::tree::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// One predicted next access.

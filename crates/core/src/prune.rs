@@ -9,10 +9,10 @@
 //! 2. **Absolute count cut** — every node accessed no more than once is
 //!    removed (used for the bursty UCB-CS trace).
 //!
-//! Both operate on the shared [`Tree`] and are therefore reusable on any
-//! model (the ablation benches apply them to the baselines too).
+//! A node also dies with its parent. `finalize` applies the cuts to the
+//! counted rows (`NodeStore::finalize` in `frozen.rs`); LRS-PPM's support
+//! cut is the absolute cut under another threshold.
 
-use crate::tree::Tree;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the two pruning alternatives.
@@ -37,6 +37,18 @@ impl Default for PruneConfig {
 }
 
 impl PruneConfig {
+    /// Whether a node traversed `count` times passes both cuts, given its
+    /// parent's count (`None` for a root, which the relative cut spares).
+    /// Special-link duplicates are judged against their root, like any
+    /// child: the paper removes "the node and its linked branches" alike.
+    pub(crate) fn keeps(&self, count: u64, parent: Option<u64>) -> bool {
+        let rare = match (self.relative_threshold, parent) {
+            (Some(threshold), Some(parent)) => (count as f64) < threshold * parent as f64,
+            _ => false,
+        };
+        !rare && self.min_abs_count.is_none_or(|min| count > min)
+    }
+
     /// No pruning at all.
     pub fn disabled() -> Self {
         Self {
@@ -57,9 +69,9 @@ impl PruneConfig {
 /// What a pruning pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PruneReport {
-    /// Alive nodes before pruning.
+    /// Nodes before pruning.
     pub nodes_before: usize,
-    /// Alive nodes after pruning and compaction.
+    /// Nodes after pruning.
     pub nodes_after: usize,
 }
 
@@ -70,173 +82,65 @@ impl PruneReport {
     }
 }
 
-/// Applies the configured cuts to `tree` and compacts the arena.
-pub fn prune(tree: &mut Tree, cfg: &PruneConfig) -> PruneReport {
-    let nodes_before = tree.node_count();
-    if let Some(threshold) = cfg.relative_threshold {
-        prune_relative(tree, threshold);
-    }
-    if let Some(min_count) = cfg.min_abs_count {
-        prune_absolute(tree, min_count);
-    }
-    tree.compact();
-    PruneReport {
-        nodes_before,
-        nodes_after: tree.node_count(),
-    }
-}
-
-/// Kills every non-root node whose relative access probability
-/// (`count / parent.count`) is strictly below `threshold`.
-///
-/// PB-PPM's duplicated link nodes hang off roots and are judged by the same
-/// formula — the paper removes "the node and its linked branches" alike.
-pub fn prune_relative(tree: &mut Tree, threshold: f64) {
-    let victims: Vec<_> = tree
-        .iter_alive()
-        .filter(|&id| {
-            let node = tree.node(id);
-            if node.parent.is_none() {
-                return false; // roots are exempt from the relative cut
-            }
-            let parent = tree.node(node.parent);
-            if !parent.alive || parent.count == 0 {
-                return false; // will fall with its parent, or no basis
-            }
-            (node.count as f64) < threshold * parent.count as f64
-        })
-        .collect();
-    for id in victims {
-        tree.kill_subtree(id);
-    }
-}
-
-/// Kills every node (roots included) with `count <= min_count`.
-pub fn prune_absolute(tree: &mut Tree, min_count: u64) {
-    let victims: Vec<_> = tree
-        .iter_alive()
-        .filter(|&id| tree.node(id).count <= min_count)
-        .collect();
-    for id in victims {
-        tree.kill_subtree(id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interner::UrlId;
 
-    fn u(n: u32) -> UrlId {
-        UrlId(n)
+    fn relative(threshold: f64) -> PruneConfig {
+        PruneConfig {
+            relative_threshold: Some(threshold),
+            min_abs_count: None,
+        }
     }
 
-    /// root(100) -> a(50) -> b(1), root -> c(2)
-    fn sample_tree() -> Tree {
-        let mut t = Tree::new();
-        let r = t.root_or_insert(u(0));
-        t.node_mut(r).count = 100;
-        let a = t.child_or_insert(r, u(1));
-        t.node_mut(a).count = 50;
-        let b = t.child_or_insert(a, u(2));
-        t.node_mut(b).count = 1;
-        let c = t.child_or_insert(r, u(3));
-        t.node_mut(c).count = 2;
-        t
+    fn absolute(min: u64) -> PruneConfig {
+        PruneConfig {
+            relative_threshold: None,
+            min_abs_count: Some(min),
+        }
     }
 
     #[test]
     fn relative_cut_removes_rare_children() {
-        let mut t = sample_tree();
-        // b: 1/50 = 2% >= 1% stays; c: 2/100 = 2% stays.
-        prune_relative(&mut t, 0.01);
-        assert_eq!(t.node_count(), 4);
-        // At 5%: b (2%) and c (2%) both go.
-        let mut t = sample_tree();
-        prune_relative(&mut t, 0.05);
-        assert_eq!(t.node_count(), 2);
-        assert!(t.descend(&[u(0), u(1)]).is_some());
-        assert!(t.descend(&[u(0), u(3)]).is_none());
+        // 1 of 50 and 2 of 100 are 2%: kept at 1%, cut at 5%.
+        assert!(relative(0.01).keeps(1, Some(50)));
+        assert!(relative(0.01).keeps(2, Some(100)));
+        assert!(!relative(0.05).keeps(1, Some(50)));
+        assert!(!relative(0.05).keeps(2, Some(100)));
+        assert!(relative(0.05).keeps(50, Some(100)));
+        // Strictly below the threshold dies; exactly at it stays.
+        assert!(relative(0.5).keeps(1, Some(2)));
     }
 
     #[test]
     fn relative_cut_spares_roots() {
-        let mut t = Tree::new();
-        let r = t.root_or_insert(u(0));
-        t.node_mut(r).count = 1;
-        prune_relative(&mut t, 0.5);
-        assert_eq!(t.node_count(), 1);
+        assert!(relative(0.5).keeps(1, None));
     }
 
     #[test]
     fn absolute_cut_removes_singletons_everywhere() {
-        let mut t = sample_tree();
-        prune_absolute(&mut t, 1);
-        // b (count 1) dies; a, c, root stay.
-        assert_eq!(t.node_count(), 3);
-        let mut t = sample_tree();
-        prune_absolute(&mut t, 2);
-        // b and c die.
-        assert_eq!(t.node_count(), 2);
+        assert!(!absolute(1).keeps(1, Some(50)));
+        assert!(absolute(1).keeps(2, Some(100)));
+        assert!(!absolute(2).keeps(2, Some(100)));
+        // Roots too.
+        assert!(!absolute(1).keeps(1, None));
     }
 
     #[test]
-    fn absolute_cut_can_remove_roots() {
-        let mut t = Tree::new();
-        let r = t.root_or_insert(u(0));
-        t.node_mut(r).count = 1;
-        let a = t.child_or_insert(r, u(1));
-        t.node_mut(a).count = 1;
-        prune_absolute(&mut t, 1);
-        assert_eq!(t.node_count(), 0);
+    fn disabled_prune_keeps_everything() {
+        let cfg = PruneConfig::disabled();
+        assert!(cfg.keeps(1, Some(u64::MAX)));
+        assert!(cfg.keeps(0, None));
     }
 
     #[test]
-    fn combined_prune_reports_and_compacts() {
-        let mut t = sample_tree();
-        let report = prune(
-            &mut t,
-            &PruneConfig {
-                relative_threshold: Some(0.05),
-                min_abs_count: None,
-            },
-        );
-        assert_eq!(report.nodes_before, 4);
-        assert_eq!(report.nodes_after, 2);
-        assert_eq!(report.removed(), 2);
-        assert_eq!(t.arena_len(), 2, "compacted");
-    }
-
-    #[test]
-    fn disabled_prune_is_identity() {
-        let mut t = sample_tree();
-        let report = prune(&mut t, &PruneConfig::disabled());
-        assert_eq!(report.removed(), 0);
-        assert_eq!(t.node_count(), 4);
-    }
-
-    #[test]
-    fn pruning_never_increases_node_count() {
-        let mut t = sample_tree();
-        let before = t.node_count();
+    fn pruning_only_tightens_with_the_thresholds() {
         for threshold in [0.0, 0.01, 0.05, 0.5, 1.0] {
-            let mut t2 = t.clone();
-            prune_relative(&mut t2, threshold);
-            assert!(t2.node_count() <= before);
+            for (count, parent) in [(1, 100), (5, 100), (50, 100), (100, 100)] {
+                let looser = relative(threshold / 2.0).keeps(count, Some(parent));
+                assert!(looser || !relative(threshold).keeps(count, Some(parent)));
+            }
         }
-        prune_absolute(&mut t, u64::MAX);
-        assert_eq!(t.node_count(), 0);
-    }
-
-    #[test]
-    fn link_dups_are_pruned_by_the_relative_cut() {
-        let mut t = Tree::new();
-        let r = t.root_or_insert(u(0));
-        t.node_mut(r).count = 1000;
-        let l = t.link_or_insert(r, u(9));
-        t.node_mut(l).count = 1; // 0.1% of the root
-        prune_relative(&mut t, 0.01);
-        assert_eq!(t.node_count(), 1);
-        assert_eq!(t.links_of(r).count(), 0);
+        assert!(!absolute(u64::MAX).keeps(u64::MAX, None));
     }
 }

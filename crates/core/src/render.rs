@@ -92,46 +92,32 @@ fn render_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::Tree;
+    use crate::frozen::arena_of;
 
-    fn u(n: u32) -> UrlId {
-        UrlId(n)
-    }
-
-    fn render(t: Tree, names: Option<&Interner>) -> String {
-        render_tree(&t.freeze(None), names)
+    fn render(paths: &[&[u32]], links: &[(u32, u32)], names: Option<&Interner>) -> String {
+        render_tree(&arena_of(paths, links), names)
     }
 
     #[test]
     fn renders_empty_tree_as_empty_string() {
-        assert_eq!(render(Tree::new(), None), "");
+        assert_eq!(render(&[], &[], None), "");
     }
 
     #[test]
     fn renders_simple_chain() {
-        let mut t = Tree::new();
-        t.insert_path(&[u(0), u(1), u(2)], usize::MAX);
-        let s = render(t, None);
+        let s = render(&[&[0, 1, 2]], &[], None);
         assert_eq!(s, "u0/1\n└── u1/1\n    └── u2/1\n");
     }
 
     #[test]
     fn renders_siblings_with_tee_and_elbow() {
-        let mut t = Tree::new();
-        t.insert_path(&[u(0), u(1)], usize::MAX);
-        t.insert_path(&[u(0), u(2)], usize::MAX);
-        let s = render(t, None);
+        let s = render(&[&[0, 1], &[0, 2]], &[], None);
         assert_eq!(s, "u0/2\n├── u1/1\n└── u2/1\n");
     }
 
     #[test]
     fn renders_links_with_arrow() {
-        let mut t = Tree::new();
-        let r = t.root_or_insert(u(0));
-        t.bump(r);
-        let l = t.link_or_insert(r, u(9));
-        t.bump(l);
-        let s = render(t, None);
+        let s = render(&[&[0]], &[(0, 9)], None);
         assert!(s.contains("~> u9/1"), "got: {s}");
     }
 
@@ -139,19 +125,13 @@ mod tests {
     fn uses_interned_names_when_available() {
         let mut names = Interner::new();
         let a = names.intern("/index.html");
-        let mut t = Tree::new();
-        let r = t.root_or_insert(a);
-        t.bump(r);
-        let s = render(t, Some(&names));
+        let s = render(&[&[a.0]], &[], Some(&names));
         assert_eq!(s, "/index.html/1\n");
     }
 
     #[test]
     fn roots_render_in_url_order() {
-        let mut t = Tree::new();
-        t.insert_path(&[u(5)], usize::MAX);
-        t.insert_path(&[u(1)], usize::MAX);
-        let s = render(t, None);
+        let s = render(&[&[5], &[1]], &[], None);
         let first = s.lines().next().unwrap();
         assert_eq!(first, "u1/1");
     }

@@ -34,7 +34,7 @@
 //! counts and the configuration. Children, depths, the root table and the
 //! special-link lists follow from the rows and are derived at load
 //! ([`crate::frozen::FrozenTree::from_snapshot`]), which refuses rows
-//! training never builds ([`CodecError::Tree`]). The order-1 model's
+//! training never builds ([`CodecError::Arena`]). The order-1 model's
 //! height-2 forest is written more compactly, as transition rows sorted by
 //! URL with their successors sorted by URL; a repeated or unsorted row or
 //! successor is refused the same way. Grades and the fingerprint index are
@@ -58,6 +58,7 @@
 //! the error and leaves the newest complete generation recoverable.
 
 use crate::frozen::NO_NODE;
+use crate::frozen::{NodeSnapshot, SnapshotError, TreeSnapshot};
 use crate::fxhash::FxHashSet;
 use crate::interner::Interner;
 use crate::order1::{Order1Markov, Order1RowSnapshot, Order1Snapshot};
@@ -67,7 +68,6 @@ use crate::popularity::PopularityTable;
 use crate::predictor::Predictor;
 use crate::prune::PruneConfig;
 use crate::standard::{StandardPpm, StandardSnapshot};
-use crate::tree::{NodeSnapshot, SnapshotError, TreeSnapshot};
 use std::io::Write as _;
 use std::iter::once;
 use std::path::{Path, PathBuf};
@@ -116,7 +116,7 @@ pub enum CodecError {
     /// rebuilt from the table would renumber every later URL.
     DuplicateUrl(u32),
     /// The embedded tree image failed structural validation.
-    Tree(SnapshotError),
+    Arena(SnapshotError),
 }
 
 impl std::fmt::Display for CodecError {
@@ -142,7 +142,7 @@ impl std::fmt::Display for CodecError {
             CodecError::DuplicateUrl(id) => {
                 write!(f, "url table entry {id} repeats an earlier entry")
             }
-            CodecError::Tree(e) => write!(f, "invalid tree image: {e}"),
+            CodecError::Arena(e) => write!(f, "invalid tree image: {e}"),
         }
     }
 }
@@ -151,7 +151,7 @@ impl std::error::Error for CodecError {}
 
 impl From<SnapshotError> for CodecError {
     fn from(e: SnapshotError) -> Self {
-        CodecError::Tree(e)
+        CodecError::Arena(e)
     }
 }
 

@@ -24,11 +24,11 @@
 //! sub-branches starting from different URLs" — the source of that model's
 //! node duplication and of its fast growth in Table 1/Figure 4.
 
-use crate::frozen::{FrozenTree, NodeStore};
+use crate::frozen::{Emit, FrozenTree, NodeStore, SnapshotError, TreeSnapshot};
 use crate::interner::UrlId;
 use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
+use crate::prune::PruneConfig;
 use crate::stats::ModelStats;
-use crate::tree::Tree;
 
 /// LRS-PPM's occurrence threshold: "if an URL sequence is accessed twice or
 /// more, the sequence is considered as a frequently repeating one" (§4.1).
@@ -37,8 +37,8 @@ const LRS_MIN_SUPPORT: u64 = 2;
 /// Standard PPM prediction model; with a support threshold, LRS-PPM.
 #[derive(Debug, Clone)]
 pub struct StandardPpm {
-    /// The training tree, replaced by the frozen arena (the serving read
-    /// path) at finalize.
+    /// The counted training paths, replaced by the frozen arena (the
+    /// serving read path) at finalize.
     pub(crate) store: NodeStore,
     pub(crate) max_height: Option<u8>,
     /// `Some(n)`: LRS-PPM — finalize cuts every node traversed fewer than
@@ -85,16 +85,6 @@ impl StandardPpm {
             .max(1)
     }
 
-    /// The pointer tree `finalize` would freeze: the training tree after
-    /// the same cut and compaction, never frozen. The reference oracle
-    /// walks it ([`crate::reference`]); `None` once finalized.
-    #[doc(hidden)]
-    pub fn reference_tree(&self) -> Option<Tree> {
-        let mut tree = self.store.tree()?.clone();
-        cut(&mut tree, self.min_support);
-        Some(tree)
-    }
-
     /// Trains on every session, deterministically parallel
     /// ([`NodeStore::train_sessions`]): bit-identical to a sequential
     /// [`Predictor::train_session`] loop at every thread count (`0` = auto
@@ -104,7 +94,7 @@ impl StandardPpm {
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
         let h = self.height();
         self.store
-            .train_sessions(sessions, threads, |tree, s| insert_suffixes(tree, s, h));
+            .train_sessions(sessions, threads, |s, out| emit_suffixes(s, h, out));
     }
 
     /// Serializes the finalized model for persistence.
@@ -117,7 +107,7 @@ impl StandardPpm {
     }
 
     /// Restores a finalized model, rebuilding its arena from the image.
-    pub fn from_snapshot(snap: &StandardSnapshot) -> Result<Self, crate::tree::SnapshotError> {
+    pub fn from_snapshot(snap: &StandardSnapshot) -> Result<Self, SnapshotError> {
         Ok(Self {
             store: NodeStore::loaded(FrozenTree::from_snapshot(&snap.tree, None)?),
             max_height: snap.max_height,
@@ -126,26 +116,11 @@ impl StandardPpm {
     }
 }
 
-/// Finalize's pruning: the LRS support cut (every node traversed fewer
-/// than `min_support` times dies), then compaction.
-fn cut(tree: &mut Tree, min_support: Option<u64>) {
-    if let Some(min_support) = min_support {
-        let victims: Vec<_> = tree
-            .iter_alive()
-            .filter(|&id| tree.node(id).count < min_support)
-            .collect();
-        for id in victims {
-            tree.kill_subtree(id);
-        }
-    }
-    tree.compact();
-}
-
-/// Inserts a branch from every position of `session`, each capped at `h`
+/// Emits a branch from every position of `session`, each capped at `h`
 /// nodes.
-fn insert_suffixes(tree: &mut Tree, session: &[UrlId], h: usize) {
+fn emit_suffixes(session: &[UrlId], h: usize, out: &mut Emit<'_>) {
     for start in 0..session.len() {
-        tree.insert_path(&session[start..], h);
+        out.path(start..session.len().min(start + h));
     }
 }
 
@@ -153,7 +128,7 @@ fn insert_suffixes(tree: &mut Tree, session: &[UrlId], h: usize) {
 #[derive(Debug, Clone)]
 pub struct StandardSnapshot {
     /// The frozen arena's rows.
-    pub tree: crate::tree::TreeSnapshot,
+    pub tree: TreeSnapshot,
     /// Branch height cap (`None` = unbounded).
     pub max_height: Option<u8>,
     /// LRS support threshold (`None` = standard PPM).
@@ -173,18 +148,19 @@ impl Predictor for StandardPpm {
 
     fn train_session(&mut self, session: &[UrlId]) {
         let h = self.height();
-        if let Some(tree) = self.store.tree_mut() {
-            insert_suffixes(tree, session, h);
-        }
+        self.store
+            .train_session(session, |s, out| emit_suffixes(s, h, out));
     }
 
-    /// Cuts (LRS) and freezes the training tree into the arena that
-    /// replaces it.
+    /// Counts the paths into the arena that replaces them. LRS cuts every
+    /// node traversed fewer than `min_support` times, and with it the
+    /// subtree below.
     fn finalize(&mut self) {
-        if let NodeStore::Training(tree) = &mut self.store {
-            cut(tree, self.min_support);
-        }
-        if self.store.freeze(None).is_none() {
+        let support = PruneConfig {
+            relative_threshold: None,
+            min_abs_count: self.min_support.map(|s| s.saturating_sub(1)),
+        };
+        if self.store.finalize(&support, None).is_none() {
             return;
         }
         crate::verify::runtime_audit(
@@ -325,13 +301,18 @@ mod tests {
 
     #[test]
     fn node_count_grows_with_distinct_subsequences() {
-        let mut m = StandardPpm::unbounded();
-        m.train_session(&[u(0), u(1), u(2)]);
-        let n1 = m.node_count();
-        m.train_session(&[u(0), u(1), u(2)]); // identical: no growth
-        assert_eq!(m.node_count(), n1);
-        m.train_session(&[u(0), u(1), u(3)]); // one new leaf + suffixes
-        assert!(m.node_count() > n1);
+        let nodes = |sessions: &[&[UrlId]]| {
+            let mut m = StandardPpm::unbounded();
+            for s in sessions {
+                m.train_session(s);
+            }
+            m.finalize();
+            m.node_count()
+        };
+        let (a, b) = ([u(0), u(1), u(2)], [u(0), u(1), u(3)]);
+        let n1 = nodes(&[&a]);
+        assert_eq!(nodes(&[&a, &a]), n1, "identical: no growth");
+        assert!(nodes(&[&a, &a, &b]) > n1, "one new leaf + suffixes");
     }
 
     #[test]
@@ -443,12 +424,19 @@ mod tests {
 
     #[test]
     fn lrs_grows_faster_than_its_pruned_size_suggests() {
-        // Before finalize the LRS training forest is a full standard forest.
+        // LRS counts the full standard forest; only the support cut at
+        // finalize shrinks it. A model still training has no arena yet.
+        let session = [u(0), u(1), u(2), u(3)];
         let mut m = StandardPpm::lrs();
-        m.train_session(&[u(0), u(1), u(2), u(3)]);
-        assert_eq!(m.node_count(), 4 + 3 + 2 + 1);
+        m.train_session(&session);
+        assert_eq!(m.node_count(), 0);
+        assert_eq!(m.stats(), ModelStats::default());
         m.finalize();
         assert_eq!(m.node_count(), 0);
+        let mut uncut = StandardPpm::lrs_with_support(1);
+        uncut.train_session(&session);
+        uncut.finalize();
+        assert_eq!(uncut.node_count(), 4 + 3 + 2 + 1);
     }
 
     #[test]

@@ -82,25 +82,20 @@ impl ModelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::arena_of;
     use crate::interner::UrlId;
-    use crate::tree::Tree;
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
     }
 
     fn arena(paths: &[&[u32]]) -> FrozenTree {
-        let mut t = Tree::new();
-        for p in paths {
-            let path: Vec<UrlId> = p.iter().map(|&n| u(n)).collect();
-            t.insert_path(&path, usize::MAX);
-        }
-        t.freeze(None)
+        arena_of(paths, &[])
     }
 
     #[test]
     fn stats_of_empty_arena() {
-        let s = ModelStats::of_arena(&Tree::new().freeze(None), &[]);
+        let s = ModelStats::of_arena(&arena(&[]), &[]);
         assert_eq!(s.nodes, 0);
         assert_eq!(s.path_utilization(), 1.0);
     }
@@ -119,11 +114,7 @@ mod tests {
 
     #[test]
     fn edges_and_links_are_counted() {
-        let mut t = Tree::new();
-        t.insert_path(&[u(1), u(2), u(3)], usize::MAX);
-        let root = t.descend(&[u(1)]).unwrap();
-        t.link_or_insert(root, u(9));
-        let s = ModelStats::of_arena(&t.freeze(None), &[]);
+        let s = ModelStats::of_arena(&arena_of(&[&[1, 2, 3]], &[(1, 9)]), &[]);
         assert_eq!(s.nodes, 4);
         // Two branch edges (1→2, 2→3) plus the special link under the root.
         assert_eq!(s.edges, 3);

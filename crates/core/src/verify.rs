@@ -174,7 +174,7 @@ pub enum Violation {
         target_grade: u8,
     },
     /// An alive duplicated node is not reachable through the link map of
-    /// an alive root (dangling after prune/compact).
+    /// an alive root (dangling after a cut).
     LinkDupOrphaned {
         /// URL of the orphaned duplicate.
         url: u32,

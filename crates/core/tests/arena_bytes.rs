@@ -1,7 +1,7 @@
-//! The frozen arena reports the heap it holds: freezing a tree, rebuilding
-//! an arena from its snapshot image, and cloning one each grow the live
-//! heap by exactly `FrozenTree::heap_bytes`, so a finalized model's
-//! `memory_bytes` is allocator truth, not an estimate — the first-order
+//! The frozen arena reports the heap it holds: training and finalizing a
+//! model, rebuilding an arena from its snapshot image, and cloning one each
+//! grow the live heap by exactly what the model reports, so a finalized
+//! model's `memory_bytes` is allocator truth, not an estimate — the first-order
 //! Markov model's pair forest included. The counter is
 //! process-wide, so this binary runs without the libtest harness, whose
 //! main thread would allocate into the window (see `interner_bytes.rs`).
@@ -57,7 +57,6 @@ fn an_arena_grows_the_live_heap_by_its_heap_bytes() {
     let pop = b.build();
     let mut m = PbPpm::new(pop.clone(), PbConfig::default());
     m.train_sessions(&sessions, 1);
-    let tree = m.reference_tree().expect("still training");
     m.finalize();
     let model = m.frozen().expect("finalized");
     assert!(model.len() > 1_000, "{} rows", model.len());
@@ -72,10 +71,22 @@ fn an_arena_grows_the_live_heap_by_its_heap_bytes() {
         "special links present"
     );
 
-    // Freezing consumes the (cloned) tree: only the arena stays behind.
-    let (bytes, fresh) = grown(|| tree.clone().freeze(Some(&pop)));
-    assert_eq!(&fresh, model);
-    assert_eq!(bytes, fresh.heap_bytes() as u64, "freshly frozen");
+    // A fresh finalize drops the counted paths: only the arena and its
+    // fingerprint index stay behind.
+    let fresh_pop = pop.clone();
+    let (bytes, fresh) = grown(|| {
+        let mut fresh = PbPpm::new(fresh_pop, PbConfig::default());
+        fresh.train_sessions(&sessions, 1);
+        fresh.finalize();
+        fresh
+    });
+    assert_eq!(fresh.frozen(), Some(model));
+    let stats = fresh.stats();
+    assert_eq!(
+        bytes,
+        (stats.memory_bytes + stats.index_bytes) as u64,
+        "freshly finalized"
+    );
 
     let snap = model.to_snapshot();
     let (bytes, loaded) = grown(|| FrozenTree::from_snapshot(&snap, Some(&pop)).expect("loads"));

@@ -185,9 +185,10 @@ proptest! {
         for s in &sessions {
             model.train_session(s);
         }
-        let unpruned_nodes = model.node_count();
         model.finalize();
-        prop_assert_eq!(model.node_count(), unpruned_nodes, "disabled prune must not shrink");
+        let unpruned_nodes = model.node_count();
+        let report = model.prune_report().expect("finalize reports its cuts");
+        prop_assert_eq!(report.nodes_before, unpruned_nodes, "disabled prune must not shrink");
 
         let arena = model.frozen().expect("finalize froze the arena");
         // Height caps: walk each root, depth bounded by its head's grade.
@@ -241,8 +242,8 @@ proptest! {
 
     /// Every model's one serving path (`predict_ro` on the frozen arena,
     /// through PB-PPM's fingerprint index) gives exactly the predictions of
-    /// the `pbppm_core::reference` occurrence-scan / tree-walk oracles,
-    /// which walk each model's never-frozen reference tree —
+    /// the `pbppm_core::reference` occurrence-scan / root-descent oracles,
+    /// which train their own path-count forests from the same sessions —
     /// same URLs, same ranks, same (bit-identical) probabilities — for all
     /// three tree models, across random traces and every prefix context of
     /// every training session plus unseen contexts. PB-PPM's `max_order`
@@ -262,9 +263,9 @@ proptest! {
             standard.train_session(s);
             lrs.train_session(s);
         }
-        let pb_tree = pb.reference_tree().expect("PB is still training");
-        let standard_tree = standard.reference_tree().expect("PPM is still training");
-        let lrs_tree = lrs.reference_tree().expect("LRS is still training");
+        let pb_counts = reference::PathCounts::pb(&pb, &sessions);
+        let standard_counts = reference::PathCounts::standard(&standard, &sessions);
+        let lrs_counts = reference::PathCounts::standard(&lrs, &sessions);
         pb.finalize();
         standard.finalize();
         lrs.finalize();
@@ -286,7 +287,7 @@ proptest! {
         prop_assert!(standard.frozen().is_some(), "finalize must compile a PPM arena");
         prop_assert!(lrs.frozen().is_some(), "finalize must compile an LRS arena");
 
-        let pb_scan = reference::PbScan::new(&pb_tree, &pb);
+        let pb_scan = reference::PbScan::new(&pb_counts, &pb);
         let mut usage = PredictUsage::default();
         let mut fast = Vec::new();
         let mut slow = Vec::new();
@@ -296,11 +297,11 @@ proptest! {
             prop_assert_eq!(&fast, &slow, "PB-PPM diverged on {:?}", context);
 
             standard.predict_ro(context, &mut fast, &mut usage);
-            reference::predict_standard(&standard_tree, &standard, context, &mut slow);
+            reference::predict_standard(&standard_counts, &standard, context, &mut slow);
             prop_assert_eq!(&fast, &slow, "standard PPM diverged on {:?}", context);
 
             lrs.predict_ro(context, &mut fast, &mut usage);
-            reference::predict_standard(&lrs_tree, &lrs, context, &mut slow);
+            reference::predict_standard(&lrs_counts, &lrs, context, &mut slow);
             prop_assert_eq!(&fast, &slow, "LRS diverged on {:?}", context);
         }
     }

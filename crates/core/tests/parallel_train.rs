@@ -3,12 +3,16 @@
 //! sequential `train_session` loop — same arena order, same counts, same
 //! `.pbss` bytes as written to disk. This is the contract that lets
 //! `--threads` default on without ever changing a result.
+//!
+//! The row order is canonical, so the same holds in any session order, and
+//! a trained arena is exactly the arena its own image loads into.
 
 use pbppm_core::{
     ModelImage, Order1Markov, PbConfig, PbPpm, PopularityBuilder, PopularityTable, Predictor,
     SnapshotFile, StandardPpm, UrlId,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const THREAD_GRID: [usize; 3] = [1, 2, 8];
 
@@ -32,6 +36,59 @@ fn bytes(model: ModelImage) -> Vec<u8> {
         model,
     }
     .encode()
+}
+
+/// `sessions` reversed, and shuffled by a Fisher–Yates pass seeded with
+/// `seed`.
+fn reorderings(sessions: &[Vec<UrlId>], seed: u64) -> [(&'static str, Vec<Vec<UrlId>>); 2] {
+    let mut shuffled = sessions.to_vec();
+    let mut state = seed;
+    for i in (1..shuffled.len()).rev() {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let j = usize::try_from((state >> 33) % (i as u64 + 1)).unwrap_or(0);
+        shuffled.swap(i, j);
+    }
+    [
+        ("reversed", sessions.iter().rev().cloned().collect()),
+        ("shuffled", shuffled),
+    ]
+}
+
+/// Trains `fresh()` models on `sessions` and checks the model family's
+/// contract: `train` (the parallel path) writes the sequential loop's arena
+/// and file at every thread count and in every session order, and the
+/// trained arena equals the one `reload` builds from the model's image.
+fn assert_canonical<M: Predictor>(
+    sessions: &[Vec<UrlId>],
+    seed: u64,
+    fresh: impl Fn() -> M,
+    train: impl Fn(&mut M, &[Vec<UrlId>], usize),
+    image: impl Fn(&M) -> ModelImage,
+    reload: impl Fn(&M) -> M,
+) -> Result<(), TestCaseError> {
+    let mut seq = fresh();
+    for s in sessions {
+        seq.train_session(s);
+    }
+    seq.finalize();
+    let seq_bytes = bytes(image(&seq));
+    for threads in THREAD_GRID {
+        let mut par = fresh();
+        train(&mut par, sessions, threads);
+        par.finalize();
+        prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
+        prop_assert_eq!(&seq_bytes, &bytes(image(&par)), "threads={}", threads);
+    }
+    for (order, reordered) in reorderings(sessions, seed) {
+        let mut m = fresh();
+        train(&mut m, &reordered, 2);
+        m.finalize();
+        prop_assert_eq!(&seq_bytes, &bytes(image(&m)), "{} sessions", order);
+    }
+    prop_assert_eq!(seq.frozen(), reload(&seq).frozen(), "reloaded arena");
+    Ok(())
 }
 
 fn pop_from(sessions: &[Vec<UrlId>]) -> PopularityTable {
@@ -67,21 +124,17 @@ proptest! {
         sessions in sessions_strategy(10, 8, 24),
         height in 1u8..6,
         bounded in 0u8..2,
+        seed in 0u64..u64::MAX,
     ) {
         let max_height = (bounded == 1).then_some(height);
-        let mut seq = StandardPpm::new(max_height);
-        for s in &sessions {
-            seq.train_session(s);
-        }
-        seq.finalize();
-        let seq_bytes = bytes(ModelImage::Standard(seq.to_snapshot()));
-        for threads in THREAD_GRID {
-            let mut par = StandardPpm::new(max_height);
-            par.train_sessions(&sessions, threads);
-            par.finalize();
-            prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
-            prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Standard(par.to_snapshot())), "threads={}", threads);
-        }
+        assert_canonical(
+            &sessions,
+            seed,
+            || StandardPpm::new(max_height),
+            |m, s, threads| m.train_sessions(s, threads),
+            |m| ModelImage::Standard(m.to_snapshot()),
+            |m| StandardPpm::from_snapshot(&m.to_snapshot()).expect("loads"),
+        )?;
     }
 
     /// LRS-PPM: the support cut runs wholly in finalize, after the merge,
@@ -90,20 +143,16 @@ proptest! {
     fn parallel_lrs_training_is_bit_identical(
         sessions in sessions_strategy(8, 8, 24),
         support in 1u64..4,
+        seed in 0u64..u64::MAX,
     ) {
-        let mut seq = StandardPpm::lrs_with_support(support);
-        for s in &sessions {
-            seq.train_session(s);
-        }
-        seq.finalize();
-        let seq_bytes = bytes(ModelImage::Standard(seq.to_snapshot()));
-        for threads in THREAD_GRID {
-            let mut par = StandardPpm::lrs_with_support(support);
-            par.train_sessions(&sessions, threads);
-            par.finalize();
-            prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
-            prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Standard(par.to_snapshot())), "threads={}", threads);
-        }
+        assert_canonical(
+            &sessions,
+            seed,
+            || StandardPpm::lrs_with_support(support),
+            |m, s, threads| m.train_sessions(s, threads),
+            |m| ModelImage::Standard(m.to_snapshot()),
+            |m| StandardPpm::from_snapshot(&m.to_snapshot()).expect("loads"),
+        )?;
     }
 
     /// First-order Markov: the pair forest trains through the same loop,
@@ -111,20 +160,16 @@ proptest! {
     #[test]
     fn parallel_order1_training_is_bit_identical(
         sessions in sessions_strategy(10, 8, 24),
+        seed in 0u64..u64::MAX,
     ) {
-        let mut seq = Order1Markov::new();
-        for s in &sessions {
-            seq.train_session(s);
-        }
-        seq.finalize();
-        let seq_bytes = bytes(ModelImage::Order1(seq.to_snapshot()));
-        for threads in THREAD_GRID {
-            let mut par = Order1Markov::new();
-            par.train_sessions(&sessions, threads);
-            par.finalize();
-            prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
-            prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Order1(par.to_snapshot())), "threads={}", threads);
-        }
+        assert_canonical(
+            &sessions,
+            seed,
+            Order1Markov::new,
+            |m, s, threads| m.train_sessions(s, threads),
+            |m| ModelImage::Order1(m.to_snapshot()),
+            |m| Order1Markov::from_snapshot(&m.to_snapshot()).expect("loads"),
+        )?;
     }
 
     /// PB-PPM: per-session rule decisions depend only on the frozen
@@ -134,25 +179,21 @@ proptest! {
     fn parallel_pb_training_is_bit_identical(
         sessions in sessions_strategy(10, 8, 24),
         special_links in 0u8..2,
+        seed in 0u64..u64::MAX,
     ) {
         let pop = pop_from(&sessions);
         let cfg = PbConfig {
             special_links: special_links == 1,
             ..PbConfig::default()
         };
-        let mut seq = PbPpm::new(pop.clone(), cfg);
-        for s in &sessions {
-            seq.train_session(s);
-        }
-        seq.finalize();
-        let seq_bytes = bytes(ModelImage::Pb(seq.to_snapshot()));
-        for threads in THREAD_GRID {
-            let mut par = PbPpm::new(pop.clone(), cfg);
-            par.train_sessions(&sessions, threads);
-            par.finalize();
-            prop_assert_eq!(seq.frozen(), par.frozen(), "threads={}", threads);
-            prop_assert_eq!(&seq_bytes, &bytes(ModelImage::Pb(par.to_snapshot())), "threads={}", threads);
-        }
+        assert_canonical(
+            &sessions,
+            seed,
+            || PbPpm::new(pop.clone(), cfg),
+            |m, s, threads| m.train_sessions(s, threads),
+            |m| ModelImage::Pb(m.to_snapshot()),
+            |m| PbPpm::from_snapshot(&m.to_snapshot()).expect("loads"),
+        )?;
     }
 }
 

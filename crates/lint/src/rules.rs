@@ -618,7 +618,7 @@ fn g() -> &'static str { \"len as u64\" }
         );
         assert!(lint(
             "crates/core/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub mod tree;\n"
+            "#![forbid(unsafe_code)]\npub mod frozen;\n"
         )
         .is_empty());
         // obs: deny at the root, allow in alloc.rs — forbid is wrong there.
@@ -629,7 +629,7 @@ fn g() -> &'static str { \"len as u64\" }
         assert!(lint("crates/obs/src/lib.rs", "#![deny(unsafe_code)]\n").is_empty());
         assert!(lint("crates/obs/src/alloc.rs", "#![allow(unsafe_code)]\n").is_empty());
         // Non-root modules carry no attribute obligation.
-        assert!(lint("crates/core/src/tree.rs", "pub struct Tree;\n").is_empty());
+        assert!(lint("crates/core/src/frozen.rs", "pub struct FrozenTree;\n").is_empty());
         // Bench binaries are roots.
         assert_eq!(
             rules_of(&lint("crates/bench/src/bin/ingest.rs", "fn main() {}\n")),
