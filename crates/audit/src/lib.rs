@@ -41,9 +41,8 @@ use pbppm_core::{Order1Markov, PbPpm, StandardPpm};
 /// resolution against the snapshot's own URL table.
 ///
 /// A model image that fails to instantiate (a URL id outside the URL
-/// table, a parent that is not an earlier node, a misplaced special link,
-/// two roots or siblings on one URL)
-/// yields a report with a single [`Violation::SnapshotRejected`] rather
+/// table, a child run at or before its row, unsorted or repeated roots,
+/// siblings or links, a link past the roots) yields a report with a single [`Violation::SnapshotRejected`] rather
 /// than an error: from the auditor's point of view a payload the loader
 /// refuses *is* the finding.
 pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {

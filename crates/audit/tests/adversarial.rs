@@ -8,17 +8,18 @@
 //! writer produced, and only the load checks and the structural audit can
 //! prove the writer produced something sane.
 //!
-//! A model file writes each node once (URL, count, parent, link-dup flag),
-//! so a child entry, a depth or a root or link table that disagrees with
-//! the rows cannot be written at all. Those corruptions are made on a
-//! loaded model's arena in memory instead, where the audit must still
-//! catch them.
+//! A model file writes each node once, in level order (URL, count, child
+//! count; a link's root slot, URL and count), and the arena stores no more
+//! than the order implies, so a child list, depth, grade or link table that
+//! disagrees with the rows cannot be stated at all. What the layout can
+//! state but training never builds is refused at load, one case per load
+//! rule below. A forged parent pointer is caught by `pbppm_core::verify`'s
+//! own unit tests, which reach the arena's columns.
 
 use pbppm_audit::{
-    verify_bytes, verify_model, verify_model_with_urls, verify_snapshot, CodecError, ModelImage,
-    ModelRef, SnapshotFile,
+    verify_bytes, verify_model, verify_snapshot, CodecError, ModelImage, ModelRef, SnapshotFile,
 };
-use pbppm_core::frozen::{NodeSnapshot, SnapshotError};
+use pbppm_core::frozen::{LinkSnapshot, NodeSnapshot, SnapshotError, TreeSnapshot};
 use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::pb_online::OnlinePbSnapshot;
 use pbppm_core::{
@@ -29,14 +30,11 @@ fn u(n: u32) -> UrlId {
     UrlId(n)
 }
 
-/// A row index as a `u32` row id.
-fn row_id(i: usize) -> u32 {
-    u32::try_from(i).expect("small arena")
-}
-
-/// A `u32` row id as an index.
-fn row(id: u32) -> usize {
-    usize::try_from(id).expect("small arena")
+/// The first non-root row of a level-order image: every tree row but a
+/// root is counted as some row's child.
+fn first_branch_row(nodes: &[NodeSnapshot]) -> usize {
+    let children: u32 = nodes.iter().map(|n| n.children).sum();
+    nodes.len() - usize::try_from(children).expect("small arena")
 }
 
 fn urls(n: usize) -> Vec<String> {
@@ -115,12 +113,7 @@ fn inflated_child_count_is_caught() {
     let (urls, mut snap) = encode_pb(&pb_with_link(), 6);
     // Inflate the count of some non-root branch node: its parent's
     // children now sum past the parent's own transition count.
-    let victim = snap
-        .tree
-        .nodes
-        .iter()
-        .position(|n| n.parent != u32::MAX && !n.link_dup)
-        .expect("model has non-root nodes");
+    let victim = first_branch_row(&snap.tree.nodes);
     snap.tree.nodes[victim].count += 1_000_000;
     let bytes = SnapshotFile {
         urls,
@@ -129,38 +122,6 @@ fn inflated_child_count_is_caught() {
     .encode();
     let report = verify_bytes(&bytes).expect("checksum is valid by construction");
     assert!(report.has("child-count-exceeds-parent"), "{report}");
-}
-
-#[test]
-fn dropped_child_entry_is_caught() {
-    let mut m = pb_with_link();
-    let arena = m.arena_for_audit().expect("finalized");
-    // Remove a child *entry* while the child node itself stays in the
-    // arena pointing at its parent.
-    let parent = (0..row_id(arena.len()))
-        .find(|&i| arena.parent(i) != u32::MAX && arena.has_children(i))
-        .expect("a non-root node with children exists");
-    let cols = arena.columns_for_audit();
-    let at = usize::try_from(cols.child_offsets[row(parent)]).expect("small arena");
-    cols.child_entries.remove(at);
-    for offset in &mut cols.child_offsets[row(parent) + 1..] {
-        *offset -= 1;
-    }
-    let report = verify_model(&ModelRef::Pb(&m));
-    assert!(report.has("child-not-linked"), "{report}");
-}
-
-#[test]
-fn forged_depth_is_caught() {
-    let mut m = pb_with_link();
-    let arena = m.arena_for_audit().expect("finalized");
-    let victim = (0..row_id(arena.len()))
-        .find(|&i| arena.parent(i) != u32::MAX && !arena.is_link_dup(i))
-        .expect("model has non-root nodes");
-    let depth = &mut arena.columns_for_audit().depths[row(victim)];
-    *depth = depth.saturating_add(3);
-    let report = verify_model(&ModelRef::Pb(&m));
-    assert!(report.has("child-depth-mismatch"), "{report}");
 }
 
 #[test]
@@ -177,22 +138,6 @@ fn height_cap_breach_is_caught() {
     .encode();
     let report = verify_bytes(&bytes).expect("valid envelope");
     assert!(report.has("height-exceeds-cap"), "{report}");
-}
-
-#[test]
-fn retargeted_special_link_is_caught() {
-    let mut m = pb_with_link();
-    let arena = m.arena_for_audit().expect("finalized");
-    // Point the special link at an ordinary branch node instead of the
-    // duplicated popular node.
-    let branch_node = (0..row_id(arena.len()))
-        .find(|&i| arena.parent(i) != u32::MAX && !arena.is_link_dup(i))
-        .expect("branch node exists");
-    let cols = arena.columns_for_audit();
-    assert!(!cols.link_entries.is_empty(), "setup must produce a link");
-    cols.link_entries[0] = branch_node;
-    let report = verify_model(&ModelRef::Pb(&m));
-    assert!(report.has("link-target-not-dup"), "{report}");
 }
 
 #[test]
@@ -228,21 +173,22 @@ fn pb_two_urls() -> PbPpm {
 
 #[test]
 fn forged_url_ids_are_rejected_before_anything_is_sized_by_them() {
-    // The branch root, then its child, claims URL id 400,000,000 in a
-    // two-URL file: loading it would size the root lookup table by that
-    // id (1.6 GB; an id near u32::MAX asks for about 17 GB).
+    // The branch root, then its child, then a special link claims URL id
+    // 400,000,000 in a file of few URLs: loading it would size the root
+    // lookup table by that id (1.6 GB; an id near u32::MAX asks for about
+    // 17 GB).
     for forged in [400_000_000, u32::MAX - 1] {
-        for parentless in [true, false] {
-            let mut snap = pb_two_urls().to_snapshot();
-            let node = snap
-                .tree
-                .nodes
-                .iter_mut()
-                .find(|n| (n.parent == u32::MAX) == parentless)
-                .expect("a root and its child");
-            node.url = forged;
+        for row in 0..3 {
+            let (n, mut snap) = match row {
+                2 => (6, pb_with_link().to_snapshot()),
+                _ => (2, pb_two_urls().to_snapshot()),
+            };
+            match snap.tree.nodes.get_mut(row) {
+                Some(node) => node.url = forged,
+                None => snap.tree.links[0].url = forged,
+            }
             let file = SnapshotFile {
-                urls: urls(2),
+                urls: urls(n),
                 model: ModelImage::Pb(snap),
             };
             assert_eq!(
@@ -273,17 +219,6 @@ fn forged_url_ids_are_rejected_before_anything_is_sized_by_them() {
         CodecError::UrlOutOfRange(9)
     );
     assert!(online.instantiate().is_err());
-}
-
-#[test]
-fn forged_child_entry_key_is_caught() {
-    // A child entry keyed by a URL its child row does not carry (here one
-    // outside the two-URL table): lookups would follow the wrong edge.
-    let mut m = pb_two_urls();
-    let cols = m.arena_for_audit().expect("finalized").columns_for_audit();
-    cols.child_entries[0].0 = u(7);
-    let report = verify_model_with_urls(&ModelRef::Pb(&m), Some(2));
-    assert!(report.has("child-url-mismatch"), "{report}");
 }
 
 #[test]
@@ -345,9 +280,8 @@ fn forged_counts_past_the_index_fields_are_refused() {
     let (urls, snap) = encode_pb(&pb_with_link(), 6);
     let voters_of = |url: u32| -> Vec<usize> {
         let nodes = &snap.tree.nodes;
-        let has_children = |i: usize| nodes.iter().any(|n| n.parent == row_id(i) && !n.link_dup);
         (0..nodes.len())
-            .filter(|&i| nodes[i].url == url && !nodes[i].link_dup && has_children(i))
+            .filter(|&i| nodes[i].url == url && nodes[i].children > 0)
             .collect()
     };
     let oversized = {
@@ -447,38 +381,18 @@ fn forged_order1_rows_are_refused_or_predict_nothing() {
     assert!(out.is_empty(), "{out:?}");
 }
 
-#[test]
-fn cyclic_parent_chain_is_rejected_not_hung() {
-    // Two nodes claiming each other as parent: the audit must report it,
-    // and must terminate.
-    let mut m = pb_deep();
-    let cols = m.arena_for_audit().expect("finalized").columns_for_audit();
-    assert_eq!(cols.parents[1], 0, "row 1 hangs off row 0");
-    cols.parents[0] = 1;
-    let report = verify_model(&ModelRef::Pb(&m));
-    assert!(report.has("frozen-csr-malformed"), "{report}");
-}
-
-/// Encodes `pb_with_link` after `edit` reshapes its rows.
-fn forged_rows(edit: impl FnOnce(&mut Vec<NodeSnapshot>)) -> Vec<u8> {
-    let (urls, mut snap) = encode_pb(&pb_with_link(), 6);
-    edit(&mut snap.tree.nodes);
+/// Encodes `snap` after `edit` reshapes its rows, as a file of `n` URLs.
+fn forged(
+    n: usize,
+    mut snap: pbppm_core::pb::PbSnapshot,
+    edit: impl FnOnce(&mut TreeSnapshot),
+) -> Vec<u8> {
+    edit(&mut snap.tree);
     SnapshotFile {
-        urls,
+        urls: urls(n),
         model: ModelImage::Pb(snap),
     }
     .encode()
-}
-
-#[test]
-fn a_parent_delta_past_row_zero_is_refused() {
-    // A node whose parent is itself or a later node has no delta back to
-    // it; the writer emits one reaching past row 0, decode reads it as the
-    // row itself, and the load refuses it like every other v4 load rule.
-    for parent in [5, 9] {
-        let bytes = forged_rows(|nodes| nodes[5].parent = parent);
-        assert_load_refuses(&bytes, SnapshotError::BadParent(5));
-    }
 }
 
 /// Requires the load to refuse `bytes` with `want`, and the audit of the
@@ -494,63 +408,102 @@ fn assert_load_refuses(bytes: &[u8], want: SnapshotError) {
     assert!(report.has("snapshot-rejected"), "{want:?}: {report}");
 }
 
-#[test]
-fn special_link_shapes_training_never_builds_are_refused() {
+/// `pb_with_link`'s image in level order: roots 0 and 3 (rows 0, 1), the
+/// branch 0 1 2 3 4 5 (rows 0, 2, 4, 6, 7, 8) beside the branch 3 4 5
+/// (rows 1, 3, 5), and the link from root 0 to a duplicate of 3 (row 9).
+fn linked_image() -> pbppm_core::pb::PbSnapshot {
     let snap = pb_with_link().to_snapshot();
-    let nodes = &snap.tree.nodes;
-    let dup = nodes.iter().find(|n| n.link_dup).expect("a link").clone();
-    let branch = nodes
+    let shape: Vec<(u32, u32)> = snap
+        .tree
+        .nodes
         .iter()
-        .position(|n| n.parent != u32::MAX && !n.link_dup)
-        .expect("a branch node");
-    // A duplicate below a branch node instead of a root. Training places
-    // each link right after its root, so the forged one is appended.
-    let forged = NodeSnapshot {
-        parent: row_id(branch),
-        ..dup
-    };
-    let bytes = forged_rows(|nodes| nodes.push(forged));
-    assert_load_refuses(&bytes, SnapshotError::BadLink(row_id(nodes.len())));
-    // A root flagged as a duplicate.
-    let bytes = forged_rows(|nodes| nodes[0].link_dup = true);
-    assert_load_refuses(&bytes, SnapshotError::BadLink(0));
+        .map(|n| (n.url, n.children))
+        .collect();
+    let want = [
+        (0, 1),
+        (3, 1),
+        (1, 1),
+        (4, 1),
+        (2, 1),
+        (5, 0),
+        (3, 1),
+        (4, 1),
+        (5, 0),
+    ];
+    assert_eq!(shape, want);
+    let links: Vec<(u32, u32)> = snap.tree.links.iter().map(|l| (l.root, l.url)).collect();
+    assert_eq!(links, [(0, 3)]);
+    snap
 }
 
 #[test]
-fn repeated_urls_among_roots_siblings_or_links_are_refused() {
-    let snap = pb_with_link().to_snapshot();
-    let nodes = &snap.tree.nodes;
-    let last = row_id(nodes.len());
-    let dup = nodes.iter().find(|n| n.link_dup).expect("a link").clone();
-    let branch = nodes
-        .iter()
-        .find(|n| n.parent != u32::MAX && !n.link_dup)
-        .expect("a branch node")
-        .clone();
-    // A second root for URL 0, a second sibling of `branch` on its URL,
-    // and a second link of `dup`'s root to its URL.
-    for repeat in [
-        NodeSnapshot {
-            parent: u32::MAX,
-            ..nodes[0].clone()
-        },
-        branch,
-        dup,
-    ] {
-        let bytes = forged_rows(|nodes| nodes.push(repeat.clone()));
-        assert_load_refuses(&bytes, SnapshotError::RepeatedUrl(last));
+fn a_child_run_at_or_before_its_row_is_refused() {
+    // Row 7's child moved to the last row, whose run would then start at
+    // that row itself.
+    let bytes = forged(6, linked_image(), |t| {
+        t.nodes[7].children = 0;
+        t.nodes[8].children = 1;
+    });
+    assert_load_refuses(&bytes, SnapshotError::BadChildRun(8));
+    // More children than tree rows: no row is left to be a root, so row
+    // 0's run starts at row 0.
+    let bytes = forged(6, linked_image(), |t| t.nodes[8].children = 5);
+    assert_load_refuses(&bytes, SnapshotError::BadChildRun(0));
+}
+
+#[test]
+fn unsorted_or_repeated_roots_and_siblings_are_refused() {
+    // Roots out of order, and a root repeating the one before it.
+    let bytes = forged(6, linked_image(), |t| t.nodes.swap(0, 1));
+    assert_load_refuses(&bytes, SnapshotError::UnsortedUrl(1));
+    let bytes = forged(6, linked_image(), |t| t.nodes[1].url = 0);
+    assert_load_refuses(&bytes, SnapshotError::UnsortedUrl(1));
+    // Root 0 adopts row 3 as a second child after URL 1 (row 1 gives it
+    // up): a valid image, until row 3 repeats or undercuts its sibling.
+    let adopt = |t: &mut TreeSnapshot| {
+        t.nodes[0].children = 2;
+        t.nodes[1].children = 0;
+    };
+    assert!(SnapshotFile::decode(&forged(6, linked_image(), adopt))
+        .and_then(|f| f.instantiate())
+        .is_ok());
+    for url in [1, 0] {
+        let bytes = forged(6, linked_image(), |t| {
+            adopt(t);
+            t.nodes[3].url = url;
+        });
+        assert_load_refuses(&bytes, SnapshotError::UnsortedUrl(3));
     }
+}
+
+#[test]
+fn links_past_the_roots_or_out_of_order_are_refused() {
+    let link = |root, url| LinkSnapshot {
+        root,
+        url,
+        count: 1,
+    };
+    // A link naming slot 2 of two roots.
+    let bytes = forged(6, linked_image(), |t| t.links[0].root = 2);
+    assert_load_refuses(&bytes, SnapshotError::BadLink(9));
+    // A link of root 0 after one of root 1: on the wire its root delta
+    // wraps past u32::MAX.
+    let bytes = forged(6, linked_image(), |t| t.links.insert(0, link(1, 0)));
+    assert_load_refuses(&bytes, SnapshotError::BadLink(10));
+    // A second link of root 0 to URL 3, or to URL 2 after URL 3.
+    for url in [3, 2] {
+        let bytes = forged(6, linked_image(), |t| t.links.push(link(0, url)));
+        assert_load_refuses(&bytes, SnapshotError::UnsortedUrl(10));
+    }
+    // A link of root 1 may name a URL below root 0's link.
+    let bytes = forged(6, linked_image(), |t| t.links.push(link(1, 0)));
+    assert!(verify_bytes(&bytes).expect("valid envelope").is_clean());
 }
 
 #[test]
 fn reports_serialize_with_kind_and_path() {
     let (urls, mut snap) = encode_pb(&pb_with_link(), 6);
-    let victim = snap
-        .tree
-        .nodes
-        .iter()
-        .position(|n| n.parent != u32::MAX && !n.link_dup)
-        .expect("non-root node exists");
+    let victim = first_branch_row(&snap.tree.nodes);
     snap.tree.nodes[victim].count += 1_000_000;
     let file = SnapshotFile {
         urls,

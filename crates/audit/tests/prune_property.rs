@@ -6,8 +6,9 @@
 //! workloads through randomized prune configurations and rebuild cadences
 //! (fixed seeds — failures reproduce) and requires `verify_model` to come
 //! back clean every time. In particular a special link may never dangle:
-//! that exact class is `link-dup-orphaned` / `link-target-detached` in the
-//! adversarial suite.
+//! the level-order arena keeps each root's links as a run beside it, so a
+//! link outlives its root nowhere, and the audit checks each link's
+//! back-pointer, grade rule and self-link rule.
 
 use pbppm_audit::{verify_model, verify_model_with_urls, ModelRef};
 use pbppm_core::{OnlinePbPpm, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, UrlId};

@@ -11,7 +11,7 @@
 //! is property-tested bit-identical to the sequential one: the comparison
 //! is pure speed, never a quality trade.
 //!
-//! Measured, each as the minimum across [`ROUNDS`] rounds:
+//! Measured, each as the minimum across `ROUNDS` rounds:
 //!
 //! * **parse** — CLF lines/second, file → `Trace`;
 //! * **train** — sessions/second, sessions → finalized PB-PPM model
@@ -25,9 +25,9 @@
 //! Results go to `results/ingest.json`. Every run enforces two
 //! host-independent floors, each a ratio of two measurements taken in the
 //! same run, and exits 1 when one is broken: on hosts with at least
-//! [`SPEEDUP_MIN_CORES`] cores the end-to-end speedup must reach
-//! [`SPEEDUP_FLOOR`], and the parallel parse peak must stay within
-//! [`PEAK_SLACK`] of sequential everywhere. (On narrower hosts the
+//! `SPEEDUP_MIN_CORES` cores the end-to-end speedup must reach
+//! `SPEEDUP_FLOOR`, and the parallel parse peak must stay within
+//! `PEAK_SLACK` of sequential everywhere. (On narrower hosts the
 //! speedup floor is vacuous — there is no parallelism to win.) A peak
 //! measured as 0 fails the peak floor: it means no counting allocator was
 //! installed, and a skipped check would pass silently. The wall times are

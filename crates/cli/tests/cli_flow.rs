@@ -1,25 +1,22 @@
 //! End-to-end CLI flow: generate → analyze → train → predict → simulate,
 //! driving the command functions directly with temp files.
 
+mod common;
+
+use common::TempDir;
 use pbppm_cli::args::Args;
 use pbppm_cli::commands;
 use pbppm_core::SnapshotFile;
-use std::path::PathBuf;
 
 fn args(tokens: &[&str]) -> Args {
     Args::parse(tokens.iter().map(|s| s.to_string())).expect("parse")
 }
 
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pbppm-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
 #[test]
 fn generate_analyze_train_predict_simulate() {
-    let log = temp("flow.log");
-    let model = temp("flow-model.pbss");
+    let tmp = TempDir::new("generate_analyze_train_predict_simulate");
+    let log = tmp.join("flow.log");
+    let model = tmp.join("flow-model.pbss");
     let log_s = log.to_str().unwrap();
     let model_s = model.to_str().unwrap();
 
@@ -80,6 +77,7 @@ fn generate_analyze_train_predict_simulate() {
 
 #[test]
 fn metrics_report_flow() {
+    let tmp = TempDir::new("metrics_report_flow");
     // A simulate run populates the global telemetry registry and spans.
     commands::simulate(&args(&["--preset", "tiny", "--seed", "7", "--model", "pb"]))
         .expect("simulate");
@@ -95,14 +93,14 @@ fn metrics_report_flow() {
     );
 
     // Write what `--metrics-out` writes, then render it with `stats`.
-    let path = temp("metrics.json");
+    let path = tmp.join("metrics.json");
     std::fs::write(&path, report.to_json()).unwrap();
     commands::stats(&args(&[path.to_str().unwrap()])).expect("stats");
     commands::stats(&args(&[path.to_str().unwrap(), "--prom"])).expect("stats --prom");
 
     // Error paths: missing file, malformed file, no path at all.
     assert!(commands::stats(&args(&["/nonexistent/metrics.json"])).is_err());
-    let bad = temp("bad-metrics.json");
+    let bad = tmp.join("bad-metrics.json");
     std::fs::write(&bad, "not json").unwrap();
     assert!(commands::stats(&args(&[bad.to_str().unwrap()])).is_err());
     assert!(commands::stats(&args(&[])).is_err());
@@ -110,10 +108,11 @@ fn metrics_report_flow() {
 
 #[test]
 fn helpful_errors() {
+    let tmp = TempDir::new("helpful_errors");
     // missing required option
     assert!(commands::generate(&args(&["--preset", "tiny"])).is_err());
     // unknown preset
-    let out = temp("x.log");
+    let out = tmp.join("x.log");
     assert!(commands::generate(&args(&[
         "--preset",
         "bogus",
@@ -124,7 +123,7 @@ fn helpful_errors() {
     // missing file
     assert!(commands::analyze(&args(&["/nonexistent/zzz.log"])).is_err());
     // unknown model kind
-    let log = temp("err.log");
+    let log = tmp.join("err.log");
     commands::generate(&args(&[
         "--preset",
         "tiny",
@@ -137,7 +136,7 @@ fn helpful_errors() {
     assert!(commands::train(&args(&[
         log.to_str().unwrap(),
         "--out",
-        temp("err-model.pbss").to_str().unwrap(),
+        tmp.join("err-model.pbss").to_str().unwrap(),
         "--model",
         "bogus"
     ]))
@@ -145,7 +144,7 @@ fn helpful_errors() {
     // unknown option
     assert!(commands::analyze(&args(&[log.to_str().unwrap(), "--bogus", "1"])).is_err());
     // predict with a context never seen
-    let model = temp("err2-model.pbss");
+    let model = tmp.join("err2-model.pbss");
     commands::train(&args(&[
         log.to_str().unwrap(),
         "--out",
@@ -187,12 +186,13 @@ fn count(fields: &[(String, serde_json::Value)], key: &str) -> u64 {
 
 #[test]
 fn audit_splits_each_model_file_into_sections_that_sum_to_its_size() {
-    let log = temp("split.log");
+    let tmp = TempDir::new("audit_splits_each_model_file_into_sections_that_sum_to_its_size");
+    let log = tmp.join("split.log");
     let log_s = log.to_str().unwrap();
     commands::generate(&args(&["--preset", "tiny", "--out", log_s, "--seed", "5"]))
         .expect("generate");
     for kind in ["pb", "standard", "lrs", "o1"] {
-        let model = temp(&format!("split-{kind}.pbss"));
+        let model = tmp.join(format!("split-{kind}.pbss"));
         let model_s = model.to_str().unwrap();
         commands::train(&args(&[log_s, "--out", model_s, "--model", kind]))
             .unwrap_or_else(|e| panic!("train {kind}: {e}"));
@@ -235,10 +235,11 @@ fn audit_splits_each_model_file_into_sections_that_sum_to_its_size() {
 
 #[test]
 fn combined_and_clf_logs_of_one_seed_train_identical_models() {
+    let tmp = TempDir::new("combined_and_clf_logs_of_one_seed_train_identical_models");
     let mut models = Vec::new();
     for format in ["clf", "combined"] {
-        let log = temp(&format!("dialect-{format}.log"));
-        let model = temp(&format!("dialect-{format}.pbss"));
+        let log = tmp.join(format!("dialect-{format}.log"));
+        let model = tmp.join(format!("dialect-{format}.pbss"));
         let (log_s, model_s) = (log.to_str().unwrap(), model.to_str().unwrap());
         commands::generate(&args(&[
             "--preset", "tiny", "--seed", "3", "--out", log_s, "--format", format,
@@ -267,8 +268,9 @@ fn combined_and_clf_logs_of_one_seed_train_identical_models() {
 
 #[test]
 fn an_invalid_utf8_byte_drops_no_following_line() {
+    let tmp = TempDir::new("an_invalid_utf8_byte_drops_no_following_line");
     for format in ["clf", "combined"] {
-        let log = temp(&format!("bad-byte-{format}.log"));
+        let log = tmp.join(format!("bad-byte-{format}.log"));
         let log_s = log.to_str().unwrap();
         commands::generate(&args(&[
             "--preset", "tiny", "--seed", "3", "--out", log_s, "--format", format,
@@ -302,10 +304,10 @@ fn an_invalid_utf8_byte_drops_no_following_line() {
 
 #[test]
 fn serve_answers_an_invalid_utf8_line_and_keeps_serving() {
+    let tmp = TempDir::new("serve_answers_an_invalid_utf8_line_and_keeps_serving");
     use std::io::Write;
     use std::process::{Command, Stdio};
-    let dir = temp("serve-bad-byte");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = tmp.join("serve");
     let mut child = Command::new(env!("CARGO_BIN_EXE_pbppm"))
         .args([
             "serve",
@@ -335,5 +337,4 @@ fn serve_answers_an_invalid_utf8_line_and_keeps_serving() {
     assert!(status[1].starts_with("err unknown command"), "{stdout}");
     assert!(status[2].starts_with("ok 1"), "still serving: {stdout}");
     assert!(status[3].starts_with("ok bye"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

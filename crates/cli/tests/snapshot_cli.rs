@@ -1,21 +1,17 @@
 //! Model file CLI flow: `train` → `predict` must serve the same bytes as
 //! the in-process model, and corrupt model files must fail cleanly.
 
+mod common;
+
+use common::TempDir;
 use pbppm_cli::args::Args;
 use pbppm_cli::commands;
 use pbppm_core::SnapshotFile;
 use pbppm_trace::ingest::{trace_from_clf_path, IngestConfig};
 use pbppm_trace::{sessionize, SessionizerConfig};
-use std::path::PathBuf;
 
 fn args(tokens: &[&str]) -> Args {
     Args::parse(tokens.iter().map(|s| s.to_string())).expect("parse")
-}
-
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pbppm-snapcli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
 }
 
 fn render(
@@ -30,14 +26,15 @@ fn render(
 
 #[test]
 fn train_then_predict_is_byte_identical_to_in_process_model() {
-    let log = temp("identity.log");
+    let tmp = TempDir::new("train_then_predict_is_byte_identical_to_in_process_model");
+    let log = tmp.join("identity.log");
     let log_s = log.to_str().unwrap();
     commands::generate(&args(&["--preset", "tiny", "--out", log_s, "--seed", "5"]))
         .expect("generate");
 
     // The same pipeline twice: once through `train` and the model file,
     // once in process as the reference.
-    let snap_path = temp("identity-model.pbss");
+    let snap_path = tmp.join("identity-model.pbss");
     commands::train(&args(&[log_s, "--out", snap_path.to_str().unwrap()])).expect("train");
     let snapshot = SnapshotFile::read(&snap_path).expect("read snapshot");
     let mut restored = snapshot.instantiate().expect("snapshot model");
@@ -69,11 +66,12 @@ fn train_then_predict_is_byte_identical_to_in_process_model() {
 
 #[test]
 fn predict_rejects_corruption_cleanly() {
-    let log = temp("corrupt.log");
+    let tmp = TempDir::new("predict_rejects_corruption_cleanly");
+    let log = tmp.join("corrupt.log");
     let log_s = log.to_str().unwrap();
     commands::generate(&args(&["--preset", "tiny", "--out", log_s, "--seed", "7"]))
         .expect("generate");
-    let path = temp("corrupt.pbss");
+    let path = tmp.join("corrupt.pbss");
     let path_s = path.to_str().unwrap();
     commands::train(&args(&[log_s, "--out", path_s])).expect("train");
     commands::predict(&args(&[path_s, "--context", "/l0/p0.html"])).expect("clean file");

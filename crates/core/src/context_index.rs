@@ -20,7 +20,7 @@
 //! A popular URL's length-1 bucket holds *every* occurrence of that URL, so
 //! answering a one-click context by iterating the bucket would be the very
 //! occurrence scan the index exists to replace. Each bucket therefore
-//! names a [`WindowGroup`]. A bucket with several members stores them
+//! names a `WindowGroup`. A bucket with several members stores them
 //! plus their summed parent count and per-successor vote totals; a clean
 //! one is verified against the query with a single representative walk.
 //! Buckets whose members genuinely disagree about the window's content (a
@@ -129,7 +129,7 @@ fn narrow<N: TryInto<u32>>(n: N) -> Result<u32, SnapshotError> {
 /// Slot tag of a stored group: the slot's low bits index `heads`. A slot
 /// without it holds the arena row of a one-member group.
 const STORED: u32 = 1 << 31;
-/// Slot tag, beside [`STORED`], of a group whose members collided.
+/// Slot tag, beside `STORED`, of a group whose members collided.
 const DIRTY: u32 = 1 << 30;
 
 /// Narrows `n` to a slot payload, which must stay below `tag`.
@@ -250,7 +250,7 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
     });
 }
 
-/// Fingerprint → [`WindowGroup`] index over a [`FrozenTree`], keyed by
+/// Fingerprint → `WindowGroup` index over a [`FrozenTree`], keyed by
 /// `(window length, rolling window hash)`.
 ///
 /// Built once per finalize or load from the arena; afterwards it is immutable and
@@ -261,7 +261,7 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
 ///   bits narrows a lookup to a few neighbouring keys (the keys are mixed
 ///   64-bit hashes, so the slots fill evenly);
 /// * `slots[i]` says where key `i`'s group lives: a one-member group's
-///   arena row, or (tagged [`STORED`], and [`DIRTY`] after a collision)
+///   arena row, or (tagged `STORED`, and `DIRTY` after a collision)
 ///   the index of a stored group's head;
 /// * `heads[g]` holds stored group `g`'s total and where its runs start in
 ///   `members` and `votes`; each run ends where the next group's starts;
@@ -297,12 +297,10 @@ impl ContextIndex {
         // Phase 1: one flat entry per (node, window), sorted so that each
         // bucket is a run in row order.
         let mut entries: Vec<Entry> = Vec::new();
-        for id in 0..arena.rows() {
-            if arena.is_link_dup(id) {
-                continue;
-            }
+        // Windows stop at the root; queries never look past `u8::MAX`.
+        let max_len = max_order.min(usize::from(u8::MAX));
+        for id in 0..arena.first_link_row() {
             let p_node = hashes[id as usize];
-            let max_len = usize::from(arena.depth(id)).min(max_order);
             let mut anc = id;
             let mut pow = 1u64;
             for len in 1..=max_len {
@@ -317,7 +315,7 @@ impl ContextIndex {
                 entries.push(Entry {
                     key: bucket_key(len, hash),
                     node: id,
-                    // Windows are at most a node depth long; depths are u8.
+                    // Windows are at most `u8::MAX` long.
                     len: u8::try_from(len).unwrap_or(u8::MAX),
                 });
                 if parent == NO_NODE {
@@ -348,7 +346,7 @@ impl ContextIndex {
                 // fields a stored group would hold them in: a file the
                 // index could not aggregate is refused either way.
                 narrow(arena.count(only.node))?;
-                for &(_, child) in arena.children(only.node) {
+                for child in arena.children(only.node) {
                     narrow(arena.count(child))?;
                 }
                 slots.push(slot_payload(only.node, STORED)?);
@@ -367,8 +365,7 @@ impl ContextIndex {
                     tally.extend(
                         arena
                             .children(e.node)
-                            .iter()
-                            .map(|&(url, child)| (url, arena.count(child))),
+                            .map(|child| (arena.url(child), arena.count(child))),
                     );
                 }
                 sum_votes(&mut tally);
@@ -633,8 +630,7 @@ mod tests {
         );
         let votes: Vec<(UrlId, u64)> = t
             .children(row)
-            .iter()
-            .map(|&(url, child)| (url, t.count(child)))
+            .map(|child| (t.url(child), t.count(child)))
             .collect();
         assert_eq!((t.count(row), votes), (1, vec![(u(6), 1)]));
         // Every one-member group is derived, and every entry still counts.

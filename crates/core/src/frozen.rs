@@ -1,35 +1,37 @@
-//! Frozen struct-of-arrays / CSR arena: the finalized model itself, and
-//! the path counting that trains it.
+//! Frozen struct-of-arrays arena in level order: the finalized model
+//! itself, and the path counting that trains it.
 //!
 //! Every count in a prediction tree is a prefix count: a node's count is
 //! the number of training paths its own path begins. So training keeps no
 //! tree. Each model emits its sessions' paths (and PB-PPM its special
 //! links), `NodeStore` counts them as sorted runs, and `finalize` folds
-//! the merged runs into preorder rows, cuts them and hands them to the one
-//! arena builder, [`FrozenTree::from_snapshot`]. The arena is laid out for
-//! reads:
+//! the merged runs into rows, cuts them, lays them out in level order and
+//! hands them to the one arena builder, [`FrozenTree::from_snapshot`].
 //!
-//! * parallel `u32`-indexed arrays for `url`, `count`, `depth`, `parent`
-//!   and popularity `grade` (one cache line covers eight nodes' counts);
-//! * a CSR `child_offsets`/`child_entries` pair — all children of a node
-//!   are adjacent, so the child-vote loop is a linear scan instead of a
-//!   binary search through a per-node heap vector;
-//! * special links flattened into a second CSR pair parallel to the sorted
-//!   root table, plus a direct-indexed `root_lookup` table (URL ids are
-//!   dense interner ids) that answers "is the current click a root?" in
-//!   one array load;
+//! Rows are in level order: the roots first (rows `0..R`, sorted by URL),
+//! then each level of the forest in turn, with every node's children one
+//! contiguous run sorted by URL, and last PB-PPM's special-link rows,
+//! grouped by root in root order and sorted by URL. The order is the
+//! structure, so the arena stores it implicitly:
+//!
+//! * parallel `u32`-indexed columns for `url`, `count` and `parent` (one
+//!   cache line covers eight nodes' counts);
+//! * `first_child`: node `i`'s children are the rows
+//!   `first_child[i]..first_child[i + 1]`, so the child-vote loop is a
+//!   linear pass over adjacent rows and their URLs are already sorted;
+//! * a root is its own slot: a direct-indexed `root_lookup` table (URL ids
+//!   are dense interner ids) answers "is the current click a root?" in one
+//!   array load, and `link_offsets[slot]..link_offsets[slot + 1]` are the
+//!   root's link rows, so a row is a link exactly when it is at or past
+//!   the first link row;
 //! * Fig. 2's path-usage flags are a bitset over rows kept beside the
 //!   arena, filled from the [`crate::predictor::PredictUsage`] side
 //!   channel, so every frozen read path takes `&self`.
 //!
 //! Rows are indexed by [`NodeId`], in the order the snapshot codec writes
-//! ([`FrozenTree::to_snapshot`]). Training writes them in one canonical
-//! order: roots by URL, each root followed by its special links sorted by
-//! URL and then its subtree in preorder, siblings by URL. That order does
-//! not depend on how sessions were ordered or partitioned over threads.
-//! The loader accepts any order in which a parent's row precedes its
-//! children's: every upward walk ends, and a single forward sweep sees
-//! each parent before its children.
+//! ([`FrozenTree::to_snapshot`]). Training lays them out in this one
+//! order, which does not depend on how sessions were ordered or
+//! partitioned over threads, and the loader accepts no other.
 //!
 //! Every model family serves from here on exactly one path: standard PPM,
 //! LRS PPM and the order-1 baseline by direct suffix descent
@@ -38,7 +40,6 @@
 //! ([`FrozenTree::match_top`]).
 
 use crate::interner::UrlId;
-use crate::popularity::PopularityTable;
 use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
 use crate::prune::{PruneConfig, PruneReport};
 use crate::stats::ModelStats;
@@ -49,48 +50,61 @@ use std::ops::Range;
 pub struct NodeId(pub(crate) u32);
 
 /// The typed wire image of a finalized model's nodes: the rows of its
-/// frozen arena, each written once.
+/// frozen arena in level order, each written once.
 ///
-/// A row keeps only what training decided: its URL, count, parent and
-/// link-dup flag. Everything else in the arena follows from those
-/// ([`FrozenTree::from_snapshot`] derives it): child rows, depths, the
-/// root table and each root's special links.
+/// A tree row keeps its URL, count and child count, a special link its
+/// root's slot, URL and count. Parents, child runs, the root table and
+/// each root's links follow from the order ([`FrozenTree::from_snapshot`]
+/// derives them).
 ///
 /// Produced by [`FrozenTree::to_snapshot`]; consumed by
 /// [`FrozenTree::from_snapshot`], which rebuilds the arena directly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreeSnapshot {
-    /// All nodes, in arena order: each parent precedes its children.
+    /// The tree rows in level order: the roots sorted by URL, then each
+    /// level, every node's children one run sorted by URL.
     pub nodes: Vec<NodeSnapshot>,
+    /// PB-PPM's special links, sorted by root slot and then by URL.
+    pub links: Vec<LinkSnapshot>,
 }
 
-/// One node of a [`TreeSnapshot`], with raw `u32` references.
+/// One tree row of a [`TreeSnapshot`], with raw `u32` references.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSnapshot {
     /// Interned URL id.
     pub url: u32,
     /// Training traversal count.
     pub count: u64,
-    /// Parent row (an earlier one), or `u32::MAX` for roots.
-    pub parent: u32,
-    /// True for PB-PPM duplicated popular nodes, which hang off a root.
-    pub link_dup: bool,
+    /// How many rows of the next level are this row's children.
+    pub children: u32,
+}
+
+/// One special link of a [`TreeSnapshot`]: a duplicated popular node
+/// hanging off a root.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkSnapshot {
+    /// The root's slot, which is its row.
+    pub root: u32,
+    /// Interned URL id of the duplicated node.
+    pub url: u32,
+    /// Sessions of the root's branch that went on to visit the URL.
+    pub count: u64,
 }
 
 /// Why a [`TreeSnapshot`] failed to load: a state the format can express
 /// but training never produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The parent of row `row` is not an earlier row, so the parent chain
-    /// could run off the arena or loop back on itself.
-    BadParent(u32),
-    /// Row `row` breaks the special-link shape: a duplicate whose parent
-    /// is not a root, a root flagged as a duplicate, or a node below a
-    /// duplicate.
+    /// The child run of tree row `row` starts at or before the row itself,
+    /// or the child counts add up past the tree rows, so a parent would not
+    /// precede its children.
+    BadChildRun(u32),
+    /// Link row `row` names a root slot past the roots, or one before the
+    /// previous link's.
     BadLink(u32),
-    /// Row `row` repeats the URL of another root, of a sibling, or of
-    /// another special link of its root.
-    RepeatedUrl(u32),
+    /// Row `row` does not sort strictly after the root, sibling or link of
+    /// its root before it, by URL.
+    UnsortedUrl(u32),
     /// A model-specific layout rule is broken (context in the message).
     Malformed(&'static str),
     /// A count, or a sum of counts, outgrows the fingerprint index's
@@ -101,14 +115,23 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::BadParent(row) => {
-                write!(f, "parent of node {row} is not an earlier node")
+            SnapshotError::BadChildRun(row) => {
+                write!(
+                    f,
+                    "child run of node {row} does not start after it among the tree rows"
+                )
             }
             SnapshotError::BadLink(row) => {
-                write!(f, "node {row} breaks the special-link shape")
+                write!(
+                    f,
+                    "link node {row} does not name a root at or after the last link's"
+                )
             }
-            SnapshotError::RepeatedUrl(row) => {
-                write!(f, "node {row} repeats the url of a root, sibling or link")
+            SnapshotError::UnsortedUrl(row) => {
+                write!(
+                    f,
+                    "node {row} does not sort after the root, sibling or link before it"
+                )
             }
             SnapshotError::Malformed(what) => write!(f, "malformed arena: {what}"),
             SnapshotError::IndexOverflow => {
@@ -123,9 +146,9 @@ impl std::error::Error for SnapshotError {}
 /// Sentinel for "no node" in the `u32` index space: the parent of a root.
 pub const NO_NODE: u32 = u32::MAX;
 
-/// Child lists at most this long are scanned linearly; longer ones are
-/// binary-searched. CSR entries are adjacent, so the scan stays within one
-/// or two cache lines.
+/// Child runs at most this long are scanned linearly; longer ones are
+/// binary-searched. Sibling URLs are adjacent, so the scan stays within
+/// one or two cache lines.
 const LINEAR_SCAN_MAX: usize = 16;
 
 #[inline]
@@ -133,238 +156,166 @@ fn ix(i: u32) -> usize {
     i as usize
 }
 
-/// The frozen struct-of-arrays / CSR arena of a finalized tree model.
+/// The frozen level-order arena of a finalized tree model.
 ///
-/// All arrays are indexed by the node's row, its [`NodeId`]. Immutable by
-/// construction: every accessor takes `&self`.
+/// All columns are indexed by the node's row, its [`NodeId`]. Immutable
+/// by construction: every accessor takes `&self`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenTree {
-    /// `urls[i]`: URL of node `i`.
+    /// `urls[i]`: URL of row `i`.
     pub(crate) urls: Vec<UrlId>,
-    /// `counts[i]`: transition count of node `i`.
+    /// `counts[i]`: transition count of row `i`.
     pub(crate) counts: Vec<u64>,
-    /// `depths[i]`: branch depth of node `i` (root = 1).
-    pub(crate) depths: Vec<u8>,
-    /// `parents[i]`: parent index, [`NO_NODE`] for roots.
+    /// `parents[i]`: parent row of row `i`, [`NO_NODE`] for roots; a link
+    /// row's parent is its root.
     pub(crate) parents: Vec<u32>,
-    /// `grades[i]`: popularity grade level of node `i`'s URL (0 for model
-    /// families without a popularity table).
-    pub(crate) grades: Vec<u8>,
-    /// Bitset: bit `i` set when node `i` is a duplicated special-link node.
-    pub(crate) dup_bits: Vec<u64>,
-    /// CSR row offsets into `child_entries`; length `n + 1`.
-    pub(crate) child_offsets: Vec<u32>,
-    /// CSR child entries `(url, child index)`, sorted by URL per node.
-    pub(crate) child_entries: Vec<(UrlId, u32)>,
-    /// Root table `(url, node index)`, sorted by URL.
-    pub(crate) roots: Vec<(UrlId, u32)>,
-    /// Direct index: `root_lookup[url.0]` is the slot in `roots` (or
-    /// [`NO_NODE`]). URL ids are dense, so this stays small.
+    /// Row `i`'s children are the rows `first_child[i]..first_child[i + 1]`;
+    /// length `n + 1`. Link rows have empty runs at the first link row.
+    pub(crate) first_child: Vec<u32>,
+    /// Direct index: `root_lookup[url.0]` is the URL's root row, which is
+    /// also its slot (or [`NO_NODE`]). URL ids are dense, so this stays
+    /// small.
     pub(crate) root_lookup: Vec<u32>,
-    /// CSR row offsets into `link_entries`, parallel to `roots`; length
-    /// `roots.len() + 1`.
+    /// Root `s`'s link rows are `link_offsets[s]..link_offsets[s + 1]`;
+    /// length `R + 1`, from the first link row to `n`.
     pub(crate) link_offsets: Vec<u32>,
-    /// Special-link targets (duplicated nodes), flattened.
-    pub(crate) link_entries: Vec<u32>,
+}
+
+/// A row count as `u32` row ids, which leave [`NO_NODE`] free.
+fn row_count(n: usize) -> Result<u32, SnapshotError> {
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n < NO_NODE)
+        .ok_or(SnapshotError::Malformed("rows past u32 ids"))
 }
 
 impl FrozenTree {
-    /// Finishes the root table with its direct-index `root_lookup`
-    /// (`root_lookup[url.0]` is the URL's slot). URL ids are dense, so
-    /// the table stays small.
-    fn index_roots(mut self) -> Self {
-        let width = self.roots.iter().map(|&(u, _)| ix(u.0) + 1).max();
-        let mut lookup = vec![NO_NODE; width.unwrap_or(0)];
-        for (slot, &(url, _)) in self.roots.iter().enumerate() {
-            // Slots are root-table positions, bounded by the row count.
-            lookup[ix(url.0)] = u32::try_from(slot).unwrap_or(NO_NODE);
-        }
-        self.root_lookup = lookup;
-        self
-    }
-
-    /// Builds an arena from its rows: the one builder behind both a
-    /// snapshot load and `finalize`.
+    /// Builds an arena from its level-order rows: the one builder behind
+    /// both a snapshot load and `finalize`.
     ///
-    /// The rows carry URL, count, parent and link-dup flag; the rest is
-    /// derived. One forward sweep checks each parent (an earlier row; a
-    /// duplicate's parent a root, and nothing below a duplicate) and takes
-    /// the depth as the parent's plus one, saturating at `u8::MAX`. Then
-    /// the non-duplicate rows are grouped by parent into URL-sorted child
-    /// runs, the parentless rows sorted by URL into the root table, and
-    /// the duplicates grouped under their root in row order. Two roots,
-    /// siblings or links of one root sharing a URL are refused. Any
-    /// parent-first row order loads; the rows keep their order.
-    /// `pop` supplies the per-URL popularity grades for PB-PPM; baselines
-    /// pass `None` and get zero grades.
-    pub fn from_snapshot(
-        snap: &TreeSnapshot,
-        pop: Option<&PopularityTable>,
-    ) -> Result<Self, SnapshotError> {
-        let nodes = &snap.nodes;
-        let n = nodes.len();
-        let mut depths: Vec<u8> = Vec::with_capacity(n);
-        let mut dup_bits = vec![0; n.div_ceil(64)];
-        let mut roots = 0;
+    /// Every tree row but a root is some row's child, so the first `R`
+    /// rows are the roots, `R` being the tree rows less the summed child
+    /// counts, and one running offset from `R` hands each row its child
+    /// run and each child its parent. A run must start after its own row, which also keeps it
+    /// within the tree rows. Roots, each run of siblings and each root's
+    /// links must ascend strictly by URL, and links come sorted by root
+    /// slot, each below `R`. Anything else is refused.
+    pub fn from_snapshot(snap: &TreeSnapshot) -> Result<Self, SnapshotError> {
+        let (nodes, links) = (&snap.nodes, &snap.links);
+        let rows = row_count(nodes.len() + links.len())?;
+        let tree = row_count(nodes.len())?;
+        let children: u64 = nodes.iter().map(|s| u64::from(s.children)).sum();
+        // Too many children leave no root, and row 0's run then starts at
+        // row 0.
+        let roots = u32::try_from(u64::from(tree).saturating_sub(children)).unwrap_or(0);
+        let mut parents = vec![NO_NODE; ix(rows)];
+        let mut first_child = Vec::with_capacity(ix(rows) + 1);
+        let mut next = roots;
         for (row, s) in (0..).zip(nodes) {
-            let depth = if s.parent == NO_NODE {
-                if s.link_dup {
-                    return Err(SnapshotError::BadLink(row));
-                }
-                roots += 1;
-                1
-            } else if s.parent >= row {
-                return Err(SnapshotError::BadParent(row));
-            } else {
-                let parent = &nodes[ix(s.parent)];
-                if parent.link_dup || (s.link_dup && parent.parent != NO_NODE) {
-                    return Err(SnapshotError::BadLink(row));
-                }
-                depths[ix(s.parent)].saturating_add(1)
-            };
-            depths.push(depth);
-            if s.link_dup {
-                mark_row(&mut dup_bits, row);
+            if next <= row {
+                return Err(SnapshotError::BadChildRun(row));
+            }
+            first_child.push(next);
+            // Runs so far fit the tree rows: the counts sum to tree − R.
+            let end = next + s.children;
+            parents[ix(next)..ix(end)].fill(row);
+            next = end;
+        }
+        first_child.resize(ix(rows) + 1, tree);
+
+        let mut link_offsets = Vec::with_capacity(ix(roots) + 1);
+        for (row, link) in (tree..).zip(links) {
+            if link.root >= roots || ix(link.root) + 1 < link_offsets.len() {
+                return Err(SnapshotError::BadLink(row));
+            }
+            link_offsets.resize(ix(link.root) + 1, row);
+            parents[ix(row)] = link.root;
+        }
+        link_offsets.resize(ix(roots) + 1, rows);
+
+        let urls: Vec<UrlId> = nodes
+            .iter()
+            .map(|s| UrlId(s.url))
+            .chain(links.iter().map(|l| UrlId(l.url)))
+            .collect();
+        // Rows sharing a parent are one run: the roots, a node's children,
+        // a root's links (the first link row starts a new run).
+        for k in (1..ix(rows)).filter(|&k| k != ix(tree)) {
+            if parents[k - 1] == parents[k] && urls[k - 1] >= urls[k] {
+                return Err(SnapshotError::UnsortedUrl(row_count(k)?));
             }
         }
-        let rows = (0u32..).zip(nodes);
-
-        let children = rows
-            .clone()
-            .filter(|(_, s)| s.parent != NO_NODE && !s.link_dup)
-            .map(|(i, s)| (s.parent, (UrlId(s.url), i)));
-        let (child_offsets, mut child_entries) = group_runs(n, (UrlId(0), 0), children);
-        for w in child_offsets.windows(2) {
-            let run = &mut child_entries[ix(w[0])..ix(w[1])];
-            run.sort_unstable_by_key(|&(url, _)| url);
-            distinct_urls(run)?;
+        // The last root has the largest URL.
+        let width = roots
+            .checked_sub(1)
+            .map_or(0, |last| ix(urls[ix(last)].0) + 1);
+        let mut root_lookup = vec![NO_NODE; width];
+        for root in 0..roots {
+            root_lookup[ix(urls[ix(root)].0)] = root;
         }
-
-        let mut root_table = Vec::with_capacity(roots);
-        root_table.extend(
-            rows.clone()
-                .filter(|(_, s)| s.parent == NO_NODE)
-                .map(|(i, s)| (UrlId(s.url), i)),
-        );
-        root_table.sort_unstable_by_key(|&(url, _)| url);
-        distinct_urls(&root_table)?;
-
-        let mut arena = Self {
-            urls: nodes.iter().map(|s| UrlId(s.url)).collect(),
-            counts: nodes.iter().map(|s| s.count).collect(),
-            depths,
-            parents: nodes.iter().map(|s| s.parent).collect(),
-            grades: nodes.iter().map(|s| grade(pop, UrlId(s.url))).collect(),
-            dup_bits,
-            child_offsets,
-            child_entries,
-            roots: root_table,
-            root_lookup: Vec::new(),
-            link_offsets: Vec::new(),
-            link_entries: Vec::new(),
-        }
-        .index_roots();
-
-        // A duplicate's parent is a root, so its URL has a root slot.
-        let slot = |s: &NodeSnapshot| arena.root_lookup[ix(nodes[ix(s.parent)].url)];
-        let dups = rows.filter(|(_, s)| s.link_dup).map(|(i, s)| (slot(s), i));
-        let (link_offsets, link_entries) = group_runs(arena.roots.len(), 0, dups);
-        let mut urls = Vec::new();
-        for w in link_offsets.windows(2) {
-            let run = &link_entries[ix(w[0])..ix(w[1])];
-            urls.clear();
-            urls.extend(run.iter().map(|&i| (arena.urls[ix(i)], i)));
-            urls.sort_unstable_by_key(|&(url, _)| url);
-            distinct_urls(&urls)?;
-        }
-        arena.link_offsets = link_offsets;
-        arena.link_entries = link_entries;
-        Ok(arena)
+        Ok(Self {
+            urls,
+            counts: nodes
+                .iter()
+                .map(|s| s.count)
+                .chain(links.iter().map(|l| l.count))
+                .collect(),
+            parents,
+            first_child,
+            root_lookup,
+            link_offsets,
+        })
     }
 
-    /// The arena's wire image: each row's URL, count, parent and link-dup
-    /// flag, in row order.
+    /// The arena's wire image: each tree row's URL, count and child count,
+    /// then each link's root slot, URL and count, in row order.
     pub fn to_snapshot(&self) -> TreeSnapshot {
-        let nodes = (0..self.rows())
-            .map(|i| NodeSnapshot {
-                url: self.url(i).0,
-                count: self.count(i),
-                parent: self.parent(i),
-                link_dup: self.is_link_dup(i),
-            })
-            .collect();
-        TreeSnapshot { nodes }
+        let tree = self.first_link_row();
+        TreeSnapshot {
+            nodes: (0..tree)
+                .map(|i| {
+                    let run = self.children(i);
+                    NodeSnapshot {
+                        url: self.url(i).0,
+                        count: self.count(i),
+                        children: run.end - run.start,
+                    }
+                })
+                .collect(),
+            links: (tree..self.rows())
+                .map(|i| LinkSnapshot {
+                    root: self.parent(i),
+                    url: self.url(i).0,
+                    count: self.count(i),
+                })
+                .collect(),
+        }
     }
 
-    /// Checks the arena's structure: array-length parity, CSR
-    /// well-formedness (monotone in-bounds offsets, per-node URL-sorted
-    /// children), in-bounds parent and link references, a sorted root
-    /// table. The audit maps the error text into a `frozen-csr-malformed`
-    /// violation.
+    /// Checks the arena's layout: equal column lengths, `first_child`
+    /// monotone from the root count to the first link row with each tree
+    /// row's run after the row, and `link_offsets` monotone from the first
+    /// link row to the row count. Together they make every run a range of
+    /// later rows. The audit maps the error text into a
+    /// `frozen-csr-malformed` violation.
     pub(crate) fn check_csr(&self) -> Result<(), &'static str> {
         let n = self.urls.len();
-        if self.counts.len() != n
-            || self.depths.len() != n
-            || self.parents.len() != n
-            || self.grades.len() != n
-        {
-            return Err("frozen arrays disagree on length");
+        if self.counts.len() != n || self.parents.len() != n || self.first_child.len() != n + 1 {
+            return Err("frozen columns disagree on length");
         }
-        if self.dup_bits.len() != n.div_ceil(64) {
-            return Err("frozen dup bitset has the wrong width");
+        let links = &self.link_offsets;
+        if links.last().map(|&end| ix(end)) != Some(n) || links.windows(2).any(|w| w[0] > w[1]) {
+            return Err("frozen link offsets do not rise to the row count");
         }
-        let offsets = &self.child_offsets;
-        if offsets.len() != n + 1 || offsets.first() != Some(&0) {
-            return Err("frozen child offsets malformed");
+        let runs = &self.first_child;
+        if ix(runs[0]) != links.len() - 1 || runs[n] != links[0] {
+            return Err("frozen child runs do not span the roots to the first link row");
         }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("frozen child offsets not monotone");
+        if runs.windows(2).any(|w| w[0] > w[1]) {
+            return Err("frozen child runs not monotone");
         }
-        if ix(*offsets.last().unwrap_or(&0)) != self.child_entries.len() {
-            return Err("frozen child offsets disagree with entry count");
-        }
-        for (i, w) in self.child_offsets.windows(2).enumerate() {
-            let row = &self.child_entries[ix(w[0])..ix(w[1])];
-            for pair in row.windows(2) {
-                if pair[0].0 >= pair[1].0 {
-                    return Err("frozen child entries not sorted by url");
-                }
-            }
-            for &(_, c) in row {
-                if ix(c) >= n {
-                    return Err("frozen child entry out of bounds");
-                }
-                if ix(c) == i {
-                    return Err("frozen child entry references its own node");
-                }
-            }
-        }
-        if (0..)
-            .zip(&self.parents)
-            .any(|(i, &p)| p != NO_NODE && p >= i)
-        {
-            return Err("frozen parent does not precede its row");
-        }
-        for pair in self.roots.windows(2) {
-            if pair[0].0 >= pair[1].0 {
-                return Err("frozen root table not sorted by url");
-            }
-        }
-        if self.roots.iter().any(|&(_, id)| ix(id) >= n) {
-            return Err("frozen root out of bounds");
-        }
-        let offsets = &self.link_offsets;
-        if offsets.len() != self.roots.len() + 1 || offsets.first() != Some(&0) {
-            return Err("frozen link offsets malformed");
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("frozen link offsets not monotone");
-        }
-        if ix(*offsets.last().unwrap_or(&0)) != self.link_entries.len() {
-            return Err("frozen link offsets disagree with entry count");
-        }
-        if self.link_entries.iter().any(|&t| ix(t) >= n) {
-            return Err("frozen link entry out of bounds");
+        if (0..links[0]).any(|i| runs[ix(i)] <= i) {
+            return Err("frozen child run does not start after its row");
         }
         Ok(())
     }
@@ -381,15 +332,20 @@ impl FrozenTree {
         self.urls.is_empty()
     }
 
-    /// The root table: `(url, row)` entries sorted by URL.
+    /// The root rows `0..R`, sorted by URL; a root's row is its slot.
     #[must_use]
-    pub fn roots(&self) -> &[(UrlId, u32)] {
-        &self.roots
+    pub fn roots(&self) -> Range<u32> {
+        0..u32::try_from(self.link_offsets.len().saturating_sub(1)).unwrap_or(0)
     }
 
     /// The row count as the bound of the `u32` row ids.
     pub(crate) fn rows(&self) -> u32 {
         u32::try_from(self.urls.len()).unwrap_or(NO_NODE)
+    }
+
+    /// The first special-link row: the tree rows come before it.
+    pub(crate) fn first_link_row(&self) -> u32 {
+        self.link_offsets.first().copied().unwrap_or(0)
     }
 
     /// URL of node `i`.
@@ -406,18 +362,29 @@ impl FrozenTree {
         self.counts[ix(i)]
     }
 
-    /// Branch depth of node `i` (roots are depth 1).
-    #[inline]
+    /// Branch depth of node `i` (roots are depth 1), counted up its parent
+    /// chain and saturating at `u8::MAX`.
     #[must_use]
     pub fn depth(&self, i: u32) -> u8 {
-        self.depths[ix(i)]
+        let mut depth = 1u8;
+        let mut cur = self.parent(i);
+        while cur != NO_NODE {
+            depth = depth.saturating_add(1);
+            cur = self.parent(cur);
+        }
+        depth
     }
 
-    /// Popularity grade level of node `i`'s URL.
-    #[inline]
-    #[must_use]
-    pub fn grade(&self, i: u32) -> u8 {
-        self.grades[ix(i)]
+    /// Depth of the deepest node: the last tree row's (level order puts
+    /// the deepest level last), or 2 when a special link hangs deeper.
+    pub(crate) fn max_depth(&self) -> u8 {
+        let tree = self.first_link_row();
+        let deepest = tree.checked_sub(1).map_or(0, |last| self.depth(last));
+        if tree < self.rows() {
+            deepest.max(2)
+        } else {
+            deepest
+        }
     }
 
     /// Parent index of node `i`, [`NO_NODE`] for roots.
@@ -427,76 +394,68 @@ impl FrozenTree {
         self.parents[ix(i)]
     }
 
-    /// True when node `i` is a duplicated special-link node.
+    /// True when node `i` is a duplicated special-link node: a row at or
+    /// past the first link row.
     #[inline]
     #[must_use]
     pub fn is_link_dup(&self, i: u32) -> bool {
-        (self.dup_bits[ix(i) / 64] >> (ix(i) % 64)) & 1 == 1
+        i >= self.first_link_row()
     }
 
-    /// The children of node `i`: adjacent `(url, child)` entries sorted by
-    /// URL.
+    /// The children of node `i`: adjacent rows, sorted by URL.
     #[inline]
     #[must_use]
-    pub fn children(&self, i: u32) -> &[(UrlId, u32)] {
-        &self.child_entries[ix(self.child_offsets[ix(i)])..ix(self.child_offsets[ix(i) + 1])]
+    pub fn children(&self, i: u32) -> Range<u32> {
+        self.first_child[ix(i)]..self.first_child[ix(i) + 1]
     }
 
-    /// True when node `i` has at least one child (one offset subtraction —
+    /// True when node `i` has at least one child (one offset comparison —
     /// no pointer chase).
     #[inline]
     #[must_use]
     pub fn has_children(&self, i: u32) -> bool {
-        self.child_offsets[ix(i)] < self.child_offsets[ix(i) + 1]
+        self.first_child[ix(i)] < self.first_child[ix(i) + 1]
     }
 
-    /// The child of node `i` carrying `url`, if any. Short rows are a
-    /// linear scan over the adjacent entries; long rows binary-search.
+    /// The child of node `i` carrying `url`, if any. Short runs are a
+    /// linear scan over the adjacent URLs; long runs binary-search.
     #[inline]
     #[must_use]
     pub fn child(&self, i: u32, url: UrlId) -> Option<u32> {
-        let row = self.children(i);
-        if row.len() <= LINEAR_SCAN_MAX {
-            for &(u, c) in row {
-                if u == url {
-                    return Some(c);
-                }
-                if u > url {
-                    return None;
+        let run = self.children(i);
+        let urls = &self.urls[ix(run.start)..ix(run.end)];
+        if urls.len() <= LINEAR_SCAN_MAX {
+            for (row, &u) in run.zip(urls) {
+                if u >= url {
+                    return (u == url).then_some(row);
                 }
             }
             None
         } else {
-            row.binary_search_by_key(&url, |&(u, _)| u)
-                .ok()
-                .map(|pos| row[pos].1)
+            let pos = u32::try_from(urls.binary_search(&url).ok()?).ok()?;
+            Some(run.start + pos)
         }
-    }
-
-    /// Slot of `url` in the sorted root table, via the direct-index lookup.
-    #[inline]
-    fn root_slot(&self, url: UrlId) -> Option<usize> {
-        let slot = *self.root_lookup.get(ix(url.0))?;
-        (slot != NO_NODE).then(|| ix(slot))
     }
 
     /// The branch root for `url`, if one exists.
     #[inline]
     #[must_use]
     pub fn root(&self, url: UrlId) -> Option<u32> {
-        self.root_slot(url).map(|slot| self.roots[slot].1)
+        let row = *self.root_lookup.get(ix(url.0))?;
+        (row != NO_NODE).then_some(row)
     }
 
-    /// Special-link targets (duplicated nodes) hanging off `url`'s root.
+    /// The link rows of the root in row (slot) `root`, sorted by URL.
+    pub(crate) fn root_links(&self, root: u32) -> Range<u32> {
+        self.link_offsets[ix(root)]..self.link_offsets[ix(root) + 1]
+    }
+
+    /// Special-link targets (duplicated nodes) hanging off `url`'s root:
+    /// adjacent rows, sorted by URL.
     #[inline]
     #[must_use]
-    pub fn links_of(&self, url: UrlId) -> &[u32] {
-        match self.root_slot(url) {
-            Some(slot) => {
-                &self.link_entries[ix(self.link_offsets[slot])..ix(self.link_offsets[slot + 1])]
-            }
-            None => &[],
-        }
+    pub fn links_of(&self, url: UrlId) -> Range<u32> {
+        self.root(url).map_or(0..0, |root| self.root_links(root))
     }
 
     /// Walks `path` down from a root, returning the node spelling the whole
@@ -531,11 +490,11 @@ impl FrozenTree {
     }
 
     /// The standard/LRS/order-1 serving path: the longest predictive suffix
-    /// descent, then one vote per child of the matched node's CSR row,
-    /// appended to `out` and ranked. The children are adjacent and all
-    /// alive, so the vote is one linear pass; the whole row votes, so usage
-    /// records the row once (`used_child_rows`) instead of every child, and
-    /// the row's URL keys are distinct, so ranking skips the dedup set.
+    /// descent, then one vote per child row of the matched node, appended
+    /// to `out` and ranked. The children are adjacent and all alive, so
+    /// the vote is one linear pass; the whole run votes, so usage records
+    /// the node once (`used_child_rows`) instead of every child, and the
+    /// run's URLs are distinct, so ranking skips the dedup set.
     pub(crate) fn predict_descent(
         &self,
         context: &[UrlId],
@@ -556,9 +515,9 @@ impl FrozenTree {
         }
         usage.used_paths.push(NodeId(node));
         usage.used_child_rows.push(NodeId(node));
-        for &(url, child) in self.children(node) {
+        for child in self.children(node) {
             out.push(Prediction::new(
-                url,
+                self.url(child),
                 self.count(child) as f64 / parent_count as f64,
             ));
         }
@@ -599,16 +558,10 @@ impl FrozenTree {
         use std::mem::size_of_val;
         size_of_val(self.urls.as_slice())
             + size_of_val(self.counts.as_slice())
-            + size_of_val(self.depths.as_slice())
             + size_of_val(self.parents.as_slice())
-            + size_of_val(self.grades.as_slice())
-            + size_of_val(self.dup_bits.as_slice())
-            + size_of_val(self.child_offsets.as_slice())
-            + size_of_val(self.child_entries.as_slice())
-            + size_of_val(self.roots.as_slice())
+            + size_of_val(self.first_child.as_slice())
             + size_of_val(self.root_lookup.as_slice())
             + size_of_val(self.link_offsets.as_slice())
-            + size_of_val(self.link_entries.as_slice())
     }
 
     /// Flags row `i` and all its ancestors in a path-usage bitset.
@@ -625,54 +578,22 @@ impl FrozenTree {
 
     /// Flags every child of row `i` in a path-usage bitset.
     pub(crate) fn mark_children(&self, used: &mut [u64], i: u32) {
-        for &(_, child) in self.children(i) {
+        for child in self.children(i) {
             mark_row(used, child);
         }
     }
 
-    /// Counts `(total_paths, used_paths)`: a *path* ends at a branch row
+    /// Counts `(total_paths, used_paths)`: a *path* ends at a tree row
     /// without children (link duplicates are not surfing paths), and is
     /// *used* when its leaf's bit is set (Fig. 2, right).
     pub(crate) fn path_usage(&self, used: &[u64]) -> (usize, usize) {
         let (mut total, mut hit) = (0, 0);
-        for (i, w) in self.child_offsets.windows(2).enumerate() {
-            if w[0] == w[1] && (self.dup_bits[i / 64] >> (i % 64)) & 1 == 0 {
-                total += 1;
-                hit += usize::from(used.get(i / 64).is_some_and(|b| (b >> (i % 64)) & 1 == 1));
-            }
+        for i in (0..self.first_link_row()).filter(|&i| !self.has_children(i)) {
+            let i = ix(i);
+            total += 1;
+            hit += usize::from(used.get(i / 64).is_some_and(|b| (b >> (i % 64)) & 1 == 1));
         }
         (total, hit)
-    }
-}
-
-/// Mutable views of an arena's columns. Only the audit's adversarial
-/// harness uses them, to corrupt a live model in ways no model file can
-/// express. Not part of the public API.
-#[doc(hidden)]
-pub struct ArenaColumnsMut<'a> {
-    /// `parents[i]`: parent row of row `i`.
-    pub parents: &'a mut [u32],
-    /// `depths[i]`: branch depth of row `i`.
-    pub depths: &'a mut [u8],
-    /// CSR row offsets into `child_entries`.
-    pub child_offsets: &'a mut [u32],
-    /// CSR child entries `(url, child row)`.
-    pub child_entries: &'a mut Vec<(UrlId, u32)>,
-    /// Special-link targets, flattened.
-    pub link_entries: &'a mut [u32],
-}
-
-impl FrozenTree {
-    /// The arena's columns, writable (see [`ArenaColumnsMut`]).
-    #[doc(hidden)]
-    pub fn columns_for_audit(&mut self) -> ArenaColumnsMut<'_> {
-        ArenaColumnsMut {
-            parents: &mut self.parents,
-            depths: &mut self.depths,
-            child_offsets: &mut self.child_offsets,
-            child_entries: &mut self.child_entries,
-            link_entries: &mut self.link_entries,
-        }
     }
 }
 
@@ -680,47 +601,6 @@ impl FrozenTree {
 pub(crate) fn mark_row(used: &mut [u64], i: u32) {
     if let Some(word) = used.get_mut(ix(i) / 64) {
         *word |= 1u64 << (ix(i) % 64);
-    }
-}
-
-/// PB-PPM's popularity grade of `url`; 0 for models without a table.
-fn grade(pop: Option<&PopularityTable>, url: UrlId) -> u8 {
-    pop.map_or(0, |p| p.grade(url).level())
-}
-
-/// Groups `(key, value)` pairs into CSR runs: values of key `k` land in
-/// `entries[offsets[k]..offsets[k + 1]]`, in input order. A counting pass
-/// and a placing pass; both arrays are allocated at their exact size.
-fn group_runs<T: Copy>(
-    keys: usize,
-    fill: T,
-    items: impl Iterator<Item = (u32, T)> + Clone,
-) -> (Vec<u32>, Vec<T>) {
-    let mut offsets = vec![0u32; keys + 1];
-    for (k, _) in items.clone() {
-        offsets[ix(k) + 1] += 1;
-    }
-    for k in 1..=keys {
-        offsets[k] += offsets[k - 1];
-    }
-    let mut entries = vec![fill; ix(offsets[keys])];
-    // Each key's offset walks to its run's end, which is the next key's
-    // start; one shift afterwards restores the starts.
-    for (k, value) in items {
-        entries[ix(offsets[ix(k)])] = value;
-        offsets[ix(k)] += 1;
-    }
-    offsets.copy_within(0..keys, 1);
-    offsets[0] = 0;
-    (offsets, entries)
-}
-
-/// Refuses a URL-sorted run of `(url, row)` entries that repeats a URL,
-/// naming the later row of the first repeat.
-fn distinct_urls(run: &[(UrlId, u32)]) -> Result<(), SnapshotError> {
-    match run.windows(2).find(|w| w[0].0 == w[1].0) {
-        Some(w) => Err(SnapshotError::RepeatedUrl(w[0].1.max(w[1].1))),
-        None => Ok(()),
     }
 }
 
@@ -812,10 +692,20 @@ fn sum_runs<K>(
     out
 }
 
-/// Folds counted runs into the canonical rows: roots by URL, each followed
-/// by its special links by URL and then its subtree in preorder, siblings
-/// by URL. A row's count is the number of paths it begins.
-fn fold(runs: &[PathRun]) -> Vec<NodeSnapshot> {
+/// One folded row before the layout: its URL, count, parent row (an
+/// earlier one, or [`NO_NODE`]) and whether it is a special link.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Row {
+    url: UrlId,
+    count: u64,
+    parent: u32,
+    link: bool,
+}
+
+/// Folds counted runs into preorder rows: roots by URL, each followed by
+/// its special links by URL and then its subtree in preorder, siblings by
+/// URL. A row's count is the number of paths it begins.
+fn fold(runs: &[PathRun]) -> Vec<Row> {
     // Each run is sorted, so a stable sort of their concatenation merges
     // them.
     let mut paths: Vec<(&[UrlId], u64)> = runs
@@ -831,7 +721,7 @@ fn fold(runs: &[PathRun]) -> Vec<NodeSnapshot> {
     links.sort_by_key(|&(link, _)| link);
     let mut links = sum_runs(links, |a, b| a == b).into_iter().peekable();
 
-    let mut rows: Vec<NodeSnapshot> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     // The rows spelling the previous path, by depth.
     let mut open: Vec<u32> = Vec::new();
     let mut prev: &[UrlId] = &[];
@@ -845,19 +735,19 @@ fn fold(runs: &[PathRun]) -> Vec<NodeSnapshot> {
             let parent = open.last().copied().unwrap_or(NO_NODE);
             let row = id(rows.len());
             open.push(row);
-            rows.push(NodeSnapshot {
-                url: url.0,
+            rows.push(Row {
+                url,
                 count: n,
                 parent,
-                link_dup: false,
+                link: false,
             });
             if parent == NO_NODE {
                 while let Some(((_, target), count)) = links.next_if(|&((r, _), _)| r == url) {
-                    rows.push(NodeSnapshot {
-                        url: target.0,
+                    rows.push(Row {
+                        url: target,
                         count,
                         parent: row,
-                        link_dup: true,
+                        link: true,
                     });
                 }
             }
@@ -871,7 +761,7 @@ fn fold(runs: &[PathRun]) -> Vec<NodeSnapshot> {
 /// Keeps each row whose parent is kept and whose own cut passes
 /// ([`PruneConfig::keeps`]), renumbering parents. A parent precedes its
 /// children, so one forward pass decides every row.
-fn cut(rows: &[NodeSnapshot], cfg: &PruneConfig) -> Vec<NodeSnapshot> {
+fn cut(rows: &[Row], cfg: &PruneConfig) -> Vec<Row> {
     let mut renumbered = vec![NO_NODE; rows.len()];
     let mut kept = Vec::with_capacity(rows.len());
     for (row, node) in rows.iter().enumerate() {
@@ -885,13 +775,58 @@ fn cut(rows: &[NodeSnapshot], cfg: &PruneConfig) -> Vec<NodeSnapshot> {
         };
         if keep {
             renumbered[row] = id(kept.len());
-            kept.push(NodeSnapshot {
+            kept.push(Row {
                 parent,
                 ..node.clone()
             });
         }
     }
     kept
+}
+
+/// Lays preorder rows out in level order. A stable sort by depth keeps
+/// the preorder within each level, which already groups each node's
+/// children into one URL-sorted run, in their parents' order; moving the
+/// link rows to the end, stably, keeps them grouped by root in root order
+/// and sorted by URL.
+fn level_order(rows: &[Row]) -> TreeSnapshot {
+    let mut depths: Vec<u32> = Vec::with_capacity(rows.len());
+    let mut children = vec![0u32; rows.len()];
+    for r in rows {
+        let depth = match r.parent {
+            NO_NODE => 0,
+            parent => depths[ix(parent)] + 1,
+        };
+        depths.push(depth);
+        if r.parent != NO_NODE && !r.link {
+            children[ix(r.parent)] += 1;
+        }
+    }
+    let mut order: Vec<u32> = (0..id(rows.len())).collect();
+    order.sort_by_key(|&i| (rows[ix(i)].link, depths[ix(i)]));
+    // A root's new row is its slot.
+    let mut moved = vec![NO_NODE; rows.len()];
+    for (new, &old) in (0..).zip(&order) {
+        moved[ix(old)] = new;
+    }
+    let mut snap = TreeSnapshot::default();
+    for &i in &order {
+        let r = &rows[ix(i)];
+        if r.link {
+            snap.links.push(LinkSnapshot {
+                root: moved[ix(r.parent)],
+                url: r.url.0,
+                count: r.count,
+            });
+        } else {
+            snap.nodes.push(NodeSnapshot {
+                url: r.url.0,
+                count: r.count,
+                children: children[ix(i)],
+            });
+        }
+    }
+    snap
 }
 
 /// A tree model's nodes: counted path runs while training, then only the
@@ -947,9 +882,9 @@ impl NodeStore {
     /// Counts what `emit` writes for every session, in parallel:
     /// contiguous session partitions ([`crate::parallel::partition_ranges`])
     /// each become one run (`0` threads = auto via
-    /// `PBPPM_THREADS`/available parallelism). [`NodeStore::finalize`]
-    /// lays the merged runs out in one canonical order, so the arena is
-    /// the same at every thread count and in every session order.
+    /// `PBPPM_THREADS`/available parallelism). `finalize` lays the merged
+    /// runs out in one canonical order, so the arena is the same at every
+    /// thread count and in every session order.
     pub(crate) fn train_sessions<S, F>(&mut self, sessions: &[S], threads: usize, emit: F)
     where
         S: AsRef<[UrlId]> + Sync,
@@ -965,31 +900,27 @@ impl NodeStore {
         }));
     }
 
-    /// Replaces the runs by their arena: merged, folded into the canonical
-    /// rows, cut by `cfg` and built by [`FrozenTree::from_snapshot`]. `pop`
-    /// supplies PB-PPM's popularity grades; baselines pass `None`. `None`
-    /// when already frozen (a second `finalize` changes nothing).
+    /// Replaces the runs by their arena: merged, folded into preorder
+    /// rows, cut by `cfg`, laid out in level order and built by
+    /// [`FrozenTree::from_snapshot`]. `None` when already frozen (a second
+    /// `finalize` changes nothing).
     ///
     /// # Panics
     ///
     /// If the loader refuses the rows. Counting builds only shapes the
     /// loader accepts, so a refusal is a training bug.
-    pub(crate) fn finalize(
-        &mut self,
-        cfg: &PruneConfig,
-        pop: Option<&PopularityTable>,
-    ) -> Option<(&FrozenTree, PruneReport)> {
+    pub(crate) fn finalize(&mut self, cfg: &PruneConfig) -> Option<(&FrozenTree, PruneReport)> {
         let NodeStore::Training(runs) = self else {
             return None;
         };
         let rows = fold(runs);
-        let nodes = cut(&rows, cfg);
+        let kept = cut(&rows, cfg);
         let report = PruneReport {
             nodes_before: rows.len(),
-            nodes_after: nodes.len(),
+            nodes_after: kept.len(),
         };
         drop(rows);
-        match FrozenTree::from_snapshot(&TreeSnapshot { nodes }, pop) {
+        match FrozenTree::from_snapshot(&level_order(&kept)) {
             Ok(arena) => *self = NodeStore::loaded(arena),
             Err(e) => panic!("{e}"),
         }
@@ -1070,7 +1001,7 @@ pub(crate) fn arena_of(paths: &[&[u32]], links: &[(u32, u32)]) -> FrozenTree {
     for &(root, url) in links {
         store.train_session(&[], |_, out| out.link(UrlId(root), UrlId(url)));
     }
-    let _ = store.finalize(&PruneConfig::disabled(), None);
+    let _ = store.finalize(&PruneConfig::disabled());
     match store {
         NodeStore::Frozen { arena, .. } => arena,
         NodeStore::Training(_) => unreachable!("finalize froze"),
@@ -1168,35 +1099,29 @@ mod tests {
 
     #[test]
     fn trained_rows_are_in_canonical_order() {
-        // Roots by URL, each followed by its links by URL and then its
-        // subtree in preorder, siblings by URL.
+        // Roots by URL, then each level with every node's children one
+        // run by URL, then the links by root and URL.
         let arena = arena_of(&[&[5, 2], &[1, 7], &[1, 3, 4], &[5]], &[(1, 9), (1, 8)]);
-        let rows: Vec<(u32, u32, bool)> = arena
-            .to_snapshot()
-            .nodes
-            .iter()
-            .map(|n| (n.url, n.parent, n.link_dup))
-            .collect();
+        let snap = arena.to_snapshot();
+        let nodes: Vec<(u32, u32)> = snap.nodes.iter().map(|n| (n.url, n.children)).collect();
+        assert_eq!(nodes, vec![(1, 2), (5, 1), (3, 1), (7, 0), (2, 0), (4, 0)]);
+        let links: Vec<(u32, u32)> = snap.links.iter().map(|l| (l.root, l.url)).collect();
+        assert_eq!(links, vec![(0, 8), (0, 9)]);
+        let parents: Vec<u32> = (0..arena.rows()).map(|i| arena.parent(i)).collect();
         let root = NO_NODE;
-        assert_eq!(
-            rows,
-            vec![
-                (1, root, false),
-                (8, 0, true),
-                (9, 0, true),
-                (3, 0, false),
-                (4, 3, false),
-                (7, 0, false),
-                (5, root, false),
-                (2, 6, false),
-            ]
-        );
-        assert_eq!(arena.count(0), 2);
-        assert_eq!(arena.count(6), 2);
+        assert_eq!(parents, vec![root, root, 0, 0, 1, 2, 0, 0]);
+        assert_eq!(arena.roots(), 0..2);
+        assert_eq!(arena.children(0), 2..4);
+        assert_eq!(arena.children(5), 6..6);
+        assert_eq!(arena.links_of(u(1)), 6..8);
+        assert!(arena.links_of(u(5)).is_empty());
+        assert!((0..6).all(|i| !arena.is_link_dup(i)) && arena.is_link_dup(6));
+        assert_eq!((arena.count(0), arena.count(1)), (2, 2));
+        assert_eq!((arena.depth(5), arena.max_depth()), (3, 3));
     }
 
     #[test]
-    fn frozen_links_and_grades_follow_pb_training() {
+    fn frozen_links_follow_pb_training() {
         let m = trained_pb();
         let frozen = m.frozen().expect("finalize froze");
         // Three sessions link root 0 to the grade-3 URL 3 at depth 4, one
@@ -1204,20 +1129,12 @@ mod tests {
         let links = |url| -> Vec<(UrlId, u64)> {
             frozen
                 .links_of(u(url))
-                .iter()
-                .map(|&id| (frozen.url(id), frozen.count(id)))
+                .map(|id| (frozen.url(id), frozen.count(id)))
                 .collect()
         };
         assert_eq!(links(0), vec![(u(3), 3)]);
         assert_eq!(links(3), vec![(u(0), 1)]);
         assert!(links(1).is_empty());
-        for i in 0..frozen.rows() {
-            assert_eq!(
-                frozen.grade(i),
-                m.popularity().grade(frozen.url(i)).level(),
-                "grade of node {i}"
-            );
-        }
     }
 
     #[test]
@@ -1247,179 +1164,69 @@ mod tests {
     fn snapshot_roundtrip_rebuilds_the_same_arena() {
         let frozen = arena_of(&[&[1, 2, 3], &[1, 4], &[6, 7]], &[(1, 9)]);
         let snap = frozen.to_snapshot();
-        assert_eq!(snap.nodes.len(), 7);
-        let dups: Vec<&NodeSnapshot> = snap.nodes.iter().filter(|n| n.link_dup).collect();
-        assert_eq!(dups.len(), 1, "one link");
-        let back = FrozenTree::from_snapshot(&snap, None).unwrap();
+        assert_eq!((snap.nodes.len(), snap.links.len()), (6, 1), "one link");
+        let back = FrozenTree::from_snapshot(&snap).unwrap();
         assert_eq!(back, frozen);
         let root = back.root(u(1)).unwrap();
-        assert_eq!(dups[0].parent, root);
+        assert_eq!(snap.links[0].root, root);
         assert_eq!(back.count(back.descend(&[u(1), u(2), u(3)]).unwrap()), 1);
         assert_eq!(back.count(root), 2);
-        assert_eq!(back.links_of(u(1)).len(), 1);
-        assert_eq!(back.url(back.links_of(u(1))[0]), u(9));
-        assert_eq!(back.parent(back.links_of(u(1))[0]), root);
+        let links = back.links_of(u(1));
+        assert_eq!(links.len(), 1);
+        assert_eq!(back.url(links.start), u(9));
+        assert_eq!(back.parent(links.start), root);
         // The image of the rebuilt arena is identical (canonical form).
         assert_eq!(back.to_snapshot(), snap);
     }
 
-    /// `image` with its rows in another parent-first order: roots by
-    /// descending URL, each root's children (subtrees first, siblings
-    /// reversed) before its links.
-    fn reversed_rows(arena: &FrozenTree) -> TreeSnapshot {
-        fn visit(arena: &FrozenTree, row: u32, order: &mut Vec<u32>) {
-            order.push(row);
-            for &(_, child) in arena.children(row).iter().rev() {
-                visit(arena, child, order);
-            }
-        }
-        let mut order = Vec::new();
-        for &(url, root) in arena.roots().iter().rev() {
-            visit(arena, root, &mut order);
-            order.extend(arena.links_of(url).iter().rev());
-        }
-        assert_eq!(order.len(), arena.len());
-        let mut renumbered = vec![NO_NODE; order.len()];
-        for (new, &old) in (0..).zip(&order) {
-            renumbered[ix(old)] = new;
-        }
-        let image = arena.to_snapshot();
-        let nodes = order
-            .iter()
-            .map(|&old| {
-                let node = &image.nodes[ix(old)];
-                NodeSnapshot {
-                    parent: renumbered.get(ix(node.parent)).copied().unwrap_or(NO_NODE),
-                    ..node.clone()
-                }
-            })
-            .collect();
-        TreeSnapshot { nodes }
-    }
-
     #[test]
-    fn any_parent_first_row_order_loads_and_predicts_alike() {
-        let m = trained_pb();
-        let mut snap = m.to_snapshot();
-        snap.tree = reversed_rows(m.frozen().expect("finalize froze"));
-        assert_ne!(snap.tree, m.to_snapshot().tree, "rows really moved");
-        let back = PbPpm::from_snapshot(&snap).expect("a parent-first image loads");
-        assert_eq!(back.to_snapshot().tree, snap.tree, "rows keep their order");
-        assert_eq!(back.stats(), m.stats());
-        let mut contexts: Vec<Vec<UrlId>> = (0..5).map(|a| vec![u(a)]).collect();
-        for a in 0..5 {
-            for b in 0..5 {
-                contexts.push(vec![u(a), u(b)]);
-                contexts.push(vec![u(9), u(a), u(b)]);
-            }
-        }
-        contexts.push(vec![u(0), u(1), u(2), u(3), u(1), u(2)]);
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        for ctx in &contexts {
-            m.predict_ro(ctx, &mut want, &mut PredictUsage::default());
-            back.predict_ro(ctx, &mut got, &mut PredictUsage::default());
-            assert_eq!(got, want, "context {ctx:?}");
-        }
-    }
-
-    fn row(url: u32, parent: u32, link_dup: bool) -> NodeSnapshot {
-        NodeSnapshot {
-            url,
-            count: 1,
-            parent,
-            link_dup,
-        }
-    }
-
-    /// Rows 0..3: root 1, its child 2, and its special link to 9.
-    fn chain() -> TreeSnapshot {
-        TreeSnapshot {
-            nodes: vec![row(1, NO_NODE, false), row(2, 0, false), row(9, 0, true)],
-        }
-    }
-
-    #[test]
-    fn snapshot_refuses_states_training_never_builds() {
-        let load = |edit: &dyn Fn(&mut Vec<NodeSnapshot>)| {
-            let mut snap = chain();
-            edit(&mut snap.nodes);
-            FrozenTree::from_snapshot(&snap, None)
-        };
-        assert!(load(&|_| ()).is_ok());
-        // A parent at or past its own row.
-        assert_eq!(load(&|n| n[1].parent = 1), Err(SnapshotError::BadParent(1)));
-        assert_eq!(load(&|n| n[1].parent = 7), Err(SnapshotError::BadParent(1)));
-        // A duplicate below a non-root, a root flagged as a duplicate, and
-        // a node below a duplicate.
-        assert_eq!(load(&|n| n[2].parent = 1), Err(SnapshotError::BadLink(2)));
+    fn links_out_of_root_order_are_refused() {
+        // A file cannot state this (the root gap wraps past u32::MAX and
+        // decodes as a slot past the roots), but an image can.
+        let mut snap = arena_of(&[&[1], &[2]], &[(1, 7), (2, 8)]).to_snapshot();
+        snap.links.swap(0, 1);
         assert_eq!(
-            load(&|n| n[0].link_dup = true),
-            Err(SnapshotError::BadLink(0))
-        );
-        assert_eq!(
-            load(&|n| n.push(row(3, 2, false))),
+            FrozenTree::from_snapshot(&snap),
             Err(SnapshotError::BadLink(3))
-        );
-        // Two roots, two siblings, two links of one root on one URL.
-        for repeat in [row(1, NO_NODE, false), row(2, 0, false), row(9, 0, true)] {
-            let repeat = &repeat;
-            assert_eq!(
-                load(&|n| n.push(repeat.clone())),
-                Err(SnapshotError::RepeatedUrl(3))
-            );
-        }
-        // A child and a link of one root may share a URL.
-        assert!(load(&|n| n.push(row(9, 0, false))).is_ok());
-    }
-
-    #[test]
-    fn snapshot_rejects_parent_cycles() {
-        // Two nodes each claiming the other as parent: must error, not hang
-        // (path hashing would otherwise loop forever).
-        let snap = TreeSnapshot {
-            nodes: vec![row(0, 1, false), row(1, 0, false)],
-        };
-        assert_eq!(
-            FrozenTree::from_snapshot(&snap, None).unwrap_err(),
-            SnapshotError::BadParent(0)
-        );
-        // A self-loop is the degenerate case.
-        let snap = TreeSnapshot {
-            nodes: vec![row(0, 0, false)],
-        };
-        assert_eq!(
-            FrozenTree::from_snapshot(&snap, None).unwrap_err(),
-            SnapshotError::BadParent(0)
         );
     }
 
     #[test]
     fn depth_saturates_instead_of_overflowing() {
         let nodes = (0..300u32)
-            .map(|i| row(i, i.checked_sub(1).unwrap_or(NO_NODE), false))
+            .map(|i| NodeSnapshot {
+                url: i,
+                count: 1,
+                children: u32::from(i < 299),
+            })
             .collect();
-        let arena = FrozenTree::from_snapshot(&TreeSnapshot { nodes }, None).unwrap();
+        let arena = FrozenTree::from_snapshot(&TreeSnapshot {
+            nodes,
+            links: Vec::new(),
+        })
+        .unwrap();
         assert_eq!(arena.depth(254), u8::MAX);
         assert_eq!(arena.depth(299), u8::MAX);
+        assert_eq!(arena.max_depth(), u8::MAX);
     }
 
     /// Root 0 (count 100) with link 9 (1), child 1 (50) with child 2 (1),
     /// and child 3 (2); then root 4 (1) with child 5 (1).
-    fn counted_rows() -> Vec<NodeSnapshot> {
-        let node = |url, count, parent, link_dup| NodeSnapshot {
-            url,
+    fn counted_rows() -> Vec<Row> {
+        let row = |url, count, parent, link| Row {
+            url: u(url),
             count,
             parent,
-            link_dup,
+            link,
         };
         vec![
-            node(0, 100, NO_NODE, false),
-            node(9, 1, 0, true),
-            node(1, 50, 0, false),
-            node(2, 1, 2, false),
-            node(3, 2, 0, false),
-            node(4, 1, NO_NODE, false),
-            node(5, 1, 5, false),
+            row(0, 100, NO_NODE, false),
+            row(9, 1, 0, true),
+            row(1, 50, 0, false),
+            row(2, 1, 2, false),
+            row(3, 2, 0, false),
+            row(4, 1, NO_NODE, false),
+            row(5, 1, 5, false),
         ]
     }
 
@@ -1427,7 +1234,7 @@ mod tests {
     fn kept(cfg: PruneConfig) -> Vec<(u32, u32)> {
         cut(&counted_rows(), &cfg)
             .iter()
-            .map(|n| (n.url, n.parent))
+            .map(|n| (n.url.0, n.parent))
             .collect()
     }
 
@@ -1468,9 +1275,26 @@ mod tests {
     }
 
     #[test]
+    fn level_order_follows_the_preorder_rows() {
+        let snap = level_order(&counted_rows());
+        let nodes: Vec<(u32, u32)> = snap.nodes.iter().map(|n| (n.url, n.children)).collect();
+        assert_eq!(nodes, vec![(0, 2), (4, 1), (1, 1), (3, 0), (5, 0), (2, 0)]);
+        assert_eq!(
+            snap.links,
+            vec![LinkSnapshot {
+                root: 0,
+                url: 9,
+                count: 1
+            }]
+        );
+        assert!(FrozenTree::from_snapshot(&snap).is_ok());
+    }
+
+    #[test]
     fn check_csr_accepts_a_compiled_arena() {
         let m = trained_pb();
         assert_eq!(m.frozen().expect("finalize froze").check_csr(), Ok(()));
+        assert_eq!(arena_of(&[], &[]).check_csr(), Ok(()));
     }
 
     #[test]
@@ -1487,33 +1311,15 @@ mod tests {
             t.counts.pop();
         })
         .is_err());
-        // Non-monotone child offsets.
-        assert!(check(&|t| {
-            if t.child_offsets.len() > 2 {
-                t.child_offsets[1] = u32::MAX - 1;
-            }
-        })
-        .is_err());
-        // Out-of-bounds child entry.
-        assert!(check(&|t| {
-            if let Some(e) = t.child_entries.first_mut() {
-                e.1 = u32::MAX - 1;
-            }
-        })
-        .is_err());
-        // Unsorted root table.
-        assert!(
-            check(&|t| {
-                t.roots.reverse();
-            })
-            .is_err()
-                || f.roots.len() < 2
-        );
-        // Link offsets disagreeing with entries.
-        assert!(check(&|t| {
-            t.link_entries.push(0);
-        })
-        .is_err());
+        // Non-monotone child runs.
+        assert!(check(&|t| t.first_child[1] = u32::MAX - 1).is_err());
+        // A run that does not start after its row.
+        assert!(check(&|t| t.first_child[0] = 0).is_err());
+        let last = f.first_link_row() - 1;
+        assert!(check(&|t| t.first_child[ix(last)] = last).is_err());
+        // Link runs that miss the row count, or fall back.
+        assert!(check(&|t| t.link_offsets.push(0)).is_err());
+        assert!(check(&|t| t.link_offsets[1] = 0).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   [`ContextRecord`]s (no incremental float drift).
 //!
 //! Both fold the same per-context score the offline engine folds
-//! ([`ContextRecord::score`], [`PredictionQuality::record`]).
+//! (`ContextRecord::score`, [`PredictionQuality::record`]).
 //!
 //! Their divergence is the drift signal: when the windowed precision@k
 //! falls below `drift_fraction` of the lifetime mean (with minimum-sample
@@ -179,7 +179,7 @@ impl LiveEval {
     /// self-evaluation must not count as real path utilization.
     ///
     /// Each context is scored like [`crate::eval::evaluate`] scores it
-    /// (the same [`ContextRecord::score`]), so the window numbers are
+    /// (the same `ContextRecord::score`), so the window numbers are
     /// directly comparable to an offline run on the same clicks.
     /// `grades`, when given, buckets each context by the grade of its
     /// true next URL. Returns how many contexts the session produced.

@@ -10,9 +10,7 @@
 //! transition. Training, matching, usage, statistics and the audit are the
 //! suffix-forest models' own; only the persisted row layout is O1's.
 
-use crate::frozen::{
-    Emit, FrozenTree, NodeSnapshot, NodeStore, SnapshotError, TreeSnapshot, NO_NODE,
-};
+use crate::frozen::{Emit, FrozenTree, NodeSnapshot, NodeStore, SnapshotError, TreeSnapshot};
 use crate::interner::UrlId;
 use crate::predictor::{ModelKind, PredictUsage, Prediction, Predictor};
 use crate::prune::PruneConfig;
@@ -32,7 +30,7 @@ impl Order1Markov {
     }
 
     /// Trains on every session, deterministically parallel
-    /// ([`NodeStore::train_sessions`]): bit-identical to a sequential
+    /// (`NodeStore::train_sessions`): bit-identical to a sequential
     /// [`Predictor::train_session`] loop at every thread count (`0` = auto
     /// via `PBPPM_THREADS`/available parallelism).
     pub fn train_sessions<S: AsRef<[UrlId]> + Sync>(&mut self, sessions: &[S], threads: usize) {
@@ -47,14 +45,12 @@ impl Order1Markov {
         let rows = self.store.arena().map_or_else(Vec::new, |arena| {
             arena
                 .roots()
-                .iter()
-                .map(|&(url, root)| Order1RowSnapshot {
-                    url: url.0,
+                .map(|root| Order1RowSnapshot {
+                    url: arena.url(root).0,
                     total: arena.count(root),
                     next: arena
                         .children(root)
-                        .iter()
-                        .map(|&(next, child)| (next.0, arena.count(child)))
+                        .map(|next| (arena.url(next).0, arena.count(next)))
                         .collect(),
                 })
                 .collect()
@@ -63,40 +59,34 @@ impl Order1Markov {
     }
 
     /// Restores a finalized model, building its arena from the rows through
-    /// [`FrozenTree::from_snapshot`]: each row becomes a root followed by
-    /// its successors. Rows and each row's successors must be strictly
-    /// sorted by URL, the order [`Order1Markov::to_snapshot`] writes, so a
-    /// repeated or out-of-order one is refused.
+    /// [`FrozenTree::from_snapshot`]: the rows are its roots and their
+    /// successors the next level, already in level order. The loader
+    /// requires rows and each row's successors strictly sorted by URL, the
+    /// order [`Order1Markov::to_snapshot`] writes, so a repeated or
+    /// out-of-order one is refused.
     pub fn from_snapshot(snap: &Order1Snapshot) -> Result<Self, SnapshotError> {
-        let sorted = snap.rows.windows(2).all(|w| w[0].url < w[1].url)
-            && snap
-                .rows
-                .iter()
-                .all(|row| row.next.windows(2).all(|w| w[0].0 < w[1].0));
-        if !sorted {
-            return Err(SnapshotError::Malformed(
-                "order-1 rows not strictly sorted by url",
-            ));
-        }
-        let mut tree = TreeSnapshot::default();
+        let mut nodes = Vec::with_capacity(snap.rows.len());
         for row in &snap.rows {
-            let root = u32::try_from(tree.nodes.len())
+            let children = u32::try_from(row.next.len())
                 .map_err(|_| SnapshotError::Malformed("order-1 rows past u32 ids"))?;
-            let node = |url, count, parent| NodeSnapshot {
-                url,
-                count,
-                parent,
-                link_dup: false,
-            };
-            tree.nodes.push(node(row.url, row.total, NO_NODE));
-            tree.nodes.extend(
-                row.next
-                    .iter()
-                    .map(|&(next, count)| node(next, count, root)),
-            );
+            nodes.push(NodeSnapshot {
+                url: row.url,
+                count: row.total,
+                children,
+            });
         }
+        let successors = snap.rows.iter().flat_map(|row| &row.next);
+        nodes.extend(successors.map(|&(url, count)| NodeSnapshot {
+            url,
+            count,
+            children: 0,
+        }));
+        let tree = TreeSnapshot {
+            nodes,
+            links: Vec::new(),
+        };
         Ok(Self {
-            store: NodeStore::loaded(FrozenTree::from_snapshot(&tree, None)?),
+            store: NodeStore::loaded(FrozenTree::from_snapshot(&tree)?),
         })
     }
 }
@@ -137,11 +127,7 @@ impl Predictor for Order1Markov {
 
     /// Counts the pairs into the arena that replaces them.
     fn finalize(&mut self) {
-        if self
-            .store
-            .finalize(&PruneConfig::disabled(), None)
-            .is_none()
-        {
+        if self.store.finalize(&PruneConfig::disabled()).is_none() {
             return;
         }
         crate::verify::runtime_audit(

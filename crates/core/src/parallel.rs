@@ -10,7 +10,7 @@
 //! never results.
 //!
 //! The users are the tree models' parallel training
-//! ([`crate::frozen::NodeStore`]'s `train_sessions`), popularity counting,
+//! (`NodeStore`'s `train_sessions`), popularity counting,
 //! the chunked ingestion in `pbppm-trace`, and the simulator's figure
 //! sweeps, whose cells (model × training window × threshold × client
 //! count) differ wildly in cost and so are pulled dynamically.

@@ -206,7 +206,7 @@ impl PbPpm {
     }
 
     /// Trains on every session, deterministically parallel
-    /// ([`NodeStore::train_sessions`]): each worker counts its partition's
+    /// (`NodeStore::train_sessions`): each worker counts its partition's
     /// paths via `emit_session` against the shared frozen popularity
     /// table — bit-identical to a sequential [`Predictor::train_session`]
     /// loop at every thread count (`0` = auto via `PBPPM_THREADS`/available
@@ -242,8 +242,8 @@ impl PbPpm {
         let mut agg: crate::fxhash::FxHashMap<UrlId, u64> = crate::fxhash::FxHashMap::default();
         for &id in &voters {
             usage.used_paths.push(NodeId(id));
-            for &(url, child) in frozen.children(id) {
-                *agg.entry(url).or_default() += frozen.count(child);
+            for child in frozen.children(id) {
+                *agg.entry(frozen.url(child)).or_default() += frozen.count(child);
                 usage.used_nodes.push(NodeId(child));
             }
         }
@@ -344,10 +344,13 @@ impl PbPpm {
                     }
                     let total = total as f64;
                     let children = frozen.children(row);
-                    for &(url, child) in children {
-                        out.push(Prediction::new(url, frozen.count(child) as f64 / total));
+                    usage.branch_preds += u64::from(children.end - children.start);
+                    for child in children {
+                        out.push(Prediction::new(
+                            frozen.url(child),
+                            frozen.count(child) as f64 / total,
+                        ));
                     }
-                    usage.branch_preds += children.len() as u64;
                 }
                 WindowGroup::Clean {
                     members,
@@ -389,7 +392,7 @@ impl PbPpm {
             let root_count = frozen.count(root);
             if root_count > 0 {
                 let mut any = false;
-                for &id in frozen.links_of(current) {
+                for id in frozen.links_of(current) {
                     out.push(Prediction::new(
                         frozen.url(id),
                         frozen.count(id) as f64 / root_count as f64,
@@ -420,7 +423,7 @@ impl PbPpm {
     /// Restores a finalized model from a snapshot: the arena is rebuilt
     /// directly from the image, then indexed.
     pub fn from_snapshot(snap: &PbSnapshot) -> Result<Self, SnapshotError> {
-        let arena = FrozenTree::from_snapshot(&snap.tree, Some(&snap.pop))?;
+        let arena = FrozenTree::from_snapshot(&snap.tree)?;
         let index = ContextIndex::windows(&arena, snap.cfg.max_order)?;
         Ok(Self {
             store: NodeStore::loaded(arena),
@@ -448,17 +451,6 @@ impl PbPpm {
     #[doc(hidden)]
     pub fn skew_index_aggregate_for_audit(&mut self) -> bool {
         self.index.skew_group_total()
-    }
-
-    /// Corruption hook for the audit adversarial harness: the finalized
-    /// arena itself, to corrupt in place. `None` while training. Not part
-    /// of the public API.
-    #[doc(hidden)]
-    pub fn arena_for_audit(&mut self) -> Option<&mut FrozenTree> {
-        match &mut self.store {
-            NodeStore::Frozen { arena, .. } => Some(arena),
-            NodeStore::Training(_) => None,
-        }
     }
 
     /// Corruption hook for the audit adversarial harness: points one
@@ -498,7 +490,7 @@ impl Predictor for PbPpm {
     /// paper's post-build space optimizations (relative access probability
     /// cut and absolute count cut) on the way, and indexes the arena.
     fn finalize(&mut self) {
-        let Some((arena, report)) = self.store.finalize(&self.cfg.prune, Some(&self.pop)) else {
+        let Some((arena, report)) = self.store.finalize(&self.cfg.prune) else {
             return;
         };
         self.prune_report = Some(report);
@@ -640,7 +632,7 @@ mod tests {
         // A''s branch: A' -> B' -> C'.
         assert!(t.descend(&[u(3), u(4), u(5)]).is_some());
         // Special link: A ~> duplicated A' (grade 3, depth 4 in A's branch).
-        let links: Vec<UrlId> = t.links_of(u(0)).iter().map(|&id| t.url(id)).collect();
+        let links: Vec<UrlId> = t.links_of(u(0)).map(|id| t.url(id)).collect();
         assert_eq!(links, vec![u(3)]);
         // 7 branch nodes + 1 duplicated link node.
         assert_eq!(m.node_count(), 8);
@@ -696,7 +688,7 @@ mod tests {
         m.train_session(&[u(0), u(1), u(2), u(3)]);
         m.finalize();
         let t = m.frozen().unwrap();
-        let links: Vec<UrlId> = t.links_of(u(0)).iter().map(|&id| t.url(id)).collect();
+        let links: Vec<UrlId> = t.links_of(u(0)).map(|id| t.url(id)).collect();
         // Only u(2): grade 3 at depth 3 of branch 0. u(3) is grade 1: no.
         assert_eq!(links, vec![u(2)]);
     }
@@ -841,8 +833,7 @@ mod tests {
         let t = m.frozen().unwrap();
         let links: Vec<(UrlId, u64)> = t
             .links_of(u(0))
-            .iter()
-            .map(|&id| (t.url(id), t.count(id)))
+            .map(|id| (t.url(id), t.count(id)))
             .collect();
         assert_eq!(links, vec![(u(2), 2)], "one bump per session");
         assert!(t.links_of(u(2)).is_empty());

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 /// print as their interned strings; otherwise as `u<id>`.
 pub fn render_tree(arena: &FrozenTree, names: Option<&Interner>) -> String {
     let mut out = String::new();
-    for &(_, root) in &arena.roots {
+    for root in arena.roots() {
         render_node(arena, root, names, "", "", &mut out);
     }
     out
@@ -48,17 +48,16 @@ fn render_node(
     out: &mut String,
 ) {
     let _ = writeln!(out, "{prefix}{}", label(arena, id, names));
-    // Child rows are sorted by URL already; only a root has links.
+    // Child and link rows are sorted by URL already; only a root has links.
     let kids = arena.children(id);
-    let mut links: Vec<u32> = if arena.parent(id) == crate::frozen::NO_NODE {
-        arena.links_of(arena.url(id)).to_vec()
+    let links = if arena.parent(id) == crate::frozen::NO_NODE {
+        arena.root_links(id)
     } else {
-        Vec::new()
+        0..0
     };
-    links.sort_by_key(|&c| arena.url(c));
     let last_index = kids.len() + links.len();
     let mut i = 0;
-    for &(_, kid) in kids {
+    for kid in kids {
         i += 1;
         let (branch, cont) = if i == last_index {
             ("└── ", "    ")
@@ -74,7 +73,7 @@ fn render_node(
             out,
         );
     }
-    for &link in &links {
+    for link in links {
         i += 1;
         let branch = if i == last_index {
             "└── "

@@ -29,20 +29,19 @@
 //! The format version is bumped on any layout change; readers accept only
 //! [`FORMAT_VERSION`] and reject anything else outright
 //! ([`CodecError::UnsupportedVersion`]) rather than guessing. A file
-//! stores what cannot be rederived: each arena row once (URL, count, the
-//! distance back to its parent and the link-dup flag), the popularity
-//! counts and the configuration. Children, depths, the root table and the
-//! special-link lists follow from the rows and are derived at load
+//! stores what cannot be rederived: the arena's rows once each in level
+//! order (a tree row's URL, count and child count; a special link's gap to
+//! its root's slot, URL and count), the popularity counts and the
+//! configuration. The rest follows from the order and is derived at load
 //! ([`crate::frozen::FrozenTree::from_snapshot`]), which refuses rows
-//! training never builds ([`CodecError::Arena`]). The order-1 model's
-//! height-2 forest is written more compactly, as transition rows sorted by
-//! URL with their successors sorted by URL; a repeated or unsorted row or
-//! successor is refused the same way. Grades and the fingerprint index are
-//! rebuilt at instantiation. Only
-//! finalized models are written; a model image of any kind whose
-//! `finalized` byte is 0 is refused ([`CodecError::Unfinalized`]), as is
-//! any URL id outside the file's URL table ([`CodecError::UrlOutOfRange`])
-//! and a URL table that repeats a string ([`CodecError::DuplicateUrl`]).
+//! training never builds ([`CodecError::Arena`]). The order-1 model writes
+//! its height-2 forest more compactly, as transition rows sorted by URL
+//! with their successors sorted by URL: its roots, then their level. Grades
+//! and the fingerprint index are rebuilt at instantiation. Only finalized
+//! models are written; a model image of any kind whose `finalized` byte is
+//! 0 is refused ([`CodecError::Unfinalized`]), as is any URL id outside the
+//! file's URL table ([`CodecError::UrlOutOfRange`]) and a URL table that
+//! repeats a string ([`CodecError::DuplicateUrl`]).
 //! The checksum covers header and payload, so truncation and bit
 //! corruption both surface as clean errors instead of garbage models.
 //!
@@ -57,8 +56,7 @@
 //! checkpoint step that fails (the temp write, the demote rename) returns
 //! the error and leaves the newest complete generation recoverable.
 
-use crate::frozen::NO_NODE;
-use crate::frozen::{NodeSnapshot, SnapshotError, TreeSnapshot};
+use crate::frozen::{LinkSnapshot, NodeSnapshot, SnapshotError, TreeSnapshot, NO_NODE};
 use crate::fxhash::FxHashSet;
 use crate::interner::Interner;
 use crate::order1::{Order1Markov, Order1RowSnapshot, Order1Snapshot};
@@ -77,10 +75,10 @@ pub const MAGIC: [u8; 8] = *b"PBPPMSNP";
 
 /// The format version [`SnapshotFile::encode`] writes and the only one
 /// [`SnapshotFile::decode`] accepts. Older versions are refused: version 2
-/// stored a copy of the frozen arena that no loader used, and version 3
-/// wrote every tree edge twice (a parent per node and a child list per
-/// parent) beside depths, a root table and link lists the rows imply.
-pub const FORMAT_VERSION: u16 = 4;
+/// stored an arena copy no loader used, version 3 every tree edge twice
+/// beside tables the rows imply, and version 4 a parent per node where
+/// level order implies it from a child count.
+pub const FORMAT_VERSION: u16 = 5;
 
 /// magic + version + payload length + checksum.
 const ENVELOPE_BYTES: usize = 8 + 2 + 8 + 8;
@@ -401,48 +399,50 @@ impl<'a> Reader<'a> {
 
 // -------------------------------------------------------- component codecs
 
-/// Writes each node once: `u32v(url)`, `varint(count)` and
-/// `varint(delta << 1 | link_dup)`, where `delta` is the number of rows back
-/// to the parent and 0 marks a root. A parent at or past its own row has
-/// no delta; it is written as one reaching past row 0, which the reader
-/// decodes as the row itself for the loader to refuse.
+/// Writes the tree rows, each as `u32v(url)`, `varint(count)` and
+/// `u32v(children)`, then the links, each as `u32v(root slot − the last
+/// link's)`, `u32v(url)` and `varint(count)`. A root slot below the last
+/// link's wraps past `u32::MAX`, which the reader decodes as slot
+/// `u32::MAX` for the loader to refuse.
 fn write_tree(w: &mut Writer, t: &TreeSnapshot) {
     w.usizev(t.nodes.len());
-    for (row, n) in (0u32..).zip(&t.nodes) {
-        let delta = match n.parent {
-            NO_NODE => 0,
-            parent if parent < row => u64::from(row - parent),
-            _ => u64::from(row) + 1,
-        };
+    for n in &t.nodes {
         w.u32v(n.url);
         w.varint(n.count);
-        w.varint(delta << 1 | u64::from(n.link_dup));
+        w.u32v(n.children);
+    }
+    w.usizev(t.links.len());
+    let mut root = 0;
+    for l in &t.links {
+        w.u32v(l.root.wrapping_sub(root));
+        w.u32v(l.url);
+        w.varint(l.count);
+        root = l.root;
     }
 }
 
 fn read_tree(r: &mut Reader) -> Result<TreeSnapshot, CodecError> {
     let node_count = r.count()?;
-    let rows = u32::try_from(node_count).map_err(|_| CodecError::Invalid("node count"))?;
     let mut nodes = Vec::with_capacity(node_count);
-    for row in 0..rows {
-        let url = r.u32v()?;
-        let count = r.varint()?;
-        let link = r.varint()?;
-        let parent = match link >> 1 {
-            0 => NO_NODE,
-            delta => u32::try_from(delta)
-                .ok()
-                .and_then(|delta| row.checked_sub(delta))
-                .unwrap_or(row),
-        };
+    for _ in 0..node_count {
         nodes.push(NodeSnapshot {
-            url,
-            count,
-            parent,
-            link_dup: link & 1 == 1,
+            url: r.u32v()?,
+            count: r.varint()?,
+            children: r.u32v()?,
         });
     }
-    Ok(TreeSnapshot { nodes })
+    let link_count = r.count()?;
+    let mut links = Vec::with_capacity(link_count);
+    let mut root = 0u32;
+    for _ in 0..link_count {
+        root = root.checked_add(r.u32v()?).unwrap_or(NO_NODE);
+        links.push(LinkSnapshot {
+            root,
+            url: r.u32v()?,
+            count: r.varint()?,
+        });
+    }
+    Ok(TreeSnapshot { nodes, links })
 }
 
 fn write_pop(w: &mut Writer, pop: &PopularityTable) {
@@ -542,9 +542,14 @@ fn read_pb(r: &mut Reader) -> Result<PbSnapshot, CodecError> {
     Ok(snap)
 }
 
-/// The first node URL id in a tree image at or past `bound`.
+/// The first node or link URL id in a tree image at or past `bound`.
 fn tree_url_outside(t: &TreeSnapshot, bound: u32) -> Option<u32> {
-    t.nodes.iter().map(|n| n.url).find(|&url| url >= bound)
+    let links = t.links.iter().map(|l| l.url);
+    t.nodes
+        .iter()
+        .map(|n| n.url)
+        .chain(links)
+        .find(|&url| url >= bound)
 }
 
 fn write_sessions(w: &mut Writer, sessions: &[Vec<crate::interner::UrlId>]) {
@@ -1239,9 +1244,10 @@ mod tests {
         }
         .encode();
         // Older layouts are refused as firmly as newer ones: version 2
-        // carried a frozen-arena section this reader no longer parses, and
-        // version 3 child lists, depths, a root table and link lists.
-        for version in [1u16, 2, 3, 99] {
+        // carried a frozen-arena section this reader no longer parses,
+        // version 3 child lists, depths, a root table and link lists, and
+        // version 4 a parent delta and link flag per node.
+        for version in [1u16, 2, 3, 4, 99] {
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 SnapshotFile::decode(&bytes).unwrap_err(),

@@ -86,7 +86,7 @@ impl StandardPpm {
     }
 
     /// Trains on every session, deterministically parallel
-    /// ([`NodeStore::train_sessions`]): bit-identical to a sequential
+    /// (`NodeStore::train_sessions`): bit-identical to a sequential
     /// [`Predictor::train_session`] loop at every thread count (`0` = auto
     /// via `PBPPM_THREADS`/available parallelism). The LRS support cut
     /// happens wholly in [`Predictor::finalize`], after the merge, so it
@@ -109,7 +109,7 @@ impl StandardPpm {
     /// Restores a finalized model, rebuilding its arena from the image.
     pub fn from_snapshot(snap: &StandardSnapshot) -> Result<Self, SnapshotError> {
         Ok(Self {
-            store: NodeStore::loaded(FrozenTree::from_snapshot(&snap.tree, None)?),
+            store: NodeStore::loaded(FrozenTree::from_snapshot(&snap.tree)?),
             max_height: snap.max_height,
             min_support: snap.min_support,
         })
@@ -160,7 +160,7 @@ impl Predictor for StandardPpm {
             relative_threshold: None,
             min_abs_count: self.min_support.map(|s| s.saturating_sub(1)),
         };
-        if self.store.finalize(&support, None).is_none() {
+        if self.store.finalize(&support).is_none() {
             return;
         }
         crate::verify::runtime_audit(

@@ -1,7 +1,7 @@
 //! Structural model statistics backing the paper's space and utilization
 //! metrics (Tables 1–2, Figure 2 right, Figure 4).
 
-use crate::frozen::{FrozenTree, NO_NODE};
+use crate::frozen::FrozenTree;
 use serde::{Deserialize, Serialize};
 
 /// A snapshot of a finalized model's structure, read from its arena.
@@ -39,10 +39,10 @@ impl ModelStats {
         let (total_paths, used_paths) = arena.path_usage(used);
         Self {
             nodes: arena.len(),
-            roots: arena.roots.len(),
-            edges: arena.parents.iter().filter(|&&p| p != NO_NODE).count(),
-            special_links: arena.dup_bits.iter().map(|w| w.count_ones() as usize).sum(),
-            max_depth: arena.depths.iter().copied().max().unwrap_or(0),
+            roots: arena.roots().len(),
+            edges: arena.len() - arena.roots().len(),
+            special_links: arena.len() - arena.first_link_row() as usize,
+            max_depth: arena.max_depth(),
             total_paths,
             used_paths,
             memory_bytes: arena.heap_bytes(),

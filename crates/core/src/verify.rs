@@ -39,6 +39,7 @@ use crate::popularity::{Grade, PopularityTable};
 use crate::snapshot::ByteSplit;
 use crate::standard::StandardPpm;
 use std::fmt;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A borrowed view of any model the checker understands.
@@ -75,35 +76,13 @@ impl ModelRef<'_> {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Violation {
-    /// A child entry's URL key differs from the child node's own URL.
-    ChildUrlMismatch {
-        /// Root-to-parent URL path.
-        path: Vec<u32>,
-        /// URL key under which the child is filed.
-        entry_url: u32,
-        /// URL the child node actually carries.
-        child_url: u32,
-    },
-    /// A child's parent pointer does not point back at its parent.
+    /// A row's parent pointer does not name the node whose child run (or
+    /// the root whose link run) holds it.
     ChildParentMismatch {
         /// Root-to-parent URL path.
         path: Vec<u32>,
         /// URL of the child whose back-pointer is wrong.
         child_url: u32,
-    },
-    /// A child's stored depth is not its parent's depth plus one.
-    ChildDepthMismatch {
-        /// Root-to-child URL path.
-        path: Vec<u32>,
-        /// Depth the child should have.
-        expected: u8,
-        /// Depth the child carries.
-        found: u8,
-    },
-    /// An alive non-root node is missing from its parent's child list.
-    ChildNotLinked {
-        /// Root-to-node URL path.
-        path: Vec<u32>,
     },
     /// The summed counts of a node's alive children exceed its own count
     /// (training bumps every ancestor at least as often as any child, and
@@ -116,13 +95,13 @@ pub enum Violation {
         /// Sum of the alive children's counts.
         children_sum: u64,
     },
-    /// An alive parentless branch node is not in the root registry.
+    /// A root row is not its URL's root-registry entry.
     RootNotRegistered {
         /// The node's URL.
         url: u32,
     },
-    /// A root-registry entry points at a node that is not a depth-1
-    /// parentless branch node for that URL.
+    /// A root-registry entry names a row that is not a parentless root for
+    /// that URL, or a root row has a parent.
     RootRegistrationInvalid {
         /// The registry key.
         url: u32,
@@ -139,22 +118,6 @@ pub enum Violation {
         cap: u8,
         /// Actual walk depth of the offending node.
         depth: u8,
-    },
-    /// A special link points at a node not marked as a duplicated popular
-    /// node.
-    LinkTargetNotDup {
-        /// URL of the branch head.
-        head_url: u32,
-        /// URL of the bad target.
-        target_url: u32,
-    },
-    /// A special-link target is not attached directly under its root at
-    /// depth 2.
-    LinkTargetDetached {
-        /// URL of the branch head.
-        head_url: u32,
-        /// URL of the detached target.
-        target_url: u32,
     },
     /// A special link points back at the branch head's own URL.
     LinkSelf {
@@ -173,18 +136,6 @@ pub enum Violation {
         /// Grade of the duplicated node.
         target_grade: u8,
     },
-    /// An alive duplicated node is not reachable through the link map of
-    /// an alive root (dangling after a cut).
-    LinkDupOrphaned {
-        /// URL of the orphaned duplicate.
-        url: u32,
-    },
-    /// A duplicated link node appears in a child list — duplicates hang
-    /// off roots through the link map only.
-    LinkDupMisplaced {
-        /// Root-to-parent URL path of the child list it appears in.
-        path: Vec<u32>,
-    },
     /// A model family that never creates special links carries one.
     UnexpectedSpecialLink {
         /// URL of the offending node.
@@ -197,9 +148,8 @@ pub enum Violation {
         /// Number of interned symbols.
         url_count: u64,
     },
-    /// A stored popularity grade — in the popularity table or the arena's
-    /// grade column — differs from the grade rederived from the count
-    /// vector (§3.1's log₁₀ bucketing).
+    /// A popularity grade the table stores differs from the grade
+    /// rederived from its count vector (§3.1's log₁₀ bucketing).
     GradeMismatch {
         /// The URL id with the forged grade.
         url: u32,
@@ -261,8 +211,8 @@ pub enum Violation {
         /// The decoder's error message.
         detail: String,
     },
-    /// The frozen arena's CSR structure is malformed (array length parity,
-    /// offset monotonicity, index bounds, or per-row ordering).
+    /// The frozen arena's layout is malformed (column length parity, or
+    /// child or link runs that are not monotone ranges of later rows).
     FrozenCsrMalformed {
         /// Human-readable description of the defect.
         detail: String,
@@ -274,20 +224,13 @@ impl Violation {
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
-            Violation::ChildUrlMismatch { .. } => "child-url-mismatch",
             Violation::ChildParentMismatch { .. } => "child-parent-mismatch",
-            Violation::ChildDepthMismatch { .. } => "child-depth-mismatch",
-            Violation::ChildNotLinked { .. } => "child-not-linked",
             Violation::ChildCountExceedsParent { .. } => "child-count-exceeds-parent",
             Violation::RootNotRegistered { .. } => "root-not-registered",
             Violation::RootRegistrationInvalid { .. } => "root-registration-invalid",
             Violation::HeightExceedsCap { .. } => "height-exceeds-cap",
-            Violation::LinkTargetNotDup { .. } => "link-target-not-dup",
-            Violation::LinkTargetDetached { .. } => "link-target-detached",
             Violation::LinkSelf { .. } => "link-self",
             Violation::LinkGradeRule { .. } => "link-grade-rule",
-            Violation::LinkDupOrphaned { .. } => "link-dup-orphaned",
-            Violation::LinkDupMisplaced { .. } => "link-dup-misplaced",
             Violation::UnexpectedSpecialLink { .. } => "unexpected-special-link",
             Violation::SymbolUnresolved { .. } => "symbol-unresolved",
             Violation::GradeMismatch { .. } => "grade-mismatch",
@@ -308,13 +251,9 @@ impl Violation {
     #[must_use]
     pub fn path(&self) -> Option<&[u32]> {
         match self {
-            Violation::ChildUrlMismatch { path, .. }
-            | Violation::ChildParentMismatch { path, .. }
-            | Violation::ChildDepthMismatch { path, .. }
-            | Violation::ChildNotLinked { path }
+            Violation::ChildParentMismatch { path, .. }
             | Violation::ChildCountExceedsParent { path, .. }
             | Violation::HeightExceedsCap { path, .. }
-            | Violation::LinkDupMisplaced { path }
             | Violation::SupportBelowThreshold { path, .. } => Some(path),
             _ => None,
         }
@@ -335,32 +274,9 @@ fn fmt_path(path: &[u32]) -> String {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::ChildUrlMismatch {
-                path,
-                entry_url,
-                child_url,
-            } => write!(
-                f,
-                "child entry under [{}] filed as url {entry_url} but node carries url {child_url}",
-                fmt_path(path)
-            ),
             Violation::ChildParentMismatch { path, child_url } => write!(
                 f,
                 "child {child_url} of [{}] does not point back at its parent",
-                fmt_path(path)
-            ),
-            Violation::ChildDepthMismatch {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "node [{}] stores depth {found}, expected {expected}",
-                fmt_path(path)
-            ),
-            Violation::ChildNotLinked { path } => write!(
-                f,
-                "alive node [{}] is missing from its parent's child list",
                 fmt_path(path)
             ),
             Violation::ChildCountExceedsParent {
@@ -373,7 +289,7 @@ impl fmt::Display for Violation {
                 fmt_path(path)
             ),
             Violation::RootNotRegistered { url } => {
-                write!(f, "alive parentless node for url {url} is not a registered root")
+                write!(f, "root row for url {url} is not its registered root")
             }
             Violation::RootRegistrationInvalid { url } => {
                 write!(f, "root registry entry for url {url} is not a valid root node")
@@ -395,20 +311,6 @@ impl fmt::Display for Violation {
                     fmt_path(path)
                 ),
             },
-            Violation::LinkTargetNotDup {
-                head_url,
-                target_url,
-            } => write!(
-                f,
-                "special link {head_url} ~> {target_url} targets a non-duplicated node"
-            ),
-            Violation::LinkTargetDetached {
-                head_url,
-                target_url,
-            } => write!(
-                f,
-                "special-link duplicate {target_url} of root {head_url} is not attached under it at depth 2"
-            ),
             Violation::LinkSelf { head_url } => {
                 write!(f, "root {head_url} links to a duplicate of itself")
             }
@@ -420,15 +322,6 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "special link {head_url} (grade {head_grade}) ~> {target_url} (grade {target_grade}) breaks rule 3: target grade must exceed the head's or be maximal"
-            ),
-            Violation::LinkDupOrphaned { url } => write!(
-                f,
-                "duplicated node for url {url} dangles: no alive root links to it"
-            ),
-            Violation::LinkDupMisplaced { path } => write!(
-                f,
-                "duplicated link node appears in the child list of [{}]",
-                fmt_path(path)
             ),
             Violation::UnexpectedSpecialLink { url } => write!(
                 f,
@@ -478,7 +371,7 @@ impl fmt::Display for Violation {
                 write!(f, "snapshot payload failed to decode: {detail}")
             }
             Violation::FrozenCsrMalformed { detail } => {
-                write!(f, "frozen arena CSR is malformed: {detail}")
+                write!(f, "frozen arena layout is malformed: {detail}")
             }
         }
     }
@@ -630,32 +523,62 @@ fn json_escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// The root-to-node URL-id path of row `id`. Only called once
-/// `check_csr` has passed, so every parent precedes its row and the walk
+/// The root-to-node URL-id path of row `id`, read off the runs that hold
+/// each row rather than the `parents` column under audit. Only called once
+/// `check_csr` has passed, so every run lies past its owner and the walk
 /// ends.
 fn node_path(arena: &FrozenTree, id: u32) -> Vec<u32> {
-    let mut rev = Vec::new();
+    let mut rev = vec![arena.url(id).0];
     let mut cur = id;
-    while cur != NO_NODE {
-        rev.push(arena.url(cur).0);
-        cur = arena.parent(cur);
+    while let Some(owner) = run_owner(arena, cur) {
+        rev.push(arena.url(owner).0);
+        cur = owner;
     }
     rev.reverse();
     rev
 }
 
-/// Verifies the shape invariants every tree model's arena obeys: CSR
-/// well-formedness first ([`FrozenTree::check_csr`] — a malformed arena
-/// makes every index unreliable, so nothing else runs and `false` is
-/// returned), then child entries, back-pointers, depths, count
-/// monotonicity, the root registry both ways, the special links, and the
-/// grade column rederived from `pop` (zero for the baselines).
-fn verify_arena(
-    arena: &FrozenTree,
-    url_count: Option<u64>,
-    pop: Option<&PopularityTable>,
-    report: &mut AuditReport,
-) -> bool {
+/// The node whose child run, or the root whose link run, holds row `id`;
+/// `None` for a root.
+fn run_owner(arena: &FrozenTree, id: u32) -> Option<u32> {
+    let runs = if arena.is_link_dup(id) {
+        &arena.link_offsets
+    } else if arena.roots().contains(&id) {
+        return None;
+    } else {
+        &arena.first_child
+    };
+    // The last run to start at or before `id` holds it.
+    u32::try_from(runs.partition_point(|&start| start <= id))
+        .ok()?
+        .checked_sub(1)
+}
+
+/// Checks that every row of `run` names `owner` as its parent; true when
+/// all do.
+fn points_back(arena: &FrozenTree, owner: u32, run: Range<u32>, report: &mut AuditReport) -> bool {
+    let mut linked = true;
+    for row in run {
+        report.tick();
+        if arena.parent(row) != owner {
+            report.violations.push(Violation::ChildParentMismatch {
+                path: node_path(arena, owner),
+                child_url: arena.url(row).0,
+            });
+            linked = false;
+        }
+    }
+    linked
+}
+
+/// Verifies the shape invariants every tree model's arena obeys: the
+/// layout first ([`FrozenTree::check_csr`] — a malformed layout makes
+/// every run unreliable, so nothing else runs), then URL symbols, each
+/// row's back-pointer against the run that holds it, count monotonicity,
+/// the root registry both ways and the self-link rule. Returns whether the
+/// layout and every back-pointer hold: the checks that follow walk
+/// parents, so they run only then.
+fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditReport) -> bool {
     report.tick();
     if let Err(detail) = arena.check_csr() {
         report.violations.push(Violation::FrozenCsrMalformed {
@@ -663,63 +586,23 @@ fn verify_arena(
         });
         return false;
     }
-    for id in 0..arena.rows() {
-        let url = arena.url(id);
-        if let Some(count) = url_count {
+    if let Some(count) = url_count {
+        for id in 0..arena.rows() {
             report.tick();
-            if u64::from(url.0) >= count {
+            let url = arena.url(id).0;
+            if u64::from(url) >= count {
                 report.violations.push(Violation::SymbolUnresolved {
-                    url: url.0,
+                    url,
                     url_count: count,
                 });
             }
         }
+    }
+    let mut linked = true;
+    for id in 0..arena.first_link_row() {
+        linked &= points_back(arena, id, arena.children(id), report);
         report.tick();
-        let derived = pop.map_or(0, |p| p.grade(url).level());
-        if arena.grade(id) != derived {
-            report.violations.push(Violation::GradeMismatch {
-                url: url.0,
-                stored: arena.grade(id),
-                derived,
-            });
-        }
-
-        // Child entries: url key, back-pointer, depth chaining, and no
-        // duplicated link nodes hiding in a child list.
-        let mut children_sum = 0u64;
-        for &(entry_url, child) in arena.children(id) {
-            report.tick();
-            children_sum += arena.count(child);
-            if arena.url(child) != entry_url {
-                report.violations.push(Violation::ChildUrlMismatch {
-                    path: node_path(arena, id),
-                    entry_url: entry_url.0,
-                    child_url: arena.url(child).0,
-                });
-            }
-            if arena.is_link_dup(child) {
-                report.violations.push(Violation::LinkDupMisplaced {
-                    path: node_path(arena, id),
-                });
-                continue;
-            }
-            if arena.parent(child) != id {
-                report.violations.push(Violation::ChildParentMismatch {
-                    path: node_path(arena, id),
-                    child_url: arena.url(child).0,
-                });
-                continue;
-            }
-            let expected = arena.depth(id).saturating_add(1);
-            if arena.depth(child) != expected {
-                report.violations.push(Violation::ChildDepthMismatch {
-                    path: node_path(arena, child),
-                    expected,
-                    found: arena.depth(child),
-                });
-            }
-        }
-        report.tick();
+        let children_sum: u64 = arena.children(id).map(|c| arena.count(c)).sum();
         if children_sum > arena.count(id) {
             report.violations.push(Violation::ChildCountExceedsParent {
                 path: node_path(arena, id),
@@ -727,89 +610,54 @@ fn verify_arena(
                 children_sum,
             });
         }
-
-        let parent = arena.parent(id);
-        report.tick();
-        if parent == NO_NODE {
-            // Forward registry check: every parentless branch node must be
-            // its URL's registered root; a parentless duplicate dangles.
-            if arena.is_link_dup(id) {
-                report
-                    .violations
-                    .push(Violation::LinkDupOrphaned { url: url.0 });
-            } else if arena.root(url) != Some(id) {
-                report
-                    .violations
-                    .push(Violation::RootNotRegistered { url: url.0 });
-            }
-        } else if arena.is_link_dup(id) {
-            // A duplicate must be reachable via its root's link list.
-            let head = arena.url(parent);
-            if arena.root(head) != Some(parent) || !arena.links_of(head).contains(&id) {
-                report
-                    .violations
-                    .push(Violation::LinkDupOrphaned { url: url.0 });
-            }
-        } else if arena.child(parent, url) != Some(id) {
-            // Reverse edge: the parent's child row must hold it.
-            report.violations.push(Violation::ChildNotLinked {
-                path: node_path(arena, id),
-            });
-        }
     }
-
-    // Backward registry check, then the link lists hanging off each root:
-    // every target a well-formed duplicate directly under its head.
-    for &(url, root) in &arena.roots {
+    // The root registry: rows 0..R are the roots, each parentless and its
+    // URL's entry, and every entry names one of them.
+    for root in arena.roots() {
+        let url = arena.url(root);
         report.tick();
-        if arena.url(root) != url
-            || arena.parent(root) != NO_NODE
-            || arena.is_link_dup(root)
-            || arena.depth(root) != 1
-        {
+        if arena.root(url) != Some(root) {
+            report
+                .violations
+                .push(Violation::RootNotRegistered { url: url.0 });
+        }
+        if arena.parent(root) != NO_NODE {
             report
                 .violations
                 .push(Violation::RootRegistrationInvalid { url: url.0 });
+            linked = false;
         }
-        for &target in arena.links_of(url) {
+        linked &= points_back(arena, root, arena.root_links(root), report);
+        for link in arena.root_links(root) {
             report.tick();
-            let target_url = arena.url(target).0;
-            if !arena.is_link_dup(target) {
-                report.violations.push(Violation::LinkTargetNotDup {
-                    head_url: url.0,
-                    target_url,
-                });
-                continue;
-            }
-            if arena.parent(target) != root || arena.depth(target) != 2 {
-                report.violations.push(Violation::LinkTargetDetached {
-                    head_url: url.0,
-                    target_url,
-                });
-            }
-            if target_url == url.0 {
+            if arena.url(link) == url {
                 report
                     .violations
                     .push(Violation::LinkSelf { head_url: url.0 });
             }
         }
     }
-    true
+    for (url, &row) in (0..).zip(&arena.root_lookup) {
+        report.tick();
+        if row != NO_NODE && !(arena.roots().contains(&row) && arena.url(row).0 == url) {
+            report
+                .violations
+                .push(Violation::RootRegistrationInvalid { url });
+        }
+    }
+    linked
 }
 
-/// Walks each registered branch downward and reports nodes beyond `cap_of`'s
-/// height cap for that branch. Walk depth is counted independently of the
-/// stored `depth` fields, so a forged depth cannot hide a breach. Only
-/// child entries whose back-pointer agrees are followed (a disagreeing one
-/// is reported by [`verify_arena`]), so the walk follows the acyclic
-/// parent structure and always ends.
+/// Walks each branch downward and reports nodes beyond `cap_of`'s height
+/// cap for that branch. Depth is counted down the child runs, which lie
+/// past their rows, so the walk ends.
 fn verify_heights(
     arena: &FrozenTree,
     cap_of: impl Fn(UrlId) -> (Option<u8>, u8),
     report: &mut AuditReport,
 ) {
-    for &(url, root) in &arena.roots {
-        let (grade, cap) = cap_of(url);
+    for root in arena.roots() {
+        let (grade, cap) = cap_of(arena.url(root));
         report.tick();
         let mut stack: Vec<(u32, u8)> = vec![(root, 1)];
         while let Some((id, depth)) = stack.pop() {
@@ -822,11 +670,7 @@ fn verify_heights(
                 });
                 continue; // deeper nodes are implied; avoid a flood
             }
-            for &(_, child) in arena.children(id) {
-                if arena.parent(child) == id && !arena.is_link_dup(child) {
-                    stack.push((child, depth.saturating_add(1)));
-                }
-            }
+            stack.extend(arena.children(id).map(|c| (c, depth.saturating_add(1))));
         }
     }
 }
@@ -862,11 +706,11 @@ fn verify_popularity(pop: &PopularityTable, report: &mut AuditReport) {
     }
 }
 
-/// Reports no-special-links for the model families that never create them:
-/// no duplicated nodes (a link to anything else is a `link-target-not-dup`).
+/// Reports no-special-links for the model families that never create
+/// them: no link rows.
 fn verify_no_links(arena: &FrozenTree, report: &mut AuditReport) {
     report.tick();
-    for id in (0..arena.rows()).filter(|&id| arena.is_link_dup(id)) {
+    for id in arena.first_link_row()..arena.rows() {
         report.violations.push(Violation::UnexpectedSpecialLink {
             url: arena.url(id).0,
         });
@@ -949,7 +793,7 @@ fn verify_pb(m: &PbPpm, url_count: Option<u64>, report: &mut AuditReport) {
     let Some(arena) = m.store.arena() else {
         return;
     };
-    if !verify_arena(arena, url_count, Some(pop), report) {
+    if !verify_arena(arena, url_count, report) {
         return;
     }
     let cfg = m.cfg;
@@ -963,14 +807,14 @@ fn verify_pb(m: &PbPpm, url_count: Option<u64>, report: &mut AuditReport) {
     );
 
     // Rule 3's grade condition for every special link.
-    for &(url, _) in &arena.roots {
-        let head_grade = pop.grade(url);
-        for &target in arena.links_of(url) {
+    for root in arena.roots() {
+        let head_grade = pop.grade(arena.url(root));
+        for target in arena.root_links(root) {
             report.tick();
             let target_grade = pop.grade(arena.url(target));
             if !(target_grade > head_grade || target_grade == Grade::MAX) {
                 report.violations.push(Violation::LinkGradeRule {
-                    head_url: url.0,
+                    head_url: arena.url(root).0,
                     head_grade: head_grade.level(),
                     target_url: arena.url(target).0,
                     target_grade: target_grade.level(),
@@ -992,7 +836,7 @@ fn verify_standard(m: &StandardPpm, url_count: Option<u64>, report: &mut AuditRe
     let Some(arena) = m.store.arena() else {
         return;
     };
-    if !verify_arena(arena, url_count, None, report) {
+    if !verify_arena(arena, url_count, report) {
         return;
     }
     verify_no_links(arena, report);
@@ -1022,22 +866,18 @@ fn verify_order1(m: &Order1Markov, url_count: Option<u64>, report: &mut AuditRep
     let Some(arena) = m.store.arena() else {
         return;
     };
-    if !verify_arena(arena, url_count, None, report) {
+    if !verify_arena(arena, url_count, report) {
         return;
     }
     verify_no_links(arena, report);
     verify_heights(arena, |_| (None, 2), report);
-    for &(url, root) in arena.roots() {
+    for root in arena.roots() {
         report.tick();
         let total = arena.count(root);
-        let sum = arena
-            .children(root)
-            .iter()
-            .map(|&(_, c)| arena.count(c))
-            .sum();
+        let sum = arena.children(root).map(|c| arena.count(c)).sum();
         if total != sum {
             report.violations.push(Violation::Order1RowTotalMismatch {
-                url: url.0,
+                url: arena.url(root).0,
                 total,
                 sum,
             });
@@ -1224,17 +1064,9 @@ mod tests {
     }
 
     #[test]
-    fn forged_grade_column_is_caught() {
-        let mut pb = trained_pb();
-        arena_mut(&mut pb).grades[0] ^= 1;
-        let report = verify_model(&ModelRef::Pb(&pb));
-        assert!(report.has("grade-mismatch"), "{report}");
-    }
-
-    #[test]
     fn malformed_frozen_csr_is_caught() {
         let mut pb = trained_pb();
-        arena_mut(&mut pb).child_offsets.pop();
+        arena_mut(&mut pb).first_child.pop();
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("frozen-csr-malformed"), "{report}");
     }
@@ -1247,6 +1079,26 @@ mod tests {
         arena.counts[child as usize] += 1_000;
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("child-count-exceeds-parent"), "{report}");
+    }
+
+    #[test]
+    fn cyclic_parent_chain_is_caught_not_hung() {
+        // Rows 1 and 2 of one chain claiming each other as parent, and a
+        // root claiming a parent: the audit must report each against the
+        // runs, and must terminate.
+        let mut pb = trained_pb();
+        let arena = arena_mut(&mut pb);
+        let [a, b] = [&[u(0), u(1)][..], &[u(0), u(1), u(2)]].map(|p| arena.descend(p));
+        let (a, b) = (a.expect("branch exists"), b.expect("branch exists"));
+        arena.parents[a as usize] = b;
+        let report = verify_model(&ModelRef::Pb(&pb));
+        assert!(report.has("child-parent-mismatch"), "{report}");
+        assert!(!report.has("frozen-csr-malformed"), "{report}");
+
+        let mut pb = trained_pb();
+        arena_mut(&mut pb).parents[0] = 1;
+        let report = verify_model(&ModelRef::Pb(&pb));
+        assert!(report.has("root-registration-invalid"), "{report}");
     }
 
     #[test]

@@ -61,13 +61,7 @@ fn an_arena_grows_the_live_heap_by_its_heap_bytes() {
     let model = m.frozen().expect("finalized");
     assert!(model.len() > 1_000, "{} rows", model.len());
     assert!(
-        model
-            .to_snapshot()
-            .nodes
-            .iter()
-            .filter(|n| n.link_dup)
-            .count()
-            > 10,
+        model.to_snapshot().links.len() > 10,
         "special links present"
     );
 
@@ -89,7 +83,7 @@ fn an_arena_grows_the_live_heap_by_its_heap_bytes() {
     );
 
     let snap = model.to_snapshot();
-    let (bytes, loaded) = grown(|| FrozenTree::from_snapshot(&snap, Some(&pop)).expect("loads"));
+    let (bytes, loaded) = grown(|| FrozenTree::from_snapshot(&snap).expect("loads"));
     assert_eq!(&loaded, model);
     assert_eq!(bytes, loaded.heap_bytes() as u64, "loaded from a snapshot");
 

@@ -146,16 +146,16 @@ proptest! {
         }
         // Every walkable root-to-node path must repeat. Enumerate paths by
         // DFS over the (small) arena.
-        for &(url, root) in arena.roots() {
-            let mut stack = vec![(root, vec![url])];
+        for root in arena.roots() {
+            let mut stack = vec![(root, vec![arena.url(root)])];
             while let Some((node, path)) = stack.pop() {
                 prop_assert!(
                     repeating.contains(&path),
                     "stored path {:?} does not repeat in training", path
                 );
-                for &(url, child) in arena.children(node) {
+                for child in arena.children(node) {
                     let mut next = path.clone();
-                    next.push(url);
+                    next.push(arena.url(child));
                     stack.push((child, next));
                 }
             }
@@ -192,14 +192,14 @@ proptest! {
 
         let arena = model.frozen().expect("finalize froze the arena");
         // Height caps: walk each root, depth bounded by its head's grade.
-        for &(url, root) in arena.roots() {
-            let head_grade = pop.grade(url);
+        for root in arena.roots() {
+            let head_grade = pop.grade(arena.url(root));
             let cap = cfg.height_for(head_grade);
             let mut stack = vec![(root, 1u8)];
             while let Some((node, depth)) = stack.pop() {
                 prop_assert!(depth <= cap,
                     "depth {} exceeds cap {} for grade {:?}", depth, cap, head_grade);
-                for &(_, child) in arena.children(node) {
+                for child in arena.children(node) {
                     stack.push((child, depth + 1));
                 }
             }
@@ -215,8 +215,8 @@ proptest! {
                 }
             }
         }
-        for &(url, _) in arena.roots() {
-            prop_assert!(legal_roots.contains(&url));
+        for root in arena.roots() {
+            prop_assert!(legal_roots.contains(&arena.url(root)));
         }
 
         // Pruning monotonicity, and grade-3 links only.
@@ -231,9 +231,10 @@ proptest! {
         prop_assert!(pruned.node_count() <= unpruned_nodes);
 
         // Link targets are either above their head's grade or grade 3.
-        for &(url, _) in arena.roots() {
+        for root in arena.roots() {
+            let url = arena.url(root);
             let head_grade = pop.grade(url);
-            for &link in arena.links_of(url) {
+            for link in arena.links_of(url) {
                 let g = pop.grade(arena.url(link));
                 prop_assert!(g > head_grade || g == Grade::MAX);
             }

@@ -239,7 +239,7 @@ impl LocalHist {
     }
 
     /// Upper bound of the bucket containing the `q`-quantile (`q` in
-    /// `[0, 1]`); 0 for an empty accumulator. See [`bucketed_quantile_bound`]
+    /// `[0, 1]`); 0 for an empty accumulator. See `bucketed_quantile_bound`
     /// for the exact (bucket-bound, not interpolated) semantics.
     pub fn quantile_bound(&self, q: f64) -> u64 {
         bucketed_quantile_bound(
@@ -299,7 +299,7 @@ impl HistogramSnapshot {
     }
 
     /// Upper bound of the bucket containing the `q`-quantile. See
-    /// [`bucketed_quantile_bound`] for the exact (bucket-bound, not
+    /// `bucketed_quantile_bound` for the exact (bucket-bound, not
     /// interpolated) semantics.
     pub fn quantile_bound(&self, q: f64) -> u64 {
         bucketed_quantile_bound(self.count, q, self.buckets.iter().map(|b| (b.le, b.count)))

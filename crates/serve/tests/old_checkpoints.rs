@@ -1,30 +1,37 @@
 //! Checkpoints from an older model-file format are refused, not replaced.
 //!
 //! `fixtures/v3_online_pb.pbss` is an online PB-PPM checkpoint in format
-//! version 3, which wrote each tree edge twice and is no longer read.
-//! A shard directory holding only such files must stop `open` with an
-//! error naming the version; serving on from a fresh model would write
-//! the next checkpoint over the files the operator still has to retrain
-//! from.
+//! version 3, which wrote each tree edge twice, and
+//! `fixtures/v4_online_pb.pbss` one in version 4, which wrote each node's
+//! parent where level order implies it; neither is read any more. A shard
+//! directory holding only such files must stop `open` with an error naming
+//! the version; serving on from a fresh model would write the next
+//! checkpoint over the files the operator still has to retrain from.
 
 use pbppm_core::PbConfig;
 use pbppm_serve::{ShardedOptions, ShardedServer};
 use std::path::PathBuf;
 
-#[test]
-fn version_3_checkpoints_are_refused_and_left_untouched() {
-    let v3 = std::fs::read(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v3_online_pb.pbss"),
+/// Opens a shard directory holding fixture `v{version}_online_pb.pbss` as
+/// both generations, and requires the open to fail naming the version
+/// while leaving both files as they were.
+fn assert_refused_and_left_untouched(version: u16) {
+    let old = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/fixtures/v{version}_online_pb.pbss")),
     )
     .expect("fixture is committed");
-    assert_eq!(v3[8..10], 3u16.to_le_bytes(), "the fixture is version 3");
+    assert_eq!(old[8..10], version.to_le_bytes(), "the fixture's version");
 
-    let dir = std::env::temp_dir().join(format!("pbppm-old-checkpoints-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "pbppm-old-checkpoints-v{version}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let shard = dir.join("shard-000");
     std::fs::create_dir_all(&shard).unwrap();
     for name in ["current.pbss", "previous.pbss"] {
-        std::fs::write(shard.join(name), &v3).unwrap();
+        std::fs::write(shard.join(name), &old).unwrap();
     }
 
     let err = ShardedServer::open(
@@ -33,13 +40,16 @@ fn version_3_checkpoints_are_refused_and_left_untouched() {
         ShardedOptions::default(),
     )
     .err()
-    .expect("a version 3 checkpoint must not be served or replaced");
+    .expect("an old checkpoint must not be served or replaced");
     let msg = err.to_string();
-    assert!(msg.contains("unsupported snapshot version 3"), "{msg}");
+    assert!(
+        msg.contains(&format!("unsupported snapshot version {version}")),
+        "{msg}"
+    );
 
     for name in ["current.pbss", "previous.pbss"] {
         assert!(
-            std::fs::read(shard.join(name)).unwrap() == v3,
+            std::fs::read(shard.join(name)).unwrap() == old,
             "{name} was rewritten"
         );
     }
@@ -50,4 +60,14 @@ fn version_3_checkpoints_are_refused_and_left_untouched() {
     left.sort();
     assert_eq!(left, ["current.pbss", "previous.pbss"], "nothing written");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_3_checkpoints_are_refused_and_left_untouched() {
+    assert_refused_and_left_untouched(3);
+}
+
+#[test]
+fn version_4_checkpoints_are_refused_and_left_untouched() {
+    assert_refused_and_left_untouched(4);
 }

@@ -2,14 +2,14 @@
 //! log bytes to a [`Trace`], for Common and Combined logs alike.
 //!
 //! 1. **Chunked read** — the reader cuts the log into newline-aligned
-//!    chunks of [`CHUNK_BYTES`], carrying a partial tail line into the next
+//!    chunks of `CHUNK_BYTES`, carrying a partial tail line into the next
 //!    chunk. It also decides the dialect: the first line [`detect_format`]
 //!    accepts decides, and each chunk is checked before dispatch until one
 //!    does. Chunks dispatched before that hold only lines that fail both
 //!    dialects, so they count as malformed whichever dialect parses them.
 //! 2. **Zero-copy parallel parse** — workers parse each chunk in its
 //!    dialect with [`crate::clf::parse_clf_line_ref`], a Combined line's
-//!    core first cut out by [`crate::combined::split_combined`] (no
+//!    core first cut out by `crate::combined::split_combined` (no
 //!    per-line allocation), and intern surviving hosts and paths into
 //!    chunk-local tables, leaving a compact record per accepted line.
 //! 3. **Deterministic merge** — per-chunk records are stable-sorted by

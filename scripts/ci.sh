@@ -10,7 +10,10 @@
 #                              pbppm-obs's `enabled` feature off for the
 #                              whole CLI dependency graph
 #   3. scripts/check.sh      — pbppm lint, fmt --check, clippy -D
-#                              warnings, the workspace test suite
+#      and docs                warnings, the workspace test suite; then
+#                              `cargo doc --workspace --no-deps` with
+#                              rustdoc warnings denied, so a public doc
+#                              cannot link a private item
 #   4. perfbench             — fmt --check and clippy -D warnings over
 #                              perfbench, then its own unit and smoke
 #                              tests (its own workspace, outside
@@ -21,8 +24,8 @@
 #   5. snapshot smoke        — generate a tiny trace, then for each model
 #                              (pb, standard, lrs, o1): `pbppm train`
 #                              (writes the .pbss model file, whose bytes
-#                              8-9 must read format version 4), `pbppm audit`
-#                              (loads it, rebuilding the SoA/CSR arena
+#                              8-9 must read format version 5), `pbppm audit`
+#                              (loads it, rebuilding the level-order arena
 #                              directly from the file's rows, and checks
 #                              every invariant on that arena), and
 #                              `pbppm predict` (serves a query from the
@@ -30,8 +33,8 @@
 #                              predict cycle through the real binary
 #   6. audit smoke           — `pbppm audit` rejects (nonzero exit) a
 #                              snapshot copy with a flipped payload byte,
-#                              and a copy stamped version 3 with
-#                              "unsupported snapshot version 3"
+#                              and a copy stamped version 4 with
+#                              "unsupported snapshot version 4"
 #   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
 #                              health/quit through `pbppm serve`, assert
 #                              the one-`ok`/`err`-line-per-command
@@ -107,6 +110,9 @@ fi
 echo "== ci: check.sh" >&2
 scripts/check.sh
 
+echo "== ci: docs" >&2
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "== ci: perfbench lint and tests" >&2
 # perfbench is its own workspace, so check.sh's fmt and clippy and
 # `cargo test --workspace` never reach it.
@@ -136,8 +142,8 @@ for model in pb standard lrs o1; do
     # worked.
     "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model.pbss" --model "$model" >/dev/null
     version="$(python3 -c 'import sys; print(int.from_bytes(open(sys.argv[1], "rb").read()[8:10], "little"))' "$tmp/model-$model.pbss")"
-    if [[ "$version" != 4 ]]; then
-        echo "ci: train ($model) wrote format version $version, not 4" >&2
+    if [[ "$version" != 5 ]]; then
+        echo "ci: train ($model) wrote format version $version, not 5" >&2
         exit 1
     fi
     "$pbppm" audit "$tmp/model-$model.pbss" >/dev/null
@@ -164,21 +170,21 @@ if "$pbppm" audit "$tmp/corrupt.pbss" >/dev/null 2>&1; then
     echo "ci: audit accepted a corrupted snapshot" >&2
     exit 1
 fi
-# Stamped version 3 (the layout before each node was written once), the
-# file must be refused by its version. Decode reads the version before the
-# checksum, so the copy needs no new checksum.
-python3 - "$tmp/model.pbss" "$tmp/v3.pbss" <<'EOF'
+# Stamped version 4 (the layout before level order), the file must be
+# refused by its version. Decode reads the version before the checksum, so
+# the copy needs no new checksum.
+python3 - "$tmp/model.pbss" "$tmp/v4.pbss" <<'EOF'
 import sys
 data = bytearray(open(sys.argv[1], "rb").read())
-data[8:10] = (3).to_bytes(2, "little")
+data[8:10] = (4).to_bytes(2, "little")
 open(sys.argv[2], "wb").write(bytes(data))
 EOF
-if "$pbppm" audit "$tmp/v3.pbss" >"$tmp/v3-audit.txt" 2>&1; then
-    echo "ci: audit accepted a version 3 snapshot" >&2
+if "$pbppm" audit "$tmp/v4.pbss" >"$tmp/v4-audit.txt" 2>&1; then
+    echo "ci: audit accepted a version 4 snapshot" >&2
     exit 1
 fi
-grep -q 'unsupported snapshot version 3' "$tmp/v3-audit.txt" || {
-    echo "ci: audit did not name version 3 when refusing it" >&2
+grep -q 'unsupported snapshot version 4' "$tmp/v4-audit.txt" || {
+    echo "ci: audit did not name version 4 when refusing it" >&2
     exit 1
 }
 
