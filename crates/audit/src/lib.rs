@@ -128,6 +128,16 @@ mod tests {
         let report = verify_bytes(&file.encode()).expect("envelope is valid");
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.model, "pb");
+        // The loaded index's split adds up to what the model reports.
+        let split = report.index.expect("a pb model reports its index");
+        assert_eq!(split.total(), m.stats().index_bytes);
+        assert_eq!((split.members, split.dirty_groups), (0, 0));
+        let text = report.to_string();
+        assert!(
+            text.contains(&format!("index bytes {}:", split.total())),
+            "{text}"
+        );
+        assert!(report.to_json().contains("\"dirty_groups\":0"));
     }
 
     #[test]

@@ -478,7 +478,8 @@ pub fn simulate(args: &Args) -> CmdResult {
 /// the model image, and runs every invariant check in `pbppm-audit`
 /// (tree shape, height caps, special links, popularity grades, index
 /// aggregates, symbol resolution), and reports where the file's bytes go
-/// (envelope, URL table, popularity, nodes, online window, settings).
+/// (envelope, URL table, popularity, nodes, online window, settings) and,
+/// for a PB-PPM model, where its loaded index's bytes go, list by list.
 /// Exits nonzero when any violation is
 /// found — including payloads whose checksum passes but whose contents
 /// are structurally invalid. `serve` runs the same audit on recovery.

@@ -839,10 +839,43 @@ pub(crate) enum NodeStore {
     /// One counted run per `train_session` call and per `train_sessions`
     /// partition.
     Training(Vec<PathRun>),
-    /// The arena serves. `used` holds Fig. 2's path-usage flags, one bit
-    /// per row, allocated by the first `apply_usage`: serving never
-    /// applies usage, so serving models never carry it.
-    Frozen { arena: FrozenTree, used: Vec<u64> },
+    /// The arena serves. `usage` holds Fig. 2's path-usage flags,
+    /// allocated by the first `apply_usage`: serving never applies usage,
+    /// so serving models never carry it.
+    Frozen {
+        arena: FrozenTree,
+        usage: UsageMarks,
+    },
+}
+
+/// A finalized model's path-usage record (Fig. 2, right). It is all that
+/// `apply_usage` allocates, so its [`UsageMarks::heap_bytes`] is the
+/// whole cost of recording usage.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UsageMarks {
+    /// One bit per arena row, set when the row was on a path or in a vote
+    /// that predicted.
+    pub(crate) rows: Vec<u64>,
+    /// One bit per PB-PPM fingerprint group position, set when the group
+    /// voted: its members' paths and children are marked in `rows` when
+    /// path usage is read (`ContextIndex::mark_groups`). Empty until a
+    /// stored group votes.
+    pub(crate) groups: Vec<u64>,
+}
+
+impl UsageMarks {
+    /// Flags group position `at` of an index of `groups` groups.
+    pub(crate) fn flag_group(&mut self, at: usize, groups: usize) {
+        if self.groups.is_empty() {
+            self.groups = vec![0; groups.div_ceil(64)];
+        }
+        crate::context_index::set_bit(&mut self.groups, at);
+    }
+
+    /// Exact heap bytes: both bitsets are allocated at their final length.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.rows.as_slice()) + std::mem::size_of_val(self.groups.as_slice())
+    }
 }
 
 impl Default for NodeStore {
@@ -856,7 +889,7 @@ impl NodeStore {
     pub(crate) fn loaded(arena: FrozenTree) -> Self {
         NodeStore::Frozen {
             arena,
-            used: Vec::new(),
+            usage: UsageMarks::default(),
         }
     }
 
@@ -950,31 +983,40 @@ impl NodeStore {
         self.arena().map_or(0, FrozenTree::len)
     }
 
-    /// The arena and its path-usage bitset, allocating the bitset on
-    /// first use; `None` while training.
-    pub(crate) fn usage_marks(&mut self) -> Option<(&FrozenTree, &mut [u64])> {
+    /// The arena and its usage record, allocating the row bitset on first
+    /// use; `None` while training.
+    pub(crate) fn usage_marks(&mut self) -> Option<(&FrozenTree, &mut UsageMarks)> {
         match self {
             NodeStore::Training(_) => None,
-            NodeStore::Frozen { arena, used } => {
-                if used.is_empty() {
-                    *used = vec![0; arena.len().div_ceil(64)];
+            NodeStore::Frozen { arena, usage } => {
+                if usage.rows.is_empty() {
+                    usage.rows = vec![0; arena.len().div_ceil(64)];
                 }
-                Some((arena, used))
+                Some((arena, usage))
             }
+        }
+    }
+
+    /// The arena and its usage record as they stand; `None` while
+    /// training.
+    pub(crate) fn usage(&self) -> Option<(&FrozenTree, &UsageMarks)> {
+        match self {
+            NodeStore::Training(_) => None,
+            NodeStore::Frozen { arena, usage } => Some((arena, usage)),
         }
     }
 
     /// Plays back the usage of a descent predict (the standard/LRS/order-1
     /// serving path): each matched path and each voting child row.
     pub(crate) fn apply_descent_usage(&mut self, usage: &PredictUsage) {
-        let Some((arena, used)) = self.usage_marks() else {
+        let Some((arena, marks)) = self.usage_marks() else {
             return;
         };
         for &id in &usage.used_paths {
-            arena.mark_path(used, id.0);
+            arena.mark_path(&mut marks.rows, id.0);
         }
         for &id in &usage.used_child_rows {
-            arena.mark_children(used, id.0);
+            arena.mark_children(&mut marks.rows, id.0);
         }
     }
 
@@ -983,7 +1025,7 @@ impl NodeStore {
     pub(crate) fn stats(&self) -> ModelStats {
         match self {
             NodeStore::Training(_) => ModelStats::default(),
-            NodeStore::Frozen { arena, used } => ModelStats::of_arena(arena, used),
+            NodeStore::Frozen { arena, usage } => ModelStats::of_arena(arena, &usage.rows),
         }
     }
 }

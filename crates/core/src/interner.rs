@@ -51,9 +51,9 @@ pub struct Interner {
     /// `ends[id]` is where string `id` ends in `bytes`; it starts where
     /// string `id - 1` ends, or at 0.
     ends: Vec<u32>,
-    /// Linear-probing table, empty or a power of two long and at most
-    /// half full. A slot is `id << 32 | tag` (see [`tag_of`]), and a zero
-    /// slot is empty: tags are odd, so no occupied slot is zero.
+    /// Linear-probing table, empty or at least [`MIN_SLOTS`] long and at
+    /// most half full. A slot is `id << 32 | tag` (see [`tag_of`]), and a
+    /// zero slot is empty: tags are odd, so no occupied slot is zero.
     slots: Box<[u64]>,
 }
 
@@ -66,16 +66,13 @@ fn room(slots: usize) -> usize {
     slots / 2
 }
 
-/// The table length that holds `n` strings without growing.
+/// The table length that holds `n` strings without growing: exactly
+/// twice `n`, so a table sized for a known count is half full.
 fn slots_for(n: usize) -> usize {
     if n == 0 {
         return 0;
     }
-    let mut slots = MIN_SLOTS;
-    while room(slots) < n {
-        slots *= 2;
-    }
-    slots
+    (2 * n).max(MIN_SLOTS)
 }
 
 #[inline]
@@ -94,20 +91,30 @@ fn tag_of(hash: u64) -> u32 {
     (hash ^ hash >> 32) as u32 | 1
 }
 
-/// A string's first probe position in a table of `slots` slots (a power
-/// of two, at least [`MIN_SLOTS`]): the hash's top bits, which the Fx
-/// multiply mixes best.
-#[allow(clippy::cast_possible_truncation)] // the shift leaves fewer bits than usize holds
+/// A string's first probe position in a table of `slots` slots, any
+/// length: the hash scaled onto `0..slots` by a multiply-high, which reads
+/// the hash's top bits, the ones the Fx multiply mixes best.
+#[allow(clippy::cast_possible_truncation)] // the product's high half is below `slots`
 #[inline]
 fn home(hash: u64, slots: usize) -> usize {
-    (hash >> (64 - slots.trailing_zeros())) as usize
+    ((u128::from(hash) * slots as u128) >> 64) as usize
+}
+
+/// The slot after `i` on a probe run, wrapping at the table's end.
+#[inline]
+fn next_slot(i: usize, slots: usize) -> usize {
+    if i + 1 == slots {
+        0
+    } else {
+        i + 1
+    }
 }
 
 /// The first empty slot on `hash`'s probe run in a table with room.
 fn vacant_slot(slots: &[u64], hash: u64) -> usize {
     let mut i = home(hash, slots.len());
     while slots[i] != 0 {
-        i = (i + 1) & (slots.len() - 1);
+        i = next_slot(i, slots.len());
     }
     i
 }
@@ -174,9 +181,9 @@ impl Interner {
     /// table is empty, which `intern` grows before it writes).
     #[inline]
     fn probe(&self, name: &str, hash: u64) -> Result<UrlId, usize> {
-        let Some(mask) = self.slots.len().checked_sub(1) else {
+        if self.slots.is_empty() {
             return Err(0);
-        };
+        }
         let tag = tag_of(hash);
         let mut i = home(hash, self.slots.len());
         loop {
@@ -192,7 +199,7 @@ impl Interner {
             {
                 return Ok(id);
             }
-            i = (i + 1) & mask;
+            i = next_slot(i, self.slots.len());
         }
     }
 
@@ -305,6 +312,27 @@ mod tests {
         i.intern("/y");
         let pairs: Vec<_> = i.iter().map(|(id, s)| (id.0, s.to_owned())).collect();
         assert_eq!(pairs, vec![(0, "/x".to_owned()), (1, "/y".to_owned())]);
+    }
+
+    #[test]
+    fn a_table_sized_to_its_load_finds_every_string() {
+        // Tables of any length, not just powers of two: sized for `n`
+        // strings, then grown past them by doubling.
+        for n in 1..40 {
+            let mut i = Interner::with_capacity(n);
+            assert_eq!(i.slots.len(), (2 * n).max(MIN_SLOTS));
+            let names: Vec<String> = (0..4 * n).map(|k| format!("/p{k}.html")).collect();
+            for (k, name) in names.iter().enumerate() {
+                assert_eq!(i.intern(name).index(), k);
+                if k + 1 == n {
+                    assert_eq!(i.slots.len(), (2 * n).max(MIN_SLOTS), "no growth at n");
+                }
+            }
+            for (k, name) in names.iter().enumerate() {
+                assert_eq!(i.get(name).map(UrlId::index), Some(k));
+            }
+            assert_eq!(i.get("/absent"), None);
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod stats;
 pub mod topn;
 pub mod verify;
 
-pub use context_index::{ContextHashes, ContextIndex, IndexOccupancy};
+pub use context_index::{ContextHashes, ContextIndex, IndexOccupancy, IndexSplit};
 pub use eval::{evaluate, EvalConfig, PredictionQuality};
 pub use frozen::{FrozenTree, NodeId};
 pub use fxhash::{FxHashMap, FxHashSet};

@@ -44,6 +44,7 @@ use crate::predictor::{rank_predictions, ModelKind, PredictUsage, Prediction, Pr
 use crate::prune::{PruneConfig, PruneReport};
 use crate::stats::ModelStats;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Construction parameters for [`PbPpm`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -352,12 +353,8 @@ impl PbPpm {
                         ));
                     }
                 }
-                WindowGroup::Clean {
-                    members,
-                    total,
-                    votes,
-                } => {
-                    if frozen.match_top(members[0].0, suffix).is_none() {
+                WindowGroup::Clean { rep, total, votes } => {
+                    if frozen.match_top(rep.0, suffix).is_none() {
                         continue; // clean bucket, so no node spells this suffix
                     }
                     if total == 0 {
@@ -434,6 +431,29 @@ impl PbPpm {
             emitted_branch_preds: 0,
             index,
         })
+    }
+
+    /// The arena and its path-usage bitset with every flagged group's
+    /// voters marked: one filing pass over the arena when a group voted
+    /// since the model was built, none otherwise. `None` while training.
+    fn used_rows(&self) -> Option<(&FrozenTree, Cow<'_, [u64]>)> {
+        let (arena, usage) = self.store.usage()?;
+        if usage.groups.is_empty() {
+            return Some((arena, Cow::Borrowed(&usage.rows)));
+        }
+        let mut rows = usage.rows.clone();
+        self.index
+            .mark_groups(arena, self.cfg.max_order, &usage.groups, &mut rows);
+        Some((arena, Cow::Owned(rows)))
+    }
+
+    /// Heap bytes the usage record holds: what `apply_usage` has
+    /// allocated, beside the arena and the index. A model that only
+    /// serves (`predict_ro`) holds none.
+    pub fn usage_bytes(&self) -> usize {
+        self.store
+            .usage()
+            .map_or(0, |(_, usage)| usage.heap_bytes())
     }
 
     /// Corruption hook for the audit adversarial harness: swaps in a
@@ -516,36 +536,26 @@ impl Predictor for PbPpm {
         }
     }
 
+    /// Marks paths and rows at once. A voting group is only flagged: a
+    /// clean group stores no member list, so its voters are marked when
+    /// path usage is read (`stats`), each flagged group once however often
+    /// it voted and however many calls recorded it.
     fn apply_usage(&mut self, usage: &PredictUsage) {
         self.emitted_branch_preds += usage.branch_preds;
         self.emitted_link_preds += usage.link_preds;
-        let Some((arena, used)) = self.store.usage_marks() else {
+        let Some((arena, marks)) = self.store.usage_marks() else {
             return;
         };
         for &id in &usage.used_paths {
-            arena.mark_path(used, id.0);
+            arena.mark_path(&mut marks.rows, id.0);
         }
         for &id in &usage.used_nodes {
-            mark_row(used, id.0);
+            mark_row(&mut marks.rows, id.0);
         }
-        if !usage.used_groups.is_empty() {
-            // Resolve deferred group references back to node flags. Marking
-            // is idempotent, so each distinct bucket needs resolving only
-            // once — an eval pass hits the same popular buckets thousands
-            // of times.
-            let mut groups = usage.used_groups.clone();
-            groups.sort_unstable();
-            groups.dedup();
-            for &key in &groups {
-                let Some(g) = self.index.group_by_key(key) else {
-                    continue;
-                };
-                for &id in g.members() {
-                    if arena.has_children(id.0) {
-                        arena.mark_path(used, id.0);
-                        arena.mark_children(used, id.0);
-                    }
-                }
+        let groups = self.index.group_count();
+        for &key in &usage.used_groups {
+            if let Some(at) = self.index.position(key) {
+                marks.flag_group(at, groups);
             }
         }
     }
@@ -563,7 +573,11 @@ impl Predictor for PbPpm {
     }
 
     fn stats(&self) -> ModelStats {
-        self.store.stats().with_index(&self.index)
+        self.used_rows()
+            .map_or_else(ModelStats::default, |(arena, rows)| {
+                ModelStats::of_arena(arena, &rows)
+            })
+            .with_index(&self.index)
     }
 }
 
@@ -573,6 +587,7 @@ mod tests {
 
     use super::*;
     use crate::popularity::PopularityBuilder;
+    use proptest::prelude::*;
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
@@ -909,7 +924,7 @@ mod tests {
         let counts = crate::reference::PathCounts::pb(&m, &sessions);
         m.train_sessions(&sessions, 1);
         m.finalize();
-        m.index.force_dirty();
+        m.index = ContextIndex::all_dirty(m.frozen().unwrap(), m.cfg.max_order);
         let scan = crate::reference::PbScan::new(&counts, &m);
         let mut fast = Vec::new();
         let mut slow = Vec::new();
@@ -957,7 +972,7 @@ mod tests {
         ];
         let mut grouped = build();
         let mut fallback = build();
-        fallback.index.force_dirty();
+        fallback.index = ContextIndex::all_dirty(fallback.frozen().unwrap(), 8);
         let mut out = Vec::new();
         for ctx in &contexts {
             let mut usage = crate::predictor::PredictUsage::default();
@@ -967,11 +982,11 @@ mod tests {
             fallback.predict_ro(ctx, &mut out, &mut usage);
             fallback.apply_usage(&usage);
         }
-        let marks = |m: &mut PbPpm| m.store.usage_marks().map(|(_, used)| used.to_vec());
-        let marked = marks(&mut grouped);
+        let marks = |m: &PbPpm| m.used_rows().map(|(_, rows)| rows.into_owned());
+        let marked = marks(&grouped);
         assert!(marked.iter().flatten().any(|&w| w != 0), "contexts vote");
-        assert_eq!(marked, marks(&mut fallback));
-        // `force_dirty` stores every group, so only the index bytes differ.
+        assert_eq!(marked, marks(&fallback));
+        // `all_dirty` stores every group, so only the index bytes differ.
         let stats = |m: &PbPpm| ModelStats {
             index_bytes: 0,
             ..m.stats()
@@ -996,6 +1011,174 @@ mod tests {
         assert_eq!(m.clone().stats().index_bytes, bytes);
         let restored = PbPpm::from_snapshot(&m.to_snapshot()).unwrap();
         assert_eq!(restored.stats().index_bytes, bytes);
+    }
+
+    /// Random sessions over 9 URLs, their URLs' access counts and a
+    /// `max_order`.
+    fn arb_model() -> impl Strategy<Value = (Vec<Vec<UrlId>>, Vec<u64>, usize)> {
+        (
+            prop::collection::vec(
+                prop::collection::vec((0..9u32).prop_map(UrlId), 1..8),
+                1..18,
+            ),
+            prop::collection::vec(0u64..2000, 9),
+            1usize..=9,
+        )
+    }
+
+    /// A finalized model of `sessions`, with the reference oracle's counts.
+    fn model_and_counts(
+        sessions: &[Vec<UrlId>],
+        counts: Vec<u64>,
+        max_order: usize,
+    ) -> (PbPpm, crate::reference::PathCounts) {
+        let pop = PopularityTable::from_counts(counts);
+        let mut m = PbPpm::new(
+            pop,
+            PbConfig {
+                max_order,
+                ..PbConfig::default()
+            },
+        );
+        let path_counts = crate::reference::PathCounts::pb(&m, sessions);
+        m.train_sessions(sessions, 1);
+        m.finalize();
+        (m, path_counts)
+    }
+
+    /// Every prefix of every session, an unseen URL, and every session
+    /// back to back cycled past the order cap.
+    fn contexts_of(sessions: &[Vec<UrlId>], max_order: usize) -> Vec<Vec<UrlId>> {
+        let mut contexts: Vec<Vec<UrlId>> = sessions
+            .iter()
+            .flat_map(|s| (1..=s.len()).map(|i| s[..i].to_vec()))
+            .collect();
+        contexts.push(vec![u(100), sessions[0][0]]);
+        contexts.push(
+            sessions
+                .iter()
+                .flatten()
+                .copied()
+                .cycle()
+                .take(max_order + 3)
+                .collect(),
+        );
+        contexts
+    }
+
+    /// The usage a model's `used_rows` reads: `(used_paths, total_paths)`
+    /// and the marked rows.
+    fn path_usage(m: &PbPpm) -> (usize, usize, Vec<u64>) {
+        let s = m.stats();
+        let rows = m.used_rows().map(|(_, rows)| rows.into_owned());
+        (s.used_paths, s.total_paths, rows.unwrap_or_default())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// With 4 stored key bits, keys collide often and merge into dirty
+        /// groups. Each such group lists every row once (a row filed under
+        /// two colliding window lengths included, so it votes once), and
+        /// the model answers exactly like the full-width index and the
+        /// reference occurrence scan.
+        #[test]
+        fn colliding_keys_answer_like_the_full_index(model in arb_model()) {
+            let (sessions, counts, max_order) = model;
+            let (full, path_counts) = model_and_counts(&sessions, counts, max_order);
+            let scan = crate::reference::PbScan::new(&path_counts, &full);
+            let mut narrow = full.clone();
+            narrow.index = ContextIndex::with_key_bits(full.frozen().unwrap(), max_order, 4).unwrap();
+            for (_, g) in narrow.index.groups() {
+                if let WindowGroup::Dirty { members } = g {
+                    prop_assert!(members.windows(2).all(|w| w[0] < w[1]), "{:?}", members);
+                }
+            }
+            let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+            let mut usage = PredictUsage::default();
+            for ctx in contexts_of(&sessions, max_order) {
+                full.predict_ro(&ctx, &mut a, &mut usage);
+                narrow.predict_ro(&ctx, &mut b, &mut usage);
+                scan.predict(&ctx, &mut c);
+                prop_assert_eq!(&a, &c, "full index on {:?}", ctx);
+                prop_assert_eq!(&b, &c, "4-bit keys on {:?}", ctx);
+            }
+        }
+
+        /// Path usage read after deferred group marking equals the eager
+        /// per-member marking of an all-dirty index, whether the usage came
+        /// in one `predict_many` batch or one `predict` call per context,
+        /// each context predicted twice.
+        #[test]
+        fn deferred_group_usage_reads_like_eager_marking(model in arb_model()) {
+            let (sessions, counts, max_order) = model;
+            let (mut batched, _) = model_and_counts(&sessions, counts, max_order);
+            let mut per_call = batched.clone();
+            let mut eager = batched.clone();
+            eager.index = ContextIndex::all_dirty(batched.frozen().unwrap(), max_order);
+            let contexts = contexts_of(&sessions, max_order);
+            let refs: Vec<&[UrlId]> = contexts.iter().map(Vec::as_slice).collect();
+            batched.predict_many(&refs, &mut Vec::new());
+            let mut out = Vec::new();
+            for ctx in &contexts {
+                for _ in 0..2 {
+                    per_call.predict(ctx, &mut out);
+                    eager.predict(ctx, &mut out);
+                }
+            }
+            let expected = path_usage(&eager);
+            prop_assert_eq!(path_usage(&batched), expected.clone());
+            prop_assert_eq!(path_usage(&per_call), expected);
+        }
+    }
+
+    /// A row filed under two window lengths whose keys collide is one
+    /// member of the merged group, and votes once: `[b]` is spelled by the
+    /// rows under `a` and under `d`, and when the key of `[a, b]` lands in
+    /// `[b]`'s group (no key bits stored, so every directory slot is one
+    /// group), listing the row under `a` twice would weigh its child
+    /// double.
+    #[test]
+    fn a_row_under_two_colliding_lengths_votes_once() {
+        let mut found = 0;
+        for i in 0..32u32 {
+            let (a, b, c, d, e) = (i, i + 1, i + 2, i + 3, i + 4);
+            let mut grades = vec![0; usize::try_from(e).unwrap() + 1];
+            grades[usize::try_from(a).unwrap()] = 3;
+            grades[usize::try_from(d).unwrap()] = 3;
+            let mut m = PbPpm::new(pop_with_grades(&grades), no_prune());
+            let sessions = vec![vec![u(a), u(b), u(c)], vec![u(d), u(b), u(e)]];
+            let counts = crate::reference::PathCounts::pb(&m, &sessions);
+            m.train_sessions(&sessions, 1);
+            m.finalize();
+            let key = |window: &[UrlId]| {
+                let mut h = ContextHashes::new();
+                h.compute(window, window.len());
+                bucket_key(window.len(), h.suffix_hash(window.len()))
+            };
+            let arena = m.frozen().unwrap();
+            let narrow = ContextIndex::with_key_bits(arena, 8, 0).unwrap();
+            let at = narrow.position(key(&[u(b)])).unwrap();
+            if narrow.position(key(&[u(a), u(b)])) != Some(at) {
+                continue;
+            }
+            found += 1;
+            let row = arena.descend(&[u(a), u(b)]).unwrap();
+            let Some(WindowGroup::Dirty { members }) = narrow.group_by_key(key(&[u(b)])) else {
+                panic!("rows under a and d share the group");
+            };
+            assert_eq!(members.iter().filter(|m| m.0 == row).count(), 1);
+            let scan = crate::reference::PbScan::new(&counts, &m);
+            let mut narrowed = m.clone();
+            narrowed.index = narrow;
+            let (mut fast, mut slow) = (Vec::new(), Vec::new());
+            for ctx in [vec![u(b)], vec![u(a), u(b)], vec![u(d), u(b)]] {
+                narrowed.predict_ro(&ctx, &mut fast, &mut PredictUsage::default());
+                scan.predict(&ctx, &mut slow);
+                assert_eq!(fast, slow, "context {ctx:?}");
+            }
+        }
+        assert!(found > 0, "some `[a, b]` key lands in `[b]`'s slot");
     }
 
     #[test]

@@ -261,6 +261,13 @@ impl PopularityTable {
         self.max_count
     }
 
+    /// Heap bytes of the counts and grades, by length: a clone or a
+    /// snapshot load allocates exactly this.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.counts.as_slice())
+            + std::mem::size_of_val(self.grades.as_slice())
+    }
+
     /// Number of URLs with a nonzero count.
     pub fn distinct_urls(&self) -> usize {
         self.counts.iter().filter(|&&c| c > 0).count()

@@ -86,10 +86,11 @@ pub struct PredictUsage {
     pub branch_preds: u64,
     /// Bucket keys of the PB-PPM fingerprint groups that voted. A group
     /// votes whole (the longest-first argument in [`crate::pb`]'s module
-    /// docs), so `apply_usage` resolves a key back to every voter's path
-    /// and children — recording a key here instead of the member nodes
-    /// keeps the fast path free of per-member work, and since marking is
-    /// idempotent the records deduplicate freely.
+    /// docs), so `apply_usage` flags the key's group and reading path
+    /// usage marks every voter's path and children — recording a key
+    /// here instead of the member nodes keeps the fast path free of
+    /// per-member work, and since flags are idempotent the records
+    /// deduplicate freely.
     pub used_groups: Vec<u64>,
     /// Nodes whose *entire* child row voted (the frozen CSR vote of the
     /// descent serving path). Like [`Self::used_groups`], one record

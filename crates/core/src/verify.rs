@@ -29,7 +29,7 @@
 //! finished tree cannot falsify it. The checker instead verifies the root
 //! *registry* is structurally sound in both directions.
 
-use crate::context_index::{ContextIndex, WindowGroup};
+use crate::context_index::{ContextIndex, IndexSplit, WindowGroup};
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
 use crate::order1::Order1Markov;
@@ -389,6 +389,9 @@ pub struct AuditReport {
     pub violations: Vec<Violation>,
     /// Where the audited file's bytes go, when a file was audited.
     pub bytes: Option<ByteSplit>,
+    /// Where the loaded PB-PPM model's fingerprint index bytes go, list by
+    /// list, and how many of its groups are dirty.
+    pub index: Option<IndexSplit>,
 }
 
 impl AuditReport {
@@ -399,6 +402,7 @@ impl AuditReport {
             checks: 0,
             violations: Vec::new(),
             bytes: None,
+            index: None,
         }
     }
 
@@ -409,6 +413,7 @@ impl AuditReport {
             checks: 1,
             violations: vec![Violation::SnapshotRejected { detail }],
             bytes: None,
+            index: None,
         }
     }
 
@@ -475,6 +480,19 @@ impl AuditReport {
             }
             s.push('}');
         }
+        if let Some(split) = self.index {
+            s.push_str(",\"index\":{\"total\":");
+            s.push_str(&split.total().to_string());
+            for (name, bytes) in split.sections() {
+                s.push_str(",\"");
+                s.push_str(name);
+                s.push_str("\":");
+                s.push_str(&bytes.to_string());
+            }
+            s.push_str(",\"dirty_groups\":");
+            s.push_str(&split.dirty_groups.to_string());
+            s.push('}');
+        }
         s.push('}');
         s
     }
@@ -495,6 +513,13 @@ impl fmt::Display for AuditReport {
                 write!(f, " {name} {bytes}")?;
             }
             writeln!(f)?;
+        }
+        if let Some(split) = self.index {
+            write!(f, "  index bytes {}:", split.total())?;
+            for (name, bytes) in split.sections() {
+                write!(f, " {name} {bytes}")?;
+            }
+            writeln!(f, "; dirty groups {}", split.dirty_groups)?;
         }
         for v in &self.violations {
             writeln!(f, "  [{}] {v}", v.kind())?;
@@ -718,13 +743,14 @@ fn verify_no_links(arena: &FrozenTree, report: &mut AuditReport) {
 }
 
 /// Compares a stored fingerprint index against a fresh rebuild. Both are
-/// canonical layouts (keys sorted, runs in key order, members in arena
-/// order), so a faithful stored index equals the rebuild exactly. The walk
-/// resolves each group through both lookups to name what diverged: a
-/// group whose slot tag, arena row or members differ is a shape
-/// divergence, and a stored group whose members agree but whose total or
-/// votes do not is a stale aggregate. A difference it cannot name (a
-/// directory, slot or run offset) is still a shape divergence.
+/// canonical layouts (keys sorted, runs in key order, dirty members in
+/// arena order), so a faithful stored index equals the rebuild exactly.
+/// The walk resolves each group through both lookups to name what
+/// diverged: a group whose slot tag, one-member arena row, clean
+/// representative or dirty members differ is a shape divergence, and a
+/// clean group whose representative agrees but whose total or votes do
+/// not is a stale aggregate. A difference it cannot name (a directory,
+/// slot or run offset) is still a shape divergence.
 fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditReport) {
     report.tick();
     let found = report.violations.len();
@@ -750,17 +776,13 @@ fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditR
         }
         report.violations.push(match (sg, fg) {
             (
+                WindowGroup::Clean { rep, total, votes },
                 WindowGroup::Clean {
-                    members,
-                    total,
-                    votes,
-                },
-                WindowGroup::Clean {
-                    members: fresh_members,
+                    rep: fresh_rep,
                     total: fresh_total,
                     votes: fresh_votes,
                 },
-            ) if members == fresh_members => Violation::IndexAggregateStale {
+            ) if rep == fresh_rep => Violation::IndexAggregateStale {
                 detail: format!(
                     "group {key:#x}: stored total {total} / {} vote urls, \
                      recomputed total {fresh_total} / {}",
@@ -769,7 +791,9 @@ fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditR
                 ),
             },
             _ => Violation::IndexShapeDiverges {
-                detail: format!("group {key:#x} slot tag, arena row or members differ"),
+                detail: format!(
+                    "group {key:#x} slot tag, arena row, representative or members differ"
+                ),
             },
         });
     }
@@ -793,6 +817,7 @@ fn verify_pb(m: &PbPpm, url_count: Option<u64>, report: &mut AuditReport) {
     let Some(arena) = m.store.arena() else {
         return;
     };
+    report.index = Some(m.index.split());
     if !verify_arena(arena, url_count, report) {
         return;
     }

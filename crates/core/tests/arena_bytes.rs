@@ -2,11 +2,16 @@
 //! model, rebuilding an arena from its snapshot image, and cloning one each
 //! grow the live heap by exactly what the model reports, so a finalized
 //! model's `memory_bytes` is allocator truth, not an estimate — the first-order
-//! Markov model's pair forest included. The counter is
+//! Markov model's pair forest included. A loaded PB-PPM model holds its
+//! arena, index and popularity table and nothing else; serving it
+//! allocates nothing that stays, and recording usage holds exactly
+//! `usage_bytes`. The counter is
 //! process-wide, so this binary runs without the libtest harness, whose
 //! main thread would allocate into the window (see `interner_bytes.rs`).
 
-use pbppm_core::{FrozenTree, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, UrlId};
+use pbppm_core::{
+    FrozenTree, Order1Markov, PbConfig, PbPpm, PopularityTable, PredictUsage, Predictor, UrlId,
+};
 
 #[global_allocator]
 static ALLOC: pbppm_obs::alloc::CountingAllocator = pbppm_obs::alloc::CountingAllocator;
@@ -44,6 +49,7 @@ fn grown<T>(build: impl FnOnce() -> T) -> (u64, T) {
 fn main() {
     an_arena_grows_the_live_heap_by_its_heap_bytes();
     order1_memory_bytes_is_the_live_heap_of_its_arena();
+    a_loaded_pb_model_holds_only_what_a_query_reads();
 }
 
 fn an_arena_grows_the_live_heap_by_its_heap_bytes() {
@@ -108,4 +114,61 @@ fn order1_memory_bytes_is_the_live_heap_of_its_arena() {
         m.stats().memory_bytes as u64,
         "trained and finalized"
     );
+}
+
+/// A PB-PPM model loaded from its snapshot holds its arena, its index and
+/// its popularity table, and nothing else. Serving it (`predict_ro`)
+/// leaves the heap as it was; recording usage allocates exactly
+/// `usage_bytes`, and reading path usage back, which marks the voted
+/// groups' members, keeps nothing.
+fn a_loaded_pb_model_holds_only_what_a_query_reads() {
+    let sessions = sessions(3_000, 400);
+    let mut m = PbPpm::new(
+        pbppm_core::PopularityBuilder::count_sessions(&sessions, 1).build(),
+        PbConfig::default(),
+    );
+    m.train_sessions(&sessions, 1);
+    m.finalize();
+    let snap = m.to_snapshot();
+    let (bytes, mut loaded) = grown(|| PbPpm::from_snapshot(&snap).expect("loads"));
+    let stats = loaded.stats();
+    assert_eq!(
+        bytes,
+        (stats.memory_bytes + stats.index_bytes + loaded.popularity().heap_bytes()) as u64,
+        "loaded PB-PPM model"
+    );
+    assert_eq!(loaded.usage_bytes(), 0, "a loaded model records no usage");
+
+    let contexts: Vec<&[UrlId]> = sessions
+        .iter()
+        .flat_map(|s| (1..=s.len()).map(move |i| &s[..i]))
+        .take(1_000)
+        .collect();
+    // Serving's own buffers are the caller's; the model keeps nothing.
+    let (bytes, ()) = grown(|| {
+        let (mut out, mut usage) = (Vec::new(), PredictUsage::default());
+        for context in &contexts {
+            usage.clear();
+            loaded.predict_ro(context, &mut out, &mut usage);
+        }
+    });
+    assert_eq!(bytes, 0, "1,000 predict_ro calls");
+
+    let mut usage = PredictUsage::default();
+    for context in &contexts {
+        loaded.predict_ro(context, &mut Vec::new(), &mut usage);
+    }
+    assert!(
+        usage.used_groups.len() > 100,
+        "contexts vote through groups"
+    );
+    let (bytes, ()) = grown(|| loaded.apply_usage(&usage));
+    assert!(loaded.usage_bytes() > 0);
+    assert_eq!(bytes, loaded.usage_bytes() as u64, "apply_usage");
+    let (bytes, read) = grown(|| loaded.stats());
+    assert!(
+        read.used_paths > 0,
+        "voted groups mark their members' paths"
+    );
+    assert_eq!(bytes, 0, "reading path usage");
 }

@@ -31,10 +31,12 @@
 #                              `pbppm predict` (serves a query from the
 #                              loaded model) — the full train → audit →
 #                              predict cycle through the real binary
-#   6. audit smoke           — `pbppm audit` rejects (nonzero exit) a
-#                              snapshot copy with a flipped payload byte,
-#                              and a copy stamped version 4 with
-#                              "unsupported snapshot version 4"
+#   6. audit smoke           — `pbppm audit` prints the loaded pb
+#                              model's index byte split, whose parts sum
+#                              to its printed total; it rejects (nonzero
+#                              exit) a snapshot copy with a flipped
+#                              payload byte, and a copy stamped version 4
+#                              with "unsupported snapshot version 4"
 #   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
 #                              health/quit through `pbppm serve`, assert
 #                              the one-`ok`/`err`-line-per-command
@@ -157,6 +159,20 @@ done
 cp "$tmp/model-pb.pbss" "$tmp/model.pbss"
 
 echo "== ci: snapshot audit smoke" >&2
+# The loaded model's index split (`index bytes N: keys … votes …; dirty
+# groups D`) must add up to its printed total.
+"$pbppm" audit "$tmp/model.pbss" >"$tmp/audit.txt"
+python3 - "$tmp/audit.txt" <<'EOF'
+import re, sys
+text = open(sys.argv[1]).read()
+m = re.search(r"index bytes (\d+): (.*); dirty groups (\d+)", text)
+if not m:
+    sys.exit("ci: audit printed no index byte split")
+fields = m.group(2).split()
+parts = sum(int(v) for v in fields[1::2])
+if parts != int(m.group(1)):
+    sys.exit(f"ci: index parts {fields} sum to {parts}, not {m.group(1)}")
+EOF
 # A corrupted copy must fail the audit with a nonzero exit. Flipping a byte
 # in the middle of the payload breaks the checksum at minimum; either the
 # decoder or the audit must refuse it.
