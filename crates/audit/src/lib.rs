@@ -82,12 +82,14 @@ pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
 /// `Err` means the envelope itself is unreadable (magic, version, length,
 /// checksum, or payload framing); `Ok` carries the structural audit of
 /// whatever the payload described — including the case where the checksum
-/// passes but the decoded model is invalid — and the file's byte split
-/// ([`AuditReport::bytes`]).
+/// passes but the decoded model is invalid — the file's byte split
+/// ([`AuditReport::bytes`]) and what its URL table decodes to
+/// ([`AuditReport::url_table`]).
 pub fn verify_bytes(bytes: &[u8]) -> Result<AuditReport, CodecError> {
     let (file, split) = SnapshotFile::decode_with_split(bytes)?;
     Ok(AuditReport {
         bytes: Some(split),
+        url_table: Some(file.url_table_size()),
         ..verify_snapshot(&file)
     })
 }

@@ -22,6 +22,7 @@ use pbppm_audit::{
 use pbppm_core::frozen::{LinkSnapshot, NodeSnapshot, SnapshotError, TreeSnapshot};
 use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::pb_online::OnlinePbSnapshot;
+use pbppm_core::snapshot::{FORMAT_VERSION, MAGIC};
 use pbppm_core::{
     Grade, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, UrlId,
 };
@@ -219,6 +220,110 @@ fn forged_url_ids_are_rejected_before_anything_is_sized_by_them() {
         CodecError::UrlOutOfRange(9)
     );
     assert!(online.instantiate().is_err());
+}
+
+/// FNV-1a 64, the snapshot checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A checksum-valid file of `pb_two_urls` whose URL table (count and
+/// entries) is `table` in place of what the writer writes.
+fn with_url_table(table: &[u8]) -> Vec<u8> {
+    let model = ModelImage::Pb(pb_two_urls().to_snapshot());
+    let written = SnapshotFile {
+        urls: Vec::new(),
+        model,
+    }
+    .encode();
+    // The payload is the kind tag, the one-byte empty table, the model.
+    let payload = [&written[18..19], table, &written[20..written.len() - 8]].concat();
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    let checksum = fnv1a(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// A 300-byte URL, then `n` 6-byte entries, each reusing all of the one
+/// before and adding a byte. 64 times its 6 bytes lets an entry reuse at
+/// most 384, so entry 86 breaks the bound.
+fn reuse_chain(n: u8) -> Vec<u8> {
+    // The count, then a literal whose length 300 is the varint AC 02.
+    let mut table = vec![1 + n, 0, 0xac, 0x02];
+    table.extend_from_slice(&[b'a'; 300]);
+    for reuse in 300..300 + u16::from(n) {
+        let varint = [
+            u8::try_from(reuse & 0x7f).unwrap() | 0x80,
+            u8::try_from(reuse >> 7).unwrap(),
+        ];
+        // Distance 1, the prefix, no suffix, and a 1-byte middle.
+        table.extend_from_slice(&[1, varint[0], varint[1], 0, 1, b'b']);
+    }
+    table
+}
+
+/// A URL table entry names a reference up to 16 entries back and the
+/// prefix and suffix it keeps of it. Every forgery of that coding is
+/// refused while the table is read, before a string of it is built, so
+/// `pbppm audit` (`verify_bytes`) fails with the decoder's own error; the
+/// coding never reaches `verify_snapshot`, which has no file to audit.
+#[test]
+fn forged_url_tables_are_refused() {
+    let invalid = CodecError::Invalid;
+    let cases = [
+        (
+            "a reference before the first entry",
+            vec![2, 1, 0, 0, 2, b'/', b'a', 0, 2, b'/', b'b'],
+            invalid("url reference before the table"),
+        ),
+        (
+            "a prefix and suffix longer than the reference",
+            vec![2, 0, 2, b'/', b'a', 1, 2, 1, 0],
+            invalid("url reuse longer than its reference"),
+        ),
+        (
+            // `/é` (C3 A9), then `/` and half of `é` with A8: `/è`.
+            "a prefix cut inside a 2-byte character",
+            vec![2, 0, 3, b'/', 0xc3, 0xa9, 1, 2, 0, 1, 0xa8],
+            invalid("url reuse cut inside a utf-8 character"),
+        ),
+        (
+            "a chain of reuses past the amplification bound",
+            reuse_chain(86),
+            invalid("url reuse past the amplification bound"),
+        ),
+        (
+            "a table whose decoded strings repeat",
+            vec![2, 0, 2, b'/', b'a', 1, 2, 0, 0],
+            CodecError::DuplicateUrl(1),
+        ),
+    ];
+    for (label, table, want) in cases {
+        let bytes = with_url_table(&table);
+        assert_eq!(SnapshotFile::decode(&bytes).unwrap_err(), want, "{label}");
+        assert_eq!(verify_bytes(&bytes).unwrap_err(), want, "{label}");
+    }
+    // One entry short of the bound, the chain loads.
+    let chain = SnapshotFile::decode(&with_url_table(&reuse_chain(85))).unwrap();
+    assert_eq!(chain.urls[85].len(), 385);
+    assert!(verify_bytes(&with_url_table(&reuse_chain(85)))
+        .unwrap()
+        .is_clean());
+
+    // A file whose table repeats a string, built in memory rather than
+    // decoded, is refused by the audit itself.
+    let repeated = SnapshotFile {
+        urls: vec!["/a".to_owned(), "/a".to_owned()],
+        model: ModelImage::Pb(pb_two_urls().to_snapshot()),
+    };
+    assert_eq!(repeated.check_urls(), Err(CodecError::DuplicateUrl(1)));
+    let report = verify_snapshot(&repeated);
+    assert!(report.has("snapshot-rejected"), "{report}");
 }
 
 #[test]

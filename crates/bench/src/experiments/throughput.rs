@@ -279,6 +279,11 @@ fn floor_failures(report: &ThroughputReport) -> Vec<String> {
 /// Runs the bench, writes `results/throughput.json`, and exits non-zero
 /// when a model breaks the fast-path floor.
 pub fn run() {
+    // The telemetry report written below covers this step alone: under
+    // `all`, the registry and the span collector already hold every
+    // earlier step's.
+    pbppm_obs::global().reset();
+    pbppm_obs::spans::drain();
     let trace = nasa_trace();
     let train_sessions = sessionize(trace.first_days(TRAIN_DAYS), &SessionizerConfig::default());
     let contexts = working_set(&train_sessions);

@@ -230,6 +230,17 @@ fn audit_splits_each_model_file_into_sections_that_sum_to_its_size() {
             "{kind}: {text}"
         );
         assert_eq!(count(&split, "window"), 0, "{kind}: {text}");
+        // The URL table's strings, decoded, beside the bytes it takes: the
+        // tiny preset's URLs share most of their bytes with a neighbour.
+        let table = field(&report, "url_table")
+            .as_object()
+            .expect("a url_table object")
+            .to_vec();
+        assert!(count(&table, "strings") > 100, "{kind}: {text}");
+        assert!(
+            count(&table, "decoded_bytes") > 2 * count(&split, "urls"),
+            "{kind}: {text}"
+        );
     }
 }
 

@@ -96,6 +96,7 @@ pub use prune::PruneConfig;
 pub use publish::{shard_of, EpochPublisher, EpochReader};
 pub use snapshot::{
     ByteSplit, CodecError, Generation, ModelImage, SnapshotFile, SnapshotIoError, SnapshotStore,
+    UrlTableSize,
 };
 pub use standard::StandardPpm;
 pub use stats::ModelStats;

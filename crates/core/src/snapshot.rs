@@ -24,6 +24,27 @@
 //! bit-identical predictions, which the property tests in
 //! `tests/snapshot_codec.rs` pin.
 //!
+//! ## The URL table
+//!
+//! The payload's kind tag is followed by the URL table: a count, then one
+//! entry per URL in id order, each coded against an earlier one.
+//!
+//! | field              | written                  | meaning                                        |
+//! |--------------------|--------------------------|------------------------------------------------|
+//! | `distance`         | always                   | 0 for none, or 1–16: the reference is `id − distance` |
+//! | `prefix`, `suffix` | when `distance` > 0      | bytes kept from the reference's start and end  |
+//! | middle length      | always                   | then that many literal bytes                   |
+//!
+//! The URL is `reference[..prefix] + middle + reference[len − suffix..]`.
+//! The writer tries each of the previous 16 URLs and keeps the shortest
+//! entry, cutting only on char boundaries. An entry may reuse at most 64
+//! times its own encoded bytes (`prefix + suffix ≤ 64 × entry bytes`): the
+//! writer trims a longer reuse and the reader refuses one, so a table
+//! decodes to at most 65 times its size. The reader also refuses a
+//! reference before the table or past the window, a prefix and suffix
+//! longer together than the reference, and either cut inside a UTF-8
+//! character ([`CodecError::Invalid`]), each before a string is built.
+//!
 //! ## Versioning policy
 //!
 //! The format version is bumped on any layout change; readers accept only
@@ -76,9 +97,9 @@ pub const MAGIC: [u8; 8] = *b"PBPPMSNP";
 /// The format version [`SnapshotFile::encode`] writes and the only one
 /// [`SnapshotFile::decode`] accepts. Older versions are refused: version 2
 /// stored an arena copy no loader used, version 3 every tree edge twice
-/// beside tables the rows imply, and version 4 a parent per node where
-/// level order implies it from a child count.
-pub const FORMAT_VERSION: u16 = 5;
+/// beside tables the rows imply, version 4 a parent per node where level
+/// order implies it from a child count, and version 5 every URL in full.
+pub const FORMAT_VERSION: u16 = 6;
 
 /// magic + version + payload length + checksum.
 const ENVELOPE_BYTES: usize = 8 + 2 + 8 + 8;
@@ -192,6 +213,17 @@ impl ByteSplit {
     }
 }
 
+/// A decoded URL table's size ([`SnapshotFile::url_table_size`]): the
+/// strings it holds and their bytes, beside the file bytes it takes
+/// ([`ByteSplit::urls`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UrlTableSize {
+    /// How many URLs the table holds.
+    pub strings: u64,
+    /// Their bytes, decoded.
+    pub decoded_bytes: u64,
+}
+
 /// A snapshot file operation failure: the I/O or the decode step.
 #[derive(Debug)]
 pub enum SnapshotIoError {
@@ -288,11 +320,16 @@ impl Writer {
     fn f64bits(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
+}
 
-    fn str(&mut self, s: &str) {
-        self.usizev(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+/// Bytes of `v` as a LEB128 varint.
+fn varint_len(mut v: usize) -> usize {
+    let mut n = 1;
+    while v >= 0x80 {
+        v >>= 7;
+        n += 1;
     }
+    n
 }
 
 /// Bounds-checked byte source matching [`Writer`]; it charges the bytes
@@ -389,11 +426,6 @@ impl<'a> Reader<'a> {
         let mut b = [0u8; 8];
         b.copy_from_slice(raw);
         Ok(f64::from_bits(u64::from_le_bytes(b)))
-    }
-
-    fn str(&mut self) -> Result<&'a str, CodecError> {
-        let n = self.count()?;
-        std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::Invalid("utf-8 string"))
     }
 }
 
@@ -576,22 +608,226 @@ fn read_sessions(r: &mut Reader) -> Result<Vec<Vec<crate::interner::UrlId>>, Cod
     Ok(sessions)
 }
 
-/// The URL table: a count, then each string. A repeated string is
-/// refused, since the interner rebuilt from the table would renumber every
-/// later URL.
+/// How far back a URL table entry may look for its reference: it names
+/// one of the previous `URL_WINDOW` entries in id order, or none.
+const URL_WINDOW: usize = 16;
+
+/// An entry may reuse at most `URL_REUSE_CAP` times its own encoded bytes
+/// from its reference, so a table decodes to at most `URL_REUSE_CAP + 1`
+/// times its own size, whatever its bytes say.
+const URL_REUSE_CAP: usize = 64;
+
+/// One URL table entry: the distance back to its reference (0 for none),
+/// the prefix and suffix it shares with the reference, and the bytes
+/// between them.
+struct UrlEntry<'a> {
+    distance: usize,
+    prefix: usize,
+    suffix: usize,
+    middle: &'a [u8],
+}
+
+impl<'a> UrlEntry<'a> {
+    /// `url` written out in full.
+    fn literal(url: &'a str) -> Self {
+        Self {
+            distance: 0,
+            prefix: 0,
+            suffix: 0,
+            middle: url.as_bytes(),
+        }
+    }
+
+    /// `url` against the reference at `distance`, with which it shares a
+    /// prefix and a suffix ([`Ends::shared`]); each is cut on a char
+    /// boundary, and the suffix, then the prefix, is trimmed until the
+    /// reuse fits [`URL_REUSE_CAP`].
+    fn against(url: &'a str, distance: usize, (mut prefix, mut suffix): (usize, usize)) -> Self {
+        let a = url.as_bytes();
+        loop {
+            while !url.is_char_boundary(prefix) {
+                prefix -= 1;
+            }
+            while !url.is_char_boundary(a.len() - suffix) {
+                suffix -= 1;
+            }
+            let entry = Self {
+                distance,
+                prefix,
+                suffix,
+                middle: &a[prefix..a.len() - suffix],
+            };
+            let over = (prefix + suffix).saturating_sub(URL_REUSE_CAP * entry.encoded_len());
+            if over == 0 {
+                return entry;
+            }
+            // Each byte moved from the reuse into the middle lowers the
+            // reuse by one and raises the cap by `URL_REUSE_CAP`.
+            let trim = over.div_ceil(URL_REUSE_CAP + 1);
+            let from_suffix = trim.min(suffix);
+            suffix -= from_suffix;
+            prefix -= trim - from_suffix;
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        let reuse = if self.distance == 0 {
+            0
+        } else {
+            varint_len(self.prefix) + varint_len(self.suffix)
+        };
+        varint_len(self.distance) + reuse + varint_len(self.middle.len()) + self.middle.len()
+    }
+
+    fn write(&self, w: &mut Writer) {
+        w.usizev(self.distance);
+        if self.distance != 0 {
+            w.usizev(self.prefix);
+            w.usizev(self.suffix);
+        }
+        w.usizev(self.middle.len());
+        w.buf.extend_from_slice(self.middle);
+    }
+}
+
+/// A URL's first and last 16 bytes, zero-padded past its ends, and its
+/// length: most pairs of URLs differ within 16 bytes of each end, and then
+/// these alone tell how much they share.
+#[derive(Clone, Copy, Default)]
+struct Ends {
+    head: u128,
+    tail: u128,
+    len: usize,
+}
+
+impl Ends {
+    fn of(s: &[u8]) -> Self {
+        let (mut head, mut tail) = ([0; 16], [0; 16]);
+        if s.len() >= 16 {
+            head.copy_from_slice(&s[..16]);
+            tail.copy_from_slice(&s[s.len() - 16..]);
+        } else {
+            head[..s.len()].copy_from_slice(s);
+            tail[16 - s.len()..].copy_from_slice(s);
+        }
+        Self {
+            head: u128::from_le_bytes(head),
+            tail: u128::from_le_bytes(tail),
+            len: s.len(),
+        }
+    }
+
+    /// The longest prefix the URLs `a` (of these ends) and `b` (of
+    /// `other`'s) share, then the longest suffix they share past it. A
+    /// difference found in the padding lies past the shorter URL, which
+    /// then shares all of it; only ends equal for all 16 bytes need the
+    /// URLs themselves.
+    fn shared(&self, other: &Self, a: &[u8], b: &[u8]) -> (usize, usize) {
+        let n = self.len.min(other.len);
+        let (head, tail) = (self.head ^ other.head, self.tail ^ other.tail);
+        let prefix = if head == 0 {
+            a.iter().zip(b).take_while(|(x, y)| x == y).count()
+        } else {
+            usize::try_from(head.trailing_zeros() / 8).map_or(n, |p| p.min(n))
+        };
+        let suffix = if tail == 0 {
+            let pairs = a.iter().rev().zip(b.iter().rev());
+            pairs.take_while(|(x, y)| x == y).count()
+        } else {
+            usize::try_from(tail.leading_zeros() / 8).unwrap_or(n)
+        };
+        (prefix, suffix.min(n - prefix))
+    }
+}
+
+/// The URL table: a count, then each URL as the shortest [`UrlEntry`]
+/// against one of the previous [`URL_WINDOW`] URLs, or in full. A tie goes
+/// to the literal, then to the nearest reference.
+fn write_urls(w: &mut Writer, urls: &[String]) {
+    w.usizev(urls.len());
+    // The ends of the last `URL_WINDOW` URLs, URL `id`'s at `id % URL_WINDOW`.
+    let mut ring = [Ends::default(); URL_WINDOW];
+    for (id, url) in urls.iter().enumerate() {
+        let a = url.as_bytes();
+        let ends = Ends::of(a);
+        let shared = |distance: usize| {
+            let reference = &ring[(id - distance) % URL_WINDOW];
+            ends.shared(reference, a, urls[id - distance].as_bytes())
+        };
+        // An ASCII URL under 128 bytes cuts anywhere, reuses less than the
+        // cap allows and writes one-byte lengths, so its entry against a
+        // reference is 4 bytes plus its middle.
+        let plain = a.len() < 0x80 && url.is_ascii();
+        // Entries keyed by length, then distance: the least key wins.
+        let literal = UrlEntry::literal(url);
+        let mut least = literal.encoded_len() * (URL_WINDOW + 1);
+        for distance in 1..=id.min(URL_WINDOW) {
+            let (prefix, suffix) = shared(distance);
+            let len = if plain {
+                4 + a.len() - prefix - suffix
+            } else {
+                UrlEntry::against(url, distance, (prefix, suffix)).encoded_len()
+            };
+            least = least.min(len * (URL_WINDOW + 1) + distance);
+        }
+        let entry = match least % (URL_WINDOW + 1) {
+            0 => literal,
+            distance => UrlEntry::against(url, distance, shared(distance)),
+        };
+        entry.write(w);
+        ring[id % URL_WINDOW] = ends;
+    }
+}
+
+/// Reads the table [`write_urls`] writes. An entry whose reference lies
+/// before the table or past the window, whose prefix and suffix overlap in
+/// the reference or cut one of its characters, or that reuses more than
+/// [`URL_REUSE_CAP`] times its own bytes is refused before anything is
+/// copied. Repeats are left to [`SnapshotFile::check_urls`].
 fn read_urls(r: &mut Reader) -> Result<Vec<String>, CodecError> {
     let url_count = r.count()?;
-    let mut urls = Vec::with_capacity(url_count);
-    let mut seen = FxHashSet::default();
-    seen.reserve(url_count);
+    let mut urls: Vec<String> = Vec::with_capacity(url_count);
     for id in 0..url_count {
-        let url = r.str()?;
-        if !seen.insert(url) {
-            return Err(CodecError::DuplicateUrl(
-                u32::try_from(id).unwrap_or(u32::MAX),
+        let start = r.pos;
+        let distance = r.usizev()?;
+        let (prefix, suffix) = if distance == 0 {
+            (0, 0)
+        } else {
+            (r.usizev()?, r.usizev()?)
+        };
+        let middle_len = r.count()?;
+        let reference = match distance {
+            0 => "",
+            d if d > URL_WINDOW => {
+                return Err(CodecError::Invalid("url reference past the window"))
+            }
+            d => match id.checked_sub(d) {
+                Some(at) => urls[at].as_str(),
+                None => return Err(CodecError::Invalid("url reference before the table")),
+            },
+        };
+        let reuse = prefix.saturating_add(suffix);
+        if reuse > reference.len() {
+            return Err(CodecError::Invalid("url reuse longer than its reference"));
+        }
+        if reuse > URL_REUSE_CAP.saturating_mul(r.pos - start + middle_len) {
+            return Err(CodecError::Invalid(
+                "url reuse past the amplification bound",
             ));
         }
-        urls.push(url.to_owned());
+        let tail = reference.len() - suffix;
+        if !reference.is_char_boundary(prefix) || !reference.is_char_boundary(tail) {
+            return Err(CodecError::Invalid(
+                "url reuse cut inside a utf-8 character",
+            ));
+        }
+        let middle = std::str::from_utf8(r.take(middle_len)?)
+            .map_err(|_| CodecError::Invalid("utf-8 string"))?;
+        let mut url = String::with_capacity(reuse + middle.len());
+        url.push_str(&reference[..prefix]);
+        url.push_str(middle);
+        url.push_str(&reference[tail..]);
+        urls.push(url);
     }
     Ok(urls)
 }
@@ -686,10 +922,7 @@ impl SnapshotFile {
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Writer::new();
         payload.u8(self.model.tag());
-        payload.usizev(self.urls.len());
-        for url in &self.urls {
-            payload.str(url);
-        }
+        write_urls(&mut payload, &self.urls);
         match &self.model {
             ModelImage::Pb(s) => write_pb(&mut payload, s),
             ModelImage::Standard(s) => {
@@ -849,11 +1082,26 @@ impl SnapshotFile {
         Ok((file, split))
     }
 
+    /// Checks the URL table against the model: `urls` holds no string
+    /// twice, since the interner rebuilt from it would renumber every URL
+    /// after a repeat, and every URL id the model stores names an entry
+    /// ([`SnapshotFile::check_url_ids`]).
+    pub fn check_urls(&self) -> Result<(), CodecError> {
+        let mut seen = FxHashSet::default();
+        seen.reserve(self.urls.len());
+        if let Some(id) = self.urls.iter().position(|url| !seen.insert(url.as_str())) {
+            return Err(CodecError::DuplicateUrl(
+                u32::try_from(id).unwrap_or(u32::MAX),
+            ));
+        }
+        self.check_url_ids()
+    }
+
     /// Checks that every URL id the model stores — node, order-1 row and
     /// online-window ids — names an entry of `urls`. Model
     /// structures are sized by their largest URL id, so an unchecked id is
     /// an allocation of the forger's choosing.
-    pub fn check_urls(&self) -> Result<(), CodecError> {
+    pub fn check_url_ids(&self) -> Result<(), CodecError> {
         // Interner ids are u32, so a table this long admits every id.
         let bound = u32::try_from(self.urls.len()).unwrap_or(u32::MAX);
         let found = match &self.model {
@@ -879,6 +1127,15 @@ impl SnapshotFile {
         found.map_or(Ok(()), |url| Err(CodecError::UrlOutOfRange(url)))
     }
 
+    /// How many URLs the table holds, and their bytes.
+    #[must_use]
+    pub fn url_table_size(&self) -> UrlTableSize {
+        UrlTableSize {
+            strings: len_u64(self.urls.len()),
+            decoded_bytes: self.urls.iter().map(|url| len_u64(url.len())).sum(),
+        }
+    }
+
     /// Rebuilds the interner from the stored URL list, sized exactly: a
     /// loaded model carries no growth slack. URL `i` gets id `i`, because
     /// the list holds no string twice ([`SnapshotFile::decode`] refuses
@@ -893,10 +1150,10 @@ impl SnapshotFile {
     }
 
     /// Instantiates the stored model behind the common [`Predictor`]
-    /// interface, revalidating the URL ids ([`SnapshotFile::check_urls`])
+    /// interface, revalidating the URL ids ([`SnapshotFile::check_url_ids`])
     /// and the tree image.
     pub fn instantiate(&self) -> Result<Box<dyn Predictor>, CodecError> {
-        self.check_urls()?;
+        self.check_url_ids()?;
         Ok(match &self.model {
             ModelImage::Pb(s) => Box::new(PbPpm::from_snapshot(s)?),
             ModelImage::Standard(s) => Box::new(StandardPpm::from_snapshot(s)?),
@@ -1247,7 +1504,7 @@ mod tests {
         // carried a frozen-arena section this reader no longer parses,
         // version 3 child lists, depths, a root table and link lists, and
         // version 4 a parent delta and link flag per node.
-        for version in [1u16, 2, 3, 4, 99] {
+        for version in [1u16, 2, 3, 4, 5, 99] {
             bytes[8..10].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
                 SnapshotFile::decode(&bytes).unwrap_err(),
@@ -1309,18 +1566,168 @@ mod tests {
             ],
         ];
         for payload in payloads {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&MAGIC);
-            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            bytes.extend_from_slice(&len_u64(payload.len()).to_le_bytes());
-            bytes.extend_from_slice(payload);
-            let checksum = fnv1a(&bytes);
-            bytes.extend_from_slice(&checksum.to_le_bytes());
             assert!(
-                SnapshotFile::decode(&bytes).is_err(),
+                SnapshotFile::decode(&sealed(payload)).is_err(),
                 "garbage payload {payload:?} decoded"
             );
         }
+    }
+
+    /// `payload` in a valid envelope: magic, version, length and checksum.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&len_u64(payload.len()).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        let checksum = fnv1a(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    /// A sealed two-URL order-1 file (`/a` then `/b`) whose URL table is
+    /// `table` (count and entries) instead of what the writer would write.
+    fn with_url_table(table: &[u8]) -> Vec<u8> {
+        let mut o1 = Order1Markov::new();
+        o1.train_session(&[UrlId(0), UrlId(1)]);
+        o1.finalize();
+        let file = SnapshotFile {
+            urls: Vec::new(),
+            model: ModelImage::Order1(o1.to_snapshot()),
+        };
+        let bytes = file.encode();
+        // The payload is the kind tag, the one-byte empty table, the model.
+        let mut payload = vec![bytes[18]];
+        payload.extend_from_slice(table);
+        payload.extend_from_slice(&bytes[20..bytes.len() - 8]);
+        sealed(&payload)
+    }
+
+    /// The URL table `urls` codes to.
+    fn url_table(urls: &[&str]) -> Vec<u8> {
+        let mut w = Writer::new();
+        write_urls(
+            &mut w,
+            &urls.iter().map(|u| (*u).to_owned()).collect::<Vec<_>>(),
+        );
+        w.buf
+    }
+
+    #[test]
+    fn url_entries_share_a_prefix_and_a_suffix_with_the_nearest_best_reference() {
+        // `/img/p42_0.gif` keeps `/img/p` and `_0.gif` of `/img/p1_0.gif`
+        // two entries back; `/l0/p1.html` sits between them.
+        let urls = ["/img/p1_0.gif", "/l0/p1.html", "/img/p42_0.gif"];
+        let mut want = vec![3, 0, 13];
+        want.extend_from_slice(b"/img/p1_0.gif");
+        want.extend_from_slice(&[0, 11]);
+        want.extend_from_slice(b"/l0/p1.html");
+        want.extend_from_slice(&[2, 6, 6, 2]);
+        want.extend_from_slice(b"42");
+        assert_eq!(url_table(&urls), want);
+        // Every URL decodes back from a file holding that table.
+        let decoded = SnapshotFile::decode(&with_url_table(&want)).unwrap();
+        assert_eq!(decoded.urls, urls);
+    }
+
+    #[test]
+    fn the_writer_cuts_shared_bytes_only_on_char_boundaries() {
+        // `é` is C3 A9 and `è` C3 A8: the two share the byte C3, and `©`
+        // (C2 A9) ends like `é`; neither half-character is reused.
+        for urls in [["/img/é.gif", "/img/è.gif"], ["/x/é", "/x/©"]] {
+            let table = url_table(&urls);
+            let back = SnapshotFile::decode(&with_url_table(&table)).unwrap();
+            assert_eq!(back.urls, urls);
+        }
+        let table = url_table(&["/img/é.gif", "/img/è.gif"]);
+        assert_eq!(table[14..], [1, 5, 4, 2, 0xc3, 0xa8]);
+        // Against `/é`, `/è` would reuse one byte for a 6-byte entry, so it
+        // is written in full in 5.
+        assert_eq!(url_table(&["/é", "/è"])[6..], [0, 3, b'/', 0xc3, 0xa8]);
+    }
+
+    #[test]
+    fn forged_url_entries_are_refused() {
+        let invalid = |table: &[u8]| SnapshotFile::decode(&with_url_table(table)).unwrap_err();
+        // Entry 0 names a reference one entry before the table.
+        assert_eq!(
+            invalid(&[2, 1, 0, 0, 2, b'/', b'a', 0, 2, b'/', b'b']),
+            CodecError::Invalid("url reference before the table")
+        );
+        // A reference 17 entries back lies past the window.
+        let mut far = vec![18];
+        for i in 0..17u8 {
+            far.extend_from_slice(&[0, 2, b'/', b'a' + i]);
+        }
+        far.extend_from_slice(&[17, 0, 0, 1, b'x']);
+        assert_eq!(
+            invalid(&far),
+            CodecError::Invalid("url reference past the window")
+        );
+        // `/a` then a prefix of 2 and a suffix of 1 from its 2 bytes.
+        assert_eq!(
+            invalid(&[2, 0, 2, b'/', b'a', 1, 2, 1, 0]),
+            CodecError::Invalid("url reuse longer than its reference")
+        );
+        // `/é`, then its first 2 bytes (`/` and half of `é`) and A8: the
+        // bytes of `/è`, spliced inside a character.
+        assert_eq!(
+            invalid(&[2, 0, 3, b'/', 0xc3, 0xa9, 1, 2, 0, 1, 0xa8]),
+            CodecError::Invalid("url reuse cut inside a utf-8 character")
+        );
+        // `/a`, then all of it again: a repeat, caught on the decoded table.
+        assert_eq!(
+            invalid(&[2, 0, 2, b'/', b'a', 1, 2, 0, 0]),
+            CodecError::DuplicateUrl(1)
+        );
+    }
+
+    /// A 300-byte URL, then `n` entries that each reuse all of the one
+    /// before and add a byte: every entry is 6 bytes, so the cap of 64
+    /// times that admits reuse up to 384 bytes.
+    fn reuse_chain(n: usize) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.usizev(1 + n);
+        w.usizev(0);
+        w.usizev(300);
+        w.buf.extend_from_slice(&[b'a'; 300]);
+        for i in 0..n {
+            w.usizev(1);
+            w.usizev(300 + i);
+            w.usizev(0);
+            w.usizev(1);
+            w.u8(b'b');
+        }
+        w.buf
+    }
+
+    #[test]
+    fn a_chain_of_reuses_is_refused_before_it_passes_the_amplification_bound() {
+        // Entry 85 reuses 384 bytes, the most its 6 bytes allow; entry 86
+        // would reuse 385.
+        let chain = |n| SnapshotFile::decode(&with_url_table(&reuse_chain(n)));
+        let longest = chain(85).unwrap().urls;
+        assert_eq!(longest[85].len(), 385);
+        assert_eq!(
+            chain(86).unwrap_err(),
+            CodecError::Invalid("url reuse past the amplification bound")
+        );
+    }
+
+    #[test]
+    fn the_writer_keeps_its_reuse_within_the_amplification_bound() {
+        // Two 1,000-byte URLs a byte apart: reusing 999 bytes from a 5-byte
+        // entry would pass the bound, so the writer spells out enough of
+        // the middle to stay under it.
+        let base = "x".repeat(1000);
+        let next = format!("{}y", &base[1..]);
+        let table = url_table(&[&base, &next]);
+        let back = SnapshotFile::decode(&with_url_table(&table)).unwrap();
+        assert_eq!(back.urls, [base, next]);
+        // The count, `base` in 1,003 bytes, then 989 bytes reused by a
+        // 16-byte entry that spells out the last 11.
+        assert_eq!(table.len(), 1 + 1003 + 16);
+        assert_eq!(table[1004..1009], [1, 0xdd, 0x07, 0, 11]);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::order1::Order1Markov;
 use crate::pb::PbPpm;
 use crate::pb_online::OnlinePbPpm;
 use crate::popularity::{Grade, PopularityTable};
-use crate::snapshot::ByteSplit;
+use crate::snapshot::{ByteSplit, UrlTableSize};
 use crate::standard::StandardPpm;
 use std::fmt;
 use std::ops::Range;
@@ -389,6 +389,9 @@ pub struct AuditReport {
     pub violations: Vec<Violation>,
     /// Where the audited file's bytes go, when a file was audited.
     pub bytes: Option<ByteSplit>,
+    /// What the audited file's URL table decodes to, when a file was
+    /// audited.
+    pub url_table: Option<UrlTableSize>,
     /// Where the loaded PB-PPM model's fingerprint index bytes go, list by
     /// list, and how many of its groups are dirty.
     pub index: Option<IndexSplit>,
@@ -402,6 +405,7 @@ impl AuditReport {
             checks: 0,
             violations: Vec::new(),
             bytes: None,
+            url_table: None,
             index: None,
         }
     }
@@ -413,6 +417,7 @@ impl AuditReport {
             checks: 1,
             violations: vec![Violation::SnapshotRejected { detail }],
             bytes: None,
+            url_table: None,
             index: None,
         }
     }
@@ -480,6 +485,13 @@ impl AuditReport {
             }
             s.push('}');
         }
+        if let Some(table) = self.url_table {
+            s.push_str(",\"url_table\":{\"strings\":");
+            s.push_str(&table.strings.to_string());
+            s.push_str(",\"decoded_bytes\":");
+            s.push_str(&table.decoded_bytes.to_string());
+            s.push('}');
+        }
         if let Some(split) = self.index {
             s.push_str(",\"index\":{\"total\":");
             s.push_str(&split.total().to_string());
@@ -511,6 +523,13 @@ impl fmt::Display for AuditReport {
             write!(f, "  file bytes {}:", split.total())?;
             for (name, bytes) in split.sections() {
                 write!(f, " {name} {bytes}")?;
+            }
+            if let Some(table) = self.url_table {
+                write!(
+                    f,
+                    "; url table {} strings, {} decoded bytes",
+                    table.strings, table.decoded_bytes
+                )?;
             }
             writeln!(f)?;
         }

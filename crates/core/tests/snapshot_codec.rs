@@ -1,6 +1,7 @@
 //! Property tests for the snapshot codec: for random traces, every model
 //! kind survives an encode → decode → instantiate round trip with
-//! bit-identical predictions and identical stats.
+//! bit-identical predictions and identical stats, and arbitrary URL tables
+//! decode to exactly the strings written.
 
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
 use pbppm_core::{
@@ -24,6 +25,13 @@ fn sessions_strategy(
 /// URL strings for ids `0..n` — the codec serializes names, not ids.
 fn url_names(n: u32) -> Vec<String> {
     (0..n).map(|i| format!("/doc/{i}.html")).collect()
+}
+
+/// An order-1 model that names no URL: a file around any URL table.
+fn trained_order1() -> pbppm_core::order1::Order1Snapshot {
+    let mut m = Order1Markov::new();
+    m.finalize();
+    m.to_snapshot()
 }
 
 /// All prefix contexts of every session, plus contexts the model never saw.
@@ -71,8 +79,91 @@ fn assert_roundtrip_identical(
     Ok(())
 }
 
+/// Pieces URLs are spliced from: characters of 1 to 4 bytes, among them
+/// pairs that share a leading byte (`é` C3 A9 and `è` C3 A8, `€` E2 82 AC
+/// and `₭` E2 82 AD) or a trailing one (`é`, `©` C2 A9 and `ĩ` C4 A9), so
+/// that neighbouring URLs share part of a character at either end, and
+/// NUL, which looks like the padding past a short URL's end.
+const PIECES: [&str; 15] = [
+    "/", "a", "0", "é", "è", "©", "ĩ", "€", "₭", "𝄞", ".gif", ".html", "/img/p", "_", "\0",
+];
+
+/// The URL `spec` describes, given the URLs before it: the first `keep`
+/// characters of the URL `back` entries earlier (none when `back` is 0 or
+/// out of reach), the `middle` pieces, then the last `tail` characters of
+/// that URL. A nonzero `long` first stretches the URL to 200–600 bytes, so
+/// that a later URL keeping most of it reuses more than a short entry may.
+fn spliced(earlier: &[String], spec: &(usize, usize, usize, Vec<usize>, usize)) -> String {
+    let (back, keep, tail, middle, long) = spec;
+    let base: Vec<char> = match earlier.len().checked_sub(*back) {
+        Some(at) if *back > 0 => earlier[at].chars().collect(),
+        _ => Vec::new(),
+    };
+    let keep = (*keep).min(base.len());
+    let tail = (*tail).min(base.len() - keep);
+    let mut url: String = base[..keep].iter().collect();
+    for &p in middle {
+        url.push_str(PIECES[p % PIECES.len()]);
+    }
+    if *long > 0 && url.len() < 200 {
+        let pad = PIECES[*long % PIECES.len()];
+        while url.len() < 200 + (*long * 37) % 400 {
+            url.push_str(pad);
+        }
+    }
+    url.extend(&base[base.len() - tail..]);
+    url
+}
+
+/// Arbitrary URL tables: each URL splices pieces between a prefix and a
+/// suffix of a URL up to 20 entries back, past the 16 a reference may
+/// reach. Repeats are dropped, since a table never holds a string twice;
+/// the empty string may appear once.
+fn url_tables() -> BoxedStrategy<Vec<String>> {
+    let spec = (
+        0usize..21,
+        prop_oneof![0usize..40, 150usize..700],
+        0usize..12,
+        prop::collection::vec(0usize..PIECES.len(), 0..4),
+        prop_oneof![Just(0usize), Just(0usize), Just(0usize), 1usize..64],
+    );
+    prop::collection::vec(spec, 0..60)
+        .prop_map(|specs| {
+            let mut urls: Vec<String> = Vec::new();
+            for spec in &specs {
+                let url = spliced(&urls, spec);
+                if !urls.contains(&url) {
+                    urls.push(url);
+                }
+            }
+            urls
+        })
+        .boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every URL table decodes to exactly the strings written, within the
+    /// decoder's amplification bound, and re-encodes to the same bytes.
+    #[test]
+    fn url_tables_roundtrip_exactly(urls in url_tables()) {
+        let file = SnapshotFile {
+            urls,
+            model: ModelImage::Order1(trained_order1()),
+        };
+        let bytes = file.encode();
+        let (back, split) = SnapshotFile::decode_with_split(&bytes).expect("decode of fresh encode");
+        prop_assert_eq!(&back.urls, &file.urls);
+        prop_assert_eq!(back.encode(), bytes);
+        let decoded: usize = back.urls.iter().map(String::len).sum();
+        prop_assert!(
+            decoded as u64 <= 65 * split.urls,
+            "{} decoded bytes from a {}-byte table",
+            decoded,
+            split.urls
+        );
+    }
 
     /// PB-PPM (with special links and a random popularity table) survives
     /// the codec round trip bit-identically.

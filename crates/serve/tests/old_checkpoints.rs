@@ -1,9 +1,10 @@
 //! Checkpoints from an older model-file format are refused, not replaced.
 //!
 //! `fixtures/v3_online_pb.pbss` is an online PB-PPM checkpoint in format
-//! version 3, which wrote each tree edge twice, and
+//! version 3, which wrote each tree edge twice,
 //! `fixtures/v4_online_pb.pbss` one in version 4, which wrote each node's
-//! parent where level order implies it; neither is read any more. A shard
+//! parent where level order implies it, and `fixtures/v5_online_pb.pbss`
+//! one in version 5, which wrote every URL in full; none is read any more. A shard
 //! directory holding only such files must stop `open` with an error naming
 //! the version; serving on from a fresh model would write the next
 //! checkpoint over the files the operator still has to retrain from.
@@ -70,4 +71,9 @@ fn version_3_checkpoints_are_refused_and_left_untouched() {
 #[test]
 fn version_4_checkpoints_are_refused_and_left_untouched() {
     assert_refused_and_left_untouched(4);
+}
+
+#[test]
+fn version_5_checkpoints_are_refused_and_left_untouched() {
+    assert_refused_and_left_untouched(5);
 }

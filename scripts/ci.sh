@@ -24,19 +24,22 @@
 #   5. snapshot smoke        — generate a tiny trace, then for each model
 #                              (pb, standard, lrs, o1): `pbppm train`
 #                              (writes the .pbss model file, whose bytes
-#                              8-9 must read format version 5), `pbppm audit`
+#                              8-9 must read format version 6), `pbppm audit`
 #                              (loads it, rebuilding the level-order arena
 #                              directly from the file's rows, and checks
 #                              every invariant on that arena), and
 #                              `pbppm predict` (serves a query from the
 #                              loaded model) — the full train → audit →
 #                              predict cycle through the real binary
-#   6. audit smoke           — `pbppm audit` prints the loaded pb
-#                              model's index byte split, whose parts sum
-#                              to its printed total; it rejects (nonzero
-#                              exit) a snapshot copy with a flipped
-#                              payload byte, and a copy stamped version 4
-#                              with "unsupported snapshot version 4"
+#   6. audit smoke           — `pbppm audit` prints the pb model file's
+#                              byte split, whose sections sum to the file
+#                              size, beside its URL table's decoded size,
+#                              and the loaded model's index byte split,
+#                              whose parts sum to its printed total; it
+#                              rejects (nonzero exit) a snapshot copy with
+#                              a flipped payload byte, and a copy stamped
+#                              version 5 with "unsupported snapshot
+#                              version 5"
 #   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
 #                              health/quit through `pbppm serve`, assert
 #                              the one-`ok`/`err`-line-per-command
@@ -144,8 +147,8 @@ for model in pb standard lrs o1; do
     # worked.
     "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model.pbss" --model "$model" >/dev/null
     version="$(python3 -c 'import sys; print(int.from_bytes(open(sys.argv[1], "rb").read()[8:10], "little"))' "$tmp/model-$model.pbss")"
-    if [[ "$version" != 5 ]]; then
-        echo "ci: train ($model) wrote format version $version, not 5" >&2
+    if [[ "$version" != 6 ]]; then
+        echo "ci: train ($model) wrote format version $version, not 6" >&2
         exit 1
     fi
     "$pbppm" audit "$tmp/model-$model.pbss" >/dev/null
@@ -159,12 +162,22 @@ done
 cp "$tmp/model-pb.pbss" "$tmp/model.pbss"
 
 echo "== ci: snapshot audit smoke" >&2
-# The loaded model's index split (`index bytes N: keys … votes …; dirty
-# groups D`) must add up to its printed total.
+# The file's split (`file bytes N: envelope … settings …; url table S
+# strings, D decoded bytes`) must add up to the file size, and the loaded
+# model's index split (`index bytes N: keys … votes …; dirty groups D`) to
+# its printed total.
 "$pbppm" audit "$tmp/model.pbss" >"$tmp/audit.txt"
-python3 - "$tmp/audit.txt" <<'EOF'
-import re, sys
+python3 - "$tmp/audit.txt" "$tmp/model.pbss" <<'EOF'
+import os, re, sys
 text = open(sys.argv[1]).read()
+m = re.search(r"file bytes (\d+): ([^;\n]*); url table (\d+) strings, (\d+) decoded bytes", text)
+if not m:
+    sys.exit("ci: audit printed no file byte split with its url table")
+fields = m.group(2).split()
+parts = sum(int(v) for v in fields[1::2])
+size = os.path.getsize(sys.argv[2])
+if parts != size or int(m.group(1)) != size:
+    sys.exit(f"ci: file sections {fields} sum to {parts}, printed {m.group(1)}, file is {size}")
 m = re.search(r"index bytes (\d+): (.*); dirty groups (\d+)", text)
 if not m:
     sys.exit("ci: audit printed no index byte split")
@@ -186,21 +199,21 @@ if "$pbppm" audit "$tmp/corrupt.pbss" >/dev/null 2>&1; then
     echo "ci: audit accepted a corrupted snapshot" >&2
     exit 1
 fi
-# Stamped version 4 (the layout before level order), the file must be
-# refused by its version. Decode reads the version before the checksum, so
-# the copy needs no new checksum.
-python3 - "$tmp/model.pbss" "$tmp/v4.pbss" <<'EOF'
+# Stamped version 5 (the layout that wrote every URL in full), the file
+# must be refused by its version. Decode reads the version before the
+# checksum, so the copy needs no new checksum.
+python3 - "$tmp/model.pbss" "$tmp/v5.pbss" <<'EOF'
 import sys
 data = bytearray(open(sys.argv[1], "rb").read())
-data[8:10] = (4).to_bytes(2, "little")
+data[8:10] = (5).to_bytes(2, "little")
 open(sys.argv[2], "wb").write(bytes(data))
 EOF
-if "$pbppm" audit "$tmp/v4.pbss" >"$tmp/v4-audit.txt" 2>&1; then
-    echo "ci: audit accepted a version 4 snapshot" >&2
+if "$pbppm" audit "$tmp/v5.pbss" >"$tmp/v5-audit.txt" 2>&1; then
+    echo "ci: audit accepted a version 5 snapshot" >&2
     exit 1
 fi
-grep -q 'unsupported snapshot version 4' "$tmp/v4-audit.txt" || {
-    echo "ci: audit did not name version 4 when refusing it" >&2
+grep -q 'unsupported snapshot version 5' "$tmp/v5-audit.txt" || {
+    echo "ci: audit did not name version 5 when refusing it" >&2
     exit 1
 }
 
