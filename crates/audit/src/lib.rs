@@ -47,7 +47,7 @@ use pbppm_core::{Order1Markov, PbPpm, StandardPpm};
 /// refuses *is* the finding.
 pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
     let urls = Some(file.urls.len());
-    if let Err(e) = file.check_urls() {
+    if let Err(e) = file.check_url_ids() {
         return AuditReport::rejected("snapshot", e.to_string());
     }
     match &file.model {
@@ -99,15 +99,8 @@ mod tests {
     use super::*;
     use pbppm_core::{Interner, PbConfig, PbPpm, PopularityTable, Predictor, UrlId};
 
-    fn small_pb() -> (Vec<String>, PbPpm) {
-        let mut interner = Interner::new();
-        let urls: Vec<String> = (0..4)
-            .map(|i| {
-                let u = format!("/p{i}");
-                interner.intern(&u);
-                u
-            })
-            .collect();
+    fn small_pb() -> (Interner, PbPpm) {
+        let urls: Interner = (0..4).map(|i| format!("/p{i}")).collect();
         let mut pop = PopularityTable::builder();
         pop.record_n(UrlId(0), 100);
         pop.record_n(UrlId(1), 8);

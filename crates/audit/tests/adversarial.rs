@@ -24,7 +24,7 @@ use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::pb_online::OnlinePbSnapshot;
 use pbppm_core::snapshot::{FORMAT_VERSION, MAGIC};
 use pbppm_core::{
-    Grade, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, UrlId,
+    Grade, Interner, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig, UrlId,
 };
 
 fn u(n: u32) -> UrlId {
@@ -38,7 +38,7 @@ fn first_branch_row(nodes: &[NodeSnapshot]) -> usize {
     nodes.len() - usize::try_from(children).expect("small arena")
 }
 
-fn urls(n: usize) -> Vec<String> {
+fn urls(n: usize) -> Interner {
     (0..n).map(|i| format!("/page{i}.html")).collect()
 }
 
@@ -82,7 +82,7 @@ fn pb_deep() -> PbPpm {
     m
 }
 
-fn encode_pb(m: &PbPpm, url_count: usize) -> (Vec<String>, pbppm_core::pb::PbSnapshot) {
+fn encode_pb(m: &PbPpm, url_count: usize) -> (Interner, pbppm_core::pb::PbSnapshot) {
     (urls(url_count), m.to_snapshot())
 }
 
@@ -234,7 +234,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn with_url_table(table: &[u8]) -> Vec<u8> {
     let model = ModelImage::Pb(pb_two_urls().to_snapshot());
     let written = SnapshotFile {
-        urls: Vec::new(),
+        urls: Interner::new(),
         model,
     }
     .encode();
@@ -269,9 +269,10 @@ fn reuse_chain(n: u8) -> Vec<u8> {
 
 /// A URL table entry names a reference up to 16 entries back and the
 /// prefix and suffix it keeps of it. Every forgery of that coding is
-/// refused while the table is read, before a string of it is built, so
-/// `pbppm audit` (`verify_bytes`) fails with the decoder's own error; the
-/// coding never reaches `verify_snapshot`, which has no file to audit.
+/// refused while the table is read, before a string of it is built, and a
+/// repeat as it is interned, so `pbppm audit` (`verify_bytes`) fails with
+/// the decoder's own error; the coding never reaches `verify_snapshot`,
+/// which has no file to audit.
 #[test]
 fn forged_url_tables_are_refused() {
     let invalid = CodecError::Invalid;
@@ -302,6 +303,11 @@ fn forged_url_tables_are_refused() {
             vec![2, 0, 2, b'/', b'a', 1, 2, 0, 0],
             CodecError::DuplicateUrl(1),
         ),
+        (
+            "a table that writes one string out twice",
+            vec![2, 0, 2, b'/', b'a', 0, 2, b'/', b'a'],
+            CodecError::DuplicateUrl(1),
+        ),
     ];
     for (label, table, want) in cases {
         let bytes = with_url_table(&table);
@@ -310,20 +316,10 @@ fn forged_url_tables_are_refused() {
     }
     // One entry short of the bound, the chain loads.
     let chain = SnapshotFile::decode(&with_url_table(&reuse_chain(85))).unwrap();
-    assert_eq!(chain.urls[85].len(), 385);
+    assert_eq!(chain.urls.resolve(u(85)).map(str::len), Some(385));
     assert!(verify_bytes(&with_url_table(&reuse_chain(85)))
         .unwrap()
         .is_clean());
-
-    // A file whose table repeats a string, built in memory rather than
-    // decoded, is refused by the audit itself.
-    let repeated = SnapshotFile {
-        urls: vec!["/a".to_owned(), "/a".to_owned()],
-        model: ModelImage::Pb(pb_two_urls().to_snapshot()),
-    };
-    assert_eq!(repeated.check_urls(), Err(CodecError::DuplicateUrl(1)));
-    let report = verify_snapshot(&repeated);
-    assert!(report.has("snapshot-rejected"), "{report}");
 }
 
 #[test]

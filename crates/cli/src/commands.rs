@@ -322,10 +322,9 @@ pub fn predict(args: &Args) -> CmdResult {
         .first()
         .ok_or("usage: pbppm predict <model.pbss> --context \"/a,/b\"")?;
     let file = SnapshotFile::read(Path::new(path))?;
-    let interner = file.interner();
     let mut model = file.instantiate()?;
     let mut stdout = std::io::stdout().lock();
-    run_predict(&interner, model.as_mut(), args, &mut stdout)
+    run_predict(&file.urls, model.as_mut(), args, &mut stdout)
 }
 
 /// The prediction-query driver behind `predict`: parses `--context`,

@@ -6,7 +6,7 @@ mod common;
 use common::TempDir;
 use pbppm_cli::args::Args;
 use pbppm_cli::commands;
-use pbppm_core::SnapshotFile;
+use pbppm_core::{Interner, SnapshotFile, UrlId};
 use pbppm_trace::ingest::{trace_from_clf_path, IngestConfig};
 use pbppm_trace::{sessionize, SessionizerConfig};
 
@@ -14,11 +14,7 @@ fn args(tokens: &[&str]) -> Args {
     Args::parse(tokens.iter().map(|s| s.to_string())).expect("parse")
 }
 
-fn render(
-    model: &mut dyn pbppm_core::Predictor,
-    interner: &pbppm_core::Interner,
-    query: &Args,
-) -> Vec<u8> {
+fn render(model: &mut dyn pbppm_core::Predictor, interner: &Interner, query: &Args) -> Vec<u8> {
     let mut buf = Vec::new();
     commands::run_predict(interner, model, query, &mut buf).expect("run_predict");
     buf
@@ -44,13 +40,19 @@ fn train_then_predict_is_byte_identical_to_in_process_model() {
     let sessions = sessionize(&trace.requests, &SessionizerConfig::default());
     let (_, mut reference) =
         commands::train_model("pb", &sessions, false, false, 0).expect("in-process model");
-    let urls: Vec<&str> = trace.urls.iter().map(|(_, u)| u).collect();
-    assert_eq!(urls, snapshot.urls, "identical interner contents");
+    let strings =
+        |urls: &Interner| -> Vec<String> { urls.iter().map(|(_, u)| u.to_owned()).collect() };
+    assert_eq!(
+        strings(&trace.urls),
+        strings(&snapshot.urls),
+        "identical interner contents"
+    );
 
     // Single context, batched contexts, text and JSON renderings: every
     // output byte must match the in-process model's. Contexts come from
     // the trained URL list itself, so they are guaranteed to resolve.
-    let (u0, u1) = (&snapshot.urls[0], &snapshot.urls[1]);
+    let url = |i| snapshot.urls.resolve(UrlId(i)).expect("a trained url");
+    let (u0, u1) = (url(0), url(1));
     let batch = format!("{u0},{u1};{u1}");
     for query in [
         args(&["--context", u0, "--top", "5"]),
@@ -58,7 +60,7 @@ fn train_then_predict_is_byte_identical_to_in_process_model() {
         args(&["--context", u0, "--json"]),
     ] {
         let a = render(reference.as_mut(), &trace.urls, &query);
-        let b = render(restored.as_mut(), &snapshot.interner(), &query);
+        let b = render(restored.as_mut(), &snapshot.urls, &query);
         assert!(!a.is_empty());
         assert_eq!(a, b, "predict output diverged for {query:?}");
     }

@@ -43,7 +43,8 @@ impl fmt::Display for UrlId {
 ///
 /// Interning is append-only: ids are never recycled, and
 /// [`Interner::resolve`] of any previously returned id always succeeds.
-/// Ids and arena offsets are `u32`; interning past either limit panics.
+/// Ids and arena offsets are `u32`; interning past either limit panics
+/// (the snapshot reader, which must not, refuses such a table instead).
 #[derive(Default, Clone)]
 pub struct Interner {
     /// Every interned string, back to back in id order.
@@ -137,14 +138,8 @@ impl Interner {
 
     /// Creates an empty interner with room for `n` strings.
     pub fn with_capacity(n: usize) -> Self {
-        Self::with_capacity_and_bytes(n, 0)
-    }
-
-    /// Creates an empty interner with room for `n` strings of `bytes`
-    /// bytes in all: interning exactly that much allocates nothing more.
-    pub(crate) fn with_capacity_and_bytes(n: usize, bytes: usize) -> Self {
         Self {
-            bytes: String::with_capacity(bytes),
+            bytes: String::new(),
             ends: Vec::with_capacity(n),
             slots: vec![0; slots_for(n)].into_boxed_slice(),
         }
@@ -152,15 +147,20 @@ impl Interner {
 
     /// Returns the id for `name`, interning it if it has not been seen.
     pub fn intern(&mut self, name: &str) -> UrlId {
+        self.try_intern(name)
+            .expect("interned strings past u32 ids or arena offsets")
+    }
+
+    /// [`Interner::intern`], or `None` when a new string would take an id
+    /// or an arena offset past `u32::MAX`.
+    pub(crate) fn try_intern(&mut self, name: &str) -> Option<UrlId> {
         let hash = hash_of(name);
         let mut vacant = match self.probe(name, hash) {
-            Ok(id) => return id,
+            Ok(id) => return Some(id),
             Err(vacant) => vacant,
         };
-        let id =
-            UrlId(u32::try_from(self.ends.len()).expect("more than u32::MAX interned strings"));
-        let end = u32::try_from(self.bytes.len() + name.len())
-            .expect("interned strings exceed u32::MAX bytes");
+        let id = UrlId(u32::try_from(self.ends.len()).ok()?);
+        let end = u32::try_from(self.bytes.len() + name.len()).ok()?;
         if self.ends.len() >= room(self.slots.len()) {
             self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
             vacant = vacant_slot(&self.slots, hash);
@@ -168,7 +168,13 @@ impl Interner {
         self.bytes.push_str(name);
         self.ends.push(end);
         self.slots[vacant] = pack(id, tag_of(hash));
-        id
+        Some(id)
+    }
+
+    /// Drops the byte arena's growth slack, so a table built once holds
+    /// exactly its strings' bytes.
+    pub(crate) fn shrink_arena(&mut self) {
+        self.bytes.shrink_to_fit();
     }
 
     /// Returns the id for `name` if it has already been interned.
@@ -255,6 +261,18 @@ impl Interner {
         self.bytes.capacity()
             + self.ends.capacity() * size_of::<u32>()
             + self.slots.len() * size_of::<u64>()
+    }
+}
+
+impl FromIterator<String> for Interner {
+    /// Interns each string in order; a repeat keeps its first id.
+    fn from_iter<I: IntoIterator<Item = String>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut interner = Interner::with_capacity(iter.size_hint().0);
+        for name in iter {
+            interner.intern(&name);
+        }
+        interner
     }
 }
 

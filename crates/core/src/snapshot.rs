@@ -44,6 +44,11 @@
 //! reference before the table or past the window, a prefix and suffix
 //! longer together than the reference, and either cut inside a UTF-8
 //! character ([`CodecError::Invalid`]), each before a string is built.
+//! The table decodes straight into the [`Interner`] the model's ids name,
+//! URL `i` as id `i`; an entry that repeats an earlier URL
+//! ([`CodecError::DuplicateUrl`]) or would take the interner past its
+//! `u32` ids or arena offsets ([`CodecError::Invalid`]) is refused as it
+//! is interned.
 //!
 //! ## Versioning policy
 //!
@@ -71,15 +76,15 @@
 //! [`SnapshotStore`] manages a two-generation checkpoint directory
 //! (`current.pbss` + `previous.pbss`): checkpoints are written to a temp
 //! file, fsynced, and renamed into place, demoting the old current to
-//! `previous`. [`SnapshotStore::recover`] loads the newest valid
+//! `previous`, and one directory sync makes both renames durable.
+//! [`SnapshotStore::recover`] loads the newest valid
 //! generation, falling back to `previous` when `current` is truncated or
 //! corrupt — the serving loop in the CLI builds directly on this. A
 //! checkpoint step that fails (the temp write, the demote rename) returns
 //! the error and leaves the newest complete generation recoverable.
 
 use crate::frozen::{LinkSnapshot, NodeSnapshot, SnapshotError, TreeSnapshot, NO_NODE};
-use crate::fxhash::FxHashSet;
-use crate::interner::Interner;
+use crate::interner::{Interner, UrlId};
 use crate::order1::{Order1Markov, Order1RowSnapshot, Order1Snapshot};
 use crate::pb::{PbConfig, PbPpm, PbSnapshot};
 use crate::pb_online::{OnlinePbPpm, OnlinePbSnapshot};
@@ -131,8 +136,8 @@ pub enum CodecError {
     Unfinalized,
     /// A stored URL id has no entry in the file's URL table.
     UrlOutOfRange(u32),
-    /// URL table entry `id` repeats an earlier entry, so the interner
-    /// rebuilt from the table would renumber every later URL.
+    /// URL table entry `id` repeats an earlier entry: interned, it would
+    /// take that entry's id and renumber every later URL.
     DuplicateUrl(u32),
     /// The embedded tree image failed structural validation.
     Arena(SnapshotError),
@@ -584,7 +589,7 @@ fn tree_url_outside(t: &TreeSnapshot, bound: u32) -> Option<u32> {
         .find(|&url| url >= bound)
 }
 
-fn write_sessions(w: &mut Writer, sessions: &[Vec<crate::interner::UrlId>]) {
+fn write_sessions(w: &mut Writer, sessions: &[Vec<UrlId>]) {
     w.usizev(sessions.len());
     for s in sessions {
         w.usizev(s.len());
@@ -594,14 +599,14 @@ fn write_sessions(w: &mut Writer, sessions: &[Vec<crate::interner::UrlId>]) {
     }
 }
 
-fn read_sessions(r: &mut Reader) -> Result<Vec<Vec<crate::interner::UrlId>>, CodecError> {
+fn read_sessions(r: &mut Reader) -> Result<Vec<Vec<UrlId>>, CodecError> {
     let n = r.count()?;
     let mut sessions = Vec::with_capacity(n);
     for _ in 0..n {
         let len = r.count()?;
         let mut s = Vec::with_capacity(len);
         for _ in 0..len {
-            s.push(crate::interner::UrlId(r.u32v()?));
+            s.push(UrlId(r.u32v()?));
         }
         sessions.push(s);
     }
@@ -743,16 +748,18 @@ impl Ends {
 /// The URL table: a count, then each URL as the shortest [`UrlEntry`]
 /// against one of the previous [`URL_WINDOW`] URLs, or in full. A tie goes
 /// to the literal, then to the nearest reference.
-fn write_urls(w: &mut Writer, urls: &[String]) {
+fn write_urls(w: &mut Writer, urls: &Interner) {
     w.usizev(urls.len());
-    // The ends of the last `URL_WINDOW` URLs, URL `id`'s at `id % URL_WINDOW`.
-    let mut ring = [Ends::default(); URL_WINDOW];
-    for (id, url) in urls.iter().enumerate() {
+    // The last `URL_WINDOW` URLs and their ends, URL `id`'s at
+    // `id % URL_WINDOW`.
+    let mut ring = [(Ends::default(), &[][..]); URL_WINDOW];
+    for (id, url) in urls.iter() {
+        let id = id.index();
         let a = url.as_bytes();
         let ends = Ends::of(a);
         let shared = |distance: usize| {
-            let reference = &ring[(id - distance) % URL_WINDOW];
-            ends.shared(reference, a, urls[id - distance].as_bytes())
+            let (reference, b) = ring[(id - distance) % URL_WINDOW];
+            ends.shared(&reference, a, b)
         };
         // An ASCII URL under 128 bytes cuts anywhere, reuses less than the
         // cap allows and writes one-byte lengths, so its entry against a
@@ -775,18 +782,21 @@ fn write_urls(w: &mut Writer, urls: &[String]) {
             distance => UrlEntry::against(url, distance, shared(distance)),
         };
         entry.write(w);
-        ring[id % URL_WINDOW] = ends;
+        ring[id % URL_WINDOW] = (ends, a);
     }
 }
 
-/// Reads the table [`write_urls`] writes. An entry whose reference lies
-/// before the table or past the window, whose prefix and suffix overlap in
-/// the reference or cut one of its characters, or that reuses more than
-/// [`URL_REUSE_CAP`] times its own bytes is refused before anything is
-/// copied. Repeats are left to [`SnapshotFile::check_urls`].
-fn read_urls(r: &mut Reader) -> Result<Vec<String>, CodecError> {
+/// Reads the table [`write_urls`] writes straight into an interner, URL
+/// `i` as `UrlId(i)`. An entry whose reference lies before the table or
+/// past the window, whose prefix and suffix overlap in the reference or cut
+/// one of its characters, or that reuses more than [`URL_REUSE_CAP`] times
+/// its own bytes is refused before anything is copied; one that repeats an
+/// earlier URL ([`CodecError::DuplicateUrl`]) or would take the interner
+/// past its `u32` ids or arena offsets is refused as it is interned.
+fn read_urls(r: &mut Reader) -> Result<Interner, CodecError> {
     let url_count = r.count()?;
-    let mut urls: Vec<String> = Vec::with_capacity(url_count);
+    let mut urls = Interner::with_capacity(url_count);
+    let mut url = String::new();
     for id in 0..url_count {
         let start = r.pos;
         let distance = r.usizev()?;
@@ -801,8 +811,8 @@ fn read_urls(r: &mut Reader) -> Result<Vec<String>, CodecError> {
             d if d > URL_WINDOW => {
                 return Err(CodecError::Invalid("url reference past the window"))
             }
-            d => match id.checked_sub(d) {
-                Some(at) => urls[at].as_str(),
+            d => match id.checked_sub(d).and_then(|at| urls.resolve(url_id(at))) {
+                Some(reference) => reference,
                 None => return Err(CodecError::Invalid("url reference before the table")),
             },
         };
@@ -823,13 +833,23 @@ fn read_urls(r: &mut Reader) -> Result<Vec<String>, CodecError> {
         }
         let middle = std::str::from_utf8(r.take(middle_len)?)
             .map_err(|_| CodecError::Invalid("utf-8 string"))?;
-        let mut url = String::with_capacity(reuse + middle.len());
+        url.clear();
         url.push_str(&reference[..prefix]);
         url.push_str(middle);
         url.push_str(&reference[tail..]);
-        urls.push(url);
+        match urls.try_intern(&url) {
+            Some(got) if got.index() == id => {}
+            Some(_) => return Err(CodecError::DuplicateUrl(url_id(id).0)),
+            None => return Err(CodecError::Invalid("url table past u32 ids or offsets")),
+        }
     }
+    urls.shrink_arena();
     Ok(urls)
+}
+
+/// Position `i` of a table whose length fits the interner's `u32` ids.
+fn url_id(i: usize) -> UrlId {
+    UrlId(u32::try_from(i).unwrap_or(u32::MAX))
 }
 
 fn read_order1_rows(r: &mut Reader) -> Result<Vec<Order1RowSnapshot>, CodecError> {
@@ -895,24 +915,25 @@ impl ModelImage {
 
 // ------------------------------------------------------------ the envelope
 
-/// A complete snapshot: the URL interner (id order) plus one model image.
+/// A complete snapshot: the URL interner plus one model image.
 ///
-/// Snapshots store dense [`crate::interner::UrlId`]s; the URL list makes
-/// them meaningful again after a restart.
+/// Snapshots store dense [`UrlId`]s; the interner makes them meaningful
+/// again after a restart.
 #[derive(Debug, Clone)]
 pub struct SnapshotFile {
-    /// Interned URL strings, in id order (`urls[i]` is `UrlId(i)`).
-    pub urls: Vec<String>,
+    /// The interned URLs the model's ids name; the file's URL table
+    /// decodes straight into it.
+    pub urls: Interner,
     /// The model.
     pub model: ModelImage,
 }
 
 impl SnapshotFile {
-    /// Pairs a model image with the interner its URL ids refer to (the
-    /// inverse of [`SnapshotFile::interner`]).
+    /// Pairs a model image with a copy of the interner its URL ids refer
+    /// to.
     pub fn new(interner: &Interner, model: ModelImage) -> Self {
         Self {
-            urls: interner.iter().map(|(_, url)| url.to_owned()).collect(),
+            urls: interner.clone(),
             model,
         }
     }
@@ -1075,26 +1096,11 @@ impl SnapshotFile {
             return Err(CodecError::TrailingBytes);
         }
         let file = SnapshotFile { urls, model };
-        file.check_urls()?;
+        file.check_url_ids()?;
         let mut split = r.split;
         split.envelope = len_u64(ENVELOPE_BYTES);
         split.settings = payload_len - split.urls - split.popularity - split.nodes - split.window;
         Ok((file, split))
-    }
-
-    /// Checks the URL table against the model: `urls` holds no string
-    /// twice, since the interner rebuilt from it would renumber every URL
-    /// after a repeat, and every URL id the model stores names an entry
-    /// ([`SnapshotFile::check_url_ids`]).
-    pub fn check_urls(&self) -> Result<(), CodecError> {
-        let mut seen = FxHashSet::default();
-        seen.reserve(self.urls.len());
-        if let Some(id) = self.urls.iter().position(|url| !seen.insert(url.as_str())) {
-            return Err(CodecError::DuplicateUrl(
-                u32::try_from(id).unwrap_or(u32::MAX),
-            ));
-        }
-        self.check_url_ids()
     }
 
     /// Checks that every URL id the model stores — node, order-1 row and
@@ -1132,21 +1138,15 @@ impl SnapshotFile {
     pub fn url_table_size(&self) -> UrlTableSize {
         UrlTableSize {
             strings: len_u64(self.urls.len()),
-            decoded_bytes: self.urls.iter().map(|url| len_u64(url.len())).sum(),
+            decoded_bytes: self.urls.iter().map(|(_, url)| len_u64(url.len())).sum(),
         }
     }
 
-    /// Rebuilds the interner from the stored URL list, sized exactly: a
-    /// loaded model carries no growth slack. URL `i` gets id `i`, because
-    /// the list holds no string twice ([`SnapshotFile::decode`] refuses
-    /// one that does).
+    /// A copy of the interner with no growth slack: a clone allocates
+    /// exactly its strings, offsets and table. A caller that owns the file
+    /// moves `urls` out instead.
     pub fn interner(&self) -> Interner {
-        let bytes = self.urls.iter().map(String::len).sum();
-        let mut interner = Interner::with_capacity_and_bytes(self.urls.len(), bytes);
-        for url in &self.urls {
-            interner.intern(url);
-        }
-        interner
+        self.urls.clone()
     }
 
     /// Instantiates the stored model behind the common [`Predictor`]
@@ -1166,17 +1166,26 @@ impl SnapshotFile {
     /// sibling temp file, fsync, rename into place, fsync the directory.
     /// Returns the file size in bytes.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, SnapshotIoError> {
+        self.write_synced(&path.with_extension("tmp"), |tmp| rename_synced(tmp, path))
+    }
+
+    /// Encodes the snapshot into `tmp`, fsyncs it, and lets `place` move it
+    /// into place, recording the whole write's telemetry. Returns the file
+    /// size in bytes.
+    fn write_synced(
+        &self,
+        tmp: &Path,
+        place: impl FnOnce(&Path) -> Result<(), SnapshotIoError>,
+    ) -> Result<u64, SnapshotIoError> {
         let start = std::time::Instant::now();
         let bytes = self.encode();
-        let tmp = path.with_extension("tmp");
-        let write = |p: &Path| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(p)?;
+        let write = || -> std::io::Result<()> {
+            let mut f = std::fs::File::create(tmp)?;
             f.write_all(&bytes)?;
             f.sync_all()
         };
-        write(&tmp).map_err(|e| SnapshotIoError::io(&tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| SnapshotIoError::io(path, e))?;
-        sync_dir(path);
+        write().map_err(|e| SnapshotIoError::io(tmp, e))?;
+        place(tmp)?;
         if pbppm_obs::ENABLED {
             let reg = pbppm_obs::global();
             let label = format!("model={}", self.model.kind_label());
@@ -1204,6 +1213,14 @@ impl SnapshotFile {
         }
         Ok(file)
     }
+}
+
+/// Renames `from` to `to`, then syncs `to`'s directory so the rename (and
+/// any rename before it in that directory) is durable.
+fn rename_synced(from: &Path, to: &Path) -> Result<(), SnapshotIoError> {
+    std::fs::rename(from, to).map_err(|e| SnapshotIoError::io(to, e))?;
+    sync_dir(to);
+    Ok(())
 }
 
 /// Best-effort directory fsync so the rename itself is durable. Failure is
@@ -1263,18 +1280,20 @@ impl SnapshotStore {
         self.dir.join(format!("previous.{SNAPSHOT_EXT}"))
     }
 
-    /// Writes a new checkpoint generation, demoting the old current.
-    /// Returns the checkpoint size in bytes.
+    /// Writes a new checkpoint generation, demoting the old current:
+    /// write and fsync `incoming.tmp`, rename `current` to `previous`,
+    /// rename `incoming.tmp` to `current`, then sync the directory once,
+    /// which makes both renames durable. Returns the checkpoint size in
+    /// bytes.
     pub fn checkpoint(&self, file: &SnapshotFile) -> Result<u64, SnapshotIoError> {
         let current = self.current_path();
-        let incoming = self.dir.join(format!("incoming.{SNAPSHOT_EXT}"));
-        let bytes = file.write_atomic(&incoming)?;
-        if current.exists() {
-            std::fs::rename(&current, self.previous_path())
-                .map_err(|e| SnapshotIoError::io(&current, e))?;
-        }
-        std::fs::rename(&incoming, &current).map_err(|e| SnapshotIoError::io(&current, e))?;
-        sync_dir(&current);
+        let bytes = file.write_synced(&self.dir.join("incoming.tmp"), |incoming| {
+            if current.exists() {
+                std::fs::rename(&current, self.previous_path())
+                    .map_err(|e| SnapshotIoError::io(&current, e))?;
+            }
+            rename_synced(incoming, &current)
+        })?;
         if pbppm_obs::ENABLED {
             pbppm_obs::global()
                 .counter("snapshot.checkpoints", "")
@@ -1347,11 +1366,20 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interner::UrlId;
     use crate::popularity::PopularityTable;
 
-    fn trained_pb() -> (Vec<String>, PbPpm) {
-        let urls: Vec<String> = (0..6).map(|i| format!("/page{i}.html")).collect();
+    /// An interner holding `urls` in order.
+    fn interner(urls: &[&str]) -> Interner {
+        urls.iter().map(|u| (*u).to_owned()).collect()
+    }
+
+    /// The interner's strings in id order.
+    fn names(urls: &Interner) -> Vec<&str> {
+        urls.iter().map(|(_, url)| url).collect()
+    }
+
+    fn trained_pb() -> (Interner, PbPpm) {
+        let urls: Interner = (0..6).map(|i| format!("/page{i}.html")).collect();
         let mut pop = PopularityTable::builder();
         for _ in 0..50 {
             pop.record(UrlId(0));
@@ -1380,7 +1408,7 @@ mod tests {
         let bytes = file.encode();
         assert_eq!(&bytes[..8], &MAGIC);
         let back = SnapshotFile::decode(&bytes).unwrap();
-        assert_eq!(back.urls, urls);
+        assert_eq!(names(&back.urls), names(&urls));
         let restored = back.instantiate().unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let mut ua = crate::predictor::PredictUsage::default();
@@ -1422,7 +1450,7 @@ mod tests {
         m.finalize();
         let encode = |max_height| {
             SnapshotFile {
-                urls: vec!["/a".to_owned(), "/b".to_owned()],
+                urls: interner(&["/a", "/b"]),
                 model: ModelImage::Standard(StandardSnapshot {
                     max_height,
                     ..m.to_snapshot()
@@ -1592,7 +1620,7 @@ mod tests {
         o1.train_session(&[UrlId(0), UrlId(1)]);
         o1.finalize();
         let file = SnapshotFile {
-            urls: Vec::new(),
+            urls: Interner::new(),
             model: ModelImage::Order1(o1.to_snapshot()),
         };
         let bytes = file.encode();
@@ -1606,10 +1634,7 @@ mod tests {
     /// The URL table `urls` codes to.
     fn url_table(urls: &[&str]) -> Vec<u8> {
         let mut w = Writer::new();
-        write_urls(
-            &mut w,
-            &urls.iter().map(|u| (*u).to_owned()).collect::<Vec<_>>(),
-        );
+        write_urls(&mut w, &interner(urls));
         w.buf
     }
 
@@ -1627,7 +1652,7 @@ mod tests {
         assert_eq!(url_table(&urls), want);
         // Every URL decodes back from a file holding that table.
         let decoded = SnapshotFile::decode(&with_url_table(&want)).unwrap();
-        assert_eq!(decoded.urls, urls);
+        assert_eq!(names(&decoded.urls), urls);
     }
 
     #[test]
@@ -1637,7 +1662,7 @@ mod tests {
         for urls in [["/img/é.gif", "/img/è.gif"], ["/x/é", "/x/©"]] {
             let table = url_table(&urls);
             let back = SnapshotFile::decode(&with_url_table(&table)).unwrap();
-            assert_eq!(back.urls, urls);
+            assert_eq!(names(&back.urls), urls);
         }
         let table = url_table(&["/img/é.gif", "/img/è.gif"]);
         assert_eq!(table[14..], [1, 5, 4, 2, 0xc3, 0xa8]);
@@ -1675,7 +1700,7 @@ mod tests {
             invalid(&[2, 0, 3, b'/', 0xc3, 0xa9, 1, 2, 0, 1, 0xa8]),
             CodecError::Invalid("url reuse cut inside a utf-8 character")
         );
-        // `/a`, then all of it again: a repeat, caught on the decoded table.
+        // `/a`, then all of it again: a repeat, caught as it is interned.
         assert_eq!(
             invalid(&[2, 0, 2, b'/', b'a', 1, 2, 0, 0]),
             CodecError::DuplicateUrl(1)
@@ -1707,7 +1732,7 @@ mod tests {
         // would reuse 385.
         let chain = |n| SnapshotFile::decode(&with_url_table(&reuse_chain(n)));
         let longest = chain(85).unwrap().urls;
-        assert_eq!(longest[85].len(), 385);
+        assert_eq!(longest.resolve(UrlId(85)).map(str::len), Some(385));
         assert_eq!(
             chain(86).unwrap_err(),
             CodecError::Invalid("url reuse past the amplification bound")
@@ -1723,7 +1748,7 @@ mod tests {
         let next = format!("{}y", &base[1..]);
         let table = url_table(&[&base, &next]);
         let back = SnapshotFile::decode(&with_url_table(&table)).unwrap();
-        assert_eq!(back.urls, [base, next]);
+        assert_eq!(names(&back.urls), [base, next]);
         // The count, `base` in 1,003 bytes, then 989 bytes reused by a
         // 16-byte entry that spells out the last 11.
         assert_eq!(table.len(), 1 + 1003 + 16);
@@ -1747,20 +1772,15 @@ mod tests {
 
     #[test]
     fn decode_refuses_a_url_table_that_repeats_a_string() {
-        // Loading this table would renumber every URL after the repeat:
-        // id 4 would resolve to "/page5.html" and id 5 to nothing.
-        let (mut urls, m) = trained_pb();
-        urls[3] = urls[1].clone();
-        let bytes = SnapshotFile {
-            urls,
-            model: ModelImage::Pb(m.to_snapshot()),
-        }
-        .encode();
-        let err = SnapshotFile::decode(&bytes).unwrap_err();
-        assert_eq!(err, CodecError::DuplicateUrl(3));
+        // `/a` written out twice: interned, the second would take the
+        // first's id and every later URL would be renumbered. No interner
+        // holds a repeat, so only a forged table can.
+        let err = SnapshotFile::decode(&with_url_table(&[2, 0, 2, b'/', b'a', 0, 2, b'/', b'a']))
+            .unwrap_err();
+        assert_eq!(err, CodecError::DuplicateUrl(1));
         assert_eq!(
             err.to_string(),
-            "url table entry 3 repeats an earlier entry"
+            "url table entry 1 repeats an earlier entry"
         );
     }
 
@@ -1806,7 +1826,7 @@ mod tests {
         std::fs::write(store.current_path(), &bytes[..bytes.len() / 2]).unwrap();
         let (recovered, generation) = store.recover().unwrap().unwrap();
         assert_eq!(generation, Generation::Previous);
-        assert_eq!(recovered.urls, urls);
+        assert_eq!(names(&recovered.urls), names(&urls));
         assert!(recovered.instantiate().is_ok());
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -1817,14 +1837,15 @@ mod tests {
         m.train_session(&[UrlId(0), UrlId(1)]);
         m.finalize();
         SnapshotFile {
-            urls: vec![format!("/gen{n}/a"), format!("/gen{n}/b")],
+            urls: interner(&[&format!("/gen{n}/a"), &format!("/gen{n}/b")]),
             model: ModelImage::Standard(m.to_snapshot()),
         }
     }
 
     fn generation_of(file: &SnapshotFile) -> &str {
-        file.urls[0]
-            .strip_prefix("/gen")
+        file.urls
+            .resolve(UrlId(0))
+            .and_then(|url| url.strip_prefix("/gen"))
             .and_then(|rest| rest.strip_suffix("/a"))
             .expect("a generation() file")
     }
@@ -1839,7 +1860,7 @@ mod tests {
     /// One more checkpoint from a crash state: it must leave `current`
     /// holding the new generation, `previous` holding `previous` (or
     /// nothing when no generation had reached `current`), and no
-    /// leftover `incoming` file.
+    /// leftover `incoming.tmp`.
     fn assert_checkpoint_recovers(store: &SnapshotStore, previous: Option<&str>) {
         store.checkpoint(&generation(9)).unwrap();
         let current = SnapshotFile::read(&store.current_path()).unwrap();
@@ -1853,12 +1874,10 @@ mod tests {
             }
             None => assert!(!store.previous_path().exists()),
         }
-        for leftover in ["incoming.tmp", "incoming.pbss"] {
-            assert!(
-                !store.dir().join(leftover).exists(),
-                "{leftover} left behind"
-            );
-        }
+        assert!(
+            !store.dir().join("incoming.tmp").exists(),
+            "incoming.tmp left behind"
+        );
     }
 
     /// A store after two completed checkpoints: generation 1 in
@@ -1884,12 +1903,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// Crash after the temp file became `incoming.pbss`, before the old
+    /// Crash after `incoming.tmp` was written and synced, before the old
     /// current was demoted.
     #[test]
     fn crash_before_the_demote_recovers_current() {
         let store = store_with_two_generations("crash-incoming");
-        std::fs::write(store.dir().join("incoming.pbss"), generation(3).encode()).unwrap();
+        std::fs::write(store.dir().join("incoming.tmp"), generation(3).encode()).unwrap();
         assert_eq!(
             recovered(&store),
             Some(("2".to_owned(), Generation::Current))
@@ -1898,12 +1917,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// Crash between the demote and the final rename: `previous` and
-    /// `incoming`, no `current`.
+    /// Crash between the demote and the final rename: `previous` and a
+    /// complete `incoming.tmp`, no `current`.
     #[test]
     fn crash_between_the_renames_recovers_previous() {
         let store = store_with_two_generations("crash-demoted");
-        std::fs::write(store.dir().join("incoming.pbss"), generation(3).encode()).unwrap();
+        std::fs::write(store.dir().join("incoming.tmp"), generation(3).encode()).unwrap();
         std::fs::rename(store.current_path(), store.previous_path()).unwrap();
         assert_eq!(
             recovered(&store),
@@ -1913,13 +1932,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// The first checkpoint ever crashed before its final rename: only
-    /// `incoming.pbss`. No generation reached `current`, so the store is
+    /// The first checkpoint ever crashed before its final rename: only a
+    /// complete `incoming.tmp`. No generation reached `current`, so the store is
     /// fresh, and the next checkpoint leaves one generation.
     #[test]
     fn crash_in_the_first_checkpoint_recovers_fresh() {
         let store = temp_store("crash-first");
-        std::fs::write(store.dir().join("incoming.pbss"), generation(1).encode()).unwrap();
+        std::fs::write(store.dir().join("incoming.tmp"), generation(1).encode()).unwrap();
         assert_eq!(recovered(&store), None);
         assert_checkpoint_recovers(&store, None);
         store.checkpoint(&generation(10)).unwrap();

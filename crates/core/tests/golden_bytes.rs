@@ -6,7 +6,7 @@
 
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
 use pbppm_core::{
-    OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig,
+    Interner, OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, Predictor, PruneConfig,
     StandardPpm, UrlId,
 };
 use std::path::PathBuf;
@@ -21,7 +21,7 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn urls() -> Vec<String> {
+fn urls() -> Interner {
     (0..8).map(|i| format!("/g/{i}.html")).collect()
 }
 

@@ -1,13 +1,13 @@
 //! The interner reports the heap it holds: building one, cloning one and
-//! loading one from a snapshot each grow the live heap by exactly
-//! `Interner::memory_bytes`, and the loaded one carries no growth slack.
+//! decoding one from a snapshot each grow the live heap by exactly
+//! `Interner::memory_bytes`, and the decoded one carries no growth slack.
 //! The counter is process-wide, so this binary runs without the libtest
 //! harness (see `Cargo.toml`): the harness's main thread allocates its
 //! timeout bookkeeping after spawning a test, which under load can land
 //! inside a measured window.
 
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
-use pbppm_core::{Interner, Order1Markov};
+use pbppm_core::{Interner, Order1Markov, Predictor};
 
 #[global_allocator]
 static ALLOC: pbppm_obs::alloc::CountingAllocator = pbppm_obs::alloc::CountingAllocator;
@@ -56,18 +56,16 @@ fn an_interner_grows_the_live_heap_by_its_memory_bytes() {
     let (bytes, sized) = grown(|| Interner::with_capacity(urls.len()));
     assert_eq!(bytes, sized.memory_bytes() as u64, "with_capacity");
 
-    // A model file's interner: exactly the strings, one offset each and
-    // the table `with_capacity` sizes — no slack in the arena or offsets.
-    let file = SnapshotFile {
-        urls: urls.clone(),
-        model: ModelImage::Order1(Order1Markov::new().to_snapshot()),
-    };
-    let (bytes, loaded) = grown(|| file.interner());
-    assert_eq!(
-        bytes,
-        loaded.memory_bytes() as u64,
-        "loaded from a snapshot"
-    );
+    // A model file's interner, decoded: exactly the strings, one offset
+    // each and the table `with_capacity` sizes — no slack in the arena or
+    // offsets. An empty order-1 model allocates nothing, so the decode
+    // keeps nothing else live, its scratch string included.
+    let mut model = Order1Markov::new();
+    model.finalize();
+    let written = SnapshotFile::new(&built, ModelImage::Order1(model.to_snapshot())).encode();
+    let (bytes, file) = grown(|| SnapshotFile::decode(&written).expect("a written file decodes"));
+    let loaded = &file.urls;
+    assert_eq!(bytes, loaded.memory_bytes() as u64, "decoded from a file");
     let strings: usize = urls.iter().map(String::len).sum();
     assert_eq!(loaded.memory_bytes(), sized.memory_bytes() + strings);
     assert!(
@@ -79,4 +77,9 @@ fn an_interner_grows_the_live_heap_by_its_memory_bytes() {
         .iter()
         .map(|(_, u)| u)
         .eq(urls.iter().map(String::as_str)));
+
+    // `interner()` copies it at exactly its size.
+    let (bytes, copy) = grown(|| file.interner());
+    assert_eq!(bytes, copy.memory_bytes() as u64, "interner()");
+    assert_eq!(copy.memory_bytes(), loaded.memory_bytes());
 }

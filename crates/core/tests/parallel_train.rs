@@ -8,8 +8,8 @@
 //! a trained arena is exactly the arena its own image loads into.
 
 use pbppm_core::{
-    ModelImage, Order1Markov, PbConfig, PbPpm, PopularityBuilder, PopularityTable, Predictor,
-    SnapshotFile, StandardPpm, UrlId,
+    Interner, ModelImage, Order1Markov, PbConfig, PbPpm, PopularityBuilder, PopularityTable,
+    Predictor, SnapshotFile, StandardPpm, UrlId,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -32,7 +32,7 @@ fn sessions_strategy(
 /// compared, not names).
 fn bytes(model: ModelImage) -> Vec<u8> {
     SnapshotFile {
-        urls: Vec::new(),
+        urls: Interner::new(),
         model,
     }
     .encode()

@@ -5,8 +5,8 @@
 
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
 use pbppm_core::{
-    OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, PredictUsage, Prediction,
-    Predictor, StandardPpm, UrlId,
+    Interner, OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, PredictUsage,
+    Prediction, Predictor, StandardPpm, UrlId,
 };
 use proptest::prelude::*;
 
@@ -23,8 +23,13 @@ fn sessions_strategy(
 }
 
 /// URL strings for ids `0..n` — the codec serializes names, not ids.
-fn url_names(n: u32) -> Vec<String> {
+fn url_names(n: u32) -> Interner {
     (0..n).map(|i| format!("/doc/{i}.html")).collect()
+}
+
+/// The interner's strings in id order.
+fn strings(urls: &Interner) -> Vec<&str> {
+    urls.iter().map(|(_, url)| url).collect()
 }
 
 /// An order-1 model that names no URL: a file around any URL table.
@@ -57,13 +62,13 @@ fn probe_contexts(sessions: &[Vec<UrlId>]) -> Vec<Vec<UrlId>> {
 fn assert_roundtrip_identical(
     original: &dyn Predictor,
     image: ModelImage,
-    urls: Vec<String>,
+    urls: Interner,
     contexts: &[Vec<UrlId>],
 ) -> Result<(), TestCaseError> {
     let file = SnapshotFile { urls, model: image };
     let bytes = file.encode();
     let back = SnapshotFile::decode(&bytes).expect("decode of fresh encode");
-    prop_assert_eq!(&back.urls, &file.urls);
+    prop_assert_eq!(strings(&back.urls), strings(&file.urls));
     prop_assert_eq!(back.encode(), bytes);
     let restored = back.instantiate().expect("instantiate decoded image");
 
@@ -144,21 +149,27 @@ fn url_tables() -> BoxedStrategy<Vec<String>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every URL table decodes to exactly the strings written, within the
-    /// decoder's amplification bound, and re-encodes to the same bytes.
+    /// Every URL table decodes to exactly the strings written, each
+    /// interned at its own id, within the decoder's amplification bound,
+    /// and re-encodes to the same bytes.
     #[test]
     fn url_tables_roundtrip_exactly(urls in url_tables()) {
         let file = SnapshotFile {
-            urls,
+            urls: urls.iter().cloned().collect(),
             model: ModelImage::Order1(trained_order1()),
         };
         let bytes = file.encode();
         let (back, split) = SnapshotFile::decode_with_split(&bytes).expect("decode of fresh encode");
-        prop_assert_eq!(&back.urls, &file.urls);
+        prop_assert_eq!(strings(&back.urls), urls);
+        for i in 0..back.urls.len() {
+            let id = UrlId(u32::try_from(i).expect("a small table"));
+            let url = back.urls.resolve(id).expect("every id resolves");
+            prop_assert_eq!(back.urls.get(url), Some(id));
+        }
         prop_assert_eq!(back.encode(), bytes);
-        let decoded: usize = back.urls.iter().map(String::len).sum();
+        let decoded = back.url_table_size().decoded_bytes;
         prop_assert!(
-            decoded as u64 <= 65 * split.urls,
+            decoded <= 65 * split.urls,
             "{} decoded bytes from a {}-byte table",
             decoded,
             split.urls

@@ -181,7 +181,7 @@ impl ServeSession {
                     .into());
                 }
                 recovery_audits = 1;
-                (file.interner(), online, Recovery::Warm(generation))
+                (file.urls, online, Recovery::Warm(generation))
             }
             None => (
                 Interner::new(),

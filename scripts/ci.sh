@@ -45,7 +45,9 @@
 #                              the one-`ok`/`err`-line-per-command
 #                              discipline, then restart against the same
 #                              dir and assert the greeting reports a
-#                              recovered generation (warm start)
+#                              recovered generation (warm start) and the
+#                              recovered shard answers the same predict
+#                              with identical lines
 #   8. sharded serve smoke   — the same protocol through `pbppm serve
 #                              --shards 4` with `@client` routing tokens,
 #                              asserting the greeting's shard count and
@@ -256,9 +258,23 @@ grep -Eq '^ok shards 1, .*, bytes [0-9]+, interner_bytes [1-9][0-9]*, ' "$serveo
     echo "ci: serve stats did not report the interner's bytes after the model's" >&2
     exit 1
 }
+# The first `ok N` header in a serve transcript (predict's, here) and the
+# N prediction lines after it.
+predict_answer() {
+    awk '/^ok [0-9]+$/ && !seen { seen = 1; n = $2; print; next }
+         seen && n > 0 { print; n-- }' "$1"
+}
+first_predict="$(predict_answer "$serveout")"
+if ! grep -Eq '^ok [1-9]' <<<"$first_predict"; then
+    echo "ci: serve predict answered no prediction: '$first_predict'" >&2
+    exit 1
+fi
 # Warm restart against the same dir: the quit checkpoint must be
-# recovered, and the greeting must say so.
-printf '%s\n' "stats" "quit" | "$pbppm" serve --dir "$servedir" >"$serveout"
+# recovered, the greeting must say so, and the recovered shard, whose
+# URL ids name the interner the file decoded into, must answer the same
+# predict with the same lines.
+printf '%s\n' "predict /a.html,/b.html" "stats" "quit" \
+    | "$pbppm" serve --dir "$servedir" >"$serveout"
 if ! head -n1 "$serveout" | grep -Eq '^ready recovered=(current|previous) shards=1 '; then
     echo "ci: serve warm restart did not report a recovered generation" >&2
     exit 1
@@ -267,6 +283,10 @@ grep -Eq '^ok shards 1, urls .* recovered (current|previous),' "$serveout" || {
     echo "ci: serve stats did not report the recovered generation" >&2
     exit 1
 }
+if [[ "$(predict_answer "$serveout")" != "$first_predict" ]]; then
+    echo "ci: the recovered shard's predict answer differs from the first run's" >&2
+    exit 1
+fi
 
 echo "== ci: sharded serve smoke" >&2
 sharddir="$tmp/serve-sharded"
