@@ -12,7 +12,9 @@
 //! detects the dialect with [`detect_format`] and splits each Combined
 //! line with the same zero-copy rule [`parse_combined_line`] uses.
 
-use crate::clf::{parse_clf_line, parse_clf_line_ref, ClfParseError, ClfRecord};
+use crate::clf::{
+    clf_line_with_room, parse_clf_line, parse_clf_line_ref, ClfParseError, ClfRecord,
+};
 
 /// One parsed Combined Log Format line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,14 +84,20 @@ pub fn parse_combined_line(line: &str) -> Result<CombinedRecord, ClfParseError> 
     })
 }
 
-/// Formats a record as a Combined Log Format line.
+/// Formats a record as a Combined Log Format line, in one allocation of
+/// exactly the line's length: the two quoted fields go into the buffer
+/// the CLF core was written to.
 pub fn format_combined_line(r: &CombinedRecord) -> String {
-    format!(
-        "{} \"{}\" \"{}\"",
-        crate::clf::format_clf_line(&r.clf),
-        r.referer.as_deref().unwrap_or("-"),
-        r.user_agent.as_deref().unwrap_or("-"),
-    )
+    let referer = r.referer.as_deref().unwrap_or("-");
+    let user_agent = r.user_agent.as_deref().unwrap_or("-");
+    // ` "` + referer + `" "` + user agent + `"`
+    let mut out = clf_line_with_room(&r.clf, 6 + referer.len() + user_agent.len());
+    out.push_str(" \"");
+    out.push_str(referer);
+    out.push_str("\" \"");
+    out.push_str(user_agent);
+    out.push('"');
+    out
 }
 
 /// Substrings (lowercase) that mark a user agent as a robot. The list

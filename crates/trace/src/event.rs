@@ -48,23 +48,30 @@ const IMAGE_EXTS: &[&str] = &[
 const HTML_EXTS: &[&str] = &["html", "htm", "shtml"];
 
 impl DocKind {
-    /// Classifies a URL path by its extension.
+    /// Classifies a URL path by its extension, compared without case and
+    /// without copying it.
     pub fn from_url(path: &str) -> DocKind {
         // Strip query string / fragment before looking at the extension.
-        let path = path
-            .split_once(['?', '#'])
-            .map_or(path, |(before, _)| before);
-        if path.ends_with('/') || path.is_empty() {
+        let path = path.as_bytes();
+        let path = match path.iter().position(|&c| c == b'?' || c == b'#') {
+            Some(end) => &path[..end],
+            None => path,
+        };
+        if path.ends_with(b"/") || path.is_empty() {
             return DocKind::Html;
         }
-        let name = path.rsplit('/').next().unwrap_or(path);
-        let Some((_, ext)) = name.rsplit_once('.') else {
+        let name = match path.iter().rposition(|&c| c == b'/') {
+            Some(slash) => &path[slash + 1..],
+            None => path,
+        };
+        let Some(dot) = name.iter().rposition(|&c| c == b'.') else {
             return DocKind::Other;
         };
-        let ext = ext.to_ascii_lowercase();
-        if HTML_EXTS.contains(&ext.as_str()) {
+        let ext = &name[dot + 1..];
+        let is = |exts: &[&str]| exts.iter().any(|e| e.as_bytes().eq_ignore_ascii_case(ext));
+        if is(HTML_EXTS) {
             DocKind::Html
-        } else if IMAGE_EXTS.contains(&ext.as_str()) {
+        } else if is(IMAGE_EXTS) {
             DocKind::Image
         } else {
             DocKind::Other

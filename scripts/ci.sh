@@ -61,7 +61,12 @@
 #  10. combined log smoke    — the same seed generated as a Combined log
 #                              must train a .pbss byte-identical to the
 #                              CLF log's, and `predict` must serve from it
-#  11. reproduction check    — `all --check` regenerates every paper
+#  11. log writer pin        — the tiny preset's CLF and Combined logs,
+#                              as `pbppm generate` writes them, must hash
+#                              to the sha256 the `format!`-based writers
+#                              produced: the byte-level writer prints
+#                              every line the same
+#  12. reproduction check    — `all --check` regenerates every paper
 #                              table and figure into a temp dir and
 #                              requires the committed `results/` field for
 #                              field, except the named timing fields; on
@@ -339,6 +344,21 @@ if [[ ! -s "$tmp/preds-combined.txt" ]]; then
     echo "ci: predict from the Combined-log model produced no output" >&2
     exit 1
 fi
+
+echo "== ci: log writer pin" >&2
+# The logs `generate` wrote above, hashed. The pins were taken from the
+# binary whose writers were still `format!` calls, so a byte the
+# one-allocation writers print differently fails here.
+for pin in \
+    "access.log 3805df88f37f27bc190c7fc1c18afcdf56ed291e480e80f797a6ac52f43618bd" \
+    "access-combined.log c4094ce041e5c886673e6798a3b997e3bd4a12adcf612f8b7f0ff30b57ef3c8a"; do
+    read -r log want <<<"$pin"
+    got="$(sha256sum "$tmp/$log" | cut -d' ' -f1)"
+    if [[ "$got" != "$want" ]]; then
+        echo "ci: generate --preset tiny wrote $log with sha256 $got, pinned $want" >&2
+        exit 1
+    fi
+done
 
 echo "== ci: reproduction check" >&2
 # Every reproduced number (node counts, hit ratios, latency reductions,
