@@ -346,34 +346,6 @@ fn forged_grade_table_is_caught() {
 }
 
 #[test]
-fn stale_index_aggregate_is_caught() {
-    let m = pb_with_link();
-    let mut reloaded = PbPpm::from_snapshot(&m.to_snapshot()).expect("clean snapshot loads");
-    assert!(verify_model(&ModelRef::Pb(&reloaded)).is_clean());
-    assert!(
-        reloaded.skew_index_aggregate_for_audit(),
-        "model must have a non-empty index group to skew"
-    );
-    let report = verify_model(&ModelRef::Pb(&reloaded));
-    assert!(report.has("index-aggregate-stale"), "{report}");
-}
-
-#[test]
-fn repointed_derived_index_group_is_caught() {
-    // A one-member index group holds only its member's arena row; one
-    // that names a different row answers from the wrong node.
-    let m = pb_with_link();
-    let mut reloaded = PbPpm::from_snapshot(&m.to_snapshot()).expect("clean snapshot loads");
-    assert!(
-        reloaded.repoint_derived_index_group_for_audit(),
-        "model must have a one-member index group to repoint"
-    );
-    let report = verify_model(&ModelRef::Pb(&reloaded));
-    assert!(report.has("index-shape-diverges"), "{report}");
-    assert!(!report.has("index-aggregate-stale"), "{report}");
-}
-
-#[test]
 fn forged_counts_past_the_index_fields_are_refused() {
     // The fingerprint index keeps totals and votes in 32 bits. One count
     // past that, or two voters of one group whose counts fit alone but

@@ -271,7 +271,7 @@ impl IndexSplit {
 /// One `(node, window)` filing during a build: the bucket key, the member
 /// node, the window length and whether the node has children to vote
 /// with.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
     key: u64,
     node: u32,
@@ -317,6 +317,47 @@ fn file_windows(
             anc = parent;
         }
     }
+}
+
+/// Most top key bits [`sorted_filings`] counts on: 2^16 buckets.
+const SORT_BITS: u32 = 16;
+
+/// Every tree row's filings, sorted by `(key, node, len)` so that each
+/// bucket is a run in row order.
+///
+/// [`file_windows`] files in `(node, len)` order, so a stable sort by key
+/// alone gives that order. One counting pass on the keys' top bits
+/// scatters the filings into buckets of about four (the keys are mixed
+/// hashes, so the buckets fill evenly), and a stable sort by key orders
+/// each bucket.
+fn sorted_filings(arena: &FrozenTree, max_order: usize) -> Vec<Entry> {
+    let mut filed: Vec<Entry> = Vec::new();
+    file_windows(arena, max_order, 0..arena.first_link_row(), |e| {
+        filed.push(e);
+    });
+    // At least one bit, so the shift stays below 64.
+    let bits = (filed.len() / 4).max(2).ilog2().min(SORT_BITS);
+    // At most `SORT_BITS` bits remain after the shift.
+    #[allow(clippy::cast_possible_truncation)]
+    let bucket = |e: &Entry| (e.key >> (64 - bits)) as usize;
+    let mut starts = vec![0usize; (1 << bits) + 1];
+    for e in &filed {
+        starts[bucket(e) + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut next = starts.clone();
+    let mut sorted = vec![Entry::default(); filed.len()];
+    for e in filed {
+        let at = &mut next[bucket(&e)];
+        sorted[*at] = e;
+        *at += 1;
+    }
+    for run in starts.windows(2) {
+        sorted[run[0]..run[1]].sort_by_key(|e| e.key);
+    }
+    sorted
 }
 
 /// Splits the first run of `entries` whose members agree under `same` off
@@ -382,8 +423,8 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// row once.
 ///
 /// Every list is one exact-size allocation, and the same arena always
-/// builds the same bytes: a finalized model, its publish clone, its
-/// snapshot restore and the audit's rebuild are equal.
+/// builds the same bytes: a finalized model, its publish clone and its
+/// snapshot restore are equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContextIndex {
     /// Bits `low..low + 32` of each group key, sorted.
@@ -427,12 +468,17 @@ impl ContextIndex {
     ) -> Result<Self, SnapshotError> {
         // Phase 1: one flat entry per (node, window), sorted so that each
         // bucket is a run in row order.
-        let mut entries: Vec<Entry> = Vec::new();
-        file_windows(arena, max_order, 0..arena.first_link_row(), |e| {
-            entries.push(e);
-        });
-        entries.sort_unstable_by_key(|e| (e.key, e.node, e.len));
+        Self::from_filings(arena, sorted_filings(arena, max_order), key_bits, all_dirty)
+    }
 
+    /// Phase 2 of [`ContextIndex::build`], over `entries` sorted by
+    /// `(key, node, len)`.
+    fn from_filings(
+        arena: &FrozenTree,
+        entries: Vec<Entry>,
+        key_bits: u32,
+        all_dirty: bool,
+    ) -> Result<Self, SnapshotError> {
         // About two to four voting keys per directory slot. A key's
         // entries are adjacent, so it counts at its first voter.
         let mut last = None;
@@ -613,6 +659,7 @@ impl ContextIndex {
     }
 
     /// Every group, in key order, with a bucket key that looks it up.
+    #[cfg(test)]
     pub(crate) fn groups(&self) -> impl Iterator<Item = (u64, WindowGroup<'_>)> {
         let mut slot = 0;
         (0..self.keys.len()).map(move |at| {
@@ -648,35 +695,6 @@ impl ContextIndex {
                 arena.mark_children(used, e.node);
             }
         });
-    }
-
-    /// Corruption hook: adds one to the total of the first clean stored
-    /// group that has one. False when there is none.
-    pub(crate) fn skew_group_total(&mut self) -> bool {
-        let Some(g) = self
-            .slots
-            .iter()
-            .filter(|&&s| s & (STORED | DIRTY) == STORED)
-            .map(|&s| (s & !STORED) as usize)
-            .find(|&g| self.heads[g].total > 0)
-        else {
-            return false;
-        };
-        self.heads[g].total += 1;
-        true
-    }
-
-    /// Corruption hook: points the first one-member group at the next row
-    /// of an arena of `rows` rows. False when there is no such group.
-    pub(crate) fn repoint_derived_group(&mut self, rows: u32) -> bool {
-        let Some(slot) = self.slots.iter_mut().find(|s| **s & STORED == 0) else {
-            return false;
-        };
-        if rows < 2 {
-            return false;
-        }
-        *slot = (*slot + 1) % rows;
-        true
     }
 
     /// Total (node, window) entries filed under the stored groups.
@@ -731,6 +749,7 @@ impl ContextIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn u(n: u32) -> UrlId {
         UrlId(n)
@@ -909,6 +928,38 @@ mod tests {
         }
         assert!(group(&idx, &[9_999]).is_none());
         assert!(ContextIndex::default().group_by_key(0).is_none());
+    }
+
+    /// The filings a comparison sort on `(key, node, len)` gives.
+    fn reference_filings(t: &FrozenTree, max_order: usize) -> Vec<Entry> {
+        let mut filed = Vec::new();
+        file_windows(t, max_order, 0..t.first_link_row(), |e| filed.push(e));
+        filed.sort_unstable_by_key(|e| (e.key, e.node, e.len));
+        filed
+    }
+
+    proptest! {
+        /// The bucketed sort orders filings exactly as the comparison sort
+        /// does, so an index built from them, at full key width and with
+        /// keys that collide, holds the same lists and the same bytes.
+        #[test]
+        fn bucketed_filings_sort_like_a_comparison_sort(
+            paths in prop::collection::vec(prop::collection::vec(0..12u32, 1..8), 1..60),
+            max_order in 1usize..=9,
+        ) {
+            let refs: Vec<&[u32]> = paths.iter().map(Vec::as_slice).collect();
+            let t = chain_tree(&refs);
+            let reference = reference_filings(&t, max_order);
+            prop_assert_eq!(&sorted_filings(&t, max_order), &reference);
+            for key_bits in [KEY_BITS, 4, 0] {
+                let built = ContextIndex::with_key_bits(&t, max_order, key_bits).unwrap();
+                let oracle =
+                    ContextIndex::from_filings(&t, reference.clone(), key_bits, false).unwrap();
+                prop_assert_eq!(built.split().total(), built.memory_bytes());
+                prop_assert_eq!(built.memory_bytes(), oracle.memory_bytes());
+                prop_assert_eq!(built, oracle);
+            }
+        }
     }
 
     #[test]

@@ -462,26 +462,6 @@ impl PbPpm {
     pub fn set_popularity_for_audit(&mut self, pop: crate::popularity::PopularityTable) {
         self.pop = pop;
     }
-
-    /// Corruption hook for the audit adversarial harness: skews one
-    /// precomputed fingerprint-bucket vote aggregate in place, simulating a
-    /// stale index (the bug class [`crate::verify`]'s index check exists
-    /// for). Returns false when the index has no live aggregate to skew.
-    /// Not part of the public API.
-    #[doc(hidden)]
-    pub fn skew_index_aggregate_for_audit(&mut self) -> bool {
-        self.index.skew_group_total()
-    }
-
-    /// Corruption hook for the audit adversarial harness: points one
-    /// one-member fingerprint group at a different arena row, simulating
-    /// an index whose derived groups drifted from the arena. Returns false
-    /// when the index has no one-member group. Not part of the public API.
-    #[doc(hidden)]
-    pub fn repoint_derived_index_group_for_audit(&mut self) -> bool {
-        let rows = self.frozen().map_or(0, FrozenTree::rows);
-        self.index.repoint_derived_group(rows)
-    }
 }
 
 /// A serializable image of a finalized [`PbPpm`] model.

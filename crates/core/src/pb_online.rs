@@ -59,6 +59,11 @@ impl OnlinePbPpm {
         self.threads = threads;
     }
 
+    /// The rebuild worker count (`0` = auto).
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// How many times the inner model has been rebuilt.
     pub fn rebuild_count(&self) -> u64 {
         self.rebuilds

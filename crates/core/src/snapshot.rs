@@ -343,6 +343,9 @@ struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     split: ByteSplit,
+    /// Entries in the file's URL table, once it is read: every URL id
+    /// read after it must fall below.
+    urls: u32,
 }
 
 impl<'a> Reader<'a> {
@@ -351,6 +354,7 @@ impl<'a> Reader<'a> {
             bytes,
             pos: 0,
             split: ByteSplit::default(),
+            urls: 0,
         }
     }
 
@@ -410,6 +414,16 @@ impl<'a> Reader<'a> {
         u32::try_from(self.varint()?).map_err(|_| CodecError::Invalid("u32 overflow"))
     }
 
+    /// A URL id, refused unless it names an entry of the URL table.
+    fn url(&mut self) -> Result<u32, CodecError> {
+        let url = self.u32v()?;
+        if url < self.urls {
+            Ok(url)
+        } else {
+            Err(CodecError::UrlOutOfRange(url))
+        }
+    }
+
     fn usizev(&mut self) -> Result<usize, CodecError> {
         usize::try_from(self.varint()?).map_err(|_| CodecError::Invalid("usize overflow"))
     }
@@ -463,7 +477,7 @@ fn read_tree(r: &mut Reader) -> Result<TreeSnapshot, CodecError> {
     let mut nodes = Vec::with_capacity(node_count);
     for _ in 0..node_count {
         nodes.push(NodeSnapshot {
-            url: r.u32v()?,
+            url: r.url()?,
             count: r.varint()?,
             children: r.u32v()?,
         });
@@ -475,7 +489,7 @@ fn read_tree(r: &mut Reader) -> Result<TreeSnapshot, CodecError> {
         root = root.checked_add(r.u32v()?).unwrap_or(NO_NODE);
         links.push(LinkSnapshot {
             root,
-            url: r.u32v()?,
+            url: r.url()?,
             count: r.varint()?,
         });
     }
@@ -606,7 +620,7 @@ fn read_sessions(r: &mut Reader) -> Result<Vec<Vec<UrlId>>, CodecError> {
         let len = r.count()?;
         let mut s = Vec::with_capacity(len);
         for _ in 0..len {
-            s.push(UrlId(r.u32v()?));
+            s.push(UrlId(r.url()?));
         }
         sessions.push(s);
     }
@@ -844,6 +858,8 @@ fn read_urls(r: &mut Reader) -> Result<Interner, CodecError> {
         }
     }
     urls.shrink_arena();
+    // Interner ids are u32, so a table this long admits every id.
+    r.urls = u32::try_from(url_count).unwrap_or(u32::MAX);
     Ok(urls)
 }
 
@@ -856,12 +872,12 @@ fn read_order1_rows(r: &mut Reader) -> Result<Vec<Order1RowSnapshot>, CodecError
     let row_count = r.count()?;
     let mut rows = Vec::with_capacity(row_count);
     for _ in 0..row_count {
-        let url = r.u32v()?;
+        let url = r.url()?;
         let total = r.varint()?;
         let next_count = r.count()?;
         let mut next = Vec::with_capacity(next_count);
         for _ in 0..next_count {
-            next.push((r.u32v()?, r.varint()?));
+            next.push((r.url()?, r.varint()?));
         }
         rows.push(Order1RowSnapshot { url, total, next });
     }
@@ -1005,7 +1021,9 @@ impl SnapshotFile {
     }
 
     /// Decodes a framed snapshot, validating magic, version, length, and
-    /// checksum before touching the payload.
+    /// checksum before touching the payload. Every URL id is checked
+    /// against the URL table as it is read, so a decoded file needs no
+    /// [`SnapshotFile::check_url_ids`] pass of its own.
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         Self::decode_with_split(bytes).map(|(file, _)| file)
     }
@@ -1096,7 +1114,6 @@ impl SnapshotFile {
             return Err(CodecError::TrailingBytes);
         }
         let file = SnapshotFile { urls, model };
-        file.check_url_ids()?;
         let mut split = r.split;
         split.envelope = len_u64(ENVELOPE_BYTES);
         split.settings = payload_len - split.urls - split.popularity - split.nodes - split.window;
@@ -1106,7 +1123,9 @@ impl SnapshotFile {
     /// Checks that every URL id the model stores — node, order-1 row and
     /// online-window ids — names an entry of `urls`. Model
     /// structures are sized by their largest URL id, so an unchecked id is
-    /// an allocation of the forger's choosing.
+    /// an allocation of the forger's choosing. [`SnapshotFile::decode`]
+    /// refuses such ids while reading; this one scan covers a file built
+    /// in memory.
     pub fn check_url_ids(&self) -> Result<(), CodecError> {
         // Interner ids are u32, so a table this long admits every id.
         let bound = u32::try_from(self.urls.len()).unwrap_or(u32::MAX);
@@ -1782,6 +1801,40 @@ mod tests {
             err.to_string(),
             "url table entry 1 repeats an earlier entry"
         );
+    }
+
+    /// A file built in memory has not been through `decode`, so
+    /// `instantiate` scans its URL ids: one id past the table in a tree
+    /// row, an order-1 successor or an online window session is refused
+    /// there, and decoding the same file's bytes refuses it as it is read.
+    #[test]
+    fn an_id_past_the_url_table_is_refused_by_instantiate_and_by_decode() {
+        let (urls, pb) = trained_pb();
+        let past = u32::try_from(urls.len()).unwrap();
+        let mut tree = pb.to_snapshot();
+        tree.tree.nodes[1].url = past;
+        let mut o1 = Order1Markov::new();
+        o1.train_session(&[UrlId(0), UrlId(1), UrlId(2)]);
+        o1.finalize();
+        let mut o1 = o1.to_snapshot();
+        o1.rows[0].next[0].0 = past;
+        let mut online = OnlinePbPpm::new(PbConfig::default(), 4, 1);
+        online.train_session(&[UrlId(0), UrlId(1)]);
+        let mut online = online.to_snapshot();
+        online.window[0][1] = UrlId(past);
+        for model in [
+            ModelImage::Pb(tree),
+            ModelImage::Order1(o1),
+            ModelImage::OnlinePb(online),
+        ] {
+            let file = SnapshotFile {
+                urls: urls.clone(),
+                model,
+            };
+            let refused = Some(CodecError::UrlOutOfRange(past));
+            assert_eq!(file.instantiate().err(), refused);
+            assert_eq!(SnapshotFile::decode(&file.encode()).err(), refused);
+        }
     }
 
     fn temp_store(tag: &str) -> SnapshotStore {

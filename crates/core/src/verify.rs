@@ -23,13 +23,21 @@
 //! tombstones to skip and no second copy to cross-check. A model still
 //! training has no arena yet and only its popularity table is checked.
 //!
+//! The fingerprint index is not checked. It is derived state with one
+//! producer, [`crate::context_index::ContextIndex::windows`], which
+//! `finalize` and every load run over the finished arena; no file stores
+//! it and nothing changes the arena after it. A rebuild here would run
+//! the same code over the same arena; the producer is pinned by its
+//! oracle tests instead (`fast_path_is_bit_identical_to_reference`,
+//! `colliding_keys_answer_like_the_full_index`).
+//!
 //! One paper rule is deliberately *not* re-checked post hoc: rule 4 (root
 //! admission) is a statement about the training stream — any URL may
 //! legally head a branch because every session head roots one — so a
 //! finished tree cannot falsify it. The checker instead verifies the root
 //! *registry* is structurally sound in both directions.
 
-use crate::context_index::{ContextIndex, IndexSplit, WindowGroup};
+use crate::context_index::IndexSplit;
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
 use crate::order1::Order1Markov;
@@ -182,18 +190,6 @@ pub enum Violation {
         /// Actual sum over successors.
         sum: u64,
     },
-    /// The fingerprint index's bucket structure diverges from a fresh
-    /// rebuild over the same arena.
-    IndexShapeDiverges {
-        /// Human-readable description of the divergence.
-        detail: String,
-    },
-    /// A fingerprint bucket's precomputed vote aggregate differs from a
-    /// fresh reference recomputation — a stale index.
-    IndexAggregateStale {
-        /// Human-readable description of the stale aggregate.
-        detail: String,
-    },
     /// The online wrapper's rebuild schedule counters are impossible.
     ScheduleInconsistent {
         /// Human-readable description.
@@ -237,8 +233,6 @@ impl Violation {
             Violation::PopularityTotalsInconsistent { .. } => "popularity-totals-inconsistent",
             Violation::SupportBelowThreshold { .. } => "support-below-threshold",
             Violation::Order1RowTotalMismatch { .. } => "order1-row-total-mismatch",
-            Violation::IndexShapeDiverges { .. } => "index-shape-diverges",
-            Violation::IndexAggregateStale { .. } => "index-aggregate-stale",
             Violation::ScheduleInconsistent { .. } => "schedule-inconsistent",
             Violation::WindowOverflow { .. } => "window-overflow",
             Violation::SnapshotRejected { .. } => "snapshot-rejected",
@@ -355,12 +349,6 @@ impl fmt::Display for Violation {
                 f,
                 "order-1 row {url} stores total {total}, successors sum to {sum}"
             ),
-            Violation::IndexShapeDiverges { detail } => {
-                write!(f, "fingerprint index shape diverges from rebuild: {detail}")
-            }
-            Violation::IndexAggregateStale { detail } => {
-                write!(f, "fingerprint index aggregate is stale: {detail}")
-            }
             Violation::ScheduleInconsistent { detail } => {
                 write!(f, "online rebuild schedule inconsistent: {detail}")
             }
@@ -598,10 +586,8 @@ fn run_owner(arena: &FrozenTree, id: u32) -> Option<u32> {
         .checked_sub(1)
 }
 
-/// Checks that every row of `run` names `owner` as its parent; true when
-/// all do.
-fn points_back(arena: &FrozenTree, owner: u32, run: Range<u32>, report: &mut AuditReport) -> bool {
-    let mut linked = true;
+/// Checks that every row of `run` names `owner` as its parent.
+fn points_back(arena: &FrozenTree, owner: u32, run: Range<u32>, report: &mut AuditReport) {
     for row in run {
         report.tick();
         if arena.parent(row) != owner {
@@ -609,10 +595,8 @@ fn points_back(arena: &FrozenTree, owner: u32, run: Range<u32>, report: &mut Aud
                 path: node_path(arena, owner),
                 child_url: arena.url(row).0,
             });
-            linked = false;
         }
     }
-    linked
 }
 
 /// Verifies the shape invariants every tree model's arena obeys: the
@@ -620,8 +604,8 @@ fn points_back(arena: &FrozenTree, owner: u32, run: Range<u32>, report: &mut Aud
 /// every run unreliable, so nothing else runs), then URL symbols, each
 /// row's back-pointer against the run that holds it, count monotonicity,
 /// the root registry both ways and the self-link rule. Returns whether the
-/// layout and every back-pointer hold: the checks that follow walk
-/// parents, so they run only then.
+/// layout holds: the checks that follow walk the runs, so they run only
+/// then.
 fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditReport) -> bool {
     report.tick();
     if let Err(detail) = arena.check_csr() {
@@ -642,9 +626,8 @@ fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditRe
             }
         }
     }
-    let mut linked = true;
     for id in 0..arena.first_link_row() {
-        linked &= points_back(arena, id, arena.children(id), report);
+        points_back(arena, id, arena.children(id), report);
         report.tick();
         let children_sum: u64 = arena.children(id).map(|c| arena.count(c)).sum();
         if children_sum > arena.count(id) {
@@ -669,9 +652,8 @@ fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditRe
             report
                 .violations
                 .push(Violation::RootRegistrationInvalid { url: url.0 });
-            linked = false;
         }
-        linked &= points_back(arena, root, arena.root_links(root), report);
+        points_back(arena, root, arena.root_links(root), report);
         for link in arena.root_links(root) {
             report.tick();
             if arena.url(link) == url {
@@ -689,7 +671,7 @@ fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditRe
                 .push(Violation::RootRegistrationInvalid { url });
         }
     }
-    linked
+    true
 }
 
 /// Walks each branch downward and reports nodes beyond `cap_of`'s height
@@ -761,75 +743,6 @@ fn verify_no_links(arena: &FrozenTree, report: &mut AuditReport) {
     }
 }
 
-/// Compares a stored fingerprint index against a fresh rebuild. Both are
-/// canonical layouts (keys sorted, runs in key order, dirty members in
-/// arena order), so a faithful stored index equals the rebuild exactly.
-/// The walk resolves each group through both lookups to name what
-/// diverged: a group whose slot tag, one-member arena row, clean
-/// representative or dirty members differ is a shape divergence, and a
-/// clean group whose representative agrees but whose total or votes do
-/// not is a stale aggregate. A difference it cannot name (a directory,
-/// slot or run offset) is still a shape divergence.
-fn verify_index(stored: &ContextIndex, fresh: &ContextIndex, report: &mut AuditReport) {
-    report.tick();
-    let found = report.violations.len();
-    if stored.len() != fresh.len() {
-        report.violations.push(Violation::IndexShapeDiverges {
-            detail: format!(
-                "{} entries stored, rebuild files {}",
-                stored.len(),
-                fresh.len()
-            ),
-        });
-    }
-    for (key, fg) in fresh.groups() {
-        report.tick();
-        let Some(sg) = stored.group_by_key(key) else {
-            report.violations.push(Violation::IndexShapeDiverges {
-                detail: format!("group {key:#x} missing"),
-            });
-            continue;
-        };
-        if sg == fg {
-            continue;
-        }
-        report.violations.push(match (sg, fg) {
-            (
-                WindowGroup::Clean { rep, total, votes },
-                WindowGroup::Clean {
-                    rep: fresh_rep,
-                    total: fresh_total,
-                    votes: fresh_votes,
-                },
-            ) if rep == fresh_rep => Violation::IndexAggregateStale {
-                detail: format!(
-                    "group {key:#x}: stored total {total} / {} vote urls, \
-                     recomputed total {fresh_total} / {}",
-                    votes.len(),
-                    fresh_votes.len()
-                ),
-            },
-            _ => Violation::IndexShapeDiverges {
-                detail: format!(
-                    "group {key:#x} slot tag, arena row, representative or members differ"
-                ),
-            },
-        });
-    }
-    for (key, _) in stored.groups() {
-        if fresh.group_by_key(key).is_none() {
-            report.violations.push(Violation::IndexShapeDiverges {
-                detail: format!("group {key:#x} has no counterpart in a rebuild"),
-            });
-        }
-    }
-    if report.violations.len() == found && stored != fresh {
-        report.violations.push(Violation::IndexShapeDiverges {
-            detail: "lookup directory, slots or run offsets differ from a rebuild".to_owned(),
-        });
-    }
-}
-
 fn verify_pb(m: &PbPpm, url_count: Option<u64>, report: &mut AuditReport) {
     let pop = &m.pop;
     verify_popularity(pop, report);
@@ -865,14 +778,6 @@ fn verify_pb(m: &PbPpm, url_count: Option<u64>, report: &mut AuditReport) {
                 });
             }
         }
-    }
-
-    match ContextIndex::windows(arena, m.cfg.max_order) {
-        Ok(fresh) => verify_index(&m.index, &fresh, report),
-        // The stored index was built, so its counts have moved since.
-        Err(e) => report.violations.push(Violation::IndexAggregateStale {
-            detail: format!("a rebuild fails: {e}"),
-        }),
     }
 }
 
@@ -1099,15 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn skewed_arena_count_is_caught() {
-        // A count the index did not see: the rebuilt aggregate differs.
-        let mut pb = trained_pb();
-        arena_mut(&mut pb).counts[0] += 1;
-        let report = verify_model(&ModelRef::Pb(&pb));
-        assert!(report.has("index-aggregate-stale"), "{report}");
-    }
-
-    #[test]
     fn malformed_frozen_csr_is_caught() {
         let mut pb = trained_pb();
         arena_mut(&mut pb).first_child.pop();
@@ -1143,14 +1039,6 @@ mod tests {
         arena_mut(&mut pb).parents[0] = 1;
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("root-registration-invalid"), "{report}");
-    }
-
-    #[test]
-    fn skewed_index_aggregate_is_caught() {
-        let mut pb = trained_pb();
-        assert!(pb.skew_index_aggregate_for_audit());
-        let report = verify_model(&ModelRef::Pb(&pb));
-        assert!(report.has("index-aggregate-stale"), "{report}");
     }
 
     #[test]

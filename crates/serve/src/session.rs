@@ -145,14 +145,17 @@ impl ServeSession {
     /// epoch 0 so predictions are answered from the first request on. The
     /// model-shaping options (`window`/`rebuild_every`) only apply to a
     /// **fresh** shard; a recovered snapshot carries its own configuration.
+    /// Rebuilds run on `rebuild_threads` workers (`0` = auto), fresh or
+    /// recovered.
     pub(crate) fn open(
         dir: &str,
         cfg: PbConfig,
         opts: ServeOptions,
+        rebuild_threads: usize,
     ) -> Result<Self, Box<dyn std::error::Error>> {
         let store = SnapshotStore::open(dir)?;
         let mut recovery_audits = 0u64;
-        let (urls, online, recovery) = match store.recover()? {
+        let (urls, mut online, recovery) = match store.recover()? {
             Some((file, generation)) => {
                 let ModelImage::OnlinePb(snap) = &file.model else {
                     return Err(format!(
@@ -189,6 +192,7 @@ impl ServeSession {
                 Recovery::Fresh,
             ),
         };
+        online.set_threads(rebuild_threads);
         let rebuilds = online.rebuild_count();
         let publisher = EpochPublisher::new(PublishedModel {
             rebuilds,

@@ -145,8 +145,19 @@ impl ShardedServer {
             )
             .into());
         }
-        let shards = (0..opts.shards.max(1))
-            .map(|k| ServeSession::open(&format!("{dir}/{}", shard_name(k)), cfg, opts.serve))
+        let count = opts.shards.max(1);
+        // Each busy shard runs on one dispatch worker, so a rebuild that
+        // sized its own pool to the machine would nest a second pool in
+        // every worker. A lone shard has the machine to itself.
+        let rebuild_threads = match count {
+            1 => 0,
+            n => (pbppm_core::resolve_threads(opts.threads) / n).max(1),
+        };
+        let shards = (0..count)
+            .map(|k| {
+                let dir = format!("{dir}/{}", shard_name(k));
+                ServeSession::open(&dir, cfg, opts.serve, rebuild_threads)
+            })
             .collect::<Result<_, _>>()?;
         Ok(Self {
             shards,
@@ -978,5 +989,33 @@ mod tests {
         assert!(rs[2].starts_with("ok bye; checkpointed"), "{}", rs[2]);
         assert!(rs[2].contains("(2 shards)"), "{}", rs[2]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shards_split_the_rebuild_workers() {
+        // (shards, dispatch threads, rebuild workers per shard); a lone
+        // shard keeps auto threads.
+        for (shards, threads, want) in [(1, 4, 0), (2, 4, 2), (3, 8, 2), (4, 4, 1), (8, 2, 1)] {
+            let dir = temp_dir(&format!("rebuild-workers-{shards}"));
+            let workers = |s: &ShardedServer| {
+                (0..shards)
+                    .map(|k| s.shard_session(k).online().threads())
+                    .collect::<Vec<_>>()
+            };
+            let mut fresh = ShardedServer::open(&dir, PbConfig::default(), opts(shards, threads))
+                .expect("fresh server opens");
+            assert_eq!(workers(&fresh), vec![want; shards], "{shards} fresh shards");
+            assert!(line(&mut fresh, "quit").starts_with("ok bye; checkpointed"));
+            drop(fresh);
+            let recovered = ShardedServer::open(&dir, PbConfig::default(), opts(shards, threads))
+                .expect("checkpointed server reopens");
+            assert_eq!(recovered.recovery_label(), "current");
+            assert_eq!(
+                workers(&recovered),
+                vec![want; shards],
+                "{shards} recovered shards"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

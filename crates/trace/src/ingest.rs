@@ -11,7 +11,9 @@
 //!    dialect with [`crate::clf::parse_clf_line_ref`], a Combined line's
 //!    core first cut out by `crate::combined::split_combined` (no
 //!    per-line allocation), and intern surviving hosts and paths into
-//!    chunk-local tables, leaving a compact record per accepted line.
+//!    chunk-local tables, leaving a compact record per accepted line. A
+//!    path's [`DocKind`] is classified once, when the chunk first interns
+//!    it.
 //! 3. **Deterministic merge** — per-chunk records are stable-sorted by
 //!    time; a k-way heap merge keyed `(time, chunk index)` replays them in
 //!    the reference builder's `(time, line index)` order, interning each
@@ -96,6 +98,9 @@ fn parse_chunk(raw: &RawChunk) -> ParsedChunk {
         malformed: 0,
         filtered: 0,
     };
+    // A line's kind depends only on its path: classify each path once,
+    // when the chunk first interns it, by its chunk-local id.
+    let mut kinds: Vec<DocKind> = Vec::new();
     for line in text.split('\n') {
         if line.trim().is_empty() {
             continue;
@@ -108,15 +113,21 @@ fn parse_chunk(raw: &RawChunk) -> ParsedChunk {
         match parsed {
             Err(_) => chunk.malformed += 1,
             Ok((r, _)) if !is_accepted(r.method, r.status) => chunk.filtered += 1,
-            Ok((r, user_agent)) => chunk.records.push(CompactRecord {
-                time: r.time,
-                host: chunk.hosts.intern(r.host).0,
-                path: chunk.paths.intern(r.path).0,
-                status: r.status,
-                size: r.size,
-                kind: DocKind::from_url(r.path),
-                robot: is_robot_agent(user_agent),
-            }),
+            Ok((r, user_agent)) => {
+                let path = chunk.paths.intern(r.path);
+                if path.index() == kinds.len() {
+                    kinds.push(DocKind::from_url(r.path));
+                }
+                chunk.records.push(CompactRecord {
+                    time: r.time,
+                    host: chunk.hosts.intern(r.host).0,
+                    path: path.0,
+                    status: r.status,
+                    size: r.size,
+                    kind: kinds[path.index()],
+                    robot: is_robot_agent(user_agent),
+                });
+            }
         }
     }
     // Stable sort: records with equal timestamps keep their in-chunk input
@@ -438,7 +449,9 @@ mod tests {
             host: format!("h{host}"),
             time: t,
             method: method.to_owned(),
-            path: format!("/p{path}.html"),
+            // Each path id keeps one extension, and the ids cover every
+            // document kind: a kind read off the wrong path shows.
+            path: format!("/p{path}.{}", ["html", "gif", "JPG", "txt"][path as usize % 4]),
             status,
             size: 0,
         });

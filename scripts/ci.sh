@@ -51,7 +51,9 @@
 #   8. sharded serve smoke   — the same protocol through `pbppm serve
 #                              --shards 4` with `@client` routing tokens,
 #                              asserting the greeting's shard count and
-#                              the stats line over all shards
+#                              the stats line over all shards; then one
+#                              train/predict script served at --threads 1
+#                              and at --threads 4 must answer identically
 #   9. parallel ingest smoke — `pbppm train` on the same log at
 #                              --threads 1 and --threads 4 must produce
 #                              byte-identical .pbss files for each tree
@@ -316,6 +318,27 @@ if grep -q '^err' "$shardout"; then
     echo "ci: sharded serve smoke produced err responses" >&2
     exit 1
 fi
+# Each shard rebuilds on its share of the dispatch workers; the worker
+# count must not change one response. One train/predict script, served
+# at --threads 1 and at --threads 4, must answer line for line alike.
+shardscript="$tmp/serve-sharded-script.txt"
+for i in $(seq 40); do
+    echo "train @c$((i % 6)) /p$((i % 5)).html,/p$((i * 3 % 7)).html,/p$((i * 7 % 9)).html"
+    echo "predict @c$((i % 6)) /p$((i % 5)).html"
+done >"$shardscript"
+echo "quit" >>"$shardscript"
+for threads in 1 4; do
+    "$pbppm" serve --dir "$tmp/serve-sharded-t$threads" --shards 4 --rebuild-every 1 \
+        --threads "$threads" <"$shardscript" >"$tmp/serve-sharded-t$threads.txt"
+done
+if ! grep -q '^1\.000 /p' "$tmp/serve-sharded-t4.txt"; then
+    echo "ci: the sharded train/predict script produced no prediction" >&2
+    exit 1
+fi
+diff "$tmp/serve-sharded-t1.txt" "$tmp/serve-sharded-t4.txt" >&2 || {
+    echo "ci: sharded serve answered differently at --threads 4 than at --threads 1" >&2
+    exit 1
+}
 
 echo "== ci: parallel ingest smoke" >&2
 # Parallel training is bit-identical to sequential at any worker count;
