@@ -136,6 +136,52 @@ mod tests {
     }
 
     #[test]
+    fn the_report_splits_the_arena_and_the_popularity_table() {
+        let (urls, m) = small_pb();
+        let file = SnapshotFile {
+            urls,
+            model: ModelImage::Pb(m.to_snapshot()),
+        };
+        let report = verify_bytes(&file.encode()).expect("envelope is valid");
+        let stats = m.stats();
+        let total = |columns: &[pbppm_core::ColumnBytes]| -> usize {
+            columns.iter().map(|c| c.bytes).sum()
+        };
+        // Column for column, the loaded model's own split: the small
+        // model's every value fits a byte.
+        assert_eq!(report.arena, m.frozen().expect("finalized").split());
+        assert_eq!(total(&report.arena), stats.memory_bytes);
+        assert!(report.arena.iter().all(|c| c.width == 1), "{report}");
+        assert_eq!(report.popularity, m.popularity().split());
+        assert_eq!(total(&report.popularity), m.popularity().heap_bytes());
+        let text = report.to_string();
+        let rows = m.node_count();
+        assert!(
+            text.contains(&format!(
+                "arena bytes {}: urls {rows} w1 counts {rows} w1 parents {rows} w1",
+                stats.memory_bytes
+            )),
+            "{text}"
+        );
+        assert!(
+            text.contains("popularity bytes 6: counts 3 w1 grades 3 w1"),
+            "{text}"
+        );
+        let json = report.to_json();
+        assert!(
+            json.contains(&format!(
+                "\"arena\":{{\"total\":{},\"urls\":{{\"bytes\":{rows},\"width\":1}}",
+                stats.memory_bytes
+            )),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"popularity\":{\"total\":6,\"counts\":{\"bytes\":3,\"width\":1}"),
+            "{json}"
+        );
+    }
+
+    #[test]
     fn envelope_errors_stay_errors() {
         assert!(matches!(
             verify_bytes(b"definitely not a snapshot"),

@@ -35,7 +35,10 @@
 //!
 //! The groups live in flat, sorted, exact-size lists (see
 //! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
+//! Every list but the keys is a [`UintColumn`] at the width its values
+//! need.
 
+use crate::column::{ColumnBuilder, UintColumn};
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::frozen::{NodeId, SnapshotError};
 use crate::interner::UrlId;
@@ -120,46 +123,42 @@ fn path_hash_table(arena: &FrozenTree) -> Vec<u64> {
     hashes
 }
 
-/// Narrows a list offset or a count to the index's 4-byte fields. A
-/// trained model would need 16 GiB for its member list, or more than 2^32
-/// sessions through one window, to outgrow them; a forged snapshot's
-/// counts can.
+/// Narrows a count, a summed count or a list offset to 32 bits. The
+/// index stores each at the width it needs, but a group's total and votes
+/// are `u32` quotients' operands: a trained model would need more than
+/// 2^32 sessions through one window, or 16 GiB for its member list, to
+/// outgrow them; a forged snapshot's counts can.
 fn narrow<N: TryInto<u32>>(n: N) -> Result<u32, SnapshotError> {
     n.try_into().map_err(|_| SnapshotError::IndexOverflow)
 }
 
-/// Slot tag of a stored group: the slot's low bits index `heads`. A slot
-/// without it holds the arena row of a one-member group.
-const STORED: u32 = 1 << 31;
-/// Slot tag, beside `STORED`, of a group whose members collided.
-const DIRTY: u32 = 1 << 30;
+/// A slot's two tag bits, read from the top of its width: a one-member
+/// group's row has neither, a stored group's head index has `STORED`, and
+/// a group whose members collided has both.
+const STORED: u64 = 0b10;
+/// See [`STORED`].
+const DIRTY: u64 = 0b11;
 
 /// Bits of a group key that `keys` stores, right below the bits the
 /// directory slot fixes.
 const KEY_BITS: u32 = 32;
 
-/// Narrows `n` to a slot payload, which must stay below `tag`.
-fn slot_payload<N: TryInto<u32>>(n: N, tag: u32) -> Result<u32, SnapshotError> {
-    let n = narrow(n)?;
-    if n < tag {
-        Ok(n)
-    } else {
-        Err(SnapshotError::IndexOverflow)
-    }
+/// An offset into one of the index's lists, read from its column.
+#[inline]
+fn at(v: u64) -> usize {
+    // Offsets index in-memory lists, so they fit usize.
+    #[allow(clippy::cast_possible_truncation)]
+    let at = v as usize;
+    at
 }
 
-/// A stored group's fixed fields. `heads` holds one more entry than there
-/// are stored groups, whose vote offset closes the last group's run:
-/// group `g`'s votes are `heads[g].votes..heads[g + 1].votes`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Head {
-    /// A clean group's representative row (its first member in arena
-    /// order), or where a dirty group's members start in `members`.
-    members: u32,
-    votes: u32,
-    /// A clean group's summed count of all members that have alive
-    /// children; a dirty group's member count.
-    total: u32,
+/// A row read from a column whose values are arena rows.
+#[inline]
+fn row(v: u64) -> u32 {
+    // Arena rows are u32 by construction.
+    #[allow(clippy::cast_possible_truncation)]
+    let row = v as u32;
+    row
 }
 
 /// One fingerprint bucket, resolved from the index's flat lists.
@@ -169,7 +168,7 @@ struct Head {
 /// occurrences predict?" is the same for every query and can be summed
 /// once at build time, or read straight from the arena when the bucket
 /// has one member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum WindowGroup<'a> {
     /// The bucket's one member. Its votes are the row's children weighted
     /// by their counts, and its total is the row's count.
@@ -184,16 +183,50 @@ pub(crate) enum WindowGroup<'a> {
         /// group's vote denominator).
         total: u32,
         /// Per-successor vote totals over all voting members, by URL.
-        votes: &'a [(UrlId, u32)],
+        votes: Votes<'a>,
     },
     /// Several members that disagree about the window's content (a
     /// build-time collision of their stored key bits): queries verify and
-    /// vote member by member, and no aggregates are kept.
+    /// vote member by member, and no aggregates are kept. This is the
+    /// rare slow path, which already collects its voters, so the lookup
+    /// reads the members out of their column into a list.
     Dirty {
         /// Every member once, in arena order.
-        members: &'a [NodeId],
+        members: Vec<NodeId>,
     },
 }
+
+/// A clean group's vote run: `(url, count)` pairs by URL, read from the
+/// index's two vote columns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Votes<'a> {
+    urls: &'a UintColumn,
+    counts: &'a UintColumn,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> Votes<'a> {
+    /// Number of votes.
+    pub(crate) fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The votes, by URL.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (UrlId, u32)> + 'a {
+        let (urls, counts) = (self.urls, self.counts);
+        // Vote counts were narrowed to 32 bits when the group was built.
+        (self.start..self.end).map(move |i| (UrlId(row(urls.get(i))), row(counts.get(i))))
+    }
+}
+
+impl PartialEq for Votes<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Votes<'_> {}
 
 /// True when the length-`len` windows ending at `a` and `b` spell the same
 /// URLs. Both nodes must be at depth ≥ `len` (guaranteed for filed window
@@ -237,11 +270,12 @@ pub struct IndexSplit {
     pub dir: usize,
     /// One slot per group: an arena row or a head index.
     pub slots: usize,
-    /// The stored groups' heads, sentinel included.
+    /// The stored groups' heads: representative rows or member starts,
+    /// vote starts (sentinel included) and totals.
     pub heads: usize,
     /// The dirty groups' member lists.
     pub members: usize,
-    /// The clean groups' vote runs.
+    /// The clean groups' vote runs: URLs and counts.
     pub votes: usize,
     /// Groups whose members collided.
     pub dirty_groups: usize,
@@ -406,15 +440,21 @@ fn bit(bits: &[u64], i: usize) -> bool {
 ///   so the slots fill evenly), and `keys` stores, sorted, only the next
 ///   32 bits of each key, which the slot does not fix;
 /// * `slots[i]` says where key `i`'s group lives: a one-member group's
-///   arena row, or (tagged `STORED`, and `DIRTY` after a collision)
-///   the index of a stored group's head;
-/// * `heads[g]` holds a clean group's representative row, total and where
+///   arena row, or (tagged `STORED`, and `DIRTY` after a collision, in
+///   the top two bits of the slots' width) the index of a stored group's
+///   head;
+/// * head `g` holds a clean group's representative row, total and where
 ///   its vote run starts (each run ends where the next group's starts),
 ///   or where a dirty group's members start in `members` and how many
-///   there are;
+///   there are, in three columns;
 /// * a clean group's vote run is its voters' children, summed per URL; a
 ///   dirty group's is empty;
-/// * a vote is a `u32` URL id and a `u32` count.
+/// * a vote is a URL id and a count, in two columns.
+///
+/// Every list but the keys is a [`UintColumn`] at the width its values
+/// need. The slots' width comes from a bound known before the first slot
+/// is written (the arena's rows and the voting keys), so the tag bits sit
+/// in place from the start; every other column widens as it is pushed.
 ///
 /// Keys whose stored bits agree are one group. Every group kind is
 /// checked against the query with `FrozenTree::match_top`, so a lookup
@@ -430,16 +470,28 @@ pub struct ContextIndex {
     /// Bits `low..low + 32` of each group key, sorted.
     keys: Box<[u32]>,
     /// Keys whose top bits read `p` are `keys[dir[p]..dir[p + 1]]`.
-    dir: Box<[u32]>,
+    dir: UintColumn,
     /// `64 − directory bits`.
     shift: u32,
     /// Where a key's stored bits start: `shift − 32`.
     low: u32,
-    slots: Box<[u32]>,
-    heads: Box<[Head]>,
+    slots: UintColumn,
+    /// Where the slots' two tag bits start: their width's top two bits.
+    tag_shift: u32,
+    /// Per stored group: a clean group's representative row (its first
+    /// member in arena order), or where a dirty group's members start in
+    /// `members`.
+    head_members: UintColumn,
+    /// Per stored group and one more: group `g`'s votes are
+    /// `head_votes[g]..head_votes[g + 1]`.
+    head_votes: UintColumn,
+    /// Per stored group: a clean group's summed count of all members that
+    /// have alive children; a dirty group's member count.
+    head_totals: UintColumn,
     /// The dirty groups' members, one run per group.
-    members: Box<[NodeId]>,
-    votes: Box<[(UrlId, u32)]>,
+    members: UintColumn,
+    vote_urls: UintColumn,
+    vote_counts: UintColumn,
     /// `(node, window)` filings behind the stored groups.
     entries: usize,
     /// Filings behind the fullest group.
@@ -451,8 +503,8 @@ impl ContextIndex {
     /// suffix window of its upward path, up to `max_order` URLs, and every
     /// bucket with at least one voting member is kept: a one-member bucket
     /// as its row, a larger one with its aggregates precomputed. Fails
-    /// when a count, a summed count or a list offset outgrows the index's
-    /// 4-byte fields.
+    /// when a count, a summed count or a dirty group's member count
+    /// outgrows 32 bits, however narrow the index stores it.
     pub fn windows(arena: &FrozenTree, max_order: usize) -> Result<Self, SnapshotError> {
         Self::build(arena, max_order, KEY_BITS, false)
     }
@@ -492,16 +544,26 @@ impl ContextIndex {
         let low = shift.saturating_sub(key_bits.min(KEY_BITS));
 
         // Phase 2: file each group that has a voter as its row, or as a
-        // stored group with its aggregates or its members.
-        let (mut keys, mut dir, mut slots, mut heads, mut members, mut votes) = (
+        // stored group with its aggregates or its members. A slot holds a
+        // row or a head index, and there are no more heads than voting
+        // keys, so those two bound its payload; its tags sit above.
+        let payload_bound = u64::from(arena.rows()).max(voting as u64);
+        let slots_width = crate::column::width_for(payload_bound << 2);
+        let tag_shift = u32::try_from(slots_width * 8 - 2).unwrap_or(62);
+        let mut slots = ColumnBuilder::new(payload_bound << 2, 0);
+        let mut dir = ColumnBuilder::new(0, (1 << bits) + 1);
+        let (mut keys, mut head_members, mut head_votes, mut head_totals) = (
             Vec::new(),
-            Vec::with_capacity((1 << bits) + 1),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
+            ColumnBuilder::new(0, 0),
+            ColumnBuilder::new(0, 0),
+            ColumnBuilder::new(0, 0),
         );
-        let (mut filed, mut max_bucket) = (0, 0);
+        let (mut members, mut vote_urls, mut vote_counts) = (
+            ColumnBuilder::new(0, 0),
+            ColumnBuilder::new(0, 0),
+            ColumnBuilder::new(0, 0),
+        );
+        let (mut filed, mut max_bucket, mut dir_len) = (0, 0, 0u64);
         let mut tally: Vec<(UrlId, u64)> = Vec::new();
         let mut rows: Vec<u32> = Vec::new();
         let mut rest = entries.as_slice();
@@ -511,8 +573,9 @@ impl ContextIndex {
             if !bucket.iter().any(|e| e.voter) {
                 continue; // no query could get a prediction out of it
             }
-            while dir.len() as u64 <= first.key >> shift {
-                dir.push(narrow(keys.len())?);
+            while dir_len <= first.key >> shift {
+                dir.push(keys.len() as u64);
+                dir_len += 1;
             }
             // Bits above `low + 32` are the directory slot's.
             #[allow(clippy::cast_possible_truncation)]
@@ -529,7 +592,7 @@ impl ContextIndex {
                 for child in arena.children(first.node) {
                     narrow(arena.count(child))?;
                 }
-                slots.push(slot_payload(first.node, STORED)?);
+                slots.push(u64::from(first.node));
                 continue;
             }
             let len = usize::from(first.len);
@@ -537,21 +600,19 @@ impl ContextIndex {
                 || bucket[1..]
                     .iter()
                     .any(|e| e.len != first.len || !same_window(arena, first.node, e.node, len));
-            let head = if dirty {
+            head_votes.push(vote_urls.len() as u64);
+            if dirty {
                 // Each row once, though merged keys may file it twice.
                 rows.clear();
                 rows.extend(bucket.iter().map(|e| e.node));
                 rows.sort_unstable();
                 rows.dedup();
-                let head = Head {
-                    members: narrow(members.len())?,
-                    votes: narrow(votes.len())?,
-                    total: narrow(rows.len())?,
-                };
-                members.extend(rows.iter().map(|&row| NodeId(row)));
-                head
+                head_members.push(members.len() as u64);
+                head_totals.push(u64::from(narrow(rows.len())?));
+                for &row in &rows {
+                    members.push(u64::from(row));
+                }
             } else {
-                let start = votes.len();
                 let mut total = 0u64;
                 tally.clear();
                 for e in bucket.iter().filter(|e| e.voter) {
@@ -564,36 +625,35 @@ impl ContextIndex {
                 }
                 sum_votes(&mut tally);
                 for &(url, count) in &tally {
-                    votes.push((url, narrow(count)?));
+                    vote_urls.push(u64::from(url.0));
+                    vote_counts.push(u64::from(narrow(count)?));
                 }
-                Head {
-                    members: first.node,
-                    votes: narrow(start)?,
-                    total: narrow(total)?,
-                }
-            };
-            let tag = if dirty { STORED | DIRTY } else { STORED };
-            slots.push(tag | slot_payload(heads.len(), DIRTY)?);
-            heads.push(head);
+                head_members.push(u64::from(first.node));
+                head_totals.push(u64::from(narrow(total)?));
+            }
+            let tag = if dirty { DIRTY } else { STORED };
+            slots.push(tag << tag_shift | (head_totals.len() - 1) as u64);
         }
         drop(entries);
-        heads.push(Head {
-            members: narrow(members.len())?,
-            votes: narrow(votes.len())?,
-            total: 0,
-        });
-        while dir.len() <= 1 << bits {
-            dir.push(narrow(keys.len())?);
+        head_votes.push(vote_urls.len() as u64);
+        while dir_len <= 1 << bits {
+            dir.push(keys.len() as u64);
+            dir_len += 1;
         }
+        debug_assert_eq!(slots.width(), slots_width, "tags sit in place");
         Ok(ContextIndex {
             keys: keys.into_boxed_slice(),
-            dir: dir.into_boxed_slice(),
+            dir: dir.finish(),
             shift,
             low,
-            slots: slots.into_boxed_slice(),
-            heads: heads.into_boxed_slice(),
-            members: members.into_boxed_slice(),
-            votes: votes.into_boxed_slice(),
+            slots: slots.finish(),
+            tag_shift,
+            head_members: head_members.finish(),
+            head_votes: head_votes.finish(),
+            head_totals: head_totals.finish(),
+            members: members.finish(),
+            vote_urls: vote_urls.finish(),
+            vote_counts: vote_counts.finish(),
             entries: filed,
             max_bucket,
         })
@@ -622,8 +682,8 @@ impl ContextIndex {
     #[inline]
     pub(crate) fn position(&self, key: u64) -> Option<usize> {
         let slot = usize::try_from(key >> self.shift).ok()?;
-        let (&lo, &hi) = (self.dir.get(slot)?, self.dir.get(slot + 1)?);
-        let (lo, hi) = (lo as usize, hi as usize);
+        let (lo, hi) = self.dir.try_pair(slot)?;
+        let (lo, hi) = (at(lo), at(hi));
         // Bits above `low + 32` are the directory's.
         #[allow(clippy::cast_possible_truncation)]
         let stored = (key >> self.low) as u32;
@@ -638,23 +698,33 @@ impl ContextIndex {
 
     /// The group whose key sits at position `at` of `keys`.
     #[inline]
-    fn group_at(&self, at: usize) -> WindowGroup<'_> {
-        let slot = self.slots[at];
-        if slot & STORED == 0 {
-            return WindowGroup::Derived(NodeId(slot));
+    fn group_at(&self, position: usize) -> WindowGroup<'_> {
+        let slot = self.slots.get(position);
+        let payload = slot & ((1 << self.tag_shift) - 1);
+        let tag = slot >> self.tag_shift;
+        if tag == 0 {
+            return WindowGroup::Derived(NodeId(row(payload)));
         }
-        let g = (slot & !(STORED | DIRTY)) as usize;
-        let head = &self.heads[g];
-        if slot & DIRTY != 0 {
-            let start = head.members as usize;
+        let g = at(payload);
+        let (first, total) = (self.head_members.get(g), self.head_totals.get(g));
+        if tag == DIRTY {
             return WindowGroup::Dirty {
-                members: &self.members[start..start + head.total as usize],
+                members: (at(first)..at(first + total))
+                    .map(|i| NodeId(row(self.members.get(i))))
+                    .collect(),
             };
         }
+        let (start, end) = self.head_votes.pair(g);
         WindowGroup::Clean {
-            rep: NodeId(head.members),
-            total: head.total,
-            votes: &self.votes[head.votes as usize..self.heads[g + 1].votes as usize],
+            rep: NodeId(row(first)),
+            // Totals were narrowed to 32 bits when the group was built.
+            total: row(total),
+            votes: Votes {
+                urls: &self.vote_urls,
+                counts: &self.vote_counts,
+                start: at(start),
+                end: at(end),
+            },
         }
     }
 
@@ -662,13 +732,13 @@ impl ContextIndex {
     #[cfg(test)]
     pub(crate) fn groups(&self) -> impl Iterator<Item = (u64, WindowGroup<'_>)> {
         let mut slot = 0;
-        (0..self.keys.len()).map(move |at| {
-            // The directory slot whose run holds position `at`.
-            while self.dir[slot + 1] as usize <= at {
+        (0..self.keys.len()).map(move |position| {
+            // The directory slot whose run holds `position`.
+            while at(self.dir.get(slot + 1)) <= position {
                 slot += 1;
             }
-            let key = ((slot as u64) << self.shift) | (u64::from(self.keys[at]) << self.low);
-            (key, self.group_at(at))
+            let key = ((slot as u64) << self.shift) | (u64::from(self.keys[position]) << self.low);
+            (key, self.group_at(position))
         })
     }
 
@@ -713,11 +783,13 @@ impl ContextIndex {
         use std::mem::size_of_val;
         IndexSplit {
             keys: size_of_val(&*self.keys),
-            dir: size_of_val(&*self.dir),
-            slots: size_of_val(&*self.slots),
-            heads: size_of_val(&*self.heads),
-            members: size_of_val(&*self.members),
-            votes: size_of_val(&*self.votes),
+            dir: self.dir.heap_bytes(),
+            slots: self.slots.heap_bytes(),
+            heads: self.head_members.heap_bytes()
+                + self.head_votes.heap_bytes()
+                + self.head_totals.heap_bytes(),
+            members: self.members.heap_bytes(),
+            votes: self.vote_urls.heap_bytes() + self.vote_counts.heap_bytes(),
             dirty_groups: self.dirty_groups(),
         }
     }
@@ -730,7 +802,12 @@ impl ContextIndex {
 
     /// Groups whose members collided.
     fn dirty_groups(&self) -> usize {
-        self.slots.iter().filter(|&&s| s & DIRTY != 0).count()
+        self.tags().filter(|&tag| tag == DIRTY).count()
+    }
+
+    /// Each slot's tag bits, in key order.
+    fn tags(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().map(|slot| slot >> self.tag_shift)
     }
 
     /// Bucket occupancy for storage/telemetry gauges. A dirty group falls
@@ -741,7 +818,7 @@ impl ContextIndex {
             buckets: self.keys.len(),
             max_bucket: self.max_bucket,
             dirty_groups: self.dirty_groups(),
-            derived_groups: self.slots.iter().filter(|&&s| s & STORED == 0).count(),
+            derived_groups: self.tags().filter(|&tag| tag == 0).count(),
         }
     }
 }
@@ -824,7 +901,7 @@ mod tests {
         assert_eq!(rep, NodeId(spelled[0]), "the first member represents");
         let summed: u64 = spelled.iter().map(|&m| t.count(m)).sum();
         assert_eq!((u64::from(total), summed), (4, 4));
-        assert_eq!(votes, &[(u(4), 3), (u(6), 1)]);
+        assert_eq!(votes.iter().collect::<Vec<_>>(), [(u(4), 3), (u(6), 1)]);
         // Leaves are never voters, and a bucket without a voter is absent.
         for (key, _) in idx.groups() {
             let at = idx.position(key).unwrap();
@@ -872,8 +949,44 @@ mod tests {
     }
 
     #[test]
-    fn a_head_is_twelve_bytes() {
-        assert_eq!(std::mem::size_of::<Head>(), 12);
+    fn index_columns_take_the_width_their_values_need() {
+        let columns = |idx: &ContextIndex| {
+            [
+                &idx.dir,
+                &idx.slots,
+                &idx.head_members,
+                &idx.head_votes,
+                &idx.head_totals,
+                &idx.members,
+                &idx.vote_urls,
+                &idx.vote_counts,
+            ]
+            .map(UintColumn::width)
+        };
+        // A handful of rows: every column fits a byte, the slots' two
+        // tags included.
+        let t = chain_tree(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[5, 2, 3, 6]]);
+        let idx = ContextIndex::all_dirty(&t, 8);
+        assert_eq!((columns(&idx), idx.tag_shift), ([1; 8], 6));
+        // URL ids past a byte widen the vote URLs, and 104 rows, with
+        // the tags above them, the slots.
+        let paths: Vec<Vec<u32>> = (0..100u32).map(|i| vec![i % 2, 10, 300 + i]).collect();
+        let refs: Vec<&[u32]> = paths.iter().map(Vec::as_slice).collect();
+        let t = chain_tree(&refs);
+        let idx = ContextIndex::windows(&t, 8).unwrap();
+        assert_eq!(t.len(), 104);
+        assert_eq!(
+            (columns(&idx), idx.tag_shift),
+            ([1, 2, 1, 1, 1, 1, 2, 1], 14)
+        );
+        let Some(WindowGroup::Clean { total, votes, .. }) = group(&idx, &[10]) else {
+            panic!("[10] is a clean stored group");
+        };
+        assert_eq!((total, votes.len()), (100, 100));
+        assert!(votes.iter().map(|(url, _)| url.0).eq(300..400));
+        for (key, g) in idx.groups() {
+            assert_eq!(idx.group_by_key(key), Some(g));
+        }
     }
 
     #[test]
@@ -884,9 +997,10 @@ mod tests {
         assert_eq!(split.keys, 4 * idx.occupancy().buckets);
         assert_eq!((split.members, split.dirty_groups), (0, 0));
         assert_eq!(split.total(), idx.memory_bytes());
-        // Stored every group dirty, the same index keeps every member.
+        // Stored every group dirty, the same index keeps every member, a
+        // byte each at this size.
         let dirty = ContextIndex::all_dirty(&t, 8);
-        assert_eq!(dirty.split().members, 4 * dirty.len());
+        assert_eq!(dirty.split().members, dirty.len());
         assert_eq!(dirty.split().dirty_groups, dirty.occupancy().buckets);
     }
 

@@ -14,14 +14,17 @@
 //! grouped by root in root order and sorted by URL. The order is the
 //! structure, so the arena stores it implicitly:
 //!
-//! * parallel `u32`-indexed columns for `url`, `count` and `parent` (one
-//!   cache line covers eight nodes' counts);
+//! * parallel columns for `url`, `count` and `parent`, each stored at the
+//!   width its values need ([`UintColumn`]): a URL or a count that fits a
+//!   byte takes a byte. A parent is stored one up, so a root's "no
+//!   parent" is 0 and the column stays as narrow as the tree rows;
 //! * `first_child`: node `i`'s children are the rows
 //!   `first_child[i]..first_child[i + 1]`, so the child-vote loop is a
 //!   linear pass over adjacent rows and their URLs are already sorted;
 //! * a root is its own slot: a direct-indexed `root_lookup` table (URL ids
-//!   are dense interner ids) answers "is the current click a root?" in one
-//!   array load, and `link_offsets[slot]..link_offsets[slot + 1]` are the
+//!   are dense interner ids, and an entry is its root's row plus one, 0
+//!   for none) answers "is the current click a root?" in one array load,
+//!   and `link_offsets[slot]..link_offsets[slot + 1]` are the
 //!   root's link rows, so a row is a link exactly when it is at or past
 //!   the first link row;
 //! * Fig. 2's path-usage flags are a bitset over rows kept beside the
@@ -39,6 +42,7 @@
 //! index with verification walks on these arrays
 //! ([`FrozenTree::match_top`]).
 
+use crate::column::{ColumnBytes, UintColumn};
 use crate::interner::UrlId;
 use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
 use crate::prune::{PruneConfig, PruneReport};
@@ -107,8 +111,8 @@ pub enum SnapshotError {
     UnsortedUrl(u32),
     /// A model-specific layout rule is broken (context in the message).
     Malformed(&'static str),
-    /// A count, or a sum of counts, outgrows the fingerprint index's
-    /// 32-bit fields.
+    /// A count, or a sum of counts, outgrows the 32 bits the fingerprint
+    /// index's vote quotients allow.
     IndexOverflow,
 }
 
@@ -146,39 +150,47 @@ impl std::error::Error for SnapshotError {}
 /// Sentinel for "no node" in the `u32` index space: the parent of a root.
 pub const NO_NODE: u32 = u32::MAX;
 
-/// Child runs at most this long are scanned linearly; longer ones are
-/// binary-searched. Sibling URLs are adjacent, so the scan stays within
-/// one or two cache lines.
-const LINEAR_SCAN_MAX: usize = 16;
-
 #[inline]
 fn ix(i: u32) -> usize {
     i as usize
 }
 
+/// A value read from a column whose bound is a row count or a URL id,
+/// both `u32` by construction.
+#[inline]
+fn narrow_row(v: u64) -> u32 {
+    // The column's bound fits u32, so the value does.
+    #[allow(clippy::cast_possible_truncation)]
+    let row = v as u32;
+    row
+}
+
 /// The frozen level-order arena of a finalized tree model.
 ///
-/// All columns are indexed by the node's row, its [`NodeId`]. Immutable
-/// by construction: every accessor takes `&self`.
+/// All columns are indexed by the node's row, its [`NodeId`], and each
+/// is stored at the width its values need: the largest URL id, the
+/// largest count, the tree rows, the roots or the rows bound them, and
+/// the build already knows each bound. Immutable by construction: every
+/// accessor takes `&self`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenTree {
-    /// `urls[i]`: URL of row `i`.
-    pub(crate) urls: Vec<UrlId>,
+    /// `urls[i]`: URL id of row `i`.
+    pub(crate) urls: UintColumn,
     /// `counts[i]`: transition count of row `i`.
-    pub(crate) counts: Vec<u64>,
-    /// `parents[i]`: parent row of row `i`, [`NO_NODE`] for roots; a link
-    /// row's parent is its root.
-    pub(crate) parents: Vec<u32>,
+    pub(crate) counts: UintColumn,
+    /// `parents[i]`: one more than the parent row of row `i`, 0 for roots
+    /// (read back as [`NO_NODE`]); a link row's parent is its root.
+    pub(crate) parents: UintColumn,
     /// Row `i`'s children are the rows `first_child[i]..first_child[i + 1]`;
     /// length `n + 1`. Link rows have empty runs at the first link row.
-    pub(crate) first_child: Vec<u32>,
-    /// Direct index: `root_lookup[url.0]` is the URL's root row, which is
-    /// also its slot (or [`NO_NODE`]). URL ids are dense, so this stays
-    /// small.
-    pub(crate) root_lookup: Vec<u32>,
+    pub(crate) first_child: UintColumn,
+    /// Direct index: `root_lookup[url.0]` is one more than the URL's root
+    /// row, which is also its slot, or 0 when the URL heads no root. URL
+    /// ids are dense, so this stays small.
+    pub(crate) root_lookup: UintColumn,
     /// Root `s`'s link rows are `link_offsets[s]..link_offsets[s + 1]`;
     /// length `R + 1`, from the first link row to `n`.
-    pub(crate) link_offsets: Vec<u32>,
+    pub(crate) link_offsets: UintColumn,
 }
 
 /// A row count as `u32` row ids, which leave [`NO_NODE`] free.
@@ -187,6 +199,13 @@ fn row_count(n: usize) -> Result<u32, SnapshotError> {
         .ok()
         .filter(|&n| n < NO_NODE)
         .ok_or(SnapshotError::Malformed("rows past u32 ids"))
+}
+
+/// The first row of the run `run`, which starts at row `start`, whose URL
+/// does not sort strictly after the one before it.
+fn unsorted_in(start: u32, run: &[NodeSnapshot]) -> Option<u32> {
+    let at = run.windows(2).position(|w| w[0].url >= w[1].url)?;
+    Some(start + narrow_row(at as u64) + 1)
 }
 
 impl FrozenTree {
@@ -200,66 +219,94 @@ impl FrozenTree {
     /// within the tree rows. Roots, each run of siblings and each root's
     /// links must ascend strictly by URL, and links come sorted by root
     /// slot, each below `R`. Anything else is refused.
+    ///
+    /// Each column's width comes from a bound these passes already know:
+    /// the tree rows bound the parents and child runs, the roots the root
+    /// table, the rows the link runs, and the pass that sums the child
+    /// counts (and the link pass) find the largest URL and count.
     pub fn from_snapshot(snap: &TreeSnapshot) -> Result<Self, SnapshotError> {
         let (nodes, links) = (&snap.nodes, &snap.links);
         let rows = row_count(nodes.len() + links.len())?;
         let tree = row_count(nodes.len())?;
-        let children: u64 = nodes.iter().map(|s| u64::from(s.children)).sum();
+        let (mut children, mut max_url, mut max_count) = (0u64, 0u32, 0u64);
+        for s in nodes {
+            children += u64::from(s.children);
+            max_url = max_url.max(s.url);
+            max_count = max_count.max(s.count);
+        }
         // Too many children leave no root, and row 0's run then starts at
         // row 0.
         let roots = u32::try_from(u64::from(tree).saturating_sub(children)).unwrap_or(0);
-        let mut parents = vec![NO_NODE; ix(rows)];
-        let mut first_child = Vec::with_capacity(ix(rows) + 1);
+        // Parents are stored one up: a parent is a tree row, so the tree
+        // rows bound them, and a root's 0 costs no width.
+        let mut parents = UintColumn::filled(u64::from(tree), ix(rows), 0);
+        let mut first_child = UintColumn::filled(u64::from(tree), ix(rows) + 1, u64::from(tree));
+        // Rows sharing a parent are one run: the roots, a node's children,
+        // a root's links. Runs come in row order, so the first unsorted
+        // row found is the lowest; it is refused once the runs are known
+        // to be well formed.
+        let mut unsorted = unsorted_in(0, &nodes[..ix(roots)]);
         let mut next = roots;
         for (row, s) in (0..).zip(nodes) {
             if next <= row {
                 return Err(SnapshotError::BadChildRun(row));
             }
-            first_child.push(next);
+            first_child.set(ix(row), u64::from(next));
             // Runs so far fit the tree rows: the counts sum to tree − R.
             let end = next + s.children;
-            parents[ix(next)..ix(end)].fill(row);
+            parents.fill(ix(next)..ix(end), u64::from(row) + 1);
+            if unsorted.is_none() {
+                unsorted = unsorted_in(next, &nodes[ix(next)..ix(end)]);
+            }
             next = end;
         }
-        first_child.resize(ix(rows) + 1, tree);
 
-        let mut link_offsets = Vec::with_capacity(ix(roots) + 1);
+        let mut link_offsets = UintColumn::filled(u64::from(rows), ix(roots) + 1, u64::from(rows));
+        // Slots whose link run start is set.
+        let mut started = 0;
+        let mut last: Option<&LinkSnapshot> = None;
         for (row, link) in (tree..).zip(links) {
-            if link.root >= roots || ix(link.root) + 1 < link_offsets.len() {
+            if link.root >= roots || ix(link.root) + 1 < started {
                 return Err(SnapshotError::BadLink(row));
             }
-            link_offsets.resize(ix(link.root) + 1, row);
-            parents[ix(row)] = link.root;
-        }
-        link_offsets.resize(ix(roots) + 1, rows);
-
-        let urls: Vec<UrlId> = nodes
-            .iter()
-            .map(|s| UrlId(s.url))
-            .chain(links.iter().map(|l| UrlId(l.url)))
-            .collect();
-        // Rows sharing a parent are one run: the roots, a node's children,
-        // a root's links (the first link row starts a new run).
-        for k in (1..ix(rows)).filter(|&k| k != ix(tree)) {
-            if parents[k - 1] == parents[k] && urls[k - 1] >= urls[k] {
-                return Err(SnapshotError::UnsortedUrl(row_count(k)?));
+            if last.is_some_and(|l| l.root == link.root && l.url >= link.url) {
+                unsorted = unsorted.or(Some(row));
             }
+            last = Some(link);
+            link_offsets.fill(started..ix(link.root) + 1, u64::from(row));
+            started = ix(link.root) + 1;
+            parents.set(ix(row), u64::from(link.root) + 1);
+            max_url = max_url.max(link.url);
+            max_count = max_count.max(link.count);
         }
+        if let Some(row) = unsorted {
+            return Err(SnapshotError::UnsortedUrl(row));
+        }
+
+        let urls = UintColumn::collect(
+            u64::from(max_url),
+            nodes
+                .iter()
+                .map(|s| u64::from(s.url))
+                .chain(links.iter().map(|l| u64::from(l.url))),
+        );
         // The last root has the largest URL.
         let width = roots
             .checked_sub(1)
-            .map_or(0, |last| ix(urls[ix(last)].0) + 1);
-        let mut root_lookup = vec![NO_NODE; width];
+            .map_or(0, |last| ix(narrow_row(urls.get(ix(last)))) + 1);
+        let mut root_lookup = UintColumn::filled(u64::from(roots), width, 0);
         for root in 0..roots {
-            root_lookup[ix(urls[ix(root)].0)] = root;
+            root_lookup.set(ix(narrow_row(urls.get(ix(root)))), u64::from(root) + 1);
         }
         Ok(Self {
             urls,
-            counts: nodes
-                .iter()
-                .map(|s| s.count)
-                .chain(links.iter().map(|l| l.count))
-                .collect(),
+            counts: UintColumn::collect(
+                max_count,
+                nodes
+                    .iter()
+                    .map(|s| s.count)
+                    .chain(links.iter().map(|l| l.count)),
+            ),
             parents,
             first_child,
             root_lookup,
@@ -304,17 +351,17 @@ impl FrozenTree {
             return Err("frozen columns disagree on length");
         }
         let links = &self.link_offsets;
-        if links.last().map(|&end| ix(end)) != Some(n) || links.windows(2).any(|w| w[0] > w[1]) {
+        if links.last() != Some(n as u64) || !links.is_sorted() {
             return Err("frozen link offsets do not rise to the row count");
         }
         let runs = &self.first_child;
-        if ix(runs[0]) != links.len() - 1 || runs[n] != links[0] {
+        if runs.get(0) != (links.len() - 1) as u64 || runs.get(n) != links.get(0) {
             return Err("frozen child runs do not span the roots to the first link row");
         }
-        if runs.windows(2).any(|w| w[0] > w[1]) {
+        if !runs.is_sorted() {
             return Err("frozen child runs not monotone");
         }
-        if (0..links[0]).any(|i| runs[ix(i)] <= i) {
+        if (0..narrow_row(links.get(0))).any(|i| runs.get(ix(i)) <= u64::from(i)) {
             return Err("frozen child run does not start after its row");
         }
         Ok(())
@@ -345,21 +392,21 @@ impl FrozenTree {
 
     /// The first special-link row: the tree rows come before it.
     pub(crate) fn first_link_row(&self) -> u32 {
-        self.link_offsets.first().copied().unwrap_or(0)
+        self.link_offsets.try_get(0).map_or(0, narrow_row)
     }
 
     /// URL of node `i`.
     #[inline]
     #[must_use]
     pub fn url(&self, i: u32) -> UrlId {
-        self.urls[ix(i)]
+        UrlId(narrow_row(self.urls.get(ix(i))))
     }
 
     /// Transition count of node `i`.
     #[inline]
     #[must_use]
     pub fn count(&self, i: u32) -> u64 {
-        self.counts[ix(i)]
+        self.counts.get(ix(i))
     }
 
     /// Branch depth of node `i` (roots are depth 1), counted up its parent
@@ -391,7 +438,8 @@ impl FrozenTree {
     #[inline]
     #[must_use]
     pub fn parent(&self, i: u32) -> u32 {
-        self.parents[ix(i)]
+        // A root's stored 0 wraps to `NO_NODE`.
+        narrow_row(self.parents.get(ix(i))).wrapping_sub(1)
     }
 
     /// True when node `i` is a duplicated special-link node: a row at or
@@ -406,7 +454,8 @@ impl FrozenTree {
     #[inline]
     #[must_use]
     pub fn children(&self, i: u32) -> Range<u32> {
-        self.first_child[ix(i)]..self.first_child[ix(i) + 1]
+        let (start, end) = self.first_child.pair(ix(i));
+        narrow_row(start)..narrow_row(end)
     }
 
     /// True when node `i` has at least one child (one offset comparison —
@@ -414,40 +463,44 @@ impl FrozenTree {
     #[inline]
     #[must_use]
     pub fn has_children(&self, i: u32) -> bool {
-        self.first_child[ix(i)] < self.first_child[ix(i) + 1]
+        let (start, end) = self.first_child.pair(ix(i));
+        start < end
     }
 
-    /// The child of node `i` carrying `url`, if any. Short runs are a
-    /// linear scan over the adjacent URLs; long runs binary-search.
+    /// The child of node `i` carrying `url`, if any. Sibling URLs are
+    /// adjacent and sorted: short runs are a linear scan within a cache
+    /// line or two, long runs binary-search.
     #[inline]
     #[must_use]
     pub fn child(&self, i: u32, url: UrlId) -> Option<u32> {
         let run = self.children(i);
-        let urls = &self.urls[ix(run.start)..ix(run.end)];
-        if urls.len() <= LINEAR_SCAN_MAX {
-            for (row, &u) in run.zip(urls) {
-                if u >= url {
-                    return (u == url).then_some(row);
-                }
-            }
-            None
-        } else {
-            let pos = u32::try_from(urls.binary_search(&url).ok()?).ok()?;
-            Some(run.start + pos)
-        }
+        let pos = self
+            .urls
+            .position_sorted(ix(run.start)..ix(run.end), u64::from(url.0))?;
+        Some(run.start + u32::try_from(pos).ok()?)
     }
 
     /// The branch root for `url`, if one exists.
     #[inline]
     #[must_use]
     pub fn root(&self, url: UrlId) -> Option<u32> {
-        let row = *self.root_lookup.get(ix(url.0))?;
-        (row != NO_NODE).then_some(row)
+        // A stored 0 is "no root".
+        let row = self.root_lookup.try_get(ix(url.0))?.checked_sub(1)?;
+        Some(narrow_row(row))
+    }
+
+    /// Every URL id's root row in id order, [`NO_NODE`] for a URL that
+    /// heads no root: the root table as the audit reads it.
+    pub(crate) fn root_table(&self) -> impl Iterator<Item = u32> + '_ {
+        self.root_lookup
+            .iter()
+            .map(|row| narrow_row(row).wrapping_sub(1))
     }
 
     /// The link rows of the root in row (slot) `root`, sorted by URL.
     pub(crate) fn root_links(&self, root: u32) -> Range<u32> {
-        self.link_offsets[ix(root)]..self.link_offsets[ix(root) + 1]
+        let (start, end) = self.link_offsets.pair(ix(root));
+        narrow_row(start)..narrow_row(end)
     }
 
     /// Special-link targets (duplicated nodes) hanging off `url`'s root:
@@ -550,18 +603,26 @@ impl FrozenTree {
         Some(cur)
     }
 
-    /// Exact heap bytes of the arena: every backing array counted by
-    /// length. The arena is built at exact size, so this is the live heap
+    /// Exact heap bytes of the arena: every column's length times its
+    /// width. The arena is built at exact size, so this is the live heap
     /// it holds — a finalized model's `ModelStats::memory_bytes`.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of_val;
-        size_of_val(self.urls.as_slice())
-            + size_of_val(self.counts.as_slice())
-            + size_of_val(self.parents.as_slice())
-            + size_of_val(self.first_child.as_slice())
-            + size_of_val(self.root_lookup.as_slice())
-            + size_of_val(self.link_offsets.as_slice())
+        self.split().iter().map(|c| c.bytes).sum()
+    }
+
+    /// Each column's bytes and width, in field order; their bytes sum to
+    /// [`FrozenTree::heap_bytes`].
+    #[must_use]
+    pub fn split(&self) -> [ColumnBytes; 6] {
+        [
+            ColumnBytes::of("urls", &self.urls),
+            ColumnBytes::of("counts", &self.counts),
+            ColumnBytes::of("parents", &self.parents),
+            ColumnBytes::of("first_child", &self.first_child),
+            ColumnBytes::of("root_lookup", &self.root_lookup),
+            ColumnBytes::of("link_offsets", &self.link_offsets),
+        ]
     }
 
     /// Flags row `i` and all its ancestors in a path-usage bitset.
@@ -1349,19 +1410,19 @@ mod tests {
             bad.check_csr()
         };
         // Length disagreement.
-        assert!(check(&|t| {
-            t.counts.pop();
-        })
+        assert!(check(&|t| t.counts.edit(|v| {
+            v.pop();
+        }))
         .is_err());
         // Non-monotone child runs.
-        assert!(check(&|t| t.first_child[1] = u32::MAX - 1).is_err());
+        assert!(check(&|t| t.first_child.edit(|v| v[1] = u64::from(u32::MAX - 1))).is_err());
         // A run that does not start after its row.
-        assert!(check(&|t| t.first_child[0] = 0).is_err());
+        assert!(check(&|t| t.first_child.set(0, 0)).is_err());
         let last = f.first_link_row() - 1;
-        assert!(check(&|t| t.first_child[ix(last)] = last).is_err());
+        assert!(check(&|t| t.first_child.set(ix(last), u64::from(last))).is_err());
         // Link runs that miss the row count, or fall back.
-        assert!(check(&|t| t.link_offsets.push(0)).is_err());
-        assert!(check(&|t| t.link_offsets[1] = 0).is_err());
+        assert!(check(&|t| t.link_offsets.edit(|v| v.push(0))).is_err());
+        assert!(check(&|t| t.link_offsets.set(1, 0)).is_err());
     }
 
     #[test]

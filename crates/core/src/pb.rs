@@ -360,13 +360,13 @@ impl PbPpm {
                     if total == 0 {
                         continue;
                     }
-                    for &(url, count) in votes {
+                    for (url, count) in votes.iter() {
                         out.push(Prediction::new(url, f64::from(count) / f64::from(total)));
                     }
                     usage.branch_preds += votes.len() as u64;
                 }
                 WindowGroup::Dirty { members } => {
-                    if Self::vote_members(frozen, suffix, members, out, usage) {
+                    if Self::vote_members(frozen, suffix, &members, out, usage) {
                         usage.index_fallback += 1;
                         break;
                     }

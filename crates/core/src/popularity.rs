@@ -15,6 +15,7 @@
 //! Grades drive every popularity-based decision in [`crate::pb`]: branch
 //! heights, the root-creation rule, and special links.
 
+use crate::column::{ColumnBytes, UintColumn};
 use crate::interner::UrlId;
 use serde::{Deserialize, Serialize};
 
@@ -164,9 +165,11 @@ impl PopularityBuilder {
 /// URLs never seen during training get [`Grade::G0`] and zero relative
 /// popularity — the paper's trees give unknown documents the least
 /// consideration, which this default preserves.
+///
+/// The counts are stored at the width the largest needs ([`UintColumn`]).
 #[derive(Debug, Clone, Default)]
 pub struct PopularityTable {
-    counts: Vec<u64>,
+    counts: UintColumn,
     grades: Vec<Grade>,
     max_count: u64,
     total: u64,
@@ -179,7 +182,8 @@ impl PopularityTable {
     }
 
     /// Builds the table directly from a dense per-URL count vector
-    /// (`counts[url.index()]` = number of accesses).
+    /// (`counts[url.index()]` = number of accesses). The most popular
+    /// URL's count, which the grades need anyway, sizes the stored counts.
     pub fn from_counts(counts: Vec<u64>) -> Self {
         let max_count = counts.iter().copied().max().unwrap_or(0);
         let total = counts.iter().sum();
@@ -194,7 +198,7 @@ impl PopularityTable {
             })
             .collect();
         Self {
-            counts,
+            counts: UintColumn::collect(max_count, counts),
             grades,
             max_count,
             total,
@@ -214,7 +218,7 @@ impl PopularityTable {
         total: u64,
     ) -> Self {
         Self {
-            counts,
+            counts: UintColumn::from_values(&counts),
             grades,
             max_count,
             total,
@@ -239,15 +243,15 @@ impl PopularityTable {
     /// Raw access count for `url` in the training window.
     #[inline]
     pub fn count(&self, url: UrlId) -> u64 {
-        self.counts.get(url.index()).copied().unwrap_or(0)
+        self.counts.try_get(url.index()).unwrap_or(0)
     }
 
-    /// The dense per-URL count vector (`counts()[url.index()]` accesses).
+    /// The dense per-URL counts (`counts().get(url.index())` accesses).
     ///
-    /// Grades, `max_count`, and `total` are all derived from it, so the
-    /// vector is the table's complete serializable state:
+    /// Grades, `max_count`, and `total` are all derived from them, so the
+    /// column is the table's complete serializable state:
     /// `PopularityTable::from_counts(t.counts().to_vec())` reproduces `t`.
-    pub fn counts(&self) -> &[u64] {
+    pub fn counts(&self) -> &UintColumn {
         &self.counts
     }
 
@@ -264,13 +268,25 @@ impl PopularityTable {
     /// Heap bytes of the counts and grades, by length: a clone or a
     /// snapshot load allocates exactly this.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(self.counts.as_slice())
-            + std::mem::size_of_val(self.grades.as_slice())
+        self.split().iter().map(|c| c.bytes).sum()
+    }
+
+    /// The counts' and the grades' bytes and widths; their bytes sum to
+    /// [`PopularityTable::heap_bytes`].
+    pub fn split(&self) -> [ColumnBytes; 2] {
+        [
+            ColumnBytes::of("counts", &self.counts),
+            ColumnBytes {
+                name: "grades",
+                bytes: std::mem::size_of_val(self.grades.as_slice()),
+                width: std::mem::size_of::<Grade>(),
+            },
+        ]
     }
 
     /// Number of URLs with a nonzero count.
     pub fn distinct_urls(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
+        self.counts.iter().filter(|&c| c > 0).count()
     }
 
     /// How many URLs fall into each grade (index = grade level).
@@ -280,7 +296,7 @@ impl PopularityTable {
     pub fn grade_histogram(&self) -> [usize; 4] {
         let mut hist = [0usize; 4];
         for (i, &g) in self.grades.iter().enumerate() {
-            if self.counts[i] > 0 {
+            if self.counts.get(i) > 0 {
                 hist[g.level() as usize] += 1;
             }
         }

@@ -499,7 +499,7 @@ fn read_tree(r: &mut Reader) -> Result<TreeSnapshot, CodecError> {
 fn write_pop(w: &mut Writer, pop: &PopularityTable) {
     let counts = pop.counts();
     w.usizev(counts.len());
-    for &c in counts {
+    for c in counts.iter() {
         w.varint(c);
     }
 }

@@ -37,6 +37,7 @@
 //! finished tree cannot falsify it. The checker instead verifies the root
 //! *registry* is structurally sound in both directions.
 
+use crate::column::ColumnBytes;
 use crate::context_index::IndexSplit;
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::interner::UrlId;
@@ -383,6 +384,12 @@ pub struct AuditReport {
     /// Where the loaded PB-PPM model's fingerprint index bytes go, list by
     /// list, and how many of its groups are dirty.
     pub index: Option<IndexSplit>,
+    /// The audited arena's columns, each with its bytes and width; empty
+    /// for a model with no arena.
+    pub arena: Vec<ColumnBytes>,
+    /// The PB-PPM model's popularity table, counts and grades, each with
+    /// its bytes and width; empty for the other models.
+    pub popularity: Vec<ColumnBytes>,
 }
 
 impl AuditReport {
@@ -395,6 +402,8 @@ impl AuditReport {
             bytes: None,
             url_table: None,
             index: None,
+            arena: Vec::new(),
+            popularity: Vec::new(),
         }
     }
 
@@ -407,6 +416,8 @@ impl AuditReport {
             bytes: None,
             url_table: None,
             index: None,
+            arena: Vec::new(),
+            popularity: Vec::new(),
         }
     }
 
@@ -493,6 +504,22 @@ impl AuditReport {
             s.push_str(&split.dirty_groups.to_string());
             s.push('}');
         }
+        for (key, columns) in [("arena", &self.arena), ("popularity", &self.popularity)] {
+            if columns.is_empty() {
+                continue;
+            }
+            s.push_str(&format!(
+                ",\"{key}\":{{\"total\":{}",
+                columns.iter().map(|c| c.bytes).sum::<usize>()
+            ));
+            for c in columns {
+                s.push_str(&format!(
+                    ",\"{}\":{{\"bytes\":{},\"width\":{}}}",
+                    c.name, c.bytes, c.width
+                ));
+            }
+            s.push('}');
+        }
         s.push('}');
         s
     }
@@ -527,6 +554,17 @@ impl fmt::Display for AuditReport {
                 write!(f, " {name} {bytes}")?;
             }
             writeln!(f, "; dirty groups {}", split.dirty_groups)?;
+        }
+        for (label, columns) in [("arena", &self.arena), ("popularity", &self.popularity)] {
+            if columns.is_empty() {
+                continue;
+            }
+            let total: usize = columns.iter().map(|c| c.bytes).sum();
+            write!(f, "  {label} bytes {total}:")?;
+            for c in columns {
+                write!(f, " {} {} w{}", c.name, c.bytes, c.width)?;
+            }
+            writeln!(f)?;
         }
         for v in &self.violations {
             writeln!(f, "  [{}] {v}", v.kind())?;
@@ -581,7 +619,7 @@ fn run_owner(arena: &FrozenTree, id: u32) -> Option<u32> {
         &arena.first_child
     };
     // The last run to start at or before `id` holds it.
-    u32::try_from(runs.partition_point(|&start| start <= id))
+    u32::try_from(runs.partition_point(|start| start <= u64::from(id)))
         .ok()?
         .checked_sub(1)
 }
@@ -607,6 +645,7 @@ fn points_back(arena: &FrozenTree, owner: u32, run: Range<u32>, report: &mut Aud
 /// layout holds: the checks that follow walk the runs, so they run only
 /// then.
 fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditReport) -> bool {
+    report.arena = arena.split().to_vec();
     report.tick();
     if let Err(detail) = arena.check_csr() {
         report.violations.push(Violation::FrozenCsrMalformed {
@@ -663,7 +702,7 @@ fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditRe
             }
         }
     }
-    for (url, &row) in (0..).zip(&arena.root_lookup) {
+    for (url, row) in (0..).zip(arena.root_table()) {
         report.tick();
         if row != NO_NODE && !(arena.roots().contains(&row) && arena.url(row).0 == url) {
             report
@@ -745,6 +784,7 @@ fn verify_no_links(arena: &FrozenTree, report: &mut AuditReport) {
 
 fn verify_pb(m: &PbPpm, url_count: Option<u64>, report: &mut AuditReport) {
     let pop = &m.pop;
+    report.popularity = pop.split().to_vec();
     verify_popularity(pop, report);
     let Some(arena) = m.store.arena() else {
         return;
@@ -1006,7 +1046,9 @@ mod tests {
     #[test]
     fn malformed_frozen_csr_is_caught() {
         let mut pb = trained_pb();
-        arena_mut(&mut pb).first_child.pop();
+        arena_mut(&mut pb).first_child.edit(|runs| {
+            runs.pop();
+        });
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("frozen-csr-malformed"), "{report}");
     }
@@ -1016,7 +1058,7 @@ mod tests {
         let mut pb = trained_pb();
         let arena = arena_mut(&mut pb);
         let child = arena.descend(&[u(0), u(1)]).expect("branch exists");
-        arena.counts[child as usize] += 1_000;
+        arena.counts.edit(|counts| counts[child as usize] += 1_000);
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("child-count-exceeds-parent"), "{report}");
     }
@@ -1030,13 +1072,16 @@ mod tests {
         let arena = arena_mut(&mut pb);
         let [a, b] = [&[u(0), u(1)][..], &[u(0), u(1), u(2)]].map(|p| arena.descend(p));
         let (a, b) = (a.expect("branch exists"), b.expect("branch exists"));
-        arena.parents[a as usize] = b;
+        // Parents are stored one up.
+        arena
+            .parents
+            .edit(|parents| parents[a as usize] = u64::from(b) + 1);
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("child-parent-mismatch"), "{report}");
         assert!(!report.has("frozen-csr-malformed"), "{report}");
 
         let mut pb = trained_pb();
-        arena_mut(&mut pb).parents[0] = 1;
+        arena_mut(&mut pb).parents.set(0, 2);
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("root-registration-invalid"), "{report}");
     }
@@ -1066,7 +1111,7 @@ mod tests {
         let mut pb = trained_pb();
         let arena = arena_mut(&mut pb);
         let child = arena.descend(&[u(0), u(1)]).expect("branch exists");
-        arena.counts[child as usize] += 1_000;
+        arena.counts.edit(|counts| counts[child as usize] += 1_000);
         let report = verify_model(&ModelRef::Pb(&pb));
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -5,9 +5,12 @@
 //! Markov model's pair forest included. A loaded PB-PPM model holds its
 //! arena, index and popularity table and nothing else; serving it
 //! allocates nothing that stays, and recording usage holds exactly
-//! `usage_bytes`. The counter is
+//! `usage_bytes`. Models whose rows, URL ids and counts need two- and
+//! four-byte columns are held to the same truth. The counter is
 //! process-wide, so this binary runs without the libtest harness, whose
 //! main thread would allocate into the window (see `interner_bytes.rs`).
+
+mod wide;
 
 use pbppm_core::{
     FrozenTree, Order1Markov, PbConfig, PbPpm, PopularityTable, PredictUsage, Predictor, UrlId,
@@ -50,6 +53,35 @@ fn main() {
     an_arena_grows_the_live_heap_by_its_heap_bytes();
     order1_memory_bytes_is_the_live_heap_of_its_arena();
     a_loaded_pb_model_holds_only_what_a_query_reads();
+    wide_models_hold_what_they_report();
+}
+
+/// At every column width, finalizing, loading and cloning grow the heap
+/// by what the model reports.
+fn wide_models_hold_what_they_report() {
+    for (n, width) in wide::SIZES {
+        let sessions = wide::sessions(n);
+        let (bytes, m) = grown(|| wide::model(&sessions));
+        let stats = m.stats();
+        let pop = m.popularity().heap_bytes();
+        assert_eq!(
+            bytes,
+            (stats.memory_bytes + stats.index_bytes + pop) as u64,
+            "n={n}: trained and finalized"
+        );
+        let arena = m.frozen().expect("finalized");
+        assert!(arena.split().iter().any(|c| c.width == width), "n={n}");
+        let snap = m.to_snapshot();
+        let (bytes, loaded) = grown(|| PbPpm::from_snapshot(&snap).expect("loads"));
+        let stats = loaded.stats();
+        assert_eq!(
+            bytes,
+            (stats.memory_bytes + stats.index_bytes + pop) as u64,
+            "n={n}: loaded"
+        );
+        let (bytes, copy) = grown(|| arena.clone());
+        assert_eq!(bytes, copy.heap_bytes() as u64, "n={n}: clone");
+    }
 }
 
 fn an_arena_grows_the_live_heap_by_its_heap_bytes() {

@@ -1,9 +1,12 @@
 //! The fingerprint index reports the heap it holds: building one grows the
 //! live heap by exactly `ContextIndex::memory_bytes`, so the
 //! `core.index.bytes` gauge and the results' `index_bytes` are allocator
-//! truth, not an estimate. The counter is process-wide, so this binary
+//! truth, not an estimate, at every column width. The counter is
+//! process-wide, so this binary
 //! runs without the libtest harness, whose main thread would allocate
 //! into the window (see `interner_bytes.rs`).
+
+mod wide;
 
 use pbppm_core::{ContextIndex, PbConfig, PbPpm, PopularityTable, Predictor, UrlId};
 
@@ -36,6 +39,22 @@ fn sessions(count: usize, urls: u64) -> Vec<Vec<UrlId>> {
 
 fn main() {
     building_an_index_grows_the_live_heap_by_its_memory_bytes();
+    wide_indexes_grow_the_live_heap_by_their_memory_bytes();
+}
+
+/// Indexes over models whose rows, URL ids and counts need two- and
+/// four-byte columns.
+fn wide_indexes_grow_the_live_heap_by_their_memory_bytes() {
+    for (n, _) in wide::SIZES {
+        let m = wide::model(&wide::sessions(n));
+        let arena = m.frozen().expect("finalized");
+        let before = pbppm_obs::alloc::live_bytes();
+        let index = ContextIndex::windows(arena, 8).expect("trained counts fit");
+        let grown = pbppm_obs::alloc::live_bytes() - before;
+        assert!(index.len() > 600, "n={n}: {} entries", index.len());
+        assert_eq!(grown, index.memory_bytes() as u64, "n={n}");
+        assert_eq!(index.memory_bytes(), m.stats().index_bytes, "n={n}");
+    }
 }
 
 fn building_an_index_grows_the_live_heap_by_its_memory_bytes() {

@@ -17,7 +17,12 @@
 //! 3. **Deterministic merge** — per-chunk records are stable-sorted by
 //!    time; a k-way heap merge keyed `(time, chunk index)` replays them in
 //!    the reference builder's `(time, line index)` order, interning each
-//!    chunk-local id globally on first appearance in merge order.
+//!    chunk-local id globally on first appearance in merge order. When
+//!    every chunk's records arrived in time order and no chunk starts
+//!    before the previous one ends (a log written as it was served), that
+//!    order is the chunks one after another: the merge appends them, and
+//!    interns each chunk's local tables in id order, which is their order
+//!    of first appearance.
 //!
 //! The result is **byte-identical** to [`crate::reference::trace_from_lines`]
 //! — same requests, interner orders and [`ClfStats`] — at every chunk size
@@ -80,6 +85,8 @@ struct RawChunk {
 struct ParsedChunk {
     idx: usize,
     records: Vec<CompactRecord>,
+    /// The records arrived in time order, so sorting moved none.
+    in_order: bool,
     paths: Interner,
     hosts: Interner,
     malformed: usize,
@@ -93,6 +100,7 @@ fn parse_chunk(raw: &RawChunk) -> ParsedChunk {
     let mut chunk = ParsedChunk {
         idx: raw.idx,
         records: Vec::new(),
+        in_order: true,
         paths: Interner::new(),
         hosts: Interner::new(),
         malformed: 0,
@@ -133,8 +141,123 @@ fn parse_chunk(raw: &RawChunk) -> ParsedChunk {
     // Stable sort: records with equal timestamps keep their in-chunk input
     // order, which the merge's `(time, chunk idx)` key extends to the
     // global input order — the reference builder's exact tie-break.
-    chunk.records.sort_by_key(|r| r.time);
+    chunk.in_order = chunk.records.windows(2).all(|w| w[0].time <= w[1].time);
+    if !chunk.in_order {
+        chunk.records.sort_by_key(|r| r.time);
+    }
     chunk
+}
+
+/// True when the chunks' records, one chunk after another, are already
+/// in the merge's `(time, chunk index)` order: each chunk arrived in time
+/// order, and none starts before the previous non-empty one ends.
+fn in_time_order(chunks: &[ParsedChunk]) -> bool {
+    let mut last = i64::MIN;
+    for c in chunks {
+        if !c.in_order {
+            return false;
+        }
+        if let (Some(first), Some(end)) = (c.records.first(), c.records.last()) {
+            if first.time < last {
+                return false;
+            }
+            last = end.time;
+        }
+    }
+    true
+}
+
+/// Appends one accepted record to the trace, its time rebased to the
+/// first record's.
+fn push_request(
+    trace: &mut Trace,
+    stats: &mut ClfStats,
+    epoch: &mut Option<i64>,
+    r: &CompactRecord,
+    url: UrlId,
+    client: ClientId,
+) {
+    let epoch = *epoch.get_or_insert(r.time);
+    stats.robot_clients[client.index()] |= r.robot;
+    trace.requests.push(Request {
+        time: u64::try_from((r.time - epoch).max(0)).unwrap_or(0),
+        client,
+        url,
+        size: r.size,
+        status: r.status,
+        kind: r.kind,
+    });
+    stats.accepted += 1;
+}
+
+/// The merge for chunks [`in_time_order`]: each chunk in turn, its local
+/// tables interned in id order (the order its records first name each
+/// string, which is the order the heap merge would reach them), then its
+/// records.
+fn append_in_order(chunks: &[ParsedChunk], trace: &mut Trace, stats: &mut ClfStats) {
+    let mut epoch = None;
+    for c in chunks {
+        let urls: Vec<UrlId> = c.paths.iter().map(|(_, s)| trace.urls.intern(s)).collect();
+        let clients: Vec<ClientId> = c
+            .hosts
+            .iter()
+            .map(|(_, s)| ClientId(trace.clients.intern(s).0))
+            .collect();
+        stats.robot_clients.resize(trace.clients.len(), false);
+        for r in &c.records {
+            let (url, client) = (urls[r.path as usize], clients[r.host as usize]);
+            push_request(trace, stats, &mut epoch, r, url, client);
+        }
+    }
+}
+
+/// The k-way heap merge. Each chunk's records are sorted by time with
+/// in-chunk input order on ties; the heap key `(time, chunk idx)`
+/// therefore yields the global `(time, original line index)` order the
+/// reference sort pins. Chunk-local interner ids are remapped into the
+/// global tables on first appearance *in merge order*, which reproduces
+/// the reference interning order exactly.
+fn merge_by_time(chunks: &[ParsedChunk], trace: &mut Trace, stats: &mut ClfStats) {
+    let mut url_remap: Vec<Vec<Option<UrlId>>> =
+        chunks.iter().map(|c| vec![None; c.paths.len()]).collect();
+    let mut client_remap: Vec<Vec<Option<ClientId>>> =
+        chunks.iter().map(|c| vec![None; c.hosts.len()]).collect();
+    let mut heads: Vec<usize> = vec![0; chunks.len()];
+    let mut heap: BinaryHeap<Reverse<(i64, usize)>> = chunks
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| !c.records.is_empty())
+        .map(|(ci, c)| Reverse((c.records[0].time, ci)))
+        .collect();
+    let mut epoch: Option<i64> = None;
+    while let Some(Reverse((_, ci))) = heap.pop() {
+        let pos = heads[ci];
+        heads[ci] += 1;
+        if let Some(next) = chunks[ci].records.get(pos + 1) {
+            heap.push(Reverse((next.time, ci)));
+        }
+        let r = &chunks[ci].records[pos];
+        let url = match url_remap[ci][r.path as usize] {
+            Some(u) => u,
+            None => {
+                let s = chunks[ci].paths.resolve(UrlId(r.path)).unwrap_or("");
+                let u = trace.urls.intern(s);
+                url_remap[ci][r.path as usize] = Some(u);
+                u
+            }
+        };
+        let client = match client_remap[ci][r.host as usize] {
+            Some(c) => c,
+            None => {
+                let s = chunks[ci].hosts.resolve(UrlId(r.host)).unwrap_or("");
+                let c = ClientId(trace.clients.intern(s).0);
+                client_remap[ci][r.host as usize] = Some(c);
+                stats.robot_clients.resize(trace.clients.len(), false);
+                c
+            }
+        };
+        push_request(trace, stats, &mut epoch, r, url, client);
+    }
 }
 
 /// Reads newline-aligned chunks of roughly `chunk_bytes` from a reader,
@@ -235,8 +358,10 @@ pub fn trace_from_clf_reader<R: Read>(
 }
 
 /// [`trace_from_clf_reader`] with the chunk size exposed, so tests can
-/// split small logs into many chunks.
-pub(crate) fn ingest_chunked<R: Read>(
+/// split small logs into many chunks. Not an option: no setting changes
+/// the chunk size of a real ingest.
+#[doc(hidden)]
+pub fn ingest_chunked<R: Read>(
     name: &str,
     reader: R,
     threads: usize,
@@ -320,67 +445,17 @@ pub(crate) fn ingest_chunked<R: Read>(
         total_hosts += c.hosts.len();
     }
 
-    // Deterministic k-way merge. Each chunk's records are sorted by time
-    // with in-chunk input order on ties; the heap key `(time, chunk idx)`
-    // therefore yields the global `(time, original line index)` order the
-    // reference sort pins. Chunk-local interner ids are remapped into the
-    // global tables on first appearance *in merge order*, which reproduces
-    // the reference interning order exactly.
+    // Deterministic merge into the reference builder's order.
     let mut trace = Trace::new(name);
     trace.requests.reserve_exact(total_accepted);
     // A string seen in several chunks is counted once per chunk, so the
     // chunk-local table sizes bound the distinct strings from above.
     trace.urls = Interner::with_capacity(total_paths);
     trace.clients = Interner::with_capacity(total_hosts);
-    let mut url_remap: Vec<Vec<Option<UrlId>>> =
-        chunks.iter().map(|c| vec![None; c.paths.len()]).collect();
-    let mut client_remap: Vec<Vec<Option<ClientId>>> =
-        chunks.iter().map(|c| vec![None; c.hosts.len()]).collect();
-    let mut heads: Vec<usize> = vec![0; chunks.len()];
-    let mut heap: BinaryHeap<Reverse<(i64, usize)>> = chunks
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !c.records.is_empty())
-        .map(|(ci, c)| Reverse((c.records[0].time, ci)))
-        .collect();
-    let mut epoch: Option<i64> = None;
-    while let Some(Reverse((time, ci))) = heap.pop() {
-        let pos = heads[ci];
-        heads[ci] += 1;
-        if let Some(next) = chunks[ci].records.get(pos + 1) {
-            heap.push(Reverse((next.time, ci)));
-        }
-        let r = chunks[ci].records[pos];
-        let epoch = *epoch.get_or_insert(time);
-        let url = match url_remap[ci][r.path as usize] {
-            Some(u) => u,
-            None => {
-                let s = chunks[ci].paths.resolve(UrlId(r.path)).unwrap_or("");
-                let u = trace.urls.intern(s);
-                url_remap[ci][r.path as usize] = Some(u);
-                u
-            }
-        };
-        let client = match client_remap[ci][r.host as usize] {
-            Some(c) => c,
-            None => {
-                let s = chunks[ci].hosts.resolve(UrlId(r.host)).unwrap_or("");
-                let c = ClientId(trace.clients.intern(s).0);
-                client_remap[ci][r.host as usize] = Some(c);
-                stats.robot_clients.resize(trace.clients.len(), false);
-                c
-            }
-        };
-        stats.robot_clients[client.index()] |= r.robot;
-        trace.requests.push(Request {
-            time: u64::try_from((r.time - epoch).max(0)).unwrap_or(0),
-            client,
-            url,
-            size: r.size,
-            status: r.status,
-            kind: r.kind,
-        });
-        stats.accepted += 1;
+    if in_time_order(&chunks) {
+        append_in_order(&chunks, &mut trace, &mut stats);
+    } else {
+        merge_by_time(&chunks, &mut trace, &mut stats);
     }
 
     if pbppm_obs::ENABLED {
@@ -444,6 +519,17 @@ mod tests {
         stats
     }
 
+    /// Whether the merge of `bytes` cut into `chunk_bytes` chunks takes the
+    /// in-order path.
+    fn takes_fast_path(bytes: &[u8], chunk_bytes: usize) -> bool {
+        let mut reader = ChunkReader::new(bytes, chunk_bytes);
+        let mut chunks = Vec::new();
+        while let Some(raw) = reader.next_chunk().unwrap() {
+            chunks.push(parse_chunk(&raw));
+        }
+        in_time_order(&chunks)
+    }
+
     fn clf_line(host: u32, t: i64, method: &str, path: u32, status: u16, size: &str) -> String {
         let base = crate::clf::format_clf_line(&crate::clf::ClfRecord {
             host: format!("h{host}"),
@@ -451,7 +537,10 @@ mod tests {
             method: method.to_owned(),
             // Each path id keeps one extension, and the ids cover every
             // document kind: a kind read off the wrong path shows.
-            path: format!("/p{path}.{}", ["html", "gif", "JPG", "txt"][path as usize % 4]),
+            path: format!(
+                "/p{path}.{}",
+                ["html", "gif", "JPG", "txt"][path as usize % 4]
+            ),
             status,
             size: 0,
         });
@@ -484,6 +573,33 @@ mod tests {
             for threads in [1, 2, 8] {
                 assert_equivalent(text.as_bytes(), chunk, threads);
             }
+        }
+    }
+
+    #[test]
+    fn lines_out_of_order_across_a_chunk_boundary_take_the_heap_merge() {
+        // Two runs, each in time order, the second starting before the
+        // first ends: cut between them, each chunk is in order but the
+        // chunks are not, and no cut puts them in order.
+        let run = |from: i64| -> String {
+            (0..10)
+                .map(|i| {
+                    let h = u32::try_from(i % 3).unwrap();
+                    clf_line(h, from + i, "GET", u32::try_from(i).unwrap(), 200, "7") + "\n"
+                })
+                .collect()
+        };
+        let first = run(804_571_300);
+        let text = first.clone() + &run(804_571_250);
+        for chunk in [first.len(), 64, 4096] {
+            assert!(!takes_fast_path(text.as_bytes(), chunk), "chunk={chunk}");
+            for threads in [1, 2, 8] {
+                assert_equivalent(text.as_bytes(), chunk, threads);
+            }
+        }
+        // Either run alone is in order at every cut.
+        for chunk in [7, first.len(), 4096] {
+            assert!(takes_fast_path(first.as_bytes(), chunk), "chunk={chunk}");
         }
     }
 
@@ -689,6 +805,43 @@ mod tests {
                 text.push_str(eol);
             }
             for chunk_bytes in [7usize, 256, 4096] {
+                for threads in [1usize, 2, 8] {
+                    assert_equivalent(text.as_bytes(), chunk_bytes, threads);
+                }
+            }
+        }
+
+        /// The same grid over logs whose accepted lines arrived in time
+        /// order (ties included, filtered and malformed lines between):
+        /// the merge appends the chunks, at every cut, and still builds
+        /// the reference's trace.
+        #[test]
+        fn a_log_in_time_order_appends_its_chunks(
+            steps in proptest::collection::vec((0u32..6, 0i64..3, 0u32..8, 0u8..5), 0..120),
+            combined_log in 0u8..2,
+        ) {
+            let mut time = 804_571_200;
+            let lines: Vec<String> = steps
+                .iter()
+                .map(|&(h, dt, p, variant)| {
+                    time += dt;
+                    let line = match variant {
+                        0 => clf_line(h, time, "GET", p, 200, "10"),
+                        1 => clf_line(h, time, "GET", p, 304, "10"),
+                        2 => clf_line(h, time, "POST", p, 200, "10"),
+                        3 => clf_line(h, time, "GET", p, 200, "12a4"),
+                        _ => "garbage".to_owned(),
+                    };
+                    if combined_log == 1 {
+                        combined(&line, AGENTS[h as usize % AGENTS.len()])
+                    } else {
+                        line
+                    }
+                })
+                .collect();
+            let text = lines.join("\n");
+            for chunk_bytes in [7usize, 256, 4096] {
+                prop_assert!(takes_fast_path(text.as_bytes(), chunk_bytes));
                 for threads in [1usize, 2, 8] {
                     assert_equivalent(text.as_bytes(), chunk_bytes, threads);
                 }

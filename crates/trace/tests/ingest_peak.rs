@@ -1,6 +1,8 @@
 //! The chunked ingester's peak heap: on the same log it stays within
 //! 1.25× the reference builder's, which buffers every accepted record as
-//! owned strings, at one and at two parse workers. The counter is
+//! owned strings, at one and at two parse workers; and on a log many
+//! chunks long, what it holds beyond the trace it returns stays within
+//! the raw text in flight, so no chunk outlives its parse. The counter is
 //! process-wide, so this binary runs without the libtest harness (see
 //! `Cargo.toml`), whose own bookkeeping could land inside a measured
 //! window.
@@ -28,10 +30,11 @@ fn peak<T>(run: impl FnOnce() -> T) -> (u64, T) {
     (peak_bytes().saturating_sub(before), value)
 }
 
-/// A deterministic CLF log of `lines` lines: skewed hosts and paths of
-/// every document kind, times that mostly rise, some non-`GET`s and
-/// failed requests, and a malformed line now and then.
-fn log(lines: usize) -> Vec<u8> {
+/// A deterministic CLF log of `lines` lines over `hosts` hosts and
+/// `pages` pages, each path `pad` bytes longer than its page needs: skewed
+/// hosts and paths of every document kind, times that mostly rise, some
+/// non-`GET`s and failed requests, and a malformed line now and then.
+fn log(lines: usize, hosts: u64, pages: u64, pad: usize) -> Vec<u8> {
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let mut next = move |below: u64| {
         state = state
@@ -47,15 +50,19 @@ fn log(lines: usize) -> Vec<u8> {
             continue;
         }
         time += i64::try_from(next(4)).unwrap_or(0);
-        let page = next(3_000);
-        let page = page * page / 3_000; // quadratic skew
+        let page = next(pages);
+        let page = page * page / pages; // quadratic skew
         let ext = ["html", "gif", "jpg", "txt"][usize::try_from(next(4)).unwrap_or(0)];
         let rec = ClfRecord {
-            host: format!("host{}.example.edu", next(2_000)),
+            host: format!("host{}.example.edu", next(hosts)),
             // Some records arrive a little out of order.
             time: time - i64::try_from(next(3)).unwrap_or(0),
             method: if next(20) == 0 { "POST" } else { "GET" }.to_owned(),
-            path: format!("/shuttle/missions/sts-{}/page{page}.{ext}", page % 70),
+            path: format!(
+                "/shuttle/missions/sts-{}/{}page{page}.{ext}",
+                page % 70,
+                "x".repeat(pad)
+            ),
             status: [200, 200, 200, 304, 404][usize::try_from(next(5)).unwrap_or(0)],
             size: u32::try_from(next(90_000)).unwrap_or(0),
         };
@@ -66,7 +73,12 @@ fn log(lines: usize) -> Vec<u8> {
 }
 
 fn main() {
-    let log = log(LINES);
+    peak_stays_within_the_reference();
+    no_raw_chunk_outlives_its_parse();
+}
+
+fn peak_stays_within_the_reference() {
+    let log = log(LINES, 2_000, 3_000, 0);
     let (reference_peak, (reference, _)) = peak(|| {
         let lines = log.as_slice().lines().map(|l| l.expect("in-memory log"));
         trace_from_lines("peak", lines)
@@ -90,6 +102,45 @@ fn main() {
         println!(
             "ingest_peak: {threads} threads, chunked {chunked_peak} B, reference \
              {reference_peak} B ({ratio:.2}x)"
+        );
+    }
+}
+
+/// Raw text in flight is at most `2 × threads` chunks queued or being
+/// parsed plus the one being read. Beyond it and the returned trace, the
+/// ingester holds each parsed chunk until the merge: one compact record
+/// per accepted line, whose vector may have doubled past its length, and
+/// chunk-local tables, small here because the log names few strings. A
+/// copy of every raw chunk kept past its parse would add the whole log,
+/// many times the chunks in flight.
+fn no_raw_chunk_outlives_its_parse() {
+    const CHUNK: usize = 1 << 20;
+    /// Bytes of one parsed record, at most twice over.
+    const RECORD: usize = 2 * 24;
+    let log = log(LINES, 40, 60, 160);
+    assert!(log.len() > 30 * CHUNK, "{} B is not many chunks", log.len());
+    for threads in [1, 2] {
+        let before = live_bytes();
+        let (peak, (trace, _)) = peak(|| {
+            pbppm_trace::ingest::ingest_chunked("peak", log.as_slice(), threads, CHUNK)
+                .expect("in-memory log")
+        });
+        let kept = live_bytes() - before;
+        let held = peak - kept;
+        let in_flight = (2 * threads + 1) * CHUNK;
+        let bound = in_flight + RECORD * LINES + CHUNK;
+        println!(
+            "ingest_peak: {threads} threads, {} chunks: held {held} B beyond the trace's \
+             {kept} B (bound {bound} B, log {} B)",
+            log.len().div_ceil(CHUNK),
+            log.len()
+        );
+        assert!(trace.requests.len() > LINES / 2);
+        assert!(
+            held <= bound as u64,
+            "{threads} threads: held {held} B beyond the trace, past {in_flight} B of \
+             raw text in flight plus {} B of parsed records",
+            RECORD * LINES + CHUNK
         );
     }
 }

@@ -34,8 +34,10 @@
 #   6. audit smoke           — `pbppm audit` prints the pb model file's
 #                              byte split, whose sections sum to the file
 #                              size, beside its URL table's decoded size,
-#                              and the loaded model's index byte split,
-#                              whose parts sum to its printed total; it
+#                              and the loaded model's index, arena and
+#                              popularity byte splits, each of whose parts
+#                              sum to its printed total (the arena's for
+#                              every model kind); it
 #                              rejects (nonzero exit) a snapshot copy with
 #                              a flipped payload byte, and a copy stamped
 #                              version 5 with "unsupported snapshot
@@ -68,7 +70,13 @@
 #                              to the sha256 the `format!`-based writers
 #                              produced: the byte-level writer prints
 #                              every line the same
-#  12. reproduction check    — `all --check` regenerates every paper
+#  12. model file pin        — the .pbss files `pbppm train` wrote from
+#                              the tiny log in step 5, for pb, standard,
+#                              lrs and o1, must hash to the sha256 the
+#                              fixed-width in-memory arena wrote: how a
+#                              loaded model lays out its columns does not
+#                              move a byte of the file
+#  13. reproduction check    — `all --check` regenerates every paper
 #                              table and figure into a temp dir and
 #                              requires the committed `results/` field for
 #                              field, except the named timing fields; on
@@ -173,7 +181,9 @@ cp "$tmp/model-pb.pbss" "$tmp/model.pbss"
 echo "== ci: snapshot audit smoke" >&2
 # The file's split (`file bytes N: envelope … settings …; url table S
 # strings, D decoded bytes`) must add up to the file size, and the loaded
-# model's index split (`index bytes N: keys … votes …; dirty groups D`) to
+# model's index split (`index bytes N: keys … votes …; dirty groups D`),
+# arena split (`arena bytes N: urls B wW … link_offsets B wW`) and
+# popularity split (`popularity bytes N: counts B wW grades B wW`) each to
 # its printed total.
 "$pbppm" audit "$tmp/model.pbss" >"$tmp/audit.txt"
 python3 - "$tmp/audit.txt" "$tmp/model.pbss" <<'EOF'
@@ -194,7 +204,26 @@ fields = m.group(2).split()
 parts = sum(int(v) for v in fields[1::2])
 if parts != int(m.group(1)):
     sys.exit(f"ci: index parts {fields} sum to {parts}, not {m.group(1)}")
+for label in ("arena", "popularity"):
+    m = re.search(label + r" bytes (\d+): (.*)", text)
+    if not m:
+        sys.exit(f"ci: audit printed no {label} byte split")
+    fields = m.group(2).split()
+    widths = fields[2::3]
+    if not widths or any(w not in ("w1", "w2", "w4", "w8") for w in widths):
+        sys.exit(f"ci: {label} columns {fields} do not each carry a width")
+    parts = sum(int(v) for v in fields[1::3])
+    if parts != int(m.group(1)):
+        sys.exit(f"ci: {label} parts {fields} sum to {parts}, not {m.group(1)}")
 EOF
+# Every tree model prints its arena's split.
+for model in standard lrs o1; do
+    "$pbppm" audit "$tmp/model-$model.pbss" >"$tmp/audit-$model.txt"
+    grep -q '^  arena bytes [0-9]*: urls ' "$tmp/audit-$model.txt" || {
+        echo "ci: audit printed no arena byte split for $model" >&2
+        exit 1
+    }
+done
 # A corrupted copy must fail the audit with a nonzero exit. Flipping a byte
 # in the middle of the payload breaks the checksum at minimum; either the
 # decoder or the audit must refuse it.
@@ -379,6 +408,24 @@ for pin in \
     got="$(sha256sum "$tmp/$log" | cut -d' ' -f1)"
     if [[ "$got" != "$want" ]]; then
         echo "ci: generate --preset tiny wrote $log with sha256 $got, pinned $want" >&2
+        exit 1
+    fi
+done
+
+echo "== ci: model file pin" >&2
+# The model files step 5 trained from the tiny log, hashed. The pins were
+# taken from the binary whose loaded arena, index and popularity table
+# still used fixed u32/u64 slots, so a byte the width-sized columns move
+# on the way to the file fails here.
+for pin in \
+    "pb d752f8c54587fa7970c7041527a508ef94c9fc0d7bf076b84f493053b194df3f" \
+    "standard 1f735915209a357ec85cffab2027cbbdcae882766497ed81a27ec72ef48ae5e3" \
+    "lrs 23d4c54895e88edc7bde1c5371a14d5530e8fee90813def9422fac1a7a434d44" \
+    "o1 64377c6c8e2b38324b85ff390496b0f024b8a966e9b61925b6903d722b4f870c"; do
+    read -r model want <<<"$pin"
+    got="$(sha256sum "$tmp/model-$model.pbss" | cut -d' ' -f1)"
+    if [[ "$got" != "$want" ]]; then
+        echo "ci: train ($model) wrote a .pbss with sha256 $got, pinned $want" >&2
         exit 1
     fi
 done
