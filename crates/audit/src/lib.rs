@@ -83,13 +83,15 @@ pub fn verify_snapshot(file: &SnapshotFile) -> AuditReport {
 /// checksum, or payload framing); `Ok` carries the structural audit of
 /// whatever the payload described — including the case where the checksum
 /// passes but the decoded model is invalid — the file's byte split
-/// ([`AuditReport::bytes`]) and what its URL table decodes to
-/// ([`AuditReport::url_table`]).
+/// ([`AuditReport::bytes`]), what its URL table decodes to
+/// ([`AuditReport::url_table`]) and where that table's interner keeps its
+/// heap bytes ([`AuditReport::interner`]).
 pub fn verify_bytes(bytes: &[u8]) -> Result<AuditReport, CodecError> {
     let (file, split) = SnapshotFile::decode_with_split(bytes)?;
     Ok(AuditReport {
         bytes: Some(split),
         url_table: Some(file.url_table_size()),
+        interner: Some(file.urls.split()),
         ..verify_snapshot(&file)
     })
 }
@@ -126,13 +128,58 @@ mod tests {
         // The loaded index's split adds up to what the model reports.
         let split = report.index.expect("a pb model reports its index");
         assert_eq!(split.total(), m.stats().index_bytes);
-        assert_eq!((split.members, split.dirty_groups), (0, 0));
+        assert_eq!(split.bytes("members"), 0);
+        assert_eq!((split.dirty_groups, split.largest_dirty), (0, 0));
         let text = report.to_string();
+        let keys = split.bytes("keys");
         assert!(
-            text.contains(&format!("index bytes {}:", split.total())),
+            text.contains(&format!(
+                "index bytes {}: keys {keys} w2 dir ",
+                split.total()
+            )),
             "{text}"
         );
-        assert!(report.to_json().contains("\"dirty_groups\":0"));
+        assert!(
+            text.contains("; dirty groups 0, largest 0 members"),
+            "{text}"
+        );
+        let json = report.to_json();
+        assert!(
+            json.contains(&format!("\"keys\":{{\"bytes\":{keys},\"width\":2}}")),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"dirty_groups\":0,\"largest_dirty_group\":0}"),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn the_report_splits_the_loaded_url_table() {
+        let (urls, m) = small_pb();
+        let file = SnapshotFile {
+            urls,
+            model: ModelImage::Pb(m.to_snapshot()),
+        };
+        let report = verify_bytes(&file.encode()).expect("envelope is valid");
+        let split = report.interner.expect("a file reports its url table");
+        // Four strings of three bytes, four 4-byte ends and the table's
+        // eight 4-byte slots: what the loaded interner allocates.
+        let decoded = SnapshotFile::decode(&file.encode()).expect("valid");
+        assert_eq!(split, decoded.urls.split());
+        assert_eq!((split.strings, split.ends, split.slots), (12, 16, 32));
+        assert_eq!(split.total(), decoded.urls.memory_bytes());
+        let text = report.to_string();
+        assert!(
+            text.contains("interner bytes 60: strings 12 ends 16 slots 32"),
+            "{text}"
+        );
+        assert!(
+            report
+                .to_json()
+                .contains("\"interner\":{\"total\":60,\"strings\":12,\"ends\":16,\"slots\":32}"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Unsigned integer columns stored at the width their values need.
 //!
-//! A [`UintColumn`] holds unsigned integers in the narrowest of 1, 2, 4
-//! or 8 bytes that holds the largest value it was built for. The width is
+//! A [`UintColumn`] holds unsigned integers in the fewest whole bytes, 1
+//! to 8, that hold the largest value it was built for. The width is
 //! picked once, while the column is built, from a bound its builder
 //! already knows (a row count, a maximum tracked while the values were
 //! produced) or, for a column pushed value by value, from the values
@@ -9,11 +9,12 @@
 //! value loses a bit.
 //!
 //! The values sit back to back as little-endian bytes. A read loads the
-//! eight bytes at the value's offset and masks off its width: one load,
-//! a shift and a mask, the same instructions at every width, so a server
-//! that reads shards of different widths in turn takes no branch on the
-//! width (the last few values of a column, whose eight bytes would run
-//! past its end, are read byte by byte).
+//! eight bytes at the value's offset, `i × width`, and masks off its
+//! width: one load, a multiply and a mask, the same instructions at every
+//! width, so a server that reads shards of different widths in turn takes
+//! no branch on the width (the last few values of a column, whose eight
+//! bytes would run past its end, are read byte by byte). A pass over the
+//! whole column walks its bytes with [`UintColumn::iter`] instead.
 //!
 //! Every column is one exact-size allocation: its heap is its length times
 //! its width ([`UintColumn::heap_bytes`]).
@@ -24,44 +25,101 @@ use std::ops::Range;
 /// [`UintColumn::position_sorted`]; longer ones are binary-searched.
 const LINEAR_SCAN_MAX: usize = 16;
 
-/// The narrowest of 1, 2, 4 or 8 bytes that holds `max`.
+/// The fewest whole bytes, 1 to 8, that hold `max`.
 #[must_use]
 pub const fn width_for(max: u64) -> usize {
-    if max <= u8::MAX as u64 {
+    let bits = 64 - max.leading_zeros() as usize;
+    if bits == 0 {
         1
-    } else if max <= u16::MAX as u64 {
-        2
-    } else if max <= u32::MAX as u64 {
-        4
     } else {
-        8
+        bits.div_ceil(8)
     }
 }
 
-/// `log2` of the width that holds `max`, and the mask of that width's
-/// bits.
-const fn layout(max: u64) -> (u32, u64) {
-    let shift = width_for(max).trailing_zeros();
-    (shift, u64::MAX >> (64 - (8 << shift)))
+/// The width that holds `max`, and the mask of that width's bits.
+const fn layout(max: u64) -> (usize, u64) {
+    let width = width_for(max);
+    (width, u64::MAX >> (64 - 8 * width))
 }
 
-/// `value`'s low `width` bytes. A value above the bound the column was
-/// built for is a bug in its builder: the bound is where the width came
-/// from.
+/// `value`'s little-endian bytes, of which a column keeps its width's. A
+/// value above the bound the column was built for is a bug in its
+/// builder: the bound is where the width came from.
 #[inline]
 fn lane(value: u64, mask: u64) -> [u8; 8] {
     assert!(value <= mask, "value above its column's bound");
     value.to_le_bytes()
 }
 
+/// Calls `$f::<W>($args)` for the width `$width`, so each width's copy
+/// has a length the compiler sees: one store, not a call to `memcpy`.
+macro_rules! by_width {
+    ($width:expr, $f:ident($($arg:expr),*)) => {
+        match $width {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            _ => $f::<8>($($arg),*),
+        }
+    };
+}
+
+/// Appends each of `values` as its low `W` bytes.
+fn extend_lanes<const W: usize>(bytes: &mut Vec<u8>, values: impl Iterator<Item = u64>, mask: u64) {
+    values.for_each(|v| bytes.extend_from_slice(&lane(v, mask)[..W]));
+}
+
+/// Writes `le`'s low `W` bytes at byte `at`.
+#[inline]
+fn put<const W: usize>(bytes: &mut [u8], at: usize, le: &[u8; 8]) {
+    bytes[at..at + W].copy_from_slice(&le[..W]);
+}
+
+/// Appends `le`'s low `W` bytes.
+#[inline]
+fn push_lane<const W: usize>(bytes: &mut Vec<u8>, le: &[u8; 8]) {
+    bytes.extend_from_slice(&le[..W]);
+}
+
+/// The value of `width` bytes at byte `start`, masked by `mask`: one
+/// eight-byte load, or byte by byte when those eight bytes run past the
+/// end.
+#[inline]
+fn read(bytes: &[u8], start: usize, width: usize, mask: u64) -> u64 {
+    match bytes.get(start..start + 8) {
+        Some(word) => {
+            let mut le = [0; 8];
+            le.copy_from_slice(word);
+            u64::from_le_bytes(le) & mask
+        }
+        None => read_near_end(bytes, start, width),
+    }
+}
+
+/// The value of `width` bytes at byte `start`, whose eight bytes run past
+/// the end.
+#[cold]
+#[inline(never)]
+fn read_near_end(bytes: &[u8], start: usize, width: usize) -> u64 {
+    let mut le = [0; 8];
+    le[..width].copy_from_slice(&bytes[start..start + width]);
+    u64::from_le_bytes(le)
+}
+
 /// Unsigned integers stored at the narrowest width that holds the largest
 /// value the column was built for (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UintColumn {
-    /// The values, `1 << shift` little-endian bytes each.
+    /// The values, `width` little-endian bytes each.
     bytes: Box<[u8]>,
-    /// `log2` of the width.
-    shift: u32,
+    /// Number of values.
+    len: usize,
+    /// Bytes per value, 1 to 8.
+    width: usize,
     /// The width's bits.
     mask: u64,
 }
@@ -79,19 +137,19 @@ impl UintColumn {
     ///
     /// If a value exceeds `max`'s width.
     pub fn collect(max: u64, values: impl IntoIterator<Item = u64>) -> Self {
-        let (shift, mask) = layout(max);
+        let (width, mask) = layout(max);
         let values = values.into_iter();
-        let mut bytes = Vec::with_capacity(values.size_hint().0 << shift);
-        // One loop per width, each copying a length the compiler sees.
-        match shift {
-            0 => bytes.extend(values.map(|v| lane(v, mask)[0])),
-            1 => values.for_each(|v| bytes.extend_from_slice(&lane(v, mask)[..2])),
-            2 => values.for_each(|v| bytes.extend_from_slice(&lane(v, mask)[..4])),
-            _ => values.for_each(|v| bytes.extend_from_slice(&lane(v, mask))),
-        }
+        let mut bytes = Vec::with_capacity(values.size_hint().0 * width);
+        by_width!(width, extend_lanes(&mut bytes, values, mask));
+        Self::of_bytes(bytes, width, mask)
+    }
+
+    /// The column over `bytes`, whole values of `width` bytes each.
+    fn of_bytes(bytes: Vec<u8>, width: usize, mask: u64) -> Self {
         Self {
+            len: bytes.len() / width,
             bytes: bytes.into_boxed_slice(),
-            shift,
+            width,
             mask,
         }
     }
@@ -109,13 +167,8 @@ impl UintColumn {
     ///
     /// If `value` exceeds `max`.
     pub fn filled(max: u64, len: usize, value: u64) -> Self {
-        let (shift, mask) = layout(max);
-        let width = 1 << shift;
-        Self {
-            bytes: lane(value, mask)[..width].repeat(len).into_boxed_slice(),
-            shift,
-            mask,
-        }
+        let (width, mask) = layout(max);
+        Self::of_bytes(lane(value, mask)[..width].repeat(len), width, mask)
     }
 
     /// Value `i`.
@@ -126,25 +179,7 @@ impl UintColumn {
     #[inline]
     #[must_use]
     pub fn get(&self, i: usize) -> u64 {
-        let start = i << self.shift;
-        match self.bytes.get(start..start + 8) {
-            Some(word) => {
-                let mut le = [0; 8];
-                le.copy_from_slice(word);
-                u64::from_le_bytes(le) & self.mask
-            }
-            None => self.get_near_end(start),
-        }
-    }
-
-    /// The value at byte `start`, whose eight bytes run past the end.
-    #[cold]
-    #[inline(never)]
-    fn get_near_end(&self, start: usize) -> u64 {
-        let width = self.width();
-        let mut le = [0; 8];
-        le[..width].copy_from_slice(&self.bytes[start..start + width]);
-        u64::from_le_bytes(le)
+        read(&self.bytes, i * self.width, self.width, self.mask)
     }
 
     /// Values `i` and `i + 1`: a run's bounds in an offset column.
@@ -162,14 +197,14 @@ impl UintColumn {
     #[inline]
     #[must_use]
     pub fn try_get(&self, i: usize) -> Option<u64> {
-        (i < self.len()).then(|| self.get(i))
+        (i < self.len).then(|| self.get(i))
     }
 
     /// Values `i` and `i + 1`, or `None` when either is past the end.
     #[inline]
     #[must_use]
     pub fn try_pair(&self, i: usize) -> Option<(u64, u64)> {
-        (i < self.len().saturating_sub(1)).then(|| self.pair(i))
+        (i < self.len.saturating_sub(1)).then(|| self.pair(i))
     }
 
     /// Sets value `i`, which must fit the column's width.
@@ -180,14 +215,7 @@ impl UintColumn {
     #[inline]
     pub fn set(&mut self, i: usize, value: u64) {
         let le = lane(value, self.mask);
-        let at = i << self.shift;
-        // Each arm copies a length the compiler sees: one store.
-        match self.shift {
-            0 => self.bytes[at] = le[0],
-            1 => self.bytes[at..at + 2].copy_from_slice(&le[..2]),
-            2 => self.bytes[at..at + 4].copy_from_slice(&le[..4]),
-            _ => self.bytes[at..at + 8].copy_from_slice(&le),
-        }
+        by_width!(self.width, put(&mut self.bytes, i * self.width, &le));
     }
 
     /// Sets every value in `range` to `value`, which must fit the width.
@@ -204,19 +232,19 @@ impl UintColumn {
     /// Number of values.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.bytes.len() >> self.shift
+        self.len
     }
 
     /// True when the column holds no values.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
-    /// Bytes per value: 1, 2, 4 or 8.
+    /// Bytes per value: 1 to 8.
     #[must_use]
     pub fn width(&self) -> usize {
-        1 << self.shift
+        self.width
     }
 
     /// Exact heap bytes: length times width.
@@ -228,12 +256,18 @@ impl UintColumn {
     /// The last value.
     #[must_use]
     pub fn last(&self) -> Option<u64> {
-        self.len().checked_sub(1).map(|i| self.get(i))
+        self.len.checked_sub(1).map(|i| self.get(i))
     }
 
-    /// Every value in order.
+    /// Every value in order, walking the bytes one width at a time.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        (0..self.len()).map(|i| self.get(i))
+        Iter {
+            bytes: &self.bytes,
+            at: 0,
+            left: self.len,
+            width: self.width,
+            mask: self.mask,
+        }
     }
 
     /// Every value, in order, as `u64`.
@@ -245,13 +279,14 @@ impl UintColumn {
     /// True when no value is smaller than the one before it.
     #[must_use]
     pub fn is_sorted(&self) -> bool {
-        (1..self.len()).all(|i| self.get(i - 1) <= self.get(i))
+        let mut last = 0;
+        self.iter().all(|v| std::mem::replace(&mut last, v) <= v)
     }
 
     /// The number of leading values for which `pred` holds, in a column
     /// `pred` partitions (see `slice::partition_point`).
     pub fn partition_point(&self, pred: impl FnMut(u64) -> bool) -> usize {
-        self.partition_point_in(0..self.len(), pred)
+        self.partition_point_in(0..self.len, pred)
     }
 
     /// Where `value` sits within `range`, counted from its start, when the
@@ -264,7 +299,7 @@ impl UintColumn {
     #[inline]
     #[must_use]
     pub fn position_sorted(&self, range: Range<usize>, value: u64) -> Option<usize> {
-        assert!(range.end <= self.len(), "run past the column's end");
+        assert!(range.end <= self.len, "run past the column's end");
         if range.len() <= LINEAR_SCAN_MAX {
             for at in range.clone() {
                 let x = self.get(at);
@@ -302,15 +337,47 @@ impl UintColumn {
     }
 }
 
+/// A [`UintColumn`]'s values in order ([`UintColumn::iter`]): each read is
+/// the eight bytes at a running offset, masked, with no multiply and no
+/// check against the column's length.
+#[derive(Debug, Clone)]
+struct Iter<'a> {
+    bytes: &'a [u8],
+    /// The next value's first byte.
+    at: usize,
+    /// Values not yet read.
+    left: usize,
+    width: usize,
+    mask: u64,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        self.left = self.left.checked_sub(1)?;
+        let value = read(self.bytes, self.at, self.width, self.mask);
+        self.at += self.width;
+        Some(value)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 /// A [`UintColumn`] pushed value by value. It starts at the width of a
 /// bound its caller knows (1 byte with none) and widens, copying what it
-/// holds, the first time a value does not fit, at most three times; so
-/// the finished column has the width of its largest value, or of the
+/// holds, each time a value does not fit, straight to that value's width;
+/// so the finished column has the width of its largest value, or of the
 /// starting bound when that is larger.
 #[derive(Debug)]
 pub(crate) struct ColumnBuilder {
     bytes: Vec<u8>,
-    shift: u32,
+    width: usize,
     mask: u64,
 }
 
@@ -318,22 +385,22 @@ impl ColumnBuilder {
     /// An empty builder at the width of `bound`, with room for `capacity`
     /// values.
     pub(crate) fn new(bound: u64, capacity: usize) -> Self {
-        let (shift, mask) = layout(bound);
+        let (width, mask) = layout(bound);
         Self {
-            bytes: Vec::with_capacity(capacity << shift),
-            shift,
+            bytes: Vec::with_capacity(capacity * width),
+            width,
             mask,
         }
     }
 
     /// Bytes per value so far.
     pub(crate) fn width(&self) -> usize {
-        1 << self.shift
+        self.width
     }
 
     /// Number of values pushed.
     pub(crate) fn len(&self) -> usize {
-        self.bytes.len() >> self.shift
+        self.bytes.len() / self.width
     }
 
     /// Appends `value`, widening first when it does not fit.
@@ -343,13 +410,7 @@ impl ColumnBuilder {
             self.widen(value);
         }
         let le = lane(value, self.mask);
-        // Each arm copies a length the compiler sees.
-        match self.shift {
-            0 => self.bytes.push(le[0]),
-            1 => self.bytes.extend_from_slice(&le[..2]),
-            2 => self.bytes.extend_from_slice(&le[..4]),
-            _ => self.bytes.extend_from_slice(&le),
-        }
+        by_width!(self.width, push_lane(&mut self.bytes, &le));
     }
 
     /// Copies the values into lanes as wide as `bound` needs.
@@ -357,7 +418,7 @@ impl ColumnBuilder {
     fn widen(&mut self, bound: u64) {
         let narrow = std::mem::replace(self, Self::new(bound, 0));
         let column = narrow.finish();
-        self.bytes.reserve_exact(column.len() << self.shift);
+        self.bytes.reserve_exact(column.len() * self.width);
         for value in column.iter() {
             self.push(value);
         }
@@ -365,11 +426,7 @@ impl ColumnBuilder {
 
     /// The finished column, in one exact-size allocation.
     pub(crate) fn finish(self) -> UintColumn {
-        UintColumn {
-            bytes: self.bytes.into_boxed_slice(),
-            shift: self.shift,
-            mask: self.mask,
-        }
+        UintColumn::of_bytes(self.bytes, self.width, self.mask)
     }
 }
 
@@ -401,25 +458,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The largest value of each width and the smallest of the next.
-    const EDGES: [u64; 8] = [
-        0,
-        (1 << 8) - 1,
-        1 << 8,
-        (1 << 16) - 1,
-        1 << 16,
-        (1 << 32) - 1,
-        1 << 32,
-        u64::MAX,
-    ];
+    /// 0, the largest value of each width and the smallest of the next,
+    /// and `u64::MAX`: `2^(8k) − 1` and `2^(8k)` for every `k` from 1 to 7.
+    const EDGES: [u64; 16] = {
+        let mut edges = [0; 16];
+        let mut k = 1;
+        while k < 8 {
+            edges[2 * k - 1] = (1 << (8 * k)) - 1;
+            edges[2 * k] = 1 << (8 * k);
+            k += 1;
+        }
+        edges[15] = u64::MAX;
+        edges
+    };
 
     #[test]
     fn each_edge_picks_the_narrowest_width() {
         let widths: Vec<usize> = EDGES.iter().map(|&e| width_for(e)).collect();
-        assert_eq!(widths, [1, 1, 2, 2, 4, 4, 8, 8]);
+        assert_eq!(widths, [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8]);
         for &e in &EDGES {
             assert_eq!(UintColumn::from_values(&[e]).width(), width_for(e));
             assert!(layout(e).1 >= e);
+            // One byte fewer would not hold it.
+            assert!(width_for(e) == 1 || e > layout(e).1 >> 8);
         }
     }
 
@@ -437,7 +498,7 @@ mod tests {
         // A starting bound sets a floor on the width.
         let mut b = ColumnBuilder::new(1 << 16, 1);
         b.push(3);
-        assert_eq!(b.finish().width(), 4);
+        assert_eq!(b.finish().width(), 3);
     }
 
     #[test]
@@ -460,13 +521,19 @@ mod tests {
         UintColumn::filled(255, 4, 0).set(1, 256);
     }
 
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_read_past_the_end_is_a_bug() {
+        let _ = UintColumn::filled(1 << 16, 4, 7).get(4);
+    }
+
     proptest! {
         /// Values at and around every width's edge round-trip at the width
-        /// of the largest, through every builder, and the column takes
-        /// `len × width` bytes.
+        /// of the largest, through every builder, read one by one and
+        /// walked in order, and the column takes `len × width` bytes.
         #[test]
         fn columns_round_trip_at_every_width_edge(
-            picks in prop::collection::vec((0usize..8, 0u64..3), 0..64),
+            picks in prop::collection::vec((0usize..EDGES.len(), 0u64..3), 0..64),
         ) {
             // Each pick is an edge, nudged down by up to two but not
             // below zero.
@@ -489,6 +556,7 @@ mod tests {
                 prop_assert_eq!(column.len(), values.len());
                 prop_assert_eq!(column.heap_bytes(), values.len() * width);
                 prop_assert_eq!(&column.to_vec(), &values);
+                prop_assert_eq!(column.iter().len(), values.len());
                 for (i, &v) in values.iter().enumerate() {
                     prop_assert_eq!(column.get(i), v);
                 }

@@ -38,7 +38,7 @@
 //! Every list but the keys is a [`UintColumn`] at the width its values
 //! need.
 
-use crate::column::{ColumnBuilder, UintColumn};
+use crate::column::{ColumnBuilder, ColumnBytes, UintColumn};
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::frozen::{NodeId, SnapshotError};
 use crate::interner::UrlId;
@@ -109,9 +109,8 @@ impl ContextHashes {
 /// sweep: a parent's row precedes its children's.
 fn path_hash_table(arena: &FrozenTree) -> Vec<u64> {
     let mut hashes: Vec<u64> = Vec::with_capacity(arena.len());
-    for i in 0..arena.rows() {
-        let h = hash_url(arena.url(i));
-        let parent = arena.parent(i);
+    for (url, parent) in arena.urls_in_order().zip(arena.parents_in_order()) {
+        let h = hash_url(url);
         hashes.push(if parent == NO_NODE {
             h
         } else {
@@ -141,7 +140,11 @@ const DIRTY: u64 = 0b11;
 
 /// Bits of a group key that `keys` stores, right below the bits the
 /// directory slot fixes.
-const KEY_BITS: u32 = 32;
+const KEY_BITS: u32 = 16;
+
+/// Voting keys per directory slot, about: the directory has the largest
+/// power of two of slots at most the voting keys over this.
+const KEYS_PER_SLOT: usize = 8;
 
 /// An offset into one of the index's lists, read from its column.
 #[inline]
@@ -262,43 +265,36 @@ pub struct IndexOccupancy {
 
 /// Where a [`ContextIndex`]'s heap bytes go, list by list, and how many
 /// of its groups are dirty (see [`ContextIndex::split`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexSplit {
-    /// The stored key bits, 4 B per group.
-    pub keys: usize,
-    /// The radix directory over the keys' top bits.
-    pub dir: usize,
-    /// One slot per group: an arena row or a head index.
-    pub slots: usize,
-    /// The stored groups' heads: representative rows or member starts,
-    /// vote starts (sentinel included) and totals.
-    pub heads: usize,
-    /// The dirty groups' member lists.
-    pub members: usize,
-    /// The clean groups' vote runs: URLs and counts.
-    pub votes: usize,
+    /// Each list's bytes and width, in this order: `keys` (the stored key
+    /// bits, 2 B per group), `dir` (the radix directory over the keys'
+    /// top bits), `slots` (one per group: an arena row or a head index),
+    /// the stored groups' heads (`head_members`: representative rows or
+    /// member starts; `head_votes`: vote starts, sentinel included;
+    /// `head_totals`), `members` (the dirty groups' member lists) and the
+    /// clean groups' votes (`vote_urls`, `vote_counts`).
+    pub columns: [ColumnBytes; 9],
     /// Groups whose members collided.
     pub dirty_groups: usize,
+    /// Members of the largest dirty group, 0 with none.
+    pub largest_dirty: usize,
 }
 
 impl IndexSplit {
     /// Every list's bytes summed: [`ContextIndex::memory_bytes`].
     #[must_use]
     pub fn total(&self) -> usize {
-        self.sections().iter().map(|&(_, bytes)| bytes).sum()
+        self.columns.iter().map(|c| c.bytes).sum()
     }
 
-    /// The lists as `(name, bytes)` pairs.
+    /// The bytes of the list called `name`, 0 for no such list.
     #[must_use]
-    pub fn sections(&self) -> [(&'static str, usize); 6] {
-        [
-            ("keys", self.keys),
-            ("dir", self.dir),
-            ("slots", self.slots),
-            ("heads", self.heads),
-            ("members", self.members),
-            ("votes", self.votes),
-        ]
+    pub fn bytes(&self, name: &str) -> usize {
+        self.columns
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.bytes)
     }
 }
 
@@ -313,25 +309,32 @@ struct Entry {
     voter: bool,
 }
 
-/// Files each of `rows` under every suffix window of its upward path, up
-/// to `max_order` URLs (windows stop at the root, and queries never look
-/// past `u8::MAX`), handing each filing to `file`.
+/// Files each tree row (each voting one, with `voters_only`) under every
+/// suffix window of its upward path, up to `max_order` URLs (windows stop
+/// at the root, and queries never look past `u8::MAX`), handing each
+/// filing to `file`. The rows' parents and child runs are read in one
+/// walk over their columns; only the climb past a row's parent reads the
+/// arena out of order.
 fn file_windows(
     arena: &FrozenTree,
     max_order: usize,
-    rows: impl Iterator<Item = u32>,
+    voters_only: bool,
     mut file: impl FnMut(Entry),
 ) {
     let hashes = path_hash_table(arena);
     let max_len = max_order.min(usize::from(u8::MAX));
-    for id in rows {
-        let voter = arena.has_children(id);
+    let rows = (0..arena.first_link_row())
+        .zip(arena.parents_in_order())
+        .zip(arena.child_runs());
+    for ((id, mut parent), run) in rows {
+        let voter = !run.is_empty();
+        if voters_only && !voter {
+            continue;
+        }
         let p_node = hashes[id as usize];
-        let mut anc = id;
         let mut pow = 1u64;
         for len in 1..=max_len {
             pow = pow.wrapping_mul(HASH_BASE);
-            let parent = arena.parent(anc);
             let above = if parent == NO_NODE {
                 0
             } else {
@@ -348,7 +351,7 @@ fn file_windows(
             if parent == NO_NODE {
                 break;
             }
-            anc = parent;
+            parent = arena.parent(parent);
         }
     }
 }
@@ -366,9 +369,7 @@ const SORT_BITS: u32 = 16;
 /// each bucket.
 fn sorted_filings(arena: &FrozenTree, max_order: usize) -> Vec<Entry> {
     let mut filed: Vec<Entry> = Vec::new();
-    file_windows(arena, max_order, 0..arena.first_link_row(), |e| {
-        filed.push(e);
-    });
+    file_windows(arena, max_order, false, |e| filed.push(e));
     // At least one bit, so the shift stays below 64.
     let bits = (filed.len() / 4).max(2).ilog2().min(SORT_BITS);
     // At most `SORT_BITS` bits remain after the shift.
@@ -394,13 +395,29 @@ fn sorted_filings(arena: &FrozenTree, max_order: usize) -> Vec<Entry> {
     sorted
 }
 
-/// Splits the first run of `entries` whose members agree under `same` off
+/// Splits the run of `entries` filed under the first one's full key off
 /// the rest.
-fn first_run(entries: &[Entry], same: impl Fn(&Entry, &Entry) -> bool) -> (&[Entry], &[Entry]) {
+fn key_run(entries: &[Entry]) -> (&[Entry], &[Entry]) {
     let end = entries
         .first()
-        .and_then(|first| entries.iter().position(|e| !same(first, e)));
+        .and_then(|first| entries.iter().position(|e| e.key != first.key));
     entries.split_at(end.unwrap_or(entries.len()))
+}
+
+/// Splits the first full-key run of `entries` that has a voter off the
+/// rest, dropping the runs before it: no query could get a prediction out
+/// of a window no row votes for.
+fn voting_run(mut entries: &[Entry]) -> Option<(&[Entry], &[Entry])> {
+    loop {
+        let (run, rest) = key_run(entries);
+        if run.is_empty() {
+            return None;
+        }
+        if run.iter().any(|e| e.voter) {
+            return Some((run, rest));
+        }
+        entries = rest;
+    }
 }
 
 /// Sorts `(url, count)` votes by URL and sums the counts of equal URLs.
@@ -436,9 +453,9 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// one model across worker threads. The layout is flat and canonical:
 ///
 /// * a radix directory on the group keys' top `64 − shift` bits narrows a
-///   lookup to a few neighbouring keys (the keys are mixed 64-bit hashes,
-///   so the slots fill evenly), and `keys` stores, sorted, only the next
-///   32 bits of each key, which the slot does not fix;
+///   lookup to about eight neighbouring keys (the keys are mixed 64-bit
+///   hashes, so the slots fill evenly), and `keys` stores, sorted, only
+///   the next 16 bits of each key, which the slot does not fix;
 /// * `slots[i]` says where key `i`'s group lives: a one-member group's
 ///   arena row, or (tagged `STORED`, and `DIRTY` after a collision, in
 ///   the top two bits of the slots' width) the index of a stored group's
@@ -460,20 +477,21 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// checked against the query with `FrozenTree::match_top`, so a lookup
 /// that lands on another window's group is answered as a miss, and keys
 /// that collide at build time merge into one dirty group that lists each
-/// row once.
+/// row once. Only windows with a voter are filed at all, so a window no
+/// query can be answered from never dirties a group it collides with.
 ///
 /// Every list is one exact-size allocation, and the same arena always
 /// builds the same bytes: a finalized model, its publish clone and its
 /// snapshot restore are equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContextIndex {
-    /// Bits `low..low + 32` of each group key, sorted.
-    keys: Box<[u32]>,
+    /// Bits `low..low + 16` of each group key, sorted.
+    keys: Box<[u16]>,
     /// Keys whose top bits read `p` are `keys[dir[p]..dir[p + 1]]`.
     dir: UintColumn,
     /// `64 − directory bits`.
     shift: u32,
-    /// Where a key's stored bits start: `shift − 32`.
+    /// Where a key's stored bits start: `shift − 16`.
     low: u32,
     slots: UintColumn,
     /// Where the slots' two tag bits start: their width's top two bits.
@@ -510,7 +528,7 @@ impl ContextIndex {
     }
 
     /// [`ContextIndex::windows`], storing `key_bits` bits of each key
-    /// below the directory's (at most 32), and with `all_dirty` storing
+    /// below the directory's (at most 16), and with `all_dirty` storing
     /// every group as dirty, one-member groups included.
     fn build(
         arena: &FrozenTree,
@@ -531,14 +549,14 @@ impl ContextIndex {
         key_bits: u32,
         all_dirty: bool,
     ) -> Result<Self, SnapshotError> {
-        // About two to four voting keys per directory slot. A key's
+        // About eight to sixteen voting keys per directory slot. A key's
         // entries are adjacent, so it counts at its first voter.
         let mut last = None;
         let voting = entries
             .iter()
             .filter(|e| e.voter && last.replace(e.key) != Some(e.key))
             .count();
-        let bits = (voting / 2).max(2).ilog2();
+        let bits = (voting / KEYS_PER_SLOT).max(2).ilog2();
         let shift = 64 - bits;
         // Keys that agree from bit `low` up are one group.
         let low = shift.saturating_sub(key_bits.min(KEY_BITS));
@@ -566,20 +584,37 @@ impl ContextIndex {
         let (mut filed, mut max_bucket, mut dir_len) = (0, 0, 0u64);
         let mut tally: Vec<(UrlId, u64)> = Vec::new();
         let mut rows: Vec<u32> = Vec::new();
+        // A group's voting runs when more than one shares its stored bits.
+        let mut merged: Vec<Entry> = Vec::new();
+        let counts_fit = arena.counts_fit_u32();
         let mut rest = entries.as_slice();
-        while let Some(first) = rest.first() {
-            let (bucket, tail) = first_run(rest, |a, b| a.key >> low == b.key >> low);
+        while let Some((run, tail)) = voting_run(rest) {
             rest = tail;
-            if !bucket.iter().any(|e| e.voter) {
-                continue; // no query could get a prediction out of it
+            let first = run[0];
+            // Later voting runs whose stored bits agree join its group;
+            // runs without a voter are dropped before they can.
+            merged.clear();
+            while rest
+                .first()
+                .is_some_and(|e| e.key >> low == first.key >> low)
+            {
+                let (next, tail) = key_run(rest);
+                rest = tail;
+                if next.iter().any(|e| e.voter) {
+                    if merged.is_empty() {
+                        merged.extend_from_slice(run);
+                    }
+                    merged.extend_from_slice(next);
+                }
             }
+            let bucket = if merged.is_empty() { run } else { &merged };
             while dir_len <= first.key >> shift {
                 dir.push(keys.len() as u64);
                 dir_len += 1;
             }
-            // Bits above `low + 32` are the directory slot's.
+            // Bits above `low + 16` are the directory slot's.
             #[allow(clippy::cast_possible_truncation)]
-            let stored = (first.key >> low) as u32;
+            let stored = (first.key >> low) as u16;
             keys.push(stored);
             (filed, max_bucket) = (filed + bucket.len(), max_bucket.max(bucket.len()));
             // One row can be filed under two window lengths whose keys
@@ -587,10 +622,13 @@ impl ContextIndex {
             if !all_dirty && bucket.iter().all(|e| e.node == first.node) {
                 // The arena answers for it, but its counts must fit the
                 // fields a stored group would hold them in: a file the
-                // index could not aggregate is refused either way.
-                narrow(arena.count(first.node))?;
-                for child in arena.children(first.node) {
-                    narrow(arena.count(child))?;
+                // index could not aggregate is refused either way. Counts
+                // stored no wider than 32 bits all fit.
+                if !counts_fit {
+                    narrow(arena.count(first.node))?;
+                    for child in arena.children(first.node) {
+                        narrow(arena.count(child))?;
+                    }
                 }
                 slots.push(u64::from(first.node));
                 continue;
@@ -684,10 +722,16 @@ impl ContextIndex {
         let slot = usize::try_from(key >> self.shift).ok()?;
         let (lo, hi) = self.dir.try_pair(slot)?;
         let (lo, hi) = (at(lo), at(hi));
-        // Bits above `low + 32` are the directory's.
+        // Bits above `low + 16` are the directory's.
         #[allow(clippy::cast_possible_truncation)]
-        let stored = (key >> self.low) as u32;
-        Some(lo + self.keys[lo..hi].iter().position(|&k| k == stored)?)
+        let stored = (key >> self.low) as u16;
+        // The slot's keys ascend, so the keys below `stored` say where it
+        // would sit: counted without a branch, which the compiler runs a
+        // vector of keys at a time, since most lookups miss and would
+        // scan the whole run anyway.
+        let run = &self.keys[lo..hi];
+        let at = run.iter().map(|&k| usize::from(k < stored)).sum::<usize>();
+        (run.get(at) == Some(&stored)).then_some(lo + at)
     }
 
     /// The group filed under bucket key `key`.
@@ -758,8 +802,7 @@ impl ContextIndex {
         groups: &[u64],
         used: &mut [u64],
     ) {
-        let voters = (0..arena.first_link_row()).filter(|&row| arena.has_children(row));
-        file_windows(arena, max_order, voters, |e| {
+        file_windows(arena, max_order, true, |e| {
             if self.position(e.key).is_some_and(|at| bit(groups, at)) {
                 arena.mark_path(used, e.node);
                 arena.mark_children(used, e.node);
@@ -777,20 +820,35 @@ impl ContextIndex {
         self.keys.is_empty()
     }
 
-    /// Where the index's heap bytes go, list by list, and how many groups
-    /// are dirty.
+    /// Where the index's heap bytes go, list by list, how many groups are
+    /// dirty and how many members the largest has.
     pub fn split(&self) -> IndexSplit {
-        use std::mem::size_of_val;
+        let (mut dirty_groups, mut largest_dirty) = (0, 0);
+        for slot in self.slots.iter() {
+            if slot >> self.tag_shift == DIRTY {
+                let g = at(slot & ((1 << self.tag_shift) - 1));
+                dirty_groups += 1;
+                largest_dirty = largest_dirty.max(at(self.head_totals.get(g)));
+            }
+        }
         IndexSplit {
-            keys: size_of_val(&*self.keys),
-            dir: self.dir.heap_bytes(),
-            slots: self.slots.heap_bytes(),
-            heads: self.head_members.heap_bytes()
-                + self.head_votes.heap_bytes()
-                + self.head_totals.heap_bytes(),
-            members: self.members.heap_bytes(),
-            votes: self.vote_urls.heap_bytes() + self.vote_counts.heap_bytes(),
-            dirty_groups: self.dirty_groups(),
+            columns: [
+                ColumnBytes {
+                    name: "keys",
+                    bytes: std::mem::size_of_val(&*self.keys),
+                    width: size_of::<u16>(),
+                },
+                ColumnBytes::of("dir", &self.dir),
+                ColumnBytes::of("slots", &self.slots),
+                ColumnBytes::of("head_members", &self.head_members),
+                ColumnBytes::of("head_votes", &self.head_votes),
+                ColumnBytes::of("head_totals", &self.head_totals),
+                ColumnBytes::of("members", &self.members),
+                ColumnBytes::of("vote_urls", &self.vote_urls),
+                ColumnBytes::of("vote_counts", &self.vote_counts),
+            ],
+            dirty_groups,
+            largest_dirty,
         }
     }
 
@@ -844,12 +902,17 @@ mod tests {
         crate::frozen::arena_of(paths, &[])
     }
 
-    /// The rows filed under the group at position `at`, in arena order:
-    /// what a stored member list would hold.
+    /// The rows filed under the group at position `at`, in arena order,
+    /// from windows some row votes for: what a stored member list would
+    /// hold.
     fn members(idx: &ContextIndex, t: &FrozenTree, at: usize) -> Vec<u32> {
+        let mut voting = std::collections::HashSet::new();
+        file_windows(t, 8, true, |e| {
+            voting.insert(e.key);
+        });
         let mut rows = Vec::new();
-        file_windows(t, 8, 0..t.first_link_row(), |e| {
-            if idx.position(e.key) == Some(at) {
+        file_windows(t, 8, false, |e| {
+            if voting.contains(&e.key) && idx.position(e.key) == Some(at) {
                 rows.push(e.node);
             }
         });
@@ -990,18 +1053,64 @@ mod tests {
     }
 
     #[test]
-    fn clean_groups_store_no_members_and_keys_four_bytes() {
+    fn clean_groups_store_no_members_and_keys_two_bytes() {
         let t = chain_tree(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[5, 2, 3, 6], &[7, 2, 3, 4]]);
         let idx = ContextIndex::windows(&t, 8).unwrap();
         let split = idx.split();
-        assert_eq!(split.keys, 4 * idx.occupancy().buckets);
-        assert_eq!((split.members, split.dirty_groups), (0, 0));
+        assert_eq!(split.bytes("keys"), 2 * idx.occupancy().buckets);
+        assert_eq!(split.columns[0].width, 2);
+        assert_eq!(split.bytes("members"), 0);
+        assert_eq!((split.dirty_groups, split.largest_dirty), (0, 0));
         assert_eq!(split.total(), idx.memory_bytes());
         // Stored every group dirty, the same index keeps every member, a
         // byte each at this size.
         let dirty = ContextIndex::all_dirty(&t, 8);
-        assert_eq!(dirty.split().members, dirty.len());
-        assert_eq!(dirty.split().dirty_groups, dirty.occupancy().buckets);
+        let split = dirty.split();
+        assert_eq!(split.bytes("members"), dirty.len());
+        assert_eq!(split.dirty_groups, dirty.occupancy().buckets);
+        assert_eq!(split.largest_dirty, dirty.occupancy().max_bucket);
+    }
+
+    #[test]
+    fn a_window_no_row_votes_for_never_dirties_a_group() {
+        // `[a, b]`: row `a` votes for `b`, and the leaf `b` votes for
+        // nothing. Storing no key bits, every directory slot is one group,
+        // so one of the leaf's windows `[b]` and `[a, b]` often lands in
+        // `[a]`'s slot. It is dropped before the group forms: the group is
+        // `a`'s row alone, as at full width, and a lookup of the leaf's
+        // window that lands there is answered as a miss by the row's check.
+        let key = |window: &[u32]| {
+            let context: Vec<UrlId> = window.iter().map(|&n| u(n)).collect();
+            let mut h = ContextHashes::new();
+            h.compute(&context, context.len());
+            bucket_key(context.len(), h.suffix_hash(context.len()))
+        };
+        let mut found = 0;
+        for a in 0..32u32 {
+            let b = a + 100;
+            let t = chain_tree(&[&[a, b]]);
+            let row = t.descend(&[u(a)]).unwrap();
+            let merged = ContextIndex::with_key_bits(&t, 8, 0).unwrap();
+            let at = merged.position(key(&[a])).unwrap();
+            let colliding: Vec<Vec<u32>> = [vec![b], vec![a, b]]
+                .into_iter()
+                .filter(|w| merged.position(key(w)) == Some(at))
+                .collect();
+            if colliding.is_empty() {
+                continue;
+            }
+            found += 1;
+            let full = ContextIndex::windows(&t, 8).unwrap();
+            assert_eq!(merged.group_at(at), WindowGroup::Derived(NodeId(row)));
+            assert_eq!(group(&merged, &[a]), group(&full, &[a]));
+            assert_eq!((merged.split().dirty_groups, merged.len()), (0, 1));
+            for window in colliding {
+                assert!(group(&full, &window).is_none());
+                let suffix: Vec<UrlId> = window.iter().map(|&n| u(n)).collect();
+                assert!(t.match_top(row, &suffix).is_none(), "{window:?}");
+            }
+        }
+        assert!(found > 0, "some leaf window lands in its voter's slot");
     }
 
     #[test]
@@ -1047,7 +1156,7 @@ mod tests {
     /// The filings a comparison sort on `(key, node, len)` gives.
     fn reference_filings(t: &FrozenTree, max_order: usize) -> Vec<Entry> {
         let mut filed = Vec::new();
-        file_windows(t, max_order, 0..t.first_link_row(), |e| filed.push(e));
+        file_windows(t, max_order, false, |e| filed.push(e));
         filed.sort_unstable_by_key(|e| (e.key, e.node, e.len));
         filed
     }

@@ -489,6 +489,36 @@ impl FrozenTree {
         Some(narrow_row(row))
     }
 
+    /// Every row's URL, in row order: one walk over the column.
+    pub(crate) fn urls_in_order(&self) -> impl Iterator<Item = UrlId> + '_ {
+        self.urls.iter().map(|url| UrlId(narrow_row(url)))
+    }
+
+    /// Every row's transition count, in row order.
+    pub(crate) fn counts_in_order(&self) -> impl Iterator<Item = u64> + '_ {
+        self.counts.iter()
+    }
+
+    /// Every row's parent ([`NO_NODE`] for roots), in row order.
+    pub(crate) fn parents_in_order(&self) -> impl Iterator<Item = u32> + '_ {
+        self.parents
+            .iter()
+            .map(|parent| narrow_row(parent).wrapping_sub(1))
+    }
+
+    /// Every row's child run, in row order: each run ends where the next
+    /// row's starts.
+    pub(crate) fn child_runs(&self) -> impl Iterator<Item = Range<u32>> + '_ {
+        let mut starts = self.first_child.iter().map(narrow_row);
+        let mut start = starts.next().unwrap_or(0);
+        starts.map(move |end| std::mem::replace(&mut start, end)..end)
+    }
+
+    /// True when every count fits 32 bits: the column is no wider.
+    pub(crate) fn counts_fit_u32(&self) -> bool {
+        self.counts.width() <= 4
+    }
+
     /// Every URL id's root row in id order, [`NO_NODE`] for a URL that
     /// heads no root: the root table as the audit reads it.
     pub(crate) fn root_table(&self) -> impl Iterator<Item = u32> + '_ {

@@ -37,9 +37,9 @@ impl fmt::Display for UrlId {
 ///
 /// Each string is stored once. The strings sit back to back in one byte
 /// arena in id order, a table of end offsets turns an id into its string,
-/// and an open-addressing table of ids turns a string into its id. Every
-/// slot of that table carries a hash tag next to its id, so a probe
-/// compares strings only when the tag matches.
+/// and an open-addressing table of 4-byte slots turns a string into its
+/// id. Every slot carries a hash tag above its id, so a probe compares
+/// strings only when the tag matches.
 ///
 /// Interning is append-only: ids are never recycled, and
 /// [`Interner::resolve`] of any previously returned id always succeeds.
@@ -53,9 +53,14 @@ pub struct Interner {
     /// string `id - 1` ends, or at 0.
     ends: Vec<u32>,
     /// Linear-probing table, empty or at least [`MIN_SLOTS`] long and at
-    /// most half full. A slot is `id << 32 | tag` (see [`tag_of`]), and a
-    /// zero slot is empty: tags are odd, so no occupied slot is zero.
-    slots: Box<[u64]>,
+    /// most half full. A slot holds `id + 1` in the bits `id_mask` covers
+    /// and the top bits of the string's tag ([`tag_of`]) above them; a
+    /// zero slot is empty, because an occupied one's id field is not.
+    slots: Box<[u32]>,
+    /// The id field of a slot: as many low bits as the largest `id + 1`
+    /// the table holds before it grows needs ([`id_mask_for`]), chosen
+    /// whenever the table is rebuilt.
+    id_mask: u32,
 }
 
 /// The smallest table [`Interner::intern`] allocates.
@@ -76,6 +81,19 @@ fn slots_for(n: usize) -> usize {
     (2 * n).max(MIN_SLOTS)
 }
 
+/// The id field of a table of `slots` slots: the low bits that hold
+/// `id + 1` for every id it holds before it grows, up to all 32, which
+/// leaves no tag (past 2^31 strings a probe compares every string on its
+/// run).
+fn id_mask_for(slots: usize) -> u32 {
+    let bits = usize::BITS - room(slots).leading_zeros();
+    if bits >= u32::BITS {
+        u32::MAX
+    } else {
+        (1 << bits) - 1
+    }
+}
+
 #[inline]
 fn hash_of(name: &str) -> u64 {
     let mut h = FxHasher::default();
@@ -83,13 +101,13 @@ fn hash_of(name: &str) -> u64 {
     h.finish()
 }
 
-/// The hash folded to 32 bits, made odd so an occupied slot is never
-/// zero. The fold lets the well-mixed high bits tell apart strings whose
-/// Fx hashes share their low bits.
+/// The hash folded to 32 bits, of which a slot keeps the top bits above
+/// its id field. The fold lets the well-mixed high bits tell apart
+/// strings whose Fx hashes share their low bits.
 #[allow(clippy::cast_possible_truncation)] // folds the halves on purpose
 #[inline]
 fn tag_of(hash: u64) -> u32 {
-    (hash ^ hash >> 32) as u32 | 1
+    (hash ^ hash >> 32) as u32
 }
 
 /// A string's first probe position in a table of `slots` slots, any
@@ -112,7 +130,7 @@ fn next_slot(i: usize, slots: usize) -> usize {
 }
 
 /// The first empty slot on `hash`'s probe run in a table with room.
-fn vacant_slot(slots: &[u64], hash: u64) -> usize {
+fn vacant_slot(slots: &[u32], hash: u64) -> usize {
     let mut i = home(hash, slots.len());
     while slots[i] != 0 {
         i = next_slot(i, slots.len());
@@ -120,14 +138,12 @@ fn vacant_slot(slots: &[u64], hash: u64) -> usize {
     i
 }
 
-fn pack(id: UrlId, tag: u32) -> u64 {
-    u64::from(id.0) << 32 | u64::from(tag)
-}
-
-#[allow(clippy::cast_possible_truncation)] // unpacks the halves `pack` joined
-#[inline]
-fn unpack(slot: u64) -> (UrlId, u32) {
-    (UrlId((slot >> 32) as u32), slot as u32)
+/// The slot of string `id` whose hash is `hash`, under `id_mask`. The
+/// table's length bounds `id + 1` to the id field, and `intern` refuses
+/// the one id whose `id + 1` would not fit 32 bits.
+fn pack(id: UrlId, hash: u64, id_mask: u32) -> u32 {
+    debug_assert!(id.0 < id_mask, "id field too narrow");
+    (tag_of(hash) & !id_mask) | (id.0 + 1)
 }
 
 impl Interner {
@@ -138,10 +154,12 @@ impl Interner {
 
     /// Creates an empty interner with room for `n` strings.
     pub fn with_capacity(n: usize) -> Self {
+        let len = slots_for(n);
         Self {
             bytes: String::new(),
             ends: Vec::with_capacity(n),
-            slots: vec![0; slots_for(n)].into_boxed_slice(),
+            slots: vec![0; len].into_boxed_slice(),
+            id_mask: id_mask_for(len),
         }
     }
 
@@ -159,7 +177,12 @@ impl Interner {
             Ok(id) => return Some(id),
             Err(vacant) => vacant,
         };
-        let id = UrlId(u32::try_from(self.ends.len()).ok()?);
+        // `id + 1` must fit a slot's 32 bits.
+        let id = UrlId(
+            u32::try_from(self.ends.len())
+                .ok()
+                .filter(|&id| id < u32::MAX)?,
+        );
         let end = u32::try_from(self.bytes.len() + name.len()).ok()?;
         if self.ends.len() >= room(self.slots.len()) {
             self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
@@ -167,14 +190,22 @@ impl Interner {
         }
         self.bytes.push_str(name);
         self.ends.push(end);
-        self.slots[vacant] = pack(id, tag_of(hash));
+        self.slots[vacant] = pack(id, hash, self.id_mask);
         Some(id)
     }
 
-    /// Drops the byte arena's growth slack, so a table built once holds
-    /// exactly its strings' bytes.
-    pub(crate) fn shrink_arena(&mut self) {
+    /// Drops every slack byte: the table is rebuilt at the length that
+    /// holds its strings without growing, and the arena and the offsets
+    /// hold exactly their strings, so a table built by merging others (or
+    /// reserved for more strings than it got) costs what one interned
+    /// from its strings alone does.
+    pub fn shrink_to_fit(&mut self) {
+        let len = slots_for(self.len());
+        if len != self.slots.len() {
+            self.rehash(len);
+        }
         self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
 
     /// Returns the id for `name` if it has already been interned.
@@ -190,33 +221,43 @@ impl Interner {
         if self.slots.is_empty() {
             return Err(0);
         }
-        let tag = tag_of(hash);
+        let tag_mask = !self.id_mask;
+        let tag = tag_of(hash) & tag_mask;
         let mut i = home(hash, self.slots.len());
         loop {
             let slot = self.slots[i];
             if slot == 0 {
                 return Err(i);
             }
-            let (id, slot_tag) = unpack(slot);
-            if slot_tag == tag
-                && self
+            if slot & tag_mask == tag {
+                // An occupied slot's id field holds `id + 1 ≥ 1`.
+                let id = UrlId((slot & self.id_mask) - 1);
+                if self
                     .span(id)
                     .is_some_and(|span| &self.bytes.as_bytes()[span] == name.as_bytes())
-            {
-                return Ok(id);
+                {
+                    return Ok(id);
+                }
             }
             i = next_slot(i, self.slots.len());
         }
     }
 
-    /// Rebuilds the table at `len` slots from the arena.
+    /// Rebuilds the table at `len` slots from the arena, with the id field
+    /// that length needs.
     fn rehash(&mut self, len: usize) {
+        self.rehash_with(len, id_mask_for(len));
+    }
+
+    /// [`Interner::rehash`] with the id field `id_mask`.
+    fn rehash_with(&mut self, len: usize, id_mask: u32) {
         let mut slots = vec![0; len].into_boxed_slice();
         for (id, name) in self.iter() {
             let hash = hash_of(name);
-            slots[vacant_slot(&slots, hash)] = pack(id, tag_of(hash));
+            slots[vacant_slot(&slots, hash)] = pack(id, hash, id_mask);
         }
         self.slots = slots;
+        self.id_mask = id_mask;
     }
 
     /// Returns the string for `id`, or `None` if the id was never issued.
@@ -255,23 +296,62 @@ impl Interner {
         })
     }
 
-    /// Resident heap bytes: exactly what the arena, the offsets and the
-    /// table allocate.
+    /// Where the interner's heap bytes go: exactly what the arena, the
+    /// offsets and the table allocate.
+    pub fn split(&self) -> InternerSplit {
+        InternerSplit {
+            strings: self.bytes.capacity(),
+            ends: self.ends.capacity() * size_of::<u32>(),
+            slots: size_of_val(&*self.slots),
+        }
+    }
+
+    /// Resident heap bytes: [`Interner::split`]'s total.
     pub fn memory_bytes(&self) -> usize {
-        self.bytes.capacity()
-            + self.ends.capacity() * size_of::<u32>()
-            + self.slots.len() * size_of::<u64>()
+        self.split().total()
+    }
+}
+
+/// Where an [`Interner`]'s heap bytes go (see [`Interner::split`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InternerSplit {
+    /// The string arena's bytes.
+    pub strings: usize,
+    /// The end offsets, 4 B per string.
+    pub ends: usize,
+    /// The probe table, 4 B per slot.
+    pub slots: usize,
+}
+
+impl InternerSplit {
+    /// Every part's bytes summed: [`Interner::memory_bytes`].
+    #[must_use]
+    pub fn total(&self) -> usize {
+        self.sections().iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// The parts as `(name, bytes)` pairs.
+    #[must_use]
+    pub fn sections(&self) -> [(&'static str, usize); 3] {
+        [
+            ("strings", self.strings),
+            ("ends", self.ends),
+            ("slots", self.slots),
+        ]
     }
 }
 
 impl FromIterator<String> for Interner {
-    /// Interns each string in order; a repeat keeps its first id.
+    /// Interns each string in order; a repeat keeps its first id. The
+    /// table is built once, so it keeps no slack
+    /// ([`Interner::shrink_to_fit`]).
     fn from_iter<I: IntoIterator<Item = String>>(iter: I) -> Self {
         let iter = iter.into_iter();
         let mut interner = Interner::with_capacity(iter.size_hint().0);
         for name in iter {
             interner.intern(&name);
         }
+        interner.shrink_to_fit();
         interner
     }
 }
@@ -350,6 +430,102 @@ mod tests {
                 assert_eq!(i.get(name).map(UrlId::index), Some(k));
             }
             assert_eq!(i.get("/absent"), None);
+        }
+    }
+
+    /// The slots of `i` that `name`'s probe passes whose tag bits match
+    /// its own, before the empty slot that ends the run.
+    fn tag_matches_on_run(i: &Interner, name: &str) -> usize {
+        let hash = hash_of(name);
+        let tag_mask = !i.id_mask;
+        let mut at = home(hash, i.slots.len());
+        let mut matches = 0;
+        while i.slots[at] != 0 {
+            matches += usize::from(i.slots[at] & tag_mask == tag_of(hash) & tag_mask);
+            at = next_slot(at, i.slots.len());
+        }
+        matches
+    }
+
+    #[test]
+    fn the_id_field_widens_with_the_table() {
+        assert_eq!(id_mask_for(0), 0);
+        assert_eq!(id_mask_for(8), 0b111);
+        assert_eq!(id_mask_for(16), 0b1111);
+        assert_eq!(id_mask_for(24), 0b1111);
+        assert_eq!(id_mask_for(1 << 21), (1 << 21) - 1);
+        // Past 2^31 strings the id field takes every bit.
+        assert_eq!(id_mask_for(1 << 32), u32::MAX);
+        assert_eq!(id_mask_for(1 << 33), u32::MAX);
+        for len in [8, 9, 100, 1 << 20, (1 << 31) + 2] {
+            assert!(room(len) as u64 <= u64::from(id_mask_for(len)));
+        }
+    }
+
+    #[test]
+    fn tables_grown_across_every_id_field_width_find_every_string() {
+        // Doubling from 8 slots to 2^19 takes the id field from 3 bits to
+        // 19: every width a table up to 2^18 strings has. After each
+        // growth, every string is found, and an absent one is not.
+        let mut i = Interner::new();
+        let mut widths = Vec::new();
+        let n = 1 << 18;
+        for k in 0..n {
+            let name = format!("/w/{k}");
+            assert_eq!(i.intern(&name).index(), k);
+            let bits = i.id_mask.count_ones();
+            if widths.last() != Some(&bits) {
+                widths.push(bits);
+                for j in (0..=k).step_by(1 + k / 64) {
+                    assert_eq!(i.get(&format!("/w/{j}")).map(UrlId::index), Some(j));
+                }
+                assert_eq!(i.get(&format!("/w/{k}")).map(UrlId::index), Some(k));
+                assert_eq!(i.get("/absent"), None);
+            }
+        }
+        assert_eq!(widths, (3..=19).collect::<Vec<u32>>());
+        for k in 0..n {
+            assert_eq!(i.get(&format!("/w/{k}")).map(UrlId::index), Some(k));
+        }
+        for k in n..n + 1000 {
+            assert_eq!(i.get(&format!("/w/{k}")), None);
+        }
+    }
+
+    #[test]
+    fn an_absent_string_whose_tag_matches_is_not_found() {
+        let names: Vec<String> = (0..200).map(|k| format!("/p{k}")).collect();
+        let mut i: Interner = names.iter().cloned().collect();
+        // With four tag bits, an absent string's probe meets tags equal to
+        // its own; with none (the layout past 2^31 strings), every slot on
+        // its run matches. Either way the string compare refuses them.
+        for id_mask in [0x0FFF_FFFF, u32::MAX] {
+            i.rehash_with(i.slots.len(), id_mask);
+            let absent = (0..)
+                .map(|k| format!("/absent/{k}"))
+                .find(|name| tag_matches_on_run(&i, name) > 0)
+                .expect("some absent string meets its tag");
+            assert_eq!(i.get(&absent), None);
+            for (k, name) in names.iter().enumerate() {
+                assert_eq!(i.get(name).map(UrlId::index), Some(k));
+            }
+        }
+    }
+
+    #[test]
+    fn shrinking_drops_every_slack_byte() {
+        let names: Vec<String> = (0..300).map(|k| format!("/s{k}")).collect();
+        let mut reserved = Interner::with_capacity(5_000);
+        for name in &names {
+            reserved.intern(name);
+        }
+        reserved.shrink_to_fit();
+        let fresh: Interner = names.iter().cloned().collect();
+        assert_eq!(reserved.split(), fresh.split());
+        assert_eq!(reserved.slots, fresh.slots);
+        assert_eq!(reserved.split().slots, 4 * slots_for(300));
+        for (k, name) in names.iter().enumerate() {
+            assert_eq!(reserved.get(name).map(UrlId::index), Some(k));
         }
     }
 

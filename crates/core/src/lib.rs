@@ -83,7 +83,7 @@ pub use context_index::{ContextHashes, ContextIndex, IndexOccupancy, IndexSplit}
 pub use eval::{evaluate, EvalConfig, PredictionQuality};
 pub use frozen::{FrozenTree, NodeId};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use interner::{Interner, UrlId};
+pub use interner::{Interner, InternerSplit, UrlId};
 pub use live::{traffic_increment, GradeAccuracy, LiveEval, LiveEvalConfig};
 pub use order1::Order1Markov;
 pub use parallel::{

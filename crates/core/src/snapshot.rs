@@ -857,7 +857,7 @@ fn read_urls(r: &mut Reader) -> Result<Interner, CodecError> {
             None => return Err(CodecError::Invalid("url table past u32 ids or offsets")),
         }
     }
-    urls.shrink_arena();
+    urls.shrink_to_fit();
     // Interner ids are u32, so a table this long admits every id.
     r.urls = u32::try_from(url_count).unwrap_or(u32::MAX);
     Ok(urls)

@@ -40,6 +40,7 @@
 use crate::column::ColumnBytes;
 use crate::context_index::IndexSplit;
 use crate::frozen::{FrozenTree, NO_NODE};
+use crate::interner::InternerSplit;
 use crate::interner::UrlId;
 use crate::order1::Order1Markov;
 use crate::pb::PbPpm;
@@ -381,8 +382,12 @@ pub struct AuditReport {
     /// What the audited file's URL table decodes to, when a file was
     /// audited.
     pub url_table: Option<UrlTableSize>,
+    /// Where the audited file's URL table, loaded, keeps its heap bytes,
+    /// when a file was audited.
+    pub interner: Option<InternerSplit>,
     /// Where the loaded PB-PPM model's fingerprint index bytes go, list by
-    /// list, and how many of its groups are dirty.
+    /// list with each one's width, how many of its groups are dirty and
+    /// how many members the largest has.
     pub index: Option<IndexSplit>,
     /// The audited arena's columns, each with its bytes and width; empty
     /// for a model with no arena.
@@ -401,6 +406,7 @@ impl AuditReport {
             violations: Vec::new(),
             bytes: None,
             url_table: None,
+            interner: None,
             index: None,
             arena: Vec::new(),
             popularity: Vec::new(),
@@ -415,6 +421,7 @@ impl AuditReport {
             violations: vec![Violation::SnapshotRejected { detail }],
             bytes: None,
             url_table: None,
+            interner: None,
             index: None,
             arena: Vec::new(),
             popularity: Vec::new(),
@@ -491,34 +498,26 @@ impl AuditReport {
             s.push_str(&table.decoded_bytes.to_string());
             s.push('}');
         }
-        if let Some(split) = self.index {
-            s.push_str(",\"index\":{\"total\":");
+        if let Some(split) = self.interner {
+            s.push_str(",\"interner\":{\"total\":");
             s.push_str(&split.total().to_string());
             for (name, bytes) in split.sections() {
-                s.push_str(",\"");
-                s.push_str(name);
-                s.push_str("\":");
-                s.push_str(&bytes.to_string());
+                s.push_str(&format!(",\"{name}\":{bytes}"));
             }
-            s.push_str(",\"dirty_groups\":");
-            s.push_str(&split.dirty_groups.to_string());
             s.push('}');
         }
-        for (key, columns) in [("arena", &self.arena), ("popularity", &self.popularity)] {
-            if columns.is_empty() {
-                continue;
-            }
+        if let Some(split) = &self.index {
+            push_columns(&mut s, "index", &split.columns);
             s.push_str(&format!(
-                ",\"{key}\":{{\"total\":{}",
-                columns.iter().map(|c| c.bytes).sum::<usize>()
+                ",\"dirty_groups\":{},\"largest_dirty_group\":{}}}",
+                split.dirty_groups, split.largest_dirty
             ));
-            for c in columns {
-                s.push_str(&format!(
-                    ",\"{}\":{{\"bytes\":{},\"width\":{}}}",
-                    c.name, c.bytes, c.width
-                ));
+        }
+        for (key, columns) in [("arena", &self.arena), ("popularity", &self.popularity)] {
+            if !columns.is_empty() {
+                push_columns(&mut s, key, columns);
+                s.push('}');
             }
-            s.push('}');
         }
         s.push('}');
         s
@@ -548,29 +547,55 @@ impl fmt::Display for AuditReport {
             }
             writeln!(f)?;
         }
-        if let Some(split) = self.index {
-            write!(f, "  index bytes {}:", split.total())?;
+        if let Some(split) = self.interner {
+            write!(f, "  interner bytes {}:", split.total())?;
             for (name, bytes) in split.sections() {
                 write!(f, " {name} {bytes}")?;
             }
-            writeln!(f, "; dirty groups {}", split.dirty_groups)?;
+            writeln!(f)?;
+        }
+        if let Some(split) = &self.index {
+            write_columns(f, "index", &split.columns)?;
+            writeln!(
+                f,
+                "; dirty groups {}, largest {} members",
+                split.dirty_groups, split.largest_dirty
+            )?;
         }
         for (label, columns) in [("arena", &self.arena), ("popularity", &self.popularity)] {
-            if columns.is_empty() {
-                continue;
+            if !columns.is_empty() {
+                write_columns(f, label, columns)?;
+                writeln!(f)?;
             }
-            let total: usize = columns.iter().map(|c| c.bytes).sum();
-            write!(f, "  {label} bytes {total}:")?;
-            for c in columns {
-                write!(f, " {} {} w{}", c.name, c.bytes, c.width)?;
-            }
-            writeln!(f)?;
         }
         for v in &self.violations {
             writeln!(f, "  [{}] {v}", v.kind())?;
         }
         Ok(())
     }
+}
+
+/// Appends `,"key":{"total":T,"name":{"bytes":B,"width":W},…`, leaving
+/// the object open for the caller to close.
+fn push_columns(s: &mut String, key: &str, columns: &[ColumnBytes]) {
+    let total: usize = columns.iter().map(|c| c.bytes).sum();
+    s.push_str(&format!(",\"{key}\":{{\"total\":{total}"));
+    for c in columns {
+        s.push_str(&format!(
+            ",\"{}\":{{\"bytes\":{},\"width\":{}}}",
+            c.name, c.bytes, c.width
+        ));
+    }
+}
+
+/// Writes `  label bytes T: name B wW …`, without ending the line.
+fn write_columns(f: &mut fmt::Formatter<'_>, label: &str, columns: &[ColumnBytes]) -> fmt::Result {
+    let total: usize = columns.iter().map(|c| c.bytes).sum();
+    write!(f, "  {label} bytes {total}:")?;
+    for c in columns {
+        write!(f, " {} {} w{}", c.name, c.bytes, c.width)?;
+    }
+    Ok(())
 }
 
 fn json_escape_into(s: &str, out: &mut String) {
@@ -654,9 +679,8 @@ fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditRe
         return false;
     }
     if let Some(count) = url_count {
-        for id in 0..arena.rows() {
+        for UrlId(url) in arena.urls_in_order() {
             report.tick();
-            let url = arena.url(id).0;
             if u64::from(url) >= count {
                 report.violations.push(Violation::SymbolUnresolved {
                     url,
@@ -665,14 +689,32 @@ fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditRe
             }
         }
     }
-    for id in 0..arena.first_link_row() {
-        points_back(arena, id, arena.children(id), report);
+    // The tree rows' child runs, in row order, are the rows from the
+    // first past the roots on, so their parents and counts are one walk
+    // over each column too.
+    let skip = arena.roots().end as usize;
+    let mut child_parents = arena.parents_in_order().skip(skip);
+    let mut child_counts = arena.counts_in_order().skip(skip);
+    let tree = (0..arena.first_link_row())
+        .zip(arena.child_runs())
+        .zip(arena.counts_in_order());
+    for ((id, run), count) in tree {
+        let mut children_sum = 0u64;
+        for (row, (parent, child_count)) in run.zip(child_parents.by_ref().zip(&mut child_counts)) {
+            report.tick();
+            if parent != id {
+                report.violations.push(Violation::ChildParentMismatch {
+                    path: node_path(arena, id),
+                    child_url: arena.url(row).0,
+                });
+            }
+            children_sum = children_sum.saturating_add(child_count);
+        }
         report.tick();
-        let children_sum: u64 = arena.children(id).map(|c| arena.count(c)).sum();
-        if children_sum > arena.count(id) {
+        if children_sum > count {
             report.violations.push(Violation::ChildCountExceedsParent {
                 path: node_path(arena, id),
-                parent_count: arena.count(id),
+                parent_count: count,
                 children_sum,
             });
         }
@@ -713,31 +755,61 @@ fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditRe
     true
 }
 
-/// Walks each branch downward and reports nodes beyond `cap_of`'s height
-/// cap for that branch. Depth is counted down the child runs, which lie
-/// past their rows, so the walk ends.
+/// Reports each node one level beyond `cap_of`'s height cap for its
+/// branch. One pass over the tree rows in order: a child run lies past
+/// its row, so each row's budget (the levels its branch's cap still admits
+/// below it) is known before its children are reached. Below a reported
+/// node nothing is checked: deeper nodes are implied, and a flood of them
+/// says no more.
 fn verify_heights(
     arena: &FrozenTree,
     cap_of: impl Fn(UrlId) -> (Option<u8>, u8),
     report: &mut AuditReport,
 ) {
+    let tree = arena.first_link_row();
+    let mut budget: Vec<Option<u8>> = vec![None; tree as usize];
     for root in arena.roots() {
-        let (grade, cap) = cap_of(arena.url(root));
         report.tick();
-        let mut stack: Vec<(u32, u8)> = vec![(root, 1)];
-        while let Some((id, depth)) = stack.pop() {
-            if depth > cap {
-                report.violations.push(Violation::HeightExceedsCap {
-                    path: node_path(arena, id),
-                    grade,
-                    cap,
-                    depth,
-                });
-                continue; // deeper nodes are implied; avoid a flood
-            }
-            stack.extend(arena.children(id).map(|c| (c, depth.saturating_add(1))));
+        budget[root as usize] = admit(arena, &cap_of, root, report);
+    }
+    for (id, run) in (0..tree).zip(arena.child_runs()) {
+        let Some(left) = budget[id as usize] else {
+            continue;
+        };
+        for child in run {
+            budget[child as usize] = match left.checked_sub(1) {
+                Some(left) => Some(left),
+                None => admit(arena, &cap_of, child, report),
+            };
         }
     }
+}
+
+/// The levels `cap_of`'s cap for `row`'s branch admits below `row`, or
+/// `None` after reporting `row` past it. Depth saturates at `u8::MAX`, so
+/// a cap of `u8::MAX` admits any depth.
+fn admit(
+    arena: &FrozenTree,
+    cap_of: impl Fn(UrlId) -> (Option<u8>, u8),
+    row: u32,
+    report: &mut AuditReport,
+) -> Option<u8> {
+    let mut root = row;
+    while arena.parent(root) != NO_NODE {
+        root = arena.parent(root);
+    }
+    let (grade, cap) = cap_of(arena.url(root));
+    let depth = arena.depth(row);
+    if depth <= cap {
+        return Some(cap - depth);
+    }
+    report.violations.push(Violation::HeightExceedsCap {
+        path: node_path(arena, row),
+        grade,
+        cap,
+        depth,
+    });
+    None
 }
 
 /// Checks a popularity table's internal consistency by rederiving it from

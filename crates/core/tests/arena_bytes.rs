@@ -6,7 +6,7 @@
 //! arena, index and popularity table and nothing else; serving it
 //! allocates nothing that stays, and recording usage holds exactly
 //! `usage_bytes`. Models whose rows, URL ids and counts need two- and
-//! four-byte columns are held to the same truth. The counter is
+//! three-byte columns are held to the same truth. The counter is
 //! process-wide, so this binary runs without the libtest harness, whose
 //! main thread would allocate into the window (see `interner_bytes.rs`).
 

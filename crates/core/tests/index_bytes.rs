@@ -43,7 +43,7 @@ fn main() {
 }
 
 /// Indexes over models whose rows, URL ids and counts need two- and
-/// four-byte columns.
+/// three-byte columns.
 fn wide_indexes_grow_the_live_heap_by_their_memory_bytes() {
     for (n, _) in wide::SIZES {
         let m = wide::model(&wide::sessions(n));

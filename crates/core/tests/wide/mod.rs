@@ -1,7 +1,8 @@
 //! PB-PPM models wide enough to need wider columns: their arena rows, URL
 //! ids and counts all cross 2^8, and at the larger size 2^16 too, so the
 //! width-sized columns of the arena, the index and the popularity table
-//! are exercised past the one-byte width the small fixtures stay in.
+//! are exercised past the one-byte width the small fixtures stay in, at
+//! two bytes and at three.
 
 use pbppm_core::{PbConfig, PbPpm, PopularityBuilder, Predictor, PruneConfig, UrlId};
 
@@ -40,5 +41,6 @@ pub fn model(sessions: &[Vec<UrlId>]) -> PbPpm {
     m
 }
 
-/// The two sizes: every column value past one byte, and past two.
-pub const SIZES: [(u32, usize); 2] = [(2_000, 2), (90_000, 4)];
+/// The two sizes and the width they need: every column value past one
+/// byte, and past two (none past three, so three bytes hold them).
+pub const SIZES: [(u32, usize); 2] = [(2_000, 2), (90_000, 3)];

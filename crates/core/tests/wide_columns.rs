@@ -1,5 +1,5 @@
 //! PB-PPM models whose rows, URL ids and counts cross 2^8 and 2^16 store
-//! their arena and popularity columns two and four bytes wide, answer
+//! their arena and popularity columns two and three bytes wide, answer
 //! exactly like the reference occurrence scan, and answer the same after
 //! a trip through the model file. (`arena_bytes.rs` and `index_bytes.rs`
 //! hold the same models to allocator truth.)

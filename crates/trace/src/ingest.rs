@@ -457,6 +457,10 @@ pub fn ingest_chunked<R: Read>(
     } else {
         merge_by_time(&chunks, &mut trace, &mut stats);
     }
+    // The bound is loose by every string two chunks share: keep what the
+    // tables hold, as if each were interned alone.
+    trace.urls.shrink_to_fit();
+    trace.clients.shrink_to_fit();
 
     if pbppm_obs::ENABLED {
         let reg = pbppm_obs::global();

@@ -2,11 +2,14 @@
 //! 1.25× the reference builder's, which buffers every accepted record as
 //! owned strings, at one and at two parse workers; and on a log many
 //! chunks long, what it holds beyond the trace it returns stays within
-//! the raw text in flight, so no chunk outlives its parse. The counter is
+//! the raw text in flight, so no chunk outlives its parse; and the
+//! trace's interners hold what a table interned from their strings alone
+//! holds, however many chunks the log was cut into. The counter is
 //! process-wide, so this binary runs without the libtest harness (see
 //! `Cargo.toml`), whose own bookkeeping could land inside a measured
 //! window.
 
+use pbppm_core::Interner;
 use pbppm_obs::alloc::{live_bytes, peak_bytes, reset_peak_bytes};
 use pbppm_trace::clf::{format_clf_line, ClfRecord};
 use pbppm_trace::reference::trace_from_lines;
@@ -75,6 +78,54 @@ fn log(lines: usize, hosts: u64, pages: u64, pad: usize) -> Vec<u8> {
 fn main() {
     peak_stays_within_the_reference();
     no_raw_chunk_outlives_its_parse();
+    interners_hold_their_load_at_any_chunk_size();
+}
+
+/// The live heap `value` frees when dropped.
+fn freed<T>(value: T) -> u64 {
+    let before = live_bytes();
+    drop(value);
+    before - live_bytes()
+}
+
+/// The live heap `build` leaves allocated, and what it built.
+fn grown<T>(build: impl FnOnce() -> T) -> (u64, T) {
+    let before = live_bytes();
+    let value = build();
+    (live_bytes() - before, value)
+}
+
+/// Whatever chunks a log was cut into, its trace's URL and client tables
+/// hold the bytes a table interned once from the same strings holds: the
+/// chunks' summed table sizes, which count a string once per chunk that
+/// names it, reserve the merge and are then given back.
+fn interners_hold_their_load_at_any_chunk_size() {
+    let log = log(LINES, 2_000, 3_000, 0);
+    let mut held = Vec::new();
+    for chunk in [256 << 10, 1 << 20, 4 << 20] {
+        let (trace, _) = pbppm_trace::ingest::ingest_chunked("load", log.as_slice(), 2, chunk)
+            .expect("in-memory log");
+        let strings =
+            |i: &Interner| -> Vec<String> { i.iter().map(|(_, s)| s.to_owned()).collect() };
+        let (urls, clients) = (strings(&trace.urls), strings(&trace.clients));
+        let reported = trace.urls.memory_bytes() + trace.clients.memory_bytes();
+        let bytes = freed(trace.urls) + freed(trace.clients);
+        let (fresh, tables) = grown(|| {
+            (
+                urls.iter().cloned().collect::<Interner>(),
+                clients.iter().cloned().collect::<Interner>(),
+            )
+        });
+        println!(
+            "ingest_peak: {} KiB chunks: interners {bytes} B, interned afresh {fresh} B",
+            chunk >> 10
+        );
+        assert_eq!(bytes, reported as u64, "{chunk} B chunks: reported bytes");
+        assert_eq!(bytes, fresh, "{chunk} B chunks: against a fresh table");
+        drop(tables);
+        held.push(bytes);
+    }
+    assert!(held.windows(2).all(|w| w[0] == w[1]), "{held:?}");
 }
 
 fn peak_stays_within_the_reference() {

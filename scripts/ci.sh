@@ -34,10 +34,12 @@
 #   6. audit smoke           — `pbppm audit` prints the pb model file's
 #                              byte split, whose sections sum to the file
 #                              size, beside its URL table's decoded size,
-#                              and the loaded model's index, arena and
-#                              popularity byte splits, each of whose parts
-#                              sum to its printed total (the arena's for
-#                              every model kind); it
+#                              and the loaded URL table's interner, index,
+#                              arena and popularity byte splits, each of
+#                              whose parts sum to its printed total (the
+#                              arena's for every model kind), every index,
+#                              arena and popularity column with a width of
+#                              1 to 8 bytes; it
 #                              rejects (nonzero exit) a snapshot copy with
 #                              a flipped payload byte, and a copy stamped
 #                              version 5 with "unsupported snapshot
@@ -181,10 +183,12 @@ cp "$tmp/model-pb.pbss" "$tmp/model.pbss"
 echo "== ci: snapshot audit smoke" >&2
 # The file's split (`file bytes N: envelope … settings …; url table S
 # strings, D decoded bytes`) must add up to the file size, and the loaded
-# model's index split (`index bytes N: keys … votes …; dirty groups D`),
-# arena split (`arena bytes N: urls B wW … link_offsets B wW`) and
-# popularity split (`popularity bytes N: counts B wW grades B wW`) each to
-# its printed total.
+# URL table's split (`interner bytes N: strings … ends … slots …`), the
+# loaded model's index split (`index bytes N: keys B wW … vote_counts B
+# wW; dirty groups D, largest M members`), arena split (`arena bytes N:
+# urls B wW … link_offsets B wW`) and popularity split (`popularity bytes
+# N: counts B wW grades B wW`) each to its printed total. A column may be
+# any whole number of bytes wide, 1 to 8.
 "$pbppm" audit "$tmp/model.pbss" >"$tmp/audit.txt"
 python3 - "$tmp/audit.txt" "$tmp/model.pbss" <<'EOF'
 import os, re, sys
@@ -197,20 +201,21 @@ parts = sum(int(v) for v in fields[1::2])
 size = os.path.getsize(sys.argv[2])
 if parts != size or int(m.group(1)) != size:
     sys.exit(f"ci: file sections {fields} sum to {parts}, printed {m.group(1)}, file is {size}")
-m = re.search(r"index bytes (\d+): (.*); dirty groups (\d+)", text)
+m = re.search(r"interner bytes (\d+): strings (\d+) ends (\d+) slots (\d+)\n", text)
 if not m:
-    sys.exit("ci: audit printed no index byte split")
-fields = m.group(2).split()
-parts = sum(int(v) for v in fields[1::2])
+    sys.exit("ci: audit printed no interner byte split")
+parts = sum(int(v) for v in m.groups()[1:])
 if parts != int(m.group(1)):
-    sys.exit(f"ci: index parts {fields} sum to {parts}, not {m.group(1)}")
-for label in ("arena", "popularity"):
-    m = re.search(label + r" bytes (\d+): (.*)", text)
+    sys.exit(f"ci: interner parts {m.groups()[1:]} sum to {parts}, not {m.group(1)}")
+if not re.search(r"index bytes \d+: .*; dirty groups \d+, largest \d+ members\n", text):
+    sys.exit("ci: audit printed no index byte split with its dirty groups")
+for label in ("index", "arena", "popularity"):
+    m = re.search(label + r" bytes (\d+): ([^;\n]*)", text)
     if not m:
         sys.exit(f"ci: audit printed no {label} byte split")
     fields = m.group(2).split()
     widths = fields[2::3]
-    if not widths or any(w not in ("w1", "w2", "w4", "w8") for w in widths):
+    if not widths or any(not re.fullmatch(r"w[1-8]", w) for w in widths):
         sys.exit(f"ci: {label} columns {fields} do not each carry a width")
     parts = sum(int(v) for v in fields[1::3])
     if parts != int(m.group(1)):
