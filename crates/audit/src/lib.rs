@@ -143,13 +143,31 @@ mod tests {
             text.contains("; dirty groups 0, largest 0 members"),
             "{text}"
         );
+        // What the build filed, stored and dropped, on a line of its own.
+        let (filed, derived, clean, dropped) = (
+            split.windows_filed,
+            split.derived_groups,
+            split.clean_groups,
+            split.dropped_groups,
+        );
+        assert!(filed > derived + clean && dropped > 0, "{split:?}");
+        assert!(
+            text.contains(&format!(
+                "\n  index groups: {filed} voting windows filed, derived {derived}, \
+                 clean {clean}, dirty 0, dropped {dropped}\n"
+            )),
+            "{text}"
+        );
         let json = report.to_json();
         assert!(
             json.contains(&format!("\"keys\":{{\"bytes\":{keys},\"width\":2}}")),
             "{json}"
         );
         assert!(
-            json.contains("\"dirty_groups\":0,\"largest_dirty_group\":0}"),
+            json.contains(&format!(
+                "\"dirty_groups\":0,\"largest_dirty_group\":0,\"windows_filed\":{filed},\
+                 \"derived_groups\":{derived},\"clean_groups\":{clean},\"dropped_groups\":{dropped}}}"
+            )),
             "{json}"
         );
     }

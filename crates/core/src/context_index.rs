@@ -29,9 +29,31 @@
 //! their member list and are answered member by member. A bucket with
 //! exactly one member stores nothing but that member's arena row: its
 //! votes are the row's children weighted by their counts and its total is
-//! the row's count, which the arena already holds. Buckets without a
-//! single voting member are not stored at all: no query could get a
-//! prediction out of them.
+//! the row's count, which the arena already holds.
+//!
+//! Only windows that can change an answer are stored, by two rules:
+//!
+//! * **Only voting rows are filed.** A voter is a row with children, and
+//!   only voters add to an answer, so a leaf is filed under no window. A
+//!   window no row votes for is not stored at all, and a window that one
+//!   voter shares with leaves is that voter's one-member group.
+//! * **A window whose voters are its one-shorter suffix's is dropped.**
+//!   Every voter spelling a length-`ℓ` window also spells its last
+//!   `ℓ − 1` URLs, so when the two windows have as many voters they have
+//!   the same ones, and with them the same total and votes. The
+//!   longest-first descent misses the dropped window and lands on the
+//!   shorter one, which answers alike and records the same voters' usage
+//!   (a group's voters are marked from the rows filed under its key).
+//!   Voters are counted only over full-key runs whose members all spell
+//!   one window (the build's `same_window` check), so that equal counts
+//!   mean equal sets. A length-1 window is always kept.
+//!
+//! A dropped window leaves nothing a lookup could land on: it is dropped
+//! only when no other window's key shares its stored key bits. Were a
+//! group stored under those bits, a lookup of the dropped window would
+//! reach it, and a member that also spells the dropped window would pass
+//! the upward check and answer alone, without the shorter window's other
+//! voters.
 //!
 //! The groups live in flat, sorted, exact-size lists (see
 //! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
@@ -261,10 +283,13 @@ pub struct IndexOccupancy {
     pub dirty_groups: usize,
     /// One-member groups, answered from their row in the arena.
     pub derived_groups: usize,
+    /// Windows not stored because their voters are their one-shorter
+    /// suffix's.
+    pub dropped_groups: usize,
 }
 
-/// Where a [`ContextIndex`]'s heap bytes go, list by list, and how many
-/// of its groups are dirty (see [`ContextIndex::split`]).
+/// Where a [`ContextIndex`]'s heap bytes go, list by list, and what the
+/// build filed, stored and dropped (see [`ContextIndex::split`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexSplit {
     /// Each list's bytes and width, in this order: `keys` (the stored key
@@ -275,8 +300,17 @@ pub struct IndexSplit {
     /// `head_totals`), `members` (the dirty groups' member lists) and the
     /// clean groups' votes (`vote_urls`, `vote_counts`).
     pub columns: [ColumnBytes; 9],
+    /// `(voting row, window)` filings the build sorted.
+    pub windows_filed: usize,
+    /// One-member groups, answered from their row in the arena.
+    pub derived_groups: usize,
+    /// Groups of several members that spell one window.
+    pub clean_groups: usize,
     /// Groups whose members collided.
     pub dirty_groups: usize,
+    /// Windows not stored because their voters are their one-shorter
+    /// suffix's.
+    pub dropped_groups: usize,
     /// Members of the largest dirty group, 0 with none.
     pub largest_dirty: usize,
 }
@@ -298,37 +332,29 @@ impl IndexSplit {
     }
 }
 
-/// One `(node, window)` filing during a build: the bucket key, the member
-/// node, the window length and whether the node has children to vote
-/// with.
+/// One `(node, window)` filing during a build: the bucket key, the voting
+/// row and the window length.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
     key: u64,
     node: u32,
     len: u8,
-    voter: bool,
 }
 
-/// Files each tree row (each voting one, with `voters_only`) under every
-/// suffix window of its upward path, up to `max_order` URLs (windows stop
-/// at the root, and queries never look past `u8::MAX`), handing each
-/// filing to `file`. The rows' parents and child runs are read in one
-/// walk over their columns; only the climb past a row's parent reads the
-/// arena out of order.
-fn file_windows(
-    arena: &FrozenTree,
-    max_order: usize,
-    voters_only: bool,
-    mut file: impl FnMut(Entry),
-) {
+/// Files each voting tree row under every suffix window of its upward
+/// path, up to `max_order` URLs (windows stop at the root, and queries
+/// never look past `u8::MAX`), handing each filing to `file`: in row
+/// order, and each row's by window length. The rows' parents and child
+/// runs are read in one walk over their columns; only the climb past a
+/// row's parent reads the arena out of order.
+fn file_windows(arena: &FrozenTree, max_order: usize, mut file: impl FnMut(Entry)) {
     let hashes = path_hash_table(arena);
     let max_len = max_order.min(usize::from(u8::MAX));
     let rows = (0..arena.first_link_row())
         .zip(arena.parents_in_order())
         .zip(arena.child_runs());
     for ((id, mut parent), run) in rows {
-        let voter = !run.is_empty();
-        if voters_only && !voter {
+        if run.is_empty() {
             continue;
         }
         let p_node = hashes[id as usize];
@@ -346,7 +372,6 @@ fn file_windows(
                 node: id,
                 // Windows are at most `u8::MAX` long.
                 len: u8::try_from(len).unwrap_or(u8::MAX),
-                voter,
             });
             if parent == NO_NODE {
                 break;
@@ -356,20 +381,48 @@ fn file_windows(
     }
 }
 
+/// The voting rows' filings, sorted by `(key, node, len)` so that each
+/// bucket is a run in row order, and where each row's filings started in
+/// filing order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Filings {
+    entries: Vec<Entry>,
+    /// Row `r`'s length-`ℓ` filing was filed `first[r] + ℓ − 1`th, right
+    /// after its length-`ℓ − 1` one.
+    first: Vec<u32>,
+}
+
+/// Every voting row's filings in filing order, and where each row's
+/// first one sits. Fails past 2^32 filings (64 GiB of them).
+fn filed_in_order(
+    arena: &FrozenTree,
+    max_order: usize,
+) -> Result<(Vec<Entry>, Vec<u32>), SnapshotError> {
+    let mut filed: Vec<Entry> = Vec::new();
+    let mut first = vec![0u32; arena.first_link_row() as usize];
+    file_windows(arena, max_order, |e| {
+        if e.len == 1 {
+            // Checked below: every position fits when the count does.
+            first[e.node as usize] = u32::try_from(filed.len()).unwrap_or(u32::MAX);
+        }
+        filed.push(e);
+    });
+    narrow(filed.len())?;
+    Ok((filed, first))
+}
+
 /// Most top key bits [`sorted_filings`] counts on: 2^16 buckets.
 const SORT_BITS: u32 = 16;
 
-/// Every tree row's filings, sorted by `(key, node, len)` so that each
-/// bucket is a run in row order.
+/// Every voting row's filings, sorted by `(key, node, len)`.
 ///
 /// [`file_windows`] files in `(node, len)` order, so a stable sort by key
 /// alone gives that order. One counting pass on the keys' top bits
 /// scatters the filings into buckets of about four (the keys are mixed
 /// hashes, so the buckets fill evenly), and a stable sort by key orders
 /// each bucket.
-fn sorted_filings(arena: &FrozenTree, max_order: usize) -> Vec<Entry> {
-    let mut filed: Vec<Entry> = Vec::new();
-    file_windows(arena, max_order, false, |e| filed.push(e));
+fn sorted_filings(arena: &FrozenTree, max_order: usize) -> Result<Filings, SnapshotError> {
+    let (filed, first) = filed_in_order(arena, max_order)?;
     // At least one bit, so the shift stays below 64.
     let bits = (filed.len() / 4).max(2).ilog2().min(SORT_BITS);
     // At most `SORT_BITS` bits remain after the shift.
@@ -392,7 +445,10 @@ fn sorted_filings(arena: &FrozenTree, max_order: usize) -> Vec<Entry> {
     for run in starts.windows(2) {
         sorted[run[0]..run[1]].sort_by_key(|e| e.key);
     }
-    sorted
+    Ok(Filings {
+        entries: sorted,
+        first,
+    })
 }
 
 /// Splits the run of `entries` filed under the first one's full key off
@@ -404,20 +460,30 @@ fn key_run(entries: &[Entry]) -> (&[Entry], &[Entry]) {
     entries.split_at(end.unwrap_or(entries.len()))
 }
 
-/// Splits the first full-key run of `entries` that has a voter off the
-/// rest, dropping the runs before it: no query could get a prediction out
-/// of a window no row votes for.
-fn voting_run(mut entries: &[Entry]) -> Option<(&[Entry], &[Entry])> {
-    loop {
-        let (run, rest) = key_run(entries);
-        if run.is_empty() {
-            return None;
-        }
-        if run.iter().any(|e| e.voter) {
-            return Some((run, rest));
-        }
-        entries = rest;
+/// Sums the children of `voters` by URL into `votes` and returns the
+/// voters' summed count: a clean group's votes and total. Fails when the
+/// total or a vote outgrows 32 bits, the fields a stored group holds
+/// them in.
+fn tally_votes(
+    arena: &FrozenTree,
+    voters: &[Entry],
+    votes: &mut Vec<(UrlId, u64)>,
+) -> Result<u32, SnapshotError> {
+    let mut total = 0u64;
+    votes.clear();
+    for e in voters {
+        total = total.saturating_add(arena.count(e.node));
+        votes.extend(
+            arena
+                .children(e.node)
+                .map(|child| (arena.url(child), arena.count(child))),
+        );
     }
+    sum_votes(votes);
+    for &(_, count) in votes.iter() {
+        narrow(count)?;
+    }
+    narrow(total)
 }
 
 /// Sorts `(url, count)` votes by URL and sums the counts of equal URLs.
@@ -453,7 +519,8 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// one model across worker threads. The layout is flat and canonical:
 ///
 /// * a radix directory on the group keys' top `64 − shift` bits narrows a
-///   lookup to about eight neighbouring keys (the keys are mixed 64-bit
+///   lookup to at most about sixteen neighbouring keys (it is sized from
+///   every voting key, dropped ones included; the keys are mixed 64-bit
 ///   hashes, so the slots fill evenly), and `keys` stores, sorted, only
 ///   the next 16 bits of each key, which the slot does not fix;
 /// * `slots[i]` says where key `i`'s group lives: a one-member group's
@@ -477,8 +544,10 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// checked against the query with `FrozenTree::match_top`, so a lookup
 /// that lands on another window's group is answered as a miss, and keys
 /// that collide at build time merge into one dirty group that lists each
-/// row once. Only windows with a voter are filed at all, so a window no
-/// query can be answered from never dirties a group it collides with.
+/// row once. Only voting rows are filed at all, so a window no query can
+/// be answered from never dirties a group it collides with, and a window
+/// whose voters are its one-shorter suffix's is not stored when its
+/// stored bits are its own (see the module docs).
 ///
 /// Every list is one exact-size allocation, and the same arena always
 /// builds the same bytes: a finalized model, its publish clone and its
@@ -514,58 +583,93 @@ pub struct ContextIndex {
     entries: usize,
     /// Filings behind the fullest group.
     max_bucket: usize,
+    /// `(node, window)` filings the build sorted, dropped ones included.
+    filed: usize,
+    /// Full-key runs not stored: their voters are their one-shorter
+    /// suffix's.
+    dropped: usize,
+}
+
+/// How a build stores its groups. Serving stores [`KEY_BITS`] key bits,
+/// keeps a group of one row as that row and drops every window whose
+/// voters are its one-shorter suffix's; tests narrow the keys, store
+/// every group dirty or keep every window.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    key_bits: u32,
+    all_dirty: bool,
+    drop_shadowed: bool,
+}
+
+impl Layout {
+    const SERVING: Self = Self {
+        key_bits: KEY_BITS,
+        all_dirty: false,
+        drop_shadowed: true,
+    };
 }
 
 impl ContextIndex {
-    /// Builds the all-windows index: every branch row is filed under each
-    /// suffix window of its upward path, up to `max_order` URLs, and every
-    /// bucket with at least one voting member is kept: a one-member bucket
-    /// as its row, a larger one with its aggregates precomputed. Fails
-    /// when a count, a summed count or a dirty group's member count
-    /// outgrows 32 bits, however narrow the index stores it.
+    /// Builds the index: every voting row is filed under each suffix
+    /// window of its upward path, up to `max_order` URLs, and every window
+    /// that can change an answer is kept: a one-member group as its row, a
+    /// larger one with its aggregates precomputed. Fails when a count, a
+    /// summed count or a dirty group's member count outgrows 32 bits,
+    /// however narrow the index stores it.
     pub fn windows(arena: &FrozenTree, max_order: usize) -> Result<Self, SnapshotError> {
-        Self::build(arena, max_order, KEY_BITS, false)
+        Self::build(arena, max_order, Layout::SERVING)
     }
 
-    /// [`ContextIndex::windows`], storing `key_bits` bits of each key
-    /// below the directory's (at most 16), and with `all_dirty` storing
-    /// every group as dirty, one-member groups included.
-    fn build(
-        arena: &FrozenTree,
-        max_order: usize,
-        key_bits: u32,
-        all_dirty: bool,
-    ) -> Result<Self, SnapshotError> {
+    /// [`ContextIndex::windows`], laid out as `layout` says.
+    fn build(arena: &FrozenTree, max_order: usize, layout: Layout) -> Result<Self, SnapshotError> {
         // Phase 1: one flat entry per (node, window), sorted so that each
         // bucket is a run in row order.
-        Self::from_filings(arena, sorted_filings(arena, max_order), key_bits, all_dirty)
+        Self::from_filings(arena, sorted_filings(arena, max_order)?, layout)
     }
 
-    /// Phase 2 of [`ContextIndex::build`], over `entries` sorted by
-    /// `(key, node, len)`.
+    /// Phases 2 and 3 of [`ContextIndex::build`], over `filings`.
     fn from_filings(
         arena: &FrozenTree,
-        entries: Vec<Entry>,
-        key_bits: u32,
-        all_dirty: bool,
+        filings: Filings,
+        layout: Layout,
     ) -> Result<Self, SnapshotError> {
-        // About eight to sixteen voting keys per directory slot. A key's
-        // entries are adjacent, so it counts at its first voter.
-        let mut last = None;
-        let voting = entries
-            .iter()
-            .filter(|e| e.voter && last.replace(e.key) != Some(e.key))
-            .count();
-        let bits = (voting / KEYS_PER_SLOT).max(2).ilog2();
+        let Filings { entries, first } = filings;
+        let filed_at = |e: &Entry| first[e.node as usize] as usize + usize::from(e.len) - 1;
+        // Phase 2: each full-key run's voters, at each of its filings by
+        // filing order, where its one-longer windows find them; 0 for a
+        // run whose members spell more than one window (a 64-bit
+        // collision), which no count can be compared with.
+        let mut voters = vec![0u32; entries.len()];
+        let mut keys_filed = 0;
+        let mut rest = entries.as_slice();
+        while !rest.is_empty() {
+            let (run, tail) = key_run(rest);
+            rest = tail;
+            keys_filed += 1;
+            let (head, len) = (run[0], usize::from(run[0].len));
+            let clean = run[1..]
+                .iter()
+                .all(|e| e.len == head.len && same_window(arena, head.node, e.node, len));
+            if clean {
+                // Fewer than 2^32 filings: `filed_in_order` checked.
+                let n = u32::try_from(run.len()).unwrap_or(0);
+                for e in run {
+                    voters[filed_at(e)] = n;
+                }
+            }
+        }
+        // About eight to sixteen keys per directory slot, counted before
+        // any window is dropped, so that dropping one moves no other.
+        let bits = (keys_filed / KEYS_PER_SLOT).max(2).ilog2();
         let shift = 64 - bits;
         // Keys that agree from bit `low` up are one group.
-        let low = shift.saturating_sub(key_bits.min(KEY_BITS));
+        let low = shift.saturating_sub(layout.key_bits.min(KEY_BITS));
 
-        // Phase 2: file each group that has a voter as its row, or as a
-        // stored group with its aggregates or its members. A slot holds a
-        // row or a head index, and there are no more heads than voting
+        // Phase 3: file each window that can change an answer as its row,
+        // or as a stored group with its aggregates or its members. A slot
+        // holds a row or a head index, and there are no more heads than
         // keys, so those two bound its payload; its tags sit above.
-        let payload_bound = u64::from(arena.rows()).max(voting as u64);
+        let payload_bound = u64::from(arena.rows()).max(keys_filed as u64);
         let slots_width = crate::column::width_for(payload_bound << 2);
         let tag_shift = u32::try_from(slots_width * 8 - 2).unwrap_or(62);
         let mut slots = ColumnBuilder::new(payload_bound << 2, 0);
@@ -581,33 +685,31 @@ impl ContextIndex {
             ColumnBuilder::new(0, 0),
             ColumnBuilder::new(0, 0),
         );
-        let (mut filed, mut max_bucket, mut dir_len) = (0, 0, 0u64);
+        let (mut stored_filings, mut max_bucket, mut dropped, mut dir_len) = (0, 0, 0, 0u64);
         let mut tally: Vec<(UrlId, u64)> = Vec::new();
         let mut rows: Vec<u32> = Vec::new();
-        // A group's voting runs when more than one shares its stored bits.
-        let mut merged: Vec<Entry> = Vec::new();
         let counts_fit = arena.counts_fit_u32();
         let mut rest = entries.as_slice();
-        while let Some((run, tail)) = voting_run(rest) {
+        while let Some(&first) = rest.first() {
+            // The keys whose stored bits agree with the first's are one
+            // group, and sit together in key order.
+            let end = rest
+                .iter()
+                .position(|e| e.key >> low != first.key >> low)
+                .unwrap_or(rest.len());
+            let (bucket, tail) = rest.split_at(end);
             rest = tail;
-            let first = run[0];
-            // Later voting runs whose stored bits agree join its group;
-            // runs without a voter are dropped before they can.
-            merged.clear();
-            while rest
-                .first()
-                .is_some_and(|e| e.key >> low == first.key >> low)
-            {
-                let (next, tail) = key_run(rest);
-                rest = tail;
-                if next.iter().any(|e| e.voter) {
-                    if merged.is_empty() {
-                        merged.extend_from_slice(run);
-                    }
-                    merged.extend_from_slice(next);
+            let one_key = bucket[end - 1].key == first.key;
+            // A window alone under its stored bits whose voters are its
+            // one-shorter suffix's: that suffix's group answers for it,
+            // and its counts are checked where that group is stored.
+            if layout.drop_shadowed && one_key && first.len > 1 {
+                let at = filed_at(&first);
+                if voters[at] != 0 && voters[at] == voters[at - 1] {
+                    dropped += 1;
+                    continue;
                 }
             }
-            let bucket = if merged.is_empty() { run } else { &merged };
             while dir_len <= first.key >> shift {
                 dir.push(keys.len() as u64);
                 dir_len += 1;
@@ -616,28 +718,23 @@ impl ContextIndex {
             #[allow(clippy::cast_possible_truncation)]
             let stored = (first.key >> low) as u16;
             keys.push(stored);
-            (filed, max_bucket) = (filed + bucket.len(), max_bucket.max(bucket.len()));
+            stored_filings += bucket.len();
+            max_bucket = max_bucket.max(bucket.len());
             // One row can be filed under two window lengths whose keys
-            // merged: it is still the group's one member.
-            if !all_dirty && bucket.iter().all(|e| e.node == first.node) {
+            // share their stored bits: it is still the group's one member.
+            if !layout.all_dirty && bucket.iter().all(|e| e.node == first.node) {
                 // The arena answers for it, but its counts must fit the
-                // fields a stored group would hold them in: a file the
-                // index could not aggregate is refused either way. Counts
-                // stored no wider than 32 bits all fit.
+                // fields a stored group would hold them in. Counts stored
+                // no wider than 32 bits all fit.
                 if !counts_fit {
-                    narrow(arena.count(first.node))?;
-                    for child in arena.children(first.node) {
-                        narrow(arena.count(child))?;
-                    }
+                    tally_votes(arena, &bucket[..1], &mut tally)?;
                 }
                 slots.push(u64::from(first.node));
                 continue;
             }
-            let len = usize::from(first.len);
-            let dirty = all_dirty
-                || bucket[1..]
-                    .iter()
-                    .any(|e| e.len != first.len || !same_window(arena, first.node, e.node, len));
+            // Keys that differ spell different windows, so a group of
+            // several keys is dirty, as is a key's run of several windows.
+            let dirty = layout.all_dirty || !one_key || voters[filed_at(&first)] == 0;
             head_votes.push(vote_urls.len() as u64);
             if dirty {
                 // Each row once, though merged keys may file it twice.
@@ -651,28 +748,19 @@ impl ContextIndex {
                     members.push(u64::from(row));
                 }
             } else {
-                let mut total = 0u64;
-                tally.clear();
-                for e in bucket.iter().filter(|e| e.voter) {
-                    total = total.saturating_add(arena.count(e.node));
-                    tally.extend(
-                        arena
-                            .children(e.node)
-                            .map(|child| (arena.url(child), arena.count(child))),
-                    );
-                }
-                sum_votes(&mut tally);
+                let total = tally_votes(arena, bucket, &mut tally)?;
                 for &(url, count) in &tally {
                     vote_urls.push(u64::from(url.0));
-                    vote_counts.push(u64::from(narrow(count)?));
+                    vote_counts.push(count);
                 }
                 head_members.push(u64::from(first.node));
-                head_totals.push(u64::from(narrow(total)?));
+                head_totals.push(u64::from(total));
             }
             let tag = if dirty { DIRTY } else { STORED };
             slots.push(tag << tag_shift | (head_totals.len() - 1) as u64);
         }
-        drop(entries);
+        let filed = entries.len();
+        drop((entries, first, voters));
         head_votes.push(vote_urls.len() as u64);
         while dir_len <= 1 << bits {
             dir.push(keys.len() as u64);
@@ -692,8 +780,10 @@ impl ContextIndex {
             members: members.finish(),
             vote_urls: vote_urls.finish(),
             vote_counts: vote_counts.finish(),
-            entries: filed,
+            entries: stored_filings,
             max_bucket,
+            filed,
+            dropped,
         })
     }
 
@@ -705,7 +795,24 @@ impl ContextIndex {
         max_order: usize,
         key_bits: u32,
     ) -> Result<Self, SnapshotError> {
-        Self::build(arena, max_order, key_bits, false)
+        let layout = Layout {
+            key_bits,
+            ..Layout::SERVING
+        };
+        Self::build(arena, max_order, layout)
+    }
+
+    /// Test oracle: the index of `arena` with `key_bits` key bits stored
+    /// and every voting window kept, those whose voters are their
+    /// one-shorter suffix's included.
+    #[cfg(test)]
+    pub(crate) fn all_voting(arena: &FrozenTree, max_order: usize, key_bits: u32) -> Self {
+        let layout = Layout {
+            key_bits,
+            drop_shadowed: false,
+            ..Layout::SERVING
+        };
+        Self::build(arena, max_order, layout).expect("test-sized index")
     }
 
     /// Test hook: the index of `arena` with every group, one-member groups
@@ -713,7 +820,11 @@ impl ContextIndex {
     /// per-member fallback path.
     #[cfg(test)]
     pub(crate) fn all_dirty(arena: &FrozenTree, max_order: usize) -> Self {
-        Self::build(arena, max_order, KEY_BITS, true).expect("test-sized index")
+        let layout = Layout {
+            all_dirty: true,
+            ..Layout::SERVING
+        };
+        Self::build(arena, max_order, layout).expect("test-sized index")
     }
 
     /// Where the group filed under bucket key `key` sits in `keys`.
@@ -793,8 +904,9 @@ impl ContextIndex {
 
     /// Marks in the path-usage bitset `used` the path and children of
     /// every voter of each group whose position is set in `groups`. One
-    /// filing pass, the build's first phase over the voting rows: a row
-    /// filed under a flagged key is that group's member.
+    /// filing pass, the build's first phase: a row filed under a flagged
+    /// key is that group's member. A dropped window's key finds no group,
+    /// and its voters are marked through its shorter suffix's.
     pub(crate) fn mark_groups(
         &self,
         arena: &FrozenTree,
@@ -802,7 +914,7 @@ impl ContextIndex {
         groups: &[u64],
         used: &mut [u64],
     ) {
-        file_windows(arena, max_order, true, |e| {
+        file_windows(arena, max_order, |e| {
             if self.position(e.key).is_some_and(|at| bit(groups, at)) {
                 arena.mark_path(used, e.node);
                 arena.mark_children(used, e.node);
@@ -823,12 +935,16 @@ impl ContextIndex {
     /// Where the index's heap bytes go, list by list, how many groups are
     /// dirty and how many members the largest has.
     pub fn split(&self) -> IndexSplit {
-        let (mut dirty_groups, mut largest_dirty) = (0, 0);
+        let (mut derived, mut clean, mut dirty, mut largest_dirty) = (0, 0, 0, 0);
         for slot in self.slots.iter() {
-            if slot >> self.tag_shift == DIRTY {
-                let g = at(slot & ((1 << self.tag_shift) - 1));
-                dirty_groups += 1;
-                largest_dirty = largest_dirty.max(at(self.head_totals.get(g)));
+            match slot >> self.tag_shift {
+                DIRTY => {
+                    let g = at(slot & ((1 << self.tag_shift) - 1));
+                    dirty += 1;
+                    largest_dirty = largest_dirty.max(at(self.head_totals.get(g)));
+                }
+                STORED => clean += 1,
+                _ => derived += 1,
             }
         }
         IndexSplit {
@@ -847,7 +963,11 @@ impl ContextIndex {
                 ColumnBytes::of("vote_urls", &self.vote_urls),
                 ColumnBytes::of("vote_counts", &self.vote_counts),
             ],
-            dirty_groups,
+            windows_filed: self.filed,
+            derived_groups: derived,
+            clean_groups: clean,
+            dirty_groups: dirty,
+            dropped_groups: self.dropped,
             largest_dirty,
         }
     }
@@ -858,25 +978,17 @@ impl ContextIndex {
         self.split().total()
     }
 
-    /// Groups whose members collided.
-    fn dirty_groups(&self) -> usize {
-        self.tags().filter(|&tag| tag == DIRTY).count()
-    }
-
-    /// Each slot's tag bits, in key order.
-    fn tags(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slots.iter().map(|slot| slot >> self.tag_shift)
-    }
-
     /// Bucket occupancy for storage/telemetry gauges. A dirty group falls
     /// back to per-member verification at query time, so the dirty count is
     /// the structural ceiling on slow-bucket lookups.
     pub fn occupancy(&self) -> IndexOccupancy {
+        let split = self.split();
         IndexOccupancy {
             buckets: self.keys.len(),
             max_bucket: self.max_bucket,
-            dirty_groups: self.dirty_groups(),
-            derived_groups: self.tags().filter(|&tag| tag == 0).count(),
+            dirty_groups: split.dirty_groups,
+            derived_groups: split.derived_groups,
+            dropped_groups: self.dropped,
         }
     }
 }
@@ -902,17 +1014,12 @@ mod tests {
         crate::frozen::arena_of(paths, &[])
     }
 
-    /// The rows filed under the group at position `at`, in arena order,
-    /// from windows some row votes for: what a stored member list would
-    /// hold.
+    /// The rows filed under the group at position `at`, in arena order:
+    /// what a stored member list would hold.
     fn members(idx: &ContextIndex, t: &FrozenTree, at: usize) -> Vec<u32> {
-        let mut voting = std::collections::HashSet::new();
-        file_windows(t, 8, true, |e| {
-            voting.insert(e.key);
-        });
         let mut rows = Vec::new();
-        file_windows(t, 8, false, |e| {
-            if voting.contains(&e.key) && idx.position(e.key) == Some(at) {
+        file_windows(t, 8, |e| {
+            if idx.position(e.key) == Some(at) {
                 rows.push(e.node);
             }
         });
@@ -934,27 +1041,37 @@ mod tests {
     fn window_entries_cover_interior_suffixes() {
         let t = chain_tree(&[&[1, 2, 3, 4]]);
         let idx = ContextIndex::windows(&t, 8).unwrap();
-        // Node "3" is filed under windows [3], [2,3], [1,2,3].
+        // Node "3" is filed under windows [3], [2,3], [1,2,3]. It is their
+        // only voter, so the two longer windows are dropped, and a lookup
+        // of [2, 3] falls through to [3]'s group, which is node "3".
         let node3 = t.descend(&[u(1), u(2), u(3)]).unwrap();
+        assert_eq!(group(&idx, &[2, 3]), None);
+        assert_eq!(group(&idx, &[3]), Some(WindowGroup::Derived(NodeId(node3))));
+        // The leaf "4" votes for nothing, so it is not filed: 1 + 2 + 3
+        // filings for the voting nodes 1, 2 and 3, of which the three
+        // length-1 windows are stored.
+        assert!(group(&idx, &[3, 4]).is_none());
+        assert_eq!((idx.split().windows_filed, idx.len()), (1 + 2 + 3, 3));
+        assert_eq!(idx.occupancy().dropped_groups, 3);
+        // Kept, the longer windows are each node "3"'s row again.
+        let all = ContextIndex::all_voting(&t, 8, KEY_BITS);
         assert_eq!(
-            group(&idx, &[2, 3]),
+            group(&all, &[2, 3]),
             Some(WindowGroup::Derived(NodeId(node3)))
         );
-        assert!(group(&idx, &[3]).is_some());
-        // The leaf "4" votes for nothing, so its four windows are not
-        // stored: 1 + 2 + 3 entries for the voting nodes 1, 2 and 3.
-        assert!(group(&idx, &[3, 4]).is_none());
-        assert_eq!(idx.len(), 1 + 2 + 3);
+        assert_eq!(all.len(), 1 + 2 + 3);
     }
 
     #[test]
     fn window_groups_aggregate_member_votes() {
-        // Three branches share the interior window [2, 3]: its group's
-        // total sums the voters' counts and its votes merge their children.
+        // Three branches share the interior window [3]: its group's total
+        // sums the voters' counts and its votes merge their children.
+        // [2, 3] has the same three voters, so it is dropped and a lookup
+        // of it lands on [3]'s group; [1, 2, 3] has one of them and stays.
         let t = chain_tree(&[&[1, 2, 3, 4], &[1, 2, 3, 4], &[5, 2, 3, 6], &[7, 2, 3, 4]]);
         let idx = ContextIndex::windows(&t, 8).unwrap();
-        let Some(WindowGroup::Clean { rep, total, votes }) = group(&idx, &[2, 3]) else {
-            panic!("[2, 3] is a clean stored group");
+        let Some(WindowGroup::Clean { rep, total, votes }) = group(&idx, &[3]) else {
+            panic!("[3] is a clean stored group");
         };
         let mut spelled: Vec<u32> = [[1, 2, 3], [5, 2, 3], [7, 2, 3]]
             .iter()
@@ -965,10 +1082,17 @@ mod tests {
         let summed: u64 = spelled.iter().map(|&m| t.count(m)).sum();
         assert_eq!((u64::from(total), summed), (4, 4));
         assert_eq!(votes.iter().collect::<Vec<_>>(), [(u(4), 3), (u(6), 1)]);
-        // Leaves are never voters, and a bucket without a voter is absent.
+        assert!(group(&idx, &[2, 3]).is_none());
+        let all = ContextIndex::all_voting(&t, 8, KEY_BITS);
+        assert_eq!(group(&all, &[2, 3]), group(&idx, &[3]));
+        assert_eq!(
+            group(&idx, &[1, 2, 3]),
+            Some(WindowGroup::Derived(NodeId(spelled[0])))
+        );
+        // Only voters are filed, and a window no row votes for is absent.
         for (key, _) in idx.groups() {
             let at = idx.position(key).unwrap();
-            assert!(members(&idx, &t, at).iter().any(|&m| t.has_children(m)));
+            assert!(members(&idx, &t, at).iter().all(|&m| t.has_children(m)));
         }
         assert!(group(&idx, &[4]).is_none());
         assert!(group(&idx, &[3, 6]).is_none());
@@ -1154,11 +1278,10 @@ mod tests {
     }
 
     /// The filings a comparison sort on `(key, node, len)` gives.
-    fn reference_filings(t: &FrozenTree, max_order: usize) -> Vec<Entry> {
-        let mut filed = Vec::new();
-        file_windows(t, max_order, false, |e| filed.push(e));
-        filed.sort_unstable_by_key(|e| (e.key, e.node, e.len));
-        filed
+    fn reference_filings(t: &FrozenTree, max_order: usize) -> Filings {
+        let (mut entries, first) = filed_in_order(t, max_order).unwrap();
+        entries.sort_unstable_by_key(|e| (e.key, e.node, e.len));
+        Filings { entries, first }
     }
 
     proptest! {
@@ -1173,11 +1296,11 @@ mod tests {
             let refs: Vec<&[u32]> = paths.iter().map(Vec::as_slice).collect();
             let t = chain_tree(&refs);
             let reference = reference_filings(&t, max_order);
-            prop_assert_eq!(&sorted_filings(&t, max_order), &reference);
+            prop_assert_eq!(&sorted_filings(&t, max_order).unwrap(), &reference);
             for key_bits in [KEY_BITS, 4, 0] {
                 let built = ContextIndex::with_key_bits(&t, max_order, key_bits).unwrap();
-                let oracle =
-                    ContextIndex::from_filings(&t, reference.clone(), key_bits, false).unwrap();
+                let layout = Layout { key_bits, ..Layout::SERVING };
+                let oracle = ContextIndex::from_filings(&t, reference.clone(), layout).unwrap();
                 prop_assert_eq!(built.split().total(), built.memory_bytes());
                 prop_assert_eq!(built.memory_bytes(), oracle.memory_bytes());
                 prop_assert_eq!(built, oracle);

@@ -34,7 +34,9 @@
 //! is filed in the length-`ℓ + 1` bucket of the same context, which the
 //! descent visits first, and as a voter it ends the descent there or at
 //! an even longer length. So the group at the length that votes is
-//! exactly the reference's group, and it votes whole.
+//! exactly the reference's group, and it votes whole. A window whose
+//! voters are its one-shorter suffix's is not stored, so the descent
+//! misses it and votes one length shorter, with the same voters.
 
 use crate::context_index::{bucket_key, ContextHashes, ContextIndex, WindowGroup};
 use crate::frozen::{mark_row, Emit, FrozenTree, NodeId, NodeStore, SnapshotError, TreeSnapshot};
@@ -282,6 +284,8 @@ impl PbPpm {
             .set(occ.dirty_groups as u64);
         reg.gauge("core.index.derived_groups", &label)
             .set(occ.derived_groups as u64);
+        reg.gauge("core.index.dropped_groups", &label)
+            .set(occ.dropped_groups as u64);
     }
 
     /// The popularity table the model was built with.
@@ -1110,6 +1114,85 @@ mod tests {
             prop_assert_eq!(path_usage(&batched), expected.clone());
             prop_assert_eq!(path_usage(&per_call), expected);
         }
+
+        /// Dropping the windows whose voters are their one-shorter
+        /// suffix's moves no answer and no usage mark, at full, narrow and
+        /// no stored key bits: predictions equal the all-voting-windows
+        /// oracle's and the reference scan's, and path usage the oracle's.
+        /// Every voting window the index has no group for was dropped
+        /// alone under its stored bits, and its nearest shorter suffix with
+        /// a group has the same voters.
+        #[test]
+        fn dropped_windows_answer_like_every_voting_window(model in arb_model()) {
+            let (sessions, counts, max_order) = model;
+            let (m, path_counts) = model_and_counts(&sessions, counts, max_order);
+            let scan = crate::reference::PbScan::new(&path_counts, &m);
+            let contexts = contexts_of(&sessions, max_order);
+            let arena = m.frozen().unwrap();
+            for key_bits in [16, 4, 0] {
+                let (mut dropping, mut oracle) = (m.clone(), m.clone());
+                dropping.index = ContextIndex::with_key_bits(arena, max_order, key_bits).unwrap();
+                oracle.index = ContextIndex::all_voting(arena, max_order, key_bits);
+                prop_assert_eq!(oracle.index.occupancy().dropped_groups, 0);
+                let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+                for ctx in &contexts {
+                    dropping.predict(ctx, &mut a);
+                    oracle.predict(ctx, &mut b);
+                    scan.predict(ctx, &mut c);
+                    prop_assert_eq!(&a, &b, "{} key bits on {:?}", key_bits, ctx);
+                    prop_assert_eq!(&a, &c, "{} key bits on {:?}", key_bits, ctx);
+                }
+                prop_assert_eq!(path_usage(&dropping), path_usage(&oracle));
+
+                let index = &dropping.index;
+                let mut dropped = std::collections::BTreeSet::new();
+                for window in voting_windows(arena, max_order) {
+                    if index.position(window_key(&window)).is_some() {
+                        continue;
+                    }
+                    dropped.insert(window_key(&window));
+                    let kept = (1..window.len())
+                        .map(|skip| &window[skip..])
+                        .find(|s| index.position(window_key(s)).is_some());
+                    prop_assert!(kept.is_some(), "{:?} has no kept suffix", window);
+                    let kept = kept.unwrap();
+                    prop_assert_eq!(voters(arena, &window), voters(arena, kept), "{:?}", window);
+                }
+                // A dropped window sharing its stored bits with a stored
+                // group would find that group and go uncounted here.
+                prop_assert_eq!(dropped.len(), index.occupancy().dropped_groups);
+            }
+        }
+    }
+
+    /// The fingerprint a lookup of `window` reads.
+    fn window_key(window: &[UrlId]) -> u64 {
+        let mut h = ContextHashes::new();
+        h.compute(window, window.len());
+        bucket_key(window.len(), h.suffix_hash(window.len()))
+    }
+
+    /// Every window a voting row of `arena` spells, up to `max_order`
+    /// URLs, oldest URL first.
+    fn voting_windows(arena: &FrozenTree, max_order: usize) -> Vec<Vec<UrlId>> {
+        let mut windows = Vec::new();
+        for row in (0..arena.first_link_row()).filter(|&r| arena.has_children(r)) {
+            let mut window = Vec::new();
+            let mut at = row;
+            while at != crate::frozen::NO_NODE && window.len() < max_order {
+                window.insert(0, arena.url(at));
+                windows.push(window.clone());
+                at = arena.parent(at);
+            }
+        }
+        windows
+    }
+
+    /// The voting rows whose upward path spells `window`.
+    fn voters(arena: &FrozenTree, window: &[UrlId]) -> Vec<u32> {
+        (0..arena.first_link_row())
+            .filter(|&r| arena.has_children(r) && arena.match_top(r, window).is_some())
+            .collect()
     }
 
     /// A row filed under two window lengths whose keys collide is one

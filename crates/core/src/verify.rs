@@ -29,7 +29,8 @@
 //! it and nothing changes the arena after it. A rebuild here would run
 //! the same code over the same arena; the producer is pinned by its
 //! oracle tests instead (`fast_path_is_bit_identical_to_reference`,
-//! `colliding_keys_answer_like_the_full_index`).
+//! `colliding_keys_answer_like_the_full_index`,
+//! `dropped_windows_answer_like_every_voting_window`).
 //!
 //! One paper rule is deliberately *not* re-checked post hoc: rule 4 (root
 //! admission) is a statement about the training stream — any URL may
@@ -509,8 +510,12 @@ impl AuditReport {
         if let Some(split) = &self.index {
             push_columns(&mut s, "index", &split.columns);
             s.push_str(&format!(
-                ",\"dirty_groups\":{},\"largest_dirty_group\":{}}}",
+                ",\"dirty_groups\":{},\"largest_dirty_group\":{}",
                 split.dirty_groups, split.largest_dirty
+            ));
+            s.push_str(&format!(
+                ",\"windows_filed\":{},\"derived_groups\":{},\"clean_groups\":{},\"dropped_groups\":{}}}",
+                split.windows_filed, split.derived_groups, split.clean_groups, split.dropped_groups
             ));
         }
         for (key, columns) in [("arena", &self.arena), ("popularity", &self.popularity)] {
@@ -560,6 +565,15 @@ impl fmt::Display for AuditReport {
                 f,
                 "; dirty groups {}, largest {} members",
                 split.dirty_groups, split.largest_dirty
+            )?;
+            writeln!(
+                f,
+                "  index groups: {} voting windows filed, derived {}, clean {}, dirty {}, dropped {}",
+                split.windows_filed,
+                split.derived_groups,
+                split.clean_groups,
+                split.dirty_groups,
+                split.dropped_groups
             )?;
         }
         for (label, columns) in [("arena", &self.arena), ("popularity", &self.popularity)] {

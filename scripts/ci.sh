@@ -39,7 +39,9 @@
 #                              whose parts sum to its printed total (the
 #                              arena's for every model kind), every index,
 #                              arena and popularity column with a width of
-#                              1 to 8 bytes; it
+#                              1 to 8 bytes, and the index's voting
+#                              windows filed and its derived, clean,
+#                              dirty and dropped groups; it
 #                              rejects (nonzero exit) a snapshot copy with
 #                              a flipped payload byte, and a copy stamped
 #                              version 5 with "unsupported snapshot
@@ -78,7 +80,14 @@
 #                              fixed-width in-memory arena wrote: how a
 #                              loaded model lays out its columns does not
 #                              move a byte of the file
-#  13. reproduction check    — `all --check` regenerates every paper
+#  13. predict answer pin    — one batched `pbppm predict` per model of
+#                              step 5 (`;`-separated contexts: every 1- to
+#                              4-click window sliding over the tiny log's
+#                              first 200 paths) must hash to the sha256
+#                              the index that kept every voting window
+#                              answered with: how the index stores its
+#                              windows does not move an answer
+#  14. reproduction check    — `all --check` regenerates every paper
 #                              table and figure into a temp dir and
 #                              requires the committed `results/` field for
 #                              field, except the named timing fields; on
@@ -207,8 +216,14 @@ if not m:
 parts = sum(int(v) for v in m.groups()[1:])
 if parts != int(m.group(1)):
     sys.exit(f"ci: interner parts {m.groups()[1:]} sum to {parts}, not {m.group(1)}")
-if not re.search(r"index bytes \d+: .*; dirty groups \d+, largest \d+ members\n", text):
+m = re.search(r"index bytes \d+: .*; dirty groups (\d+), largest \d+ members\n", text)
+if not m:
     sys.exit("ci: audit printed no index byte split with its dirty groups")
+g = re.search(r"\n  index groups: (\d+) voting windows filed, derived (\d+), clean (\d+), dirty (\d+), dropped (\d+)\n", text)
+if not g:
+    sys.exit("ci: audit printed no index group line")
+if g.group(4) != m.group(1):
+    sys.exit(f"ci: the index group line counts {g.group(4)} dirty groups, the byte split {m.group(1)}")
 for label in ("index", "arena", "popularity"):
     m = re.search(label + r" bytes (\d+): ([^;\n]*)", text)
     if not m:
@@ -431,6 +446,34 @@ for pin in \
     got="$(sha256sum "$tmp/model-$model.pbss" | cut -d' ' -f1)"
     if [[ "$got" != "$want" ]]; then
         echo "ci: train ($model) wrote a .pbss with sha256 $got, pinned $want" >&2
+        exit 1
+    fi
+done
+
+echo "== ci: predict answer pin" >&2
+# Every 1- to 4-click window sliding over the tiny log's first 200 paths,
+# answered in one batch by each model step 5 trained. The pins were taken
+# from the binary whose fingerprint index kept every voting window, so an
+# answer the windows it drops would move fails here.
+python3 - "$tmp/access.log" >"$tmp/contexts.txt" <<'EOF'
+import sys
+paths = []
+for line in open(sys.argv[1]):
+    paths.append(line.split('"')[1].split()[1])
+    if len(paths) == 200:
+        break
+windows = [",".join(paths[i - k + 1:i + 1]) for i in range(len(paths)) for k in range(1, 5) if k <= i + 1]
+print(";".join(windows))
+EOF
+for pin in \
+    "pb 2d840e2bb3dda951877482da27a8311cd6582abf73f0ee651a3af3ffca1b99da" \
+    "standard 6a37738eb2194d8ee1b904e3feb5faa6ef0d478573c440f1ec3fe5b1b7635763" \
+    "lrs 3e84e8cbae2c9bfd71005764704c6ee2ddb89041d5d4f5df15204564e7ddf350" \
+    "o1 83397f17e98a27fbf7632cd428239f4de28a5c634ed206c081b9132b3c56df6d"; do
+    read -r model want <<<"$pin"
+    got="$("$pbppm" predict "$tmp/model-$model.pbss" --context "$(cat "$tmp/contexts.txt")" | sha256sum | cut -d' ' -f1)"
+    if [[ "$got" != "$want" ]]; then
+        echo "ci: batched predict ($model) answered with sha256 $got, pinned $want" >&2
         exit 1
     fi
 done
