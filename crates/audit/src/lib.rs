@@ -174,29 +174,44 @@ mod tests {
 
     #[test]
     fn the_report_splits_the_loaded_url_table() {
-        let (urls, m) = small_pb();
+        let (mut urls, m) = small_pb();
+        // A fifth URL no row names: the file keeps its id, not its string.
+        urls.intern("/p4");
         let file = SnapshotFile {
             urls,
             model: ModelImage::Pb(m.to_snapshot()),
         };
         let report = verify_bytes(&file.encode()).expect("envelope is valid");
         let split = report.interner.expect("a file reports its url table");
-        // Four strings of three bytes, four 4-byte ends and the table's
-        // eight 4-byte slots: what the loaded interner allocates.
+        // Four strings of three bytes, four 4-byte ends, the table's eight
+        // 4-byte slots, and one presence word with its 4-byte rank: what
+        // the loaded interner allocates.
         let decoded = SnapshotFile::decode(&file.encode()).expect("valid");
         assert_eq!(split, decoded.urls.split());
-        assert_eq!((split.strings, split.ends, split.slots), (12, 16, 32));
+        assert_eq!(
+            (split.strings, split.ends, split.slots, split.presence),
+            (12, 16, 32, 12)
+        );
         assert_eq!(split.total(), decoded.urls.memory_bytes());
         let text = report.to_string();
         assert!(
-            text.contains("interner bytes 60: strings 12 ends 16 slots 32"),
+            text.contains("; url table 5 ids, 4 strings, 12 decoded bytes\n"),
             "{text}"
         );
         assert!(
-            report
-                .to_json()
-                .contains("\"interner\":{\"total\":60,\"strings\":12,\"ends\":16,\"slots\":32}"),
-            "{report}"
+            text.contains("interner bytes 72: strings 12 ends 16 slots 32 presence 12\n"),
+            "{text}"
+        );
+        let json = report.to_json();
+        assert!(
+            json.contains("\"url_table\":{\"ids\":5,\"strings\":4,\"decoded_bytes\":12}"),
+            "{json}"
+        );
+        assert!(
+            json.contains(
+                "\"interner\":{\"total\":72,\"strings\":12,\"ends\":16,\"slots\":32,\"presence\":12}"
+            ),
+            "{json}"
         );
     }
 

@@ -159,6 +159,33 @@ fn truncated_url_table_is_rejected() {
     assert!(report.has("snapshot-rejected"), "{report}");
 }
 
+/// A file built in memory over a decoded table with holes: `instantiate`
+/// refuses a model id that names a hole, and the encoder, which writes
+/// only held strings, leaves the id a hole that decode refuses.
+#[test]
+fn a_model_id_naming_a_hole_is_refused_in_memory_and_on_disk() {
+    let written = SnapshotFile {
+        urls: urls(3),
+        model: ModelImage::Pb(pb_two_urls().to_snapshot()),
+    }
+    .encode();
+    let holed = SnapshotFile::decode(&written).expect("valid").urls;
+    assert_eq!((holed.len(), holed.strings()), (3, 2));
+    let mut snap = pb_two_urls().to_snapshot();
+    snap.tree.nodes[1].url = 2;
+    let file = SnapshotFile {
+        urls: holed,
+        model: ModelImage::Pb(snap),
+    };
+    assert_eq!(file.check_url_ids(), Err(CodecError::UrlOutOfRange(2)));
+    assert_eq!(file.instantiate().err(), Some(CodecError::UrlOutOfRange(2)));
+    assert_eq!(
+        SnapshotFile::decode(&file.encode()).unwrap_err(),
+        CodecError::UrlOutOfRange(2)
+    );
+    assert!(verify_snapshot(&file).has("snapshot-rejected"));
+}
+
 /// A two-URL PB model: `0 -> 1`, rooted at the grade-3 URL 0.
 fn pb_two_urls() -> PbPpm {
     let mut pop = PopularityTable::builder();
@@ -229,17 +256,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A checksum-valid file of `pb_two_urls` whose URL table (count and
-/// entries) is `table` in place of what the writer writes.
+/// A checksum-valid file of `pb_two_urls` whose URL table (id space,
+/// count, presence bitmap and entries) is `table` in place of what the
+/// writer writes.
 fn with_url_table(table: &[u8]) -> Vec<u8> {
-    let model = ModelImage::Pb(pb_two_urls().to_snapshot());
+    with_model_and_table(ModelImage::Pb(pb_two_urls().to_snapshot()), table)
+}
+
+/// A checksum-valid file of `model` whose URL table is `table`.
+fn with_model_and_table(model: ModelImage, table: &[u8]) -> Vec<u8> {
     let written = SnapshotFile {
         urls: Interner::new(),
         model,
     }
     .encode();
-    // The payload is the kind tag, the one-byte empty table, the model.
-    let payload = [&written[18..19], table, &written[20..written.len() - 8]].concat();
+    // The payload is the kind tag, the two-byte empty table, the model.
+    let payload = [&written[18..19], table, &written[21..written.len() - 8]].concat();
     let mut bytes = MAGIC.to_vec();
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -253,8 +285,9 @@ fn with_url_table(table: &[u8]) -> Vec<u8> {
 /// before and adding a byte. 64 times its 6 bytes lets an entry reuse at
 /// most 384, so entry 86 breaks the bound.
 fn reuse_chain(n: u8) -> Vec<u8> {
-    // The count, then a literal whose length 300 is the varint AC 02.
-    let mut table = vec![1 + n, 0, 0xac, 0x02];
+    // The id space and count, then a literal whose length 300 is the
+    // varint AC 02.
+    let mut table = vec![1 + n, 1 + n, 0, 0xac, 0x02];
     table.extend_from_slice(&[b'a'; 300]);
     for reuse in 300..300 + u16::from(n) {
         let varint = [
@@ -279,18 +312,18 @@ fn forged_url_tables_are_refused() {
     let cases = [
         (
             "a reference before the first entry",
-            vec![2, 1, 0, 0, 2, b'/', b'a', 0, 2, b'/', b'b'],
+            vec![2, 2, 1, 0, 0, 2, b'/', b'a', 0, 2, b'/', b'b'],
             invalid("url reference before the table"),
         ),
         (
             "a prefix and suffix longer than the reference",
-            vec![2, 0, 2, b'/', b'a', 1, 2, 1, 0],
+            vec![2, 2, 0, 2, b'/', b'a', 1, 2, 1, 0],
             invalid("url reuse longer than its reference"),
         ),
         (
             // `/é` (C3 A9), then `/` and half of `é` with A8: `/è`.
             "a prefix cut inside a 2-byte character",
-            vec![2, 0, 3, b'/', 0xc3, 0xa9, 1, 2, 0, 1, 0xa8],
+            vec![2, 2, 0, 3, b'/', 0xc3, 0xa9, 1, 2, 0, 1, 0xa8],
             invalid("url reuse cut inside a utf-8 character"),
         ),
         (
@@ -300,13 +333,34 @@ fn forged_url_tables_are_refused() {
         ),
         (
             "a table whose decoded strings repeat",
-            vec![2, 0, 2, b'/', b'a', 1, 2, 0, 0],
+            vec![2, 2, 0, 2, b'/', b'a', 1, 2, 0, 0],
             CodecError::DuplicateUrl(1),
         ),
         (
             "a table that writes one string out twice",
-            vec![2, 0, 2, b'/', b'a', 0, 2, b'/', b'a'],
+            vec![2, 2, 0, 2, b'/', b'a', 0, 2, b'/', b'a'],
             CodecError::DuplicateUrl(1),
+        ),
+        (
+            "more entries than ids",
+            vec![1, 2, 0, 2, b'/', b'a', 0, 2, b'/', b'b'],
+            invalid("url table holds more entries than ids"),
+        ),
+        (
+            "a presence bitmap that sets more bits than the count",
+            vec![3, 2, 0b111, 0, 2, b'/', b'a', 0, 2, b'/', b'b'],
+            invalid("url presence bitmap disagrees with the table"),
+        ),
+        (
+            "a presence bit past the id space",
+            vec![3, 2, 0b1001, 0, 2, b'/', b'a', 0, 2, b'/', b'b'],
+            invalid("url presence bitmap disagrees with the table"),
+        ),
+        (
+            // Ids 0 and 2 hold `/a` and `/c`; the model's child is URL 1.
+            "a model id that names a hole of the table",
+            vec![3, 2, 0b101, 0, 2, b'/', b'a', 0, 2, b'/', b'c'],
+            CodecError::UrlOutOfRange(1),
         ),
     ];
     for (label, table, want) in cases {
@@ -314,6 +368,25 @@ fn forged_url_tables_are_refused() {
         assert_eq!(SnapshotFile::decode(&bytes).unwrap_err(), want, "{label}");
         assert_eq!(verify_bytes(&bytes).unwrap_err(), want, "{label}");
     }
+    // An online checkpoint keeps every id its writer issued: a table with
+    // a hole is refused even where the window and model name no hole.
+    let online = ModelImage::OnlinePb(OnlinePbSnapshot {
+        cfg: PbConfig::default(),
+        window: vec![vec![u(0), u(1)]],
+        max_window: 4,
+        rebuild_every: 2,
+        since_rebuild: 1,
+        rebuilds: 1,
+        model: Some(pb_two_urls().to_snapshot()),
+    });
+    let holed = [3, 2, 0b011, 0, 2, b'/', b'a', 0, 2, b'/', b'b'];
+    let want = invalid("online checkpoint url table with holes");
+    assert_eq!(
+        SnapshotFile::decode(&with_model_and_table(online.clone(), &holed)).unwrap_err(),
+        want
+    );
+    // The same table under the PB model is well formed.
+    assert!(verify_bytes(&with_url_table(&holed)).unwrap().is_clean());
     // One entry short of the bound, the chain loads.
     let chain = SnapshotFile::decode(&with_url_table(&reuse_chain(85))).unwrap();
     assert_eq!(chain.urls.resolve(u(85)).map(str::len), Some(385));

@@ -313,8 +313,9 @@ pub fn train(args: &Args) -> CmdResult {
 /// `pbppm predict model.pbss --context "/a.html,/b.html" [--top N] [--json]`
 ///
 /// Several contexts can be separated by `;` — they are answered in one
-/// batched [`Predictor::predict_many`] call. The model file comes from
-/// `train` or a `serve` checkpoint.
+/// batched [`Predictor::predict_many`] call. A context URL that labels no
+/// row of the model is skipped. The model file comes from `train` or a
+/// `serve` checkpoint.
 pub fn predict(args: &Args) -> CmdResult {
     args.reject_unknown(&["context", "top"])?;
     let path = args
@@ -337,26 +338,28 @@ pub fn run_predict(
 ) -> CmdResult {
     let top = args.get_parsed("top", 10usize)?;
 
+    // A URL that labels no row of the model is skipped, with one note per
+    // URL. A group left with none answers no predictions; a query left
+    // with none errs.
+    let arena = model.frozen();
     let context_raw = args.require("context")?;
     let mut contexts: Vec<Vec<pbppm_core::UrlId>> = Vec::new();
+    let mut skipped = std::collections::BTreeSet::new();
     for group in context_raw.split(';') {
         let mut context = Vec::new();
-        for part in group.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            match interner.get(part) {
+        for part in group.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            match arena.and_then(|arena| arena.context_id(interner, part)) {
                 Some(id) => context.push(id),
-                None => {
-                    pbppm_obs::obs_warn!("{part:?} was never seen in training; skipping")
+                None if skipped.insert(part) => {
+                    pbppm_obs::obs_warn!("{part:?} labels no row of the model; skipping");
                 }
+                None => {}
             }
-        }
-        if context.is_empty() {
-            return Err("no usable context URLs".into());
         }
         contexts.push(context);
+    }
+    if contexts.iter().all(Vec::is_empty) {
+        return Err("no usable context URLs".into());
     }
 
     let slices: Vec<&[pbppm_core::UrlId]> = contexts.iter().map(Vec::as_slice).collect();

@@ -230,13 +230,18 @@ fn audit_splits_each_model_file_into_sections_that_sum_to_its_size() {
             "{kind}: {text}"
         );
         assert_eq!(count(&split, "window"), 0, "{kind}: {text}");
-        // The URL table's strings, decoded, beside the bytes it takes: the
-        // tiny preset's URLs share most of their bytes with a neighbour.
+        // The URL table's id space, the strings it keeps (those the rows
+        // name), decoded, beside the bytes it takes: the tiny preset's URLs
+        // share most of their bytes with a neighbour.
         let table = field(&report, "url_table")
             .as_object()
             .expect("a url_table object")
             .to_vec();
-        assert!(count(&table, "strings") > 100, "{kind}: {text}");
+        assert!(count(&table, "ids") > 100, "{kind}: {text}");
+        assert!(
+            (1..count(&table, "ids")).contains(&count(&table, "strings")),
+            "{kind}: {text}"
+        );
         assert!(
             count(&table, "decoded_bytes") > 2 * count(&split, "urls"),
             "{kind}: {text}"

@@ -6,7 +6,7 @@ mod common;
 use common::TempDir;
 use pbppm_cli::args::Args;
 use pbppm_cli::commands;
-use pbppm_core::{Interner, SnapshotFile, UrlId};
+use pbppm_core::{Interner, SnapshotFile};
 use pbppm_trace::ingest::{trace_from_clf_path, IngestConfig};
 use pbppm_trace::{sessionize, SessionizerConfig};
 
@@ -40,23 +40,33 @@ fn train_then_predict_is_byte_identical_to_in_process_model() {
     let sessions = sessionize(&trace.requests, &SessionizerConfig::default());
     let (_, mut reference) =
         commands::train_model("pb", &sessions, false, false, 0).expect("in-process model");
-    let strings =
-        |urls: &Interner| -> Vec<String> { urls.iter().map(|(_, u)| u.to_owned()).collect() };
-    assert_eq!(
-        strings(&trace.urls),
-        strings(&snapshot.urls),
-        "identical interner contents"
-    );
+    // The file keeps the trace's id space and the strings of the ids the
+    // model's rows name, each under its id.
+    let arena = reference.frozen().expect("a finalized model");
+    assert_eq!(snapshot.urls.len(), trace.urls.len());
+    assert!(snapshot.urls.has_holes());
+    assert!(trace
+        .urls
+        .iter()
+        .filter(|&(id, _)| arena.holds(id))
+        .eq(snapshot.urls.iter()));
+    // A URL of the trace that no row names: both sides skip it.
+    let (_, unnamed) = trace
+        .urls
+        .iter()
+        .find(|&(id, _)| !arena.holds(id))
+        .expect("an unnamed url");
 
     // Single context, batched contexts, text and JSON renderings: every
     // output byte must match the in-process model's. Contexts come from
-    // the trained URL list itself, so they are guaranteed to resolve.
-    let url = |i| snapshot.urls.resolve(UrlId(i)).expect("a trained url");
-    let (u0, u1) = (url(0), url(1));
-    let batch = format!("{u0},{u1};{u1}");
+    // the file's URL table itself, so they are guaranteed to resolve.
+    let mut held = snapshot.urls.iter().map(|(_, url)| url);
+    let (u0, u1) = (held.next().unwrap(), held.next().unwrap());
+    let batch = format!("{u0},{unnamed},{u1};{u1};{unnamed}");
     for query in [
         args(&["--context", u0, "--top", "5"]),
         args(&["--context", &batch, "--top", "3"]),
+        args(&["--context", &batch, "--json"]),
         args(&["--context", u0, "--json"]),
     ] {
         let a = render(reference.as_mut(), &trace.urls, &query);
@@ -64,6 +74,24 @@ fn train_then_predict_is_byte_identical_to_in_process_model() {
         assert!(!a.is_empty());
         assert_eq!(a, b, "predict output diverged for {query:?}");
     }
+    // The batch's last group keeps no URL: it answers no predictions, and
+    // its header echoes the nothing it kept.
+    let text = render(
+        restored.as_mut(),
+        &snapshot.urls,
+        &args(&["--context", &batch]),
+    );
+    let text = String::from_utf8(text).unwrap();
+    assert!(
+        text.ends_with("context 3: \nno predictions for this context\n"),
+        "{text}"
+    );
+    // A query that keeps no URL at all is refused.
+    let mut out = Vec::new();
+    let only_unnamed = args(&["--context", &format!("{unnamed};{unnamed}")]);
+    assert!(
+        commands::run_predict(&snapshot.urls, restored.as_mut(), &only_unnamed, &mut out).is_err()
+    );
 }
 
 #[test]

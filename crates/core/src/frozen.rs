@@ -22,8 +22,10 @@
 //!   `first_child[i]..first_child[i + 1]`, so the child-vote loop is a
 //!   linear pass over adjacent rows and their URLs are already sorted;
 //! * a root is its own slot: a direct-indexed `root_lookup` table (URL ids
-//!   are dense interner ids, and an entry is its root's row plus one, 0
-//!   for none) answers "is the current click a root?" in one array load,
+//!   are dense interner ids, and an entry is its root's row plus two, 1
+//!   for a URL that labels rows but heads no root, 0 for one that labels
+//!   none) answers "is the current click a root?" and "does the model
+//!   hold this URL at all?" ([`FrozenTree::holds`]) in one array load,
 //!   and `link_offsets[slot]..link_offsets[slot + 1]` are the
 //!   root's link rows, so a row is a link exactly when it is at or past
 //!   the first link row;
@@ -43,7 +45,7 @@
 //! ([`FrozenTree::match_top`]).
 
 use crate::column::{ColumnBytes, UintColumn};
-use crate::interner::UrlId;
+use crate::interner::{Interner, UrlId};
 use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
 use crate::prune::{PruneConfig, PruneReport};
 use crate::stats::ModelStats;
@@ -184,14 +186,19 @@ pub struct FrozenTree {
     /// Row `i`'s children are the rows `first_child[i]..first_child[i + 1]`;
     /// length `n + 1`. Link rows have empty runs at the first link row.
     pub(crate) first_child: UintColumn,
-    /// Direct index: `root_lookup[url.0]` is one more than the URL's root
-    /// row, which is also its slot, or 0 when the URL heads no root. URL
+    /// Direct index: `root_lookup[url.0]` is two more than the URL's root
+    /// row, which is also its slot; [`HELD`] when the URL labels rows but
+    /// heads no root, and 0 (or past the end) when it labels none. URL
     /// ids are dense, so this stays small.
     pub(crate) root_lookup: UintColumn,
     /// Root `s`'s link rows are `link_offsets[s]..link_offsets[s + 1]`;
     /// length `R + 1`, from the first link row to `n`.
     pub(crate) link_offsets: UintColumn,
 }
+
+/// A `root_lookup` entry for a URL that labels rows but heads no root; a
+/// root's entry is its row plus two.
+const HELD: u64 = 1;
 
 /// A row count as `u32` row ids, which leave [`NO_NODE`] free.
 fn row_count(n: usize) -> Result<u32, SnapshotError> {
@@ -290,13 +297,14 @@ impl FrozenTree {
                 .map(|s| u64::from(s.url))
                 .chain(links.iter().map(|l| u64::from(l.url))),
         );
-        // The last root has the largest URL.
-        let width = roots
-            .checked_sub(1)
-            .map_or(0, |last| ix(narrow_row(urls.get(ix(last)))) + 1);
-        let mut root_lookup = UintColumn::filled(u64::from(roots), width, 0);
+        // Every row's URL is held; a root's names its row.
+        let width = if rows == 0 { 0 } else { ix(max_url) + 1 };
+        let mut root_lookup = UintColumn::filled(u64::from(roots) + 1, width, 0);
+        for url in urls.iter() {
+            root_lookup.set(ix(narrow_row(url)), HELD);
+        }
         for root in 0..roots {
-            root_lookup.set(ix(narrow_row(urls.get(ix(root)))), u64::from(root) + 1);
+            root_lookup.set(ix(narrow_row(urls.get(ix(root)))), u64::from(root) + 2);
         }
         Ok(Self {
             urls,
@@ -484,9 +492,27 @@ impl FrozenTree {
     #[inline]
     #[must_use]
     pub fn root(&self, url: UrlId) -> Option<u32> {
-        // A stored 0 is "no root".
-        let row = self.root_lookup.try_get(ix(url.0))?.checked_sub(1)?;
+        // A stored 0 or `HELD` is "no root".
+        let row = self.root_lookup.try_get(ix(url.0))?.checked_sub(2)?;
         Some(narrow_row(row))
+    }
+
+    /// True when `url` labels some row of the arena: a tree row or a
+    /// special link. A URL no row labels can match no context window.
+    #[inline]
+    #[must_use]
+    pub fn holds(&self, url: UrlId) -> bool {
+        self.root_lookup.try_get(ix(url.0)).is_some_and(|v| v != 0)
+    }
+
+    /// The id a predict context keeps for the clicked URL `url`, named in
+    /// `urls`: its id when it labels a row ([`FrozenTree::holds`]), else
+    /// `None`, and the click is skipped. A URL no row labels answers alike
+    /// whether `urls` has seen it or not, so an answer depends only on the
+    /// model, and a model file need not keep such a URL's string.
+    #[must_use]
+    pub fn context_id(&self, urls: &Interner, url: &str) -> Option<UrlId> {
+        urls.get(url).filter(|&id| self.holds(id))
     }
 
     /// Every row's URL, in row order: one walk over the column.
@@ -524,7 +550,7 @@ impl FrozenTree {
     pub(crate) fn root_table(&self) -> impl Iterator<Item = u32> + '_ {
         self.root_lookup
             .iter()
-            .map(|row| narrow_row(row).wrapping_sub(1))
+            .map(|v| v.checked_sub(2).map_or(NO_NODE, narrow_row))
     }
 
     /// The link rows of the root in row (slot) `root`, sorted by URL.

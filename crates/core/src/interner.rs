@@ -45,12 +45,21 @@ impl fmt::Display for UrlId {
 /// [`Interner::resolve`] of any previously returned id always succeeds.
 /// Ids and arena offsets are `u32`; interning past either limit panics
 /// (the snapshot reader, which must not, refuses such a table instead).
+///
+/// A table decoded from a model file may have holes: it keeps the id
+/// space of the table that wrote it ([`Interner::len`]) but only the
+/// strings the model names ([`Interner::strings`]). An absent id resolves
+/// to `None` and its string is not found; a string interned later takes
+/// the next id past the whole space, as in the writer's table. A presence
+/// bitmap with a rank directory turns an id into its string's slot; a
+/// table without holes has none and pays nothing for it.
 #[derive(Default, Clone)]
 pub struct Interner {
-    /// Every interned string, back to back in id order.
+    /// Every held string, back to back in id order.
     bytes: String,
-    /// `ends[id]` is where string `id` ends in `bytes`; it starts where
-    /// string `id - 1` ends, or at 0.
+    /// `ends[slot]` is where the string in `slot` ends in `bytes`; it
+    /// starts where the one before ends, or at 0. Without holes a
+    /// string's slot is its id.
     ends: Vec<u32>,
     /// Linear-probing table, empty or at least [`MIN_SLOTS`] long and at
     /// most half full. A slot holds `id + 1` in the bits `id_mask` covers
@@ -61,6 +70,78 @@ pub struct Interner {
     /// the table holds before it grows needs ([`id_mask_for`]), chosen
     /// whenever the table is rebuilt.
     id_mask: u32,
+    /// Which ids hold a string, when some do not; `None` when every id
+    /// below `ends.len()` does.
+    presence: Option<Presence>,
+}
+
+/// The ids of a table with holes that hold a string: a bitmap over the id
+/// space and, before each 64-bit word, how many bits the words before it
+/// set, so an id's string slot is one popcount away.
+#[derive(Clone)]
+struct Presence {
+    /// Bit `id % 64` of `words[id / 64]` is set when `id` holds a string;
+    /// no bit at or past `len` is.
+    words: Vec<u64>,
+    /// `ranks[w]` counts the bits set in `words[..w]`.
+    ranks: Vec<u32>,
+    /// The id-space size.
+    len: u32,
+}
+
+impl Presence {
+    /// The presence set of `len` ids whose bits `words` sets, none of them
+    /// at or past `len`.
+    fn new(len: u32, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), (len as usize).div_ceil(64));
+        let mut held = 0u32;
+        let ranks = words
+            .iter()
+            .map(|w| {
+                let rank = held;
+                held += w.count_ones();
+                rank
+            })
+            .collect();
+        Self { words, ranks, len }
+    }
+
+    /// The string slot of `id`, or `None` when it holds no string.
+    #[inline]
+    fn slot(&self, id: UrlId) -> Option<usize> {
+        let (w, bit) = (id.index() / 64, id.0 % 64);
+        let word = *self.words.get(w)?;
+        if word >> bit & 1 == 0 {
+            return None;
+        }
+        let below = (word & ((1 << bit) - 1)).count_ones();
+        Some((self.ranks[w] + below) as usize)
+    }
+
+    /// How many ids hold a string.
+    fn count(&self) -> usize {
+        match (self.ranks.last(), self.words.last()) {
+            (Some(&rank), Some(word)) => (rank + word.count_ones()) as usize,
+            _ => 0,
+        }
+    }
+
+    /// Appends one id, holding a string, past the end of the space.
+    fn push(&mut self) {
+        let (w, bit) = (self.len as usize / 64, self.len % 64);
+        if w == self.words.len() {
+            let rank = u32::try_from(self.count()).unwrap_or(u32::MAX);
+            self.words.push(0);
+            self.ranks.push(rank);
+        }
+        self.words[w] |= 1 << bit;
+        self.len += 1;
+    }
+
+    /// Heap bytes: the bitmap and the rank directory.
+    fn heap_bytes(&self) -> usize {
+        self.words.capacity() * size_of::<u64>() + self.ranks.capacity() * size_of::<u32>()
+    }
 }
 
 /// The smallest table [`Interner::intern`] allocates.
@@ -86,7 +167,12 @@ fn slots_for(n: usize) -> usize {
 /// leaves no tag (past 2^31 strings a probe compares every string on its
 /// run).
 fn id_mask_for(slots: usize) -> u32 {
-    let bits = usize::BITS - room(slots).leading_zeros();
+    id_field(room(slots))
+}
+
+/// The low bits that hold every `id + 1` up to `ids`, up to all 32.
+fn id_field(ids: usize) -> u32 {
+    let bits = usize::BITS - ids.leading_zeros();
     if bits >= u32::BITS {
         u32::MAX
     } else {
@@ -160,7 +246,24 @@ impl Interner {
             ends: Vec::with_capacity(n),
             slots: vec![0; len].into_boxed_slice(),
             id_mask: id_mask_for(len),
+            presence: None,
         }
+    }
+
+    /// An empty table over `len` ids, of which those whose bits `words`
+    /// sets (a bitmap over `0..len`, 64 ids a word, none set at or past
+    /// `len`) are to hold strings: [`Interner::try_intern_at`] fills them
+    /// in id order. The probe table is sized for those strings.
+    pub(crate) fn with_holes(len: u32, words: Vec<u64>) -> Self {
+        let presence = Presence::new(len, words);
+        let strings = presence.count();
+        let mut interner = Self {
+            ends: Vec::with_capacity(strings),
+            presence: Some(presence),
+            ..Self::default()
+        };
+        interner.rehash(slots_for(strings));
+        interner
     }
 
     /// Returns the id for `name`, interning it if it has not been seen.
@@ -173,16 +276,38 @@ impl Interner {
     /// or an arena offset past `u32::MAX`.
     pub(crate) fn try_intern(&mut self, name: &str) -> Option<UrlId> {
         let hash = hash_of(name);
-        let mut vacant = match self.probe(name, hash) {
+        let vacant = match self.probe(name, hash) {
             Ok(id) => return Some(id),
             Err(vacant) => vacant,
         };
         // `id + 1` must fit a slot's 32 bits.
-        let id = UrlId(
-            u32::try_from(self.ends.len())
-                .ok()
-                .filter(|&id| id < u32::MAX)?,
-        );
+        let id = UrlId(u32::try_from(self.len()).ok().filter(|&id| id < u32::MAX)?);
+        self.store(id, name, hash, vacant)?;
+        if let Some(presence) = &mut self.presence {
+            presence.push();
+        }
+        Some(id)
+    }
+
+    /// Stores `name` as string `id`, the next id that is to hold one in a
+    /// table [`Interner::with_holes`] made, or the next id of one without
+    /// holes: `Some(id)`, or the earlier id that already holds `name`, or
+    /// `None` past `u32` arena offsets.
+    pub(crate) fn try_intern_at(&mut self, id: UrlId, name: &str) -> Option<UrlId> {
+        let hash = hash_of(name);
+        match self.probe(name, hash) {
+            Ok(earlier) => Some(earlier),
+            Err(vacant) => {
+                debug_assert_eq!(self.slot(id), Some(self.ends.len()), "ids out of order");
+                self.store(id, name, hash, vacant).map(|()| id)
+            }
+        }
+    }
+
+    /// Appends `name`, whose hash is `hash` and which the table lacks, as
+    /// string `id`, `vacant` being the empty slot its probe ended on.
+    /// `None`, changing nothing, when its end would pass `u32::MAX`.
+    fn store(&mut self, id: UrlId, name: &str, hash: u64, mut vacant: usize) -> Option<()> {
         let end = u32::try_from(self.bytes.len() + name.len()).ok()?;
         if self.ends.len() >= room(self.slots.len()) {
             self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
@@ -191,7 +316,7 @@ impl Interner {
         self.bytes.push_str(name);
         self.ends.push(end);
         self.slots[vacant] = pack(id, hash, self.id_mask);
-        Some(id)
+        Some(())
     }
 
     /// Drops every slack byte: the table is rebuilt at the length that
@@ -200,12 +325,16 @@ impl Interner {
     /// reserved for more strings than it got) costs what one interned
     /// from its strings alone does.
     pub fn shrink_to_fit(&mut self) {
-        let len = slots_for(self.len());
+        let len = slots_for(self.strings());
         if len != self.slots.len() {
             self.rehash(len);
         }
         self.bytes.shrink_to_fit();
         self.ends.shrink_to_fit();
+        if let Some(presence) = &mut self.presence {
+            presence.words.shrink_to_fit();
+            presence.ranks.shrink_to_fit();
+        }
     }
 
     /// Returns the id for `name` if it has already been interned.
@@ -244,9 +373,14 @@ impl Interner {
     }
 
     /// Rebuilds the table at `len` slots from the arena, with the id field
-    /// that length needs.
+    /// that length needs: room for every id the table holds or issues
+    /// before it grows again, which with holes runs past the space.
     fn rehash(&mut self, len: usize) {
-        self.rehash_with(len, id_mask_for(len));
+        let id_mask = match &self.presence {
+            None => id_mask_for(len),
+            Some(p) => id_field(p.len as usize + room(len).saturating_sub(p.count())),
+        };
+        self.rehash_with(len, id_mask);
     }
 
     /// [`Interner::rehash`] with the id field `id_mask`.
@@ -266,43 +400,75 @@ impl Interner {
         self.span(id).map(|span| &self.bytes[span])
     }
 
+    /// The slot of string `id` in `ends`, if the id holds one.
+    #[inline]
+    fn slot(&self, id: UrlId) -> Option<usize> {
+        match &self.presence {
+            None => Some(id.index()),
+            Some(p) => p.slot(id),
+        }
+    }
+
     /// Where string `id` lies in the arena.
     #[inline]
     fn span(&self, id: UrlId) -> Option<Range<usize>> {
-        let i = id.index();
+        let i = self.slot(id)?;
         let end = *self.ends.get(i)? as usize;
         let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
         Some(start..end)
     }
 
-    /// Number of distinct interned strings.
+    /// True when `id` holds a string: [`Interner::resolve`] finds it.
+    #[inline]
+    pub fn contains(&self, id: UrlId) -> bool {
+        self.slot(id).is_some_and(|slot| slot < self.ends.len())
+    }
+
+    /// The id-space size: one past the largest id issued. Without holes it
+    /// is also the number of strings.
     pub fn len(&self) -> usize {
+        self.presence
+            .as_ref()
+            .map_or(self.ends.len(), |p| p.len as usize)
+    }
+
+    /// True if no id was ever issued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// How many ids hold a string: [`Interner::len`] less the holes.
+    pub fn strings(&self) -> usize {
         self.ends.len()
     }
 
-    /// True if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+    /// True when some id below [`Interner::len`] holds no string.
+    pub fn has_holes(&self) -> bool {
+        self.strings() < self.len()
     }
 
-    /// Iterates over `(id, name)` pairs in id order.
-    #[allow(clippy::cast_possible_truncation)] // ids were handed out as u32, so indices fit
+    /// Iterates over the `(id, name)` pairs of the ids that hold a string,
+    /// in id order.
     pub fn iter(&self) -> impl Iterator<Item = (UrlId, &str)> {
+        let ids = (0..u32::try_from(self.len()).unwrap_or(u32::MAX)).map(UrlId);
+        let held =
+            ids.filter(move |&id| self.presence.as_ref().is_none_or(|p| p.slot(id).is_some()));
         let mut start = 0;
-        self.ends.iter().enumerate().map(move |(i, &end)| {
+        held.zip(&self.ends).map(move |(id, &end)| {
             let name = &self.bytes[start..end as usize];
             start = end as usize;
-            (UrlId(i as u32), name)
+            (id, name)
         })
     }
 
     /// Where the interner's heap bytes go: exactly what the arena, the
-    /// offsets and the table allocate.
+    /// offsets, the table and the presence set allocate.
     pub fn split(&self) -> InternerSplit {
         InternerSplit {
             strings: self.bytes.capacity(),
             ends: self.ends.capacity() * size_of::<u32>(),
             slots: size_of_val(&*self.slots),
+            presence: self.presence.as_ref().map_or(0, Presence::heap_bytes),
         }
     }
 
@@ -321,6 +487,9 @@ pub struct InternerSplit {
     pub ends: usize,
     /// The probe table, 4 B per slot.
     pub slots: usize,
+    /// A table with holes: its presence bitmap and rank directory, 12 B
+    /// per 64 ids; 0 without holes.
+    pub presence: usize,
 }
 
 impl InternerSplit {
@@ -332,11 +501,12 @@ impl InternerSplit {
 
     /// The parts as `(name, bytes)` pairs.
     #[must_use]
-    pub fn sections(&self) -> [(&'static str, usize); 3] {
+    pub fn sections(&self) -> [(&'static str, usize); 4] {
         [
             ("strings", self.strings),
             ("ends", self.ends),
             ("slots", self.slots),
+            ("presence", self.presence),
         ]
     }
 }

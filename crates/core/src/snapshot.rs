@@ -26,29 +26,40 @@
 //!
 //! ## The URL table
 //!
-//! The payload's kind tag is followed by the URL table: a count, then one
-//! entry per URL in id order, each coded against an earlier one.
+//! The payload's kind tag is followed by the URL table: the id-space size
+//! (one past the largest URL id of the interner that wrote it), how many
+//! entries follow, and, when that is fewer than the ids, a presence bitmap
+//! of `⌈ids / 8⌉` bytes (id `i` is bit `i % 8` of byte `i / 8`). Then one
+//! entry per present id in id order, each coded against an earlier entry.
+//! A file keeps the strings of exactly the ids its model image stores
+//! (tree and link rows, order-1 rows and successors): a URL no row names
+//! can answer nothing, so its string is not written, but the id space and
+//! every other id stay. An online checkpoint keeps every string, since its
+//! writer goes on interning and a URL must keep its id across a restart;
+//! its table is refused if it has a hole.
 //!
 //! | field              | written                  | meaning                                        |
 //! |--------------------|--------------------------|------------------------------------------------|
-//! | `distance`         | always                   | 0 for none, or 1–16: the reference is `id − distance` |
+//! | `distance`         | always                   | 0 for none, or 1–16: the reference is `distance` entries back |
 //! | `prefix`, `suffix` | when `distance` > 0      | bytes kept from the reference's start and end  |
 //! | middle length      | always                   | then that many literal bytes                   |
 //!
 //! The URL is `reference[..prefix] + middle + reference[len − suffix..]`.
-//! The writer tries each of the previous 16 URLs and keeps the shortest
+//! The writer tries each of the previous 16 entries and keeps the shortest
 //! entry, cutting only on char boundaries. An entry may reuse at most 64
 //! times its own encoded bytes (`prefix + suffix ≤ 64 × entry bytes`): the
 //! writer trims a longer reuse and the reader refuses one, so a table
-//! decodes to at most 65 times its size. The reader also refuses a
-//! reference before the table or past the window, a prefix and suffix
-//! longer together than the reference, and either cut inside a UTF-8
-//! character ([`CodecError::Invalid`]), each before a string is built.
-//! The table decodes straight into the [`Interner`] the model's ids name,
-//! URL `i` as id `i`; an entry that repeats an earlier URL
+//! decodes to at most 65 times its size. The reader also refuses more
+//! entries than ids, a bitmap whose bits disagree with the entry count or
+//! pass the id space, a reference before the table or past the window, a
+//! prefix and suffix longer together than the reference, and either cut
+//! inside a UTF-8 character ([`CodecError::Invalid`]), each before a
+//! string is built. The table decodes straight into the [`Interner`] the
+//! model's ids name, each entry at its id, with the file's id space and
+//! its holes; an entry that repeats an earlier URL
 //! ([`CodecError::DuplicateUrl`]) or would take the interner past its
-//! `u32` ids or arena offsets ([`CodecError::Invalid`]) is refused as it
-//! is interned.
+//! `u32` arena offsets ([`CodecError::Invalid`]) is refused as it is
+//! interned.
 //!
 //! ## Versioning policy
 //!
@@ -65,9 +76,10 @@
 //! with their successors sorted by URL: its roots, then their level. Grades
 //! and the fingerprint index are rebuilt at instantiation. Only finalized
 //! models are written; a model image of any kind whose `finalized` byte is
-//! 0 is refused ([`CodecError::Unfinalized`]), as is any URL id outside the
-//! file's URL table ([`CodecError::UrlOutOfRange`]) and a URL table that
-//! repeats a string ([`CodecError::DuplicateUrl`]).
+//! 0 is refused ([`CodecError::Unfinalized`]), as is any URL id that names
+//! no string of the file's URL table, past its id space or one of its
+//! holes ([`CodecError::UrlOutOfRange`]), and a URL table that repeats a
+//! string ([`CodecError::DuplicateUrl`]).
 //! The checksum covers header and payload, so truncation and bit
 //! corruption both surface as clean errors instead of garbage models.
 //!
@@ -103,8 +115,9 @@ pub const MAGIC: [u8; 8] = *b"PBPPMSNP";
 /// [`SnapshotFile::decode`] accepts. Older versions are refused: version 2
 /// stored an arena copy no loader used, version 3 every tree edge twice
 /// beside tables the rows imply, version 4 a parent per node where level
-/// order implies it from a child count, and version 5 every URL in full.
-pub const FORMAT_VERSION: u16 = 6;
+/// order implies it from a child count, version 5 every URL in full, and
+/// version 6 every URL its writer had seen, named by the model or not.
+pub const FORMAT_VERSION: u16 = 7;
 
 /// magic + version + payload length + checksum.
 const ENVELOPE_BYTES: usize = 8 + 2 + 8 + 8;
@@ -134,7 +147,8 @@ pub enum CodecError {
     /// The model image is not of a finalized model (its `finalized` byte
     /// is 0); nothing writes such files.
     Unfinalized,
-    /// A stored URL id has no entry in the file's URL table.
+    /// A stored URL id names no string of the file's URL table: it is
+    /// past the table's id space, or one of its holes.
     UrlOutOfRange(u32),
     /// URL table entry `id` repeats an earlier entry: interned, it would
     /// take that entry's id and renumber every later URL.
@@ -161,7 +175,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Invalid(what) => write!(f, "invalid snapshot field: {what}"),
             CodecError::Unfinalized => write!(f, "snapshot holds a model that was never finalized"),
             CodecError::UrlOutOfRange(url) => {
-                write!(f, "url id {url} is outside the snapshot's url table")
+                write!(f, "url id {url} names no entry of the snapshot's url table")
             }
             CodecError::DuplicateUrl(id) => {
                 write!(f, "url table entry {id} repeats an earlier entry")
@@ -218,12 +232,14 @@ impl ByteSplit {
     }
 }
 
-/// A decoded URL table's size ([`SnapshotFile::url_table_size`]): the
-/// strings it holds and their bytes, beside the file bytes it takes
-/// ([`ByteSplit::urls`]).
+/// A decoded URL table's size ([`SnapshotFile::url_table_size`]): its id
+/// space, the strings it holds and their bytes, beside the file bytes it
+/// takes ([`ByteSplit::urls`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UrlTableSize {
-    /// How many URLs the table holds.
+    /// The id space: one past the largest URL id.
+    pub ids: u64,
+    /// How many URLs the table holds: the ids the model names.
     pub strings: u64,
     /// Their bytes, decoded.
     pub decoded_bytes: u64,
@@ -343,8 +359,8 @@ struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     split: ByteSplit,
-    /// Entries in the file's URL table, once it is read: every URL id
-    /// read after it must fall below.
+    /// The id space of the file's URL table, once it is read: every URL
+    /// id read after it must fall below.
     urls: u32,
 }
 
@@ -593,14 +609,10 @@ fn read_pb(r: &mut Reader) -> Result<PbSnapshot, CodecError> {
     Ok(snap)
 }
 
-/// The first node or link URL id in a tree image at or past `bound`.
-fn tree_url_outside(t: &TreeSnapshot, bound: u32) -> Option<u32> {
+/// Every node and link URL id in a tree image, in row order.
+fn tree_urls(t: &TreeSnapshot) -> impl Iterator<Item = u32> + '_ {
     let links = t.links.iter().map(|l| l.url);
-    t.nodes
-        .iter()
-        .map(|n| n.url)
-        .chain(links)
-        .find(|&url| url >= bound)
+    t.nodes.iter().map(|n| n.url).chain(links)
 }
 
 fn write_sessions(w: &mut Writer, sessions: &[Vec<UrlId>]) {
@@ -759,20 +771,39 @@ impl Ends {
     }
 }
 
-/// The URL table: a count, then each URL as the shortest [`UrlEntry`]
-/// against one of the previous [`URL_WINDOW`] URLs, or in full. A tie goes
-/// to the literal, then to the nearest reference.
-fn write_urls(w: &mut Writer, urls: &Interner) {
+/// True when bit `id` of the bitmap `words` (64 ids a word) is set.
+fn bit(words: &[u64], id: UrlId) -> bool {
+    words
+        .get(id.index() / 64)
+        .is_some_and(|w| w >> (id.0 % 64) & 1 != 0)
+}
+
+/// The URL table: the id-space size and how many entries follow; when
+/// fewer than the ids, the presence bitmap (id `i` is bit `i % 8` of byte
+/// `i / 8`); then each entry, in id order, as the shortest [`UrlEntry`]
+/// against one of the previous [`URL_WINDOW`] entries, or in full. A tie
+/// goes to the literal, then to the nearest reference. Written are the
+/// strings of `urls` whose bits `named` sets, or all of them.
+fn write_urls(w: &mut Writer, urls: &Interner, named: Option<&[u64]>) {
+    let written = |&(id, _): &(UrlId, &str)| named.is_none_or(|words| bit(words, id));
+    let count = urls.iter().filter(written).count();
     w.usizev(urls.len());
-    // The last `URL_WINDOW` URLs and their ends, URL `id`'s at
-    // `id % URL_WINDOW`.
+    w.usizev(count);
+    if count < urls.len() {
+        let mut bitmap = vec![0u8; urls.len().div_ceil(8)];
+        for (id, _) in urls.iter().filter(written) {
+            bitmap[id.index() / 8] |= 1 << (id.0 % 8);
+        }
+        w.buf.extend_from_slice(&bitmap);
+    }
+    // The last `URL_WINDOW` entries and their ends, entry `k`'s at
+    // `k % URL_WINDOW`.
     let mut ring = [(Ends::default(), &[][..]); URL_WINDOW];
-    for (id, url) in urls.iter() {
-        let id = id.index();
+    for (k, (_, url)) in urls.iter().filter(written).enumerate() {
         let a = url.as_bytes();
         let ends = Ends::of(a);
         let shared = |distance: usize| {
-            let (reference, b) = ring[(id - distance) % URL_WINDOW];
+            let (reference, b) = ring[(k - distance) % URL_WINDOW];
             ends.shared(&reference, a, b)
         };
         // An ASCII URL under 128 bytes cuts anywhere, reuses less than the
@@ -782,7 +813,7 @@ fn write_urls(w: &mut Writer, urls: &Interner) {
         // Entries keyed by length, then distance: the least key wins.
         let literal = UrlEntry::literal(url);
         let mut least = literal.encoded_len() * (URL_WINDOW + 1);
-        for distance in 1..=id.min(URL_WINDOW) {
+        for distance in 1..=k.min(URL_WINDOW) {
             let (prefix, suffix) = shared(distance);
             let len = if plain {
                 4 + a.len() - prefix - suffix
@@ -796,22 +827,61 @@ fn write_urls(w: &mut Writer, urls: &Interner) {
             distance => UrlEntry::against(url, distance, shared(distance)),
         };
         entry.write(w);
-        ring[id % URL_WINDOW] = (ends, a);
+        ring[k % URL_WINDOW] = (ends, a);
     }
 }
 
-/// Reads the table [`write_urls`] writes straight into an interner, URL
-/// `i` as `UrlId(i)`. An entry whose reference lies before the table or
-/// past the window, whose prefix and suffix overlap in the reference or cut
-/// one of its characters, or that reuses more than [`URL_REUSE_CAP`] times
-/// its own bytes is refused before anything is copied; one that repeats an
-/// earlier URL ([`CodecError::DuplicateUrl`]) or would take the interner
-/// past its `u32` ids or arena offsets is refused as it is interned.
+/// Reads the table [`write_urls`] writes straight into an interner with
+/// the file's id space, each entry under its id. A space past `u32` ids,
+/// more entries than ids, and a bitmap whose bits disagree with the count
+/// or pass the space are refused. An entry whose reference lies before the
+/// table or past the window, whose prefix and suffix overlap in the
+/// reference or cut one of its characters, or that reuses more than
+/// [`URL_REUSE_CAP`] times its own bytes is refused before anything is
+/// copied; one that repeats an earlier URL ([`CodecError::DuplicateUrl`])
+/// or would take the interner past its `u32` arena offsets is refused as
+/// it is interned.
 fn read_urls(r: &mut Reader) -> Result<Interner, CodecError> {
+    // Ids are below u32::MAX, so a space of u32::MAX admits every one.
+    let space = r.usizev()?;
+    let ids = u32::try_from(space).map_err(|_| CodecError::Invalid("url table past u32 ids"))?;
     let url_count = r.count()?;
-    let mut urls = Interner::with_capacity(url_count);
+    if url_count > space {
+        return Err(CodecError::Invalid("url table holds more entries than ids"));
+    }
+    let (mut urls, bitmap) = if url_count == space {
+        (Interner::with_capacity(url_count), &[][..])
+    } else {
+        let bitmap = r.take(space.div_ceil(8))?;
+        let words: Vec<u64> = bitmap
+            .chunks(8)
+            .map(|c| {
+                let mut word = [0; 8];
+                word[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        let past = words.last().map_or(0, |&w| w >> (ids % 64));
+        let held: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+        if (ids % 64 != 0 && past != 0) || held != len_u64(url_count) {
+            return Err(CodecError::Invalid(
+                "url presence bitmap disagrees with the table",
+            ));
+        }
+        (Interner::with_holes(ids, words), bitmap)
+    };
+    // Entry `k`'s id: `k` without a bitmap, else the bitmap's `k`-th set bit.
+    let dense = 0..if bitmap.is_empty() { url_count } else { 0 };
+    let held = bitmap.iter().enumerate().flat_map(|(i, &byte)| {
+        (0..8)
+            .filter(move |b| byte >> b & 1 != 0)
+            .map(move |b| i * 8 + b)
+    });
+    // The last `URL_WINDOW` entries' ids, entry `k`'s at `k % URL_WINDOW`.
+    let mut ring = [UrlId(0); URL_WINDOW];
     let mut url = String::new();
-    for id in 0..url_count {
+    for (k, id) in dense.chain(held).enumerate() {
+        let id = url_id(id);
         let start = r.pos;
         let distance = r.usizev()?;
         let (prefix, suffix) = if distance == 0 {
@@ -825,7 +895,10 @@ fn read_urls(r: &mut Reader) -> Result<Interner, CodecError> {
             d if d > URL_WINDOW => {
                 return Err(CodecError::Invalid("url reference past the window"))
             }
-            d => match id.checked_sub(d).and_then(|at| urls.resolve(url_id(at))) {
+            d => match k
+                .checked_sub(d)
+                .and_then(|at| urls.resolve(ring[at % URL_WINDOW]))
+            {
                 Some(reference) => reference,
                 None => return Err(CodecError::Invalid("url reference before the table")),
             },
@@ -851,15 +924,15 @@ fn read_urls(r: &mut Reader) -> Result<Interner, CodecError> {
         url.push_str(&reference[..prefix]);
         url.push_str(middle);
         url.push_str(&reference[tail..]);
-        match urls.try_intern(&url) {
-            Some(got) if got.index() == id => {}
-            Some(_) => return Err(CodecError::DuplicateUrl(url_id(id).0)),
-            None => return Err(CodecError::Invalid("url table past u32 ids or offsets")),
+        match urls.try_intern_at(id, &url) {
+            Some(got) if got == id => {}
+            Some(_) => return Err(CodecError::DuplicateUrl(id.0)),
+            None => return Err(CodecError::Invalid("url table past u32 offsets")),
         }
+        ring[k % URL_WINDOW] = id;
     }
     urls.shrink_to_fit();
-    // Interner ids are u32, so a table this long admits every id.
-    r.urls = u32::try_from(url_count).unwrap_or(u32::MAX);
+    r.urls = ids;
     Ok(urls)
 }
 
@@ -938,7 +1011,9 @@ impl ModelImage {
 #[derive(Debug, Clone)]
 pub struct SnapshotFile {
     /// The interned URLs the model's ids name; the file's URL table
-    /// decodes straight into it.
+    /// decodes straight into it. [`SnapshotFile::encode`] writes the
+    /// strings of the ids the model stores (an online checkpoint's every
+    /// string), so a decoded table may have holes.
     pub urls: Interner,
     /// The model.
     pub model: ModelImage,
@@ -955,11 +1030,26 @@ impl SnapshotFile {
     }
 
     /// Encodes the snapshot into the framed binary format at
-    /// [`FORMAT_VERSION`].
+    /// [`FORMAT_VERSION`], its URL table holding the id space of `urls`
+    /// and the strings of the ids the model stores.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Writer::new();
         payload.u8(self.model.tag());
-        write_urls(&mut payload, &self.urls);
+        // An online checkpoint keeps every id: its writer goes on
+        // interning, and a URL must keep its id across a restart.
+        let named = match self.model {
+            ModelImage::OnlinePb(_) => None,
+            _ => {
+                let mut words = vec![0u64; self.urls.len().div_ceil(64)];
+                for url in self.stored_urls() {
+                    if let Some(w) = words.get_mut(UrlId(url).index() / 64) {
+                        *w |= 1 << (url % 64);
+                    }
+                }
+                Some(words)
+            }
+        };
+        write_urls(&mut payload, &self.urls, named.as_deref());
         match &self.model {
             ModelImage::Pb(s) => write_pb(&mut payload, s),
             ModelImage::Standard(s) => {
@@ -1022,8 +1112,9 @@ impl SnapshotFile {
 
     /// Decodes a framed snapshot, validating magic, version, length, and
     /// checksum before touching the payload. Every URL id is checked
-    /// against the URL table as it is read, so a decoded file needs no
-    /// [`SnapshotFile::check_url_ids`] pass of its own.
+    /// against the URL table's id space as it is read; a table with holes
+    /// adds one [`SnapshotFile::check_url_ids`] pass, which refuses an id
+    /// that names a hole.
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         Self::decode_with_split(bytes).map(|(file, _)| file)
     }
@@ -1059,6 +1150,11 @@ impl SnapshotFile {
         let mut r = Reader::new(&bytes[18..body_end]);
         let tag = r.u8()?;
         let urls = r.measured(|s| &mut s.urls, read_urls)?;
+        if tag == KIND_ONLINE_PB && urls.has_holes() {
+            return Err(CodecError::Invalid(
+                "online checkpoint url table with holes",
+            ));
+        }
         let model = match tag {
             KIND_PB => ModelImage::Pb(read_pb(&mut r)?),
             KIND_STANDARD => {
@@ -1114,49 +1210,56 @@ impl SnapshotFile {
             return Err(CodecError::TrailingBytes);
         }
         let file = SnapshotFile { urls, model };
+        // The reader bounds each id by the space; a hole takes this walk.
+        if file.urls.has_holes() {
+            file.check_url_ids()?;
+        }
         let mut split = r.split;
         split.envelope = len_u64(ENVELOPE_BYTES);
         split.settings = payload_len - split.urls - split.popularity - split.nodes - split.window;
         Ok((file, split))
     }
 
-    /// Checks that every URL id the model stores — node, order-1 row and
-    /// online-window ids — names an entry of `urls`. Model
-    /// structures are sized by their largest URL id, so an unchecked id is
-    /// an allocation of the forger's choosing. [`SnapshotFile::decode`]
-    /// refuses such ids while reading; this one scan covers a file built
-    /// in memory.
-    pub fn check_url_ids(&self) -> Result<(), CodecError> {
-        // Interner ids are u32, so a table this long admits every id.
-        let bound = u32::try_from(self.urls.len()).unwrap_or(u32::MAX);
-        let found = match &self.model {
-            ModelImage::Pb(s) => tree_url_outside(&s.tree, bound),
-            ModelImage::Standard(s) => tree_url_outside(&s.tree, bound),
-            ModelImage::Order1(s) => s
-                .rows
-                .iter()
-                .flat_map(|row| once(row.url).chain(row.next.iter().map(|n| n.0)))
-                .find(|&url| url >= bound),
-            ModelImage::OnlinePb(s) => s
-                .window
-                .iter()
-                .flatten()
-                .map(|u| u.0)
-                .find(|&url| url >= bound)
-                .or_else(|| {
-                    s.model
-                        .as_ref()
-                        .and_then(|m| tree_url_outside(&m.tree, bound))
-                }),
-        };
-        found.map_or(Ok(()), |url| Err(CodecError::UrlOutOfRange(url)))
+    /// Every URL id the model image stores, in the order it stores them:
+    /// tree and link rows, order-1 rows and their successors, an online
+    /// model's window and then its model's rows.
+    fn stored_urls(&self) -> Box<dyn Iterator<Item = u32> + '_> {
+        match &self.model {
+            ModelImage::Pb(s) => Box::new(tree_urls(&s.tree)),
+            ModelImage::Standard(s) => Box::new(tree_urls(&s.tree)),
+            ModelImage::Order1(s) => Box::new(
+                s.rows
+                    .iter()
+                    .flat_map(|row| once(row.url).chain(row.next.iter().map(|n| n.0))),
+            ),
+            ModelImage::OnlinePb(s) => Box::new(
+                s.window
+                    .iter()
+                    .flatten()
+                    .map(|u| u.0)
+                    .chain(s.model.iter().flat_map(|m| tree_urls(&m.tree))),
+            ),
+        }
     }
 
-    /// How many URLs the table holds, and their bytes.
+    /// Checks that every URL id the model stores — node, order-1 row and
+    /// online-window ids — names a string of `urls`: below its id space
+    /// and not one of its holes. Model structures are sized by their
+    /// largest URL id, so an unchecked id is an allocation of the forger's
+    /// choosing. [`SnapshotFile::decode`] refuses such ids; this one scan
+    /// covers a file built in memory.
+    pub fn check_url_ids(&self) -> Result<(), CodecError> {
+        self.stored_urls()
+            .find(|&url| !self.urls.contains(UrlId(url)))
+            .map_or(Ok(()), |url| Err(CodecError::UrlOutOfRange(url)))
+    }
+
+    /// The table's id space, the strings it holds, and their bytes.
     #[must_use]
     pub fn url_table_size(&self) -> UrlTableSize {
         UrlTableSize {
-            strings: len_u64(self.urls.len()),
+            ids: len_u64(self.urls.len()),
+            strings: len_u64(self.urls.strings()),
             decoded_bytes: self.urls.iter().map(|(_, url)| len_u64(url.len())).sum(),
         }
     }
@@ -1427,7 +1530,12 @@ mod tests {
         let bytes = file.encode();
         assert_eq!(&bytes[..8], &MAGIC);
         let back = SnapshotFile::decode(&bytes).unwrap();
-        assert_eq!(names(&back.urls), names(&urls));
+        // The table keeps the id space and the strings the rows name.
+        let arena = m.frozen().unwrap();
+        let named: Vec<_> = urls.iter().filter(|&(id, _)| arena.holds(id)).collect();
+        assert!(named.len() < urls.len());
+        assert_eq!(back.urls.len(), urls.len());
+        assert!(back.urls.iter().eq(named));
         let restored = back.instantiate().unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let mut ua = crate::predictor::PredictUsage::default();
@@ -1632,8 +1740,9 @@ mod tests {
         bytes
     }
 
-    /// A sealed two-URL order-1 file (`/a` then `/b`) whose URL table is
-    /// `table` (count and entries) instead of what the writer would write.
+    /// A sealed order-1 file naming URL ids 0 and 1 whose URL table is
+    /// `table` (id space, count and entries) instead of what the writer
+    /// would write.
     fn with_url_table(table: &[u8]) -> Vec<u8> {
         let mut o1 = Order1Markov::new();
         o1.train_session(&[UrlId(0), UrlId(1)]);
@@ -1643,17 +1752,17 @@ mod tests {
             model: ModelImage::Order1(o1.to_snapshot()),
         };
         let bytes = file.encode();
-        // The payload is the kind tag, the one-byte empty table, the model.
+        // The payload is the kind tag, the two-byte empty table, the model.
         let mut payload = vec![bytes[18]];
         payload.extend_from_slice(table);
-        payload.extend_from_slice(&bytes[20..bytes.len() - 8]);
+        payload.extend_from_slice(&bytes[21..bytes.len() - 8]);
         sealed(&payload)
     }
 
     /// The URL table `urls` codes to.
     fn url_table(urls: &[&str]) -> Vec<u8> {
         let mut w = Writer::new();
-        write_urls(&mut w, &interner(urls));
+        write_urls(&mut w, &interner(urls), None);
         w.buf
     }
 
@@ -1662,7 +1771,7 @@ mod tests {
         // `/img/p42_0.gif` keeps `/img/p` and `_0.gif` of `/img/p1_0.gif`
         // two entries back; `/l0/p1.html` sits between them.
         let urls = ["/img/p1_0.gif", "/l0/p1.html", "/img/p42_0.gif"];
-        let mut want = vec![3, 0, 13];
+        let mut want = vec![3, 3, 0, 13];
         want.extend_from_slice(b"/img/p1_0.gif");
         want.extend_from_slice(&[0, 11]);
         want.extend_from_slice(b"/l0/p1.html");
@@ -1684,10 +1793,10 @@ mod tests {
             assert_eq!(names(&back.urls), urls);
         }
         let table = url_table(&["/img/é.gif", "/img/è.gif"]);
-        assert_eq!(table[14..], [1, 5, 4, 2, 0xc3, 0xa8]);
+        assert_eq!(table[15..], [1, 5, 4, 2, 0xc3, 0xa8]);
         // Against `/é`, `/è` would reuse one byte for a 6-byte entry, so it
         // is written in full in 5.
-        assert_eq!(url_table(&["/é", "/è"])[6..], [0, 3, b'/', 0xc3, 0xa8]);
+        assert_eq!(url_table(&["/é", "/è"])[7..], [0, 3, b'/', 0xc3, 0xa8]);
     }
 
     #[test]
@@ -1695,11 +1804,11 @@ mod tests {
         let invalid = |table: &[u8]| SnapshotFile::decode(&with_url_table(table)).unwrap_err();
         // Entry 0 names a reference one entry before the table.
         assert_eq!(
-            invalid(&[2, 1, 0, 0, 2, b'/', b'a', 0, 2, b'/', b'b']),
+            invalid(&[2, 2, 1, 0, 0, 2, b'/', b'a', 0, 2, b'/', b'b']),
             CodecError::Invalid("url reference before the table")
         );
         // A reference 17 entries back lies past the window.
-        let mut far = vec![18];
+        let mut far = vec![18, 18];
         for i in 0..17u8 {
             far.extend_from_slice(&[0, 2, b'/', b'a' + i]);
         }
@@ -1710,18 +1819,18 @@ mod tests {
         );
         // `/a` then a prefix of 2 and a suffix of 1 from its 2 bytes.
         assert_eq!(
-            invalid(&[2, 0, 2, b'/', b'a', 1, 2, 1, 0]),
+            invalid(&[2, 2, 0, 2, b'/', b'a', 1, 2, 1, 0]),
             CodecError::Invalid("url reuse longer than its reference")
         );
         // `/é`, then its first 2 bytes (`/` and half of `é`) and A8: the
         // bytes of `/è`, spliced inside a character.
         assert_eq!(
-            invalid(&[2, 0, 3, b'/', 0xc3, 0xa9, 1, 2, 0, 1, 0xa8]),
+            invalid(&[2, 2, 0, 3, b'/', 0xc3, 0xa9, 1, 2, 0, 1, 0xa8]),
             CodecError::Invalid("url reuse cut inside a utf-8 character")
         );
         // `/a`, then all of it again: a repeat, caught as it is interned.
         assert_eq!(
-            invalid(&[2, 0, 2, b'/', b'a', 1, 2, 0, 0]),
+            invalid(&[2, 2, 0, 2, b'/', b'a', 1, 2, 0, 0]),
             CodecError::DuplicateUrl(1)
         );
     }
@@ -1731,6 +1840,7 @@ mod tests {
     /// times that admits reuse up to 384 bytes.
     fn reuse_chain(n: usize) -> Vec<u8> {
         let mut w = Writer::new();
+        w.usizev(1 + n);
         w.usizev(1 + n);
         w.usizev(0);
         w.usizev(300);
@@ -1768,10 +1878,10 @@ mod tests {
         let table = url_table(&[&base, &next]);
         let back = SnapshotFile::decode(&with_url_table(&table)).unwrap();
         assert_eq!(names(&back.urls), [base, next]);
-        // The count, `base` in 1,003 bytes, then 989 bytes reused by a
-        // 16-byte entry that spells out the last 11.
-        assert_eq!(table.len(), 1 + 1003 + 16);
-        assert_eq!(table[1004..1009], [1, 0xdd, 0x07, 0, 11]);
+        // The id space and count, `base` in 1,003 bytes, then 989 bytes
+        // reused by a 16-byte entry that spells out the last 11.
+        assert_eq!(table.len(), 2 + 1003 + 16);
+        assert_eq!(table[1005..1010], [1, 0xdd, 0x07, 0, 11]);
     }
 
     #[test]
@@ -1794,8 +1904,9 @@ mod tests {
         // `/a` written out twice: interned, the second would take the
         // first's id and every later URL would be renumbered. No interner
         // holds a repeat, so only a forged table can.
-        let err = SnapshotFile::decode(&with_url_table(&[2, 0, 2, b'/', b'a', 0, 2, b'/', b'a']))
-            .unwrap_err();
+        let err =
+            SnapshotFile::decode(&with_url_table(&[2, 2, 0, 2, b'/', b'a', 0, 2, b'/', b'a']))
+                .unwrap_err();
         assert_eq!(err, CodecError::DuplicateUrl(1));
         assert_eq!(
             err.to_string(),
@@ -1879,7 +1990,11 @@ mod tests {
         std::fs::write(store.current_path(), &bytes[..bytes.len() / 2]).unwrap();
         let (recovered, generation) = store.recover().unwrap().unwrap();
         assert_eq!(generation, Generation::Previous);
-        assert_eq!(names(&recovered.urls), names(&urls));
+        assert_eq!(recovered.urls.len(), urls.len());
+        assert!(recovered
+            .urls
+            .iter()
+            .all(|(id, url)| urls.resolve(id) == Some(url)));
         assert!(recovered.instantiate().is_ok());
         let _ = std::fs::remove_dir_all(store.dir());
     }

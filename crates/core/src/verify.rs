@@ -493,7 +493,9 @@ impl AuditReport {
             s.push('}');
         }
         if let Some(table) = self.url_table {
-            s.push_str(",\"url_table\":{\"strings\":");
+            s.push_str(",\"url_table\":{\"ids\":");
+            s.push_str(&table.ids.to_string());
+            s.push_str(",\"strings\":");
             s.push_str(&table.strings.to_string());
             s.push_str(",\"decoded_bytes\":");
             s.push_str(&table.decoded_bytes.to_string());
@@ -546,8 +548,8 @@ impl fmt::Display for AuditReport {
             if let Some(table) = self.url_table {
                 write!(
                     f,
-                    "; url table {} strings, {} decoded bytes",
-                    table.strings, table.decoded_bytes
+                    "; url table {} ids, {} strings, {} decoded bytes",
+                    table.ids, table.strings, table.decoded_bytes
                 )?;
             }
             writeln!(f)?;

@@ -21,8 +21,10 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// Nine URLs, the last named by no session: every file but the online
+/// checkpoint, which keeps every id, writes its table with a hole.
 fn urls() -> Interner {
-    (0..8).map(|i| format!("/g/{i}.html")).collect()
+    (0..9).map(|i| format!("/g/{i}.html")).collect()
 }
 
 /// A fixed trace with repeats (so LRS keeps paths), interior matches and
@@ -113,6 +115,23 @@ fn pb_fixture_carries_special_links() {
         panic!("the first fixture is the PB model");
     };
     assert!(!snap.tree.links.is_empty(), "the PB fixture must link");
+}
+
+#[test]
+fn only_the_online_checkpoint_keeps_the_unnamed_url() {
+    for (name, golden) in files().into_iter().map(|(name, _)| {
+        let bytes = std::fs::read(fixture(name)).expect("fixture is committed");
+        (name, SnapshotFile::decode(&bytes).expect("fixture decodes"))
+    }) {
+        let table = golden.url_table_size();
+        let online = name == "online_pb.pbss";
+        assert_eq!(
+            (table.ids, table.strings),
+            (9, if online { 9 } else { 8 }),
+            "{name}"
+        );
+        assert_eq!(golden.urls.get("/g/8.html").is_some(), online, "{name}");
+    }
 }
 
 #[test]

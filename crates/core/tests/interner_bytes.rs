@@ -1,13 +1,15 @@
 //! The interner reports the heap it holds: building one, cloning one and
-//! decoding one from a snapshot each grow the live heap by exactly
-//! `Interner::memory_bytes`, and the decoded one carries no growth slack.
+//! decoding one from a snapshot, with or without holes, each grow the live
+//! heap by exactly `Interner::memory_bytes`, and the decoded one carries no
+//! growth slack.
 //! The counter is process-wide, so this binary runs without the libtest
 //! harness (see `Cargo.toml`): the harness's main thread allocates its
 //! timeout bookkeeping after spawning a test, which under load can land
 //! inside a measured window.
 
+use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
-use pbppm_core::{Interner, Order1Markov, Predictor};
+use pbppm_core::Interner;
 
 #[global_allocator]
 static ALLOC: pbppm_obs::alloc::CountingAllocator = pbppm_obs::alloc::CountingAllocator;
@@ -17,6 +19,27 @@ fn grown<T>(build: impl FnOnce() -> T) -> (u64, T) {
     let before = pbppm_obs::alloc::live_bytes();
     let value = build();
     (pbppm_obs::alloc::live_bytes() - before, value)
+}
+
+/// An order-1 image whose rows name exactly the URL ids `named`: the file
+/// keeps the strings of those ids.
+fn naming(named: impl Iterator<Item = usize>) -> ModelImage {
+    ModelImage::Order1(Order1Snapshot {
+        rows: named
+            .map(|url| Order1RowSnapshot {
+                url: u32::try_from(url).expect("a small table"),
+                total: 1,
+                next: Vec::new(),
+            })
+            .collect(),
+    })
+}
+
+/// The URL table `file` decodes to, the rest of the file dropped.
+fn decoded_urls(file: &[u8]) -> Interner {
+    SnapshotFile::decode(file)
+        .expect("a written file decodes")
+        .urls
 }
 
 fn main() {
@@ -58,13 +81,12 @@ fn an_interner_grows_the_live_heap_by_its_memory_bytes() {
 
     // A model file's interner, decoded: exactly the strings, one offset
     // each and the table `with_capacity` sizes — no slack in the arena or
-    // offsets. An empty order-1 model allocates nothing, so the decode
-    // keeps nothing else live, its scratch string included.
-    let mut model = Order1Markov::new();
-    model.finalize();
-    let written = SnapshotFile::new(&built, ModelImage::Order1(model.to_snapshot())).encode();
-    let (bytes, file) = grown(|| SnapshotFile::decode(&written).expect("a written file decodes"));
-    let loaded = &file.urls;
+    // offsets. The rest of the file is dropped before the heap is read,
+    // so nothing else the decode made stays live, its scratch string
+    // included.
+    let written = SnapshotFile::new(&built, naming(0..urls.len())).encode();
+    let (bytes, loaded) = grown(|| decoded_urls(&written));
+    let loaded = &loaded;
     assert_eq!(bytes, loaded.memory_bytes() as u64, "decoded from a file");
     let strings: usize = urls.iter().map(String::len).sum();
     assert_eq!(loaded.memory_bytes(), sized.memory_bytes() + strings);
@@ -78,8 +100,51 @@ fn an_interner_grows_the_live_heap_by_its_memory_bytes() {
         .map(|(_, u)| u)
         .eq(urls.iter().map(String::as_str)));
 
-    // `interner()` copies it at exactly its size.
-    let (bytes, copy) = grown(|| file.interner());
-    assert_eq!(bytes, copy.memory_bytes() as u64, "interner()");
+    // A clone copies it at exactly its size.
+    let (bytes, copy) = grown(|| loaded.clone());
+    assert_eq!(
+        bytes,
+        copy.memory_bytes() as u64,
+        "clone of a decoded table"
+    );
     assert_eq!(copy.memory_bytes(), loaded.memory_bytes());
+
+    // A file whose model names every third id: the decoded table keeps
+    // the whole id space, the named strings, their offsets, a table sized
+    // for them, and a presence set of 12 bytes per 64 ids.
+    let named: Vec<usize> = (0..urls.len()).step_by(3).collect();
+    let written = SnapshotFile::new(&built, naming(named.iter().copied())).encode();
+    let (bytes, holed) = grown(|| decoded_urls(&written));
+    assert_eq!(bytes, holed.memory_bytes() as u64, "decoded with holes");
+    assert_eq!((holed.len(), holed.strings()), (urls.len(), named.len()));
+    let split = holed.split();
+    let held: usize = named.iter().map(|&i| urls[i].len()).sum();
+    assert_eq!(split.strings, held);
+    assert_eq!(split.ends, 4 * named.len());
+    assert_eq!(
+        split.slots,
+        Interner::with_capacity(named.len()).split().slots
+    );
+    assert_eq!(split.presence, 12 * urls.len().div_ceil(64));
+    assert!(holed.memory_bytes() < loaded.memory_bytes() / 2);
+    let (bytes, copy) = grown(|| holed.clone());
+    assert_eq!(
+        bytes,
+        copy.memory_bytes() as u64,
+        "clone of a table with holes"
+    );
+    // Interning past the space grows it, on the live heap as reported.
+    let mut grown_table = holed.clone();
+    let before = grown_table.memory_bytes() as u64;
+    let (bytes, ()) = grown(|| {
+        for k in 0..500 {
+            grown_table.intern(&format!("/new/{k}"));
+        }
+    });
+    assert_eq!(
+        before + bytes,
+        grown_table.memory_bytes() as u64,
+        "interned after a decode"
+    );
+    assert_eq!(grown_table.len(), urls.len() + 500);
 }

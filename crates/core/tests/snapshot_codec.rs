@@ -1,8 +1,10 @@
 //! Property tests for the snapshot codec: for random traces, every model
 //! kind survives an encode → decode → instantiate round trip with
-//! bit-identical predictions and identical stats, and arbitrary URL tables
-//! decode to exactly the strings written.
+//! bit-identical predictions and identical stats, keeping the id space
+//! and the strings its rows name, and arbitrary URL tables with any set of
+//! named ids decode to exactly the strings written, each at its id.
 
+use pbppm_core::order1::{Order1RowSnapshot, Order1Snapshot};
 use pbppm_core::snapshot::{ModelImage, SnapshotFile};
 use pbppm_core::{
     Interner, OnlinePbPpm, Order1Markov, PbConfig, PbPpm, PopularityTable, PredictUsage,
@@ -32,11 +34,19 @@ fn strings(urls: &Interner) -> Vec<&str> {
     urls.iter().map(|(_, url)| url).collect()
 }
 
-/// An order-1 model that names no URL: a file around any URL table.
-fn trained_order1() -> pbppm_core::order1::Order1Snapshot {
-    let mut m = Order1Markov::new();
-    m.finalize();
-    m.to_snapshot()
+/// An order-1 image whose rows name exactly the URL ids `named`, one row
+/// each: a file around any URL table and any set of its ids. The codec
+/// writes it without asking whether a model could hold it.
+fn order1_naming(named: impl Iterator<Item = u32>) -> Order1Snapshot {
+    Order1Snapshot {
+        rows: named
+            .map(|url| Order1RowSnapshot {
+                url,
+                total: 1,
+                next: Vec::new(),
+            })
+            .collect(),
+    }
 }
 
 /// All prefix contexts of every session, plus contexts the model never saw.
@@ -68,9 +78,18 @@ fn assert_roundtrip_identical(
     let file = SnapshotFile { urls, model: image };
     let bytes = file.encode();
     let back = SnapshotFile::decode(&bytes).expect("decode of fresh encode");
-    prop_assert_eq!(strings(&back.urls), strings(&file.urls));
     prop_assert_eq!(back.encode(), bytes);
     let restored = back.instantiate().expect("instantiate decoded image");
+    // The id space stays; an online checkpoint keeps every string, any
+    // other file those of the ids its rows name.
+    let online = matches!(file.model, ModelImage::OnlinePb(_));
+    let arena = restored.frozen();
+    let named = |id| online || arena.is_some_and(|a| a.holds(id));
+    prop_assert_eq!(back.urls.len(), file.urls.len());
+    prop_assert!(back
+        .urls
+        .iter()
+        .eq(file.urls.iter().filter(|&(id, _)| named(id))));
 
     let mut want: Vec<Prediction> = Vec::new();
     let mut got: Vec<Prediction> = Vec::new();
@@ -149,22 +168,32 @@ fn url_tables() -> BoxedStrategy<Vec<String>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every URL table decodes to exactly the strings written, each
-    /// interned at its own id, within the decoder's amplification bound,
-    /// and re-encodes to the same bytes.
+    /// Every URL table, under any set of named ids (none, all, or any
+    /// mix), decodes to exactly the named strings, each interned at its
+    /// own id in the whole id space, within the decoder's amplification
+    /// bound, and re-encodes to the same bytes.
     #[test]
-    fn url_tables_roundtrip_exactly(urls in url_tables()) {
+    fn url_tables_roundtrip_exactly(
+        urls in url_tables(),
+        mask in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..u64::MAX],
+    ) {
+        let named = |i: usize| mask >> (i % 64) & 1 != 0;
         let file = SnapshotFile {
             urls: urls.iter().cloned().collect(),
-            model: ModelImage::Order1(trained_order1()),
+            model: ModelImage::Order1(order1_naming(
+                (0..urls.len()).filter(|&i| named(i)).map(|i| u32::try_from(i).unwrap()),
+            )),
         };
         let bytes = file.encode();
         let (back, split) = SnapshotFile::decode_with_split(&bytes).expect("decode of fresh encode");
-        prop_assert_eq!(strings(&back.urls), urls);
-        for i in 0..back.urls.len() {
+        prop_assert_eq!(back.urls.len(), urls.len());
+        let kept: Vec<&str> = (0..urls.len()).filter(|&i| named(i)).map(|i| urls[i].as_str()).collect();
+        prop_assert_eq!(strings(&back.urls), kept);
+        for (i, url) in urls.iter().enumerate() {
             let id = UrlId(u32::try_from(i).expect("a small table"));
-            let url = back.urls.resolve(id).expect("every id resolves");
-            prop_assert_eq!(back.urls.get(url), Some(id));
+            let want = named(i).then_some(url.as_str());
+            prop_assert_eq!(back.urls.resolve(id), want);
+            prop_assert_eq!(back.urls.get(url), named(i).then_some(id));
         }
         prop_assert_eq!(back.encode(), bytes);
         let decoded = back.url_table_size().decoded_bytes;

@@ -6,17 +6,26 @@
 
 use pbppm_core::{PbConfig, PbPpm, PopularityBuilder, Predictor, PruneConfig, UrlId};
 
-/// `n` sessions of three clicks: a root (URL 0 for three in four, URL 1
-/// otherwise, both grade 3), one of 300 middle pages (grade 1, each
-/// under both roots, so the middle windows are clean groups of two) and
-/// a leaf seen once, with id `n + i`. The root URL 0 is counted about
-/// `0.75 n` times, the leaves' ids reach `2n`, and the arena holds about
-/// `n + 600` rows.
+/// `n` sessions of five clicks: a root (URL 0 for three in four, URL 1
+/// otherwise), the hub URL 2, its one successor URL 3 (all four grade 3),
+/// one of 300 middle pages (grade 1) and a leaf seen once, with id `n + i`.
+/// Which root a session takes shifts by one every 300 sessions, so each
+/// middle page falls under both roots: the windows `[2]`, `[3]` and each
+/// middle page have two voters, one per root, and are clean groups, whose
+/// votes reach URL 3's count of `n` and the leaves' ids. URL 2 and 3 are
+/// counted `n` times, the leaves' ids reach `2n`, and the arena holds
+/// about `n + 1,200` rows.
 pub fn sessions(n: u32) -> Vec<Vec<UrlId>> {
     (0..n)
         .map(|i| {
-            let root = u32::from(i % 4 == 3);
-            vec![UrlId(root), UrlId(2 + i % 300), UrlId(n + i)]
+            let root = u32::from((i + i / 300) % 4 == 3);
+            vec![
+                UrlId(root),
+                UrlId(2),
+                UrlId(3),
+                UrlId(4 + i % 300),
+                UrlId(n + i),
+            ]
         })
         .collect()
 }

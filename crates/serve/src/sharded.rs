@@ -511,10 +511,13 @@ pub(crate) fn payload_urls(payload: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Predicts against a published snapshot: parses the context against the
-/// *published* interner (URLs it has never seen cannot match and are
-/// skipped), ranks read-only against the *published* model, and renders
-/// `ok N` plus one `prob url` row per prediction into `buf`, filling `top`
-/// for the flight record.
+/// *published* interner and keeps the URLs that label a row of the
+/// *published* model ([`FrozenTree::context_id`]: one never seen, or seen
+/// but named by no row, cannot match and is skipped alike), ranks
+/// read-only against that model, and renders `ok N` plus one `prob url`
+/// row per prediction into `buf`, filling `top` for the flight record.
+///
+/// [`FrozenTree::context_id`]: pbppm_core::FrozenTree::context_id
 ///
 /// If some prediction's interned URL cannot be resolved, *nothing* is
 /// written and the offending id is returned: an unresolvable id means the
@@ -527,8 +530,9 @@ pub fn predict_published(
     buf: &mut Vec<u8>,
     top: &mut Vec<(String, f64)>,
 ) -> std::io::Result<Result<(), UrlId>> {
+    let arena = published.model.as_ref().and_then(Predictor::frozen);
     let context: Vec<UrlId> = payload_urls(rest)
-        .filter_map(|s| published.urls.get(s))
+        .filter_map(|s| arena?.context_id(&published.urls, s))
         .collect();
     let mut preds = Vec::new();
     if let Some(model) = &published.model {

@@ -3,8 +3,10 @@
 //! `fixtures/v3_online_pb.pbss` is an online PB-PPM checkpoint in format
 //! version 3, which wrote each tree edge twice,
 //! `fixtures/v4_online_pb.pbss` one in version 4, which wrote each node's
-//! parent where level order implies it, and `fixtures/v5_online_pb.pbss`
-//! one in version 5, which wrote every URL in full; none is read any more. A shard
+//! parent where level order implies it, `fixtures/v5_online_pb.pbss` one
+//! in version 5, which wrote every URL in full, and
+//! `fixtures/v6_online_pb.pbss` one in version 6, whose URL table had no
+//! id space beside its strings; none is read any more. A shard
 //! directory holding only such files must stop `open` with an error naming
 //! the version; serving on from a fresh model would write the next
 //! checkpoint over the files the operator still has to retrain from.
@@ -76,4 +78,9 @@ fn version_4_checkpoints_are_refused_and_left_untouched() {
 #[test]
 fn version_5_checkpoints_are_refused_and_left_untouched() {
     assert_refused_and_left_untouched(5);
+}
+
+#[test]
+fn version_6_checkpoints_are_refused_and_left_untouched() {
+    assert_refused_and_left_untouched(6);
 }

@@ -17,6 +17,10 @@
 //! 5. **Index bytes on `stats`** — the line's `index_bytes` is every
 //!    shard's fingerprint-index bytes pooled, right after
 //!    `interner_bytes`.
+//! 6. **An unnamed URL is skipped like an unseen one** — a context URL
+//!    the shard's interner has seen but its served model names in no row
+//!    (here: URLs whose sessions slid out of the window) can be replaced
+//!    by one the shard never saw without changing a response.
 
 use pbppm_core::{PbConfig, Predictor};
 use pbppm_obs::RunReport;
@@ -168,6 +172,79 @@ fn check_any_lines(shards: usize, tag: &str, lines: &[String]) -> Result<(), Tes
     Ok(())
 }
 
+/// Trains every client once on two URLs of its own, then `sessions` (client
+/// `i % 8` trains session `i`, at least 5 each, so with a 4-session window
+/// every shard's served model has dropped the first ones), then asks each
+/// context twice: with a seen but unnamed URL at each slot `>= 6`, and with
+/// a never-seen URL there. The answers must match.
+fn check_unnamed_like_unseen(
+    shards: usize,
+    sessions: &[Vec<u8>],
+    contexts: &[(u8, Vec<u8>)],
+) -> Result<(), TestCaseError> {
+    let dir = temp_dir(&format!("unnamed-{shards}"));
+    let opts = ShardedOptions {
+        shards,
+        threads: 1,
+        serve: ServeOptions {
+            window: 4,
+            rebuild_every: 1,
+            checkpoint_every: 1_000_000,
+            top: 5,
+            flush_every: 0,
+            ..ServeOptions::default()
+        },
+    };
+    let mut server = ShardedServer::open(&dir, PbConfig::default(), opts).unwrap();
+    let path = |us: &[u8]| -> String {
+        let urls: Vec<String> = us.iter().map(|u| format!("/p{}", u % 6)).collect();
+        urls.join(",")
+    };
+    let mut lines: Vec<String> = (0..8)
+        .map(|c| format!("train @c{c} /old{c}a,/old{c}b"))
+        .collect();
+    lines.extend(
+        sessions
+            .iter()
+            .enumerate()
+            .map(|(i, s)| format!("train @c{} {}", i % 8, path(s))),
+    );
+    run(&mut server, &lines);
+    // Every shard has seen its clients' old URLs, and serves a model that
+    // names none of them.
+    let mut unnamed = 0;
+    for k in 0..server.shard_count() {
+        let mut reader = server.shard_reader(k);
+        let published = reader.current();
+        let arena = published.model.as_ref().and_then(Predictor::frozen);
+        for (id, url) in published.urls.iter() {
+            if url.starts_with("/old") {
+                prop_assert!(!arena.is_some_and(|a| a.holds(id)), "{url} is named");
+                unnamed += 1;
+            }
+        }
+    }
+    prop_assert_eq!(unnamed, 16);
+    for (client, tokens) in contexts {
+        let context = |other: &dyn Fn(usize) -> String| -> String {
+            let urls: Vec<String> = tokens
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| if t < 6 { format!("/p{t}") } else { other(i) })
+                .collect();
+            urls.join(",")
+        };
+        let seen = context(&|i| format!("/old{client}{}", if i % 2 == 0 { 'a' } else { 'b' }));
+        let never = context(&|i| format!("/never{i}"));
+        let (a, _) = run(&mut server, &[format!("predict @c{client} {seen}")]);
+        let (b, _) = run(&mut server, &[format!("predict @c{client} {never}")]);
+        prop_assert_eq!(&a, &b, "{} against {}", seen, never);
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -183,6 +260,26 @@ proptest! {
         lines in prop::collection::vec(any_line(), 1..30),
     ) {
         check_any_lines(4, "any-4", &lines)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn an_unnamed_url_answers_like_an_unseen_one_at_one_shard(
+        sessions in prop::collection::vec(prop::collection::vec(0..6u8, 1..5), 40..56),
+        contexts in prop::collection::vec((0..8u8, prop::collection::vec(0..9u8, 1..5)), 1..24),
+    ) {
+        check_unnamed_like_unseen(1, &sessions, &contexts)?;
+    }
+
+    #[test]
+    fn an_unnamed_url_answers_like_an_unseen_one_at_four_shards(
+        sessions in prop::collection::vec(prop::collection::vec(0..6u8, 1..5), 40..56),
+        contexts in prop::collection::vec((0..8u8, prop::collection::vec(0..9u8, 1..5)), 1..24),
+    ) {
+        check_unnamed_like_unseen(4, &sessions, &contexts)?;
     }
 }
 

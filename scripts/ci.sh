@@ -4,7 +4,10 @@
 #   1. pbppm-lint            — the workspace linter's per-rule self-test
 #                              (every planted corpus violation must trip),
 #                              then the tree itself, timed: the full pass
-#                              must finish in under two seconds
+#                              must finish in under two seconds. Binaries
+#                              run from cargo's target directory, as
+#                              `cargo metadata` reports it, so the script
+#                              works with CARGO_TARGET_DIR set anywhere
 #   2. telemetry switch      — no build prints a `default-features`
 #                              warning, and `--no-default-features` leaves
 #                              pbppm-obs's `enabled` feature off for the
@@ -24,7 +27,7 @@
 #   5. snapshot smoke        — generate a tiny trace, then for each model
 #                              (pb, standard, lrs, o1): `pbppm train`
 #                              (writes the .pbss model file, whose bytes
-#                              8-9 must read format version 6), `pbppm audit`
+#                              8-9 must read format version 7), `pbppm audit`
 #                              (loads it, rebuilding the level-order arena
 #                              directly from the file's rows, and checks
 #                              every invariant on that arena), and
@@ -33,8 +36,10 @@
 #                              predict cycle through the real binary
 #   6. audit smoke           — `pbppm audit` prints the pb model file's
 #                              byte split, whose sections sum to the file
-#                              size, beside its URL table's decoded size,
-#                              and the loaded URL table's interner, index,
+#                              size, beside its URL table's id space and
+#                              the strings it holds (no more than the
+#                              ids), and the loaded URL table's interner
+#                              (presence set included), index,
 #                              arena and popularity byte splits, each of
 #                              whose parts sum to its printed total (the
 #                              arena's for every model kind), every index,
@@ -44,8 +49,8 @@
 #                              dirty and dropped groups; it
 #                              rejects (nonzero exit) a snapshot copy with
 #                              a flipped payload byte, and a copy stamped
-#                              version 5 with "unsupported snapshot
-#                              version 5"
+#                              version 6 with "unsupported snapshot
+#                              version 6"
 #   7. serve protocol smoke  — pipe train/predict/stats/metrics/trace/
 #                              health/quit through `pbppm serve`, assert
 #                              the one-`ok`/`err`-line-per-command
@@ -76,17 +81,18 @@
 #                              every line the same
 #  12. model file pin        — the .pbss files `pbppm train` wrote from
 #                              the tiny log in step 5, for pb, standard,
-#                              lrs and o1, must hash to the sha256 the
-#                              fixed-width in-memory arena wrote: how a
-#                              loaded model lays out its columns does not
-#                              move a byte of the file
+#                              lrs and o1, must hash to the sha256 format
+#                              version 7 pinned: how a loaded model lays
+#                              out its columns does not move a byte of
+#                              the file
 #  13. predict answer pin    — one batched `pbppm predict` per model of
 #                              step 5 (`;`-separated contexts: every 1- to
 #                              4-click window sliding over the tiny log's
 #                              first 200 paths) must hash to the sha256
-#                              the index that kept every voting window
-#                              answered with: how the index stores its
-#                              windows does not move an answer
+#                              pinned when a context URL no row names
+#                              began to be skipped: how the index stores
+#                              its windows, or which strings the file
+#                              keeps, does not move an answer
 #  14. reproduction check    — `all --check` regenerates every paper
 #                              table and figure into a temp dir and
 #                              requires the committed `results/` field for
@@ -110,9 +116,14 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
+# Where cargo puts what it builds: `target/` unless CARGO_TARGET_DIR or
+# a config says otherwise.
+target="$(cargo metadata -q --format-version 1 --no-deps \
+    | python3 -c 'import json, sys; print(json.load(sys.stdin)["target_directory"])')"
+
 echo "== ci: pbppm-lint --self-test" >&2
 cargo build -q -p pbppm-lint
-lint="$repo/target/debug/pbppm-lint"
+lint="$target/debug/pbppm-lint"
 "$lint" --self-test .
 # The lint pass is cheap enough to run on every edit; keep it that way.
 lint_start="$(date +%s%N)"
@@ -158,7 +169,7 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 cargo build --release -q -p pbppm-cli
-pbppm="$repo/target/release/pbppm"
+pbppm="$target/release/pbppm"
 
 # The CLI front-end must agree with the standalone binary: a clean tree
 # and the machine-readable report shape.
@@ -175,8 +186,8 @@ for model in pb standard lrs o1; do
     # worked.
     "$pbppm" train "$tmp/access.log" --out "$tmp/model-$model.pbss" --model "$model" >/dev/null
     version="$(python3 -c 'import sys; print(int.from_bytes(open(sys.argv[1], "rb").read()[8:10], "little"))' "$tmp/model-$model.pbss")"
-    if [[ "$version" != 6 ]]; then
-        echo "ci: train ($model) wrote format version $version, not 6" >&2
+    if [[ "$version" != 7 ]]; then
+        echo "ci: train ($model) wrote format version $version, not 7" >&2
         exit 1
     fi
     "$pbppm" audit "$tmp/model-$model.pbss" >/dev/null
@@ -190,9 +201,10 @@ done
 cp "$tmp/model-pb.pbss" "$tmp/model.pbss"
 
 echo "== ci: snapshot audit smoke" >&2
-# The file's split (`file bytes N: envelope … settings …; url table S
-# strings, D decoded bytes`) must add up to the file size, and the loaded
-# URL table's split (`interner bytes N: strings … ends … slots …`), the
+# The file's split (`file bytes N: envelope … settings …; url table I
+# ids, S strings, D decoded bytes`) must add up to the file size, with no
+# more strings than ids, and the loaded URL table's split (`interner
+# bytes N: strings … ends … slots … presence …`), the
 # loaded model's index split (`index bytes N: keys B wW … vote_counts B
 # wW; dirty groups D, largest M members`), arena split (`arena bytes N:
 # urls B wW … link_offsets B wW`) and popularity split (`popularity bytes
@@ -202,15 +214,17 @@ echo "== ci: snapshot audit smoke" >&2
 python3 - "$tmp/audit.txt" "$tmp/model.pbss" <<'EOF'
 import os, re, sys
 text = open(sys.argv[1]).read()
-m = re.search(r"file bytes (\d+): ([^;\n]*); url table (\d+) strings, (\d+) decoded bytes", text)
+m = re.search(r"file bytes (\d+): ([^;\n]*); url table (\d+) ids, (\d+) strings, (\d+) decoded bytes", text)
 if not m:
     sys.exit("ci: audit printed no file byte split with its url table")
+if int(m.group(4)) > int(m.group(3)):
+    sys.exit(f"ci: the url table holds {m.group(4)} strings over {m.group(3)} ids")
 fields = m.group(2).split()
 parts = sum(int(v) for v in fields[1::2])
 size = os.path.getsize(sys.argv[2])
 if parts != size or int(m.group(1)) != size:
     sys.exit(f"ci: file sections {fields} sum to {parts}, printed {m.group(1)}, file is {size}")
-m = re.search(r"interner bytes (\d+): strings (\d+) ends (\d+) slots (\d+)\n", text)
+m = re.search(r"interner bytes (\d+): strings (\d+) ends (\d+) slots (\d+) presence (\d+)\n", text)
 if not m:
     sys.exit("ci: audit printed no interner byte split")
 parts = sum(int(v) for v in m.groups()[1:])
@@ -257,21 +271,21 @@ if "$pbppm" audit "$tmp/corrupt.pbss" >/dev/null 2>&1; then
     echo "ci: audit accepted a corrupted snapshot" >&2
     exit 1
 fi
-# Stamped version 5 (the layout that wrote every URL in full), the file
-# must be refused by its version. Decode reads the version before the
-# checksum, so the copy needs no new checksum.
-python3 - "$tmp/model.pbss" "$tmp/v5.pbss" <<'EOF'
+# Stamped version 6 (the layout that wrote every URL its writer had
+# seen), the file must be refused by its version. Decode reads the version
+# before the checksum, so the copy needs no new checksum.
+python3 - "$tmp/model.pbss" "$tmp/v6.pbss" <<'EOF'
 import sys
 data = bytearray(open(sys.argv[1], "rb").read())
-data[8:10] = (5).to_bytes(2, "little")
+data[8:10] = (6).to_bytes(2, "little")
 open(sys.argv[2], "wb").write(bytes(data))
 EOF
-if "$pbppm" audit "$tmp/v5.pbss" >"$tmp/v5-audit.txt" 2>&1; then
-    echo "ci: audit accepted a version 5 snapshot" >&2
+if "$pbppm" audit "$tmp/v6.pbss" >"$tmp/v6-audit.txt" 2>&1; then
+    echo "ci: audit accepted a version 6 snapshot" >&2
     exit 1
 fi
-grep -q 'unsupported snapshot version 5' "$tmp/v5-audit.txt" || {
-    echo "ci: audit did not name version 5 when refusing it" >&2
+grep -q 'unsupported snapshot version 6' "$tmp/v6-audit.txt" || {
+    echo "ci: audit did not name version 6 when refusing it" >&2
     exit 1
 }
 
@@ -434,14 +448,14 @@ done
 
 echo "== ci: model file pin" >&2
 # The model files step 5 trained from the tiny log, hashed. The pins were
-# taken from the binary whose loaded arena, index and popularity table
-# still used fixed u32/u64 slots, so a byte the width-sized columns move
-# on the way to the file fails here.
+# taken from the first binary to write format version 7 (a URL table of
+# the strings the rows name), so a byte a change to the loaded model's
+# layout moves on the way to the file fails here.
 for pin in \
-    "pb d752f8c54587fa7970c7041527a508ef94c9fc0d7bf076b84f493053b194df3f" \
-    "standard 1f735915209a357ec85cffab2027cbbdcae882766497ed81a27ec72ef48ae5e3" \
-    "lrs 23d4c54895e88edc7bde1c5371a14d5530e8fee90813def9422fac1a7a434d44" \
-    "o1 64377c6c8e2b38324b85ff390496b0f024b8a966e9b61925b6903d722b4f870c"; do
+    "pb 348930aa655adc019b4e4ba4a42a1e0a6c384a4c4ae8a40d28ea2ffcad77706a" \
+    "standard eb147afd84bfc9eac90c7a736bb744a81547a40d7d0cc62d80eb4387d2dcedc4" \
+    "lrs 7a6c6094b3cd86d34c07b29048a13bfa7c84114a1d73ae953215c8babbedd735" \
+    "o1 8d07c8e5cf7df333b2a5c80d8a1b9a0651762f861f9b60d50271d21d716a990b"; do
     read -r model want <<<"$pin"
     got="$(sha256sum "$tmp/model-$model.pbss" | cut -d' ' -f1)"
     if [[ "$got" != "$want" ]]; then
@@ -453,8 +467,10 @@ done
 echo "== ci: predict answer pin" >&2
 # Every 1- to 4-click window sliding over the tiny log's first 200 paths,
 # answered in one batch by each model step 5 trained. The pins were taken
-# from the binary whose fingerprint index kept every voting window, so an
-# answer the windows it drops would move fails here.
+# from the first binary to skip a context URL that no row names (a window
+# left with none answers "no predictions for this context"); every answer
+# to a window whose URLs all label rows matched the binary before it,
+# whose fingerprint index kept every voting window.
 python3 - "$tmp/access.log" >"$tmp/contexts.txt" <<'EOF'
 import sys
 paths = []
@@ -466,10 +482,10 @@ windows = [",".join(paths[i - k + 1:i + 1]) for i in range(len(paths)) for k in 
 print(";".join(windows))
 EOF
 for pin in \
-    "pb 2d840e2bb3dda951877482da27a8311cd6582abf73f0ee651a3af3ffca1b99da" \
-    "standard 6a37738eb2194d8ee1b904e3feb5faa6ef0d478573c440f1ec3fe5b1b7635763" \
-    "lrs 3e84e8cbae2c9bfd71005764704c6ee2ddb89041d5d4f5df15204564e7ddf350" \
-    "o1 83397f17e98a27fbf7632cd428239f4de28a5c634ed206c081b9132b3c56df6d"; do
+    "pb 7191d24a7ae124ae0469bbfa2ba492889f11fd65cc7b6ea2d0092503f08c1214" \
+    "standard af41dd03436f03e7aee26e01a49db0b64896df9484107b50a6d70154fef49db1" \
+    "lrs 2513f46faf1423ecba27a8c2b2ad200fb04fd7d81b00f2da64480b4b6c64a37e" \
+    "o1 8bc4b396a1fe1ae502be27623d2f20568a18c0d5093c261e509388eb7f7a66ab"; do
     read -r model want <<<"$pin"
     got="$("$pbppm" predict "$tmp/model-$model.pbss" --context "$(cat "$tmp/contexts.txt")" | sha256sum | cut -d' ' -f1)"
     if [[ "$got" != "$want" ]]; then
