@@ -228,23 +228,35 @@ mod tests {
             columns.iter().map(|c| c.bytes).sum()
         };
         // Column for column, the loaded model's own split: the small
-        // model's every value fits a byte.
+        // model's every value fits a byte, so no count is an outlier, and
+        // its URL ids fit one word of each URL bitmap.
         assert_eq!(report.arena, m.frozen().expect("finalized").split());
         assert_eq!(total(&report.arena), stats.memory_bytes);
-        assert!(report.arena.iter().all(|c| c.width == 1), "{report}");
+        let bitmaps = ["held", "roots", "root_ranks"];
+        assert!(
+            report
+                .arena
+                .iter()
+                .all(|c| c.width == 1 || bitmaps.contains(&c.name)),
+            "{report}"
+        );
         assert_eq!(report.popularity, m.popularity().split());
         assert_eq!(total(&report.popularity), m.popularity().heap_bytes());
         let text = report.to_string();
         let rows = m.node_count();
         assert!(
             text.contains(&format!(
-                "arena bytes {}: urls {rows} w1 counts {rows} w1 parents {rows} w1",
+                "arena bytes {}: urls {rows} w1 counts {rows} w1 counts_over 0 w1 parents {rows} w1",
                 stats.memory_bytes
             )),
             "{text}"
         );
         assert!(
-            text.contains("popularity bytes 6: counts 3 w1 grades 3 w1"),
+            text.contains(" held 8 w8 roots 8 w8 root_ranks 4 w4 link_offsets "),
+            "{text}"
+        );
+        assert!(
+            text.contains("popularity bytes 6: counts 3 w1 counts_over 0 w1 grades 3 w1"),
             "{text}"
         );
         let json = report.to_json();

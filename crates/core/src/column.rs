@@ -18,6 +18,17 @@
 //!
 //! Every column is one exact-size allocation: its heap is its length times
 //! its width ([`UintColumn::heap_bytes`]).
+//!
+//! Counts are skewed: a few popular URLs and branches take most of the
+//! traffic, and one large count would widen a whole [`UintColumn`]. A
+//! [`CountColumn`] stores every value at a narrower width `w` and keeps
+//! the few that do not fit apart. Such a value is stored as `w`'s top
+//! code, the escape, and listed, with its position, in a small
+//! open-addressing table keyed by position. A read that meets the escape
+//! probes that table, in one or two slots; a position the table does not
+//! hold has the escape as its value. The build picks the `w` that takes
+//! the fewest bytes in all, so a count column is never larger than the
+//! [`UintColumn`] of its values.
 
 use std::ops::Range;
 
@@ -260,11 +271,24 @@ impl UintColumn {
     }
 
     /// Every value in order, walking the bytes one width at a time.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
+        self.lanes_in(0..self.len)
+    }
+
+    /// The values in `range`, in order.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is out of bounds.
+    fn lanes_in(&self, range: Range<usize>) -> Iter<'_> {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "run past the column's end"
+        );
         Iter {
             bytes: &self.bytes,
-            at: 0,
-            left: self.len,
+            at: range.start * self.width,
+            left: range.len(),
             width: self.width,
             mask: self.mask,
         }
@@ -430,6 +454,289 @@ impl ColumnBuilder {
     }
 }
 
+/// Bits a value up to `max` needs: 0 for 0.
+const fn bits_for(max: u64) -> u32 {
+    u64::BITS - max.leading_zeros()
+}
+
+/// Counts stored at a narrow width, with the few values that do not fit
+/// it kept in an outlier table (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CountColumn {
+    /// Every value at the body's width; one that does not fit is stored
+    /// as `escape`.
+    body: UintColumn,
+    /// The values past `escape`, in an open-addressing table of twice as
+    /// many slots: each at the slot its position hashes to
+    /// ([`outlier_home`]) or the first free one after it, as its position
+    /// plus one above `value_bits` and its value below them. A free slot
+    /// is 0.
+    over: UintColumn,
+    /// The body's top code: its width's mask.
+    escape: u64,
+    /// Bits of the largest listed value, below each entry's position.
+    value_bits: u32,
+}
+
+/// Where position `i`'s entry starts its probe in a table of `slots`
+/// slots: the position scrambled and scaled onto `0..slots`, so that
+/// outliers at neighbouring positions spread over the table.
+#[inline]
+fn outlier_home(i: usize, slots: usize) -> usize {
+    let mixed = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    // The high half of the product is below `slots`.
+    #[allow(clippy::cast_possible_truncation)]
+    let home = ((u128::from(mixed) * slots as u128) >> 64) as usize;
+    home
+}
+
+impl Default for CountColumn {
+    fn default() -> Self {
+        Self::collect(std::iter::empty())
+    }
+}
+
+impl CountColumn {
+    /// The column of `values`, read twice: once to count the values each
+    /// width holds, once to store them at the width that takes the fewest
+    /// bytes, body and outlier table together. A tie goes to the wider
+    /// body, whose reads meet the escape less often.
+    pub fn collect<I>(values: I) -> Self
+    where
+        I: Iterator<Item = u64> + Clone,
+    {
+        // `by_width[k]`: how many values need exactly `k` bytes, counted
+        // past one byte only: most counts fit it.
+        let (mut len, mut max, mut by_width) = (0usize, 0u64, [0usize; 9]);
+        for v in values.clone() {
+            len += 1;
+            max = max.max(v);
+            if v > 0xFF {
+                by_width[width_for(v)] += 1;
+            }
+        }
+        let full = width_for(max);
+        // An entry holds a position plus one, up to `len`, and a value up
+        // to `max`, when both fit 64 bits; a listed value takes two slots.
+        let value_bits = bits_for(max);
+        let entry_bits = bits_for(len as u64) + value_bits;
+        let entry = (entry_bits <= u64::BITS).then(|| (entry_bits as usize).div_ceil(8));
+        let (mut width, mut outliers, mut least) = (full, 0, len * full);
+        let mut past = 0;
+        for w in (1..full).rev() {
+            let Some(entry) = entry else { break };
+            past += by_width[w + 1];
+            let bytes = len * w + 2 * past * entry;
+            if bytes < least {
+                (width, outliers, least) = (w, past, bytes);
+            }
+        }
+        let escape = u64::MAX >> (64 - 8 * width);
+        let body = UintColumn::collect(escape, values.clone().map(|v| v.min(escape)));
+        if outliers == 0 {
+            return Self {
+                body,
+                over: UintColumn::default(),
+                escape,
+                value_bits: 0,
+            };
+        }
+        // Listing a value costs more than narrowing it saves unless others
+        // narrow too, so `len` is at least 2 and the position takes a bit:
+        // the shifts stay below 64.
+        let slots = 2 * outliers;
+        let mut over = UintColumn::filled(((len as u64) << value_bits) | max, slots, 0);
+        for (i, v) in values.enumerate().filter(|&(_, v)| v > escape) {
+            let mut slot = outlier_home(i, slots);
+            while over.get(slot) != 0 {
+                slot = (slot + 1) % slots;
+            }
+            over.set(slot, ((i as u64 + 1) << value_bits) | v);
+        }
+        Self {
+            body,
+            over,
+            escape,
+            value_bits,
+        }
+    }
+
+    /// The column of `values`.
+    #[must_use]
+    pub fn from_values(values: &[u64]) -> Self {
+        Self::collect(values.iter().copied())
+    }
+
+    /// Value `i`: one read of the body, and a probe of the outlier table
+    /// only when that read is the escape.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is out of bounds.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, i: usize) -> u64 {
+        let v = self.body.get(i);
+        if v == self.escape {
+            self.outlier(i).unwrap_or(v)
+        } else {
+            v
+        }
+    }
+
+    /// The listed value at position `i`, if the outlier table holds one:
+    /// a probe from its home slot to its entry or a free slot, which half
+    /// the slots being free keeps short. Kept out of line, so that a walk
+    /// over the body keeps its registers for the common case.
+    #[cold]
+    #[inline(never)]
+    fn outlier(&self, i: usize) -> Option<u64> {
+        let slots = self.over.len();
+        if slots == 0 {
+            return None;
+        }
+        let tag = i as u64 + 1;
+        let mut slot = outlier_home(i, slots);
+        loop {
+            let entry = self.over.get(slot);
+            if entry == 0 {
+                return None;
+            }
+            if entry >> self.value_bits == tag {
+                return Some(entry & self.value_mask());
+            }
+            slot = if slot + 1 == slots { 0 } else { slot + 1 };
+        }
+    }
+
+    /// The bits of an entry's value.
+    fn value_mask(&self) -> u64 {
+        (1 << self.value_bits) - 1
+    }
+
+    /// Value `i`, or `None` past the end.
+    #[inline]
+    #[must_use]
+    pub fn try_get(&self, i: usize) -> Option<u64> {
+        (i < self.len()).then(|| self.get(i))
+    }
+
+    /// Number of values.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.body.len()
+    }
+
+    /// True when the column holds no values.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.body.is_empty()
+    }
+
+    /// Bytes per value in the body: 1 to 8.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.body.width()
+    }
+
+    /// How many values the outlier table holds: half its slots.
+    #[must_use]
+    pub fn outliers(&self) -> usize {
+        self.over.len() / 2
+    }
+
+    /// The largest value: the largest listed one, or else the body's.
+    #[must_use]
+    pub fn max(&self) -> u64 {
+        let listed = self.over.iter().map(|e| e & self.value_mask()).max();
+        listed.unwrap_or_else(|| self.body.iter().max().unwrap_or(0))
+    }
+
+    /// Exact heap bytes: the body's length times its width, and the
+    /// outlier table's.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.body.heap_bytes() + self.over.heap_bytes()
+    }
+
+    /// Every value in order: one walk over the body, probing the outlier
+    /// table at each escape.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
+        self.iter_in(0..self.len())
+    }
+
+    /// The values in `range`, in order: a run read in one walk over the
+    /// body.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is out of bounds.
+    #[inline]
+    pub fn iter_in(&self, range: Range<usize>) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
+        CountIter {
+            at: range.start,
+            body: self.body.lanes_in(range),
+            column: self,
+        }
+    }
+
+    /// Every value, in order, as `u64`.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<u64> {
+        self.iter().collect()
+    }
+
+    /// The body's and the outlier table's bytes and widths, under `name`
+    /// and `over_name`; a slot of the table holds a position and a value.
+    #[must_use]
+    pub fn split(&self, name: &'static str, over_name: &'static str) -> [ColumnBytes; 2] {
+        [
+            ColumnBytes::of(name, &self.body),
+            ColumnBytes::of(over_name, &self.over),
+        ]
+    }
+
+    /// Rebuilds the column from its values after `edit` changes them:
+    /// how tests forge a layout.
+    #[cfg(test)]
+    pub(crate) fn edit(&mut self, edit: impl FnOnce(&mut Vec<u64>)) {
+        let mut values = self.to_vec();
+        edit(&mut values);
+        *self = Self::from_values(&values);
+    }
+}
+
+/// A run of a [`CountColumn`]'s values in order ([`CountColumn::iter`],
+/// [`CountColumn::iter_in`]).
+#[derive(Debug, Clone)]
+struct CountIter<'a> {
+    body: Iter<'a>,
+    column: &'a CountColumn,
+    /// The next value's position.
+    at: usize,
+}
+
+impl Iterator for CountIter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        let v = self.body.next()?;
+        let at = self.at;
+        self.at += 1;
+        if v == self.column.escape {
+            return Some(self.column.outlier(at).unwrap_or(v));
+        }
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.body.size_hint()
+    }
+}
+
+impl ExactSizeIterator for CountIter<'_> {}
+
 /// One named column's heap bytes and width, as the audit prints them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnBytes {
@@ -527,7 +834,88 @@ mod tests {
         let _ = UintColumn::filled(1 << 16, 4, 7).get(4);
     }
 
+    #[test]
+    fn a_count_column_lists_what_its_width_does_not_hold() {
+        // 16 B at two bytes; one byte each and two 2-byte slots (4
+        // position bits, 10 value bits) for 1000 take 12. 255 is the
+        // escape, but not listed: a probe finds no entry and keeps it.
+        let column = CountColumn::from_values(&[255, 1000, 1, 2, 3, 4, 5, 6]);
+        assert_eq!((column.width(), column.outliers()), (1, 1));
+        assert_eq!((column.heap_bytes(), column.max()), (12, 1000));
+        assert_eq!(
+            (column.get(0), column.get(1), column.try_get(8)),
+            (255, 1000, None)
+        );
+        // Three values' 3-byte slots (3 position bits, 17 value bits)
+        // take more than the two bytes per value they would save on four
+        // values, so the column stays plain.
+        let column = CountColumn::from_values(&[1, 70_000, 80_000, 90_000]);
+        assert_eq!((column.width(), column.outliers()), (3, 0));
+        assert_eq!(column.split("c", "c_over")[1].bytes, 0);
+        // An empty column holds nothing.
+        let empty = CountColumn::default();
+        assert_eq!((empty.len(), empty.heap_bytes(), empty.max()), (0, 0, 0));
+    }
+
+    /// Values drawn four ways: edge values (see `EDGES`), all small, all
+    /// large, and mostly small with a few of any size.
+    fn count_values() -> impl Strategy<Value = Vec<u64>> {
+        let edges =
+            prop::collection::vec((0usize..EDGES.len(), 0u64..3), 0..64).prop_map(|picks| {
+                picks
+                    .iter()
+                    .map(|&(e, down)| EDGES[e].saturating_sub(down))
+                    .collect()
+            });
+        // One value in ten is any value shifted right by 0 to 63 bits.
+        let tail = prop::collection::vec((0u64..10, 0u64..256, 0u32..64, 0..=u64::MAX), 0..300)
+            .prop_map(|picks| {
+                picks
+                    .iter()
+                    .map(|&(pick, small, shift, any)| if pick == 0 { any >> shift } else { small })
+                    .collect()
+            });
+        prop_oneof![
+            edges,
+            prop::collection::vec(0u64..256, 0..300),
+            prop::collection::vec(1u64 << 32..u64::MAX, 0..40),
+            tail,
+        ]
+    }
+
     proptest! {
+        /// A count column reads back its values one by one, walked in
+        /// order and run by run, takes its body's `len × width` bytes plus
+        /// its outlier table's two slots per listed value, and never more
+        /// than the plain column of its values; it lists exactly the
+        /// values its width does not hold, and with none it allocates no
+        /// table.
+        #[test]
+        fn count_columns_agree_with_their_values(values in count_values()) {
+            let column = CountColumn::from_values(&values);
+            prop_assert_eq!(column.len(), values.len());
+            prop_assert_eq!(column.is_empty(), values.is_empty());
+            prop_assert_eq!(&column.to_vec(), &values);
+            prop_assert_eq!(column.iter().len(), values.len());
+            for (i, &v) in values.iter().enumerate() {
+                prop_assert_eq!(column.get(i), v);
+            }
+            prop_assert_eq!(column.try_get(values.len()), None);
+            let half = values.len() / 2;
+            prop_assert!(column.iter_in(half..values.len()).eq(values[half..].iter().copied()));
+            prop_assert_eq!(column.max(), values.iter().copied().max().unwrap_or(0));
+            let [body, over] = column.split("counts", "counts_over");
+            prop_assert_eq!(body.bytes, values.len() * column.width());
+            prop_assert_eq!(over.bytes, 2 * column.outliers() * over.width);
+            prop_assert_eq!(column.heap_bytes(), body.bytes + over.bytes);
+            prop_assert!(column.heap_bytes() <= UintColumn::from_values(&values).heap_bytes());
+            let listed = values.iter().filter(|&&v| width_for(v) > column.width()).count();
+            prop_assert_eq!(column.outliers(), listed);
+            if listed == 0 {
+                prop_assert_eq!(over.bytes, 0);
+            }
+        }
+
         /// Values at and around every width's edge round-trip at the width
         /// of the largest, through every builder, read one by one and
         /// walked in order, and the column takes `len × width` bytes.

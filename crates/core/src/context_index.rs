@@ -58,9 +58,11 @@
 //! The groups live in flat, sorted, exact-size lists (see
 //! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
 //! Every list but the keys is a [`UintColumn`] at the width its values
-//! need.
+//! need, and the two count lists are [`CountColumn`]s, whose few large
+//! values sit in an outlier table.
 
-use crate::column::{ColumnBuilder, ColumnBytes, UintColumn};
+use crate::bitmap::bit;
+use crate::column::{ColumnBuilder, ColumnBytes, CountColumn, UintColumn};
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::frozen::{NodeId, SnapshotError};
 use crate::interner::UrlId;
@@ -226,7 +228,7 @@ pub(crate) enum WindowGroup<'a> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Votes<'a> {
     urls: &'a UintColumn,
-    counts: &'a UintColumn,
+    counts: &'a CountColumn,
     start: usize,
     end: usize,
 }
@@ -239,9 +241,12 @@ impl<'a> Votes<'a> {
 
     /// The votes, by URL.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (UrlId, u32)> + 'a {
-        let (urls, counts) = (self.urls, self.counts);
+        let urls = self.urls;
+        let counts = self.counts.iter_in(self.start..self.end);
         // Vote counts were narrowed to 32 bits when the group was built.
-        (self.start..self.end).map(move |i| (UrlId(row(urls.get(i))), row(counts.get(i))))
+        (self.start..self.end)
+            .zip(counts)
+            .map(move |(i, count)| (UrlId(row(urls.get(i))), row(count)))
     }
 }
 
@@ -297,9 +302,11 @@ pub struct IndexSplit {
     /// top bits), `slots` (one per group: an arena row or a head index),
     /// the stored groups' heads (`head_members`: representative rows or
     /// member starts; `head_votes`: vote starts, sentinel included;
-    /// `head_totals`), `members` (the dirty groups' member lists) and the
-    /// clean groups' votes (`vote_urls`, `vote_counts`).
-    pub columns: [ColumnBytes; 9],
+    /// `head_totals` and its outlier table `head_totals_over`), `members`
+    /// (the dirty groups' member lists) and the clean groups' votes
+    /// (`vote_urls`, `vote_counts` and its outlier table
+    /// `vote_counts_over`).
+    pub columns: [ColumnBytes; 11],
     /// `(voting row, window)` filings the build sorted.
     pub windows_filed: usize,
     /// One-member groups, answered from their row in the arena.
@@ -498,19 +505,6 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
     });
 }
 
-/// Sets bit `i` of a bitset.
-pub(crate) fn set_bit(bits: &mut [u64], i: usize) {
-    if let Some(word) = bits.get_mut(i / 64) {
-        *word |= 1 << (i % 64);
-    }
-}
-
-/// Reads bit `i` of a bitset.
-fn bit(bits: &[u64], i: usize) -> bool {
-    bits.get(i / 64)
-        .is_some_and(|word| word >> (i % 64) & 1 == 1)
-}
-
 /// Fingerprint → `WindowGroup` index over a [`FrozenTree`], keyed by
 /// `(window length, rolling window hash)`.
 ///
@@ -536,9 +530,13 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// * a vote is a URL id and a count, in two columns.
 ///
 /// Every list but the keys is a [`UintColumn`] at the width its values
-/// need. The slots' width comes from a bound known before the first slot
-/// is written (the arena's rows and the voting keys), so the tag bits sit
-/// in place from the start; every other column widens as it is pushed.
+/// need, but for the totals and the vote counts: they are
+/// [`CountColumn`]s, at the width most of their values need, with the
+/// few popular windows' larger values in an outlier table. The slots'
+/// width comes from a bound known before the first slot is written (the
+/// arena's rows and the voting keys), so the tag bits sit in place from
+/// the start; every other column widens as it is pushed, and the two
+/// count lists are re-stored at their width once the build is done.
 ///
 /// Keys whose stored bits agree are one group. Every group kind is
 /// checked against the query with `FrozenTree::match_top`, so a lookup
@@ -574,11 +572,11 @@ pub struct ContextIndex {
     head_votes: UintColumn,
     /// Per stored group: a clean group's summed count of all members that
     /// have alive children; a dirty group's member count.
-    head_totals: UintColumn,
+    head_totals: CountColumn,
     /// The dirty groups' members, one run per group.
     members: UintColumn,
     vote_urls: UintColumn,
-    vote_counts: UintColumn,
+    vote_counts: CountColumn,
     /// `(node, window)` filings behind the stored groups.
     entries: usize,
     /// Filings behind the fullest group.
@@ -776,10 +774,10 @@ impl ContextIndex {
             tag_shift,
             head_members: head_members.finish(),
             head_votes: head_votes.finish(),
-            head_totals: head_totals.finish(),
+            head_totals: CountColumn::collect(head_totals.finish().iter()),
             members: members.finish(),
             vote_urls: vote_urls.finish(),
-            vote_counts: vote_counts.finish(),
+            vote_counts: CountColumn::collect(vote_counts.finish().iter()),
             entries: stored_filings,
             max_bucket,
             filed,
@@ -947,6 +945,10 @@ impl ContextIndex {
                 _ => derived += 1,
             }
         }
+        let [head_totals, head_totals_over] =
+            self.head_totals.split("head_totals", "head_totals_over");
+        let [vote_counts, vote_counts_over] =
+            self.vote_counts.split("vote_counts", "vote_counts_over");
         IndexSplit {
             columns: [
                 ColumnBytes {
@@ -958,10 +960,12 @@ impl ContextIndex {
                 ColumnBytes::of("slots", &self.slots),
                 ColumnBytes::of("head_members", &self.head_members),
                 ColumnBytes::of("head_votes", &self.head_votes),
-                ColumnBytes::of("head_totals", &self.head_totals),
+                head_totals,
+                head_totals_over,
                 ColumnBytes::of("members", &self.members),
                 ColumnBytes::of("vote_urls", &self.vote_urls),
-                ColumnBytes::of("vote_counts", &self.vote_counts),
+                vote_counts,
+                vote_counts_over,
             ],
             windows_filed: self.filed,
             derived_groups: derived,
@@ -1139,16 +1143,15 @@ mod tests {
     fn index_columns_take_the_width_their_values_need() {
         let columns = |idx: &ContextIndex| {
             [
-                &idx.dir,
-                &idx.slots,
-                &idx.head_members,
-                &idx.head_votes,
-                &idx.head_totals,
-                &idx.members,
-                &idx.vote_urls,
-                &idx.vote_counts,
+                idx.dir.width(),
+                idx.slots.width(),
+                idx.head_members.width(),
+                idx.head_votes.width(),
+                idx.head_totals.width(),
+                idx.members.width(),
+                idx.vote_urls.width(),
+                idx.vote_counts.width(),
             ]
-            .map(UintColumn::width)
         };
         // A handful of rows: every column fits a byte, the slots' two
         // tags included.

@@ -15,20 +15,22 @@
 //! structure, so the arena stores it implicitly:
 //!
 //! * parallel columns for `url`, `count` and `parent`, each stored at the
-//!   width its values need ([`UintColumn`]): a URL or a count that fits a
-//!   byte takes a byte. A parent is stored one up, so a root's "no
-//!   parent" is 0 and the column stays as narrow as the tree rows;
+//!   width its values need ([`UintColumn`]): a URL that fits a byte takes
+//!   a byte. The counts are a [`CountColumn`], at the width most of them
+//!   need, with the few popular rows' larger counts in its outlier table.
+//!   A parent is stored one up, so a root's "no parent" is 0 and the
+//!   column stays as narrow as the tree rows;
 //! * `first_child`: node `i`'s children are the rows
 //!   `first_child[i]..first_child[i + 1]`, so the child-vote loop is a
 //!   linear pass over adjacent rows and their URLs are already sorted;
-//! * a root is its own slot: a direct-indexed `root_lookup` table (URL ids
-//!   are dense interner ids, and an entry is its root's row plus two, 1
-//!   for a URL that labels rows but heads no root, 0 for one that labels
-//!   none) answers "is the current click a root?" and "does the model
-//!   hold this URL at all?" ([`FrozenTree::holds`]) in one array load,
-//!   and `link_offsets[slot]..link_offsets[slot + 1]` are the
-//!   root's link rows, so a row is a link exactly when it is at or past
-//!   the first link row;
+//! * a root is its own slot: two bitmaps over the URL ids (dense interner
+//!   ids) answer "does the model hold this URL at all?"
+//!   ([`FrozenTree::holds`], one bit of `held`) and "is the current click
+//!   a root?" (one bit of `roots`). The roots are rows `0..R` sorted by
+//!   URL, so a root's row is its URL's rank among the root URLs, one
+//!   popcount past a rank directory. `link_offsets[slot]..link_offsets[slot + 1]`
+//!   are the root's link rows, so a row is a link exactly when it is at
+//!   or past the first link row;
 //! * Fig. 2's path-usage flags are a bitset over rows kept beside the
 //!   arena, filled from the [`crate::predictor::PredictUsage`] side
 //!   channel, so every frozen read path takes `&self`.
@@ -44,7 +46,8 @@
 //! index with verification walks on these arrays
 //! ([`FrozenTree::match_top`]).
 
-use crate::column::{ColumnBytes, UintColumn};
+use crate::bitmap::{bit, set_bit, RankBitmap};
+use crate::column::{ColumnBytes, CountColumn, UintColumn};
 use crate::interner::{Interner, UrlId};
 use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
 use crate::prune::{PruneConfig, PruneReport};
@@ -170,35 +173,34 @@ fn narrow_row(v: u64) -> u32 {
 /// The frozen level-order arena of a finalized tree model.
 ///
 /// All columns are indexed by the node's row, its [`NodeId`], and each
-/// is stored at the width its values need: the largest URL id, the
-/// largest count, the tree rows, the roots or the rows bound them, and
-/// the build already knows each bound. Immutable by construction: every
-/// accessor takes `&self`.
+/// is stored at the width its values need: the largest URL id, the tree
+/// rows, the roots or the rows bound them, and the build already knows
+/// each bound; the counts take the width that stores them in the fewest
+/// bytes, outliers included. Immutable by construction: every accessor
+/// takes `&self`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenTree {
     /// `urls[i]`: URL id of row `i`.
     pub(crate) urls: UintColumn,
     /// `counts[i]`: transition count of row `i`.
-    pub(crate) counts: UintColumn,
+    pub(crate) counts: CountColumn,
     /// `parents[i]`: one more than the parent row of row `i`, 0 for roots
     /// (read back as [`NO_NODE`]); a link row's parent is its root.
     pub(crate) parents: UintColumn,
     /// Row `i`'s children are the rows `first_child[i]..first_child[i + 1]`;
     /// length `n + 1`. Link rows have empty runs at the first link row.
     pub(crate) first_child: UintColumn,
-    /// Direct index: `root_lookup[url.0]` is two more than the URL's root
-    /// row, which is also its slot; [`HELD`] when the URL labels rows but
-    /// heads no root, and 0 (or past the end) when it labels none. URL
-    /// ids are dense, so this stays small.
-    pub(crate) root_lookup: UintColumn,
+    /// Bit `url.0` is set when the URL labels some row. The bitmap spans
+    /// the ids up to the largest a row names, and URL ids are dense, so it
+    /// stays small.
+    pub(crate) held: Box<[u64]>,
+    /// The URLs that head a root, over the same ids: a root URL's rank
+    /// among them is its root's row, which is also its slot.
+    pub(crate) roots: RankBitmap,
     /// Root `s`'s link rows are `link_offsets[s]..link_offsets[s + 1]`;
     /// length `R + 1`, from the first link row to `n`.
     pub(crate) link_offsets: UintColumn,
 }
-
-/// A `root_lookup` entry for a URL that labels rows but heads no root; a
-/// root's entry is its row plus two.
-const HELD: u64 = 1;
 
 /// A row count as `u32` row ids, which leave [`NO_NODE`] free.
 fn row_count(n: usize) -> Result<u32, SnapshotError> {
@@ -228,18 +230,18 @@ impl FrozenTree {
     /// slot, each below `R`. Anything else is refused.
     ///
     /// Each column's width comes from a bound these passes already know:
-    /// the tree rows bound the parents and child runs, the roots the root
-    /// table, the rows the link runs, and the pass that sums the child
-    /// counts (and the link pass) find the largest URL and count.
+    /// the tree rows bound the parents and child runs, the rows the link
+    /// runs, and the pass that sums the child counts (and the link pass)
+    /// find the largest URL, which also sizes the URL bitmaps. The counts
+    /// are read twice more, to pick their width and to store them.
     pub fn from_snapshot(snap: &TreeSnapshot) -> Result<Self, SnapshotError> {
         let (nodes, links) = (&snap.nodes, &snap.links);
         let rows = row_count(nodes.len() + links.len())?;
         let tree = row_count(nodes.len())?;
-        let (mut children, mut max_url, mut max_count) = (0u64, 0u32, 0u64);
+        let (mut children, mut max_url) = (0u64, 0u32);
         for s in nodes {
             children += u64::from(s.children);
             max_url = max_url.max(s.url);
-            max_count = max_count.max(s.count);
         }
         // Too many children leave no root, and row 0's run then starts at
         // row 0.
@@ -284,7 +286,6 @@ impl FrozenTree {
             started = ix(link.root) + 1;
             parents.set(ix(row), u64::from(link.root) + 1);
             max_url = max_url.max(link.url);
-            max_count = max_count.max(link.count);
         }
         if let Some(row) = unsorted {
             return Err(SnapshotError::UnsortedUrl(row));
@@ -297,19 +298,20 @@ impl FrozenTree {
                 .map(|s| u64::from(s.url))
                 .chain(links.iter().map(|l| u64::from(l.url))),
         );
-        // Every row's URL is held; a root's names its row.
-        let width = if rows == 0 { 0 } else { ix(max_url) + 1 };
-        let mut root_lookup = UintColumn::filled(u64::from(roots) + 1, width, 0);
+        // Every row's URL is held; the roots, sorted by URL, rank as
+        // their rows.
+        let ids = if rows == 0 { 0 } else { max_url + 1 };
+        let mut held = vec![0; ix(ids).div_ceil(64)];
+        let mut root_urls = held.clone();
         for url in urls.iter() {
-            root_lookup.set(ix(narrow_row(url)), HELD);
+            set_bit(&mut held, ix(narrow_row(url)));
         }
-        for root in 0..roots {
-            root_lookup.set(ix(narrow_row(urls.get(ix(root)))), u64::from(root) + 2);
+        for url in urls.iter().take(ix(roots)) {
+            set_bit(&mut root_urls, ix(narrow_row(url)));
         }
         Ok(Self {
             urls,
-            counts: UintColumn::collect(
-                max_count,
+            counts: CountColumn::collect(
                 nodes
                     .iter()
                     .map(|s| s.count)
@@ -317,7 +319,8 @@ impl FrozenTree {
             ),
             parents,
             first_child,
-            root_lookup,
+            held: held.into_boxed_slice(),
+            roots: RankBitmap::new(ids, root_urls),
             link_offsets,
         })
     }
@@ -492,9 +495,10 @@ impl FrozenTree {
     #[inline]
     #[must_use]
     pub fn root(&self, url: UrlId) -> Option<u32> {
-        // A stored 0 or `HELD` is "no root".
-        let row = self.root_lookup.try_get(ix(url.0))?.checked_sub(2)?;
-        Some(narrow_row(row))
+        // Fewer roots than `u32` rows.
+        self.roots
+            .rank(url.index())
+            .map(|row| narrow_row(row as u64))
     }
 
     /// True when `url` labels some row of the arena: a tree row or a
@@ -502,7 +506,7 @@ impl FrozenTree {
     #[inline]
     #[must_use]
     pub fn holds(&self, url: UrlId) -> bool {
-        self.root_lookup.try_get(ix(url.0)).is_some_and(|v| v != 0)
+        bit(&self.held, url.index())
     }
 
     /// The id a predict context keeps for the clicked URL `url`, named in
@@ -525,6 +529,13 @@ impl FrozenTree {
         self.counts.iter()
     }
 
+    /// The transition counts of the adjacent `rows` (a child run, a
+    /// root's links), read in one walk.
+    #[inline]
+    pub(crate) fn counts_in(&self, rows: Range<u32>) -> impl Iterator<Item = u64> + '_ {
+        self.counts.iter_in(ix(rows.start)..ix(rows.end))
+    }
+
     /// Every row's parent ([`NO_NODE`] for roots), in row order.
     pub(crate) fn parents_in_order(&self) -> impl Iterator<Item = u32> + '_ {
         self.parents
@@ -540,17 +551,19 @@ impl FrozenTree {
         starts.map(move |end| std::mem::replace(&mut start, end)..end)
     }
 
-    /// True when every count fits 32 bits: the column is no wider.
+    /// True when every count fits 32 bits: the largest does. The counts'
+    /// width does not bound them, since the outlier table holds any value.
     pub(crate) fn counts_fit_u32(&self) -> bool {
-        self.counts.width() <= 4
+        u32::try_from(self.counts.max()).is_ok()
     }
 
-    /// Every URL id's root row in id order, [`NO_NODE`] for a URL that
-    /// heads no root: the root table as the audit reads it.
-    pub(crate) fn root_table(&self) -> impl Iterator<Item = u32> + '_ {
-        self.root_lookup
-            .iter()
-            .map(|v| v.checked_sub(2).map_or(NO_NODE, narrow_row))
+    /// Every root URL, ascending, with the row its rank names: the root
+    /// bitmap as the audit reads it.
+    pub(crate) fn root_table(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        // The bitmap spans `u32` URL ids.
+        (0..)
+            .zip(self.roots.ones())
+            .map(|(row, url)| (narrow_row(url as u64), row))
     }
 
     /// The link rows of the root in row (slot) `root`, sorted by URL.
@@ -624,10 +637,11 @@ impl FrozenTree {
         }
         usage.used_paths.push(NodeId(node));
         usage.used_child_rows.push(NodeId(node));
-        for child in self.children(node) {
+        let children = self.children(node);
+        for (child, count) in children.clone().zip(self.counts_in(children)) {
             out.push(Prediction::new(
                 self.url(child),
-                self.count(child) as f64 / parent_count as f64,
+                count as f64 / parent_count as f64,
             ));
         }
         rank_distinct_predictions(out);
@@ -660,23 +674,43 @@ impl FrozenTree {
     }
 
     /// Exact heap bytes of the arena: every column's length times its
-    /// width. The arena is built at exact size, so this is the live heap
-    /// it holds — a finalized model's `ModelStats::memory_bytes`.
+    /// width, the counts' outlier table and the URL bitmaps. The arena is
+    /// built at exact size, so this is the live heap it holds — a
+    /// finalized model's `ModelStats::memory_bytes`.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.split().iter().map(|c| c.bytes).sum()
     }
 
-    /// Each column's bytes and width, in field order; their bytes sum to
-    /// [`FrozenTree::heap_bytes`].
+    /// Each column's bytes and width, in field order, the counts'
+    /// outlier table (`counts_over`) after the counts and the root
+    /// bitmap's rank directory (`root_ranks`) after it; their bytes sum
+    /// to [`FrozenTree::heap_bytes`].
     #[must_use]
-    pub fn split(&self) -> [ColumnBytes; 6] {
+    pub fn split(&self) -> [ColumnBytes; 9] {
+        let [counts, counts_over] = self.counts.split("counts", "counts_over");
+        let (roots, root_ranks) = self.roots.heap_bytes();
         [
             ColumnBytes::of("urls", &self.urls),
-            ColumnBytes::of("counts", &self.counts),
+            counts,
+            counts_over,
             ColumnBytes::of("parents", &self.parents),
             ColumnBytes::of("first_child", &self.first_child),
-            ColumnBytes::of("root_lookup", &self.root_lookup),
+            ColumnBytes {
+                name: "held",
+                bytes: size_of_val(&*self.held),
+                width: size_of::<u64>(),
+            },
+            ColumnBytes {
+                name: "roots",
+                bytes: roots,
+                width: size_of::<u64>(),
+            },
+            ColumnBytes {
+                name: "root_ranks",
+                bytes: root_ranks,
+                width: size_of::<u32>(),
+            },
             ColumnBytes::of("link_offsets", &self.link_offsets),
         ]
     }
@@ -708,7 +742,7 @@ impl FrozenTree {
         for i in (0..self.first_link_row()).filter(|&i| !self.has_children(i)) {
             let i = ix(i);
             total += 1;
-            hit += usize::from(used.get(i / 64).is_some_and(|b| (b >> (i % 64)) & 1 == 1));
+            hit += usize::from(bit(used, i));
         }
         (total, hit)
     }
@@ -716,9 +750,7 @@ impl FrozenTree {
 
 /// Sets row `i`'s bit in a path-usage bitset.
 pub(crate) fn mark_row(used: &mut [u64], i: u32) {
-    if let Some(word) = used.get_mut(ix(i) / 64) {
-        *word |= 1u64 << (ix(i) % 64);
-    }
+    set_bit(used, ix(i));
 }
 
 /// A length or position as a `u32` id. Rows and path offsets are `u32`
@@ -986,7 +1018,7 @@ impl UsageMarks {
         if self.groups.is_empty() {
             self.groups = vec![0; groups.div_ceil(64)];
         }
-        crate::context_index::set_bit(&mut self.groups, at);
+        set_bit(&mut self.groups, at);
     }
 
     /// Exact heap bytes: both bitsets are allocated at their final length.
@@ -1447,6 +1479,26 @@ mod tests {
             }]
         );
         assert!(FrozenTree::from_snapshot(&snap).is_ok());
+    }
+
+    #[test]
+    fn one_count_past_u32_among_byte_counts_does_not_fit_the_index() {
+        let arena = arena_of(&[&[1, 2, 3], &[1, 2, 4], &[5, 6]], &[]);
+        assert!(arena.counts_fit_u32());
+        let mut snap = arena.to_snapshot();
+        // Row 0 is URL 1's root, a voter the index would answer from.
+        assert_eq!((snap.nodes[0].url, snap.nodes[0].children), (1, 1));
+        snap.nodes[0].count = u64::from(u32::MAX) + 1;
+        let wide = FrozenTree::from_snapshot(&snap).expect("loads");
+        // The counts stay a byte wide: the one outlier is listed apart,
+        // so only the largest count tells that it does not fit.
+        assert_eq!((wide.counts.width(), wide.counts.outliers()), (1, 1));
+        assert_eq!(wide.count(0), u64::from(u32::MAX) + 1);
+        assert!(!wide.counts_fit_u32());
+        assert_eq!(
+            crate::context_index::ContextIndex::windows(&wide, 8),
+            Err(SnapshotError::IndexOverflow)
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! instruction, which is what makes the arena trie in [`crate::frozen`] compact
 //! (see the Rust Performance Book, "Smaller Integers").
 
+use crate::bitmap::RankBitmap;
 use crate::fxhash::FxHasher;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -71,77 +72,9 @@ pub struct Interner {
     /// whenever the table is rebuilt.
     id_mask: u32,
     /// Which ids hold a string, when some do not; `None` when every id
-    /// below `ends.len()` does.
-    presence: Option<Presence>,
-}
-
-/// The ids of a table with holes that hold a string: a bitmap over the id
-/// space and, before each 64-bit word, how many bits the words before it
-/// set, so an id's string slot is one popcount away.
-#[derive(Clone)]
-struct Presence {
-    /// Bit `id % 64` of `words[id / 64]` is set when `id` holds a string;
-    /// no bit at or past `len` is.
-    words: Vec<u64>,
-    /// `ranks[w]` counts the bits set in `words[..w]`.
-    ranks: Vec<u32>,
-    /// The id-space size.
-    len: u32,
-}
-
-impl Presence {
-    /// The presence set of `len` ids whose bits `words` sets, none of them
-    /// at or past `len`.
-    fn new(len: u32, words: Vec<u64>) -> Self {
-        debug_assert_eq!(words.len(), (len as usize).div_ceil(64));
-        let mut held = 0u32;
-        let ranks = words
-            .iter()
-            .map(|w| {
-                let rank = held;
-                held += w.count_ones();
-                rank
-            })
-            .collect();
-        Self { words, ranks, len }
-    }
-
-    /// The string slot of `id`, or `None` when it holds no string.
-    #[inline]
-    fn slot(&self, id: UrlId) -> Option<usize> {
-        let (w, bit) = (id.index() / 64, id.0 % 64);
-        let word = *self.words.get(w)?;
-        if word >> bit & 1 == 0 {
-            return None;
-        }
-        let below = (word & ((1 << bit) - 1)).count_ones();
-        Some((self.ranks[w] + below) as usize)
-    }
-
-    /// How many ids hold a string.
-    fn count(&self) -> usize {
-        match (self.ranks.last(), self.words.last()) {
-            (Some(&rank), Some(word)) => (rank + word.count_ones()) as usize,
-            _ => 0,
-        }
-    }
-
-    /// Appends one id, holding a string, past the end of the space.
-    fn push(&mut self) {
-        let (w, bit) = (self.len as usize / 64, self.len % 64);
-        if w == self.words.len() {
-            let rank = u32::try_from(self.count()).unwrap_or(u32::MAX);
-            self.words.push(0);
-            self.ranks.push(rank);
-        }
-        self.words[w] |= 1 << bit;
-        self.len += 1;
-    }
-
-    /// Heap bytes: the bitmap and the rank directory.
-    fn heap_bytes(&self) -> usize {
-        self.words.capacity() * size_of::<u64>() + self.ranks.capacity() * size_of::<u32>()
-    }
+    /// below `ends.len()` does. A held id's rank among them is its
+    /// string's slot.
+    presence: Option<RankBitmap>,
 }
 
 /// The smallest table [`Interner::intern`] allocates.
@@ -255,7 +188,7 @@ impl Interner {
     /// `len`) are to hold strings: [`Interner::try_intern_at`] fills them
     /// in id order. The probe table is sized for those strings.
     pub(crate) fn with_holes(len: u32, words: Vec<u64>) -> Self {
-        let presence = Presence::new(len, words);
+        let presence = RankBitmap::new(len, words);
         let strings = presence.count();
         let mut interner = Self {
             ends: Vec::with_capacity(strings),
@@ -332,8 +265,7 @@ impl Interner {
         self.bytes.shrink_to_fit();
         self.ends.shrink_to_fit();
         if let Some(presence) = &mut self.presence {
-            presence.words.shrink_to_fit();
-            presence.ranks.shrink_to_fit();
+            presence.shrink_to_fit();
         }
     }
 
@@ -378,7 +310,7 @@ impl Interner {
     fn rehash(&mut self, len: usize) {
         let id_mask = match &self.presence {
             None => id_mask_for(len),
-            Some(p) => id_field(p.len as usize + room(len).saturating_sub(p.count())),
+            Some(p) => id_field(p.len() as usize + room(len).saturating_sub(p.count())),
         };
         self.rehash_with(len, id_mask);
     }
@@ -405,7 +337,7 @@ impl Interner {
     fn slot(&self, id: UrlId) -> Option<usize> {
         match &self.presence {
             None => Some(id.index()),
-            Some(p) => p.slot(id),
+            Some(p) => p.rank(id.index()),
         }
     }
 
@@ -429,7 +361,7 @@ impl Interner {
     pub fn len(&self) -> usize {
         self.presence
             .as_ref()
-            .map_or(self.ends.len(), |p| p.len as usize)
+            .map_or(self.ends.len(), |p| p.len() as usize)
     }
 
     /// True if no id was ever issued.
@@ -451,8 +383,11 @@ impl Interner {
     /// in id order.
     pub fn iter(&self) -> impl Iterator<Item = (UrlId, &str)> {
         let ids = (0..u32::try_from(self.len()).unwrap_or(u32::MAX)).map(UrlId);
-        let held =
-            ids.filter(move |&id| self.presence.as_ref().is_none_or(|p| p.slot(id).is_some()));
+        let held = ids.filter(move |&id| {
+            self.presence
+                .as_ref()
+                .is_none_or(|p| p.rank(id.index()).is_some())
+        });
         let mut start = 0;
         held.zip(&self.ends).map(move |(id, &end)| {
             let name = &self.bytes[start..end as usize];
@@ -468,7 +403,10 @@ impl Interner {
             strings: self.bytes.capacity(),
             ends: self.ends.capacity() * size_of::<u32>(),
             slots: size_of_val(&*self.slots),
-            presence: self.presence.as_ref().map_or(0, Presence::heap_bytes),
+            presence: self.presence.as_ref().map_or(0, |p| {
+                let (words, ranks) = p.heap_bytes();
+                words + ranks
+            }),
         }
     }
 

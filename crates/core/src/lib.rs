@@ -54,6 +54,7 @@
 
 #![forbid(unsafe_code)]
 
+mod bitmap;
 pub mod column;
 pub mod context_index;
 pub mod eval;
@@ -78,7 +79,7 @@ pub mod stats;
 pub mod topn;
 pub mod verify;
 
-pub use column::{ColumnBytes, UintColumn};
+pub use column::{ColumnBytes, CountColumn, UintColumn};
 pub use context_index::{ContextHashes, ContextIndex, IndexOccupancy, IndexSplit};
 pub use eval::{evaluate, EvalConfig, PredictionQuality};
 pub use frozen::{FrozenTree, NodeId};

@@ -350,11 +350,8 @@ impl PbPpm {
                     let total = total as f64;
                     let children = frozen.children(row);
                     usage.branch_preds += u64::from(children.end - children.start);
-                    for child in children {
-                        out.push(Prediction::new(
-                            frozen.url(child),
-                            frozen.count(child) as f64 / total,
-                        ));
+                    for (child, count) in children.clone().zip(frozen.counts_in(children)) {
+                        out.push(Prediction::new(frozen.url(child), count as f64 / total));
                     }
                 }
                 WindowGroup::Clean { rep, total, votes } => {
@@ -393,10 +390,11 @@ impl PbPpm {
             let root_count = frozen.count(root);
             if root_count > 0 {
                 let mut any = false;
-                for id in frozen.links_of(current) {
+                let links = frozen.root_links(root);
+                for (id, count) in links.clone().zip(frozen.counts_in(links)) {
                     out.push(Prediction::new(
                         frozen.url(id),
-                        frozen.count(id) as f64 / root_count as f64,
+                        count as f64 / root_count as f64,
                     ));
                     usage.used_nodes.push(NodeId(id));
                     usage.link_preds += 1;

@@ -15,7 +15,7 @@
 //! Grades drive every popularity-based decision in [`crate::pb`]: branch
 //! heights, the root-creation rule, and special links.
 
-use crate::column::{ColumnBytes, UintColumn};
+use crate::column::{ColumnBytes, CountColumn};
 use crate::interner::UrlId;
 use serde::{Deserialize, Serialize};
 
@@ -166,10 +166,11 @@ impl PopularityBuilder {
 /// popularity — the paper's trees give unknown documents the least
 /// consideration, which this default preserves.
 ///
-/// The counts are stored at the width the largest needs ([`UintColumn`]).
+/// The counts are a [`CountColumn`]: stored at the width most of them
+/// need, with the few popular URLs' larger counts in its outlier table.
 #[derive(Debug, Clone, Default)]
 pub struct PopularityTable {
-    counts: UintColumn,
+    counts: CountColumn,
     grades: Vec<Grade>,
     max_count: u64,
     total: u64,
@@ -182,9 +183,20 @@ impl PopularityTable {
     }
 
     /// Builds the table directly from a dense per-URL count vector
-    /// (`counts[url.index()]` = number of accesses). The most popular
-    /// URL's count, which the grades need anyway, sizes the stored counts.
+    /// (`counts[url.index()]` = number of accesses).
     pub fn from_counts(counts: Vec<u64>) -> Self {
+        let (grades, max_count, total) = Self::grades_of(&counts);
+        Self {
+            counts: CountColumn::from_values(&counts),
+            grades,
+            max_count,
+            total,
+        }
+    }
+
+    /// The grades of `counts`, their largest and their sum: all a table
+    /// derives from its counts, which the audit rederives this way.
+    pub(crate) fn grades_of(counts: &[u64]) -> (Vec<Grade>, u64, u64) {
         let max_count = counts.iter().copied().max().unwrap_or(0);
         let total = counts.iter().sum();
         let grades = counts
@@ -197,12 +209,7 @@ impl PopularityTable {
                 }
             })
             .collect();
-        Self {
-            counts: UintColumn::collect(max_count, counts),
-            grades,
-            max_count,
-            total,
-        }
+        (grades, max_count, total)
     }
 
     /// Assembles a table from already-separated parts **without** rederiving
@@ -218,7 +225,7 @@ impl PopularityTable {
         total: u64,
     ) -> Self {
         Self {
-            counts: UintColumn::from_values(&counts),
+            counts: CountColumn::from_values(&counts),
             grades,
             max_count,
             total,
@@ -251,7 +258,7 @@ impl PopularityTable {
     /// Grades, `max_count`, and `total` are all derived from them, so the
     /// column is the table's complete serializable state:
     /// `PopularityTable::from_counts(t.counts().to_vec())` reproduces `t`.
-    pub fn counts(&self) -> &UintColumn {
+    pub fn counts(&self) -> &CountColumn {
         &self.counts
     }
 
@@ -271,11 +278,13 @@ impl PopularityTable {
         self.split().iter().map(|c| c.bytes).sum()
     }
 
-    /// The counts' and the grades' bytes and widths; their bytes sum to
-    /// [`PopularityTable::heap_bytes`].
-    pub fn split(&self) -> [ColumnBytes; 2] {
+    /// The counts', their outlier table's and the grades' bytes and
+    /// widths; their bytes sum to [`PopularityTable::heap_bytes`].
+    pub fn split(&self) -> [ColumnBytes; 3] {
+        let [counts, counts_over] = self.counts.split("counts", "counts_over");
         [
-            ColumnBytes::of("counts", &self.counts),
+            counts,
+            counts_over,
             ColumnBytes {
                 name: "grades",
                 bytes: std::mem::size_of_val(self.grades.as_slice()),

@@ -95,6 +95,7 @@
 //! checkpoint step that fails (the temp write, the demote rename) returns
 //! the error and leaves the newest complete generation recoverable.
 
+use crate::bitmap::{bit, set_bit};
 use crate::frozen::{LinkSnapshot, NodeSnapshot, SnapshotError, TreeSnapshot, NO_NODE};
 use crate::interner::{Interner, UrlId};
 use crate::order1::{Order1Markov, Order1RowSnapshot, Order1Snapshot};
@@ -771,13 +772,6 @@ impl Ends {
     }
 }
 
-/// True when bit `id` of the bitmap `words` (64 ids a word) is set.
-fn bit(words: &[u64], id: UrlId) -> bool {
-    words
-        .get(id.index() / 64)
-        .is_some_and(|w| w >> (id.0 % 64) & 1 != 0)
-}
-
 /// The URL table: the id-space size and how many entries follow; when
 /// fewer than the ids, the presence bitmap (id `i` is bit `i % 8` of byte
 /// `i / 8`); then each entry, in id order, as the shortest [`UrlEntry`]
@@ -785,7 +779,7 @@ fn bit(words: &[u64], id: UrlId) -> bool {
 /// goes to the literal, then to the nearest reference. Written are the
 /// strings of `urls` whose bits `named` sets, or all of them.
 fn write_urls(w: &mut Writer, urls: &Interner, named: Option<&[u64]>) {
-    let written = |&(id, _): &(UrlId, &str)| named.is_none_or(|words| bit(words, id));
+    let written = |&(id, _): &(UrlId, &str)| named.is_none_or(|words| bit(words, id.index()));
     let count = urls.iter().filter(written).count();
     w.usizev(urls.len());
     w.usizev(count);
@@ -1042,9 +1036,7 @@ impl SnapshotFile {
             _ => {
                 let mut words = vec![0u64; self.urls.len().div_ceil(64)];
                 for url in self.stored_urls() {
-                    if let Some(w) = words.get_mut(UrlId(url).index() / 64) {
-                        *w |= 1 << (url % 64);
-                    }
+                    set_bit(&mut words, UrlId(url).index());
                 }
                 Some(words)
             }

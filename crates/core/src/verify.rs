@@ -760,9 +760,9 @@ fn verify_arena(arena: &FrozenTree, url_count: Option<u64>, report: &mut AuditRe
             }
         }
     }
-    for (url, row) in (0..).zip(arena.root_table()) {
+    for (url, row) in arena.root_table() {
         report.tick();
-        if row != NO_NODE && !(arena.roots().contains(&row) && arena.url(row).0 == url) {
+        if !(arena.roots().contains(&row) && arena.url(row).0 == url) {
             report
                 .violations
                 .push(Violation::RootRegistrationInvalid { url });
@@ -831,24 +831,23 @@ fn admit(
 /// Checks a popularity table's internal consistency by rederiving it from
 /// its count vector (§3.1: grades are a pure function of the counts).
 fn verify_popularity(pop: &PopularityTable, report: &mut AuditReport) {
-    let derived = PopularityTable::from_counts(pop.counts().to_vec());
+    let (grades, max_count, total) = PopularityTable::grades_of(&pop.counts().to_vec());
     report.tick();
-    if pop.max_count() != derived.max_count() {
+    if pop.max_count() != max_count {
         report
             .violations
             .push(Violation::PopularityTotalsInconsistent { what: "max_count" });
     }
     report.tick();
-    if pop.total_accesses() != derived.total_accesses() {
+    if pop.total_accesses() != total {
         report
             .violations
             .push(Violation::PopularityTotalsInconsistent { what: "total" });
     }
-    for i in 0..pop.counts().len() {
+    for (i, &fresh) in grades.iter().enumerate() {
         report.tick();
         let url = UrlId(u32::try_from(i).unwrap_or(u32::MAX));
         let stored = pop.grade(url);
-        let fresh = derived.grade(url);
         if stored != fresh {
             report.violations.push(Violation::GradeMismatch {
                 url: url.0,

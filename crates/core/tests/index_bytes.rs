@@ -50,10 +50,12 @@ const FILED_EVERY_ROW_PEAK: [u64; 2] = [493_520, 16_675_792];
 
 /// Indexes over models whose rows, URL ids and counts need two- and
 /// three-byte columns. The hub's, its successor's and each middle page's
-/// windows are clean groups of two voters, one per root, whose vote
-/// columns take the width of the leaves' ids and of the successor's
-/// count; the longer windows below them that add nothing are dropped, and
-/// the build's peak heap stays under the peak of filing every row.
+/// windows are clean groups of two voters, one per root, whose vote URLs
+/// take the width of the leaves' ids; their vote counts, like the
+/// arena's, take one byte, with the successor's and the middle pages'
+/// larger counts in an outlier table. The longer windows below them that
+/// add nothing are dropped, and the build's peak heap stays under the
+/// peak of filing every row.
 fn wide_indexes_grow_the_live_heap_by_their_memory_bytes() {
     for ((n, width), parent_peak) in wide::SIZES.into_iter().zip(FILED_EVERY_ROW_PEAK) {
         let m = wide::model(&wide::sessions(n));
@@ -74,8 +76,20 @@ fn wide_indexes_grow_the_live_heap_by_their_memory_bytes() {
         );
         assert!(split.clean_groups > 300, "n={n}: {split:?}");
         let widths: Vec<(&str, usize)> = split.columns.iter().map(|c| (c.name, c.width)).collect();
-        for column in ["vote_urls", "vote_counts"] {
-            assert!(widths.contains(&(column, width)), "n={n}: {widths:?}");
+        assert!(widths.contains(&("vote_urls", width)), "n={n}: {widths:?}");
+        // Counts take a byte: the few past it, URL 3's and each middle
+        // page's, sit in the outlier tables.
+        for (columns, name) in [
+            (&split.columns[..], "vote_counts"),
+            (&arena.split()[..], "counts"),
+        ] {
+            let at = columns.iter().position(|c| c.name == name).expect("listed");
+            let (body, over) = (columns[at], columns[at + 1]);
+            assert_eq!(body.width, 1, "n={n}: {name}");
+            assert!(
+                over.name.ends_with("_over") && over.bytes > 0,
+                "n={n}: {over:?}"
+            );
         }
         assert_eq!(grown, index.memory_bytes() as u64, "n={n}");
         assert_eq!(index.memory_bytes(), m.stats().index_bytes, "n={n}");

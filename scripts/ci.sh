@@ -44,7 +44,10 @@
 #                              whose parts sum to its printed total (the
 #                              arena's for every model kind), every index,
 #                              arena and popularity column with a width of
-#                              1 to 8 bytes, and the index's voting
+#                              1 to 8 bytes (each count column followed by
+#                              its outlier table, `…_over`), the pb arena's
+#                              URL bitmaps (`held`, `roots`, `root_ranks`),
+#                              and the index's voting
 #                              windows filed and its derived, clean,
 #                              dirty and dropped groups; it
 #                              rejects (nonzero exit) a snapshot copy with
@@ -206,10 +209,13 @@ echo "== ci: snapshot audit smoke" >&2
 # more strings than ids, and the loaded URL table's split (`interner
 # bytes N: strings … ends … slots … presence …`), the
 # loaded model's index split (`index bytes N: keys B wW … vote_counts B
-# wW; dirty groups D, largest M members`), arena split (`arena bytes N:
-# urls B wW … link_offsets B wW`) and popularity split (`popularity bytes
-# N: counts B wW grades B wW`) each to its printed total. A column may be
-# any whole number of bytes wide, 1 to 8.
+# wW vote_counts_over B wW; dirty groups D, largest M members`), arena
+# split (`arena bytes N: urls B wW counts B wW counts_over B wW … held B
+# w8 roots B w8 root_ranks B w4 link_offsets B wW`) and popularity split
+# (`popularity bytes N: counts B wW counts_over B wW grades B wW`) each to
+# its printed total. A column may be any whole number of bytes wide, 1 to
+# 8; a count column's outlier table is an entry of its own, whose width is
+# the bytes of one slot: a listed position and its value.
 "$pbppm" audit "$tmp/model.pbss" >"$tmp/audit.txt"
 python3 - "$tmp/audit.txt" "$tmp/model.pbss" <<'EOF'
 import os, re, sys
@@ -250,6 +256,13 @@ for label in ("index", "arena", "popularity"):
     if parts != int(m.group(1)):
         sys.exit(f"ci: {label} parts {fields} sum to {parts}, not {m.group(1)}")
 EOF
+# The arena finds a root through its URL bitmaps: the split names the
+# root bitmap and its rank directory, and no per-URL lookup column.
+if ! grep -Eq '^  arena bytes [0-9]+: .* held [0-9]+ w8 roots [0-9]+ w8 root_ranks [0-9]+ w4 ' "$tmp/audit.txt" ||
+    grep -q 'root_lookup' "$tmp/audit.txt"; then
+    echo "ci: the pb arena's split does not name its root bitmap entries" >&2
+    exit 1
+fi
 # Every tree model prints its arena's split.
 for model in standard lrs o1; do
     "$pbppm" audit "$tmp/model-$model.pbss" >"$tmp/audit-$model.txt"
