@@ -134,7 +134,7 @@ mod tests {
         let keys = split.bytes("keys");
         assert!(
             text.contains(&format!(
-                "index bytes {}: keys {keys} w2 dir ",
+                "index bytes {}: keys {keys} w2 dir_base ",
                 split.total()
             )),
             "{text}"
@@ -228,8 +228,10 @@ mod tests {
             columns.iter().map(|c| c.bytes).sum()
         };
         // Column for column, the loaded model's own split: the small
-        // model's every value fits a byte, so no count is an outlier, and
-        // its URL ids fit one word of each URL bitmap.
+        // model's every value fits a byte, so no count or excess is an
+        // outlier, each offset column is one block whose base is padded to
+        // the word its read loads, and its URL ids fit one word of each URL
+        // bitmap.
         assert_eq!(report.arena, m.frozen().expect("finalized").split());
         assert_eq!(total(&report.arena), stats.memory_bytes);
         let bitmaps = ["held", "roots", "root_ranks"];
@@ -246,17 +248,20 @@ mod tests {
         let rows = m.node_count();
         assert!(
             text.contains(&format!(
-                "arena bytes {}: urls {rows} w1 counts {rows} w1 counts_over 0 w1 parents {rows} w1",
+                "arena bytes {}: urls {rows} w1 counts {rows} w1 counts_over 0 w1 \
+                 parents_base 8 w1 parents {rows} w1 parents_over 0 w1 first_child_base 8 w1",
                 stats.memory_bytes
             )),
             "{text}"
         );
         assert!(
-            text.contains(" held 8 w8 roots 8 w8 root_ranks 4 w4 link_offsets "),
+            text.contains(
+                " held 8 w8 roots 8 w8 root_ranks 4 w4 link_offsets_base 8 w1 link_offsets "
+            ),
             "{text}"
         );
         assert!(
-            text.contains("popularity bytes 6: counts 3 w1 counts_over 0 w1 grades 3 w1"),
+            text.contains("popularity bytes 3: counts 3 w1 counts_over 0 w1\n"),
             "{text}"
         );
         let json = report.to_json();
@@ -268,7 +273,13 @@ mod tests {
             "{json}"
         );
         assert!(
-            json.contains("\"popularity\":{\"total\":6,\"counts\":{\"bytes\":3,\"width\":1}"),
+            json.contains(&format!(
+                "\"parents_base\":{{\"bytes\":8,\"width\":1}},\"parents\":{{\"bytes\":{rows},\"width\":1}}"
+            )),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"popularity\":{\"total\":3,\"counts\":{\"bytes\":3,\"width\":1}"),
             "{json}"
         );
     }

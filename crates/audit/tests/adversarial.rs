@@ -398,24 +398,23 @@ fn forged_url_tables_are_refused() {
 #[test]
 fn forged_grade_table_is_caught() {
     // The codec serializes the popularity table as raw counts and
-    // rederives grades on load, so a grade forgery cannot ride a snapshot;
-    // it models in-memory corruption (or a future codec that persists
-    // grades). Forge via the doc(hidden) constructor and audit the model.
+    // rederives the largest count on load, and a table buckets each grade
+    // over its stored largest count, so a grade forgery cannot ride a
+    // snapshot; it models in-memory corruption. Forge the largest count
+    // via the doc(hidden) constructor and audit the model.
     let mut m = pb_with_link();
-    let counts = m.popularity().counts().to_vec();
-    let mut grades: Vec<Grade> = (0..counts.len())
-        .map(|i| m.popularity().grade(u(u32::try_from(i).unwrap_or(0))))
-        .collect();
-    grades[0] = Grade::G0; // url 0 really carries G3
+    assert_eq!(m.popularity().grade(u(0)), Grade::G3);
     let forged = PopularityTable::from_parts_unchecked(
-        counts,
-        grades,
-        m.popularity().max_count(),
+        m.popularity().counts().to_vec(),
+        m.popularity().max_count() * 100,
         m.popularity().total_accesses(),
     );
     m.set_popularity_for_audit(forged);
+    // url 0 really carries G3.
+    assert!(m.popularity().grade(u(0)) < Grade::G3);
     let report = verify_model(&ModelRef::Pb(&m));
     assert!(report.has("grade-mismatch"), "{report}");
+    assert!(report.has("popularity-totals-inconsistent"), "{report}");
 }
 
 #[test]

@@ -58,11 +58,12 @@
 //! The groups live in flat, sorted, exact-size lists (see
 //! [`ContextIndex`]), built by sorting one list of `(key, node)` filings.
 //! Every list but the keys is a [`UintColumn`] at the width its values
-//! need, and the two count lists are [`CountColumn`]s, whose few large
-//! values sit in an outlier table.
+//! need, the two count lists are [`CountColumn`]s, whose few large
+//! values sit in an outlier table, and the directory is a
+//! [`FrameColumn`], a base per block of slots plus each slot's excess.
 
 use crate::bitmap::bit;
-use crate::column::{ColumnBuilder, ColumnBytes, CountColumn, UintColumn};
+use crate::column::{ColumnBuilder, ColumnBytes, CountColumn, FrameColumn, UintColumn};
 use crate::frozen::{FrozenTree, NO_NODE};
 use crate::frozen::{NodeId, SnapshotError};
 use crate::interner::UrlId;
@@ -298,15 +299,16 @@ pub struct IndexOccupancy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexSplit {
     /// Each list's bytes and width, in this order: `keys` (the stored key
-    /// bits, 2 B per group), `dir` (the radix directory over the keys'
-    /// top bits), `slots` (one per group: an arena row or a head index),
+    /// bits, 2 B per group), the radix directory over the keys' top bits
+    /// (its block bases `dir_base`, its excesses `dir` and their outlier
+    /// table `dir_over`), `slots` (one per group: an arena row or a head index),
     /// the stored groups' heads (`head_members`: representative rows or
     /// member starts; `head_votes`: vote starts, sentinel included;
     /// `head_totals` and its outlier table `head_totals_over`), `members`
     /// (the dirty groups' member lists) and the clean groups' votes
     /// (`vote_urls`, `vote_counts` and its outlier table
     /// `vote_counts_over`).
-    pub columns: [ColumnBytes; 11],
+    pub columns: [ColumnBytes; 13],
     /// `(voting row, window)` filings the build sorted.
     pub windows_filed: usize,
     /// One-member groups, answered from their row in the arena.
@@ -530,13 +532,14 @@ fn sum_votes(votes: &mut Vec<(UrlId, u64)>) {
 /// * a vote is a URL id and a count, in two columns.
 ///
 /// Every list but the keys is a [`UintColumn`] at the width its values
-/// need, but for the totals and the vote counts: they are
-/// [`CountColumn`]s, at the width most of their values need, with the
-/// few popular windows' larger values in an outlier table. The slots'
+/// need, but for the totals and the vote counts, [`CountColumn`]s at the
+/// width most of their values need, with the few popular windows' larger
+/// values in an outlier table, and the directory, a [`FrameColumn`]: a
+/// base per 64 slots, each slot's start an excess over it. The slots'
 /// width comes from a bound known before the first slot is written (the
 /// arena's rows and the voting keys), so the tag bits sit in place from
 /// the start; every other column widens as it is pushed, and the two
-/// count lists are re-stored at their width once the build is done.
+/// count lists and the directory are re-stored once the build is done.
 ///
 /// Keys whose stored bits agree are one group. Every group kind is
 /// checked against the query with `FrozenTree::match_top`, so a lookup
@@ -555,7 +558,7 @@ pub struct ContextIndex {
     /// Bits `low..low + 16` of each group key, sorted.
     keys: Box<[u16]>,
     /// Keys whose top bits read `p` are `keys[dir[p]..dir[p + 1]]`.
-    dir: UintColumn,
+    dir: FrameColumn,
     /// `64 − directory bits`.
     shift: u32,
     /// Where a key's stored bits start: `shift − 16`.
@@ -765,9 +768,10 @@ impl ContextIndex {
             dir_len += 1;
         }
         debug_assert_eq!(slots.width(), slots_width, "tags sit in place");
+        let dir = FrameColumn::collect(keys.len() as u64, dir.finish().iter());
         Ok(ContextIndex {
             keys: keys.into_boxed_slice(),
-            dir: dir.finish(),
+            dir,
             shift,
             low,
             slots: slots.finish(),
@@ -949,6 +953,7 @@ impl ContextIndex {
             self.head_totals.split("head_totals", "head_totals_over");
         let [vote_counts, vote_counts_over] =
             self.vote_counts.split("vote_counts", "vote_counts_over");
+        let [dir_base, dir, dir_over] = self.dir.split("dir_base", "dir", "dir_over");
         IndexSplit {
             columns: [
                 ColumnBytes {
@@ -956,7 +961,9 @@ impl ContextIndex {
                     bytes: std::mem::size_of_val(&*self.keys),
                     width: size_of::<u16>(),
                 },
-                ColumnBytes::of("dir", &self.dir),
+                dir_base,
+                dir,
+                dir_over,
                 ColumnBytes::of("slots", &self.slots),
                 ColumnBytes::of("head_members", &self.head_members),
                 ColumnBytes::of("head_votes", &self.head_votes),

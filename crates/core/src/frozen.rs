@@ -18,11 +18,14 @@
 //!   width its values need ([`UintColumn`]): a URL that fits a byte takes
 //!   a byte. The counts are a [`CountColumn`], at the width most of them
 //!   need, with the few popular rows' larger counts in its outlier table.
-//!   A parent is stored one up, so a root's "no parent" is 0 and the
-//!   column stays as narrow as the tree rows;
+//!   A parent is stored one up, so a root's "no parent" is 0. The parents
+//!   step forward a little from row to row, so they are a [`FrameColumn`]:
+//!   each block's least parent plus each row's excess over it, mostly one
+//!   byte;
 //! * `first_child`: node `i`'s children are the rows
 //!   `first_child[i]..first_child[i + 1]`, so the child-vote loop is a
-//!   linear pass over adjacent rows and their URLs are already sorted;
+//!   linear pass over adjacent rows and their URLs are already sorted.
+//!   It and the link runs below are [`FrameColumn`]s too;
 //! * a root is its own slot: two bitmaps over the URL ids (dense interner
 //!   ids) answer "does the model hold this URL at all?"
 //!   ([`FrozenTree::holds`], one bit of `held`) and "is the current click
@@ -47,7 +50,7 @@
 //! ([`FrozenTree::match_top`]).
 
 use crate::bitmap::{bit, set_bit, RankBitmap};
-use crate::column::{ColumnBytes, CountColumn, UintColumn};
+use crate::column::{ColumnBytes, CountColumn, FrameColumn, UintColumn};
 use crate::interner::{Interner, UrlId};
 use crate::predictor::{rank_distinct_predictions, PredictUsage, Prediction};
 use crate::prune::{PruneConfig, PruneReport};
@@ -175,8 +178,9 @@ fn narrow_row(v: u64) -> u32 {
 /// All columns are indexed by the node's row, its [`NodeId`], and each
 /// is stored at the width its values need: the largest URL id, the tree
 /// rows, the roots or the rows bound them, and the build already knows
-/// each bound; the counts take the width that stores them in the fewest
-/// bytes, outliers included. Immutable by construction: every accessor
+/// each bound; the counts, and the offset columns' excesses over their
+/// block bases, take the width that stores them in the fewest bytes,
+/// outliers included. Immutable by construction: every accessor
 /// takes `&self`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrozenTree {
@@ -186,10 +190,10 @@ pub struct FrozenTree {
     pub(crate) counts: CountColumn,
     /// `parents[i]`: one more than the parent row of row `i`, 0 for roots
     /// (read back as [`NO_NODE`]); a link row's parent is its root.
-    pub(crate) parents: UintColumn,
+    pub(crate) parents: FrameColumn,
     /// Row `i`'s children are the rows `first_child[i]..first_child[i + 1]`;
     /// length `n + 1`. Link rows have empty runs at the first link row.
-    pub(crate) first_child: UintColumn,
+    pub(crate) first_child: FrameColumn,
     /// Bit `url.0` is set when the URL labels some row. The bitmap spans
     /// the ids up to the largest a row names, and URL ids are dense, so it
     /// stays small.
@@ -199,7 +203,7 @@ pub struct FrozenTree {
     pub(crate) roots: RankBitmap,
     /// Root `s`'s link rows are `link_offsets[s]..link_offsets[s + 1]`;
     /// length `R + 1`, from the first link row to `n`.
-    pub(crate) link_offsets: UintColumn,
+    pub(crate) link_offsets: FrameColumn,
 }
 
 /// A row count as `u32` row ids, which leave [`NO_NODE`] free.
@@ -208,6 +212,11 @@ fn row_count(n: usize) -> Result<u32, SnapshotError> {
         .ok()
         .filter(|&n| n < NO_NODE)
         .ok_or(SnapshotError::Malformed("rows past u32 ids"))
+}
+
+/// Row ids, each at most `bound`, stored as a frame column.
+fn frame(bound: u32, rows: &[u32]) -> FrameColumn {
+    FrameColumn::collect(u64::from(bound), rows.iter().map(|&row| u64::from(row)))
 }
 
 /// The first row of the run `run`, which starts at row `start`, whose URL
@@ -233,7 +242,10 @@ impl FrozenTree {
     /// the tree rows bound the parents and child runs, the rows the link
     /// runs, and the pass that sums the child counts (and the link pass)
     /// find the largest URL, which also sizes the URL bitmaps. The counts
-    /// are read twice more, to pick their width and to store them.
+    /// are read twice more, to pick their width and to store them. The
+    /// offset columns are filled as plain row ids, then stored once as
+    /// frame columns (block bases at the bound's width, excesses as
+    /// counts).
     pub fn from_snapshot(snap: &TreeSnapshot) -> Result<Self, SnapshotError> {
         let (nodes, links) = (&snap.nodes, &snap.links);
         let rows = row_count(nodes.len() + links.len())?;
@@ -248,8 +260,8 @@ impl FrozenTree {
         let roots = u32::try_from(u64::from(tree).saturating_sub(children)).unwrap_or(0);
         // Parents are stored one up: a parent is a tree row, so the tree
         // rows bound them, and a root's 0 costs no width.
-        let mut parents = UintColumn::filled(u64::from(tree), ix(rows), 0);
-        let mut first_child = UintColumn::filled(u64::from(tree), ix(rows) + 1, u64::from(tree));
+        let mut parents = vec![0; ix(rows)];
+        let mut first_child = vec![tree; ix(rows) + 1];
         // Rows sharing a parent are one run: the roots, a node's children,
         // a root's links. Runs come in row order, so the first unsorted
         // row found is the lowest; it is refused once the runs are known
@@ -260,17 +272,17 @@ impl FrozenTree {
             if next <= row {
                 return Err(SnapshotError::BadChildRun(row));
             }
-            first_child.set(ix(row), u64::from(next));
+            first_child[ix(row)] = next;
             // Runs so far fit the tree rows: the counts sum to tree − R.
             let end = next + s.children;
-            parents.fill(ix(next)..ix(end), u64::from(row) + 1);
+            parents[ix(next)..ix(end)].fill(row + 1);
             if unsorted.is_none() {
                 unsorted = unsorted_in(next, &nodes[ix(next)..ix(end)]);
             }
             next = end;
         }
 
-        let mut link_offsets = UintColumn::filled(u64::from(rows), ix(roots) + 1, u64::from(rows));
+        let mut link_offsets = vec![rows; ix(roots) + 1];
         // Slots whose link run start is set.
         let mut started = 0;
         let mut last: Option<&LinkSnapshot> = None;
@@ -282,9 +294,9 @@ impl FrozenTree {
                 unsorted = unsorted.or(Some(row));
             }
             last = Some(link);
-            link_offsets.fill(started..ix(link.root) + 1, u64::from(row));
+            link_offsets[started..ix(link.root) + 1].fill(row);
             started = ix(link.root) + 1;
-            parents.set(ix(row), u64::from(link.root) + 1);
+            parents[ix(row)] = link.root + 1;
             max_url = max_url.max(link.url);
         }
         if let Some(row) = unsorted {
@@ -317,11 +329,11 @@ impl FrozenTree {
                     .map(|s| s.count)
                     .chain(links.iter().map(|l| l.count)),
             ),
-            parents,
-            first_child,
+            parents: frame(tree, &parents),
+            first_child: frame(tree, &first_child),
             held: held.into_boxed_slice(),
             roots: RankBitmap::new(ids, root_urls),
-            link_offsets,
+            link_offsets: frame(rows, &link_offsets),
         })
     }
 
@@ -372,7 +384,11 @@ impl FrozenTree {
         if !runs.is_sorted() {
             return Err("frozen child runs not monotone");
         }
-        if (0..narrow_row(links.get(0))).any(|i| runs.get(ix(i)) <= u64::from(i)) {
+        if runs
+            .iter()
+            .zip(0..links.get(0))
+            .any(|(start, row)| start <= row)
+        {
             return Err("frozen child run does not start after its row");
         }
         Ok(())
@@ -683,19 +699,34 @@ impl FrozenTree {
     }
 
     /// Each column's bytes and width, in field order, the counts'
-    /// outlier table (`counts_over`) after the counts and the root
-    /// bitmap's rank directory (`root_ranks`) after it; their bytes sum
-    /// to [`FrozenTree::heap_bytes`].
+    /// outlier table (`counts_over`) after the counts, each offset
+    /// column's block bases (`…_base`) before its excesses and their
+    /// outlier table (`…_over`) after them, and the root bitmap's rank
+    /// directory (`root_ranks`) after it; their bytes sum to
+    /// [`FrozenTree::heap_bytes`].
     #[must_use]
-    pub fn split(&self) -> [ColumnBytes; 9] {
+    pub fn split(&self) -> [ColumnBytes; 15] {
         let [counts, counts_over] = self.counts.split("counts", "counts_over");
+        let [parents_base, parents, parents_over] =
+            self.parents
+                .split("parents_base", "parents", "parents_over");
+        let [first_child_base, first_child, first_child_over] =
+            self.first_child
+                .split("first_child_base", "first_child", "first_child_over");
+        let [link_offsets_base, link_offsets, link_offsets_over] =
+            self.link_offsets
+                .split("link_offsets_base", "link_offsets", "link_offsets_over");
         let (roots, root_ranks) = self.roots.heap_bytes();
         [
             ColumnBytes::of("urls", &self.urls),
             counts,
             counts_over,
-            ColumnBytes::of("parents", &self.parents),
-            ColumnBytes::of("first_child", &self.first_child),
+            parents_base,
+            parents,
+            parents_over,
+            first_child_base,
+            first_child,
+            first_child_over,
             ColumnBytes {
                 name: "held",
                 bytes: size_of_val(&*self.held),
@@ -711,7 +742,9 @@ impl FrozenTree {
                 bytes: root_ranks,
                 width: size_of::<u32>(),
             },
-            ColumnBytes::of("link_offsets", &self.link_offsets),
+            link_offsets_base,
+            link_offsets,
+            link_offsets_over,
         ]
     }
 
@@ -1525,12 +1558,169 @@ mod tests {
         // Non-monotone child runs.
         assert!(check(&|t| t.first_child.edit(|v| v[1] = u64::from(u32::MAX - 1))).is_err());
         // A run that does not start after its row.
-        assert!(check(&|t| t.first_child.set(0, 0)).is_err());
+        assert!(check(&|t| t.first_child.edit(|v| v[0] = 0)).is_err());
         let last = f.first_link_row() - 1;
-        assert!(check(&|t| t.first_child.set(ix(last), u64::from(last))).is_err());
+        assert!(check(&|t| t.first_child.edit(|v| v[ix(last)] = u64::from(last))).is_err());
         // Link runs that miss the row count, or fall back.
         assert!(check(&|t| t.link_offsets.edit(|v| v.push(0))).is_err());
-        assert!(check(&|t| t.link_offsets.set(1, 0)).is_err());
+        assert!(check(&|t| t.link_offsets.edit(|v| v[1] = 0)).is_err());
+    }
+
+    /// A level-order row image: `roots` roots, then level by level each
+    /// row's children, as many as `fanout` says (cycled, and cut off at
+    /// 3,000 tree rows), each run's URLs `stride` apart; then up to
+    /// `links` link rows, each `(slot pick, count)` hanging that many
+    /// links off one root. A fan-out of hundreds makes child runs jump
+    /// past a byte within a block, and the link rows' parents drop back
+    /// to root slots where the tree rows end.
+    fn level_order_image(
+        roots: u32,
+        fanout: &[u32],
+        stride: u32,
+        links: &[(u32, u32)],
+        counts: &[u64],
+    ) -> TreeSnapshot {
+        let count = |row: usize| counts[row % counts.len()];
+        let mut nodes: Vec<NodeSnapshot> = (0..roots)
+            .map(|r| NodeSnapshot {
+                url: r * stride,
+                count: count(ix(r)),
+                children: 0,
+            })
+            .collect();
+        let mut row = 0;
+        while row < nodes.len() {
+            let room = 3_000u32.saturating_sub(id(nodes.len()));
+            let children = fanout[row % fanout.len()].min(room);
+            nodes[row].children = children;
+            for k in 0..children {
+                let url = (k + id(row)) * stride % 5_000 + k * 5_000;
+                nodes.push(NodeSnapshot {
+                    url,
+                    count: count(nodes.len()),
+                    children: 0,
+                });
+            }
+            row += 1;
+        }
+        let mut picks: Vec<(u32, u32)> = links
+            .iter()
+            .map(|&(pick, n)| (pick % roots.max(1), n))
+            .filter(|_| roots > 0)
+            .collect();
+        picks.sort_unstable();
+        picks.dedup_by_key(|p| p.0);
+        let links = picks
+            .iter()
+            .flat_map(|&(root, n)| {
+                (0..n).map(move |k| LinkSnapshot {
+                    root,
+                    url: 7 + k * 3,
+                    count: u64::from(k) + 1,
+                })
+            })
+            .collect();
+        TreeSnapshot { nodes, links }
+    }
+
+    /// The arena's offset columns as plain columns, derived from the
+    /// image the way the level order defines them: the oracle.
+    struct PlainOffsets {
+        parents: UintColumn,
+        first_child: UintColumn,
+        link_offsets: UintColumn,
+    }
+
+    fn plain_offsets(snap: &TreeSnapshot) -> PlainOffsets {
+        let tree = snap.nodes.len() as u64;
+        let rows = tree + snap.links.len() as u64;
+        let children: u64 = snap.nodes.iter().map(|n| u64::from(n.children)).sum();
+        let roots = tree - children;
+        let (mut parents, mut first_child) = (Vec::new(), Vec::new());
+        let mut next = roots;
+        parents.extend((0..roots).map(|_| 0));
+        for (row, n) in (0u64..).zip(&snap.nodes) {
+            first_child.push(next);
+            next += u64::from(n.children);
+            parents.extend((0..n.children).map(|_| row + 1));
+        }
+        first_child.extend((0..=snap.links.len()).map(|_| tree));
+        parents.extend(snap.links.iter().map(|l| u64::from(l.root) + 1));
+        let link_offsets = (0..=roots)
+            .map(|slot| {
+                let before = snap
+                    .links
+                    .iter()
+                    .filter(|l| u64::from(l.root) < slot)
+                    .count();
+                tree + before as u64
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(link_offsets.last(), Some(&rows));
+        PlainOffsets {
+            parents: UintColumn::from_values(&parents),
+            first_child: UintColumn::from_values(&first_child),
+            link_offsets: UintColumn::from_values(&link_offsets),
+        }
+    }
+
+    proptest::proptest! {
+        /// Over arbitrary level-order row images, the arena's frame
+        /// columns answer every parent, child run, child lookup and root
+        /// link run as the plain columns derived from the image do, the
+        /// layout check passes, and the image comes back unchanged.
+        #[test]
+        fn frame_offsets_agree_with_plain_columns(
+            roots in 0u32..150,
+            fanout in proptest::collection::vec(
+                proptest::prop_oneof![0u32..4, 0u32..4, 0u32..40, 200u32..400],
+                1..40,
+            ),
+            stride in 1u32..9,
+            links in proptest::collection::vec((0u32..150, 0u32..5), 0..120),
+            counts in proptest::collection::vec(1u64..1_000, 1..8),
+        ) {
+            let snap = level_order_image(roots, &fanout, stride, &links, &counts);
+            let arena = FrozenTree::from_snapshot(&snap).expect("a level-order image");
+            let plain = plain_offsets(&snap);
+            proptest::prop_assert_eq!(arena.check_csr(), Ok(()));
+            proptest::prop_assert_eq!(arena.parents.to_vec(), plain.parents.to_vec());
+            proptest::prop_assert_eq!(arena.first_child.to_vec(), plain.first_child.to_vec());
+            proptest::prop_assert_eq!(arena.link_offsets.to_vec(), plain.link_offsets.to_vec());
+            for i in 0..arena.rows() {
+                let parent = narrow_row(plain.parents.get(ix(i))).wrapping_sub(1);
+                proptest::prop_assert_eq!(arena.parent(i), parent);
+                let (start, end) = plain.first_child.pair(ix(i));
+                let run = narrow_row(start)..narrow_row(end);
+                proptest::prop_assert_eq!(arena.children(i), run.clone());
+                proptest::prop_assert_eq!(arena.has_children(i), !run.is_empty());
+                for child in run.clone() {
+                    proptest::prop_assert_eq!(arena.child(i, arena.url(child)), Some(child));
+                }
+                // A URL between two siblings' names no child.
+                if let Some(first) = run.clone().next() {
+                    let url = arena.url(first).0;
+                    let missing = (url + 1..url + 5).find(|&u| {
+                        run.clone().all(|c| arena.url(c).0 != u)
+                    });
+                    if let Some(u) = missing {
+                        proptest::prop_assert_eq!(arena.child(i, UrlId(u)), None);
+                    }
+                }
+            }
+            for root in arena.roots() {
+                let (start, end) = plain.link_offsets.pair(ix(root));
+                proptest::prop_assert_eq!(
+                    arena.root_links(root),
+                    narrow_row(start)..narrow_row(end)
+                );
+            }
+            proptest::prop_assert!(arena.parents_in_order().eq(
+                plain.parents.iter().map(|p| narrow_row(p).wrapping_sub(1))
+            ));
+            proptest::prop_assert_eq!(&arena.to_snapshot(), &snap);
+            proptest::prop_assert_eq!(&FrozenTree::from_snapshot(&arena.to_snapshot()).unwrap(), &arena);
+        }
     }
 
     #[test]

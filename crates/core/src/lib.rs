@@ -79,7 +79,7 @@ pub mod stats;
 pub mod topn;
 pub mod verify;
 
-pub use column::{ColumnBytes, CountColumn, UintColumn};
+pub use column::{ColumnBytes, CountColumn, FrameColumn, UintColumn};
 pub use context_index::{ContextHashes, ContextIndex, IndexOccupancy, IndexSplit};
 pub use eval::{evaluate, EvalConfig, PredictionQuality};
 pub use frozen::{FrozenTree, NodeId};

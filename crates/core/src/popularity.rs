@@ -168,12 +168,22 @@ impl PopularityBuilder {
 ///
 /// The counts are a [`CountColumn`]: stored at the width most of them
 /// need, with the few popular URLs' larger counts in its outlier table.
-#[derive(Debug, Clone, Default)]
+/// A grade is not stored: [`PopularityTable::grade`] buckets the URL's
+/// count over the largest, through the least count of each grade.
+#[derive(Debug, Clone)]
 pub struct PopularityTable {
     counts: CountColumn,
-    grades: Vec<Grade>,
     max_count: u64,
     total: u64,
+    /// The least count graded [`Grade::G1`], [`Grade::G2`] and
+    /// [`Grade::G3`] under `max_count` (see [`grade_floors`]).
+    floors: [u64; 3],
+}
+
+impl Default for PopularityTable {
+    fn default() -> Self {
+        Self::from_counts(Vec::new())
+    }
 }
 
 impl PopularityTable {
@@ -185,57 +195,57 @@ impl PopularityTable {
     /// Builds the table directly from a dense per-URL count vector
     /// (`counts[url.index()]` = number of accesses).
     pub fn from_counts(counts: Vec<u64>) -> Self {
-        let (grades, max_count, total) = Self::grades_of(&counts);
-        Self {
-            counts: CountColumn::from_values(&counts),
-            grades,
-            max_count,
-            total,
-        }
+        let max_count = counts.iter().copied().max().unwrap_or(0);
+        let total = counts.iter().sum();
+        Self::from_parts_unchecked(counts, max_count, total)
     }
 
     /// The grades of `counts`, their largest and their sum: all a table
     /// derives from its counts, which the audit rederives this way.
     pub(crate) fn grades_of(counts: &[u64]) -> (Vec<Grade>, u64, u64) {
         let max_count = counts.iter().copied().max().unwrap_or(0);
-        let total = counts.iter().sum();
-        let grades = counts
-            .iter()
-            .map(|&c| {
-                if max_count == 0 {
-                    Grade::G0
-                } else {
-                    Grade::from_relative_popularity(c as f64 / max_count as f64)
-                }
-            })
-            .collect();
-        (grades, max_count, total)
+        let grades = counts.iter().map(|&c| grade_of(c, max_count)).collect();
+        (grades, max_count, counts.iter().sum())
     }
 
-    /// Assembles a table from already-separated parts **without** rederiving
-    /// grades from the counts. This deliberately permits internally
-    /// inconsistent tables — it is the forgery hook the audit crate's
-    /// adversarial harness uses to exercise the grade-consistency check in
-    /// [`crate::verify`]. Not part of the public API.
+    /// Assembles a table from already-separated parts **without** checking
+    /// `max_count` and `total` against the counts. This deliberately
+    /// permits internally inconsistent tables, whose grades, bucketed over
+    /// the stored `max_count`, disagree with the counts' — it is the
+    /// forgery hook the audit crate's adversarial harness uses to exercise
+    /// the grade-consistency check in [`crate::verify`]. Not part of the
+    /// public API.
     #[doc(hidden)]
-    pub fn from_parts_unchecked(
-        counts: Vec<u64>,
-        grades: Vec<Grade>,
-        max_count: u64,
-        total: u64,
-    ) -> Self {
+    pub fn from_parts_unchecked(counts: Vec<u64>, max_count: u64, total: u64) -> Self {
         Self {
             counts: CountColumn::from_values(&counts),
-            grades,
             max_count,
             total,
+            floors: grade_floors(max_count),
         }
     }
 
-    /// The popularity grade of `url` ([`Grade::G0`] if never seen).
+    /// The popularity grade of `url` ([`Grade::G0`] if never seen): its
+    /// count over the largest, bucketed, which is how many grades' least
+    /// counts it reaches.
     #[inline]
     pub fn grade(&self, url: UrlId) -> Grade {
-        self.grades.get(url.index()).copied().unwrap_or(Grade::G0)
+        self.grade_of_count(self.count(url))
+    }
+
+    /// The grade of a URL counted `count` times.
+    #[inline]
+    fn grade_of_count(&self, count: u64) -> Grade {
+        let reached = self.floors.iter().filter(|&&floor| count >= floor).count();
+        // At most three floors.
+        #[allow(clippy::cast_possible_truncation)]
+        let level = reached as u8;
+        Grade::from_level(level)
+    }
+
+    /// Every URL id's grade, in id order: one walk over the counts.
+    pub(crate) fn grades(&self) -> impl Iterator<Item = Grade> + '_ {
+        self.counts.iter().map(|count| self.grade_of_count(count))
     }
 
     /// Relative popularity of `url`: its access count over the most popular
@@ -272,25 +282,16 @@ impl PopularityTable {
         self.max_count
     }
 
-    /// Heap bytes of the counts and grades, by length: a clone or a
-    /// snapshot load allocates exactly this.
+    /// Heap bytes of the counts, by length: a clone or a snapshot load
+    /// allocates exactly this.
     pub fn heap_bytes(&self) -> usize {
         self.split().iter().map(|c| c.bytes).sum()
     }
 
-    /// The counts', their outlier table's and the grades' bytes and
-    /// widths; their bytes sum to [`PopularityTable::heap_bytes`].
-    pub fn split(&self) -> [ColumnBytes; 3] {
-        let [counts, counts_over] = self.counts.split("counts", "counts_over");
-        [
-            counts,
-            counts_over,
-            ColumnBytes {
-                name: "grades",
-                bytes: std::mem::size_of_val(self.grades.as_slice()),
-                width: std::mem::size_of::<Grade>(),
-            },
-        ]
+    /// The counts' and their outlier table's bytes and widths; their
+    /// bytes sum to [`PopularityTable::heap_bytes`].
+    pub fn split(&self) -> [ColumnBytes; 2] {
+        self.counts.split("counts", "counts_over")
     }
 
     /// Number of URLs with a nonzero count.
@@ -304,10 +305,8 @@ impl PopularityTable {
     /// ids that were interned but never requested would otherwise inflate G0.
     pub fn grade_histogram(&self) -> [usize; 4] {
         let mut hist = [0usize; 4];
-        for (i, &g) in self.grades.iter().enumerate() {
-            if self.counts.get(i) > 0 {
-                hist[g.level() as usize] += 1;
-            }
+        for count in self.counts.iter().filter(|&c| c > 0) {
+            hist[usize::from(self.grade_of_count(count).level())] += 1;
         }
         hist
     }
@@ -318,6 +317,40 @@ impl PopularityTable {
     pub fn is_popular(&self, url: UrlId) -> bool {
         self.grade(url) >= Grade::G2
     }
+}
+
+/// The grade of a URL counted `count` times when the most popular was
+/// counted `max_count` times: [`Grade::G0`] when nothing was counted.
+fn grade_of(count: u64, max_count: u64) -> Grade {
+    if max_count == 0 {
+        Grade::G0
+    } else {
+        Grade::from_relative_popularity(count as f64 / max_count as f64)
+    }
+}
+
+/// The least count that [`grade_of`] grades [`Grade::G1`], [`Grade::G2`]
+/// and [`Grade::G3`] under `max_count`, each found by bisecting the counts
+/// up to `max_count`; `u64::MAX` where none is (nothing was counted).
+/// Rounding keeps the quotient, and so the grade, monotone in the count,
+/// so a count has a grade exactly when it reaches that grade's floor.
+fn grade_floors(max_count: u64) -> [u64; 3] {
+    [Grade::G1, Grade::G2, Grade::G3].map(|grade| {
+        let (mut lo, mut hi) = (0, max_count.saturating_add(1));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if grade_of(mid, max_count) < grade {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo > max_count {
+            u64::MAX
+        } else {
+            lo
+        }
+    })
 }
 
 #[cfg(test)]
@@ -365,6 +398,43 @@ mod tests {
         assert_eq!(t.grade(UrlId(3)), Grade::G1);
         assert_eq!(t.grade(UrlId(4)), Grade::G0);
         assert_eq!(t.grade(UrlId(5)), Grade::G0); // never interned
+    }
+
+    proptest::proptest! {
+        /// A table grades each count as the quotient over the largest
+        /// does, at and around every grade's edge and at random: the
+        /// floors stand for the expression exactly.
+        #[test]
+        fn floors_grade_as_the_quotient_does(
+            max in proptest::prop_oneof![1u64..2_000, 1u64..=1 << 56],
+            picks in proptest::collection::vec((0u64..4, 0u64..=u64::MAX), 1..40),
+        ) {
+            let edges = [max / 1000, max / 100, max / 10, max];
+            let counts: Vec<u64> = picks
+                .iter()
+                .map(|&(k, any)| {
+                    let edge = edges[usize::try_from(k).unwrap_or(0)];
+                    // Within two of an edge, or anywhere up to the largest.
+                    match any % 3 {
+                        0 => edge.saturating_sub(any % 3 + (any >> 8) % 2),
+                        1 => (edge + (any >> 8) % 2).min(max),
+                        _ => any % (max + 1),
+                    }
+                })
+                .chain([max])
+                .collect();
+            let t = PopularityTable::from_counts(counts.clone());
+            for (i, &c) in counts.iter().enumerate() {
+                let url = UrlId(u32::try_from(i).unwrap_or(u32::MAX));
+                proptest::prop_assert_eq!(t.grade(url), grade_of(c, max), "count {}", c);
+            }
+            let (grades, ..) = PopularityTable::grades_of(&counts);
+            let hist = t.grade_histogram();
+            for g in Grade::ALL {
+                let n = counts.iter().zip(&grades).filter(|&(&c, &h)| c > 0 && h == g).count();
+                proptest::prop_assert_eq!(hist[usize::from(g.level())], n);
+            }
+        }
     }
 
     #[test]

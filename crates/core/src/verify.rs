@@ -844,10 +844,9 @@ fn verify_popularity(pop: &PopularityTable, report: &mut AuditReport) {
             .violations
             .push(Violation::PopularityTotalsInconsistent { what: "total" });
     }
-    for (i, &fresh) in grades.iter().enumerate() {
+    for ((i, &fresh), stored) in grades.iter().enumerate().zip(pop.grades()) {
         report.tick();
         let url = UrlId(u32::try_from(i).unwrap_or(u32::MAX));
-        let stored = pop.grade(url);
         if stored != fresh {
             report.violations.push(Violation::GradeMismatch {
                 url: url.0,
@@ -1168,29 +1167,26 @@ mod tests {
         assert!(!report.has("frozen-csr-malformed"), "{report}");
 
         let mut pb = trained_pb();
-        arena_mut(&mut pb).parents.set(0, 2);
+        arena_mut(&mut pb).parents.edit(|parents| parents[0] = 2);
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("root-registration-invalid"), "{report}");
     }
 
     #[test]
     fn forged_grade_table_is_caught() {
+        // Grades are bucketed over the stored largest count: a hundredfold
+        // one drops url 0 from grade 3, and the totals no longer agree.
         let mut pb = trained_pb();
-        let counts = pb.pop.counts().to_vec();
-        let mut grades: Vec<Grade> = (0..counts.len())
-            .map(|i| pb.pop.grade(u(u32::try_from(i).unwrap_or(u32::MAX))))
-            .collect();
-        if let Some(g) = grades.first_mut() {
-            *g = Grade::G0; // url 0 really has grade 3
-        }
+        assert_eq!(pb.pop.grade(u(0)), Grade::G3);
         pb.pop = PopularityTable::from_parts_unchecked(
-            counts,
-            grades,
-            pb.pop.max_count(),
+            pb.pop.counts().to_vec(),
+            pb.pop.max_count() * 100,
             pb.pop.total_accesses(),
         );
+        assert!(pb.pop.grade(u(0)) < Grade::G3);
         let report = verify_model(&ModelRef::Pb(&pb));
         assert!(report.has("grade-mismatch"), "{report}");
+        assert!(report.has("popularity-totals-inconsistent"), "{report}");
     }
 
     #[test]

@@ -17,14 +17,14 @@ fn wide_models_answer_like_the_reference() {
         let arena = m.frozen().expect("finalized");
         assert!(arena.len() > n as usize, "{} rows", arena.len());
         let widths: Vec<(&str, usize)> = arena.split().iter().map(|c| (c.name, c.width)).collect();
-        for column in ["urls", "parents", "first_child"] {
+        for column in ["urls", "parents_base", "first_child_base"] {
             assert!(widths.contains(&(column, width)), "n={n}: {widths:?}");
         }
         // Most counts fit a byte; the roots', the hub's and its
         // successor's (and at the larger size each middle page's) sit in
         // the outlier tables.
         assert!(widths.contains(&("counts", 1)), "n={n}: {widths:?}");
-        let [counts, over, _] = m.popularity().split();
+        let [counts, over] = m.popularity().split();
         assert_eq!((counts.name, counts.width), ("counts", 1), "n={n}");
         assert!(over.bytes > 0, "n={n}: {over:?}");
 

@@ -45,8 +45,12 @@
 #                              arena's for every model kind), every index,
 #                              arena and popularity column with a width of
 #                              1 to 8 bytes (each count column followed by
-#                              its outlier table, `…_over`), the pb arena's
-#                              URL bitmaps (`held`, `roots`, `root_ranks`),
+#                              its outlier table, `…_over`, and each offset
+#                              column split into its block bases, `…_base`,
+#                              its excesses and their outlier table), the
+#                              pb arena's URL bitmaps (`held`, `roots`,
+#                              `root_ranks`) and frame-coded offsets
+#                              (`parents_base`, `first_child_base`),
 #                              and the index's voting
 #                              windows filed and its derived, clean,
 #                              dirty and dropped groups; it
@@ -208,14 +212,20 @@ echo "== ci: snapshot audit smoke" >&2
 # ids, S strings, D decoded bytes`) must add up to the file size, with no
 # more strings than ids, and the loaded URL table's split (`interner
 # bytes N: strings … ends … slots … presence …`), the
-# loaded model's index split (`index bytes N: keys B wW … vote_counts B
-# wW vote_counts_over B wW; dirty groups D, largest M members`), arena
-# split (`arena bytes N: urls B wW counts B wW counts_over B wW … held B
-# w8 roots B w8 root_ranks B w4 link_offsets B wW`) and popularity split
-# (`popularity bytes N: counts B wW counts_over B wW grades B wW`) each to
-# its printed total. A column may be any whole number of bytes wide, 1 to
-# 8; a count column's outlier table is an entry of its own, whose width is
-# the bytes of one slot: a listed position and its value.
+# loaded model's index split (`index bytes N: keys B wW dir_base B wW dir
+# B wW dir_over B wW … vote_counts B wW vote_counts_over B wW; dirty
+# groups D, largest M members`), arena split (`arena bytes N: urls B wW
+# counts B wW counts_over B wW parents_base B wW parents B wW parents_over
+# B wW first_child_base B wW first_child B wW first_child_over B wW held B
+# w8 roots B w8 root_ranks B w4 link_offsets_base B wW link_offsets B wW
+# link_offsets_over B wW`) and popularity split (`popularity bytes N:
+# counts B wW counts_over B wW`) each to its printed total. A column may
+# be any whole number of bytes wide, 1 to 8; a count column's outlier
+# table is an entry of its own, whose width is the bytes of one slot: a
+# listed position and its value. An offset column (`dir`, `parents`,
+# `first_child`, `link_offsets`) is a frame column: its block bases
+# (`…_base`) are one entry, its excesses over them a count column with its
+# outlier table (`…`, `…_over`).
 "$pbppm" audit "$tmp/model.pbss" >"$tmp/audit.txt"
 python3 - "$tmp/audit.txt" "$tmp/model.pbss" <<'EOF'
 import os, re, sys
@@ -261,6 +271,12 @@ EOF
 if ! grep -Eq '^  arena bytes [0-9]+: .* held [0-9]+ w8 roots [0-9]+ w8 root_ranks [0-9]+ w4 ' "$tmp/audit.txt" ||
     grep -q 'root_lookup' "$tmp/audit.txt"; then
     echo "ci: the pb arena's split does not name its root bitmap entries" >&2
+    exit 1
+fi
+# The arena's parents and child runs are frame columns: the split names
+# each one's block bases, so plain offset columns fail here.
+if ! grep -Eq '^  arena bytes [0-9]+: .* parents_base [0-9]+ w[1-8] parents [0-9]+ w[1-8] parents_over [0-9]+ w[1-8] first_child_base [0-9]+ w[1-8] ' "$tmp/audit.txt"; then
+    echo "ci: the pb arena's split does not name parents_base and first_child_base" >&2
     exit 1
 fi
 # Every tree model prints its arena's split.
